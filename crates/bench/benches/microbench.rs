@@ -132,6 +132,60 @@ fn bench_merge(c: &mut Criterion) {
     });
 }
 
+/// The scan path's merge: 30 mutually overlapping PM tables (every
+/// table holds every 30th key, as a partition's unsorted level-0
+/// does), one cursor each through a shared group cache, 50 rows
+/// pulled from a rotating start key.
+fn bench_scan_merge(c: &mut Criterion) {
+    use pm_blade::cursor::{Cursor, MergingIter, PmRun, ScanStats};
+    let cost = CostModel::default();
+    let pool = pm_device::PmPool::new(64 << 20, cost);
+    let ids = pm_blade::handle::CacheIds::new();
+    let all = entries(30 * 250);
+    let tables: Vec<pm_blade::handle::PmTableHandle> = (0..30)
+        .flat_map(|source| {
+            let slice: Vec<OwnedEntry> = all.iter().skip(source).step_by(30).cloned().collect();
+            pm_blade::handle::build_pm_tables(
+                &slice,
+                PmTableOptions::default(),
+                &Default::default(),
+                usize::MAX,
+                &pool,
+                &ids,
+                &cost,
+                &mut Timeline::new(),
+            )
+            .unwrap()
+        })
+        .collect();
+    let cache = pm_blade::PmGroupCache::new(4 << 20);
+    let starts: Vec<&[u8]> = all.iter().step_by(97).map(|e| &e.user_key[..]).collect();
+    c.bench_function("scan/merging_iter_50_of_30_sources", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i += 1;
+            let runs = tables.iter().map(std::slice::from_ref);
+            let cursors = runs.map(|run| Cursor::Pm(PmRun::new(run, None, &cache)));
+            let (mut stats, mut tl) = (ScanStats::default(), Timeline::new());
+            let mut rows = MergingIter::new(
+                cursors.collect(),
+                starts[i % starts.len()],
+                None,
+                true,
+                cost.cpu.merge_per_entry,
+                &mut stats,
+                &mut tl,
+            )
+            .unwrap();
+            let mut pulled = 0;
+            while pulled < 50 && rows.next(&mut tl).unwrap().is_some() {
+                pulled += 1;
+            }
+            pulled
+        })
+    });
+}
+
 fn bench_storage_metering_overhead(c: &mut Criterion) {
     // The metering layer must stay cheap relative to the data work.
     let buf = DramBuf::with_default_cost(vec![0u8; 4096]);
@@ -150,6 +204,7 @@ criterion_group!(
         bench_szip,
         bench_engine,
         bench_merge,
+        bench_scan_merge,
         bench_storage_metering_overhead
 );
 criterion_main!(benches);

@@ -9,5 +9,5 @@
 pub mod skiplist;
 pub mod wal;
 
-pub use skiplist::MemTable;
+pub use skiplist::{MemCursor, MemTable};
 pub use wal::{Wal, WalError, WalRecord};

@@ -8,7 +8,7 @@
 //! serializes writers externally.
 
 use encoding::key::{self, KeyKind, SequenceNumber};
-use pmtable::{Lookup, OwnedEntry};
+use pmtable::{EntryRef, Lookup, OwnedEntry};
 use sim::{CostModel, Pcg64, Timeline};
 
 const MAX_HEIGHT: usize = 12;
@@ -178,23 +178,34 @@ impl MemTable {
         out
     }
 
-    /// Entries with user keys in `[start, end)` in internal-key order,
-    /// yielding at most `limit` entries.
-    pub fn scan_range(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        limit: usize,
-        tl: &mut Timeline,
-    ) -> Vec<OwnedEntry> {
+    /// A cursor over this table, unpositioned until its first `seek`.
+    pub fn cursor(&self) -> MemCursor<'_> {
+        MemCursor {
+            table: self,
+            node: None,
+        }
+    }
+}
+
+/// A forward cursor over a [`MemTable`] in internal-key order,
+/// borrowing each entry from its skiplist node.
+pub struct MemCursor<'a> {
+    table: &'a MemTable,
+    node: Option<usize>,
+}
+
+impl<'a> MemCursor<'a> {
+    /// Position at the first entry with user key >= `start`.
+    pub fn seek(&mut self, start: &[u8], tl: &mut Timeline) {
+        let t = self.table;
         let target = key::InternalKey::seek_to(start, key::MAX_SEQUENCE).into_encoded();
         let mut cur = 0usize;
-        for level in (0..self.height).rev() {
+        for level in (0..t.height).rev() {
             loop {
-                tl.charge(self.cost.dram.random_read(32));
-                match self.nodes[cur].next[level] {
+                tl.charge(t.cost.dram.random_read(32));
+                match t.nodes[cur].next[level] {
                     Some(nxt)
-                        if key::compare(&self.nodes[nxt].ikey, &target)
+                        if key::compare(&t.nodes[nxt].ikey, &target)
                             == std::cmp::Ordering::Less =>
                     {
                         cur = nxt
@@ -203,33 +214,35 @@ impl MemTable {
                 }
             }
         }
-        let mut out = Vec::new();
-        let mut link = self.nodes[cur].next[0];
-        while let Some(idx) = link {
-            if out.len() >= limit {
-                break;
-            }
-            let node = &self.nodes[idx];
-            let uk = key::user_key(&node.ikey);
-            if let Some(end) = end {
-                if uk >= end {
-                    break;
-                }
-            }
-            tl.charge(
-                self.cost
-                    .dram
-                    .sequential_read(node.ikey.len() + node.value.len()),
-            );
-            out.push(OwnedEntry {
-                user_key: uk.to_vec(),
-                seq: key::sequence(&node.ikey),
-                kind: key::kind(&node.ikey).expect("valid kind"),
-                value: node.value.clone(),
-            });
-            link = node.next[0];
+        self.land(t.nodes[cur].next[0], tl);
+    }
+
+    /// Step to the next entry; a no-op once the table is exhausted.
+    pub fn advance(&mut self, tl: &mut Timeline) {
+        if let Some(idx) = self.node {
+            self.land(self.table.nodes[idx].next[0], tl);
         }
-        out
+    }
+
+    /// One sequential DRAM read of the node the cursor moved onto.
+    fn land(&mut self, node: Option<usize>, tl: &mut Timeline) {
+        self.node = node;
+        if let Some(idx) = node {
+            let n = &self.table.nodes[idx];
+            tl.charge(
+                self.table
+                    .cost
+                    .dram
+                    .sequential_read(n.ikey.len() + n.value.len()),
+            );
+        }
+    }
+
+    /// The entry under the cursor; `None` before a seek and after the
+    /// last entry.
+    pub fn current(&self) -> Option<EntryRef<'a>> {
+        let n = &self.table.nodes[self.node?];
+        Some(EntryRef::parse(&n.ikey, &n.value).expect("memtable nodes hold valid internal keys"))
     }
 }
 
@@ -317,24 +330,40 @@ mod tests {
     }
 
     #[test]
-    fn scan_range_half_open() {
+    fn cursor_seeks_before_between_and_past() {
         let mut t = table();
         let mut tl = Timeline::new();
-        for i in 0..50u64 {
-            t.insert(
-                format!("k{:03}", i).as_bytes(),
-                i + 1,
-                KeyKind::Value,
-                b"v",
-                &mut tl,
-            );
+        let mut cursor = t.cursor();
+        cursor.seek(b"", &mut tl);
+        assert!(cursor.current().is_none(), "empty table");
+        for (k, seq) in [("b", 1u64), ("d", 2), ("d", 5), ("f", 3)] {
+            t.insert(k.as_bytes(), seq, KeyKind::Value, k.as_bytes(), &mut tl);
         }
-        let got = t.scan_range(b"k010", Some(b"k020"), usize::MAX, &mut tl);
-        assert_eq!(got.len(), 10);
-        assert_eq!(got[0].user_key, b"k010");
-        assert_eq!(got[9].user_key, b"k019");
-        let tail = t.scan_range(b"k045", None, usize::MAX, &mut tl);
-        assert_eq!(tail.len(), 5);
+        t.insert(b"h", 4, KeyKind::Delete, b"", &mut tl);
+        let drain_from = |start: &[u8]| {
+            let mut tl = Timeline::new();
+            let mut cursor = t.cursor();
+            assert!(cursor.current().is_none(), "unpositioned before a seek");
+            cursor.seek(start, &mut tl);
+            let mut out = Vec::new();
+            while let Some(e) = cursor.current() {
+                out.push((e.user_key.to_vec(), e.seq, e.kind));
+                cursor.advance(&mut tl);
+            }
+            assert!(tl.elapsed() > sim::SimDuration::ZERO);
+            out
+        };
+        let all = vec![
+            (b"b".to_vec(), 1, KeyKind::Value),
+            (b"d".to_vec(), 5, KeyKind::Value),
+            (b"d".to_vec(), 2, KeyKind::Value),
+            (b"f".to_vec(), 3, KeyKind::Value),
+            (b"h".to_vec(), 4, KeyKind::Delete),
+        ];
+        assert_eq!(drain_from(b"a"), all, "before the first key");
+        assert_eq!(drain_from(b"d"), all[1..], "on a key: newest version first");
+        assert_eq!(drain_from(b"e"), all[3..], "between two keys");
+        assert!(drain_from(b"i").is_empty(), "past the last key");
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! captured under the partition lock, the lock dropped, then the edit
 //! appended), so it cannot participate in a cycle.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -46,7 +46,6 @@ use encoding::key::{KeyKind, SequenceNumber};
 use memtable::{Wal, WalRecord};
 use parking_lot::{Mutex, RwLock};
 use pm_device::{PmError, PmPool};
-use pmtable::OwnedEntry;
 use sim::fault::FaultPlan;
 use sim::{CostModel, SimDuration, SimInstant, Timeline};
 use ssd_device::{SsdDevice, SsdError};
@@ -59,6 +58,7 @@ use crate::compaction::CompactionWork;
 use crate::costmodel::{
     explain_read_benefit_coded, explain_write_benefit_coded, select_retained, RetentionCandidate,
 };
+use crate::cursor::{MergingIter, ScanStats};
 use crate::groupcache::PmGroupCache;
 use crate::handle::{reopen_pm_table, CacheIds, PmTableHandle, SsTableHandle};
 use crate::level0::ProbeStats;
@@ -729,6 +729,9 @@ pub struct DbCore {
     /// Table-read failures surfaced by the SSD read path (these
     /// propagate to the caller instead of being swallowed as misses).
     ssd_read_errors: Arc<Counter>,
+    /// Compaction inputs (SSTables) that could not be read; the
+    /// compaction aborted with every input table still in place.
+    compaction_input_errors: Arc<Counter>,
     /// The background job queue; `Some` iff
     /// `opts.maintenance == MaintenanceMode::Background`.
     maintenance: Option<Arc<MaintenanceShared>>,
@@ -987,6 +990,8 @@ impl DbCore {
         let pm_filter_miss = registry.counter(MetricKey::global("pm_filter_miss_total"));
         let pm_tables_probed = registry.histogram(MetricKey::global("pm_tables_probed_per_get"));
         let ssd_read_errors = registry.counter(MetricKey::global("ssd_read_errors_total"));
+        let compaction_input_errors =
+            registry.counter(MetricKey::global("compaction_input_errors_total"));
         let lat_reads = registry.histogram(MetricKey::global("read_latency"));
         let lat_writes = registry.histogram(MetricKey::global("write_latency"));
         let lat_scans = registry.histogram(MetricKey::global("scan_latency"));
@@ -1069,6 +1074,7 @@ impl DbCore {
             pm_filter_miss,
             pm_tables_probed,
             ssd_read_errors,
+            compaction_input_errors,
             maintenance,
             write_slowdowns,
             write_stalls,
@@ -2197,115 +2203,102 @@ impl DbCore {
         let mut tl = Timeline::new();
         let start_nanos = self.clock.load(Ordering::Relaxed);
         self.stats.scans.incr();
-        let start = request.start.as_slice();
-        let end = request.end.as_deref();
-        let limit = request.limit;
-        let first_pid = self.opts.partitioner.locate(start);
-        let last_pid = end
+        let first_pid = self.opts.partitioner.locate(&request.start);
+        let last_pid = request
+            .end
+            .as_deref()
             .map(|e| self.opts.partitioner.locate(e))
             .unwrap_or(self.partitions.len() - 1);
         let mut out = Vec::new();
-        if request.reverse {
-            // Reverse scans walk partitions back to front and consume
-            // each partition's slice from the tail. Truncated sources
-            // cut from the *front* of a range, so the slice must be
-            // collected in full before the tail is meaningful — correct
-            // for any range, efficient only for bounded ones.
-            for pid in (first_pid..=last_pid).rev() {
-                if out.len() >= limit {
-                    break;
-                }
-                let merged = self.scan_partition(pid, start, end, usize::MAX, &mut tl);
-                for entry in merged.into_iter().rev() {
-                    if out.len() >= limit {
-                        break;
-                    }
-                    if entry.kind == KeyKind::Value {
-                        out.push((entry.user_key, entry.value));
-                    }
-                }
+        let mut stats = ScanStats::default();
+        for i in 0..(last_pid + 1).saturating_sub(first_pid) {
+            if out.len() >= request.limit {
+                break;
             }
-        } else {
-            for pid in first_pid..=last_pid {
-                let merged = self.scan_partition(pid, start, end, limit - out.len(), &mut tl);
-                for entry in merged {
-                    if out.len() >= limit {
-                        break;
-                    }
-                    if entry.kind == KeyKind::Value {
-                        out.push((entry.user_key, entry.value));
-                    }
-                }
-                if out.len() >= limit {
-                    break;
-                }
+            // Reverse scans walk partitions back to front.
+            let pid = if request.reverse {
+                last_pid - i
+            } else {
+                first_pid + i
+            };
+            if let Err(e) = self.scan_partition(pid, &request, &mut out, &mut stats, &mut tl) {
+                // Surface the failure (rows behind an unreadable table
+                // may be missing), but still account for the work done.
+                self.ssd_read_errors.incr();
+                self.advance(tl.elapsed());
+                return Err(e);
             }
         }
         let latency = tl.elapsed();
         self.advance(latency);
         self.lat_scans.record(latency);
         if let Some(ctx) = trace {
-            // Scans record a stage-less trace (the partition walk is
-            // one merged pass; there is no per-stage breakdown yet).
-            let st = StageTrace::new(ctx, TraceOp::Scan, first_pid, start_nanos);
+            // Per-kind sums of the cursor steps' measured sub-intervals,
+            // laid out back to back, then the merge CPU.
+            let mut st = StageTrace::new(ctx, TraceOp::Scan, first_pid, start_nanos);
+            let mut at = 0;
+            for (kind, nanos, steps) in stats.stages {
+                if nanos > 0 {
+                    st.stage_counts(kind, at, at + nanos, steps, 0);
+                    at += nanos;
+                }
+            }
+            let merge = self.opts.cost.cpu.merge_per_entry.as_nanos() * stats.records;
+            st.stage_counts(
+                SpanKind::Merge,
+                at,
+                at + merge,
+                stats.records,
+                out.len() as u64,
+            );
             self.tracer.finish(st.finish(latency.as_nanos()));
         }
         Ok((out, latency))
     }
 
-    /// One partition's merged, version-deduplicated slice of
-    /// `[start, end)`, containing at least `needed` live entries when
-    /// the partition holds that many (tombstones ride along for the
-    /// caller to filter).
+    /// Append one partition's share of a scan to `out`: one merging
+    /// pass over the partition's cursors, under its read lock. A forward
+    /// scan stops at the row that fills `limit`; a reverse scan runs the
+    /// same forward pass over the whole range and keeps its last rows in
+    /// a deque bounded by what `limit` still allows.
     fn scan_partition(
         &self,
         pid: usize,
-        start: &[u8],
-        end: Option<&[u8]>,
-        needed: usize,
+        request: &ScanRequest,
+        out: &mut Vec<(Vec<u8>, Vec<u8>)>,
+        stats: &mut ScanStats,
         tl: &mut Timeline,
-    ) -> Vec<OwnedEntry> {
+    ) -> Result<(), DbError> {
         let partition = self.partitions[pid].read();
         partition.counters.reads.incr();
         self.read_metrics[pid].reads.incr();
-        // Per-source limits count raw entries, but shadowed versions
-        // and tombstones are dropped by the merge — so a truncated
-        // source can starve the result. Over-fetch adaptively until
-        // either enough live rows surface or every source is
-        // exhausted; only the successful pass is charged (an
-        // iterator-based scan would make exactly one).
-        let mut per_source = needed.max(1);
-        loop {
-            let mut attempt = Timeline::new();
-            let sources = partition.scan_sources(start, end, per_source, &mut attempt);
-            // Merged results are only complete up to the smallest
-            // last key among truncated sources (beyond it, a
-            // truncated source may be hiding smaller keys than what
-            // other sources contributed).
-            let mut bound: Option<Vec<u8>> = None;
-            for s in &sources {
-                if s.len() >= per_source {
-                    if let Some(last) = s.last() {
-                        let k = last.user_key.clone();
-                        bound = Some(match bound.take() {
-                            Some(b) if b <= k => b,
-                            _ => k,
-                        });
-                    }
+        let (start, end) = (request.start.as_slice(), request.end.as_deref());
+        let mut rows = MergingIter::new(
+            partition.cursors(start, end, &self.group_cache),
+            start,
+            end,
+            true,
+            self.opts.cost.cpu.merge_per_entry,
+            stats,
+            tl,
+        )?;
+        let room = request.limit - out.len();
+        if request.reverse {
+            let mut tail = VecDeque::new();
+            while let Some(row) = rows.next(tl)? {
+                if tail.len() == room {
+                    tail.pop_front();
                 }
+                tail.push_back((row.user_key.to_vec(), row.value.to_vec()));
             }
-            let mut merged =
-                crate::handle::merge_dedup(sources, false, &self.opts.cost, &mut attempt);
-            if let Some(b) = &bound {
-                merged.retain(|e| e.user_key.as_slice() <= b.as_slice());
+            out.extend(tail.into_iter().rev());
+        } else {
+            while out.len() < request.limit {
+                let Some(row) = rows.next(tl)? else { break };
+                out.push((row.user_key.to_vec(), row.value.to_vec()));
             }
-            let live = merged.iter().filter(|e| e.kind == KeyKind::Value).count();
-            if live >= needed || bound.is_none() || per_source >= usize::MAX / 8 {
-                tl.charge(attempt.elapsed());
-                return merged;
-            }
-            per_source *= 4;
         }
+        Ok(())
     }
 
     // ---------------------------------------------------------------
@@ -2722,11 +2715,11 @@ impl DbCore {
         let records_before = entries_in(&p) as u64;
         let report = p.major_compaction(
             &self.opts,
-            &self.pool,
             &self.device,
             &self.cache,
             &self.table_counter,
             table_limit,
+            &self.compaction_input_errors,
             &mut tl,
         )?;
         // For a limited pass, only the moved slice counts as this

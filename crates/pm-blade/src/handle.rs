@@ -6,11 +6,12 @@ use std::sync::Arc;
 use encoding::delta::CodecStats;
 use encoding::key::SequenceNumber;
 use pm_device::{PmPool, PmRegion, RegionId};
-use pmtable::{CodecMode, L0Table, OwnedEntry, PmTable, PmTableBuilder, PmTableOptions};
+use pmtable::{CodecMode, EntryRef, L0Table, OwnedEntry, PmTable, PmTableBuilder, PmTableOptions};
 use sim::Timeline;
 use sstable::SsTable;
 
 use crate::costmodel::{select_codec, CodecCostTable};
+use crate::engine::DbError;
 
 /// Per-engine allocator for [`PmTableHandle::cache_id`]. Ids are
 /// monotonic and never reused within an engine, so a retired table's
@@ -64,13 +65,6 @@ impl PmTableHandle {
     pub fn overlaps_key(&self, key: &[u8]) -> bool {
         self.first.as_slice() <= key && key <= self.last.as_slice()
     }
-
-    /// Does this table's range intersect `[start, end)`?
-    pub fn overlaps_range(&self, start: &[u8], end: Option<&[u8]>) -> bool {
-        let after_start = self.last.as_slice() >= start;
-        let before_end = end.is_none_or(|e| self.first.as_slice() < e);
-        after_start && before_end
-    }
 }
 
 impl std::fmt::Debug for PmTableHandle {
@@ -99,14 +93,32 @@ impl SsTableHandle {
         self.first.as_slice() <= key && key <= self.last.as_slice()
     }
 
-    pub fn overlaps_range(&self, start: &[u8], end: Option<&[u8]>) -> bool {
-        let after_start = self.last.as_slice() >= start;
-        let before_end = end.is_none_or(|e| self.first.as_slice() < e);
-        after_start && before_end
-    }
-
     pub fn overlaps_handle_range(&self, first: &[u8], last: &[u8]) -> bool {
         self.first.as_slice() <= last && first <= self.last.as_slice()
+    }
+
+    /// Append every entry of the table to `out`, materialized as a
+    /// compaction input. A block that cannot be read or an entry that
+    /// does not parse fails the load: merging on without this table
+    /// would silently drop its keys once the compaction deletes it.
+    pub fn load_entries(
+        &self,
+        out: &mut Vec<OwnedEntry>,
+        tl: &mut Timeline,
+    ) -> Result<(), DbError> {
+        let entries = self.table.scan_all(tl)?;
+        out.reserve(entries.len());
+        for (ikey, value) in entries {
+            let e = EntryRef::parse(&ikey, &[])
+                .ok_or_else(|| DbError::Corrupt(format!("{}: entry kind", self.name)))?;
+            out.push(OwnedEntry {
+                user_key: e.user_key.to_vec(),
+                seq: e.seq,
+                kind: e.kind,
+                value,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -494,9 +506,5 @@ mod tests {
         assert!(h.overlaps_key(b"n"));
         assert!(!h.overlaps_key(b"a"));
         assert!(!h.overlaps_key(b"q"));
-        assert!(h.overlaps_range(b"a", Some(b"n")));
-        assert!(h.overlaps_range(b"p", None));
-        assert!(!h.overlaps_range(b"q", None));
-        assert!(!h.overlaps_range(b"a", Some(b"m")));
     }
 }

@@ -26,6 +26,7 @@ use pm_device::PmPool;
 use pmtable::{L0Table, Lookup, OwnedEntry};
 use sim::Timeline;
 
+use crate::cursor::{Cursor, PmRun};
 use crate::groupcache::{ObservedGroupAccess, PmGroupCache};
 use crate::handle::PmTableHandle;
 
@@ -201,34 +202,16 @@ impl PmLevel0 {
         }
     }
 
-    /// Entries overlapping `[start, end)` from every table, newest first
-    /// per key after merging by the caller.
-    pub fn scan_sources(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        limit: usize,
-        tl: &mut Timeline,
-    ) -> Vec<Vec<OwnedEntry>> {
-        let mut sources = Vec::new();
-        for handle in &self.unsorted {
-            if handle.overlaps_range(start, end) {
-                sources.push(handle.table.scan_range(start, end, limit, tl));
-            }
-        }
-        let mut run = Vec::new();
-        for handle in &self.sorted {
-            if run.len() >= limit {
-                break;
-            }
-            if handle.overlaps_range(start, end) {
-                run.extend(handle.table.scan_range(start, end, limit - run.len(), tl));
-            }
-        }
-        if !run.is_empty() {
-            sources.push(run);
-        }
-        sources
+    /// Scan cursors over `[.., end)`: one per unsorted table plus one
+    /// concatenating cursor over the sorted run.
+    pub fn cursors<'a>(
+        &'a self,
+        end: Option<&'a [u8]>,
+        cache: &'a PmGroupCache,
+    ) -> impl Iterator<Item = Cursor<'a>> {
+        let runs = self.unsorted.iter().map(std::slice::from_ref);
+        runs.chain(std::iter::once(&self.sorted[..]))
+            .map(move |run| Cursor::Pm(PmRun::new(run, end, cache)))
     }
 
     /// Read every entry of every table (internal-compaction input).
@@ -245,41 +228,48 @@ impl PmLevel0 {
         sources
     }
 
-    /// Detach up to `limit` of the *oldest* tables for a chunked major
-    /// compaction, returning their entries, PM regions, and group-cache
-    /// ids (for purging). The sorted run is always older than every
-    /// unsorted table (it was built from all tables present at its
-    /// creation; later flushes only append unsorted tables with strictly
-    /// newer sequences), and unsorted tables age front-to-back — so
-    /// draining run-first/front-first guarantees any version left behind
-    /// in level-0 is newer than what moved down, and reads (level-0
-    /// before level-1) stay correct between chunks.
-    pub fn take_oldest(
-        &mut self,
-        limit: usize,
-        tl: &mut Timeline,
-    ) -> (Vec<Vec<OwnedEntry>>, Vec<pm_device::RegionId>, Vec<u64>) {
+    /// How many sorted-run and unsorted tables a major compaction limited
+    /// to `limit` tables moves: the *oldest* first. The sorted run is
+    /// always older than every unsorted table (it was built from all
+    /// tables present at its creation; later flushes only append
+    /// unsorted tables with strictly newer sequences), and unsorted
+    /// tables age front-to-back — so draining run-first/front-first
+    /// guarantees any version left behind in level-0 is newer than what
+    /// moved down, and reads (level-0 before level-1) stay correct
+    /// between chunks.
+    fn oldest(&self, limit: usize) -> (usize, usize) {
         let take_sorted = self.sorted.len().min(limit);
-        let take_unsorted = self.unsorted.len().min(limit - take_sorted);
+        (take_sorted, self.unsorted.len().min(limit - take_sorted))
+    }
+
+    /// The entries of the `limit` oldest tables, as merge sources (the
+    /// input of a chunked major compaction). Nothing is detached yet.
+    pub fn read_oldest(&self, limit: usize, tl: &mut Timeline) -> Vec<Vec<OwnedEntry>> {
+        let (take_sorted, take_unsorted) = self.oldest(limit);
         let mut sources = Vec::new();
-        let mut regions = Vec::new();
-        let mut cache_ids = Vec::new();
         let mut run = Vec::new();
-        for handle in self.sorted.drain(..take_sorted) {
+        for handle in &self.sorted[..take_sorted] {
             run.extend(handle.table.scan_all(tl));
-            regions.push(handle.region);
-            cache_ids.push(handle.cache_id);
         }
         if !run.is_empty() {
             sources.push(run);
         }
-        for handle in self.unsorted.drain(..take_unsorted) {
+        for handle in &self.unsorted[..take_unsorted] {
             sources.push(handle.table.scan_all(tl));
-            regions.push(handle.region);
-            cache_ids.push(handle.cache_id);
         }
+        sources
+    }
+
+    /// Detach the tables [`PmLevel0::read_oldest`] read, once their
+    /// merged output is installed below. Returns their PM regions and
+    /// group-cache ids (for purging).
+    pub fn detach_oldest(&mut self, limit: usize) -> (Vec<pm_device::RegionId>, Vec<u64>) {
+        let (take_sorted, take_unsorted) = self.oldest(limit);
+        let detached = self.sorted.drain(..take_sorted);
+        let detached = detached.chain(self.unsorted.drain(..take_unsorted));
+        let ids = detached.map(|h| (h.region, h.cache_id)).unzip();
         self.fence = Arc::new(FenceIndex::build(&self.sorted));
-        (sources, regions, cache_ids)
+        ids
     }
 
     /// Drop every table, freeing PM space. Returns bytes released and
@@ -510,6 +500,7 @@ fn get_in(
 mod tests {
     use super::*;
     use crate::costmodel::CodecCostTable;
+    use crate::cursor::tests::drain;
     use crate::handle::{build_pm_tables, CacheIds};
     use pmtable::PmTableOptions;
     use sim::CostModel;
@@ -629,16 +620,41 @@ mod tests {
     }
 
     #[test]
-    fn scan_sources_respects_range() {
+    fn cursors_merge_every_table_and_open_the_run_lazily() {
         let pool = pool();
+        let cache = PmGroupCache::new(1 << 20);
         let mut l0 = PmLevel0::new();
-        l0.push_unsorted(table(&pool, vec![entry("a", 1, "1"), entry("d", 2, "2")]));
-        l0.set_sorted_run(vec![table(&pool, vec![entry("b", 3, "3")])]);
-        let mut tl = Timeline::new();
-        let sources = l0.scan_sources(b"b", Some(b"d"), usize::MAX, &mut tl);
-        let all: Vec<_> = sources.into_iter().flatten().collect();
-        assert_eq!(all.len(), 1);
-        assert_eq!(all[0].user_key, b"b");
+        // The `table` helper mints every handle the same cache id.
+        let table = |cache_id, entries| PmTableHandle {
+            cache_id,
+            ..table(&pool, entries)
+        };
+        l0.set_sorted_run(vec![
+            table(1, vec![entry("a", 1, "1"), entry("c", 2, "2")]),
+            table(2, vec![entry("m", 3, "3"), entry("z", 4, "4")]),
+        ]);
+        l0.push_unsorted(table(3, vec![entry("b", 8, "b"), entry("c", 9, "new")]));
+        let scan = |start: &[u8], end: Option<&'static [u8]>| -> Vec<(Vec<u8>, Vec<u8>)> {
+            let rows = drain(l0.cursors(end, &cache).collect(), start, end, false);
+            rows.into_iter().map(|e| (e.user_key, e.value)).collect()
+        };
+        let row = |k: &str, v: &str| (k.as_bytes().to_vec(), v.as_bytes().to_vec());
+        // Ends before the run's second table begins: it is never opened.
+        assert_eq!(scan(b"b", Some(b"d")), [row("b", "b"), row("c", "new")]);
+        assert_eq!(cache.len(), 2, "one group each from the two tables touched");
+        // Crosses from the run's first table into its second.
+        assert_eq!(
+            scan(b"", None),
+            [
+                row("a", "1"),
+                row("b", "b"),
+                row("c", "new"),
+                row("m", "3"),
+                row("z", "4")
+            ]
+        );
+        assert_eq!(scan(b"d", Some(b"m")), []);
+        assert_eq!(scan(b"n", None), [row("z", "4")]);
     }
 
     #[test]

@@ -9,12 +9,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use encoding::key::{self, SequenceNumber};
+use encoding::key::SequenceNumber;
 use pmtable::{Lookup, OwnedEntry};
 use sim::Timeline;
 use ssd_device::SsdDevice;
 use sstable::{BlockCache, SsTable, SsTableBuilder, SsTableOptions};
 
+use crate::cursor::{Cursor, SsRun};
 use crate::handle::SsTableHandle;
 
 /// Per-get SSD probe accounting, threaded into the request tracer's
@@ -58,6 +59,11 @@ impl SsdLevels {
 
     pub fn depth(&self) -> usize {
         self.levels.len()
+    }
+
+    /// The tables of level `n` (1-based), in key order.
+    pub fn tables(&self, level: usize) -> &[SsTableHandle] {
+        self.levels.get(level - 1).map_or(&[], |tables| tables)
     }
 
     pub fn is_empty(&self) -> bool {
@@ -109,43 +115,12 @@ impl SsdLevels {
         Ok(None)
     }
 
-    /// Range scan sources, one per level (each level is itself sorted).
-    pub fn scan_sources(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        limit: usize,
-        tl: &mut Timeline,
-    ) -> Vec<Vec<OwnedEntry>> {
-        let mut sources = Vec::new();
-        for level in &self.levels {
-            let mut run = Vec::new();
-            for handle in level {
-                if !handle.overlaps_range(start, end) {
-                    continue;
-                }
-                if run.len() >= limit {
-                    break;
-                }
-                // Bounded scan: touches only the intersecting blocks.
-                let hits = handle
-                    .table
-                    .scan_range(start, end, limit - run.len(), tl)
-                    .unwrap_or_default();
-                for (ikey, value) in hits {
-                    run.push(OwnedEntry {
-                        user_key: key::user_key(&ikey).to_vec(),
-                        seq: key::sequence(&ikey),
-                        kind: key::kind(&ikey).expect("valid kind"),
-                        value,
-                    });
-                }
-            }
-            if !run.is_empty() {
-                sources.push(run);
-            }
-        }
-        sources
+    /// Scan cursors over `[.., end)`: one concatenating cursor per level
+    /// (each level is itself sorted).
+    pub fn cursors<'a>(&'a self, end: Option<&'a [u8]>) -> impl Iterator<Item = Cursor<'a>> {
+        self.levels
+            .iter()
+            .map(move |level| Cursor::Ss(SsRun::new(level, end)))
     }
 
     /// Install `tables` as the new level `n`, returning the old tables
@@ -240,6 +215,7 @@ pub fn build_ss_tables(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cursor::tests::drain;
     use encoding::key::KeyKind;
     use sim::CostModel;
 
@@ -366,30 +342,48 @@ mod tests {
     }
 
     #[test]
-    fn scan_sources_orders_within_levels() {
+    fn cursors_concatenate_each_level_and_merge_across_levels() {
         let (device, cache) = setup();
         let mut tl = Timeline::new();
         let counter = AtomicU64::new(0);
-        let entries: Vec<OwnedEntry> = (0..50)
-            .map(|i| e(&format!("k{:03}", i), i + 1, "v"))
+        let mut build = |entries: &[OwnedEntry], max_bytes: usize| {
+            let opts = SsTableOptions::default();
+            build_ss_tables(
+                entries, &device, &cache, "s", &counter, max_bytes, opts, &mut tl,
+            )
+            .unwrap()
+        };
+        let old: Vec<OwnedEntry> = (0..2000)
+            .map(|i| e(&format!("k{i:05}"), i + 1, &"o".repeat(64)))
             .collect();
-        let tables = build_ss_tables(
-            &entries,
-            &device,
-            &cache,
-            "s",
-            &counter,
-            usize::MAX,
-            SsTableOptions::default(),
-            &mut tl,
-        )
-        .unwrap();
+        let newer: Vec<OwnedEntry> = (0..2000)
+            .step_by(2)
+            .map(|i| e(&format!("k{i:05}"), 10_000 + i, "new"))
+            .collect();
         let mut levels = SsdLevels::new();
-        levels.replace_level(1, tables);
-        let sources = levels.scan_sources(b"k010", Some(b"k020"), usize::MAX, &mut tl);
-        assert_eq!(sources.len(), 1);
-        assert_eq!(sources[0].len(), 10);
-        assert_eq!(sources[0][0].user_key, b"k010");
+        levels.replace_level(1, build(&newer, usize::MAX));
+        levels.replace_level(2, build(&old, 32 << 10));
+        assert!(
+            levels.tables(2).len() > 2,
+            "level 2 is a run of several tables"
+        );
+        let scan = |start: &[u8], end: Option<&'static [u8]>| {
+            drain(levels.cursors(end).collect(), start, end, false)
+        };
+        let all = scan(b"", None);
+        assert_eq!(
+            all.len(),
+            2000,
+            "every key once, across every table boundary"
+        );
+        for (i, row) in all.iter().enumerate() {
+            assert_eq!(row.user_key, format!("k{i:05}").into_bytes());
+            assert_eq!(row.value == b"new", i % 2 == 0, "level 1 shadows level 2");
+        }
+        let slice = scan(b"k00010", Some(b"k00020"));
+        assert_eq!(slice.len(), 10);
+        assert_eq!(slice[0].user_key, b"k00010");
+        assert!(scan(b"k99999", None).is_empty());
     }
 
     #[test]

@@ -24,6 +24,7 @@
 pub mod commit;
 pub mod compaction;
 pub mod costmodel;
+pub mod cursor;
 pub mod engine;
 pub mod groupcache;
 pub mod handle;

@@ -24,6 +24,7 @@ use pm_device::{PmPool, PmRegion, RegionId};
 use pmtable::{ArrayTable, ArrayTableBuilder, L0Table, Lookup, OwnedEntry};
 use sim::Timeline;
 
+use crate::cursor::Cursor;
 use crate::options::Options;
 
 /// One flushed row of the matrix container.
@@ -176,27 +177,24 @@ impl MatrixL0 {
         None
     }
 
-    /// Range-scan sources (each row is internally sorted).
-    pub fn scan_sources(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        limit: usize,
-        tl: &mut Timeline,
-    ) -> Vec<Vec<OwnedEntry>> {
+    /// Scan cursors, one per row overlapping `[start, end)` (each row is
+    /// internally sorted).
+    pub fn cursors<'a>(
+        &'a self,
+        start: &'a [u8],
+        end: Option<&'a [u8]>,
+    ) -> impl Iterator<Item = Cursor<'a>> {
         self.rows
             .iter()
-            .rev()
-            .filter(|row| {
+            .filter(move |row| {
                 row.last.as_slice() >= start && end.is_none_or(|e| row.first.as_slice() < e)
             })
-            .map(|row| row.table.scan_range(start, end, limit, tl))
-            .collect()
+            .map(|row| Cursor::Row(row.table.cursor()))
     }
 
     /// Drain the container for column compaction: the caller merges these
     /// sources column-by-column into level-1. Rows are consumed.
-    pub fn drain_sources(&mut self, tl: &mut Timeline) -> Vec<Vec<OwnedEntry>> {
+    pub fn drain_sources(&self, tl: &mut Timeline) -> Vec<Vec<OwnedEntry>> {
         self.rows.iter().map(|row| row.table.scan_all(tl)).collect()
     }
 
@@ -325,18 +323,27 @@ mod tests {
     }
 
     #[test]
-    fn scan_sources_filters_range() {
+    fn cursors_cover_overlapping_rows_newest_version_first() {
         let (pool, opts) = setup();
         let mut m = MatrixL0::new(4);
         let mut tl = Timeline::new();
         m.flush_row(&entries(1, 30), &opts, &pool, &mut tl).unwrap();
-        let sources = m.scan_sources(b"k00010", Some(b"k00030"), usize::MAX, &mut tl);
-        assert_eq!(sources.len(), 1);
-        // Keys k00012..k00027 step 3.
-        assert!(sources[0]
-            .iter()
-            .all(|e| e.user_key.as_slice() >= b"k00010".as_slice()
-                && e.user_key.as_slice() < b"k00030".as_slice()));
-        assert!(!sources[0].is_empty());
+        m.flush_row(&entries(1000, 10), &opts, &pool, &mut tl)
+            .unwrap();
+        // The second row ends at k00027: a scan starting past it opens
+        // only the first.
+        assert_eq!(m.cursors(b"k00030", None).count(), 1);
+        assert_eq!(m.cursors(b"k00010", Some(b"k00030")).count(), 2);
+        let (start, end) = (b"k00010".as_slice(), Some(b"k00030".as_slice()));
+        let rows = crate::cursor::tests::drain(m.cursors(start, end).collect(), start, end, false);
+        // Keys k00012..k00027 step 3, each from the newer row.
+        let keys: Vec<_> = (4..10)
+            .map(|i| format!("k{:05}", i * 3).into_bytes())
+            .collect();
+        assert_eq!(
+            rows.iter().map(|e| e.user_key.clone()).collect::<Vec<_>>(),
+            keys
+        );
+        assert!(rows.iter().all(|e| e.seq >= 1000));
     }
 }

@@ -11,11 +11,13 @@ use encoding::key::{KeyKind, SequenceNumber};
 use memtable::MemTable;
 use pm_device::PmPool;
 use pmtable::{Lookup, OwnedEntry};
-use sim::{CostModel, SimInstant, Timeline};
+use sim::{CostModel, Counter, SimInstant, Timeline};
 use ssd_device::SsdDevice;
 use sstable::{BlockCache, SsTableOptions};
 
 use crate::costmodel::PartitionCounters;
+use crate::cursor::{Cursor, SsRun};
+use crate::groupcache::PmGroupCache;
 use crate::handle::{build_pm_tables, merge_dedup, CacheIds, SsTableHandle};
 use crate::level0::PmLevel0;
 use crate::levels::{build_ss_tables, SsdLevels};
@@ -89,6 +91,21 @@ fn hash_key(key: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100000001b3);
     }
     h
+}
+
+/// One merge source from a run of SSTables, in order. A table that
+/// cannot be read fails the load and ticks `input_errors`.
+fn load_run<'a>(
+    tables: impl IntoIterator<Item = &'a SsTableHandle>,
+    input_errors: &Counter,
+    tl: &mut Timeline,
+) -> Result<Vec<OwnedEntry>, crate::engine::DbError> {
+    let mut run = Vec::new();
+    for handle in tables {
+        let loaded = handle.load_entries(&mut run, tl);
+        loaded.inspect_err(|_| input_errors.incr())?;
+    }
+    Ok(run)
 }
 
 impl Partition {
@@ -201,40 +218,25 @@ impl Partition {
         Ok((None, ReadSource::Miss, None))
     }
 
-    /// Range-scan sources across all tiers, newest tier first.
-    pub fn scan_sources(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        limit: usize,
-        tl: &mut Timeline,
-    ) -> Vec<Vec<OwnedEntry>> {
-        let mut sources = vec![self.mem.scan_range(start, end, limit, tl)];
+    /// One scan cursor per sorted source of `[start, end)`, across all
+    /// tiers; PM groups are fetched through `cache`.
+    pub fn cursors<'a>(
+        &'a self,
+        start: &'a [u8],
+        end: Option<&'a [u8]>,
+        cache: &'a PmGroupCache,
+    ) -> Vec<Cursor<'a>> {
+        let mut cursors = vec![Cursor::Mem(self.mem.cursor())];
         match &self.level0 {
-            Level0::Pm(l0) => sources.extend(l0.scan_sources(start, end, limit, tl)),
-            Level0::Matrix(m) => sources.extend(m.scan_sources(start, end, limit, tl)),
+            Level0::Pm(l0) => cursors.extend(l0.cursors(end, cache)),
+            Level0::Matrix(m) => cursors.extend(m.cursors(start, end)),
             Level0::Ssd(tables) => {
-                for handle in tables.iter().rev() {
-                    if !handle.overlaps_range(start, end) {
-                        continue;
-                    }
-                    let mut run = Vec::new();
-                    if let Ok(hits) = handle.table.scan_range(start, end, limit, tl) {
-                        for (ikey, value) in hits {
-                            run.push(OwnedEntry {
-                                user_key: encoding::key::user_key(&ikey).to_vec(),
-                                seq: encoding::key::sequence(&ikey),
-                                kind: encoding::key::kind(&ikey).expect("valid kind"),
-                                value,
-                            });
-                        }
-                    }
-                    sources.push(run);
-                }
+                let runs = tables.iter().map(std::slice::from_ref);
+                cursors.extend(runs.map(|run| Cursor::Ss(SsRun::new(run, end))))
             }
         }
-        sources.extend(self.levels.scan_sources(start, end, limit, tl));
-        sources
+        cursors.extend(self.levels.cursors(end));
+        cursors
     }
 
     /// Minor compaction: freeze the memtable and flush it to level-0.
@@ -370,131 +372,101 @@ impl Partition {
     /// (`usize::MAX` = the whole level-0). Background workers pass the
     /// §V chunk size so the partition's write lock is released between
     /// chunks; the oldest tables move first (see
-    /// [`PmLevel0::take_oldest`]) so reads stay correct mid-compaction.
+    /// [`PmLevel0::read_oldest`]) so reads stay correct mid-compaction.
     /// Non-PM level-0s ignore the limit and drain fully.
+    ///
+    /// Every input is read before anything is detached or replaced: an
+    /// SSTable that cannot be read fails the compaction (ticking
+    /// `input_errors`) with every input table still in place.
     #[allow(clippy::too_many_arguments)]
     pub fn major_compaction(
         &mut self,
         opts: &Options,
-        _pool: &PmPool,
         device: &Arc<SsdDevice>,
         cache: &Arc<BlockCache>,
         table_counter: &AtomicU64,
         table_limit: usize,
+        input_errors: &Counter,
         tl: &mut Timeline,
     ) -> Result<MajorCompactionReport, crate::engine::DbError> {
         // Collect level-0 input.
-        let mut sources: Vec<Vec<OwnedEntry>> = Vec::new();
-        let mut released_regions: Vec<pm_device::RegionId> = Vec::new();
-        let mut retired_cache_ids: Vec<u64> = Vec::new();
-        match &mut self.level0 {
-            Level0::Pm(l0) => {
-                let (chunk, regions, cache_ids) = l0.take_oldest(table_limit, tl);
-                sources.extend(chunk);
-                released_regions.extend(regions);
-                retired_cache_ids.extend(cache_ids);
-            }
-            Level0::Matrix(m) => {
-                sources.extend(m.drain_sources(tl));
-                released_regions.extend(m.take_regions());
-            }
+        let mut sources: Vec<Vec<OwnedEntry>> = match &self.level0 {
+            Level0::Pm(l0) => l0.read_oldest(table_limit, tl),
+            Level0::Matrix(m) => m.drain_sources(tl),
             Level0::Ssd(tables) => {
-                for handle in tables.iter().rev() {
-                    let mut run = Vec::new();
-                    if let Ok(all) = handle.table.scan_all(tl) {
-                        for (ikey, value) in all {
-                            run.push(OwnedEntry {
-                                user_key: encoding::key::user_key(&ikey).to_vec(),
-                                seq: encoding::key::sequence(&ikey),
-                                kind: encoding::key::kind(&ikey).expect("valid kind"),
-                                value,
-                            });
-                        }
-                    }
-                    sources.push(run);
-                }
+                let newest_first = tables.iter().rev();
+                newest_first
+                    .map(|h| load_run([h], input_errors, tl))
+                    .collect::<Result<_, _>>()?
             }
-        }
-        if sources.iter().all(|s| s.is_empty()) {
-            // Nothing to move; report no deletions. The (empty) drained
-            // regions still go back through the report so the engine
-            // frees them after the manifest edit lands.
-            if let Level0::Ssd(tables) = &mut self.level0 {
-                tables.clear();
-            }
-            return Ok(MajorCompactionReport {
-                deleted_tables: Vec::new(),
-                retired_cache_ids,
-                released_regions,
-            });
-        }
-        // Merge with overlapping level-1 tables.
-        let first = sources
-            .iter()
-            .flat_map(|s| s.first())
-            .map(|e| e.user_key.clone())
-            .min()
-            .expect("nonempty");
-        let last = sources
-            .iter()
-            .flat_map(|s| s.last())
-            .map(|e| e.user_key.clone())
-            .max()
-            .expect("nonempty");
-        let l1_overlap = self.levels.overlapping(1, &first, &last);
+        };
         let mut deleted: Vec<String> = Vec::new();
-        let mut l1_run = Vec::new();
-        for handle in &l1_overlap {
-            if let Ok(all) = handle.table.scan_all(tl) {
-                for (ikey, value) in all {
-                    l1_run.push(OwnedEntry {
-                        user_key: encoding::key::user_key(&ikey).to_vec(),
-                        seq: encoding::key::sequence(&ikey),
-                        kind: encoding::key::kind(&ikey).expect("valid kind"),
-                        value,
-                    });
+        let moved = sources.iter().any(|s| !s.is_empty());
+        if moved {
+            // Merge with overlapping level-1 tables.
+            let first = sources
+                .iter()
+                .flat_map(|s| s.first())
+                .map(|e| e.user_key.clone())
+                .min()
+                .expect("nonempty");
+            let last = sources
+                .iter()
+                .flat_map(|s| s.last())
+                .map(|e| e.user_key.clone())
+                .max()
+                .expect("nonempty");
+            let l1_overlap = self.levels.overlapping(1, &first, &last);
+            let l1_run = load_run(&l1_overlap, input_errors, tl)?;
+            if !l1_run.is_empty() {
+                sources.push(l1_run);
+            }
+            // Tombstones can drop only when no deeper level holds the key
+            // range; be conservative: drop only when levels below 1 are empty.
+            let drop_tombstones = self.levels.depth() <= 1;
+            let merged = merge_dedup(sources, drop_tombstones, &opts.cost, tl);
+            let new_tables = build_ss_tables(
+                &merged,
+                device,
+                cache,
+                &format!("p{:03}-L1", self.id),
+                table_counter,
+                opts.max_table_bytes,
+                SsTableOptions::default(),
+                tl,
+            )?;
+            // Install: keep non-overlapping old L1 tables, insert the new run.
+            let old_l1 = self.levels.replace_level(1, Vec::new());
+            let mut next_l1: Vec<SsTableHandle> = Vec::new();
+            for handle in old_l1 {
+                if l1_overlap.iter().any(|o| o.name == handle.name) {
+                    deleted.push(handle.name.clone());
+                } else {
+                    next_l1.push(handle);
                 }
             }
+            next_l1.extend(new_tables);
+            next_l1.sort_by(|a, b| a.first.cmp(&b.first));
+            self.levels.replace_level(1, next_l1);
         }
-        if !l1_run.is_empty() {
-            sources.push(l1_run);
-        }
-        // Tombstones can drop only when no deeper level holds the key
-        // range; be conservative: drop only when levels below 1 are empty.
-        let drop_tombstones = self.levels.depth() <= 1;
-        let merged = merge_dedup(sources, drop_tombstones, &opts.cost, tl);
-        let new_tables = build_ss_tables(
-            &merged,
-            device,
-            cache,
-            &format!("p{:03}-L1", self.id),
-            table_counter,
-            opts.max_table_bytes,
-            SsTableOptions::default(),
-            tl,
-        )?;
-        // Install: keep non-overlapping old L1 tables, insert the new run.
-        let old_l1 = self.levels.replace_level(1, Vec::new());
-        let mut next_l1: Vec<SsTableHandle> = Vec::new();
-        for handle in old_l1 {
-            if l1_overlap.iter().any(|o| o.name == handle.name) {
-                deleted.push(handle.name.clone());
-            } else {
-                next_l1.push(handle);
+        // Detach the moved level-0 tables (nothing, when level-0 was
+        // empty). SSD tables are deleted by name; PM regions are freed
+        // by the engine once the manifest edit recording this version
+        // is durable.
+        let (released_regions, retired_cache_ids) = match &mut self.level0 {
+            Level0::Pm(l0) => l0.detach_oldest(table_limit),
+            Level0::Matrix(m) => (m.take_regions(), Vec::new()),
+            Level0::Ssd(tables) => {
+                deleted.extend(tables.drain(..).map(|handle| handle.name));
+                (Vec::new(), Vec::new())
             }
+        };
+        if moved {
+            // Cascade oversized deeper levels.
+            let cascaded =
+                self.cascade_levels(opts, device, cache, table_counter, input_errors, tl)?;
+            deleted.extend(cascaded);
         }
-        next_l1.extend(new_tables);
-        next_l1.sort_by(|a, b| a.first.cmp(&b.first));
-        self.levels.replace_level(1, next_l1);
-        // Drop SSD L0 tables; PM regions are freed by the engine once
-        // the manifest edit recording this version is durable.
-        if let Level0::Ssd(tables) = &mut self.level0 {
-            for handle in tables.drain(..) {
-                deleted.push(handle.name.clone());
-            }
-        }
-        // Cascade oversized deeper levels.
-        deleted.extend(self.cascade_levels(opts, device, cache, table_counter, tl)?);
         Ok(MajorCompactionReport {
             deleted_tables: deleted,
             retired_cache_ids,
@@ -509,6 +481,7 @@ impl Partition {
         device: &Arc<SsdDevice>,
         cache: &Arc<BlockCache>,
         table_counter: &AtomicU64,
+        input_errors: &Counter,
         tl: &mut Timeline,
     ) -> Result<Vec<String>, crate::engine::DbError> {
         let mut deleted = Vec::new();
@@ -520,30 +493,13 @@ impl Partition {
                 level += 1;
                 continue;
             }
-            // Merge the whole level into the next one.
-            let this_level = self.levels.replace_level(level, Vec::new());
-            let next_level = self.levels.replace_level(level + 1, Vec::new());
+            // Merge the whole level into the next one. Both stay in
+            // place until every table of both has been read.
             let mut sources = Vec::new();
-            let mut run = Vec::new();
-            for handle in this_level.iter().chain(next_level.iter()) {
-                deleted.push(handle.name.clone());
-            }
-            for group in [&this_level, &next_level] {
-                run.clear();
-                for handle in group.iter() {
-                    if let Ok(all) = handle.table.scan_all(tl) {
-                        for (ikey, value) in all {
-                            run.push(OwnedEntry {
-                                user_key: encoding::key::user_key(&ikey).to_vec(),
-                                seq: encoding::key::sequence(&ikey),
-                                kind: encoding::key::kind(&ikey).expect("valid kind"),
-                                value,
-                            });
-                        }
-                    }
-                }
+            for group in [self.levels.tables(level), self.levels.tables(level + 1)] {
+                let run = load_run(group, input_errors, tl)?;
                 if !run.is_empty() {
-                    sources.push(std::mem::take(&mut run));
+                    sources.push(run);
                 }
             }
             let is_bottom = level + 1 >= self.levels.depth();
@@ -558,7 +514,9 @@ impl Partition {
                 SsTableOptions::default(),
                 tl,
             )?;
-            self.levels.replace_level(level + 1, new_tables);
+            let this_level = self.levels.replace_level(level, Vec::new());
+            let next_level = self.levels.replace_level(level + 1, new_tables);
+            deleted.extend(this_level.into_iter().chain(next_level).map(|h| h.name));
             level += 1;
         }
         Ok(deleted)

@@ -40,6 +40,8 @@ pub enum SpanKind {
     PmDecodeMiss,
     /// Stage: the SSD-level search after a PM level-0 miss.
     SsdRead,
+    /// Stage: a scan's k-way merge CPU, charged per record pulled.
+    Merge,
 }
 
 impl SpanKind {
@@ -58,6 +60,7 @@ impl SpanKind {
             SpanKind::PmDecodeHit => "pm_decode_hit",
             SpanKind::PmDecodeMiss => "pm_decode_miss",
             SpanKind::SsdRead => "ssd_read",
+            SpanKind::Merge => "merge",
         }
     }
 }

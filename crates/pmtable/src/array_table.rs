@@ -11,7 +11,7 @@ use encoding::key::{self, SequenceNumber};
 use sim::Timeline;
 
 use crate::storage::Storage;
-use crate::{BuildStats, L0Table, Lookup, OwnedEntry};
+use crate::{BuildStats, EntryRef, L0Table, Lookup, OwnedEntry};
 
 const MAGIC: u32 = 0x4152_5442; // "ARTB"
 const HEADER_LEN: usize = 8;
@@ -184,27 +184,69 @@ impl<S: Storage> ArrayTable<S> {
 }
 
 impl<S: Storage> ArrayTable<S> {
-    /// Bounded range scan over `[start, end)` in internal-key order.
-    pub fn scan_range(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        limit: usize,
-        tl: &mut Timeline,
-    ) -> Vec<OwnedEntry> {
-        let mut idx = self.lower_bound(start, tl);
-        let mut out = Vec::new();
-        while idx < self.count && out.len() < limit {
-            let entry = self.read_entry(idx, tl);
-            if let Some(end) = end {
-                if entry.user_key.as_slice() >= end {
-                    break;
-                }
-            }
-            out.push(entry);
-            idx += 1;
+    /// A cursor over this table, unpositioned until its first `seek`.
+    pub fn cursor(&self) -> ArrayCursor<'_, S> {
+        ArrayCursor {
+            table: self,
+            idx: self.count,
         }
-        out
+    }
+}
+
+/// A forward cursor over one [`ArrayTable`], borrowing each entry from
+/// the table's storage.
+pub struct ArrayCursor<'a, S: Storage> {
+    table: &'a ArrayTable<S>,
+    idx: u32,
+}
+
+impl<'a, S: Storage> ArrayCursor<'a, S> {
+    /// Position at the first entry with user key >= `start`.
+    pub fn seek(&mut self, start: &[u8], tl: &mut Timeline) -> Result<(), &'static str> {
+        self.idx = self.table.lower_bound(start, tl);
+        self.land(tl)
+    }
+
+    /// Step to the next entry; a no-op once the table is exhausted.
+    pub fn advance(&mut self, tl: &mut Timeline) -> Result<(), &'static str> {
+        if self.idx >= self.table.count {
+            return Ok(());
+        }
+        self.idx += 1;
+        self.land(tl)
+    }
+
+    /// One sequential PM read of the entry the cursor moved onto, which
+    /// must parse: `current` then yields `None` only past the end.
+    fn land(&mut self, tl: &mut Timeline) -> Result<(), &'static str> {
+        if self.idx >= self.table.count {
+            return Ok(());
+        }
+        let (_, klen, vlen) = self.table.meta_row(self.idx);
+        self.table
+            .storage
+            .meter_sequential(klen as usize + 8 + vlen as usize, tl);
+        if self.current().is_none() {
+            self.idx = self.table.count;
+            return Err("array table: corrupt entry");
+        }
+        Ok(())
+    }
+
+    /// The entry under the cursor; `None` before a seek and after the
+    /// last entry.
+    pub fn current(&self) -> Option<EntryRef<'a>> {
+        if self.idx >= self.table.count {
+            return None;
+        }
+        let (off, klen, vlen) = self.table.meta_row(self.idx);
+        let start = self.table.data_off + off as usize;
+        let value_at = start + klen as usize + 8;
+        let d = self.table.storage.bytes();
+        EntryRef::parse(
+            d.get(start..value_at)?,
+            d.get(value_at..value_at + vlen as usize)?,
+        )
     }
 }
 
@@ -356,17 +398,28 @@ mod tests {
     }
 
     #[test]
-    fn scan_range_bounded_and_limited() {
+    fn cursor_seeks_before_between_and_past() {
         let entries = index_entries(100, 8, 24);
         let t = build(&entries);
-        let mut tl = Timeline::new();
-        let lo = entries[10].user_key.clone();
-        let hi = entries[40].user_key.clone();
-        let got = t.scan_range(&lo, Some(&hi), usize::MAX, &mut tl);
-        assert_eq!(got, entries[10..40].to_vec());
-        let got = t.scan_range(&lo, None, 5, &mut tl);
-        assert_eq!(got.len(), 5);
-        assert!(t.scan_range(b"zzzz", None, 5, &mut tl).is_empty());
+        let drain_from = |table: &ArrayTable<DramBuf>, start: &[u8]| {
+            let mut tl = Timeline::new();
+            let mut cursor = table.cursor();
+            assert!(cursor.current().is_none(), "unpositioned before a seek");
+            cursor.seek(start, &mut tl).unwrap();
+            let mut out = Vec::new();
+            while let Some(e) = cursor.current() {
+                out.push(e.to_owned());
+                cursor.advance(&mut tl).unwrap();
+            }
+            out
+        };
+        assert_eq!(drain_from(&t, b""), entries);
+        assert_eq!(drain_from(&t, &entries[40].user_key), entries[40..]);
+        let mut between = entries[40].user_key.clone();
+        between.push(0);
+        assert_eq!(drain_from(&t, &between), entries[41..]);
+        assert!(drain_from(&t, b"zzzz").is_empty());
+        assert!(drain_from(&build(&[]), b"").is_empty());
     }
 
     #[test]

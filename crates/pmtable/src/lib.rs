@@ -21,13 +21,15 @@ pub mod compressed_array;
 pub mod pm_table;
 pub mod storage;
 
+pub use array_table::ArrayCursor;
 pub use array_table::{ArrayTable, ArrayTableBuilder};
 pub use compressed_array::{
     SnappyGroupTable, SnappyGroupTableBuilder, SnappyTable, SnappyTableBuilder,
 };
 pub use pm_table::{
-    CodecMode, GroupAccess, MetaExtractor, NoGroupCache, PmTable, PmTableBuilder, PmTableOptions,
-    CODEC_COUNT, CODEC_DELTA, CODEC_FIXED, CODEC_NAMES, CODEC_PREFIX,
+    CodecMode, GroupAccess, GroupLoad, MetaExtractor, NoGroupCache, PmCursor, PmTable,
+    PmTableBuilder, PmTableError, PmTableOptions, CODEC_COUNT, CODEC_DELTA, CODEC_FIXED,
+    CODEC_NAMES, CODEC_PREFIX,
 };
 pub use storage::{DramBuf, Storage};
 
@@ -75,6 +77,50 @@ impl OwnedEntry {
     /// Approximate in-memory footprint of this entry.
     pub fn raw_len(&self) -> usize {
         self.user_key.len() + 8 + self.value.len()
+    }
+
+    pub fn as_ref(&self) -> EntryRef<'_> {
+        EntryRef {
+            user_key: &self.user_key,
+            seq: self.seq,
+            kind: self.kind,
+            value: &self.value,
+        }
+    }
+}
+
+/// A borrowed view of one entry: what every table cursor yields, so a
+/// merge can compare and skip entries without materializing them.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct EntryRef<'a> {
+    pub user_key: &'a [u8],
+    pub seq: SequenceNumber,
+    pub kind: KeyKind,
+    pub value: &'a [u8],
+}
+
+impl<'a> EntryRef<'a> {
+    /// View an encoded internal key and its value. `None` when the key
+    /// is shorter than its trailer or the trailer's kind byte is unknown.
+    pub fn parse(ikey: &'a [u8], value: &'a [u8]) -> Option<Self> {
+        if ikey.len() < 8 {
+            return None;
+        }
+        Some(EntryRef {
+            user_key: encoding::key::user_key(ikey),
+            seq: encoding::key::sequence(ikey),
+            kind: encoding::key::kind(ikey)?,
+            value,
+        })
+    }
+
+    pub fn to_owned(&self) -> OwnedEntry {
+        OwnedEntry {
+            user_key: self.user_key.to_vec(),
+            seq: self.seq,
+            kind: self.kind,
+            value: self.value.to_vec(),
+        }
     }
 }
 

@@ -1065,26 +1065,7 @@ impl<S: Storage> PmTable<S> {
                     _ => {}
                 }
             }
-            // One block scan: served from the decoded-group cache at
-            // DRAM cost, or decoded from PM (decode_group meters the
-            // read) and offered to the cache.
-            let entries = match cache.lookup(g) {
-                Some(cached) => {
-                    let (_, block_len, _, _) = self.gindex(g);
-                    tl.charge(
-                        self.storage
-                            .cost_model()
-                            .dram
-                            .random_read(block_len as usize),
-                    );
-                    cached
-                }
-                None => {
-                    let decoded = Arc::new(self.decode_group(g, tl)?);
-                    cache.store(g, Arc::clone(&decoded));
-                    decoded
-                }
-            };
+            let (entries, _) = self.load_group(g, cache, tl)?;
             tl.charge(cpu.key_compare * entries.len() as u64);
             if let Some(e) = entries
                 .iter()
@@ -1099,6 +1080,152 @@ impl<S: Storage> PmTable<S> {
             }
         }
         None
+    }
+
+    /// One block scan: served from the decoded-group cache at DRAM
+    /// cost, or decoded from PM (`decode_group` meters the read) and
+    /// offered to the cache. `None` when the block does not decode.
+    fn load_group<A: GroupAccess + ?Sized>(
+        &self,
+        group: u32,
+        cache: &A,
+        tl: &mut Timeline,
+    ) -> Option<(Arc<Vec<OwnedEntry>>, GroupLoad)> {
+        if let Some(cached) = cache.lookup(group) {
+            let (_, block_len, _, _) = self.gindex(group);
+            tl.charge(
+                self.storage
+                    .cost_model()
+                    .dram
+                    .random_read(block_len as usize),
+            );
+            return Some((cached, GroupLoad::Cached));
+        }
+        let decoded = Arc::new(self.decode_group(group, tl)?);
+        cache.store(group, Arc::clone(&decoded));
+        Some((decoded, GroupLoad::Decoded))
+    }
+
+    /// The first group that can hold an entry with user key >= `start`
+    /// (`group_count` when every key sorts before it): the meta row,
+    /// then the prefix-layer search `get` uses, then the same tie
+    /// step-back — a newer version of `start` may sit at the tail of
+    /// the group before the one whose first key equals it.
+    fn seek_group(&self, start: &[u8], tl: &mut Timeline) -> u32 {
+        if self.first_key.as_deref().is_none_or(|first| first >= start) {
+            return 0;
+        }
+        let (meta, rest) = self.extractor.split(start);
+        let start_meta = self
+            .metas
+            .partition_point(|row| row.prefix.as_slice() < meta);
+        match self.metas.get(start_meta) {
+            Some(row) if row.prefix.as_slice() == meta => {
+                let mut g =
+                    self.locate_group(rest, row.first_group, row.first_group + row.group_count, tl);
+                while g > row.first_group {
+                    self.storage.meter_random(32, tl);
+                    match self.group_first_rest(g) {
+                        Some(first) if first.as_slice() >= rest => g -= 1,
+                        _ => break,
+                    }
+                }
+                g
+            }
+            Some(row) => row.first_group,
+            None => self.group_count,
+        }
+    }
+
+    /// A cursor over this table, unpositioned until its first `seek`.
+    /// Groups are fetched through `access`, one at a time, on demand.
+    pub fn cursor<A: GroupAccess>(&self, access: A) -> PmCursor<'_, S, A> {
+        PmCursor {
+            table: self,
+            access,
+            next_group: self.group_count,
+            entries: None,
+            pos: 0,
+        }
+    }
+}
+
+/// Where a cursor step found the group it moved onto.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum GroupLoad {
+    /// The step stayed inside the current group (or ran off the table).
+    None,
+    /// Served from the decoded-group cache.
+    Cached,
+    /// Decoded from PM.
+    Decoded,
+}
+
+/// A forward cursor over one [`PmTable`] in internal-key order, holding
+/// one decoded group at a time.
+pub struct PmCursor<'a, S: Storage, A: GroupAccess> {
+    table: &'a PmTable<S>,
+    access: A,
+    /// The group `load_next` fetches.
+    next_group: u32,
+    /// The current group; `Some` only while `pos` indexes into it.
+    entries: Option<Arc<Vec<OwnedEntry>>>,
+    pos: usize,
+}
+
+impl<S: Storage, A: GroupAccess> PmCursor<'_, S, A> {
+    /// Position at the first entry with user key >= `start`.
+    pub fn seek(&mut self, start: &[u8], tl: &mut Timeline) -> Result<GroupLoad, PmTableError> {
+        self.next_group = self.table.seek_group(start, tl);
+        let mut load = GroupLoad::None;
+        // The located group can end before `start`; the next one then
+        // begins after it.
+        loop {
+            load = load.max(self.load_next(tl)?);
+            let Some(entries) = &self.entries else {
+                return Ok(load);
+            };
+            self.pos = entries.partition_point(|e| e.user_key.as_slice() < start);
+            if self.pos < entries.len() {
+                return Ok(load);
+            }
+        }
+    }
+
+    /// Step to the next entry; a no-op once the table is exhausted.
+    pub fn advance(&mut self, tl: &mut Timeline) -> Result<GroupLoad, PmTableError> {
+        let Some(entries) = &self.entries else {
+            return Ok(GroupLoad::None);
+        };
+        self.pos += 1;
+        if self.pos < entries.len() {
+            return Ok(GroupLoad::None);
+        }
+        self.load_next(tl)
+    }
+
+    /// The entry under the cursor; `None` before a seek and after the
+    /// last entry.
+    pub fn current(&self) -> Option<&OwnedEntry> {
+        self.entries.as_ref().map(|entries| &entries[self.pos])
+    }
+
+    /// Move onto the first entry of the next non-empty group.
+    fn load_next(&mut self, tl: &mut Timeline) -> Result<GroupLoad, PmTableError> {
+        self.pos = 0;
+        self.entries = None;
+        while self.next_group < self.table.group_count {
+            let (entries, load) = self
+                .table
+                .load_group(self.next_group, &self.access, tl)
+                .ok_or(PmTableError::Corrupt("group block"))?;
+            self.next_group += 1;
+            if !entries.is_empty() {
+                self.entries = Some(entries);
+                return Ok(load);
+            }
+        }
+        Ok(GroupLoad::None)
     }
 }
 
@@ -1164,8 +1291,9 @@ impl<S: Storage> L0Table for PmTable<S> {
     }
 }
 
-/// Range scan support: iterate entries with user keys in
-/// `[start, end)` (end `None` = unbounded).
+/// Range scan support: the entries with user keys in `[start, end)`
+/// (end `None` = unbounded), at most `limit` — a cursor pass collected
+/// into a `Vec`. A group that fails to decode ends the result early.
 impl<S: Storage> PmTable<S> {
     pub fn scan_range(
         &self,
@@ -1174,57 +1302,21 @@ impl<S: Storage> PmTable<S> {
         limit: usize,
         tl: &mut Timeline,
     ) -> Vec<OwnedEntry> {
-        if self.group_count == 0 || limit == 0 {
-            return Vec::new();
-        }
-        let (meta, rest) = self.extractor.split(start);
-        // Locate the starting meta row (first row >= meta).
-        let start_meta = self
-            .metas
-            .partition_point(|row| row.prefix.as_slice() < meta);
         let mut out = Vec::new();
-        let mut group = match self.metas.get(start_meta) {
-            Some(row) if row.prefix.as_slice() == meta => {
-                let mut g =
-                    self.locate_group(rest, row.first_group, row.first_group + row.group_count, tl);
-                // Same fixed-width-prefix tie handling as `get`: step
-                // back while the located group's full first key sorts
-                // after the scan start, or entries in earlier tied
-                // groups would be skipped.
-                while g > row.first_group {
-                    self.storage.meter_random(32, tl);
-                    match self.group_first_rest(g) {
-                        Some(first) if first.as_slice() > rest => g -= 1,
-                        _ => break,
-                    }
-                }
-                g
-            }
-            Some(row) => row.first_group,
-            None => return Vec::new(),
-        };
-        'outer: while group < self.group_count {
-            let (_, block_len, _, _) = self.gindex(group);
-            self.storage.meter_random(block_len as usize, tl);
-            let mut noop = Timeline::new();
-            let Some(entries) = self.decode_group(group, &mut noop) else {
+        if limit == 0 {
+            return out;
+        }
+        let mut cursor = self.cursor(NoGroupCache);
+        let mut step = cursor.seek(start, tl);
+        while let (Ok(_), Some(e)) = (&step, cursor.current()) {
+            if end.is_some_and(|end| e.user_key.as_slice() >= end) {
                 break;
-            };
-            for e in entries {
-                if e.user_key.as_slice() < start {
-                    continue;
-                }
-                if let Some(end) = end {
-                    if e.user_key.as_slice() >= end {
-                        break 'outer;
-                    }
-                }
-                out.push(e);
-                if out.len() >= limit {
-                    break 'outer;
-                }
             }
-            group += 1;
+            out.push(e.clone());
+            if out.len() >= limit {
+                break;
+            }
+            step = cursor.advance(tl);
         }
         out
     }
@@ -1699,6 +1791,126 @@ mod tests {
             let got = t.scan_range(&lo, Some(&hi), usize::MAX, &mut tl);
             assert_eq!(got, want, "scan mismatch under {mode:?}");
         }
+    }
+
+    /// Every entry a cursor yields from `start` on.
+    fn drain_from(t: &PmTable<DramBuf>, start: &[u8]) -> Vec<OwnedEntry> {
+        let mut tl = Timeline::new();
+        let mut cursor = t.cursor(NoGroupCache);
+        assert!(cursor.current().is_none(), "unpositioned before a seek");
+        cursor.seek(start, &mut tl).unwrap();
+        let mut out = Vec::new();
+        while let Some(e) = cursor.current() {
+            out.push(e.clone());
+            cursor.advance(&mut tl).unwrap();
+        }
+        assert_eq!(cursor.advance(&mut tl), Ok(GroupLoad::None));
+        out
+    }
+
+    #[test]
+    fn cursor_seeks_before_between_and_past_under_every_codec() {
+        let entries = timeseries_entries(100, 4);
+        let key = |i: usize, plus: u64| (1_700_000_000u64 + 4 * i as u64 + plus).to_be_bytes();
+        for mode in [CodecMode::Prefix, CodecMode::Delta, CodecMode::Fixed] {
+            let t = build(&entries, codec_opts(mode));
+            assert!(
+                t.group_count() > 4,
+                "100 entries span several 16-entry groups"
+            );
+            assert_eq!(
+                drain_from(&t, b""),
+                entries,
+                "{mode:?}: before the first key"
+            );
+            assert_eq!(
+                drain_from(&t, &key(0, 0)),
+                entries,
+                "{mode:?}: on the first key"
+            );
+            assert_eq!(
+                drain_from(&t, &key(32, 0)),
+                entries[32..],
+                "{mode:?}: a group's first key"
+            );
+            assert_eq!(
+                drain_from(&t, &key(31, 1)),
+                entries[32..],
+                "{mode:?}: between two groups"
+            );
+            assert_eq!(
+                drain_from(&t, &key(40, 1)),
+                entries[41..],
+                "{mode:?}: between two keys"
+            );
+            assert_eq!(
+                drain_from(&t, &key(99, 0)),
+                entries[99..],
+                "{mode:?}: on the last key"
+            );
+            assert!(
+                drain_from(&t, &key(99, 1)).is_empty(),
+                "{mode:?}: past the last key"
+            );
+        }
+        assert!(drain_from(&build(&[], codec_opts(CodecMode::Auto)), b"").is_empty());
+    }
+
+    #[test]
+    fn cursor_seek_finds_newest_version_across_a_group_straddle() {
+        // The PR-3 straddle shape: the newest version of `t0:k` sits at
+        // the tail of group 0, older ones lead groups 1..3. A seek that
+        // stopped at a group whose first key equals the target would
+        // surface a stale version first.
+        let mut entries = vec![OwnedEntry::value(b"t0:a".to_vec(), 1000, b"a".to_vec())];
+        for seq in (1..=30u64).rev() {
+            entries.push(OwnedEntry::value(b"t0:k".to_vec(), seq, b"v".to_vec()));
+        }
+        entries.push(OwnedEntry::value(b"t0:z".to_vec(), 1001, b"z".to_vec()));
+        for codec in [CodecMode::Prefix, CodecMode::Delta] {
+            let t = build(
+                &entries,
+                PmTableOptions {
+                    codec,
+                    ..delim_opts()
+                },
+            );
+            assert_eq!(drain_from(&t, b"t0:k"), entries[1..], "{codec:?}");
+            let first = t.scan_range(b"t0:k", None, 1, &mut Timeline::new());
+            assert_eq!(first[0].seq, 30, "{codec:?}");
+        }
+    }
+
+    #[test]
+    fn cursor_fetches_groups_through_the_access_hook() {
+        struct MapCache(std::cell::RefCell<std::collections::HashMap<u32, Arc<Vec<OwnedEntry>>>>);
+        impl GroupAccess for &MapCache {
+            fn lookup(&self, group: u32) -> Option<Arc<Vec<OwnedEntry>>> {
+                self.0.borrow().get(&group).cloned()
+            }
+            fn store(&self, group: u32, entries: Arc<Vec<OwnedEntry>>) {
+                self.0.borrow_mut().insert(group, entries);
+            }
+        }
+        let entries = timeseries_entries(100, 4);
+        let t = build(&entries, codec_opts(CodecMode::Auto));
+        let cache = MapCache(Default::default());
+        let start = entries[50].user_key.clone();
+        let (mut cold, mut warm) = (Timeline::new(), Timeline::new());
+        let mut cursor = t.cursor(&cache);
+        assert_eq!(cursor.seek(&start, &mut cold), Ok(GroupLoad::Decoded));
+        assert_eq!(
+            cache.0.borrow().len(),
+            1,
+            "a seek decodes one group, not the table"
+        );
+        let mut cursor = t.cursor(&cache);
+        assert_eq!(cursor.seek(&start, &mut warm), Ok(GroupLoad::Cached));
+        assert_eq!(cursor.current(), Some(&entries[50]));
+        assert!(
+            warm.elapsed() < cold.elapsed(),
+            "a cached group costs DRAM, not PM"
+        );
     }
 
     #[test]

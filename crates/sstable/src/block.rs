@@ -164,7 +164,7 @@ impl Block {
 
     /// Decode the entry at byte offset `pos`, given the previous key.
     /// Returns (next_pos, key, value_range).
-    fn entry_at(
+    pub(crate) fn entry_at(
         &self,
         pos: usize,
         prev_key: &mut Vec<u8>,
@@ -200,15 +200,25 @@ impl Block {
     /// Find the first entry whose internal key is >= `target` (by the
     /// internal-key ordering), returning (key, value).
     pub fn seek(&self, target: &[u8]) -> Option<(Vec<u8>, Vec<u8>)> {
+        let mut k = Vec::new();
+        let (_, vrange) = self.seek_entry(target, &mut k)?;
+        Some((k, self.data[vrange].to_vec()))
+    }
+
+    /// [`Block::seek`] without the copies: leaves the found entry's key
+    /// in `key` and returns (offset of the entry after it, value range).
+    pub(crate) fn seek_entry(
+        &self,
+        target: &[u8],
+        key: &mut Vec<u8>,
+    ) -> Option<(usize, std::ops::Range<usize>)> {
         // Binary search restarts for the last restart key <= target.
         let (mut lo, mut hi) = (0usize, self.restart_count);
         while hi - lo > 1 {
             let mid = (lo + hi) / 2;
-            let mut k = Vec::new();
-            let pos = self.restart(mid);
             // Restart entries have shared == 0, so prev_key content is moot.
-            self.entry_at(pos, &mut k)?;
-            if key::compare(&k, target) == std::cmp::Ordering::Greater {
+            self.entry_at(self.restart(mid), key)?;
+            if key::compare(key, target) == std::cmp::Ordering::Greater {
                 hi = mid;
             } else {
                 lo = mid;
@@ -216,14 +226,18 @@ impl Block {
         }
         // Linear scan from restart `lo`.
         let mut pos = self.restart(lo);
-        let mut k = Vec::new();
-        while let Some((next, vrange)) = self.entry_at(pos, &mut k) {
-            if key::compare(&k, target) != std::cmp::Ordering::Less {
-                return Some((k, self.data[vrange].to_vec()));
+        while let Some((next, vrange)) = self.entry_at(pos, key) {
+            if key::compare(key, target) != std::cmp::Ordering::Less {
+                return Some((next, vrange));
             }
             pos = next;
         }
         None
+    }
+
+    /// The bytes of a value range returned by `entry_at` / `seek_entry`.
+    pub(crate) fn value(&self, range: std::ops::Range<usize>) -> &[u8] {
+        &self.data[range]
     }
 }
 

@@ -23,4 +23,4 @@ pub mod table;
 
 pub use bloom::BloomFilter;
 pub use cache::BlockCache;
-pub use table::{SsTable, SsTableBuilder, SsTableOptions, TableIterator};
+pub use table::{SsCursor, SsTable, SsTableBuilder, SsTableOptions};

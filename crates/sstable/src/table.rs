@@ -17,6 +17,7 @@ use std::sync::Arc;
 
 use encoding::key::{self, InternalKey, KeyKind, SequenceNumber};
 use encoding::varint;
+use pmtable::EntryRef;
 use sim::Timeline;
 use ssd_device::{SsdDevice, SsdError, SsdFile};
 
@@ -339,9 +340,22 @@ impl SsTable {
         }
     }
 
+    /// A cursor over this table, unpositioned until its first `seek`.
+    pub fn cursor(&self) -> SsCursor<'_> {
+        SsCursor {
+            table: self,
+            next_block: self.index.len(),
+            block: None,
+            next_pos: 0,
+            key: Vec::new(),
+            value: 0..0,
+        }
+    }
+
     /// Bounded range scan: reads only the blocks that can intersect
     /// `[start, end)` user-key range, stopping after `limit` entries.
-    /// Returns raw (internal key, value) pairs in order.
+    /// Returns raw (internal key, value) pairs in order — a cursor pass
+    /// collected into a `Vec`.
     pub fn scan_range(
         &self,
         start: &[u8],
@@ -349,42 +363,23 @@ impl SsTable {
         limit: usize,
         tl: &mut Timeline,
     ) -> Result<Vec<RawEntry>, TableError> {
-        let target = InternalKey::seek_to(start, key::MAX_SEQUENCE);
-        let mut idx = self.index.partition_point(|(last, _, _)| {
-            key::compare(last, target.encoded()) == std::cmp::Ordering::Less
-        });
         let mut out = Vec::new();
-        'blocks: while idx < self.index.len() && out.len() < limit {
-            let block = self.load_block(idx, tl)?;
-            idx += 1;
-            for (ikey, value) in block.iter() {
-                let uk = key::user_key(&ikey);
-                if uk < start {
-                    continue;
-                }
-                if let Some(end) = end {
-                    if uk >= end {
-                        break 'blocks;
-                    }
-                }
-                out.push((ikey, value));
-                if out.len() >= limit {
-                    break 'blocks;
-                }
+        if limit == 0 {
+            return Ok(out);
+        }
+        let mut cursor = self.cursor();
+        cursor.seek(start, tl)?;
+        while let Some(e) = cursor.current() {
+            if end.is_some_and(|end| e.user_key >= end) {
+                break;
             }
+            out.push((cursor.key.clone(), e.value.to_vec()));
+            if out.len() >= limit {
+                break;
+            }
+            cursor.advance(tl)?;
         }
         Ok(out)
-    }
-
-    /// Sequential iterator over the whole table.
-    pub fn iter<'a>(&'a self, tl: &'a mut Timeline) -> TableIterator<'a> {
-        TableIterator {
-            table: self,
-            tl,
-            block: None,
-            block_idx: 0,
-            pending: Vec::new(),
-        }
     }
 
     /// Collect all entries (for compaction inputs and tests).
@@ -395,19 +390,6 @@ impl SsTable {
             out.extend(block.iter());
         }
         Ok(out)
-    }
-
-    /// First entry with internal key >= target, scanning forward across
-    /// blocks. Returns (ikey, value).
-    pub fn seek(&self, target: &[u8], tl: &mut Timeline) -> Result<Option<RawEntry>, TableError> {
-        let idx = self
-            .index
-            .partition_point(|(last, _, _)| key::compare(last, target) == std::cmp::Ordering::Less);
-        if idx >= self.index.len() {
-            return Ok(None);
-        }
-        let block = self.load_block(idx, tl)?;
-        Ok(block.seek(target))
     }
 }
 
@@ -421,34 +403,83 @@ impl std::fmt::Debug for SsTable {
     }
 }
 
-/// Streaming iterator over a table's entries in order.
-pub struct TableIterator<'a> {
+/// A forward cursor over one [`SsTable`] in internal-key order, holding
+/// one data block at a time.
+pub struct SsCursor<'a> {
     table: &'a SsTable,
-    tl: &'a mut Timeline,
-    block: Option<std::vec::IntoIter<(Vec<u8>, Vec<u8>)>>,
-    block_idx: usize,
-    pending: Vec<(Vec<u8>, Vec<u8>)>,
+    /// The block `enter_block` fetches.
+    next_block: usize,
+    /// The current block; `Some` only while an entry is under the cursor.
+    block: Option<Block>,
+    /// Offset in `block` of the entry after the current one.
+    next_pos: usize,
+    /// Encoded internal key of the current entry.
+    key: Vec<u8>,
+    value: std::ops::Range<usize>,
 }
 
-impl Iterator for TableIterator<'_> {
-    type Item = (Vec<u8>, Vec<u8>);
+impl SsCursor<'_> {
+    /// Position at the first entry with user key >= `start`.
+    pub fn seek(&mut self, start: &[u8], tl: &mut Timeline) -> Result<(), TableError> {
+        let target = InternalKey::seek_to(start, key::MAX_SEQUENCE);
+        self.next_block = self.table.index.partition_point(|(last, _, _)| {
+            key::compare(last, target.encoded()) == std::cmp::Ordering::Less
+        });
+        self.enter_block(Some(target.encoded()), tl)
+    }
 
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(iter) = &mut self.block {
-                if let Some(kv) = iter.next() {
-                    return Some(kv);
-                }
-            }
-            if self.block_idx >= self.table.index.len() {
-                return None;
-            }
-            let block = self.table.load_block(self.block_idx, self.tl).ok()?;
-            self.block_idx += 1;
-            let entries: Vec<_> = block.iter().collect();
-            let _ = &self.pending;
-            self.block = Some(entries.into_iter());
+    /// Step to the next entry; a no-op once the table is exhausted.
+    pub fn advance(&mut self, tl: &mut Timeline) -> Result<(), TableError> {
+        let Some(block) = &self.block else {
+            return Ok(());
+        };
+        match block.entry_at(self.next_pos, &mut self.key) {
+            Some(found) => self.land(found),
+            None => self.enter_block(None, tl),
         }
+    }
+
+    /// The entry under the cursor; `None` before a seek and after the
+    /// last entry.
+    pub fn current(&self) -> Option<EntryRef<'_>> {
+        let block = self.block.as_ref()?;
+        EntryRef::parse(&self.key, block.value(self.value.clone()))
+    }
+
+    /// Load the next block and position at its first entry >= `target`
+    /// (its first entry when `None`).
+    fn enter_block(&mut self, target: Option<&[u8]>, tl: &mut Timeline) -> Result<(), TableError> {
+        self.block = None;
+        if self.next_block >= self.table.index.len() {
+            return Ok(());
+        }
+        let block = self.table.load_block(self.next_block, tl)?;
+        self.next_block += 1;
+        // The index promised an entry here: every block is non-empty and
+        // a seek picks the first block whose last key is >= the target.
+        let found = match target {
+            Some(target) => block.seek_entry(target, &mut self.key),
+            None => block.entry_at(0, &mut self.key),
+        }
+        .ok_or(TableError::Corrupt(
+            "data block shorter than its index entry",
+        ))?;
+        self.block = Some(block);
+        self.land(found)
+    }
+
+    /// Accept the entry `entry_at` / `seek_entry` just decoded into `key`.
+    fn land(
+        &mut self,
+        (next_pos, value): (usize, std::ops::Range<usize>),
+    ) -> Result<(), TableError> {
+        self.next_pos = next_pos;
+        self.value = value;
+        if self.current().is_none() {
+            self.block = None;
+            return Err(TableError::Corrupt("entry kind"));
+        }
+        Ok(())
     }
 }
 
@@ -520,9 +551,6 @@ mod tests {
             assert_eq!(key::user_key(ikey), k.as_bytes());
             assert_eq!(value, v.as_bytes());
         }
-        // Iterator agrees with scan_all.
-        let mut tl2 = Timeline::new();
-        assert_eq!(t.iter(&mut tl2).count(), entries.len());
     }
 
     #[test]
@@ -633,6 +661,75 @@ mod tests {
         assert!(t.scan_range(b"zzzz", None, 10, &mut tl).unwrap().is_empty());
     }
 
+    #[test]
+    fn cursor_seeks_before_between_and_past() {
+        let (device, cache) = setup();
+        let entries = build_table(&device, "c.sst", 3000);
+        let mut tl = Timeline::new();
+        let t = SsTable::open(&device, "c.sst", cache, &mut tl).unwrap();
+        assert!(t.block_count() > 3);
+        let drain_from = |start: &[u8]| {
+            let mut tl = Timeline::new();
+            let mut cursor = t.cursor();
+            assert!(cursor.current().is_none(), "unpositioned before a seek");
+            cursor.seek(start, &mut tl).unwrap();
+            let mut out = Vec::new();
+            while let Some(e) = cursor.current() {
+                assert_eq!((e.seq, e.kind), (100, KeyKind::Value));
+                out.push((e.user_key.to_vec(), e.value.to_vec()));
+                cursor.advance(&mut tl).unwrap();
+            }
+            cursor.advance(&mut tl).unwrap();
+            assert!(
+                cursor.current().is_none(),
+                "advancing past the end is a no-op"
+            );
+            out
+        };
+        let want = |from: usize| -> Vec<(Vec<u8>, Vec<u8>)> {
+            let tail = entries[from..].iter();
+            tail.map(|(k, v)| (k.clone().into_bytes(), v.clone().into_bytes()))
+                .collect()
+        };
+        assert_eq!(drain_from(b""), want(0), "before the first key");
+        // Keys go by 5: `...12` falls between entries 2 and 3.
+        assert_eq!(drain_from(b"user00000012"), want(3), "between two keys");
+        // The first and last keys of every block, and the gap after each
+        // block's last key, land exactly.
+        for (last, _, _) in &t.index {
+            let last = key::user_key(last);
+            let at = entries
+                .iter()
+                .position(|(k, _)| k.as_bytes() == last)
+                .unwrap();
+            assert_eq!(drain_from(last), want(at), "a block's last key");
+            let mut after = last.to_vec();
+            after.push(0);
+            assert_eq!(drain_from(&after), want(at + 1), "between two blocks");
+        }
+        assert!(drain_from(b"zzzz").is_empty(), "past the last key");
+    }
+
+    #[test]
+    fn cursor_surfaces_an_unreadable_block() {
+        let (device, _) = setup();
+        build_table(&device, "bad.sst", 3000);
+        let mut tl = Timeline::new();
+        let cache = Arc::new(BlockCache::disabled());
+        let mut t = SsTable::open(&device, "bad.sst", cache, &mut tl).unwrap();
+        // Point the second block's index entry past the end of the file.
+        t.index[1].1 = t.size();
+        let mut cursor = t.cursor();
+        cursor.seek(b"", &mut tl).unwrap();
+        let step = std::iter::from_fn(|| match cursor.advance(&mut tl) {
+            Ok(()) => cursor.current().map(|_| Ok(())),
+            Err(e) => Some(Err(e)),
+        });
+        let outcome: Result<Vec<()>, TableError> = step.collect();
+        assert!(matches!(outcome, Err(TableError::Ssd(_))), "{outcome:?}");
+        assert!(t.scan_range(b"", None, usize::MAX, &mut tl).is_err());
+    }
+
     proptest::proptest! {
         #![proptest_config(
             proptest::prelude::ProptestConfig::with_cases(24))]
@@ -670,18 +767,5 @@ mod tests {
                 proptest::prop_assert_eq!(key::user_key(ikey), &k[..]);
             }
         }
-    }
-
-    #[test]
-    fn seek_positions_at_or_after_target() {
-        let (device, cache) = setup();
-        build_table(&device, "s.sst", 100);
-        let mut tl = Timeline::new();
-        let t = SsTable::open(&device, "s.sst", cache, &mut tl).unwrap();
-        let target = InternalKey::seek_to(b"user00000012", u64::MAX);
-        let (ikey, _) = t.seek(target.encoded(), &mut tl).unwrap().unwrap();
-        assert_eq!(key::user_key(&ikey), b"user00000015");
-        let end = InternalKey::seek_to(b"zzz", u64::MAX);
-        assert!(t.seek(end.encoded(), &mut tl).unwrap().is_none());
     }
 }

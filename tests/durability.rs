@@ -481,3 +481,101 @@ fn crash_boundary_sweep_mid_flush_and_major() {
         run_crash_case(&ops, countdown, countdown % 2 == 0, MaintenanceMode::Inline);
     }
 }
+
+// ---------------------------------------------------------------------
+// Read faults: an SSTable that cannot be read fails the scan or the
+// compaction that needs it — it is never skipped, and no compaction
+// input is deleted after a failed merge.
+// ---------------------------------------------------------------------
+
+#[test]
+fn unreadable_sstable_fails_scans_and_majors_and_keeps_every_input() {
+    for mode in [
+        Mode::PmBlade,
+        Mode::PmBladePm,
+        Mode::SsdLevel0,
+        Mode::MatrixKv,
+    ] {
+        let dir = scratch_dir("readfault");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut opts = tiny_options(mode);
+        opts.wal_dir = Some(dir.clone());
+        {
+            let db = Db::open(opts.clone()).unwrap();
+            for i in 0..3000u64 {
+                db.put(&key_for(i), &value_for(i, 64)).unwrap();
+            }
+            db.compact(CompactionRequest::FlushAll).unwrap();
+            db.compact(CompactionRequest::Major { partition: 0 })
+                .unwrap();
+            db.close();
+        }
+        // Behind the engine's back: flip a byte in the first data block
+        // of one level-1 table. Footer, filter and index stay intact, so
+        // the table reopens; reading that block fails its checksum.
+        let victim = {
+            let device = ssd_dir_listing(&dir);
+            assert!(device.len() >= 2, "{mode:?}: level 1 holds {device:?}");
+            device[0].clone()
+        };
+        let path = dir.join("ssd").join(&victim);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[16] ^= 0x40;
+        std::fs::write(&path, bytes).unwrap();
+
+        let db = Db::open(opts).unwrap();
+        let counter = |name: &str| db.metrics_snapshot().counter(name);
+        let scan = db.scan(ScanRequest::new());
+        assert!(
+            scan.is_err(),
+            "{mode:?}: scan over a corrupt block must fail"
+        );
+        assert_eq!(counter("ssd_read_errors_total"), 1, "{mode:?}");
+        // A scan that stays clear of the bad block still works.
+        let (rows, _) = db.scan(ScanRequest::new().start(key_for(2990))).unwrap();
+        assert_eq!(rows.len(), 10, "{mode:?}");
+
+        // New versions across the whole key range, flushed to level-0:
+        // the next major compaction needs every level-1 table as input.
+        for i in (0..3000u64).step_by(100) {
+            db.put(&key_for(i), b"newer").unwrap();
+        }
+        db.compact(CompactionRequest::FlushAll).unwrap();
+        let tables_before = db.ssd().list();
+        let pm_before = db.pm_used();
+        let major = db.compact(CompactionRequest::Major { partition: 0 });
+        assert!(
+            major.is_err(),
+            "{mode:?}: major over a corrupt input must fail"
+        );
+        assert_eq!(counter("compaction_input_errors_total"), 1, "{mode:?}");
+        assert_eq!(
+            db.ssd().list(),
+            tables_before,
+            "{mode:?}: no input deleted, no output left behind"
+        );
+        assert_eq!(db.pm_used(), pm_before, "{mode:?}: level-0 still in place");
+        // Both sides of the failed merge are still served.
+        assert_eq!(
+            db.get(&key_for(100)).unwrap().value.as_deref(),
+            Some(&b"newer"[..])
+        );
+        assert_eq!(
+            db.get(&key_for(2999)).unwrap().value,
+            Some(value_for(2999, 64)),
+            "{mode:?}"
+        );
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Object names in the durable SSD directory, ascending.
+fn ssd_dir_listing(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir.join("ssd"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}

@@ -4,8 +4,8 @@
 
 use std::collections::BTreeMap;
 
-use pm_blade::{CompactionRequest, Mode, ScanRequest};
-use pmblade_integration_tests::{tiny_db, value_for};
+use pm_blade::{CompactionRequest, Db, Mode, Partitioner, ScanRequest};
+use pmblade_integration_tests::{tiny_db, tiny_options, value_for};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -14,6 +14,14 @@ enum Op {
     Delete(u16),
     Get(u16),
     Scan(u16, u8),
+    /// A scan of `[start, start + span)` (`span` 0 = no end bound)
+    /// keeping at most `limit` rows (0 = no limit), from either end.
+    Range {
+        start: u16,
+        span: u16,
+        limit: u8,
+        reverse: bool,
+    },
     Flush,
     Internal,
     Major,
@@ -25,6 +33,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => (0u16..300).prop_map(Op::Delete),
         3 => (0u16..300).prop_map(Op::Get),
         1 => (0u16..300, 1u8..30).prop_map(|(k, n)| Op::Scan(k, n)),
+        2 => (0u16..300, 0u16..120, 0u8..12, proptest::bool::ANY).prop_map(
+            |(start, span, limit, reverse)| Op::Range { start, span, limit, reverse }
+        ),
         1 => Just(Op::Flush),
         1 => Just(Op::Internal),
         1 => Just(Op::Major),
@@ -36,7 +47,11 @@ fn key(k: u16) -> Vec<u8> {
 }
 
 fn check_mode(mode: Mode, ops: &[Op]) {
-    let db = tiny_db(mode);
+    // Two range partitions, so scans (reverse ones above all) cross a
+    // partition boundary; `Internal` / `Major` compact the lower one.
+    let mut opts = tiny_options(mode);
+    opts.partitioner = Partitioner::Ranges(vec![key(150)]);
+    let db = Db::open(opts).unwrap();
     let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
     for (step, op) in ops.iter().enumerate() {
         match op {
@@ -65,6 +80,36 @@ fn check_mode(mode: Mode, ops: &[Op]) {
                     .map(|(k, v)| (k.clone(), v.clone()))
                     .collect();
                 assert_eq!(rows, want, "step {step}: {mode:?} scan({k},{n}) diverged");
+            }
+            Op::Range {
+                start,
+                span,
+                limit,
+                reverse,
+            } => {
+                let (start, end) = (key(*start), (*span > 0).then(|| key(start + span)));
+                let limit = if *limit == 0 {
+                    usize::MAX
+                } else {
+                    *limit as usize
+                };
+                let request = ScanRequest::new()
+                    .start(start.clone())
+                    .end_bound(end.clone())
+                    .limit(limit)
+                    .reverse(*reverse);
+                let (rows, _) = db.scan(request).unwrap();
+                let range = match end {
+                    Some(end) => model.range(start..end),
+                    None => model.range(start..),
+                };
+                let pairs = range.map(|(k, v)| (k.clone(), v.clone()));
+                let want: Vec<(Vec<u8>, Vec<u8>)> = if *reverse {
+                    pairs.rev().take(limit).collect()
+                } else {
+                    pairs.take(limit).collect()
+                };
+                assert_eq!(rows, want, "step {step}: {mode:?} {op:?} diverged");
             }
             Op::Flush => db.compact(CompactionRequest::FlushAll).unwrap(),
             Op::Internal => db

@@ -371,6 +371,7 @@ fn prometheus_exposition_is_well_formed() {
         "pmblade_pm_group_cache_used_bytes ",
         "pmblade_pm_tables_probed_per_get{quantile=\"0.5\"}",
         "pmblade_ssd_read_errors_total ",
+        "pmblade_compaction_input_errors_total ",
     ] {
         assert!(text.contains(needle), "missing {needle}\n{text}");
     }

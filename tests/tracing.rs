@@ -116,6 +116,55 @@ fn cached_pm_read_records_a_decode_hit_stage() {
     );
 }
 
+/// A sampled scan records the point-read stage kinds — summed per
+/// kind over every cursor step — plus one `merge` stage, and together
+/// they account for the scan's whole latency. The first pass decodes
+/// its PM groups; a repeat is served by the decode cache.
+#[test]
+fn sampled_scan_attributes_every_nanosecond_to_a_stage() {
+    let db = Db::open(traced_opts()).unwrap();
+    for i in 0..64u64 {
+        db.put(&key_for(i), &value_for(i, 64)).unwrap();
+    }
+    db.compact(CompactionRequest::FlushAll).unwrap();
+    db.compact(CompactionRequest::Major { partition: 0 })
+        .unwrap();
+    for i in (0..64u64).step_by(2) {
+        db.put(&key_for(i), &value_for(i + 100, 64)).unwrap();
+    }
+    db.compact(CompactionRequest::FlushAll).unwrap();
+    db.put(&key_for(7), b"in the memtable").unwrap();
+
+    let request = || ScanRequest::new().start(key_for(4)).limit(20);
+    let (cold_rows, cold_latency) = db.scan(request()).unwrap();
+    let (warm_rows, _) = db.scan(request()).unwrap();
+    assert_eq!(cold_rows.len(), 20);
+    assert_eq!(cold_rows, warm_rows);
+
+    let traces = db.flight_recorder();
+    let scans: Vec<&RequestTrace> = traces.iter().filter(|t| t.op == TraceOp::Scan).collect();
+    let [cold, warm] = scans[..] else {
+        panic!("two scans recorded, got {}", scans.len());
+    };
+    assert_eq!(cold.total_nanos, cold_latency.as_nanos());
+    for (trace, pm_stage) in [(cold, "pm_decode_miss"), (warm, "pm_decode_hit")] {
+        let kinds: Vec<&str> = trace.stages.iter().map(|s| s.kind.as_str()).collect();
+        assert_eq!(
+            kinds,
+            ["memtable_probe", pm_stage, "ssd_read", "merge"],
+            "one stage per kind, in consult order"
+        );
+        assert_eq!(trace.stage_nanos(), trace.total_nanos);
+        let merge = trace.stages.last().unwrap();
+        assert!(merge.input_records >= 20, "records pulled off the heap");
+        assert_eq!(merge.output_records, 20, "rows returned");
+    }
+    assert!(
+        warm.total_nanos < cold.total_nanos,
+        "cached groups cost DRAM, not PM"
+    );
+}
+
 // -------------------------------------------------------------------
 // Write path + maintenance cross-linking
 // -------------------------------------------------------------------
@@ -323,7 +372,10 @@ proptest! {
                 0 => { db.put(&key_for(k), &value_for(k, 48)).unwrap(); }
                 1 => { db.get(&key_for(k)).unwrap(); }
                 2 => { db.delete(&key_for(k)).unwrap(); }
-                _ => { db.scan(ScanRequest::new().start(key_for(0)).limit(16)).unwrap(); }
+                _ => {
+                    let request = ScanRequest::new().start(key_for(k)).limit(16);
+                    db.scan(request.reverse(k % 3 == 0)).unwrap();
+                }
             }
         }
         db.compact(CompactionRequest::FlushAll).unwrap();
@@ -341,6 +393,12 @@ proptest! {
             );
             for s in &t.stages {
                 prop_assert_eq!(s.trace_id, t.trace_id);
+            }
+            if t.op == TraceOp::Scan {
+                // Scans attribute every nanosecond: cursor steps by
+                // source kind, and the merge.
+                prop_assert_eq!(t.stage_nanos(), t.total_nanos);
+                prop_assert_eq!(t.stages.last().map(|s| s.kind), Some(SpanKind::Merge));
             }
         }
     }
@@ -368,13 +426,17 @@ fn sampling_choice_never_moves_virtual_latencies() {
         for i in 0..200u64 {
             latencies.push(db.get(&key_for(i)).unwrap().latency.as_nanos());
         }
+        for i in (0..200u64).step_by(10) {
+            let request = ScanRequest::new().start(key_for(i)).limit(25);
+            latencies.push(db.scan(request.reverse(i % 20 == 0)).unwrap().1.as_nanos());
+        }
         (latencies, db.tracer().sampled_total.get())
     };
     let (off, off_sampled) = run(0);
     let (on, on_sampled) = run(1);
     assert_eq!(off_sampled, 0, "sampling off records nothing");
     assert!(
-        on_sampled >= 400,
+        on_sampled >= 420,
         "sampling every request records everything"
     );
     assert_eq!(
