@@ -1,7 +1,9 @@
 //! `pm-blade-client`: a thin blocking client for `pm-blade-server`.
 //!
 //! One [`Client`] wraps one TCP connection and issues one request at a
-//! time (send frame, read response frame). Connection establishment
+//! time: the frame is built in a reused buffer and sent with one
+//! `write`, the response is read through a `BufReader` into a reused
+//! payload buffer. Connection establishment
 //! retries with exponential backoff; all socket I/O honors a
 //! configurable timeout. Conveniences on top of the raw protocol:
 //!
@@ -19,7 +21,7 @@
 //! Engine-side failures arrive as [`ClientError::Remote`] carrying the
 //! stable numeric code of `DbError::code()` plus its display message.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -101,7 +103,12 @@ pub type Rows = Vec<(Vec<u8>, Vec<u8>)>;
 
 /// One blocking connection to a `pm-blade-server`.
 pub struct Client {
-    stream: TcpStream,
+    /// Buffered receive side; requests are written to the stream it
+    /// wraps.
+    reader: BufReader<TcpStream>,
+    /// Scratch for the request frame and the response payload of a call.
+    frame: Vec<u8>,
+    payload: Vec<u8>,
     opts: ClientOptions,
 }
 
@@ -130,7 +137,12 @@ impl Client {
                     stream.set_nodelay(true)?;
                     stream.set_read_timeout(opts.io_timeout)?;
                     stream.set_write_timeout(opts.io_timeout)?;
-                    return Ok(Client { stream, opts });
+                    return Ok(Client {
+                        reader: BufReader::new(stream),
+                        frame: Vec::new(),
+                        payload: Vec::new(),
+                        opts,
+                    });
                 }
                 Err(e) => last_err = Some(e),
             }
@@ -144,11 +156,9 @@ impl Client {
     /// errors pass through as `Ok(Response::Error { .. })`; use the
     /// typed wrappers below for automatic conversion.
     pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        req.write(&mut self.stream)?;
-        match Response::read(&mut self.stream)? {
-            Some(resp) => Ok(resp),
-            None => Err(ClientError::ConnectionClosed),
-        }
+        req.write_with(self.reader.get_mut(), &mut self.frame)?;
+        Response::read_with(&mut self.reader, &mut self.payload)?
+            .ok_or(ClientError::ConnectionClosed)
     }
 
     fn call_checked(&mut self, req: &Request) -> Result<Response, ClientError> {
@@ -333,7 +343,7 @@ impl Client {
 impl std::fmt::Debug for Client {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Client")
-            .field("peer", &self.stream.peer_addr().ok())
+            .field("peer", &self.reader.get_ref().peer_addr().ok())
             .field("opts", &self.opts)
             .finish()
     }

@@ -8,9 +8,17 @@
 //!
 //! Operational behavior:
 //!
+//! - **Buffered, coalescing I/O** — each connection reads through a
+//!   64 KiB `BufReader` and replies through a 64 KiB `BufWriter`, so a
+//!   client that pipelines N frames costs about one `read` and one
+//!   `write` for the batch. **No reply is ever held across a blocking
+//!   socket read, a rate-limit sleep, or a return**: the handler
+//!   flushes unless the read buffer already holds one complete next
+//!   frame, so a depth-1 client still gets exactly one flush per
+//!   request (`server_flushes_total`, `server_flush_latency`).
 //! - **Rate limiting** — each connection owns a token bucket
 //!   ([`rate_limit::TokenBucket`]); a hot client is *slowed down*
-//!   (handler sleeps until a token accrues, counted in
+//!   (handler flushes, then sleeps until a token accrues, counted in
 //!   `server_throttled_total`), never errored.
 //! - **Graceful shutdown** — [`Server::shutdown`] stops the accept
 //!   loop, lets every handler finish its in-flight request and drain
@@ -19,7 +27,8 @@
 //!   write is ever lost.
 //! - **Observability** — every operation is wired into the engine's
 //!   [`MetricsRegistry`]: per-op counters (`server_get_total`, …, plus
-//!   a `connection="N"`-labeled copy per client connection) and
+//!   a `connection="N"`-labeled copy per live client connection, folded
+//!   into a label-less series of the same name on disconnect) and
 //!   wall-clock latency histograms (`server_get_latency`, …), plus
 //!   `server_active_connections` / `server_inflight_requests` /
 //!   `server_connections_total` / `server_throttled_total` /
@@ -32,7 +41,7 @@
 //!   engine's `*_traced` entry points so one trace id spans
 //!   client → server → engine (visible in the flight recorder).
 
-use std::io::Write as _;
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -40,7 +49,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use pm_blade::protocol::{Request, Response, WireError};
+use pm_blade::protocol::{starts_with_frame, Request, Response, WireError};
 use pm_blade::telemetry::{Gauge, LatencyRecorder, MetricsRegistry};
 use pm_blade::{Db, DbError, MetricKey, TraceContext, WriteBatch};
 use sim::Counter;
@@ -165,6 +174,9 @@ struct ServerMetrics {
     inflight_requests: Arc<Gauge>,
     throttled_total: Arc<Counter>,
     errors_total: Arc<Counter>,
+    /// Socket writes by connection handlers, and the wall time of each.
+    flushes_total: Arc<Counter>,
+    flush_latency: Arc<LatencyRecorder>,
     ops: [OpMetrics; 7],
 }
 
@@ -225,6 +237,8 @@ impl ServerMetrics {
             inflight_requests: registry.gauge(MetricKey::global("server_inflight_requests")),
             throttled_total: registry.counter(MetricKey::global("server_throttled_total")),
             errors_total: registry.counter(MetricKey::global("server_errors_total")),
+            flushes_total: registry.counter(MetricKey::global("server_flushes_total")),
+            flush_latency: registry.histogram(MetricKey::global("server_flush_latency")),
             ops: [
                 op(OP_TOTAL_NAMES[0], "server_ping_latency"),
                 op(OP_TOTAL_NAMES[1], "server_put_latency"),
@@ -393,29 +407,81 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
+/// Capacity of a connection's read buffer and of its write buffer.
+/// Frames larger than this (up to `MAX_FRAME_BYTES`) bypass them.
+const IO_BUF_BYTES: usize = 64 << 10;
+
+/// The socket's write half as the reply `BufWriter` sees it. Every
+/// flush (explicit, buffer-full, or large-frame bypass) is one `write`
+/// here, counted and timed, so replies per flush can be read off a
+/// running process.
+struct CountedWrites<'a> {
+    stream: TcpStream,
+    metrics: &'a ServerMetrics,
+}
+
+impl Write for CountedWrites<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let started = Instant::now();
+        let written = self.stream.write(buf);
+        self.metrics.flushes_total.incr();
+        self.metrics
+            .flush_latency
+            .record_nanos(started.elapsed().as_nanos() as u64);
+        written
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(()) // a `TcpStream` buffers nothing in user space
+    }
+}
+
 /// Serve one connection until the client hangs up, the stream breaks,
 /// or shutdown drains it.
 fn handle_connection(stream: TcpStream, shared: &Shared, conn_id: u64) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.opts.poll_interval));
-    let mut reader = match stream.try_clone() {
-        Ok(r) => r,
-        Err(_) => return,
+    let Ok(read_half) = stream.try_clone() else {
+        return;
     };
-    let mut writer = stream;
+    let mut reader = BufReader::with_capacity(IO_BUF_BYTES, read_half);
+    let metrics = &shared.metrics;
+    let mut writer = BufWriter::with_capacity(IO_BUF_BYTES, CountedWrites { stream, metrics });
     // Per-connection copies of the op counters, labeled with this
     // connection's id; fetched once so the request loop stays off the
     // registry locks.
     let registry = shared.db.metrics();
-    let conn_ops: Vec<Arc<Counter>> = CONN_OP_TOTAL_NAMES
-        .iter()
-        .copied()
-        .map(|name| registry.counter(MetricKey::connection(name, conn_id)))
-        .collect();
+    let conn_key = |name| MetricKey::connection(name, conn_id);
+    let conn_ops = CONN_OP_TOTAL_NAMES.map(|name| registry.counter(conn_key(name)));
+    serve(&mut reader, &mut writer, shared, &conn_ops);
+    // Flush rule (c): however `serve` returned, replies still buffered
+    // leave before the socket closes.
+    let _ = writer.flush();
+    // Label cardinality stays bounded by the live connections: a closed
+    // connection's counts move to the label-less series of each name.
+    for name in CONN_OP_TOTAL_NAMES {
+        registry.fold_counter(conn_key(name), MetricKey::global(name));
+    }
+}
+
+/// The request loop. Replies are framed into `writer` and flushed only
+/// when the handler is about to block, under one invariant: **no reply
+/// is held across a blocking socket read, a rate-limit sleep, or a
+/// return** (rules (a), (b) below; (c) in [`handle_connection`]).
+fn serve(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut BufWriter<CountedWrites<'_>>,
+    shared: &Shared,
+    conn_ops: &[Arc<Counter>; 7],
+) {
     let mut bucket = shared
         .opts
         .rate_limit_ops_per_sec
         .map(|rate| TokenBucket::new(rate, shared.opts.rate_limit_burst));
+    // One decode and one encode scratch buffer per connection, not per
+    // message (a frame over `IO_BUF_BYTES` goes straight to the socket).
+    let mut payload = Vec::new();
+    let mut frame = Vec::new();
     // Once the shutdown flag is seen, frames the client has already
     // sent are still served (with a much shorter idle window); the
     // first quiet moment afterwards closes the connection.
@@ -423,14 +489,27 @@ fn handle_connection(stream: TcpStream, shared: &Shared, conn_id: u64) {
     loop {
         if !draining && shared.shutdown.load(Ordering::SeqCst) {
             draining = true;
-            let _ = reader.set_read_timeout(Some(Duration::from_millis(5)));
+            let _ = reader
+                .get_ref()
+                .set_read_timeout(Some(Duration::from_millis(5)));
         }
-        match Request::read(&mut reader) {
+        // Flush rule (a): the read below blocks unless one *complete*
+        // frame is already buffered (a partial frame waits on the peer,
+        // who may be waiting on these replies).
+        if !starts_with_frame(reader.buffer()) && writer.flush().is_err() {
+            return;
+        }
+        match Request::read_with(reader, &mut payload) {
             Ok(Some(req)) => {
                 if let Some(bucket) = bucket.as_mut() {
-                    let waited = bucket.acquire();
-                    if waited > Duration::ZERO {
+                    let wait = bucket.take();
+                    if wait > Duration::ZERO {
                         shared.metrics.throttled_total.incr();
+                        // Flush rule (b): replies do not wait out a throttle.
+                        if writer.flush().is_err() {
+                            return;
+                        }
+                        std::thread::sleep(wait);
                     }
                 }
                 let idx = op_index(&req);
@@ -447,7 +526,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared, conn_id: u64) {
                 if matches!(resp, Response::Error { .. }) {
                     shared.metrics.errors_total.incr();
                 }
-                if resp.write(&mut writer).is_err() || writer.flush().is_err() {
+                if resp.write_with(writer, &mut frame).is_err() {
                     return;
                 }
             }
@@ -457,26 +536,14 @@ fn handle_connection(stream: TcpStream, shared: &Shared, conn_id: u64) {
                     return;
                 }
             }
-            Err(WireError::Corrupt(msg)) => {
-                // Frame sync is lost; report once and hang up.
-                shared.metrics.errors_total.incr();
-                let _ = Response::Error {
-                    code: 0,
-                    message: format!("corrupt frame: {msg}"),
-                }
-                .write(&mut writer);
-                return;
-            }
-            Err(WireError::TooLarge(len)) => {
-                shared.metrics.errors_total.incr();
-                let _ = Response::Error {
-                    code: 0,
-                    message: format!("frame too large: {len} bytes"),
-                }
-                .write(&mut writer);
-                return;
-            }
             Err(WireError::Io(_)) => return,
+            // Frame sync is lost; report once and hang up.
+            Err(e @ (WireError::Corrupt(_) | WireError::TooLarge(_))) => {
+                shared.metrics.errors_total.incr();
+                let message = e.to_string();
+                let _ = Response::Error { code: 0, message }.write_with(writer, &mut frame);
+                return;
+            }
         }
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! Each connection handler owns one bucket; a client that exceeds its
 //! budget is *delayed* (the handler sleeps until a token accrues), never
-//! errored — backpressure, not rejection. The wait is reported back so
-//! the handler can count throttle events.
+//! errored — backpressure, not rejection. The bucket only computes the
+//! wait: the handler counts the throttle event, flushes the replies it
+//! is holding, and then sleeps, so no reply waits out a throttle.
 
 use std::time::{Duration, Instant};
 
@@ -34,21 +35,18 @@ impl TokenBucket {
         self.tokens = (self.tokens + dt * self.rate).min(self.burst);
     }
 
-    /// Take one token, sleeping until one is available. Returns the
-    /// time spent waiting (`Duration::ZERO` when no throttling
-    /// happened).
-    pub fn acquire(&mut self) -> Duration {
+    /// Take one token and return how long the caller must sleep before
+    /// acting on it (`Duration::ZERO` when one was available). An empty
+    /// bucket goes into debt by the token taken, which the sleep pays
+    /// off; a caller that always sleeps owes at most one token.
+    pub fn take(&mut self) -> Duration {
         self.refill();
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            return Duration::ZERO;
+        self.tokens -= 1.0;
+        if self.tokens >= 0.0 {
+            Duration::ZERO
+        } else {
+            Duration::from_secs_f64(-self.tokens / self.rate)
         }
-        let deficit = 1.0 - self.tokens;
-        let wait = Duration::from_secs_f64(deficit / self.rate);
-        std::thread::sleep(wait);
-        self.refill();
-        self.tokens = (self.tokens - 1.0).max(0.0);
-        wait
     }
 }
 
@@ -60,19 +58,24 @@ mod tests {
     fn burst_passes_without_waiting() {
         let mut b = TokenBucket::new(10, 5);
         for _ in 0..5 {
-            assert_eq!(b.acquire(), Duration::ZERO);
+            assert_eq!(b.take(), Duration::ZERO);
         }
     }
 
     #[test]
-    fn exhausted_bucket_delays_instead_of_failing() {
-        let mut b = TokenBucket::new(1_000, 1);
-        assert_eq!(b.acquire(), Duration::ZERO);
-        // The second acquire has to wait roughly one refill period
-        // (1 ms at 1000 ops/s) — it must return a nonzero wait, not
-        // an error.
-        let waited = b.acquire();
-        assert!(waited > Duration::ZERO);
-        assert!(waited < Duration::from_millis(100));
+    fn exhausted_bucket_reports_a_wait_instead_of_sleeping_or_failing() {
+        let mut b = TokenBucket::new(10, 1);
+        assert_eq!(b.take(), Duration::ZERO);
+        // The second token is one refill period (100 ms at 10 ops/s)
+        // away; `take` must say so without serving the wait itself.
+        let started = Instant::now();
+        let wait = b.take();
+        assert!(started.elapsed() < Duration::from_millis(50), "take slept");
+        assert!(wait > Duration::from_millis(50), "wait {wait:?}");
+        assert!(wait <= Duration::from_millis(100), "wait {wait:?}");
+        // Once the wait is served the debt is paid: the next token
+        // costs one more period, not two.
+        std::thread::sleep(wait);
+        assert!(b.take() <= Duration::from_millis(100));
     }
 }

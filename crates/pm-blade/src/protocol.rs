@@ -140,42 +140,114 @@ impl Response {
 
 // --- framing ---------------------------------------------------------
 
-/// Write one frame around `payload`.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {
+/// Bytes of frame header: payload length + masked CRC.
+const HEADER_BYTES: usize = 8;
+
+fn frame_header(payload: &[u8]) -> [u8; HEADER_BYTES] {
     debug_assert!(payload.len() <= MAX_FRAME_BYTES);
-    let mut header = [0u8; 8];
+    let mut header = [0u8; HEADER_BYTES];
     header[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     header[4..8].copy_from_slice(&crc::mask(crc::crc32c(payload)).to_le_bytes());
-    w.write_all(&header)?;
+    header
+}
+
+/// Append one whole frame to `out`: reserve the header, let `payload`
+/// encode in place behind it, then patch length and CRC in. Header and
+/// payload are contiguous, so the frame leaves in one `write_all` (one
+/// TCP segment on a `TCP_NODELAY` socket) and `out` can be reused.
+fn frame_into(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; HEADER_BYTES]);
+    payload(out);
+    let header = frame_header(&out[start + HEADER_BYTES..]);
+    out[start..start + HEADER_BYTES].copy_from_slice(&header);
+}
+
+/// Write one frame around an already-encoded `payload`. Two writes
+/// (header, payload): hand it a buffered writer, or build the frame
+/// with [`Request::encode_frame_into`] / [`Response::encode_frame_into`].
+pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {
+    w.write_all(&frame_header(payload))?;
     w.write_all(payload)?;
     Ok(())
 }
 
-/// Read one frame's payload. `Ok(None)` means the peer closed the
-/// connection cleanly at a frame boundary. An idle read timeout (no
-/// bytes consumed yet) surfaces as a retryable [`WireError::Io`] — see
-/// [`WireError::is_idle_timeout`]; a peer that stalls *mid-frame* is
-/// reported as corrupt after one grace retry.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, WireError> {
-    let mut header = [0u8; 8];
+/// True when `buf` starts with one complete frame (header plus all the
+/// payload bytes it announces): reading that frame will not block.
+pub fn starts_with_frame(buf: &[u8]) -> bool {
+    buf.len() >= HEADER_BYTES
+        && buf.len() - HEADER_BYTES >= u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize
+}
+
+/// Read one frame's payload into `payload` (replacing its contents, so
+/// a connection can reuse one buffer). `Ok(false)` means the peer
+/// closed the connection cleanly at a frame boundary. An idle read
+/// timeout (no bytes consumed yet) surfaces as a retryable
+/// [`WireError::Io`] — see [`WireError::is_idle_timeout`]; a peer that
+/// stalls *mid-frame* is reported as corrupt after one grace retry.
+pub fn read_frame_into<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> Result<bool, WireError> {
+    let mut header = [0u8; HEADER_BYTES];
     if !read_full(r, &mut header, true)? {
-        return Ok(None);
+        return Ok(false);
     }
     let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
     let masked = u32::from_le_bytes(header[4..8].try_into().unwrap());
     if len > MAX_FRAME_BYTES {
         return Err(WireError::TooLarge(len));
     }
-    let mut payload = vec![0u8; len];
-    read_full(r, &mut payload, false)?;
+    payload.clear();
+    payload.resize(len, 0);
+    read_full(r, payload, false)?;
     let expect = crc::unmask(masked);
-    let actual = crc::crc32c(&payload);
+    let actual = crc::crc32c(payload);
     if actual != expect {
         return Err(WireError::Corrupt(format!(
             "payload crc {actual:#010x} != header {expect:#010x}"
         )));
     }
-    Ok(Some(payload))
+    Ok(true)
+}
+
+/// [`read_frame_into`] a fresh buffer; `Ok(None)` on clean EOF.
+pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, WireError> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, &mut payload)?.then_some(payload))
+}
+
+/// What a connection's reused scratch buffer keeps between messages.
+const SCRATCH_KEEP_BYTES: usize = 64 << 10;
+
+/// Empty a scratch buffer and give back what a large message grew it
+/// by, so an idle connection never pins a frame-cap-sized allocation.
+fn release_scratch(buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.shrink_to(SCRATCH_KEEP_BYTES);
+}
+
+/// Frame a message into the scratch buffer `frame` and send it with
+/// one `write_all`.
+fn write_framed<W: Write>(
+    w: &mut W,
+    frame: &mut Vec<u8>,
+    payload: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), WireError> {
+    frame_into(frame, payload);
+    let sent = w.write_all(frame);
+    release_scratch(frame);
+    Ok(sent?)
+}
+
+/// Read one frame through the scratch buffer `payload` and decode it;
+/// `Ok(None)` on clean EOF.
+fn read_framed<R: Read, T>(
+    r: &mut R,
+    payload: &mut Vec<u8>,
+    decode: impl FnOnce(&[u8]) -> Result<T, WireError>,
+) -> Result<Option<T>, WireError> {
+    let message =
+        read_frame_into(r, payload).and_then(|got| got.then(|| decode(payload)).transpose());
+    release_scratch(payload);
+    message
 }
 
 /// Fill `buf` completely. Returns `Ok(false)` on clean EOF before any
@@ -336,43 +408,53 @@ impl Request {
     /// Encode this request's payload (no frame header).
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_payload_into(&mut out);
+        out
+    }
+
+    /// Append this request as one whole frame to `out`.
+    pub fn encode_frame_into(&self, out: &mut Vec<u8>) {
+        frame_into(out, |out| self.encode_payload_into(out));
+    }
+
+    fn encode_payload_into(&self, out: &mut Vec<u8>) {
         match self {
             Request::Ping => out.push(tag::PING),
             Request::Put { key, value } => {
                 out.push(tag::PUT);
-                varint::put_slice(&mut out, key);
-                varint::put_slice(&mut out, value);
+                varint::put_slice(out, key);
+                varint::put_slice(out, value);
             }
             Request::Delete { key } => {
                 out.push(tag::DELETE);
-                varint::put_slice(&mut out, key);
+                varint::put_slice(out, key);
             }
             Request::WriteBatch { ops } => {
                 out.push(tag::WRITE_BATCH);
-                varint::put_u64(&mut out, ops.len() as u64);
+                varint::put_u64(out, ops.len() as u64);
                 for op in ops {
                     match op {
                         BatchOp::Put { key, value } => {
                             out.push(tag::OP_PUT);
-                            varint::put_slice(&mut out, key);
-                            varint::put_slice(&mut out, value);
+                            varint::put_slice(out, key);
+                            varint::put_slice(out, value);
                         }
                         BatchOp::Delete { key } => {
                             out.push(tag::OP_DELETE);
-                            varint::put_slice(&mut out, key);
+                            varint::put_slice(out, key);
                         }
                     }
                 }
             }
             Request::Get { key } => {
                 out.push(tag::GET);
-                varint::put_slice(&mut out, key);
+                varint::put_slice(out, key);
             }
             Request::Scan(req) => {
                 out.push(tag::SCAN);
-                varint::put_slice(&mut out, &req.start);
-                put_opt_slice(&mut out, &req.end);
-                varint::put_u64(&mut out, req.limit as u64);
+                varint::put_slice(out, &req.start);
+                put_opt_slice(out, &req.end);
+                varint::put_u64(out, req.limit as u64);
                 out.push(req.reverse as u8);
             }
             Request::Compact(req) => {
@@ -380,23 +462,23 @@ impl Request {
                 match req {
                     CompactionRequest::Flush { partition } => {
                         out.push(tag::C_FLUSH);
-                        varint::put_u64(&mut out, *partition as u64);
+                        varint::put_u64(out, *partition as u64);
                     }
                     CompactionRequest::FlushAll => out.push(tag::C_FLUSH_ALL),
                     CompactionRequest::Internal { partition } => {
                         out.push(tag::C_INTERNAL);
-                        varint::put_u64(&mut out, *partition as u64);
+                        varint::put_u64(out, *partition as u64);
                     }
                     CompactionRequest::Major { partition } => {
                         out.push(tag::C_MAJOR);
-                        varint::put_u64(&mut out, *partition as u64);
+                        varint::put_u64(out, *partition as u64);
                     }
                     CompactionRequest::MajorWithRetention => out.push(tag::C_RETENTION),
                 }
             }
             Request::Traced { ctx, inner } => {
                 out.push(tag::TRACED);
-                varint::put_u64(&mut out, ctx.trace_id);
+                varint::put_u64(out, ctx.trace_id);
                 let mut flags = 0u8;
                 if ctx.sampled {
                     flags |= tag::TRACE_SAMPLED;
@@ -406,12 +488,11 @@ impl Request {
                 }
                 out.push(flags);
                 if let Some(d) = ctx.deadline_nanos {
-                    varint::put_u64(&mut out, d);
+                    varint::put_u64(out, d);
                 }
-                out.extend_from_slice(&inner.encode_payload());
+                inner.encode_payload_into(out);
             }
         }
-        out
     }
 
     /// Decode one request payload. Trailing bytes are rejected.
@@ -503,17 +584,28 @@ impl Request {
         Ok(req)
     }
 
-    /// Frame + write this request.
+    /// Frame + write this request (one `write_all`).
     pub fn write<W: Write>(&self, w: &mut W) -> Result<(), WireError> {
-        write_frame(w, &self.encode_payload())
+        self.write_with(w, &mut Vec::new())
+    }
+
+    /// [`Self::write`] through a scratch buffer the connection reuses
+    /// (it comes back empty).
+    pub fn write_with<W: Write>(&self, w: &mut W, frame: &mut Vec<u8>) -> Result<(), WireError> {
+        write_framed(w, frame, |out| self.encode_payload_into(out))
     }
 
     /// Read one framed request; `Ok(None)` on clean EOF.
     pub fn read<R: Read>(r: &mut R) -> Result<Option<Request>, WireError> {
-        match read_frame(r)? {
-            None => Ok(None),
-            Some(payload) => Ok(Some(Request::decode(&payload)?)),
-        }
+        Request::read_with(r, &mut Vec::new())
+    }
+
+    /// [`Self::read`] through a scratch buffer the connection reuses.
+    pub fn read_with<R: Read>(
+        r: &mut R,
+        payload: &mut Vec<u8>,
+    ) -> Result<Option<Request>, WireError> {
+        read_framed(r, payload, Request::decode)
     }
 }
 
@@ -521,40 +613,49 @@ impl Response {
     /// Encode this response's payload (no frame header).
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_payload_into(&mut out);
+        out
+    }
+
+    /// Append this response as one whole frame to `out`.
+    pub fn encode_frame_into(&self, out: &mut Vec<u8>) {
+        frame_into(out, |out| self.encode_payload_into(out));
+    }
+
+    fn encode_payload_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::Pong => out.push(tag::PONG),
             Response::Written { latency_nanos } => {
                 out.push(tag::WRITTEN);
-                varint::put_u64(&mut out, *latency_nanos);
+                varint::put_u64(out, *latency_nanos);
             }
             Response::Value {
                 value,
                 latency_nanos,
             } => {
                 out.push(tag::VALUE);
-                put_opt_slice(&mut out, value);
-                varint::put_u64(&mut out, *latency_nanos);
+                put_opt_slice(out, value);
+                varint::put_u64(out, *latency_nanos);
             }
             Response::Rows {
                 rows,
                 latency_nanos,
             } => {
                 out.push(tag::ROWS);
-                varint::put_u64(&mut out, rows.len() as u64);
+                varint::put_u64(out, rows.len() as u64);
                 for (k, v) in rows {
-                    varint::put_slice(&mut out, k);
-                    varint::put_slice(&mut out, v);
+                    varint::put_slice(out, k);
+                    varint::put_slice(out, v);
                 }
-                varint::put_u64(&mut out, *latency_nanos);
+                varint::put_u64(out, *latency_nanos);
             }
             Response::Compacted => out.push(tag::COMPACTED),
             Response::Error { code, message } => {
                 out.push(tag::ERROR);
-                varint::put_u64(&mut out, *code as u64);
-                varint::put_slice(&mut out, message.as_bytes());
+                varint::put_u64(out, *code as u64);
+                varint::put_slice(out, message.as_bytes());
             }
         }
-        out
     }
 
     /// Decode one response payload. Trailing bytes are rejected.
@@ -604,17 +705,28 @@ impl Response {
         Ok(resp)
     }
 
-    /// Frame + write this response.
+    /// Frame + write this response (one `write_all`).
     pub fn write<W: Write>(&self, w: &mut W) -> Result<(), WireError> {
-        write_frame(w, &self.encode_payload())
+        self.write_with(w, &mut Vec::new())
+    }
+
+    /// [`Self::write`] through a scratch buffer the connection reuses
+    /// (it comes back empty).
+    pub fn write_with<W: Write>(&self, w: &mut W, frame: &mut Vec<u8>) -> Result<(), WireError> {
+        write_framed(w, frame, |out| self.encode_payload_into(out))
     }
 
     /// Read one framed response; `Ok(None)` on clean EOF.
     pub fn read<R: Read>(r: &mut R) -> Result<Option<Response>, WireError> {
-        match read_frame(r)? {
-            None => Ok(None),
-            Some(payload) => Ok(Some(Response::decode(&payload)?)),
-        }
+        Response::read_with(r, &mut Vec::new())
+    }
+
+    /// [`Self::read`] through a scratch buffer the connection reuses.
+    pub fn read_with<R: Read>(
+        r: &mut R,
+        payload: &mut Vec<u8>,
+    ) -> Result<Option<Response>, WireError> {
+        read_framed(r, payload, Response::decode)
     }
 }
 
@@ -759,6 +871,39 @@ mod tests {
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"");
         assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn encode_frame_into_appends_the_bytes_write_frame_sends() {
+        let put = Request::Put {
+            key: b"k".to_vec(),
+            value: vec![3u8; 300],
+        };
+        let reply = Response::Written { latency_nanos: 9 };
+        let mut expect = Vec::new();
+        write_frame(&mut expect, &put.encode_payload()).unwrap();
+        write_frame(&mut expect, &reply.encode_payload()).unwrap();
+        let mut frames = Vec::new();
+        put.encode_frame_into(&mut frames);
+        let first = frames.len();
+        reply.encode_frame_into(&mut frames);
+        assert_eq!(frames, expect);
+
+        // `starts_with_frame` needs the header and every payload byte.
+        for cut in 0..first {
+            assert!(!starts_with_frame(&frames[..cut]), "cut at {cut}");
+        }
+        assert!(starts_with_frame(&frames[..first]));
+        assert!(starts_with_frame(&frames));
+
+        // One payload buffer serves a long frame, then a short one.
+        let mut cursor = std::io::Cursor::new(frames);
+        let mut payload = Vec::new();
+        assert!(read_frame_into(&mut cursor, &mut payload).unwrap());
+        assert_eq!(Request::decode(&payload).unwrap(), put);
+        assert!(read_frame_into(&mut cursor, &mut payload).unwrap());
+        assert_eq!(Response::decode(&payload).unwrap(), reply);
+        assert!(!read_frame_into(&mut cursor, &mut payload).unwrap());
     }
 
     #[test]

@@ -191,6 +191,18 @@ impl MetricsRegistry {
         self.counters.write().insert(key, counter);
     }
 
+    /// Retire the counter under `key`: drop the series and add its
+    /// final value to the counter under `into`, in one step under the
+    /// write lock, so a concurrent [`Self::collect`] sees the count
+    /// exactly once. Keeps per-connection (or otherwise short-lived)
+    /// labels from accumulating in the registry.
+    pub fn fold_counter(&self, key: MetricKey, into: MetricKey) {
+        let mut counters = self.counters.write();
+        if let Some(retired) = counters.remove(&key) {
+            counters.entry(into).or_default().add(retired.get());
+        }
+    }
+
     /// Get or create the gauge registered under `key`.
     pub fn gauge(&self, key: MetricKey) -> Arc<Gauge> {
         if let Some(g) = self.gauges.read().get(&key) {
@@ -284,6 +296,21 @@ mod tests {
         external.incr();
         let (counters, _, _) = reg.collect();
         assert_eq!(counters[&MetricKey::global("ext")], 8);
+    }
+
+    #[test]
+    fn folded_counter_leaves_the_registry_and_keeps_its_count() {
+        let reg = MetricsRegistry::new();
+        reg.counter(MetricKey::connection("ops", 1)).add(5);
+        reg.counter(MetricKey::connection("ops", 2)).add(7);
+        reg.fold_counter(MetricKey::connection("ops", 1), MetricKey::global("ops"));
+        let (counters, _, _) = reg.collect();
+        assert_eq!(counters.len(), 2, "the retired label is gone");
+        assert_eq!(counters[&MetricKey::global("ops")], 5);
+        assert_eq!(counters[&MetricKey::connection("ops", 2)], 7);
+        // Folding a key that is not registered changes nothing.
+        reg.fold_counter(MetricKey::connection("ops", 1), MetricKey::global("ops"));
+        assert_eq!(reg.counter(MetricKey::global("ops")).get(), 5);
     }
 
     #[test]

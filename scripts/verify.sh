@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification: release build + full test suite.
 #
-# All dependencies are vendored path crates under vendor/ and cargo runs
-# offline (.cargo/config.toml sets net.offline = true). If cargo tries to
-# reach crates.io, something removed a vendored crate or added a registry
-# dependency — fix the manifest, do not go online.
+# All dependencies are path crates under crates/ (including the local
+# stand-ins for proptest, criterion, parking_lot and crossbeam) and cargo
+# runs offline (.cargo/config.toml sets net.offline = true). If cargo
+# tries to reach crates.io, something added a registry dependency — fix
+# the manifest, do not go online.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,9 +14,9 @@ run() {
     if ! "$@"; then
         status=$?
         echo "verify: '$*' failed (exit $status)" >&2
-        echo "verify: note: deps are vendored and cargo is offline;" >&2
+        echo "verify: note: deps are path crates and cargo is offline;" >&2
         echo "verify: a 'failed to fetch'/'registry' error means a manifest" >&2
-        echo "verify: references a crate not in vendor/ — add a path dep," >&2
+        echo "verify: references a crate not under crates/ — add a path dep," >&2
         echo "verify: do not 'cargo add' or enable the network." >&2
         exit "$status"
     fi

@@ -424,6 +424,8 @@ fn metrics_endpoint_serves_prometheus_text() {
     );
     assert!(body.contains("pmblade_server_get_total 1"));
     assert!(body.contains("pmblade_puts"), "engine counters ride along");
+    assert!(body.contains("pmblade_server_flushes_total"));
+    assert!(body.contains("pmblade_server_flush_latency_count"));
 
     server.shutdown();
 }
@@ -446,6 +448,297 @@ fn remote_errors_carry_stable_codes() {
     client.ping().expect("connection survives an engine error");
 
     server.shutdown();
+}
+
+// --- buffered, coalescing connection I/O ------------------------------
+//
+// The server frames replies into a `BufWriter` and flushes only when it
+// is about to block. These tests pin the rule that makes that safe —
+// no reply is held across a blocking read, a rate-limit sleep, or a
+// return — and that coalescing really happens.
+
+/// A raw socket to the server: the tests below control exactly which
+/// bytes go out in which `write`.
+fn raw_connection(addr: std::net::SocketAddr) -> std::net::TcpStream {
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+}
+
+/// `requests` framed back to back, plus the offset at which each frame
+/// ends.
+fn frames(requests: &[Request]) -> (Vec<u8>, Vec<usize>) {
+    let mut wire = Vec::new();
+    let ends = requests
+        .iter()
+        .map(|r| {
+            r.encode_frame_into(&mut wire);
+            wire.len()
+        })
+        .collect();
+    (wire, ends)
+}
+
+fn read_reply(stream: &mut std::net::TcpStream) -> Response {
+    Response::read(stream)
+        .expect("reply arrives")
+        .expect("connection still open")
+}
+
+fn put(i: u64) -> Request {
+    Request::Put {
+        key: key_for(i),
+        value: value_for(i, 32),
+    }
+}
+
+#[test]
+fn replies_are_not_withheld_behind_a_split_frame() {
+    // A long poll interval: the mid-frame stall grace (two read
+    // timeouts) must outlast the client's pause between the halves.
+    let opts = ServerOptions::builder()
+        .poll_interval(Duration::from_millis(500))
+        .build()
+        .unwrap();
+    let (server, _db) = start_server(opts);
+    let mut stream = raw_connection(server.local_addr());
+
+    let get = Request::Get { key: key_for(1) };
+    let (wire, ends) = frames(&[put(1), get, put(2)]);
+    let cut = (ends[1] + ends[2]) / 2;
+    // Two whole frames and the first half of a third, in one write.
+    stream.write_all(&wire[..cut]).unwrap();
+    // Both replies must arrive while the third frame is incomplete: a
+    // client may well wait for them before it sends the rest.
+    assert!(matches!(read_reply(&mut stream), Response::Written { .. }));
+    match read_reply(&mut stream) {
+        Response::Value { value, .. } => assert_eq!(value, Some(value_for(1, 32))),
+        other => panic!("expected the value, got {other:?}"),
+    }
+    stream.write_all(&wire[cut..]).unwrap();
+    assert!(matches!(read_reply(&mut stream), Response::Written { .. }));
+
+    drop(stream);
+    let db = server.shutdown();
+    assert_eq!(db.metrics_snapshot().counter("server_errors_total"), 0);
+}
+
+#[test]
+fn depth_one_client_gets_exactly_one_flush_per_request() {
+    let (server, _db) = start_server(quick_poll());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    for _ in 0..50 {
+        client.ping().expect("ping");
+    }
+    drop(client);
+    // Shutdown joins the handler, so the counts are final.
+    let snap = server.shutdown().metrics_snapshot();
+    assert_eq!(snap.counter("server_ping_total"), 50);
+    assert_eq!(snap.counter("server_flushes_total"), 50);
+    let flush_latency = &snap.histograms[&pm_blade::MetricKey::global("server_flush_latency")];
+    assert_eq!(flush_latency.count, 50, "one latency sample per flush");
+}
+
+#[test]
+fn pipelined_batch_is_answered_with_few_flushes() {
+    const PIPELINED: u64 = 64;
+    let (server, _db) = start_server(quick_poll());
+    let mut stream = raw_connection(server.local_addr());
+    let requests: Vec<Request> = (0..PIPELINED).map(put).collect();
+    let (wire, _) = frames(&requests);
+    stream.write_all(&wire).unwrap();
+    for i in 0..PIPELINED {
+        match read_reply(&mut stream) {
+            Response::Written { .. } => {}
+            other => panic!("reply {i}: {other:?}"),
+        }
+    }
+    drop(stream);
+    let snap = server.shutdown().metrics_snapshot();
+    assert_eq!(snap.counter("server_put_total"), PIPELINED);
+    let flushes = snap.counter("server_flushes_total");
+    assert!(
+        (1..=8).contains(&flushes),
+        "{PIPELINED} pipelined replies left in {flushes} flushes"
+    );
+}
+
+#[test]
+fn frames_larger_than_the_io_buffers_round_trip_between_small_ones() {
+    let (server, db) = start_server(quick_poll());
+    let mut stream = raw_connection(server.local_addr());
+
+    // A 1 MiB request frame and, from the scan, a reply frame of about
+    // the same size: both bypass the 64 KiB connection buffers.
+    let ops: Vec<BatchOp> = (0..1024u64)
+        .map(|i| BatchOp::Put {
+            key: key_for(1_000 + i),
+            value: value_for(i, 1024),
+        })
+        .collect();
+    let scan = ScanRequest::new().start(key_for(1_000)).limit(5_000);
+    let (wire, ends) = frames(&[
+        put(1),
+        Request::WriteBatch { ops },
+        Request::Scan(scan.clone()),
+        Request::Ping,
+    ]);
+    assert!(ends[1] - ends[0] > 1 << 20, "the batch frame exceeds 1 MiB");
+    let sender = {
+        let mut stream = stream.try_clone().unwrap();
+        std::thread::spawn(move || stream.write_all(&wire).unwrap())
+    };
+
+    assert!(matches!(read_reply(&mut stream), Response::Written { .. }));
+    assert!(matches!(read_reply(&mut stream), Response::Written { .. }));
+    match read_reply(&mut stream) {
+        Response::Rows { rows, .. } => {
+            assert_eq!(rows.len(), 1024);
+            assert_eq!(rows, db.scan(scan).unwrap().0, "scan parity");
+        }
+        other => panic!("expected rows, got {other:?}"),
+    }
+    assert_eq!(read_reply(&mut stream), Response::Pong);
+    sender.join().unwrap();
+
+    drop(stream);
+    let db = server.shutdown();
+    assert_eq!(db.metrics_snapshot().counter("server_errors_total"), 0);
+}
+
+#[test]
+fn replies_do_not_wait_out_a_rate_limit_sleep() {
+    // 20 ops/s, burst 1: the second and third ping each wait one 50 ms
+    // refill period.
+    const PERIOD: Duration = Duration::from_millis(50);
+    let opts = ServerOptions::builder()
+        .poll_interval(Duration::from_millis(5))
+        .rate_limit_ops_per_sec(20)
+        .rate_limit_burst(1)
+        .build()
+        .unwrap();
+    let (server, _db) = start_server(opts);
+    let mut stream = raw_connection(server.local_addr());
+
+    let (wire, _) = frames(&[Request::Ping, Request::Ping, Request::Ping]);
+    stream.write_all(&wire).unwrap();
+    let mut arrived = Vec::new();
+    for _ in 0..3 {
+        assert_eq!(read_reply(&mut stream), Response::Pong);
+        arrived.push(std::time::Instant::now());
+    }
+    // Were replies held across the throttle sleeps, all three pongs
+    // would leave together at the end.
+    let spread = arrived[2] - arrived[0];
+    assert!(
+        spread >= PERIOD,
+        "third pong {spread:?} after the first; the first was withheld"
+    );
+
+    drop(stream);
+    let snap = server.shutdown().metrics_snapshot();
+    assert_eq!(snap.counter("server_throttled_total"), 2);
+    assert_eq!(snap.counter("server_errors_total"), 0);
+}
+
+#[test]
+fn connection_churn_leaves_bounded_metric_cardinality() {
+    const CYCLES: u64 = 300;
+    let opts = ServerOptions::builder()
+        .poll_interval(Duration::from_millis(5))
+        .metrics_addr("127.0.0.1:0")
+        .build()
+        .unwrap();
+    let (server, db) = start_server(opts);
+    let addr = server.local_addr();
+    let metrics_addr = server.metrics_local_addr().expect("metrics listener");
+
+    let mut live = Client::connect(addr).expect("connect");
+    live.ping().unwrap();
+    for i in 0..CYCLES {
+        let mut client = Client::connect(addr).expect("connect");
+        client.put(&key_for(i), b"churn").expect("put");
+    }
+    // Handlers notice the hang-ups on their own time.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.active_connections() > 1 {
+        assert!(std::time::Instant::now() < deadline, "handlers linger");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let body = http_request(metrics_addr, "GET", "/metrics");
+    let conn_series: Vec<&str> = body
+        .lines()
+        .filter(|l| l.starts_with("pmblade_server_conn_") && !l.contains("rejected"))
+        .collect();
+    // Seven series for the one live connection, seven residual ones.
+    assert!(
+        conn_series.len() <= 7 * (1 + 1),
+        "{} per-connection series after {CYCLES} closed connections",
+        conn_series.len()
+    );
+    assert!(
+        conn_series.contains(&format!("pmblade_server_conn_put_total {CYCLES}").as_str()),
+        "closed connections fold into the label-less series: {conn_series:?}"
+    );
+    let snap = db.metrics_snapshot();
+    assert_eq!(snap.counter("server_conn_put_total"), CYCLES);
+    assert_eq!(snap.counter("server_conn_ping_total"), 1);
+    assert_eq!(snap.counter("server_put_total"), CYCLES);
+
+    drop(live);
+    server.shutdown();
+}
+
+/// Send `wire` in writes of the given sizes (cycled) and collect
+/// `replies` responses.
+fn replies_to(wire: &[u8], write_sizes: &[usize], replies: usize) -> Vec<Response> {
+    // A generous stall grace (two poll intervals): this test's own
+    // thread may be descheduled between two writes that split a frame.
+    let opts = ServerOptions::builder()
+        .poll_interval(Duration::from_millis(100))
+        .build()
+        .unwrap();
+    let (server, _db) = start_server(opts);
+    let mut stream = raw_connection(server.local_addr());
+    let mut rest = wire;
+    for &size in write_sizes.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (now, later) = rest.split_at(size.min(rest.len()));
+        stream.write_all(now).unwrap();
+        rest = later;
+    }
+    let got = (0..replies).map(|_| read_reply(&mut stream)).collect();
+    drop(stream);
+    server.shutdown();
+    got
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// However the byte stream is cut into writes — mid-header,
+    /// mid-payload, many frames at once — the server answers every
+    /// request, in order, exactly as it does one frame per write.
+    #[test]
+    fn replies_do_not_depend_on_how_the_stream_is_cut(
+        requests in proptest::collection::vec(request_strategy(), 1..24),
+        cuts in proptest::collection::vec(1usize..96, 1..16),
+    ) {
+        let (wire, ends) = frames(&requests);
+        let mut frame_sizes = ends.clone();
+        for i in (1..frame_sizes.len()).rev() {
+            frame_sizes[i] -= frame_sizes[i - 1];
+        }
+        let whole = replies_to(&wire, &frame_sizes, requests.len());
+        let cut = replies_to(&wire, &cuts, requests.len());
+        prop_assert_eq!(cut, whole);
+    }
 }
 
 // --- end-to-end tracing over the wire --------------------------------
@@ -629,6 +922,8 @@ fn debug_endpoint_serves_flight_recorder_and_queue_state() {
     assert!(response.contains("\"jobs_inflight\""));
     assert!(response.contains("\"inflight_requests\""));
     assert!(response.contains("\"metrics\""));
+    assert!(response.contains("server_flushes_total"));
+    assert!(response.contains("server_flush_latency"));
     // Recovery observability rides the registry: the durability
     // counters are pre-registered in every mode, so the live debug
     // dump always lists them (zero without a wal_dir).
