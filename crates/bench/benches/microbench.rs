@@ -117,6 +117,40 @@ fn bench_engine(c: &mut Criterion) {
             out.latency
         })
     });
+    // The fully cached point read at the level-0 shape the repo
+    // benchmark's read workloads run against: 30 mutually overlapping
+    // unsorted tables in one partition (PMBlade-PM mode never merges
+    // them), every group a get touches already decoded in the cache.
+    c.bench_function("engine/get_cached_30_unsorted", |b| {
+        let db = Db::open(Options {
+            mode: pm_blade::Mode::PmBladePm,
+            pm_capacity: 32 << 20,
+            memtable_bytes: 1 << 20,
+            l0_table_trigger: usize::MAX,
+            trace_sample_every: 0,
+            ..Options::default()
+        })
+        .unwrap();
+        for table in 0..30u64 {
+            for i in (table..3_000).step_by(30) {
+                let key = format!("key{i:010}");
+                db.put(key.as_bytes(), b"benchmark-value-payload").unwrap();
+            }
+            db.compact(pm_blade::CompactionRequest::FlushAll).unwrap();
+        }
+        let hot: Vec<String> = (0..3_000)
+            .step_by(7)
+            .map(|i| format!("key{i:010}"))
+            .collect();
+        for key in &hot {
+            db.get(key.as_bytes()).unwrap();
+        }
+        let mut i = 0;
+        b.iter(|| {
+            i += 1;
+            db.get(hot[i % hot.len()].as_bytes()).unwrap().latency
+        })
+    });
 }
 
 fn bench_merge(c: &mut Criterion) {

@@ -17,18 +17,25 @@ pub struct BloomFilter {
     k: u8,
 }
 
+/// The two seeded base hashes of `data`, in one pass over its bytes:
+/// FNV-1a then a finalizer mix each; quality is plenty for bloom probing.
 #[inline]
-fn hash64(data: &[u8], seed: u64) -> u64 {
-    // FNV-1a then a finalizer mix; quality is plenty for bloom probing.
-    let mut h = 0xcbf29ce484222325u64 ^ seed.wrapping_mul(0x9E3779B97F4A7C15);
+fn hash_pair(data: &[u8]) -> (u64, u64) {
+    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+    const FNV_PRIME: u64 = 0x100000001b3;
+    const GOLDEN: u64 = 0x9E3779B97F4A7C15;
+    let mut h1 = FNV_OFFSET ^ 0x51ed_u64.wrapping_mul(GOLDEN);
+    let mut h2 = FNV_OFFSET ^ 0xa3c9_u64.wrapping_mul(GOLDEN);
     for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+        h1 = (h1 ^ b as u64).wrapping_mul(FNV_PRIME);
+        h2 = (h2 ^ b as u64).wrapping_mul(FNV_PRIME);
     }
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51afd7ed558ccd);
-    h ^= h >> 33;
-    h
+    let mix = |mut h: u64| {
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51afd7ed558ccd);
+        h ^ (h >> 33)
+    };
+    (mix(h1), mix(h2))
 }
 
 impl BloomFilter {
@@ -46,8 +53,7 @@ impl BloomFilter {
         let mut bits = vec![0u8; nbytes];
         let nbits = nbytes * 8;
         for key in keys {
-            let h1 = hash64(key, 0x51ed);
-            let h2 = hash64(key, 0xa3c9);
+            let (h1, h2) = hash_pair(key);
             for i in 0..k {
                 let bit = (h1.wrapping_add((i as u64).wrapping_mul(h2)) % nbits as u64) as usize;
                 bits[bit / 8] |= 1 << (bit % 8);
@@ -56,16 +62,29 @@ impl BloomFilter {
         BloomFilter { bits, k }
     }
 
+    /// The key's hash pair, the only thing a probe needs of it. It does
+    /// not depend on the filter, so a lookup that consults many filters
+    /// hashes its key once and probes each with
+    /// [`BloomFilter::may_contain_hashed`].
+    #[inline]
+    pub fn hashes(key: &[u8]) -> (u64, u64) {
+        hash_pair(key)
+    }
+
     /// True if the key *may* be present; false means definitely absent.
     pub fn may_contain(&self, key: &[u8]) -> bool {
+        self.may_contain_hashed(Self::hashes(key))
+    }
+
+    /// [`BloomFilter::may_contain`] for a key already hashed by
+    /// [`BloomFilter::hashes`].
+    pub fn may_contain_hashed(&self, (h1, h2): (u64, u64)) -> bool {
         if self.bits.is_empty() {
             return false;
         }
-        let nbits = self.bits.len() * 8;
-        let h1 = hash64(key, 0x51ed);
-        let h2 = hash64(key, 0xa3c9);
+        let nbits = self.bits.len() as u64 * 8;
         (0..self.k).all(|i| {
-            let bit = (h1.wrapping_add((i as u64).wrapping_mul(h2)) % nbits as u64) as usize;
+            let bit = (h1.wrapping_add((i as u64).wrapping_mul(h2)) % nbits) as usize;
             self.bits[bit / 8] & (1 << (bit % 8)) != 0
         })
     }
@@ -158,5 +177,45 @@ mod tests {
                 .count()
         };
         assert!(probe(16) <= probe(4));
+    }
+
+    #[test]
+    fn hash_pair_is_the_stored_format() {
+        // Filters are persisted (PM-table filter section, SSTable bloom
+        // block): the one-pass pair must stay the two seeded FNV-1a
+        // hashes every filter on media was built with.
+        assert_eq!(
+            BloomFilter::hashes(b"key-00000042"),
+            (0xdcd3905ac3f00c03, 0xaed56462b425e992)
+        );
+        assert_eq!(
+            BloomFilter::hashes(b""),
+            (0x4c31933dd91897f0, 0x324bf366c17ac9f9)
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_hashed_probe_agrees_with_keyed_probe(
+            members in proptest::collection::btree_set(
+                proptest::collection::vec(0u8..=255, 0..24), 0..200),
+            probes in proptest::collection::vec(
+                proptest::collection::vec(0u8..=255, 0..24), 0..100),
+            bits_per_key in 1usize..20,
+        ) {
+            let f = BloomFilter::build(
+                members.iter().map(|k| k.as_slice()), members.len(), bits_per_key);
+            for k in &members {
+                // Hash once, probe many: still no false negatives.
+                proptest::prop_assert!(f.may_contain_hashed(BloomFilter::hashes(k)));
+            }
+            for k in members.iter().chain(&probes) {
+                proptest::prop_assert_eq!(
+                    f.may_contain_hashed(BloomFilter::hashes(k)),
+                    f.may_contain(k)
+                );
+            }
+        }
     }
 }

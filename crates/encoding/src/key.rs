@@ -153,10 +153,24 @@ pub fn kind(encoded: &[u8]) -> Option<KeyKind> {
 /// unreachable in practice since sequences are unique).
 #[inline]
 pub fn compare(a: &[u8], b: &[u8]) -> Ordering {
-    match user_key(a).cmp(user_key(b)) {
-        Ordering::Equal => trailer(b).cmp(&trailer(a)),
+    compare_to_parts(a, user_key(b), trailer(b))
+}
+
+/// [`compare`] of an encoded internal key against a key held in parts,
+/// so a lookup can seek to `(user_key, seek_trailer(snapshot))` without
+/// materialising [`InternalKey::seek_to`].
+#[inline]
+pub fn compare_to_parts(encoded: &[u8], user_key: &[u8], trailer: u64) -> Ordering {
+    match self::user_key(encoded).cmp(user_key) {
+        Ordering::Equal => trailer.cmp(&self::trailer(encoded)),
         ord => ord,
     }
+}
+
+/// The trailer of [`InternalKey::seek_to`]`(_, snapshot)`.
+#[inline]
+pub fn seek_trailer(snapshot: SequenceNumber) -> u64 {
+    pack_trailer(snapshot.min(MAX_SEQUENCE), KeyKind::Value)
 }
 
 #[cfg(test)]
@@ -209,6 +223,28 @@ mod tests {
         }
         let newer = InternalKey::new(b"k", 101, KeyKind::Value);
         assert!(newer < target, "versions above snapshot come earlier");
+    }
+
+    #[test]
+    fn parts_compare_like_the_materialised_seek_target() {
+        let keys = [
+            InternalKey::new(b"j", 7, KeyKind::Value),
+            InternalKey::new(b"k", 101, KeyKind::Value),
+            InternalKey::new(b"k", 100, KeyKind::Delete),
+            InternalKey::new(b"k", 3, KeyKind::Value),
+            InternalKey::new(b"kk", 1, KeyKind::Value),
+        ];
+        for snapshot in [0, 3, 100, MAX_SEQUENCE, u64::MAX] {
+            let target = InternalKey::seek_to(b"k", snapshot);
+            assert_eq!(trailer(target.encoded()), seek_trailer(snapshot));
+            for k in &keys {
+                assert_eq!(
+                    compare_to_parts(k.encoded(), b"k", seek_trailer(snapshot)),
+                    compare(k.encoded(), target.encoded()),
+                    "{k:?} vs k@{snapshot}"
+                );
+            }
+        }
     }
 
     #[test]

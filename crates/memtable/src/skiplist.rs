@@ -129,23 +129,7 @@ impl MemTable {
         snapshot: SequenceNumber,
         tl: &mut Timeline,
     ) -> Option<Lookup> {
-        let target = key::InternalKey::seek_to(user_key, snapshot).into_encoded();
-        let mut cur = 0usize;
-        for level in (0..self.height).rev() {
-            loop {
-                tl.charge(self.cost.dram.random_read(32));
-                match self.nodes[cur].next[level] {
-                    Some(nxt)
-                        if key::compare(&self.nodes[nxt].ikey, &target)
-                            == std::cmp::Ordering::Less =>
-                    {
-                        cur = nxt
-                    }
-                    _ => break,
-                }
-            }
-        }
-        let candidate = self.nodes[cur].next[0]?;
+        let candidate = self.seek_node(user_key, key::seek_trailer(snapshot), tl)?;
         let node = &self.nodes[candidate];
         if key::user_key(&node.ikey) != user_key {
             return None;
@@ -159,6 +143,28 @@ impl MemTable {
             kind,
             value: node.value.clone(),
         })
+    }
+
+    /// The first node at or after the internal key `(user_key, trailer)`,
+    /// compared in parts so no target key is materialised. Each link
+    /// traversal is a DRAM pointer chase.
+    fn seek_node(&self, user_key: &[u8], trailer: u64, tl: &mut Timeline) -> Option<usize> {
+        let mut cur = 0usize;
+        for level in (0..self.height).rev() {
+            loop {
+                tl.charge(self.cost.dram.random_read(32));
+                match self.nodes[cur].next[level] {
+                    Some(nxt)
+                        if key::compare_to_parts(&self.nodes[nxt].ikey, user_key, trailer)
+                            == std::cmp::Ordering::Less =>
+                    {
+                        cur = nxt
+                    }
+                    _ => break,
+                }
+            }
+        }
+        self.nodes[cur].next[0]
     }
 
     /// All entries in internal-key order.
@@ -197,24 +203,9 @@ pub struct MemCursor<'a> {
 impl<'a> MemCursor<'a> {
     /// Position at the first entry with user key >= `start`.
     pub fn seek(&mut self, start: &[u8], tl: &mut Timeline) {
-        let t = self.table;
-        let target = key::InternalKey::seek_to(start, key::MAX_SEQUENCE).into_encoded();
-        let mut cur = 0usize;
-        for level in (0..t.height).rev() {
-            loop {
-                tl.charge(t.cost.dram.random_read(32));
-                match t.nodes[cur].next[level] {
-                    Some(nxt)
-                        if key::compare(&t.nodes[nxt].ikey, &target)
-                            == std::cmp::Ordering::Less =>
-                    {
-                        cur = nxt
-                    }
-                    _ => break,
-                }
-            }
-        }
-        self.land(t.nodes[cur].next[0], tl);
+        let trailer = key::seek_trailer(key::MAX_SEQUENCE);
+        let node = self.table.seek_node(start, trailer, tl);
+        self.land(node, tl);
     }
 
     /// Step to the next entry; a no-op once the table is exhausted.

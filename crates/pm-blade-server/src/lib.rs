@@ -362,10 +362,18 @@ impl Server {
             let Some(h) = self.shared.handlers.lock().pop() else {
                 break;
             };
-            let _ = h.join();
+            join_handler(&self.shared, h);
         }
         self.shared.db.close();
         Arc::clone(&self.shared.db)
+    }
+}
+
+/// Join a connection handler that has finished (or, at shutdown, is
+/// about to). One that panicked counts as a server error.
+fn join_handler(shared: &Shared, handler: JoinHandle<()>) {
+    if handler.join().is_err() {
+        shared.metrics.errors_total.incr();
     }
 }
 
@@ -392,7 +400,21 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                         conn_shared.metrics.active_connections.set(n);
                     });
                 match handle {
-                    Ok(h) => shared.handlers.lock().push(h),
+                    Ok(h) => {
+                        // Reap the handlers of connections that have
+                        // closed, so the list tracks the live ones and
+                        // not every connection ever accepted.
+                        let mut handlers = shared.handlers.lock();
+                        let mut i = 0;
+                        while i < handlers.len() {
+                            if handlers[i].is_finished() {
+                                join_handler(&shared, handlers.swap_remove(i));
+                            } else {
+                                i += 1;
+                            }
+                        }
+                        handlers.push(h);
+                    }
                     Err(_) => {
                         let n = shared.active.fetch_sub(1, Ordering::Relaxed) - 1;
                         shared.metrics.active_connections.set(n);
@@ -703,4 +725,41 @@ fn debug_json(shared: &Shared) -> String {
         shared.metrics.inflight_requests.get(),
         shared.db.metrics_snapshot().to_json(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pm_blade_client::Client;
+    use std::time::Instant;
+
+    #[test]
+    fn closed_connections_do_not_accumulate_join_handles() {
+        let db = Arc::new(Db::open(pm_blade::Options::default()).unwrap());
+        let opts = ServerOptions::builder()
+            .poll_interval(Duration::from_millis(1))
+            .build()
+            .unwrap();
+        let server = Server::start(db, opts).unwrap();
+        let handlers = || server.shared.handlers.lock().len();
+        let exited = || {
+            let handlers = server.shared.handlers.lock();
+            handlers.iter().all(|h| h.is_finished())
+        };
+        for cycle in 0..300 {
+            let mut client = Client::connect(server.local_addr()).unwrap();
+            client.ping().unwrap();
+            // Every earlier connection's handler had finished by the
+            // time this one was accepted, so only this one is listed.
+            assert_eq!(handlers(), 1, "cycle {cycle}");
+            drop(client);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !exited() {
+                assert!(Instant::now() < deadline, "handler {cycle} never exited");
+                std::thread::yield_now();
+            }
+        }
+        assert_eq!(server.active_connections(), 0);
+        server.shutdown();
+    }
 }

@@ -106,7 +106,7 @@ impl<'a> PmRun<'a> {
         let mut load = GroupLoad::None;
         match (seek, &mut self.cur) {
             (Some(start), _) => {
-                self.next = self.tables.partition_point(|h| h.last.as_slice() < start);
+                self.next = self.tables.partition_point(|h| &*h.last < start);
                 self.cur = None;
             }
             (None, Some(c)) => load = c.advance(tl).map_err(corrupt)?,
@@ -115,7 +115,7 @@ impl<'a> PmRun<'a> {
         if self.cur.as_ref().is_none_or(|c| c.current().is_none()) {
             // Tables that begin at or past `end` are never opened.
             let table = self.tables.get(self.next);
-            self.cur = match table.filter(|h| self.end.is_none_or(|e| h.first.as_slice() < e)) {
+            self.cur = match table.filter(|h| self.end.is_none_or(|e| &*h.first < e)) {
                 Some(h) => {
                     self.next += 1;
                     let mut c = h.table.cursor(self.cache.for_table(h.cache_id));

@@ -40,7 +40,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use encoding::key::{KeyKind, SequenceNumber};
 use memtable::{Wal, WalRecord};
@@ -751,6 +751,10 @@ struct ReadMetrics {
     memtable: Arc<Counter>,
     pm: Arc<Counter>,
     miss: Arc<Counter>,
+    /// `read_source_ssd` by level (0 = an SSD level-0 table), each
+    /// resolved from the registry on the level's first hit. Levels
+    /// past the array fall back to a registry lookup per hit.
+    ssd: [OnceLock<Arc<Counter>>; 8],
 }
 
 impl DbCore {
@@ -959,11 +963,14 @@ impl DbCore {
                 memtable: registry.counter(MetricKey::partition("read_source_memtable", pid)),
                 pm: registry.counter(MetricKey::partition("read_source_pm", pid)),
                 miss: registry.counter(MetricKey::partition("read_source_miss", pid)),
+                ssd: std::array::from_fn(|level| match level {
+                    1 => registry
+                        .counter(MetricKey::level("read_source_ssd", pid, 1))
+                        .into(),
+                    _ => OnceLock::new(),
+                }),
             })
             .collect();
-        for pid in 0..partitions.len() {
-            registry.counter(MetricKey::level("read_source_ssd", pid, 1));
-        }
         // PM-L0 read-acceleration metrics. The cache owns its counters;
         // registering the same `Arc`s means snapshots and Prometheus
         // rendering see them with zero mirroring on the hot path.
@@ -1285,7 +1292,7 @@ impl DbCore {
         for partition in &self.partitions {
             let p = partition.read();
             if let Level0::Pm(l0) = &p.level0 {
-                for h in l0.unsorted.iter().chain(l0.sorted_run()) {
+                for h in l0.unsorted().iter().chain(l0.sorted_run()) {
                     hist[(h.codec as usize).min(pmtable::CODEC_COUNT - 1)] += 1;
                 }
             }
@@ -1409,10 +1416,10 @@ impl DbCore {
         };
         match &p.level0 {
             Level0::Pm(l0) => {
-                v.unsorted = l0.unsorted.iter().map(|h| h.region).collect();
+                v.unsorted = l0.unsorted().iter().map(|h| h.region).collect();
                 v.sorted = l0.sorted_run().iter().map(|h| h.region).collect();
                 v.codecs = l0
-                    .unsorted
+                    .unsorted()
                     .iter()
                     .chain(l0.sorted_run())
                     .map(|h| h.codec as u64)
@@ -2000,13 +2007,14 @@ impl DbCore {
     /// The read path proper.
     ///
     /// Fast path: the memtable probe runs under the partition's read
-    /// lock; if the partition has a PM level-0, the lock is dropped and
-    /// the PM tables are searched through an immutable snapshot of their
-    /// handles (PM tables are never mutated after publication, and the
-    /// `Arc`s keep them readable even if a concurrent compaction frees
-    /// their pool space). Only the SSD levels — whose tables *can* be
-    /// deleted by a concurrent major compaction — are searched under the
-    /// lock again.
+    /// lock; if the partition has a PM level-0, the read takes a
+    /// reference to its published [`crate::level0::L0Version`] (one
+    /// refcount bump), drops the lock and searches the PM tables
+    /// through it (PM tables are never mutated after publication, and
+    /// the `Arc`s keep them readable even if a concurrent compaction
+    /// frees their pool space). Only the SSD levels — whose tables *can*
+    /// be deleted by a concurrent major compaction — are searched under
+    /// the lock again.
     ///
     /// When `trace` is set, each leg records a stage span from the
     /// `Timeline::elapsed` deltas around it — measured sub-intervals of
@@ -2032,11 +2040,11 @@ impl DbCore {
         let probed = if let Some(hit) = mem_hit {
             Ok((Some(hit), ReadSource::MemTable, None))
         } else if let Level0::Pm(l0) = &guard.level0 {
-            let l0_snap = l0.snapshot();
+            let l0 = l0.version();
             drop(guard);
             let pm_from = tl.elapsed().as_nanos();
             let mut probe = ProbeStats::default();
-            let l0_hit = l0_snap.get_with(
+            let l0_hit = l0.get(
                 user_key,
                 snapshot,
                 &mut tl,
@@ -2169,10 +2177,17 @@ impl DbCore {
             ReadSource::MemTable => m.memtable.incr(),
             ReadSource::Pm => m.pm.incr(),
             ReadSource::Miss => m.miss.incr(),
-            ReadSource::Ssd => self
-                .registry
-                .counter(MetricKey::level("read_source_ssd", pid, level.unwrap_or(0)))
-                .incr(),
+            ReadSource::Ssd => {
+                let level = level.unwrap_or(0);
+                let resolve = || {
+                    let key = MetricKey::level("read_source_ssd", pid, level);
+                    self.registry.counter(key)
+                };
+                match m.ssd.get(level) {
+                    Some(slot) => slot.get_or_init(resolve).incr(),
+                    None => resolve().incr(),
+                }
+            }
         }
     }
 
@@ -2453,9 +2468,9 @@ impl DbCore {
                         Level0::Pm(l0) => (
                             self.opts
                                 .codec_costs
-                                .probe_decode(l0.unsorted.iter().map(|h| (h.codec, h.entries))),
+                                .probe_decode(l0.unsorted().iter().map(|h| (h.codec, h.entries))),
                             self.opts.codec_costs.decode_per_record(
-                                l0.unsorted
+                                l0.unsorted()
                                     .iter()
                                     .chain(l0.sorted_run())
                                     .map(|h| (h.codec, h.entries)),

@@ -40,13 +40,15 @@ impl Default for CacheIds {
     }
 }
 
-/// A PM table resident in level-0.
+/// A PM table resident in level-0. Cloning one is refcount bumps only
+/// (the fence keys are shared slices), so copying a level-0 table list
+/// on write never copies a key.
 #[derive(Clone)]
 pub struct PmTableHandle {
     pub table: Arc<PmTable<PmRegion>>,
     pub region: RegionId,
-    pub first: Vec<u8>,
-    pub last: Vec<u8>,
+    pub first: Arc<[u8]>,
+    pub last: Arc<[u8]>,
     pub entries: usize,
     pub bytes: usize,
     /// Largest sequence stored; newer tables shadow older ones.
@@ -63,7 +65,7 @@ pub struct PmTableHandle {
 impl PmTableHandle {
     /// Could this table contain `key`?
     pub fn overlaps_key(&self, key: &[u8]) -> bool {
-        self.first.as_slice() <= key && key <= self.last.as_slice()
+        &*self.first <= key && key <= &*self.last
     }
 }
 
@@ -180,11 +182,11 @@ pub fn reopen_pm_table(region: PmRegion, ids: &CacheIds) -> Result<PmTableHandle
     let first = table
         .first_user_key()
         .ok_or_else(|| format!("region {region_id}: empty table"))?
-        .to_vec();
+        .into();
     let last = table
         .last_user_key()
         .ok_or_else(|| format!("region {region_id}: empty table"))?
-        .to_vec();
+        .into();
     let entries = table.entry_count();
     let max_seq = table
         .scan_all(&mut Timeline::new())
@@ -259,8 +261,8 @@ pub fn build_pm_tables(
             .unwrap_or(0);
         let codec = table.dominant_codec();
         Ok(Some(PmTableHandle {
-            first: first.take().expect("non-empty builder has first"),
-            last: last.to_vec(),
+            first: first.take().expect("non-empty builder has first").into(),
+            last: last.into(),
             table: Arc::new(table),
             region: region_id,
             entries,

@@ -13,16 +13,21 @@
 //! - each table's **bloom filter** (built at flush time when
 //!   `pm_filter_bits_per_key > 0`) is consulted before the table is
 //!   searched, so most unsorted tables that merely *straddle* a key's
-//!   range are skipped without touching their meta layer;
-//! - a [`FenceIndex`] over the sorted run — a contiguous array of
-//!   first/last fence keys rebuilt only when the run changes — locates
-//!   the single candidate table without walking the fat handle vector
-//!   on every get.
+//!   range are skipped without touching their meta layer; a get hashes
+//!   its key once and probes every filter with the same pair;
+//! - the sorted run's **fence keys** (each handle's first/last user key)
+//!   locate the single candidate table with one binary search.
+//!
+//! The table set is published as an immutable [`L0Version`] behind an
+//! `Arc` and copied on *write*: a point read takes a reference to the
+//! current version (one refcount bump, whatever the table count) and
+//! searches it with no lock held.
 
 use std::sync::Arc;
 
+use encoding::bloom::BloomFilter;
 use encoding::key::SequenceNumber;
-use pm_device::PmPool;
+use pm_device::{PmPool, RegionId};
 use pmtable::{L0Table, Lookup, OwnedEntry};
 use sim::Timeline;
 
@@ -71,63 +76,43 @@ impl ProbeStats {
     }
 }
 
-/// A compact index over the sorted run: the first and last user key of
-/// each table, in run order, in one contiguous allocation-per-key array.
-/// Built once per run change instead of re-deriving the candidate table
-/// from the handle vector on every get.
-#[derive(Default, Debug)]
-pub struct FenceIndex {
-    firsts: Vec<Box<[u8]>>,
-    lasts: Vec<Box<[u8]>>,
-}
-
-impl FenceIndex {
-    pub fn build(sorted: &[PmTableHandle]) -> Self {
-        FenceIndex {
-            firsts: sorted.iter().map(|h| h.first.clone().into()).collect(),
-            lasts: sorted.iter().map(|h| h.last.clone().into()).collect(),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.lasts.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.lasts.is_empty()
-    }
-
-    /// Index of the unique table whose `[first, last]` range covers
-    /// `user_key`, if any. Binary search over the last-key fences, then
-    /// one first-key comparison to reject keys falling in a gap.
-    pub fn locate(&self, user_key: &[u8]) -> Option<usize> {
-        let idx = self.lasts.partition_point(|last| last.as_ref() < user_key);
-        (idx < self.lasts.len() && self.firsts[idx].as_ref() <= user_key).then_some(idx)
-    }
-}
-
-/// Level-0 state for one partition.
-#[derive(Default)]
-pub struct PmLevel0 {
+/// One immutable version of a partition's level-0 table set.
+///
+/// [`PmLevel0`] publishes its current version behind an `Arc`. A reader
+/// takes a reference ([`PmLevel0::version`]: one refcount bump, no
+/// allocation, independent of the table count) and searches it without
+/// the partition lock; PM tables are never mutated after publication
+/// and the handles' `Arc`s keep them readable even after a compaction
+/// frees their pool space. Whoever *mutates* level-0 pays instead, and
+/// only when a reader still holds the version being replaced: the two
+/// handle lists are copied — refcount bumps per handle, never table
+/// data or a key.
+#[derive(Default, Clone)]
+pub struct L0Version {
     /// Oldest → newest; reads walk newest → oldest.
-    pub unsorted: Vec<PmTableHandle>,
-    /// Non-overlapping ascending run. Private so every mutation rebuilds
-    /// the fence index.
+    unsorted: Vec<PmTableHandle>,
+    /// Non-overlapping ascending run.
     sorted: Vec<PmTableHandle>,
-    /// Fence index over `sorted`; rebuilt whenever the run changes and
-    /// shared with snapshots by `Arc`.
-    fence: Arc<FenceIndex>,
 }
 
-impl PmLevel0 {
-    pub fn new() -> Self {
-        PmLevel0::default()
+impl L0Version {
+    /// The unsorted tables, oldest first.
+    pub fn unsorted(&self) -> &[PmTableHandle] {
+        &self.unsorted
+    }
+
+    /// The sorted run, oldest data in level-0.
+    pub fn sorted_run(&self) -> &[PmTableHandle] {
+        &self.sorted
+    }
+
+    fn tables(&self) -> impl Iterator<Item = &PmTableHandle> {
+        self.unsorted.iter().chain(&self.sorted)
     }
 
     /// Total bytes held on PM by this partition (`s_i` in Table II).
     pub fn bytes(&self) -> usize {
-        self.unsorted.iter().map(|h| h.bytes).sum::<usize>()
-            + self.sorted.iter().map(|h| h.bytes).sum::<usize>()
+        self.tables().map(|h| h.bytes).sum()
     }
 
     /// Number of unsorted tables (`n_i`).
@@ -140,66 +125,67 @@ impl PmLevel0 {
         self.sorted.len()
     }
 
-    /// The sorted run, oldest data in level-0.
-    pub fn sorted_run(&self) -> &[PmTableHandle] {
-        &self.sorted
-    }
-
     pub fn is_empty(&self) -> bool {
         self.unsorted.is_empty() && self.sorted.is_empty()
     }
 
     /// Total entries across level-0.
     pub fn entries(&self) -> usize {
-        self.unsorted.iter().map(|h| h.entries).sum::<usize>()
-            + self.sorted.iter().map(|h| h.entries).sum::<usize>()
+        self.tables().map(|h| h.entries).sum()
     }
 
-    /// Register a fresh minor-compaction output.
-    pub fn push_unsorted(&mut self, handle: PmTableHandle) {
-        self.unsorted.push(handle);
-    }
-
-    /// Install a sorted run directly (tests and recovery); unlike
-    /// [`PmLevel0::replace_with_sorted`] nothing is freed.
-    pub fn set_sorted_run(&mut self, run: Vec<PmTableHandle>) {
-        debug_assert!(run.windows(2).all(|w| w[0].last < w[1].first));
-        self.fence = Arc::new(FenceIndex::build(&run));
-        self.sorted = run;
+    /// Index of the unique sorted-run table whose `[first, last]` range
+    /// covers `user_key`, if any: binary search over the last-key
+    /// fences, then one first-key comparison to reject a key in a gap.
+    fn locate(&self, user_key: &[u8]) -> Option<usize> {
+        let idx = self.sorted.partition_point(|h| &*h.last < user_key);
+        (self.sorted.get(idx)?.first.as_ref() <= user_key).then_some(idx)
     }
 
     /// Point lookup across level-0: newest unsorted table wins, then the
-    /// sorted run.
+    /// sorted run. `cache` of `None` (or a zero-capacity cache) degrades
+    /// to plain PM reads.
     pub fn get(
         &self,
         user_key: &[u8],
         snapshot: SequenceNumber,
         tl: &mut Timeline,
+        cache: Option<&PmGroupCache>,
+        stats: &mut ProbeStats,
     ) -> Option<Lookup> {
-        let mut stats = ProbeStats::default();
-        get_in(
-            &self.unsorted,
-            &self.sorted,
-            &self.fence,
-            user_key,
-            snapshot,
-            tl,
-            None,
-            &mut stats,
-        )
-    }
-
-    /// A cheap immutable copy of the current table set (Arc clones of
-    /// the handles, no data copied). Because PM tables are never mutated
-    /// after publication, the snapshot can be searched without holding
-    /// the partition lock; a concurrent compaction that frees the
-    /// underlying regions cannot invalidate the `Arc`-held tables.
-    pub fn snapshot(&self) -> PmL0Snapshot {
-        PmL0Snapshot {
-            unsorted: self.unsorted.clone(),
-            sorted: self.sorted.clone(),
-            fence: Arc::clone(&self.fence),
+        // Hashed on the first filter consulted, then reused for every
+        // other: a key no table's range covers is never hashed.
+        let mut hashes = None;
+        // Unsorted tables are mutually overlapping and flushed in
+        // sequence order: walking newest→oldest, the first hit is the
+        // newest visible version.
+        for handle in self.unsorted.iter().rev() {
+            if !handle.overlaps_key(user_key) {
+                continue;
+            }
+            let had_filter = handle.table.has_filter();
+            if had_filter && filter_rules_out(handle, user_key, &mut hashes, tl, stats) {
+                continue;
+            }
+            let hit = probe_table(handle, user_key, snapshot, tl, cache, stats);
+            if hit.is_some() {
+                return hit;
+            } else if had_filter {
+                stats.filter_false_positives += 1;
+            }
         }
+        // Sorted run: the fence keys name the only table that can
+        // contain the key (or prove none does).
+        let handle = &self.sorted[self.locate(user_key)?];
+        let had_filter = handle.table.has_filter();
+        if had_filter && filter_rules_out(handle, user_key, &mut hashes, tl, stats) {
+            return None;
+        }
+        let hit = probe_table(handle, user_key, snapshot, tl, cache, stats);
+        if hit.is_none() && had_filter {
+            stats.filter_false_positives += 1;
+        }
+        hit
     }
 
     /// Scan cursors over `[.., end)`: one per unsorted table plus one
@@ -259,29 +245,67 @@ impl PmLevel0 {
         }
         sources
     }
+}
 
-    /// Detach the tables [`PmLevel0::read_oldest`] read, once their
+/// Level-0 state for one partition: the current [`L0Version`] (read
+/// through `Deref`) and the mutations that publish its successor. Every
+/// mutation runs under the partition write lock and goes through
+/// `Arc::make_mut` or build-and-swap, so a version a reader holds never
+/// changes.
+#[derive(Default)]
+pub struct PmLevel0 {
+    current: Arc<L0Version>,
+}
+
+impl std::ops::Deref for PmLevel0 {
+    type Target = L0Version;
+
+    fn deref(&self) -> &L0Version {
+        &self.current
+    }
+}
+
+impl PmLevel0 {
+    pub fn new() -> Self {
+        PmLevel0::default()
+    }
+
+    /// The published version, to search after the partition lock is
+    /// dropped. See [`L0Version`] for what this costs and who pays.
+    pub fn version(&self) -> Arc<L0Version> {
+        Arc::clone(&self.current)
+    }
+
+    /// Register a fresh minor-compaction output.
+    pub fn push_unsorted(&mut self, handle: PmTableHandle) {
+        Arc::make_mut(&mut self.current).unsorted.push(handle);
+    }
+
+    /// Install a sorted run directly (tests and recovery); unlike
+    /// [`PmLevel0::replace_with_sorted`] nothing is freed.
+    pub fn set_sorted_run(&mut self, run: Vec<PmTableHandle>) {
+        debug_assert!(run.windows(2).all(|w| w[0].last < w[1].first));
+        Arc::make_mut(&mut self.current).sorted = run;
+    }
+
+    /// Detach the tables [`L0Version::read_oldest`] read, once their
     /// merged output is installed below. Returns their PM regions and
     /// group-cache ids (for purging).
-    pub fn detach_oldest(&mut self, limit: usize) -> (Vec<pm_device::RegionId>, Vec<u64>) {
+    pub fn detach_oldest(&mut self, limit: usize) -> (Vec<RegionId>, Vec<u64>) {
         let (take_sorted, take_unsorted) = self.oldest(limit);
-        let detached = self.sorted.drain(..take_sorted);
-        let detached = detached.chain(self.unsorted.drain(..take_unsorted));
-        let ids = detached.map(|h| (h.region, h.cache_id)).unzip();
-        self.fence = Arc::new(FenceIndex::build(&self.sorted));
-        ids
+        let next = Arc::make_mut(&mut self.current);
+        let detached = next.sorted.drain(..take_sorted);
+        let detached = detached.chain(next.unsorted.drain(..take_unsorted));
+        detached.map(|h| (h.region, h.cache_id)).unzip()
     }
 
     /// Drop every table, freeing PM space. Returns bytes released and
     /// the retired tables' group-cache ids.
     pub fn clear(&mut self, pool: &PmPool) -> (usize, Vec<u64>) {
-        let released = self.bytes();
-        let mut cache_ids = Vec::with_capacity(self.unsorted.len() + self.sorted.len());
-        for handle in self.unsorted.drain(..).chain(self.sorted.drain(..)) {
-            pool.free(handle.region);
-            cache_ids.push(handle.cache_id);
+        let (released, regions, cache_ids) = self.replace_with_sorted_deferred(Vec::new());
+        for region in regions {
+            pool.free(region);
         }
-        self.fence = Arc::new(FenceIndex::default());
         (released, cache_ids)
     }
 
@@ -293,18 +317,15 @@ impl PmLevel0 {
     pub fn replace_with_sorted_deferred(
         &mut self,
         run: Vec<PmTableHandle>,
-    ) -> (usize, Vec<pm_device::RegionId>, Vec<u64>) {
+    ) -> (usize, Vec<RegionId>, Vec<u64>) {
         debug_assert!(run.windows(2).all(|w| w[0].last < w[1].first));
-        let released = self.bytes();
-        let mut regions = Vec::with_capacity(self.unsorted.len() + self.sorted.len());
-        let mut cache_ids = Vec::with_capacity(regions.capacity());
-        for handle in self.unsorted.drain(..).chain(self.sorted.drain(..)) {
-            regions.push(handle.region);
-            cache_ids.push(handle.cache_id);
-        }
-        self.fence = Arc::new(FenceIndex::build(&run));
-        self.sorted = run;
-        (released, regions, cache_ids)
+        let next = L0Version {
+            unsorted: Vec::new(),
+            sorted: run,
+        };
+        let old = std::mem::replace(&mut self.current, Arc::new(next));
+        let (regions, cache_ids) = old.tables().map(|h| (h.region, h.cache_id)).unzip();
+        (old.bytes(), regions, cache_ids)
     }
 
     /// Replace the whole level-0 with a new sorted run (after internal
@@ -315,11 +336,9 @@ impl PmLevel0 {
         run: Vec<PmTableHandle>,
         pool: &PmPool,
     ) -> (usize, Vec<u64>) {
-        debug_assert!(run.windows(2).all(|w| w[0].last < w[1].first));
-        let (released, cache_ids) = self.clear(pool);
-        self.fence = Arc::new(FenceIndex::build(&run));
-        self.sorted = run;
-        (released, cache_ids)
+        let cleared = self.clear(pool);
+        self.set_sorted_run(run);
+        cleared
     }
 }
 
@@ -330,55 +349,6 @@ impl std::fmt::Debug for PmLevel0 {
             .field("sorted", &self.sorted.len())
             .field("bytes", &self.bytes())
             .finish()
-    }
-}
-
-/// A point-in-time view of one partition's level-0, safe to search
-/// without any lock held. See [`PmLevel0::snapshot`].
-#[derive(Clone, Debug)]
-pub struct PmL0Snapshot {
-    unsorted: Vec<PmTableHandle>,
-    sorted: Vec<PmTableHandle>,
-    fence: Arc<FenceIndex>,
-}
-
-impl PmL0Snapshot {
-    /// Point lookup with the same semantics as [`PmLevel0::get`].
-    pub fn get(
-        &self,
-        user_key: &[u8],
-        snapshot: SequenceNumber,
-        tl: &mut Timeline,
-    ) -> Option<Lookup> {
-        let mut stats = ProbeStats::default();
-        self.get_with(user_key, snapshot, tl, None, &mut stats)
-    }
-
-    /// Point lookup threading the shared group-decode cache and probe
-    /// accounting. `cache` of `None` (or a zero-capacity cache) degrades
-    /// to plain PM reads.
-    pub fn get_with(
-        &self,
-        user_key: &[u8],
-        snapshot: SequenceNumber,
-        tl: &mut Timeline,
-        cache: Option<&PmGroupCache>,
-        stats: &mut ProbeStats,
-    ) -> Option<Lookup> {
-        get_in(
-            &self.unsorted,
-            &self.sorted,
-            &self.fence,
-            user_key,
-            snapshot,
-            tl,
-            cache,
-            stats,
-        )
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.unsorted.is_empty() && self.sorted.is_empty()
     }
 }
 
@@ -419,11 +389,13 @@ fn probe_table(
 fn filter_rules_out(
     handle: &PmTableHandle,
     user_key: &[u8],
+    hashes: &mut Option<(u64, u64)>,
     tl: &mut Timeline,
     stats: &mut ProbeStats,
 ) -> bool {
+    let hashes = *hashes.get_or_insert_with(|| BloomFilter::hashes(user_key));
     let before = tl.elapsed().as_nanos();
-    let verdict = handle.table.filter_may_contain(user_key, tl);
+    let verdict = handle.table.filter_may_contain(hashes, tl);
     stats.filter_nanos += tl.elapsed().as_nanos().saturating_sub(before);
     match verdict {
         Some(may_contain) => {
@@ -437,63 +409,6 @@ fn filter_rules_out(
         }
         None => false,
     }
-}
-
-/// Shared lookup walk over an (unsorted, sorted) table set.
-#[allow(clippy::too_many_arguments)]
-fn get_in(
-    unsorted: &[PmTableHandle],
-    sorted: &[PmTableHandle],
-    fence: &FenceIndex,
-    user_key: &[u8],
-    snapshot: SequenceNumber,
-    tl: &mut Timeline,
-    cache: Option<&PmGroupCache>,
-    stats: &mut ProbeStats,
-) -> Option<Lookup> {
-    // Unsorted tables are mutually overlapping: scan newest→oldest and
-    // take the newest visible version seen (a newer table always holds
-    // newer sequences for the keys it contains).
-    let mut best: Option<Lookup> = None;
-    for handle in unsorted.iter().rev() {
-        if !handle.overlaps_key(user_key) {
-            continue;
-        }
-        let had_filter = handle.table.has_filter();
-        if had_filter && filter_rules_out(handle, user_key, tl, stats) {
-            continue;
-        }
-        if let Some(hit) = probe_table(handle, user_key, snapshot, tl, cache, stats) {
-            match &best {
-                Some(b) if b.seq >= hit.seq => {}
-                _ => best = Some(hit),
-            }
-            // Tables are flushed in sequence order; the first hit
-            // from the newest table is final.
-            break;
-        } else if had_filter {
-            stats.filter_false_positives += 1;
-        }
-    }
-    if best.is_some() {
-        return best;
-    }
-    // Sorted run: the fence index names the only table that can contain
-    // the key (or proves none does).
-    debug_assert_eq!(fence.len(), sorted.len());
-    if let Some(idx) = fence.locate(user_key) {
-        let handle = &sorted[idx];
-        let had_filter = handle.table.has_filter();
-        if had_filter && filter_rules_out(handle, user_key, tl, stats) {
-            return None;
-        }
-        let hit = probe_table(handle, user_key, snapshot, tl, cache, stats);
-        if hit.is_none() && had_filter {
-            stats.filter_false_positives += 1;
-        }
-        return hit;
-    }
-    None
 }
 
 #[cfg(test)]
@@ -548,13 +463,19 @@ mod tests {
         PmPool::new(8 << 20, CostModel::default())
     }
 
+    /// Uncached point lookup at `snapshot`, returning the value.
+    fn get(v: &L0Version, key: &[u8], snapshot: u64) -> Option<Vec<u8>> {
+        let mut stats = ProbeStats::default();
+        v.get(key, snapshot, &mut Timeline::new(), None, &mut stats)
+            .map(|hit| hit.value)
+    }
+
     #[test]
     fn empty_level0() {
         let l0 = PmLevel0::new();
-        let mut tl = Timeline::new();
         assert!(l0.is_empty());
         assert_eq!(l0.bytes(), 0);
-        assert!(l0.get(b"k", u64::MAX, &mut tl).is_none());
+        assert!(get(&l0, b"k", u64::MAX).is_none());
     }
 
     #[test]
@@ -563,11 +484,10 @@ mod tests {
         let mut l0 = PmLevel0::new();
         l0.push_unsorted(table(&pool, vec![entry("k", 1, "old")]));
         l0.push_unsorted(table(&pool, vec![entry("k", 9, "new")]));
-        let mut tl = Timeline::new();
-        assert_eq!(l0.get(b"k", u64::MAX, &mut tl).unwrap().value, b"new");
+        assert_eq!(get(&l0, b"k", u64::MAX).unwrap(), b"new");
         // Snapshot below the newer version falls through to the older
         // table.
-        assert_eq!(l0.get(b"k", 5, &mut tl).unwrap().value, b"old");
+        assert_eq!(get(&l0, b"k", 5).unwrap(), b"old");
     }
 
     #[test]
@@ -579,10 +499,9 @@ mod tests {
             table(&pool, vec![entry("m", 3, "3"), entry("z", 4, "4")]),
         ]);
         l0.push_unsorted(table(&pool, vec![entry("b", 9, "fresh")]));
-        let mut tl = Timeline::new();
-        assert_eq!(l0.get(b"m", u64::MAX, &mut tl).unwrap().value, b"3");
-        assert_eq!(l0.get(b"b", u64::MAX, &mut tl).unwrap().value, b"fresh");
-        assert!(l0.get(b"q", u64::MAX, &mut tl).is_none());
+        assert_eq!(get(&l0, b"m", u64::MAX).unwrap(), b"3");
+        assert_eq!(get(&l0, b"b", u64::MAX).unwrap(), b"fresh");
+        assert!(get(&l0, b"q", u64::MAX).is_none());
         assert_eq!(l0.sorted_count(), 2);
         assert_eq!(l0.unsorted_count(), 1);
     }
@@ -602,8 +521,7 @@ mod tests {
         assert_eq!(l0.unsorted_count(), 0);
         assert_eq!(l0.sorted_count(), 1);
         assert!(pool.used() < before);
-        let mut tl = Timeline::new();
-        assert_eq!(l0.get(b"a", u64::MAX, &mut tl).unwrap().value, b"y");
+        assert_eq!(get(&l0, b"a", u64::MAX).unwrap(), b"y");
     }
 
     #[test]
@@ -665,21 +583,99 @@ mod tests {
             table(&pool, vec![entry("b", 1, "1"), entry("d", 2, "2")]),
             table(&pool, vec![entry("h", 3, "3"), entry("k", 4, "4")]),
         ]);
-        let snap = l0.snapshot();
-        let fence = FenceIndex::build(l0.sorted_run());
-        assert_eq!(fence.len(), 2);
-        assert_eq!(fence.locate(b"b"), Some(0));
-        assert_eq!(fence.locate(b"c"), Some(0));
-        assert_eq!(fence.locate(b"d"), Some(0));
-        assert_eq!(fence.locate(b"h"), Some(1));
-        assert_eq!(fence.locate(b"k"), Some(1));
+        assert_eq!(l0.locate(b"b"), Some(0));
+        assert_eq!(l0.locate(b"c"), Some(0));
+        assert_eq!(l0.locate(b"d"), Some(0));
+        assert_eq!(l0.locate(b"h"), Some(1));
+        assert_eq!(l0.locate(b"k"), Some(1));
         // Keys before, between, and after the run resolve to no table.
-        assert_eq!(fence.locate(b"a"), None);
-        assert_eq!(fence.locate(b"f"), None);
-        assert_eq!(fence.locate(b"z"), None);
-        let mut tl = Timeline::new();
-        assert_eq!(snap.get(b"h", u64::MAX, &mut tl).unwrap().value, b"3");
-        assert!(snap.get(b"f", u64::MAX, &mut tl).is_none());
+        assert_eq!(l0.locate(b"a"), None);
+        assert_eq!(l0.locate(b"f"), None);
+        assert_eq!(l0.locate(b"z"), None);
+        let snap = l0.version();
+        assert_eq!(get(&snap, b"h", u64::MAX).unwrap(), b"3");
+        assert!(get(&snap, b"f", u64::MAX).is_none());
+    }
+
+    #[test]
+    fn taking_a_version_never_copies() {
+        let pool = pool();
+        let mut l0 = PmLevel0::new();
+        l0.push_unsorted(table(&pool, vec![entry("k", 1, "v")]));
+        // Two reads with no mutation between them share one table set.
+        assert!(Arc::ptr_eq(&l0.version(), &l0.version()));
+        // With no reader holding the version, a mutation edits it in
+        // place; with one, the mutation copies and the reader's stays.
+        let published = Arc::as_ptr(&l0.version());
+        l0.push_unsorted(table(&pool, vec![entry("k", 2, "w")]));
+        assert_eq!(Arc::as_ptr(&l0.version()), published);
+        let held = l0.version();
+        l0.push_unsorted(table(&pool, vec![entry("k", 3, "x")]));
+        assert!(!Arc::ptr_eq(&held, &l0.version()));
+        assert_eq!(held.unsorted_count(), 2);
+        assert_eq!(l0.unsorted_count(), 3);
+        // The copy shares every table and fence key with the original.
+        for (old, new) in held.unsorted().iter().zip(l0.unsorted()) {
+            assert!(Arc::ptr_eq(&old.table, &new.table));
+            assert!(Arc::ptr_eq(&old.first, &new.first));
+            assert!(Arc::ptr_eq(&old.last, &new.last));
+        }
+    }
+
+    #[test]
+    fn a_held_version_answers_from_its_own_tables_across_every_mutation() {
+        let pool = pool();
+        let run = |v: &str| vec![table(&pool, vec![entry("s", 9, v)])];
+        type Mutation<'a> = Box<dyn Fn(&mut PmLevel0) + 'a>;
+        // (mutation, what the live level answers for "u" and "s" after it)
+        let cases: [(&str, Mutation, Option<&str>, Option<&str>); 6] = [
+            (
+                "push_unsorted",
+                Box::new(|l0| l0.push_unsorted(table(&pool, vec![entry("u", 9, "u-new")]))),
+                Some("u-new"),
+                Some("s-old"),
+            ),
+            (
+                "set_sorted_run",
+                Box::new(|l0| l0.set_sorted_run(run("s-new"))),
+                Some("u-old"),
+                Some("s-new"),
+            ),
+            (
+                // The sorted run is the oldest table: it goes first.
+                "detach_oldest",
+                Box::new(|l0| drop(l0.detach_oldest(1))),
+                Some("u-old"),
+                None,
+            ),
+            ("clear", Box::new(|l0| drop(l0.clear(&pool))), None, None),
+            (
+                "replace_with_sorted",
+                Box::new(|l0| drop(l0.replace_with_sorted(run("s-new"), &pool))),
+                None,
+                Some("s-new"),
+            ),
+            (
+                "replace_with_sorted_deferred",
+                Box::new(|l0| drop(l0.replace_with_sorted_deferred(run("s-new")))),
+                None,
+                Some("s-new"),
+            ),
+        ];
+        for (name, mutate, live_u, live_s) in cases {
+            let mut l0 = PmLevel0::new();
+            l0.push_unsorted(table(&pool, vec![entry("u", 1, "u-old")]));
+            l0.set_sorted_run(run("s-old"));
+            let held = l0.version();
+            mutate(&mut l0);
+            // The held version still reads the pre-mutation tables —
+            // even those whose pool regions the mutation freed.
+            assert_eq!(get(&held, b"u", u64::MAX).unwrap(), b"u-old", "{name}");
+            assert_eq!(get(&held, b"s", u64::MAX).unwrap(), b"s-old", "{name}");
+            let live = |key| get(&l0, key, u64::MAX).map(|v| String::from_utf8(v).unwrap());
+            assert_eq!(live(b"u").as_deref(), live_u, "{name}");
+            assert_eq!(live(b"s").as_deref(), live_s, "{name}");
+        }
     }
 
     #[test]
@@ -695,12 +691,11 @@ mod tests {
             &pool,
             vec![entry("b", 3, "3"), entry("y", 4, "4")],
         ));
-        let snap = l0.snapshot();
+        let snap = l0.version();
         let mut tl = Timeline::new();
         let mut stats = ProbeStats::default();
-        assert!(snap
-            .get_with(b"mmm", u64::MAX, &mut tl, None, &mut stats)
-            .is_none());
+        let miss = snap.get(b"mmm", u64::MAX, &mut tl, None, &mut stats);
+        assert!(miss.is_none());
         assert_eq!(stats.filter_checked, 2);
         assert_eq!(
             stats.filter_useful + stats.filter_false_positives,
@@ -713,10 +708,8 @@ mod tests {
         );
         // Present keys always reach the table (no false negatives).
         let mut stats = ProbeStats::default();
-        let hit = snap
-            .get_with(b"b", u64::MAX, &mut tl, None, &mut stats)
-            .unwrap();
-        assert_eq!(hit.value, b"3");
+        let hit = snap.get(b"b", u64::MAX, &mut tl, None, &mut stats);
+        assert_eq!(hit.unwrap().value, b"3");
         assert!(stats.tables_probed >= 1);
     }
 
@@ -731,14 +724,14 @@ mod tests {
                 .map(|i| entry(&format!("k{i:04}"), i + 1, "v"))
                 .collect(),
         ));
-        let snap = l0.snapshot();
+        let snap = l0.version();
         let mut stats = ProbeStats::default();
         let mut cold_tl = Timeline::new();
-        let cold = snap.get_with(b"k0007", u64::MAX, &mut cold_tl, Some(&cache), &mut stats);
+        let cold = snap.get(b"k0007", u64::MAX, &mut cold_tl, Some(&cache), &mut stats);
         assert_eq!(cold.unwrap().value, b"v");
         assert_eq!(cache.hits.get(), 0);
         let mut warm_tl = Timeline::new();
-        let warm = snap.get_with(b"k0007", u64::MAX, &mut warm_tl, Some(&cache), &mut stats);
+        let warm = snap.get(b"k0007", u64::MAX, &mut warm_tl, Some(&cache), &mut stats);
         assert_eq!(warm.unwrap().value, b"v");
         assert_eq!(cache.hits.get(), 1);
         assert!(

@@ -46,7 +46,7 @@ pub use engine::{
     ScanRequest, WriteAmp,
 };
 pub use groupcache::PmGroupCache;
-pub use level0::PmL0Snapshot;
+pub use level0::L0Version;
 pub use options::{MaintenanceMode, Mode, Options, OptionsBuilder, Partitioner};
 pub use protocol::{Request, Response, WireError};
 pub use relational::{Relational, TableDef};

@@ -19,7 +19,7 @@ use crate::costmodel::PartitionCounters;
 use crate::cursor::{Cursor, SsRun};
 use crate::groupcache::PmGroupCache;
 use crate::handle::{build_pm_tables, merge_dedup, CacheIds, SsTableHandle};
-use crate::level0::PmLevel0;
+use crate::level0::{PmLevel0, ProbeStats};
 use crate::levels::{build_ss_tables, SsdLevels};
 use crate::matrix::MatrixL0;
 use crate::options::{Mode, Options};
@@ -189,7 +189,8 @@ impl Partition {
     ) -> Result<(Option<Lookup>, ReadSource, Option<usize>), crate::engine::DbError> {
         match &self.level0 {
             Level0::Pm(l0) => {
-                if let Some(hit) = l0.get(user_key, snapshot, tl) {
+                let mut stats = ProbeStats::default();
+                if let Some(hit) = l0.get(user_key, snapshot, tl, None, &mut stats) {
                     return Ok((Some(hit), ReadSource::Pm, None));
                 }
             }
@@ -333,7 +334,7 @@ impl Partition {
         let Level0::Pm(l0) = &mut self.level0 else {
             return Ok(None);
         };
-        if l0.unsorted.is_empty() {
+        if l0.unsorted_count() == 0 {
             return Ok(None);
         }
         let sources = l0.scan_all_sources(tl);

@@ -67,6 +67,7 @@
 //! predate the filter simply ignore the tail bytes and older tables
 //! (flags = 0) open unchanged.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use encoding::bloom::BloomFilter;
@@ -487,6 +488,19 @@ fn trailer_frame(slice: &[OwnedEntry]) -> (u64, Vec<u64>, u32) {
         .max()
         .unwrap_or(0);
     (min, offsets, bits)
+}
+
+/// Order of the concatenation `head ‖ tail` relative to `other`, without
+/// building it.
+#[inline]
+fn cmp_concat(head: &[u8], tail: &[u8], other: &[u8]) -> Ordering {
+    match other.get(..head.len()) {
+        Some(prefix) => head
+            .cmp(prefix)
+            .then_with(|| tail.cmp(&other[head.len()..])),
+        // `other` ends inside `head`, so `head` alone decides.
+        None => head.cmp(other),
+    }
 }
 
 /// Append the low `w` big-endian bytes of `v`.
@@ -919,9 +933,10 @@ impl<S: Storage> PmTable<S> {
         }
     }
 
-    /// Reconstruct the (meta-stripped) first key of a group: its stored
-    /// LCP bytes plus the first entry's remainder.
-    fn group_first_rest(&self, group: u32) -> Option<Vec<u8>> {
+    /// Order of a group's (meta-stripped) first key — its stored LCP
+    /// bytes followed by the first entry's remainder — relative to
+    /// `rest`, compared piecewise so the key is never materialised.
+    fn cmp_group_first(&self, group: u32, rest: &[u8]) -> Option<Ordering> {
         let (block_off, block_len, count, _) = self.gindex(group);
         if count == 0 {
             return None;
@@ -939,11 +954,9 @@ impl<S: Storage> PmTable<S> {
                 // lcp | w | key_bits | trailer_bits | varint first_rem …
                 let w = *r.read_bytes(1)?.first()? as usize;
                 let _bits = r.read_bytes(2)?;
-                let first_rem = r.read_u64()?;
-                let mut key = Vec::with_capacity(lcp.len() + w);
-                key.extend_from_slice(lcp);
-                put_be_width(&mut key, first_rem, w);
-                Some(key)
+                let first_rem = r.read_u64()?.to_be_bytes();
+                let krem = first_rem.get(8usize.checked_sub(w)?..)?;
+                Some(cmp_concat(lcp, krem, rest))
             }
             CODEC_FIXED => {
                 // lcp | vw | value_bits | trailer_bits | varint min_value |
@@ -958,21 +971,13 @@ impl<S: Storage> PmTable<S> {
                         + bitpack::packed_len(count as usize, trailer_bits),
                 )?;
                 let krem_len = r.read_u32()? as usize;
-                let krem = r.read_bytes(krem_len)?;
-                let mut key = Vec::with_capacity(lcp.len() + krem.len());
-                key.extend_from_slice(lcp);
-                key.extend_from_slice(krem);
-                Some(key)
+                Some(cmp_concat(lcp, r.read_bytes(krem_len)?, rest))
             }
             _ => {
                 let krem_len = r.read_u32()? as usize;
                 let _vlen = r.read_u32()?;
                 let _trailer = r.read_bytes(8)?;
-                let krem = r.read_bytes(krem_len)?;
-                let mut key = Vec::with_capacity(lcp.len() + krem.len());
-                key.extend_from_slice(lcp);
-                key.extend_from_slice(krem);
-                Some(key)
+                Some(cmp_concat(lcp, r.read_bytes(krem_len)?, rest))
             }
         }
     }
@@ -1009,10 +1014,13 @@ impl<S: Storage> PmTable<S> {
     /// the table was built without a filter. The filter is DRAM-resident
     /// (decoded at open, like the meta layer), so a probe costs a small
     /// DRAM read, not a PM access.
-    pub fn filter_may_contain(&self, user_key: &[u8], tl: &mut Timeline) -> Option<bool> {
+    ///
+    /// Takes the key as its [`BloomFilter::hashes`] pair: a level-0 get
+    /// consults one filter per table, and hashes its key once for all.
+    pub fn filter_may_contain(&self, hashes: (u64, u64), tl: &mut Timeline) -> Option<bool> {
         let filter = self.filter.as_ref()?;
         tl.charge(self.storage.cost_model().dram.random_read(8));
-        Some(filter.may_contain(user_key))
+        Some(filter.may_contain_hashed(hashes))
     }
 
     /// [`L0Table::get`] with a decoded-group cache: a cache hit replaces
@@ -1048,8 +1056,8 @@ impl<S: Storage> PmTable<S> {
         // an earlier group.
         while group > row.first_group {
             self.storage.meter_random(32, tl);
-            match self.group_first_rest(group) {
-                Some(first) if first.as_slice() >= rest => group -= 1,
+            match self.cmp_group_first(group, rest) {
+                Some(first) if first.is_ge() => group -= 1,
                 _ => break,
             }
         }
@@ -1060,8 +1068,8 @@ impl<S: Storage> PmTable<S> {
         for g in group..end {
             if g > group {
                 self.storage.meter_random(32, tl);
-                match self.group_first_rest(g) {
-                    Some(first) if first.as_slice() > rest => break,
+                match self.cmp_group_first(g, rest) {
+                    Some(first) if first.is_gt() => break,
                     _ => {}
                 }
             }
@@ -1125,8 +1133,8 @@ impl<S: Storage> PmTable<S> {
                     self.locate_group(rest, row.first_group, row.first_group + row.group_count, tl);
                 while g > row.first_group {
                     self.storage.meter_random(32, tl);
-                    match self.group_first_rest(g) {
-                        Some(first) if first.as_slice() >= rest => g -= 1,
+                    match self.cmp_group_first(g, rest) {
+                        Some(first) if first.is_ge() => g -= 1,
                         _ => break,
                     }
                 }
@@ -1778,6 +1786,75 @@ mod tests {
         assert_eq!(t.scan_all(&mut tl), entries);
     }
 
+    /// The PR-3 group-straddle shape: one key's 30 versions span four
+    /// groups of 8, flanked by same-prefix neighbours.
+    fn straddle_entries() -> Vec<OwnedEntry> {
+        let mut entries = vec![OwnedEntry::value(b"t0:a".to_vec(), 1000, b"x".to_vec())];
+        for seq in (1..=30u64).rev() {
+            entries.push(OwnedEntry::value(b"t0:k".to_vec(), seq, b"v".to_vec()));
+        }
+        entries.push(OwnedEntry::value(b"t0:z".to_vec(), 1001, b"y".to_vec()));
+        entries
+    }
+
+    #[test]
+    fn group_first_key_compares_piecewise_as_the_materialised_key_did() {
+        // `cmp_group_first` orders `lcp ‖ remainder` against a probe
+        // without building the key. The oracle is the key itself: the
+        // group's first decoded entry, meta-stripped. Probes are every
+        // stored key plus the boundary shapes of the piecewise compare —
+        // the empty key, a strict prefix (inside and at the end of the
+        // LCP), and an extension.
+        let delim = |codec| PmTableOptions {
+            codec,
+            ..delim_opts()
+        };
+        let shapes = [
+            (
+                delim(CodecMode::Prefix),
+                index_entries(200, 8, 3),
+                CODEC_PREFIX,
+            ),
+            (
+                codec_opts(CodecMode::Delta),
+                timeseries_entries(200, 7),
+                CODEC_DELTA,
+            ),
+            (
+                codec_opts(CodecMode::Fixed),
+                timeseries_entries(200, 7),
+                CODEC_FIXED,
+            ),
+            (delim(CodecMode::Prefix), straddle_entries(), CODEC_PREFIX),
+            (delim(CodecMode::Delta), straddle_entries(), CODEC_DELTA),
+        ];
+        for (opts, entries, expect_codec) in shapes {
+            let mode = opts.codec;
+            let t = build(&entries, opts);
+            assert!(t.codec_histogram()[expect_codec as usize] > 0, "{mode:?}");
+            let mut probes: Vec<Vec<u8>> = vec![Vec::new()];
+            for e in &entries {
+                let rest = opts.extractor.split(&e.user_key).1;
+                probes.push(rest.to_vec());
+                probes.push(rest[..rest.len() / 2].to_vec());
+                probes.push(rest[..rest.len().saturating_sub(1)].to_vec());
+                probes.push([rest, b"\0"].concat());
+            }
+            for g in 0..t.group_count() {
+                let decoded = t.decode_group(g, &mut Timeline::new()).unwrap();
+                let first = opts.extractor.split(&decoded[0].user_key).1;
+                for probe in &probes {
+                    assert_eq!(
+                        t.cmp_group_first(g, probe),
+                        Some(first.cmp(probe.as_slice())),
+                        "{mode:?} group {g} (codec {}) first {first:?} vs {probe:?}",
+                        t.group_codec(g)
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn scan_range_agrees_across_codecs() {
         let entries = timeseries_entries(400, 3);
@@ -1946,7 +2023,8 @@ mod tests {
         assert_ne!(t.dominant_codec(), CODEC_PREFIX);
         let mut tl = Timeline::new();
         for e in entries.iter().step_by(19) {
-            assert_eq!(t.filter_may_contain(&e.user_key, &mut tl), Some(true));
+            let hashes = BloomFilter::hashes(&e.user_key);
+            assert_eq!(t.filter_may_contain(hashes, &mut tl), Some(true));
             assert_eq!(
                 t.get(&e.user_key, u64::MAX, &mut tl).unwrap().value,
                 e.value

@@ -201,15 +201,18 @@ impl Block {
     /// internal-key ordering), returning (key, value).
     pub fn seek(&self, target: &[u8]) -> Option<(Vec<u8>, Vec<u8>)> {
         let mut k = Vec::new();
-        let (_, vrange) = self.seek_entry(target, &mut k)?;
+        let (_, vrange) = self.seek_entry(key::user_key(target), key::trailer(target), &mut k)?;
         Some((k, self.data[vrange].to_vec()))
     }
 
-    /// [`Block::seek`] without the copies: leaves the found entry's key
-    /// in `key` and returns (offset of the entry after it, value range).
+    /// [`Block::seek`] without the copies: the target is the internal
+    /// key `(user_key, trailer)` held in parts; leaves the found entry's
+    /// key in `key` and returns (offset of the entry after it, value
+    /// range).
     pub(crate) fn seek_entry(
         &self,
-        target: &[u8],
+        user_key: &[u8],
+        trailer: u64,
         key: &mut Vec<u8>,
     ) -> Option<(usize, std::ops::Range<usize>)> {
         // Binary search restarts for the last restart key <= target.
@@ -218,7 +221,7 @@ impl Block {
             let mid = (lo + hi) / 2;
             // Restart entries have shared == 0, so prev_key content is moot.
             self.entry_at(self.restart(mid), key)?;
-            if key::compare(key, target) == std::cmp::Ordering::Greater {
+            if key::compare_to_parts(key, user_key, trailer) == std::cmp::Ordering::Greater {
                 hi = mid;
             } else {
                 lo = mid;
@@ -227,7 +230,7 @@ impl Block {
         // Linear scan from restart `lo`.
         let mut pos = self.restart(lo);
         while let Some((next, vrange)) = self.entry_at(pos, key) {
-            if key::compare(key, target) != std::cmp::Ordering::Less {
+            if key::compare_to_parts(key, user_key, trailer) != std::cmp::Ordering::Less {
                 return Some((next, vrange));
             }
             pos = next;

@@ -137,17 +137,8 @@ impl BlockCache {
     /// Drop every cached block of a table (after the table is deleted).
     pub fn purge_table(&self, table: u64) {
         let mut state = self.state.lock();
-        let before = state.used;
-        state.map.retain(|k, e| {
-            if k.table == table {
-                false
-            } else {
-                let _ = e;
-                true
-            }
-        });
+        state.map.retain(|k, _| k.table != table);
         state.used = state.map.values().map(|e| e.block.size()).sum();
-        let _ = before;
     }
 
     /// Observed hit ratio so far.

@@ -315,13 +315,16 @@ impl SsTable {
         if !self.bloom.may_contain(user_key) {
             return Ok(None);
         }
-        let target = InternalKey::seek_to(user_key, snapshot);
+        // The seek target `(user_key, trailer)` stays in parts: nothing
+        // on this path allocates but the found entry's key buffer and
+        // the returned value.
+        let trailer = key::seek_trailer(snapshot);
         // Index binary search (DRAM).
         let cpu = self.cost.cpu;
         let mut probes = 0u64;
         let idx = self.index.partition_point(|(last, _, _)| {
             probes += 1;
-            key::compare(last, target.encoded()) == std::cmp::Ordering::Less
+            key::compare_to_parts(last, user_key, trailer) == std::cmp::Ordering::Less
         });
         tl.charge((self.cost.dram.random_read(32) + cpu.key_compare) * probes.max(1));
         if idx >= self.index.len() {
@@ -330,11 +333,12 @@ impl SsTable {
         let block = self.load_block(idx, tl)?;
         // In-block restart search at DRAM cost.
         tl.charge(self.cost.dram.random_read(64) * 5);
-        match block.seek(target.encoded()) {
-            Some((ikey, value)) if key::user_key(&ikey) == user_key => {
+        let mut ikey = Vec::with_capacity(user_key.len() + 8);
+        match block.seek_entry(user_key, trailer, &mut ikey) {
+            Some((_, value)) if key::user_key(&ikey) == user_key => {
                 let seq = key::sequence(&ikey);
                 let kind = key::kind(&ikey).ok_or(TableError::Corrupt("entry kind"))?;
-                Ok(Some((seq, kind, value)))
+                Ok(Some((seq, kind, block.value(value).to_vec())))
             }
             _ => Ok(None),
         }
@@ -421,11 +425,11 @@ pub struct SsCursor<'a> {
 impl SsCursor<'_> {
     /// Position at the first entry with user key >= `start`.
     pub fn seek(&mut self, start: &[u8], tl: &mut Timeline) -> Result<(), TableError> {
-        let target = InternalKey::seek_to(start, key::MAX_SEQUENCE);
+        let trailer = key::seek_trailer(key::MAX_SEQUENCE);
         self.next_block = self.table.index.partition_point(|(last, _, _)| {
-            key::compare(last, target.encoded()) == std::cmp::Ordering::Less
+            key::compare_to_parts(last, start, trailer) == std::cmp::Ordering::Less
         });
-        self.enter_block(Some(target.encoded()), tl)
+        self.enter_block(Some((start, trailer)), tl)
     }
 
     /// Step to the next entry; a no-op once the table is exhausted.
@@ -448,7 +452,11 @@ impl SsCursor<'_> {
 
     /// Load the next block and position at its first entry >= `target`
     /// (its first entry when `None`).
-    fn enter_block(&mut self, target: Option<&[u8]>, tl: &mut Timeline) -> Result<(), TableError> {
+    fn enter_block(
+        &mut self,
+        target: Option<(&[u8], u64)>,
+        tl: &mut Timeline,
+    ) -> Result<(), TableError> {
         self.block = None;
         if self.next_block >= self.table.index.len() {
             return Ok(());
@@ -458,7 +466,7 @@ impl SsCursor<'_> {
         // The index promised an entry here: every block is non-empty and
         // a seek picks the first block whose last key is >= the target.
         let found = match target {
-            Some(target) => block.seek_entry(target, &mut self.key),
+            Some((user_key, trailer)) => block.seek_entry(user_key, trailer, &mut self.key),
             None => block.entry_at(0, &mut self.key),
         }
         .ok_or(TableError::Corrupt(

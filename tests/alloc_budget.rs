@@ -1,0 +1,175 @@
+//! The point-read allocation budget, pinned so it cannot silently
+//! regress: with every cache warm, a `Db::get` allocates the value it
+//! returns and at most one scratch buffer — and the count does not
+//! depend on how many unsorted level-0 tables the partition holds.
+//!
+//! The test binary installs a counting `#[global_allocator]` that
+//! tallies per thread, so the harness's own threads and parallel tests
+//! never bleed into a measurement. Maintenance is Inline: everything a
+//! get does runs on the calling thread.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use pm_blade::{CompactionRequest, Db, MetricKey, Mode, ReadSource};
+use pmblade_integration_tests::{key_for, tiny_options, value_for};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAllocator;
+
+fn tally() {
+    // `try_with`: an allocation during thread teardown, after the
+    // thread-local is gone, goes uncounted instead of panicking.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the only addition is a
+// thread-local `Cell<u64>` bump, which neither allocates (const-
+// initialised, no destructor) nor unwinds.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        tally();
+        // SAFETY: the caller's `layout` obligations pass through as-is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        tally();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        tally();
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+        // with `layout`; the caller guarantees the rest.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Allocations (including reallocations) `f` makes on this thread.
+fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let result = f();
+    (ALLOCATIONS.with(Cell::get) - before, result)
+}
+
+/// Lives only in the SSD level.
+const SSD_KEY: u64 = 500;
+/// Newest version in the sorted run.
+const RUN_KEY: u64 = 501;
+/// Newest version in the memtable.
+const MEM_KEY: u64 = 502;
+/// Never written, inside every table's key range.
+const ABSENT_KEY: u64 = 503;
+const PROBE_KEYS: std::ops::RangeInclusive<u64> = SSD_KEY..=ABSENT_KEY;
+
+fn put_keys(db: &Db, keys: impl Iterator<Item = u64>, stamp: u64) {
+    for i in keys {
+        db.put(&key_for(i), &value_for(i + stamp, 100)).unwrap();
+    }
+}
+
+fn unsorted_tables(db: &Db) -> i64 {
+    db.metrics_snapshot().gauges[&MetricKey::partition("l0_unsorted_tables", 0)]
+}
+
+/// Allocations per warm `get` of each probe key: a memtable hit, a
+/// group-cached PM hit, a block-cached SSD hit, and a miss that has to
+/// look everywhere.
+fn warm_get_allocations(db: &Db) -> [u64; 4] {
+    // The memtable key went out with the last flush: put it back.
+    put_keys(db, [MEM_KEY].into_iter(), 9);
+    let probes = [
+        (MEM_KEY, ReadSource::MemTable),
+        (RUN_KEY, ReadSource::Pm),
+        (SSD_KEY, ReadSource::Ssd),
+        (ABSENT_KEY, ReadSource::Miss),
+    ];
+    probes.map(|(id, source)| {
+        let key = key_for(id);
+        // Twice to warm: the first get decodes the group or loads the
+        // block, the second finds every lazily resolved handle in place.
+        for _ in 0..2 {
+            db.get(&key).unwrap();
+        }
+        let (allocations, out) = allocations_in(|| db.get(&key).unwrap());
+        assert_eq!(out.source, source, "key {id}");
+        assert_eq!(out.value.is_some(), source != ReadSource::Miss, "key {id}");
+        allocations
+    })
+}
+
+#[test]
+fn warm_get_allocates_the_value_and_at_most_one_buffer_at_any_unsorted_count() {
+    // The CI matrix's filter and codec overrides apply (the budget
+    // holds with filters off and under every codec); cache sizes,
+    // sampling and the compaction triggers are pinned: nothing may
+    // evict, trace, or merge the unsorted tables away mid-count.
+    let mut opts = tiny_options(Mode::PmBladePm);
+    opts.pm_capacity = 32 << 20;
+    opts.tau_m = 30 << 20;
+    opts.memtable_bytes = 1 << 20;
+    opts.l0_table_trigger = usize::MAX;
+    opts.pm_group_cache_bytes = 8 << 20;
+    opts.block_cache_bytes = 8 << 20;
+    opts.trace_sample_every = 0;
+    let db = Db::open(opts).unwrap();
+    let flush = || db.compact(CompactionRequest::FlushAll).unwrap();
+
+    // An SSD level holding every key but the absent one…
+    put_keys(&db, (0..1000).filter(|&i| i != ABSENT_KEY), 0);
+    flush();
+    db.compact(CompactionRequest::Major { partition: 0 })
+        .unwrap();
+    // …a sorted run merged from two flushes, shadowing all of it except
+    // the SSD probe key…
+    for half in 0..2 {
+        let keys = (0..1000).filter(|&i| i % 2 == half && i != SSD_KEY && i != ABSENT_KEY);
+        put_keys(&db, keys, 1);
+        flush();
+    }
+    db.compact(CompactionRequest::Internal { partition: 0 })
+        .unwrap();
+    assert_eq!(unsorted_tables(&db), 0);
+
+    // …then 4 unsorted tables, then 16. Each spans the whole key range,
+    // so every probe key falls inside its fences and only its filter
+    // (or, with filters off, a group search) rules it out; none holds
+    // a probe key.
+    let mut at = Vec::new();
+    for target in [4, 16] {
+        for nth in unsorted_tables(&db)..target {
+            let keys = (0..1000).filter(|i| !PROBE_KEYS.contains(i));
+            put_keys(&db, keys.skip(nth as usize % 7).step_by(7), 2 + nth as u64);
+            flush();
+        }
+        assert_eq!(unsorted_tables(&db), target);
+        let allocations = warm_get_allocations(&db);
+        for (n, what) in allocations.iter().zip(["memtable", "pm", "ssd", "miss"]) {
+            assert!(
+                *n <= 2,
+                "a warm {what} get allocated {n} times at {target} unsorted tables \
+                 (budget: the value + at most one buffer)"
+            );
+        }
+        at.push(allocations);
+    }
+    assert_eq!(
+        at[0], at[1],
+        "allocations per get [memtable, pm, ssd, miss] must not depend on the \
+         unsorted-table count (4 tables vs 16)"
+    );
+}

@@ -10,12 +10,19 @@
 //! - **No stale cache**: a cached group surviving an internal or major
 //!   compaction of its table would surface as a resurrected old version.
 
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use pm_blade::{CompactionRequest, Db, Mode, Options, ScanRequest};
+use pm_blade::handle::CacheIds;
+use pm_blade::level0::ProbeStats;
+use pm_blade::partition::{Level0, Partition};
+use pm_blade::{CompactionRequest, Db, L0Version, Mode, Options, ScanRequest, Timeline};
+use pm_device::PmPool;
 use pmblade_integration_tests::{tiny_options, value_for};
 use pmtable::{CodecMode, MetaExtractor, PmTableOptions};
 use proptest::prelude::*;
+use ssd_device::SsdDevice;
+use sstable::BlockCache;
 
 /// The accelerated engine: default filter budget, a deliberately tiny
 /// cache so evictions and re-fills happen constantly.
@@ -361,8 +368,10 @@ fn codec_modes_survive_group_straddle_schedule() {
 
 /// The straddle shape also runs through the generic parity driver (so
 /// shrinking keeps working if it ever regresses), plus a concurrent
-/// smoke: readers race internal compactions on the accelerated engine
-/// and must never observe a missing key.
+/// smoke: readers race internal and major compactions on the
+/// accelerated engine — each get searching the level-0 version it took
+/// before dropping the partition lock — and must never observe a
+/// missing key.
 #[test]
 fn straddle_schedule_parity_and_concurrent_reads() {
     let fast = Db::open(accelerated_options()).unwrap();
@@ -395,8 +404,12 @@ fn straddle_schedule_parity_and_concurrent_reads() {
                     db.put(&key(i), &value_for(i as u64, 64)).unwrap();
                     if i % 10 == 0 {
                         db.compact(CompactionRequest::FlushAll).unwrap();
-                        db.compact(CompactionRequest::Internal { partition: 0 })
-                            .unwrap();
+                        let partition = 0;
+                        db.compact(match i % 20 {
+                            0 => CompactionRequest::Internal { partition },
+                            _ => CompactionRequest::Major { partition },
+                        })
+                        .unwrap();
                     }
                 }
             })
@@ -404,4 +417,115 @@ fn straddle_schedule_parity_and_concurrent_reads() {
         compactor.join().unwrap();
         readers.into_iter().for_each(|r| r.join().unwrap());
     });
+}
+
+/// The interleaving the smoke above can only hope to hit, forced: a
+/// reader's level-0 version is taken, then an internal compaction and a
+/// chunked major compaction (the §V splitter's limited passes) replace
+/// and free every table it references. The held version must keep
+/// answering every key from the tables it pinned, while the live
+/// partition answers the same keys from wherever they moved.
+#[test]
+fn held_version_reads_across_internal_and_chunked_major_compaction() {
+    let mut opts = accelerated_options();
+    // `Db::open` projects these onto the table options; a bare
+    // partition has to do it itself.
+    opts.pm_table.filter_bits_per_key = opts.pm_filter_bits_per_key;
+    opts.pm_table.codec = opts.pm_codec_mode;
+    let pool = PmPool::new(opts.pm_capacity, opts.cost);
+    let device = SsdDevice::new(opts.cost);
+    let block_cache = Arc::new(BlockCache::new(opts.block_cache_bytes));
+    let (cache_ids, table_counter) = (CacheIds::new(), AtomicU64::new(0));
+    let errors = sim::Counter::new();
+    let mut tl = Timeline::new();
+    let mut p = Partition::new(0, &opts, sim::SimInstant::ORIGIN);
+    let mut seq = 0;
+    let mut flush_keys = |p: &mut Partition, keys: std::ops::Range<u16>, tl: &mut Timeline| {
+        for k in keys {
+            seq += 1;
+            let value = value_for(k as u64, 64);
+            p.mem
+                .insert(&key(k), seq, pm_blade::KeyKind::Value, &value, tl);
+        }
+        p.minor_compaction(
+            &opts,
+            &pool,
+            &device,
+            &block_cache,
+            &table_counter,
+            &cache_ids,
+            tl,
+        )
+        .unwrap();
+    };
+    let version = |p: &Partition| match &p.level0 {
+        Level0::Pm(l0) => l0.version(),
+        _ => unreachable!("PmBlade mode keeps a PM level-0"),
+    };
+    // Every key the version held when it was taken, from its own tables.
+    let check_held = |held: &L0Version, keys: std::ops::Range<u16>, when: &str| {
+        for k in keys {
+            let mut stats = ProbeStats::default();
+            let hit = held.get(&key(k), u64::MAX, &mut Timeline::new(), None, &mut stats);
+            let value = hit.and_then(|l| l.into_value());
+            assert_eq!(value, Some(value_for(k as u64, 64)), "{when}: held key {k}");
+        }
+    };
+    let check_live = |p: &Partition, keys: std::ops::Range<u16>, when: &str| {
+        for k in keys {
+            let (hit, _, _) = p.get(&key(k), u64::MAX, &mut Timeline::new()).unwrap();
+            let value = hit.and_then(|l| l.into_value());
+            assert_eq!(value, Some(value_for(k as u64, 64)), "{when}: live key {k}");
+        }
+    };
+
+    for batch in 0..6u16 {
+        flush_keys(&mut p, batch * 50..(batch + 1) * 50, &mut tl);
+    }
+    let before_internal = version(&p);
+    assert_eq!(before_internal.unsorted_count(), 6);
+    let report = p
+        .internal_compaction(&opts, &pool, &cache_ids, &mut tl)
+        .unwrap()
+        .expect("six unsorted tables merge");
+    for region in report.retired_regions {
+        pool.free(region);
+    }
+    check_held(&before_internal, 0..300, "after internal compaction");
+    check_live(&p, 0..300, "after internal compaction");
+
+    for batch in 6..9u16 {
+        flush_keys(&mut p, batch * 50..(batch + 1) * 50, &mut tl);
+    }
+    let before_major = version(&p);
+    assert!(before_major.sorted_count() > 0 && before_major.unsorted_count() == 3);
+    let mut chunks = 0;
+    while p.l0_table_count() > 0 {
+        let report = p
+            .major_compaction(
+                &opts,
+                &device,
+                &block_cache,
+                &table_counter,
+                2,
+                &errors,
+                &mut tl,
+            )
+            .unwrap();
+        for region in report.released_regions {
+            pool.free(region);
+        }
+        chunks += 1;
+        let when = format!("after major chunk {chunks}");
+        check_held(&before_internal, 0..300, &when);
+        check_held(&before_major, 0..450, &when);
+        check_live(&p, 0..450, &when);
+    }
+    assert!(chunks >= 2, "the major compaction ran in {chunks} chunk(s)");
+    assert_eq!(
+        pool.used(),
+        0,
+        "every region the held versions read is freed"
+    );
+    assert!(version(&p).is_empty());
 }
