@@ -236,60 +236,40 @@ pub fn build_pm_tables(
         opts.codec = select_codec(&stats, codec_costs, cost);
     }
     let mut out = Vec::new();
-    let mut builder = PmTableBuilder::new(opts);
-    let mut first: Option<Vec<u8>> = None;
-    let flush = |builder: &mut PmTableBuilder,
-                 first: &mut Option<Vec<u8>>,
-                 last: &[u8],
-                 tl: &mut Timeline|
-     -> Result<Option<PmTableHandle>, pm_device::PmError> {
-        if builder.entry_count() == 0 {
-            return Ok(None);
+    let mut start = 0;
+    let mut pending_bytes = 0usize;
+    for (i, entry) in entries.iter().enumerate() {
+        pending_bytes += entry.raw_len();
+        if pending_bytes < max_bytes && i + 1 < entries.len() {
+            continue;
         }
-        let done = std::mem::replace(builder, PmTableBuilder::new(opts));
-        let entries = done.entry_count();
-        let (bytes, _stats) = done.finish(cost, tl);
+        // One output table: `entries[start..=i]`. Its fence keys and
+        // largest sequence come from this slice — reading the table
+        // back would tick the PM device's read counters for I/O the
+        // engine never performs.
+        let batch = &entries[start..=i];
+        (start, pending_bytes) = (i + 1, 0);
+        let mut builder = PmTableBuilder::new(opts);
+        for e in batch {
+            builder.add(e.clone());
+        }
+        let (bytes, _stats) = builder.finish(cost, tl);
         let len = bytes.len();
         let region = pool.publish(bytes, tl)?;
         let region_id = region.id();
         let table = PmTable::open(region).expect("just-built table parses");
-        let max_seq = table
-            .scan_all(&mut Timeline::new())
-            .iter()
-            .map(|e| e.seq)
-            .max()
-            .unwrap_or(0);
         let codec = table.dominant_codec();
-        Ok(Some(PmTableHandle {
-            first: first.take().expect("non-empty builder has first").into(),
-            last: last.into(),
+        out.push(PmTableHandle {
+            first: batch[0].user_key.as_slice().into(),
+            last: entry.user_key.as_slice().into(),
             table: Arc::new(table),
             region: region_id,
-            entries,
+            entries: batch.len(),
             bytes: len,
-            max_seq,
+            max_seq: batch.iter().map(|e| e.seq).max().unwrap_or(0),
             cache_id: ids.next(),
             codec,
-        }))
-    };
-    let mut last_key: Vec<u8> = Vec::new();
-    let mut pending_bytes = 0usize;
-    for entry in entries {
-        if first.is_none() {
-            first = Some(entry.user_key.clone());
-        }
-        pending_bytes += entry.raw_len();
-        last_key = entry.user_key.clone();
-        builder.add(entry.clone());
-        if pending_bytes >= max_bytes {
-            if let Some(h) = flush(&mut builder, &mut first, &last_key, tl)? {
-                out.push(h);
-            }
-            pending_bytes = 0;
-        }
-    }
-    if let Some(h) = flush(&mut builder, &mut first, &last_key, tl)? {
-        out.push(h);
+        });
     }
     Ok(out)
 }
@@ -383,6 +363,55 @@ mod tests {
             assert!(h.overlaps_key(&h.last));
             assert!(h.bytes > 0);
         }
+    }
+
+    #[test]
+    fn handles_describe_their_slice_of_the_input_without_reading_it_back() {
+        let cost = CostModel::default();
+        let pool = PmPool::new(16 << 20, cost);
+        // Sequences in no particular order, so each table's largest is
+        // neither its first nor its last entry's.
+        let entries: Vec<OwnedEntry> = (0..400u64)
+            .map(|i| {
+                e(
+                    &format!("key{i:05}"),
+                    1 + (i * 7919) % 400,
+                    &"v".repeat(100),
+                )
+            })
+            .collect();
+        let handles = build_pm_tables(
+            &entries,
+            PmTableOptions::default(),
+            &CodecCostTable::default(),
+            8 << 10,
+            &pool,
+            &CacheIds::new(),
+            &cost,
+            &mut Timeline::new(),
+        )
+        .unwrap();
+        assert!(handles.len() > 1, "400x~110B must split at 8KiB");
+        // Opening a table decodes its first and last group for the
+        // bounds; nothing else may read the device during a build.
+        let mut opened = 0;
+        for h in &handles {
+            let region = pool.get(h.region).unwrap();
+            let before = pool.stats().bytes_read.get();
+            PmTable::open(region).unwrap();
+            opened += pool.stats().bytes_read.get() - before;
+        }
+        assert_eq!(pool.stats().bytes_read.get(), 2 * opened);
+        let mut rest = &entries[..];
+        for h in &handles {
+            let (mine, after) = rest.split_at(h.entries);
+            rest = after;
+            assert_eq!(&*h.first, mine[0].user_key.as_slice());
+            assert_eq!(&*h.last, mine[mine.len() - 1].user_key.as_slice());
+            assert_eq!(h.max_seq, mine.iter().map(|e| e.seq).max().unwrap());
+            assert_eq!(h.table.scan_all(&mut Timeline::new()), mine);
+        }
+        assert!(rest.is_empty());
     }
 
     #[test]
