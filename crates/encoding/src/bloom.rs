@@ -17,27 +17,6 @@ pub struct BloomFilter {
     k: u8,
 }
 
-/// The two seeded base hashes of `data`, in one pass over its bytes:
-/// FNV-1a then a finalizer mix each; quality is plenty for bloom probing.
-#[inline]
-fn hash_pair(data: &[u8]) -> (u64, u64) {
-    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-    const FNV_PRIME: u64 = 0x100000001b3;
-    const GOLDEN: u64 = 0x9E3779B97F4A7C15;
-    let mut h1 = FNV_OFFSET ^ 0x51ed_u64.wrapping_mul(GOLDEN);
-    let mut h2 = FNV_OFFSET ^ 0xa3c9_u64.wrapping_mul(GOLDEN);
-    for &b in data {
-        h1 = (h1 ^ b as u64).wrapping_mul(FNV_PRIME);
-        h2 = (h2 ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    let mix = |mut h: u64| {
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51afd7ed558ccd);
-        h ^ (h >> 33)
-    };
-    (mix(h1), mix(h2))
-}
-
 impl BloomFilter {
     /// Build a filter for `keys` with `bits_per_key` bits of budget each.
     pub fn build<'a>(
@@ -53,7 +32,7 @@ impl BloomFilter {
         let mut bits = vec![0u8; nbytes];
         let nbits = nbytes * 8;
         for key in keys {
-            let (h1, h2) = hash_pair(key);
+            let (h1, h2) = Self::hashes(key);
             for i in 0..k {
                 let bit = (h1.wrapping_add((i as u64).wrapping_mul(h2)) % nbits as u64) as usize;
                 bits[bit / 8] |= 1 << (bit % 8);
@@ -62,13 +41,29 @@ impl BloomFilter {
         BloomFilter { bits, k }
     }
 
-    /// The key's hash pair, the only thing a probe needs of it. It does
+    /// The key's hash pair — the two seeded base hashes (FNV-1a then a
+    /// finalizer mix each; quality is plenty for bloom probing), in one
+    /// pass over its bytes. It is all a probe needs of the key and does
     /// not depend on the filter, so a lookup that consults many filters
-    /// hashes its key once and probes each with
+    /// hashes once and probes each with
     /// [`BloomFilter::may_contain_hashed`].
     #[inline]
     pub fn hashes(key: &[u8]) -> (u64, u64) {
-        hash_pair(key)
+        const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+        const FNV_PRIME: u64 = 0x100000001b3;
+        const GOLDEN: u64 = 0x9E3779B97F4A7C15;
+        let mut h1 = FNV_OFFSET ^ 0x51ed_u64.wrapping_mul(GOLDEN);
+        let mut h2 = FNV_OFFSET ^ 0xa3c9_u64.wrapping_mul(GOLDEN);
+        for &b in key {
+            h1 = (h1 ^ b as u64).wrapping_mul(FNV_PRIME);
+            h2 = (h2 ^ b as u64).wrapping_mul(FNV_PRIME);
+        }
+        let mix = |mut h: u64| {
+            h ^= h >> 33;
+            h = h.wrapping_mul(0xff51afd7ed558ccd);
+            h ^ (h >> 33)
+        };
+        (mix(h1), mix(h2))
     }
 
     /// True if the key *may* be present; false means definitely absent.

@@ -1292,7 +1292,7 @@ impl DbCore {
         for partition in &self.partitions {
             let p = partition.read();
             if let Level0::Pm(l0) = &p.level0 {
-                for h in l0.unsorted().iter().chain(l0.sorted_run()) {
+                for h in l0.tables() {
                     hist[(h.codec as usize).min(pmtable::CODEC_COUNT - 1)] += 1;
                 }
             }
@@ -1418,12 +1418,7 @@ impl DbCore {
             Level0::Pm(l0) => {
                 v.unsorted = l0.unsorted().iter().map(|h| h.region).collect();
                 v.sorted = l0.sorted_run().iter().map(|h| h.region).collect();
-                v.codecs = l0
-                    .unsorted()
-                    .iter()
-                    .chain(l0.sorted_run())
-                    .map(|h| h.codec as u64)
-                    .collect();
+                v.codecs = l0.tables().map(|h| h.codec as u64).collect();
             }
             Level0::Matrix(m) => v.matrix = m.region_ids(),
             Level0::Ssd(tables) => v.l0_tables = tables.iter().map(meta).collect(),
@@ -2469,12 +2464,9 @@ impl DbCore {
                             self.opts
                                 .codec_costs
                                 .probe_decode(l0.unsorted().iter().map(|h| (h.codec, h.entries))),
-                            self.opts.codec_costs.decode_per_record(
-                                l0.unsorted()
-                                    .iter()
-                                    .chain(l0.sorted_run())
-                                    .map(|h| (h.codec, h.entries)),
-                            ),
+                            self.opts
+                                .codec_costs
+                                .decode_per_record(l0.tables().map(|h| (h.codec, h.entries))),
                         ),
                         _ => (SimDuration::ZERO, SimDuration::ZERO),
                     };

@@ -8,9 +8,10 @@
 //! ([`crate::options::Options::pm_group_cache_bytes`]).
 //!
 //! Keys are `(table cache-id, group index)`. Cache ids are allocated
-//! from a process-global monotonic counter when a table handle is
-//! built and never reused, so a retired table's entries can never be
-//! served to a later table — they are also purged eagerly
+//! from the engine's own monotonic counter
+//! ([`crate::handle::CacheIds`], per engine like this cache) when a
+//! table handle is built and never reused, so a retired table's entries
+//! can never be served to a later table — they are also purged eagerly
 //! ([`PmGroupCache::purge_table`]) when compaction frees the table.
 //!
 //! The structure is sharded by key hash. Lookups take only the shard's

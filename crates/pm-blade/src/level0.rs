@@ -106,7 +106,8 @@ impl L0Version {
         &self.sorted
     }
 
-    fn tables(&self) -> impl Iterator<Item = &PmTableHandle> {
+    /// Every table: the unsorted ones, then the sorted run.
+    pub fn tables(&self) -> impl Iterator<Item = &PmTableHandle> {
         self.unsorted.iter().chain(&self.sorted)
     }
 

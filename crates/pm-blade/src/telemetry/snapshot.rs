@@ -7,7 +7,14 @@ use sim::Histogram;
 use super::registry::MetricKey;
 use super::span::{CostDecision, TraceSpan};
 
-/// Digest of one latency histogram (all values in virtual nanoseconds).
+/// Digest of one histogram. Which clock the `_nanos` fields are on
+/// depends on the series: engine latencies (`read_latency`,
+/// `write_latency`, `scan_latency`, `group_commit_latency`,
+/// `wal_sync_latency`) are **virtual** nanoseconds from the device
+/// models, while `server_{ping,put,delete,write_batch,get,scan,compact}_latency`,
+/// `server_flush_latency`, `write_stall_wall_nanos` and
+/// `recovery_wall_nanos` are **wall-clock** nanoseconds.
+/// `pm_tables_probed_per_get` records a count, not a duration.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSummary {
     pub count: u64,
@@ -280,7 +287,11 @@ impl MetricsSnapshot {
 
     /// Prometheus text exposition. Metric names get a `pmblade_`
     /// prefix; histogram summaries use `quantile` labels plus `_sum`
-    /// and `_count` series. All durations are virtual nanoseconds.
+    /// and `_count` series. Durations are nanoseconds on the clock of
+    /// their series — virtual for engine latencies, wall for the
+    /// `server_*_latency`, `server_flush_latency`,
+    /// `write_stall_wall_nanos` and `recovery_wall_nanos` series (see
+    /// [`HistogramSummary`]).
     pub fn to_prometheus(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();

@@ -1412,6 +1412,21 @@ mod tests {
         assert_eq!(t.get(b"t0:k", u64::MAX, &mut tl).unwrap().value, b"v30");
     }
 
+    /// The PR-3 group-straddle shape: one key's 30 versions (`v30` …
+    /// `v1`) span four groups of 8, flanked by same-prefix neighbours.
+    fn straddle_entries() -> Vec<OwnedEntry> {
+        let value =
+            |k: &[u8], seq, v: &str| OwnedEntry::value(k.to_vec(), seq, v.as_bytes().to_vec());
+        let mut entries = vec![value(b"t0:a", 1000, "before")];
+        entries.extend(
+            (1..=30u64)
+                .rev()
+                .map(|seq| value(b"t0:k", seq, &format!("v{seq}"))),
+        );
+        entries.push(value(b"t0:z", 1001, "after"));
+        entries
+    }
+
     #[test]
     fn versions_straddling_group_boundaries() {
         // Internal-key order places the newest sequence of a key *first*,
@@ -1419,19 +1434,7 @@ mod tests {
         // at the tail of the earliest group. A lookup that only decodes
         // the group whose first key matches the probe would return a
         // stale version (regression: Background-mode parity divergence).
-        let mut entries = vec![OwnedEntry::value(
-            b"t0:a".to_vec(),
-            1000,
-            b"before".to_vec(),
-        )];
-        for seq in (1..=30u64).rev() {
-            entries.push(OwnedEntry::value(
-                b"t0:k".to_vec(),
-                seq,
-                format!("v{seq}").into_bytes(),
-            ));
-        }
-        entries.push(OwnedEntry::value(b"t0:z".to_vec(), 1001, b"after".to_vec()));
+        let entries = straddle_entries();
         let t = build(&entries, delim_opts());
         let mut tl = Timeline::new();
         // group_size is 8, so the 30 versions span four groups; the
@@ -1749,19 +1752,7 @@ mod tests {
         // run are delta-eligible (1-byte remainders), while all-`k`
         // groups collapse to a zero-length remainder and fall back to
         // codec 0 — a mixed-codec table exercising the step-back logic.
-        let mut entries = vec![OwnedEntry::value(
-            b"t0:a".to_vec(),
-            1000,
-            b"before".to_vec(),
-        )];
-        for seq in (1..=30u64).rev() {
-            entries.push(OwnedEntry::value(
-                b"t0:k".to_vec(),
-                seq,
-                format!("v{seq}").into_bytes(),
-            ));
-        }
-        entries.push(OwnedEntry::value(b"t0:z".to_vec(), 1001, b"after".to_vec()));
+        let entries = straddle_entries();
         let t = build(
             &entries,
             PmTableOptions {
@@ -1784,17 +1775,6 @@ mod tests {
         assert_eq!(t.get(b"t0:a", u64::MAX, &mut tl).unwrap().value, b"before");
         assert_eq!(t.get(b"t0:z", u64::MAX, &mut tl).unwrap().value, b"after");
         assert_eq!(t.scan_all(&mut tl), entries);
-    }
-
-    /// The PR-3 group-straddle shape: one key's 30 versions span four
-    /// groups of 8, flanked by same-prefix neighbours.
-    fn straddle_entries() -> Vec<OwnedEntry> {
-        let mut entries = vec![OwnedEntry::value(b"t0:a".to_vec(), 1000, b"x".to_vec())];
-        for seq in (1..=30u64).rev() {
-            entries.push(OwnedEntry::value(b"t0:k".to_vec(), seq, b"v".to_vec()));
-        }
-        entries.push(OwnedEntry::value(b"t0:z".to_vec(), 1001, b"y".to_vec()));
-        entries
     }
 
     #[test]
