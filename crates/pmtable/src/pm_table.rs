@@ -851,12 +851,15 @@ impl<S: Storage> PmTable<S> {
             codec_hist,
         };
         if group_count > 0 {
+            // The two reads count on the device, on nobody's clock.
             let mut scratch = Timeline::new();
+            table.meter_group(0, &mut scratch);
+            table.meter_group(group_count - 1, &mut scratch);
             let first = table
-                .decode_group(0, &mut scratch)
+                .decode_group(0)
                 .ok_or(PmTableError::Corrupt("first group"))?;
             let last = table
-                .decode_group(group_count - 1, &mut scratch)
+                .decode_group(group_count - 1)
                 .ok_or(PmTableError::Corrupt("last group"))?;
             table.first_key = first.first().map(|e| e.user_key.clone());
             table.last_key = last.last().map(|e| e.user_key.clone());
@@ -909,17 +912,23 @@ impl<S: Storage> PmTable<S> {
         &self.storage.bytes()[off..off + PREFIX_WIDTH]
     }
 
-    /// Decode every entry of one group, metering one block read (plus a
-    /// small per-group unpack charge for the bit-packed codecs; the
-    /// branch-light unpack largely overlaps the PM access, and the block
-    /// it reads is smaller than the codec-0 equivalent).
-    fn decode_group(&self, group: u32, tl: &mut Timeline) -> Option<Vec<OwnedEntry>> {
-        let (block_off, block_len, count, meta_id) = self.gindex(group);
+    /// Meter one random read of a group's block (plus a small per-group
+    /// unpack charge for the bit-packed codecs; the branch-light unpack
+    /// largely overlaps the PM access, and the block it reads is smaller
+    /// than the codec-0 equivalent).
+    fn meter_group(&self, group: u32, tl: &mut Timeline) {
+        let (_, block_len, _, _) = self.gindex(group);
         self.storage.meter_random(block_len as usize, tl);
-        let codec = self.group_codec(group);
-        if codec != CODEC_PREFIX {
+        if self.group_codec(group) != CODEC_PREFIX {
             tl.charge(self.storage.cost_model().cpu.key_compare);
         }
+    }
+
+    /// Decode every entry of one group. Meters nothing: the caller
+    /// charges the block read its access pattern implies.
+    fn decode_group(&self, group: u32) -> Option<Vec<OwnedEntry>> {
+        let (block_off, block_len, count, meta_id) = self.gindex(group);
+        let codec = self.group_codec(group);
         let meta = &self.metas.get(meta_id as usize)?.prefix;
         let start = self.entry_off as usize + block_off as usize;
         let block = self
@@ -1091,7 +1100,7 @@ impl<S: Storage> PmTable<S> {
     }
 
     /// One block scan: served from the decoded-group cache at DRAM
-    /// cost, or decoded from PM (`decode_group` meters the read) and
+    /// cost, or read from PM (one metered random read), decoded and
     /// offered to the cache. `None` when the block does not decode.
     fn load_group<A: GroupAccess + ?Sized>(
         &self,
@@ -1109,7 +1118,8 @@ impl<S: Storage> PmTable<S> {
             );
             return Some((cached, GroupLoad::Cached));
         }
-        let decoded = Arc::new(self.decode_group(group, tl)?);
+        self.meter_group(group, tl);
+        let decoded = Arc::new(self.decode_group(group)?);
         cache.store(group, Arc::clone(&decoded));
         Some((decoded, GroupLoad::Decoded))
     }
@@ -1282,8 +1292,7 @@ impl<S: Storage> L0Table for PmTable<S> {
             } else {
                 self.storage.meter_sequential(block_len as usize, tl);
             }
-            let mut noop = Timeline::new();
-            if let Some(entries) = self.decode_group(g, &mut noop) {
+            if let Some(entries) = self.decode_group(g) {
                 out.extend(entries);
             }
         }
@@ -1621,6 +1630,30 @@ mod tests {
     }
 
     #[test]
+    fn a_full_scan_counts_each_group_block_once_on_the_device() {
+        let entries = index_entries(2000, 64, 9);
+        let cost = CostModel::default();
+        let mut b = PmTableBuilder::new(delim_opts());
+        for e in &entries {
+            b.add(e.clone());
+        }
+        let (bytes, _) = b.finish(&cost, &mut Timeline::new());
+        let pool = pm_device::PmPool::new(1 << 24, cost);
+        let region = pool.publish(bytes, &mut Timeline::new()).unwrap();
+        let t = PmTable::open(region).unwrap();
+        let blocks: u64 = (0..t.group_count()).map(|g| t.gindex(g).1 as u64).sum();
+        let stats = pool.stats();
+        let before = (stats.bytes_read.get(), stats.random_reads.get());
+        assert_eq!(t.scan_all(&mut Timeline::new()), entries);
+        assert_eq!(stats.bytes_read.get() - before.0, blocks);
+        assert_eq!(
+            stats.random_reads.get() - before.1,
+            1,
+            "the first group is a random read, the rest follow it"
+        );
+    }
+
+    #[test]
     fn delimiter_missing_falls_back_to_whole_key() {
         let ext = MetaExtractor::Delimiter(b':');
         let (m, r) = ext.split(b"nodelimiter");
@@ -1821,7 +1854,7 @@ mod tests {
                 probes.push([rest, b"\0"].concat());
             }
             for g in 0..t.group_count() {
-                let decoded = t.decode_group(g, &mut Timeline::new()).unwrap();
+                let decoded = t.decode_group(g).unwrap();
                 let first = opts.extractor.split(&decoded[0].user_key).1;
                 for probe in &probes {
                     assert_eq!(
