@@ -190,8 +190,10 @@ pub trait L0Table {
     fn last_user_key(&self) -> Option<&[u8]>;
 }
 
-#[cfg(test)]
-pub(crate) mod testutil {
+/// Deterministic fixtures for this workspace's tests (the pinned
+/// table-byte checksums in `pmtable` and `sstable` share one input).
+#[doc(hidden)]
+pub mod testutil {
     use super::*;
     use sim::Pcg64;
 

@@ -1654,6 +1654,37 @@ mod tests {
     }
 
     #[test]
+    fn table_bytes_are_pinned_under_every_codec() {
+        // CRC32C of the encoded table, recorded before the builder
+        // moved to its arena (PR 17): a rewrite of the build path may
+        // not change a byte. 8-byte values keep all three codecs
+        // eligible; the filter section is pinned along with the rest.
+        let entries = index_entries(3000, 8, 77);
+        let crc_under = |codec| {
+            let mut b = PmTableBuilder::new(PmTableOptions {
+                filter_bits_per_key: 10,
+                codec,
+                ..delim_opts()
+            });
+            for e in &entries {
+                b.add(e.clone());
+            }
+            let (bytes, _) = b.finish(&CostModel::default(), &mut Timeline::new());
+            encoding::crc::crc32c(&bytes)
+        };
+        let modes = [
+            CodecMode::Prefix,
+            CodecMode::Delta,
+            CodecMode::Fixed,
+            CodecMode::Auto,
+        ];
+        assert_eq!(
+            modes.map(crc_under),
+            [1_324_352_871, 161_256_801, 1_302_947_874, 161_256_801]
+        );
+    }
+
+    #[test]
     fn delimiter_missing_falls_back_to_whole_key() {
         let ext = MetaExtractor::Delimiter(b':');
         let (m, r) = ext.split(b"nodelimiter");

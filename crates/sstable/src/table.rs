@@ -632,6 +632,24 @@ mod tests {
     }
 
     #[test]
+    fn table_bytes_are_pinned() {
+        // CRC32C of the whole object, recorded before `add` stopped
+        // allocating per entry (PR 17): same input, same bytes.
+        let (device, _) = setup();
+        let mut b = SsTableBuilder::new(&device, "pin.sst", SsTableOptions::default()).unwrap();
+        let mut tl = Timeline::new();
+        for e in pmtable::testutil::index_entries(3000, 8, 77) {
+            b.add(&e.user_key, e.seq, e.kind, &e.value, &mut tl);
+        }
+        let (size, first, last) = b.finish(&mut tl).unwrap();
+        assert_eq!(first.unwrap(), b"t0000:0000000013");
+        assert_eq!(last.unwrap(), b"t0003:0000021006");
+        let file = device.open("pin.sst").unwrap();
+        let bytes = file.read(0, size as usize, &mut tl).unwrap();
+        assert_eq!(encoding::crc::crc32c(bytes), 3_703_185_063);
+    }
+
+    #[test]
     fn open_rejects_non_table() {
         let (device, cache) = setup();
         let mut w = device.create("junk").unwrap();

@@ -167,3 +167,86 @@ fn matrixkv_costs_more_to_flush_than_pmblade() {
     };
     assert!(flush_time(&matrix) > flush_time(&blade));
 }
+
+/// The virtual clock and the device byte counters a fixed write-only
+/// stream ends on, per mode, recorded at the commit before compactions
+/// streamed (PR 17): `(mode, now_nanos, pm_bytes_written,
+/// ssd_bytes_written, ssd_bytes_read)`. A compaction rewrite may change
+/// how the host gets there, never where the virtual clock ends up.
+const WRITE_ONLY_PARITY: [(Mode, u64, u64, u64, u64); 4] = [
+    (Mode::PmBlade, 213_539_254, 35_039_426, 9_471_501, 6_983_557),
+    (
+        Mode::PmBladePm,
+        407_495_597,
+        3_036_367,
+        30_777_481,
+        27_853_923,
+    ),
+    (Mode::SsdLevel0, 509_676_894, 0, 34_091_784, 31_167_481),
+    (Mode::MatrixKv, 133_872_261, 3_731_506, 8_619_702, 6_707_842),
+];
+
+#[test]
+fn write_only_stream_ends_on_the_recorded_virtual_clock_in_every_mode() {
+    let got = WRITE_ONLY_PARITY.map(|(mode, ..)| {
+        // Every knob that shapes the compaction sequence is pinned
+        // here, not taken from `tiny_options`: the CI matrix's
+        // `PMBLADE_TEST_*` overrides must not move the constants.
+        let db = Db::open(pm_blade::Options {
+            mode,
+            pm_capacity: 2 << 20,
+            memtable_bytes: 8 << 10,
+            tau_w: 64 << 10,
+            tau_m: 1536 << 10,
+            tau_t: 768 << 10,
+            l1_target: 96 << 10,
+            max_table_bytes: 24 << 10,
+            block_cache_bytes: 256 << 10,
+            l0_unsorted_hard_cap: 8,
+            pm_filter_bits_per_key: 10,
+            pm_group_cache_bytes: 4 << 20,
+            pm_codec_mode: pmtable::CodecMode::Auto,
+            trace_sample_every: 0,
+            ..pm_blade::Options::default()
+        })
+        .unwrap();
+        // Overwrites, deletes and fresh keys in a fixed scrambled order.
+        let mut user_bytes = 0;
+        for i in 0..40_000u64 {
+            let key = key_for((i * 7919) % 25_000);
+            if i % 13 == 0 {
+                db.delete(&key).unwrap();
+                user_bytes += key.len();
+            } else {
+                let value = value_for(i, 40 + (i % 60) as usize);
+                db.put(&key, &value).unwrap();
+                user_bytes += key.len() + value.len();
+            }
+        }
+        db.compact(CompactionRequest::FlushAll).unwrap();
+        let stats = db.stats();
+        assert!(stats.minor_compactions.get() > 100, "{mode:?}");
+        assert!(stats.major_compactions.get() > 1, "{mode:?}");
+        if mode == Mode::PmBlade {
+            assert!(stats.internal_compactions.get() > 1);
+        }
+        let tables = db.ssd().list();
+        assert!(
+            tables
+                .iter()
+                .any(|name| name.contains("-L2-") || name.contains("-L3-")),
+            "{mode:?}: level 1 never cascaded: {tables:?}"
+        );
+        let amp = db.write_amp();
+        assert_eq!(amp.user_bytes, user_bytes as u64, "{mode:?}");
+        let ssd_read = db.ssd().stats().bytes_read.get();
+        (
+            mode,
+            db.now().as_nanos(),
+            amp.pm_bytes,
+            amp.ssd_bytes,
+            ssd_read,
+        )
+    });
+    assert_eq!(got, WRITE_ONLY_PARITY);
+}
