@@ -29,16 +29,73 @@ pub fn table_id(name: &str) -> u64 {
     h
 }
 
-struct CacheShardEntry {
+/// "No slot": the end of the recency list.
+const NIL: usize = usize::MAX;
+
+struct Node {
+    key: BlockKey,
     block: Block,
-    /// Monotonic recency stamp.
-    stamp: u64,
+    /// Slot of the next more recently used node.
+    prev: usize,
+    /// Slot of the next less recently used node.
+    next: usize,
 }
 
+/// Exact LRU in O(1) per operation: the nodes sit in a dense slab,
+/// doubly linked by slot index in recency order, and `map` finds a
+/// key's slot.
 struct CacheState {
-    map: HashMap<BlockKey, CacheShardEntry>,
+    map: HashMap<BlockKey, usize>,
+    nodes: Vec<Node>,
+    /// Most recently used slot.
+    head: usize,
+    /// Least recently used slot: the next victim.
+    tail: usize,
     used: usize,
-    clock: u64,
+}
+
+impl CacheState {
+    /// Rewire the neighbours of a node whose links are `(prev, next)`:
+    /// the node before it (or `head`) now leads to `forward`, the node
+    /// after it (or `tail`) back to `backward`. Past the node to unlink
+    /// it; to its new slot after it moved.
+    fn relink(&mut self, (prev, next): (usize, usize), forward: usize, backward: usize) {
+        match prev {
+            NIL => self.head = forward,
+            p => self.nodes[p].next = forward,
+        }
+        match next {
+            NIL => self.tail = backward,
+            n => self.nodes[n].prev = backward,
+        }
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let links = (self.nodes[slot].prev, self.nodes[slot].next);
+        self.relink(links, links.1, links.0);
+    }
+
+    fn push_front(&mut self, slot: usize) {
+        (self.nodes[slot].prev, self.nodes[slot].next) = (NIL, self.head);
+        match self.head {
+            NIL => self.tail = slot,
+            head => self.nodes[head].prev = slot,
+        }
+        self.head = slot;
+    }
+
+    /// Drop the node in `slot`; the slab's last node takes its place.
+    fn remove(&mut self, slot: usize) {
+        self.unlink(slot);
+        let node = self.nodes.swap_remove(slot);
+        self.map.remove(&node.key);
+        self.used -= node.block.size();
+        if let Some(moved) = self.nodes.get(slot) {
+            let (key, links) = (moved.key, (moved.prev, moved.next));
+            self.map.insert(key, slot);
+            self.relink(links, slot, slot);
+        }
+    }
 }
 
 /// A capacity-bounded LRU cache of decoded blocks.
@@ -60,8 +117,10 @@ impl BlockCache {
             capacity,
             state: Mutex::new(CacheState {
                 map: HashMap::new(),
+                nodes: Vec::new(),
+                head: NIL,
+                tail: NIL,
                 used: 0,
-                clock: 0,
             }),
             hits: Counter::new(),
             misses: Counter::new(),
@@ -93,13 +152,12 @@ impl BlockCache {
     /// Fetch a block, refreshing its recency.
     pub fn get(&self, key: BlockKey) -> Option<Block> {
         let mut state = self.state.lock();
-        state.clock += 1;
-        let stamp = state.clock;
-        match state.map.get_mut(&key) {
-            Some(entry) => {
-                entry.stamp = stamp;
+        match state.map.get(&key) {
+            Some(&slot) => {
+                state.unlink(slot);
+                state.push_front(slot);
                 self.hits.incr();
-                Some(entry.block.clone())
+                Some(state.nodes[slot].block.clone())
             }
             None => {
                 self.misses.incr();
@@ -115,30 +173,35 @@ impl BlockCache {
             return; // larger than the whole cache: never cacheable
         }
         let mut state = self.state.lock();
-        state.clock += 1;
-        let stamp = state.clock;
-        if let Some(old) = state.map.remove(&key) {
-            state.used -= old.block.size();
+        if let Some(&old) = state.map.get(&key) {
+            state.remove(old);
         }
-        while state.used + size > self.capacity {
-            // Evict the stalest entry. O(n) scan is fine: eviction is rare
-            // relative to hits and the map stays modest at our scales.
-            let Some((&victim, _)) = state.map.iter().min_by_key(|(_, e)| e.stamp) else {
-                break;
-            };
-            let removed = state.map.remove(&victim).expect("victim present");
-            state.used -= removed.block.size();
+        while state.used + size > self.capacity && state.tail != NIL {
+            let victim = state.tail;
+            state.remove(victim);
             self.evictions.incr();
         }
         state.used += size;
-        state.map.insert(key, CacheShardEntry { block, stamp });
+        let slot = state.nodes.len();
+        state.nodes.push(Node {
+            key,
+            block,
+            prev: NIL,
+            next: NIL,
+        });
+        state.map.insert(key, slot);
+        state.push_front(slot);
     }
 
     /// Drop every cached block of a table (after the table is deleted).
     pub fn purge_table(&self, table: u64) {
         let mut state = self.state.lock();
-        state.map.retain(|k, _| k.table != table);
-        state.used = state.map.values().map(|e| e.block.size()).sum();
+        let of_table = state.map.keys().filter(|k| k.table == table);
+        let doomed: Vec<BlockKey> = of_table.copied().collect();
+        for key in doomed {
+            let slot = state.map[&key];
+            state.remove(slot);
+        }
     }
 
     /// Observed hit ratio so far.
@@ -268,6 +331,115 @@ mod tests {
                 offset: 0
             })
             .is_some());
+    }
+
+    /// The implementation this cache replaced, kept as the model: a
+    /// recency stamp per entry, the victim found by scanning for the
+    /// smallest. Block sizes stand in for blocks.
+    struct StampLru {
+        capacity: usize,
+        map: HashMap<BlockKey, (usize, u64)>,
+        used: usize,
+        clock: u64,
+        evictions: u64,
+    }
+
+    impl StampLru {
+        fn get(&mut self, key: BlockKey) -> bool {
+            self.clock += 1;
+            let entry = self.map.get_mut(&key);
+            entry.map(|e| e.1 = self.clock).is_some()
+        }
+
+        fn insert(&mut self, key: BlockKey, size: usize) {
+            if size > self.capacity {
+                return;
+            }
+            self.clock += 1;
+            if let Some((old, _)) = self.map.remove(&key) {
+                self.used -= old;
+            }
+            while self.used + size > self.capacity {
+                let Some((&victim, _)) = self.map.iter().min_by_key(|(_, e)| e.1) else {
+                    break;
+                };
+                self.used -= self.map.remove(&victim).unwrap().0;
+                self.evictions += 1;
+            }
+            self.used += size;
+            self.map.insert(key, (size, self.clock));
+        }
+
+        fn purge_table(&mut self, table: u64) {
+            self.map.retain(|k, _| k.table != table);
+            self.used = self.map.values().map(|e| e.0).sum();
+        }
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        Get(BlockKey),
+        Insert(BlockKey, usize),
+        Purge(u64),
+    }
+
+    fn op() -> impl proptest::prelude::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        let key = || (0u64..3, 0u64..14).prop_map(|(table, offset)| BlockKey { table, offset });
+        let pad = proptest::sample::select(vec![0usize, 90, 400, 1300, 5000]);
+        prop_oneof![
+            4 => key().prop_map(Op::Get),
+            5 => (key(), pad).prop_map(|(key, pad)| Op::Insert(key, pad)),
+            1 => (0u64..3).prop_map(Op::Purge),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Over random get / insert / purge streams with mixed block
+        /// sizes the linked list evicts exactly the blocks the
+        /// min-stamp scan did, in the same order: after every
+        /// operation both hold the same keys.
+        #[test]
+        fn victims_are_the_min_stamp_scans(ops in proptest::collection::vec(op(), 0..400)) {
+            let capacity = 4000;
+            let cache = BlockCache::new(capacity);
+            let mut model = StampLru {
+                capacity,
+                map: HashMap::new(),
+                used: 0,
+                clock: 0,
+                evictions: 0,
+            };
+            for op in ops {
+                match op {
+                    Op::Get(key) => {
+                        proptest::prop_assert_eq!(cache.get(key).is_some(), model.get(key));
+                    }
+                    Op::Insert(key, pad) => {
+                        let block = block(key.offset as u32, pad);
+                        model.insert(key, block.size());
+                        cache.insert(key, block);
+                    }
+                    Op::Purge(table) => {
+                        cache.purge_table(table);
+                        model.purge_table(table);
+                    }
+                }
+                let state = cache.state.lock();
+                let mut held: Vec<(u64, u64)> =
+                    state.map.keys().map(|k| (k.table, k.offset)).collect();
+                let mut expect: Vec<(u64, u64)> =
+                    model.map.keys().map(|k| (k.table, k.offset)).collect();
+                held.sort();
+                expect.sort();
+                proptest::prop_assert_eq!(held, expect);
+                proptest::prop_assert_eq!(state.used, model.used);
+                proptest::prop_assert_eq!(state.nodes.len(), state.map.len());
+                proptest::prop_assert_eq!(cache.evictions.get(), model.evictions);
+            }
+        }
     }
 
     #[test]
