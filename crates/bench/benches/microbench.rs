@@ -166,30 +166,29 @@ fn bench_merge(c: &mut Criterion) {
     });
 }
 
-/// The scan path's merge: 30 mutually overlapping PM tables (every
-/// table holds every 30th key, as a partition's unsorted level-0
-/// does), one cursor each through a shared group cache, 50 rows
-/// pulled from a rotating start key.
+/// The merge behind scans and compactions, over 30 mutually
+/// overlapping PM tables (every table holds every 30th key, as a
+/// partition's unsorted level-0 does). The scan pulls 50 rows from a
+/// rotating start key, one cursor per table through a shared group
+/// cache; the internal compaction streams all 30 tables, read
+/// sequentially, into a new sorted run. `compaction/merge_dedup_10k`
+/// above is the materialising reference both replaced.
 fn bench_scan_merge(c: &mut Criterion) {
-    use pm_blade::cursor::{Cursor, MergingIter, PmRun, ScanStats};
+    use pm_blade::cursor::{merge_into, Cursor, MergingIter, PmRun, ScanStats};
+    use pm_blade::handle::{PmRunWriter, PmTableHandle};
     let cost = CostModel::default();
     let pool = pm_device::PmPool::new(64 << 20, cost);
     let ids = pm_blade::handle::CacheIds::new();
+    let opts = Options::default();
     let all = entries(30 * 250);
-    let tables: Vec<pm_blade::handle::PmTableHandle> = (0..30)
+    let run_writer = |max_bytes| PmRunWriter::new(&opts, max_bytes, &pool, &ids);
+    let tables: Vec<PmTableHandle> = (0..30)
         .flat_map(|source| {
-            let slice: Vec<OwnedEntry> = all.iter().skip(source).step_by(30).cloned().collect();
-            pm_blade::handle::build_pm_tables(
-                &slice,
-                PmTableOptions::default(),
-                &Default::default(),
-                usize::MAX,
-                &pool,
-                &ids,
-                &cost,
-                &mut Timeline::new(),
-            )
-            .unwrap()
+            let mut writer = run_writer(usize::MAX);
+            for e in all.iter().skip(source).step_by(30) {
+                writer.add(e.as_ref(), &mut Timeline::new()).unwrap();
+            }
+            writer.finish(&mut Timeline::new()).unwrap()
         })
         .collect();
     let cache = pm_blade::PmGroupCache::new(4 << 20);
@@ -199,7 +198,7 @@ fn bench_scan_merge(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             let runs = tables.iter().map(std::slice::from_ref);
-            let cursors = runs.map(|run| Cursor::Pm(PmRun::new(run, None, &cache)));
+            let cursors = runs.map(|run| Cursor::Pm(PmRun::new(run, None, Some(&cache))));
             let (mut stats, mut tl) = (ScanStats::default(), Timeline::new());
             let mut rows = MergingIter::new(
                 cursors.collect(),
@@ -216,6 +215,61 @@ fn bench_scan_merge(c: &mut Criterion) {
                 pulled += 1;
             }
             pulled
+        })
+    });
+    let errors = sim::Counter::new();
+    c.bench_function("compaction/stream_internal_30_tables", |b| {
+        b.iter(|| {
+            let runs = tables.iter().map(std::slice::from_ref);
+            let cursors = runs.map(|run| Cursor::Pm(PmRun::new(run, None, None)));
+            let (mut tl, mut writer) = (Timeline::new(), run_writer(256 << 10));
+            let sink = |e: pmtable::EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
+            merge_into(cursors.collect(), false, &cost, &errors, &mut tl, sink).unwrap();
+            let run = writer.finish(&mut tl).unwrap();
+            run.iter().for_each(|table| pool.free(table.region));
+            run.len()
+        })
+    });
+}
+
+/// A cascade's merge: two SSTable runs (10 000 records, and a newer
+/// version of every other one) streamed into a third.
+fn bench_cascade(c: &mut Criterion) {
+    use pm_blade::cursor::{merge_into, Cursor, SsRun};
+    use pm_blade::levels::SsRunWriter;
+    let cost = CostModel::default();
+    let device = ssd_device::SsdDevice::new(cost);
+    let cache = std::sync::Arc::new(sstable::BlockCache::new(2 << 20));
+    let counter = std::sync::atomic::AtomicU64::new(0);
+    let run_writer =
+        |level: &str| SsRunWriter::new(&device, &cache, level.into(), &counter, 256 << 10);
+    let older = entries(10_000);
+    let newer = older.iter().step_by(2).map(|e| OwnedEntry {
+        seq: e.seq + (1 << 20),
+        ..e.clone()
+    });
+    let build = |level: &str, run: &mut dyn Iterator<Item = OwnedEntry>| {
+        let mut writer = run_writer(level);
+        for e in run {
+            writer.add(e.as_ref(), &mut Timeline::new()).unwrap();
+        }
+        writer.finish(&mut Timeline::new()).unwrap()
+    };
+    let runs = [
+        build("L1", &mut { newer }),
+        build("L2", &mut older.iter().cloned()),
+    ];
+    let errors = sim::Counter::new();
+    c.bench_function("compaction/stream_cascade_2_runs", |b| {
+        b.iter(|| {
+            let cursors = runs.each_ref().map(|run| Cursor::Ss(SsRun::new(run, None)));
+            let (mut tl, mut writer) = (Timeline::new(), run_writer("out"));
+            let sink = |e: pmtable::EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
+            merge_into(cursors.into(), true, &cost, &errors, &mut tl, sink).unwrap();
+            let run = writer.finish(&mut tl).unwrap();
+            run.iter()
+                .for_each(|table| device.delete(&table.name).unwrap());
+            run.len()
         })
     });
 }
@@ -239,6 +293,7 @@ criterion_group!(
         bench_engine,
         bench_merge,
         bench_scan_merge,
+        bench_cascade,
         bench_storage_metering_overhead
 );
 criterion_main!(benches);

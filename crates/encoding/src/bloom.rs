@@ -24,6 +24,18 @@ impl BloomFilter {
         count_hint: usize,
         bits_per_key: usize,
     ) -> Self {
+        let hashes = keys.into_iter().map(Self::hashes);
+        Self::build_hashed(hashes, count_hint, bits_per_key)
+    }
+
+    /// [`BloomFilter::build`] for keys already hashed by
+    /// [`BloomFilter::hashes`]: a table builder remembers 16 bytes per
+    /// key instead of the key.
+    pub fn build_hashed(
+        hashes: impl IntoIterator<Item = (u64, u64)>,
+        count_hint: usize,
+        bits_per_key: usize,
+    ) -> Self {
         let bits_per_key = bits_per_key.max(1);
         // k = bits_per_key * ln2, clamped to a sane range.
         let k = ((bits_per_key as f64 * 0.69) as u8).clamp(1, 30);
@@ -31,8 +43,7 @@ impl BloomFilter {
         let nbytes = nbits.div_ceil(8);
         let mut bits = vec![0u8; nbytes];
         let nbits = nbytes * 8;
-        for key in keys {
-            let (h1, h2) = Self::hashes(key);
+        for (h1, h2) in hashes {
             for i in 0..k {
                 let bit = (h1.wrapping_add((i as u64).wrapping_mul(h2)) % nbits as u64) as usize;
                 bits[bit / 8] |= 1 << (bit % 8);

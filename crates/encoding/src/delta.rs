@@ -7,11 +7,10 @@
 //! any `u64` sequence round-trips, including strides that cross the
 //! `u64` overflow boundary in either direction.
 //!
-//! [`CodecStats`] is the build-side analyzer: it inspects a flush batch's
-//! key shape (common stride, remainder-width histogram, prefix entropy)
-//! so the engine can rule codecs in or out before trial-encoding anything.
-
-use std::collections::HashMap;
+//! [`CodecStats`] is the build-side analyzer: a running fold over the
+//! entries of one output table (entry count, whether keys and values
+//! are fixed-width, the shared key prefix) from which the engine rules
+//! codecs in or out before encoding anything.
 
 /// Map a signed value to an unsigned one with small magnitudes staying
 /// small: 0, -1, 1, -2, … → 0, 1, 2, 3, …
@@ -30,10 +29,18 @@ pub fn zigzag_decode(v: u64) -> i64 {
 /// `values[i + 1] - values[i]` (mod 2^64). Empty or single-element input
 /// yields an empty vector.
 pub fn deltas(values: &[u64]) -> Vec<u64> {
-    values
-        .windows(2)
-        .map(|w| zigzag_encode(w[1].wrapping_sub(w[0]) as i64))
-        .collect()
+    let mut out = values.to_vec();
+    deltas_in_place(&mut out);
+    out
+}
+
+/// [`deltas`] computed in the input's own buffer, which ends up one
+/// element shorter (empty stays empty).
+pub fn deltas_in_place(values: &mut Vec<u64>) {
+    for i in 1..values.len() {
+        values[i - 1] = zigzag_encode(values[i].wrapping_sub(values[i - 1]) as i64);
+    }
+    values.pop();
 }
 
 /// Rebuild the original sequence from its first value and [`deltas`].
@@ -62,9 +69,12 @@ pub fn be_suffix_u64(bytes: &[u8]) -> u64 {
         .fold(0u64, |acc, &b| (acc << 8) | b as u64)
 }
 
-/// Shape statistics over one sorted flush batch, used to pre-select
-/// codec candidates before any trial encoding.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// Shape statistics over one sorted batch of entries (the contents of
+/// one output table), used to pre-select codec candidates before any
+/// encoding. Folded one entry at a time: [`CodecStats::add`] keeps O(1)
+/// state, and the batch's common prefix is the LCP of its first and
+/// last key, which whoever buffers the batch fills in at the end.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CodecStats {
     /// Number of entries inspected.
     pub entries: usize,
@@ -74,82 +84,36 @@ pub struct CodecStats {
     pub fixed_value_width: Option<usize>,
     /// Length of the prefix shared by every key in the batch.
     pub batch_lcp: usize,
-    /// Most common wrapping stride between consecutive numeric key
-    /// suffixes (last ≤8 bytes, big-endian); 0 if fewer than two keys.
-    pub common_stride: i64,
-    /// Fraction of consecutive gaps matching `common_stride` (0.0–1.0).
-    pub stride_fraction: f64,
-    /// Histogram of zigzag stride widths, bucketed by the bytes needed to
-    /// store each gap (`[0]` = zero-byte/equal, `[8]` = full width).
-    pub stride_width_histogram: [usize; 9],
-    /// Shannon entropy, in bits, of the first byte past the batch LCP
-    /// (0.0 for a batch whose keys diverge in one way only). High entropy
-    /// means group LCPs will be short and prefix stripping alone is weak.
-    pub prefix_entropy_bits: f64,
 }
 
 impl CodecStats {
-    /// Analyze a batch of (already sorted) keys plus their value lengths.
+    /// Fold in the next entry's key and value lengths.
+    pub fn add(&mut self, key_len: usize, value_len: usize) {
+        if self.entries == 0 {
+            self.fixed_key_width = Some(key_len);
+            self.fixed_value_width = Some(value_len);
+        }
+        self.fixed_key_width = self.fixed_key_width.filter(|&w| w == key_len);
+        self.fixed_value_width = self.fixed_value_width.filter(|&w| w == value_len);
+        self.entries += 1;
+    }
+
+    /// Analyze a batch of keys plus their value lengths in one call.
+    /// The common prefix is folded over every key, so unlike the
+    /// first-and-last shortcut it needs no sortedness.
     pub fn analyze(keys: &[&[u8]], value_lens: &[usize]) -> CodecStats {
-        let mut stats = CodecStats {
-            entries: keys.len(),
-            ..CodecStats::default()
-        };
-        let Some(first) = keys.first() else {
-            return stats;
-        };
-        stats.fixed_key_width =
-            (keys.iter().all(|k| k.len() == first.len())).then_some(first.len());
-        stats.fixed_value_width = value_lens
-            .first()
-            .copied()
-            .filter(|&w| value_lens.iter().all(|&l| l == w));
-        // Common prefix of all keys: for sorted input this is the LCP of
-        // the first and last key, but a running fold needs no sortedness.
-        let mut lcp = first.len();
-        for k in &keys[1..] {
-            lcp = lcp.min(crate::prefix::common_prefix_len(first, k));
+        let mut stats = CodecStats::default();
+        for (key, &value_len) in keys.iter().zip(value_lens) {
+            stats.add(key.len(), value_len);
         }
-        stats.batch_lcp = lcp;
-        // Stride statistics over the numeric suffix.
-        if keys.len() >= 2 {
-            let mut counts: HashMap<i64, usize> = HashMap::new();
-            for w in keys.windows(2) {
-                let gap = be_suffix_u64(w[1]).wrapping_sub(be_suffix_u64(w[0])) as i64;
-                *counts.entry(gap).or_insert(0) += 1;
-                let bytes = bitwidth_bytes(crate::bitpack::width_for(zigzag_encode(gap)));
-                stats.stride_width_histogram[bytes] += 1;
-            }
-            let gaps = (keys.len() - 1) as f64;
-            let (&stride, &n) = counts
+        if let Some(first) = keys.first() {
+            let shared = keys
                 .iter()
-                .max_by_key(|&(&gap, &n)| (n, std::cmp::Reverse(gap.unsigned_abs())))
-                .unwrap();
-            stats.common_stride = stride;
-            stats.stride_fraction = n as f64 / gaps;
+                .map(|k| crate::prefix::common_prefix_len(first, k));
+            stats.batch_lcp = shared.min().unwrap_or(0);
         }
-        // Entropy of the first divergent byte. Keys that end exactly at
-        // the LCP contribute a separate "exhausted" symbol.
-        let mut hist: HashMap<Option<u8>, usize> = HashMap::new();
-        for k in keys {
-            *hist.entry(k.get(lcp).copied()).or_insert(0) += 1;
-        }
-        let total = keys.len() as f64;
-        stats.prefix_entropy_bits = -hist
-            .values()
-            .map(|&n| {
-                let p = n as f64 / total;
-                p * p.log2()
-            })
-            .sum::<f64>();
         stats
     }
-}
-
-/// Bytes needed for a value of `bits` bits (0 stays 0, capped at 8).
-#[inline]
-fn bitwidth_bytes(bits: u32) -> usize {
-    (bits as usize).div_ceil(8).min(8)
 }
 
 #[cfg(test)]
@@ -205,10 +169,8 @@ mod tests {
         assert_eq!(s.entries, 100);
         assert_eq!(s.fixed_key_width, Some(8));
         assert_eq!(s.fixed_value_width, Some(8));
-        assert_eq!(s.common_stride, 3);
-        assert!((s.stride_fraction - 1.0).abs() < 1e-9);
-        // Every gap fits in one byte once zigzagged.
-        assert_eq!(s.stride_width_histogram[1], 99);
+        // 0..=297 differ in the last two bytes only.
+        assert_eq!(s.batch_lcp, 6);
     }
 
     #[test]
@@ -219,28 +181,18 @@ mod tests {
         assert_eq!(s.fixed_key_width, None);
         assert_eq!(s.fixed_value_width, None);
         assert_eq!(s.batch_lcp, 0);
-        assert!(s.prefix_entropy_bits > 1.0, "divergent first bytes");
+        // A width that recurs after a different one stays ragged.
+        let s = CodecStats::analyze(&[b"ab", b"abc", b"ad"], &[7, 7, 7]);
+        assert_eq!(s.fixed_key_width, None);
+        assert_eq!(s.fixed_value_width, Some(7));
+        assert_eq!(s.batch_lcp, 1);
     }
 
     #[test]
     fn stats_empty_batch() {
         let s = CodecStats::analyze(&[], &[]);
-        assert_eq!(s.entries, 0);
+        assert_eq!(s, CodecStats::default());
         assert_eq!(s.fixed_key_width, None);
-        assert_eq!(s.common_stride, 0);
-    }
-
-    #[test]
-    fn entropy_zero_when_single_divergence() {
-        let keys: Vec<&[u8]> = vec![b"pref0", b"pref0a", b"pref0b"];
-        let lens = vec![0usize; 3];
-        let s = CodecStats::analyze(&keys, &lens);
-        // All keys share "pref0"; divergent symbols are {None, 'a', 'b'}.
-        assert_eq!(s.batch_lcp, 5);
-        assert!(s.prefix_entropy_bits > 0.0);
-        let uniform: Vec<&[u8]> = vec![b"k1", b"k2", b"k3"];
-        let s2 = CodecStats::analyze(&uniform, &[0, 0, 0]);
-        assert!(s2.prefix_entropy_bits > s.prefix_entropy_bits * 0.5);
     }
 
     proptest::proptest! {

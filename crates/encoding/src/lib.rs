@@ -11,7 +11,7 @@
 //!   prefix layer (§IV-A of the paper).
 //! - [`delta`] / [`bitpack`]: zigzag + delta transforms and fixed-width
 //!   bit packing behind the PM table's numeric codecs (encoding v2), plus
-//!   the [`delta::CodecStats`] flush-batch shape analyzer.
+//!   the [`delta::CodecStats`] shape fold that picks a table's codec.
 //! - [`szip`]: a small LZ77-class byte compressor standing in for snappy in
 //!   the Array-snappy baselines (Fig 6) — same architecture (literal /
 //!   copy tags, greedy hash-chain matcher), no external dependency.

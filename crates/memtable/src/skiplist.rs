@@ -8,7 +8,7 @@
 //! serializes writers externally.
 
 use encoding::key::{self, KeyKind, SequenceNumber};
-use pmtable::{EntryRef, Lookup, OwnedEntry};
+use pmtable::{EntryRef, Lookup};
 use sim::{CostModel, Pcg64, Timeline};
 
 const MAX_HEIGHT: usize = 12;
@@ -167,21 +167,15 @@ impl MemTable {
         self.nodes[cur].next[0]
     }
 
-    /// All entries in internal-key order.
-    pub fn entries_in_order(&self) -> Vec<OwnedEntry> {
-        let mut out = Vec::with_capacity(self.entries);
-        let mut cur = self.nodes[0].next[0];
-        while let Some(idx) = cur {
-            let node = &self.nodes[idx];
-            out.push(OwnedEntry {
-                user_key: key::user_key(&node.ikey).to_vec(),
-                seq: key::sequence(&node.ikey),
-                kind: key::kind(&node.ikey).expect("valid kind"),
-                value: node.value.clone(),
-            });
-            cur = node.next[0];
-        }
-        out
+    /// Every entry in internal-key order, borrowed from its skiplist
+    /// node. Charges nothing: this is how a flush reads its frozen
+    /// memtable, off the clock ([`MemCursor`] is the metered way in).
+    pub fn iter(&self) -> impl Iterator<Item = EntryRef<'_>> {
+        let level0 = std::iter::successors(self.nodes[0].next[0], |&i| self.nodes[i].next[0]);
+        level0.map(|i| {
+            let n = &self.nodes[i];
+            EntryRef::parse(&n.ikey, &n.value).expect("memtable nodes hold valid internal keys")
+        })
     }
 
     /// A cursor over this table, unpositioned until its first `seek`.
@@ -261,7 +255,7 @@ mod tests {
         let mut tl = Timeline::new();
         assert!(t.get(b"k", u64::MAX, &mut tl).is_none());
         assert!(t.is_empty());
-        assert!(t.entries_in_order().is_empty());
+        assert_eq!(t.iter().count(), 0);
     }
 
     #[test]
@@ -296,26 +290,27 @@ mod tests {
     }
 
     #[test]
-    fn entries_in_order_is_internal_sorted() {
+    fn iter_is_internal_sorted() {
         let mut t = table();
         let mut tl = Timeline::new();
         // Insert out of order.
         for (k, s) in [("b", 1u64), ("a", 3), ("c", 2), ("a", 9), ("b", 4)] {
-            t.insert(k.as_bytes(), s, KeyKind::Value, b"", &mut tl);
+            t.insert(k.as_bytes(), s, KeyKind::Value, k.as_bytes(), &mut tl);
         }
-        let entries = t.entries_in_order();
-        let keys: Vec<(String, u64)> = entries
+        t.insert(b"c", 7, KeyKind::Delete, b"", &mut tl);
+        let entries: Vec<(&[u8], u64, KeyKind, &[u8])> = t
             .iter()
-            .map(|e| (String::from_utf8(e.user_key.clone()).unwrap(), e.seq))
+            .map(|e| (e.user_key, e.seq, e.kind, e.value))
             .collect();
         assert_eq!(
-            keys,
-            vec![
-                ("a".into(), 9),
-                ("a".into(), 3),
-                ("b".into(), 4),
-                ("b".into(), 1),
-                ("c".into(), 2),
+            entries,
+            [
+                (&b"a"[..], 9, KeyKind::Value, &b"a"[..]),
+                (b"a", 3, KeyKind::Value, b"a"),
+                (b"b", 4, KeyKind::Value, b"b"),
+                (b"b", 1, KeyKind::Value, b"b"),
+                (b"c", 7, KeyKind::Delete, b""),
+                (b"c", 2, KeyKind::Value, b"c"),
             ]
         );
     }
@@ -414,13 +409,11 @@ mod tests {
                 proptest::prop_assert_eq!(
                     hit.kind == KeyKind::Delete, *is_delete);
             }
-            // Order check: entries_in_order is sorted by internal key.
-            let entries = t.entries_in_order();
-            for pair in entries.windows(2) {
-                proptest::prop_assert!(
-                    pair[0].internal_cmp(&pair[1])
-                        != std::cmp::Ordering::Greater);
-            }
+            // Order check: `iter` is sorted by internal key and
+            // yields every insert.
+            let entries: Vec<_> = t.iter().map(|e| (e.user_key, std::cmp::Reverse(e.seq))).collect();
+            proptest::prop_assert_eq!(entries.len(), ops.len());
+            proptest::prop_assert!(entries.windows(2).all(|pair| pair[0] < pair[1]));
         }
     }
 }

@@ -8,6 +8,9 @@
 //! newest version of each user key. Nothing is materialized: a source
 //! decodes one PM group or reads one SSD block at a time, and only when
 //! the merge steps it.
+//!
+//! Compactions are the same merge run to the end ([`merge_into`]) over
+//! cursors that read their tables front to back, into a run writer.
 
 use std::cmp::Reverse;
 
@@ -77,13 +80,15 @@ impl Cursor<'_> {
 
 /// A concatenating cursor over non-overlapping PM tables: opens only
 /// the table holding the seek key and moves to the next one lazily.
-/// Groups are fetched through the shared decode cache.
+/// Groups are fetched through the shared decode cache; without one (a
+/// compaction's input) each table is read sequentially, see
+/// [`pmtable::PmTable::sequential_cursor`].
 pub struct PmRun<'a> {
     tables: &'a [PmTableHandle],
     /// The table opened when `cur` runs out.
     next: usize,
     end: Option<&'a [u8]>,
-    cache: &'a PmGroupCache,
+    cache: Option<&'a PmGroupCache>,
     cur: Option<PmCursor<'a, PmRegion, TableGroupCache<'a>>>,
 }
 
@@ -91,7 +96,7 @@ impl<'a> PmRun<'a> {
     pub fn new(
         tables: &'a [PmTableHandle],
         end: Option<&'a [u8]>,
-        cache: &'a PmGroupCache,
+        cache: Option<&'a PmGroupCache>,
     ) -> Self {
         PmRun {
             tables,
@@ -118,7 +123,10 @@ impl<'a> PmRun<'a> {
             self.cur = match table.filter(|h| self.end.is_none_or(|e| &*h.first < e)) {
                 Some(h) => {
                     self.next += 1;
-                    let mut c = h.table.cursor(self.cache.for_table(h.cache_id));
+                    let mut c = match self.cache {
+                        Some(cache) => h.table.cursor(cache.for_table(h.cache_id)),
+                        None => h.table.sequential_cursor(),
+                    };
                     load = load.max(c.seek(seek.unwrap_or_default(), tl).map_err(corrupt)?);
                     Some(c)
                 }
@@ -341,6 +349,27 @@ impl<'a> MergingIter<'a> {
     }
 }
 
+/// One compaction pass: every record of `cursors` through the merge
+/// into `sink`. Returns how many records were read. A failure to read
+/// an input ticks `input_errors`; a failure of the sink does not.
+pub fn merge_into<E: Into<DbError>>(
+    cursors: Vec<Cursor<'_>>,
+    drop_tombstones: bool,
+    cost: &sim::CostModel,
+    input_errors: &sim::Counter,
+    tl: &mut Timeline,
+    mut sink: impl FnMut(EntryRef<'_>, &mut Timeline) -> Result<(), E>,
+) -> Result<u64, DbError> {
+    let mut stats = ScanStats::default();
+    let cost = cost.cpu.merge_per_entry;
+    let merge = MergingIter::new(cursors, b"", None, drop_tombstones, cost, &mut stats, tl);
+    let mut merge = merge.inspect_err(|_| input_errors.incr())?;
+    while let Some(entry) = merge.next(tl).inspect_err(|_| input_errors.incr())? {
+        sink(entry, tl).map_err(Into::into)?;
+    }
+    Ok(stats.records)
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -410,7 +439,7 @@ pub(crate) mod tests {
                 e.user_key.as_slice() >= &start[..] && end.is_none_or(|end| e.user_key.as_slice() < end)
             };
             let materialized = sources.iter().map(|s| {
-                s.entries_in_order().into_iter().filter(in_range).collect()
+                s.iter().map(|e| e.to_owned()).filter(in_range).collect()
             });
             let reference =
                 merge_dedup(materialized.collect(), drop_tombstones, &cost, &mut tl);

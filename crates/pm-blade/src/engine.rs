@@ -425,7 +425,7 @@ fn recover_pm_handle(pool: &PmPool, id: u64, ids: &CacheIds) -> Result<PmTableHa
             "manifest names PM region {id} but the pool does not hold it"
         ))
     })?;
-    reopen_pm_table(region, ids).map_err(DbError::Corrupt)
+    reopen_pm_table(region, None, ids).map_err(DbError::Corrupt)
 }
 
 /// Reopen one SSTable from its manifest metadata (recovery path).
@@ -2590,7 +2590,14 @@ impl DbCore {
         let pm_read_before = self.pool.stats().bytes_read.get();
         let pm_written_before = self.pool.stats().bytes_written.get();
         let mut p = self.partitions[pid].write();
-        let result = match p.internal_compaction(&self.opts, &self.pool, &self.cache_ids, &mut tl) {
+        let result = p.internal_compaction(
+            &self.opts,
+            &self.pool,
+            &self.cache_ids,
+            &self.compaction_input_errors,
+            &mut tl,
+        );
+        let result = match result {
             Ok(r) => r,
             Err(DbError::Pm(PmError::OutOfSpace { .. })) => {
                 drop(p);

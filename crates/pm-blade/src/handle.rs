@@ -3,15 +3,14 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use encoding::delta::CodecStats;
 use encoding::key::SequenceNumber;
-use pm_device::{PmPool, PmRegion, RegionId};
-use pmtable::{CodecMode, EntryRef, L0Table, OwnedEntry, PmTable, PmTableBuilder, PmTableOptions};
+use pm_device::{PmError, PmPool, PmRegion, RegionId};
+use pmtable::{CodecMode, EntryRef, L0Table, OwnedEntry, PmTable, PmTableBuilder};
 use sim::Timeline;
 use sstable::SsTable;
 
-use crate::costmodel::{select_codec, CodecCostTable};
-use crate::engine::DbError;
+use crate::costmodel::select_codec;
+use crate::options::Options;
 
 /// Per-engine allocator for [`PmTableHandle::cache_id`]. Ids are
 /// monotonic and never reused within an engine, so a retired table's
@@ -98,30 +97,6 @@ impl SsTableHandle {
     pub fn overlaps_handle_range(&self, first: &[u8], last: &[u8]) -> bool {
         self.first.as_slice() <= last && first <= self.last.as_slice()
     }
-
-    /// Append every entry of the table to `out`, materialized as a
-    /// compaction input. A block that cannot be read or an entry that
-    /// does not parse fails the load: merging on without this table
-    /// would silently drop its keys once the compaction deletes it.
-    pub fn load_entries(
-        &self,
-        out: &mut Vec<OwnedEntry>,
-        tl: &mut Timeline,
-    ) -> Result<(), DbError> {
-        let entries = self.table.scan_all(tl)?;
-        out.reserve(entries.len());
-        for (ikey, value) in entries {
-            let e = EntryRef::parse(&ikey, &[])
-                .ok_or_else(|| DbError::Corrupt(format!("{}: entry kind", self.name)))?;
-            out.push(OwnedEntry {
-                user_key: e.user_key.to_vec(),
-                seq: e.seq,
-                kind: e.kind,
-                value,
-            });
-        }
-        Ok(())
-    }
 }
 
 impl std::fmt::Debug for SsTableHandle {
@@ -139,6 +114,11 @@ impl std::fmt::Debug for SsTableHandle {
 ///
 /// `sources` must be ordered so that ties cannot occur (sequences are
 /// globally unique). Charges merge CPU per input record to `tl`.
+///
+/// No compaction calls this any more: they stream through
+/// [`crate::cursor::MergingIter`]. It stays as the reference the
+/// streamed merges are tested against, and because the repo benchmark's
+/// ladder measures it by name (ROADMAP item 1a retires both together).
 pub fn merge_dedup(
     mut sources: Vec<Vec<OwnedEntry>>,
     drop_tombstones: bool,
@@ -171,114 +151,156 @@ pub fn merge_dedup(
     out
 }
 
-/// Rebuild a PM-table handle from a recovered region (manifest replay).
-/// The region payload is self-describing; `first`/`last`/`max_seq` are
-/// re-derived from it. A fresh `cache_id` is minted — the group-decode
-/// cache starts empty after a restart, so no aliasing is possible.
-pub fn reopen_pm_table(region: PmRegion, ids: &CacheIds) -> Result<PmTableHandle, String> {
-    let region_id = region.id();
-    let bytes = region.len();
+/// The handle of a PM table in `region`: one just published, or one
+/// recovered (manifest replay). The region payload is self-describing;
+/// `first`/`last` are re-derived from it, and so is `max_seq` when the
+/// caller does not know it — by a full scan, which ticks the PM device's
+/// read counters, so a build passes what it saw go in. A fresh
+/// `cache_id` is minted — the group-decode cache starts empty after a
+/// restart, so no aliasing is possible.
+pub fn reopen_pm_table(
+    region: PmRegion,
+    max_seq: Option<SequenceNumber>,
+    ids: &CacheIds,
+) -> Result<PmTableHandle, String> {
+    let (region_id, bytes) = (region.id(), region.len());
     let table = PmTable::open(region).map_err(|e| format!("region {region_id}: {e}"))?;
-    let first = table
-        .first_user_key()
-        .ok_or_else(|| format!("region {region_id}: empty table"))?
-        .into();
-    let last = table
-        .last_user_key()
-        .ok_or_else(|| format!("region {region_id}: empty table"))?
-        .into();
-    let entries = table.entry_count();
-    let max_seq = table
-        .scan_all(&mut Timeline::new())
-        .iter()
-        .map(|e| e.seq)
-        .max()
-        .unwrap_or(0);
-    let codec = table.dominant_codec();
+    let empty = || format!("region {region_id}: empty table");
+    let scanned = || {
+        table
+            .scan_all(&mut Timeline::new())
+            .iter()
+            .map(|e| e.seq)
+            .max()
+    };
     Ok(PmTableHandle {
+        first: table.first_user_key().ok_or_else(empty)?.into(),
+        last: table.last_user_key().ok_or_else(empty)?.into(),
+        entries: table.entry_count(),
+        max_seq: max_seq.or_else(scanned).unwrap_or(0),
+        codec: table.dominant_codec(),
         table: Arc::new(table),
         region: region_id,
-        first,
-        last,
-        entries,
         bytes,
-        max_seq,
         cache_id: ids.next(),
-        codec,
     })
 }
 
-/// Build PM tables (splitting at `max_bytes`) from sorted entries and
-/// publish them to the pool. Returns the new handles.
+/// The PM sink of a compaction: sorted entries in, a run of PM tables
+/// published to the pool out, a new table begun whenever the one being
+/// built holds `max_bytes` of raw entries.
 ///
-/// [`CodecMode::Auto`] in `opts.codec` is resolved *here*, once for the
-/// whole flush batch: [`CodecStats::analyze`] inspects the batch's key
-/// shape and [`select_codec`] charges each eligible codec's measured
-/// density and decode cost from `codec_costs`. The winning mode is then
-/// forced for every output table (individual groups still fall back to
-/// prefix encoding inside the builder when the codec cannot represent
-/// them or would grow them).
-#[allow(clippy::too_many_arguments)]
-pub fn build_pm_tables(
-    entries: &[OwnedEntry],
-    mut opts: PmTableOptions,
-    codec_costs: &CodecCostTable,
+/// [`CodecMode::Auto`] is resolved *here*, once per output table as it
+/// is cut: [`select_codec`] reads the shape the builder folded over the
+/// table's entries and charges each eligible codec's measured density
+/// and decode cost from `opts.codec_costs`. The winner is forced for
+/// the whole table (individual groups still fall back to prefix
+/// encoding inside the builder when the codec cannot represent them or
+/// would grow them).
+///
+/// Dropped without [`PmRunWriter::finish`] — the compaction failed on a
+/// read or on a later table — it frees the regions it had published.
+pub struct PmRunWriter<'a> {
+    opts: &'a Options,
     max_bytes: usize,
-    pool: &PmPool,
-    ids: &CacheIds,
-    cost: &sim::CostModel,
-    tl: &mut Timeline,
-) -> Result<Vec<PmTableHandle>, pm_device::PmError> {
-    if opts.codec == CodecMode::Auto {
-        let keys: Vec<&[u8]> = entries.iter().map(|e| e.user_key.as_slice()).collect();
-        let value_lens: Vec<usize> = entries.iter().map(|e| e.value.len()).collect();
-        let stats = CodecStats::analyze(&keys, &value_lens);
-        opts.codec = select_codec(&stats, codec_costs, cost);
-    }
-    let mut out = Vec::new();
-    let mut start = 0;
-    let mut pending_bytes = 0usize;
-    for (i, entry) in entries.iter().enumerate() {
-        pending_bytes += entry.raw_len();
-        if pending_bytes < max_bytes && i + 1 < entries.len() {
-            continue;
+    pool: &'a PmPool,
+    ids: &'a CacheIds,
+    builder: PmTableBuilder,
+    /// Largest sequence in `builder`.
+    max_seq: SequenceNumber,
+    done: Vec<PmTableHandle>,
+}
+
+impl<'a> PmRunWriter<'a> {
+    pub fn new(opts: &'a Options, max_bytes: usize, pool: &'a PmPool, ids: &'a CacheIds) -> Self {
+        PmRunWriter {
+            opts,
+            max_bytes,
+            pool,
+            ids,
+            builder: PmTableBuilder::new(opts.pm_table),
+            max_seq: 0,
+            done: Vec::new(),
         }
-        // One output table: `entries[start..=i]`. Its fence keys and
-        // largest sequence come from this slice — reading the table
-        // back would tick the PM device's read counters for I/O the
-        // engine never performs.
-        let batch = &entries[start..=i];
-        (start, pending_bytes) = (i + 1, 0);
-        let mut builder = PmTableBuilder::new(opts);
-        for e in batch {
-            builder.add(e.clone());
-        }
-        let (bytes, _stats) = builder.finish(cost, tl);
-        let len = bytes.len();
-        let region = pool.publish(bytes, tl)?;
-        let region_id = region.id();
-        let table = PmTable::open(region).expect("just-built table parses");
-        let codec = table.dominant_codec();
-        out.push(PmTableHandle {
-            first: batch[0].user_key.as_slice().into(),
-            last: entry.user_key.as_slice().into(),
-            table: Arc::new(table),
-            region: region_id,
-            entries: batch.len(),
-            bytes: len,
-            max_seq: batch.iter().map(|e| e.seq).max().unwrap_or(0),
-            cache_id: ids.next(),
-            codec,
-        });
     }
-    Ok(out)
+
+    pub fn add(&mut self, entry: EntryRef<'_>, tl: &mut Timeline) -> Result<(), PmError> {
+        self.builder.add(entry);
+        self.max_seq = self.max_seq.max(entry.seq);
+        if self.builder.raw_bytes() >= self.max_bytes {
+            self.cut(tl)?;
+        }
+        Ok(())
+    }
+
+    /// Encode and publish the table built so far and begin the next.
+    fn cut(&mut self, tl: &mut Timeline) -> Result<(), PmError> {
+        let opts = self.opts;
+        let mut builder = std::mem::replace(&mut self.builder, PmTableBuilder::new(opts.pm_table));
+        if opts.pm_table.codec == CodecMode::Auto {
+            builder.set_codec(select_codec(
+                &builder.shape(),
+                &opts.codec_costs,
+                &opts.cost,
+            ));
+        }
+        let (bytes, _stats) = builder.finish(&opts.cost, tl);
+        let region = self.pool.publish(bytes, tl)?;
+        let max_seq = Some(std::mem::take(&mut self.max_seq));
+        let table = reopen_pm_table(region, max_seq, self.ids);
+        self.done.push(table.expect("just-built table parses"));
+        Ok(())
+    }
+
+    /// Publish the last table and hand the run over.
+    pub fn finish(mut self, tl: &mut Timeline) -> Result<Vec<PmTableHandle>, PmError> {
+        if self.builder.entry_count() > 0 {
+            self.cut(tl)?;
+        }
+        Ok(std::mem::take(&mut self.done))
+    }
+}
+
+impl Drop for PmRunWriter<'_> {
+    fn drop(&mut self) {
+        for handle in &self.done {
+            self.pool.free(handle.region);
+        }
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::costmodel::CodecCostTable;
     use encoding::key::KeyKind;
+    use pmtable::PmTableOptions;
     use sim::CostModel;
+
+    /// A [`PmRunWriter`] fed from a slice.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn build_pm_tables(
+        entries: &[OwnedEntry],
+        pm_table: PmTableOptions,
+        codec_costs: &CodecCostTable,
+        max_bytes: usize,
+        pool: &PmPool,
+        ids: &CacheIds,
+        cost: &CostModel,
+        tl: &mut Timeline,
+    ) -> Result<Vec<PmTableHandle>, PmError> {
+        let opts = Options {
+            pm_table,
+            codec_costs: *codec_costs,
+            cost: *cost,
+            ..Options::default()
+        };
+        let mut writer = PmRunWriter::new(&opts, max_bytes, pool, ids);
+        for e in entries {
+            writer.add(e.as_ref(), tl)?;
+        }
+        writer.finish(tl)
+    }
 
     fn e(k: &str, seq: u64, v: &str) -> OwnedEntry {
         OwnedEntry::value(k.as_bytes().to_vec(), seq, v.as_bytes().to_vec())
@@ -435,6 +457,45 @@ mod tests {
     }
 
     #[test]
+    fn a_writer_that_fails_or_is_dropped_frees_what_it_published() {
+        let cost = CostModel::default();
+        let pool = PmPool::new(20 << 10, cost);
+        let entries: Vec<OwnedEntry> = (0..400)
+            .map(|i| e(&format!("key{:05}", i), i + 1, &"v".repeat(100)))
+            .collect();
+        let (costs, ids) = (CodecCostTable::default(), CacheIds::new());
+        let opts = PmTableOptions::default();
+        let mut tl = Timeline::new();
+        // 400 x ~110 B in 8 KiB tables: the third does not fit 20 KiB.
+        let full = build_pm_tables(&entries, opts, &costs, 8 << 10, &pool, &ids, &cost, &mut tl);
+        assert!(matches!(full, Err(PmError::OutOfSpace { .. })));
+        assert_eq!(pool.used(), 0, "the tables before the failure are freed");
+        let engine_opts = Options::default();
+        let mut writer = PmRunWriter::new(&engine_opts, 8 << 10, &pool, &ids);
+        for e in &entries[..100] {
+            writer.add(e.as_ref(), &mut tl).unwrap();
+        }
+        assert!(pool.used() > 0, "a table was cut and published mid-stream");
+        drop(writer);
+        assert_eq!(pool.used(), 0);
+        // A finished run is the caller's.
+        let run = build_pm_tables(
+            &entries[..100],
+            opts,
+            &costs,
+            8 << 10,
+            &pool,
+            &ids,
+            &cost,
+            &mut tl,
+        );
+        assert_eq!(
+            pool.used(),
+            run.unwrap().iter().map(|h| h.bytes).sum::<usize>()
+        );
+    }
+
+    #[test]
     fn auto_codec_resolves_per_flush_batch() {
         let cost = CostModel::default();
         let pool = PmPool::new(16 << 20, cost);
@@ -511,7 +572,7 @@ mod tests {
         assert_eq!(t[0].codec, pmtable::CODEC_PREFIX);
         // Reopen preserves the dominant codec (regions self-describe).
         let region = pool.get(coded[0].region).unwrap();
-        let reopened = reopen_pm_table(region, &ids).unwrap();
+        let reopened = reopen_pm_table(region, None, &ids).unwrap();
         assert_eq!(reopened.codec, coded[0].codec);
     }
 

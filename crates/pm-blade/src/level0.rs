@@ -28,7 +28,7 @@ use std::sync::Arc;
 use encoding::bloom::BloomFilter;
 use encoding::key::SequenceNumber;
 use pm_device::{PmPool, RegionId};
-use pmtable::{L0Table, Lookup, OwnedEntry};
+use pmtable::{L0Table, Lookup};
 use sim::Timeline;
 
 use crate::cursor::{Cursor, PmRun};
@@ -189,62 +189,36 @@ impl L0Version {
         hit
     }
 
-    /// Scan cursors over `[.., end)`: one per unsorted table plus one
-    /// concatenating cursor over the sorted run.
+    /// The `limit` *oldest* tables, as (sorted-run tables, unsorted
+    /// tables): what a major compaction limited to `limit` tables moves.
+    /// The sorted run is always older than every unsorted table (it was
+    /// built from all tables present at its creation; later flushes only
+    /// append unsorted tables with strictly newer sequences), and
+    /// unsorted tables age front-to-back — so draining
+    /// run-first/front-first guarantees any version left behind in
+    /// level-0 is newer than what moved down, and reads (level-0 before
+    /// level-1) stay correct between chunks.
+    pub fn oldest(&self, limit: usize) -> (&[PmTableHandle], &[PmTableHandle]) {
+        let take_sorted = self.sorted.len().min(limit);
+        let take_unsorted = self.unsorted.len().min(limit - take_sorted);
+        (&self.sorted[..take_sorted], &self.unsorted[..take_unsorted])
+    }
+
+    /// Cursors over the `limit` oldest tables (`usize::MAX`: all of
+    /// them) for `[.., end)`: one per unsorted table plus one
+    /// concatenating cursor over the sorted run. A scan reads through
+    /// `cache`; a compaction passes none and reads each table
+    /// sequentially past it.
     pub fn cursors<'a>(
         &'a self,
+        limit: usize,
         end: Option<&'a [u8]>,
-        cache: &'a PmGroupCache,
+        cache: Option<&'a PmGroupCache>,
     ) -> impl Iterator<Item = Cursor<'a>> {
-        let runs = self.unsorted.iter().map(std::slice::from_ref);
-        runs.chain(std::iter::once(&self.sorted[..]))
+        let (run, unsorted) = self.oldest(limit);
+        let runs = unsorted.iter().map(std::slice::from_ref);
+        runs.chain(std::iter::once(run))
             .map(move |run| Cursor::Pm(PmRun::new(run, end, cache)))
-    }
-
-    /// Read every entry of every table (internal-compaction input).
-    pub fn scan_all_sources(&self, tl: &mut Timeline) -> Vec<Vec<OwnedEntry>> {
-        let mut sources: Vec<Vec<OwnedEntry>> =
-            self.unsorted.iter().map(|h| h.table.scan_all(tl)).collect();
-        let mut run = Vec::new();
-        for handle in &self.sorted {
-            run.extend(handle.table.scan_all(tl));
-        }
-        if !run.is_empty() {
-            sources.push(run);
-        }
-        sources
-    }
-
-    /// How many sorted-run and unsorted tables a major compaction limited
-    /// to `limit` tables moves: the *oldest* first. The sorted run is
-    /// always older than every unsorted table (it was built from all
-    /// tables present at its creation; later flushes only append
-    /// unsorted tables with strictly newer sequences), and unsorted
-    /// tables age front-to-back — so draining run-first/front-first
-    /// guarantees any version left behind in level-0 is newer than what
-    /// moved down, and reads (level-0 before level-1) stay correct
-    /// between chunks.
-    fn oldest(&self, limit: usize) -> (usize, usize) {
-        let take_sorted = self.sorted.len().min(limit);
-        (take_sorted, self.unsorted.len().min(limit - take_sorted))
-    }
-
-    /// The entries of the `limit` oldest tables, as merge sources (the
-    /// input of a chunked major compaction). Nothing is detached yet.
-    pub fn read_oldest(&self, limit: usize, tl: &mut Timeline) -> Vec<Vec<OwnedEntry>> {
-        let (take_sorted, take_unsorted) = self.oldest(limit);
-        let mut sources = Vec::new();
-        let mut run = Vec::new();
-        for handle in &self.sorted[..take_sorted] {
-            run.extend(handle.table.scan_all(tl));
-        }
-        if !run.is_empty() {
-            sources.push(run);
-        }
-        for handle in &self.unsorted[..take_unsorted] {
-            sources.push(handle.table.scan_all(tl));
-        }
-        sources
     }
 }
 
@@ -289,11 +263,12 @@ impl PmLevel0 {
         Arc::make_mut(&mut self.current).sorted = run;
     }
 
-    /// Detach the tables [`L0Version::read_oldest`] read, once their
+    /// Detach the tables [`L0Version::oldest`] names, once their
     /// merged output is installed below. Returns their PM regions and
     /// group-cache ids (for purging).
     pub fn detach_oldest(&mut self, limit: usize) -> (Vec<RegionId>, Vec<u64>) {
-        let (take_sorted, take_unsorted) = self.oldest(limit);
+        let (run, unsorted) = self.oldest(limit);
+        let (take_sorted, take_unsorted) = (run.len(), unsorted.len());
         let next = Arc::make_mut(&mut self.current);
         let detached = next.sorted.drain(..take_sorted);
         let detached = detached.chain(next.unsorted.drain(..take_unsorted));
@@ -417,8 +392,9 @@ mod tests {
     use super::*;
     use crate::costmodel::CodecCostTable;
     use crate::cursor::tests::drain;
-    use crate::handle::{build_pm_tables, CacheIds};
-    use pmtable::PmTableOptions;
+    use crate::handle::tests::build_pm_tables;
+    use crate::handle::CacheIds;
+    use pmtable::{OwnedEntry, PmTableOptions};
     use sim::CostModel;
 
     fn entry(k: &str, seq: u64, v: &str) -> OwnedEntry {
@@ -554,7 +530,12 @@ mod tests {
         ]);
         l0.push_unsorted(table(3, vec![entry("b", 8, "b"), entry("c", 9, "new")]));
         let scan = |start: &[u8], end: Option<&'static [u8]>| -> Vec<(Vec<u8>, Vec<u8>)> {
-            let rows = drain(l0.cursors(end, &cache).collect(), start, end, false);
+            let rows = drain(
+                l0.cursors(usize::MAX, end, Some(&cache)).collect(),
+                start,
+                end,
+                false,
+            );
             rows.into_iter().map(|e| (e.user_key, e.value)).collect()
         };
         let row = |k: &str, v: &str| (k.as_bytes().to_vec(), v.as_bytes().to_vec());

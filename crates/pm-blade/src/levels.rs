@@ -10,9 +10,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use encoding::key::SequenceNumber;
-use pmtable::{Lookup, OwnedEntry};
+use pmtable::{EntryRef, Lookup};
 use sim::Timeline;
 use ssd_device::SsdDevice;
+use sstable::table::TableError;
 use sstable::{BlockCache, SsTable, SsTableBuilder, SsTableOptions};
 
 use crate::cursor::{Cursor, SsRun};
@@ -163,64 +164,123 @@ impl std::fmt::Debug for SsdLevels {
     }
 }
 
-/// Build SSTables (split at `max_bytes`) from sorted entries. Returns the
-/// new handles; files are named `{prefix}-{counter}.sst`. The counter is
+/// The SSD sink of a compaction: sorted entries in, a run of SSTables
+/// out, a new table begun whenever the one being written reaches
+/// `max_bytes`. Files are named `{prefix}-{counter}.sst`; the counter is
 /// atomic so concurrent compactions of different partitions never mint
 /// the same file name.
-#[allow(clippy::too_many_arguments)]
-pub fn build_ss_tables(
-    entries: &[OwnedEntry],
-    device: &Arc<SsdDevice>,
-    cache: &Arc<BlockCache>,
-    prefix: &str,
-    counter: &AtomicU64,
+///
+/// Dropped without [`SsRunWriter::finish`] — the compaction failed on a
+/// read or on a later table — it deletes the tables it had finished.
+pub struct SsRunWriter<'a> {
+    device: &'a Arc<SsdDevice>,
+    cache: &'a Arc<BlockCache>,
+    prefix: String,
+    counter: &'a AtomicU64,
     max_bytes: usize,
-    opts: SsTableOptions,
-    tl: &mut Timeline,
-) -> Result<Vec<SsTableHandle>, sstable::table::TableError> {
-    let mut out = Vec::new();
-    let mut iter = entries.iter().peekable();
-    while iter.peek().is_some() {
-        let n = counter.fetch_add(1, Ordering::Relaxed) + 1;
-        let name = format!("{prefix}-{n:08}.sst");
-        let mut builder = SsTableBuilder::new(device, &name, opts)?;
-        let mut first: Option<Vec<u8>> = None;
-        let mut last: Vec<u8> = Vec::new();
-        let mut max_seq = 0u64;
-        for entry in iter.by_ref() {
-            if first.is_none() {
-                first = Some(entry.user_key.clone());
-            }
-            last = entry.user_key.clone();
-            max_seq = max_seq.max(entry.seq);
-            builder.add(&entry.user_key, entry.seq, entry.kind, &entry.value, tl);
-            if builder.estimated_size() >= max_bytes as u64 {
-                break;
-            }
+    /// The table being written, its name and its largest sequence.
+    open: Option<(SsTableBuilder, String, SequenceNumber)>,
+    done: Vec<SsTableHandle>,
+}
+
+impl<'a> SsRunWriter<'a> {
+    pub fn new(
+        device: &'a Arc<SsdDevice>,
+        cache: &'a Arc<BlockCache>,
+        prefix: String,
+        counter: &'a AtomicU64,
+        max_bytes: usize,
+    ) -> Self {
+        SsRunWriter {
+            device,
+            cache,
+            prefix,
+            counter,
+            max_bytes,
+            open: None,
+            done: Vec::new(),
         }
-        let (bytes, _, _) = builder.finish(tl)?;
-        let table = SsTable::open(device, &name, Arc::clone(cache), tl)?;
-        out.push(SsTableHandle {
+    }
+
+    pub fn add(&mut self, entry: EntryRef<'_>, tl: &mut Timeline) -> Result<(), TableError> {
+        if self.open.is_none() {
+            let n = self.counter.fetch_add(1, Ordering::Relaxed) + 1;
+            let name = format!("{}-{n:08}.sst", self.prefix);
+            let builder = SsTableBuilder::new(self.device, &name, SsTableOptions::default())?;
+            self.open = Some((builder, name, 0));
+        }
+        let (builder, _, max_seq) = self.open.as_mut().expect("opened above");
+        builder.add(entry.user_key, entry.seq, entry.kind, entry.value, tl);
+        *max_seq = (*max_seq).max(entry.seq);
+        if builder.estimated_size() >= self.max_bytes as u64 {
+            self.cut(tl)?;
+        }
+        Ok(())
+    }
+
+    /// Seal the table being written, if any, and open it for reads.
+    fn cut(&mut self, tl: &mut Timeline) -> Result<(), TableError> {
+        let Some((builder, name, max_seq)) = self.open.take() else {
+            return Ok(());
+        };
+        let (bytes, first, last) = builder.finish(tl)?;
+        // The object exists from here on: it is deleted, here or by
+        // `drop`, unless the run is handed over.
+        let table = SsTable::open(self.device, &name, Arc::clone(self.cache), tl);
+        let table = table.inspect_err(|_| drop(self.device.delete(&name)))?;
+        self.done.push(SsTableHandle {
             table: Arc::new(table),
             name,
-            first: first.expect("loop adds at least one entry"),
-            last,
+            first: first.expect("a table is opened by its first entry"),
+            last: last.expect("a table is opened by its first entry"),
             bytes,
             max_seq,
         });
+        Ok(())
     }
-    Ok(out)
+
+    /// Seal the last table and hand the run over.
+    pub fn finish(mut self, tl: &mut Timeline) -> Result<Vec<SsTableHandle>, TableError> {
+        self.cut(tl)?;
+        Ok(std::mem::take(&mut self.done))
+    }
+}
+
+impl Drop for SsRunWriter<'_> {
+    fn drop(&mut self) {
+        for handle in &self.done {
+            let _ = self.device.delete(&handle.name);
+        }
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cursor::tests::drain;
     use encoding::key::KeyKind;
+    use pmtable::OwnedEntry;
     use sim::CostModel;
 
     fn e(k: &str, seq: u64, v: &str) -> OwnedEntry {
         OwnedEntry::value(k.as_bytes().to_vec(), seq, v.as_bytes().to_vec())
+    }
+
+    /// An [`SsRunWriter`] fed from a slice.
+    pub(crate) fn build_ss_tables(
+        entries: &[OwnedEntry],
+        device: &Arc<SsdDevice>,
+        cache: &Arc<BlockCache>,
+        prefix: &str,
+        counter: &AtomicU64,
+        max_bytes: usize,
+        tl: &mut Timeline,
+    ) -> Result<Vec<SsTableHandle>, TableError> {
+        let mut writer = SsRunWriter::new(device, cache, prefix.into(), counter, max_bytes);
+        for e in entries {
+            writer.add(e.as_ref(), tl)?;
+        }
+        writer.finish(tl)
     }
 
     fn setup() -> (Arc<SsdDevice>, Arc<BlockCache>) {
@@ -241,28 +301,10 @@ mod tests {
         let l2: Vec<OwnedEntry> = (0..200)
             .map(|i| e(&format!("k{:04}", i), 1 + i, "l2"))
             .collect();
-        let t1 = build_ss_tables(
-            &l1,
-            &device,
-            &cache,
-            "p0-L1",
-            &counter,
-            usize::MAX,
-            SsTableOptions::default(),
-            &mut tl,
-        )
-        .unwrap();
-        let t2 = build_ss_tables(
-            &l2,
-            &device,
-            &cache,
-            "p0-L2",
-            &counter,
-            usize::MAX,
-            SsTableOptions::default(),
-            &mut tl,
-        )
-        .unwrap();
+        let t1 =
+            build_ss_tables(&l1, &device, &cache, "p0-L1", &counter, usize::MAX, &mut tl).unwrap();
+        let t2 =
+            build_ss_tables(&l2, &device, &cache, "p0-L2", &counter, usize::MAX, &mut tl).unwrap();
         let mut levels = SsdLevels::new();
         levels.replace_level(1, t1);
         levels.replace_level(2, t2);
@@ -294,7 +336,6 @@ mod tests {
             "p0-L1",
             &counter,
             32 << 10,
-            SsTableOptions::default(),
             &mut tl,
         )
         .unwrap();
@@ -316,7 +357,6 @@ mod tests {
             "x",
             &counter,
             usize::MAX,
-            SsTableOptions::default(),
             &mut tl,
         )
         .unwrap();
@@ -327,7 +367,6 @@ mod tests {
             "x",
             &counter,
             usize::MAX,
-            SsTableOptions::default(),
             &mut tl,
         )
         .unwrap();
@@ -347,11 +386,7 @@ mod tests {
         let mut tl = Timeline::new();
         let counter = AtomicU64::new(0);
         let mut build = |entries: &[OwnedEntry], max_bytes: usize| {
-            let opts = SsTableOptions::default();
-            build_ss_tables(
-                entries, &device, &cache, "s", &counter, max_bytes, opts, &mut tl,
-            )
-            .unwrap()
+            build_ss_tables(entries, &device, &cache, "s", &counter, max_bytes, &mut tl).unwrap()
         };
         let old: Vec<OwnedEntry> = (0..2000)
             .map(|i| e(&format!("k{i:05}"), i + 1, &"o".repeat(64)))
@@ -399,7 +434,6 @@ mod tests {
             "t",
             &counter,
             usize::MAX,
-            SsTableOptions::default(),
             &mut tl,
         )
         .unwrap();

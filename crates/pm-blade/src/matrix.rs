@@ -21,7 +21,7 @@
 
 use encoding::key::SequenceNumber;
 use pm_device::{PmPool, PmRegion, RegionId};
-use pmtable::{ArrayTable, ArrayTableBuilder, L0Table, Lookup, OwnedEntry};
+use pmtable::{ArrayTable, ArrayTableBuilder, EntryRef, L0Table, Lookup};
 use sim::Timeline;
 
 use crate::cursor::Cursor;
@@ -75,19 +75,18 @@ impl MatrixL0 {
     /// Flush a frozen memtable into a new row. Charges the array-table
     /// encode cost, the PM publish, **and** the matrix construction
     /// overhead (cross-hint metadata).
-    pub fn flush_row(
+    pub fn flush_row<'e>(
         &mut self,
-        entries: &[OwnedEntry],
+        entries: impl Iterator<Item = EntryRef<'e>>,
         opts: &Options,
         pool: &PmPool,
         tl: &mut Timeline,
     ) -> Result<(), crate::engine::DbError> {
-        if entries.is_empty() {
-            return Ok(());
-        }
         let mut builder = ArrayTableBuilder::new();
-        for e in entries {
-            builder.add(e.clone());
+        entries.for_each(|e| builder.add(e));
+        let entries = builder.entry_count();
+        if entries == 0 {
+            return Ok(());
         }
         let before = tl.elapsed();
         let (bytes, _stats) = builder.finish(&opts.cost, tl);
@@ -107,7 +106,7 @@ impl MatrixL0 {
             first,
             last,
             bytes: len,
-            entries: entries.len(),
+            entries,
         });
         Ok(())
     }
@@ -192,26 +191,22 @@ impl MatrixL0 {
             .map(|row| Cursor::Row(row.table.cursor()))
     }
 
-    /// Drain the container for column compaction: the caller merges these
-    /// sources column-by-column into level-1. Rows are consumed.
-    pub fn drain_sources(&self, tl: &mut Timeline) -> Vec<Vec<OwnedEntry>> {
-        self.rows.iter().map(|row| row.table.scan_all(tl)).collect()
+    /// Column-compaction cursors, one per row, each reading its row
+    /// front to back; the caller merges them into level-1. Nothing is
+    /// consumed until [`MatrixL0::take_regions`].
+    pub fn input_cursors(&self) -> impl Iterator<Item = Cursor<'_>> {
+        let rows = self.rows.iter();
+        rows.map(|row| Cursor::Row(row.table.scan_cursor()))
     }
 
-    /// Region ids to free after [`MatrixL0::drain_sources`].
+    /// Each row's smallest and largest user key.
+    pub fn key_ranges(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
+        self.rows.iter().map(|row| (&row.first[..], &row.last[..]))
+    }
+
+    /// Region ids to free after the rows were merged down.
     pub fn take_regions(&mut self) -> Vec<RegionId> {
         self.rows.drain(..).map(|r| r.region).collect()
-    }
-
-    /// Split sorted merged entries into `columns` key-range slices — the
-    /// column compaction granularity (each slice becomes one fine-grained
-    /// compaction unit).
-    pub fn column_slices<'a>(&self, merged: &'a [OwnedEntry]) -> Vec<&'a [OwnedEntry]> {
-        if merged.is_empty() {
-            return Vec::new();
-        }
-        let per = merged.len().div_ceil(self.columns);
-        merged.chunks(per.max(1)).collect()
     }
 }
 
@@ -232,6 +227,7 @@ impl std::fmt::Debug for MatrixL0 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmtable::OwnedEntry;
     use sim::CostModel;
 
     fn entries(base: u64, n: usize) -> Vec<OwnedEntry> {
@@ -248,6 +244,17 @@ mod tests {
         v
     }
 
+    fn flush(
+        m: &mut MatrixL0,
+        rows: &[OwnedEntry],
+        opts: &Options,
+        pool: &PmPool,
+        tl: &mut Timeline,
+    ) {
+        let rows = rows.iter().map(OwnedEntry::as_ref);
+        m.flush_row(rows, opts, pool, tl).unwrap();
+    }
+
     fn setup() -> (std::sync::Arc<PmPool>, Options) {
         (
             PmPool::new(8 << 20, CostModel::default()),
@@ -260,9 +267,8 @@ mod tests {
         let (pool, opts) = setup();
         let mut m = MatrixL0::new(4);
         let mut tl = Timeline::new();
-        m.flush_row(&entries(1, 50), &opts, &pool, &mut tl).unwrap();
-        m.flush_row(&entries(1000, 50), &opts, &pool, &mut tl)
-            .unwrap();
+        flush(&mut m, &entries(1, 50), &opts, &pool, &mut tl);
+        flush(&mut m, &entries(1000, 50), &opts, &pool, &mut tl);
         assert_eq!(m.rows(), 2);
         // Newest row wins.
         let hit = m.get(b"k00006", u64::MAX, &mut tl).unwrap();
@@ -280,13 +286,13 @@ mod tests {
         let mut with = Timeline::new();
         let mut without = Timeline::new();
         let mut m1 = MatrixL0::new(4);
-        m1.flush_row(&rows, &base_opts, &pool, &mut with).unwrap();
+        flush(&mut m1, &rows, &base_opts, &pool, &mut with);
         let mut m2 = MatrixL0::new(4);
         let cheap = Options {
             matrix_flush_overhead: 0.0,
             ..base_opts.clone()
         };
-        m2.flush_row(&rows, &cheap, &pool, &mut without).unwrap();
+        flush(&mut m2, &rows, &cheap, &pool, &mut without);
         assert!(with.elapsed() > without.elapsed());
     }
 
@@ -295,11 +301,15 @@ mod tests {
         let (pool, opts) = setup();
         let mut m = MatrixL0::new(4);
         let mut tl = Timeline::new();
-        m.flush_row(&entries(1, 20), &opts, &pool, &mut tl).unwrap();
+        flush(&mut m, &entries(1, 20), &opts, &pool, &mut tl);
         assert!(m.bytes() > 0);
-        let sources = m.drain_sources(&mut tl);
-        assert_eq!(sources.len(), 1);
-        assert_eq!(sources[0].len(), 20);
+        assert_eq!(m.input_cursors().count(), 1);
+        let rows = crate::cursor::tests::drain(m.input_cursors().collect(), b"", None, false);
+        assert_eq!(rows, entries(1, 20));
+        assert_eq!(
+            m.key_ranges().next(),
+            Some((&b"k00000"[..], &b"k00057"[..]))
+        );
         for region in m.take_regions() {
             pool.free(region);
         }
@@ -308,28 +318,12 @@ mod tests {
     }
 
     #[test]
-    fn column_slices_cover_everything() {
-        let m = MatrixL0::new(4);
-        let merged = entries(1, 103);
-        let slices = m.column_slices(&merged);
-        assert_eq!(slices.len(), 4);
-        let total: usize = slices.iter().map(|s| s.len()).sum();
-        assert_eq!(total, 103);
-        // Slices are contiguous key ranges.
-        for pair in slices.windows(2) {
-            assert!(pair[0].last().unwrap().user_key < pair[1].first().unwrap().user_key);
-        }
-        assert!(m.column_slices(&[]).is_empty());
-    }
-
-    #[test]
     fn cursors_cover_overlapping_rows_newest_version_first() {
         let (pool, opts) = setup();
         let mut m = MatrixL0::new(4);
         let mut tl = Timeline::new();
-        m.flush_row(&entries(1, 30), &opts, &pool, &mut tl).unwrap();
-        m.flush_row(&entries(1000, 10), &opts, &pool, &mut tl)
-            .unwrap();
+        flush(&mut m, &entries(1, 30), &opts, &pool, &mut tl);
+        flush(&mut m, &entries(1000, 10), &opts, &pool, &mut tl);
         // The second row ends at k00027: a scan starting past it opens
         // only the first.
         assert_eq!(m.cursors(b"k00030", None).count(), 1);

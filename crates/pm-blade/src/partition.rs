@@ -10,17 +10,17 @@ use std::sync::Arc;
 use encoding::key::{KeyKind, SequenceNumber};
 use memtable::MemTable;
 use pm_device::PmPool;
-use pmtable::{Lookup, OwnedEntry};
+use pmtable::{EntryRef, Lookup};
 use sim::{CostModel, Counter, SimInstant, Timeline};
 use ssd_device::SsdDevice;
-use sstable::{BlockCache, SsTableOptions};
+use sstable::BlockCache;
 
 use crate::costmodel::PartitionCounters;
-use crate::cursor::{Cursor, SsRun};
+use crate::cursor::{merge_into, Cursor, SsRun};
 use crate::groupcache::PmGroupCache;
-use crate::handle::{build_pm_tables, merge_dedup, CacheIds, SsTableHandle};
+use crate::handle::{CacheIds, PmRunWriter, SsTableHandle};
 use crate::level0::{PmLevel0, ProbeStats};
-use crate::levels::{build_ss_tables, SsdLevels};
+use crate::levels::{SsRunWriter, SsdLevels};
 use crate::matrix::MatrixL0;
 use crate::options::{Mode, Options};
 use crate::stats::ReadSource;
@@ -93,19 +93,36 @@ fn hash_key(key: &[u8]) -> u64 {
     h
 }
 
-/// One merge source from a run of SSTables, in order. A table that
-/// cannot be read fails the load and ticks `input_errors`.
-fn load_run<'a>(
-    tables: impl IntoIterator<Item = &'a SsTableHandle>,
-    input_errors: &Counter,
-    tl: &mut Timeline,
-) -> Result<Vec<OwnedEntry>, crate::engine::DbError> {
-    let mut run = Vec::new();
-    for handle in tables {
-        let loaded = handle.load_entries(&mut run, tl);
-        loaded.inspect_err(|_| input_errors.incr())?;
+/// A major compaction's level-0 input is the `limit` oldest tables;
+/// non-PM level-0s ignore the limit and move whole.
+impl Level0 {
+    /// One compaction cursor per sorted source among those tables.
+    fn input_cursors(&self, limit: usize) -> Vec<Cursor<'_>> {
+        match self {
+            Level0::Pm(l0) => l0.cursors(limit, None, None).collect(),
+            Level0::Matrix(m) => m.input_cursors().collect(),
+            Level0::Ssd(tables) => {
+                let runs = tables.iter().map(std::slice::from_ref);
+                runs.map(|run| Cursor::Ss(SsRun::new(run, None))).collect()
+            }
+        }
     }
-    Ok(run)
+
+    /// The user-key range those tables span, from their fence keys;
+    /// `None` when there is no table.
+    fn input_range(&self, limit: usize) -> Option<(Vec<u8>, Vec<u8>)> {
+        let (firsts, lasts): (Vec<&[u8]>, Vec<&[u8]>) = match self {
+            Level0::Pm(l0) => {
+                let (run, unsorted) = l0.oldest(limit);
+                let tables = run.iter().chain(unsorted);
+                tables.map(|h| (&*h.first, &*h.last)).unzip()
+            }
+            Level0::Matrix(m) => m.key_ranges().unzip(),
+            Level0::Ssd(tables) => tables.iter().map(|h| (&h.first[..], &h.last[..])).unzip(),
+        };
+        let (first, last) = (firsts.into_iter().min()?, lasts.into_iter().max()?);
+        Some((first.to_vec(), last.to_vec()))
+    }
 }
 
 impl Partition {
@@ -229,7 +246,7 @@ impl Partition {
     ) -> Vec<Cursor<'a>> {
         let mut cursors = vec![Cursor::Mem(self.mem.cursor())];
         match &self.level0 {
-            Level0::Pm(l0) => cursors.extend(l0.cursors(end, cache)),
+            Level0::Pm(l0) => cursors.extend(l0.cursors(usize::MAX, end, Some(cache))),
             Level0::Matrix(m) => cursors.extend(m.cursors(start, end)),
             Level0::Ssd(tables) => {
                 let runs = tables.iter().map(std::slice::from_ref);
@@ -257,68 +274,57 @@ impl Partition {
             return Ok(None);
         }
         let frozen = std::mem::replace(&mut self.mem, MemTable::new(self.cost));
-        let entries = frozen.entries_in_order();
-        let mut report = FlushReport {
-            entries: entries.len(),
-            bytes: entries.iter().map(|e| e.raw_len()).sum(),
-            durable_seq: entries.iter().map(|e| e.seq).max().unwrap_or(0),
-            codec: pmtable::CODEC_PREFIX,
-        };
-        let built: Result<(), crate::engine::DbError> = match &mut self.level0 {
-            Level0::Pm(l0) => build_pm_tables(
-                &entries,
-                opts.pm_table,
-                &opts.codec_costs,
-                usize::MAX, // one flush = one unsorted table
-                pool,
-                cache_ids,
-                &opts.cost,
-                tl,
-            )
-            .map(|handles| {
-                // Dominant codec over every group this flush wrote, for
-                // the flush span and `pm_codec_chosen_total`.
-                let mut hist = [0u64; pmtable::CODEC_COUNT];
-                for h in handles {
-                    for (id, &n) in h.table.codec_histogram().iter().enumerate() {
-                        hist[id] += n as u64;
+        // The frozen memtable streams into one new level-0 table (neither
+        // writer is given a size to cut at); the report is tallied as
+        // its entries go by.
+        let flushed = (|| {
+            let mut report = FlushReport {
+                entries: frozen.len(),
+                codec: pmtable::CODEC_PREFIX,
+                ..FlushReport::default()
+            };
+            let entries = frozen.iter().inspect(|e| {
+                report.bytes += e.raw_len();
+                report.durable_seq = report.durable_seq.max(e.seq);
+            });
+            match &mut self.level0 {
+                Level0::Pm(l0) => {
+                    let mut writer = PmRunWriter::new(opts, usize::MAX, pool, cache_ids);
+                    for e in entries {
+                        writer.add(e, tl)?;
                     }
-                    l0.push_unsorted(h);
-                }
-                for id in 1..pmtable::CODEC_COUNT {
-                    if hist[id] > hist[report.codec as usize] {
-                        report.codec = id as u8;
+                    for table in writer.finish(tl)? {
+                        // What Auto chose, for the flush span and
+                        // `pm_codec_chosen_total`.
+                        report.codec = table.codec;
+                        l0.push_unsorted(table);
                     }
                 }
-            })
-            .map_err(Into::into),
-            Level0::Matrix(m) => m.flush_row(&entries, opts, pool, tl),
-            Level0::Ssd(tables) => build_ss_tables(
-                &entries,
-                device,
-                cache,
-                &format!("p{:03}-L0", self.id),
-                table_counter,
-                usize::MAX,
-                SsTableOptions::default(),
-                tl,
-            )
-            .map(|new| tables.extend(new))
-            .map_err(Into::into),
-        };
-        if let Err(e) = built {
+                Level0::Matrix(m) => m.flush_row(entries, opts, pool, tl)?,
+                Level0::Ssd(tables) => {
+                    let prefix = format!("p{:03}-L0", self.id);
+                    let mut writer =
+                        SsRunWriter::new(device, cache, prefix, table_counter, usize::MAX);
+                    for e in entries {
+                        writer.add(e, tl)?;
+                    }
+                    tables.extend(writer.finish(tl)?);
+                }
+            }
+            Ok(report)
+        })();
+        if flushed.is_err() {
             // Put the frozen memtable back before surfacing the error:
             // a background worker has nowhere to report it, and silently
             // dropping the entries would lose committed writes. Writes
             // that raced into the fresh memtable sort newer (higher
             // seq), so re-inserting them over the frozen entries is safe.
             let racing = std::mem::replace(&mut self.mem, frozen);
-            for r in racing.entries_in_order() {
-                self.mem.insert(&r.user_key, r.seq, r.kind, &r.value, tl);
+            for r in racing.iter() {
+                self.mem.insert(r.user_key, r.seq, r.kind, r.value, tl);
             }
-            return Err(e);
         }
-        Ok(Some(report))
+        flushed.map(Some)
     }
 
     /// Internal compaction (§IV-B): merge all PM tables into a fresh
@@ -329,6 +335,7 @@ impl Partition {
         opts: &Options,
         pool: &PmPool,
         cache_ids: &CacheIds,
+        input_errors: &Counter,
         tl: &mut Timeline,
     ) -> Result<Option<InternalCompactionReport>, crate::engine::DbError> {
         let Level0::Pm(l0) = &mut self.level0 else {
@@ -337,21 +344,13 @@ impl Partition {
         if l0.unsorted_count() == 0 {
             return Ok(None);
         }
-        let sources = l0.scan_all_sources(tl);
-        let before: usize = sources.iter().map(|s| s.len()).sum();
+        let mut writer = PmRunWriter::new(opts, opts.max_table_bytes, pool, cache_ids);
         // Keep tombstones: deeper levels may still hold older versions.
-        let merged = merge_dedup(sources, false, &opts.cost, tl);
-        let after = merged.len();
-        let run = build_pm_tables(
-            &merged,
-            opts.pm_table,
-            &opts.codec_costs,
-            opts.max_table_bytes,
-            pool,
-            cache_ids,
-            &opts.cost,
-            tl,
-        )?;
+        let inputs = l0.cursors(usize::MAX, None, None).collect();
+        let sink = |e: EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
+        let before = merge_into(inputs, false, &opts.cost, input_errors, tl, sink)? as usize;
+        let run = writer.finish(tl)?;
+        let after: usize = run.iter().map(|h| h.entries).sum();
         let new_bytes: usize = run.iter().map(|h| h.bytes).sum();
         let old_bytes = l0.bytes();
         let (_freed, retired_regions, retired_cache_ids) = l0.replace_with_sorted_deferred(run);
@@ -373,12 +372,14 @@ impl Partition {
     /// (`usize::MAX` = the whole level-0). Background workers pass the
     /// §V chunk size so the partition's write lock is released between
     /// chunks; the oldest tables move first (see
-    /// [`PmLevel0::read_oldest`]) so reads stay correct mid-compaction.
+    /// [`crate::level0::L0Version::oldest`]) so reads stay correct
+    /// mid-compaction.
     /// Non-PM level-0s ignore the limit and drain fully.
     ///
-    /// Every input is read before anything is detached or replaced: an
-    /// SSTable that cannot be read fails the compaction (ticking
-    /// `input_errors`) with every input table still in place.
+    /// Every input is read to its end before anything is detached or
+    /// replaced: an SSTable that cannot be read fails the compaction
+    /// (ticking `input_errors`) with every input table still in place,
+    /// and the run writer removes the outputs it had already finished.
     #[allow(clippy::too_many_arguments)]
     pub fn major_compaction(
         &mut self,
@@ -390,52 +391,23 @@ impl Partition {
         input_errors: &Counter,
         tl: &mut Timeline,
     ) -> Result<MajorCompactionReport, crate::engine::DbError> {
-        // Collect level-0 input.
-        let mut sources: Vec<Vec<OwnedEntry>> = match &self.level0 {
-            Level0::Pm(l0) => l0.read_oldest(table_limit, tl),
-            Level0::Matrix(m) => m.drain_sources(tl),
-            Level0::Ssd(tables) => {
-                let newest_first = tables.iter().rev();
-                newest_first
-                    .map(|h| load_run([h], input_errors, tl))
-                    .collect::<Result<_, _>>()?
-            }
-        };
+        let range = self.level0.input_range(table_limit);
         let mut deleted: Vec<String> = Vec::new();
-        let moved = sources.iter().any(|s| !s.is_empty());
-        if moved {
-            // Merge with overlapping level-1 tables.
-            let first = sources
-                .iter()
-                .flat_map(|s| s.first())
-                .map(|e| e.user_key.clone())
-                .min()
-                .expect("nonempty");
-            let last = sources
-                .iter()
-                .flat_map(|s| s.last())
-                .map(|e| e.user_key.clone())
-                .max()
-                .expect("nonempty");
+        let moved = range.is_some();
+        if let Some((first, last)) = range {
+            // Merge with the overlapping level-1 tables, as one more run.
             let l1_overlap = self.levels.overlapping(1, &first, &last);
-            let l1_run = load_run(&l1_overlap, input_errors, tl)?;
-            if !l1_run.is_empty() {
-                sources.push(l1_run);
-            }
+            let mut sources = self.level0.input_cursors(table_limit);
+            sources.push(Cursor::Ss(SsRun::new(&l1_overlap, None)));
             // Tombstones can drop only when no deeper level holds the key
             // range; be conservative: drop only when levels below 1 are empty.
             let drop_tombstones = self.levels.depth() <= 1;
-            let merged = merge_dedup(sources, drop_tombstones, &opts.cost, tl);
-            let new_tables = build_ss_tables(
-                &merged,
-                device,
-                cache,
-                &format!("p{:03}-L1", self.id),
-                table_counter,
-                opts.max_table_bytes,
-                SsTableOptions::default(),
-                tl,
-            )?;
+            let prefix = format!("p{:03}-L1", self.id);
+            let mut writer =
+                SsRunWriter::new(device, cache, prefix, table_counter, opts.max_table_bytes);
+            let sink = |e: EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
+            merge_into(sources, drop_tombstones, &opts.cost, input_errors, tl, sink)?;
+            let new_tables = writer.finish(tl)?;
             // Install: keep non-overlapping old L1 tables, insert the new run.
             let old_l1 = self.levels.replace_level(1, Vec::new());
             let mut next_l1: Vec<SsTableHandle> = Vec::new();
@@ -496,25 +468,15 @@ impl Partition {
             }
             // Merge the whole level into the next one. Both stay in
             // place until every table of both has been read.
-            let mut sources = Vec::new();
-            for group in [self.levels.tables(level), self.levels.tables(level + 1)] {
-                let run = load_run(group, input_errors, tl)?;
-                if !run.is_empty() {
-                    sources.push(run);
-                }
-            }
-            let is_bottom = level + 1 >= self.levels.depth();
-            let merged = merge_dedup(sources, is_bottom, &opts.cost, tl);
-            let new_tables = build_ss_tables(
-                &merged,
-                device,
-                cache,
-                &format!("p{:03}-L{}", self.id, level + 1),
-                table_counter,
-                opts.max_table_bytes,
-                SsTableOptions::default(),
-                tl,
-            )?;
+            let runs = [self.levels.tables(level), self.levels.tables(level + 1)];
+            let sources = runs.map(|run| Cursor::Ss(SsRun::new(run, None)));
+            let bottom = level + 1 >= self.levels.depth();
+            let prefix = format!("p{:03}-L{}", self.id, level + 1);
+            let mut writer =
+                SsRunWriter::new(device, cache, prefix, table_counter, opts.max_table_bytes);
+            let sink = |e: EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
+            merge_into(sources.into(), bottom, &opts.cost, input_errors, tl, sink)?;
+            let new_tables = writer.finish(tl)?;
             let this_level = self.levels.replace_level(level, Vec::new());
             let next_level = self.levels.replace_level(level + 1, new_tables);
             deleted.extend(this_level.into_iter().chain(next_level).map(|h| h.name));

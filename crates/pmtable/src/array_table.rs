@@ -11,58 +11,48 @@ use encoding::key::{self, SequenceNumber};
 use sim::Timeline;
 
 use crate::storage::Storage;
-use crate::{BuildStats, EntryRef, L0Table, Lookup, OwnedEntry};
+use crate::{AsEntry, BuildStats, EntryRef, L0Table, Lookup, OwnedEntry};
 
 const MAGIC: u32 = 0x4152_5442; // "ARTB"
 const HEADER_LEN: usize = 8;
 const META_ROW_LEN: usize = 10;
 
 /// Builder for [`ArrayTable`]; feed entries in internal-key order.
+#[derive(Default)]
 pub struct ArrayTableBuilder {
     data: Vec<u8>,
     meta: Vec<u8>,
     raw_bytes: usize,
     count: usize,
-    last: Option<OwnedEntry>,
-}
-
-impl Default for ArrayTableBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Where the last entry's key and trailer sit in `data`.
+    last: std::ops::Range<usize>,
 }
 
 impl ArrayTableBuilder {
     pub fn new() -> Self {
-        ArrayTableBuilder {
-            data: Vec::new(),
-            meta: Vec::new(),
-            raw_bytes: 0,
-            count: 0,
-            last: None,
-        }
+        Self::default()
     }
 
-    pub fn add(&mut self, entry: OwnedEntry) {
-        if let Some(prev) = &self.last {
-            debug_assert!(
-                prev.internal_cmp(&entry) != std::cmp::Ordering::Greater,
-                "entries must arrive in internal-key order"
-            );
-        }
-        let off = self.data.len() as u32;
-        self.meta.extend_from_slice(&off.to_le_bytes());
+    pub fn add(&mut self, entry: impl AsEntry) {
+        let entry = entry.as_entry();
+        debug_assert!(
+            EntryRef::parse(&self.data[self.last.clone()], &[])
+                .is_none_or(|prev| prev.internal_cmp(&entry).is_le()),
+            "entries must arrive in internal-key order"
+        );
+        let off = self.data.len();
+        self.meta.extend_from_slice(&(off as u32).to_le_bytes());
         self.meta
             .extend_from_slice(&(entry.user_key.len() as u16).to_le_bytes());
         self.meta
             .extend_from_slice(&(entry.value.len() as u32).to_le_bytes());
-        self.data.extend_from_slice(&entry.user_key);
+        self.data.extend_from_slice(entry.user_key);
         self.data
             .extend_from_slice(&key::pack_trailer(entry.seq, entry.kind).to_le_bytes());
-        self.data.extend_from_slice(&entry.value);
+        self.last = off..self.data.len();
+        self.data.extend_from_slice(entry.value);
         self.raw_bytes += entry.raw_len();
         self.count += 1;
-        self.last = Some(entry);
     }
 
     pub fn entry_count(&self) -> usize {
@@ -189,6 +179,17 @@ impl<S: Storage> ArrayTable<S> {
         ArrayCursor {
             table: self,
             idx: self.count,
+            whole_table: false,
+        }
+    }
+
+    /// A cursor that reads the whole table front to back, as a
+    /// compaction does: its `seek` lands on the first entry whatever
+    /// the key, for one metadata-row read instead of a binary search.
+    pub fn scan_cursor(&self) -> ArrayCursor<'_, S> {
+        ArrayCursor {
+            whole_table: true,
+            ..self.cursor()
         }
     }
 }
@@ -198,12 +199,21 @@ impl<S: Storage> ArrayTable<S> {
 pub struct ArrayCursor<'a, S: Storage> {
     table: &'a ArrayTable<S>,
     idx: u32,
+    /// See [`ArrayTable::scan_cursor`].
+    whole_table: bool,
 }
 
 impl<'a, S: Storage> ArrayCursor<'a, S> {
     /// Position at the first entry with user key >= `start`.
     pub fn seek(&mut self, start: &[u8], tl: &mut Timeline) -> Result<(), &'static str> {
-        self.idx = self.table.lower_bound(start, tl);
+        self.idx = if !self.whole_table {
+            self.table.lower_bound(start, tl)
+        } else {
+            if self.table.count > 0 {
+                self.table.storage.meter_random(META_ROW_LEN, tl);
+            }
+            0
+        };
         self.land(tl)
     }
 
@@ -280,11 +290,17 @@ impl<S: Storage> L0Table for ArrayTable<S> {
         self.storage.bytes().len()
     }
 
+    /// A [`ArrayTable::scan_cursor`] pass collected into a `Vec`. An
+    /// entry that does not parse ends the result early.
     fn scan_all(&self, tl: &mut Timeline) -> Vec<OwnedEntry> {
-        if self.count > 0 {
-            self.storage.meter_random(META_ROW_LEN, tl);
+        let mut out = Vec::with_capacity(self.count as usize);
+        let mut cursor = self.scan_cursor();
+        let mut step = cursor.seek(b"", tl);
+        while let (Ok(()), Some(e)) = (step, cursor.current()) {
+            out.push(e.to_owned());
+            step = cursor.advance(tl);
         }
-        (0..self.count).map(|i| self.read_entry(i, tl)).collect()
+        out
     }
 
     fn first_user_key(&self) -> Option<&[u8]> {
@@ -334,6 +350,26 @@ mod tests {
             assert_eq!(hit.value, e.value);
         }
         assert_eq!(t.scan_all(&mut tl), entries);
+    }
+
+    #[test]
+    fn a_full_scan_charges_one_metadata_read_then_every_entry_in_sequence() {
+        // What a MatrixKV column compaction has always paid per row: no
+        // binary search, whatever key the scan cursor is sent to.
+        let entries = index_entries(400, 32, 21);
+        let t = build(&entries);
+        let dram = CostModel::default().dram;
+        let rows = entries.iter().map(|e| dram.sequential_read(e.raw_len()));
+        let expect = rows.fold(dram.random_read(META_ROW_LEN), |sum, row| sum + row);
+        let mut tl = Timeline::new();
+        assert_eq!(t.scan_all(&mut tl), entries);
+        assert_eq!(tl.elapsed(), expect);
+        let (mut tl, mut cursor) = (Timeline::new(), t.scan_cursor());
+        cursor.seek(b"zzz", &mut tl).unwrap();
+        while cursor.current().is_some() {
+            cursor.advance(&mut tl).unwrap();
+        }
+        assert_eq!(tl.elapsed(), expect);
     }
 
     #[test]

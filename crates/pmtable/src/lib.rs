@@ -69,14 +69,12 @@ impl OwnedEntry {
 
     /// Internal-key ordering: user key ascending, sequence descending.
     pub fn internal_cmp(&self, other: &OwnedEntry) -> std::cmp::Ordering {
-        self.user_key
-            .cmp(&other.user_key)
-            .then(other.seq.cmp(&self.seq))
+        self.as_ref().internal_cmp(&other.as_ref())
     }
 
     /// Approximate in-memory footprint of this entry.
     pub fn raw_len(&self) -> usize {
-        self.user_key.len() + 8 + self.value.len()
+        self.as_ref().raw_len()
     }
 
     pub fn as_ref(&self) -> EntryRef<'_> {
@@ -100,6 +98,19 @@ pub struct EntryRef<'a> {
 }
 
 impl<'a> EntryRef<'a> {
+    /// Bytes of key, trailer and value: what [`OwnedEntry::raw_len`]
+    /// reports for the same entry.
+    pub fn raw_len(&self) -> usize {
+        self.user_key.len() + 8 + self.value.len()
+    }
+
+    /// Internal-key ordering: user key ascending, sequence descending.
+    pub fn internal_cmp(&self, other: &EntryRef<'_>) -> std::cmp::Ordering {
+        self.user_key
+            .cmp(other.user_key)
+            .then(other.seq.cmp(&self.seq))
+    }
+
     /// View an encoded internal key and its value. `None` when the key
     /// is shorter than its trailer or the trailer's kind byte is unknown.
     pub fn parse(ikey: &'a [u8], value: &'a [u8]) -> Option<Self> {
@@ -121,6 +132,30 @@ impl<'a> EntryRef<'a> {
             kind: self.kind,
             value: self.value.to_vec(),
         }
+    }
+}
+
+/// An entry a table builder can copy from, owned or borrowed: builders
+/// take the bytes out of the view and never keep the entry.
+pub trait AsEntry {
+    fn as_entry(&self) -> EntryRef<'_>;
+}
+
+impl AsEntry for OwnedEntry {
+    fn as_entry(&self) -> EntryRef<'_> {
+        self.as_ref()
+    }
+}
+
+impl AsEntry for EntryRef<'_> {
+    fn as_entry(&self) -> EntryRef<'_> {
+        *self
+    }
+}
+
+impl<T: AsEntry> AsEntry for &T {
+    fn as_entry(&self) -> EntryRef<'_> {
+        (*self).as_entry()
     }
 }
 

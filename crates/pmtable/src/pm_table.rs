@@ -72,13 +72,13 @@ use std::sync::Arc;
 
 use encoding::bloom::BloomFilter;
 use encoding::key::{self, SequenceNumber};
-use encoding::prefix::FixedPrefix;
+use encoding::prefix::{common_prefix_len, FixedPrefix};
 use encoding::varint;
 use encoding::{bitpack, delta};
 use sim::Timeline;
 
 use crate::storage::Storage;
-use crate::{BuildStats, L0Table, Lookup, OwnedEntry};
+use crate::{AsEntry, BuildStats, EntryRef, L0Table, Lookup, OwnedEntry};
 
 const MAGIC: u32 = 0x504D_5442; // "PMTB"
 const HEADER_LEN: usize = 4 + 4 + 4 + 4 + 16;
@@ -193,11 +193,28 @@ impl Default for PmTableOptions {
     }
 }
 
+/// Where one buffered entry sits in the builder's arena.
+struct Slot {
+    /// Offset of the key; the value follows it and runs to the next
+    /// slot's key (or the end of the arena).
+    at: usize,
+    key_len: usize,
+    seq: SequenceNumber,
+    kind: key::KeyKind,
+}
+
 /// Streaming builder; feed entries in internal-key order, then `finish`.
+///
+/// The entries of the one table being built are buffered in a flat
+/// arena — one byte buffer of keys and values back to back, plus a
+/// [`Slot`] per entry — so `add` copies an entry's bytes once and
+/// allocates nothing per entry; `finish` encodes out of the arena.
 pub struct PmTableBuilder {
     opts: PmTableOptions,
-    entries: Vec<OwnedEntry>,
+    arena: Vec<u8>,
+    slots: Vec<Slot>,
     raw_bytes: usize,
+    shape: delta::CodecStats,
 }
 
 impl PmTableBuilder {
@@ -205,36 +222,79 @@ impl PmTableBuilder {
         assert!(opts.group_size >= 2, "group size must be at least 2");
         PmTableBuilder {
             opts,
-            entries: Vec::new(),
+            arena: Vec::new(),
+            slots: Vec::new(),
             raw_bytes: 0,
+            shape: delta::CodecStats::default(),
         }
     }
 
     /// Append the next entry; must not sort before the previous one.
-    pub fn add(&mut self, entry: OwnedEntry) {
-        if let Some(prev) = self.entries.last() {
-            debug_assert!(
-                prev.internal_cmp(&entry) != std::cmp::Ordering::Greater,
-                "entries must arrive in internal-key order"
-            );
+    pub fn add(&mut self, entry: impl AsEntry) {
+        let e = entry.as_entry();
+        debug_assert!(
+            self.slots.is_empty() || self.entry(self.slots.len() - 1).internal_cmp(&e).is_le(),
+            "entries must arrive in internal-key order"
+        );
+        self.slots.push(Slot {
+            at: self.arena.len(),
+            key_len: e.user_key.len(),
+            seq: e.seq,
+            kind: e.kind,
+        });
+        self.arena.extend_from_slice(e.user_key);
+        self.arena.extend_from_slice(e.value);
+        self.raw_bytes += e.raw_len();
+        self.shape.add(e.user_key.len(), e.value.len());
+    }
+
+    /// The `i`th buffered entry, viewed in the arena.
+    fn entry(&self, i: usize) -> EntryRef<'_> {
+        let slot = &self.slots[i];
+        let end = self
+            .slots
+            .get(i + 1)
+            .map_or(self.arena.len(), |next| next.at);
+        let (user_key, value) = self.arena[slot.at..end].split_at(slot.key_len);
+        EntryRef {
+            user_key,
+            seq: slot.seq,
+            kind: slot.kind,
+            value,
         }
-        self.raw_bytes += entry.raw_len();
-        self.entries.push(entry);
     }
 
     pub fn entry_count(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     pub fn raw_bytes(&self) -> usize {
         self.raw_bytes
     }
 
+    /// Shape of the entries buffered so far, folded as they arrived:
+    /// what a caller resolving [`CodecMode::Auto`] for this one table
+    /// decides on. Entries are sorted, so their common prefix is that
+    /// of the first and the last key.
+    pub fn shape(&self) -> delta::CodecStats {
+        let lcp = |last| common_prefix_len(self.entry(0).user_key, self.entry(last).user_key);
+        delta::CodecStats {
+            batch_lcp: self.slots.len().checked_sub(1).map_or(0, lcp),
+            ..self.shape
+        }
+    }
+
+    /// Replace the codec policy the table will be encoded under.
+    pub fn set_codec(&mut self, codec: CodecMode) {
+        self.opts.codec = codec;
+    }
+
     /// Encode the table, charging CPU encode cost to `tl`.
     /// Returns the payload (to be published to PM) and build stats.
     pub fn finish(self, cost: &sim::CostModel, tl: &mut Timeline) -> (Vec<u8>, BuildStats) {
         let opts = self.opts;
-        let entries = self.entries;
+        let count = self.slots.len();
+        let rest_of = |i: usize| opts.extractor.split(self.entry(i).user_key);
         // Group assignment: split on group_size or meta change.
         struct Group {
             start: usize,
@@ -245,8 +305,8 @@ impl PmTableBuilder {
         let mut groups: Vec<Group> = Vec::new();
         {
             let mut i = 0usize;
-            while i < entries.len() {
-                let (meta, _) = opts.extractor.split(&entries[i].user_key);
+            while i < count {
+                let (meta, _) = rest_of(i);
                 let meta_id = match metas.last() {
                     Some(last) if last.as_slice() == meta => (metas.len() - 1) as u16,
                     _ => {
@@ -255,9 +315,8 @@ impl PmTableBuilder {
                     }
                 };
                 let mut len = 1usize;
-                while len < opts.group_size && i + len < entries.len() {
-                    let (m, _) = opts.extractor.split(&entries[i + len].user_key);
-                    if m != metas[meta_id as usize].as_slice() {
+                while len < opts.group_size && i + len < count {
+                    if rest_of(i + len).0 != metas[meta_id as usize].as_slice() {
                         break;
                     }
                     len += 1;
@@ -274,28 +333,39 @@ impl PmTableBuilder {
         // Entry layer: one block per group, encoded by the per-group
         // codec the build policy picks (ineligible groups fall back to
         // codec 0, so forced modes still always produce a valid table).
+        // The group's views and the encoders' scratch are reused from
+        // group to group.
         let mut entry_layer = Vec::with_capacity(self.raw_bytes);
         let mut gindex = Vec::with_capacity(groups.len() * GINDEX_ENTRY_LEN);
         let mut prefixes = Vec::with_capacity(groups.len() * PREFIX_WIDTH);
         let mut codec_ids = Vec::with_capacity(groups.len());
+        let mut slice: Vec<EntryRef<'_>> = Vec::with_capacity(opts.group_size);
+        let mut rests: Vec<&[u8]> = Vec::with_capacity(opts.group_size);
+        let mut scratch = Scratch::default();
         for g in &groups {
-            let slice = &entries[g.start..g.start + g.len];
+            slice.clear();
+            slice.extend((g.start..g.start + g.len).map(|i| self.entry(i)));
+            rests.clear();
+            rests.extend(slice.iter().map(|e| opts.extractor.split(e.user_key).1));
             let meta = &metas[g.meta_id as usize];
-            let rests: Vec<&[u8]> = slice
-                .iter()
-                .map(|e| opts.extractor.split(&e.user_key).1)
-                .collect();
             // The group's shared prefix (after meta strip) is the LCP of
             // its first and last key, since the group is sorted.
-            let lcp = encoding::prefix::common_prefix_len(rests[0], rests[rests.len() - 1]);
+            let lcp = common_prefix_len(rests[0], rests[rests.len() - 1]);
             debug_assert!(
                 meta.is_empty()
                     || slice
                         .iter()
-                        .all(|e| { opts.extractor.split(&e.user_key).0 == meta.as_slice() })
+                        .all(|e| opts.extractor.split(e.user_key).0 == meta.as_slice())
             );
             let block_off = entry_layer.len() as u32;
-            let codec = encode_group(opts.codec, slice, &rests, lcp, &mut entry_layer);
+            let codec = encode_group(
+                opts.codec,
+                &slice,
+                &rests,
+                lcp,
+                &mut scratch,
+                &mut entry_layer,
+            );
             codec_ids.push(codec);
             let block_len = entry_layer.len() as u32 - block_off;
             gindex.extend_from_slice(&block_off.to_le_bytes());
@@ -328,28 +398,17 @@ impl PmTableBuilder {
 
         // Optional bloom filter over distinct user keys (entries are
         // sorted, so distinct keys are adjacent).
-        let filter = (opts.filter_bits_per_key > 0 && !entries.is_empty()).then(|| {
-            let mut distinct = 0usize;
+        let filter = (opts.filter_bits_per_key > 0 && count > 0).then(|| {
+            let mut hashes = Vec::new();
             let mut prev: Option<&[u8]> = None;
-            for e in &entries {
-                if prev != Some(e.user_key.as_slice()) {
-                    distinct += 1;
-                    prev = Some(e.user_key.as_slice());
+            for key in (0..count).map(|i| self.entry(i).user_key) {
+                if prev != Some(key) {
+                    hashes.push(BloomFilter::hashes(key));
+                    prev = Some(key);
                 }
             }
-            let mut seen: Option<&[u8]> = None;
-            BloomFilter::build(
-                entries.iter().filter_map(|e| {
-                    if seen == Some(e.user_key.as_slice()) {
-                        None
-                    } else {
-                        seen = Some(e.user_key.as_slice());
-                        Some(e.user_key.as_slice())
-                    }
-                }),
-                distinct,
-                opts.filter_bits_per_key,
-            )
+            let distinct = hashes.len();
+            BloomFilter::build_hashed(hashes, distinct, opts.filter_bits_per_key)
         });
 
         // Assemble: header | meta | prefix | gindex [| codecs] | entries
@@ -373,7 +432,7 @@ impl PmTableBuilder {
         }
         let mut out = Vec::with_capacity(entry_off as usize + entry_layer.len());
         out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(count as u32).to_le_bytes());
         out.extend_from_slice(&(groups.len() as u32).to_le_bytes());
         out.push(ext[0]);
         out.push(ext[1]);
@@ -399,14 +458,26 @@ impl PmTableBuilder {
 
         // Prefix stripping is plain encoding work — no LZ pass.
         tl.charge(cost.cpu.encode(self.raw_bytes));
-        tl.charge(cost.cpu.merge_per_entry * entries.len() as u64);
+        tl.charge(cost.cpu.merge_per_entry * count as u64);
         let stats = BuildStats {
             raw_bytes: self.raw_bytes,
             encoded_bytes: out.len(),
-            entries: entries.len(),
+            entries: count,
         };
         (out, stats)
     }
+}
+
+/// Buffers the per-group encoders reuse from group to group.
+#[derive(Default)]
+struct Scratch {
+    /// Key remainders, then their deltas (codec 1); value offsets
+    /// (codec 2).
+    column: Vec<u64>,
+    /// Trailer offsets.
+    trailers: Vec<u64>,
+    /// A candidate block [`CodecMode::Auto`] sizes up before choosing.
+    block: Vec<u8>,
 }
 
 /// Encode one group under the build policy, returning the codec id used.
@@ -414,51 +485,55 @@ impl PmTableBuilder {
 /// takes the byte-cheapest candidate (ties prefer the lower codec id).
 fn encode_group(
     mode: CodecMode,
-    slice: &[OwnedEntry],
+    slice: &[EntryRef<'_>],
     rests: &[&[u8]],
     lcp: usize,
+    scratch: &mut Scratch,
     out: &mut Vec<u8>,
 ) -> u8 {
-    let candidate = |codec: u8| -> Option<Vec<u8>> {
-        match codec {
-            CODEC_DELTA => encode_delta_block(slice, rests, lcp),
-            CODEC_FIXED => encode_fixed_block(slice, rests, lcp),
-            _ => None,
-        }
+    let Scratch {
+        column,
+        trailers,
+        block,
+    } = scratch;
+    // Appends the group under `codec`, or nothing when it is ineligible.
+    let mut candidate = |codec: u8, out: &mut Vec<u8>| match codec {
+        CODEC_DELTA => encode_delta_block(slice, rests, lcp, column, trailers, out),
+        _ => encode_fixed_block(slice, rests, lcp, column, trailers, out),
     };
-    let chosen: Option<(u8, Vec<u8>)> = match mode {
-        CodecMode::Prefix => None,
-        CodecMode::Delta => candidate(CODEC_DELTA).map(|b| (CODEC_DELTA, b)),
-        CodecMode::Fixed => candidate(CODEC_FIXED).map(|b| (CODEC_FIXED, b)),
+    match mode {
+        CodecMode::Prefix => {}
+        CodecMode::Delta | CodecMode::Fixed => {
+            let codec = if mode == CodecMode::Delta {
+                CODEC_DELTA
+            } else {
+                CODEC_FIXED
+            };
+            if candidate(codec, out) {
+                return codec;
+            }
+        }
         CodecMode::Auto => {
-            let mut scratch = Vec::new();
-            encode_prefix_block(slice, rests, lcp, &mut scratch);
-            let mut best: Option<(u8, Vec<u8>)> = None;
+            let start = out.len();
+            encode_prefix_block(slice, rests, lcp, out);
+            let mut best = CODEC_PREFIX;
             for codec in [CODEC_DELTA, CODEC_FIXED] {
-                if let Some(block) = candidate(codec) {
-                    let beats_best = best.as_ref().is_none_or(|(_, b)| block.len() < b.len());
-                    if block.len() < scratch.len() && beats_best {
-                        best = Some((codec, block));
-                    }
+                block.clear();
+                if candidate(codec, block) && block.len() < out.len() - start {
+                    out.truncate(start);
+                    out.extend_from_slice(block);
+                    best = codec;
                 }
             }
-            best
-        }
-    };
-    match chosen {
-        Some((codec, block)) => {
-            out.extend_from_slice(&block);
-            codec
-        }
-        None => {
-            encode_prefix_block(slice, rests, lcp, out);
-            CODEC_PREFIX
+            return best;
         }
     }
+    encode_prefix_block(slice, rests, lcp, out);
+    CODEC_PREFIX
 }
 
 /// Codec 0: the original prefix-group block.
-fn encode_prefix_block(slice: &[OwnedEntry], rests: &[&[u8]], lcp: usize, out: &mut Vec<u8>) {
+fn encode_prefix_block(slice: &[EntryRef<'_>], rests: &[&[u8]], lcp: usize, out: &mut Vec<u8>) {
     varint::put_u32(out, lcp as u32);
     out.extend_from_slice(&rests[0][..lcp]);
     for (e, rest) in slice.iter().zip(rests) {
@@ -467,27 +542,30 @@ fn encode_prefix_block(slice: &[OwnedEntry], rests: &[&[u8]], lcp: usize, out: &
         varint::put_u32(out, e.value.len() as u32);
         out.extend_from_slice(&key::pack_trailer(e.seq, e.kind).to_le_bytes());
         out.extend_from_slice(krem);
-        out.extend_from_slice(&e.value);
+        out.extend_from_slice(e.value);
     }
 }
 
-/// Frame-of-reference transform of the group's trailers: `(min, offsets,
-/// bit width)`. A flush batch assigns sequences from a narrow window, so
-/// the 8-byte trailers pack into a few bits each.
-fn trailer_frame(slice: &[OwnedEntry]) -> (u64, Vec<u64>, u32) {
-    let trailers: Vec<u64> = slice
-        .iter()
-        .map(|e| key::pack_trailer(e.seq, e.kind))
-        .collect();
-    let min = trailers.iter().copied().min().unwrap_or(0);
-    let offsets: Vec<u64> = trailers.iter().map(|&t| t - min).collect();
-    let bits = offsets
-        .iter()
-        .copied()
-        .map(bitpack::width_for)
-        .max()
-        .unwrap_or(0);
-    (min, offsets, bits)
+/// Frame-of-reference transform of the group's trailers: fills
+/// `offsets` and returns `(min, bit width)`. A flush batch assigns
+/// sequences from a narrow window, so the 8-byte trailers pack into a
+/// few bits each.
+fn trailer_frame(slice: &[EntryRef<'_>], offsets: &mut Vec<u64>) -> (u64, u32) {
+    offsets.clear();
+    offsets.extend(slice.iter().map(|e| key::pack_trailer(e.seq, e.kind)));
+    frame_of_reference(offsets)
+}
+
+/// Rebase `values` on their minimum; returns `(min, bit width of the
+/// largest offset)`.
+fn frame_of_reference(values: &mut [u64]) -> (u64, u32) {
+    let min = values.iter().copied().min().unwrap_or(0);
+    let mut bits = 0;
+    for v in values {
+        *v -= min;
+        bits = bits.max(bitpack::width_for(*v));
+    }
+    (min, bits)
 }
 
 /// Order of the concatenation `head ‖ tail` relative to `other`, without
@@ -511,80 +589,84 @@ fn put_be_width(out: &mut Vec<u8>, v: u64, w: usize) {
 
 /// Codec 1: delta + zigzag + bit-packed key remainders. Eligible when the
 /// group has ≥ 2 entries whose meta-stripped keys all share one length
-/// and the post-LCP remainder is 1–8 bytes.
-fn encode_delta_block(slice: &[OwnedEntry], rests: &[&[u8]], lcp: usize) -> Option<Vec<u8>> {
+/// and the post-LCP remainder is 1–8 bytes; appends nothing and returns
+/// `false` otherwise.
+fn encode_delta_block(
+    slice: &[EntryRef<'_>],
+    rests: &[&[u8]],
+    lcp: usize,
+    rems: &mut Vec<u64>,
+    toffs: &mut Vec<u64>,
+    out: &mut Vec<u8>,
+) -> bool {
     if slice.len() < 2 || rests.iter().any(|r| r.len() != rests[0].len()) {
-        return None;
+        return false;
     }
     let w = rests[0].len() - lcp;
     if !(1..=8).contains(&w) {
-        return None;
+        return false;
     }
-    let rems: Vec<u64> = rests
-        .iter()
-        .map(|r| delta::be_suffix_u64(&r[lcp..]))
-        .collect();
-    let dels = delta::deltas(&rems);
-    let key_bits = dels
+    rems.clear();
+    rems.extend(rests.iter().map(|r| delta::be_suffix_u64(&r[lcp..])));
+    let first_rem = rems[0];
+    delta::deltas_in_place(rems);
+    let key_bits = rems
         .iter()
         .copied()
         .map(bitpack::width_for)
         .max()
         .unwrap_or(0);
-    let (min_trailer, toffs, trailer_bits) = trailer_frame(slice);
-    let mut out = Vec::new();
-    varint::put_u32(&mut out, lcp as u32);
+    let (min_trailer, trailer_bits) = trailer_frame(slice, toffs);
+    varint::put_u32(out, lcp as u32);
     out.extend_from_slice(&rests[0][..lcp]);
     out.push(w as u8);
     out.push(key_bits as u8);
     out.push(trailer_bits as u8);
-    varint::put_u64(&mut out, rems[0]);
-    varint::put_u64(&mut out, min_trailer);
-    bitpack::pack(&dels, key_bits, &mut out);
-    bitpack::pack(&toffs, trailer_bits, &mut out);
+    varint::put_u64(out, first_rem);
+    varint::put_u64(out, min_trailer);
+    bitpack::pack(rems, key_bits, out);
+    bitpack::pack(toffs, trailer_bits, out);
     for e in slice {
-        varint::put_u32(&mut out, e.value.len() as u32);
-        out.extend_from_slice(&e.value);
+        varint::put_u32(out, e.value.len() as u32);
+        out.extend_from_slice(e.value);
     }
-    Some(out)
+    true
 }
 
 /// Codec 2: frame-of-reference columnar packing of fixed-width integer
 /// values (1–8 bytes each); keys stay prefix-stripped as in codec 0.
-fn encode_fixed_block(slice: &[OwnedEntry], rests: &[&[u8]], lcp: usize) -> Option<Vec<u8>> {
+/// Appends nothing and returns `false` when the group is ineligible.
+fn encode_fixed_block(
+    slice: &[EntryRef<'_>],
+    rests: &[&[u8]],
+    lcp: usize,
+    voffs: &mut Vec<u64>,
+    toffs: &mut Vec<u64>,
+    out: &mut Vec<u8>,
+) -> bool {
     let vw = slice[0].value.len();
     if !(1..=8).contains(&vw) || slice.iter().any(|e| e.value.len() != vw) {
-        return None;
+        return false;
     }
-    let vals: Vec<u64> = slice
-        .iter()
-        .map(|e| delta::be_suffix_u64(&e.value))
-        .collect();
-    let min_value = vals.iter().copied().min().unwrap_or(0);
-    let voffs: Vec<u64> = vals.iter().map(|&v| v - min_value).collect();
-    let value_bits = voffs
-        .iter()
-        .copied()
-        .map(bitpack::width_for)
-        .max()
-        .unwrap_or(0);
-    let (min_trailer, toffs, trailer_bits) = trailer_frame(slice);
-    let mut out = Vec::new();
-    varint::put_u32(&mut out, lcp as u32);
+    voffs.clear();
+    voffs.extend(slice.iter().map(|e| delta::be_suffix_u64(e.value)));
+    let (min_value, value_bits) = frame_of_reference(voffs);
+    let (min_trailer, trailer_bits) = trailer_frame(slice, toffs);
+    varint::put_u32(out, lcp as u32);
     out.extend_from_slice(&rests[0][..lcp]);
     out.push(vw as u8);
     out.push(value_bits as u8);
     out.push(trailer_bits as u8);
-    varint::put_u64(&mut out, min_value);
-    varint::put_u64(&mut out, min_trailer);
-    bitpack::pack(&voffs, value_bits, &mut out);
-    bitpack::pack(&toffs, trailer_bits, &mut out);
+    varint::put_u64(out, min_value);
+    varint::put_u64(out, min_trailer);
+    bitpack::pack(voffs, value_bits, out);
+    bitpack::pack(toffs, trailer_bits, out);
     for rest in rests {
         let krem = &rest[lcp..];
-        varint::put_u32(&mut out, krem.len() as u32);
+        varint::put_u32(out, krem.len() as u32);
         out.extend_from_slice(krem);
     }
-    Some(out)
+    true
 }
 
 /// Decode a codec-0 block.
@@ -1159,8 +1241,21 @@ impl<S: Storage> PmTable<S> {
     /// Groups are fetched through `access`, one at a time, on demand.
     pub fn cursor<A: GroupAccess>(&self, access: A) -> PmCursor<'_, S, A> {
         PmCursor {
+            access: Some(access),
+            ..self.sequential_cursor()
+        }
+    }
+
+    /// A cursor that reads the table the way a compaction does, front
+    /// to back past every cache: the group a `seek` lands on is one
+    /// random PM read, each group after it a sequential read of the
+    /// adjacent block, nothing is charged for decoding, and the
+    /// decoded-group cache is neither consulted nor filled.
+    pub fn sequential_cursor<A: GroupAccess>(&self) -> PmCursor<'_, S, A> {
+        PmCursor {
             table: self,
-            access,
+            access: None,
+            adjacent: false,
             next_group: self.group_count,
             entries: None,
             pos: 0,
@@ -1183,7 +1278,11 @@ pub enum GroupLoad {
 /// one decoded group at a time.
 pub struct PmCursor<'a, S: Storage, A: GroupAccess> {
     table: &'a PmTable<S>,
-    access: A,
+    /// `None` reads sequentially: see [`PmTable::sequential_cursor`].
+    access: Option<A>,
+    /// Reading sequentially, the next group's block follows the one
+    /// just read.
+    adjacent: bool,
     /// The group `load_next` fetches.
     next_group: u32,
     /// The current group; `Some` only while `pos` indexes into it.
@@ -1195,6 +1294,7 @@ impl<S: Storage, A: GroupAccess> PmCursor<'_, S, A> {
     /// Position at the first entry with user key >= `start`.
     pub fn seek(&mut self, start: &[u8], tl: &mut Timeline) -> Result<GroupLoad, PmTableError> {
         self.next_group = self.table.seek_group(start, tl);
+        self.adjacent = false;
         let mut load = GroupLoad::None;
         // The located group can end before `start`; the next one then
         // begins after it.
@@ -1233,10 +1333,21 @@ impl<S: Storage, A: GroupAccess> PmCursor<'_, S, A> {
         self.pos = 0;
         self.entries = None;
         while self.next_group < self.table.group_count {
-            let (entries, load) = self
-                .table
-                .load_group(self.next_group, &self.access, tl)
-                .ok_or(PmTableError::Corrupt("group block"))?;
+            let table = self.table;
+            let loaded = match &self.access {
+                Some(access) => table.load_group(self.next_group, access, tl),
+                None => {
+                    let (_, block_len, _, _) = table.gindex(self.next_group);
+                    if std::mem::replace(&mut self.adjacent, true) {
+                        table.storage.meter_sequential(block_len as usize, tl);
+                    } else {
+                        table.storage.meter_random(block_len as usize, tl);
+                    }
+                    let decoded = table.decode_group(self.next_group);
+                    decoded.map(|entries| (Arc::new(entries), GroupLoad::Decoded))
+                }
+            };
+            let (entries, load) = loaded.ok_or(PmTableError::Corrupt("group block"))?;
             self.next_group += 1;
             if !entries.is_empty() {
                 self.entries = Some(entries);
@@ -1282,19 +1393,15 @@ impl<S: Storage> L0Table for PmTable<S> {
         self.storage.bytes().len()
     }
 
+    /// A sequential-cursor pass collected into a `Vec`, a group at a
+    /// time. A group that fails to decode ends the result early.
     fn scan_all(&self, tl: &mut Timeline) -> Vec<OwnedEntry> {
         let mut out = Vec::with_capacity(self.entry_count as usize);
-        for g in 0..self.group_count {
-            // Sequential pass: group blocks are adjacent.
-            let (_, block_len, _, _) = self.gindex(g);
-            if g == 0 {
-                self.storage.meter_random(block_len as usize, tl);
-            } else {
-                self.storage.meter_sequential(block_len as usize, tl);
-            }
-            if let Some(entries) = self.decode_group(g) {
-                out.extend(entries);
-            }
+        let mut cursor = self.sequential_cursor::<NoGroupCache>();
+        let mut step = cursor.seek(b"", tl);
+        while let (Ok(_), Some(group)) = (&step, cursor.entries.take()) {
+            out.extend(Arc::try_unwrap(group).unwrap_or_else(|shared| (*shared).clone()));
+            step = cursor.load_next(tl);
         }
         out
     }
@@ -1630,27 +1737,40 @@ mod tests {
     }
 
     #[test]
-    fn a_full_scan_counts_each_group_block_once_on_the_device() {
+    fn a_full_scan_reads_each_group_block_once_the_first_at_random_the_rest_in_sequence() {
+        // Bit-packed groups, which a point read charges an unpack for:
+        // a full scan does not.
         let entries = index_entries(2000, 64, 9);
         let cost = CostModel::default();
-        let mut b = PmTableBuilder::new(delim_opts());
+        let mut b = PmTableBuilder::new(PmTableOptions {
+            codec: CodecMode::Delta,
+            ..delim_opts()
+        });
         for e in &entries {
-            b.add(e.clone());
+            b.add(e);
         }
         let (bytes, _) = b.finish(&cost, &mut Timeline::new());
         let pool = pm_device::PmPool::new(1 << 24, cost);
         let region = pool.publish(bytes, &mut Timeline::new()).unwrap();
         let t = PmTable::open(region).unwrap();
-        let blocks: u64 = (0..t.group_count()).map(|g| t.gindex(g).1 as u64).sum();
+        assert!(t.codec_histogram()[CODEC_DELTA as usize] > 0);
+        let blocks: Vec<usize> = (0..t.group_count())
+            .map(|g| t.gindex(g).1 as usize)
+            .collect();
         let stats = pool.stats();
         let before = (stats.bytes_read.get(), stats.random_reads.get());
-        assert_eq!(t.scan_all(&mut Timeline::new()), entries);
-        assert_eq!(stats.bytes_read.get() - before.0, blocks);
+        let mut tl = Timeline::new();
+        assert_eq!(t.scan_all(&mut tl), entries);
+        let rest = blocks[1..].iter().map(|&len| cost.pm.sequential_read(len));
         assert_eq!(
-            stats.random_reads.get() - before.1,
-            1,
-            "the first group is a random read, the rest follow it"
+            tl.elapsed(),
+            rest.fold(cost.pm.random_read(blocks[0]), |sum, block| sum + block)
         );
+        assert_eq!(
+            stats.bytes_read.get() - before.0,
+            blocks.iter().sum::<usize>() as u64
+        );
+        assert_eq!(stats.random_reads.get() - before.1, 1);
     }
 
     #[test]

@@ -90,6 +90,13 @@ impl BlockBuilder {
 
     /// Seal the block, appending the restart trailer and checksum.
     pub fn finish(mut self) -> Vec<u8> {
+        self.finish_with(<[u8]>::to_vec)
+    }
+
+    /// Seal the block, hand its bytes to `sink`, and empty the builder
+    /// for the next block: a table builder reuses one `BlockBuilder`,
+    /// buffers and all, for every block it writes.
+    pub fn finish_with<R>(&mut self, sink: impl FnOnce(&[u8]) -> R) -> R {
         for r in &self.restarts {
             self.buf.extend_from_slice(&r.to_le_bytes());
         }
@@ -97,7 +104,12 @@ impl BlockBuilder {
             .extend_from_slice(&(self.restarts.len() as u32).to_le_bytes());
         let crc = encoding::crc::mask(encoding::crc::crc32c(&self.buf));
         self.buf.extend_from_slice(&crc.to_le_bytes());
-        self.buf
+        let out = sink(&self.buf);
+        self.buf.clear();
+        self.restarts.truncate(1);
+        self.last_key.clear();
+        (self.count_since_restart, self.entries) = (0, 0);
+        out
     }
 }
 

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use encoding::key::{self, InternalKey, KeyKind, SequenceNumber};
+use encoding::key::{self, KeyKind, SequenceNumber};
 use encoding::varint;
 use pmtable::EntryRef;
 use sim::Timeline;
@@ -54,15 +54,20 @@ impl Default for SsTableOptions {
 }
 
 /// Streaming SSTable builder writing through an [`ssd_device::SsdWriter`].
+/// `add` copies an entry's bytes once, into the block being built, and
+/// allocates nothing per entry: the internal key is assembled in a
+/// reused buffer and the filter remembers a hash pair per key.
 pub struct SsTableBuilder {
     opts: SsTableOptions,
     writer: ssd_device::SsdWriter,
     current: BlockBuilder,
     index: Vec<(Vec<u8>, u64, u32)>,
-    user_keys: Vec<Vec<u8>>,
+    /// [`BloomFilter::hashes`] of every distinct user key.
+    key_hashes: Vec<(u64, u64)>,
     entries: usize,
     first_key: Option<Vec<u8>>,
-    last_key: Option<Vec<u8>>,
+    /// Encoded internal key of the last entry added.
+    ikey: Vec<u8>,
     raw_bytes: usize,
     cost: sim::CostModel,
 }
@@ -78,10 +83,10 @@ impl SsTableBuilder {
             writer: device.create(name)?,
             current: BlockBuilder::new(),
             index: Vec::new(),
-            user_keys: Vec::new(),
+            key_hashes: Vec::new(),
             entries: 0,
             first_key: None,
-            last_key: None,
+            ikey: Vec::new(),
             raw_bytes: 0,
             cost: *device.cost_model(),
         })
@@ -96,20 +101,21 @@ impl SsTableBuilder {
         value: &[u8],
         tl: &mut Timeline,
     ) {
-        let ikey = InternalKey::new(user_key, seq, kind).into_encoded();
-        if self.first_key.is_none() {
+        if self.entries == 0 {
             self.first_key = Some(user_key.to_vec());
         }
-        self.last_key = Some(user_key.to_vec());
-        self.raw_bytes += ikey.len() + value.len();
-        self.current.add(&ikey, value);
-        self.entries += 1;
-        if self.opts.bloom_bits_per_key > 0 {
-            // Dedup adjacent versions of the same user key.
-            if self.user_keys.last().map(|k| k.as_slice()) != Some(user_key) {
-                self.user_keys.push(user_key.to_vec());
-            }
+        // Adjacent versions of one user key share a filter entry.
+        let new_key = self.entries == 0 || key::user_key(&self.ikey) != user_key;
+        if self.opts.bloom_bits_per_key > 0 && new_key {
+            self.key_hashes.push(BloomFilter::hashes(user_key));
         }
+        self.ikey.clear();
+        self.ikey.extend_from_slice(user_key);
+        self.ikey
+            .extend_from_slice(&key::pack_trailer(seq, kind).to_le_bytes());
+        self.raw_bytes += self.ikey.len() + value.len();
+        self.current.add(&self.ikey, value);
+        self.entries += 1;
         if self.current.size() >= self.opts.block_size {
             self.finish_block(tl);
         }
@@ -119,13 +125,14 @@ impl SsTableBuilder {
         if self.current.is_empty() {
             return;
         }
-        let block = std::mem::take(&mut self.current);
-        let last_key = block.last_key().to_vec();
-        let raw = block.finish();
+        let last_key = self.current.last_key().to_vec();
         let off = self.writer.offset();
-        tl.charge(self.cost.cpu.encode(raw.len()));
-        self.writer.append(&raw);
-        self.index.push((last_key, off, raw.len() as u32));
+        let len = self.current.finish_with(|raw| {
+            self.writer.append(raw);
+            raw.len()
+        });
+        tl.charge(self.cost.cpu.encode(len));
+        self.index.push((last_key, off, len as u32));
         // One device write per block flush: this is the paper's S3 stage.
         self.writer.flush(tl);
     }
@@ -143,11 +150,9 @@ impl SsTableBuilder {
     pub fn finish(mut self, tl: &mut Timeline) -> Result<TableSummary, SsdError> {
         self.finish_block(tl);
         let bloom_off = self.writer.offset();
-        let bloom = BloomFilter::build(
-            self.user_keys.iter().map(|k| k.as_slice()),
-            self.user_keys.len(),
-            self.opts.bloom_bits_per_key.max(1),
-        );
+        let distinct = self.key_hashes.len();
+        let bits_per_key = self.opts.bloom_bits_per_key.max(1);
+        let bloom = BloomFilter::build_hashed(self.key_hashes, distinct, bits_per_key);
         let bloom_raw = bloom.encode();
         self.writer.append(&bloom_raw);
         let index_off = bloom_off + bloom_raw.len() as u64;
@@ -167,7 +172,8 @@ impl SsTableBuilder {
         footer.extend_from_slice(&MAGIC.to_le_bytes());
         self.writer.append(&footer);
         let size = self.writer.finish(tl)?;
-        Ok((size, self.first_key, self.last_key))
+        let last_key = (self.entries > 0).then(|| key::user_key(&self.ikey).to_vec());
+        Ok((size, self.first_key, last_key))
     }
 }
 

@@ -485,7 +485,7 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
     let before_internal = version(&p);
     assert_eq!(before_internal.unsorted_count(), 6);
     let report = p
-        .internal_compaction(&opts, &pool, &cache_ids, &mut tl)
+        .internal_compaction(&opts, &pool, &cache_ids, &errors, &mut tl)
         .unwrap()
         .expect("six unsorted tables merge");
     for region in report.retired_regions {
