@@ -510,3 +510,220 @@ impl std::fmt::Debug for Partition {
             .finish()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cursor::tests::drain;
+    use crate::handle::merge_dedup;
+    use pmtable::{L0Table, OwnedEntry};
+    use proptest::prelude::*;
+
+    /// One partition and everything its compactions are handed.
+    struct Rig {
+        opts: Options,
+        pool: Arc<PmPool>,
+        device: Arc<SsdDevice>,
+        cache: Arc<BlockCache>,
+        counter: AtomicU64,
+        ids: CacheIds,
+        errors: Counter,
+        p: Partition,
+        seq: u64,
+    }
+
+    impl Rig {
+        fn new(mode: Mode, max_table_bytes: usize) -> Rig {
+            let opts = Options {
+                mode,
+                max_table_bytes,
+                // Exactly one cascade per `cascade_levels` call: level 1
+                // is always over its target, level 2 never.
+                l1_target: 1,
+                level_multiplier: 1 << 30,
+                ..Options::default()
+            };
+            Rig {
+                pool: PmPool::new(64 << 20, opts.cost),
+                device: SsdDevice::new(opts.cost),
+                cache: Arc::new(BlockCache::new(64 << 10)),
+                counter: AtomicU64::new(0),
+                ids: CacheIds::new(),
+                errors: Counter::new(),
+                p: Partition::new(0, &opts, SimInstant::ORIGIN),
+                seq: 0,
+                opts,
+            }
+        }
+
+        /// Write a batch and flush it; returns what the memtable held.
+        fn flush(&mut self, batch: &[(u8, bool)]) -> Vec<OwnedEntry> {
+            let mut tl = Timeline::new();
+            for &(k, delete) in batch {
+                self.seq += 1;
+                let key = [b'k', k];
+                let kind = Partition::write_kind(delete);
+                self.p
+                    .mem
+                    .insert(&key, self.seq, kind, &vec![k; 40], &mut tl);
+            }
+            let held = self.p.mem.iter().map(|e| e.to_owned()).collect();
+            let Rig {
+                opts,
+                pool,
+                device,
+                cache,
+                counter,
+                ids,
+                ..
+            } = self;
+            self.p
+                .minor_compaction(opts, pool, device, cache, counter, ids, &mut tl)
+                .unwrap();
+            held
+        }
+
+        /// Level-0 as merge sources, one per table. Matrix rows hide
+        /// their raw entries: a row comes deduplicated, which is the same
+        /// to any merge over it.
+        fn l0_sources(&self) -> Vec<Vec<OwnedEntry>> {
+            let scan_pm = |h: &crate::handle::PmTableHandle| h.table.scan_all(&mut Timeline::new());
+            match &self.p.level0 {
+                Level0::Pm(l0) => l0.tables().map(scan_pm).collect(),
+                Level0::Ssd(tables) => tables
+                    .iter()
+                    .map(|t| ss_content(std::slice::from_ref(t)))
+                    .collect(),
+                Level0::Matrix(m) => {
+                    let rows = m.input_cursors();
+                    rows.map(|row| drain(vec![row], b"", None, false)).collect()
+                }
+            }
+        }
+
+        fn major(&mut self) -> MajorCompactionReport {
+            // The cascade is driven on its own.
+            let opts = Options {
+                l1_target: 1 << 40,
+                level_multiplier: 1,
+                ..self.opts.clone()
+            };
+            let Rig {
+                device,
+                cache,
+                counter,
+                errors,
+                ..
+            } = self;
+            let mut tl = Timeline::new();
+            let limit = usize::MAX;
+            let major = self
+                .p
+                .major_compaction(&opts, device, cache, counter, limit, errors, &mut tl);
+            major.unwrap()
+        }
+    }
+
+    /// Every entry of a run of SSTables, in order.
+    fn ss_content(tables: &[SsTableHandle]) -> Vec<OwnedEntry> {
+        let mut out = Vec::new();
+        for handle in tables {
+            for (ikey, value) in handle.table.scan_all(&mut Timeline::new()).unwrap() {
+                out.push(EntryRef::parse(&ikey, &value).unwrap().to_owned());
+            }
+        }
+        out
+    }
+
+    fn reference(sources: Vec<Vec<OwnedEntry>>, drop_tombstones: bool) -> Vec<OwnedEntry> {
+        merge_dedup(
+            sources,
+            drop_tombstones,
+            &CostModel::default(),
+            &mut Timeline::new(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// `handle::merge_dedup` over the collected inputs is the
+        /// reference for what each compaction kind streams out: flushes
+        /// (every version kept), an internal compaction (tombstones
+        /// kept), majors from each kind of level-0 into an empty level 1
+        /// (tombstones dropped) and into an overlapping one above a
+        /// level 2 (kept), and cascades — with duplicate keys within and
+        /// across sources, through both run writers, at a table size
+        /// that cuts mid-stream and one that never cuts.
+        #[test]
+        fn streamed_compactions_equal_merge_dedup(
+            batches in proptest::collection::vec(
+                proptest::collection::vec((0u8..48, proptest::bool::ANY), 1..40), 6),
+            small_tables in proptest::bool::ANY,
+        ) {
+            let max_table_bytes = if small_tables { 600 } else { 1 << 20 };
+            for mode in [Mode::PmBlade, Mode::SsdLevel0, Mode::MatrixKv] {
+                let mut rig = Rig::new(mode, max_table_bytes);
+                for round in batches.chunks(3) {
+                    // Flushes keep every version.
+                    for batch in round {
+                        let held = rig.flush(batch);
+                        let sources = rig.l0_sources();
+                        if mode == Mode::MatrixKv {
+                            prop_assert_eq!(sources.last().unwrap(), &reference(vec![held], false));
+                        } else {
+                            prop_assert_eq!(sources.last().unwrap(), &held);
+                        }
+                    }
+                    if let Level0::Pm(_) = &rig.p.level0 {
+                        let sources = rig.l0_sources();
+                        let records: usize = sources.iter().map(Vec::len).sum();
+                        let expect = reference(sources, false);
+                        let Rig { opts, pool, ids, errors, p, .. } = &mut rig;
+                        let mut tl = Timeline::new();
+                        let report = p.internal_compaction(opts, pool, ids, errors, &mut tl);
+                        let report = report.unwrap().expect("three unsorted tables merge");
+                        prop_assert_eq!(report.records_before, records);
+                        prop_assert_eq!(report.records_after, expect.len());
+                        let run = rig.l0_sources().concat();
+                        prop_assert_eq!(run, expect);
+                        if small_tables && records > 12 {
+                            prop_assert!(rig.p.l0_table_count() > 1, "the run was cut");
+                        }
+                    }
+                    // Major: level-0 and the level-1 tables its range
+                    // overlaps merge; the rest of level 1 stays.
+                    let mut sources = rig.l0_sources();
+                    let first = sources.iter().map(|s| &s[0].user_key).min().unwrap();
+                    let last = sources.iter().map(|s| &s[s.len() - 1].user_key).max().unwrap();
+                    let overlap = rig.p.levels.overlapping(1, first, last);
+                    let untouched: Vec<SsTableHandle> = rig.p.levels.tables(1).iter()
+                        .filter(|t| overlap.iter().all(|o| o.name != t.name))
+                        .cloned()
+                        .collect();
+                    sources.push(ss_content(&overlap));
+                    let mut expect = reference(sources, rig.p.levels.depth() <= 1);
+                    expect.extend(ss_content(&untouched));
+                    expect.sort_by(|a, b| a.internal_cmp(b));
+                    let report = rig.major();
+                    prop_assert_eq!(ss_content(rig.p.levels.tables(1)), expect);
+                    prop_assert_eq!(rig.p.unsorted_count() + rig.p.pm_bytes(), 0);
+                    let replaced = overlap.iter().map(|t| &t.name);
+                    prop_assert!(replaced.clone().all(|name| report.deleted_tables.contains(name)));
+                    // Cascade: all of level 1 into level 2, the bottom.
+                    let levels = [1, 2].map(|level| ss_content(rig.p.levels.tables(level)));
+                    let expect = reference(levels.into(), true);
+                    let Rig { opts, device, cache, counter, errors, p, .. } = &mut rig;
+                    let mut tl = Timeline::new();
+                    p.cascade_levels(opts, device, cache, counter, errors, &mut tl).unwrap();
+                    prop_assert!(rig.p.levels.tables(1).is_empty());
+                    if small_tables && expect.len() > 24 {
+                        prop_assert!(rig.p.levels.tables(2).len() > 1, "the run was cut");
+                    }
+                    prop_assert_eq!(ss_content(rig.p.levels.tables(2)), expect);
+                }
+                prop_assert_eq!(rig.errors.get(), 0);
+            }
+        }
+    }
+}
