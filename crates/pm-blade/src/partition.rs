@@ -644,6 +644,42 @@ mod tests {
         )
     }
 
+    #[test]
+    fn an_internal_compaction_that_runs_out_of_pm_changes_nothing() {
+        let mut rig = Rig::new(Mode::PmBlade, 2 << 10);
+        rig.pool = PmPool::new(12 << 10, rig.opts.cost);
+        // Four tables of 40 distinct keys, about 2 KiB each: the merged
+        // run is as large again and stops fitting a couple of tables in.
+        for table in 0..4u8 {
+            let keys: Vec<(u8, bool)> = (0..40).map(|i| (table * 40 + i, false)).collect();
+            rig.flush(&keys);
+        }
+        let (used, regions) = (rig.pool.used(), rig.pool.region_ids());
+        let Rig {
+            opts,
+            pool,
+            ids,
+            errors,
+            p,
+            ..
+        } = &mut rig;
+        let failed = p.internal_compaction(opts, pool, ids, errors, &mut Timeline::new());
+        use {crate::engine::DbError, pm_device::PmError};
+        let full = matches!(failed, Err(DbError::Pm(PmError::OutOfSpace { .. })));
+        assert!(full, "{failed:?}");
+        assert!(
+            pool.stats().persists.get() > 4,
+            "part of the new run was published before the pool filled up"
+        );
+        assert_eq!((pool.used(), pool.region_ids()), (used, regions));
+        assert_eq!(errors.get(), 0, "no input failed to read");
+        assert_eq!(p.unsorted_count(), 4);
+        for k in 0..160u8 {
+            let (hit, ..) = p.get(&[b'k', k], u64::MAX, &mut Timeline::new()).unwrap();
+            assert_eq!(hit.unwrap().value, vec![k; 40]);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -496,77 +496,147 @@ fn unreadable_sstable_fails_scans_and_majors_and_keeps_every_input() {
         Mode::SsdLevel0,
         Mode::MatrixKv,
     ] {
-        let dir = scratch_dir("readfault");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut opts = tiny_options(mode);
-        opts.wal_dir = Some(dir.clone());
-        {
-            let db = Db::open(opts.clone()).unwrap();
-            for i in 0..3000u64 {
-                db.put(&key_for(i), &value_for(i, 64)).unwrap();
-            }
-            db.compact(CompactionRequest::FlushAll).unwrap();
-            db.compact(CompactionRequest::Major { partition: 0 })
-                .unwrap();
-            db.close();
+        // The bad block is the first of level 1, or its very last: a
+        // streaming major compaction reaches that one with all but one
+        // of its output tables already finished.
+        for late in [false, true] {
+            read_fault_case(mode, late);
         }
-        // Behind the engine's back: flip a byte in the first data block
-        // of one level-1 table. Footer, filter and index stay intact, so
-        // the table reopens; reading that block fails its checksum.
-        let victim = {
-            let device = ssd_dir_listing(&dir);
-            assert!(device.len() >= 2, "{mode:?}: level 1 holds {device:?}");
-            device[0].clone()
-        };
-        let path = dir.join("ssd").join(&victim);
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[16] ^= 0x40;
-        std::fs::write(&path, bytes).unwrap();
+    }
+}
 
-        let db = Db::open(opts).unwrap();
-        let counter = |name: &str| db.metrics_snapshot().counter(name);
-        let scan = db.scan(ScanRequest::new());
-        assert!(
-            scan.is_err(),
-            "{mode:?}: scan over a corrupt block must fail"
-        );
-        assert_eq!(counter("ssd_read_errors_total"), 1, "{mode:?}");
-        // A scan that stays clear of the bad block still works.
-        let (rows, _) = db.scan(ScanRequest::new().start(key_for(2990))).unwrap();
-        assert_eq!(rows.len(), 10, "{mode:?}");
-
-        // New versions across the whole key range, flushed to level-0:
-        // the next major compaction needs every level-1 table as input.
-        for i in (0..3000u64).step_by(100) {
-            db.put(&key_for(i), b"newer").unwrap();
+fn read_fault_case(mode: Mode, late: bool) {
+    let dir = scratch_dir("readfault");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut opts = tiny_options(mode);
+    opts.wal_dir = Some(dir.clone());
+    // Level 1 is a run of about fifteen tables.
+    opts.max_table_bytes = 16 << 10;
+    {
+        let db = Db::open(opts.clone()).unwrap();
+        for i in 0..3000u64 {
+            db.put(&key_for(i), &value_for(i, 64)).unwrap();
         }
         db.compact(CompactionRequest::FlushAll).unwrap();
-        let tables_before = db.ssd().list();
-        let pm_before = db.pm_used();
-        let major = db.compact(CompactionRequest::Major { partition: 0 });
+        db.compact(CompactionRequest::Major { partition: 0 })
+            .unwrap();
+        db.close();
+    }
+    // Behind the engine's back: flip a byte in one data block of one
+    // level-1 table. Footer, filter and index stay intact, so the table
+    // reopens; reading that block fails its checksum.
+    let device = ssd_dir_listing(&dir);
+    assert!(device.len() >= 8, "{mode:?}: level 1 holds {device:?}");
+    let victim = if late {
+        &device[device.len() - 1]
+    } else {
+        &device[0]
+    };
+    let path = dir.join("ssd").join(victim);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let at = if late {
+        // The footer's first field is where the data blocks end.
+        let footer = bytes.len() - 28;
+        u64::from_le_bytes(bytes[footer..footer + 8].try_into().unwrap()) as usize - 16
+    } else {
+        16
+    };
+    bytes[at] ^= 0x40;
+    std::fs::write(&path, bytes).unwrap();
+
+    let db = Db::open(opts).unwrap();
+    let counter = |name: &str| db.metrics_snapshot().counter(name);
+    let scan = db.scan(ScanRequest::new());
+    assert!(
+        scan.is_err(),
+        "{mode:?}: scan over a corrupt block must fail"
+    );
+    assert_eq!(counter("ssd_read_errors_total"), 1, "{mode:?}");
+    // A scan that stays clear of the bad block still works.
+    let clear = if late { 0 } else { 2990 };
+    let request = ScanRequest::new().start(key_for(clear)).limit(10);
+    assert_eq!(db.scan(request).unwrap().0.len(), 10, "{mode:?}");
+
+    // New versions across the whole key range, flushed to level-0:
+    // the next major compaction needs every level-1 table as input.
+    for i in (0..3000u64).step_by(100).chain([2999]) {
+        db.put(&key_for(i), b"newer").unwrap();
+    }
+    db.compact(CompactionRequest::FlushAll).unwrap();
+    let tables_before = db.ssd().list();
+    let pm_before = db.pm_used();
+    let written_before = db.ssd().stats().bytes_written.get();
+    let major = db.compact(CompactionRequest::Major { partition: 0 });
+    assert!(
+        major.is_err(),
+        "{mode:?}: major over a corrupt input must fail"
+    );
+    assert_eq!(counter("compaction_input_errors_total"), 1, "{mode:?}");
+    if late {
+        let written = db.ssd().stats().bytes_written.get() - written_before;
         assert!(
-            major.is_err(),
-            "{mode:?}: major over a corrupt input must fail"
+            written > 8 * (16 << 10),
+            "{mode:?}: the merge had written {written} B of output when it failed"
         );
-        assert_eq!(counter("compaction_input_errors_total"), 1, "{mode:?}");
-        assert_eq!(
-            db.ssd().list(),
-            tables_before,
-            "{mode:?}: no input deleted, no output left behind"
-        );
-        assert_eq!(db.pm_used(), pm_before, "{mode:?}: level-0 still in place");
-        // Both sides of the failed merge are still served.
-        assert_eq!(
-            db.get(&key_for(100)).unwrap().value.as_deref(),
-            Some(&b"newer"[..])
-        );
-        assert_eq!(
-            db.get(&key_for(2999)).unwrap().value,
-            Some(value_for(2999, 64)),
-            "{mode:?}"
-        );
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert_eq!(
+        db.ssd().list(),
+        tables_before,
+        "{mode:?}: no input deleted, no output left behind"
+    );
+    assert_eq!(db.pm_used(), pm_before, "{mode:?}: level-0 still in place");
+    // Both sides of the failed merge are still served.
+    assert_eq!(
+        db.get(&key_for(100)).unwrap().value.as_deref(),
+        Some(&b"newer"[..])
+    );
+    let old = if late { 1501 } else { 2998 };
+    assert_eq!(
+        db.get(&key_for(old)).unwrap().value,
+        Some(value_for(old, 64)),
+        "{mode:?}"
+    );
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An internal compaction whose new run does not fit the pool falls
+/// back to a major compaction. The tables it had published before the
+/// pool filled up are freed, not leaked: once the major has drained
+/// level-0 the pool is empty.
+#[test]
+fn internal_compaction_that_runs_out_of_pm_leaves_no_region_behind() {
+    let mut opts = tiny_options(Mode::PmBlade);
+    opts.pm_capacity = 256 << 10;
+    opts.max_table_bytes = 16 << 10;
+    // No trigger fires on its own.
+    (opts.tau_w, opts.tau_m, opts.tau_t) = (usize::MAX, usize::MAX, usize::MAX);
+    opts.l0_unsorted_hard_cap = usize::MAX;
+    let db = Db::open(opts).unwrap();
+    // Distinct keys: the merged run is as large as its inputs, which
+    // already fill more than half the pool.
+    for i in 0..1500u64 {
+        db.put(&key_for(i), &value_for(i, 100)).unwrap();
+    }
+    db.compact(CompactionRequest::FlushAll).unwrap();
+    assert!(db.pm_used() > 128 << 10, "level-0 holds {}", db.pm_used());
+    let persists_before = db.pm_pool().stats().persists.get();
+    db.compact(CompactionRequest::Internal { partition: 0 })
+        .unwrap();
+    assert!(
+        db.pm_pool().stats().persists.get() > persists_before,
+        "part of the new run was published before the pool filled up"
+    );
+    assert_eq!(db.stats().internal_compactions.get(), 0);
+    assert_eq!(db.stats().major_compactions.get(), 1);
+    assert_eq!(
+        db.pm_used(),
+        0,
+        "level-0 moved down and nothing else is held"
+    );
+    assert_eq!(db.pm_pool().region_ids(), []);
+    for i in 0..1500u64 {
+        assert_eq!(db.get(&key_for(i)).unwrap().value, Some(value_for(i, 100)));
     }
 }
 
