@@ -1,7 +1,11 @@
-//! The point-read allocation budget, pinned so it cannot silently
-//! regress: with every cache warm, a `Db::get` allocates the value it
-//! returns and at most one scratch buffer — and the count does not
+//! Allocation budgets, pinned so they cannot silently regress.
+//!
+//! Point reads: with every cache warm, a `Db::get` allocates the value
+//! it returns and at most one scratch buffer — and the count does not
 //! depend on how many unsorted level-0 tables the partition holds.
+//!
+//! Compactions: a flush and an SSD-to-SSD merge allocate per table and
+//! per block, never per record.
 //!
 //! The test binary installs a counting `#[global_allocator]` that
 //! tallies per thread, so the harness's own threads and parallel tests
@@ -172,4 +176,67 @@ fn warm_get_allocates_the_value_and_at_most_one_buffer_at_any_unsorted_count() {
         "allocations per get [memtable, pm, ssd, miss] must not depend on the \
          unsorted-table count (4 tables vs 16)"
     );
+}
+
+/// Allocations per record of the one maintenance call that moves `n`
+/// records `passes` times: `load` fills the engine, `request` is timed.
+fn allocations_per_record(
+    mut opts: pm_blade::Options,
+    n: u64,
+    passes: u64,
+    load: impl Fn(&Db),
+    request: CompactionRequest,
+) -> f64 {
+    // Nothing flushes, merges or traces on its own.
+    opts.memtable_bytes = 1 << 30;
+    opts.pm_capacity = 64 << 20;
+    (opts.tau_w, opts.tau_m, opts.tau_t) = (usize::MAX, usize::MAX, usize::MAX);
+    opts.l0_unsorted_hard_cap = usize::MAX;
+    opts.l0_table_trigger = usize::MAX;
+    opts.trace_sample_every = 0;
+    let db = Db::open(opts).unwrap();
+    put_keys(&db, 0..n, 0);
+    load(&db);
+    let (allocations, done) = allocations_in(|| db.compact(request));
+    done.unwrap();
+    for i in (0..n).step_by(997) {
+        assert_eq!(db.get(&key_for(i)).unwrap().value, Some(value_for(i, 100)));
+    }
+    allocations as f64 / (n * passes) as f64
+}
+
+#[test]
+fn a_flush_and_an_ssd_merge_allocate_per_table_and_block_not_per_record() {
+    // A flush: the memtable's entries stream into one PM table (under
+    // the CI matrix's codec, with or without a filter).
+    let flush = |n| {
+        let opts = tiny_options(Mode::PmBlade);
+        allocations_per_record(opts, n, 1, |_| (), CompactionRequest::FlushAll)
+    };
+    // SSD to SSD: a major compaction in SSD level-0 mode streams the one
+    // level-0 table into level 1, which is then over its target and
+    // cascades whole into level 2 — every record moves twice, read a
+    // block at a time and written a block at a time.
+    let cascade = |n| {
+        let mut opts = tiny_options(Mode::SsdLevel0);
+        (opts.l1_target, opts.level_multiplier) = (1 << 10, 1 << 20);
+        let load = |db: &Db| db.compact(CompactionRequest::FlushAll).unwrap();
+        let major = CompactionRequest::Major { partition: 0 };
+        allocations_per_record(opts, n, 2, load, major)
+    };
+    for (what, per_record) in [
+        ("flush", &flush as &dyn Fn(u64) -> f64),
+        ("cascade", &cascade),
+    ] {
+        let (small, large) = (per_record(5_000), per_record(20_000));
+        assert!(
+            large <= 0.25,
+            "a {what} of 20 000 records allocated {large:.3} times per record"
+        );
+        assert!(
+            large <= small,
+            "a {what} allocated {small:.3} times per record at 5 000 records \
+             and {large:.3} at 20 000: the count grows with the records"
+        );
+    }
 }
