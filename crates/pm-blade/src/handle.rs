@@ -198,8 +198,13 @@ pub fn reopen_pm_table(
 /// encoding inside the builder when the codec cannot represent them or
 /// would grow them).
 ///
-/// Dropped without [`PmRunWriter::finish`] — the compaction failed on a
-/// read or on a later table — it frees the regions it had published.
+/// A run abandoned before [`PmRunWriter::finish`] leaves the regions it
+/// had published in the pool until the next open's orphan collection,
+/// as a failed build always has. In practice that is an internal
+/// compaction whose run outgrows the pool (the engine falls back to a
+/// major compaction); freeing there changes when every later
+/// compaction triggers, so it is a change of its own (CHANGES.md,
+/// PR 18).
 pub struct PmRunWriter<'a> {
     opts: &'a Options,
     max_bytes: usize,
@@ -257,15 +262,7 @@ impl<'a> PmRunWriter<'a> {
         if self.builder.entry_count() > 0 {
             self.cut(tl)?;
         }
-        Ok(std::mem::take(&mut self.done))
-    }
-}
-
-impl Drop for PmRunWriter<'_> {
-    fn drop(&mut self) {
-        for handle in &self.done {
-            self.pool.free(handle.region);
-        }
+        Ok(self.done)
     }
 }
 
@@ -454,45 +451,6 @@ pub(crate) mod tests {
         .unwrap();
         assert!(handles.is_empty());
         assert_eq!(pool.used(), 0);
-    }
-
-    #[test]
-    fn a_writer_that_fails_or_is_dropped_frees_what_it_published() {
-        let cost = CostModel::default();
-        let pool = PmPool::new(20 << 10, cost);
-        let entries: Vec<OwnedEntry> = (0..400)
-            .map(|i| e(&format!("key{:05}", i), i + 1, &"v".repeat(100)))
-            .collect();
-        let (costs, ids) = (CodecCostTable::default(), CacheIds::new());
-        let opts = PmTableOptions::default();
-        let mut tl = Timeline::new();
-        // 400 x ~110 B in 8 KiB tables: the third does not fit 20 KiB.
-        let full = build_pm_tables(&entries, opts, &costs, 8 << 10, &pool, &ids, &cost, &mut tl);
-        assert!(matches!(full, Err(PmError::OutOfSpace { .. })));
-        assert_eq!(pool.used(), 0, "the tables before the failure are freed");
-        let engine_opts = Options::default();
-        let mut writer = PmRunWriter::new(&engine_opts, 8 << 10, &pool, &ids);
-        for e in &entries[..100] {
-            writer.add(e.as_ref(), &mut tl).unwrap();
-        }
-        assert!(pool.used() > 0, "a table was cut and published mid-stream");
-        drop(writer);
-        assert_eq!(pool.used(), 0);
-        // A finished run is the caller's.
-        let run = build_pm_tables(
-            &entries[..100],
-            opts,
-            &costs,
-            8 << 10,
-            &pool,
-            &ids,
-            &cost,
-            &mut tl,
-        );
-        assert_eq!(
-            pool.used(),
-            run.unwrap().iter().map(|h| h.bytes).sum::<usize>()
-        );
     }
 
     #[test]

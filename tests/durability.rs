@@ -600,46 +600,6 @@ fn read_fault_case(mode: Mode, late: bool) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An internal compaction whose new run does not fit the pool falls
-/// back to a major compaction. The tables it had published before the
-/// pool filled up are freed, not leaked: once the major has drained
-/// level-0 the pool is empty.
-#[test]
-fn internal_compaction_that_runs_out_of_pm_leaves_no_region_behind() {
-    let mut opts = tiny_options(Mode::PmBlade);
-    opts.pm_capacity = 256 << 10;
-    opts.max_table_bytes = 16 << 10;
-    // No trigger fires on its own.
-    (opts.tau_w, opts.tau_m, opts.tau_t) = (usize::MAX, usize::MAX, usize::MAX);
-    opts.l0_unsorted_hard_cap = usize::MAX;
-    let db = Db::open(opts).unwrap();
-    // Distinct keys: the merged run is as large as its inputs, which
-    // already fill more than half the pool.
-    for i in 0..1500u64 {
-        db.put(&key_for(i), &value_for(i, 100)).unwrap();
-    }
-    db.compact(CompactionRequest::FlushAll).unwrap();
-    assert!(db.pm_used() > 128 << 10, "level-0 holds {}", db.pm_used());
-    let persists_before = db.pm_pool().stats().persists.get();
-    db.compact(CompactionRequest::Internal { partition: 0 })
-        .unwrap();
-    assert!(
-        db.pm_pool().stats().persists.get() > persists_before,
-        "part of the new run was published before the pool filled up"
-    );
-    assert_eq!(db.stats().internal_compactions.get(), 0);
-    assert_eq!(db.stats().major_compactions.get(), 1);
-    assert_eq!(
-        db.pm_used(),
-        0,
-        "level-0 moved down and nothing else is held"
-    );
-    assert_eq!(db.pm_pool().region_ids(), []);
-    for i in 0..1500u64 {
-        assert_eq!(db.get(&key_for(i)).unwrap().value, Some(value_for(i, 100)));
-    }
-}
-
 /// Object names in the durable SSD directory, ascending.
 fn ssd_dir_listing(dir: &std::path::Path) -> Vec<String> {
     let mut names: Vec<String> = std::fs::read_dir(dir.join("ssd"))
