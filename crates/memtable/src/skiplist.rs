@@ -290,7 +290,7 @@ mod tests {
     }
 
     #[test]
-    fn iter_is_internal_sorted() {
+    fn entries_in_order_is_internal_sorted() {
         let mut t = table();
         let mut tl = Timeline::new();
         // Insert out of order.

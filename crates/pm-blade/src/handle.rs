@@ -166,18 +166,14 @@ pub fn reopen_pm_table(
     let (region_id, bytes) = (region.id(), region.len());
     let table = PmTable::open(region).map_err(|e| format!("region {region_id}: {e}"))?;
     let empty = || format!("region {region_id}: empty table");
-    let scanned = || {
-        table
-            .scan_all(&mut Timeline::new())
-            .iter()
-            .map(|e| e.seq)
-            .max()
-    };
+    let scan = || table.scan_all(&mut Timeline::new());
     Ok(PmTableHandle {
         first: table.first_user_key().ok_or_else(empty)?.into(),
         last: table.last_user_key().ok_or_else(empty)?.into(),
         entries: table.entry_count(),
-        max_seq: max_seq.or_else(scanned).unwrap_or(0),
+        max_seq: max_seq
+            .or_else(|| scan().iter().map(|e| e.seq).max())
+            .unwrap_or(0),
         codec: table.dominant_codec(),
         table: Arc::new(table),
         region: region_id,
@@ -243,11 +239,8 @@ impl<'a> PmRunWriter<'a> {
         let opts = self.opts;
         let mut builder = std::mem::replace(&mut self.builder, PmTableBuilder::new(opts.pm_table));
         if opts.pm_table.codec == CodecMode::Auto {
-            builder.set_codec(select_codec(
-                &builder.shape(),
-                &opts.codec_costs,
-                &opts.cost,
-            ));
+            let codec = select_codec(&builder.shape(), &opts.codec_costs, &opts.cost);
+            builder.set_codec(codec);
         }
         let (bytes, _stats) = builder.finish(&opts.cost, tl);
         let region = self.pool.publish(bytes, tl)?;
