@@ -563,9 +563,7 @@ mod tests {
                 self.seq += 1;
                 let key = [b'k', k];
                 let kind = Partition::write_kind(delete);
-                self.p
-                    .mem
-                    .insert(&key, self.seq, kind, &vec![k; 40], &mut tl);
+                self.p.mem.insert(&key, self.seq, kind, &[k; 40], &mut tl);
             }
             let held = self.p.mem.iter().map(|e| e.to_owned()).collect();
             let Rig {

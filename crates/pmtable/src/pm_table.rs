@@ -501,18 +501,10 @@ fn encode_group(
         CODEC_DELTA => encode_delta_block(slice, rests, lcp, column, trailers, out),
         _ => encode_fixed_block(slice, rests, lcp, column, trailers, out),
     };
-    match mode {
-        CodecMode::Prefix => {}
-        CodecMode::Delta | CodecMode::Fixed => {
-            let codec = if mode == CodecMode::Delta {
-                CODEC_DELTA
-            } else {
-                CODEC_FIXED
-            };
-            if candidate(codec, out) {
-                return codec;
-            }
-        }
+    let forced = match mode {
+        CodecMode::Prefix => None,
+        CodecMode::Delta => Some(CODEC_DELTA),
+        CodecMode::Fixed => Some(CODEC_FIXED),
         CodecMode::Auto => {
             let start = out.len();
             encode_prefix_block(slice, rests, lcp, out);
@@ -527,9 +519,14 @@ fn encode_group(
             }
             return best;
         }
+    };
+    match forced {
+        Some(codec) if candidate(codec, out) => codec,
+        _ => {
+            encode_prefix_block(slice, rests, lcp, out);
+            CODEC_PREFIX
+        }
     }
-    encode_prefix_block(slice, rests, lcp, out);
-    CODEC_PREFIX
 }
 
 /// Codec 0: the original prefix-group block.
@@ -1787,7 +1784,7 @@ mod tests {
                 ..delim_opts()
             });
             for e in &entries {
-                b.add(e.clone());
+                b.add(e);
             }
             let (bytes, _) = b.finish(&CostModel::default(), &mut Timeline::new());
             encoding::crc::crc32c(&bytes)
