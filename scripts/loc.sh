@@ -1,0 +1,54 @@
+#!/usr/bin/env bash
+# Net LOC as a number (ROADMAP aim 2).
+#
+# Per crate: lines of src/**/*.rs up to the file's first `#[cfg(test)]`
+# that are neither blank nor start with `//` (so doc comments and test
+# modules do not count; a `src/**/tests.rs` file is a test module as a
+# whole). Also the non-test `pub fn` count of pm-blade and the field
+# count of `Options`. Informational: prints one table, gates nothing.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# code_lines FILE... — the rule above, summed over the files.
+code_lines() {
+    awk '
+        FNR == 1 { in_tests = (FILENAME ~ /\/tests\.rs$/) }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+        in_tests { next }
+        /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+        { n++ }
+        END { print n + 0 }
+    ' "$@" /dev/null
+}
+
+# pub_fns FILE... — `pub fn` items in the same non-test lines.
+pub_fns() {
+    awk '
+        FNR == 1 { in_tests = (FILENAME ~ /\/tests\.rs$/) }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+        in_tests { next }
+        /^[[:space:]]*pub fn / { n++ }
+        END { print n + 0 }
+    ' "$@" /dev/null
+}
+
+printf '%-18s %8s\n' crate code_lines
+total=0
+for dir in crates/*/; do
+    crate=$(basename "$dir")
+    mapfile -t files < <(find "$dir/src" -name '*.rs' | sort)
+    n=$(code_lines "${files[@]}")
+    total=$((total + n))
+    printf '%-18s %8d\n' "$crate" "$n"
+done
+printf '%-18s %8d\n' "all of crates/" "$total"
+
+mapfile -t engine < <(find crates/pm-blade/src -name '*.rs' | sort)
+printf '%-18s %8d\n' "pm-blade pub fn" "$(pub_fns "${engine[@]}")"
+fields=$(awk '
+    /^pub struct Options \{/ { inside = 1; next }
+    inside && /^\}/ { exit }
+    inside && /^    pub [a-z_0-9]+:/ { n++ }
+    END { print n + 0 }
+' crates/pm-blade/src/options.rs)
+printf '%-18s %8d\n' "Options fields" "$fields"

@@ -315,11 +315,130 @@ pmblade_spans_dropped 5
     assert_eq!(snap.to_prometheus(), expected);
 }
 
+/// Every series a two-partition Inline engine exposes after the
+/// workload of `prometheus_exposition_is_well_formed`, as
+/// `(kind, name, labels)` in snapshot order. A dropped, renamed or
+/// relabelled series fails that test; so does a new one, until it is
+/// listed here.
+const SERIES: &[(&str, &str, &str)] = &[
+    ("counter", "batch_writes", ""),
+    ("counter", "block_cache_evictions", ""),
+    ("counter", "block_cache_hits", ""),
+    ("counter", "block_cache_misses", ""),
+    ("counter", "compaction_input_errors_total", ""),
+    ("counter", "cost_codec_choices", ""),
+    ("counter", "cost_eq1_triggers", ""),
+    ("counter", "cost_hard_cap_triggers", ""),
+    ("counter", "deletes", ""),
+    ("counter", "gets", ""),
+    ("counter", "group_commits", ""),
+    ("counter", "group_commits", "{partition=\"0\"}"),
+    ("counter", "group_commits", "{partition=\"1\"}"),
+    ("counter", "grouped_writes", ""),
+    ("counter", "grouped_writes", "{partition=\"0\"}"),
+    ("counter", "grouped_writes", "{partition=\"1\"}"),
+    ("counter", "internal_compactions", ""),
+    ("counter", "internal_dropped_records", ""),
+    ("counter", "internal_space_released", ""),
+    ("counter", "maintenance_jobs_completed", ""),
+    ("counter", "maintenance_jobs_deduped", ""),
+    ("counter", "maintenance_jobs_enqueued", ""),
+    ("counter", "maintenance_jobs_failed", ""),
+    ("counter", "major_compactions", ""),
+    ("counter", "manifest_edits_total", ""),
+    ("counter", "minor_compactions", ""),
+    ("counter", "partition_reads", "{partition=\"0\"}"),
+    ("counter", "partition_reads", "{partition=\"1\"}"),
+    ("counter", "pm_bytes_read", ""),
+    ("counter", "pm_bytes_written", ""),
+    ("counter", "pm_codec_chosen_total", "{codec=\"delta\"}"),
+    ("counter", "pm_filter_checked_total", ""),
+    ("counter", "pm_filter_miss_total", ""),
+    ("counter", "pm_filter_useful_total", ""),
+    ("counter", "pm_group_cache_evictions_total", ""),
+    ("counter", "pm_group_cache_hit_total", ""),
+    ("counter", "pm_group_cache_invalidations_total", ""),
+    ("counter", "pm_group_cache_miss_total", ""),
+    ("counter", "puts", ""),
+    ("counter", "read_misses", ""),
+    ("counter", "read_source_memtable", "{partition=\"0\"}"),
+    ("counter", "read_source_memtable", "{partition=\"1\"}"),
+    ("counter", "read_source_miss", "{partition=\"0\"}"),
+    ("counter", "read_source_miss", "{partition=\"1\"}"),
+    ("counter", "read_source_pm", "{partition=\"0\"}"),
+    ("counter", "read_source_pm", "{partition=\"1\"}"),
+    (
+        "counter",
+        "read_source_ssd",
+        "{partition=\"0\",level=\"1\"}",
+    ),
+    (
+        "counter",
+        "read_source_ssd",
+        "{partition=\"1\",level=\"1\"}",
+    ),
+    ("counter", "reads_from_memtable", ""),
+    ("counter", "reads_from_pm", ""),
+    ("counter", "reads_from_ssd", ""),
+    ("counter", "recovery_tables_reopened", ""),
+    ("counter", "recovery_wal_records_replayed", ""),
+    ("counter", "scans", ""),
+    ("counter", "ssd_bytes_read", ""),
+    ("counter", "ssd_bytes_written", ""),
+    ("counter", "ssd_read_errors_total", ""),
+    ("counter", "trace_recorded_total", ""),
+    ("counter", "trace_sampled_total", ""),
+    ("counter", "user_bytes_written", ""),
+    ("counter", "wal_appends", ""),
+    ("counter", "wal_segments_deleted_total", ""),
+    ("counter", "wal_syncs", ""),
+    ("counter", "write_slowdowns", ""),
+    ("counter", "write_stalls", ""),
+    ("gauge", "block_cache_used_bytes", ""),
+    ("gauge", "l0_unsorted_tables", "{partition=\"0\"}"),
+    ("gauge", "l0_unsorted_tables", "{partition=\"1\"}"),
+    ("gauge", "maintenance_jobs_inflight", ""),
+    ("gauge", "maintenance_queue_depth", ""),
+    ("gauge", "memtable_bytes", "{partition=\"0\"}"),
+    ("gauge", "memtable_bytes", "{partition=\"1\"}"),
+    ("gauge", "pm_group_cache_used_bytes", ""),
+    ("gauge", "pm_l0_bytes", "{partition=\"0\"}"),
+    ("gauge", "pm_l0_bytes", "{partition=\"1\"}"),
+    ("gauge", "pm_used_bytes", ""),
+    ("gauge", "ssd_level_bytes", "{partition=\"0\"}"),
+    ("gauge", "ssd_level_bytes", "{partition=\"1\"}"),
+    ("histogram", "group_commit_latency", ""),
+    ("histogram", "pm_tables_probed_per_get", ""),
+    ("histogram", "read_latency", ""),
+    ("histogram", "recovery_wall_nanos", ""),
+    ("histogram", "scan_latency", ""),
+    ("histogram", "wal_sync_latency", ""),
+    ("histogram", "write_latency", ""),
+    ("histogram", "write_stall_wall_nanos", ""),
+];
+
+/// The `(kind, name, labels)` of every metric in `snap`, counters then
+/// gauges then histograms, each in key order.
+fn series_of(snap: &MetricsSnapshot) -> Vec<(&'static str, &'static str, String)> {
+    let of = |kind, keys: Vec<&MetricKey>| -> Vec<_> {
+        keys.into_iter()
+            .map(|k| (kind, k.name, k.label_string()))
+            .collect()
+    };
+    let mut all = of("counter", snap.counters.keys().collect());
+    all.extend(of("gauge", snap.gauges.keys().collect()));
+    all.extend(of("histogram", snap.histograms.keys().collect()));
+    all
+}
+
 /// A real engine's exposition parses line by line: every non-comment
-/// line is `name{labels} value`, and every series has a TYPE header.
+/// line is `name{labels} value`, every series has a TYPE header, and
+/// the set of series is exactly [`SERIES`].
 #[test]
 fn prometheus_exposition_is_well_formed() {
-    let db = Db::open(small_opts()).unwrap();
+    let mut opts = small_opts();
+    opts.partitioner = pm_blade::Partitioner::Ranges(vec![b"key000600".to_vec()]);
+    let db = Db::open(opts).unwrap();
     for i in 0..1_200u32 {
         db.put(format!("key{i:06}").as_bytes(), &[b'p'; 64])
             .unwrap();
@@ -327,8 +446,20 @@ fn prometheus_exposition_is_well_formed() {
     for i in 0..100u32 {
         db.get(format!("key{i:06}").as_bytes()).unwrap();
     }
+    // One of each remaining operation, on both partitions where it
+    // takes one, so every series an operation creates is there.
+    assert!(db.get(b"absent").unwrap().value.is_none());
+    db.scan(ScanRequest::new().start("key000590").limit(20))
+        .unwrap();
+    db.delete(b"key000001").unwrap();
     db.compact(CompactionRequest::FlushAll).unwrap();
-    let text = db.metrics_snapshot().to_prometheus();
+    for partition in 0..2 {
+        db.compact(CompactionRequest::Internal { partition })
+            .unwrap();
+        db.compact(CompactionRequest::Major { partition }).unwrap();
+    }
+    let snap = db.metrics_snapshot();
+    let text = snap.to_prometheus();
     let mut typed: Vec<&str> = Vec::new();
     for line in text.lines() {
         if let Some(rest) = line.strip_prefix("# TYPE pmblade_") {
@@ -347,37 +478,21 @@ fn prometheus_exposition_is_well_formed() {
             .trim_end_matches("_count");
         assert!(typed.contains(&name), "series {name} missing TYPE header");
     }
-    // The engine-level metrics the paper's analysis leans on are there.
-    for needle in [
-        "pmblade_puts ",
-        "pmblade_group_commits{partition=\"0\"}",
-        "pmblade_read_latency{quantile=\"0.5\"}",
-        "pmblade_write_latency{quantile=\"0.99\"}",
-        "pmblade_pm_bytes_written ",
-        "pmblade_pm_used_bytes ",
-        // Maintenance metrics are pre-registered in both modes, so an
-        // Inline engine still exposes them (at zero) for dashboards.
-        "pmblade_maintenance_queue_depth ",
-        "pmblade_maintenance_jobs_enqueued ",
-        "pmblade_write_stalls ",
-        "pmblade_write_slowdowns ",
-        // PM-L0 read-acceleration series: bloom-filter outcomes, the
-        // shared group-decode cache, and the tables-probed distribution.
-        "pmblade_pm_filter_checked_total ",
-        "pmblade_pm_filter_useful_total ",
-        "pmblade_pm_filter_miss_total ",
-        "pmblade_pm_group_cache_hit_total ",
-        "pmblade_pm_group_cache_miss_total ",
-        "pmblade_pm_group_cache_used_bytes ",
-        "pmblade_pm_tables_probed_per_get{quantile=\"0.5\"}",
-        "pmblade_ssd_read_errors_total ",
-        "pmblade_compaction_input_errors_total ",
-    ] {
-        assert!(text.contains(needle), "missing {needle}\n{text}");
+    // Exactly the pinned series, each on a line of its own (a
+    // histogram by its median line).
+    let found = series_of(&snap);
+    let found: Vec<_> = found.iter().map(|(k, n, l)| (*k, *n, l.as_str())).collect();
+    assert_eq!(found, SERIES, "the set of exposed series moved");
+    for (kind, name, labels) in SERIES {
+        let needle = match (*kind, labels.strip_suffix('}')) {
+            ("histogram", None) => format!("pmblade_{name}{{quantile=\"0.5\"}} "),
+            ("histogram", Some(open)) => format!("pmblade_{name}{open},quantile=\"0.5\"}} "),
+            _ => format!("pmblade_{name}{labels} "),
+        };
+        assert!(text.contains(&needle), "missing {needle}\n{text}");
     }
     // The read phase above ran against flushed PM tables with default
     // options (filters on, cache on), so the accelerators saw traffic.
-    let snap = db.metrics_snapshot();
     assert!(
         snap.counter("pm_filter_checked_total") > 0,
         "PM reads must consult filters"
