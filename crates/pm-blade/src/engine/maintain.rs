@@ -1,0 +1,624 @@
+//! Compaction driving (Algorithm 1): flush, the cost-based strategy,
+//! internal and major compaction, retention. Enters at the WAL mutex
+//! (flush sync) or a partition lock, one partition at a time, and
+//! appends to the manifest only after dropping it.
+
+use std::sync::atomic::Ordering;
+
+use pm_device::PmError;
+use sim::{SimDuration, Timeline};
+
+use super::{CompactionRequest, DbCore, DbError};
+use crate::costmodel::{
+    explain_read_benefit_coded, explain_write_benefit_coded, select_retained, RetentionCandidate,
+};
+use crate::maintenance::{self, Job, JobKind};
+use crate::options::Mode;
+use crate::partition::{Level0, Partition};
+use crate::telemetry::{CostDecision, MetricKey, SpanKind, TraceSpan};
+
+impl DbCore {
+    /// A zero-work span (used to close a begin/complete pair when the
+    /// operation turned out to be a no-op).
+    fn empty_span(
+        &self,
+        kind: SpanKind,
+        pid: usize,
+        start_nanos: u64,
+        cost: Option<CostDecision>,
+        origin: u64,
+    ) -> TraceSpan {
+        TraceSpan {
+            id: self.next_span_id(),
+            trace_id: origin,
+            kind,
+            partition: pid,
+            start_nanos,
+            end_nanos: start_nanos,
+            input_records: 0,
+            output_records: 0,
+            input_bytes: 0,
+            output_bytes: 0,
+            value_size: self.mean_value_size(),
+            cost,
+        }
+    }
+
+    /// Record a cost-model verdict: bump its trigger counter and notify
+    /// listeners. Called before the compaction the decision may trigger.
+    fn note_cost_decision(&self, decision: &CostDecision) {
+        if decision.triggered() {
+            let name = match decision {
+                CostDecision::ReadBenefit { .. } => "cost_eq1_triggers",
+                CostDecision::WriteBenefit { .. } => "cost_eq2_triggers",
+                CostDecision::HardCap { .. } => "cost_hard_cap_triggers",
+                CostDecision::Retention { .. } => "cost_retention_passes",
+                CostDecision::CodecChoice { .. } => "cost_codec_choices",
+            };
+            self.registry.counter(MetricKey::global(name)).incr();
+        }
+        self.opts.listeners.cost_decision(decision);
+    }
+
+    /// Route one piece of triggered maintenance onto the background
+    /// queue. Returns `false` when the engine runs Inline (or the queue
+    /// has shut down) and the caller must execute the work itself.
+    pub(super) fn offload(&self, job: Job) -> bool {
+        match &self.maintenance {
+            Some(m) => m.enqueue(job),
+            None => false,
+        }
+    }
+
+    /// Execute one background job (called from the worker threads).
+    pub(crate) fn run_job(&self, job: &Job) -> Result<(), DbError> {
+        match job.kind {
+            JobKind::Flush => self.do_flush(job.partition, job.origin_trace),
+            JobKind::Internal => {
+                self.do_internal(job.partition, job.cost.clone(), job.origin_trace)
+            }
+            JobKind::Major => self.do_major_chunked(job.partition, job.origin_trace),
+            JobKind::Retention => self.do_retention_inner(true, job.origin_trace),
+        }
+    }
+
+    // ---------------------------------------------------------------
+    // Compaction driving (Algorithm 1)
+    // ---------------------------------------------------------------
+
+    /// Run a compaction now. This is the single entry point for every
+    /// manually-triggered compaction; the engine calls the same internal
+    /// paths from its automatic triggers.
+    pub fn compact(&self, request: CompactionRequest) -> Result<(), DbError> {
+        if let CompactionRequest::Flush { partition }
+        | CompactionRequest::Internal { partition }
+        | CompactionRequest::Major { partition } = request
+        {
+            if partition >= self.partitions.len() {
+                return Err(DbError::Config(format!(
+                    "partition {partition} out of range ({} partitions)",
+                    self.partitions.len()
+                )));
+            }
+        }
+        match request {
+            CompactionRequest::Flush { partition } => self.do_flush(partition, 0),
+            CompactionRequest::FlushAll => {
+                for pid in 0..self.partitions.len() {
+                    self.do_flush(pid, 0)?;
+                }
+                Ok(())
+            }
+            CompactionRequest::Internal { partition } => self.do_internal(partition, None, 0),
+            CompactionRequest::Major { partition } => self.do_major(partition, 0),
+            CompactionRequest::MajorWithRetention => self.do_retention(0),
+        }
+    }
+
+    /// `origin` throughout the maintenance chain is the trace id of the
+    /// sampled foreground request that triggered the work (0 = none, or
+    /// the trigger was untraced); it lands in each maintenance span's
+    /// `trace_id` so a flight-recorder trace can be cross-linked to the
+    /// flush/compaction it caused.
+    pub(super) fn do_flush(&self, pid: usize, origin: u64) -> Result<(), DbError> {
+        let mut tl = Timeline::new();
+        let start_nanos = self.clock.load(Ordering::Relaxed);
+        self.opts.listeners.flush_begin(pid);
+        let pm_written_before = self.pool.stats().bytes_written.get();
+        let ssd_written_before = self.device.stats().bytes_written.get();
+        if let Some(wal) = &self.wal {
+            let mut sync_tl = Timeline::new();
+            wal.lock().active.sync(&mut sync_tl)?;
+            self.wal_syncs.incr();
+            self.wal_sync_latency.record(sync_tl.elapsed());
+            tl.charge(sync_tl.elapsed());
+        }
+        let (report, version) = {
+            let mut p = self.partitions[pid].write();
+            let report = p.minor_compaction(
+                &self.opts,
+                &self.pool,
+                &self.device,
+                &self.cache,
+                &self.table_counter,
+                &self.cache_ids,
+                &mut tl,
+            )?;
+            let version = report.map(|_| self.partition_version(&p));
+            (report, version)
+        };
+        let flushed = match report {
+            Some(report) => {
+                // The flushed tables are already visible to readers;
+                // make them durable in the manifest and move the WAL
+                // checkpoint past the flushed records.
+                self.log_version(
+                    version.expect("set with report"),
+                    Some((pid, report.durable_seq)),
+                )?;
+                self.stats.minor_compactions.incr();
+                let d = tl.elapsed();
+                self.advance(d);
+                // Record which codec this flush encoded with (encoding
+                // v2) — as a per-codec counter, a cost-decision event,
+                // and the flush span's `flush_codec_decision` stage.
+                // Only PM-table flushes pick a codec; the matrix and
+                // SSD level-0 containers have no codec to choose.
+                let pm_bytes = self.pool.stats().bytes_written.get() - pm_written_before;
+                let codec_choice =
+                    matches!(self.opts.mode, Mode::PmBlade | Mode::PmBladePm).then(|| {
+                        let codec = pmtable::CODEC_NAMES[report.codec as usize];
+                        let decision = CostDecision::CodecChoice {
+                            partition: pid,
+                            codec,
+                            entries: report.entries,
+                            pm_bytes: pm_bytes as usize,
+                        };
+                        self.registry
+                            .counter(MetricKey::codec("pm_codec_chosen_total", codec))
+                            .incr();
+                        self.note_cost_decision(&decision);
+                        decision
+                    });
+                let span = TraceSpan {
+                    id: self.next_span_id(),
+                    trace_id: origin,
+                    kind: SpanKind::Flush,
+                    partition: pid,
+                    start_nanos,
+                    end_nanos: start_nanos + d.as_nanos(),
+                    input_records: report.entries as u64,
+                    output_records: report.entries as u64,
+                    input_bytes: report.bytes as u64,
+                    output_bytes: pm_bytes
+                        + (self.device.stats().bytes_written.get() - ssd_written_before),
+                    value_size: self.mean_value_size(),
+                    cost: codec_choice,
+                };
+                self.ring.push(span.clone());
+                self.opts.listeners.flush_complete(&span);
+                true
+            }
+            None => {
+                // Nothing to flush: close the begin/complete pair with a
+                // zero-work span.
+                let span = self.empty_span(SpanKind::Flush, pid, start_nanos, None, origin);
+                self.opts.listeners.flush_complete(&span);
+                false
+            }
+        };
+        if flushed {
+            self.apply_strategy(pid, origin)?;
+        }
+        Ok(())
+    }
+
+    /// Algorithm 1: run after a PM table lands in partition `pid`. The
+    /// trigger state is sampled under a read lock and the lock dropped
+    /// before acting; the compaction paths re-check what is actually
+    /// there, so a racing compaction at worst makes one of them a no-op.
+    fn apply_strategy(&self, pid: usize, origin: u64) -> Result<(), DbError> {
+        match self.opts.mode {
+            Mode::PmBlade => {
+                let now = self.now();
+                let (d_eq1, d_eq2, d_hard, unsorted) = {
+                    let partition = self.partitions[pid].read();
+                    let unsorted = partition.unsorted_count();
+                    // Per-codec decode CPU (encoding v2): a probe of a
+                    // delta/fixed table pays that codec's measured group
+                    // decode on top of the PM read, and an internal pass
+                    // re-decodes every record it rewrites. Entries-
+                    // weighted over the live level-0 so Eq 1/2 price the
+                    // actual mix (zero with an uncalibrated cost table).
+                    let (probe_decode, decode_per_record) = match &partition.level0 {
+                        Level0::Pm(l0) => (
+                            self.opts
+                                .codec_costs
+                                .probe_decode(l0.unsorted().iter().map(|h| (h.codec, h.entries))),
+                            self.opts
+                                .codec_costs
+                                .decode_per_record(l0.tables().map(|h| (h.codec, h.entries))),
+                        ),
+                        _ => (SimDuration::ZERO, SimDuration::ZERO),
+                    };
+                    // Line 1-3: Eq 1 — read-amplification relief.
+                    // Bloom-pruned probes cost ~nothing, so the benefit
+                    // is discounted by the observed prune ratio.
+                    let d_eq1 = explain_read_benefit_coded(
+                        pid,
+                        &partition.counters,
+                        unsorted,
+                        now,
+                        &self.opts.scalars,
+                        self.filter_prune_ratio(),
+                        probe_decode,
+                    );
+                    // Line 4-6: Eq 2 — write-amplification relief, gated
+                    // on the partition exceeding τ_w.
+                    let l0_records = match &partition.level0 {
+                        Level0::Pm(l0) => l0.entries(),
+                        _ => 0,
+                    };
+                    let d_eq2 = explain_write_benefit_coded(
+                        pid,
+                        &partition.counters,
+                        l0_records,
+                        partition.pm_bytes() >= self.opts.tau_w,
+                        &self.opts.scalars,
+                        decode_per_record,
+                    );
+                    let d_hard = CostDecision::HardCap {
+                        partition: pid,
+                        unsorted,
+                        cap: self.opts.l0_unsorted_hard_cap,
+                        triggered: unsorted >= self.opts.l0_unsorted_hard_cap,
+                    };
+                    (d_eq1, d_eq2, d_hard, unsorted)
+                };
+                self.note_cost_decision(&d_eq1);
+                self.note_cost_decision(&d_eq2);
+                self.note_cost_decision(&d_hard);
+                let run_internal =
+                    (d_eq1.triggered() || d_eq2.triggered() || d_hard.triggered()) && unsorted >= 2;
+                if run_internal {
+                    // Attribute the compaction to the first rule that
+                    // fired (Algorithm 1 evaluates them in this order).
+                    let cause = [d_eq1, d_eq2, d_hard].into_iter().find(|d| d.triggered());
+                    let offloaded = self.offload(Job {
+                        kind: JobKind::Internal,
+                        partition: pid,
+                        cost: cause.clone(),
+                        origin_trace: origin,
+                    });
+                    if !offloaded {
+                        self.do_internal(pid, cause, origin)?;
+                    }
+                }
+                // Line 7-9: Eq 3 — major compaction with retention.
+                if self.pool.used() >= self.opts.tau_m {
+                    let offloaded = self.offload(Job {
+                        kind: JobKind::Retention,
+                        partition: maintenance::GLOBAL_PARTITION,
+                        cost: None,
+                        origin_trace: origin,
+                    });
+                    if !offloaded {
+                        self.do_retention(origin)?;
+                    }
+                }
+            }
+            Mode::PmBladePm => {
+                // Conventional strategy (the paper's PMBlade-PM): no
+                // internal compaction; when the number of PM tables hits
+                // the RocksDB-style count threshold, the whole level-0
+                // is compacted to level-1 — leaving the PM capacity
+                // underutilized, exactly the behaviour the paper
+                // criticises.
+                if self.partitions[pid].read().unsorted_count() >= self.opts.l0_table_trigger
+                    || self.pool.used() >= self.opts.tau_m
+                {
+                    self.major_or_enqueue(pid, origin)?;
+                }
+            }
+            Mode::MatrixKv => {
+                // Column compaction drains the container when PM fills;
+                // no retention.
+                if self.pool.used() >= self.opts.tau_m {
+                    for pid in 0..self.partitions.len() {
+                        self.major_or_enqueue(pid, origin)?;
+                    }
+                }
+            }
+            Mode::SsdLevel0 => {
+                if self.partitions[pid]
+                    .read()
+                    .ssd_l0_full(self.opts.l0_table_trigger)
+                {
+                    self.major_or_enqueue(pid, origin)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Internal compaction (§IV-B).
+    ///
+    /// Internal compaction publishes the new sorted run before releasing
+    /// the old tables, so it needs PM headroom; when the pool cannot fit
+    /// the new run the engine falls back to a major compaction, which
+    /// frees the partition's PM space instead.
+    fn do_internal(
+        &self,
+        pid: usize,
+        cost: Option<CostDecision>,
+        origin: u64,
+    ) -> Result<(), DbError> {
+        let mut tl = Timeline::new();
+        let start_nanos = self.clock.load(Ordering::Relaxed);
+        self.opts
+            .listeners
+            .compaction_begin(SpanKind::Internal, pid);
+        let pm_read_before = self.pool.stats().bytes_read.get();
+        let pm_written_before = self.pool.stats().bytes_written.get();
+        let mut p = self.partitions[pid].write();
+        let result = p.internal_compaction(
+            &self.opts,
+            &self.pool,
+            &self.cache_ids,
+            &self.compaction_input_errors,
+            &mut tl,
+        );
+        let result = match result {
+            Ok(r) => r,
+            Err(DbError::Pm(PmError::OutOfSpace { .. })) => {
+                drop(p);
+                // PM cannot fit the new sorted run: close this span
+                // empty and fall back to a major compaction, which
+                // frees the partition's PM space instead.
+                let span = self.empty_span(SpanKind::Internal, pid, start_nanos, cost, origin);
+                self.opts.listeners.compaction_complete(&span);
+                return self.do_major(pid, origin);
+            }
+            Err(e) => return Err(e),
+        };
+        let span = if let Some(report) = result {
+            let now = self.now();
+            p.counters.reset(now);
+            let version = self.partition_version(&p);
+            drop(p);
+            // Manifest first, then free: a crash between the in-memory
+            // install and the append leaves the old regions as orphans
+            // for recovery GC, never a version that references freed
+            // media.
+            self.log_version(version, None)?;
+            for region in &report.retired_regions {
+                self.pool.free(*region);
+            }
+            // The merged-away tables can never serve a read again (their
+            // ids are never reused); purging just reclaims cache space.
+            for id in &report.retired_cache_ids {
+                self.group_cache.purge_table(*id);
+            }
+            self.stats.internal_compactions.incr();
+            self.stats
+                .internal_space_released
+                .add(report.bytes_released as u64);
+            self.stats
+                .internal_dropped_records
+                .add((report.records_before - report.records_after) as u64);
+            let d = tl.elapsed();
+            self.advance(d);
+            let span = TraceSpan {
+                id: self.next_span_id(),
+                trace_id: origin,
+                kind: SpanKind::Internal,
+                partition: pid,
+                start_nanos,
+                end_nanos: start_nanos + d.as_nanos(),
+                input_records: report.records_before as u64,
+                output_records: report.records_after as u64,
+                input_bytes: self.pool.stats().bytes_read.get() - pm_read_before,
+                output_bytes: self.pool.stats().bytes_written.get() - pm_written_before,
+                value_size: self.mean_value_size(),
+                cost,
+            };
+            self.ring.push(span.clone());
+            span
+        } else {
+            drop(p);
+            self.empty_span(SpanKind::Internal, pid, start_nanos, cost, origin)
+        };
+        self.opts.listeners.compaction_complete(&span);
+        Ok(())
+    }
+
+    /// Trigger-site helper: enqueue a major compaction in Background
+    /// mode, run it inline otherwise.
+    fn major_or_enqueue(&self, pid: usize, origin: u64) -> Result<(), DbError> {
+        let offloaded = self.offload(Job {
+            kind: JobKind::Major,
+            partition: pid,
+            cost: None,
+            origin_trace: origin,
+        });
+        if offloaded {
+            Ok(())
+        } else {
+            self.do_major(pid, origin)
+        }
+    }
+
+    /// Major-compact one partition (its whole level-0 into level-1).
+    fn do_major(&self, pid: usize, origin: u64) -> Result<(), DbError> {
+        self.do_major_limited(pid, usize::MAX, origin)
+    }
+
+    /// The §V-C compaction splitter applied to real work: move the
+    /// partition's level-0 in `k = max(⌊q/c⌋, 1)` installs, yielding
+    /// the partition lock (and the CPU) between chunks so foreground
+    /// operations interleave with a large major compaction. Used by the
+    /// background workers; the inline path keeps the single-install
+    /// major for deterministic span counts.
+    fn do_major_chunked(&self, pid: usize, origin: u64) -> Result<(), DbError> {
+        let k = crate::compaction::chunk_count(&self.opts.scheduler);
+        let total = self.partitions[pid].read().l0_table_count();
+        if k <= 1 || total == 0 {
+            // Nothing to split (or a Matrix/SSD level-0, which drains
+            // in one install regardless).
+            return self.do_major(pid, origin);
+        }
+        let per_chunk = total.div_ceil(k).max(1);
+        // Each limited pass moves the *oldest* tables first, so between
+        // chunks the remaining level-0 still shadows level-1 for every
+        // key it holds. Loop until empty: a concurrent flush may add
+        // tables mid-pass, and each pass removes at least one table, so
+        // this terminates once the partition quiesces.
+        while self.partitions[pid].read().l0_table_count() > 0 {
+            self.do_major_limited(pid, per_chunk, origin)?;
+            std::thread::yield_now();
+        }
+        Ok(())
+    }
+
+    /// One major-compaction install moving at most `table_limit`
+    /// level-0 tables (oldest first; `usize::MAX` moves everything).
+    fn do_major_limited(&self, pid: usize, table_limit: usize, origin: u64) -> Result<(), DbError> {
+        let mut tl = Timeline::new();
+        let start_nanos = self.clock.load(Ordering::Relaxed);
+        self.opts.listeners.compaction_begin(SpanKind::Major, pid);
+        // Device counters are global: a compaction racing on another
+        // partition skews this event's work attribution but never the
+        // cumulative totals.
+        let pm_read_before = self.pool.stats().bytes_read.get();
+        let ssd_written_before = self.device.stats().bytes_written.get();
+        let mut p = self.partitions[pid].write();
+        let entries_in = |p: &Partition| match &p.level0 {
+            Level0::Pm(l0) => l0.entries(),
+            Level0::Matrix(m) => m.entries(),
+            Level0::Ssd(tables) => tables.len() * 1000,
+        };
+        let records_before = entries_in(&p) as u64;
+        let report = p.major_compaction(
+            &self.opts,
+            &self.device,
+            &self.cache,
+            &self.table_counter,
+            table_limit,
+            &self.compaction_input_errors,
+            &mut tl,
+        )?;
+        // For a limited pass, only the moved slice counts as this
+        // span's input.
+        let records = records_before.saturating_sub(entries_in(&p) as u64);
+        let now = self.now();
+        p.counters.reset(now);
+        let version = self.partition_version(&p);
+        drop(p);
+        // Manifest first, then delete/free. Deleting after the lock is
+        // dropped is safe: the install above removed every handle to
+        // the replaced tables, so no reader can reach them, and a crash
+        // before the deletes only leaves orphans for recovery GC.
+        self.log_version(version, None)?;
+        for name in &report.deleted_tables {
+            let _ = self.device.delete(name);
+            self.cache.purge_table(sstable::cache::table_id(name));
+        }
+        for region in &report.released_regions {
+            self.pool.free(*region);
+        }
+        // Retired PM tables left level-0; reclaim their cached groups.
+        for id in &report.retired_cache_ids {
+            self.group_cache.purge_table(*id);
+        }
+        self.stats.major_compactions.incr();
+        let d = tl.elapsed();
+        self.advance(d);
+        let span = TraceSpan {
+            id: self.next_span_id(),
+            trace_id: origin,
+            kind: SpanKind::Major,
+            partition: pid,
+            start_nanos,
+            end_nanos: start_nanos + d.as_nanos(),
+            input_records: records,
+            output_records: records,
+            input_bytes: self.pool.stats().bytes_read.get() - pm_read_before,
+            output_bytes: self.device.stats().bytes_written.get() - ssd_written_before,
+            value_size: self.mean_value_size(),
+            cost: None,
+        };
+        self.ring.push(span.clone());
+        self.opts.listeners.compaction_complete(&span);
+        Ok(())
+    }
+
+    /// Eq 3: keep the hottest partitions in PM, compact the rest, and
+    /// keep evicting colder retained partitions until PM is below τ_m.
+    /// Partition locks are taken one at a time (candidate sampling,
+    /// then each victim's compaction) — never two at once.
+    fn do_retention(&self, origin: u64) -> Result<(), DbError> {
+        self.do_retention_inner(false, origin)
+    }
+
+    /// `chunked` selects the background flavor: victims move through
+    /// [`DbCore::do_major_chunked`] with a yield between partitions, so
+    /// one retention pass never monopolizes a worker.
+    fn do_retention_inner(&self, chunked: bool, origin: u64) -> Result<(), DbError> {
+        let evict = |pid: usize| -> Result<(), DbError> {
+            if chunked {
+                let r = self.do_major_chunked(pid, origin);
+                std::thread::yield_now();
+                r
+            } else {
+                self.do_major(pid, origin)
+            }
+        };
+        let candidates: Vec<RetentionCandidate> = self
+            .partitions
+            .iter()
+            .map(|lock| {
+                let p = lock.read();
+                RetentionCandidate {
+                    partition: p.id,
+                    reads: p.counters.reads.get(),
+                    bytes: p.pm_bytes(),
+                }
+            })
+            .collect();
+        let retained = select_retained(&candidates, self.opts.tau_t);
+        let victims: Vec<usize> = candidates
+            .iter()
+            .filter(|c| !retained.contains(&c.partition) && c.bytes > 0)
+            .map(|c| c.partition)
+            .collect();
+        self.note_cost_decision(&CostDecision::Retention {
+            pm_used: self.pool.used(),
+            budget: self.opts.tau_t,
+            retained: retained.clone(),
+            victims: victims.clone(),
+        });
+        for pid in victims {
+            evict(pid)?;
+        }
+        // Safety: if the retained set alone still exceeds τ_m (e.g. a
+        // single enormous partition), evict coldest-first until it fits.
+        if self.pool.used() >= self.opts.tau_m {
+            let mut by_density: Vec<(usize, f64)> = retained
+                .into_iter()
+                .map(|pid| {
+                    let p = self.partitions[pid].read();
+                    let density = p.counters.reads.get() as f64 / p.pm_bytes().max(1) as f64;
+                    (pid, density)
+                })
+                .collect();
+            by_density.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+            for (pid, _) in by_density {
+                if self.pool.used() < self.opts.tau_m {
+                    break;
+                }
+                evict(pid)?;
+            }
+        }
+        Ok(())
+    }
+}

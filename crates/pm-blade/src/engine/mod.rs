@@ -1,0 +1,531 @@
+//! The engine facade.
+//!
+//! [`Db`] is a shared-handle engine over virtual time: clone it into an
+//! `Arc` and call every public operation through `&self` from any
+//! number of threads. Partition state lives behind per-partition
+//! `RwLock`s; reads take the lock in shared mode (and drop it entirely
+//! while searching the immutable PM level-0), writes coalesce through a
+//! per-partition group-commit queue (see [`crate::commit`]) so
+//! concurrent writers cost one WAL append and one memtable apply per
+//! group. Every operation returns the virtual latency it cost, and a
+//! logical clock advances by each operation's duration so the cost
+//! models can compute access *rates*.
+//!
+//! Maintenance (flushes, compactions) runs in one of two places,
+//! selected by [`MaintenanceMode`]:
+//!
+//! - **Inline** (default): the work executes at the Algorithm-1 trigger
+//!   point, on the triggering thread, and the triggering commit group is
+//!   charged its virtual time — deterministic, single-threaded-friendly.
+//! - **Background**: trigger points enqueue jobs on the
+//!   [`crate::maintenance`] queue and a worker pool owned by [`Db`]
+//!   executes them; writers are throttled by slowdown/stall
+//!   backpressure instead of paying compaction latency directly.
+//!
+//! # Lock hierarchy
+//!
+//! `commit mutex (per partition)` → `WAL mutex` → `partition RwLock`
+//! → `compaction-log mutex`. A thread never acquires a lock to the
+//! left of one it already holds, never holds two partition locks at
+//! once, and releases the WAL mutex before touching a partition.
+//! Maintenance workers enter at the WAL mutex (flush sync) or the
+//! partition lock — never the commit mutex — so they order the same
+//! way as a foreground thread that has already committed.
+//!
+//! The manifest mutex sits outside this chain: it is only ever taken
+//! with no WAL-ring or partition lock held (version snapshots are
+//! captured under the partition lock, the lock dropped, then the edit
+//! appended), so it cannot participate in a cycle.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+
+use encoding::key::SequenceNumber;
+use parking_lot::{Mutex, RwLock};
+use pm_device::PmPool;
+use sim::{Counter, SimDuration, SimInstant};
+use ssd_device::SsdDevice;
+use sstable::BlockCache;
+
+use crate::commit::Committer;
+use crate::compaction::CompactionWork;
+use crate::groupcache::PmGroupCache;
+use crate::handle::CacheIds;
+use crate::maintenance::MaintenanceShared;
+use crate::manifest::Manifest;
+use crate::options::Options;
+use crate::partition::{Level0, Partition};
+use crate::stats::{EngineStats, LatencyStats};
+use crate::telemetry::{
+    chrome_trace_json, EventRing, LatencyRecorder, MetricKey, MetricsRegistry, MetricsSnapshot,
+    RequestTrace, SpanKind, Tracer,
+};
+
+mod maintain;
+mod read;
+mod recovery;
+#[cfg(test)]
+mod tests;
+mod types;
+mod wal_ring;
+mod write;
+
+pub use types::{
+    CompactionEvent, CompactionKind, CompactionRequest, DbError, ReadOutcome, ScanRequest,
+    ScanResult, WriteAmp,
+};
+use wal_ring::WalRing;
+
+/// The PM-Blade storage engine.
+///
+/// `Db` is `Send + Sync`; share it as `Arc<Db>` across threads. Reads
+/// (`get`, `get_at`, `scan`) take per-partition read locks — with a
+/// lock-free fast path over the immutable PM level-0 — and writes
+/// (`put`, `delete`, `write_batch`) go through per-partition group
+/// commit.
+///
+/// `Db` is a thin owner around [`DbCore`] (every engine operation is
+/// reachable through `Deref`): it additionally owns the background
+/// maintenance workers in [`MaintenanceMode::Background`] and drains
+/// them on [`Db::close`] / drop. The workers themselves hold
+/// `Arc<DbCore>`, so dropping the `Db` handle never races a job that is
+/// still running.
+pub struct Db {
+    core: Arc<DbCore>,
+    /// Worker threads servicing the maintenance queue (empty in Inline
+    /// mode). Taken (not just joined) by `close` so it is idempotent.
+    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+}
+
+impl std::ops::Deref for Db {
+    type Target = DbCore;
+
+    fn deref(&self) -> &DbCore {
+        &self.core
+    }
+}
+
+impl Db {
+    /// Open an engine with the given options.
+    ///
+    /// `open` trusts its input; use [`Options::builder`] to validate a
+    /// configuration before opening. In
+    /// [`MaintenanceMode::Background`] this also spawns
+    /// [`Options::maintenance_workers`] worker threads.
+    pub fn open(opts: Options) -> Result<Db, DbError> {
+        let core = Arc::new(DbCore::open(opts)?);
+        let mut workers = Vec::new();
+        if let Some(m) = &core.maintenance {
+            for i in 0..core.opts.maintenance_workers.max(1) {
+                let core = Arc::clone(&core);
+                let queue = Arc::clone(m);
+                let spawned = std::thread::Builder::new()
+                    .name(format!("pmblade-maint-{i}"))
+                    .spawn(move || {
+                        while let Some(job) = queue.next_job() {
+                            let ok = core.run_job(&job).is_ok();
+                            queue.job_done(&job, ok);
+                        }
+                    });
+                match spawned {
+                    Ok(handle) => workers.push(handle),
+                    Err(e) => {
+                        // Unwind the workers already running before
+                        // reporting failure, or they would spin forever
+                        // on a queue nobody ever drains.
+                        m.drain();
+                        for h in workers {
+                            let _ = h.join();
+                        }
+                        return Err(DbError::Io(format!("spawn maintenance worker: {e}")));
+                    }
+                }
+            }
+        }
+        Ok(Db {
+            core,
+            workers: Mutex::new(workers),
+        })
+    }
+
+    /// The shared engine core (what the maintenance workers hold).
+    /// Clone the `Arc` to keep the engine alive independently of this
+    /// handle — but note maintenance workers stop at [`Db::close`].
+    pub fn core(&self) -> &Arc<DbCore> {
+        &self.core
+    }
+
+    /// Drain the maintenance queue and join the worker pool: blocks
+    /// until every queued job (including jobs that running jobs
+    /// enqueue) has finished, then stops the workers. Idempotent, and
+    /// also run by `Drop`. The engine stays usable afterwards —
+    /// triggered maintenance falls back to inline execution, as in
+    /// [`MaintenanceMode::Inline`].
+    pub fn close(&self) {
+        if let Some(m) = &self.core.maintenance {
+            m.drain();
+        }
+        let workers: Vec<_> = std::mem::take(&mut *self.workers.lock());
+        for handle in workers {
+            let _ = handle.join();
+        }
+    }
+}
+
+impl Drop for Db {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
+impl std::fmt::Debug for Db {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.core.fmt(f)
+    }
+}
+
+/// The engine proper: every state field and every operation. Shared
+/// between the public [`Db`] handle and the maintenance workers.
+pub struct DbCore {
+    opts: Options,
+    partitions: Vec<RwLock<Partition>>,
+    committers: Vec<Committer>,
+    pool: Arc<PmPool>,
+    device: Arc<SsdDevice>,
+    cache: Arc<BlockCache>,
+    /// Next-sequence allocator (`fetch_add` hands out disjoint ranges).
+    seq: AtomicU64,
+    /// Highest sequence published to readers: advanced only *after* the
+    /// owning batch has been applied, so a snapshot never observes half
+    /// a batch (batch sequence ranges are contiguous and disjoint).
+    visible_seq: AtomicU64,
+    /// Virtual clock as nanoseconds since `SimInstant::ORIGIN`.
+    clock: AtomicU64,
+    table_counter: AtomicU64,
+    /// Per-engine [`PmTableHandle::cache_id`] allocator (see
+    /// [`CacheIds`] for why it must not be process-global).
+    cache_ids: CacheIds,
+    stats: EngineStats,
+    wal: Option<Mutex<WalRing>>,
+    /// The durable table-lifecycle log; `Some` iff `opts.wal_dir` is
+    /// set. Locked only while no partition or WAL-ring lock is held.
+    manifest: Option<Mutex<Manifest>>,
+    /// Edits applied to the manifest (replayed at open + appended).
+    manifest_edits: Arc<Counter>,
+    /// Sealed WAL segments deleted because a flush checkpoint covered
+    /// every record they held.
+    wal_segments_deleted: Arc<Counter>,
+    /// Mean value size observed (drives compaction trace balance).
+    value_bytes_sum: AtomicU64,
+    value_count: AtomicU64,
+    /// Metrics registry; every engine counter/gauge/histogram lives (or
+    /// is mirrored) here so one `metrics_snapshot()` sees everything.
+    registry: MetricsRegistry,
+    /// Capped span ring backing `compaction_log()` / snapshot spans.
+    ring: EventRing,
+    /// Monotonic span-id allocator (ids order span *completion*).
+    span_ids: AtomicU64,
+    /// Per-partition read-source counter handles (hot path: no registry
+    /// lookups on reads).
+    read_metrics: Vec<ReadMetrics>,
+    lat_reads: Arc<LatencyRecorder>,
+    lat_writes: Arc<LatencyRecorder>,
+    lat_scans: Arc<LatencyRecorder>,
+    commit_latency: Arc<LatencyRecorder>,
+    wal_sync_latency: Arc<LatencyRecorder>,
+    wal_appends: Arc<Counter>,
+    wal_syncs: Arc<Counter>,
+    /// Shared decoded-prefix-group cache for the PM level-0 read path.
+    /// Sized by [`Options::pm_group_cache_bytes`] (0 disables it).
+    group_cache: Arc<PmGroupCache>,
+    /// PM-L0 bloom-filter outcome counters (global; hot path keeps the
+    /// `Arc`s so reads never touch the registry map).
+    pm_filter_checked: Arc<Counter>,
+    pm_filter_useful: Arc<Counter>,
+    pm_filter_miss: Arc<Counter>,
+    /// Distribution of PM tables actually probed per PM-L0 lookup.
+    pm_tables_probed: Arc<LatencyRecorder>,
+    /// Table-read failures surfaced by the SSD read path (these
+    /// propagate to the caller instead of being swallowed as misses).
+    ssd_read_errors: Arc<Counter>,
+    /// Compaction inputs (SSTables) that could not be read; the
+    /// compaction aborted with every input table still in place.
+    compaction_input_errors: Arc<Counter>,
+    /// The background job queue; `Some` iff
+    /// `opts.maintenance == MaintenanceMode::Background`.
+    maintenance: Option<Arc<MaintenanceShared>>,
+    write_slowdowns: Arc<Counter>,
+    write_stalls: Arc<Counter>,
+    /// Wall-clock (not virtual) stall durations: stalls park the real
+    /// thread, so the histogram measures what a client would feel.
+    stall_wall: Arc<LatencyRecorder>,
+    /// Request tracer: sampling decisions plus the slow-query flight
+    /// recorder. Observes the virtual clock, never charges it.
+    tracer: Tracer,
+}
+
+/// Pre-fetched per-partition read counters (see [`DbCore::read_metrics`]).
+struct ReadMetrics {
+    reads: Arc<Counter>,
+    memtable: Arc<Counter>,
+    pm: Arc<Counter>,
+    miss: Arc<Counter>,
+    /// `read_source_ssd` by level (0 = an SSD level-0 table), each
+    /// resolved from the registry on the level's first hit. Levels
+    /// past the array fall back to a registry lookup per hit.
+    ssd: [OnceLock<Arc<Counter>>; 8],
+}
+
+impl DbCore {
+    // ---------------------------------------------------------------
+    // Accessors
+    // ---------------------------------------------------------------
+
+    pub fn options(&self) -> &Options {
+        &self.opts
+    }
+
+    pub fn stats(&self) -> &EngineStats {
+        &self.stats
+    }
+
+    pub fn pm_pool(&self) -> &PmPool {
+        &self.pool
+    }
+
+    pub fn ssd(&self) -> &Arc<SsdDevice> {
+        &self.device
+    }
+
+    pub fn block_cache(&self) -> &Arc<BlockCache> {
+        &self.cache
+    }
+
+    /// A point-in-time copy of the compaction log, derived from the
+    /// span ring. The ring is capped at
+    /// [`crate::options::Options::event_log_capacity`] events; when it
+    /// overflows, the *oldest* events are evicted (see
+    /// [`MetricsSnapshot::spans_dropped`] for the count), so this log is
+    /// a recent-history window, not a complete record.
+    pub fn compaction_log(&self) -> Vec<CompactionEvent> {
+        self.ring
+            .snapshot()
+            .into_iter()
+            .filter_map(|span| {
+                let kind = match span.kind {
+                    SpanKind::Flush => CompactionKind::Minor,
+                    SpanKind::Internal => CompactionKind::Internal,
+                    SpanKind::Major => CompactionKind::Major,
+                    // Group commits and request stages never reach the
+                    // compaction log.
+                    _ => return None,
+                };
+                let work = (kind == CompactionKind::Major).then_some(CompactionWork {
+                    input_bytes: span.input_bytes,
+                    output_bytes: span.output_bytes,
+                    records: span.input_records,
+                    value_size: span.value_size,
+                });
+                Some(CompactionEvent {
+                    kind,
+                    partition: span.partition,
+                    duration: span.duration(),
+                    work,
+                })
+            })
+            .collect()
+    }
+
+    /// The engine's metrics registry (for custom instrumentation and
+    /// ad-hoc queries; most callers want [`DbCore::metrics_snapshot`]).
+    pub fn metrics(&self) -> &MetricsRegistry {
+        &self.registry
+    }
+
+    /// A consistent-enough point-in-time view of every engine metric:
+    /// counters, gauges (refreshed on the spot), latency histograms, and
+    /// the recent compaction/flush spans. Counters are sampled without a
+    /// global pause, so values may skew by in-flight operations, but
+    /// each counter is individually monotonic across snapshots.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        // Refresh point-in-time gauges before collecting.
+        self.registry
+            .gauge(MetricKey::global("pm_used_bytes"))
+            .set(self.pool.used() as i64);
+        self.registry
+            .gauge(MetricKey::global("block_cache_used_bytes"))
+            .set(self.cache.used() as i64);
+        self.registry
+            .gauge(MetricKey::global("pm_group_cache_used_bytes"))
+            .set(self.group_cache.used() as i64);
+        for (pid, lock) in self.partitions.iter().enumerate() {
+            let p = lock.read();
+            self.registry
+                .gauge(MetricKey::partition("memtable_bytes", pid))
+                .set(p.mem.approximate_size() as i64);
+            self.registry
+                .gauge(MetricKey::partition("pm_l0_bytes", pid))
+                .set(p.pm_bytes() as i64);
+            self.registry
+                .gauge(MetricKey::partition("l0_unsorted_tables", pid))
+                .set(p.unsorted_count() as i64);
+            self.registry
+                .gauge(MetricKey::partition("ssd_level_bytes", pid))
+                .set(p.levels.total_bytes() as i64);
+        }
+        let (mut counters, gauges, histograms) = self.registry.collect();
+        // Device and cache counters live in their own crates; mirror
+        // them into the snapshot (they are monotonic, so deltas work).
+        counters.insert(MetricKey::global("block_cache_hits"), self.cache.hits.get());
+        counters.insert(
+            MetricKey::global("block_cache_misses"),
+            self.cache.misses.get(),
+        );
+        counters.insert(
+            MetricKey::global("block_cache_evictions"),
+            self.cache.evictions.get(),
+        );
+        counters.insert(
+            MetricKey::global("pm_bytes_written"),
+            self.pool.stats().bytes_written.get(),
+        );
+        counters.insert(
+            MetricKey::global("pm_bytes_read"),
+            self.pool.stats().bytes_read.get(),
+        );
+        counters.insert(
+            MetricKey::global("ssd_bytes_written"),
+            self.device.stats().bytes_written.get(),
+        );
+        counters.insert(
+            MetricKey::global("ssd_bytes_read"),
+            self.device.stats().bytes_read.get(),
+        );
+        MetricsSnapshot::from_parts(
+            self.clock.load(Ordering::Relaxed),
+            counters,
+            gauges,
+            histograms,
+            self.ring.snapshot(),
+            self.ring.dropped(),
+        )
+    }
+
+    /// Foreground latency histograms (reads / writes / scans), copied
+    /// out of the registry.
+    pub fn latency_stats(&self) -> LatencyStats {
+        LatencyStats {
+            reads: self.lat_reads.histogram(),
+            writes: self.lat_writes.histogram(),
+            scans: self.lat_scans.histogram(),
+        }
+    }
+
+    /// The request tracer (sampling state + slow-query flight recorder).
+    pub fn tracer(&self) -> &Tracer {
+        &self.tracer
+    }
+
+    /// Snapshot of the slow-query flight recorder: the most recent
+    /// sampled request traces that crossed the slow-query threshold
+    /// (all sampled traces when the threshold is 0), oldest first.
+    pub fn flight_recorder(&self) -> Vec<RequestTrace> {
+        self.tracer.recorder().snapshot()
+    }
+
+    /// The flight recorder rendered as Chrome trace-event JSON (open in
+    /// `chrome://tracing` or Perfetto).
+    pub fn chrome_trace(&self) -> String {
+        chrome_trace_json(&self.flight_recorder())
+    }
+
+    /// Live maintenance-queue state as `(queue_depth, jobs_inflight)`;
+    /// `(0, 0)` in Inline mode, where triggered maintenance runs on the
+    /// triggering thread.
+    pub fn maintenance_status(&self) -> (usize, usize) {
+        match &self.maintenance {
+            Some(m) => (m.queue_depth(), m.inflight()),
+            None => (0, 0),
+        }
+    }
+
+    /// Current logical clock.
+    pub fn now(&self) -> SimInstant {
+        SimInstant::ORIGIN + SimDuration::from_nanos(self.clock.load(Ordering::Relaxed))
+    }
+
+    /// Latest *published* sequence number (usable as a snapshot): every
+    /// write batch at or below this sequence is fully visible.
+    ///
+    /// Snapshots are not pinned: compactions keep only the newest
+    /// version of each key, so a snapshot stays accurate only while the
+    /// versions it references still exist (i.e. until a flush-triggered
+    /// compaction rewrites them).
+    pub fn snapshot(&self) -> SequenceNumber {
+        self.visible_seq.load(Ordering::Acquire)
+    }
+
+    /// Total PM bytes in use.
+    pub fn pm_used(&self) -> usize {
+        self.pool.used()
+    }
+
+    /// Per-codec count of live PM level-0 tables across every partition
+    /// (encoding v2 observability; indexes follow
+    /// [`pmtable::CODEC_NAMES`]).
+    pub fn l0_codec_histogram(&self) -> [u64; pmtable::CODEC_COUNT] {
+        let mut hist = [0u64; pmtable::CODEC_COUNT];
+        for partition in &self.partitions {
+            let p = partition.read();
+            if let Level0::Pm(l0) = &p.level0 {
+                for h in l0.tables() {
+                    hist[(h.codec as usize).min(pmtable::CODEC_COUNT - 1)] += 1;
+                }
+            }
+        }
+        hist
+    }
+
+    /// Write amplification to date.
+    pub fn write_amp(&self) -> WriteAmp {
+        WriteAmp {
+            pm_bytes: self.pool.stats().bytes_written.get(),
+            ssd_bytes: self.device.stats().bytes_written.get(),
+            user_bytes: self.stats.user_bytes_written.get(),
+        }
+    }
+
+    /// Mean observed value size (fallback 1 KiB).
+    pub fn mean_value_size(&self) -> u32 {
+        self.value_bytes_sum
+            .load(Ordering::Relaxed)
+            .checked_div(self.value_count.load(Ordering::Relaxed))
+            .map(|v| v as u32)
+            .unwrap_or(1024)
+    }
+
+    fn advance(&self, d: SimDuration) {
+        self.clock.fetch_add(d.as_nanos(), Ordering::Relaxed);
+    }
+
+    fn next_span_id(&self) -> u64 {
+        self.span_ids.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// The shared PM-L0 group-decode cache (for diagnostics and tests).
+    pub fn group_cache(&self) -> &PmGroupCache {
+        &self.group_cache
+    }
+}
+
+impl std::fmt::Debug for DbCore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Db")
+            .field("mode", &self.opts.mode)
+            .field("maintenance", &self.opts.maintenance)
+            .field("partitions", &self.partitions.len())
+            .field("seq", &self.seq.load(Ordering::Relaxed))
+            .field("pm_used", &self.pool.used())
+            .finish()
+    }
+}

@@ -1,0 +1,514 @@
+//! The write path: `put` / `delete` / `write_batch` through the
+//! backpressure gate and the per-partition group commit. Takes the
+//! commit mutex, then the WAL mutex, then the partition write lock.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use encoding::key::KeyKind;
+use memtable::WalRecord;
+use sim::{SimDuration, Timeline};
+
+use super::{DbCore, DbError};
+use crate::commit::{BatchOp, Ticket, WriteBatch};
+use crate::maintenance::{Job, JobKind};
+use crate::manifest::VersionEdit;
+use crate::telemetry::{SpanKind, StageTrace, TraceContext, TraceOp, TraceSpan};
+
+impl DbCore {
+    /// Force the WAL to stable storage (no-op without a WAL).
+    pub fn sync_wal(&self) -> Result<SimDuration, DbError> {
+        let mut tl = Timeline::new();
+        if let Some(wal) = &self.wal {
+            wal.lock().active.sync(&mut tl)?;
+            self.wal_syncs.incr();
+            self.wal_sync_latency.record(tl.elapsed());
+        }
+        let d = tl.elapsed();
+        self.advance(d);
+        Ok(d)
+    }
+
+    // ---------------------------------------------------------------
+    // Foreground operations
+    // ---------------------------------------------------------------
+
+    /// Insert or update a key.
+    pub fn put(&self, user_key: &[u8], value: &[u8]) -> Result<SimDuration, DbError> {
+        self.put_with(user_key, value, self.tracer.sample())
+    }
+
+    /// [`DbCore::put`] under a caller-supplied trace context (the wire
+    /// entry point for `Request::Traced`).
+    pub fn put_traced(
+        &self,
+        user_key: &[u8],
+        value: &[u8],
+        ctx: TraceContext,
+    ) -> Result<SimDuration, DbError> {
+        self.put_with(user_key, value, self.tracer.adopt(ctx))
+    }
+
+    fn put_with(
+        &self,
+        user_key: &[u8],
+        value: &[u8],
+        trace: Option<TraceContext>,
+    ) -> Result<SimDuration, DbError> {
+        let pid = self.opts.partitioner.locate(user_key);
+        self.submit(
+            pid,
+            vec![BatchOp::Put {
+                key: user_key.to_vec(),
+                value: value.to_vec(),
+            }],
+            trace,
+        )
+    }
+
+    /// Delete a key (writes a tombstone).
+    pub fn delete(&self, user_key: &[u8]) -> Result<SimDuration, DbError> {
+        self.delete_with(user_key, self.tracer.sample())
+    }
+
+    /// [`DbCore::delete`] under a caller-supplied trace context.
+    pub fn delete_traced(
+        &self,
+        user_key: &[u8],
+        ctx: TraceContext,
+    ) -> Result<SimDuration, DbError> {
+        self.delete_with(user_key, self.tracer.adopt(ctx))
+    }
+
+    fn delete_with(
+        &self,
+        user_key: &[u8],
+        trace: Option<TraceContext>,
+    ) -> Result<SimDuration, DbError> {
+        let pid = self.opts.partitioner.locate(user_key);
+        self.submit(
+            pid,
+            vec![BatchOp::Delete {
+                key: user_key.to_vec(),
+            }],
+            trace,
+        )
+    }
+
+    /// Apply a [`WriteBatch`]. Operations routed to one partition become
+    /// visible atomically; a batch spanning partitions is applied in
+    /// ascending partition order, each partition's slice atomically.
+    pub fn write_batch(&self, batch: WriteBatch) -> Result<SimDuration, DbError> {
+        self.write_batch_with(batch, self.tracer.sample())
+    }
+
+    /// [`DbCore::write_batch`] under a caller-supplied trace context.
+    /// A batch spanning partitions records one stage set per partition
+    /// commit, all under the same trace id.
+    pub fn write_batch_traced(
+        &self,
+        batch: WriteBatch,
+        ctx: TraceContext,
+    ) -> Result<SimDuration, DbError> {
+        self.write_batch_with(batch, self.tracer.adopt(ctx))
+    }
+
+    fn write_batch_with(
+        &self,
+        batch: WriteBatch,
+        trace: Option<TraceContext>,
+    ) -> Result<SimDuration, DbError> {
+        if batch.is_empty() {
+            return Ok(SimDuration::ZERO);
+        }
+        self.stats.batch_writes.incr();
+        // Split by partition, preserving op order within each.
+        let mut per_pid: Vec<Vec<BatchOp>> =
+            (0..self.partitions.len()).map(|_| Vec::new()).collect();
+        for op in batch.ops {
+            per_pid[self.opts.partitioner.locate(op.key())].push(op);
+        }
+        let mut total = SimDuration::ZERO;
+        for (pid, ops) in per_pid.into_iter().enumerate() {
+            if !ops.is_empty() {
+                total += self.submit(pid, ops, trace)?;
+            }
+        }
+        Ok(total)
+    }
+
+    /// Enqueue `ops` for partition `pid` and wait for a commit group to
+    /// carry them. See [`crate::commit`] for the leader/follower scheme.
+    /// In Background mode the write first passes the backpressure gate
+    /// ([`DbCore::throttle`]); any slowdown penalty is part of the
+    /// write's reported latency.
+    fn submit(
+        &self,
+        pid: usize,
+        ops: Vec<BatchOp>,
+        trace: Option<TraceContext>,
+    ) -> Result<SimDuration, DbError> {
+        let start_nanos = self.clock.load(Ordering::Relaxed);
+        let origin = trace.map_or(0, |c| c.trace_id);
+        let penalty = self.throttle(pid, origin);
+        let committer = &self.committers[pid];
+        let ticket = Arc::new(Ticket::new(ops, trace));
+        committer.queue.lock().push(Arc::clone(&ticket));
+        if !ticket.is_done() {
+            let _leader = committer.commit.lock();
+            if !ticket.is_done() {
+                // We are the leader: our ticket is still queued (tickets
+                // only leave the queue inside this critical section). A
+                // done ticket here would mean a previous leader committed
+                // it, completing it before releasing the mutex we hold.
+                let group: Vec<Arc<Ticket>> = std::mem::take(&mut *committer.queue.lock());
+                debug_assert!(group.iter().any(|t| Arc::ptr_eq(t, &ticket)));
+                self.commit_group(pid, &group)?;
+            }
+        }
+        let result = ticket.take_result();
+        match result {
+            Ok(latency) => {
+                let total = latency + penalty;
+                self.lat_writes.record(total);
+                if let Some(ctx) = trace {
+                    let mut st = StageTrace::new(ctx, TraceOp::Write, pid, start_nanos);
+                    if penalty > SimDuration::ZERO {
+                        st.stage(SpanKind::ThrottleWait, 0, penalty.as_nanos());
+                    }
+                    for span in ticket.take_stages() {
+                        st.push_span(span);
+                    }
+                    self.tracer.finish(st.finish(total.as_nanos()));
+                }
+                Ok(total)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// RocksDB-style write backpressure, evaluated before a write joins
+    /// the commit queue (Background mode only; Inline writes pay for
+    /// maintenance directly and need no gate). Two pressure signals per
+    /// partition — unsorted level-0 tables and memtable debt (size as a
+    /// multiple of the flush target) — each with a *slowdown* threshold
+    /// (charge [`Options::slowdown_delay`] of virtual latency) and a
+    /// *stall* threshold (park the real thread until the workers catch
+    /// up). Returns the virtual penalty to add to the write's latency;
+    /// the engine clock is advanced by it here.
+    /// `origin` is the trace id of the throttled write (0 = untraced),
+    /// stamped onto the relief jobs it queues.
+    fn throttle(&self, pid: usize, origin: u64) -> SimDuration {
+        let Some(m) = &self.maintenance else {
+            return SimDuration::ZERO;
+        };
+        let mut stall_start: Option<std::time::Instant> = None;
+        loop {
+            let (mem_bytes, unsorted) = {
+                let p = self.partitions[pid].read();
+                (p.mem.approximate_size(), p.unsorted_count())
+            };
+            let debt = mem_bytes / self.opts.memtable_bytes.max(1);
+            let l0_stalled = unsorted >= self.opts.l0_stall_trigger;
+            let mem_stalled = debt >= self.opts.memtable_stall_debt;
+            if (l0_stalled || mem_stalled) && m.accepting() {
+                if stall_start.is_none() {
+                    stall_start = Some(std::time::Instant::now());
+                    self.write_stalls.incr();
+                }
+                // Make sure relief is queued before parking (dedup makes
+                // the re-enqueue per loop iteration free).
+                if l0_stalled {
+                    m.enqueue(Job {
+                        kind: JobKind::Internal,
+                        partition: pid,
+                        cost: None,
+                        origin_trace: origin,
+                    });
+                }
+                if mem_stalled {
+                    m.enqueue(Job {
+                        kind: JobKind::Flush,
+                        partition: pid,
+                        cost: None,
+                        origin_trace: origin,
+                    });
+                }
+                m.wait_for_progress(std::time::Duration::from_millis(1));
+                continue;
+            }
+            if let Some(start) = stall_start {
+                self.stall_wall
+                    .record_nanos(start.elapsed().as_nanos() as u64);
+            }
+            // Early relief: once L0 is halfway to the slowdown
+            // watermark, queue an internal compaction so the workers
+            // usually clear the signal before any penalty engages.
+            // (Dedup makes the repeated enqueue free.)
+            if unsorted * 2 >= self.opts.l0_slowdown_trigger && m.accepting() {
+                m.enqueue(Job {
+                    kind: JobKind::Internal,
+                    partition: pid,
+                    cost: None,
+                    origin_trace: origin,
+                });
+            }
+            let l0_slowed = unsorted >= self.opts.l0_slowdown_trigger;
+            let mem_slowed = debt >= self.opts.memtable_slowdown_debt;
+            if l0_slowed || mem_slowed {
+                // A slowdown must queue its own relief: the condition
+                // can sit below the engine's §IV triggers indefinitely,
+                // and without help every subsequent write would keep
+                // paying the penalty.
+                if mem_slowed {
+                    m.enqueue(Job {
+                        kind: JobKind::Flush,
+                        partition: pid,
+                        cost: None,
+                        origin_trace: origin,
+                    });
+                }
+                self.write_slowdowns.incr();
+                // Pace the writer in wall-clock time as well (RocksDB's
+                // delayed-write behaviour): a penalised writer that
+                // keeps running at full speed would re-trip the trigger
+                // before the workers can touch the backlog.
+                m.wait_for_progress(std::time::Duration::from_micros(100));
+                self.advance(self.opts.slowdown_delay);
+                return self.opts.slowdown_delay;
+            }
+            return SimDuration::ZERO;
+        }
+    }
+
+    /// Commit one group: allocate sequences, append every record to the
+    /// WAL once, apply everything to the memtable under one partition
+    /// write lock, publish the sequence range, then complete every
+    /// ticket. Runs with the partition's commit mutex held.
+    fn commit_group(&self, pid: usize, group: &[Arc<Ticket>]) -> Result<(), DbError> {
+        let mut tl = Timeline::new();
+        let start_nanos = self.clock.load(Ordering::Relaxed);
+        let total_ops: usize = group.iter().map(|t| t.ops.len()).sum();
+        let base = self.seq.fetch_add(total_ops as u64, Ordering::Relaxed);
+        let max_seq = base + total_ops as u64;
+        // First sampled writer in the group becomes the origin for any
+        // maintenance this commit triggers.
+        let origin = group
+            .iter()
+            .find_map(|t| t.trace.map(|c| c.trace_id))
+            .unwrap_or(0);
+        // One WAL pass for the whole group: append every record, then
+        // one group sync — an acked commit is durable (the crash-proof
+        // tests depend on exactly this), at one fsync per group rather
+        // than per record. Any failure fails the whole group before the
+        // memtable sees it.
+        let mut rotated = None;
+        if let Some(ring) = &self.wal {
+            let fail_group = |e: String| {
+                for t in group {
+                    t.complete(Err(DbError::Commit(e.clone())));
+                }
+            };
+            let mut ring = ring.lock();
+            let mut seq = base;
+            for ticket in group {
+                for op in &ticket.ops {
+                    seq += 1;
+                    let rec = match op {
+                        BatchOp::Put { key, value } => WalRecord {
+                            seq,
+                            kind: KeyKind::Value,
+                            user_key: key.clone(),
+                            value: value.clone(),
+                        },
+                        BatchOp::Delete { key } => WalRecord {
+                            seq,
+                            kind: KeyKind::Delete,
+                            user_key: key.clone(),
+                            value: Vec::new(),
+                        },
+                    };
+                    if let Err(e) = ring.active.append(&rec, &mut tl) {
+                        // The group never reached the memtable; fail every
+                        // ticket with the same diagnostic.
+                        fail_group(format!("wal append: {e}"));
+                        return Ok(());
+                    }
+                    ring.note_append(pid, seq);
+                    self.wal_appends.incr();
+                }
+            }
+            let sync_from = tl.elapsed();
+            if let Err(e) = ring.active.sync(&mut tl) {
+                fail_group(format!("wal sync: {e}"));
+                return Ok(());
+            }
+            self.wal_syncs.incr();
+            self.wal_sync_latency.record(tl.elapsed() - sync_from);
+            if ring.active.bytes_written() >= self.opts.wal_segment_bytes as u64 {
+                match ring.rotate() {
+                    Ok(segment) => rotated = Some(segment),
+                    Err(e) => {
+                        // The records are durable, but with no segment to
+                        // append to the engine cannot proceed; report the
+                        // group failed (recovery may still surface it —
+                        // the usual ambiguity of a commit that died
+                        // between durability and the ack).
+                        fail_group(format!("wal rotate: {e}"));
+                        return Ok(());
+                    }
+                }
+            }
+        }
+        let wal_nanos = tl.elapsed().as_nanos();
+        // One memtable apply for the whole group.
+        let mut group_bytes = 0u64;
+        let mem_full = {
+            let mut p = self.partitions[pid].write();
+            let mut seq = base;
+            for ticket in group {
+                for op in &ticket.ops {
+                    seq += 1;
+                    let (key, value, kind) = match op {
+                        BatchOp::Put { key, value } => (key, value.as_slice(), KeyKind::Value),
+                        BatchOp::Delete { key } => {
+                            self.stats.deletes.incr();
+                            (key, &b""[..], KeyKind::Delete)
+                        }
+                    };
+                    p.note_write(key);
+                    p.mem.insert(key, seq, kind, value, &mut tl);
+                    self.stats.puts.incr();
+                    group_bytes += (key.len() + value.len()) as u64;
+                    self.stats
+                        .user_bytes_written
+                        .add((key.len() + value.len()) as u64);
+                    if kind == KeyKind::Value {
+                        self.value_bytes_sum
+                            .fetch_add(value.len() as u64, Ordering::Relaxed);
+                        self.value_count.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+            p.mem.approximate_size() >= self.opts.memtable_bytes
+        };
+        let apply_nanos = tl.elapsed().as_nanos().saturating_sub(wal_nanos);
+        // Publish: snapshots taken from here on see the whole group.
+        self.visible_seq.fetch_max(max_seq, Ordering::AcqRel);
+        self.stats.group_commits.incr();
+        self.stats.grouped_writes.add(total_ops as u64);
+        let committer = &self.committers[pid];
+        committer.metrics.group_commits.incr();
+        committer.metrics.grouped_writes.add(total_ops as u64);
+        let elapsed = tl.elapsed();
+        self.advance(elapsed);
+        self.commit_latency.record(elapsed);
+        // Group-commit spans go to listeners and metrics only — the
+        // ring is reserved for compaction history.
+        if !self.opts.listeners.is_empty() {
+            let span = TraceSpan {
+                id: self.next_span_id(),
+                trace_id: origin,
+                kind: SpanKind::GroupCommit,
+                partition: pid,
+                start_nanos,
+                end_nanos: start_nanos + elapsed.as_nanos(),
+                input_records: total_ops as u64,
+                output_records: total_ops as u64,
+                input_bytes: group_bytes,
+                output_bytes: group_bytes,
+                value_size: self.mean_value_size(),
+                cost: None,
+            };
+            self.opts.listeners.group_commit(&span);
+        }
+        // Maintenance the group triggered. Inline mode runs the flush
+        // *before* the tickets complete and bills its virtual time to
+        // the group — the triggering writers observe the latency spike
+        // they caused, which is exactly the cost Background mode moves
+        // off the write path (there the trigger is one enqueue).
+        let mut maintenance = SimDuration::ZERO;
+        let mut flush_err = None;
+        if mem_full {
+            let offloaded = self.offload(Job {
+                kind: JobKind::Flush,
+                partition: pid,
+                cost: None,
+                origin_trace: origin,
+            });
+            if !offloaded {
+                // Still holding the commit mutex: no new group can race
+                // the flush into a half-frozen memtable.
+                let before = self.clock.load(Ordering::Relaxed);
+                if let Err(e) = self.do_flush(pid, origin) {
+                    flush_err = Some(e);
+                }
+                maintenance = SimDuration::from_nanos(
+                    self.clock.load(Ordering::Relaxed).saturating_sub(before),
+                );
+            }
+        }
+        // Charge each ticket its share of the group's virtual time
+        // (including any inline maintenance). Tickets always complete,
+        // even on a flush error — the group itself durably committed.
+        let billed = elapsed + maintenance;
+        for ticket in group {
+            let ops = ticket.ops.len() as u64;
+            let share_of = |nanos: u64| nanos * ops / total_ops.max(1) as u64;
+            let share = SimDuration::from_nanos(share_of(billed.as_nanos()));
+            // Sampled writers get their share of the group's work split
+            // into stages on the group's timeline. Shares use the same
+            // integer scaling as the billed latency, so the per-stage
+            // sum can never exceed the ticket's reported latency.
+            if let Some(ctx) = ticket.trace {
+                let wal_share = share_of(wal_nanos);
+                let apply_share = share_of(apply_nanos);
+                let wait = share.as_nanos().saturating_sub(wal_share + apply_share);
+                let mk = |kind: SpanKind, from: u64, to: u64, records: u64| TraceSpan {
+                    id: 0,
+                    trace_id: ctx.trace_id,
+                    kind,
+                    partition: pid,
+                    start_nanos: start_nanos + from,
+                    end_nanos: start_nanos + to,
+                    input_records: records,
+                    output_records: records,
+                    input_bytes: 0,
+                    output_bytes: 0,
+                    value_size: 0,
+                    cost: None,
+                };
+                let mut stages = Vec::with_capacity(3);
+                if wal_share > 0 {
+                    stages.push(mk(SpanKind::WalAppend, 0, wal_share, ops));
+                }
+                stages.push(mk(
+                    SpanKind::MemtableApply,
+                    wal_share,
+                    wal_share + apply_share,
+                    ops,
+                ));
+                if wait > 0 {
+                    stages.push(mk(
+                        SpanKind::LeaderWait,
+                        wal_share + apply_share,
+                        wal_share + apply_share + wait,
+                        total_ops as u64,
+                    ));
+                }
+                *ticket.stages.lock() = stages;
+            }
+            ticket.complete(Ok(share));
+        }
+        // Record the rotation once the tickets are done (recovery lists
+        // segment files directly, so the edit is advisory ordering-wise,
+        // but it keeps the manifest's segment watermark moving).
+        if let Some(segment) = rotated {
+            self.append_manifest_edits(&[VersionEdit::WalRotate { segment }])?;
+        }
+        match flush_err {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
+    }
+}
