@@ -37,8 +37,8 @@
 //!   view (slow-query flight recorder, maintenance-queue state, metrics
 //!   snapshot) as JSON at `/debug`.
 //! - **Tracing** — a [`Request::Traced`] envelope carries the client's
-//!   trace context; the server routes the inner request through the
-//!   engine's `*_traced` entry points so one trace id spans
+//!   trace context; the server hands it to the engine's `*_with` entry
+//!   points with the inner request, so one trace id spans
 //!   client → server → engine (visible in the flight recorder).
 
 use std::io::{self, BufReader, BufWriter, Write};
@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use pm_blade::protocol::{starts_with_frame, Request, Response, WireError};
 use pm_blade::telemetry::{Gauge, LatencyRecorder, MetricsRegistry};
-use pm_blade::{Db, DbError, MetricKey, TraceContext, WriteBatch};
+use pm_blade::{Db, DbError, MetricKey, SequenceNumber, TraceContext, WriteBatch};
 use sim::Counter;
 
 pub mod rate_limit;
@@ -572,8 +572,8 @@ fn serve(
 
 /// Map one request onto the engine. Engine failures become
 /// [`Response::Error`] with the stable [`DbError::code`]. A traced
-/// envelope unwraps here and routes the inner request through the
-/// engine's `*_traced` entry points.
+/// envelope unwraps here and hands its context to the engine's `*_with`
+/// entry points with the inner request.
 fn dispatch(db: &Db, req: Request) -> Response {
     match req {
         Request::Traced { ctx, inner } => dispatch_inner(db, *inner, Some(ctx)),
@@ -584,16 +584,8 @@ fn dispatch(db: &Db, req: Request) -> Response {
 fn dispatch_inner(db: &Db, req: Request, ctx: Option<TraceContext>) -> Response {
     let result = match req {
         Request::Ping => return Response::Pong,
-        Request::Put { key, value } => match ctx {
-            Some(c) => db.put_traced(&key, &value, c),
-            None => db.put(&key, &value),
-        }
-        .map(written),
-        Request::Delete { key } => match ctx {
-            Some(c) => db.delete_traced(&key, c),
-            None => db.delete(&key),
-        }
-        .map(written),
+        Request::Put { key, value } => db.put_with(&key, &value, ctx).map(written),
+        Request::Delete { key } => db.delete_with(&key, ctx).map(written),
         Request::WriteBatch { ops } => {
             let mut batch = WriteBatch::new();
             for op in ops {
@@ -606,28 +598,21 @@ fn dispatch_inner(db: &Db, req: Request, ctx: Option<TraceContext>) -> Response 
                     }
                 }
             }
-            match ctx {
-                Some(c) => db.write_batch_traced(batch, c),
-                None => db.write_batch(batch),
-            }
-            .map(written)
+            db.write_batch_with(batch, ctx).map(written)
         }
-        Request::Get { key } => match ctx {
-            Some(c) => db.get_traced(&key, c),
-            None => db.get(&key),
+        Request::Get { key } => {
+            db.get_with(&key, SequenceNumber::MAX, ctx)
+                .map(|out| Response::Value {
+                    value: out.value,
+                    latency_nanos: out.latency.as_nanos(),
+                })
         }
-        .map(|out| Response::Value {
-            value: out.value,
-            latency_nanos: out.latency.as_nanos(),
-        }),
-        Request::Scan(scan) => match ctx {
-            Some(c) => db.scan_traced(scan, c),
-            None => db.scan(scan),
-        }
-        .map(|(rows, latency)| Response::Rows {
-            rows,
-            latency_nanos: latency.as_nanos(),
-        }),
+        Request::Scan(scan) => db
+            .scan_with(scan, ctx)
+            .map(|(rows, latency)| Response::Rows {
+                rows,
+                latency_nanos: latency.as_nanos(),
+            }),
         // Compactions are maintenance, not a traced request path.
         Request::Compact(c) => db.compact(c).map(|()| Response::Compacted),
         // The decoder rejects nested envelopes; defend anyway.

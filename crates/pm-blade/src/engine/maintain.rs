@@ -28,20 +28,18 @@ impl DbCore {
         cost: Option<CostDecision>,
         origin: u64,
     ) -> TraceSpan {
-        TraceSpan {
-            id: self.next_span_id(),
-            trace_id: origin,
+        TraceSpan::new(
+            self.next_span_id(),
+            origin,
             kind,
-            partition: pid,
+            pid,
             start_nanos,
-            end_nanos: start_nanos,
-            input_records: 0,
-            output_records: 0,
-            input_bytes: 0,
-            output_bytes: 0,
-            value_size: self.mean_value_size(),
+            0,
+            (0, 0),
+            (0, 0),
+            self.mean_value_size(),
             cost,
-        }
+        )
     }
 
     /// Record a cost-model verdict: bump its trigger counter and notify
@@ -110,8 +108,10 @@ impl DbCore {
                 Ok(())
             }
             CompactionRequest::Internal { partition } => self.do_internal(partition, None, 0),
-            CompactionRequest::Major { partition } => self.do_major(partition, 0),
-            CompactionRequest::MajorWithRetention => self.do_retention(0),
+            CompactionRequest::Major { partition } => {
+                self.do_major_limited(partition, usize::MAX, 0)
+            }
+            CompactionRequest::MajorWithRetention => self.do_retention_inner(false, 0),
         }
     }
 
@@ -180,21 +180,19 @@ impl DbCore {
                         self.note_cost_decision(&decision);
                         decision
                     });
-                let span = TraceSpan {
-                    id: self.next_span_id(),
-                    trace_id: origin,
-                    kind: SpanKind::Flush,
-                    partition: pid,
+                let ssd_bytes = self.device.stats().bytes_written.get() - ssd_written_before;
+                let span = TraceSpan::new(
+                    self.next_span_id(),
+                    origin,
+                    SpanKind::Flush,
+                    pid,
                     start_nanos,
-                    end_nanos: start_nanos + d.as_nanos(),
-                    input_records: report.entries as u64,
-                    output_records: report.entries as u64,
-                    input_bytes: report.bytes as u64,
-                    output_bytes: pm_bytes
-                        + (self.device.stats().bytes_written.get() - ssd_written_before),
-                    value_size: self.mean_value_size(),
-                    cost: codec_choice,
-                };
+                    d.as_nanos(),
+                    (report.entries as u64, report.entries as u64),
+                    (report.bytes as u64, pm_bytes + ssd_bytes),
+                    self.mean_value_size(),
+                    codec_choice,
+                );
                 self.ring.push(span.clone());
                 self.opts.listeners.flush_complete(&span);
                 true
@@ -303,7 +301,7 @@ impl DbCore {
                         origin_trace: origin,
                     });
                     if !offloaded {
-                        self.do_retention(origin)?;
+                        self.do_retention_inner(false, origin)?;
                     }
                 }
             }
@@ -377,7 +375,7 @@ impl DbCore {
                 // frees the partition's PM space instead.
                 let span = self.empty_span(SpanKind::Internal, pid, start_nanos, cost, origin);
                 self.opts.listeners.compaction_complete(&span);
-                return self.do_major(pid, origin);
+                return self.do_major_limited(pid, usize::MAX, origin);
             }
             Err(e) => return Err(e),
         };
@@ -408,20 +406,22 @@ impl DbCore {
                 .add((report.records_before - report.records_after) as u64);
             let d = tl.elapsed();
             self.advance(d);
-            let span = TraceSpan {
-                id: self.next_span_id(),
-                trace_id: origin,
-                kind: SpanKind::Internal,
-                partition: pid,
+            let pm = self.pool.stats();
+            let span = TraceSpan::new(
+                self.next_span_id(),
+                origin,
+                SpanKind::Internal,
+                pid,
                 start_nanos,
-                end_nanos: start_nanos + d.as_nanos(),
-                input_records: report.records_before as u64,
-                output_records: report.records_after as u64,
-                input_bytes: self.pool.stats().bytes_read.get() - pm_read_before,
-                output_bytes: self.pool.stats().bytes_written.get() - pm_written_before,
-                value_size: self.mean_value_size(),
+                d.as_nanos(),
+                (report.records_before as u64, report.records_after as u64),
+                (
+                    pm.bytes_read.get() - pm_read_before,
+                    pm.bytes_written.get() - pm_written_before,
+                ),
+                self.mean_value_size(),
                 cost,
-            };
+            );
             self.ring.push(span.clone());
             span
         } else {
@@ -444,13 +444,8 @@ impl DbCore {
         if offloaded {
             Ok(())
         } else {
-            self.do_major(pid, origin)
+            self.do_major_limited(pid, usize::MAX, origin)
         }
-    }
-
-    /// Major-compact one partition (its whole level-0 into level-1).
-    fn do_major(&self, pid: usize, origin: u64) -> Result<(), DbError> {
-        self.do_major_limited(pid, usize::MAX, origin)
     }
 
     /// The §V-C compaction splitter applied to real work: move the
@@ -465,7 +460,7 @@ impl DbCore {
         if k <= 1 || total == 0 {
             // Nothing to split (or a Matrix/SSD level-0, which drains
             // in one install regardless).
-            return self.do_major(pid, origin);
+            return self.do_major_limited(pid, usize::MAX, origin);
         }
         let per_chunk = total.div_ceil(k).max(1);
         // Each limited pass moves the *oldest* tables first, so between
@@ -480,8 +475,9 @@ impl DbCore {
         Ok(())
     }
 
-    /// One major-compaction install moving at most `table_limit`
-    /// level-0 tables (oldest first; `usize::MAX` moves everything).
+    /// Major-compact one partition: one install moving at most
+    /// `table_limit` level-0 tables into level-1 (oldest first;
+    /// `usize::MAX` moves the whole level-0).
     fn do_major_limited(&self, pid: usize, table_limit: usize, origin: u64) -> Result<(), DbError> {
         let mut tl = Timeline::new();
         let start_nanos = self.clock.load(Ordering::Relaxed);
@@ -533,20 +529,21 @@ impl DbCore {
         self.stats.major_compactions.incr();
         let d = tl.elapsed();
         self.advance(d);
-        let span = TraceSpan {
-            id: self.next_span_id(),
-            trace_id: origin,
-            kind: SpanKind::Major,
-            partition: pid,
+        let span = TraceSpan::new(
+            self.next_span_id(),
+            origin,
+            SpanKind::Major,
+            pid,
             start_nanos,
-            end_nanos: start_nanos + d.as_nanos(),
-            input_records: records,
-            output_records: records,
-            input_bytes: self.pool.stats().bytes_read.get() - pm_read_before,
-            output_bytes: self.device.stats().bytes_written.get() - ssd_written_before,
-            value_size: self.mean_value_size(),
-            cost: None,
-        };
+            d.as_nanos(),
+            (records, records),
+            (
+                self.pool.stats().bytes_read.get() - pm_read_before,
+                self.device.stats().bytes_written.get() - ssd_written_before,
+            ),
+            self.mean_value_size(),
+            None,
+        );
         self.ring.push(span.clone());
         self.opts.listeners.compaction_complete(&span);
         Ok(())
@@ -556,10 +553,7 @@ impl DbCore {
     /// keep evicting colder retained partitions until PM is below τ_m.
     /// Partition locks are taken one at a time (candidate sampling,
     /// then each victim's compaction) — never two at once.
-    fn do_retention(&self, origin: u64) -> Result<(), DbError> {
-        self.do_retention_inner(false, origin)
-    }
-
+    ///
     /// `chunked` selects the background flavor: victims move through
     /// [`DbCore::do_major_chunked`] with a yield between partitions, so
     /// one retention pass never monopolizes a worker.
@@ -570,7 +564,7 @@ impl DbCore {
                 std::thread::yield_now();
                 r
             } else {
-                self.do_major(pid, origin)
+                self.do_major_limited(pid, usize::MAX, origin)
             }
         };
         let candidates: Vec<RetentionCandidate> = self

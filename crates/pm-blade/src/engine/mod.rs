@@ -58,7 +58,7 @@ use crate::partition::{Level0, Partition};
 use crate::stats::{EngineStats, LatencyStats};
 use crate::telemetry::{
     chrome_trace_json, EventRing, LatencyRecorder, MetricKey, MetricsRegistry, MetricsSnapshot,
-    RequestTrace, SpanKind, Tracer,
+    RequestTrace, SpanKind, TraceContext, Tracer,
 };
 
 mod maintain;
@@ -79,7 +79,7 @@ use wal_ring::WalRing;
 /// The PM-Blade storage engine.
 ///
 /// `Db` is `Send + Sync`; share it as `Arc<Db>` across threads. Reads
-/// (`get`, `get_at`, `scan`) take per-partition read locks — with a
+/// (`get`, `scan`) take per-partition read locks — with a
 /// lock-free fast path over the immutable PM level-0 — and writes
 /// (`put`, `delete`, `write_batch`) go through per-partition group
 /// commit.
@@ -424,6 +424,16 @@ impl DbCore {
     /// The request tracer (sampling state + slow-query flight recorder).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
+    }
+
+    /// The context a request runs under: the engine's own sampling
+    /// decision when the caller brought none, else the caller's — which
+    /// records nothing unless it is sampled.
+    fn trace_for(&self, wire: Option<TraceContext>) -> Option<TraceContext> {
+        match wire {
+            Some(ctx) => self.tracer.adopt(ctx),
+            None => self.tracer.sample(),
+        }
     }
 
     /// Snapshot of the slow-query flight recorder: the most recent

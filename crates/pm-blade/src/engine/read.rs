@@ -19,25 +19,12 @@ use crate::telemetry::{MetricKey, SpanKind, StageTrace, TraceContext, TraceOp};
 impl DbCore {
     /// Point read at the latest snapshot.
     pub fn get(&self, user_key: &[u8]) -> Result<ReadOutcome, DbError> {
-        self.get_at_with(user_key, SequenceNumber::MAX, self.tracer.sample())
+        self.get_with(user_key, SequenceNumber::MAX, None)
     }
 
-    /// [`DbCore::get`] under a caller-supplied trace context (the wire
-    /// entry point for `Request::Traced`).
-    pub fn get_traced(&self, user_key: &[u8], ctx: TraceContext) -> Result<ReadOutcome, DbError> {
-        self.get_at_with(user_key, SequenceNumber::MAX, self.tracer.adopt(ctx))
-    }
-
-    /// Point read at a snapshot (see [`DbCore::snapshot`]).
-    pub fn get_at(
-        &self,
-        user_key: &[u8],
-        snapshot: SequenceNumber,
-    ) -> Result<ReadOutcome, DbError> {
-        self.get_at_with(user_key, snapshot, self.tracer.sample())
-    }
-
-    /// The read path proper.
+    /// The read path proper: a point read at `snapshot` (see
+    /// [`DbCore::snapshot`]; [`SequenceNumber::MAX`] reads the latest)
+    /// with the trace context stated, as [`DbCore::put_with`] takes it.
     ///
     /// Fast path: the memtable probe runs under the partition's read
     /// lock; if the partition has a PM level-0, the read takes a
@@ -49,17 +36,18 @@ impl DbCore {
     /// be deleted by a concurrent major compaction — are searched under
     /// the lock again.
     ///
-    /// When `trace` is set, each leg records a stage span from the
+    /// When the request is traced, each leg records a stage span from the
     /// `Timeline::elapsed` deltas around it — measured sub-intervals of
     /// the same virtual timeline that produces the read's latency, so
     /// the stage sum can never exceed the total. Untraced reads take
     /// the exact pre-tracing path (one `None` check per leg).
-    fn get_at_with(
+    pub fn get_with(
         &self,
         user_key: &[u8],
         snapshot: SequenceNumber,
         trace: Option<TraceContext>,
     ) -> Result<ReadOutcome, DbError> {
+        let trace = self.trace_for(trace);
         let mut tl = Timeline::new();
         let pid = self.opts.partitioner.locate(user_key);
         let start_nanos = self.clock.load(Ordering::Relaxed);
@@ -225,24 +213,17 @@ impl DbCore {
     /// Each partition is read under its lock; the scan as a whole is
     /// not a point-in-time snapshot across partitions.
     pub fn scan(&self, request: ScanRequest) -> Result<ScanResult, DbError> {
-        self.scan_with(request, self.tracer.sample())
+        self.scan_with(request, None)
     }
 
-    /// [`DbCore::scan`] under a caller-supplied trace context (the wire
-    /// entry point for `Request::Traced`).
-    pub fn scan_traced(
-        &self,
-        request: ScanRequest,
-        ctx: TraceContext,
-    ) -> Result<ScanResult, DbError> {
-        self.scan_with(request, self.tracer.adopt(ctx))
-    }
-
-    fn scan_with(
+    /// [`DbCore::scan`] with the trace context stated (as
+    /// [`DbCore::get_with`]).
+    pub fn scan_with(
         &self,
         request: ScanRequest,
         trace: Option<TraceContext>,
     ) -> Result<ScanResult, DbError> {
+        let trace = self.trace_for(trace);
         let mut tl = Timeline::new();
         let start_nanos = self.clock.load(Ordering::Relaxed);
         self.stats.scans.incr();

@@ -81,7 +81,7 @@ fn snapshot_reads_see_past_versions() {
     let snap = db.snapshot();
     db.put(b"k", b"new").unwrap();
     assert_eq!(
-        db.get_at(b"k", snap).unwrap().value.as_deref(),
+        db.get_with(b"k", snap, None).unwrap().value.as_deref(),
         Some(&b"old"[..])
     );
     assert_eq!(db.get(b"k").unwrap().value.as_deref(), Some(&b"new"[..]));
@@ -102,17 +102,17 @@ fn write_batch_applies_atomically_per_partition() {
     let after = db.snapshot();
     // Pre-batch snapshot sees none of the batch.
     assert_eq!(
-        db.get_at(b"a", before).unwrap().value.as_deref(),
+        db.get_with(b"a", before, None).unwrap().value.as_deref(),
         Some(&b"0"[..])
     );
-    assert_eq!(db.get_at(b"b", before).unwrap().value, None);
+    assert_eq!(db.get_with(b"b", before, None).unwrap().value, None);
     // Post-batch snapshot sees all of it.
     assert_eq!(
-        db.get_at(b"a", after).unwrap().value.as_deref(),
+        db.get_with(b"a", after, None).unwrap().value.as_deref(),
         Some(&b"1"[..])
     );
     assert_eq!(
-        db.get_at(b"b", after).unwrap().value.as_deref(),
+        db.get_with(b"b", after, None).unwrap().value.as_deref(),
         Some(&b"1"[..])
     );
     assert_eq!(db.stats().batch_writes.get(), 1);

@@ -35,21 +35,16 @@ impl DbCore {
 
     /// Insert or update a key.
     pub fn put(&self, user_key: &[u8], value: &[u8]) -> Result<SimDuration, DbError> {
-        self.put_with(user_key, value, self.tracer.sample())
+        self.put_with(user_key, value, None)
     }
 
-    /// [`DbCore::put`] under a caller-supplied trace context (the wire
-    /// entry point for `Request::Traced`).
-    pub fn put_traced(
-        &self,
-        user_key: &[u8],
-        value: &[u8],
-        ctx: TraceContext,
-    ) -> Result<SimDuration, DbError> {
-        self.put_with(user_key, value, self.tracer.adopt(ctx))
-    }
-
-    fn put_with(
+    /// [`DbCore::put`] with the trace context stated: `None` lets the
+    /// engine sample ([`Tracer::sample`](crate::telemetry::Tracer::sample)),
+    /// `Some` is a wire-carried context — the entry point for
+    /// `Request::Traced` — honoured when it is sampled and recording
+    /// nothing when it is not
+    /// ([`Tracer::adopt`](crate::telemetry::Tracer::adopt)).
+    pub fn put_with(
         &self,
         user_key: &[u8],
         value: &[u8],
@@ -62,25 +57,18 @@ impl DbCore {
                 key: user_key.to_vec(),
                 value: value.to_vec(),
             }],
-            trace,
+            self.trace_for(trace),
         )
     }
 
     /// Delete a key (writes a tombstone).
     pub fn delete(&self, user_key: &[u8]) -> Result<SimDuration, DbError> {
-        self.delete_with(user_key, self.tracer.sample())
+        self.delete_with(user_key, None)
     }
 
-    /// [`DbCore::delete`] under a caller-supplied trace context.
-    pub fn delete_traced(
-        &self,
-        user_key: &[u8],
-        ctx: TraceContext,
-    ) -> Result<SimDuration, DbError> {
-        self.delete_with(user_key, self.tracer.adopt(ctx))
-    }
-
-    fn delete_with(
+    /// [`DbCore::delete`] with the trace context stated (as
+    /// [`DbCore::put_with`]).
+    pub fn delete_with(
         &self,
         user_key: &[u8],
         trace: Option<TraceContext>,
@@ -91,7 +79,7 @@ impl DbCore {
             vec![BatchOp::Delete {
                 key: user_key.to_vec(),
             }],
-            trace,
+            self.trace_for(trace),
         )
     }
 
@@ -99,25 +87,18 @@ impl DbCore {
     /// visible atomically; a batch spanning partitions is applied in
     /// ascending partition order, each partition's slice atomically.
     pub fn write_batch(&self, batch: WriteBatch) -> Result<SimDuration, DbError> {
-        self.write_batch_with(batch, self.tracer.sample())
+        self.write_batch_with(batch, None)
     }
 
-    /// [`DbCore::write_batch`] under a caller-supplied trace context.
-    /// A batch spanning partitions records one stage set per partition
-    /// commit, all under the same trace id.
-    pub fn write_batch_traced(
-        &self,
-        batch: WriteBatch,
-        ctx: TraceContext,
-    ) -> Result<SimDuration, DbError> {
-        self.write_batch_with(batch, self.tracer.adopt(ctx))
-    }
-
-    fn write_batch_with(
+    /// [`DbCore::write_batch`] with the trace context stated (as
+    /// [`DbCore::put_with`]). A batch spanning partitions records one
+    /// stage set per partition commit, all under the same trace id.
+    pub fn write_batch_with(
         &self,
         batch: WriteBatch,
         trace: Option<TraceContext>,
     ) -> Result<SimDuration, DbError> {
+        let trace = self.trace_for(trace);
         if batch.is_empty() {
             return Ok(SimDuration::ZERO);
         }
@@ -406,20 +387,18 @@ impl DbCore {
         // Group-commit spans go to listeners and metrics only — the
         // ring is reserved for compaction history.
         if !self.opts.listeners.is_empty() {
-            let span = TraceSpan {
-                id: self.next_span_id(),
-                trace_id: origin,
-                kind: SpanKind::GroupCommit,
-                partition: pid,
+            let span = TraceSpan::new(
+                self.next_span_id(),
+                origin,
+                SpanKind::GroupCommit,
+                pid,
                 start_nanos,
-                end_nanos: start_nanos + elapsed.as_nanos(),
-                input_records: total_ops as u64,
-                output_records: total_ops as u64,
-                input_bytes: group_bytes,
-                output_bytes: group_bytes,
-                value_size: self.mean_value_size(),
-                cost: None,
-            };
+                elapsed.as_nanos(),
+                (total_ops as u64, total_ops as u64),
+                (group_bytes, group_bytes),
+                self.mean_value_size(),
+                None,
+            );
             self.opts.listeners.group_commit(&span);
         }
         // Maintenance the group triggered. Inline mode runs the flush
@@ -464,19 +443,19 @@ impl DbCore {
                 let wal_share = share_of(wal_nanos);
                 let apply_share = share_of(apply_nanos);
                 let wait = share.as_nanos().saturating_sub(wal_share + apply_share);
-                let mk = |kind: SpanKind, from: u64, to: u64, records: u64| TraceSpan {
-                    id: 0,
-                    trace_id: ctx.trace_id,
-                    kind,
-                    partition: pid,
-                    start_nanos: start_nanos + from,
-                    end_nanos: start_nanos + to,
-                    input_records: records,
-                    output_records: records,
-                    input_bytes: 0,
-                    output_bytes: 0,
-                    value_size: 0,
-                    cost: None,
+                let mk = |kind: SpanKind, from: u64, to: u64, records: u64| {
+                    TraceSpan::new(
+                        0,
+                        ctx.trace_id,
+                        kind,
+                        pid,
+                        start_nanos + from,
+                        to - from,
+                        (records, records),
+                        (0, 0),
+                        0,
+                        None,
+                    )
                 };
                 let mut stages = Vec::with_capacity(3);
                 if wal_share > 0 {

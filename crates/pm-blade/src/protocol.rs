@@ -91,7 +91,7 @@ pub enum Request {
     /// `Db::compact`.
     Compact(CompactionRequest),
     /// A request wrapped in a trace context: the server runs `inner`
-    /// through the engine's `*_traced` entry points so the client's
+    /// through the engine's `*_with` entry points so the client's
     /// trace id spans client → server → engine. Nesting is rejected on
     /// decode (one envelope per request).
     Traced {

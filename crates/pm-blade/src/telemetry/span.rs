@@ -99,6 +99,39 @@ pub struct TraceSpan {
 }
 
 impl TraceSpan {
+    /// A span of `kind` work on `partition` covering
+    /// `[start_nanos, start_nanos + nanos]`; `records` and `bytes` are
+    /// `(input, output)` pairs. Request stages pass `id` 0 and
+    /// `value_size` 0.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        id: u64,
+        trace_id: u64,
+        kind: SpanKind,
+        partition: usize,
+        start_nanos: u64,
+        nanos: u64,
+        records: (u64, u64),
+        bytes: (u64, u64),
+        value_size: u32,
+        cost: Option<CostDecision>,
+    ) -> Self {
+        TraceSpan {
+            id,
+            trace_id,
+            kind,
+            partition,
+            start_nanos,
+            end_nanos: start_nanos + nanos,
+            input_records: records.0,
+            output_records: records.1,
+            input_bytes: bytes.0,
+            output_bytes: bytes.1,
+            value_size,
+            cost,
+        }
+    }
+
     pub fn duration(&self) -> SimDuration {
         SimDuration::from_nanos(self.end_nanos.saturating_sub(self.start_nanos))
     }

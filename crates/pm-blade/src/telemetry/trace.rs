@@ -183,20 +183,18 @@ impl StageTrace {
         input_records: u64,
         output_records: u64,
     ) {
-        self.stages.push(TraceSpan {
-            id: 0,
-            trace_id: self.ctx.trace_id,
+        self.stages.push(TraceSpan::new(
+            0,
+            self.ctx.trace_id,
             kind,
-            partition: self.partition,
-            start_nanos: self.start_nanos + from,
-            end_nanos: self.start_nanos + to.max(from),
-            input_records,
-            output_records,
-            input_bytes: 0,
-            output_bytes: 0,
-            value_size: 0,
-            cost: None,
-        });
+            self.partition,
+            self.start_nanos + from,
+            to.saturating_sub(from),
+            (input_records, output_records),
+            (0, 0),
+            0,
+            None,
+        ));
     }
 
     /// Append a span already carrying absolute bounds (group-commit

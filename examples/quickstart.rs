@@ -30,7 +30,7 @@ fn main() -> Result<(), pm_blade::DbError> {
     let snapshot = db.snapshot();
     db.delete(b"order:1002")?;
     assert!(db.get(b"order:1002")?.value.is_none());
-    let old = db.get_at(b"order:1002", snapshot)?;
+    let old = db.get_with(b"order:1002", snapshot, None)?;
     assert!(old.value.is_some(), "snapshot read sees the old value");
 
     // Range scans merge the memtable, PM level-0 and SSD levels.

@@ -361,7 +361,7 @@ proptest! {
                         let observed: Vec<Vec<u8>> = key_names
                             .iter()
                             .map(|k| {
-                                db.get_at(k.as_bytes(), snap)
+                                db.get_with(k.as_bytes(), snap, None)
                                     .unwrap()
                                     .value
                                     .expect("seeded key must exist")

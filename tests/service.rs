@@ -778,12 +778,25 @@ fn traced_remote_get_spans_client_server_engine() {
     }
     client.compact(CompactionRequest::FlushAll).unwrap();
 
+    // An unsampled wire context is adopted, not re-sampled: it reads
+    // the value and records nothing (engine sampling is off, so any
+    // trace below came over the wire).
+    let unsampled = TraceContext {
+        sampled: false,
+        ..TraceContext::sampled(LIVE_ID)
+    };
+    let (value, _) = client.get_traced(&key_for(7), unsampled).unwrap();
+    assert_eq!(value, Some(value_for(107, 64)));
+    assert_eq!(db.metrics_snapshot().counter("trace_sampled_total"), 0);
+    assert!(db.flight_recorder().is_empty());
+
     // A traced get of a live key: the client-chosen id must appear in
     // the server-side flight recorder with a stage breakdown.
     let ctx = TraceContext::sampled(LIVE_ID);
     let (value, latency) = client.get_traced(&key_for(7), ctx).unwrap();
     assert_eq!(value, Some(value_for(107, 64)));
     assert!(latency > 0);
+    assert_eq!(db.metrics_snapshot().counter("trace_sampled_total"), 1);
     let recorded = db.flight_recorder();
     let ours = recorded
         .iter()

@@ -52,7 +52,7 @@ fn sampled_get_attributes_four_distinct_stages() {
     }
     db.compact(CompactionRequest::FlushAll).unwrap();
 
-    let got = db.get_at(&key_for(3), snap).unwrap();
+    let got = db.get_with(&key_for(3), snap, None).unwrap();
     assert_eq!(
         got.value,
         Some(value_for(3, 64)),
@@ -200,7 +200,8 @@ fn flush_triggered_by_traced_write_carries_the_origin_trace_id() {
     let ctx = TraceContext::sampled(WIRE_ID);
     let mut i = 0u64;
     while recorder.origins.lock().unwrap().is_empty() {
-        db.put_traced(&key_for(i), &value_for(i, 256), ctx).unwrap();
+        db.put_with(&key_for(i), &value_for(i, 256), Some(ctx))
+            .unwrap();
         i += 1;
         assert!(i < 10_000, "no automatic flush after 10k writes");
     }
