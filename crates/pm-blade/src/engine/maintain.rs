@@ -10,7 +10,7 @@ use sim::{SimDuration, Timeline};
 
 use super::{CompactionRequest, DbCore, DbError};
 use crate::costmodel::{
-    explain_read_benefit_coded, explain_write_benefit_coded, select_retained, RetentionCandidate,
+    explain_read_benefit, explain_write_benefit, select_retained, RetentionCandidate,
 };
 use crate::maintenance::{self, Job, JobKind};
 use crate::options::Mode;
@@ -242,7 +242,7 @@ impl DbCore {
                     // Line 1-3: Eq 1 — read-amplification relief.
                     // Bloom-pruned probes cost ~nothing, so the benefit
                     // is discounted by the observed prune ratio.
-                    let d_eq1 = explain_read_benefit_coded(
+                    let d_eq1 = explain_read_benefit(
                         pid,
                         &partition.counters,
                         unsorted,
@@ -257,7 +257,7 @@ impl DbCore {
                         Level0::Pm(l0) => l0.entries(),
                         _ => 0,
                     };
-                    let d_eq2 = explain_write_benefit_coded(
+                    let d_eq2 = explain_write_benefit(
                         pid,
                         &partition.counters,
                         l0_records,
