@@ -64,8 +64,6 @@ use crate::telemetry::{
 mod maintain;
 mod read;
 mod recovery;
-#[cfg(test)]
-mod tests;
 mod types;
 mod wal_ring;
 mod write;
@@ -539,3 +537,6 @@ impl std::fmt::Debug for DbCore {
             .finish()
     }
 }
+
+#[cfg(test)]
+mod tests;
