@@ -59,8 +59,7 @@ pub mod rate_limit;
 use rate_limit::TokenBucket;
 
 /// Knobs for one [`Server`]. Build with [`ServerOptions::builder`],
-/// which validates the combination (mirroring the engine's
-/// `OptionsBuilder`).
+/// which validates the combination.
 #[derive(Clone, Debug)]
 pub struct ServerOptions {
     /// Bind address for the KV protocol, e.g. `"127.0.0.1:0"` (port 0

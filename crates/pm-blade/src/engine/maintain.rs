@@ -455,7 +455,7 @@ impl DbCore {
     /// background workers; the inline path keeps the single-install
     /// major for deterministic span counts.
     fn do_major_chunked(&self, pid: usize, origin: u64) -> Result<(), DbError> {
-        let k = crate::compaction::chunk_count(&self.opts.scheduler);
+        let k = crate::compaction::chunk_count(&coroutine::SchedulerConfig::default());
         let total = self.partitions[pid].read().l0_table_count();
         if k <= 1 || total == 0 {
             // Nothing to split (or a Matrix/SSD level-0, which drains

@@ -103,18 +103,20 @@ impl std::ops::Deref for Db {
     }
 }
 
+/// Background worker threads servicing the maintenance queue.
+const MAINTENANCE_WORKERS: usize = 2;
+
 impl Db {
     /// Open an engine with the given options.
     ///
-    /// `open` trusts its input; use [`Options::builder`] to validate a
-    /// configuration before opening. In
-    /// [`MaintenanceMode::Background`] this also spawns
-    /// [`Options::maintenance_workers`] worker threads.
+    /// `open` trusts its input; use [`Options::validate`] to check a
+    /// configuration before opening. In `MaintenanceMode::Background`
+    /// this also spawns the two maintenance worker threads.
     pub fn open(opts: Options) -> Result<Db, DbError> {
         let core = Arc::new(DbCore::open(opts)?);
         let mut workers = Vec::new();
         if let Some(m) = &core.maintenance {
-            for i in 0..core.opts.maintenance_workers.max(1) {
+            for i in 0..MAINTENANCE_WORKERS {
                 let core = Arc::clone(&core);
                 let queue = Arc::clone(m);
                 let spawned = std::thread::Builder::new()

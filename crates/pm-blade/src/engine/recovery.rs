@@ -28,6 +28,10 @@ use crate::partition::{Level0, Partition};
 use crate::stats::EngineStats;
 use crate::telemetry::{EventRing, MetricKey, MetricsRegistry, Tracer};
 
+/// Manifest edits between full-snapshot rewrites (and `CURRENT` swaps),
+/// which bounds how much of the log an open replays.
+const MANIFEST_SNAPSHOT_EVERY: u64 = 64;
+
 /// Reopen one PM region as a level-0 table handle (recovery path).
 fn recover_pm_handle(pool: &PmPool, id: u64, ids: &CacheIds) -> Result<PmTableHandle, DbError> {
     let region = pool.get(id).ok_or_else(|| {
@@ -221,7 +225,7 @@ impl DbCore {
                 )?;
                 let device = SsdDevice::with_backing(opts.cost, dir.join("ssd"), fault.clone())?;
                 let mut manifest =
-                    Manifest::open(&dir, opts.manifest_snapshot_every, opts.cost, fault.clone())?;
+                    Manifest::open(&dir, MANIFEST_SNAPSHOT_EVERY, opts.cost, fault.clone())?;
                 let mut tl = Timeline::new();
                 let state = manifest.state().clone();
                 // Rebuild each partition's table set from its last
@@ -446,8 +450,12 @@ impl DbCore {
             completed: registry.counter(MetricKey::global("maintenance_jobs_completed")),
             failed: registry.counter(MetricKey::global("maintenance_jobs_failed")),
         };
-        let maintenance = (opts.maintenance == MaintenanceMode::Background)
-            .then(|| Arc::new(MaintenanceShared::new(opts.scheduler, queue_metrics)));
+        let maintenance = (opts.maintenance == MaintenanceMode::Background).then(|| {
+            Arc::new(MaintenanceShared::new(
+                coroutine::SchedulerConfig::default(),
+                queue_metrics,
+            ))
+        });
         let ring = EventRing::new(opts.event_log_capacity);
         let tracer = Tracer::new(
             opts.trace_sample_every,

@@ -24,7 +24,7 @@ pub enum DbError {
     Table(sstable::table::TableError),
     Wal(memtable::WalError),
     Corrupt(String),
-    /// Invalid configuration, rejected by [`crate::options::OptionsBuilder::build`].
+    /// Invalid configuration, rejected by [`crate::options::Options::validate`].
     Config(String),
     /// A group commit failed; the string carries the leader's error for
     /// every follower in the group.

@@ -15,6 +15,10 @@ use crate::maintenance::{Job, JobKind};
 use crate::manifest::VersionEdit;
 use crate::telemetry::{SpanKind, StageTrace, TraceContext, TraceOp, TraceSpan};
 
+/// Virtual-time penalty charged to each write admitted under slowdown
+/// (the RocksDB `delayed_write_rate` analogue).
+const SLOWDOWN_DELAY: SimDuration = SimDuration::from_micros(100);
+
 impl DbCore {
     /// Force the WAL to stable storage (no-op without a WAL).
     pub fn sync_wal(&self) -> Result<SimDuration, DbError> {
@@ -173,7 +177,7 @@ impl DbCore {
     /// maintenance directly and need no gate). Two pressure signals per
     /// partition — unsorted level-0 tables and memtable debt (size as a
     /// multiple of the flush target) — each with a *slowdown* threshold
-    /// (charge [`Options::slowdown_delay`] of virtual latency) and a
+    /// (charge [`SLOWDOWN_DELAY`] of virtual latency) and a
     /// *stall* threshold (park the real thread until the workers catch
     /// up). Returns the virtual penalty to add to the write's latency;
     /// the engine clock is advanced by it here.
@@ -255,8 +259,8 @@ impl DbCore {
                 // keeps running at full speed would re-trip the trigger
                 // before the workers can touch the backlog.
                 m.wait_for_progress(std::time::Duration::from_micros(100));
-                self.advance(self.opts.slowdown_delay);
-                return self.opts.slowdown_delay;
+                self.advance(SLOWDOWN_DELAY);
+                return SLOWDOWN_DELAY;
             }
             return SimDuration::ZERO;
         }

@@ -47,7 +47,7 @@ pub use engine::{
 };
 pub use groupcache::PmGroupCache;
 pub use level0::L0Version;
-pub use options::{MaintenanceMode, Mode, Options, OptionsBuilder, Partitioner};
+pub use options::{MaintenanceMode, Mode, Options, Partitioner};
 pub use protocol::{Request, Response, WireError};
 pub use relational::{Relational, TableDef};
 pub use stats::{EngineStats, LatencyStats, ReadSource};

@@ -38,20 +38,12 @@ struct Row {
 }
 
 /// The matrix container.
+#[derive(Default)]
 pub struct MatrixL0 {
     rows: Vec<Row>,
-    /// Column slices per container compaction (`matrix_columns`).
-    columns: usize,
 }
 
 impl MatrixL0 {
-    pub fn new(columns: usize) -> Self {
-        MatrixL0 {
-            rows: Vec::new(),
-            columns: columns.max(1),
-        }
-    }
-
     pub fn rows(&self) -> usize {
         self.rows.len()
     }
@@ -66,10 +58,6 @@ impl MatrixL0 {
 
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    pub fn column_count(&self) -> usize {
-        self.columns
     }
 
     /// Flush a frozen memtable into a new row. Charges the array-table
@@ -265,7 +253,7 @@ mod tests {
     #[test]
     fn flush_and_get_across_rows() {
         let (pool, opts) = setup();
-        let mut m = MatrixL0::new(4);
+        let mut m = MatrixL0::default();
         let mut tl = Timeline::new();
         flush(&mut m, &entries(1, 50), &opts, &pool, &mut tl);
         flush(&mut m, &entries(1000, 50), &opts, &pool, &mut tl);
@@ -285,9 +273,9 @@ mod tests {
         let rows = entries(1, 200);
         let mut with = Timeline::new();
         let mut without = Timeline::new();
-        let mut m1 = MatrixL0::new(4);
+        let mut m1 = MatrixL0::default();
         flush(&mut m1, &rows, &base_opts, &pool, &mut with);
-        let mut m2 = MatrixL0::new(4);
+        let mut m2 = MatrixL0::default();
         let cheap = Options {
             matrix_flush_overhead: 0.0,
             ..base_opts.clone()
@@ -299,7 +287,7 @@ mod tests {
     #[test]
     fn drain_and_take_regions_free_space() {
         let (pool, opts) = setup();
-        let mut m = MatrixL0::new(4);
+        let mut m = MatrixL0::default();
         let mut tl = Timeline::new();
         flush(&mut m, &entries(1, 20), &opts, &pool, &mut tl);
         assert!(m.bytes() > 0);
@@ -320,7 +308,7 @@ mod tests {
     #[test]
     fn cursors_cover_overlapping_rows_newest_version_first() {
         let (pool, opts) = setup();
-        let mut m = MatrixL0::new(4);
+        let mut m = MatrixL0::default();
         let mut tl = Timeline::new();
         flush(&mut m, &entries(1, 30), &opts, &pool, &mut tl);
         flush(&mut m, &entries(1000, 10), &opts, &pool, &mut tl);

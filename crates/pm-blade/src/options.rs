@@ -4,7 +4,7 @@ use pmtable::{CodecMode, MetaExtractor, PmTableOptions};
 use sim::{CostModel, SimDuration};
 
 use crate::costmodel::CodecCostTable;
-use crate::telemetry::{EventListener, ListenerSet};
+use crate::telemetry::ListenerSet;
 
 /// Which system the engine behaves as — the paper's comparison matrix.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -173,13 +173,9 @@ pub struct Options {
     pub max_table_bytes: usize,
     /// DRAM block-cache capacity for SSD reads.
     pub block_cache_bytes: usize,
-    /// Compaction scheduler profile for major compaction timing.
-    pub scheduler: coroutine::SchedulerConfig,
     /// MatrixKV: extra flush construction overhead (fraction of the
     /// flush cost spent building the matrix cross-hint structure).
     pub matrix_flush_overhead: f64,
-    /// MatrixKV: number of column slices per container compaction.
-    pub matrix_columns: usize,
     /// Directory for the write-ahead log; `None` disables the WAL.
     pub wal_dir: Option<std::path::PathBuf>,
     /// WAL segment size: the active segment rotates once it exceeds
@@ -187,9 +183,6 @@ pub struct Options {
     /// flush checkpoints are deleted. Only meaningful with
     /// [`Options::wal_dir`] set.
     pub wal_segment_bytes: usize,
-    /// Rewrite the manifest as a full snapshot (and swap `CURRENT`)
-    /// every this many edits, bounding recovery replay length.
-    pub manifest_snapshot_every: u64,
     /// Crash-injection plan threaded into every durable device (WAL,
     /// manifest, PM backing, SSD backing). `None` in production;
     /// recovery tests install a plan to kill the virtual process at a
@@ -208,9 +201,6 @@ pub struct Options {
     /// Inline (deterministic, default) or background (worker-pool)
     /// maintenance execution.
     pub maintenance: MaintenanceMode,
-    /// Background worker threads servicing the maintenance queue
-    /// (ignored in [`MaintenanceMode::Inline`]). Must be at least 1.
-    pub maintenance_workers: usize,
     /// Unsorted level-0 tables per partition beyond which writes to that
     /// partition are *slowed down* in background mode.
     pub l0_slowdown_trigger: usize,
@@ -226,9 +216,6 @@ pub struct Options {
     /// Memtable debt multiple that stalls writes. Must exceed
     /// [`Options::memtable_slowdown_debt`].
     pub memtable_stall_debt: usize,
-    /// Virtual-time penalty charged to each write admitted under
-    /// slowdown (the RocksDB `delayed_write_rate` analogue).
-    pub slowdown_delay: SimDuration,
     /// Sample 1 in N engine-originated requests for end-to-end stage
     /// tracing; 0 disables sampling entirely (wire-carried sampled
     /// contexts are still honored). Sampling only observes the virtual
@@ -273,22 +260,17 @@ impl Default for Options {
             level_multiplier: 10,
             max_table_bytes: 2 << 20,
             block_cache_bytes: 8 << 20,
-            scheduler: coroutine::SchedulerConfig::default(),
             matrix_flush_overhead: 0.6,
-            matrix_columns: 8,
             wal_dir: None,
             wal_segment_bytes: 4 << 20,
-            manifest_snapshot_every: 64,
             fault_plan: None,
             event_log_capacity: 1024,
             listeners: ListenerSet::new(),
             maintenance: MaintenanceMode::Inline,
-            maintenance_workers: 2,
             l0_slowdown_trigger: 12,
             l0_stall_trigger: 24,
             memtable_slowdown_debt: 2,
             memtable_stall_debt: 4,
-            slowdown_delay: SimDuration::from_micros(100),
             trace_sample_every: 1024,
             trace_slow_query_nanos: 0,
             trace_recorder_capacity: 256,
@@ -297,16 +279,6 @@ impl Default for Options {
 }
 
 impl Options {
-    /// Start a validated configuration from the defaults. Unlike
-    /// constructing `Options` directly (which `Db::open` accepts
-    /// as-is), [`OptionsBuilder::build`] rejects inconsistent
-    /// configurations with [`DbError::Config`].
-    pub fn builder() -> OptionsBuilder {
-        OptionsBuilder {
-            opts: Options::default(),
-        }
-    }
-
     /// The paper's "PMBlade" configuration at a given PM scale.
     pub fn pm_blade(pm_capacity: usize) -> Self {
         Options {
@@ -341,208 +313,15 @@ impl Options {
             ..Options::pm_blade(pm_capacity)
         }
     }
-}
 
-/// Checked construction of [`Options`].
-///
-/// Every setter mirrors the `Options` field of the same name; `build`
-/// cross-validates the configuration and returns
-/// [`DbError::Config`](crate::engine::DbError::Config) with a
-/// human-readable diagnostic on the first violation found.
-#[derive(Clone, Debug)]
-pub struct OptionsBuilder {
-    opts: Options,
-}
-
-impl OptionsBuilder {
-    /// Start from an existing configuration (e.g. a mode preset).
-    pub fn from_options(opts: Options) -> Self {
-        OptionsBuilder { opts }
-    }
-
-    pub fn mode(mut self, mode: Mode) -> Self {
-        self.opts.mode = mode;
-        self
-    }
-
-    pub fn partitioner(mut self, partitioner: Partitioner) -> Self {
-        self.opts.partitioner = partitioner;
-        self
-    }
-
-    pub fn pm_capacity(mut self, bytes: usize) -> Self {
-        self.opts.pm_capacity = bytes;
-        self
-    }
-
-    pub fn memtable_bytes(mut self, bytes: usize) -> Self {
-        self.opts.memtable_bytes = bytes;
-        self
-    }
-
-    pub fn tau_w(mut self, bytes: usize) -> Self {
-        self.opts.tau_w = bytes;
-        self
-    }
-
-    pub fn tau_m(mut self, bytes: usize) -> Self {
-        self.opts.tau_m = bytes;
-        self
-    }
-
-    pub fn tau_t(mut self, bytes: usize) -> Self {
-        self.opts.tau_t = bytes;
-        self
-    }
-
-    pub fn l0_unsorted_hard_cap(mut self, cap: usize) -> Self {
-        self.opts.l0_unsorted_hard_cap = cap;
-        self
-    }
-
-    pub fn l0_table_trigger(mut self, trigger: usize) -> Self {
-        self.opts.l0_table_trigger = trigger;
-        self
-    }
-
-    pub fn l1_target(mut self, bytes: usize) -> Self {
-        self.opts.l1_target = bytes;
-        self
-    }
-
-    pub fn level_multiplier(mut self, multiplier: usize) -> Self {
-        self.opts.level_multiplier = multiplier;
-        self
-    }
-
-    pub fn max_table_bytes(mut self, bytes: usize) -> Self {
-        self.opts.max_table_bytes = bytes;
-        self
-    }
-
-    pub fn block_cache_bytes(mut self, bytes: usize) -> Self {
-        self.opts.block_cache_bytes = bytes;
-        self
-    }
-
-    pub fn pm_filter_bits_per_key(mut self, bits: usize) -> Self {
-        self.opts.pm_filter_bits_per_key = bits;
-        self
-    }
-
-    pub fn pm_group_cache_bytes(mut self, bytes: usize) -> Self {
-        self.opts.pm_group_cache_bytes = bytes;
-        self
-    }
-
-    /// Per-flush codec policy for PM level-0 tables (`Auto` analyzes
-    /// each flush batch; the other variants force one codec).
-    pub fn pm_codec_mode(mut self, mode: CodecMode) -> Self {
-        self.opts.pm_codec_mode = mode;
-        self
-    }
-
-    pub fn matrix_columns(mut self, columns: usize) -> Self {
-        self.opts.matrix_columns = columns;
-        self
-    }
-
-    pub fn wal_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.opts.wal_dir = Some(dir.into());
-        self
-    }
-
-    pub fn wal_segment_bytes(mut self, bytes: usize) -> Self {
-        self.opts.wal_segment_bytes = bytes;
-        self
-    }
-
-    pub fn manifest_snapshot_every(mut self, edits: u64) -> Self {
-        self.opts.manifest_snapshot_every = edits;
-        self
-    }
-
-    /// Install a crash-injection plan (recovery tests only).
-    pub fn fault_plan(mut self, plan: std::sync::Arc<sim::FaultPlan>) -> Self {
-        self.opts.fault_plan = Some(plan);
-        self
-    }
-
-    pub fn event_log_capacity(mut self, capacity: usize) -> Self {
-        self.opts.event_log_capacity = capacity;
-        self
-    }
-
-    pub fn maintenance(mut self, mode: MaintenanceMode) -> Self {
-        self.opts.maintenance = mode;
-        self
-    }
-
-    pub fn maintenance_workers(mut self, workers: usize) -> Self {
-        self.opts.maintenance_workers = workers;
-        self
-    }
-
-    pub fn l0_slowdown_trigger(mut self, tables: usize) -> Self {
-        self.opts.l0_slowdown_trigger = tables;
-        self
-    }
-
-    pub fn l0_stall_trigger(mut self, tables: usize) -> Self {
-        self.opts.l0_stall_trigger = tables;
-        self
-    }
-
-    pub fn memtable_slowdown_debt(mut self, multiples: usize) -> Self {
-        self.opts.memtable_slowdown_debt = multiples;
-        self
-    }
-
-    pub fn memtable_stall_debt(mut self, multiples: usize) -> Self {
-        self.opts.memtable_stall_debt = multiples;
-        self
-    }
-
-    pub fn slowdown_delay(mut self, delay: SimDuration) -> Self {
-        self.opts.slowdown_delay = delay;
-        self
-    }
-
-    pub fn scheduler(mut self, cfg: coroutine::SchedulerConfig) -> Self {
-        self.opts.scheduler = cfg;
-        self
-    }
-
-    /// Sample 1 in `n` requests for stage tracing (0 = off).
-    pub fn trace_sample_every(mut self, n: u64) -> Self {
-        self.opts.trace_sample_every = n;
-        self
-    }
-
-    /// Flight-recorder admission threshold in virtual nanoseconds
-    /// (0 = keep every sampled request).
-    pub fn trace_slow_query_nanos(mut self, nanos: u64) -> Self {
-        self.opts.trace_slow_query_nanos = nanos;
-        self
-    }
-
-    /// Capacity of the slow-query flight-recorder ring.
-    pub fn trace_recorder_capacity(mut self, capacity: usize) -> Self {
-        self.opts.trace_recorder_capacity = capacity;
-        self
-    }
-
-    /// Register an event listener (may be called repeatedly; listeners
-    /// are invoked in registration order).
-    pub fn add_event_listener(mut self, listener: std::sync::Arc<dyn EventListener>) -> Self {
-        self.opts.listeners.add(listener);
-        self
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<Options, crate::engine::DbError> {
+    /// Cross-validate the configuration: the first violation found
+    /// comes back as [`DbError::Config`](crate::engine::DbError::Config)
+    /// with a human-readable diagnostic. `Db::open` accepts an `Options`
+    /// as it is; run a configuration that arrives from outside the
+    /// program through this first.
+    pub fn validate(self) -> Result<Options, crate::engine::DbError> {
         use crate::engine::DbError;
-        let o = &self.opts;
+        let o = &self;
         let fail = |msg: String| Err(DbError::Config(msg));
         if o.partitioner.count() == 0 {
             return fail("at least one partition is required".into());
@@ -605,9 +384,6 @@ impl OptionsBuilder {
                 o.level_multiplier
             ));
         }
-        if o.mode == Mode::MatrixKv && o.matrix_columns == 0 {
-            return fail("matrix_columns must be at least 1".into());
-        }
         if o.l0_unsorted_hard_cap == 0 {
             return fail("l0_unsorted_hard_cap must be at least 1".into());
         }
@@ -619,20 +395,6 @@ impl OptionsBuilder {
         }
         if o.wal_segment_bytes == 0 {
             return fail("wal_segment_bytes must be positive".into());
-        }
-        if o.manifest_snapshot_every == 0 {
-            return fail(
-                "manifest_snapshot_every must be at least 1 \
-                 (the manifest log must eventually compact)"
-                    .into(),
-            );
-        }
-        if o.maintenance_workers == 0 {
-            return fail(
-                "maintenance_workers must be at least 1 \
-                 (the background pool needs a worker)"
-                    .into(),
-            );
         }
         if o.l0_slowdown_trigger == 0 {
             return fail("l0_slowdown_trigger must be at least 1".into());
@@ -664,13 +426,7 @@ impl OptionsBuilder {
                     .into(),
             );
         }
-        if o.scheduler.cores == 0 {
-            return fail("scheduler.cores must be at least 1".into());
-        }
-        if o.scheduler.max_io == 0 {
-            return fail("scheduler.max_io must be at least 1".into());
-        }
-        Ok(self.opts)
+        Ok(self)
     }
 }
 
@@ -708,125 +464,92 @@ mod tests {
 
     #[test]
     fn builder_accepts_default_and_presets() {
-        assert!(Options::builder().build().is_ok());
-        assert!(OptionsBuilder::from_options(Options::pm_blade(1 << 20))
-            .build()
-            .is_ok());
-        assert!(OptionsBuilder::from_options(Options::rocksdb_like())
-            .build()
-            .is_ok());
-        let opts = Options::builder()
-            .mode(Mode::PmBlade)
-            .pm_capacity(1 << 20)
-            .memtable_bytes(8 << 10)
-            .tau_m(768 << 10)
-            .tau_t(384 << 10)
-            .build()
-            .unwrap();
+        assert!(Options::default().validate().is_ok());
+        assert!(Options::pm_blade(1 << 20).validate().is_ok());
+        assert!(Options::rocksdb_like().validate().is_ok());
+        let opts = Options {
+            mode: Mode::PmBlade,
+            pm_capacity: 1 << 20,
+            memtable_bytes: 8 << 10,
+            tau_m: 768 << 10,
+            tau_t: 384 << 10,
+            ..Options::default()
+        }
+        .validate()
+        .unwrap();
         assert_eq!(opts.pm_capacity, 1 << 20);
+    }
+
+    /// The `Config` message the defaults are rejected with after `edit`.
+    fn rejection(edit: impl FnOnce(&mut Options)) -> String {
+        let mut opts = Options::default();
+        edit(&mut opts);
+        match opts.validate() {
+            Err(crate::engine::DbError::Config(m)) => m,
+            other => panic!("expected Config error, got {other:?}"),
+        }
+    }
+
+    /// The defaults after `edit`, which must validate.
+    fn accepted(edit: impl FnOnce(&mut Options)) -> Options {
+        let mut opts = Options::default();
+        edit(&mut opts);
+        opts.validate().expect("a consistent configuration")
     }
 
     #[test]
     fn builder_rejects_inconsistent_configs() {
-        let msg = |r: Result<Options, crate::engine::DbError>| match r {
-            Err(crate::engine::DbError::Config(m)) => m,
-            other => panic!("expected Config error, got {other:?}"),
-        };
-        assert!(msg(Options::builder().memtable_bytes(0).build()).contains("memtable_bytes"));
-        assert!(msg(Options::builder()
-            .pm_capacity(4 << 10)
-            .memtable_bytes(64 << 10)
-            .tau_m(1 << 10)
-            .tau_t(1 << 10)
-            .build())
+        assert!(rejection(|o| o.memtable_bytes = 0).contains("memtable_bytes"));
+        assert!(rejection(|o| {
+            (o.pm_capacity, o.memtable_bytes) = (4 << 10, 64 << 10);
+            (o.tau_m, o.tau_t) = (1 << 10, 1 << 10);
+        })
         .contains("pm_capacity"));
-        assert!(msg(Options::builder().tau_m(96 << 20).tau_t(90 << 20).build()).contains("tau_m"));
-        assert!(msg(Options::builder().tau_t(80 << 20).tau_m(72 << 20).build()).contains("tau_t"));
-        assert!(msg(Options::builder()
-            .partitioner(Partitioner::Ranges(vec![b"m".to_vec(), b"f".to_vec(),]))
-            .build())
-        .contains("ascending"));
-        assert!(msg(Options::builder().level_multiplier(1).build()).contains("level_multiplier"));
-        assert!(msg(Options::builder().max_table_bytes(0).build()).contains("max_table_bytes"));
-        assert!(msg(Options::builder().pm_filter_bits_per_key(65).build())
-            .contains("pm_filter_bits_per_key"));
+        assert!(rejection(|o| (o.tau_m, o.tau_t) = (96 << 20, 90 << 20)).contains("tau_m"));
+        assert!(rejection(|o| (o.tau_t, o.tau_m) = (80 << 20, 72 << 20)).contains("tau_t"));
+        let ranges =
+            |keys: &[&[u8]]| Partitioner::Ranges(keys.iter().map(|k| k.to_vec()).collect());
+        assert!(rejection(|o| o.partitioner = ranges(&[b"m", b"f"])).contains("ascending"));
+        assert!(rejection(|o| o.partitioner = ranges(&[])).contains("at least one boundary"));
+        assert!(rejection(|o| o.level_multiplier = 1).contains("level_multiplier"));
+        assert!(rejection(|o| o.l1_target = 0).contains("l1_target"));
+        assert!(rejection(|o| o.max_table_bytes = 0).contains("max_table_bytes"));
+        assert!(rejection(|o| o.pm_filter_bits_per_key = 65).contains("pm_filter_bits_per_key"));
         // 0 legitimately disables the filter and the cache.
-        assert!(Options::builder()
-            .pm_filter_bits_per_key(0)
-            .pm_group_cache_bytes(0)
-            .build()
-            .is_ok());
-        assert!(
-            msg(Options::builder().event_log_capacity(0).build()).contains("event_log_capacity")
-        );
-        assert!(msg(Options::builder().wal_segment_bytes(0).build()).contains("wal_segment_bytes"));
-        assert!(msg(Options::builder().manifest_snapshot_every(0).build())
-            .contains("manifest_snapshot_every"));
-        assert!(msg(Options::builder().trace_recorder_capacity(0).build())
-            .contains("trace_recorder_capacity"));
+        accepted(|o| (o.pm_filter_bits_per_key, o.pm_group_cache_bytes) = (0, 0));
+        assert!(rejection(|o| o.l0_unsorted_hard_cap = 0).contains("l0_unsorted_hard_cap"));
+        assert!(rejection(|o| o.l0_table_trigger = 0).contains("l0_table_trigger"));
+        assert!(rejection(|o| o.event_log_capacity = 0).contains("event_log_capacity"));
+        assert!(rejection(|o| o.wal_segment_bytes = 0).contains("wal_segment_bytes"));
+        assert!(rejection(|o| o.trace_recorder_capacity = 0).contains("trace_recorder_capacity"));
         // Sampling off is a legal steady state.
-        assert!(Options::builder().trace_sample_every(0).build().is_ok());
+        accepted(|o| o.trace_sample_every = 0);
         // SSD-only mode doesn't need PM headroom.
-        assert!(Options::builder()
-            .mode(Mode::SsdLevel0)
-            .pm_capacity(0)
-            .build()
-            .is_ok());
+        accepted(|o| (o.mode, o.pm_capacity) = (Mode::SsdLevel0, 0));
     }
 
     #[test]
     fn builder_rejects_bad_maintenance_configs() {
-        let msg = |r: Result<Options, crate::engine::DbError>| match r {
-            Err(crate::engine::DbError::Config(m)) => m,
-            other => panic!("expected Config error, got {other:?}"),
-        };
-        assert!(
-            msg(Options::builder().maintenance_workers(0).build()).contains("maintenance_workers")
-        );
         // Slowdown thresholds must stay strictly below their stall
         // backstops.
-        assert!(msg(Options::builder()
-            .l0_slowdown_trigger(8)
-            .l0_stall_trigger(8)
-            .build())
-        .contains("l0_slowdown_trigger"));
-        assert!(msg(Options::builder()
-            .l0_slowdown_trigger(9)
-            .l0_stall_trigger(8)
-            .build())
-        .contains("l0_slowdown_trigger"));
-        assert!(msg(Options::builder()
-            .memtable_slowdown_debt(4)
-            .memtable_stall_debt(4)
-            .build())
-        .contains("memtable_slowdown_debt"));
-        assert!(msg(Options::builder().memtable_slowdown_debt(0).build())
-            .contains("memtable_slowdown_debt"));
+        for (slowdown, stall) in [(8, 8), (9, 8)] {
+            assert!(
+                rejection(|o| (o.l0_slowdown_trigger, o.l0_stall_trigger) = (slowdown, stall))
+                    .contains("l0_slowdown_trigger")
+            );
+        }
         assert!(
-            msg(Options::builder().l0_slowdown_trigger(0).build()).contains("l0_slowdown_trigger")
+            rejection(|o| (o.memtable_slowdown_debt, o.memtable_stall_debt) = (4, 4))
+                .contains("memtable_slowdown_debt")
         );
-        // SchedulerConfig sanity: zero cores or a zero I/O window would
-        // wedge the §V admission policy.
-        let bad_cores = coroutine::SchedulerConfig {
-            cores: 0,
-            ..Default::default()
-        };
-        assert!(msg(Options::builder().scheduler(bad_cores).build()).contains("scheduler.cores"));
-        let bad_io = coroutine::SchedulerConfig {
-            max_io: 0,
-            ..Default::default()
-        };
-        assert!(msg(Options::builder().scheduler(bad_io).build()).contains("scheduler.max_io"));
+        assert!(rejection(|o| o.memtable_slowdown_debt = 0).contains("memtable_slowdown_debt"));
+        assert!(rejection(|o| o.l0_slowdown_trigger = 0).contains("l0_slowdown_trigger"));
         // A consistent background configuration passes.
-        let opts = Options::builder()
-            .maintenance(MaintenanceMode::Background)
-            .maintenance_workers(3)
-            .l0_slowdown_trigger(6)
-            .l0_stall_trigger(12)
-            .build()
-            .unwrap();
+        let opts = accepted(|o| {
+            o.maintenance = MaintenanceMode::Background;
+            (o.l0_slowdown_trigger, o.l0_stall_trigger) = (6, 12);
+        });
         assert_eq!(opts.maintenance, MaintenanceMode::Background);
-        assert_eq!(opts.maintenance_workers, 3);
     }
 
     #[test]
@@ -834,15 +557,10 @@ mod tests {
         let opts = Options::default();
         assert_eq!(opts.pm_codec_mode, CodecMode::Auto);
         // The raw table options stay prefix so directly-constructed
-        // builders keep byte-stable output; `Db::open` projects the
+        // table builders keep byte-stable output; `Db::open` projects the
         // engine knob (and a calibrated cost table) on top.
         assert_eq!(opts.pm_table.codec, CodecMode::Prefix);
         assert_eq!(opts.codec_costs, CodecCostTable::default());
-        let built = Options::builder()
-            .pm_codec_mode(CodecMode::Delta)
-            .build()
-            .unwrap();
-        assert_eq!(built.pm_codec_mode, CodecMode::Delta);
     }
 
     #[test]

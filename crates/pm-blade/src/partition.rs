@@ -130,7 +130,7 @@ impl Partition {
         let level0 = match opts.mode {
             Mode::PmBlade | Mode::PmBladePm => Level0::Pm(PmLevel0::new()),
             Mode::SsdLevel0 => Level0::Ssd(Vec::new()),
-            Mode::MatrixKv => Level0::Matrix(MatrixL0::new(opts.matrix_columns)),
+            Mode::MatrixKv => Level0::Matrix(MatrixL0::default()),
         };
         Partition {
             id,

@@ -14,7 +14,7 @@
 //!   start/end virtual time, input/output bytes and record counts, and
 //!   the cost-model verdict ([`CostDecision`]) that triggered it.
 //! - [`EventListener`] — a RocksDB-style hook trait. Implementations
-//!   registered through `OptionsBuilder::add_event_listener` observe
+//!   added to `Options::listeners` observe
 //!   begin/complete pairs for every span plus every cost-model
 //!   decision. Listeners may run with engine locks held: they must be
 //!   fast, must not block, and must never call back into the `Db`.

@@ -25,7 +25,7 @@ struct Inner {
 
 impl EventRing {
     /// `capacity` must be at least 1 (enforced by
-    /// `OptionsBuilder::build`; a raw `Options` with 0 gets 1).
+    /// `Options::validate`; an unvalidated `Options` with 0 gets 1).
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         EventRing {

@@ -54,17 +54,20 @@ impl EventListener for Tally {
 
 fn main() -> Result<(), pm_blade::DbError> {
     let tally = Arc::new(Tally::default());
-    let opts: Options = Options::builder()
-        .pm_capacity(4 << 20)
-        .memtable_bytes(32 << 10)
-        .tau_w(64 << 10)
-        .tau_m(2 << 20)
-        .tau_t(1 << 20)
-        .l1_target(512 << 10)
-        .max_table_bytes(128 << 10)
-        .event_log_capacity(256)
-        .add_event_listener(Arc::clone(&tally) as Arc<dyn EventListener>)
-        .build()?;
+    let mut opts = Options {
+        pm_capacity: 4 << 20,
+        memtable_bytes: 32 << 10,
+        tau_w: 64 << 10,
+        tau_m: 2 << 20,
+        tau_t: 1 << 20,
+        l1_target: 512 << 10,
+        max_table_bytes: 128 << 10,
+        event_log_capacity: 256,
+        ..Options::default()
+    }
+    .validate()?;
+    opts.listeners
+        .add(Arc::clone(&tally) as Arc<dyn EventListener>);
     let db = Db::open(opts)?;
 
     // Generate enough traffic to exercise flushes and compactions.

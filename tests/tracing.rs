@@ -323,17 +323,17 @@ fn slow_query_threshold_gates_the_flight_recorder() {
 }
 
 /// The recorder is a capped ring: overflow evicts the oldest traces
-/// and counts the drops. Exercised through the builder knobs.
+/// and counts the drops. Exercised through a validated configuration.
 #[test]
 fn recorder_ring_caps_and_counts_drops() {
-    let opts_base = tiny_options(Mode::PmBlade);
-    let opts = pm_blade::Options::builder()
-        .mode(opts_base.mode)
-        .trace_sample_every(1)
-        .trace_slow_query_nanos(0)
-        .trace_recorder_capacity(4)
-        .build()
-        .unwrap();
+    let opts = pm_blade::Options {
+        trace_sample_every: 1,
+        trace_slow_query_nanos: 0,
+        trace_recorder_capacity: 4,
+        ..pm_blade::Options::default()
+    }
+    .validate()
+    .unwrap();
     let db = Db::open(opts).unwrap();
     db.put(b"k", b"v").unwrap();
     for _ in 0..20 {
