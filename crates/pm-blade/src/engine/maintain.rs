@@ -129,8 +129,8 @@ impl DbCore {
         if let Some(wal) = &self.wal {
             let mut sync_tl = Timeline::new();
             wal.lock().active.sync(&mut sync_tl)?;
-            self.wal_syncs.incr();
-            self.wal_sync_latency.record(sync_tl.elapsed());
+            self.metrics.wal_syncs.incr();
+            self.metrics.wal_sync_latency.record(sync_tl.elapsed());
             tl.charge(sync_tl.elapsed());
         }
         let (report, version) = {
@@ -156,7 +156,7 @@ impl DbCore {
                     version.expect("set with report"),
                     Some((pid, report.durable_seq)),
                 )?;
-                self.stats.minor_compactions.incr();
+                self.metrics.minor_compactions.incr();
                 let d = tl.elapsed();
                 self.advance(d);
                 // Record which codec this flush encoded with (encoding
@@ -363,7 +363,7 @@ impl DbCore {
             &self.opts,
             &self.pool,
             &self.cache_ids,
-            &self.compaction_input_errors,
+            &self.metrics.compaction_input_errors,
             &mut tl,
         );
         let result = match result {
@@ -397,11 +397,11 @@ impl DbCore {
             for id in &report.retired_cache_ids {
                 self.group_cache.purge_table(*id);
             }
-            self.stats.internal_compactions.incr();
-            self.stats
+            self.metrics.internal_compactions.incr();
+            self.metrics
                 .internal_space_released
                 .add(report.bytes_released as u64);
-            self.stats
+            self.metrics
                 .internal_dropped_records
                 .add((report.records_before - report.records_after) as u64);
             let d = tl.elapsed();
@@ -500,7 +500,7 @@ impl DbCore {
             &self.cache,
             &self.table_counter,
             table_limit,
-            &self.compaction_input_errors,
+            &self.metrics.compaction_input_errors,
             &mut tl,
         )?;
         // For a limited pass, only the moved slice counts as this
@@ -526,7 +526,7 @@ impl DbCore {
         for id in &report.retired_cache_ids {
             self.group_cache.purge_table(*id);
         }
-        self.stats.major_compactions.incr();
+        self.metrics.major_compactions.incr();
         let d = tl.elapsed();
         self.advance(d);
         let span = TraceSpan::new(

@@ -38,12 +38,12 @@
 //! appended), so it cannot participate in a cycle.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use encoding::key::SequenceNumber;
 use parking_lot::{Mutex, RwLock};
 use pm_device::PmPool;
-use sim::{Counter, SimDuration, SimInstant};
+use sim::{SimDuration, SimInstant};
 use ssd_device::SsdDevice;
 use sstable::BlockCache;
 
@@ -55,10 +55,10 @@ use crate::maintenance::MaintenanceShared;
 use crate::manifest::Manifest;
 use crate::options::Options;
 use crate::partition::{Level0, Partition};
-use crate::stats::{EngineStats, LatencyStats};
+use crate::stats::EngineMetrics;
 use crate::telemetry::{
-    chrome_trace_json, EventRing, LatencyRecorder, MetricKey, MetricsRegistry, MetricsSnapshot,
-    RequestTrace, SpanKind, TraceContext, Tracer,
+    chrome_trace_json, EventRing, MetricKey, MetricsRegistry, MetricsSnapshot, RequestTrace,
+    SpanKind, TraceContext, Tracer,
 };
 
 mod maintain;
@@ -205,75 +205,32 @@ pub struct DbCore {
     /// Per-engine [`PmTableHandle::cache_id`] allocator (see
     /// [`CacheIds`] for why it must not be process-global).
     cache_ids: CacheIds,
-    stats: EngineStats,
+    /// Every metric handle the engine updates, resolved once at open.
+    metrics: EngineMetrics,
     wal: Option<Mutex<WalRing>>,
     /// The durable table-lifecycle log; `Some` iff `opts.wal_dir` is
     /// set. Locked only while no partition or WAL-ring lock is held.
     manifest: Option<Mutex<Manifest>>,
-    /// Edits applied to the manifest (replayed at open + appended).
-    manifest_edits: Arc<Counter>,
-    /// Sealed WAL segments deleted because a flush checkpoint covered
-    /// every record they held.
-    wal_segments_deleted: Arc<Counter>,
     /// Mean value size observed (drives compaction trace balance).
     value_bytes_sum: AtomicU64,
     value_count: AtomicU64,
     /// Metrics registry; every engine counter/gauge/histogram lives (or
     /// is mirrored) here so one `metrics_snapshot()` sees everything.
+    /// The engine's own series are reached through `metrics`.
     registry: MetricsRegistry,
     /// Capped span ring backing `compaction_log()` / snapshot spans.
     ring: EventRing,
     /// Monotonic span-id allocator (ids order span *completion*).
     span_ids: AtomicU64,
-    /// Per-partition read-source counter handles (hot path: no registry
-    /// lookups on reads).
-    read_metrics: Vec<ReadMetrics>,
-    lat_reads: Arc<LatencyRecorder>,
-    lat_writes: Arc<LatencyRecorder>,
-    lat_scans: Arc<LatencyRecorder>,
-    commit_latency: Arc<LatencyRecorder>,
-    wal_sync_latency: Arc<LatencyRecorder>,
-    wal_appends: Arc<Counter>,
-    wal_syncs: Arc<Counter>,
     /// Shared decoded-prefix-group cache for the PM level-0 read path.
     /// Sized by [`Options::pm_group_cache_bytes`] (0 disables it).
     group_cache: Arc<PmGroupCache>,
-    /// PM-L0 bloom-filter outcome counters (global; hot path keeps the
-    /// `Arc`s so reads never touch the registry map).
-    pm_filter_checked: Arc<Counter>,
-    pm_filter_useful: Arc<Counter>,
-    pm_filter_miss: Arc<Counter>,
-    /// Distribution of PM tables actually probed per PM-L0 lookup.
-    pm_tables_probed: Arc<LatencyRecorder>,
-    /// Table-read failures surfaced by the SSD read path (these
-    /// propagate to the caller instead of being swallowed as misses).
-    ssd_read_errors: Arc<Counter>,
-    /// Compaction inputs (SSTables) that could not be read; the
-    /// compaction aborted with every input table still in place.
-    compaction_input_errors: Arc<Counter>,
     /// The background job queue; `Some` iff
     /// `opts.maintenance == MaintenanceMode::Background`.
     maintenance: Option<Arc<MaintenanceShared>>,
-    write_slowdowns: Arc<Counter>,
-    write_stalls: Arc<Counter>,
-    /// Wall-clock (not virtual) stall durations: stalls park the real
-    /// thread, so the histogram measures what a client would feel.
-    stall_wall: Arc<LatencyRecorder>,
     /// Request tracer: sampling decisions plus the slow-query flight
     /// recorder. Observes the virtual clock, never charges it.
     tracer: Tracer,
-}
-
-/// Pre-fetched per-partition read counters (see [`DbCore::read_metrics`]).
-struct ReadMetrics {
-    reads: Arc<Counter>,
-    memtable: Arc<Counter>,
-    pm: Arc<Counter>,
-    miss: Arc<Counter>,
-    /// `read_source_ssd` by level (0 = an SSD level-0 table), each
-    /// resolved from the registry on the level's first hit. Levels
-    /// past the array fall back to a registry lookup per hit.
-    ssd: [OnceLock<Arc<Counter>>; 8],
 }
 
 impl DbCore {
@@ -285,8 +242,8 @@ impl DbCore {
         &self.opts
     }
 
-    pub fn stats(&self) -> &EngineStats {
-        &self.stats
+    pub fn stats(&self) -> &EngineMetrics {
+        &self.metrics
     }
 
     pub fn pm_pool(&self) -> &PmPool {
@@ -349,29 +306,17 @@ impl DbCore {
     /// each counter is individually monotonic across snapshots.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         // Refresh point-in-time gauges before collecting.
-        self.registry
-            .gauge(MetricKey::global("pm_used_bytes"))
-            .set(self.pool.used() as i64);
-        self.registry
-            .gauge(MetricKey::global("block_cache_used_bytes"))
-            .set(self.cache.used() as i64);
-        self.registry
-            .gauge(MetricKey::global("pm_group_cache_used_bytes"))
+        let m = &self.metrics;
+        m.pm_used_bytes.set(self.pool.used() as i64);
+        m.block_cache_used_bytes.set(self.cache.used() as i64);
+        m.pm_group_cache_used_bytes
             .set(self.group_cache.used() as i64);
-        for (pid, lock) in self.partitions.iter().enumerate() {
+        for (lock, m) in self.partitions.iter().zip(&m.partitions) {
             let p = lock.read();
-            self.registry
-                .gauge(MetricKey::partition("memtable_bytes", pid))
-                .set(p.mem.approximate_size() as i64);
-            self.registry
-                .gauge(MetricKey::partition("pm_l0_bytes", pid))
-                .set(p.pm_bytes() as i64);
-            self.registry
-                .gauge(MetricKey::partition("l0_unsorted_tables", pid))
-                .set(p.unsorted_count() as i64);
-            self.registry
-                .gauge(MetricKey::partition("ssd_level_bytes", pid))
-                .set(p.levels.total_bytes() as i64);
+            m.memtable_bytes.set(p.mem.approximate_size() as i64);
+            m.pm_l0_bytes.set(p.pm_bytes() as i64);
+            m.l0_unsorted_tables.set(p.unsorted_count() as i64);
+            m.ssd_level_bytes.set(p.levels.total_bytes() as i64);
         }
         let (mut counters, gauges, histograms) = self.registry.collect();
         // Device and cache counters live in their own crates; mirror
@@ -409,16 +354,6 @@ impl DbCore {
             self.ring.snapshot(),
             self.ring.dropped(),
         )
-    }
-
-    /// Foreground latency histograms (reads / writes / scans), copied
-    /// out of the registry.
-    pub fn latency_stats(&self) -> LatencyStats {
-        LatencyStats {
-            reads: self.lat_reads.histogram(),
-            writes: self.lat_writes.histogram(),
-            scans: self.lat_scans.histogram(),
-        }
     }
 
     /// The request tracer (sampling state + slow-query flight recorder).
@@ -501,7 +436,7 @@ impl DbCore {
         WriteAmp {
             pm_bytes: self.pool.stats().bytes_written.get(),
             ssd_bytes: self.device.stats().bytes_written.get(),
-            user_bytes: self.stats.user_bytes_written.get(),
+            user_bytes: self.metrics.user_bytes_written.get(),
         }
     }
 

@@ -14,7 +14,7 @@ use crate::level0::ProbeStats;
 use crate::levels::SsdReadStats;
 use crate::partition::Level0;
 use crate::stats::ReadSource;
-use crate::telemetry::{MetricKey, SpanKind, StageTrace, TraceContext, TraceOp};
+use crate::telemetry::{SpanKind, StageTrace, TraceContext, TraceOp};
 
 impl DbCore {
     /// Point read at the latest snapshot.
@@ -140,16 +140,16 @@ impl DbCore {
             Err(e) => {
                 // Surface the failure (do not treat it as a miss), but
                 // still account for the work the read performed.
-                self.ssd_read_errors.incr();
+                self.metrics.ssd_read_errors.incr();
                 self.advance(tl.elapsed());
                 return Err(e);
             }
         };
-        self.stats.note_read(source);
-        self.note_read_source(pid, source, ssd_level);
+        self.metrics
+            .note_read(&self.registry, pid, source, ssd_level);
         let latency = tl.elapsed();
         self.advance(latency);
-        self.lat_reads.record(latency);
+        self.metrics.lat_reads.record(latency);
         if let Some(s) = st {
             self.tracer.finish(s.finish(latency.as_nanos()));
         }
@@ -163,11 +163,15 @@ impl DbCore {
     /// Fold one PM-L0 probe's filter/probe outcome into the global
     /// counters and the tables-probed-per-get distribution.
     fn note_probe_stats(&self, probe: &ProbeStats) {
-        self.pm_tables_probed.record_nanos(probe.tables_probed);
+        self.metrics
+            .pm_tables_probed
+            .record_nanos(probe.tables_probed);
         if probe.filter_checked > 0 {
-            self.pm_filter_checked.add(probe.filter_checked);
-            self.pm_filter_useful.add(probe.filter_useful);
-            self.pm_filter_miss.add(probe.filter_false_positives);
+            self.metrics.pm_filter_checked.add(probe.filter_checked);
+            self.metrics.pm_filter_useful.add(probe.filter_useful);
+            self.metrics
+                .pm_filter_miss
+                .add(probe.filter_false_positives);
         }
     }
 
@@ -175,35 +179,11 @@ impl DbCore {
     /// checks that skipped a table probe. Feeds the filtered Eq 1
     /// (pruned probes cost ~nothing, so internal compaction can wait).
     pub(super) fn filter_prune_ratio(&self) -> f64 {
-        let checked = self.pm_filter_checked.get();
+        let checked = self.metrics.pm_filter_checked.get();
         if checked == 0 {
             0.0
         } else {
-            self.pm_filter_useful.get() as f64 / checked as f64
-        }
-    }
-
-    /// Bump the per-partition (and, for SSD hits, per-level) read-source
-    /// counters. `level` is 0 for an SSD level-0 table hit, 1+ for the
-    /// sorted levels.
-    fn note_read_source(&self, pid: usize, source: ReadSource, level: Option<usize>) {
-        let m = &self.read_metrics[pid];
-        m.reads.incr();
-        match source {
-            ReadSource::MemTable => m.memtable.incr(),
-            ReadSource::Pm => m.pm.incr(),
-            ReadSource::Miss => m.miss.incr(),
-            ReadSource::Ssd => {
-                let level = level.unwrap_or(0);
-                let resolve = || {
-                    let key = MetricKey::level("read_source_ssd", pid, level);
-                    self.registry.counter(key)
-                };
-                match m.ssd.get(level) {
-                    Some(slot) => slot.get_or_init(resolve).incr(),
-                    None => resolve().incr(),
-                }
-            }
+            self.metrics.pm_filter_useful.get() as f64 / checked as f64
         }
     }
 
@@ -226,7 +206,7 @@ impl DbCore {
         let trace = self.trace_for(trace);
         let mut tl = Timeline::new();
         let start_nanos = self.clock.load(Ordering::Relaxed);
-        self.stats.scans.incr();
+        self.metrics.scans.incr();
         let first_pid = self.opts.partitioner.locate(&request.start);
         let last_pid = request
             .end
@@ -248,14 +228,14 @@ impl DbCore {
             if let Err(e) = self.scan_partition(pid, &request, &mut out, &mut stats, &mut tl) {
                 // Surface the failure (rows behind an unreadable table
                 // may be missing), but still account for the work done.
-                self.ssd_read_errors.incr();
+                self.metrics.ssd_read_errors.incr();
                 self.advance(tl.elapsed());
                 return Err(e);
             }
         }
         let latency = tl.elapsed();
         self.advance(latency);
-        self.lat_scans.record(latency);
+        self.metrics.lat_scans.record(latency);
         if let Some(ctx) = trace {
             // Per-kind sums of the cursor steps' measured sub-intervals,
             // laid out back to back, then the merge CPU.
@@ -295,7 +275,7 @@ impl DbCore {
     ) -> Result<(), DbError> {
         let partition = self.partitions[pid].read();
         partition.counters.reads.incr();
-        self.read_metrics[pid].reads.incr();
+        self.metrics.partitions[pid].reads.incr();
         let (start, end) = (request.start.as_slice(), request.end.as_deref());
         let mut rows = MergingIter::new(
             partition.cursors(start, end, &self.group_cache),

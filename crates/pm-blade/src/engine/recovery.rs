@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use encoding::key::SequenceNumber;
 use memtable::Wal;
@@ -17,7 +17,7 @@ use ssd_device::SsdDevice;
 use sstable::{BlockCache, SsTable};
 
 use super::wal_ring::{wal_segment_file, SealedSegment, WalRing};
-use super::{DbCore, DbError, ReadMetrics};
+use super::{DbCore, DbError};
 use crate::commit::{CommitMetrics, Committer};
 use crate::groupcache::PmGroupCache;
 use crate::handle::{reopen_pm_table, CacheIds, PmTableHandle, SsTableHandle};
@@ -25,7 +25,7 @@ use crate::maintenance::{MaintenanceShared, QueueMetrics};
 use crate::manifest::{Manifest, PartitionVersion, SsdMeta, VersionEdit};
 use crate::options::{MaintenanceMode, Mode, Options};
 use crate::partition::{Level0, Partition};
-use crate::stats::EngineStats;
+use crate::stats::EngineMetrics;
 use crate::telemetry::{EventRing, MetricKey, MetricsRegistry, Tracer};
 
 /// Manifest edits between full-snapshot rewrites (and `CURRENT` swaps),
@@ -363,27 +363,9 @@ impl DbCore {
             }
         };
         let registry = MetricsRegistry::new();
-        let stats = EngineStats::default();
-        stats.register(&registry);
+        let metrics = EngineMetrics::register(&registry, partitions.len());
         let committers = (0..partitions.len())
             .map(|pid| Committer::new(CommitMetrics::register(&registry, pid)))
-            .collect();
-        // Pre-register the per-partition read counters (and the level-1
-        // SSD source — deeper levels register lazily on first hit) so a
-        // snapshot taken before any read still lists them at zero.
-        let read_metrics = (0..partitions.len())
-            .map(|pid| ReadMetrics {
-                reads: registry.counter(MetricKey::partition("partition_reads", pid)),
-                memtable: registry.counter(MetricKey::partition("read_source_memtable", pid)),
-                pm: registry.counter(MetricKey::partition("read_source_pm", pid)),
-                miss: registry.counter(MetricKey::partition("read_source_miss", pid)),
-                ssd: std::array::from_fn(|level| match level {
-                    1 => registry
-                        .counter(MetricKey::level("read_source_ssd", pid, 1))
-                        .into(),
-                    _ => OnceLock::new(),
-                }),
-            })
             .collect();
         // PM-L0 read-acceleration metrics. The cache owns its counters;
         // registering the same `Arc`s means snapshots and Prometheus
@@ -405,51 +387,18 @@ impl DbCore {
             MetricKey::global("pm_group_cache_invalidations_total"),
             Arc::clone(&group_cache.invalidations),
         );
-        registry.gauge(MetricKey::global("pm_group_cache_used_bytes"));
-        let pm_filter_checked = registry.counter(MetricKey::global("pm_filter_checked_total"));
-        let pm_filter_useful = registry.counter(MetricKey::global("pm_filter_useful_total"));
-        let pm_filter_miss = registry.counter(MetricKey::global("pm_filter_miss_total"));
-        let pm_tables_probed = registry.histogram(MetricKey::global("pm_tables_probed_per_get"));
-        let ssd_read_errors = registry.counter(MetricKey::global("ssd_read_errors_total"));
-        let compaction_input_errors =
-            registry.counter(MetricKey::global("compaction_input_errors_total"));
-        let lat_reads = registry.histogram(MetricKey::global("read_latency"));
-        let lat_writes = registry.histogram(MetricKey::global("write_latency"));
-        let lat_scans = registry.histogram(MetricKey::global("scan_latency"));
-        let commit_latency = registry.histogram(MetricKey::global("group_commit_latency"));
-        let wal_sync_latency = registry.histogram(MetricKey::global("wal_sync_latency"));
-        let wal_appends = registry.counter(MetricKey::global("wal_appends"));
-        let wal_syncs = registry.counter(MetricKey::global("wal_syncs"));
-        // Durability / recovery observability. Registered in every mode
-        // (zero without a wal_dir) so dashboards render identically; the
-        // recovery counters are set once, here, from the open pass.
-        let manifest_edits = registry.counter(MetricKey::global("manifest_edits_total"));
-        manifest_edits.add(edits_at_open);
-        let wal_segments_deleted =
-            registry.counter(MetricKey::global("wal_segments_deleted_total"));
-        registry
-            .counter(MetricKey::global("recovery_wal_records_replayed"))
-            .add(replayed_records);
-        registry
-            .counter(MetricKey::global("recovery_tables_reopened"))
-            .add(recovered_tables);
-        registry
-            .histogram(MetricKey::global("recovery_wall_nanos"))
+        // Durability / recovery observability: zero without a wal_dir;
+        // set once, here, from the open pass.
+        metrics.manifest_edits.add(edits_at_open);
+        metrics.recovery_wal_records_replayed.add(replayed_records);
+        metrics.recovery_tables_reopened.add(recovered_tables);
+        metrics
+            .recovery_wall
             .record_nanos(recovery_start.elapsed().as_nanos() as u64);
         // Maintenance metrics are pre-registered in BOTH modes so a
         // Prometheus scrape of an Inline engine still lists them (at
         // zero) and dashboards render identically across modes.
-        let write_slowdowns = registry.counter(MetricKey::global("write_slowdowns"));
-        let write_stalls = registry.counter(MetricKey::global("write_stalls"));
-        let stall_wall = registry.histogram(MetricKey::global("write_stall_wall_nanos"));
-        let queue_metrics = QueueMetrics {
-            depth: registry.gauge(MetricKey::global("maintenance_queue_depth")),
-            inflight: registry.gauge(MetricKey::global("maintenance_jobs_inflight")),
-            enqueued: registry.counter(MetricKey::global("maintenance_jobs_enqueued")),
-            deduped: registry.counter(MetricKey::global("maintenance_jobs_deduped")),
-            completed: registry.counter(MetricKey::global("maintenance_jobs_completed")),
-            failed: registry.counter(MetricKey::global("maintenance_jobs_failed")),
-        };
+        let queue_metrics = QueueMetrics::register(&registry);
         let maintenance = (opts.maintenance == MaintenanceMode::Background).then(|| {
             Arc::new(MaintenanceShared::new(
                 coroutine::SchedulerConfig::default(),
@@ -461,8 +410,7 @@ impl DbCore {
             opts.trace_sample_every,
             opts.trace_slow_query_nanos,
             opts.trace_recorder_capacity,
-            registry.counter(MetricKey::global("trace_sampled_total")),
-            registry.counter(MetricKey::global("trace_recorded_total")),
+            &registry,
         );
         Ok(DbCore {
             partitions: partitions.into_iter().map(RwLock::new).collect(),
@@ -475,35 +423,16 @@ impl DbCore {
             clock: AtomicU64::new(0),
             table_counter: AtomicU64::new(table_counter_start),
             cache_ids,
-            stats,
+            metrics,
             wal,
             manifest,
-            manifest_edits,
-            wal_segments_deleted,
             value_bytes_sum: AtomicU64::new(0),
             value_count: AtomicU64::new(0),
             registry,
             ring,
             span_ids: AtomicU64::new(0),
-            read_metrics,
-            lat_reads,
-            lat_writes,
-            lat_scans,
-            commit_latency,
-            wal_sync_latency,
-            wal_appends,
-            wal_syncs,
             group_cache,
-            pm_filter_checked,
-            pm_filter_useful,
-            pm_filter_miss,
-            pm_tables_probed,
-            ssd_read_errors,
-            compaction_input_errors,
             maintenance,
-            write_slowdowns,
-            write_stalls,
-            stall_wall,
             tracer,
             opts,
         })
@@ -520,7 +449,7 @@ impl DbCore {
         let mut m = manifest.lock();
         for edit in edits {
             m.append(edit, &mut tl)?;
-            self.manifest_edits.incr();
+            self.metrics.manifest_edits.incr();
         }
         drop(m);
         self.advance(tl.elapsed());
@@ -596,7 +525,7 @@ impl DbCore {
             };
             if let Some(ring) = &self.wal {
                 let deleted = ring.lock().prune(&checkpoints);
-                self.wal_segments_deleted.add(deleted);
+                self.metrics.wal_segments_deleted.add(deleted);
             }
         }
         Ok(())

@@ -376,11 +376,11 @@ fn latency_stats_capture_foreground_ops() {
     db.put(b"k", b"v").unwrap();
     db.get(b"k").unwrap();
     db.scan(ScanRequest::new().start("a").limit(10)).unwrap();
-    let lat = db.latency_stats();
-    assert_eq!(lat.writes.count(), 1);
-    assert_eq!(lat.reads.count(), 1);
-    assert_eq!(lat.scans.count(), 1);
-    assert!(lat.reads.quantile(0.5) > 0);
+    let lat = db.metrics_snapshot().histograms;
+    assert_eq!(lat[&MetricKey::global("write_latency")].count, 1);
+    assert_eq!(lat[&MetricKey::global("read_latency")].count, 1);
+    assert_eq!(lat[&MetricKey::global("scan_latency")].count, 1);
+    assert!(lat[&MetricKey::global("read_latency")].p50_nanos > 0);
 }
 
 #[test]

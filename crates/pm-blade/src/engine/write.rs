@@ -25,8 +25,8 @@ impl DbCore {
         let mut tl = Timeline::new();
         if let Some(wal) = &self.wal {
             wal.lock().active.sync(&mut tl)?;
-            self.wal_syncs.incr();
-            self.wal_sync_latency.record(tl.elapsed());
+            self.metrics.wal_syncs.incr();
+            self.metrics.wal_sync_latency.record(tl.elapsed());
         }
         let d = tl.elapsed();
         self.advance(d);
@@ -106,7 +106,7 @@ impl DbCore {
         if batch.is_empty() {
             return Ok(SimDuration::ZERO);
         }
-        self.stats.batch_writes.incr();
+        self.metrics.batch_writes.incr();
         // Split by partition, preserving op order within each.
         let mut per_pid: Vec<Vec<BatchOp>> =
             (0..self.partitions.len()).map(|_| Vec::new()).collect();
@@ -155,7 +155,7 @@ impl DbCore {
         match result {
             Ok(latency) => {
                 let total = latency + penalty;
-                self.lat_writes.record(total);
+                self.metrics.lat_writes.record(total);
                 if let Some(ctx) = trace {
                     let mut st = StageTrace::new(ctx, TraceOp::Write, pid, start_nanos);
                     if penalty > SimDuration::ZERO {
@@ -199,7 +199,7 @@ impl DbCore {
             if (l0_stalled || mem_stalled) && m.accepting() {
                 if stall_start.is_none() {
                     stall_start = Some(std::time::Instant::now());
-                    self.write_stalls.incr();
+                    self.metrics.write_stalls.incr();
                 }
                 // Make sure relief is queued before parking (dedup makes
                 // the re-enqueue per loop iteration free).
@@ -223,7 +223,8 @@ impl DbCore {
                 continue;
             }
             if let Some(start) = stall_start {
-                self.stall_wall
+                self.metrics
+                    .stall_wall
                     .record_nanos(start.elapsed().as_nanos() as u64);
             }
             // Early relief: once L0 is halfway to the slowdown
@@ -253,7 +254,7 @@ impl DbCore {
                         origin_trace: origin,
                     });
                 }
-                self.write_slowdowns.incr();
+                self.metrics.write_slowdowns.incr();
                 // Pace the writer in wall-clock time as well (RocksDB's
                 // delayed-write behaviour): a penalised writer that
                 // keeps running at full speed would re-trip the trigger
@@ -320,7 +321,7 @@ impl DbCore {
                         return Ok(());
                     }
                     ring.note_append(pid, seq);
-                    self.wal_appends.incr();
+                    self.metrics.wal_appends.incr();
                 }
             }
             let sync_from = tl.elapsed();
@@ -328,8 +329,10 @@ impl DbCore {
                 fail_group(format!("wal sync: {e}"));
                 return Ok(());
             }
-            self.wal_syncs.incr();
-            self.wal_sync_latency.record(tl.elapsed() - sync_from);
+            self.metrics.wal_syncs.incr();
+            self.metrics
+                .wal_sync_latency
+                .record(tl.elapsed() - sync_from);
             if ring.active.bytes_written() >= self.opts.wal_segment_bytes as u64 {
                 match ring.rotate() {
                     Ok(segment) => rotated = Some(segment),
@@ -357,15 +360,15 @@ impl DbCore {
                     let (key, value, kind) = match op {
                         BatchOp::Put { key, value } => (key, value.as_slice(), KeyKind::Value),
                         BatchOp::Delete { key } => {
-                            self.stats.deletes.incr();
+                            self.metrics.deletes.incr();
                             (key, &b""[..], KeyKind::Delete)
                         }
                     };
                     p.note_write(key);
                     p.mem.insert(key, seq, kind, value, &mut tl);
-                    self.stats.puts.incr();
+                    self.metrics.puts.incr();
                     group_bytes += (key.len() + value.len()) as u64;
-                    self.stats
+                    self.metrics
                         .user_bytes_written
                         .add((key.len() + value.len()) as u64);
                     if kind == KeyKind::Value {
@@ -380,14 +383,14 @@ impl DbCore {
         let apply_nanos = tl.elapsed().as_nanos().saturating_sub(wal_nanos);
         // Publish: snapshots taken from here on see the whole group.
         self.visible_seq.fetch_max(max_seq, Ordering::AcqRel);
-        self.stats.group_commits.incr();
-        self.stats.grouped_writes.add(total_ops as u64);
+        self.metrics.group_commits.incr();
+        self.metrics.grouped_writes.add(total_ops as u64);
         let committer = &self.committers[pid];
         committer.metrics.group_commits.incr();
         committer.metrics.grouped_writes.add(total_ops as u64);
         let elapsed = tl.elapsed();
         self.advance(elapsed);
-        self.commit_latency.record(elapsed);
+        self.metrics.commit_latency.record(elapsed);
         // Group-commit spans go to listeners and metrics only — the
         // ring is reserved for compaction history.
         if !self.opts.listeners.is_empty() {

@@ -50,7 +50,7 @@ pub use level0::L0Version;
 pub use options::{MaintenanceMode, Mode, Options, Partitioner};
 pub use protocol::{Request, Response, WireError};
 pub use relational::{Relational, TableDef};
-pub use stats::{EngineStats, LatencyStats, ReadSource};
+pub use stats::{EngineMetrics, ReadSource};
 pub use telemetry::{
     chrome_trace_json, CostDecision, EventListener, FlightRecorder, HistogramSummary, ListenerSet,
     MetricKey, MetricsRegistry, MetricsSnapshot, RequestTrace, SpanKind, TraceContext, TraceOp,

@@ -1,20 +1,20 @@
 //! Engine-wide statistics.
 //!
 //! Byte counters are exact (they drive the write-amplification
-//! experiments); latency distributions are virtual-clock durations.
+//! experiments); latency distributions are virtual-clock durations
+//! unless their field says wall-clock.
 //!
-//! Since the observability layer landed, `EngineStats` is a *view*
-//! over counters owned jointly with the
-//! [`MetricsRegistry`](crate::telemetry::MetricsRegistry): each field
-//! is an `Arc<Counter>` that [`EngineStats::register`] also files
-//! under its field name, so `db.stats()` and `db.metrics_snapshot()`
-//! always agree.
+//! [`EngineMetrics`] is the one home of every metric the engine itself
+//! updates: typed handles onto series owned jointly with the
+//! [`MetricsRegistry`], resolved once by [`EngineMetrics::register`] at
+//! open, so `db.stats()` and `db.metrics_snapshot()` read the same
+//! atomics and no hot path touches the registry map.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use sim::{Counter, Histogram};
+use sim::Counter;
 
-use crate::telemetry::{MetricKey, MetricsRegistry};
+use crate::telemetry::{Gauge, LatencyRecorder, MetricKey, MetricsRegistry};
 
 /// Where a read was ultimately served from.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -29,9 +29,9 @@ pub enum ReadSource {
     Miss,
 }
 
-/// Aggregate engine statistics.
-#[derive(Default, Debug)]
-pub struct EngineStats {
+/// Every metric the engine updates, by field (see the module doc).
+#[derive(Debug)]
+pub struct EngineMetrics {
     /// User payload bytes accepted by `put`/`delete` (the denominator of
     /// write amplification).
     pub user_bytes_written: Arc<Counter>,
@@ -60,44 +60,160 @@ pub struct EngineStats {
     pub group_commits: Arc<Counter>,
     pub grouped_writes: Arc<Counter>,
     pub batch_writes: Arc<Counter>,
+    /// Foreground latencies: every `get`, `put`/`delete`/`write_batch`
+    /// and `scan` (`read_latency`, `write_latency`, `scan_latency`).
+    pub lat_reads: Arc<LatencyRecorder>,
+    pub lat_writes: Arc<LatencyRecorder>,
+    pub lat_scans: Arc<LatencyRecorder>,
+    /// `group_commit_latency` and `wal_sync_latency`.
+    pub commit_latency: Arc<LatencyRecorder>,
+    pub wal_sync_latency: Arc<LatencyRecorder>,
+    pub wal_appends: Arc<Counter>,
+    pub wal_syncs: Arc<Counter>,
+    /// Edits applied to the manifest (replayed at open + appended).
+    pub manifest_edits: Arc<Counter>,
+    /// Sealed WAL segments deleted because a flush checkpoint covered
+    /// every record they held.
+    pub wal_segments_deleted: Arc<Counter>,
+    /// What the open pass recovered, set once by it (zero without a
+    /// `wal_dir`); `recovery_wall` is wall-clock.
+    pub recovery_wal_records_replayed: Arc<Counter>,
+    pub recovery_tables_reopened: Arc<Counter>,
+    pub recovery_wall: Arc<LatencyRecorder>,
+    /// PM-L0 bloom-filter outcomes.
+    pub pm_filter_checked: Arc<Counter>,
+    pub pm_filter_useful: Arc<Counter>,
+    pub pm_filter_miss: Arc<Counter>,
+    /// Distribution of PM tables actually probed per PM-L0 lookup (a
+    /// count, not a duration).
+    pub pm_tables_probed: Arc<LatencyRecorder>,
+    /// Table-read failures surfaced by the SSD read path (these
+    /// propagate to the caller instead of being swallowed as misses).
+    pub ssd_read_errors: Arc<Counter>,
+    /// Compaction inputs (SSTables) that could not be read; the
+    /// compaction aborted with every input table still in place.
+    pub compaction_input_errors: Arc<Counter>,
+    pub write_slowdowns: Arc<Counter>,
+    pub write_stalls: Arc<Counter>,
+    /// Wall-clock (not virtual) stall durations: stalls park the real
+    /// thread, so the histogram measures what a client would feel.
+    pub stall_wall: Arc<LatencyRecorder>,
+    /// Point-in-time gauges, refreshed by `metrics_snapshot()`.
+    pub(crate) pm_used_bytes: Arc<Gauge>,
+    pub(crate) block_cache_used_bytes: Arc<Gauge>,
+    pub(crate) pm_group_cache_used_bytes: Arc<Gauge>,
+    pub(crate) partitions: Vec<PartitionMetrics>,
 }
 
-impl EngineStats {
-    /// File every counter into `registry` under its field name, so the
-    /// flat stats view and the registry read the same atomics.
-    pub fn register(&self, registry: &MetricsRegistry) {
-        let fields: [(&'static str, &Arc<Counter>); 17] = [
-            ("user_bytes_written", &self.user_bytes_written),
-            ("puts", &self.puts),
-            ("gets", &self.gets),
-            ("deletes", &self.deletes),
-            ("scans", &self.scans),
-            ("reads_from_memtable", &self.reads_from_memtable),
-            ("reads_from_pm", &self.reads_from_pm),
-            ("reads_from_ssd", &self.reads_from_ssd),
-            ("read_misses", &self.read_misses),
-            ("minor_compactions", &self.minor_compactions),
-            ("internal_compactions", &self.internal_compactions),
-            ("major_compactions", &self.major_compactions),
-            ("internal_space_released", &self.internal_space_released),
-            ("internal_dropped_records", &self.internal_dropped_records),
-            ("group_commits", &self.group_commits),
-            ("grouped_writes", &self.grouped_writes),
-            ("batch_writes", &self.batch_writes),
-        ];
-        for (name, counter) in fields {
-            registry.register_counter(MetricKey::global(name), Arc::clone(counter));
+/// One partition's read-source counters and gauges.
+#[derive(Debug)]
+pub(crate) struct PartitionMetrics {
+    pub(crate) reads: Arc<Counter>,
+    memtable: Arc<Counter>,
+    pm: Arc<Counter>,
+    miss: Arc<Counter>,
+    /// `read_source_ssd` by level (0 = an SSD level-0 table). Level 1 is
+    /// registered at open, so a snapshot taken before any read lists it
+    /// at zero; the others are resolved from the registry on the level's
+    /// first hit, and levels past the array on every hit.
+    ssd: [OnceLock<Arc<Counter>>; 8],
+    pub(crate) memtable_bytes: Arc<Gauge>,
+    pub(crate) pm_l0_bytes: Arc<Gauge>,
+    pub(crate) l0_unsorted_tables: Arc<Gauge>,
+    pub(crate) ssd_level_bytes: Arc<Gauge>,
+}
+
+impl EngineMetrics {
+    /// Resolve every handle from `registry`, creating its series — all
+    /// of them, in every mode, so a scrape lists the same set whether or
+    /// not the engine has a WAL or background workers.
+    pub fn register(registry: &MetricsRegistry, partitions: usize) -> Self {
+        let counter = |name| registry.counter(MetricKey::global(name));
+        let histogram = |name| registry.histogram(MetricKey::global(name));
+        let gauge = |name| registry.gauge(MetricKey::global(name));
+        EngineMetrics {
+            user_bytes_written: counter("user_bytes_written"),
+            puts: counter("puts"),
+            gets: counter("gets"),
+            deletes: counter("deletes"),
+            scans: counter("scans"),
+            reads_from_memtable: counter("reads_from_memtable"),
+            reads_from_pm: counter("reads_from_pm"),
+            reads_from_ssd: counter("reads_from_ssd"),
+            read_misses: counter("read_misses"),
+            minor_compactions: counter("minor_compactions"),
+            internal_compactions: counter("internal_compactions"),
+            major_compactions: counter("major_compactions"),
+            internal_space_released: counter("internal_space_released"),
+            internal_dropped_records: counter("internal_dropped_records"),
+            group_commits: counter("group_commits"),
+            grouped_writes: counter("grouped_writes"),
+            batch_writes: counter("batch_writes"),
+            lat_reads: histogram("read_latency"),
+            lat_writes: histogram("write_latency"),
+            lat_scans: histogram("scan_latency"),
+            commit_latency: histogram("group_commit_latency"),
+            wal_sync_latency: histogram("wal_sync_latency"),
+            wal_appends: counter("wal_appends"),
+            wal_syncs: counter("wal_syncs"),
+            manifest_edits: counter("manifest_edits_total"),
+            wal_segments_deleted: counter("wal_segments_deleted_total"),
+            recovery_wal_records_replayed: counter("recovery_wal_records_replayed"),
+            recovery_tables_reopened: counter("recovery_tables_reopened"),
+            recovery_wall: histogram("recovery_wall_nanos"),
+            pm_filter_checked: counter("pm_filter_checked_total"),
+            pm_filter_useful: counter("pm_filter_useful_total"),
+            pm_filter_miss: counter("pm_filter_miss_total"),
+            pm_tables_probed: histogram("pm_tables_probed_per_get"),
+            ssd_read_errors: counter("ssd_read_errors_total"),
+            compaction_input_errors: counter("compaction_input_errors_total"),
+            write_slowdowns: counter("write_slowdowns"),
+            write_stalls: counter("write_stalls"),
+            stall_wall: histogram("write_stall_wall_nanos"),
+            pm_used_bytes: gauge("pm_used_bytes"),
+            block_cache_used_bytes: gauge("block_cache_used_bytes"),
+            pm_group_cache_used_bytes: gauge("pm_group_cache_used_bytes"),
+            partitions: (0..partitions)
+                .map(|pid| PartitionMetrics::register(registry, pid))
+                .collect(),
         }
     }
 
-    /// Record a read outcome.
-    pub fn note_read(&self, source: ReadSource) {
+    /// Record a read on partition `pid` and where it was served from.
+    /// `level` is 0 for an SSD level-0 table hit, 1+ for the sorted
+    /// levels; `registry` resolves a level's counter on its first hit.
+    pub fn note_read(
+        &self,
+        registry: &MetricsRegistry,
+        pid: usize,
+        source: ReadSource,
+        level: Option<usize>,
+    ) {
+        let m = &self.partitions[pid];
         self.gets.incr();
+        m.reads.incr();
         match source {
-            ReadSource::MemTable => self.reads_from_memtable.incr(),
-            ReadSource::Pm => self.reads_from_pm.incr(),
-            ReadSource::Ssd => self.reads_from_ssd.incr(),
-            ReadSource::Miss => self.read_misses.incr(),
+            ReadSource::MemTable => {
+                self.reads_from_memtable.incr();
+                m.memtable.incr();
+            }
+            ReadSource::Pm => {
+                self.reads_from_pm.incr();
+                m.pm.incr();
+            }
+            ReadSource::Miss => {
+                self.read_misses.incr();
+                m.miss.incr();
+            }
+            ReadSource::Ssd => {
+                self.reads_from_ssd.incr();
+                let level = level.unwrap_or(0);
+                let resolve = || registry.counter(MetricKey::level("read_source_ssd", pid, level));
+                match m.ssd.get(level) {
+                    Some(slot) => slot.get_or_init(resolve).incr(),
+                    None => resolve().incr(),
+                }
+            }
         }
     }
 
@@ -114,18 +230,27 @@ impl EngineStats {
     }
 }
 
-/// Foreground latency distributions (virtual-clock durations).
-///
-/// The engine records every `get`/`get_at`, `put`/`delete`/
-/// `write_batch`, and `scan` into the registry's `read_latency`,
-/// `write_latency`, and `scan_latency` histograms;
-/// `Db::latency_stats()` returns them as this plain-`Histogram` view
-/// for callers that want quantiles without walking a snapshot.
-#[derive(Default, Debug, Clone)]
-pub struct LatencyStats {
-    pub reads: Histogram,
-    pub writes: Histogram,
-    pub scans: Histogram,
+impl PartitionMetrics {
+    fn register(registry: &MetricsRegistry, pid: usize) -> Self {
+        let counter = |name| registry.counter(MetricKey::partition(name, pid));
+        let gauge = |name| registry.gauge(MetricKey::partition(name, pid));
+        PartitionMetrics {
+            reads: counter("partition_reads"),
+            memtable: counter("read_source_memtable"),
+            pm: counter("read_source_pm"),
+            miss: counter("read_source_miss"),
+            ssd: std::array::from_fn(|level| match level {
+                1 => registry
+                    .counter(MetricKey::level("read_source_ssd", pid, 1))
+                    .into(),
+                _ => OnceLock::new(),
+            }),
+            memtable_bytes: gauge("memtable_bytes"),
+            pm_l0_bytes: gauge("pm_l0_bytes"),
+            l0_unsorted_tables: gauge("l0_unsorted_tables"),
+            ssd_level_bytes: gauge("ssd_level_bytes"),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -134,12 +259,13 @@ mod tests {
 
     #[test]
     fn read_accounting_routes_by_source() {
-        let s = EngineStats::default();
-        s.note_read(ReadSource::MemTable);
-        s.note_read(ReadSource::Pm);
-        s.note_read(ReadSource::Pm);
-        s.note_read(ReadSource::Ssd);
-        s.note_read(ReadSource::Miss);
+        let registry = MetricsRegistry::new();
+        let s = EngineMetrics::register(&registry, 2);
+        s.note_read(&registry, 0, ReadSource::MemTable, None);
+        s.note_read(&registry, 1, ReadSource::Pm, None);
+        s.note_read(&registry, 1, ReadSource::Pm, None);
+        s.note_read(&registry, 0, ReadSource::Ssd, Some(3));
+        s.note_read(&registry, 0, ReadSource::Miss, None);
         assert_eq!(s.gets.get(), 5);
         assert_eq!(s.reads_from_memtable.get(), 1);
         assert_eq!(s.reads_from_pm.get(), 2);
@@ -147,24 +273,33 @@ mod tests {
         assert_eq!(s.read_misses.get(), 1);
         // 3 of 4 located reads avoided the SSD.
         assert!((s.pm_hit_ratio() - 0.75).abs() < 1e-9);
+        // The same reads, by partition and level.
+        let (counters, _, _) = registry.collect();
+        assert_eq!(counters[&MetricKey::partition("partition_reads", 0)], 3);
+        assert_eq!(counters[&MetricKey::partition("read_source_pm", 1)], 2);
+        assert_eq!(counters[&MetricKey::level("read_source_ssd", 0, 3)], 1);
     }
 
     #[test]
     fn empty_stats_ratio_is_zero() {
-        let s = EngineStats::default();
+        let s = EngineMetrics::register(&MetricsRegistry::new(), 1);
         assert_eq!(s.pm_hit_ratio(), 0.0);
     }
 
     #[test]
     fn registered_stats_share_the_registry_counters() {
-        let s = EngineStats::default();
         let registry = MetricsRegistry::new();
-        s.register(&registry);
+        let s = EngineMetrics::register(&registry, 2);
         s.puts.add(3);
         registry.counter(MetricKey::global("puts")).incr();
         assert_eq!(s.puts.get(), 4);
-        let (counters, _, _) = registry.collect();
+        let (counters, gauges, histograms) = registry.collect();
         assert_eq!(counters[&MetricKey::global("puts")], 4);
-        assert_eq!(counters.len(), 17, "every field is registered");
+        // Every field is registered: the global series plus, for each
+        // partition, four read counters, the level-1 SSD source and
+        // four gauges.
+        assert_eq!(counters.len(), 30 + 2 * 5);
+        assert_eq!(gauges.len(), 3 + 2 * 4);
+        assert_eq!(histograms.len(), 8);
     }
 }

@@ -25,6 +25,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use sim::Counter;
 
+use super::registry::{MetricKey, MetricsRegistry};
 use super::span::{SpanKind, TraceSpan};
 
 /// Per-request trace identity, carried client → server → engine.
@@ -331,8 +332,7 @@ impl Tracer {
         sample_every: u64,
         slow_nanos: u64,
         recorder_capacity: usize,
-        sampled_total: Arc<Counter>,
-        recorded_total: Arc<Counter>,
+        registry: &MetricsRegistry,
     ) -> Self {
         Tracer {
             sample_every,
@@ -340,8 +340,8 @@ impl Tracer {
             ops: AtomicU64::new(0),
             ids: AtomicU64::new(0),
             recorder: FlightRecorder::new(recorder_capacity),
-            sampled_total,
-            recorded_total,
+            sampled_total: registry.counter(MetricKey::global("trace_sampled_total")),
+            recorded_total: registry.counter(MetricKey::global("trace_recorded_total")),
         }
     }
 
@@ -440,13 +440,9 @@ pub fn chrome_trace_json(traces: &[RequestTrace]) -> String {
 mod tests {
     use super::*;
 
-    fn counter() -> Arc<Counter> {
-        Arc::new(Counter::new())
-    }
-
     #[test]
     fn sampling_rate_picks_every_nth() {
-        let t = Tracer::new(4, 0, 8, counter(), counter());
+        let t = Tracer::new(4, 0, 8, &MetricsRegistry::new());
         let picks: Vec<bool> = (0..8).map(|_| t.sample().is_some()).collect();
         assert_eq!(
             picks,
@@ -457,7 +453,7 @@ mod tests {
 
     #[test]
     fn sampling_off_records_nothing() {
-        let t = Tracer::new(0, 0, 8, counter(), counter());
+        let t = Tracer::new(0, 0, 8, &MetricsRegistry::new());
         for _ in 0..100 {
             assert!(t.sample().is_none());
         }
@@ -466,7 +462,7 @@ mod tests {
 
     #[test]
     fn adopt_honors_the_wire_decision() {
-        let t = Tracer::new(0, 0, 8, counter(), counter());
+        let t = Tracer::new(0, 0, 8, &MetricsRegistry::new());
         assert!(t.adopt(TraceContext::sampled(9)).is_some());
         let unsampled = TraceContext {
             trace_id: 9,
@@ -479,7 +475,7 @@ mod tests {
 
     #[test]
     fn slow_threshold_filters_the_recorder() {
-        let t = Tracer::new(1, 100, 8, counter(), counter());
+        let t = Tracer::new(1, 100, 8, &MetricsRegistry::new());
         let fast = StageTrace::new(TraceContext::sampled(1), TraceOp::Get, 0, 0).finish(99);
         let slow = StageTrace::new(TraceContext::sampled(2), TraceOp::Get, 0, 0).finish(100);
         t.finish(fast);
