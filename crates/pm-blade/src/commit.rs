@@ -18,6 +18,7 @@
 
 use std::sync::Arc;
 
+use encoding::key::KeyKind;
 use parking_lot::Mutex;
 use sim::{Counter, SimDuration};
 
@@ -33,8 +34,15 @@ pub enum BatchOp {
 
 impl BatchOp {
     pub fn key(&self) -> &[u8] {
+        self.parts().0
+    }
+
+    /// What the op writes: its key, its value (empty for a tombstone)
+    /// and the kind of entry.
+    pub(crate) fn parts(&self) -> (&[u8], &[u8], KeyKind) {
         match self {
-            BatchOp::Put { key, .. } | BatchOp::Delete { key } => key,
+            BatchOp::Put { key, value } => (key, value, KeyKind::Value),
+            BatchOp::Delete { key } => (key, &[], KeyKind::Delete),
         }
     }
 }

@@ -144,7 +144,7 @@ impl DbCore {
                 &self.cache_ids,
                 &mut tl,
             )?;
-            let version = report.map(|_| self.partition_version(&p));
+            let version = report.and_then(|_| self.partition_version(&p));
             (report, version)
         };
         let flushed = match report {
@@ -152,10 +152,7 @@ impl DbCore {
                 // The flushed tables are already visible to readers;
                 // make them durable in the manifest and move the WAL
                 // checkpoint past the flushed records.
-                self.log_version(
-                    version.expect("set with report"),
-                    Some((pid, report.durable_seq)),
-                )?;
+                self.log_version(version, Some((pid, report.durable_seq)))?;
                 self.metrics.minor_compactions.incr();
                 let d = tl.elapsed();
                 self.advance(d);

@@ -456,10 +456,12 @@ impl DbCore {
         Ok(())
     }
 
-    /// Snapshot a partition's complete table set for a manifest edit.
-    /// The caller holds the partition lock, so the snapshot is the
-    /// exact set a crash-reopen must rebuild.
-    pub(super) fn partition_version(&self, p: &Partition) -> PartitionVersion {
+    /// Snapshot a partition's complete table set for a manifest edit;
+    /// `None` without a manifest, where nothing would read it. The
+    /// caller holds the partition lock, so the snapshot is the exact
+    /// set a crash-reopen must rebuild.
+    pub(super) fn partition_version(&self, p: &Partition) -> Option<PartitionVersion> {
+        self.manifest.as_ref()?;
         let meta = |h: &SsTableHandle| SsdMeta {
             name: h.name.clone(),
             first: h.first.clone(),
@@ -486,7 +488,7 @@ impl DbCore {
             .iter()
             .map(|lvl| lvl.iter().map(meta).collect())
             .collect();
-        v
+        Some(v)
     }
 
     /// Durably record a partition's new table set — and, for a flush,
@@ -497,12 +499,12 @@ impl DbCore {
     /// replays the records; a crash after it loses nothing.
     pub(super) fn log_version(
         &self,
-        version: PartitionVersion,
+        version: Option<PartitionVersion>,
         checkpoint: Option<(usize, u64)>,
     ) -> Result<(), DbError> {
-        if self.manifest.is_none() {
+        let (Some(manifest), Some(version)) = (&self.manifest, version) else {
             return Ok(());
-        }
+        };
         let mut edits = vec![
             VersionEdit::PartitionVersion(version),
             VersionEdit::TableCounter {
@@ -520,7 +522,7 @@ impl DbCore {
             // The checkpoint may have made sealed segments obsolete.
             // Lock order: manifest released above, ring taken alone.
             let checkpoints = {
-                let m = self.manifest.as_ref().expect("checked above").lock();
+                let m = manifest.lock();
                 m.state().checkpoints.clone()
             };
             if let Some(ring) = &self.wal {

@@ -75,6 +75,25 @@ fn updates_supersede_and_deletes_hide() {
 }
 
 #[test]
+fn a_delete_is_not_counted_as_a_put() {
+    let db = Db::open(small_opts(Mode::PmBlade)).unwrap();
+    for i in 0..10u32 {
+        db.put(format!("k{i}").as_bytes(), b"v").unwrap();
+    }
+    for i in 0..4u32 {
+        db.delete(format!("k{i}").as_bytes()).unwrap();
+    }
+    let mut batch = WriteBatch::new();
+    batch.put(&b"a"[..], &b"1"[..]).delete(&b"k4"[..]);
+    batch.put(&b"b"[..], &b"1"[..]).delete(&b"k5"[..]);
+    batch.put(&b"c"[..], &b"1"[..]);
+    db.write_batch(batch).unwrap();
+    assert_eq!(db.stats().puts.get(), 13);
+    assert_eq!(db.stats().deletes.get(), 6);
+    assert_eq!(db.stats().grouped_writes.get(), 19);
+}
+
+#[test]
 fn snapshot_reads_see_past_versions() {
     let db = Db::open(small_opts(Mode::PmBlade)).unwrap();
     db.put(b"k", b"old").unwrap();

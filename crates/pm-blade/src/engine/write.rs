@@ -300,19 +300,12 @@ impl DbCore {
             for ticket in group {
                 for op in &ticket.ops {
                     seq += 1;
-                    let rec = match op {
-                        BatchOp::Put { key, value } => WalRecord {
-                            seq,
-                            kind: KeyKind::Value,
-                            user_key: key.clone(),
-                            value: value.clone(),
-                        },
-                        BatchOp::Delete { key } => WalRecord {
-                            seq,
-                            kind: KeyKind::Delete,
-                            user_key: key.clone(),
-                            value: Vec::new(),
-                        },
+                    let (key, value, kind) = op.parts();
+                    let rec = WalRecord {
+                        seq,
+                        kind,
+                        user_key: key.to_vec(),
+                        value: value.to_vec(),
                     };
                     if let Err(e) = ring.active.append(&rec, &mut tl) {
                         // The group never reached the memtable; fail every
@@ -357,24 +350,20 @@ impl DbCore {
             for ticket in group {
                 for op in &ticket.ops {
                     seq += 1;
-                    let (key, value, kind) = match op {
-                        BatchOp::Put { key, value } => (key, value.as_slice(), KeyKind::Value),
-                        BatchOp::Delete { key } => {
-                            self.metrics.deletes.incr();
-                            (key, &b""[..], KeyKind::Delete)
-                        }
-                    };
+                    let (key, value, kind) = op.parts();
                     p.note_write(key);
                     p.mem.insert(key, seq, kind, value, &mut tl);
-                    self.metrics.puts.incr();
                     group_bytes += (key.len() + value.len()) as u64;
                     self.metrics
                         .user_bytes_written
                         .add((key.len() + value.len()) as u64);
                     if kind == KeyKind::Value {
+                        self.metrics.puts.incr();
                         self.value_bytes_sum
                             .fetch_add(value.len() as u64, Ordering::Relaxed);
                         self.value_count.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        self.metrics.deletes.incr();
                     }
                 }
             }
