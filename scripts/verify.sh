@@ -2,7 +2,7 @@
 # Tier-1 verification: release build + full test suite.
 #
 # All dependencies are path crates under crates/ (including the local
-# stand-ins for proptest, criterion, parking_lot and crossbeam) and cargo
+# stand-ins for proptest, criterion and parking_lot) and cargo
 # runs offline (.cargo/config.toml sets net.offline = true). If cargo
 # tries to reach crates.io, something added a registry dependency — fix
 # the manifest, do not go online.

@@ -44,12 +44,12 @@ fn writers_readers_and_compactions_share_one_handle() {
     let db = Arc::new(Db::open(small_opts()).unwrap());
     let done = Arc::new(AtomicBool::new(false));
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         // Writers: each owns a disjoint key space and overwrites it
         // ROUNDS times, so the final expected value is deterministic.
         for w in 0..WRITERS {
             let db = Arc::clone(&db);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for round in 0..ROUNDS {
                     for i in 0..KEYS_PER_WRITER {
                         let k = format!("w{w}-{i:06}");
@@ -64,7 +64,7 @@ fn writers_readers_and_compactions_share_one_handle() {
         for r in 0..READERS {
             let db = Arc::clone(&db);
             let done = Arc::clone(&done);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut i = 0usize;
                 while !done.load(Ordering::Relaxed) {
                     let k = format!("w{}-{:06}", (i + r) % WRITERS, i % KEYS_PER_WRITER);
@@ -81,7 +81,7 @@ fn writers_readers_and_compactions_share_one_handle() {
         let compactor = {
             let db = Arc::clone(&db);
             let done = Arc::clone(&done);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 while !done.load(Ordering::Relaxed) {
                     db.compact(CompactionRequest::Flush { partition: 0 })
                         .unwrap();
@@ -99,7 +99,7 @@ fn writers_readers_and_compactions_share_one_handle() {
         // barrier with a monitor thread counting completed puts.
         let db2 = Arc::clone(&db);
         let done2 = Arc::clone(&done);
-        s.spawn(move |_| {
+        s.spawn(move || {
             let target = (WRITERS * KEYS_PER_WRITER * ROUNDS) as u64;
             while db2.stats().puts.get() < target {
                 std::thread::yield_now();
@@ -107,8 +107,7 @@ fn writers_readers_and_compactions_share_one_handle() {
             done2.store(true, Ordering::Relaxed);
         });
         compactor.join().unwrap();
-    })
-    .unwrap();
+    });
 
     // No lost writes: every key holds its final round's value.
     for w in 0..WRITERS {
@@ -134,18 +133,17 @@ fn writers_readers_and_compactions_share_one_handle() {
 #[test]
 fn group_commit_batches_concurrent_writers() {
     let db = Arc::new(Db::open(small_opts()).unwrap());
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..8 {
             let db = Arc::clone(&db);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..300 {
                     let k = format!("g{t}-{i:05}");
                     db.put(k.as_bytes(), b"v").unwrap();
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let groups = db.stats().group_commits.get();
     let grouped = db.stats().grouped_writes.get();
     assert_eq!(grouped, 8 * 300, "every write rode exactly one group");
@@ -162,10 +160,10 @@ fn cross_partition_batches_survive_concurrent_traffic() {
     let mut opts = small_opts();
     opts.partitioner = Partitioner::Ranges(vec![b"m".to_vec()]);
     let db = Arc::new(Db::open(opts).unwrap());
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..4 {
             let db = Arc::clone(&db);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..200 {
                     let mut batch = WriteBatch::new();
                     batch
@@ -175,8 +173,7 @@ fn cross_partition_batches_survive_concurrent_traffic() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     for t in 0..4 {
         for i in 0..200 {
             let want = format!("{t}:{i}");
@@ -210,11 +207,11 @@ fn background_writers_never_pay_major_compaction_latency() {
     opts.memtable_stall_debt = 64;
     let db = Arc::new(Db::open(opts).unwrap());
     let mut max_write = SimDuration::ZERO;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..4)
             .map(|w| {
                 let db = Arc::clone(&db);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut worst = SimDuration::ZERO;
                     for i in 0..1500 {
                         let k = format!("bg{w}-{i:06}");
@@ -228,8 +225,7 @@ fn background_writers_never_pay_major_compaction_latency() {
         for h in handles {
             max_write = max_write.max(h.join().unwrap());
         }
-    })
-    .unwrap();
+    });
     db.close();
     assert!(
         db.stats().major_compactions.get() >= 1,
@@ -334,12 +330,12 @@ proptest! {
         db.write_batch(seed).unwrap();
 
         let done = Arc::new(AtomicBool::new(false));
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             {
                 let db = Arc::clone(&db);
                 let key_names = key_names.clone();
                 let done = Arc::clone(&done);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for round in 1..=rounds {
                         let mut batch = WriteBatch::new();
                         for k in &key_names {
@@ -354,7 +350,7 @@ proptest! {
                 let db = Arc::clone(&db);
                 let key_names = key_names.clone();
                 let done = Arc::clone(&done);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     loop {
                         let finished = done.load(Ordering::Relaxed);
                         let snap = db.snapshot();
@@ -377,8 +373,7 @@ proptest! {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
 
         // Final state: the last round everywhere.
         for k in &key_names {

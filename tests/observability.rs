@@ -229,10 +229,10 @@ fn listener_ordering_survives_concurrency() {
     opts.listeners
         .add(Arc::clone(&recorder) as Arc<dyn EventListener>);
     let db = Arc::new(Db::open(opts).unwrap());
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..4 {
             let db = Arc::clone(&db);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..400u32 {
                     let k = format!("w{t}-{i:05}");
                     db.put(k.as_bytes(), &[b'c'; 64]).unwrap();
@@ -241,7 +241,7 @@ fn listener_ordering_survives_concurrency() {
         }
         for _ in 0..2 {
             let db = Arc::clone(&db);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..600u32 {
                     let k = format!("w{}-{:05}", i % 4, i % 400);
                     let _ = db.get(k.as_bytes()).unwrap();
@@ -249,13 +249,12 @@ fn listener_ordering_survives_concurrency() {
             });
         }
         let db = Arc::clone(&db);
-        s.spawn(move |_| {
+        s.spawn(move || {
             for pid in 0..3 {
                 let _ = db.compact(CompactionRequest::Flush { partition: pid % 2 });
             }
         });
-    })
-    .unwrap();
+    });
     db.compact(CompactionRequest::FlushAll).unwrap();
     let events = recorder.events.lock().unwrap().clone();
     // Flushes and compactions run under partition write locks (and the
