@@ -15,7 +15,7 @@
 //!              [--pm-filter-bits B] [--pm-cache-bytes N]
 //!              [--pm-codec prefix|delta|fixed|auto]
 //!              [--server [HOST:PORT]] [--connections N]
-//!              [--trace-out PATH] [--reopen] [--encoding-report]
+//!              [--encoding-report]
 //!
 //! `--server` switches to the network-service benchmark: `--num` puts
 //! then `--reads` gets issued over `--connections` TCP clients through
@@ -23,21 +23,6 @@
 //! a `pm-blade-server` is spawned in-process on an ephemeral loopback
 //! port; with `HOST:PORT` an external server is used. Results are
 //! written to `BENCH_server.json`.
-//!
-//! `--trace-out PATH` switches to the tracing-overhead benchmark: the
-//! same fill + zipfian read workload runs on two identical engines,
-//! once with request tracing sampling turned off and once tracing every
-//! request. Virtual (engine-clock) read quantiles must be identical —
-//! tracing observes the timeline but never charges it — and the off
-//! run's tracer counters must stay at zero. The traced run's flight
-//! recorder is exported to PATH as Chrome trace-event JSON and the
-//! comparison is written to `BENCH_tracing.json`.
-//!
-//! `--reopen` switches to the recovery benchmark: rounds of fill +
-//! flush in a durable scratch directory, closing and reopening the
-//! engine after each round to measure wall-clock recovery (manifest
-//! replay, table reopen, WAL segment replay) as level-0 tables
-//! accumulate. Results are written to `BENCH_recovery.json`.
 //!
 //! `readhot` is the zipfian hot-set read workload: after a random fill,
 //! reads hammer a small hot subset of the keyspace (1% of `--num`,
@@ -112,14 +97,6 @@ struct Args {
     /// `Some(addr)` = benchmark an already-running server at `addr`.
     server: Option<String>,
     connections: usize,
-    /// Switches to the tracing-overhead benchmark; the traced run's
-    /// flight recorder is exported to this path as Chrome trace-event
-    /// JSON and the off/on comparison goes to `BENCH_tracing.json`.
-    trace_out: Option<std::path::PathBuf>,
-    /// Switches to the recovery benchmark: fill a durable engine,
-    /// flush, close, and measure wall-clock reopen latency as level-0
-    /// tables accumulate. Results go to `BENCH_recovery.json`.
-    reopen: bool,
     /// Forced PM table codec mode; `None` keeps the engine default
     /// (cost-model-driven auto selection per flush).
     pm_codec: Option<CodecMode>,
@@ -147,8 +124,6 @@ impl Default for Args {
             pm_cache_bytes: None,
             server: None,
             connections: 8,
-            trace_out: None,
-            reopen: false,
             pm_codec: None,
             encoding_report: false,
         }
@@ -221,10 +196,6 @@ fn parse_args() -> Args {
             "--pm-cache-bytes" => {
                 args.pm_cache_bytes = Some(value().parse().expect("--pm-cache-bytes"));
             }
-            "--trace-out" => {
-                args.trace_out = Some(value().into());
-            }
-            "--reopen" => args.reopen = true,
             "--pm-codec" => {
                 args.pm_codec = Some(match value().as_str() {
                     "prefix" => CodecMode::Prefix,
@@ -812,240 +783,6 @@ fn server_bench(args: &Args) {
     println!("{:<18} results -> {}", "", out.display());
 }
 
-/// The tracing-overhead benchmark (`--trace-out PATH`): run the same
-/// fill + zipfian read workload on two identical engines, one with
-/// sampling off (`trace_sample_every = 0`) and one tracing every
-/// request. Engine latencies come from the virtual clock and tracing
-/// only *observes* the timeline, so the sampling-off run is the
-/// pre-tracing read path — this function asserts the virtual read
-/// quantiles of both runs are bit-identical and that the off run's
-/// tracer counters never moved, records the wall-clock delta for
-/// reference, exports the traced run's flight recorder to PATH as
-/// Chrome trace-event JSON, and writes the comparison to
-/// `BENCH_tracing.json`.
-fn trace_bench(args: &Args) {
-    struct TraceRun {
-        hist: Histogram,
-        total: SimDuration,
-        wall: std::time::Duration,
-        sampled: u64,
-        recorded: u64,
-        db: Db,
-    }
-    let run = |sample_every: u64| -> TraceRun {
-        let mut opts = bench_options(args);
-        opts.trace_sample_every = sample_every;
-        opts.trace_slow_query_nanos = 0;
-        opts.trace_recorder_capacity = 1024;
-        let db = Db::open(opts).expect("engine opens");
-        let mut w = KvWorkload::new(KvWorkloadSpec {
-            keys: args.num,
-            key_size: args.key_size,
-            value_size: args.value_size,
-            ..KvWorkloadSpec::default()
-        });
-        let ops = w.fill_random();
-        run_kv(&db, &ops).expect("fill");
-        let dist = KeyDistribution::zipfian(args.num, args.skew);
-        let mut rng = Pcg64::seeded(0xbe9c);
-        let mut hist = Histogram::new();
-        let mut total = SimDuration::ZERO;
-        let wall_start = std::time::Instant::now();
-        for _ in 0..args.reads {
-            let k = user_key(args.key_size, dist.sample(&mut rng, args.num));
-            let out = db.get(&k).expect("get");
-            hist.record_duration(out.latency);
-            total += out.latency;
-        }
-        let wall = wall_start.elapsed();
-        db.close();
-        let snap = db.metrics_snapshot();
-        TraceRun {
-            hist,
-            total,
-            wall,
-            sampled: snap.counter("trace_sampled_total"),
-            recorded: snap.counter("trace_recorded_total"),
-            db,
-        }
-    };
-
-    let off = run(0);
-    let on = run(1);
-    report("trace-off/gets", &off.hist, off.total, args.reads);
-    report("trace-on/gets", &on.hist, on.total, args.reads);
-
-    assert_eq!(
-        off.sampled, 0,
-        "sampling off must not sample a single request"
-    );
-    assert_eq!(off.recorded, 0, "sampling off must not record traces");
-    assert!(
-        off.db.flight_recorder().is_empty(),
-        "sampling off must leave the flight recorder empty"
-    );
-    assert!(on.sampled >= args.reads, "trace-on must sample every read");
-    let quantile_pair = |q: f64| (off.hist.quantile(q), on.hist.quantile(q));
-    let (off_p50, on_p50) = quantile_pair(0.5);
-    let (off_p99, on_p99) = quantile_pair(0.99);
-    let (off_p999, on_p999) = quantile_pair(0.999);
-    // Tracing never charges the virtual clock, so this is exact — the
-    // sampling-off run *is* the pre-tracing baseline read path.
-    assert_eq!(
-        (off_p50, off_p99, off_p999),
-        (on_p50, on_p99, on_p999),
-        "tracing must not move virtual read latencies"
-    );
-    let overhead_pct = 100.0 * (on_p99 as f64 - off_p99 as f64) / off_p99.max(1) as f64;
-    assert!(
-        overhead_pct < 2.0,
-        "virtual p99 overhead must stay under 2%"
-    );
-    let wall_delta_pct = 100.0 * (on.wall.as_secs_f64() - off.wall.as_secs_f64())
-        / off.wall.as_secs_f64().max(1e-12);
-    println!(
-        "{:<18} virtual p99 overhead {overhead_pct:.3}%  \
-         wall {:.2?} -> {:.2?} ({wall_delta_pct:+.1}% wall, informational)",
-        "", off.wall, on.wall,
-    );
-
-    let trace_path = args.trace_out.as_deref().expect("--trace-out path");
-    std::fs::write(trace_path, on.db.chrome_trace()).unwrap_or_else(|e| {
-        eprintln!("--trace-out {}: {e}", trace_path.display());
-        std::process::exit(1);
-    });
-    println!(
-        "{:<18} {} traces ({} sampled) -> {}",
-        "",
-        on.recorded,
-        on.sampled,
-        trace_path.display()
-    );
-
-    let run_json = |r: &TraceRun| {
-        format!(
-            "{{\"ops\": {}, \"p50_nanos\": {}, \"p99_nanos\": {}, \
-             \"p999_nanos\": {}, \"wall_seconds\": {:.6}, \
-             \"trace_sampled_total\": {}, \"trace_recorded_total\": {}}}",
-            r.hist.count(),
-            r.hist.quantile(0.5),
-            r.hist.quantile(0.99),
-            r.hist.quantile(0.999),
-            r.wall.as_secs_f64(),
-            r.sampled,
-            r.recorded,
-        )
-    };
-    let json = format!(
-        "{{\n  \"benchmark\": \"tracing_overhead\",\n  \"mode\": \"{:?}\",\n  \
-         \"num\": {},\n  \"reads\": {},\n  \"value_size\": {},\n  \
-         \"skew\": {},\n  \"baseline\": \"sampling-off run; virtual clock \
-         is never charged by tracing, so these are the pre-tracing read \
-         latencies\",\n  \"sampling_off\": {},\n  \
-         \"sampling_every_request\": {},\n  \
-         \"virtual_p99_overhead_pct\": {:.3},\n  \
-         \"virtual_latencies_identical\": true,\n  \
-         \"wall_delta_pct_informational\": {:.1},\n  \
-         \"chrome_trace\": \"{}\"\n}}\n",
-        args.mode,
-        args.num,
-        args.reads,
-        args.value_size,
-        args.skew,
-        run_json(&off),
-        run_json(&on),
-        overhead_pct,
-        wall_delta_pct,
-        trace_path.display(),
-    );
-    let out = std::path::Path::new("BENCH_tracing.json");
-    std::fs::write(out, json).unwrap_or_else(|e| {
-        eprintln!("BENCH_tracing.json: {e}");
-        std::process::exit(1);
-    });
-    println!("{:<18} results -> {}", "", out.display());
-}
-
-/// The recovery benchmark (`--reopen`): run rounds of fill + flush in a
-/// durable scratch directory, closing and reopening the engine after
-/// each round, and measure the wall-clock reopen (manifest replay +
-/// table reopen + WAL segment replay) as level-0 tables accumulate.
-/// Each row records the reopen latency against the table count the
-/// recovery path rebuilt; results go to `BENCH_recovery.json`.
-fn reopen_bench(args: &Args) {
-    let dir = std::env::temp_dir().join(format!("pmblade-reopen-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut opts = bench_options(args);
-    opts.wal_dir = Some(dir.clone());
-    let rounds = 4u64;
-    let per_round = (args.num / rounds).max(1);
-    let value = vec![b'r'; args.value_size];
-    let mut written = 0u64;
-    let mut rows = Vec::new();
-    println!(
-        "{:<10} {:>10} {:>10} {:>12} {:>14}",
-        "round", "keys", "tables", "wal-replayed", "reopen-wall"
-    );
-    for round in 0..rounds {
-        {
-            let db = Db::open(opts.clone()).expect("engine opens");
-            for i in 0..per_round {
-                let k = user_key(args.key_size, written + i);
-                db.put(&k, &value).expect("put");
-            }
-            written += per_round;
-            db.compact(CompactionRequest::FlushAll).expect("flush");
-            // Half the keys of the final round stay WAL-only so the
-            // reopen also exercises segment replay.
-            for i in 0..per_round / 2 {
-                let k = user_key(args.key_size, written - per_round / 2 + i);
-                db.put(&k, &value).expect("put");
-            }
-            db.close();
-        }
-        let wall_start = std::time::Instant::now();
-        let db = Db::open(opts.clone()).expect("reopen");
-        let wall = wall_start.elapsed();
-        let snap = db.metrics_snapshot();
-        let tables = snap.counter("recovery_tables_reopened");
-        let replayed = snap.counter("recovery_wal_records_replayed");
-        println!(
-            "{:<10} {:>10} {:>10} {:>12} {:>14.2?}",
-            round + 1,
-            written,
-            tables,
-            replayed,
-            wall
-        );
-        rows.push(format!(
-            "{{\"round\": {}, \"keys\": {}, \"tables_reopened\": {tables}, \
-             \"wal_records_replayed\": {replayed}, \
-             \"reopen_wall_seconds\": {:.6}}}",
-            round + 1,
-            written,
-            wall.as_secs_f64()
-        ));
-        db.close();
-    }
-    let json = format!(
-        "{{\n  \"benchmark\": \"reopen\",\n  \"mode\": \"{:?}\",\n  \
-         \"num\": {},\n  \"value_size\": {},\n  \"partitions\": {},\n  \
-         \"rounds\": [\n    {}\n  ]\n}}\n",
-        args.mode,
-        args.num,
-        args.value_size,
-        args.partitions,
-        rows.join(",\n    ")
-    );
-    let out = std::path::Path::new("BENCH_recovery.json");
-    std::fs::write(out, json).unwrap_or_else(|e| {
-        eprintln!("BENCH_recovery.json: {e}");
-        std::process::exit(1);
-    });
-    println!("{:<18} results -> {}", "", out.display());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// The codec-mode sweep (`--encoding-report`): for each of the four
 /// codec modes, run the `timeseries` workload (PM bytes/entry, codec
 /// histogram, read p99) and the text-keyed `readrandom` workload (where
@@ -1143,14 +880,6 @@ fn encoding_report(args: &Args) {
 
 fn main() {
     let args = parse_args();
-    if args.reopen {
-        println!(
-            "benchmark_kv: reopen/recovery, mode={:?} num={} value={}B",
-            args.mode, args.num, args.value_size
-        );
-        reopen_bench(&args);
-        return;
-    }
     if args.server.is_some() {
         server_bench(&args);
         return;
@@ -1162,15 +891,6 @@ fn main() {
             args.mode, args.num, args.reads, args.value_size
         );
         encoding_report(&args);
-        return;
-    }
-    if args.trace_out.is_some() {
-        println!(
-            "benchmark_kv: tracing overhead, mode={:?} num={} reads={} \
-             value={}B skew={}",
-            args.mode, args.num, args.reads, args.value_size, args.skew
-        );
-        trace_bench(&args);
         return;
     }
     println!(

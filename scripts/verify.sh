@@ -24,4 +24,8 @@ run() {
 
 run cargo build --workspace --release
 run cargo test --workspace -q
+# benchmark/ is a package of its own, so the workspace build never
+# compiles it: build it here, or a break of the API it calls by name
+# shows up only in the benchmark pipeline.
+run cargo build --offline --release --manifest-path benchmark/Cargo.toml
 echo "verify: OK"
