@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use pm_blade::protocol::{starts_with_frame, Request, Response, WireError};
 use pm_blade::telemetry::{Gauge, LatencyRecorder, MetricsRegistry};
-use pm_blade::{Db, DbError, MetricKey, SequenceNumber, TraceContext, WriteBatch};
+use pm_blade::{Db, DbError, MetricKey, SequenceNumber, WriteBatch};
 use sim::Counter;
 
 pub mod rate_limit;
@@ -574,13 +574,10 @@ fn serve(
 /// envelope unwraps here and hands its context to the engine's `*_with`
 /// entry points with the inner request.
 fn dispatch(db: &Db, req: Request) -> Response {
-    match req {
-        Request::Traced { ctx, inner } => dispatch_inner(db, *inner, Some(ctx)),
-        other => dispatch_inner(db, other, None),
-    }
-}
-
-fn dispatch_inner(db: &Db, req: Request, ctx: Option<TraceContext>) -> Response {
+    let (req, ctx) = match req {
+        Request::Traced { ctx, inner } => (*inner, Some(ctx)),
+        other => (other, None),
+    };
     let result = match req {
         Request::Ping => return Response::Pong,
         Request::Put { key, value } => db.put_with(&key, &value, ctx).map(written),

@@ -61,11 +61,21 @@ impl DbCore {
     /// Route one piece of triggered maintenance onto the background
     /// queue. Returns `false` when the engine runs Inline (or the queue
     /// has shut down) and the caller must execute the work itself.
-    pub(super) fn offload(&self, job: Job) -> bool {
-        match &self.maintenance {
-            Some(m) => m.enqueue(job),
-            None => false,
-        }
+    pub(super) fn offload(
+        &self,
+        kind: JobKind,
+        partition: usize,
+        cost: Option<CostDecision>,
+        origin_trace: u64,
+    ) -> bool {
+        self.maintenance.as_ref().is_some_and(|m| {
+            m.enqueue(Job {
+                kind,
+                partition,
+                cost,
+                origin_trace,
+            })
+        })
     }
 
     /// Execute one background job (called from the worker threads).
@@ -279,24 +289,19 @@ impl DbCore {
                     // Attribute the compaction to the first rule that
                     // fired (Algorithm 1 evaluates them in this order).
                     let cause = [d_eq1, d_eq2, d_hard].into_iter().find(|d| d.triggered());
-                    let offloaded = self.offload(Job {
-                        kind: JobKind::Internal,
-                        partition: pid,
-                        cost: cause.clone(),
-                        origin_trace: origin,
-                    });
+                    let offloaded = self.offload(JobKind::Internal, pid, cause.clone(), origin);
                     if !offloaded {
                         self.do_internal(pid, cause, origin)?;
                     }
                 }
                 // Line 7-9: Eq 3 — major compaction with retention.
                 if self.pool.used() >= self.opts.tau_m {
-                    let offloaded = self.offload(Job {
-                        kind: JobKind::Retention,
-                        partition: maintenance::GLOBAL_PARTITION,
-                        cost: None,
-                        origin_trace: origin,
-                    });
+                    let offloaded = self.offload(
+                        JobKind::Retention,
+                        maintenance::GLOBAL_PARTITION,
+                        None,
+                        origin,
+                    );
                     if !offloaded {
                         self.do_retention_inner(false, origin)?;
                     }
@@ -432,12 +437,7 @@ impl DbCore {
     /// Trigger-site helper: enqueue a major compaction in Background
     /// mode, run it inline otherwise.
     fn major_or_enqueue(&self, pid: usize, origin: u64) -> Result<(), DbError> {
-        let offloaded = self.offload(Job {
-            kind: JobKind::Major,
-            partition: pid,
-            cost: None,
-            origin_trace: origin,
-        });
+        let offloaded = self.offload(JobKind::Major, pid, None, origin);
         if offloaded {
             Ok(())
         } else {

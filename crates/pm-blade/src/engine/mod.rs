@@ -148,13 +148,6 @@ impl Db {
         })
     }
 
-    /// The shared engine core (what the maintenance workers hold).
-    /// Clone the `Arc` to keep the engine alive independently of this
-    /// handle — but note maintenance workers stop at [`Db::close`].
-    pub fn core(&self) -> &Arc<DbCore> {
-        &self.core
-    }
-
     /// Drain the maintenance queue and join the worker pool: blocks
     /// until every queued job (including jobs that running jobs
     /// enqueue) has finished, then stops the workers. Idempotent, and
@@ -246,16 +239,8 @@ impl DbCore {
         &self.metrics
     }
 
-    pub fn pm_pool(&self) -> &PmPool {
-        &self.pool
-    }
-
     pub fn ssd(&self) -> &Arc<SsdDevice> {
         &self.device
-    }
-
-    pub fn block_cache(&self) -> &Arc<BlockCache> {
-        &self.cache
     }
 
     /// A point-in-time copy of the compaction log, derived from the
@@ -321,31 +306,18 @@ impl DbCore {
         let (mut counters, gauges, histograms) = self.registry.collect();
         // Device and cache counters live in their own crates; mirror
         // them into the snapshot (they are monotonic, so deltas work).
-        counters.insert(MetricKey::global("block_cache_hits"), self.cache.hits.get());
-        counters.insert(
-            MetricKey::global("block_cache_misses"),
-            self.cache.misses.get(),
-        );
-        counters.insert(
-            MetricKey::global("block_cache_evictions"),
-            self.cache.evictions.get(),
-        );
-        counters.insert(
-            MetricKey::global("pm_bytes_written"),
-            self.pool.stats().bytes_written.get(),
-        );
-        counters.insert(
-            MetricKey::global("pm_bytes_read"),
-            self.pool.stats().bytes_read.get(),
-        );
-        counters.insert(
-            MetricKey::global("ssd_bytes_written"),
-            self.device.stats().bytes_written.get(),
-        );
-        counters.insert(
-            MetricKey::global("ssd_bytes_read"),
-            self.device.stats().bytes_read.get(),
-        );
+        let (pm, ssd) = (self.pool.stats(), self.device.stats());
+        for (name, counter) in [
+            ("block_cache_hits", &self.cache.hits),
+            ("block_cache_misses", &self.cache.misses),
+            ("block_cache_evictions", &self.cache.evictions),
+            ("pm_bytes_written", &pm.bytes_written),
+            ("pm_bytes_read", &pm.bytes_read),
+            ("ssd_bytes_written", &ssd.bytes_written),
+            ("ssd_bytes_read", &ssd.bytes_read),
+        ] {
+            counters.insert(MetricKey::global(name), counter.get());
+        }
         MetricsSnapshot::from_parts(
             self.clock.load(Ordering::Relaxed),
             counters,
@@ -455,11 +427,6 @@ impl DbCore {
 
     fn next_span_id(&self) -> u64 {
         self.span_ids.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// The shared PM-L0 group-decode cache (for diagnostics and tests).
-    pub fn group_cache(&self) -> &PmGroupCache {
-        &self.group_cache
     }
 }
 

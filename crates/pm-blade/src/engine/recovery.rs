@@ -371,22 +371,17 @@ impl DbCore {
         // registering the same `Arc`s means snapshots and Prometheus
         // rendering see them with zero mirroring on the hot path.
         let group_cache = Arc::new(PmGroupCache::new(opts.pm_group_cache_bytes));
-        registry.register_counter(
-            MetricKey::global("pm_group_cache_hit_total"),
-            Arc::clone(&group_cache.hits),
-        );
-        registry.register_counter(
-            MetricKey::global("pm_group_cache_miss_total"),
-            Arc::clone(&group_cache.misses),
-        );
-        registry.register_counter(
-            MetricKey::global("pm_group_cache_evictions_total"),
-            Arc::clone(&group_cache.evictions),
-        );
-        registry.register_counter(
-            MetricKey::global("pm_group_cache_invalidations_total"),
-            Arc::clone(&group_cache.invalidations),
-        );
+        for (name, counter) in [
+            ("pm_group_cache_hit_total", &group_cache.hits),
+            ("pm_group_cache_miss_total", &group_cache.misses),
+            ("pm_group_cache_evictions_total", &group_cache.evictions),
+            (
+                "pm_group_cache_invalidations_total",
+                &group_cache.invalidations,
+            ),
+        ] {
+            registry.register_counter(MetricKey::global(name), Arc::clone(counter));
+        }
         // Durability / recovery observability: zero without a wal_dir;
         // set once, here, from the open pass.
         metrics.manifest_edits.add(edits_at_open);

@@ -424,7 +424,7 @@ fn background_mode_round_trips_and_survives_close() {
     fill(&db, 1500, 64, "b");
     db.close();
     // close() drained every queued flush/compaction.
-    assert_eq!(db.core().maintenance.as_ref().unwrap().queue_depth(), 0);
+    assert_eq!(db.maintenance.as_ref().unwrap().queue_depth(), 0);
     assert!(db.stats().minor_compactions.get() >= 1);
     for i in (0..1500).step_by(173) {
         let k = format!("key{:08}", i);

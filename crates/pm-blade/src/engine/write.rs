@@ -11,7 +11,7 @@ use sim::{SimDuration, Timeline};
 
 use super::{DbCore, DbError};
 use crate::commit::{BatchOp, Ticket, WriteBatch};
-use crate::maintenance::{Job, JobKind};
+use crate::maintenance::JobKind;
 use crate::manifest::VersionEdit;
 use crate::telemetry::{SpanKind, StageTrace, TraceContext, TraceOp, TraceSpan};
 
@@ -151,25 +151,19 @@ impl DbCore {
                 self.commit_group(pid, &group)?;
             }
         }
-        let result = ticket.take_result();
-        match result {
-            Ok(latency) => {
-                let total = latency + penalty;
-                self.metrics.lat_writes.record(total);
-                if let Some(ctx) = trace {
-                    let mut st = StageTrace::new(ctx, TraceOp::Write, pid, start_nanos);
-                    if penalty > SimDuration::ZERO {
-                        st.stage(SpanKind::ThrottleWait, 0, penalty.as_nanos());
-                    }
-                    for span in ticket.take_stages() {
-                        st.push_span(span);
-                    }
-                    self.tracer.finish(st.finish(total.as_nanos()));
-                }
-                Ok(total)
+        let total = ticket.take_result()? + penalty;
+        self.metrics.lat_writes.record(total);
+        if let Some(ctx) = trace {
+            let mut st = StageTrace::new(ctx, TraceOp::Write, pid, start_nanos);
+            if penalty > SimDuration::ZERO {
+                st.stage(SpanKind::ThrottleWait, 0, penalty.as_nanos());
             }
-            Err(e) => Err(e),
+            for span in ticket.take_stages() {
+                st.push_span(span);
+            }
+            self.tracer.finish(st.finish(total.as_nanos()));
         }
+        Ok(total)
     }
 
     /// RocksDB-style write backpressure, evaluated before a write joins
@@ -204,20 +198,10 @@ impl DbCore {
                 // Make sure relief is queued before parking (dedup makes
                 // the re-enqueue per loop iteration free).
                 if l0_stalled {
-                    m.enqueue(Job {
-                        kind: JobKind::Internal,
-                        partition: pid,
-                        cost: None,
-                        origin_trace: origin,
-                    });
+                    self.offload(JobKind::Internal, pid, None, origin);
                 }
                 if mem_stalled {
-                    m.enqueue(Job {
-                        kind: JobKind::Flush,
-                        partition: pid,
-                        cost: None,
-                        origin_trace: origin,
-                    });
+                    self.offload(JobKind::Flush, pid, None, origin);
                 }
                 m.wait_for_progress(std::time::Duration::from_millis(1));
                 continue;
@@ -232,12 +216,7 @@ impl DbCore {
             // usually clear the signal before any penalty engages.
             // (Dedup makes the repeated enqueue free.)
             if unsorted * 2 >= self.opts.l0_slowdown_trigger && m.accepting() {
-                m.enqueue(Job {
-                    kind: JobKind::Internal,
-                    partition: pid,
-                    cost: None,
-                    origin_trace: origin,
-                });
+                self.offload(JobKind::Internal, pid, None, origin);
             }
             let l0_slowed = unsorted >= self.opts.l0_slowdown_trigger;
             let mem_slowed = debt >= self.opts.memtable_slowdown_debt;
@@ -247,12 +226,7 @@ impl DbCore {
                 // and without help every subsequent write would keep
                 // paying the penalty.
                 if mem_slowed {
-                    m.enqueue(Job {
-                        kind: JobKind::Flush,
-                        partition: pid,
-                        cost: None,
-                        origin_trace: origin,
-                    });
+                    self.offload(JobKind::Flush, pid, None, origin);
                 }
                 self.metrics.write_slowdowns.incr();
                 // Pace the writer in wall-clock time as well (RocksDB's
@@ -403,21 +377,14 @@ impl DbCore {
         // they caused, which is exactly the cost Background mode moves
         // off the write path (there the trigger is one enqueue).
         let mut maintenance = SimDuration::ZERO;
-        let mut flush_err = None;
+        let mut flushed = Ok(());
         if mem_full {
-            let offloaded = self.offload(Job {
-                kind: JobKind::Flush,
-                partition: pid,
-                cost: None,
-                origin_trace: origin,
-            });
+            let offloaded = self.offload(JobKind::Flush, pid, None, origin);
             if !offloaded {
                 // Still holding the commit mutex: no new group can race
                 // the flush into a half-frozen memtable.
                 let before = self.clock.load(Ordering::Relaxed);
-                if let Err(e) = self.do_flush(pid, origin) {
-                    flush_err = Some(e);
-                }
+                flushed = self.do_flush(pid, origin);
                 maintenance = SimDuration::from_nanos(
                     self.clock.load(Ordering::Relaxed).saturating_sub(before),
                 );
@@ -481,9 +448,6 @@ impl DbCore {
         if let Some(segment) = rotated {
             self.append_manifest_edits(&[VersionEdit::WalRotate { segment }])?;
         }
-        match flush_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        flushed
     }
 }

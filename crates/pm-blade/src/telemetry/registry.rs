@@ -46,11 +46,8 @@ impl MetricKey {
     /// A per-partition metric.
     pub const fn partition(name: &'static str, partition: usize) -> Self {
         MetricKey {
-            name,
             partition: Some(partition),
-            level: None,
-            connection: None,
-            codec: None,
+            ..MetricKey::global(name)
         }
     }
 
@@ -58,33 +55,24 @@ impl MetricKey {
     /// 1-based for the SSD levels).
     pub const fn level(name: &'static str, partition: usize, level: usize) -> Self {
         MetricKey {
-            name,
-            partition: Some(partition),
             level: Some(level),
-            connection: None,
-            codec: None,
+            ..MetricKey::partition(name, partition)
         }
     }
 
     /// A per-connection metric (server op counters).
     pub const fn connection(name: &'static str, connection: u64) -> Self {
         MetricKey {
-            name,
-            partition: None,
-            level: None,
             connection: Some(connection),
-            codec: None,
+            ..MetricKey::global(name)
         }
     }
 
     /// A per-codec metric (flush codec decisions).
     pub const fn codec(name: &'static str, codec: &'static str) -> Self {
         MetricKey {
-            name,
-            partition: None,
-            level: None,
-            connection: None,
             codec: Some(codec),
+            ..MetricKey::global(name)
         }
     }
 

@@ -196,37 +196,11 @@ impl MetricsSnapshot {
         out.push_str("{\n");
         let _ = writeln!(out, "  \"at_nanos\": {},", self.at_nanos);
         out.push_str("  \"counters\": [\n");
-        let mut first = true;
-        for (key, value) in &self.counters {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "    {{\"name\": \"{}\", {}\"value\": {}}}",
-                key.name,
-                json_labels(key),
-                value
-            );
-        }
+        json_values(&mut out, &self.counters);
         out.push_str("\n  ],\n  \"gauges\": [\n");
-        first = true;
-        for (key, value) in &self.gauges {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "    {{\"name\": \"{}\", {}\"value\": {}}}",
-                key.name,
-                json_labels(key),
-                value
-            );
-        }
+        json_values(&mut out, &self.gauges);
         out.push_str("\n  ],\n  \"histograms\": [\n");
-        first = true;
+        let mut first = true;
         for (key, h) in &self.histograms {
             if !first {
                 out.push_str(",\n");
@@ -348,6 +322,24 @@ impl MetricsSnapshot {
         let _ = writeln!(out, "# TYPE pmblade_spans_dropped counter");
         let _ = writeln!(out, "pmblade_spans_dropped {}", self.spans_dropped);
         out
+    }
+}
+
+/// The counter and gauge rows of the JSON document: one
+/// `{"name": .., labels, "value": ..}` object per line.
+fn json_values<V: std::fmt::Display>(out: &mut String, values: &BTreeMap<MetricKey, V>) {
+    use std::fmt::Write;
+    for (i, (key, value)) in values.iter().enumerate() {
+        if i > 0 {
+            out.push_str(",\n");
+        }
+        let _ = write!(
+            out,
+            "    {{\"name\": \"{}\", {}\"value\": {}}}",
+            key.name,
+            json_labels(key),
+            value
+        );
     }
 }
 
