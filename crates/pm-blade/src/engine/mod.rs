@@ -12,7 +12,7 @@
 //! models can compute access *rates*.
 //!
 //! Maintenance (flushes, compactions) runs in one of two places,
-//! selected by [`MaintenanceMode`]:
+//! selected by [`MaintenanceMode`](crate::options::MaintenanceMode):
 //!
 //! - **Inline** (default): the work executes at the Algorithm-1 trigger
 //!   point, on the triggering thread, and the triggering commit group is
@@ -21,6 +21,15 @@
 //!   [`crate::maintenance`] queue and a worker pool owned by [`Db`]
 //!   executes them; writers are throttled by slowdown/stall
 //!   backpressure instead of paying compaction latency directly.
+//!
+//! # Files
+//!
+//! One file per lifecycle stage, all child modules of this one (so
+//! [`DbCore`]'s fields stay private to the engine): `types` (requests,
+//! results, errors), `wal_ring`, `recovery` (open + manifest appends),
+//! `write` (group commit, backpressure), `read` (gets and scans),
+//! `maintain` (flush, Algorithm 1, compactions); this file holds the
+//! handle, the state and the accessors.
 //!
 //! # Lock hierarchy
 //!
@@ -84,7 +93,7 @@ use wal_ring::WalRing;
 ///
 /// `Db` is a thin owner around [`DbCore`] (every engine operation is
 /// reachable through `Deref`): it additionally owns the background
-/// maintenance workers in [`MaintenanceMode::Background`] and drains
+/// maintenance workers in `MaintenanceMode::Background` and drains
 /// them on [`Db::close`] / drop. The workers themselves hold
 /// `Arc<DbCore>`, so dropping the `Db` handle never races a job that is
 /// still running.
@@ -153,7 +162,7 @@ impl Db {
     /// enqueue) has finished, then stops the workers. Idempotent, and
     /// also run by `Drop`. The engine stays usable afterwards —
     /// triggered maintenance falls back to inline execution, as in
-    /// [`MaintenanceMode::Inline`].
+    /// `MaintenanceMode::Inline`.
     pub fn close(&self) {
         if let Some(m) = &self.core.maintenance {
             m.drain();

@@ -127,7 +127,7 @@ impl From<ManifestError> for DbError {
 /// Rows plus virtual latency from a range scan.
 pub type ScanResult = (Vec<(Vec<u8>, Vec<u8>)>, SimDuration);
 
-/// A range-scan description, consumed by [`DbCore::scan`] and shipped
+/// A range-scan description, consumed by [`DbCore::scan`](super::DbCore::scan) and shipped
 /// verbatim by the wire protocol's `Request::Scan`.
 ///
 /// Built fluently; the default is "everything, forward":
@@ -263,7 +263,7 @@ pub enum CompactionKind {
     Major,
 }
 
-/// A compaction the caller wants run now, handled by [`DbCore::compact`].
+/// A compaction the caller wants run now, handled by [`DbCore::compact`](super::DbCore::compact).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CompactionRequest {
     /// Freeze + flush one partition's memtable, then apply the mode's

@@ -1,4 +1,19 @@
 //! Point-in-time metric snapshots and their renderers.
+//!
+//! Durations are nanoseconds on the clock of their series, and there
+//! are two clocks:
+//!
+//! - **virtual** (the device models; deterministic): `read_latency`,
+//!   `write_latency`, `scan_latency`, `group_commit_latency`,
+//!   `wal_sync_latency`, every span and request-trace stage, and
+//!   `at_nanos`;
+//! - **wall** (the host; machine-dependent): `recovery_wall_nanos`,
+//!   `write_stall_wall_nanos`, `server_flush_latency` and the
+//!   `server_{ping,put,delete,write_batch,get,scan,compact}_latency`
+//!   series.
+//!
+//! `pm_tables_probed_per_get` is a histogram of counts, not durations.
+//! The renderers carry no clock label; the series name is the key.
 
 use std::collections::BTreeMap;
 
