@@ -9,27 +9,26 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Skips a file's lines from its first `#[cfg(test)]` on (a tests.rs
+# wholly): the prefix of both awk programs below.
+non_test='
+    FNR == 1 { in_tests = (FILENAME ~ /\/tests\.rs$/) }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests { next }'
+
 # code_lines FILE... — the rule above, summed over the files.
 code_lines() {
-    awk '
-        FNR == 1 { in_tests = (FILENAME ~ /\/tests\.rs$/) }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
-        in_tests { next }
+    awk "$non_test"'
         /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
         { n++ }
-        END { print n + 0 }
-    ' "$@" /dev/null
+        END { print n + 0 }' "$@" /dev/null
 }
 
 # pub_fns FILE... — `pub fn` items in the same non-test lines.
 pub_fns() {
-    awk '
-        FNR == 1 { in_tests = (FILENAME ~ /\/tests\.rs$/) }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
-        in_tests { next }
+    awk "$non_test"'
         /^[[:space:]]*pub fn / { n++ }
-        END { print n + 0 }
-    ' "$@" /dev/null
+        END { print n + 0 }' "$@" /dev/null
 }
 
 printf '%-18s %8s\n' crate code_lines
