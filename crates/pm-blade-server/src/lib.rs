@@ -723,22 +723,37 @@ mod tests {
             .unwrap();
         let server = Server::start(db, opts).unwrap();
         let handlers = || server.shared.handlers.lock().len();
+        let newest = || {
+            let handlers = server.shared.handlers.lock();
+            handlers.last().map(|h| h.thread().id())
+        };
         let exited = || {
             let handlers = server.shared.handlers.lock();
             handlers.iter().all(|h| h.is_finished())
         };
+        let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done() {
+                assert!(Instant::now() < deadline, "{what}");
+                std::thread::yield_now();
+            }
+        };
+        let mut previous = None;
         for cycle in 0..300 {
             let mut client = Client::connect(server.local_addr()).unwrap();
             client.ping().unwrap();
+            // The acceptor lists a handler just after spawning it, so
+            // the ping can be answered while the list still holds the
+            // previous (finished) handler: wait for this one's.
+            wait_for("handler never listed", &|| {
+                newest().is_some_and(|id| Some(id) != previous)
+            });
+            previous = newest();
             // Every earlier connection's handler had finished by the
             // time this one was accepted, so only this one is listed.
             assert_eq!(handlers(), 1, "cycle {cycle}");
             drop(client);
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while !exited() {
-                assert!(Instant::now() < deadline, "handler {cycle} never exited");
-                std::thread::yield_now();
-            }
+            wait_for("handler never exited", &exited);
         }
         assert_eq!(server.active_connections(), 0);
         server.shutdown();

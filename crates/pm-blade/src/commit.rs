@@ -1,7 +1,7 @@
 //! Group commit: batched writes and the per-partition commit queue.
 //!
 //! Concurrent writers to the same partition coalesce into *commit
-//! groups*: each writer enqueues a [`Ticket`] and then races for the
+//! groups*: each writer enqueues a `Ticket` and then races for the
 //! partition's commit mutex. The winner (the **leader**) drains the
 //! queue, appends every queued operation to the WAL in one pass,
 //! applies them to the memtable under a single partition write lock,

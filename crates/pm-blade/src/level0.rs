@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use encoding::bloom::BloomFilter;
 use encoding::key::SequenceNumber;
-use pm_device::{PmPool, RegionId};
+use pm_device::RegionId;
 use pmtable::{L0Table, Lookup};
 use sim::Timeline;
 
@@ -256,8 +256,8 @@ impl PmLevel0 {
         Arc::make_mut(&mut self.current).unsorted.push(handle);
     }
 
-    /// Install a sorted run directly (tests and recovery); unlike
-    /// [`PmLevel0::replace_with_sorted`] nothing is freed.
+    /// Install a sorted run directly (tests and recovery); nothing is
+    /// retired.
     pub fn set_sorted_run(&mut self, run: Vec<PmTableHandle>) {
         debug_assert!(run.windows(2).all(|w| w[0].last < w[1].first));
         Arc::make_mut(&mut self.current).sorted = run;
@@ -273,16 +273,6 @@ impl PmLevel0 {
         let detached = next.sorted.drain(..take_sorted);
         let detached = detached.chain(next.unsorted.drain(..take_unsorted));
         detached.map(|h| (h.region, h.cache_id)).unzip()
-    }
-
-    /// Drop every table, freeing PM space. Returns bytes released and
-    /// the retired tables' group-cache ids.
-    pub fn clear(&mut self, pool: &PmPool) -> (usize, Vec<u64>) {
-        let (released, regions, cache_ids) = self.replace_with_sorted_deferred(Vec::new());
-        for region in regions {
-            pool.free(region);
-        }
-        (released, cache_ids)
     }
 
     /// Replace the whole level-0 with a new sorted run WITHOUT freeing
@@ -302,19 +292,6 @@ impl PmLevel0 {
         let old = std::mem::replace(&mut self.current, Arc::new(next));
         let (regions, cache_ids) = old.tables().map(|h| (h.region, h.cache_id)).unzip();
         (old.bytes(), regions, cache_ids)
-    }
-
-    /// Replace the whole level-0 with a new sorted run (after internal
-    /// compaction). Returns bytes released by the old tables and their
-    /// group-cache ids.
-    pub fn replace_with_sorted(
-        &mut self,
-        run: Vec<PmTableHandle>,
-        pool: &PmPool,
-    ) -> (usize, Vec<u64>) {
-        let cleared = self.clear(pool);
-        self.set_sorted_run(run);
-        cleared
     }
 }
 
@@ -394,6 +371,7 @@ mod tests {
     use crate::cursor::tests::drain;
     use crate::handle::tests::build_pm_tables;
     use crate::handle::CacheIds;
+    use pm_device::PmPool;
     use pmtable::{OwnedEntry, PmTableOptions};
     use sim::CostModel;
 
@@ -403,6 +381,21 @@ mod tests {
 
     fn table(pool: &PmPool, entries: Vec<OwnedEntry>) -> PmTableHandle {
         table_opts(pool, entries, PmTableOptions::default())
+    }
+
+    /// What an internal compaction does in production (`partition.rs` +
+    /// `engine/maintain.rs`): swap the run in, then free the regions of
+    /// the tables it replaced.
+    fn replace_and_free(
+        l0: &mut PmLevel0,
+        run: Vec<PmTableHandle>,
+        pool: &PmPool,
+    ) -> (usize, Vec<u64>) {
+        let (released, regions, cache_ids) = l0.replace_with_sorted_deferred(run);
+        for region in regions {
+            pool.free(region);
+        }
+        (released, cache_ids)
     }
 
     fn filtered_table(pool: &PmPool, entries: Vec<OwnedEntry>) -> PmTableHandle {
@@ -492,7 +485,7 @@ mod tests {
         let before = pool.used();
         assert!(before > 0);
         let run = vec![table(&pool, vec![entry("a", 2, "y")])];
-        let (released, retired) = l0.replace_with_sorted(run, &pool);
+        let (released, retired) = replace_and_free(&mut l0, run, &pool);
         assert!(released > 0);
         assert_eq!(retired.len(), 2, "both old tables report cache ids");
         assert_eq!(l0.unsorted_count(), 0);
@@ -507,7 +500,7 @@ mod tests {
         let mut l0 = PmLevel0::new();
         l0.push_unsorted(table(&pool, vec![entry("a", 1, "x")]));
         l0.set_sorted_run(vec![table(&pool, vec![entry("b", 2, "y")])]);
-        let (released, retired) = l0.clear(&pool);
+        let (released, retired) = replace_and_free(&mut l0, Vec::new(), &pool);
         assert!(released > 0);
         assert_eq!(retired.len(), 2);
         assert!(l0.is_empty());
@@ -630,10 +623,15 @@ mod tests {
                 Some("u-old"),
                 None,
             ),
-            ("clear", Box::new(|l0| drop(l0.clear(&pool))), None, None),
+            (
+                "clear",
+                Box::new(|l0| drop(replace_and_free(l0, Vec::new(), &pool))),
+                None,
+                None,
+            ),
             (
                 "replace_with_sorted",
-                Box::new(|l0| drop(l0.replace_with_sorted(run("s-new"), &pool))),
+                Box::new(|l0| drop(replace_and_free(l0, run("s-new"), &pool))),
                 None,
                 Some("s-new"),
             ),

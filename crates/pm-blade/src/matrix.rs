@@ -215,6 +215,7 @@ impl std::fmt::Debug for MatrixL0 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::Mode;
     use pmtable::OwnedEntry;
     use sim::CostModel;
 
@@ -246,7 +247,10 @@ mod tests {
     fn setup() -> (std::sync::Arc<PmPool>, Options) {
         (
             PmPool::new(8 << 20, CostModel::default()),
-            Options::matrixkv(8 << 20),
+            Options {
+                mode: Mode::MatrixKv,
+                ..Options::pm_blade(8 << 20)
+            },
         )
     }
 

@@ -289,28 +289,11 @@ impl Options {
         }
     }
 
-    /// "PMBlade-PM": PM level-0, conventional strategy.
-    pub fn pm_blade_pm(pm_capacity: usize) -> Self {
-        Options {
-            mode: Mode::PmBladePm,
-            ..Options::pm_blade(pm_capacity)
-        }
-    }
-
     /// "PMBlade-SSD" / RocksDB-like.
     pub fn rocksdb_like() -> Self {
         Options {
             mode: Mode::SsdLevel0,
             ..Options::default()
-        }
-    }
-
-    /// MatrixKV-like with the given PM capacity (8 GB default in the
-    /// paper, also run at 80 GB).
-    pub fn matrixkv(pm_capacity: usize) -> Self {
-        Options {
-            mode: Mode::MatrixKv,
-            ..Options::pm_blade(pm_capacity)
         }
     }
 
@@ -566,9 +549,7 @@ mod tests {
     #[test]
     fn mode_presets_are_consistent() {
         assert_eq!(Options::pm_blade(1 << 20).mode, Mode::PmBlade);
-        assert_eq!(Options::pm_blade_pm(1 << 20).mode, Mode::PmBladePm);
         assert_eq!(Options::rocksdb_like().mode, Mode::SsdLevel0);
-        assert_eq!(Options::matrixkv(1 << 20).mode, Mode::MatrixKv);
         let o = Options::pm_blade(100);
         assert!(o.tau_m < o.pm_capacity);
         assert!(o.tau_t < o.tau_m);

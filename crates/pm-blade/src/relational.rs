@@ -4,8 +4,8 @@
 //! hold rows keyed by primary key, and *index tables* map indexed-column
 //! values back to row ids ("To execute an index query, the system needs
 //! to obtain the row id through a scan operation, and then perform a
-//! point read to retrieve the target row", §VI-D). `benchmark_kv` adds
-//! the same table support on top of db_bench.
+//! point read to retrieve the target row", §VI-D); the `fig10` /
+//! `fig11` harnesses and `examples/retail_orders.rs` drive it.
 //!
 //! Key encodings (kept prefix-friendly so PM tables compress well):
 //!

@@ -1,4 +1,5 @@
-//! The capped span ring backing `Db::compaction_log()`.
+//! The capped ring behind `Db::compaction_log()` and the slow-query
+//! flight recorder.
 
 use std::collections::VecDeque;
 
@@ -6,29 +7,32 @@ use parking_lot::Mutex;
 
 use super::span::TraceSpan;
 
-/// A fixed-capacity ring of completed compaction spans.
+/// A fixed-capacity ring of the most recent `T`s.
 ///
-/// When full, pushing evicts the *oldest* span; evictions are counted
-/// so snapshots can report how much history was lost. Group-commit
-/// spans are deliberately kept out of the ring (they would evict the
-/// much rarer compaction spans within seconds on a write-heavy
-/// workload) — they reach listeners and the metrics registry instead.
-pub struct EventRing {
-    inner: Mutex<Inner>,
+/// When full, pushing evicts the *oldest* item; evictions are counted
+/// so snapshots can report how much history was lost.
+pub struct Ring<T> {
+    inner: Mutex<Inner<T>>,
 }
 
-struct Inner {
-    buf: VecDeque<TraceSpan>,
+struct Inner<T> {
+    buf: VecDeque<T>,
     capacity: usize,
     dropped: u64,
 }
 
-impl EventRing {
+/// The ring of completed compaction spans. Group-commit spans are
+/// deliberately kept out of it (they would evict the much rarer
+/// compaction spans within seconds on a write-heavy workload) — they
+/// reach listeners and the metrics registry instead.
+pub type EventRing = Ring<TraceSpan>;
+
+impl<T: Clone> Ring<T> {
     /// `capacity` must be at least 1 (enforced by
     /// `Options::validate`; an unvalidated `Options` with 0 gets 1).
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        EventRing {
+        Ring {
             inner: Mutex::new(Inner {
                 buf: VecDeque::with_capacity(capacity.min(1024)),
                 capacity,
@@ -37,21 +41,27 @@ impl EventRing {
         }
     }
 
-    pub fn push(&self, span: TraceSpan) {
+    pub fn push(&self, item: T) {
         let mut inner = self.inner.lock();
         if inner.buf.len() >= inner.capacity {
             inner.buf.pop_front();
             inner.dropped += 1;
         }
-        inner.buf.push_back(span);
+        inner.buf.push_back(item);
     }
 
-    /// Oldest-to-newest copy of the retained spans.
-    pub fn snapshot(&self) -> Vec<TraceSpan> {
-        self.inner.lock().buf.iter().cloned().collect()
+    /// Oldest-to-newest copy of the retained items.
+    pub fn snapshot(&self) -> Vec<T> {
+        self.snapshot_and_dropped().0
     }
 
-    /// Spans evicted so far.
+    /// [`Ring::snapshot`] and [`Ring::dropped`] under one lock.
+    pub(super) fn snapshot_and_dropped(&self) -> (Vec<T>, u64) {
+        let inner = self.inner.lock();
+        (inner.buf.iter().cloned().collect(), inner.dropped)
+    }
+
+    /// Items evicted so far.
     pub fn dropped(&self) -> u64 {
         self.inner.lock().dropped
     }
@@ -69,10 +79,10 @@ impl EventRing {
     }
 }
 
-impl std::fmt::Debug for EventRing {
+impl<T> std::fmt::Debug for Ring<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.lock();
-        f.debug_struct("EventRing")
+        f.debug_struct("Ring")
             .field("len", &inner.buf.len())
             .field("capacity", &inner.capacity)
             .field("dropped", &inner.dropped)

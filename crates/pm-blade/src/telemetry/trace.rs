@@ -17,15 +17,14 @@
 //! charges it, so enabling or disabling sampling cannot move a single
 //! virtual latency.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use sim::Counter;
 
 use super::registry::{MetricKey, MetricsRegistry};
+use super::ring::Ring;
 use super::span::{SpanKind, TraceSpan};
 
 /// Per-request trace identity, carried client → server → engine.
@@ -217,69 +216,13 @@ impl StageTrace {
     }
 }
 
-/// A fixed-capacity ring of recently recorded [`RequestTrace`]s.
-///
-/// Same semantics as the compaction-span [`super::EventRing`]: pushing
-/// into a full ring evicts the oldest trace and counts the drop.
-pub struct FlightRecorder {
-    inner: Mutex<FlightInner>,
-}
+/// The ring of recently recorded [`RequestTrace`]s.
+pub type FlightRecorder = Ring<RequestTrace>;
 
-struct FlightInner {
-    buf: VecDeque<RequestTrace>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl FlightRecorder {
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        FlightRecorder {
-            inner: Mutex::new(FlightInner {
-                buf: VecDeque::with_capacity(capacity.min(1024)),
-                capacity,
-                dropped: 0,
-            }),
-        }
-    }
-
-    pub fn push(&self, trace: RequestTrace) {
-        let mut inner = self.inner.lock();
-        if inner.buf.len() >= inner.capacity {
-            inner.buf.pop_front();
-            inner.dropped += 1;
-        }
-        inner.buf.push_back(trace);
-    }
-
-    /// Oldest-to-newest copy of the retained traces.
-    pub fn snapshot(&self) -> Vec<RequestTrace> {
-        self.inner.lock().buf.iter().cloned().collect()
-    }
-
-    /// Traces evicted so far.
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.inner.lock().capacity
-    }
-
-    pub fn len(&self) -> usize {
-        self.inner.lock().buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().buf.is_empty()
-    }
-
+impl Ring<RequestTrace> {
     /// `{"dropped": N, "traces": [...]}` for the `/debug` endpoint.
     pub fn to_json(&self) -> String {
-        let (traces, dropped) = {
-            let inner = self.inner.lock();
-            (inner.buf.iter().cloned().collect::<Vec<_>>(), inner.dropped)
-        };
+        let (traces, dropped) = self.snapshot_and_dropped();
         let mut out = String::with_capacity(64 + traces.len() * 256);
         let _ = write!(out, "{{\"dropped\": {dropped}, \"traces\": [");
         for (i, t) in traces.iter().enumerate() {
@@ -290,17 +233,6 @@ impl FlightRecorder {
         }
         out.push_str("]}");
         out
-    }
-}
-
-impl std::fmt::Debug for FlightRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
-        f.debug_struct("FlightRecorder")
-            .field("len", &inner.buf.len())
-            .field("capacity", &inner.capacity)
-            .field("dropped", &inner.dropped)
-            .finish()
     }
 }
 

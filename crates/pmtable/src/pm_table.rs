@@ -207,7 +207,7 @@ struct Slot {
 ///
 /// The entries of the one table being built are buffered in a flat
 /// arena — one byte buffer of keys and values back to back, plus a
-/// [`Slot`] per entry — so `add` copies an entry's bytes once and
+/// `Slot` per entry — so `add` copies an entry's bytes once and
 /// allocates nothing per entry; `finish` encodes out of the arena.
 pub struct PmTableBuilder {
     opts: PmTableOptions,

@@ -1,19 +1,14 @@
 //! Workload generators for the PM-Blade evaluation.
 //!
-//! - [`kv`]: `benchmark_kv`-style key-value workloads (the paper's
-//!   db_bench derivative): fill-sequential, fill-random, update-only with
-//!   tunable skew, mixed read/write;
 //! - [`ycsb`]: the seven standard YCSB workloads (Load + A–F);
 //! - [`meituan`]: the order-lifecycle workload modeled on §VI-D — ten
 //!   tables, ~ten columns, three secondary indexes per table, hot
 //!   updates on recent orders, warm index queries, cold history.
 
 pub mod driver;
-pub mod kv;
 pub mod meituan;
 pub mod ycsb;
 
-pub use driver::{run_kv, run_meituan, run_ycsb, RunMetrics};
-pub use kv::{KvOp, KvWorkload, KvWorkloadSpec};
+pub use driver::{run_meituan, run_ycsb, RunMetrics};
 pub use meituan::{MeituanWorkload, OrderOp};
 pub use ycsb::{YcsbKind, YcsbOp, YcsbWorkload};

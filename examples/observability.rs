@@ -158,7 +158,7 @@ fn main() -> Result<(), pm_blade::DbError> {
         println!("{name:<27} {}", bg_snap.counter(name));
     }
 
-    // 5. JSON, as written by `benchmark_kv --metrics-out`.
+    // 5. JSON, as served by the server's `GET /debug`.
     let json = db.metrics_snapshot().to_json();
     println!("\n== json == {} bytes (excerpt)", json.len());
     for line in json.lines().take(6) {

@@ -5,6 +5,7 @@
 use coroutine::{Policy, Scheduler, SchedulerConfig, TraceParams};
 use pm_blade::{CompactionRequest, Db, Mode};
 use pmblade_integration_tests::{key_for, tiny_db, tiny_options, value_for};
+use pmtable::CodecMode;
 
 /// Fig 7(a): with internal compaction, level-0 read latency stays far
 /// below the no-internal-compaction configuration as data accumulates.
@@ -201,4 +202,87 @@ fn write_amplification_accounting_consistent() {
     for i in (0..2_000u64).step_by(173) {
         assert!(db.get(&key_for(i)).unwrap().value.is_some());
     }
+}
+
+/// A tiny engine with the read-path knobs the `PMBLADE_TEST_*` CI
+/// matrix varies pinned, so the two shapes below measure the same
+/// engines in every matrix row.
+fn pinned_db(codec: CodecMode, filter_bits: usize, group_cache_bytes: usize) -> Db {
+    let mut opts = tiny_options(Mode::PmBlade);
+    opts.pm_codec_mode = codec;
+    opts.pm_filter_bits_per_key = filter_bits;
+    opts.pm_group_cache_bytes = group_cache_bytes;
+    Db::open(opts).unwrap()
+}
+
+/// The readrandom shape: 8 000 text keys × 100 B filled in a seeded
+/// shuffle, then 4 000 seeded gets (`skew` 0 is uniform). Returns the
+/// virtual p99 of the gets in nanos.
+fn readrandom_p99(db: &Db, skew: f64) -> u64 {
+    const KEYS: u64 = 8_000;
+    let mut rng = sim::Pcg64::seeded(0xbe9c);
+    let mut order: Vec<u64> = (0..KEYS).collect();
+    rng.shuffle(&mut order);
+    for i in order {
+        db.put(&key_for(i), &value_for(i, 100)).unwrap();
+    }
+    let dist = sim::KeyDistribution::zipfian(KEYS, skew);
+    let mut gets = sim::Histogram::new();
+    for _ in 0..4_000 {
+        let out = db.get(&key_for(dist.sample(&mut rng, KEYS))).unwrap();
+        assert!(out.value.is_some());
+        gets.record_duration(out.latency);
+    }
+    gets.quantile(0.99)
+}
+
+/// Encoding v2's headline: flush-time codec selection stores a numeric
+/// time series at least a quarter denser than prefix-only groups, and
+/// falls back to prefix groups on text keys without hurting their tail.
+#[test]
+fn auto_codec_stores_timeseries_a_quarter_denser_without_hurting_the_text_keyed_tail() {
+    const POINTS: u64 = 8_000;
+    let timeseries = |codec| {
+        let db = pinned_db(codec, 10, 4 << 20);
+        for i in 0..POINTS {
+            let key = (1_700_000_000 + i).to_be_bytes();
+            db.put(&key, &(40_000 + i).to_le_bytes()).unwrap();
+        }
+        db.compact(CompactionRequest::FlushAll).unwrap();
+        (db.pm_used() as f64 / POINTS as f64, db.l0_codec_histogram())
+    };
+    let (prefix_bytes, _) = timeseries(CodecMode::Prefix);
+    let (auto_bytes, auto_codecs) = timeseries(CodecMode::Auto);
+    assert!(
+        auto_bytes <= 0.75 * prefix_bytes,
+        "auto {auto_bytes:.1} B/entry vs prefix-only {prefix_bytes:.1}"
+    );
+    let [prefix_tables, delta_tables, fixed_tables] = auto_codecs;
+    assert_eq!(prefix_tables, 0, "{auto_codecs:?}");
+    assert!(delta_tables + fixed_tables > 0, "{auto_codecs:?}");
+
+    let prefix_p99 = readrandom_p99(&pinned_db(CodecMode::Prefix, 10, 4 << 20), 0.0);
+    let auto_p99 = readrandom_p99(&pinned_db(CodecMode::Auto, 10, 4 << 20), 0.0);
+    assert!(
+        auto_p99 <= prefix_p99,
+        "text-keyed readrandom p99: auto {auto_p99} ns vs prefix {prefix_p99} ns"
+    );
+}
+
+/// The PM-L0 read acceleration: bloom filters prune the unsorted-table
+/// probes and the group cache skips repeat decodes, so a skewed read
+/// tail is shorter with them than without.
+#[test]
+fn filters_and_group_cache_cut_the_readrandom_tail() {
+    let on = pinned_db(CodecMode::Auto, 10, 4 << 20);
+    let off = pinned_db(CodecMode::Auto, 0, 0);
+    let on_p99 = readrandom_p99(&on, 0.9);
+    let off_p99 = readrandom_p99(&off, 0.9);
+    assert!(
+        on_p99 < off_p99,
+        "p99 with filters + cache {on_p99} ns vs without {off_p99} ns"
+    );
+    let pruned = |db: &Db| db.metrics_snapshot().counter("pm_filter_useful_total");
+    assert!(pruned(&on) > 0);
+    assert_eq!(pruned(&off), 0);
 }
