@@ -4,7 +4,12 @@
 //! [`MaintenanceMode`]s: Inline and Background may schedule compactions
 //! differently, but never disagree on contents.
 
-use pm_blade::{CompactionRequest, Db, MaintenanceMode, Mode, ScanRequest};
+use std::sync::{Arc, Mutex};
+
+use pm_blade::{
+    CompactionRequest, Db, EventListener, MaintenanceMode, Mode, Partitioner, ScanRequest,
+    SpanKind, TraceSpan,
+};
 use pmblade_integration_tests::{key_for, tiny_db, tiny_options, value_for};
 
 const ALL_MODES: [Mode; 4] = [
@@ -252,4 +257,152 @@ fn write_only_stream_ends_on_the_recorded_virtual_clock_in_every_mode() {
         )
     });
     assert_eq!(got, WRITE_ONLY_PARITY);
+}
+
+/// Every listener hook call, in call order: `(hook, span kind or
+/// verdict, partition or rule, the completing span)`.
+#[derive(Default)]
+struct HookLog(Mutex<Vec<(u8, u8, u64, Option<TraceSpan>)>>);
+
+impl HookLog {
+    fn note(&self, hook: u8, kind: SpanKind, partition: usize, span: Option<&TraceSpan>) {
+        let call = (hook, kind as u8, partition as u64, span.cloned());
+        self.0.lock().unwrap().push(call);
+    }
+}
+
+impl EventListener for HookLog {
+    fn on_flush_begin(&self, partition: usize) {
+        self.note(0, SpanKind::Flush, partition, None);
+    }
+    fn on_flush_complete(&self, span: &TraceSpan) {
+        self.note(1, span.kind, span.partition, Some(span));
+    }
+    fn on_compaction_begin(&self, kind: SpanKind, partition: usize) {
+        self.note(2, kind, partition, None);
+    }
+    fn on_compaction_complete(&self, span: &TraceSpan) {
+        self.note(3, span.kind, span.partition, Some(span));
+    }
+    fn on_group_commit(&self, span: &TraceSpan) {
+        self.note(4, span.kind, span.partition, None);
+    }
+    fn on_cost_decision(&self, decision: &pm_blade::CostDecision) {
+        let rule = encoding::crc::crc32c(decision.rule().as_bytes());
+        let call = (5, decision.triggered() as u8, rule as u64, None);
+        self.0.lock().unwrap().push(call);
+    }
+}
+
+fn fold_span(out: &mut Vec<u8>, s: &TraceSpan) {
+    let fields = [
+        s.kind as u64,
+        s.partition as u64,
+        s.start_nanos,
+        s.end_nanos,
+        s.input_records,
+        s.output_records,
+        s.input_bytes,
+        s.output_bytes,
+        s.cost.is_some() as u64,
+        s.trace_id,
+    ];
+    out.extend(fields.iter().flat_map(|f| f.to_le_bytes()));
+}
+
+/// CRC32C over the ordered hook-call sequence and every ring span of a
+/// fixed two-partition stream, per mode, recorded on the commit before
+/// flush / internal / major shared one maintenance frame. A rewrite of
+/// the maintenance path may change how the spans are produced, never
+/// which spans, in which order, with which numbers.
+const SPAN_SEQUENCE_PINS: [(Mode, u32); 4] = [
+    (Mode::PmBlade, 3_951_568_047),
+    (Mode::PmBladePm, 1_937_048_491),
+    (Mode::MatrixKv, 973_351_758),
+    (Mode::SsdLevel0, 1_503_414_753),
+];
+
+#[test]
+fn maintenance_span_sequence_is_pinned_in_every_mode() {
+    let got = SPAN_SEQUENCE_PINS.map(|(mode, _)| {
+        let hooks = Arc::new(HookLog::default());
+        // Pinned here, not taken from `tiny_options`: every knob that
+        // shapes the compaction sequence and every knob the CI matrix's
+        // `PMBLADE_TEST_*` overrides can move.
+        let mut opts = pm_blade::Options {
+            partitioner: Partitioner::Ranges(vec![key_for(4_000)]),
+            pm_capacity: 384 << 10,
+            tau_w: 24 << 10,
+            tau_m: 288 << 10,
+            tau_t: 96 << 10,
+            l1_target: 64 << 10,
+            max_table_bytes: 24 << 10,
+            pm_filter_bits_per_key: 10,
+            pm_group_cache_bytes: 4 << 20,
+            pm_codec_mode: pmtable::CodecMode::Auto,
+            trace_sample_every: 64,
+            event_log_capacity: 1 << 16,
+            ..tiny_options(mode)
+        };
+        opts.listeners.add(hooks.clone());
+        let db = Db::open(opts).unwrap();
+        // Partition 0 takes zipf overwrites (Eq 2) and, in the middle
+        // third, reads (Eq 1); partition 1 takes fresh keys only, so
+        // nothing but the hard cap merges it.
+        let mut rng = sim::Pcg64::seeded(22);
+        let zipf = sim::KeyDistribution::zipfian(4_000, 0.9);
+        for i in 0..6_000u64 {
+            let key = match i % 4 {
+                0 => key_for(4_000 + i),
+                _ => key_for(zipf.sample(&mut rng, 4_000)),
+            };
+            let value = value_for(i, 100 + (i % 80) as usize);
+            db.put(&key, &value).unwrap();
+            if (2_000..4_000).contains(&i) {
+                db.get(&key_for(zipf.sample(&mut rng, 4_000))).unwrap();
+            }
+        }
+        db.compact(CompactionRequest::FlushAll).unwrap();
+        let snap = db.metrics_snapshot();
+        assert_eq!(snap.spans_dropped, 0, "{mode:?}");
+        let count = |kind| snap.spans.iter().filter(|s| s.kind == kind).count();
+        assert!(count(SpanKind::Flush) > 50, "{mode:?}");
+        assert!(count(SpanKind::Major) > 2, "{mode:?}");
+        assert!(snap.spans.iter().any(|s| s.trace_id != 0), "{mode:?}");
+        let tables = db.ssd().list();
+        let cascaded = tables.iter().any(|t| t.contains("-L2-"));
+        assert!(cascaded, "{mode:?}: level 1 never cascaded: {tables:?}");
+        let hooks = hooks.0.lock().unwrap();
+        if mode == Mode::PmBlade {
+            for rule in [
+                "eq1_triggers",
+                "eq2_triggers",
+                "hard_cap_triggers",
+                "retention_passes",
+            ] {
+                assert!(snap.counter(&format!("cost_{rule}")) > 0, "{rule}: none");
+            }
+            // An internal compaction that runs out of PM completes with
+            // a zero-work span and a major begins in its place.
+            let (internal, major) = (SpanKind::Internal as u8, SpanKind::Major as u8);
+            let fell_back = hooks.windows(2).any(|w| match (&w[0], &w[1]) {
+                ((3, from, p, Some(span)), (2, to, q, _)) => {
+                    (*from, *to, p) == (internal, major, q) && span.input_records == 0
+                }
+                _ => false,
+            });
+            assert!(fell_back, "no internal compaction fell back to a major");
+        }
+        let mut bytes = Vec::new();
+        for (hook, kind, partition, span) in hooks.iter() {
+            bytes.extend([*hook, *kind]);
+            bytes.extend(partition.to_le_bytes());
+            span.iter().for_each(|span| fold_span(&mut bytes, span));
+        }
+        snap.spans
+            .iter()
+            .for_each(|span| fold_span(&mut bytes, span));
+        (mode, encoding::crc::crc32c(&bytes))
+    });
+    assert_eq!(got, SPAN_SEQUENCE_PINS);
 }
