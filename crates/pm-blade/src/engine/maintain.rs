@@ -14,7 +14,7 @@ use crate::costmodel::{
 };
 use crate::maintenance::{self, Job, JobKind};
 use crate::options::Mode;
-use crate::partition::{Level0, Partition};
+use crate::partition::Level0;
 use crate::telemetry::{CostDecision, MetricKey, SpanKind, TraceSpan};
 
 impl DbCore {
@@ -260,10 +260,7 @@ impl DbCore {
                     );
                     // Line 4-6: Eq 2 — write-amplification relief, gated
                     // on the partition exceeding τ_w.
-                    let l0_records = match &partition.level0 {
-                        Level0::Pm(l0) => l0.entries(),
-                        _ => 0,
-                    };
+                    let l0_records = partition.level0.entries();
                     let d_eq2 = explain_write_benefit(
                         pid,
                         &partition.counters,
@@ -485,12 +482,7 @@ impl DbCore {
         let pm_read_before = self.pool.stats().bytes_read.get();
         let ssd_written_before = self.device.stats().bytes_written.get();
         let mut p = self.partitions[pid].write();
-        let entries_in = |p: &Partition| match &p.level0 {
-            Level0::Pm(l0) => l0.entries(),
-            Level0::Matrix(m) => m.entries(),
-            Level0::Ssd(tables) => tables.len() * 1000,
-        };
-        let records_before = entries_in(&p) as u64;
+        let records_before = p.level0.entries() as u64;
         let report = p.major_compaction(
             &self.opts,
             &self.device,
@@ -502,7 +494,7 @@ impl DbCore {
         )?;
         // For a limited pass, only the moved slice counts as this
         // span's input.
-        let records = records_before.saturating_sub(entries_in(&p) as u64);
+        let records = records_before.saturating_sub(p.level0.entries() as u64);
         let now = self.now();
         p.counters.reset(now);
         let version = self.partition_version(&p);

@@ -223,13 +223,14 @@ impl<'a> SsRunWriter<'a> {
         let Some((builder, name, max_seq)) = self.open.take() else {
             return Ok(());
         };
+        let entries = builder.entries();
         let (bytes, first, last) = builder.finish(tl)?;
         // The object exists from here on: it is deleted, here or by
         // `drop`, unless the run is handed over.
         let table = SsTable::open(self.device, &name, Arc::clone(self.cache), tl);
         let table = table.inspect_err(|_| drop(self.device.delete(&name)))?;
         self.done.push(SsTableHandle {
-            table: Arc::new(table),
+            table: Arc::new(table.with_entries_hint(entries)),
             name,
             first: first.expect("a table is opened by its first entry"),
             last: last.expect("a table is opened by its first entry"),

@@ -93,6 +93,18 @@ fn hash_key(key: &[u8]) -> u64 {
     h
 }
 
+impl Level0 {
+    /// Records held, every version counted. An SSD table reopened by
+    /// recovery counts as 0: its file does not say.
+    pub fn entries(&self) -> usize {
+        match self {
+            Level0::Pm(l0) => l0.entries(),
+            Level0::Matrix(m) => m.entries(),
+            Level0::Ssd(tables) => tables.iter().map(|h| h.table.entries_hint()).sum(),
+        }
+    }
+}
+
 /// A major compaction's level-0 input is the `limit` oldest tables;
 /// non-PM level-0s ignore the limit and move whole.
 impl Level0 {

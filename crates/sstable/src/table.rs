@@ -287,8 +287,16 @@ impl SsTable {
         self.index.len()
     }
 
+    /// Entries the builder wrote, when the opener said
+    /// ([`SsTable::with_entries_hint`]); 0 for a table reopened from
+    /// its file alone, which does not record the count.
     pub fn entries_hint(&self) -> usize {
         self.entries_hint
+    }
+
+    pub fn with_entries_hint(mut self, entries: usize) -> Self {
+        self.entries_hint = entries;
+        self
     }
 
     /// Fetch block `i`, via the cache when possible.
