@@ -108,7 +108,7 @@ fn main() {
             // Interference felt by one read: the compaction occupies the
             // device for its duration; a concurrent random read waits a
             // uniformly-distributed slice of the per-I/O service time.
-            ev.duration / (db.stats().puts.get().max(1) / 4).max(1)
+            ev.duration() / (db.stats().puts.get().max(1) / 4).max(1)
         } else {
             sim::SimDuration::ZERO
         };

@@ -3,8 +3,7 @@
 //! measures internal compaction at roughly half the SSD duration.
 
 use bench::{ms, Table};
-use pm_blade::engine::CompactionKind;
-use pm_blade::{CompactionRequest, Db, Mode, Options};
+use pm_blade::{CompactionRequest, Db, Mode, Options, SpanKind};
 
 fn run(mode: Mode, value_size: usize) -> sim::SimDuration {
     let mut opts: Options = match mode {
@@ -34,8 +33,8 @@ fn run(mode: Mode, value_size: usize) -> sim::SimDuration {
     db.compaction_log()
         .iter()
         .rev()
-        .find(|e| matches!(e.kind, CompactionKind::Internal | CompactionKind::Major))
-        .map(|e| e.duration)
+        .find(|e| matches!(e.kind, SpanKind::Internal | SpanKind::Major))
+        .map(|e| e.duration())
         .expect("compaction ran")
 }
 

@@ -68,15 +68,6 @@ impl InternalKey {
         InternalKey::new(user_key, snapshot.min(MAX_SEQUENCE), KeyKind::Value)
     }
 
-    /// Adopt raw encoded bytes. Returns `None` when too short.
-    pub fn from_encoded(bytes: Vec<u8>) -> Option<Self> {
-        if bytes.len() < 8 {
-            None
-        } else {
-            Some(InternalKey { bytes })
-        }
-    }
-
     pub fn encoded(&self) -> &[u8] {
         &self.bytes
     }
@@ -245,15 +236,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn from_encoded_rejects_short() {
-        assert!(InternalKey::from_encoded(vec![1, 2, 3]).is_none());
-        let k = InternalKey::new(b"", 0, KeyKind::Delete);
-        let rt = InternalKey::from_encoded(k.encoded().to_vec()).unwrap();
-        assert_eq!(rt.sequence(), 0);
-        assert_eq!(rt.kind(), KeyKind::Delete);
     }
 
     #[test]

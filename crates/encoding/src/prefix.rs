@@ -25,17 +25,6 @@ pub fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
     i
 }
 
-/// Longest common prefix across a whole group of keys.
-pub fn group_common_prefix_len(keys: &[&[u8]]) -> usize {
-    match keys {
-        [] => 0,
-        // Keys are sorted, so the LCP of the group is the LCP of the
-        // first and last key.
-        [first, .., last] => common_prefix_len(first, last),
-        [only] => only.len(),
-    }
-}
-
 /// A fixed-width prefix extracted from a key, zero-padded on the right.
 ///
 /// Fixed width is what makes the prefix layer binary-searchable without
@@ -55,39 +44,11 @@ impl<const W: usize> FixedPrefix<W> {
     pub fn as_bytes(&self) -> &[u8] {
         &self.0
     }
-
-    /// Compare a full key against this prefix: `Less`/`Greater` when the
-    /// key's first `W` bytes differ, `Equal` when the key starts with (or
-    /// equals a prefix of) this prefix slot.
-    pub fn compare_key(&self, key: &[u8]) -> std::cmp::Ordering {
-        let probe = FixedPrefix::<W>::of(key);
-        probe.0.cmp(&self.0)
-    }
-}
-
-/// Standard prefix width used by PM tables (covers `{tableID}{indexID}` plus
-/// the leading bytes of the row key in the paper's encoding).
-pub const PM_PREFIX_WIDTH: usize = 16;
-
-/// Given sorted keys and a group size, locate the group that may contain
-/// `key` by binary search over the fixed prefixes of group leaders.
-///
-/// Returns the group index whose leader prefix is the greatest one
-/// `<= prefix(key)` (0 when key sorts before everything).
-pub fn locate_group<const W: usize>(leaders: &[FixedPrefix<W>], key: &[u8]) -> usize {
-    if leaders.is_empty() {
-        return 0;
-    }
-    let probe = FixedPrefix::<W>::of(key);
-    // partition_point: first leader > probe.
-    let idx = leaders.partition_point(|l| *l <= probe);
-    idx.saturating_sub(1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cmp::Ordering;
 
     #[test]
     fn lcp_basics() {
@@ -108,44 +69,11 @@ mod tests {
     }
 
     #[test]
-    fn group_lcp_uses_first_and_last() {
-        let keys: Vec<&[u8]> = vec![b"tbl1:a", b"tbl1:b", b"tbl1:c", b"tbl1:z"];
-        assert_eq!(group_common_prefix_len(&keys), 5);
-        assert_eq!(group_common_prefix_len(&[]), 0);
-        let one: Vec<&[u8]> = vec![b"solo"];
-        assert_eq!(group_common_prefix_len(&one), 4);
-    }
-
-    #[test]
     fn fixed_prefix_pads_and_orders() {
         let a = FixedPrefix::<8>::of(b"ab");
         let b = FixedPrefix::<8>::of(b"abc");
         assert!(a < b, "padding keeps shorter keys first");
         assert_eq!(a.as_bytes(), b"ab\0\0\0\0\0\0");
-    }
-
-    #[test]
-    fn compare_key_matches_prefix_semantics() {
-        let p = FixedPrefix::<4>::of(b"tbl1-row9");
-        assert_eq!(p.compare_key(b"tbl1-row0"), Ordering::Equal);
-        assert_eq!(p.compare_key(b"tbl0"), Ordering::Less);
-        assert_eq!(p.compare_key(b"tbl2"), Ordering::Greater);
-    }
-
-    #[test]
-    fn locate_group_finds_containing_group() {
-        let leaders: Vec<FixedPrefix<4>> = [b"aaaa", b"bbbb", b"cccc"]
-            .iter()
-            .map(|k| FixedPrefix::of(&k[..]))
-            .collect();
-        assert_eq!(locate_group(&leaders, b"aaaa0"), 0);
-        assert_eq!(locate_group(&leaders, b"bbbz"), 1);
-        assert_eq!(locate_group(&leaders, b"bbbb"), 1);
-        assert_eq!(locate_group(&leaders, b"zzzz"), 2);
-        // Before everything clamps to group 0 (caller then finds no match).
-        assert_eq!(locate_group(&leaders, b"AAAA"), 0);
-        let empty: Vec<FixedPrefix<4>> = vec![];
-        assert_eq!(locate_group(&empty, b"x"), 0);
     }
 
     proptest::proptest! {
@@ -157,24 +85,6 @@ mod tests {
             proptest::prop_assert_eq!(&a[..l], &b[..l]);
             if l < a.len() && l < b.len() {
                 proptest::prop_assert_ne!(a[l], b[l]);
-            }
-        }
-
-        #[test]
-        fn prop_locate_group_is_lower_bound(
-            mut keys in proptest::collection::vec(
-                proptest::collection::vec(0u8..=255, 1..12), 1..40),
-            probe in proptest::collection::vec(0u8..=255, 1..12),
-        ) {
-            keys.sort();
-            keys.dedup();
-            let leaders: Vec<FixedPrefix<8>> =
-                keys.iter().map(|k| FixedPrefix::of(k)).collect();
-            let g = locate_group(&leaders, &probe);
-            let p = FixedPrefix::<8>::of(&probe);
-            // Everything after g has a strictly greater leader prefix.
-            for l in &leaders[g + 1..] {
-                proptest::prop_assert!(*l > p);
             }
         }
     }

@@ -3,9 +3,6 @@
 //! Every table format in the workspace encodes lengths and offsets as
 //! varints, matching the LevelDB/RocksDB convention.
 
-/// Maximum encoded size of a u64 varint.
-pub const MAX_VARINT_LEN: usize = 10;
-
 /// Append `value` to `out` as a varint. Returns the number of bytes written.
 #[inline]
 pub fn put_u64(out: &mut Vec<u8>, mut value: u64) -> usize {
@@ -58,9 +55,9 @@ pub fn get_u32(buf: &[u8]) -> Option<(u32, usize)> {
     }
 }
 
-/// Encoded length of `value` without writing it.
-#[inline]
-pub fn len_u64(value: u64) -> usize {
+/// Encoded length of `value` without writing it (the tests' oracle).
+#[cfg(test)]
+fn len_u64(value: u64) -> usize {
     if value == 0 {
         1
     } else {

@@ -82,24 +82,6 @@ impl Wal {
         })
     }
 
-    /// Open a log for appending, preserving existing records (used after
-    /// replay so a second crash before the next flush loses nothing).
-    pub fn open_append(path: impl Into<PathBuf>, cost: CostModel) -> Result<Self, WalError> {
-        let path = path.into();
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let written = file.metadata()?.len();
-        Ok(Wal {
-            file,
-            path,
-            written,
-            cost,
-            fault: None,
-        })
-    }
-
     /// Route this log's durable writes through a crash-injection plan.
     pub fn set_fault(&mut self, fault: Option<std::sync::Arc<FaultPlan>>) {
         self.fault = fault;

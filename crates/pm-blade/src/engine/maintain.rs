@@ -14,34 +14,14 @@ use crate::costmodel::{
 };
 use crate::maintenance::{self, Job, JobKind};
 use crate::options::Mode;
-use crate::partition::Level0;
+use crate::partition::{CompactionReport, Level0, Partition};
 use crate::telemetry::{CostDecision, MetricKey, SpanKind, TraceSpan};
 
-impl DbCore {
-    /// A zero-work span (used to close a begin/complete pair when the
-    /// operation turned out to be a no-op).
-    fn empty_span(
-        &self,
-        kind: SpanKind,
-        pid: usize,
-        start_nanos: u64,
-        cost: Option<CostDecision>,
-        origin: u64,
-    ) -> TraceSpan {
-        TraceSpan::new(
-            self.next_span_id(),
-            origin,
-            kind,
-            pid,
-            start_nanos,
-            0,
-            (0, 0),
-            (0, 0),
-            self.mean_value_size(),
-            cost,
-        )
-    }
+/// What a compaction run through the maintenance frame hands back: its
+/// report, or `None` when there was nothing to do.
+type Compacted = Result<Option<CompactionReport>, DbError>;
 
+impl DbCore {
     /// Record a cost-model verdict: bump its trigger counter and notify
     /// listeners. Called before the compaction the decision may trigger.
     fn note_cost_decision(&self, decision: &CostDecision) {
@@ -51,7 +31,11 @@ impl DbCore {
                 CostDecision::WriteBenefit { .. } => "cost_eq2_triggers",
                 CostDecision::HardCap { .. } => "cost_hard_cap_triggers",
                 CostDecision::Retention { .. } => "cost_retention_passes",
-                CostDecision::CodecChoice { .. } => "cost_codec_choices",
+                CostDecision::CodecChoice { codec, .. } => {
+                    let chosen = MetricKey::codec("pm_codec_chosen_total", codec);
+                    self.registry.counter(chosen).incr();
+                    "cost_codec_choices"
+                }
             };
             self.registry.counter(MetricKey::global(name)).incr();
         }
@@ -112,10 +96,7 @@ impl DbCore {
         match request {
             CompactionRequest::Flush { partition } => self.do_flush(partition, 0),
             CompactionRequest::FlushAll => {
-                for pid in 0..self.partitions.len() {
-                    self.do_flush(pid, 0)?;
-                }
-                Ok(())
+                (0..self.partitions.len()).try_for_each(|pid| self.do_flush(pid, 0))
             }
             CompactionRequest::Internal { partition } => self.do_internal(partition, None, 0),
             CompactionRequest::Major { partition } => {
@@ -125,94 +106,140 @@ impl DbCore {
         }
     }
 
+    /// The maintenance frame: the steps a flush, an internal and a major
+    /// compaction share, in the one order that is crash-safe — begin
+    /// hook, device-counter sample, partition write lock, `compact`,
+    /// version snapshot, manifest append, free / purge / delete, clock
+    /// advance, span, ring push, complete hook. `compact` is the only
+    /// step that differs by `kind`; it returns `None` when there was
+    /// nothing to do.
+    ///
+    /// The matching `*_complete` hook fires on every exit. When the
+    /// work was empty or failed it carries a zero-work span that is not
+    /// pushed to the ring, and the clock does not advance: an abandoned
+    /// attempt costs no virtual time.
+    ///
     /// `origin` throughout the maintenance chain is the trace id of the
     /// sampled foreground request that triggered the work (0 = none, or
     /// the trigger was untraced); it lands in each maintenance span's
     /// `trace_id` so a flight-recorder trace can be cross-linked to the
-    /// flush/compaction it caused.
-    pub(super) fn do_flush(&self, pid: usize, origin: u64) -> Result<(), DbError> {
+    /// flush/compaction it caused. `cost` is the verdict that triggered
+    /// the work, if any.
+    fn run_frame(
+        &self,
+        kind: SpanKind,
+        pid: usize,
+        cost: Option<CostDecision>,
+        origin: u64,
+        compact: impl FnOnce(&mut Partition, &mut Timeline) -> Compacted,
+    ) -> Compacted {
         let mut tl = Timeline::new();
         let start_nanos = self.clock.load(Ordering::Relaxed);
-        self.opts.listeners.flush_begin(pid);
-        let pm_written_before = self.pool.stats().bytes_written.get();
-        let ssd_written_before = self.device.stats().bytes_written.get();
+        let listeners = &self.opts.listeners;
+        match kind {
+            SpanKind::Flush => listeners.flush_begin(pid),
+            _ => listeners.compaction_begin(kind, pid),
+        }
+        // Device counters are global: a compaction racing on another
+        // partition skews this span's work attribution but never the
+        // cumulative totals.
+        let (pm, ssd) = (self.pool.stats(), self.device.stats());
+        let pm_read_before = pm.bytes_read.get();
+        let pm_written_before = pm.bytes_written.get();
+        let ssd_written_before = ssd.bytes_written.get();
+        let outcome = (|| {
+            let (report, version) = {
+                let mut p = self.partitions[pid].write();
+                let Some(report) = compact(&mut p, &mut tl)? else {
+                    return Ok(None);
+                };
+                if kind != SpanKind::Flush {
+                    // The level-0 the cost models watched is gone: Eq 1
+                    // and Eq 2 start a new window.
+                    p.counters.reset(self.now());
+                }
+                (report, self.partition_version(&p))
+            };
+            // Manifest first, then free and delete: the new tables are
+            // already visible to readers, and a crash between the
+            // in-memory install and the append leaves the old media as
+            // orphans for recovery GC, never a version that references
+            // freed media. A flush also moves the WAL checkpoint past
+            // the records it made durable. Releasing after the lock is
+            // dropped is safe: the install removed every handle to the
+            // replaced tables, so no reader can reach them.
+            self.log_version(version, report.durable_seq.map(|seq| (pid, seq)))?;
+            for name in &report.deleted_tables {
+                let _ = self.device.delete(name);
+                self.cache.purge_table(sstable::cache::table_id(name));
+            }
+            for region in &report.retired_regions {
+                self.pool.free(*region);
+            }
+            // The retired PM tables can never serve a read again (their
+            // ids are never reused); purging just reclaims cache space.
+            for id in &report.retired_cache_ids {
+                self.group_cache.purge_table(*id);
+            }
+            Ok(Some(report))
+        })();
+        let id = self.next_span_id();
+        let mut span = TraceSpan::new(id, origin, kind, pid, start_nanos, 0, (0, 0), (0, 0), cost);
+        if let Ok(Some(report)) = &outcome {
+            let d = tl.elapsed();
+            self.advance(d);
+            span.end_nanos += d.as_nanos();
+            span.input_records = report.records_in as u64;
+            span.output_records = report.records_out as u64;
+            let pm_read = pm.bytes_read.get() - pm_read_before;
+            let pm_written = pm.bytes_written.get() - pm_written_before;
+            let ssd_written = ssd.bytes_written.get() - ssd_written_before;
+            (span.input_bytes, span.output_bytes) = match kind {
+                SpanKind::Flush => (report.raw_bytes as u64, pm_written + ssd_written),
+                SpanKind::Internal => (pm_read, pm_written),
+                _ => (pm_read, ssd_written),
+            };
+            if let Some(decision) = &report.decision {
+                self.note_cost_decision(decision);
+                span.cost = Some(decision.clone());
+            }
+            self.ring.push(span.clone());
+        }
+        match kind {
+            SpanKind::Flush => listeners.flush_complete(&span),
+            _ => listeners.compaction_complete(&span),
+        }
+        outcome
+    }
+
+    /// Minor compaction of one partition, then Algorithm 1 on what it
+    /// left behind.
+    pub(super) fn do_flush(&self, pid: usize, origin: u64) -> Result<(), DbError> {
+        // Sync the WAL before anything begins: its mutex orders before
+        // the partition lock the frame takes, and a failed sync then
+        // leaves no hook to complete. The flush is charged its cost.
+        let mut synced = SimDuration::ZERO;
         if let Some(wal) = &self.wal {
             let mut sync_tl = Timeline::new();
             wal.lock().active.sync(&mut sync_tl)?;
             self.metrics.wal_syncs.incr();
             self.metrics.wal_sync_latency.record(sync_tl.elapsed());
-            tl.charge(sync_tl.elapsed());
+            synced = sync_tl.elapsed();
         }
-        let (report, version) = {
-            let mut p = self.partitions[pid].write();
-            let report = p.minor_compaction(
+        let flushed = self.run_frame(SpanKind::Flush, pid, None, origin, |p, tl| {
+            tl.charge(synced);
+            p.minor_compaction(
                 &self.opts,
                 &self.pool,
                 &self.device,
                 &self.cache,
                 &self.table_counter,
                 &self.cache_ids,
-                &mut tl,
-            )?;
-            let version = report.and_then(|_| self.partition_version(&p));
-            (report, version)
-        };
-        let flushed = match report {
-            Some(report) => {
-                // The flushed tables are already visible to readers;
-                // make them durable in the manifest and move the WAL
-                // checkpoint past the flushed records.
-                self.log_version(version, Some((pid, report.durable_seq)))?;
-                self.metrics.minor_compactions.incr();
-                let d = tl.elapsed();
-                self.advance(d);
-                // Record which codec this flush encoded with (encoding
-                // v2) — as a per-codec counter, a cost-decision event,
-                // and the flush span's `flush_codec_decision` stage.
-                // Only PM-table flushes pick a codec; the matrix and
-                // SSD level-0 containers have no codec to choose.
-                let pm_bytes = self.pool.stats().bytes_written.get() - pm_written_before;
-                let codec_choice =
-                    matches!(self.opts.mode, Mode::PmBlade | Mode::PmBladePm).then(|| {
-                        let codec = pmtable::CODEC_NAMES[report.codec as usize];
-                        let decision = CostDecision::CodecChoice {
-                            partition: pid,
-                            codec,
-                            entries: report.entries,
-                            pm_bytes: pm_bytes as usize,
-                        };
-                        self.registry
-                            .counter(MetricKey::codec("pm_codec_chosen_total", codec))
-                            .incr();
-                        self.note_cost_decision(&decision);
-                        decision
-                    });
-                let ssd_bytes = self.device.stats().bytes_written.get() - ssd_written_before;
-                let span = TraceSpan::new(
-                    self.next_span_id(),
-                    origin,
-                    SpanKind::Flush,
-                    pid,
-                    start_nanos,
-                    d.as_nanos(),
-                    (report.entries as u64, report.entries as u64),
-                    (report.bytes as u64, pm_bytes + ssd_bytes),
-                    self.mean_value_size(),
-                    codec_choice,
-                );
-                self.ring.push(span.clone());
-                self.opts.listeners.flush_complete(&span);
-                true
-            }
-            None => {
-                // Nothing to flush: close the begin/complete pair with a
-                // zero-work span.
-                let span = self.empty_span(SpanKind::Flush, pid, start_nanos, None, origin);
-                self.opts.listeners.flush_complete(&span);
-                false
-            }
-        };
-        if flushed {
+                tl,
+            )
+        })?;
+        if flushed.is_some() {
+            self.metrics.minor_compactions.incr();
             self.apply_strategy(pid, origin)?;
         }
         Ok(())
@@ -260,11 +287,10 @@ impl DbCore {
                     );
                     // Line 4-6: Eq 2 — write-amplification relief, gated
                     // on the partition exceeding τ_w.
-                    let l0_records = partition.level0.entries();
                     let d_eq2 = explain_write_benefit(
                         pid,
                         &partition.counters,
-                        l0_records,
+                        partition.level0.entries(),
                         partition.pm_bytes() >= self.opts.tau_w,
                         &self.opts.scalars,
                         decode_per_record,
@@ -350,96 +376,37 @@ impl DbCore {
         cost: Option<CostDecision>,
         origin: u64,
     ) -> Result<(), DbError> {
-        let mut tl = Timeline::new();
-        let start_nanos = self.clock.load(Ordering::Relaxed);
-        self.opts
-            .listeners
-            .compaction_begin(SpanKind::Internal, pid);
-        let pm_read_before = self.pool.stats().bytes_read.get();
-        let pm_written_before = self.pool.stats().bytes_written.get();
-        let mut p = self.partitions[pid].write();
-        let result = p.internal_compaction(
-            &self.opts,
-            &self.pool,
-            &self.cache_ids,
-            &self.metrics.compaction_input_errors,
-            &mut tl,
-        );
-        let result = match result {
-            Ok(r) => r,
+        let merged = self.run_frame(SpanKind::Internal, pid, cost, origin, |p, tl| {
+            let input_errors = &self.metrics.compaction_input_errors;
+            p.internal_compaction(&self.opts, &self.pool, &self.cache_ids, input_errors, tl)
+        });
+        match merged {
+            Ok(Some(report)) => {
+                let m = &self.metrics;
+                m.internal_compactions.incr();
+                m.internal_space_released.add(report.bytes_released as u64);
+                let dropped = report.records_in - report.records_out;
+                m.internal_dropped_records.add(dropped as u64);
+                Ok(())
+            }
+            Ok(None) => Ok(()),
+            // PM cannot fit the new sorted run. The frame closed the
+            // attempt with a zero-work span at no virtual time; move
+            // the level-0 to the SSD instead.
             Err(DbError::Pm(PmError::OutOfSpace { .. })) => {
-                drop(p);
-                // PM cannot fit the new sorted run: close this span
-                // empty and fall back to a major compaction, which
-                // frees the partition's PM space instead.
-                let span = self.empty_span(SpanKind::Internal, pid, start_nanos, cost, origin);
-                self.opts.listeners.compaction_complete(&span);
-                return self.do_major_limited(pid, usize::MAX, origin);
+                self.do_major_limited(pid, usize::MAX, origin)
             }
-            Err(e) => return Err(e),
-        };
-        let span = if let Some(report) = result {
-            let now = self.now();
-            p.counters.reset(now);
-            let version = self.partition_version(&p);
-            drop(p);
-            // Manifest first, then free: a crash between the in-memory
-            // install and the append leaves the old regions as orphans
-            // for recovery GC, never a version that references freed
-            // media.
-            self.log_version(version, None)?;
-            for region in &report.retired_regions {
-                self.pool.free(*region);
-            }
-            // The merged-away tables can never serve a read again (their
-            // ids are never reused); purging just reclaims cache space.
-            for id in &report.retired_cache_ids {
-                self.group_cache.purge_table(*id);
-            }
-            self.metrics.internal_compactions.incr();
-            self.metrics
-                .internal_space_released
-                .add(report.bytes_released as u64);
-            self.metrics
-                .internal_dropped_records
-                .add((report.records_before - report.records_after) as u64);
-            let d = tl.elapsed();
-            self.advance(d);
-            let pm = self.pool.stats();
-            let span = TraceSpan::new(
-                self.next_span_id(),
-                origin,
-                SpanKind::Internal,
-                pid,
-                start_nanos,
-                d.as_nanos(),
-                (report.records_before as u64, report.records_after as u64),
-                (
-                    pm.bytes_read.get() - pm_read_before,
-                    pm.bytes_written.get() - pm_written_before,
-                ),
-                self.mean_value_size(),
-                cost,
-            );
-            self.ring.push(span.clone());
-            span
-        } else {
-            drop(p);
-            self.empty_span(SpanKind::Internal, pid, start_nanos, cost, origin)
-        };
-        self.opts.listeners.compaction_complete(&span);
-        Ok(())
+            Err(e) => Err(e),
+        }
     }
 
     /// Trigger-site helper: enqueue a major compaction in Background
     /// mode, run it inline otherwise.
     fn major_or_enqueue(&self, pid: usize, origin: u64) -> Result<(), DbError> {
-        let offloaded = self.offload(JobKind::Major, pid, None, origin);
-        if offloaded {
-            Ok(())
-        } else {
-            self.do_major_limited(pid, usize::MAX, origin)
+        if self.offload(JobKind::Major, pid, None, origin) {
+            return Ok(());
         }
+        self.do_major_limited(pid, usize::MAX, origin)
     }
 
     /// The §V-C compaction splitter applied to real work: move the
@@ -449,7 +416,7 @@ impl DbCore {
     /// background workers; the inline path keeps the single-install
     /// major for deterministic span counts.
     fn do_major_chunked(&self, pid: usize, origin: u64) -> Result<(), DbError> {
-        let k = crate::compaction::chunk_count(&coroutine::SchedulerConfig::default());
+        let k = maintenance::chunk_count(&coroutine::SchedulerConfig::default());
         let total = self.partitions[pid].read().l0_table_count();
         if k <= 1 || total == 0 {
             // Nothing to split (or a Matrix/SSD level-0, which drains
@@ -473,68 +440,19 @@ impl DbCore {
     /// `table_limit` level-0 tables into level-1 (oldest first;
     /// `usize::MAX` moves the whole level-0).
     fn do_major_limited(&self, pid: usize, table_limit: usize, origin: u64) -> Result<(), DbError> {
-        let mut tl = Timeline::new();
-        let start_nanos = self.clock.load(Ordering::Relaxed);
-        self.opts.listeners.compaction_begin(SpanKind::Major, pid);
-        // Device counters are global: a compaction racing on another
-        // partition skews this event's work attribution but never the
-        // cumulative totals.
-        let pm_read_before = self.pool.stats().bytes_read.get();
-        let ssd_written_before = self.device.stats().bytes_written.get();
-        let mut p = self.partitions[pid].write();
-        let records_before = p.level0.entries() as u64;
-        let report = p.major_compaction(
-            &self.opts,
-            &self.device,
-            &self.cache,
-            &self.table_counter,
-            table_limit,
-            &self.metrics.compaction_input_errors,
-            &mut tl,
-        )?;
-        // For a limited pass, only the moved slice counts as this
-        // span's input.
-        let records = records_before.saturating_sub(p.level0.entries() as u64);
-        let now = self.now();
-        p.counters.reset(now);
-        let version = self.partition_version(&p);
-        drop(p);
-        // Manifest first, then delete/free. Deleting after the lock is
-        // dropped is safe: the install above removed every handle to
-        // the replaced tables, so no reader can reach them, and a crash
-        // before the deletes only leaves orphans for recovery GC.
-        self.log_version(version, None)?;
-        for name in &report.deleted_tables {
-            let _ = self.device.delete(name);
-            self.cache.purge_table(sstable::cache::table_id(name));
-        }
-        for region in &report.released_regions {
-            self.pool.free(*region);
-        }
-        // Retired PM tables left level-0; reclaim their cached groups.
-        for id in &report.retired_cache_ids {
-            self.group_cache.purge_table(*id);
-        }
+        self.run_frame(SpanKind::Major, pid, None, origin, |p, tl| {
+            let moved = p.major_compaction(
+                &self.opts,
+                &self.device,
+                &self.cache,
+                &self.table_counter,
+                table_limit,
+                &self.metrics.compaction_input_errors,
+                tl,
+            );
+            moved.map(Some)
+        })?;
         self.metrics.major_compactions.incr();
-        let d = tl.elapsed();
-        self.advance(d);
-        let span = TraceSpan::new(
-            self.next_span_id(),
-            origin,
-            SpanKind::Major,
-            pid,
-            start_nanos,
-            d.as_nanos(),
-            (records, records),
-            (
-                self.pool.stats().bytes_read.get() - pm_read_before,
-                self.device.stats().bytes_written.get() - ssd_written_before,
-            ),
-            self.mean_value_size(),
-            None,
-        );
-        self.ring.push(span.clone());
-        self.opts.listeners.compaction_complete(&span);
         Ok(())
     }
 

@@ -57,7 +57,6 @@ use ssd_device::SsdDevice;
 use sstable::BlockCache;
 
 use crate::commit::Committer;
-use crate::compaction::CompactionWork;
 use crate::groupcache::PmGroupCache;
 use crate::handle::CacheIds;
 use crate::maintenance::MaintenanceShared;
@@ -67,7 +66,7 @@ use crate::partition::{Level0, Partition};
 use crate::stats::EngineMetrics;
 use crate::telemetry::{
     chrome_trace_json, EventRing, MetricKey, MetricsRegistry, MetricsSnapshot, RequestTrace,
-    SpanKind, TraceContext, Tracer,
+    TraceContext, TraceSpan, Tracer,
 };
 
 mod maintain;
@@ -77,10 +76,7 @@ mod types;
 mod wal_ring;
 mod write;
 
-pub use types::{
-    CompactionEvent, CompactionKind, CompactionRequest, DbError, ReadOutcome, ScanRequest,
-    ScanResult, WriteAmp,
-};
+pub use types::{CompactionRequest, DbError, ReadOutcome, ScanRequest, ScanResult, WriteAmp};
 use wal_ring::WalRing;
 
 /// The PM-Blade storage engine.
@@ -213,9 +209,6 @@ pub struct DbCore {
     /// The durable table-lifecycle log; `Some` iff `opts.wal_dir` is
     /// set. Locked only while no partition or WAL-ring lock is held.
     manifest: Option<Mutex<Manifest>>,
-    /// Mean value size observed (drives compaction trace balance).
-    value_bytes_sum: AtomicU64,
-    value_count: AtomicU64,
     /// Metrics registry; every engine counter/gauge/histogram lives (or
     /// is mirrored) here so one `metrics_snapshot()` sees everything.
     /// The engine's own series are reached through `metrics`.
@@ -252,39 +245,15 @@ impl DbCore {
         &self.device
     }
 
-    /// A point-in-time copy of the compaction log, derived from the
-    /// span ring. The ring is capped at
-    /// [`crate::options::Options::event_log_capacity`] events; when it
-    /// overflows, the *oldest* events are evicted (see
+    /// A point-in-time copy of the span ring: one [`TraceSpan`] per
+    /// flush, internal and major compaction that did work (`kind` is
+    /// `SpanKind::Flush`, `Internal` or `Major`), oldest first. The ring is capped at
+    /// [`crate::options::Options::event_log_capacity`] spans; when it
+    /// overflows, the *oldest* are evicted (see
     /// [`MetricsSnapshot::spans_dropped`] for the count), so this log is
     /// a recent-history window, not a complete record.
-    pub fn compaction_log(&self) -> Vec<CompactionEvent> {
-        self.ring
-            .snapshot()
-            .into_iter()
-            .filter_map(|span| {
-                let kind = match span.kind {
-                    SpanKind::Flush => CompactionKind::Minor,
-                    SpanKind::Internal => CompactionKind::Internal,
-                    SpanKind::Major => CompactionKind::Major,
-                    // Group commits and request stages never reach the
-                    // compaction log.
-                    _ => return None,
-                };
-                let work = (kind == CompactionKind::Major).then_some(CompactionWork {
-                    input_bytes: span.input_bytes,
-                    output_bytes: span.output_bytes,
-                    records: span.input_records,
-                    value_size: span.value_size,
-                });
-                Some(CompactionEvent {
-                    kind,
-                    partition: span.partition,
-                    duration: span.duration(),
-                    work,
-                })
-            })
-            .collect()
+    pub fn compaction_log(&self) -> Vec<TraceSpan> {
+        self.ring.snapshot()
     }
 
     /// The engine's metrics registry (for custom instrumentation and
@@ -419,15 +388,6 @@ impl DbCore {
             ssd_bytes: self.device.stats().bytes_written.get(),
             user_bytes: self.metrics.user_bytes_written.get(),
         }
-    }
-
-    /// Mean observed value size (fallback 1 KiB).
-    pub fn mean_value_size(&self) -> u32 {
-        self.value_bytes_sum
-            .load(Ordering::Relaxed)
-            .checked_div(self.value_count.load(Ordering::Relaxed))
-            .map(|v| v as u32)
-            .unwrap_or(1024)
     }
 
     fn advance(&self, d: SimDuration) {

@@ -421,8 +421,6 @@ impl DbCore {
             metrics,
             wal,
             manifest,
-            value_bytes_sum: AtomicU64::new(0),
-            value_count: AtomicU64::new(0),
             registry,
             ring,
             span_ids: AtomicU64::new(0),

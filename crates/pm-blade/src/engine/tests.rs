@@ -6,6 +6,7 @@ use super::*;
 use crate::commit::WriteBatch;
 use crate::options::{MaintenanceMode, Mode, Partitioner};
 use crate::stats::ReadSource;
+use crate::telemetry::SpanKind;
 
 // Compile-time proof that the engine can be shared across threads.
 const _: fn() = || {
@@ -316,15 +317,9 @@ fn compaction_log_records_events() {
     let db = Db::open(opts).unwrap();
     fill(&db, 2000, 64, "c");
     let kinds: std::collections::HashSet<_> = db.compaction_log().iter().map(|e| e.kind).collect();
-    assert!(kinds.contains(&CompactionKind::Minor));
-    assert!(kinds.contains(&CompactionKind::Internal));
-    assert!(kinds.contains(&CompactionKind::Major));
-    // Major events carry work descriptions.
-    assert!(db
-        .compaction_log()
-        .iter()
-        .filter(|e| e.kind == CompactionKind::Major)
-        .all(|e| e.work.is_some()));
+    assert!(kinds.contains(&SpanKind::Flush));
+    assert!(kinds.contains(&SpanKind::Internal));
+    assert!(kinds.contains(&SpanKind::Major));
 }
 
 #[test]

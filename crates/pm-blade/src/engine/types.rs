@@ -4,7 +4,6 @@ use pm_device::PmError;
 use sim::SimDuration;
 use ssd_device::SsdError;
 
-use crate::compaction::CompactionWork;
 use crate::manifest::ManifestError;
 use crate::stats::ReadSource;
 
@@ -244,23 +243,6 @@ impl WriteAmp {
             (self.pm_bytes + self.ssd_bytes) as f64 / self.user_bytes as f64
         }
     }
-}
-
-/// One background-compaction record.
-#[derive(Clone, Debug)]
-pub struct CompactionEvent {
-    pub kind: CompactionKind,
-    pub partition: usize,
-    pub duration: SimDuration,
-    /// For major compactions: the measured work (drives §V scheduling).
-    pub work: Option<CompactionWork>,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum CompactionKind {
-    Minor,
-    Internal,
-    Major,
 }
 
 /// A compaction the caller wants run now, handled by [`DbCore::compact`](super::DbCore::compact).

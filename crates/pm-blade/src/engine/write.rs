@@ -333,9 +333,6 @@ impl DbCore {
                         .add((key.len() + value.len()) as u64);
                     if kind == KeyKind::Value {
                         self.metrics.puts.incr();
-                        self.value_bytes_sum
-                            .fetch_add(value.len() as u64, Ordering::Relaxed);
-                        self.value_count.fetch_add(1, Ordering::Relaxed);
                     } else {
                         self.metrics.deletes.incr();
                     }
@@ -366,7 +363,6 @@ impl DbCore {
                 elapsed.as_nanos(),
                 (total_ops as u64, total_ops as u64),
                 (group_bytes, group_bytes),
-                self.mean_value_size(),
                 None,
             );
             self.opts.listeners.group_commit(&span);
@@ -416,7 +412,6 @@ impl DbCore {
                         to - from,
                         (records, records),
                         (0, 0),
-                        0,
                         None,
                     )
                 };

@@ -22,7 +22,6 @@
 //! compaction).
 
 pub mod commit;
-pub mod compaction;
 pub mod costmodel;
 pub mod cursor;
 pub mod engine;
@@ -41,10 +40,7 @@ pub mod stats;
 pub mod telemetry;
 
 pub use commit::{BatchOp, WriteBatch};
-pub use engine::{
-    CompactionEvent, CompactionKind, CompactionRequest, Db, DbCore, DbError, ReadOutcome,
-    ScanRequest, WriteAmp,
-};
+pub use engine::{CompactionRequest, Db, DbCore, DbError, ReadOutcome, ScanRequest, WriteAmp};
 pub use groupcache::PmGroupCache;
 pub use level0::L0Version;
 pub use options::{MaintenanceMode, Mode, Options, Partitioner};

@@ -441,8 +441,9 @@ impl Manifest {
         &self.state
     }
 
-    /// Path of the live manifest file (for tests/debugging).
-    pub fn current_path(&self) -> PathBuf {
+    /// Path of the live manifest file.
+    #[cfg(test)]
+    fn current_path(&self) -> PathBuf {
         self.dir.join(manifest_name(self.number))
     }
 

@@ -7,7 +7,7 @@
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use encoding::key::{KeyKind, SequenceNumber};
+use encoding::key::SequenceNumber;
 use memtable::MemTable;
 use pm_device::PmPool;
 use pmtable::{EntryRef, Lookup};
@@ -24,6 +24,7 @@ use crate::levels::{SsRunWriter, SsdLevels};
 use crate::matrix::MatrixL0;
 use crate::options::{Mode, Options};
 use crate::stats::ReadSource;
+use crate::telemetry::CostDecision;
 
 /// Level-0 representation, by engine mode.
 pub enum Level0 {
@@ -32,43 +33,35 @@ pub enum Level0 {
     Matrix(MatrixL0),
 }
 
-/// What a minor compaction produced (for write-amplification accounting).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FlushReport {
-    pub entries: usize,
-    pub bytes: usize,
-    /// Highest sequence number in the flushed batch; everything at or
-    /// below it (for this partition) is now durable in level-0, so WAL
-    /// records up to here need not be replayed on recovery.
-    pub durable_seq: u64,
-    /// Dominant codec id (`pmtable::CODEC_*`) across the tables this
-    /// flush produced — what Auto mode actually chose. `CODEC_PREFIX`
-    /// for non-PM level-0s.
-    pub codec: u8,
-}
-
-/// What an internal compaction produced.
+/// What one compaction — minor, internal or major — did: the numbers
+/// its span reports and the media it retired. The engine frees and
+/// deletes those only after the manifest edit recording the new
+/// version is durable.
 #[derive(Clone, Debug, Default)]
-pub struct InternalCompactionReport {
-    pub records_before: usize,
-    pub records_after: usize,
+pub struct CompactionReport {
+    /// Records read from the inputs; of a major compaction, the level-0
+    /// records it moved (for a limited pass, the moved slice).
+    pub records_in: usize,
+    /// Records that survived into the output.
+    pub records_out: usize,
+    /// Flush: key and value bytes of the flushed entries (the user
+    /// bytes write amplification is measured against).
+    pub raw_bytes: usize,
+    /// Flush: highest sequence number in the flushed batch; everything
+    /// at or below it (for this partition) is now durable in level-0,
+    /// so WAL records up to here need not be replayed on recovery.
+    pub durable_seq: Option<u64>,
+    /// Flush into PM tables: the codec the flush encoded with — what
+    /// Auto mode actually chose — and what that wrote.
+    pub decision: Option<CostDecision>,
+    /// Internal: PM bytes the new sorted run is smaller than its inputs.
     pub bytes_released: usize,
-    /// Cache ids of retired PM tables, for group-cache invalidation.
-    pub retired_cache_ids: Vec<u64>,
-    /// PM regions of the retired tables. The engine frees them only
-    /// after the manifest edit recording the new version is durable.
+    /// PM regions of the tables that left level-0.
     pub retired_regions: Vec<pm_device::RegionId>,
-}
-
-/// What a major compaction removed: SSTable files to delete plus
-/// retired PM-table cache ids for group-cache invalidation.
-#[derive(Clone, Debug, Default)]
-pub struct MajorCompactionReport {
-    pub deleted_tables: Vec<String>,
+    /// Cache ids of those tables, for group-cache invalidation.
     pub retired_cache_ids: Vec<u64>,
-    /// PM regions drained from level-0, freed by the engine only after
-    /// the manifest edit is durable.
-    pub released_regions: Vec<pm_device::RegionId>,
+    /// SSTables replaced or drained, to delete by name.
+    pub deleted_tables: Vec<String>,
 }
 
 /// One partition's state.
@@ -270,7 +263,7 @@ impl Partition {
     }
 
     /// Minor compaction: freeze the memtable and flush it to level-0.
-    /// Returns the flush report, or `None` when the memtable was empty.
+    /// Returns the report, or `None` when the memtable was empty.
     #[allow(clippy::too_many_arguments)]
     pub fn minor_compaction(
         &mut self,
@@ -281,7 +274,7 @@ impl Partition {
         table_counter: &AtomicU64,
         cache_ids: &CacheIds,
         tl: &mut Timeline,
-    ) -> Result<Option<FlushReport>, crate::engine::DbError> {
+    ) -> Result<Option<CompactionReport>, crate::engine::DbError> {
         if self.mem.is_empty() {
             return Ok(None);
         }
@@ -290,25 +283,32 @@ impl Partition {
         // writer is given a size to cut at); the report is tallied as
         // its entries go by.
         let flushed = (|| {
-            let mut report = FlushReport {
-                entries: frozen.len(),
-                codec: pmtable::CODEC_PREFIX,
-                ..FlushReport::default()
+            let mut report = CompactionReport {
+                records_in: frozen.len(),
+                records_out: frozen.len(),
+                ..CompactionReport::default()
             };
             let entries = frozen.iter().inspect(|e| {
-                report.bytes += e.raw_len();
-                report.durable_seq = report.durable_seq.max(e.seq);
+                report.raw_bytes += e.raw_len();
+                report.durable_seq = report.durable_seq.max(Some(e.seq));
             });
             match &mut self.level0 {
                 Level0::Pm(l0) => {
+                    let written = &pool.stats().bytes_written;
+                    let written_before = written.get();
                     let mut writer = PmRunWriter::new(opts, usize::MAX, pool, cache_ids);
                     for e in entries {
                         writer.add(e, tl)?;
                     }
                     for table in writer.finish(tl)? {
-                        // What Auto chose, for the flush span and
-                        // `pm_codec_chosen_total`.
-                        report.codec = table.codec;
+                        // Only PM-table flushes pick a codec; the matrix
+                        // and SSD level-0 containers have none to choose.
+                        report.decision = Some(CostDecision::CodecChoice {
+                            partition: self.id,
+                            codec: pmtable::CODEC_NAMES[table.codec as usize],
+                            entries: frozen.len(),
+                            pm_bytes: (written.get() - written_before) as usize,
+                        });
                         l0.push_unsorted(table);
                     }
                 }
@@ -349,7 +349,7 @@ impl Partition {
         cache_ids: &CacheIds,
         input_errors: &Counter,
         tl: &mut Timeline,
-    ) -> Result<Option<InternalCompactionReport>, crate::engine::DbError> {
+    ) -> Result<Option<CompactionReport>, crate::engine::DbError> {
         let Level0::Pm(l0) = &mut self.level0 else {
             return Ok(None);
         };
@@ -360,25 +360,24 @@ impl Partition {
         // Keep tombstones: deeper levels may still hold older versions.
         let inputs = l0.cursors(usize::MAX, None, None).collect();
         let sink = |e: EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
-        let before = merge_into(inputs, false, &opts.cost, input_errors, tl, sink)? as usize;
+        let records_in = merge_into(inputs, false, &opts.cost, input_errors, tl, sink)? as usize;
         let run = writer.finish(tl)?;
-        let after: usize = run.iter().map(|h| h.entries).sum();
+        let records_out = run.iter().map(|h| h.entries).sum();
         let new_bytes: usize = run.iter().map(|h| h.bytes).sum();
         let old_bytes = l0.bytes();
         let (_freed, retired_regions, retired_cache_ids) = l0.replace_with_sorted_deferred(run);
-        let released = old_bytes.saturating_sub(new_bytes);
-        Ok(Some(InternalCompactionReport {
-            records_before: before,
-            records_after: after,
-            bytes_released: released,
-            retired_cache_ids,
+        Ok(Some(CompactionReport {
+            records_in,
+            records_out,
+            bytes_released: old_bytes.saturating_sub(new_bytes),
             retired_regions,
+            retired_cache_ids,
+            ..CompactionReport::default()
         }))
     }
 
     /// Major compaction: move this partition's level-0 into level-1,
-    /// merging with the overlapping level-1 tables. Returns the names of
-    /// replaced SSTables for deletion plus retired PM cache ids.
+    /// merging with the overlapping level-1 tables.
     ///
     /// `table_limit` bounds how many level-0 tables move in this pass
     /// (`usize::MAX` = the whole level-0). Background workers pass the
@@ -402,7 +401,8 @@ impl Partition {
         table_limit: usize,
         input_errors: &Counter,
         tl: &mut Timeline,
-    ) -> Result<MajorCompactionReport, crate::engine::DbError> {
+    ) -> Result<CompactionReport, crate::engine::DbError> {
+        let l0_records = self.level0.entries();
         let range = self.level0.input_range(table_limit);
         let mut deleted: Vec<String> = Vec::new();
         let moved = range.is_some();
@@ -438,7 +438,7 @@ impl Partition {
         // empty). SSD tables are deleted by name; PM regions are freed
         // by the engine once the manifest edit recording this version
         // is durable.
-        let (released_regions, retired_cache_ids) = match &mut self.level0 {
+        let (retired_regions, retired_cache_ids) = match &mut self.level0 {
             Level0::Pm(l0) => l0.detach_oldest(table_limit),
             Level0::Matrix(m) => (m.take_regions(), Vec::new()),
             Level0::Ssd(tables) => {
@@ -452,10 +452,14 @@ impl Partition {
                 self.cascade_levels(opts, device, cache, table_counter, input_errors, tl)?;
             deleted.extend(cascaded);
         }
-        Ok(MajorCompactionReport {
-            deleted_tables: deleted,
+        let records = l0_records.saturating_sub(self.level0.entries());
+        Ok(CompactionReport {
+            records_in: records,
+            records_out: records,
+            retired_regions,
             retired_cache_ids,
-            released_regions,
+            deleted_tables: deleted,
+            ..CompactionReport::default()
         })
     }
 
@@ -501,15 +505,6 @@ impl Partition {
     pub fn ssd_l0_full(&self, trigger: usize) -> bool {
         matches!(&self.level0, Level0::Ssd(tables) if tables.len() >= trigger)
     }
-
-    /// Entry kind helper for writes.
-    pub fn write_kind(delete: bool) -> KeyKind {
-        if delete {
-            KeyKind::Delete
-        } else {
-            KeyKind::Value
-        }
-    }
 }
 
 impl std::fmt::Debug for Partition {
@@ -528,6 +523,7 @@ mod tests {
     use super::*;
     use crate::cursor::tests::drain;
     use crate::handle::merge_dedup;
+    use encoding::key::KeyKind;
     use pmtable::{L0Table, OwnedEntry};
     use proptest::prelude::*;
 
@@ -574,7 +570,11 @@ mod tests {
             for &(k, delete) in batch {
                 self.seq += 1;
                 let key = [b'k', k];
-                let kind = Partition::write_kind(delete);
+                let kind = if delete {
+                    KeyKind::Delete
+                } else {
+                    KeyKind::Value
+                };
                 self.p.mem.insert(&key, self.seq, kind, &[k; 40], &mut tl);
             }
             let held = self.p.mem.iter().map(|e| e.to_owned()).collect();
@@ -611,7 +611,7 @@ mod tests {
             }
         }
 
-        fn major(&mut self) -> MajorCompactionReport {
+        fn major(&mut self) -> CompactionReport {
             // The cascade is driven on its own.
             let opts = Options {
                 l1_target: 1 << 40,
@@ -728,8 +728,8 @@ mod tests {
                         let mut tl = Timeline::new();
                         let report = p.internal_compaction(opts, pool, ids, errors, &mut tl);
                         let report = report.unwrap().expect("three unsorted tables merge");
-                        prop_assert_eq!(report.records_before, records);
-                        prop_assert_eq!(report.records_after, expect.len());
+                        prop_assert_eq!(report.records_in, records);
+                        prop_assert_eq!(report.records_out, expect.len());
                         let run = rig.l0_sources().concat();
                         prop_assert_eq!(run, expect);
                         if small_tables && records > 12 {

@@ -107,7 +107,6 @@ mod tests {
             output_records: 0,
             input_bytes: 0,
             output_bytes: 0,
-            value_size: 0,
             cost: None,
         }
     }

@@ -250,8 +250,7 @@ impl MetricsSnapshot {
                 "    {{\"id\": {}, \"trace_id\": {}, \"kind\": \"{}\", \"partition\": {}, \
                  \"start_nanos\": {}, \"end_nanos\": {}, \
                  \"input_records\": {}, \"output_records\": {}, \
-                 \"input_bytes\": {}, \"output_bytes\": {}, \
-                 \"value_size\": {}, \"cost\": {}}}",
+                 \"input_bytes\": {}, \"output_bytes\": {}, \"cost\": {}}}",
                 span.id,
                 span.trace_id,
                 span.kind.as_str(),
@@ -262,7 +261,6 @@ impl MetricsSnapshot {
                 span.output_records,
                 span.input_bytes,
                 span.output_bytes,
-                span.value_size,
                 cost_json(span.cost.as_ref())
             );
         }
@@ -513,7 +511,6 @@ mod tests {
             output_records: 18,
             input_bytes: 2000,
             output_bytes: 1800,
-            value_size: 100,
             cost: Some(CostDecision::Retention {
                 pm_used: 900,
                 budget: 600,

@@ -92,8 +92,6 @@ pub struct TraceSpan {
     pub input_bytes: u64,
     /// Device bytes written by the work.
     pub output_bytes: u64,
-    /// Mean value size observed at span time (for §V cost traces).
-    pub value_size: u32,
     /// The cost-model verdict that triggered this work, if any.
     pub cost: Option<CostDecision>,
 }
@@ -101,8 +99,7 @@ pub struct TraceSpan {
 impl TraceSpan {
     /// A span of `kind` work on `partition` covering
     /// `[start_nanos, start_nanos + nanos]`; `records` and `bytes` are
-    /// `(input, output)` pairs. Request stages pass `id` 0 and
-    /// `value_size` 0.
+    /// `(input, output)` pairs. Request stages pass `id` 0.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: u64,
@@ -113,7 +110,6 @@ impl TraceSpan {
         nanos: u64,
         records: (u64, u64),
         bytes: (u64, u64),
-        value_size: u32,
         cost: Option<CostDecision>,
     ) -> Self {
         TraceSpan {
@@ -127,7 +123,6 @@ impl TraceSpan {
             output_records: records.1,
             input_bytes: bytes.0,
             output_bytes: bytes.1,
-            value_size,
             cost,
         }
     }
@@ -232,7 +227,6 @@ mod tests {
             output_records: 0,
             input_bytes: 0,
             output_bytes: 0,
-            value_size: 0,
             cost: None,
         };
         assert_eq!(span.duration(), SimDuration::from_nanos(250));

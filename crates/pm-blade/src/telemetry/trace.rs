@@ -192,7 +192,6 @@ impl StageTrace {
             to.saturating_sub(from),
             (input_records, output_records),
             (0, 0),
-            0,
             None,
         ));
     }

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sim::fault::{self, FaultDecision, FaultPlan};
-use sim::{CostModel, Counter, SimDuration, Timeline};
+use sim::{CostModel, Counter, Timeline};
 
 /// Shared PM device statistics.
 #[derive(Default, Debug)]
@@ -362,12 +362,6 @@ impl PmPool {
     pub fn cost_model(&self) -> &CostModel {
         &self.cost
     }
-
-    /// Virtual cost of writing + persisting `len` bytes, without doing it.
-    /// Used by cost models to estimate internal-compaction expense.
-    pub fn write_cost(&self, len: usize) -> SimDuration {
-        self.cost.pm.write(len) + self.cost.pm.persist(len)
-    }
 }
 
 impl std::fmt::Debug for PmPool {
@@ -383,6 +377,7 @@ impl std::fmt::Debug for PmPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim::SimDuration;
 
     fn pool(cap: usize) -> Arc<PmPool> {
         PmPool::new(cap, CostModel::default())
@@ -543,14 +538,5 @@ mod tests {
             );
         }
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn write_cost_estimator_matches_publish_charge() {
-        let p = pool(1 << 20);
-        let mut tl = Timeline::new();
-        let est = p.write_cost(1000);
-        p.publish(vec![0; 1000], &mut tl).unwrap();
-        assert_eq!(tl.elapsed(), est);
     }
 }

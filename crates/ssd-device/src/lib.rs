@@ -8,16 +8,11 @@
 //!   (`persist`) on `finish()`;
 //! - random block reads pay `read_base + per_byte`;
 //! - byte counters feed the write-amplification experiments (Figs 8/11).
-//!
-//! [`IoPressure`] tracks the number of in-flight client reads (`q_cli`) and
-//! compaction I/Os (`q_comp`) — the quantities the paper's coroutine
-//! scheduling policy gates on (`q_flush = max(q - q_comp - q_cli, 0)`).
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -81,78 +76,10 @@ impl std::fmt::Display for SsdError {
 
 impl std::error::Error for SsdError {}
 
-/// In-flight I/O accounting used by the coroutine scheduler's pressure
-/// gate (§V-C of the paper).
-#[derive(Default, Debug)]
-pub struct IoPressure {
-    client_reads: AtomicU64,
-    compaction_ios: AtomicU64,
-}
-
-impl IoPressure {
-    /// `q_cli`: concurrent foreground reads hitting the SSD.
-    pub fn client_reads(&self) -> u64 {
-        self.client_reads.load(Ordering::Relaxed)
-    }
-
-    /// `q_comp`: concurrent compaction I/Os.
-    pub fn compaction_ios(&self) -> u64 {
-        self.compaction_ios.load(Ordering::Relaxed)
-    }
-
-    /// RAII guard marking one client read in flight.
-    pub fn begin_client_read(self: &Arc<Self>) -> IoGuard {
-        self.client_reads.fetch_add(1, Ordering::Relaxed);
-        IoGuard {
-            pressure: Arc::clone(self),
-            kind: IoKind::Client,
-        }
-    }
-
-    /// RAII guard marking one compaction I/O in flight.
-    pub fn begin_compaction_io(self: &Arc<Self>) -> IoGuard {
-        self.compaction_ios.fetch_add(1, Ordering::Relaxed);
-        IoGuard {
-            pressure: Arc::clone(self),
-            kind: IoKind::Compaction,
-        }
-    }
-
-    /// The paper's flush-coroutine admission count:
-    /// `q_flush = max(q - q_comp - q_cli, 0)`.
-    pub fn flush_budget(&self, q: u64) -> u64 {
-        q.saturating_sub(self.compaction_ios() + self.client_reads())
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-enum IoKind {
-    Client,
-    Compaction,
-}
-
-/// Guard decrementing the pressure counter on drop.
-#[derive(Debug)]
-pub struct IoGuard {
-    pressure: Arc<IoPressure>,
-    kind: IoKind,
-}
-
-impl Drop for IoGuard {
-    fn drop(&mut self) {
-        let counter = match self.kind {
-            IoKind::Client => &self.pressure.client_reads,
-            IoKind::Compaction => &self.pressure.compaction_ios,
-        };
-        counter.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 /// The simulated SSD: a namespace of immutable objects.
 pub struct SsdDevice {
     cost: CostModel,
     stats: Arc<SsdStats>,
-    pressure: Arc<IoPressure>,
     objects: Mutex<BTreeMap<String, Arc<Vec<u8>>>>,
     backing: Option<PathBuf>,
     fault: Option<Arc<FaultPlan>>,
@@ -163,7 +90,6 @@ impl SsdDevice {
         Arc::new(SsdDevice {
             cost,
             stats: Arc::new(SsdStats::default()),
-            pressure: Arc::new(IoPressure::default()),
             objects: Mutex::new(BTreeMap::new()),
             backing: None,
             fault: None,
@@ -198,7 +124,6 @@ impl SsdDevice {
         Ok(Arc::new(SsdDevice {
             cost,
             stats: Arc::new(SsdStats::default()),
-            pressure: Arc::new(IoPressure::default()),
             objects: Mutex::new(objects),
             backing: Some(dir),
             fault,
@@ -207,10 +132,6 @@ impl SsdDevice {
 
     pub fn stats(&self) -> &SsdStats {
         &self.stats
-    }
-
-    pub fn pressure(&self) -> &Arc<IoPressure> {
-        &self.pressure
     }
 
     pub fn cost_model(&self) -> &CostModel {
@@ -540,25 +461,6 @@ mod tests {
         }
         assert_eq!(d.list(), vec!["a", "b", "c"]);
         assert!(d.exists("b"));
-    }
-
-    #[test]
-    fn pressure_guards_track_inflight() {
-        let d = device();
-        let p = Arc::clone(d.pressure());
-        assert_eq!(p.flush_budget(8), 8);
-        {
-            let _r1 = p.begin_client_read();
-            let _r2 = p.begin_client_read();
-            let _c = p.begin_compaction_io();
-            assert_eq!(p.client_reads(), 2);
-            assert_eq!(p.compaction_ios(), 1);
-            assert_eq!(p.flush_budget(8), 5);
-            assert_eq!(p.flush_budget(2), 0, "budget saturates at zero");
-        }
-        assert_eq!(p.client_reads(), 0);
-        assert_eq!(p.compaction_ios(), 0);
-        assert_eq!(p.flush_budget(8), 8);
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! ```
 
 use coroutine::{Policy, Scheduler, SchedulerConfig, TraceParams};
-use pm_blade::engine::CompactionKind;
-use pm_blade::{CompactionRequest, Db, DbError, MaintenanceMode, Options};
+use pm_blade::{CompactionRequest, Db, DbError, MaintenanceMode, Options, SpanKind};
 
 fn main() -> Result<(), DbError> {
     // ---- Internal compaction on demand -------------------------------
@@ -41,9 +40,9 @@ fn main() -> Result<(), DbError> {
     let ev = log
         .iter()
         .rev()
-        .find(|e| e.kind == CompactionKind::Internal)
+        .find(|e| e.kind == SpanKind::Internal)
         .expect("we just ran one");
-    println!("it took {} of virtual device time\n", ev.duration);
+    println!("it took {} of virtual device time\n", ev.duration());
 
     // Reads are sharply cheaper once level-0 is sorted.
     let out = db.get(b"k00400")?;

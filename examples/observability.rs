@@ -165,11 +165,11 @@ fn main() -> Result<(), pm_blade::DbError> {
         println!("{line}");
     }
 
-    // The compaction log is the same data, seen through the ring: it
-    // holds at most `event_log_capacity` recent events.
+    // The compaction log is the span ring itself: at most
+    // `event_log_capacity` recent flush / internal / major spans.
     let log = db.compaction_log();
     println!(
-        "\ncompaction log: {} recent events (minor/internal/major), {:?} spans dropped",
+        "\ncompaction log: {} recent spans (flush/internal/major), {:?} spans dropped",
         log.len(),
         snap.spans_dropped
     );

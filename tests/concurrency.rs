@@ -234,8 +234,8 @@ fn background_writers_never_pay_major_compaction_latency() {
     let cheapest_major = db
         .compaction_log()
         .iter()
-        .filter(|e| e.kind == pm_blade::CompactionKind::Major && e.duration > SimDuration::ZERO)
-        .map(|e| e.duration)
+        .filter(|e| e.kind == pm_blade::SpanKind::Major && e.duration() > SimDuration::ZERO)
+        .map(|e| e.duration())
         .min()
         .expect("at least one major ran");
     assert!(

@@ -12,8 +12,12 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
-use pm_blade::{CompactionRequest, Db, MaintenanceMode, Mode, ScanRequest};
+use pm_blade::{
+    CompactionRequest, Db, DbError, EventListener, MaintenanceMode, Mode, ScanRequest, SpanKind,
+    TraceSpan,
+};
 use pmblade_integration_tests::{key_for, tiny_options, value_for};
 use pmtable::CodecMode;
 use proptest::prelude::*;
@@ -479,6 +483,116 @@ fn crash_boundary_sweep_mid_flush_and_major() {
     ops.push(Op::Flush);
     for countdown in 1..120u64 {
         run_crash_case(&ops, countdown, countdown % 2 == 0, MaintenanceMode::Inline);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The listener contract on failure: a flush, internal or major
+// compaction that fails at any durable-write boundary — its manifest
+// append among them — still completes every hook it began.
+// ---------------------------------------------------------------------
+
+/// Begun-but-not-completed hooks per `(kind, partition)`, and every
+/// completing span.
+#[derive(Default)]
+struct OpenHooks {
+    open: Mutex<BTreeMap<(u8, usize), i64>>,
+    completed: Mutex<Vec<TraceSpan>>,
+}
+
+impl OpenHooks {
+    fn begin(&self, kind: SpanKind, partition: usize) {
+        *self
+            .open
+            .lock()
+            .unwrap()
+            .entry((kind as u8, partition))
+            .or_default() += 1;
+    }
+    fn complete(&self, span: &TraceSpan) {
+        let key = (span.kind as u8, span.partition);
+        *self.open.lock().unwrap().entry(key).or_default() -= 1;
+        self.completed.lock().unwrap().push(span.clone());
+    }
+}
+
+impl EventListener for OpenHooks {
+    fn on_flush_begin(&self, partition: usize) {
+        self.begin(SpanKind::Flush, partition);
+    }
+    fn on_flush_complete(&self, span: &TraceSpan) {
+        self.complete(span);
+    }
+    fn on_compaction_begin(&self, kind: SpanKind, partition: usize) {
+        self.begin(kind, partition);
+    }
+    fn on_compaction_complete(&self, span: &TraceSpan) {
+        self.complete(span);
+    }
+}
+
+#[test]
+fn a_failed_maintenance_step_completes_every_hook_it_began() {
+    let partition = 0;
+    for request in [
+        CompactionRequest::Flush { partition },
+        CompactionRequest::Internal { partition },
+        CompactionRequest::Major { partition },
+    ] {
+        // One fresh engine per durable-write boundary of the request,
+        // until the countdown outlasts it and the request succeeds.
+        let mut manifest_failed = false;
+        for countdown in 0.. {
+            let dir = scratch_dir("hooks");
+            let _ = std::fs::remove_dir_all(&dir);
+            let (plan, hooks) = (FaultPlan::disarmed(), Arc::new(OpenHooks::default()));
+            let mut opts = tiny_options(Mode::PmBlade);
+            opts.wal_dir = Some(dir.clone());
+            opts.fault_plan = Some(plan.clone());
+            // Nothing flushes or compacts unasked: two unsorted tables
+            // and a memtable tail, then the armed request.
+            opts.memtable_bytes = 1 << 20;
+            opts.listeners.add(hooks.clone());
+            let db = Db::open(opts.clone()).unwrap();
+            let mut acked = BTreeMap::new();
+            for round in 0..3u64 {
+                for i in 0..60u64 {
+                    let value = value_for(i + round, 48);
+                    db.put(&key_for(i), &value).unwrap();
+                    acked.insert(key_for(i), value);
+                }
+                if round < 2 {
+                    db.compact(CompactionRequest::Flush { partition }).unwrap();
+                }
+            }
+            let (ring, completed) = (db.metrics_snapshot().spans.len(), 2);
+            plan.arm(countdown, false);
+            let outcome = db.compact(request);
+            let open = hooks.open.lock().unwrap().clone();
+            assert!(open.values().all(|n| *n == 0), "{request:?}: {open:?}");
+            if outcome.is_err() {
+                let zero_work =
+                    |s: &TraceSpan| s.end_nanos == s.start_nanos && s.input_records == 0;
+                let spans = hooks.completed.lock().unwrap();
+                assert!(spans[completed..].iter().all(zero_work), "{spans:?}");
+                assert_eq!(db.metrics_snapshot().spans.len(), ring, "{request:?}");
+            }
+            manifest_failed |=
+                matches!(&outcome, Err(DbError::Io(m)) if m.starts_with("manifest:"));
+            drop(db);
+            plan.disarm();
+            let db = Db::open(opts).unwrap();
+            assert_eq!(scan_all(&db), acked, "{request:?} at {countdown}");
+            drop(db);
+            let _ = std::fs::remove_dir_all(&dir);
+            if outcome.is_ok() {
+                break;
+            }
+        }
+        assert!(
+            manifest_failed,
+            "{request:?}: the manifest append never failed"
+        );
     }
 }
 

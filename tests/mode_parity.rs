@@ -166,8 +166,8 @@ fn matrixkv_costs_more_to_flush_than_pmblade() {
     let flush_time = |db: &Db| -> sim::SimDuration {
         db.compaction_log()
             .iter()
-            .filter(|e| e.kind == pm_blade::engine::CompactionKind::Minor)
-            .map(|e| e.duration)
+            .filter(|e| e.kind == SpanKind::Flush)
+            .map(|e| e.duration())
             .sum()
     };
     assert!(flush_time(&matrix) > flush_time(&blade));
@@ -259,10 +259,13 @@ fn write_only_stream_ends_on_the_recorded_virtual_clock_in_every_mode() {
     assert_eq!(got, WRITE_ONLY_PARITY);
 }
 
-/// Every listener hook call, in call order: `(hook, span kind or
-/// verdict, partition or rule, the completing span)`.
+/// One listener hook call: `(hook, span kind or verdict, partition or
+/// rule, the completing span)`.
+type HookCall = (u8, u8, u64, Option<TraceSpan>);
+
+/// Every hook call, in call order.
 #[derive(Default)]
-struct HookLog(Mutex<Vec<(u8, u8, u64, Option<TraceSpan>)>>);
+struct HookLog(Mutex<Vec<HookCall>>);
 
 impl HookLog {
     fn note(&self, hook: u8, kind: SpanKind, partition: usize, span: Option<&TraceSpan>) {

@@ -512,7 +512,7 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
                 &mut tl,
             )
             .unwrap();
-        for region in report.released_regions {
+        for region in report.retired_regions {
             pool.free(region);
         }
         chunks += 1;

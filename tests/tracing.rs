@@ -264,7 +264,6 @@ fn chrome_trace_export_matches_golden() {
         output_records,
         input_bytes: 0,
         output_bytes: 0,
-        value_size: 0,
         cost: None,
     };
     let trace = RequestTrace {
