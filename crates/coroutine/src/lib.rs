@@ -7,9 +7,10 @@
 //! erratic clips, and naively parallelized tasks end up blocked on I/O
 //! together while the CPU idles.
 //!
-//! This crate runs compaction task *traces* (stage sequences produced from
-//! real merge work by the engine, or synthetically by [`trace`]) under
-//! three scheduling policies on a deterministic virtual clock:
+//! This crate runs compaction task *traces* (stage sequences synthesised
+//! by [`trace`] from a few parameters; the engine's own compactions are
+//! not replayed here) under three scheduling policies on a deterministic
+//! virtual clock:
 //!
 //! - [`Policy::OsThreads`] — one thread per task, preemptive slicing with
 //!   context-switch overhead, every stage blocks its thread;

@@ -12,8 +12,10 @@
 //! Three cost models (§IV-C) decide when internal compaction pays off for
 //! reads (Eq 1), when it pays off for SSD write amplification (Eq 2), and
 //! which partitions stay resident in PM during major compaction (the
-//! greedy knapsack of Eq 3). Major compaction durations and resource
-//! profiles are computed by the [`coroutine`] scheduler.
+//! greedy knapsack of Eq 3). Of §V, the flush-admission gate and the
+//! compaction splitter reach the background workers ([`maintenance`]);
+//! the scheduling policies themselves are modelled by the [`coroutine`]
+//! crate on synthesised traces, beside the engine.
 //!
 //! Alternative engine modes reproduce the paper's baselines:
 //! [`options::Mode::PmBladePm`] (PM level-0 without internal compaction),

@@ -11,8 +11,12 @@ use super::span::{CostDecision, SpanKind, TraceSpan};
 ///
 /// - every `*_begin` is followed by exactly one matching `*_complete`
 ///   for the same partition, on the same thread, with no other begin
-///   of the same kind for that partition in between (work that turns
-///   out to be empty still completes, with a zero-work span);
+///   of the same kind for that partition in between. This holds on
+///   every exit: work that turns out to be empty, and work that fails
+///   (the caller gets the error), still completes. The completing span
+///   is then a zero-work one — `end_nanos == start_nanos`, no records,
+///   no bytes, the triggering `cost` if there was one — and is not
+///   kept in the span ring;
 /// - `on_compaction_begin`/`on_compaction_complete` cover
 ///   [`SpanKind::Internal`] and [`SpanKind::Major`]; flushes use the
 ///   dedicated flush hooks; group commits use `on_group_commit` only

@@ -12,13 +12,10 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use pm_blade::{
-    CompactionRequest, Db, DbError, EventListener, MaintenanceMode, Mode, ScanRequest, SpanKind,
-    TraceSpan,
-};
-use pmblade_integration_tests::{key_for, tiny_options, value_for};
+use pm_blade::{CompactionRequest, Db, DbError, MaintenanceMode, Mode, ScanRequest, TraceSpan};
+use pmblade_integration_tests::{key_for, tiny_options, value_for, HookLog};
 use pmtable::CodecMode;
 use proptest::prelude::*;
 use sim::FaultPlan;
@@ -492,45 +489,6 @@ fn crash_boundary_sweep_mid_flush_and_major() {
 // append among them — still completes every hook it began.
 // ---------------------------------------------------------------------
 
-/// Begun-but-not-completed hooks per `(kind, partition)`, and every
-/// completing span.
-#[derive(Default)]
-struct OpenHooks {
-    open: Mutex<BTreeMap<(u8, usize), i64>>,
-    completed: Mutex<Vec<TraceSpan>>,
-}
-
-impl OpenHooks {
-    fn begin(&self, kind: SpanKind, partition: usize) {
-        *self
-            .open
-            .lock()
-            .unwrap()
-            .entry((kind as u8, partition))
-            .or_default() += 1;
-    }
-    fn complete(&self, span: &TraceSpan) {
-        let key = (span.kind as u8, span.partition);
-        *self.open.lock().unwrap().entry(key).or_default() -= 1;
-        self.completed.lock().unwrap().push(span.clone());
-    }
-}
-
-impl EventListener for OpenHooks {
-    fn on_flush_begin(&self, partition: usize) {
-        self.begin(SpanKind::Flush, partition);
-    }
-    fn on_flush_complete(&self, span: &TraceSpan) {
-        self.complete(span);
-    }
-    fn on_compaction_begin(&self, kind: SpanKind, partition: usize) {
-        self.begin(kind, partition);
-    }
-    fn on_compaction_complete(&self, span: &TraceSpan) {
-        self.complete(span);
-    }
-}
-
 #[test]
 fn a_failed_maintenance_step_completes_every_hook_it_began() {
     let partition = 0;
@@ -545,7 +503,7 @@ fn a_failed_maintenance_step_completes_every_hook_it_began() {
         for countdown in 0.. {
             let dir = scratch_dir("hooks");
             let _ = std::fs::remove_dir_all(&dir);
-            let (plan, hooks) = (FaultPlan::disarmed(), Arc::new(OpenHooks::default()));
+            let (plan, hooks) = (FaultPlan::disarmed(), Arc::new(HookLog::default()));
             let mut opts = tiny_options(Mode::PmBlade);
             opts.wal_dir = Some(dir.clone());
             opts.fault_plan = Some(plan.clone());
@@ -565,16 +523,21 @@ fn a_failed_maintenance_step_completes_every_hook_it_began() {
                     db.compact(CompactionRequest::Flush { partition }).unwrap();
                 }
             }
-            let (ring, completed) = (db.metrics_snapshot().spans.len(), 2);
+            let ring = db.metrics_snapshot().spans.len();
             plan.arm(countdown, false);
             let outcome = db.compact(request);
-            let open = hooks.open.lock().unwrap().clone();
+            // Begins (even hooks) minus completes, per `(kind, partition)`.
+            let calls = hooks.0.lock().unwrap().clone();
+            let mut open = BTreeMap::new();
+            for (hook, kind, partition, _) in calls.iter().filter(|call| call.0 < 4) {
+                *open.entry((kind, partition)).or_insert(0) += 1 - 2 * (*hook as i64 % 2);
+            }
             assert!(open.values().all(|n| *n == 0), "{request:?}: {open:?}");
             if outcome.is_err() {
-                let zero_work =
-                    |s: &TraceSpan| s.end_nanos == s.start_nanos && s.input_records == 0;
-                let spans = hooks.completed.lock().unwrap();
-                assert!(spans[completed..].iter().all(zero_work), "{spans:?}");
+                // Only the two set-up flushes ever reported work.
+                let worked = |s: &&TraceSpan| s.end_nanos > s.start_nanos || s.input_records > 0;
+                let spans = calls.iter().filter_map(|call| call.3.as_ref());
+                assert_eq!(spans.filter(worked).count(), 2, "{request:?}");
                 assert_eq!(db.metrics_snapshot().spans.len(), ring, "{request:?}");
             }
             manifest_failed |=
@@ -589,10 +552,7 @@ fn a_failed_maintenance_step_completes_every_hook_it_began() {
                 break;
             }
         }
-        assert!(
-            manifest_failed,
-            "{request:?}: the manifest append never failed"
-        );
+        assert!(manifest_failed, "{request:?}: no manifest append failed");
     }
 }
 

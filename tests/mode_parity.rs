@@ -4,13 +4,12 @@
 //! [`MaintenanceMode`]s: Inline and Background may schedule compactions
 //! differently, but never disagree on contents.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use pm_blade::{
-    CompactionRequest, Db, EventListener, MaintenanceMode, Mode, Partitioner, ScanRequest,
-    SpanKind, TraceSpan,
+    CompactionRequest, Db, MaintenanceMode, Mode, Partitioner, ScanRequest, SpanKind, TraceSpan,
 };
-use pmblade_integration_tests::{key_for, tiny_db, tiny_options, value_for};
+use pmblade_integration_tests::{key_for, tiny_db, tiny_options, value_for, HookLog};
 
 const ALL_MODES: [Mode; 4] = [
     Mode::PmBlade,
@@ -259,44 +258,6 @@ fn write_only_stream_ends_on_the_recorded_virtual_clock_in_every_mode() {
     assert_eq!(got, WRITE_ONLY_PARITY);
 }
 
-/// One listener hook call: `(hook, span kind or verdict, partition or
-/// rule, the completing span)`.
-type HookCall = (u8, u8, u64, Option<TraceSpan>);
-
-/// Every hook call, in call order.
-#[derive(Default)]
-struct HookLog(Mutex<Vec<HookCall>>);
-
-impl HookLog {
-    fn note(&self, hook: u8, kind: SpanKind, partition: usize, span: Option<&TraceSpan>) {
-        let call = (hook, kind as u8, partition as u64, span.cloned());
-        self.0.lock().unwrap().push(call);
-    }
-}
-
-impl EventListener for HookLog {
-    fn on_flush_begin(&self, partition: usize) {
-        self.note(0, SpanKind::Flush, partition, None);
-    }
-    fn on_flush_complete(&self, span: &TraceSpan) {
-        self.note(1, span.kind, span.partition, Some(span));
-    }
-    fn on_compaction_begin(&self, kind: SpanKind, partition: usize) {
-        self.note(2, kind, partition, None);
-    }
-    fn on_compaction_complete(&self, span: &TraceSpan) {
-        self.note(3, span.kind, span.partition, Some(span));
-    }
-    fn on_group_commit(&self, span: &TraceSpan) {
-        self.note(4, span.kind, span.partition, None);
-    }
-    fn on_cost_decision(&self, decision: &pm_blade::CostDecision) {
-        let rule = encoding::crc::crc32c(decision.rule().as_bytes());
-        let call = (5, decision.triggered() as u8, rule as u64, None);
-        self.0.lock().unwrap().push(call);
-    }
-}
-
 fn fold_span(out: &mut Vec<u8>, s: &TraceSpan) {
     let fields = [
         s.kind as u64,
@@ -368,32 +329,25 @@ fn maintenance_span_sequence_is_pinned_in_every_mode() {
         db.compact(CompactionRequest::FlushAll).unwrap();
         let snap = db.metrics_snapshot();
         assert_eq!(snap.spans_dropped, 0, "{mode:?}");
-        let count = |kind| snap.spans.iter().filter(|s| s.kind == kind).count();
-        assert!(count(SpanKind::Flush) > 50, "{mode:?}");
-        assert!(count(SpanKind::Major) > 2, "{mode:?}");
+        let sum = |kind, of: fn(&TraceSpan) -> u64| -> u64 {
+            let spans = snap.spans.iter().filter(|s| s.kind == kind);
+            spans.map(of).sum()
+        };
+        assert!(sum(SpanKind::Flush, |_| 1) > 50, "{mode:?}");
+        assert!(sum(SpanKind::Major, |_| 1) > 2, "{mode:?}");
         assert!(snap.spans.iter().any(|s| s.trace_id != 0), "{mode:?}");
         // A major moves level-0 records, and only flushes bring those.
-        let records = |kind| -> u64 {
-            let of_kind = snap.spans.iter().filter(|s| s.kind == kind);
-            of_kind.map(|s| s.input_records).sum()
-        };
-        assert!(
-            records(SpanKind::Major) <= records(SpanKind::Flush),
-            "{mode:?}"
-        );
+        let [moved, flushed] =
+            [SpanKind::Major, SpanKind::Flush].map(|kind| sum(kind, |s| s.input_records));
+        assert!(moved <= flushed, "{mode:?}: {moved} > {flushed}");
         let tables = db.ssd().list();
         let cascaded = tables.iter().any(|t| t.contains("-L2-"));
         assert!(cascaded, "{mode:?}: level 1 never cascaded: {tables:?}");
         let hooks = hooks.0.lock().unwrap();
         if mode == Mode::PmBlade {
-            for rule in [
-                "eq1_triggers",
-                "eq2_triggers",
-                "hard_cap_triggers",
-                "retention_passes",
-            ] {
-                assert!(snap.counter(&format!("cost_{rule}")) > 0, "{rule}: none");
-            }
+            let fired = |rule| snap.counter(rule) > 0;
+            assert!(fired("cost_eq1_triggers") && fired("cost_eq2_triggers"));
+            assert!(fired("cost_hard_cap_triggers") && fired("cost_retention_passes"));
             // An internal compaction that runs out of PM completes with
             // a zero-work span and a major begins in its place.
             let (internal, major) = (SpanKind::Internal as u8, SpanKind::Major as u8);
