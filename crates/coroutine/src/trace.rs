@@ -3,8 +3,9 @@
 //! A [`CompactionTask`] is the stage sequence one compaction subtask will
 //! execute: `S1 (read) → S2 (sort) → [S3 (write) when the output buffer
 //! fills] → …`. Tests and the §V experiments build them with
-//! [`synthesize`], which reproduces the paper's *fragment* phenomenon: duplicate discards make S3 fire at erratic
-//! points, clipping S2 into fragments of uneven length.
+//! [`synthesize`], which reproduces the paper's *fragment* phenomenon:
+//! duplicate discards make S3 fire at erratic points, clipping S2 into
+//! fragments of uneven length.
 
 use sim::{Pcg64, SimDuration};
 

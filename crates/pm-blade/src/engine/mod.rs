@@ -247,7 +247,8 @@ impl DbCore {
 
     /// A point-in-time copy of the span ring: one [`TraceSpan`] per
     /// flush, internal and major compaction that did work (`kind` is
-    /// `SpanKind::Flush`, `Internal` or `Major`), oldest first. The ring is capped at
+    /// `SpanKind::Flush`, `Internal` or `Major`), oldest first. The
+    /// ring is capped at
     /// [`crate::options::Options::event_log_capacity`] spans; when it
     /// overflows, the *oldest* are evicted (see
     /// [`MetricsSnapshot::spans_dropped`] for the count), so this log is

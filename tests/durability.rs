@@ -526,11 +526,12 @@ fn a_failed_maintenance_step_completes_every_hook_it_began() {
             let ring = db.metrics_snapshot().spans.len();
             plan.arm(countdown, false);
             let outcome = db.compact(request);
-            // Begins (even hooks) minus completes, per `(kind, partition)`.
+            // Begins (hooks 0 and 2) minus completes (1 and 3), per
+            // `(kind, partition)`.
             let calls = hooks.0.lock().unwrap().clone();
             let mut open = BTreeMap::new();
             for (hook, kind, partition, _) in calls.iter().filter(|call| call.0 < 4) {
-                *open.entry((kind, partition)).or_insert(0) += 1 - 2 * (*hook as i64 % 2);
+                *open.entry((kind, partition)).or_insert(0) += if hook % 2 == 0 { 1 } else { -1 };
             }
             assert!(open.values().all(|n| *n == 0), "{request:?}: {open:?}");
             if outcome.is_err() {
