@@ -45,9 +45,10 @@ pub fn pack(values: &[u64], width: u32, out: &mut Vec<u8>) {
     }
 }
 
-/// Decode `count` values of `width` bits from the front of `data`.
-/// Returns `None` if `data` is too short or `width` is out of range.
-pub fn unpack(data: &[u8], width: u32, count: usize) -> Option<Vec<u64>> {
+/// The `count` values of `width` bits at the front of `data`, decoded as
+/// they are pulled. Returns `None` if `data` is too short or `width` is
+/// out of range.
+pub fn unpack(data: &[u8], width: u32, count: usize) -> Option<impl Iterator<Item = u64> + '_> {
     if width > 64 || data.len() < packed_len(count, width) {
         return None;
     }
@@ -56,21 +57,20 @@ pub fn unpack(data: &[u8], width: u32, count: usize) -> Option<Vec<u64>> {
     } else {
         (1u128 << width) - 1
     };
-    let mut out = Vec::with_capacity(count);
     let mut acc: u128 = 0;
     let mut nbits: u32 = 0;
     let mut pos = 0usize;
-    for _ in 0..count {
+    Some((0..count).map(move |_| {
         while nbits < width {
             acc |= (data[pos] as u128) << nbits;
             pos += 1;
             nbits += 8;
         }
-        out.push((acc & mask) as u64);
+        let value = (acc & mask) as u64;
         acc >>= width;
         nbits -= width;
-    }
-    Some(out)
+        value
+    }))
 }
 
 #[cfg(test)]
@@ -81,7 +81,7 @@ mod tests {
         let mut buf = Vec::new();
         pack(values, width, &mut buf);
         assert_eq!(buf.len(), packed_len(values.len(), width));
-        let got = unpack(&buf, width, values.len()).unwrap();
+        let got: Vec<u64> = unpack(&buf, width, values.len()).unwrap().collect();
         assert_eq!(got, values);
     }
 
@@ -99,7 +99,7 @@ mod tests {
         let mut buf = Vec::new();
         pack(&[0, 0, 0], 0, &mut buf);
         assert!(buf.is_empty());
-        assert_eq!(unpack(&buf, 0, 3).unwrap(), vec![0, 0, 0]);
+        assert_eq!(unpack(&buf, 0, 3).unwrap().collect::<Vec<_>>(), [0, 0, 0]);
     }
 
     #[test]

@@ -43,16 +43,14 @@ pub fn deltas_in_place(values: &mut Vec<u64>) {
     values.pop();
 }
 
-/// Rebuild the original sequence from its first value and [`deltas`].
-pub fn undelta(first: u64, deltas: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(deltas.len() + 1);
-    let mut cur = first;
-    out.push(cur);
-    for &d in deltas {
-        cur = cur.wrapping_add(zigzag_decode(d) as u64);
-        out.push(cur);
-    }
-    out
+/// Rebuild the original sequence from its first value and [`deltas`],
+/// one value per pull.
+pub fn undelta(first: u64, deltas: impl Iterator<Item = u64>) -> impl Iterator<Item = u64> {
+    let rest = deltas.scan(first, |cur, d| {
+        *cur = cur.wrapping_add(zigzag_decode(d) as u64);
+        Some(*cur)
+    });
+    std::iter::once(first).chain(rest)
 }
 
 /// Interpret up to the last 8 bytes of `bytes` as a big-endian integer.
@@ -136,7 +134,7 @@ mod tests {
         let values: Vec<u64> = (0..50).map(|i| 1_000 + i * 17).collect();
         let d = deltas(&values);
         assert!(d.iter().all(|&x| x == zigzag_encode(17)));
-        assert_eq!(undelta(values[0], &d), values);
+        assert!(undelta(values[0], d.into_iter()).eq(values));
     }
 
     #[test]
@@ -144,7 +142,7 @@ mod tests {
         // Strides that wrap past u64::MAX and back must round-trip.
         let values = [u64::MAX - 1, u64::MAX, 0, 1, u64::MAX, 5];
         let d = deltas(&values);
-        assert_eq!(undelta(values[0], &d), values);
+        assert!(undelta(values[0], d.into_iter()).eq(values));
     }
 
     #[test]
@@ -200,7 +198,7 @@ mod tests {
         #[test]
         fn prop_delta_roundtrip(values in proptest::collection::vec(0u64..=u64::MAX, 1..120)) {
             let d = deltas(&values);
-            proptest::prop_assert_eq!(undelta(values[0], &d), values);
+            proptest::prop_assert!(undelta(values[0], d.into_iter()).eq(values));
         }
 
         #[test]
@@ -223,7 +221,7 @@ mod tests {
                 cur = cur.wrapping_add(stride);
             }
             let d = deltas(&values);
-            proptest::prop_assert_eq!(undelta(values[0], &d), values);
+            proptest::prop_assert!(undelta(values[0], d.into_iter()).eq(values));
         }
     }
 }

@@ -17,7 +17,7 @@ use std::cmp::Reverse;
 use encoding::key::KeyKind;
 use memtable::MemCursor;
 use pm_device::PmRegion;
-use pmtable::{ArrayCursor, EntryRef, GroupLoad, OwnedEntry, PmCursor};
+use pmtable::{ArrayCursor, EntryRef, GroupLoad, PmCursor};
 use sim::{SimDuration, Timeline};
 use sstable::SsCursor;
 
@@ -72,7 +72,7 @@ impl Cursor<'_> {
         match self {
             Cursor::Mem(c) => c.current(),
             Cursor::Row(c) => c.current(),
-            Cursor::Pm(run) => run.cur.as_ref()?.current().map(OwnedEntry::as_ref),
+            Cursor::Pm(run) => run.cur.as_ref()?.current(),
             Cursor::Ss(run) => run.cur.as_ref()?.current(),
         }
     }
@@ -375,6 +375,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::handle::merge_dedup;
     use memtable::MemTable;
+    use pmtable::OwnedEntry;
     use proptest::prelude::*;
     use sim::CostModel;
 

@@ -3,9 +3,9 @@
 //! The PM level-0 analogue of the SSD block cache
 //! ([`sstable::BlockCache`]): a hit serves a group's entries from DRAM
 //! and skips both the PM block read and the prefix reconstruction in
-//! [`pmtable::PmTable`]. One cache is shared by every partition and
-//! charged against its own byte budget
-//! ([`crate::options::Options::pm_group_cache_bytes`]).
+//! [`pmtable::PmTable`]. One cache is shared by every partition; each
+//! group is charged its [`EntryRun::charge`] against the cache's own
+//! byte budget ([`crate::options::Options::pm_group_cache_bytes`]).
 //!
 //! Keys are `(table cache-id, group index)`. Cache ids are allocated
 //! from the engine's own monotonic counter
@@ -19,12 +19,13 @@
 //! so concurrent readers on different keys — or even the same hot key —
 //! never serialize; inserts and evictions take the shard's write lock.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use pmtable::{GroupAccess, OwnedEntry};
+use pmtable::{EntryRun, GroupAccess};
 use sim::Counter;
 
 /// Number of independently locked shards.
@@ -38,7 +39,8 @@ struct GroupKey {
 }
 
 struct CacheEntry {
-    entries: Arc<Vec<OwnedEntry>>,
+    entries: Arc<EntryRun>,
+    /// [`EntryRun::charge`] of `entries`, as inserted.
     bytes: usize,
     /// Monotonic recency stamp, updated through `&self` on every hit.
     stamp: AtomicU64,
@@ -115,7 +117,7 @@ impl PmGroupCache {
         &self.shards[(h >> 56) as usize % SHARDS]
     }
 
-    fn get(&self, key: GroupKey) -> Option<Arc<Vec<OwnedEntry>>> {
+    fn get(&self, key: GroupKey) -> Option<Arc<EntryRun>> {
         if self.capacity == 0 {
             // Disabled cache: stay silent (no phantom miss counts).
             return None;
@@ -137,8 +139,8 @@ impl PmGroupCache {
         }
     }
 
-    fn insert(&self, key: GroupKey, entries: Arc<Vec<OwnedEntry>>) {
-        let bytes = entry_bytes(&entries);
+    fn insert(&self, key: GroupKey, entries: Arc<EntryRun>) {
+        let bytes = entries.charge();
         if bytes > self.shard_capacity {
             return; // larger than a whole shard: never cacheable
         }
@@ -211,41 +213,56 @@ impl PmGroupCache {
     /// A [`GroupAccess`] view scoped to one table, for threading into
     /// [`pmtable::PmTable::get_with_cache`].
     pub fn for_table(&self, table: u64) -> TableGroupCache<'_> {
-        TableGroupCache { cache: self, table }
+        TableGroupCache {
+            cache: self,
+            table,
+            hits: Cell::new(0),
+            misses: Cell::new(0),
+        }
     }
-}
-
-/// DRAM charge for one cached group: what the *decoded* entries occupy
-/// in memory — each [`OwnedEntry`]'s struct (two Vec headers plus the
-/// seq/kind words) and its heap-allocated key and value bytes, plus the
-/// group's own `Arc<Vec>` bookkeeping. Deliberately not the encoded PM
-/// payload size (`raw_len`): a delta/fixed-coded group can be several
-/// times smaller on PM than its decoded form, and charging the encoded
-/// size would let the cache silently overshoot its DRAM budget by that
-/// ratio.
-fn entry_bytes(entries: &[OwnedEntry]) -> usize {
-    64 + entries
-        .iter()
-        .map(|e| e.user_key.len() + e.value.len() + std::mem::size_of::<OwnedEntry>())
-        .sum::<usize>()
 }
 
 /// The per-table [`GroupAccess`] adapter returned by
-/// [`PmGroupCache::for_table`].
+/// [`PmGroupCache::for_table`]. It counts the outcomes of its own
+/// lookups, so the request tracer can attribute one table probe to the
+/// decode cache (every lookup hit) or to a PM group decode (any lookup
+/// missed); a scan ignores the counts.
 pub struct TableGroupCache<'a> {
     cache: &'a PmGroupCache,
     table: u64,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+}
+
+impl TableGroupCache<'_> {
+    /// Group lookups through this adapter served from the cache.
+    pub fn hits(&self) -> u64 {
+        self.hits.get()
+    }
+
+    /// Group lookups through this adapter decoded from PM (including
+    /// lookups against a disabled cache, which always decode).
+    pub fn misses(&self) -> u64 {
+        self.misses.get()
+    }
 }
 
 impl GroupAccess for TableGroupCache<'_> {
-    fn lookup(&self, group: u32) -> Option<Arc<Vec<OwnedEntry>>> {
-        self.cache.get(GroupKey {
+    fn lookup(&self, group: u32) -> Option<Arc<EntryRun>> {
+        let found = self.cache.get(GroupKey {
             table: self.table,
             group,
-        })
+        });
+        let outcome = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        outcome.set(outcome.get() + 1);
+        found
     }
 
-    fn store(&self, group: u32, entries: Arc<Vec<OwnedEntry>>) {
+    fn store(&self, group: u32, entries: Arc<EntryRun>) {
         if self.cache.capacity == 0 {
             return;
         }
@@ -256,54 +273,6 @@ impl GroupAccess for TableGroupCache<'_> {
             },
             entries,
         );
-    }
-}
-
-/// A [`GroupAccess`] adapter that counts cache outcomes for one probe
-/// so the request tracer can attribute a PM table probe to the decode
-/// cache (all lookups hit) or to a PM group decode (any lookup
-/// missed). Delegates to a [`TableGroupCache`]; the cache's own global
-/// hit/miss counters are unaffected by the wrapping.
-pub struct ObservedGroupAccess<'a> {
-    inner: TableGroupCache<'a>,
-    hits: std::cell::Cell<u64>,
-    misses: std::cell::Cell<u64>,
-}
-
-impl<'a> ObservedGroupAccess<'a> {
-    pub fn new(inner: TableGroupCache<'a>) -> Self {
-        ObservedGroupAccess {
-            inner,
-            hits: std::cell::Cell::new(0),
-            misses: std::cell::Cell::new(0),
-        }
-    }
-
-    /// Group lookups this probe served from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Group lookups this probe decoded from PM (including lookups
-    /// against a disabled cache, which always decode).
-    pub fn misses(&self) -> u64 {
-        self.misses.get()
-    }
-}
-
-impl GroupAccess for ObservedGroupAccess<'_> {
-    fn lookup(&self, group: u32) -> Option<Arc<Vec<OwnedEntry>>> {
-        let found = self.inner.lookup(group);
-        if found.is_some() {
-            self.hits.set(self.hits.get() + 1);
-        } else {
-            self.misses.set(self.misses.get() + 1);
-        }
-        found
-    }
-
-    fn store(&self, group: u32, entries: Arc<Vec<OwnedEntry>>) {
-        self.inner.store(group, entries);
     }
 }
 
@@ -321,15 +290,15 @@ impl std::fmt::Debug for PmGroupCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use encoding::key::KeyKind;
 
-    fn group(tag: u8, n: usize, vlen: usize) -> Arc<Vec<OwnedEntry>> {
-        Arc::new(
-            (0..n)
-                .map(|i| {
-                    OwnedEntry::value(format!("t{tag:02}:{i:06}").into_bytes(), 1, vec![tag; vlen])
-                })
-                .collect(),
-        )
+    fn group(tag: u8, n: usize, vlen: usize) -> Arc<EntryRun> {
+        let mut run = EntryRun::default();
+        for i in 0..n {
+            let key = format!("t{tag:02}:{i:06}");
+            run.push(&[key.as_bytes()], 1, KeyKind::Value, &vec![tag; vlen]);
+        }
+        Arc::new(run)
     }
 
     #[test]
@@ -350,7 +319,7 @@ mod tests {
         let c = PmGroupCache::new(1 << 20);
         c.for_table(1).store(0, group(1, 2, 8));
         assert!(c.for_table(2).lookup(0).is_none());
-        assert_eq!(c.for_table(1).lookup(0).unwrap()[0].value, vec![1u8; 8]);
+        assert_eq!(c.for_table(1).lookup(0).unwrap().get(0).value, [1u8; 8]);
     }
 
     #[test]
@@ -369,17 +338,16 @@ mod tests {
     #[test]
     fn charge_is_decoded_dram_size_not_encoded_payload() {
         let g = group(0, 4, 64);
-        // The in-DRAM struct overhead per entry (two Vec headers +
-        // seq/kind) dwarfs the 8-byte encoded trailer, so the decoded
-        // charge must strictly exceed the raw PM payload size — the
-        // old accounting, which a dense codec could undershoot by 3x+.
+        // The charge counts the decoded keys and values, not what the
+        // group takes on PM, which a dense codec could undershoot by
+        // 3x+: 64 bytes per run and per entry on top of the bytes.
         let raw: usize = g.iter().map(|e| e.raw_len()).sum();
         assert!(
-            entry_bytes(&g) > raw,
+            g.charge() > raw,
             "decoded charge {} must exceed encoded payload {raw}",
-            entry_bytes(&g)
+            g.charge()
         );
-        assert!(entry_bytes(&g) >= 64 + g.len() * std::mem::size_of::<OwnedEntry>());
+        assert_eq!(g.charge(), 64 + 4 * (10 + 64 + 64));
     }
 
     #[test]
@@ -392,7 +360,7 @@ mod tests {
 
     #[test]
     fn eviction_respects_capacity_and_recency() {
-        let unit = entry_bytes(&group(0, 4, 64));
+        let unit = group(0, 4, 64).charge();
         // One shard holds three groups; keys land in the same shard only
         // by table id, so pin a single table and distinct groups and size
         // the whole cache as SHARDS * (3.5 units) to make the *shard*
@@ -424,7 +392,7 @@ mod tests {
     fn observed_access_counts_per_probe_outcomes() {
         let c = PmGroupCache::new(1 << 20);
         c.for_table(3).store(0, group(3, 2, 8));
-        let obs = ObservedGroupAccess::new(c.for_table(3));
+        let obs = c.for_table(3);
         assert!(obs.lookup(0).is_some());
         assert!(obs.lookup(1).is_none());
         obs.store(1, group(3, 2, 8));

@@ -32,7 +32,7 @@ use pmtable::{L0Table, Lookup};
 use sim::Timeline;
 
 use crate::cursor::{Cursor, PmRun};
-use crate::groupcache::{ObservedGroupAccess, PmGroupCache};
+use crate::groupcache::PmGroupCache;
 use crate::handle::PmTableHandle;
 
 /// Per-get probe accounting, surfaced through engine telemetry and the
@@ -318,7 +318,7 @@ fn probe_table(
     let before = tl.elapsed().as_nanos();
     let (hit, cache_hits, cache_misses) = match cache {
         Some(c) => {
-            let access = ObservedGroupAccess::new(c.for_table(handle.cache_id));
+            let access = c.for_table(handle.cache_id);
             let hit = handle.table.get_with_cache(user_key, snapshot, tl, &access);
             (hit, access.hits(), access.misses())
         }

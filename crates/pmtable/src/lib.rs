@@ -135,6 +135,88 @@ impl<'a> EntryRef<'a> {
     }
 }
 
+/// A run of entries in one buffer: keys and values back to back in
+/// `arena`, one [`Slot`] per entry. What the PM table builder buffers
+/// and what a decoded PM table group is — two allocations per run,
+/// none per entry — handing out [`EntryRef`]s like every cursor does.
+#[derive(Default, Debug)]
+pub struct EntryRun {
+    arena: Vec<u8>,
+    slots: Vec<Slot>,
+}
+
+/// Where one entry sits in the arena.
+#[derive(Debug)]
+struct Slot {
+    /// Offset of the key; the value follows it and runs to the next
+    /// slot's key (or the end of the arena).
+    at: usize,
+    key_len: usize,
+    seq: SequenceNumber,
+    kind: KeyKind,
+}
+
+impl EntryRun {
+    /// An empty run with room for `entries` entries of `bytes` key and
+    /// value bytes in all.
+    pub fn with_capacity(entries: usize, bytes: usize) -> Self {
+        EntryRun {
+            arena: Vec::with_capacity(bytes),
+            slots: Vec::with_capacity(entries),
+        }
+    }
+
+    /// Append an entry whose user key is the concatenation of `key`'s
+    /// pieces (a decoder has it as meta ‖ group prefix ‖ remainder).
+    pub fn push(&mut self, key: &[&[u8]], seq: SequenceNumber, kind: KeyKind, value: &[u8]) {
+        let at = self.arena.len();
+        key.iter()
+            .for_each(|piece| self.arena.extend_from_slice(piece));
+        let key_len = self.arena.len() - at;
+        self.arena.extend_from_slice(value);
+        self.slots.push(Slot {
+            at,
+            key_len,
+            seq,
+            kind,
+        });
+    }
+
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// The `i`th entry, viewed in the arena. Panics when `i >= len()`.
+    pub fn get(&self, i: usize) -> EntryRef<'_> {
+        let slot = &self.slots[i];
+        let end = self.slots.get(i + 1).map_or(self.arena.len(), |s| s.at);
+        let (user_key, value) = self.arena[slot.at..end].split_at(slot.key_len);
+        EntryRef {
+            user_key,
+            seq: slot.seq,
+            kind: slot.kind,
+            value,
+        }
+    }
+
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = EntryRef<'_>> {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// What a cache holding this run charges its byte budget: 64 bytes
+    /// per run and per entry on top of the key and value bytes. A
+    /// budget unit, not yet the exact footprint (ROADMAP item 6): it is
+    /// what the group cache charged when a decoded group was a vector
+    /// of owned entries, kept so the cache holds the same groups.
+    pub fn charge(&self) -> usize {
+        64 + self.arena.len() + 64 * self.slots.len()
+    }
+}
+
 /// An entry a table builder can copy from, owned or borrowed: builders
 /// take the bytes out of the view and never keep the entry.
 pub trait AsEntry {

@@ -2,7 +2,6 @@
 //! the three layers and the optional filter in `finish`.
 
 use encoding::bloom::BloomFilter;
-use encoding::key::{self, SequenceNumber};
 use encoding::prefix::{common_prefix_len, FixedPrefix};
 use encoding::{delta, varint};
 use sim::Timeline;
@@ -12,28 +11,16 @@ use super::{
     CodecMode, PmTableOptions, CODEC_PREFIX, FLAG_CODECS, FLAG_FILTER, GINDEX_ENTRY_LEN,
     HEADER_LEN, MAGIC, PREFIX_WIDTH,
 };
-use crate::{AsEntry, BuildStats, EntryRef};
-
-/// Where one buffered entry sits in the builder's arena.
-struct Slot {
-    /// Offset of the key; the value follows it and runs to the next
-    /// slot's key (or the end of the arena).
-    at: usize,
-    key_len: usize,
-    seq: SequenceNumber,
-    kind: key::KeyKind,
-}
+use crate::{AsEntry, BuildStats, EntryRef, EntryRun};
 
 /// Streaming builder; feed entries in internal-key order, then `finish`.
 ///
-/// The entries of the one table being built are buffered in a flat
-/// arena — one byte buffer of keys and values back to back, plus a
-/// `Slot` per entry — so `add` copies an entry's bytes once and
-/// allocates nothing per entry; `finish` encodes out of the arena.
+/// The entries of the one table being built are buffered in an
+/// [`EntryRun`], so `add` copies an entry's bytes once and allocates
+/// nothing per entry; `finish` encodes out of the run.
 pub struct PmTableBuilder {
     opts: PmTableOptions,
-    arena: Vec<u8>,
-    slots: Vec<Slot>,
+    run: EntryRun,
     raw_bytes: usize,
     shape: delta::CodecStats,
 }
@@ -43,8 +30,7 @@ impl PmTableBuilder {
         assert!(opts.group_size >= 2, "group size must be at least 2");
         PmTableBuilder {
             opts,
-            arena: Vec::new(),
-            slots: Vec::new(),
+            run: EntryRun::default(),
             raw_bytes: 0,
             shape: delta::CodecStats::default(),
         }
@@ -54,39 +40,19 @@ impl PmTableBuilder {
     pub fn add(&mut self, entry: impl AsEntry) {
         let e = entry.as_entry();
         debug_assert!(
-            self.slots.is_empty() || self.entry(self.slots.len() - 1).internal_cmp(&e).is_le(),
+            self.run
+                .iter()
+                .next_back()
+                .is_none_or(|last| last.internal_cmp(&e).is_le()),
             "entries must arrive in internal-key order"
         );
-        self.slots.push(Slot {
-            at: self.arena.len(),
-            key_len: e.user_key.len(),
-            seq: e.seq,
-            kind: e.kind,
-        });
-        self.arena.extend_from_slice(e.user_key);
-        self.arena.extend_from_slice(e.value);
+        self.run.push(&[e.user_key], e.seq, e.kind, e.value);
         self.raw_bytes += e.raw_len();
         self.shape.add(e.user_key.len(), e.value.len());
     }
 
-    /// The `i`th buffered entry, viewed in the arena.
-    fn entry(&self, i: usize) -> EntryRef<'_> {
-        let slot = &self.slots[i];
-        let end = self
-            .slots
-            .get(i + 1)
-            .map_or(self.arena.len(), |next| next.at);
-        let (user_key, value) = self.arena[slot.at..end].split_at(slot.key_len);
-        EntryRef {
-            user_key,
-            seq: slot.seq,
-            kind: slot.kind,
-            value,
-        }
-    }
-
     pub fn entry_count(&self) -> usize {
-        self.slots.len()
+        self.run.len()
     }
 
     pub fn raw_bytes(&self) -> usize {
@@ -98,9 +64,9 @@ impl PmTableBuilder {
     /// decides on. Entries are sorted, so their common prefix is that
     /// of the first and the last key.
     pub fn shape(&self) -> delta::CodecStats {
-        let lcp = |last| common_prefix_len(self.entry(0).user_key, self.entry(last).user_key);
+        let lcp = |last| common_prefix_len(self.run.get(0).user_key, self.run.get(last).user_key);
         delta::CodecStats {
-            batch_lcp: self.slots.len().checked_sub(1).map_or(0, lcp),
+            batch_lcp: self.run.len().checked_sub(1).map_or(0, lcp),
             ..self.shape
         }
     }
@@ -114,8 +80,8 @@ impl PmTableBuilder {
     /// Returns the payload (to be published to PM) and build stats.
     pub fn finish(self, cost: &sim::CostModel, tl: &mut Timeline) -> (Vec<u8>, BuildStats) {
         let opts = self.opts;
-        let count = self.slots.len();
-        let rest_of = |i: usize| opts.extractor.split(self.entry(i).user_key);
+        let count = self.run.len();
+        let rest_of = |i: usize| opts.extractor.split(self.run.get(i).user_key);
         // Group assignment: split on group_size or meta change.
         struct Group {
             start: usize,
@@ -165,7 +131,7 @@ impl PmTableBuilder {
         let mut scratch = Scratch::default();
         for g in &groups {
             slice.clear();
-            slice.extend((g.start..g.start + g.len).map(|i| self.entry(i)));
+            slice.extend((g.start..g.start + g.len).map(|i| self.run.get(i)));
             rests.clear();
             rests.extend(slice.iter().map(|e| opts.extractor.split(e.user_key).1));
             let meta = &metas[g.meta_id as usize];
@@ -222,7 +188,7 @@ impl PmTableBuilder {
         let filter = (opts.filter_bits_per_key > 0 && count > 0).then(|| {
             let mut hashes = Vec::new();
             let mut prev: Option<&[u8]> = None;
-            for key in (0..count).map(|i| self.entry(i).user_key) {
+            for key in self.run.iter().map(|e| e.user_key) {
                 if prev != Some(key) {
                     hashes.push(BloomFilter::hashes(key));
                     prev = Some(key);

@@ -6,7 +6,7 @@ use encoding::varint;
 use encoding::{bitpack, delta};
 
 use super::{CodecMode, CODEC_DELTA, CODEC_FIXED, CODEC_PREFIX};
-use crate::{EntryRef, OwnedEntry};
+use crate::{EntryRef, EntryRun};
 
 /// Buffers the per-group encoders reuse from group to group.
 #[derive(Default)]
@@ -105,12 +105,6 @@ fn frame_of_reference(values: &mut [u64]) -> (u64, u32) {
     (min, bits)
 }
 
-/// Append the low `w` big-endian bytes of `v`.
-#[inline]
-fn put_be_width(out: &mut Vec<u8>, v: u64, w: usize) {
-    out.extend_from_slice(&v.to_be_bytes()[8 - w..]);
-}
-
 /// Codec 1: delta + zigzag + bit-packed key remainders. Eligible when the
 /// group has ≥ 2 entries whose meta-stripped keys all share one length
 /// and the post-LCP remainder is 1–8 bytes; appends nothing and returns
@@ -193,43 +187,35 @@ fn encode_fixed_block(
     true
 }
 
+/// The [`EntryRun`] a decoder fills: each key goes straight into the
+/// arena as `meta ‖ lcp ‖ remainder`, its value after it, so beyond the
+/// `shared` bytes every entry repeats the run holds at most what the
+/// block does. `None` when `count` is more than the block can encode:
+/// every codec spends at least a byte per entry.
+fn run_for(block: &[u8], count: usize, shared: usize) -> Option<EntryRun> {
+    (count <= block.len()).then(|| EntryRun::with_capacity(count, block.len() + count * shared))
+}
+
 /// Decode a codec-0 block.
-pub(super) fn decode_prefix_block(
-    block: &[u8],
-    count: usize,
-    meta: &[u8],
-) -> Option<Vec<OwnedEntry>> {
+pub(super) fn decode_prefix_block(block: &[u8], count: usize, meta: &[u8]) -> Option<EntryRun> {
     let mut r = varint::Reader::new(block);
     let lcp_len = r.read_u32()? as usize;
     let lcp = r.read_bytes(lcp_len)?;
-    let mut out = Vec::with_capacity(count);
+    let mut out = run_for(block, count, meta.len() + lcp.len())?;
     for _ in 0..count {
         let krem_len = r.read_u32()? as usize;
         let vlen = r.read_u32()? as usize;
+        // `read_bytes(8)` is eight bytes long: the conversion cannot fail.
         let trailer = u64::from_le_bytes(r.read_bytes(8)?.try_into().unwrap());
         let krem = r.read_bytes(krem_len)?;
-        let value = r.read_bytes(vlen)?.to_vec();
         let (seq, kind) = key::unpack_trailer(trailer);
-        let mut user_key = Vec::with_capacity(meta.len() + lcp.len() + krem.len());
-        user_key.extend_from_slice(meta);
-        user_key.extend_from_slice(lcp);
-        user_key.extend_from_slice(krem);
-        out.push(OwnedEntry {
-            user_key,
-            seq,
-            kind: kind?,
-            value,
-        });
+        out.push(&[meta, lcp, krem], seq, kind?, r.read_bytes(vlen)?);
     }
     Some(out)
 }
 
 /// Decode a codec-1 block (delta + zigzag + bit-packed key remainders).
-pub(super) fn decode_delta_block(
-    block: &[u8],
-    count: usize,
-    meta: &[u8],
-) -> Option<Vec<OwnedEntry>> {
+pub(super) fn decode_delta_block(block: &[u8], count: usize, meta: &[u8]) -> Option<EntryRun> {
     let mut r = varint::Reader::new(block);
     let lcp_len = r.read_u32()? as usize;
     let lcp = r.read_bytes(lcp_len)?;
@@ -244,32 +230,18 @@ pub(super) fn decode_delta_block(
     let dels = bitpack::unpack(packed_keys, key_bits, count - 1)?;
     let packed_trailers = r.read_bytes(bitpack::packed_len(count, trailer_bits))?;
     let toffs = bitpack::unpack(packed_trailers, trailer_bits, count)?;
-    let rems = delta::undelta(first_rem, &dels);
-    let mut out = Vec::with_capacity(count);
-    for (rem, toff) in rems.into_iter().zip(toffs) {
+    let mut out = run_for(block, count, meta.len() + lcp.len() + w)?;
+    for (rem, toff) in delta::undelta(first_rem, dels).zip(toffs) {
         let vlen = r.read_u32()? as usize;
-        let value = r.read_bytes(vlen)?.to_vec();
-        let (seq, kind) = key::unpack_trailer(min_trailer + toff);
-        let mut user_key = Vec::with_capacity(meta.len() + lcp.len() + w);
-        user_key.extend_from_slice(meta);
-        user_key.extend_from_slice(lcp);
-        put_be_width(&mut user_key, rem, w);
-        out.push(OwnedEntry {
-            user_key,
-            seq,
-            kind: kind?,
-            value,
-        });
+        let (seq, kind) = key::unpack_trailer(min_trailer.checked_add(toff)?);
+        let krem = &rem.to_be_bytes()[8 - w..];
+        out.push(&[meta, lcp, krem], seq, kind?, r.read_bytes(vlen)?);
     }
     Some(out)
 }
 
 /// Decode a codec-2 block (frame-of-reference fixed-width values).
-pub(super) fn decode_fixed_block(
-    block: &[u8],
-    count: usize,
-    meta: &[u8],
-) -> Option<Vec<OwnedEntry>> {
+pub(super) fn decode_fixed_block(block: &[u8], count: usize, meta: &[u8]) -> Option<EntryRun> {
     let mut r = varint::Reader::new(block);
     let lcp_len = r.read_u32()? as usize;
     let lcp = r.read_bytes(lcp_len)?;
@@ -284,23 +256,13 @@ pub(super) fn decode_fixed_block(
     let voffs = bitpack::unpack(packed_values, value_bits, count)?;
     let packed_trailers = r.read_bytes(bitpack::packed_len(count, trailer_bits))?;
     let toffs = bitpack::unpack(packed_trailers, trailer_bits, count)?;
-    let mut out = Vec::with_capacity(count);
-    for (voff, toff) in voffs.into_iter().zip(toffs) {
+    let mut out = run_for(block, count, meta.len() + lcp.len() + vw)?;
+    for (voff, toff) in voffs.zip(toffs) {
         let krem_len = r.read_u32()? as usize;
         let krem = r.read_bytes(krem_len)?;
-        let (seq, kind) = key::unpack_trailer(min_trailer + toff);
-        let mut user_key = Vec::with_capacity(meta.len() + lcp.len() + krem.len());
-        user_key.extend_from_slice(meta);
-        user_key.extend_from_slice(lcp);
-        user_key.extend_from_slice(krem);
-        let mut value = Vec::with_capacity(vw);
-        put_be_width(&mut value, min_value + voff, vw);
-        out.push(OwnedEntry {
-            user_key,
-            seq,
-            kind: kind?,
-            value,
-        });
+        let (seq, kind) = key::unpack_trailer(min_trailer.checked_add(toff)?);
+        let value = min_value.checked_add(voff)?.to_be_bytes();
+        out.push(&[meta, lcp, krem], seq, kind?, &value[8 - vw..]);
     }
     Some(out)
 }

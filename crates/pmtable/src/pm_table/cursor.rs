@@ -7,7 +7,7 @@ use sim::Timeline;
 
 use super::{PmTable, PmTableError};
 use crate::storage::Storage;
-use crate::OwnedEntry;
+use crate::{EntryRef, EntryRun};
 
 /// Where a cursor step found the group it moved onto.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -32,7 +32,7 @@ pub struct PmCursor<'a, S: Storage, A: GroupAccess> {
     /// The group `load_next` fetches.
     next_group: u32,
     /// The current group; `Some` only while `pos` indexes into it.
-    pub(super) entries: Option<Arc<Vec<OwnedEntry>>>,
+    entries: Option<Arc<EntryRun>>,
     pos: usize,
 }
 
@@ -49,7 +49,7 @@ impl<S: Storage, A: GroupAccess> PmCursor<'_, S, A> {
             let Some(entries) = &self.entries else {
                 return Ok(load);
             };
-            self.pos = entries.partition_point(|e| e.user_key.as_slice() < start);
+            self.pos = entries.iter().take_while(|e| e.user_key < start).count();
             if self.pos < entries.len() {
                 return Ok(load);
             }
@@ -70,12 +70,12 @@ impl<S: Storage, A: GroupAccess> PmCursor<'_, S, A> {
 
     /// The entry under the cursor; `None` before a seek and after the
     /// last entry.
-    pub fn current(&self) -> Option<&OwnedEntry> {
-        self.entries.as_ref().map(|entries| &entries[self.pos])
+    pub fn current(&self) -> Option<EntryRef<'_>> {
+        self.entries.as_ref().map(|entries| entries.get(self.pos))
     }
 
     /// Move onto the first entry of the next non-empty group.
-    pub(super) fn load_next(&mut self, tl: &mut Timeline) -> Result<GroupLoad, PmTableError> {
+    fn load_next(&mut self, tl: &mut Timeline) -> Result<GroupLoad, PmTableError> {
         self.pos = 0;
         self.entries = None;
         while self.next_group < self.table.group_count {
@@ -110,20 +110,20 @@ impl<S: Storage, A: GroupAccess> PmCursor<'_, S, A> {
 /// reconstruction on later lookups.
 pub trait GroupAccess {
     /// A previously stored decode of `group`, if still cached.
-    fn lookup(&self, group: u32) -> Option<Arc<Vec<OwnedEntry>>>;
+    fn lookup(&self, group: u32) -> Option<Arc<EntryRun>>;
     /// Offer a freshly decoded group to the cache (may be dropped).
-    fn store(&self, group: u32, entries: Arc<Vec<OwnedEntry>>);
+    fn store(&self, group: u32, entries: Arc<EntryRun>);
 }
 
 /// The no-op cache behind the plain [`L0Table::get`] path.
 pub struct NoGroupCache;
 
 impl GroupAccess for NoGroupCache {
-    fn lookup(&self, _group: u32) -> Option<Arc<Vec<OwnedEntry>>> {
+    fn lookup(&self, _group: u32) -> Option<Arc<EntryRun>> {
         None
     }
 
-    fn store(&self, _group: u32, _entries: Arc<Vec<OwnedEntry>>) {}
+    fn store(&self, _group: u32, _entries: Arc<EntryRun>) {}
 }
 
 impl<S: Storage> PmTable<S> {

@@ -14,11 +14,12 @@ use sim::Timeline;
 
 use super::codec::{decode_delta_block, decode_fixed_block, decode_prefix_block};
 use super::{
-    GroupAccess, GroupLoad, MetaExtractor, NoGroupCache, CODEC_COUNT, CODEC_DELTA, CODEC_FIXED,
-    CODEC_PREFIX, FLAG_CODECS, FLAG_FILTER, GINDEX_ENTRY_LEN, HEADER_LEN, MAGIC, PREFIX_WIDTH,
+    GroupAccess, GroupLoad, MetaExtractor, NoGroupCache, PmCursor, CODEC_COUNT, CODEC_DELTA,
+    CODEC_FIXED, CODEC_PREFIX, FLAG_CODECS, FLAG_FILTER, GINDEX_ENTRY_LEN, HEADER_LEN, MAGIC,
+    PREFIX_WIDTH,
 };
 use crate::storage::Storage;
-use crate::{L0Table, Lookup, OwnedEntry};
+use crate::{EntryRun, L0Table, Lookup, OwnedEntry};
 
 /// One decoded meta-layer row, cached in DRAM by the reader.
 #[derive(Clone, Debug)]
@@ -74,6 +75,14 @@ impl std::fmt::Display for PmTableError {
 
 impl std::error::Error for PmTableError {}
 
+/// The little-endian `u32` at `bytes[at..at + 4]`, a range the caller
+/// has checked.
+fn u32_le(bytes: &[u8], at: usize) -> u32 {
+    let mut le = [0; 4];
+    le.copy_from_slice(&bytes[at..at + 4]);
+    u32::from_le_bytes(le)
+}
+
 /// Order of the concatenation `head ‖ tail` relative to `other`, without
 /// building it.
 #[inline]
@@ -94,8 +103,8 @@ impl<S: Storage> PmTable<S> {
         if data.len() < HEADER_LEN {
             return Err(PmTableError::Truncated);
         }
-        let u32_at =
-            |off: usize| -> u32 { u32::from_le_bytes(data[off..off + 4].try_into().unwrap()) };
+        // Every header field read below lies in those `HEADER_LEN` bytes.
+        let u32_at = |off: usize| u32_le(data, off);
         if u32_at(0) != MAGIC {
             return Err(PmTableError::BadMagic);
         }
@@ -113,6 +122,15 @@ impl<S: Storage> PmTable<S> {
             || gindex_off > entry_off
         {
             return Err(PmTableError::Corrupt("section offsets"));
+        }
+        // The prefix layer and the gindex (checked next) hold one row per
+        // group: what `prefix_at` and `gindex` index by.
+        if (gindex_off - prefix_off) as usize != group_count as usize * PREFIX_WIDTH {
+            return Err(PmTableError::Corrupt("prefix section"));
+        }
+        // Every codec spends at least a byte of the table per entry.
+        if entry_count as usize > data.len() {
+            return Err(PmTableError::Corrupt("entry count"));
         }
         // Codec section: `group_count` codec id bytes between the gindex
         // and the entry layer (encoding v2).
@@ -139,13 +157,10 @@ impl<S: Storage> PmTable<S> {
         };
         // Filter section: trailing `bloom bytes | filter_len u32`.
         let filter = if data[15] & FLAG_FILTER != 0 {
-            if data.len() < 4 {
-                return Err(PmTableError::Corrupt("filter section"));
-            }
+            // `data` is at least a header long.
             let len_off = data.len() - 4;
-            let flen = u32::from_le_bytes(data[len_off..].try_into().unwrap()) as usize;
             let start = len_off
-                .checked_sub(flen)
+                .checked_sub(u32_at(len_off) as usize)
                 .filter(|&s| s >= entry_off as usize)
                 .ok_or(PmTableError::Corrupt("filter section"))?;
             Some(
@@ -162,18 +177,15 @@ impl<S: Storage> PmTable<S> {
             let count = r.read_u32().ok_or(PmTableError::Truncated)?;
             for _ in 0..count {
                 let prefix = r.read_slice().ok_or(PmTableError::Truncated)?.to_vec();
-                let first_group = u32::from_le_bytes(
-                    r.read_bytes(4)
-                        .ok_or(PmTableError::Truncated)?
-                        .try_into()
-                        .unwrap(),
-                );
-                let gcount = u32::from_le_bytes(
-                    r.read_bytes(4)
-                        .ok_or(PmTableError::Truncated)?
-                        .try_into()
-                        .unwrap(),
-                );
+                let range = r.read_bytes(8).ok_or(PmTableError::Truncated)?;
+                let (first_group, gcount) = (u32_le(range, 0), u32_le(range, 4));
+                // A lookup searches the prefix layer over the row's groups.
+                if first_group
+                    .checked_add(gcount)
+                    .is_none_or(|end| end > group_count)
+                {
+                    return Err(PmTableError::Corrupt("meta row groups"));
+                }
                 metas.push(MetaRow {
                     prefix,
                     first_group,
@@ -207,8 +219,8 @@ impl<S: Storage> PmTable<S> {
             let last = table
                 .decode_group(group_count - 1)
                 .ok_or(PmTableError::Corrupt("last group"))?;
-            table.first_key = first.first().map(|e| e.user_key.clone());
-            table.last_key = last.last().map(|e| e.user_key.clone());
+            table.first_key = first.iter().next().map(|e| e.user_key.to_vec());
+            table.last_key = last.iter().next_back().map(|e| e.user_key.to_vec());
         }
         Ok(table)
     }
@@ -218,8 +230,9 @@ impl<S: Storage> PmTable<S> {
     }
 
     /// Codec id of one group (0 for tables without a codec section).
-    pub fn group_codec(&self, group: u32) -> u8 {
+    pub(super) fn group_codec(&self, group: u32) -> u8 {
         match self.codecs_off {
+            // `group < group_count`, the length open found the section has.
             Some(off) => self.storage.bytes()[off as usize + group as usize],
             None => CODEC_PREFIX,
         }
@@ -243,19 +256,33 @@ impl<S: Storage> PmTable<S> {
         best as u8
     }
 
+    /// One gindex row: `(block_off, block_len, count, meta_id)`. Here as
+    /// in `prefix_at` and `group_codec`, `group < group_count`: callers
+    /// walk `0..group_count` or a meta row's groups, which open checked
+    /// lie inside it, as it checked that each section holds
+    /// `group_count` rows inside the table.
     pub(super) fn gindex(&self, group: u32) -> (u32, u32, u16, u16) {
         let off = self.gindex_off as usize + group as usize * GINDEX_ENTRY_LEN;
-        let data = self.storage.bytes();
-        let block_off = u32::from_le_bytes(data[off..off + 4].try_into().unwrap());
-        let block_len = u32::from_le_bytes(data[off + 4..off + 8].try_into().unwrap());
-        let count = u16::from_le_bytes(data[off + 8..off + 10].try_into().unwrap());
-        let meta_id = u16::from_le_bytes(data[off + 10..off + 12].try_into().unwrap());
-        (block_off, block_len, count, meta_id)
+        let row = &self.storage.bytes()[off..off + GINDEX_ENTRY_LEN];
+        let u16_at = |at: usize| u16::from_le_bytes([row[at], row[at + 1]]);
+        (u32_le(row, 0), u32_le(row, 4), u16_at(8), u16_at(10))
     }
 
     fn prefix_at(&self, group: u32) -> &[u8] {
         let off = self.prefix_off as usize + group as usize * PREFIX_WIDTH;
         &self.storage.bytes()[off..off + PREFIX_WIDTH]
+    }
+
+    /// One group's block of the entry layer, with its entry count and
+    /// meta id; `None` when its gindex row points outside the table.
+    fn block(&self, group: u32) -> Option<(&[u8], usize, usize)> {
+        let (block_off, block_len, count, meta_id) = self.gindex(group);
+        let start = self.entry_off as usize + block_off as usize;
+        let block = self
+            .storage
+            .bytes()
+            .get(start..start + block_len as usize)?;
+        Some((block, count as usize, meta_id as usize))
     }
 
     /// Meter one random read of a group's block (plus a small per-group
@@ -272,19 +299,13 @@ impl<S: Storage> PmTable<S> {
 
     /// Decode every entry of one group. Meters nothing: the caller
     /// charges the block read its access pattern implies.
-    pub(super) fn decode_group(&self, group: u32) -> Option<Vec<OwnedEntry>> {
-        let (block_off, block_len, count, meta_id) = self.gindex(group);
-        let codec = self.group_codec(group);
-        let meta = &self.metas.get(meta_id as usize)?.prefix;
-        let start = self.entry_off as usize + block_off as usize;
-        let block = self
-            .storage
-            .bytes()
-            .get(start..start + block_len as usize)?;
-        match codec {
-            CODEC_DELTA => decode_delta_block(block, count as usize, meta),
-            CODEC_FIXED => decode_fixed_block(block, count as usize, meta),
-            _ => decode_prefix_block(block, count as usize, meta),
+    pub(super) fn decode_group(&self, group: u32) -> Option<EntryRun> {
+        let (block, count, meta_id) = self.block(group)?;
+        let meta = &self.metas.get(meta_id)?.prefix;
+        match self.group_codec(group) {
+            CODEC_DELTA => decode_delta_block(block, count, meta),
+            CODEC_FIXED => decode_fixed_block(block, count, meta),
+            _ => decode_prefix_block(block, count, meta),
         }
     }
 
@@ -292,15 +313,10 @@ impl<S: Storage> PmTable<S> {
     /// bytes followed by the first entry's remainder — relative to
     /// `rest`, compared piecewise so the key is never materialised.
     pub(super) fn cmp_group_first(&self, group: u32, rest: &[u8]) -> Option<Ordering> {
-        let (block_off, block_len, count, _) = self.gindex(group);
+        let (block, count, _) = self.block(group)?;
         if count == 0 {
             return None;
         }
-        let start = self.entry_off as usize + block_off as usize;
-        let block = self
-            .storage
-            .bytes()
-            .get(start..start + block_len as usize)?;
         let mut r = varint::Reader::new(block);
         let lcp_len = r.read_u32()? as usize;
         let lcp = r.read_bytes(lcp_len)?;
@@ -322,8 +338,8 @@ impl<S: Storage> PmTable<S> {
                 let _min_value = r.read_u64()?;
                 let _min_trailer = r.read_u64()?;
                 let _packed = r.read_bytes(
-                    bitpack::packed_len(count as usize, value_bits)
-                        + bitpack::packed_len(count as usize, trailer_bits),
+                    bitpack::packed_len(count, value_bits)
+                        + bitpack::packed_len(count, trailer_bits),
                 )?;
                 let krem_len = r.read_u32()? as usize;
                 Some(cmp_concat(lcp, r.read_bytes(krem_len)?, rest))
@@ -438,7 +454,7 @@ impl<S: Storage> PmTable<S> {
                 return Some(Lookup {
                     seq: e.seq,
                     kind: e.kind,
-                    value: e.value.clone(),
+                    value: e.value.to_vec(),
                 });
             }
         }
@@ -453,7 +469,7 @@ impl<S: Storage> PmTable<S> {
         group: u32,
         cache: &A,
         tl: &mut Timeline,
-    ) -> Option<(Arc<Vec<OwnedEntry>>, GroupLoad)> {
+    ) -> Option<(Arc<EntryRun>, GroupLoad)> {
         if let Some(cached) = cache.lookup(group) {
             let (_, block_len, _, _) = self.gindex(group);
             tl.charge(
@@ -515,17 +531,12 @@ impl<S: Storage> L0Table for PmTable<S> {
         self.storage.bytes().len()
     }
 
-    /// A sequential-cursor pass collected into a `Vec`, a group at a
-    /// time. A group that fails to decode ends the result early.
+    /// A sequential-cursor pass collected into a `Vec`. A group that
+    /// fails to decode ends the result early.
     fn scan_all(&self, tl: &mut Timeline) -> Vec<OwnedEntry> {
-        let mut out = Vec::with_capacity(self.entry_count as usize);
-        let mut cursor = self.sequential_cursor::<NoGroupCache>();
-        let mut step = cursor.seek(b"", tl);
-        while let (Ok(_), Some(group)) = (&step, cursor.entries.take()) {
-            out.extend(Arc::try_unwrap(group).unwrap_or_else(|shared| (*shared).clone()));
-            step = cursor.load_next(tl);
-        }
-        out
+        let out = Vec::with_capacity(self.entry_count as usize);
+        let cursor = self.sequential_cursor::<NoGroupCache>();
+        collect(cursor, b"", None, usize::MAX, tl, out)
     }
 
     fn first_user_key(&self) -> Option<&[u8]> {
@@ -548,22 +559,33 @@ impl<S: Storage> PmTable<S> {
         limit: usize,
         tl: &mut Timeline,
     ) -> Vec<OwnedEntry> {
-        let mut out = Vec::new();
-        if limit == 0 {
-            return out;
-        }
-        let mut cursor = self.cursor(NoGroupCache);
-        let mut step = cursor.seek(start, tl);
-        while let (Ok(_), Some(e)) = (&step, cursor.current()) {
-            if end.is_some_and(|end| e.user_key.as_slice() >= end) {
-                break;
-            }
-            out.push(e.clone());
-            if out.len() >= limit {
-                break;
-            }
-            step = cursor.advance(tl);
-        }
-        out
+        collect(self.cursor(NoGroupCache), start, end, limit, tl, Vec::new())
     }
+}
+
+/// Append to `out` what `cursor` yields in `[start, end)`, at most
+/// `limit` entries in all, stepping no further than the last one taken.
+fn collect<S: Storage, A: GroupAccess>(
+    mut cursor: PmCursor<'_, S, A>,
+    start: &[u8],
+    end: Option<&[u8]>,
+    limit: usize,
+    tl: &mut Timeline,
+    mut out: Vec<OwnedEntry>,
+) -> Vec<OwnedEntry> {
+    if limit == 0 {
+        return out;
+    }
+    let mut step = cursor.seek(start, tl);
+    while let (Ok(_), Some(e)) = (&step, cursor.current()) {
+        if end.is_some_and(|end| e.user_key >= end) {
+            break;
+        }
+        out.push(e.to_owned());
+        if out.len() >= limit {
+            break;
+        }
+        step = cursor.advance(tl);
+    }
+    out
 }

@@ -3,7 +3,7 @@ use std::sync::Arc;
 use super::*;
 use crate::storage::DramBuf;
 use crate::testutil::index_entries;
-use crate::{L0Table, OwnedEntry};
+use crate::{EntryRun, L0Table, OwnedEntry};
 use encoding::bloom::BloomFilter;
 use encoding::key::KeyKind;
 use sim::{CostModel, Timeline};
@@ -262,6 +262,43 @@ fn open_rejects_garbage() {
         Err(e) => assert_eq!(e, PmTableError::BadMagic),
         Ok(_) => panic!("bad magic must not open"),
     }
+}
+
+#[test]
+fn open_rejects_what_a_read_would_index_out_of_bounds() {
+    let cost = CostModel::default();
+    let mut b = PmTableBuilder::new(codec_opts(CodecMode::Prefix));
+    timeseries_entries(100, 3).iter().for_each(|e| b.add(e));
+    let (bytes, _) = b.finish(&cost, &mut Timeline::new());
+    let open_with = |at: usize, word: u32| {
+        let mut bytes = bytes.clone();
+        bytes[at..at + 4].copy_from_slice(&word.to_le_bytes());
+        PmTable::open(DramBuf::new(bytes, cost)).err()
+    };
+    // No extractor, so the meta layer is `count 1 | len 0 | first_group
+    // | group_count`: a row claiming more groups than the prefix layer
+    // holds used to open, and the first `get` then indexed past it.
+    let meta_row_groups = HEADER_LEN + 2 + 4;
+    assert_eq!(
+        open_with(meta_row_groups, u32::MAX),
+        Some(PmTableError::Corrupt("meta row groups"))
+    );
+    assert_eq!(
+        open_with(meta_row_groups, 8),
+        Some(PmTableError::Corrupt("meta row groups")),
+        "7 groups of 16 hold the 100 entries"
+    );
+    // A prefix layer a row short of the header's group count.
+    let prefix_off = u32::from_le_bytes(bytes[20..24].try_into().unwrap());
+    assert_eq!(
+        open_with(20, prefix_off + PREFIX_WIDTH as u32),
+        Some(PmTableError::Corrupt("prefix section"))
+    );
+    // An entry count `scan_all` would reserve for.
+    assert_eq!(
+        open_with(4, u32::MAX),
+        Some(PmTableError::Corrupt("entry count"))
+    );
 }
 
 #[test]
@@ -559,7 +596,7 @@ fn group_first_key_compares_piecewise_as_the_materialised_key_did() {
         }
         for g in 0..t.group_count() {
             let decoded = t.decode_group(g).unwrap();
-            let first = opts.extractor.split(&decoded[0].user_key).1;
+            let first = opts.extractor.split(decoded.get(0).user_key).1;
             for probe in &probes {
                 assert_eq!(
                     t.cmp_group_first(g, probe),
@@ -595,7 +632,7 @@ fn drain_from(t: &PmTable<DramBuf>, start: &[u8]) -> Vec<OwnedEntry> {
     cursor.seek(start, &mut tl).unwrap();
     let mut out = Vec::new();
     while let Some(e) = cursor.current() {
-        out.push(e.clone());
+        out.push(e.to_owned());
         cursor.advance(&mut tl).unwrap();
     }
     assert_eq!(cursor.advance(&mut tl), Ok(GroupLoad::None));
@@ -677,12 +714,12 @@ fn cursor_seek_finds_newest_version_across_a_group_straddle() {
 
 #[test]
 fn cursor_fetches_groups_through_the_access_hook() {
-    struct MapCache(std::cell::RefCell<std::collections::HashMap<u32, Arc<Vec<OwnedEntry>>>>);
+    struct MapCache(std::cell::RefCell<std::collections::HashMap<u32, Arc<EntryRun>>>);
     impl GroupAccess for &MapCache {
-        fn lookup(&self, group: u32) -> Option<Arc<Vec<OwnedEntry>>> {
+        fn lookup(&self, group: u32) -> Option<Arc<EntryRun>> {
             self.0.borrow().get(&group).cloned()
         }
-        fn store(&self, group: u32, entries: Arc<Vec<OwnedEntry>>) {
+        fn store(&self, group: u32, entries: Arc<EntryRun>) {
             self.0.borrow_mut().insert(group, entries);
         }
     }
@@ -700,7 +737,7 @@ fn cursor_fetches_groups_through_the_access_hook() {
     );
     let mut cursor = t.cursor(&cache);
     assert_eq!(cursor.seek(&start, &mut warm), Ok(GroupLoad::Cached));
-    assert_eq!(cursor.current(), Some(&entries[50]));
+    assert_eq!(cursor.current(), Some(entries[50].as_ref()));
     assert!(
         warm.elapsed() < cold.elapsed(),
         "a cached group costs DRAM, not PM"
@@ -808,6 +845,90 @@ proptest::proptest! {
         for e in &entries {
             let hit = t.get(&e.user_key, u64::MAX, &mut tl).unwrap();
             proptest::prop_assert_eq!(&hit.value, &e.value);
+        }
+    }
+}
+
+/// Every row a cursor yields from the front of the table until it ends
+/// or fails.
+fn drain_until_error<A: GroupAccess>(mut cursor: PmCursor<'_, DramBuf, A>) -> usize {
+    let mut tl = Timeline::new();
+    let mut step = cursor.seek(b"", &mut tl);
+    let mut rows = 0;
+    while let (Ok(_), Some(_)) = (&step, cursor.current()) {
+        rows += 1;
+        step = cursor.advance(&mut tl);
+    }
+    rows
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+    /// Table bytes are input from outside the program (a PM region read
+    /// back after a restart): flipped, overwritten or cut short in any
+    /// section, they fail to open, or open and read as misses and
+    /// shorter scans — they never panic.
+    #[test]
+    fn prop_mutated_table_bytes_never_panic(
+        n in 2u64..120,
+        filter_bits in proptest::sample::select(vec![0usize, 10]),
+        section in 0usize..5,
+        at in 0usize..10_000,
+        mutation in 0usize..4,
+    ) {
+        // Two metas (the tag byte), numeric 8-byte key remainders and
+        // 8-byte values: every codec is eligible.
+        let entries: Vec<OwnedEntry> = (0..n)
+            .map(|i| {
+                let mut key = vec![b'a' + (2 * i / n) as u8];
+                key.extend_from_slice(&(1_700_000_000 + 7 * i).to_be_bytes());
+                OwnedEntry::value(key, i + 1, (40_000 + 3 * i).to_be_bytes().to_vec())
+            })
+            .collect();
+        let cost = CostModel::default();
+        for codec in [CodecMode::Prefix, CodecMode::Delta, CodecMode::Fixed, CodecMode::Auto] {
+            let mut b = PmTableBuilder::new(PmTableOptions {
+                group_size: 8,
+                extractor: MetaExtractor::FixedLen(1),
+                filter_bits_per_key: filter_bits,
+                codec,
+            });
+            entries.iter().for_each(|e| b.add(e));
+            let (mut bytes, _) = b.finish(&cost, &mut Timeline::new());
+            let intact = PmTable::open(DramBuf::new(bytes.clone(), cost)).unwrap();
+            proptest::prop_assert_eq!(drain_until_error(intact.cursor(NoGroupCache)), entries.len());
+            // Header, meta layer, gindex, codec array (the gindex again
+            // for a table without one), one group's block.
+            let u32_at = |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
+            let (meta_off, prefix_off, gindex_off, entry_off) =
+                (u32_at(16) as usize, u32_at(20) as usize, u32_at(24) as usize, u32_at(28) as usize);
+            let gindex_end = gindex_off + intact.group_count() as usize * GINDEX_ENTRY_LEN;
+            let (block_off, block_len, _, _) = intact.gindex(at as u32 % intact.group_count());
+            let block = entry_off + block_off as usize;
+            let sections = [
+                0..HEADER_LEN,
+                meta_off..prefix_off,
+                gindex_off..gindex_end,
+                if gindex_end < entry_off { gindex_end..entry_off } else { gindex_off..gindex_end },
+                block..block + block_len as usize,
+            ];
+            let pos = sections[section].start + at % sections[section].len();
+            match mutation {
+                0 => bytes[pos] ^= 1 << (at % 8),
+                1 => bytes[pos] = 0xff,
+                2 => bytes[pos..(pos + 4).min(sections[section].end)].fill(0xff),
+                _ => bytes.truncate(pos),
+            }
+            let Ok(t) = PmTable::open(DramBuf::new(bytes, cost)) else {
+                continue;
+            };
+            let mut tl = Timeline::new();
+            for e in &entries {
+                t.get(&e.user_key, u64::MAX, &mut tl);
+            }
+            t.scan_range(&entries[entries.len() / 2].user_key, None, usize::MAX, &mut tl);
+            let rows = drain_until_error(t.cursor(NoGroupCache));
+            proptest::prop_assert_eq!(drain_until_error(t.sequential_cursor::<NoGroupCache>()), rows);
         }
     }
 }
