@@ -5,7 +5,9 @@ use std::sync::Arc;
 
 use encoding::key::SequenceNumber;
 use pm_device::{PmError, PmPool, PmRegion, RegionId};
-use pmtable::{CodecMode, EntryRef, L0Table, OwnedEntry, PmTable, PmTableBuilder};
+use pmtable::{
+    CodecMode, EntryRef, L0Table, NoGroupCache, OwnedEntry, PmTable, PmTableBuilder, PmTableError,
+};
 use sim::Timeline;
 use sstable::SsTable;
 
@@ -154,26 +156,38 @@ pub fn merge_dedup(
 /// The handle of a PM table in `region`: one just published, or one
 /// recovered (manifest replay). The region payload is self-describing;
 /// `first`/`last` are re-derived from it, and so is `max_seq` when the
-/// caller does not know it — by a full scan, which ticks the PM device's
-/// read counters, so a build passes what it saw go in. A fresh
-/// `cache_id` is minted — the group-decode cache starts empty after a
-/// restart, so no aliasing is possible.
+/// caller does not know it — by a full sequential pass, which ticks the
+/// PM device's read counters, so a build passes what it saw go in. A
+/// group that does not decode fails the reopen: the sequences behind it
+/// would go unseen. A fresh `cache_id` is minted — the group-decode
+/// cache starts empty after a restart, so no aliasing is possible.
 pub fn reopen_pm_table(
     region: PmRegion,
     max_seq: Option<SequenceNumber>,
     ids: &CacheIds,
 ) -> Result<PmTableHandle, String> {
     let (region_id, bytes) = (region.id(), region.len());
-    let table = PmTable::open(region).map_err(|e| format!("region {region_id}: {e}"))?;
+    let corrupt = |e: PmTableError| format!("region {region_id}: {e}");
+    let table = PmTable::open(region).map_err(corrupt)?;
     let empty = || format!("region {region_id}: empty table");
-    let scan = || table.scan_all(&mut Timeline::new());
+    let max_seq = match max_seq {
+        Some(seq) => seq,
+        None => {
+            let (mut seq, mut tl) = (0, Timeline::new());
+            let mut cursor = table.sequential_cursor::<NoGroupCache>();
+            cursor.seek(b"", &mut tl).map_err(corrupt)?;
+            while let Some(e) = cursor.current() {
+                seq = seq.max(e.seq);
+                cursor.advance(&mut tl).map_err(corrupt)?;
+            }
+            seq
+        }
+    };
     Ok(PmTableHandle {
         first: table.first_user_key().ok_or_else(empty)?.into(),
         last: table.last_user_key().ok_or_else(empty)?.into(),
         entries: table.entry_count(),
-        max_seq: max_seq
-            .or_else(|| scan().iter().map(|e| e.seq).max())
-            .unwrap_or(0),
+        max_seq,
         codec: table.dominant_codec(),
         table: Arc::new(table),
         region: region_id,
@@ -525,6 +539,33 @@ pub(crate) mod tests {
         let region = pool.get(coded[0].region).unwrap();
         let reopened = reopen_pm_table(region, None, &ids).unwrap();
         assert_eq!(reopened.codec, coded[0].codec);
+    }
+
+    #[test]
+    fn reopen_fails_on_a_group_that_does_not_decode() {
+        // Sequences 1..=400; the gindex row of group 3 (of 25) claims a
+        // block longer than the table. A max_seq taken from the groups
+        // before it (48) would seed the sequence allocator below
+        // sequences the table holds.
+        let cost = CostModel::default();
+        let mut builder = PmTableBuilder::new(PmTableOptions::default());
+        for i in 0..400u64 {
+            builder.add(e(&format!("key{i:05}"), i + 1, "v"));
+        }
+        let (mut bytes, _) = builder.finish(&cost, &mut Timeline::new());
+        let gindex_off = u32::from_le_bytes(bytes[24..28].try_into().unwrap()) as usize;
+        let block_len = gindex_off + 3 * 12 + 4;
+        bytes[block_len..block_len + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let pool = PmPool::new(1 << 20, cost);
+        let region = pool.publish(bytes, &mut Timeline::new()).unwrap();
+        let id = region.id();
+        let ids = CacheIds::new();
+        let with_known_seq = reopen_pm_table(region.clone(), Some(400), &ids);
+        assert_eq!(with_known_seq.unwrap().max_seq, 400);
+        assert_eq!(
+            reopen_pm_table(region, None, &ids).unwrap_err(),
+            format!("region {id}: pm table: corrupt group block")
+        );
     }
 
     #[test]
