@@ -4,8 +4,13 @@
 //! it returns and at most one scratch buffer — and the count does not
 //! depend on how many unsorted level-0 tables the partition holds.
 //!
+//! The uncached PM path: with the group cache disabled, a get and a
+//! scan allocate per decoded *group* (its arena, its slots, its `Arc`)
+//! and per row they return, never per decoded entry.
+//!
 //! Compactions: a flush and an SSD-to-SSD merge allocate per table and
-//! per block, never per record.
+//! per block, an internal compaction per input group and per output
+//! table, never per record.
 //!
 //! The test binary installs a counting `#[global_allocator]` that
 //! tallies per thread, so the harness's own threads and parallel tests
@@ -15,7 +20,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use pm_blade::{CompactionRequest, Db, MetricKey, Mode, ReadSource};
+use pm_blade::{CompactionRequest, Db, MetricKey, Mode, ReadSource, ScanRequest};
 use pmblade_integration_tests::{key_for, tiny_options, value_for};
 
 thread_local! {
@@ -239,4 +244,105 @@ fn a_flush_and_an_ssd_merge_allocate_per_table_and_block_not_per_record() {
              and {large:.3} at 20 000: the count grows with the records"
         );
     }
+}
+
+/// What one decoded group may allocate: its arena, its slot vector, the
+/// `Arc` around them, and one to spare.
+const PER_GROUP: u64 = 4;
+
+/// One PM table of keys `0..1000` at `group_size`, no group cache: every
+/// read decodes the groups it touches. The CI matrix's filter and codec
+/// overrides apply.
+fn uncached_pm_table(group_size: usize) -> Db {
+    let mut opts = tiny_options(Mode::PmBlade);
+    opts.memtable_bytes = 1 << 20;
+    opts.pm_group_cache_bytes = 0;
+    opts.pm_table.group_size = group_size;
+    opts.trace_sample_every = 0;
+    let db = Db::open(opts).unwrap();
+    put_keys(&db, 0..1000, 0);
+    db.compact(CompactionRequest::FlushAll).unwrap();
+    db
+}
+
+#[test]
+fn an_uncached_pm_get_allocates_per_decoded_group_not_per_entry() {
+    let [at_8, at_16] = [8, 16].map(|group_size| {
+        let db = uncached_pm_table(group_size);
+        // 32 neighbours: keys inside a group and keys that lead one.
+        let per_get = (400..432).map(|id| {
+            let key = key_for(id);
+            db.get(&key).unwrap();
+            let (allocations, out) = allocations_in(|| db.get(&key).unwrap());
+            assert_eq!(out.source, ReadSource::Pm, "key {id}");
+            assert_eq!(out.value, Some(value_for(id, 100)), "key {id}");
+            allocations
+        });
+        let per_get: Vec<u64> = per_get.collect();
+        // A key inside its group decodes that group; a key that leads
+        // one also decodes the group before it, where a newer version
+        // could sit.
+        let (least, most) = (
+            *per_get.iter().min().unwrap(),
+            *per_get.iter().max().unwrap(),
+        );
+        assert!(
+            least <= 2 + PER_GROUP && most <= 2 + 2 * PER_GROUP,
+            "an uncached PM get allocated {least}..={most} times at group size {group_size} \
+             (budget: the value, one buffer, {PER_GROUP} per decoded group)"
+        );
+        (least, most)
+    });
+    assert_eq!(
+        at_8, at_16,
+        "allocations per get must not depend on the entries per group (8 vs 16)"
+    );
+}
+
+#[test]
+fn an_uncached_pm_scan_allocates_per_group_and_per_row_not_per_entry() {
+    for group_size in [8, 16] {
+        let db = uncached_pm_table(group_size);
+        let request = || ScanRequest::new().start(key_for(400)).limit(50);
+        db.scan(request()).unwrap();
+        let (allocations, (rows, _)) = allocations_in(|| db.scan(request()).unwrap());
+        assert_eq!(rows.len(), 50);
+        // 50 rows sit in at most `50 / group_size + 2` groups; a row is
+        // its key and its value; the rest (cursors, the heap, the result
+        // vector's growth) does not grow with either.
+        let groups = 50 / group_size as u64 + 2;
+        let budget = 2 * 50 + PER_GROUP * groups + 24;
+        assert!(
+            allocations <= budget,
+            "a 50-row scan of {groups} groups of {group_size} allocated {allocations} times \
+             (budget {budget}: 2 per row, {PER_GROUP} per group, 24 per scan)"
+        );
+    }
+}
+
+#[test]
+fn an_internal_compaction_allocates_per_group_and_table_not_per_record() {
+    // Two overlapping unsorted tables (all keys, then every other key
+    // again) merged into the sorted run: 1.5 n records in, n out.
+    let internal = |n| {
+        let load = |db: &Db| {
+            db.compact(CompactionRequest::FlushAll).unwrap();
+            put_keys(db, (0..n).step_by(2), 0);
+            db.compact(CompactionRequest::FlushAll).unwrap();
+        };
+        let request = CompactionRequest::Internal { partition: 0 };
+        allocations_per_record(tiny_options(Mode::PmBlade), n, 1, load, request)
+    };
+    let (small, large) = (internal(5_000), internal(20_000));
+    // Each group of 16 input records allocates three times, so 1.5 n
+    // input records make 0.28 n; the output tables add theirs.
+    assert!(
+        large <= 0.5,
+        "an internal compaction of 20 000 keys allocated {large:.3} times per key"
+    );
+    assert!(
+        large <= small,
+        "an internal compaction allocated {small:.3} times per key at 5 000 keys \
+         and {large:.3} at 20 000: the count grows with the records"
+    );
 }
