@@ -15,6 +15,12 @@
 //! All formats store *internal* entries (user key, sequence, kind, value)
 //! in internal-key order, read from any [`Storage`] (simulated PM or a
 //! DRAM buffer), and meter every access to a [`sim::Timeline`].
+//!
+//! Three types say "entry": [`EntryRef`] borrows one — what every cursor
+//! yields and every builder takes; [`EntryRun`] holds a run of them in
+//! one buffer — what the PM table builder buffers and what a PM table
+//! group decodes into; [`OwnedEntry`] owns one, for results that outlive
+//! their table (`scan_all`, `scan_range`) and for tests.
 
 pub mod array_table;
 pub mod compressed_array;
@@ -136,7 +142,7 @@ impl<'a> EntryRef<'a> {
 }
 
 /// A run of entries in one buffer: keys and values back to back in
-/// `arena`, one [`Slot`] per entry. What the PM table builder buffers
+/// `arena`, one slot per entry. What the PM table builder buffers
 /// and what a decoded PM table group is — two allocations per run,
 /// none per entry — handing out [`EntryRef`]s like every cursor does.
 #[derive(Default, Debug)]

@@ -115,7 +115,7 @@ pub trait GroupAccess {
     fn store(&self, group: u32, entries: Arc<EntryRun>);
 }
 
-/// The no-op cache behind the plain [`L0Table::get`] path.
+/// The no-op cache behind the plain [`crate::L0Table::get`] path.
 pub struct NoGroupCache;
 
 impl GroupAccess for NoGroupCache {

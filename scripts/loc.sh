@@ -4,8 +4,11 @@
 # Per crate: lines of src/**/*.rs up to the file's first `#[cfg(test)]`
 # that are neither blank nor start with `//` (so doc comments and test
 # modules do not count; a `src/**/tests.rs` file is a test module as a
-# whole). Also the non-test `pub fn` count of pm-blade and the field
-# count of `Options`. Informational: prints one table, gates nothing.
+# whole). Also the non-test `pub fn` count of pm-blade, the field count
+# of `Options`, and the largest source file under crates/*/src by the
+# same count. Prints one table; `--max-file N` also exits 1 when that
+# largest file has more than N code lines — the one thing it gates, so
+# a file split for its size cannot silently grow back.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,3 +54,17 @@ fields=$(awk '
     END { print n + 0 }
 ' crates/pm-blade/src/options.rs)
 printf '%-18s %8d\n' "Options fields" "$fields"
+
+largest=0
+while IFS= read -r file; do
+    n=$(code_lines "$file")
+    if ((n > largest)); then
+        largest=$n
+        largest_file=$file
+    fi
+done < <(find crates/*/src -name '*.rs' | sort)
+printf '%-18s %8d  %s\n' "largest file" "$largest" "$largest_file"
+if [[ ${1:-} == --max-file ]] && ((largest > $2)); then
+    echo "loc: $largest_file has $largest code lines, more than $2" >&2
+    exit 1
+fi
