@@ -176,8 +176,9 @@ impl EntryRun {
     /// pieces (a decoder has it as meta ‖ group prefix ‖ remainder).
     pub fn push(&mut self, key: &[&[u8]], seq: SequenceNumber, kind: KeyKind, value: &[u8]) {
         let at = self.arena.len();
-        key.iter()
-            .for_each(|piece| self.arena.extend_from_slice(piece));
+        for piece in key {
+            self.arena.extend_from_slice(piece);
+        }
         let key_len = self.arena.len() - at;
         self.arena.extend_from_slice(value);
         self.slots.push(Slot {

@@ -55,14 +55,11 @@ fields=$(awk '
 ' crates/pm-blade/src/options.rs)
 printf '%-18s %8d\n' "Options fields" "$fields"
 
-largest=0
-while IFS= read -r file; do
-    n=$(code_lines "$file")
-    if ((n > largest)); then
-        largest=$n
-        largest_file=$file
-    fi
-done < <(find crates/*/src -name '*.rs' | sort)
+mapfile -t sources < <(find crates/*/src -name '*.rs' | sort)
+read -r largest largest_file < <(awk "$non_test"'
+    /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+    { if (++n[FILENAME] > max) { max = n[FILENAME]; at = FILENAME } }
+    END { print max + 0, at }' "${sources[@]}")
 printf '%-18s %8d  %s\n' "largest file" "$largest" "$largest_file"
 if [[ ${1:-} == --max-file ]] && ((largest > $2)); then
     echo "loc: $largest_file has $largest code lines, more than $2" >&2
