@@ -214,6 +214,14 @@ impl EntryRun {
         (0..self.len()).map(|i| self.get(i))
     }
 
+    /// Index of the first entry whose user key is not below `user_key`
+    /// (`len()` when every key is), by binary search: the run must be
+    /// in key order.
+    pub fn lower_bound(&self, user_key: &[u8]) -> usize {
+        self.slots
+            .partition_point(|s| &self.arena[s.at..s.at + s.key_len] < user_key)
+    }
+
     /// What a cache holding this run charges its byte budget: 64 bytes
     /// per run and per entry on top of the key and value bytes. A
     /// budget unit, not yet the exact footprint (ROADMAP item 6): it is

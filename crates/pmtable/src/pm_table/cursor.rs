@@ -49,7 +49,7 @@ impl<S: Storage, A: GroupAccess> PmCursor<'_, S, A> {
             let Some(entries) = &self.entries else {
                 return Ok(load);
             };
-            self.pos = entries.iter().take_while(|e| e.user_key < start).count();
+            self.pos = entries.lower_bound(start);
             if self.pos < entries.len() {
                 return Ok(load);
             }

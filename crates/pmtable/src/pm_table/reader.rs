@@ -268,6 +268,8 @@ impl<S: Storage> PmTable<S> {
         (u32_le(row, 0), u32_le(row, 4), u16_at(8), u16_at(10))
     }
 
+    /// One prefix-layer row; `group < group_count` as in `gindex`, and
+    /// open checked the layer holds `group_count` rows.
     fn prefix_at(&self, group: u32) -> &[u8] {
         let off = self.prefix_off as usize + group as usize * PREFIX_WIDTH;
         &self.storage.bytes()[off..off + PREFIX_WIDTH]

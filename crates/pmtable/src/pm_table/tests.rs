@@ -30,6 +30,32 @@ fn delim_opts() -> PmTableOptions {
 }
 
 #[test]
+fn an_entry_run_views_what_was_pushed_and_searches_by_user_key() {
+    let mut run = EntryRun::with_capacity(4, 64);
+    assert!(run.is_empty());
+    assert_eq!((run.lower_bound(b"k"), run.charge()), (0, 64));
+    // Two versions of one key, newest first, then a tombstone; the
+    // second key arrives in the three pieces a decoder has it in.
+    run.push(&[b"kb"], 9, KeyKind::Value, b"new");
+    run.push(&[b"k", b"", b"b"], 4, KeyKind::Value, b"");
+    run.push(&[b"k", b"d"], 7, KeyKind::Delete, b"");
+    let rows: Vec<OwnedEntry> = run.iter().map(|e| e.to_owned()).collect();
+    assert_eq!(
+        rows,
+        [
+            OwnedEntry::value(b"kb".to_vec(), 9, b"new".to_vec()),
+            OwnedEntry::value(b"kb".to_vec(), 4, Vec::new()),
+            OwnedEntry::tombstone(b"kd".to_vec(), 7),
+        ]
+    );
+    assert_eq!(run.get(2), rows[2].as_ref());
+    let bounds = [b"ka", b"kb", b"kc", b"kd", b"ke"].map(|k| run.lower_bound(k));
+    assert_eq!(bounds, [0, 0, 2, 2, 3]);
+    // 64 per run and per entry on top of the 6 key and 3 value bytes.
+    assert_eq!((run.len(), run.charge()), (3, 64 + 9 + 3 * 64));
+}
+
+#[test]
 fn empty_table_roundtrips() {
     let t = build(&[], delim_opts());
     let mut tl = Timeline::new();
