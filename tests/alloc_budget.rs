@@ -270,15 +270,15 @@ fn an_uncached_pm_get_allocates_per_decoded_group_not_per_entry() {
     let [at_8, at_16] = [8, 16].map(|group_size| {
         let db = uncached_pm_table(group_size);
         // 32 neighbours: keys inside a group and keys that lead one.
-        let per_get = (400..432).map(|id| {
+        let per_get = |id| {
             let key = key_for(id);
             db.get(&key).unwrap();
             let (allocations, out) = allocations_in(|| db.get(&key).unwrap());
             assert_eq!(out.source, ReadSource::Pm, "key {id}");
             assert_eq!(out.value, Some(value_for(id, 100)), "key {id}");
             allocations
-        });
-        let per_get: Vec<u64> = per_get.collect();
+        };
+        let per_get: Vec<u64> = (400..432).map(per_get).collect();
         // A key inside its group decodes that group; a key that leads
         // one also decodes the group before it, where a newer version
         // could sit.
