@@ -7,6 +7,9 @@
 //! - [`bloom`]: the bloom filter attached to both table formats (the SSD
 //!   SSTable's filter block and the PM table's appended filter section).
 //! - [`crc`]: CRC32C (Castagnoli) block checksums.
+//! - [`frame`]: the CRC frame (`len | masked crc | payload`) of the WAL,
+//!   the manifest and the wire protocol, and the reader that finds
+//!   where a log's intact frames end.
 //! - [`prefix`]: the shared-prefix group codec backing the PM table's
 //!   prefix layer (§IV-A of the paper).
 //! - [`delta`] / [`bitpack`]: zigzag + delta transforms and fixed-width
@@ -20,6 +23,7 @@ pub mod bitpack;
 pub mod bloom;
 pub mod crc;
 pub mod delta;
+pub mod frame;
 pub mod key;
 pub mod prefix;
 pub mod szip;

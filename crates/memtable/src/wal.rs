@@ -1,24 +1,24 @@
 //! Write-ahead log.
 //!
-//! One log file per active memtable. Records are CRC-framed so a torn
-//! tail is detected and discarded on replay:
+//! A log is a run of CRC frames ([`encoding::frame`]), one record each,
+//! appended through a [`sim::fault::LogFile`]; replay stops at the first
+//! torn or corrupt frame. A record's payload:
 //!
 //! ```text
-//! record: len u32 | crc32c(payload) u32 | payload
-//! payload: trailer u64 | varint klen | key | varint vlen | value
+//! trailer u64 | varint klen | key | varint vlen | value
 //! ```
 //!
 //! The log is backed by a real file so recovery tests exercise actual
 //! persistence, and the virtual clock is charged SSD write costs (logs
 //! live on the SSD in the paper's setup).
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
+use encoding::frame::{self, Frames};
 use encoding::key::{self, KeyKind, SequenceNumber};
-use encoding::{crc, varint};
-use sim::fault::{self, FaultDecision, FaultPlan};
+use encoding::varint;
+use sim::fault::{FaultPlan, LogFile};
 use sim::{CostModel, Timeline};
 
 /// One logical log record.
@@ -28,6 +28,20 @@ pub struct WalRecord {
     pub kind: KeyKind,
     pub user_key: Vec<u8>,
     pub value: Vec<u8>,
+}
+
+impl WalRecord {
+    fn decode(payload: &[u8]) -> Option<WalRecord> {
+        let mut r = varint::Reader::new(payload);
+        let trailer = u64::from_le_bytes(r.read_bytes(8)?.try_into().unwrap());
+        let (seq, kind) = key::unpack_trailer(trailer);
+        Some(WalRecord {
+            seq,
+            kind: kind?,
+            user_key: r.read_slice()?.to_vec(),
+            value: r.read_slice()?.to_vec(),
+        })
+    }
 }
 
 /// Errors from log operations.
@@ -54,11 +68,10 @@ impl From<std::io::Error> for WalError {
 
 /// An append-only write-ahead log.
 pub struct Wal {
-    file: File,
+    log: LogFile,
     path: PathBuf,
-    written: u64,
     cost: CostModel,
-    fault: Option<std::sync::Arc<FaultPlan>>,
+    fault: Option<Arc<FaultPlan>>,
 }
 
 impl Wal {
@@ -68,22 +81,16 @@ impl Wal {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&path)?;
         Ok(Wal {
-            file,
+            log: LogFile::open(&path, 0)?,
             path,
-            written: 0,
             cost,
             fault: None,
         })
     }
 
     /// Route this log's durable writes through a crash-injection plan.
-    pub fn set_fault(&mut self, fault: Option<std::sync::Arc<FaultPlan>>) {
+    pub fn set_fault(&mut self, fault: Option<Arc<FaultPlan>>) {
         self.fault = fault;
     }
 
@@ -92,47 +99,25 @@ impl Wal {
     }
 
     pub fn bytes_written(&self) -> u64 {
-        self.written
+        self.log.intact_len()
     }
 
     /// Append one record and charge its device cost.
     pub fn append(&mut self, rec: &WalRecord, tl: &mut Timeline) -> Result<(), WalError> {
-        let mut payload = Vec::with_capacity(rec.user_key.len() + rec.value.len() + 24);
-        payload.extend_from_slice(&key::pack_trailer(rec.seq, rec.kind).to_le_bytes());
-        varint::put_slice(&mut payload, &rec.user_key);
-        varint::put_slice(&mut payload, &rec.value);
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc::mask(crc::crc32c(&payload)).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        match fault::check_write(&self.fault, frame.len()) {
-            FaultDecision::Allow => {}
-            FaultDecision::Deny { keep_prefix } => {
-                // Torn write: a prefix of the frame reaches the medium
-                // before the crash. Replay detects it via length/CRC.
-                if keep_prefix > 0 {
-                    let _ = self.file.write_all(&frame[..keep_prefix.min(frame.len())]);
-                    let _ = self.file.sync_data();
-                }
-                return Err(WalError::Io(std::io::Error::other(
-                    "crash injected: wal append",
-                )));
-            }
-        }
-        self.file.write_all(&frame)?;
-        self.written += frame.len() as u64;
-        tl.charge(self.cost.ssd.write(frame.len()));
+        let mut framed = Vec::with_capacity(rec.user_key.len() + rec.value.len() + 32);
+        frame::frame_into(&mut framed, |out| {
+            out.extend_from_slice(&key::pack_trailer(rec.seq, rec.kind).to_le_bytes());
+            varint::put_slice(out, &rec.user_key);
+            varint::put_slice(out, &rec.value);
+        });
+        self.log.append(&self.fault, &framed, false)?;
+        tl.charge(self.cost.ssd.write(framed.len()));
         Ok(())
     }
 
     /// Durability barrier (group commit point).
     pub fn sync(&mut self, tl: &mut Timeline) -> Result<(), WalError> {
-        if !fault::check_sync(&self.fault).allowed() {
-            return Err(WalError::Io(std::io::Error::other(
-                "crash injected: wal sync",
-            )));
-        }
-        self.file.sync_data()?;
+        self.log.sync(&self.fault)?;
         tl.charge(self.cost.ssd.persist);
         Ok(())
     }
@@ -140,50 +125,8 @@ impl Wal {
     /// Replay a log, returning complete records and stopping at the first
     /// torn or corrupt frame.
     pub fn replay(path: impl AsRef<Path>) -> Result<Vec<WalRecord>, WalError> {
-        let mut raw = Vec::new();
-        File::open(path)?.read_to_end(&mut raw)?;
-        let mut out = Vec::new();
-        let mut pos = 0usize;
-        while pos + 8 <= raw.len() {
-            let len = u32::from_le_bytes(raw[pos..pos + 4].try_into().unwrap()) as usize;
-            let stored = crc::unmask(u32::from_le_bytes(
-                raw[pos + 4..pos + 8].try_into().unwrap(),
-            ));
-            let start = pos + 8;
-            let Some(payload) = raw.get(start..start + len) else {
-                break; // torn tail
-            };
-            if crc::crc32c(payload) != stored {
-                break; // corrupt frame: stop replay here
-            }
-            let mut r = varint::Reader::new(payload);
-            let Some(trailer_bytes) = r.read_bytes(8) else {
-                break;
-            };
-            let trailer = u64::from_le_bytes(trailer_bytes.try_into().unwrap());
-            let (seq, kind) = key::unpack_trailer(trailer);
-            let Some(kind) = kind else { break };
-            let Some(user_key) = r.read_slice() else {
-                break;
-            };
-            let Some(value) = r.read_slice() else { break };
-            out.push(WalRecord {
-                seq,
-                kind,
-                user_key: user_key.to_vec(),
-                value: value.to_vec(),
-            });
-            pos = start + len;
-        }
-        Ok(out)
-    }
-
-    /// Delete the log file (after a successful minor compaction).
-    pub fn remove(self) -> Result<(), WalError> {
-        let path = self.path.clone();
-        drop(self.file);
-        std::fs::remove_file(path)?;
-        Ok(())
+        let raw = std::fs::read(path)?;
+        Ok(Frames::new(&raw).map_while(WalRecord::decode).collect())
     }
 }
 
@@ -191,7 +134,7 @@ impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Wal")
             .field("path", &self.path)
-            .field("written", &self.written)
+            .field("written", &self.bytes_written())
             .finish()
     }
 }
@@ -308,15 +251,6 @@ mod tests {
         }
         assert!(Wal::replay(&path).unwrap().is_empty());
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn remove_deletes_file() {
-        let path = tmp("remove");
-        let wal = Wal::create(&path, CostModel::default()).unwrap();
-        assert!(path.exists());
-        wal.remove().unwrap();
-        assert!(!path.exists());
     }
 
     #[test]

@@ -1,14 +1,8 @@
 //! The wire protocol shared by `pm-blade-server` and `pm-blade-client`.
 //!
-//! Every message travels in one *frame*:
-//!
-//! ```text
-//! u32le payload_len | u32le masked_crc32c(payload) | payload
-//! ```
-//!
-//! The CRC is masked with the LevelDB rotation ([`encoding::crc::mask`])
-//! so frames whose payload embeds another CRC still checksum well. The
-//! payload is a tag byte followed by varint/length-prefixed fields
+//! Every message travels in one CRC frame ([`encoding::frame`]), the
+//! record format of the WAL and the manifest too. The payload is a tag
+//! byte followed by varint/length-prefixed fields
 //! ([`encoding::varint`]), the same primitives the table formats use.
 //!
 //! [`Request`] and [`Response`] are the canonical typed surface of the
@@ -19,6 +13,7 @@
 
 use std::io::{self, Read, Write};
 
+use encoding::frame::{self, frame_into, HEADER};
 use encoding::{crc, varint};
 
 use crate::commit::BatchOp;
@@ -140,34 +135,11 @@ impl Response {
 
 // --- framing ---------------------------------------------------------
 
-/// Bytes of frame header: payload length + masked CRC.
-const HEADER_BYTES: usize = 8;
-
-fn frame_header(payload: &[u8]) -> [u8; HEADER_BYTES] {
-    debug_assert!(payload.len() <= MAX_FRAME_BYTES);
-    let mut header = [0u8; HEADER_BYTES];
-    header[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..8].copy_from_slice(&crc::mask(crc::crc32c(payload)).to_le_bytes());
-    header
-}
-
-/// Append one whole frame to `out`: reserve the header, let `payload`
-/// encode in place behind it, then patch length and CRC in. Header and
-/// payload are contiguous, so the frame leaves in one `write_all` (one
-/// TCP segment on a `TCP_NODELAY` socket) and `out` can be reused.
-fn frame_into(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
-    let start = out.len();
-    out.extend_from_slice(&[0u8; HEADER_BYTES]);
-    payload(out);
-    let header = frame_header(&out[start + HEADER_BYTES..]);
-    out[start..start + HEADER_BYTES].copy_from_slice(&header);
-}
-
 /// Write one frame around an already-encoded `payload`. Two writes
 /// (header, payload): hand it a buffered writer, or build the frame
 /// with [`Request::encode_frame_into`] / [`Response::encode_frame_into`].
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {
-    w.write_all(&frame_header(payload))?;
+    w.write_all(&frame::header(payload))?;
     w.write_all(payload)?;
     Ok(())
 }
@@ -175,8 +147,8 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError>
 /// True when `buf` starts with one complete frame (header plus all the
 /// payload bytes it announces): reading that frame will not block.
 pub fn starts_with_frame(buf: &[u8]) -> bool {
-    buf.len() >= HEADER_BYTES
-        && buf.len() - HEADER_BYTES >= u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize
+    buf.first_chunk()
+        .is_some_and(|header| buf.len() - HEADER >= frame::parse_header(header).0)
 }
 
 /// Read one frame's payload into `payload` (replacing its contents, so
@@ -186,19 +158,17 @@ pub fn starts_with_frame(buf: &[u8]) -> bool {
 /// [`WireError::Io`] — see [`WireError::is_idle_timeout`]; a peer that
 /// stalls *mid-frame* is reported as corrupt after one grace retry.
 pub fn read_frame_into<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> Result<bool, WireError> {
-    let mut header = [0u8; HEADER_BYTES];
+    let mut header = [0u8; HEADER];
     if !read_full(r, &mut header, true)? {
         return Ok(false);
     }
-    let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-    let masked = u32::from_le_bytes(header[4..8].try_into().unwrap());
+    let (len, expect) = frame::parse_header(&header);
     if len > MAX_FRAME_BYTES {
         return Err(WireError::TooLarge(len));
     }
     payload.clear();
     payload.resize(len, 0);
     read_full(r, payload, false)?;
-    let expect = crc::unmask(masked);
     let actual = crc::crc32c(payload);
     if actual != expect {
         return Err(WireError::Corrupt(format!(
@@ -225,7 +195,8 @@ fn release_scratch(buf: &mut Vec<u8>) {
 }
 
 /// Frame a message into the scratch buffer `frame` and send it with
-/// one `write_all`.
+/// one `write_all`: header and payload are contiguous, so the frame
+/// leaves as one TCP segment on a `TCP_NODELAY` socket.
 fn write_framed<W: Write>(
     w: &mut W,
     frame: &mut Vec<u8>,

@@ -16,12 +16,12 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sim::fault::{self, FaultDecision, FaultPlan};
+use sim::fault::{self, FaultPlan};
 use sim::{CostModel, Counter, Timeline};
 
 /// Shared PM device statistics.
@@ -217,17 +217,13 @@ impl PmPool {
     fn recover(&self) -> Result<(), PmError> {
         let dir = self.backing.as_ref().expect("recover requires backing");
         let mut state = self.state.lock();
+        // Half-written publishes from a crashed process: the rename
+        // never happened, so no region there was ever acknowledged.
+        fault::sweep_tmp(dir)?;
         for entry in fs::read_dir(dir)? {
             let entry = entry?;
             let name = entry.file_name();
             let name = name.to_string_lossy();
-            if name.ends_with(".tmp") {
-                // Half-written publish from a crashed process: the
-                // rename never happened, so the region was never
-                // acknowledged. Discard it.
-                let _ = fs::remove_file(entry.path());
-                continue;
-            }
             let Some(idpart) = name
                 .strip_prefix("region-")
                 .and_then(|s| s.strip_suffix(".pm"))
@@ -276,32 +272,13 @@ impl PmPool {
         }
         let id = state.next_id;
         if let Some(dir) = &self.backing {
-            // Publish via tmp + atomic rename: a crash mid-write leaves
-            // only an ignorable `.tmp` file, never a region file with a
-            // bad checksum (which recovery treats as real corruption).
-            let tmp = dir.join(format!("region-{id}.pm.tmp"));
-            match fault::check_write(&self.fault, len + 4) {
-                FaultDecision::Allow => {
-                    let mut f = fs::File::create(&tmp)?;
-                    f.write_all(&data)?;
-                    f.write_all(&encoding::crc::crc32c(&data).to_le_bytes())?;
-                    f.sync_data()?;
-                    drop(f);
-                    fs::rename(&tmp, dir.join(format!("region-{id}.pm")))?;
-                }
-                FaultDecision::Deny { keep_prefix } => {
-                    if keep_prefix > 0 {
-                        let mut frame = data;
-                        let crc = encoding::crc::crc32c(&frame);
-                        frame.extend_from_slice(&crc.to_le_bytes());
-                        frame.truncate(keep_prefix);
-                        let _ = fs::write(&tmp, &frame);
-                    }
-                    return Err(PmError::Io(io::Error::other(
-                        "crash injected: pm region publish",
-                    )));
-                }
-            }
+            // The payload and its (unmasked) CRC32C trailer, published
+            // whole: a crash mid-write leaves only `.tmp` debris, never
+            // a region file with a bad checksum (which recovery treats
+            // as real corruption).
+            let crc = encoding::crc::crc32c(&data).to_le_bytes();
+            let path = dir.join(format!("region-{id}.pm"));
+            fault::publish(&self.fault, &path, &[&data, &crc])?;
         }
         state.next_id += 1;
         state.used += len;

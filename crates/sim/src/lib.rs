@@ -15,8 +15,9 @@
 //! - [`stats`]: streaming histograms with percentile queries, counters.
 //! - [`resource`]: discrete-event resources (CPU cores, an I/O device with
 //!   queue-depth-dependent latency) used by the coroutine scheduler.
-//! - [`fault`]: crash-injection plans consulted by every durable device,
-//!   for recovery testing.
+//! - [`fault`]: the two durable-write shapes (an append-only log file, a
+//!   whole-file publish) and the crash-injection plans they consult, for
+//!   recovery testing.
 
 pub mod cost;
 pub mod fault;
@@ -26,7 +27,7 @@ pub mod stats;
 pub mod time;
 
 pub use cost::{CostModel, CpuCost, DeviceClass, DeviceCost};
-pub use fault::{FaultDecision, FaultPlan};
+pub use fault::FaultPlan;
 pub use rng::{KeyDistribution, Pcg64, Zipfian};
 pub use stats::{Counter, Histogram};
 pub use time::{SimDuration, SimInstant, Timeline};

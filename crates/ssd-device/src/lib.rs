@@ -11,12 +11,11 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sim::fault::{self, FaultDecision, FaultPlan};
+use sim::fault::{self, FaultPlan};
 use sim::{CostModel, Counter, SimDuration, Timeline};
 
 /// Shared SSD statistics.
@@ -108,16 +107,13 @@ impl SsdDevice {
         let dir = dir.into();
         let io_err = |e: std::io::Error| SsdError::Io(e.to_string());
         fs::create_dir_all(&dir).map_err(io_err)?;
+        // Un-renamed debris from a crashed finish(): no object there
+        // was ever acknowledged.
+        fault::sweep_tmp(&dir).map_err(io_err)?;
         let mut objects = BTreeMap::new();
         for entry in fs::read_dir(&dir).map_err(io_err)? {
             let entry = entry.map_err(io_err)?;
             let name = entry.file_name().to_string_lossy().into_owned();
-            if name.ends_with(".tmp") {
-                // Un-renamed debris from a crashed finish(): the object
-                // was never acknowledged, so discard it.
-                let _ = fs::remove_file(entry.path());
-                continue;
-            }
             let data = fs::read(entry.path()).map_err(io_err)?;
             objects.insert(name, Arc::new(data));
         }
@@ -253,29 +249,10 @@ impl SsdWriter {
         tl.charge(self.device.cost.ssd.persist);
         let size = self.data.len() as u64;
         if let Some(dir) = &self.device.backing {
-            // tmp + atomic rename: a crash mid-write leaves ignorable
-            // `.tmp` debris; an object file that exists is complete.
-            let io_err = |e: std::io::Error| SsdError::Io(e.to_string());
-            let tmp = dir.join(format!("{}.tmp", self.name));
-            match fault::check_write(&self.device.fault, self.data.len()) {
-                FaultDecision::Allow => {
-                    let mut f = fs::File::create(&tmp).map_err(io_err)?;
-                    f.write_all(&self.data).map_err(io_err)?;
-                    f.sync_data().map_err(io_err)?;
-                    drop(f);
-                    fs::rename(&tmp, dir.join(&self.name)).map_err(io_err)?;
-                }
-                FaultDecision::Deny { keep_prefix } => {
-                    if keep_prefix > 0 {
-                        let torn = &self.data[..keep_prefix.min(self.data.len())];
-                        let _ = fs::write(&tmp, torn);
-                    }
-                    return Err(SsdError::Io(format!(
-                        "crash injected: finish of {}",
-                        self.name
-                    )));
-                }
-            }
+            // A crash mid-write leaves `.tmp` debris; an object file
+            // that exists is complete.
+            fault::publish(&self.device.fault, &dir.join(&self.name), &[&self.data])
+                .map_err(|e| SsdError::Io(format!("finish of {}: {e}", self.name)))?;
         }
         let mut objects = self.device.objects.lock();
         if objects.contains_key(&self.name) {
