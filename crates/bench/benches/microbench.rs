@@ -190,6 +190,7 @@ fn bench_scan_merge(c: &mut Criterion) {
             }
             writer.finish(&mut Timeline::new()).unwrap()
         })
+        .map(|(table, _)| table)
         .collect();
     let cache = pm_blade::PmGroupCache::new(4 << 20);
     let starts: Vec<&[u8]> = all.iter().step_by(97).map(|e| &e.user_key[..]).collect();
@@ -226,7 +227,7 @@ fn bench_scan_merge(c: &mut Criterion) {
             let sink = |e: pmtable::EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
             merge_into(cursors.collect(), false, &cost, &errors, &mut tl, sink).unwrap();
             let run = writer.finish(&mut tl).unwrap();
-            run.iter().for_each(|table| pool.free(table.region));
+            run.iter().for_each(|(table, _)| pool.free(table.region));
             run.len()
         })
     });

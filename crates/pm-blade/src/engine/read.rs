@@ -78,12 +78,12 @@ impl DbCore {
                 // order: filters, then cache-served probes, then
                 // probes that decoded groups from PM.
                 let mut cursor = pm_from;
-                if probe.filter_checked > 0 {
+                if probe.filter_lookups > 0 {
                     s.stage_counts(
                         SpanKind::FilterConsult,
                         cursor,
                         cursor + probe.filter_nanos,
-                        probe.filter_checked,
+                        probe.filter_lookups,
                         probe.filter_useful,
                     );
                     cursor += probe.filter_nanos;
@@ -160,13 +160,14 @@ impl DbCore {
         })
     }
 
-    /// Fold one PM-L0 probe's filter/probe outcome into the global
-    /// counters and the tables-probed-per-get distribution.
+    /// Fold one PM-L0 probe's sketch/filter/probe outcome into the
+    /// global counters and the tables-probed-per-get distribution.
     fn note_probe_stats(&self, probe: &ProbeStats) {
         self.metrics
             .pm_tables_probed
             .record_nanos(probe.tables_probed);
-        if probe.filter_checked > 0 {
+        if probe.filter_lookups > 0 {
+            self.metrics.pm_sketch_probes.add(probe.sketch_probes);
             self.metrics.pm_filter_checked.add(probe.filter_checked);
             self.metrics.pm_filter_useful.add(probe.filter_useful);
             self.metrics
@@ -175,8 +176,8 @@ impl DbCore {
         }
     }
 
-    /// The observed bloom-filter prune ratio: the fraction of filter
-    /// checks that skipped a table probe. Feeds the filtered Eq 1
+    /// The observed prune ratio: the fraction of per-table sketch and
+    /// filter verdicts that skipped a table probe. Feeds the filtered Eq 1
     /// (pruned probes cost ~nothing, so internal compaction can wait).
     pub(super) fn filter_prune_ratio(&self) -> f64 {
         let checked = self.metrics.pm_filter_checked.get();

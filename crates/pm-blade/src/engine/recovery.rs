@@ -20,7 +20,7 @@ use super::wal_ring::{wal_segment_file, SealedSegment, WalRing};
 use super::{DbCore, DbError};
 use crate::commit::{CommitMetrics, Committer};
 use crate::groupcache::PmGroupCache;
-use crate::handle::{reopen_pm_table, CacheIds, PmTableHandle, SsTableHandle};
+use crate::handle::{reopen_pm_table, CacheIds, KeyHashes, PmTableHandle, SsTableHandle};
 use crate::maintenance::{MaintenanceShared, QueueMetrics};
 use crate::manifest::{Manifest, PartitionVersion, SsdMeta, VersionEdit};
 use crate::options::{MaintenanceMode, Mode, Options};
@@ -32,8 +32,13 @@ use crate::telemetry::{EventRing, MetricKey, MetricsRegistry, Tracer};
 /// which bounds how much of the log an open replays.
 const MANIFEST_SNAPSHOT_EVERY: u64 = 64;
 
-/// Reopen one PM region as a level-0 table handle (recovery path).
-fn recover_pm_handle(pool: &PmPool, id: u64, ids: &CacheIds) -> Result<PmTableHandle, DbError> {
+/// Reopen one PM region as a level-0 table handle, with the hashes of
+/// its keys (recovery path).
+fn recover_pm_handle(
+    pool: &PmPool,
+    id: u64,
+    ids: &CacheIds,
+) -> Result<(PmTableHandle, KeyHashes), DbError> {
     let region = pool.get(id).ok_or_else(|| {
         DbError::Corrupt(format!(
             "manifest names PM region {id} but the pool does not hold it"
@@ -99,15 +104,15 @@ fn rebuild_partition(
                 _ => Ok(()),
             };
             for (idx, &id) in version.unsorted.iter().enumerate() {
-                let h = recover_pm_handle(pool, id, cache_ids)?;
+                let (h, key_hashes) = recover_pm_handle(pool, id, cache_ids)?;
                 check_codec(idx, &h)?;
                 max_seq = max_seq.max(h.max_seq);
-                l0.push_unsorted(h);
+                l0.push_unsorted(h, &key_hashes);
                 count += 1;
             }
             let mut run = Vec::with_capacity(version.sorted.len());
             for (idx, &id) in version.sorted.iter().enumerate() {
-                let h = recover_pm_handle(pool, id, cache_ids)?;
+                let (h, _) = recover_pm_handle(pool, id, cache_ids)?;
                 check_codec(version.unsorted.len() + idx, &h)?;
                 max_seq = max_seq.max(h.max_seq);
                 run.push(h);

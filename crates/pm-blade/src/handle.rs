@@ -3,6 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use encoding::bloom::BloomFilter;
 use encoding::key::SequenceNumber;
 use pm_device::{PmError, PmPool, PmRegion, RegionId};
 use pmtable::{
@@ -120,7 +121,7 @@ impl std::fmt::Debug for SsTableHandle {
 /// No compaction calls this any more: they stream through
 /// [`crate::cursor::MergingIter`]. It stays as the reference the
 /// streamed merges are tested against, and because the repo benchmark's
-/// ladder measures it by name (ROADMAP item 1a retires both together).
+/// ladder measures it by name (ROADMAP item 2(a) retires both together).
 pub fn merge_dedup(
     mut sources: Vec<Vec<OwnedEntry>>,
     drop_tombstones: bool,
@@ -153,37 +154,48 @@ pub fn merge_dedup(
     out
 }
 
-/// The handle of a PM table in `region`: one just published, or one
-/// recovered (manifest replay). The region payload is self-describing;
-/// `first`/`last` are re-derived from it, and so is `max_seq` when the
-/// caller does not know it — by a full sequential pass, which ticks the
-/// PM device's read counters, so a build passes what it saw go in. A
-/// group that does not decode fails the reopen: the sequences behind it
-/// would go unseen. A fresh `cache_id` is minted — the group-decode
-/// cache starts empty after a restart, so no aliasing is possible.
+/// The [`BloomFilter::hashes`] of a PM table's distinct user keys, what
+/// the level-0 key sketch is filled from; empty for a table without a
+/// filter.
+pub type KeyHashes = Vec<(u64, u64)>;
+
+/// The handle of a PM table in `region`, with its [`KeyHashes`]: one
+/// just published, or one recovered (manifest replay). The region
+/// payload is self-describing; `first`/`last` are re-derived from it,
+/// and so are `max_seq` and the hashes when the caller does not know
+/// them — by a full sequential pass, which ticks the PM device's read
+/// counters, so a build passes what it saw go in. A group that does not
+/// decode fails the reopen: the sequences behind it would go unseen. A
+/// fresh `cache_id` is minted — the group-decode cache starts empty
+/// after a restart, so no aliasing is possible.
 pub fn reopen_pm_table(
     region: PmRegion,
-    max_seq: Option<SequenceNumber>,
+    built: Option<(SequenceNumber, KeyHashes)>,
     ids: &CacheIds,
-) -> Result<PmTableHandle, String> {
+) -> Result<(PmTableHandle, KeyHashes), String> {
     let (region_id, bytes) = (region.id(), region.len());
     let corrupt = |e: PmTableError| format!("region {region_id}: {e}");
     let table = PmTable::open(region).map_err(corrupt)?;
     let empty = || format!("region {region_id}: empty table");
-    let max_seq = match max_seq {
-        Some(seq) => seq,
+    let (max_seq, hashes) = match built {
+        Some(known) => known,
         None => {
-            let (mut seq, mut tl) = (0, Timeline::new());
+            let (mut seq, mut hashes, mut tl) = (0, Vec::new(), Timeline::new());
             let mut cursor = table.sequential_cursor::<NoGroupCache>();
             cursor.seek(b"", &mut tl).map_err(corrupt)?;
             while let Some(e) = cursor.current() {
                 seq = seq.max(e.seq);
+                // A key's versions are adjacent: one pair per key.
+                let key = table.has_filter().then(|| BloomFilter::hashes(e.user_key));
+                if let Some(key) = key.filter(|key| hashes.last() != Some(key)) {
+                    hashes.push(key);
+                }
                 cursor.advance(&mut tl).map_err(corrupt)?;
             }
-            seq
+            (seq, hashes)
         }
     };
-    Ok(PmTableHandle {
+    let handle = PmTableHandle {
         first: table.first_user_key().ok_or_else(empty)?.into(),
         last: table.last_user_key().ok_or_else(empty)?.into(),
         entries: table.entry_count(),
@@ -193,7 +205,8 @@ pub fn reopen_pm_table(
         region: region_id,
         bytes,
         cache_id: ids.next(),
-    })
+    };
+    Ok((handle, hashes))
 }
 
 /// The PM sink of a compaction: sorted entries in, a run of PM tables
@@ -223,7 +236,7 @@ pub struct PmRunWriter<'a> {
     builder: PmTableBuilder,
     /// Largest sequence in `builder`.
     max_seq: SequenceNumber,
-    done: Vec<PmTableHandle>,
+    done: Vec<(PmTableHandle, KeyHashes)>,
 }
 
 impl<'a> PmRunWriter<'a> {
@@ -256,16 +269,17 @@ impl<'a> PmRunWriter<'a> {
             let codec = select_codec(&builder.shape(), &opts.codec_costs, &opts.cost);
             builder.set_codec(codec);
         }
-        let (bytes, _stats) = builder.finish(&opts.cost, tl);
+        let (bytes, _stats, hashes) = builder.finish_hashed(&opts.cost, tl);
         let region = self.pool.publish(bytes, tl)?;
-        let max_seq = Some(std::mem::take(&mut self.max_seq));
-        let table = reopen_pm_table(region, max_seq, self.ids);
+        let built = Some((std::mem::take(&mut self.max_seq), hashes));
+        let table = reopen_pm_table(region, built, self.ids);
         self.done.push(table.expect("just-built table parses"));
         Ok(())
     }
 
-    /// Publish the last table and hand the run over.
-    pub fn finish(mut self, tl: &mut Timeline) -> Result<Vec<PmTableHandle>, PmError> {
+    /// Publish the last table and hand the run over, each table with its
+    /// [`KeyHashes`].
+    pub fn finish(mut self, tl: &mut Timeline) -> Result<Vec<(PmTableHandle, KeyHashes)>, PmError> {
         if self.builder.entry_count() > 0 {
             self.cut(tl)?;
         }
@@ -303,7 +317,7 @@ pub(crate) mod tests {
         for e in entries {
             writer.add(e.as_ref(), tl)?;
         }
-        writer.finish(tl)
+        Ok(writer.finish(tl)?.into_iter().map(|(h, _)| h).collect())
     }
 
     fn e(k: &str, seq: u64, v: &str) -> OwnedEntry {
@@ -537,8 +551,37 @@ pub(crate) mod tests {
         assert_eq!(t[0].codec, pmtable::CODEC_PREFIX);
         // Reopen preserves the dominant codec (regions self-describe).
         let region = pool.get(coded[0].region).unwrap();
-        let reopened = reopen_pm_table(region, None, &ids).unwrap();
+        let (reopened, _) = reopen_pm_table(region, None, &ids).unwrap();
         assert_eq!(reopened.codec, coded[0].codec);
+    }
+
+    #[test]
+    fn a_reopen_hashes_the_keys_the_build_hashed() {
+        let cost = CostModel::default();
+        let pool = PmPool::new(1 << 20, cost);
+        let pm_table = PmTableOptions {
+            filter_bits_per_key: 10,
+            ..PmTableOptions::default()
+        };
+        let opts = Options {
+            pm_table,
+            ..Options::default()
+        };
+        let ids = CacheIds::new();
+        let mut writer = PmRunWriter::new(&opts, usize::MAX, &pool, &ids);
+        let mut tl = Timeline::new();
+        // Two versions of every key: one hash pair per key.
+        for i in 0..200u64 {
+            for seq in [2 * i + 2, 2 * i + 1] {
+                let entry = e(&format!("key{i:04}"), seq, "v");
+                writer.add(entry.as_ref(), &mut tl).unwrap();
+            }
+        }
+        let [(built, hashes)] = writer.finish(&mut tl).unwrap().try_into().unwrap();
+        assert_eq!(hashes.len(), 200);
+        let region = pool.get(built.region).unwrap();
+        let (reopened, rehashed) = reopen_pm_table(region, None, &ids).unwrap();
+        assert_eq!((reopened.max_seq, rehashed), (400, hashes));
     }
 
     #[test]
@@ -560,8 +603,8 @@ pub(crate) mod tests {
         let region = pool.publish(bytes, &mut Timeline::new()).unwrap();
         let id = region.id();
         let ids = CacheIds::new();
-        let with_known_seq = reopen_pm_table(region.clone(), Some(400), &ids);
-        assert_eq!(with_known_seq.unwrap().max_seq, 400);
+        let with_known_seq = reopen_pm_table(region.clone(), Some((400, Vec::new())), &ids);
+        assert_eq!(with_known_seq.unwrap().0.max_seq, 400);
         assert_eq!(
             reopen_pm_table(region, None, &ids).unwrap_err(),
             format!("region {id}: pm table: corrupt group block")

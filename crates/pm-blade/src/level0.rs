@@ -8,13 +8,26 @@
 //! - the **sorted run** — the output of the last internal compaction:
 //!   tables ordered and non-overlapping, so a read touches at most one.
 //!
-//! Two read accelerators sit in front of the table probes:
+//! Three read accelerators sit in front of the table probes:
 //!
-//! - each table's **bloom filter** (built at flush time when
-//!   `pm_filter_bits_per_key > 0`) is consulted before the table is
-//!   searched, so most unsorted tables that merely *straddle* a key's
-//!   range are skipped without touching their meta layer; a get hashes
-//!   its key once and probes every filter with the same pair;
+//! - the **key sketch** answers "which unsorted tables hold this key"
+//!   with one lookup, so a get's level-0 cost does not grow with the
+//!   unsorted-table count. It maps a key's [`BloomFilter::hashes`]
+//!   fingerprint to a `u64` mask of the (up to 64) oldest unsorted
+//!   tables that hold it; a get then probes only the masked tables,
+//!   newest first. It exists when PM filters are on
+//!   (`pm_filter_bits_per_key > 0`), because it is filled from the
+//!   hashes a table build already computes for its filter — at flush,
+//!   with no build charge of its own, as the filter has none — and at
+//!   open from the pass that finds each table's largest sequence. A
+//!   lookup is charged one DRAM random read per 64-byte line it touches
+//!   (16-byte slots, four to a line; at most 3/4 full, so about one
+//!   line). The slots cost 21–43 bytes of DRAM per distinct key
+//!   (16 bytes at a load between 3/8 and 3/4);
+//! - each table's **bloom filter** (built at flush time under the same
+//!   knob) is consulted before the sorted run's candidate table is
+//!   searched, and before any unsorted table the sketch does not cover
+//!   (a 65th table, or one pushed while an older one is uncovered);
 //! - the sorted run's **fence keys** (each handle's first/last user key)
 //!   locate the single candidate table with one binary search.
 //!
@@ -43,13 +56,19 @@ use crate::handle::PmTableHandle;
 pub struct ProbeStats {
     /// PM tables actually searched (meta layer touched).
     pub tables_probed: u64,
-    /// Bloom filters consulted.
+    /// Per-table verdicts: each unsorted table the key sketch ruled on,
+    /// plus each table whose own bloom filter was consulted.
     pub filter_checked: u64,
-    /// Probes skipped because the filter ruled the table out.
+    /// Verdicts that ruled a table out, skipping its probe.
     pub filter_useful: u64,
-    /// Filter said "maybe" but the table did not hold the key.
+    /// A verdict said "maybe" but the table did not hold the key.
     pub filter_false_positives: u64,
-    /// Virtual time spent consulting bloom filters.
+    /// Lookups actually made: the key sketch's, plus one per bloom
+    /// filter consulted.
+    pub filter_lookups: u64,
+    /// Key-sketch lookups (0 or 1 per get).
+    pub sketch_probes: u64,
+    /// Virtual time spent in those lookups.
     pub filter_nanos: u64,
     /// Group lookups served from the decode cache.
     pub decode_cache_hits: u64,
@@ -63,16 +82,94 @@ pub struct ProbeStats {
 }
 
 impl ProbeStats {
-    pub fn merge(&mut self, other: &ProbeStats) {
-        self.tables_probed += other.tables_probed;
-        self.filter_checked += other.filter_checked;
-        self.filter_useful += other.filter_useful;
-        self.filter_false_positives += other.filter_false_positives;
-        self.filter_nanos += other.filter_nanos;
-        self.decode_cache_hits += other.decode_cache_hits;
-        self.decode_cache_misses += other.decode_cache_misses;
-        self.decode_hit_nanos += other.decode_hit_nanos;
-        self.decode_miss_nanos += other.decode_miss_nanos;
+    /// One sketch or filter lookup that ruled on `tables` tables, `passed`
+    /// of which may hold the key, in `nanos` of virtual time.
+    fn rule(&mut self, tables: u64, passed: u64, nanos: u64) {
+        self.filter_lookups += 1;
+        self.filter_checked += tables;
+        self.filter_useful += tables - passed;
+        self.filter_nanos += nanos;
+    }
+}
+
+/// Unsorted tables one [`KeySketch`] mask covers.
+const SKETCH_TABLES: usize = u64::BITS as usize;
+
+/// Sketch slots per 64-byte cache line, the unit a lookup is charged in.
+const SLOTS_PER_LINE: usize = 4;
+
+/// Which of a version's oldest unsorted tables hold a key: an
+/// open-addressing (linear-probing) table from the key's fingerprint to
+/// a mask whose bit `i` stands for `unsorted[i]`. Keys that share a
+/// fingerprint share a slot, so a mask can name a table that lacks the
+/// key (one wasted probe) but never omits one that holds it.
+#[derive(Clone, Default)]
+struct KeySketch {
+    /// `[fingerprint, mask]`, fingerprint 0 marking an empty slot; a
+    /// power of two long and at most 3/4 full.
+    slots: Vec<[u64; 2]>,
+    used: usize,
+    /// Unsorted tables `[0, covered)` have every key in here.
+    covered: usize,
+}
+
+/// A key's sketch fingerprint, which also places it; never 0.
+fn fingerprint((h1, _): (u64, u64)) -> u64 {
+    h1.max(1)
+}
+
+impl KeySketch {
+    /// The slot holding `fingerprint`, or the empty one where it goes,
+    /// and the cache lines walked to find it.
+    fn slot(&self, fingerprint: u64) -> (usize, u64) {
+        let wrap = self.slots.len() - 1;
+        let (mut i, mut lines) = (fingerprint as usize & wrap, 1);
+        while self.slots[i][0] != 0 && self.slots[i][0] != fingerprint {
+            i = (i + 1) & wrap;
+            lines += u64::from(i % SLOTS_PER_LINE == 0);
+        }
+        (i, lines)
+    }
+
+    fn insert(&mut self, fingerprint: u64, mask: u64) {
+        let (i, _) = self.slot(fingerprint);
+        let [held, old] = self.slots[i];
+        self.used += usize::from(held == 0);
+        self.slots[i] = [fingerprint, old | mask];
+    }
+
+    /// Take in the next unsorted table by its [`crate::handle::KeyHashes`].
+    fn cover(&mut self, key_hashes: &[(u64, u64)]) {
+        let bit = 1 << self.covered;
+        for &hashes in key_hashes {
+            if 4 * (self.used + 1) > 3 * self.slots.len() {
+                self.rebuild(0, (2 * self.slots.len()).max(16));
+            }
+            self.insert(fingerprint(hashes), bit);
+        }
+        self.covered += 1;
+    }
+
+    /// Forget the `n` oldest unsorted tables.
+    fn drop_oldest(&mut self, n: usize) {
+        if n >= self.covered {
+            *self = KeySketch::default();
+        } else if n > 0 {
+            self.covered -= n;
+            self.rebuild(n as u32, self.slots.len());
+        }
+    }
+
+    /// Re-insert every key into `capacity` slots, its mask shifted down
+    /// by `shift` tables; a key left in no table goes.
+    fn rebuild(&mut self, shift: u32, capacity: usize) {
+        let old = std::mem::replace(&mut self.slots, vec![[0; 2]; capacity]);
+        self.used = 0;
+        for [fingerprint, mask] in old {
+            if mask >> shift != 0 {
+                self.insert(fingerprint, mask >> shift);
+            }
+        }
     }
 }
 
@@ -86,13 +183,16 @@ impl ProbeStats {
 /// frees their pool space. Whoever *mutates* level-0 pays instead, and
 /// only when a reader still holds the version being replaced: the two
 /// handle lists are copied — refcount bumps per handle, never table
-/// data or a key.
+/// data or a key — and so are the key sketch's slots, one `memcpy` of
+/// its [`L0Version::sketch_bytes`]. With no concurrent reader (one
+/// thread driving an Inline engine) nothing is ever copied.
 #[derive(Default, Clone)]
 pub struct L0Version {
     /// Oldest → newest; reads walk newest → oldest.
     unsorted: Vec<PmTableHandle>,
     /// Non-overlapping ascending run.
     sorted: Vec<PmTableHandle>,
+    sketch: KeySketch,
 }
 
 impl L0Version {
@@ -135,6 +235,11 @@ impl L0Version {
         self.tables().map(|h| h.entries).sum()
     }
 
+    /// DRAM the key sketch takes.
+    pub fn sketch_bytes(&self) -> usize {
+        std::mem::size_of_val(self.sketch.slots.as_slice())
+    }
+
     /// Index of the unique sorted-run table whose `[first, last]` range
     /// covers `user_key`, if any: binary search over the last-key
     /// fences, then one first-key comparison to reject a key in a gap.
@@ -154,39 +259,43 @@ impl L0Version {
         cache: Option<&PmGroupCache>,
         stats: &mut ProbeStats,
     ) -> Option<Lookup> {
-        // Hashed on the first filter consulted, then reused for every
-        // other: a key no table's range covers is never hashed.
+        // Hashed on the first filter or sketch consulted, then reused.
         let mut hashes = None;
         // Unsorted tables are mutually overlapping and flushed in
         // sequence order: walking newest→oldest, the first hit is the
-        // newest visible version.
-        for handle in self.unsorted.iter().rev() {
-            if !handle.overlaps_key(user_key) {
-                continue;
+        // newest visible version. Those past the sketch are the newest.
+        let covered = self.sketch.covered;
+        for handle in self.unsorted[covered..].iter().rev() {
+            if handle.overlaps_key(user_key) {
+                let hit = filtered_probe(handle, user_key, &mut hashes, snapshot, tl, cache, stats);
+                if hit.is_some() {
+                    return hit;
+                }
             }
-            let had_filter = handle.table.has_filter();
-            if had_filter && filter_rules_out(handle, user_key, &mut hashes, tl, stats) {
-                continue;
-            }
-            let hit = probe_table(handle, user_key, snapshot, tl, cache, stats);
-            if hit.is_some() {
-                return hit;
-            } else if had_filter {
+        }
+        if covered > 0 {
+            let before = tl.elapsed().as_nanos();
+            let key = *hashes.get_or_insert_with(|| BloomFilter::hashes(user_key));
+            let (slot, lines) = self.sketch.slot(fingerprint(key));
+            let mut mask = self.sketch.slots[slot][1];
+            tl.charge(self.unsorted[0].table.cost_model().dram.random_read(64) * lines);
+            stats.sketch_probes += 1;
+            let nanos = tl.elapsed().as_nanos() - before;
+            stats.rule(covered as u64, mask.count_ones().into(), nanos);
+            while mask != 0 {
+                let newest = (u64::BITS - 1 - mask.leading_zeros()) as usize;
+                mask ^= 1 << newest;
+                let hit = probe_table(&self.unsorted[newest], user_key, snapshot, tl, cache, stats);
+                if hit.is_some() {
+                    return hit;
+                }
                 stats.filter_false_positives += 1;
             }
         }
         // Sorted run: the fence keys name the only table that can
         // contain the key (or prove none does).
         let handle = &self.sorted[self.locate(user_key)?];
-        let had_filter = handle.table.has_filter();
-        if had_filter && filter_rules_out(handle, user_key, &mut hashes, tl, stats) {
-            return None;
-        }
-        let hit = probe_table(handle, user_key, snapshot, tl, cache, stats);
-        if hit.is_none() && had_filter {
-            stats.filter_false_positives += 1;
-        }
-        hit
+        filtered_probe(handle, user_key, &mut hashes, snapshot, tl, cache, stats)
     }
 
     /// The `limit` *oldest* tables, as (sorted-run tables, unsorted
@@ -251,9 +360,20 @@ impl PmLevel0 {
         Arc::clone(&self.current)
     }
 
-    /// Register a fresh minor-compaction output.
-    pub fn push_unsorted(&mut self, handle: PmTableHandle) {
-        Arc::make_mut(&mut self.current).unsorted.push(handle);
+    /// Register a fresh minor-compaction output with its
+    /// [`crate::handle::KeyHashes`]. The key sketch takes it in when it
+    /// covers every older unsorted table and has a bit left; otherwise
+    /// the table's own filter guards its probes.
+    pub fn push_unsorted(&mut self, handle: PmTableHandle, key_hashes: &[(u64, u64)]) {
+        let next = Arc::make_mut(&mut self.current);
+        let sketch = &mut next.sketch;
+        if sketch.covered == next.unsorted.len()
+            && sketch.covered < SKETCH_TABLES
+            && !key_hashes.is_empty()
+        {
+            sketch.cover(key_hashes);
+        }
+        next.unsorted.push(handle);
     }
 
     /// Install a sorted run directly (tests and recovery); nothing is
@@ -270,6 +390,7 @@ impl PmLevel0 {
         let (run, unsorted) = self.oldest(limit);
         let (take_sorted, take_unsorted) = (run.len(), unsorted.len());
         let next = Arc::make_mut(&mut self.current);
+        next.sketch.drop_oldest(take_unsorted);
         let detached = next.sorted.drain(..take_sorted);
         let detached = detached.chain(next.unsorted.drain(..take_unsorted));
         detached.map(|h| (h.region, h.cache_id)).unzip()
@@ -286,8 +407,8 @@ impl PmLevel0 {
     ) -> (usize, Vec<RegionId>, Vec<u64>) {
         debug_assert!(run.windows(2).all(|w| w[0].last < w[1].first));
         let next = L0Version {
-            unsorted: Vec::new(),
             sorted: run,
+            ..L0Version::default()
         };
         let old = std::mem::replace(&mut self.current, Arc::new(next));
         let (regions, cache_ids) = old.tables().map(|h| (h.region, h.cache_id)).unzip();
@@ -337,50 +458,52 @@ fn probe_table(
     hit
 }
 
-/// Consult a table's bloom filter (when it has one). Returns `true` when
-/// the filter proves the key absent and the probe can be skipped.
-fn filter_rules_out(
+/// Search one table behind its own bloom filter, when it has one: the
+/// sorted run's candidate, or an unsorted table the sketch does not
+/// cover.
+fn filtered_probe(
     handle: &PmTableHandle,
     user_key: &[u8],
     hashes: &mut Option<(u64, u64)>,
+    snapshot: SequenceNumber,
     tl: &mut Timeline,
+    cache: Option<&PmGroupCache>,
     stats: &mut ProbeStats,
-) -> bool {
-    let hashes = *hashes.get_or_insert_with(|| BloomFilter::hashes(user_key));
-    let before = tl.elapsed().as_nanos();
-    let verdict = handle.table.filter_may_contain(hashes, tl);
-    stats.filter_nanos += tl.elapsed().as_nanos().saturating_sub(before);
-    match verdict {
-        Some(may_contain) => {
-            stats.filter_checked += 1;
-            if may_contain {
-                false
-            } else {
-                stats.filter_useful += 1;
-                true
-            }
+) -> Option<Lookup> {
+    let filtered = handle.table.has_filter();
+    if filtered {
+        let key = *hashes.get_or_insert_with(|| BloomFilter::hashes(user_key));
+        let before = tl.elapsed().as_nanos();
+        let may_contain = handle.table.filter_may_contain(key, tl) == Some(true);
+        stats.rule(1, may_contain.into(), tl.elapsed().as_nanos() - before);
+        if !may_contain {
+            return None;
         }
-        None => false,
     }
+    let hit = probe_table(handle, user_key, snapshot, tl, cache, stats);
+    stats.filter_false_positives += u64::from(filtered && hit.is_none());
+    hit
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::costmodel::CodecCostTable;
     use crate::cursor::tests::drain;
-    use crate::handle::tests::build_pm_tables;
-    use crate::handle::CacheIds;
+    use crate::handle::{CacheIds, KeyHashes, PmRunWriter};
+    use crate::options::Options;
     use pm_device::PmPool;
     use pmtable::{OwnedEntry, PmTableOptions};
+    use proptest::collection::{btree_set, vec};
+    use proptest::prelude::*;
     use sim::CostModel;
+    use std::collections::BTreeSet;
 
     fn entry(k: &str, seq: u64, v: &str) -> OwnedEntry {
         OwnedEntry::value(k.as_bytes().to_vec(), seq, v.as_bytes().to_vec())
     }
 
     fn table(pool: &PmPool, entries: Vec<OwnedEntry>) -> PmTableHandle {
-        table_opts(pool, entries, PmTableOptions::default())
+        table_opts(pool, entries, PmTableOptions::default()).0
     }
 
     /// What an internal compaction does in production (`partition.rs` +
@@ -398,46 +521,53 @@ mod tests {
         (released, cache_ids)
     }
 
-    fn filtered_table(pool: &PmPool, entries: Vec<OwnedEntry>) -> PmTableHandle {
-        table_opts(
-            pool,
-            entries,
-            PmTableOptions {
-                filter_bits_per_key: 10,
-                ..Default::default()
-            },
-        )
+    /// A table with a bloom filter, and the key hashes the sketch takes.
+    fn filtered_table(pool: &PmPool, entries: Vec<OwnedEntry>) -> (PmTableHandle, KeyHashes) {
+        let opts = PmTableOptions {
+            filter_bits_per_key: 10,
+            ..Default::default()
+        };
+        table_opts(pool, entries, opts)
     }
 
-    fn table_opts(pool: &PmPool, entries: Vec<OwnedEntry>, opts: PmTableOptions) -> PmTableHandle {
-        let cost = CostModel::default();
+    fn table_opts(
+        pool: &PmPool,
+        entries: Vec<OwnedEntry>,
+        pm_table: PmTableOptions,
+    ) -> (PmTableHandle, KeyHashes) {
         let mut sorted = entries;
         sorted.sort_by(|a, b| a.internal_cmp(b));
+        let opts = Options {
+            pm_table,
+            ..Options::default()
+        };
+        let ids = CacheIds::new();
+        let mut writer = PmRunWriter::new(&opts, usize::MAX, pool, &ids);
         let mut tl = Timeline::new();
-        build_pm_tables(
-            &sorted,
-            opts,
-            &CodecCostTable::default(),
-            usize::MAX,
-            pool,
-            &CacheIds::new(),
-            &cost,
-            &mut tl,
-        )
-        .unwrap()
-        .pop()
-        .unwrap()
+        for e in &sorted {
+            writer.add(e.as_ref(), &mut tl).unwrap();
+        }
+        writer.finish(&mut tl).unwrap().pop().unwrap()
+    }
+
+    fn push_filtered(l0: &mut PmLevel0, pool: &PmPool, entries: Vec<OwnedEntry>) {
+        let (table, key_hashes) = filtered_table(pool, entries);
+        l0.push_unsorted(table, &key_hashes);
     }
 
     fn pool() -> std::sync::Arc<PmPool> {
         PmPool::new(8 << 20, CostModel::default())
     }
 
-    /// Uncached point lookup at `snapshot`, returning the value.
-    fn get(v: &L0Version, key: &[u8], snapshot: u64) -> Option<Vec<u8>> {
+    /// Uncached point lookup at `snapshot`.
+    fn get_lookup(v: &L0Version, key: &[u8], snapshot: u64) -> Option<Lookup> {
         let mut stats = ProbeStats::default();
         v.get(key, snapshot, &mut Timeline::new(), None, &mut stats)
-            .map(|hit| hit.value)
+    }
+
+    /// [`get_lookup`], returning the value.
+    fn get(v: &L0Version, key: &[u8], snapshot: u64) -> Option<Vec<u8>> {
+        get_lookup(v, key, snapshot).map(|hit| hit.value)
     }
 
     #[test]
@@ -452,8 +582,8 @@ mod tests {
     fn newest_unsorted_table_shadows_older() {
         let pool = pool();
         let mut l0 = PmLevel0::new();
-        l0.push_unsorted(table(&pool, vec![entry("k", 1, "old")]));
-        l0.push_unsorted(table(&pool, vec![entry("k", 9, "new")]));
+        l0.push_unsorted(table(&pool, vec![entry("k", 1, "old")]), &[]);
+        l0.push_unsorted(table(&pool, vec![entry("k", 9, "new")]), &[]);
         assert_eq!(get(&l0, b"k", u64::MAX).unwrap(), b"new");
         // Snapshot below the newer version falls through to the older
         // table.
@@ -468,7 +598,7 @@ mod tests {
             table(&pool, vec![entry("a", 1, "1"), entry("c", 2, "2")]),
             table(&pool, vec![entry("m", 3, "3"), entry("z", 4, "4")]),
         ]);
-        l0.push_unsorted(table(&pool, vec![entry("b", 9, "fresh")]));
+        l0.push_unsorted(table(&pool, vec![entry("b", 9, "fresh")]), &[]);
         assert_eq!(get(&l0, b"m", u64::MAX).unwrap(), b"3");
         assert_eq!(get(&l0, b"b", u64::MAX).unwrap(), b"fresh");
         assert!(get(&l0, b"q", u64::MAX).is_none());
@@ -480,8 +610,8 @@ mod tests {
     fn replace_with_sorted_frees_old_space() {
         let pool = pool();
         let mut l0 = PmLevel0::new();
-        l0.push_unsorted(table(&pool, vec![entry("a", 1, "x")]));
-        l0.push_unsorted(table(&pool, vec![entry("a", 2, "y")]));
+        l0.push_unsorted(table(&pool, vec![entry("a", 1, "x")]), &[]);
+        l0.push_unsorted(table(&pool, vec![entry("a", 2, "y")]), &[]);
         let before = pool.used();
         assert!(before > 0);
         let run = vec![table(&pool, vec![entry("a", 2, "y")])];
@@ -498,7 +628,7 @@ mod tests {
     fn clear_releases_everything() {
         let pool = pool();
         let mut l0 = PmLevel0::new();
-        l0.push_unsorted(table(&pool, vec![entry("a", 1, "x")]));
+        l0.push_unsorted(table(&pool, vec![entry("a", 1, "x")]), &[]);
         l0.set_sorted_run(vec![table(&pool, vec![entry("b", 2, "y")])]);
         let (released, retired) = replace_and_free(&mut l0, Vec::new(), &pool);
         assert!(released > 0);
@@ -521,7 +651,10 @@ mod tests {
             table(1, vec![entry("a", 1, "1"), entry("c", 2, "2")]),
             table(2, vec![entry("m", 3, "3"), entry("z", 4, "4")]),
         ]);
-        l0.push_unsorted(table(3, vec![entry("b", 8, "b"), entry("c", 9, "new")]));
+        l0.push_unsorted(
+            table(3, vec![entry("b", 8, "b"), entry("c", 9, "new")]),
+            &[],
+        );
         let scan = |start: &[u8], end: Option<&'static [u8]>| -> Vec<(Vec<u8>, Vec<u8>)> {
             let rows = drain(
                 l0.cursors(usize::MAX, end, Some(&cache)).collect(),
@@ -576,16 +709,16 @@ mod tests {
     fn taking_a_version_never_copies() {
         let pool = pool();
         let mut l0 = PmLevel0::new();
-        l0.push_unsorted(table(&pool, vec![entry("k", 1, "v")]));
+        l0.push_unsorted(table(&pool, vec![entry("k", 1, "v")]), &[]);
         // Two reads with no mutation between them share one table set.
         assert!(Arc::ptr_eq(&l0.version(), &l0.version()));
         // With no reader holding the version, a mutation edits it in
         // place; with one, the mutation copies and the reader's stays.
         let published = Arc::as_ptr(&l0.version());
-        l0.push_unsorted(table(&pool, vec![entry("k", 2, "w")]));
+        l0.push_unsorted(table(&pool, vec![entry("k", 2, "w")]), &[]);
         assert_eq!(Arc::as_ptr(&l0.version()), published);
         let held = l0.version();
-        l0.push_unsorted(table(&pool, vec![entry("k", 3, "x")]));
+        l0.push_unsorted(table(&pool, vec![entry("k", 3, "x")]), &[]);
         assert!(!Arc::ptr_eq(&held, &l0.version()));
         assert_eq!(held.unsorted_count(), 2);
         assert_eq!(l0.unsorted_count(), 3);
@@ -606,7 +739,7 @@ mod tests {
         let cases: [(&str, Mutation, Option<&str>, Option<&str>); 6] = [
             (
                 "push_unsorted",
-                Box::new(|l0| l0.push_unsorted(table(&pool, vec![entry("u", 9, "u-new")]))),
+                Box::new(|l0| push_filtered(l0, &pool, vec![entry("u", 9, "u-new")])),
                 Some("u-new"),
                 Some("s-old"),
             ),
@@ -644,7 +777,7 @@ mod tests {
         ];
         for (name, mutate, live_u, live_s) in cases {
             let mut l0 = PmLevel0::new();
-            l0.push_unsorted(table(&pool, vec![entry("u", 1, "u-old")]));
+            push_filtered(&mut l0, &pool, vec![entry("u", 1, "u-old")]);
             l0.set_sorted_run(run("s-old"));
             let held = l0.version();
             mutate(&mut l0);
@@ -663,19 +796,15 @@ mod tests {
         let pool = pool();
         let mut l0 = PmLevel0::new();
         // Two wide unsorted tables that both straddle the probe key.
-        l0.push_unsorted(filtered_table(
-            &pool,
-            vec![entry("a", 1, "1"), entry("z", 2, "2")],
-        ));
-        l0.push_unsorted(filtered_table(
-            &pool,
-            vec![entry("b", 3, "3"), entry("y", 4, "4")],
-        ));
+        push_filtered(&mut l0, &pool, vec![entry("a", 1, "1"), entry("z", 2, "2")]);
+        push_filtered(&mut l0, &pool, vec![entry("b", 3, "3"), entry("y", 4, "4")]);
         let snap = l0.version();
         let mut tl = Timeline::new();
         let mut stats = ProbeStats::default();
         let miss = snap.get(b"mmm", u64::MAX, &mut tl, None, &mut stats);
         assert!(miss.is_none());
+        // One sketch lookup rules on both tables.
+        assert_eq!((stats.filter_lookups, stats.sketch_probes), (1, 1));
         assert_eq!(stats.filter_checked, 2);
         assert_eq!(
             stats.filter_useful + stats.filter_false_positives,
@@ -698,12 +827,8 @@ mod tests {
         let pool = pool();
         let cache = PmGroupCache::new(1 << 20);
         let mut l0 = PmLevel0::new();
-        l0.push_unsorted(filtered_table(
-            &pool,
-            (0..64)
-                .map(|i| entry(&format!("k{i:04}"), i + 1, "v"))
-                .collect(),
-        ));
+        let entries = (0..64).map(|i| entry(&format!("k{i:04}"), i + 1, "v"));
+        push_filtered(&mut l0, &pool, entries.collect());
         let snap = l0.version();
         let mut stats = ProbeStats::default();
         let mut cold_tl = Timeline::new();
@@ -718,5 +843,127 @@ mod tests {
             warm_tl.elapsed() < cold_tl.elapsed(),
             "cached group read must be cheaper than a PM decode"
         );
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// An unsorted table of `(key, tombstone)` entries, each a new
+        /// version; with a filter (so the sketch can take it) or without.
+        Push(Vec<(u8, bool)>, bool),
+        Detach(usize),
+        SetRun(BTreeSet<u8>),
+        Replace(BTreeSet<u8>),
+        /// Keep the live version and what it answers now.
+        Hold,
+    }
+
+    const KEYS: u8 = 24;
+
+    fn key(k: u8) -> Vec<u8> {
+        format!("k{k:02}").into_bytes()
+    }
+
+    /// One entry in five a tombstone; with `unfiltered`, one table in
+    /// ten has no filter.
+    fn push_op(unfiltered: bool) -> impl Strategy<Value = Op> {
+        let entries = vec((0..KEYS, 0u8..5), 1..12);
+        (entries, 0u8..10).prop_map(move |(entries, one_in_ten)| {
+            let entries = entries.into_iter().map(|(k, t)| (k, t == 0)).collect();
+            Op::Push(entries, !unfiltered || one_in_ten != 0)
+        })
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            12 => push_op(true),
+            1 => (1usize..4).prop_map(Op::Detach),
+            1 => btree_set(0..KEYS, 1..8).prop_map(Op::SetRun),
+            1 => btree_set(0..KEYS, 0..8).prop_map(Op::Replace),
+            2 => Just(Op::Hold),
+        ]
+    }
+
+    /// A table of `entries`, each with the next sequence.
+    fn build(
+        pool: &PmPool,
+        seq: &mut u64,
+        entries: &[(u8, bool)],
+        filtered: bool,
+    ) -> (PmTableHandle, KeyHashes) {
+        let entries = entries.iter().map(|&(k, tombstone)| {
+            *seq += 1;
+            match tombstone {
+                true => OwnedEntry::tombstone(key(k), *seq),
+                false => OwnedEntry::value(key(k), *seq, seq.to_le_bytes().to_vec()),
+            }
+        });
+        let opts = PmTableOptions {
+            filter_bits_per_key: if filtered { 10 } else { 0 },
+            ..Default::default()
+        };
+        table_opts(pool, entries.collect(), opts)
+    }
+
+    /// A sorted run of `keys` in up to two tables.
+    fn run_of(pool: &PmPool, seq: &mut u64, keys: &BTreeSet<u8>) -> Vec<PmTableHandle> {
+        let keys: Vec<(u8, bool)> = keys.iter().map(|&k| (k, false)).collect();
+        let (low, high) = keys.split_at(keys.len() / 2);
+        let halves = [low, high].into_iter().filter(|half| !half.is_empty());
+        halves.map(|half| build(pool, seq, half, true).0).collect()
+    }
+
+    /// Newest first over every table, consulting no filter or sketch.
+    fn reference(v: &L0Version, key: &[u8], snapshot: u64) -> Option<Lookup> {
+        let mut tables = v.unsorted().iter().rev().chain(v.sorted_run());
+        tables.find_map(|h| h.table.get(key, snapshot, &mut Timeline::new()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Gets through the key sketch — past its 64 tables, across
+        /// tables pushed without a filter, and after every mutation —
+        /// equal a walk of every table; a held version keeps answering
+        /// what it answered when it was taken.
+        #[test]
+        fn prop_sketched_gets_equal_a_walk_of_every_table(
+            prefill in vec(push_op(false), 0..80),
+            ops in vec(op(), 1..40),
+            probes in vec((0..KEYS + 2, 0u64..6000), 8),
+        ) {
+            let pool = PmPool::new(64 << 20, CostModel::default());
+            // Every key (two never written) at the latest snapshot, and
+            // more anywhere in the sequences used.
+            let latest = (0..KEYS + 2).map(|k| (k, 0));
+            let probes: Vec<(Vec<u8>, u64)> = latest
+                .chain(probes)
+                .map(|(k, s)| (key(k), if s % 4 == 0 { u64::MAX } else { s % 1500 }))
+                .collect();
+            let answers = |v: &L0Version| -> Vec<Option<Lookup>> {
+                probes.iter().map(|(k, s)| get_lookup(v, k, *s)).collect()
+            };
+            let (mut l0, mut seq, mut held) = (PmLevel0::new(), 0, Vec::new());
+            for op in prefill.into_iter().chain(ops) {
+                match op {
+                    Op::Push(entries, filtered) => {
+                        let (table, key_hashes) = build(&pool, &mut seq, &entries, filtered);
+                        l0.push_unsorted(table, &key_hashes);
+                    }
+                    Op::Detach(limit) => l0.detach_oldest(limit).0.into_iter().for_each(|r| pool.free(r)),
+                    Op::SetRun(keys) => l0.set_sorted_run(run_of(&pool, &mut seq, &keys)),
+                    Op::Replace(keys) => {
+                        let (_, regions, _) = l0.replace_with_sorted_deferred(run_of(&pool, &mut seq, &keys));
+                        regions.into_iter().for_each(|r| pool.free(r));
+                    }
+                    Op::Hold => held.push((l0.version(), answers(&l0))),
+                }
+                for (k, snapshot) in &probes {
+                    prop_assert_eq!(get_lookup(&l0, k, *snapshot), reference(&l0, k, *snapshot));
+                }
+                for (version, then) in &held {
+                    prop_assert_eq!(&answers(version), then);
+                }
+            }
+        }
     }
 }

@@ -300,7 +300,7 @@ impl Partition {
                     for e in entries {
                         writer.add(e, tl)?;
                     }
-                    for table in writer.finish(tl)? {
+                    for (table, key_hashes) in writer.finish(tl)? {
                         // Only PM-table flushes pick a codec; the matrix
                         // and SSD level-0 containers have none to choose.
                         report.decision = Some(CostDecision::CodecChoice {
@@ -309,7 +309,7 @@ impl Partition {
                             entries: frozen.len(),
                             pm_bytes: (written.get() - written_before) as usize,
                         });
-                        l0.push_unsorted(table);
+                        l0.push_unsorted(table, &key_hashes);
                     }
                 }
                 Level0::Matrix(m) => m.flush_row(entries, opts, pool, tl)?,
@@ -361,7 +361,7 @@ impl Partition {
         let inputs = l0.cursors(usize::MAX, None, None).collect();
         let sink = |e: EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
         let records_in = merge_into(inputs, false, &opts.cost, input_errors, tl, sink)? as usize;
-        let run = writer.finish(tl)?;
+        let run: Vec<_> = writer.finish(tl)?.into_iter().map(|(h, _)| h).collect();
         let records_out = run.iter().map(|h| h.entries).sum();
         let new_bytes: usize = run.iter().map(|h| h.bytes).sum();
         let old_bytes = l0.bytes();

@@ -80,7 +80,9 @@ pub struct EngineMetrics {
     pub recovery_wal_records_replayed: Arc<Counter>,
     pub recovery_tables_reopened: Arc<Counter>,
     pub recovery_wall: Arc<LatencyRecorder>,
-    /// PM-L0 bloom-filter outcomes.
+    /// PM-L0 key-sketch lookups.
+    pub pm_sketch_probes: Arc<Counter>,
+    /// PM-L0 per-table verdicts, by the key sketch or a bloom filter.
     pub pm_filter_checked: Arc<Counter>,
     pub pm_filter_useful: Arc<Counter>,
     pub pm_filter_miss: Arc<Counter>,
@@ -102,6 +104,8 @@ pub struct EngineMetrics {
     pub(crate) pm_used_bytes: Arc<Gauge>,
     pub(crate) block_cache_used_bytes: Arc<Gauge>,
     pub(crate) pm_group_cache_used_bytes: Arc<Gauge>,
+    /// DRAM held by every partition's PM-L0 key sketch.
+    pub(crate) pm_l0_sketch_bytes: Arc<Gauge>,
     pub(crate) partitions: Vec<PartitionMetrics>,
 }
 
@@ -161,6 +165,7 @@ impl EngineMetrics {
             recovery_wal_records_replayed: counter("recovery_wal_records_replayed"),
             recovery_tables_reopened: counter("recovery_tables_reopened"),
             recovery_wall: histogram("recovery_wall_nanos"),
+            pm_sketch_probes: counter("pm_l0_sketch_probes_total"),
             pm_filter_checked: counter("pm_filter_checked_total"),
             pm_filter_useful: counter("pm_filter_useful_total"),
             pm_filter_miss: counter("pm_filter_miss_total"),
@@ -173,6 +178,7 @@ impl EngineMetrics {
             pm_used_bytes: gauge("pm_used_bytes"),
             block_cache_used_bytes: gauge("block_cache_used_bytes"),
             pm_group_cache_used_bytes: gauge("pm_group_cache_used_bytes"),
+            pm_l0_sketch_bytes: gauge("pm_l0_sketch_bytes"),
             partitions: (0..partitions)
                 .map(|pid| PartitionMetrics::register(registry, pid))
                 .collect(),
@@ -298,8 +304,8 @@ mod tests {
         // Every field is registered: the global series plus, for each
         // partition, four read counters, the level-1 SSD source and
         // four gauges.
-        assert_eq!(counters.len(), 30 + 2 * 5);
-        assert_eq!(gauges.len(), 3 + 2 * 4);
+        assert_eq!(counters.len(), 31 + 2 * 5);
+        assert_eq!(gauges.len(), 4 + 2 * 4);
         assert_eq!(histograms.len(), 8);
     }
 }

@@ -79,6 +79,18 @@ impl PmTableBuilder {
     /// Encode the table, charging CPU encode cost to `tl`.
     /// Returns the payload (to be published to PM) and build stats.
     pub fn finish(self, cost: &sim::CostModel, tl: &mut Timeline) -> (Vec<u8>, BuildStats) {
+        let (bytes, stats, _) = self.finish_hashed(cost, tl);
+        (bytes, stats)
+    }
+
+    /// [`PmTableBuilder::finish`], also handing back the
+    /// [`BloomFilter::hashes`] of the table's distinct user keys that its
+    /// filter was built from (none when it has no filter).
+    pub fn finish_hashed(
+        self,
+        cost: &sim::CostModel,
+        tl: &mut Timeline,
+    ) -> (Vec<u8>, BuildStats, Vec<(u64, u64)>) {
         let opts = self.opts;
         let count = self.run.len();
         let rest_of = |i: usize| opts.extractor.split(self.run.get(i).user_key);
@@ -185,8 +197,8 @@ impl PmTableBuilder {
 
         // Optional bloom filter over distinct user keys (entries are
         // sorted, so distinct keys are adjacent).
-        let filter = (opts.filter_bits_per_key > 0 && count > 0).then(|| {
-            let mut hashes = Vec::new();
+        let mut hashes = Vec::new();
+        if opts.filter_bits_per_key > 0 {
             let mut prev: Option<&[u8]> = None;
             for key in self.run.iter().map(|e| e.user_key) {
                 if prev != Some(key) {
@@ -194,8 +206,10 @@ impl PmTableBuilder {
                     prev = Some(key);
                 }
             }
-            let distinct = hashes.len();
-            BloomFilter::build_hashed(hashes, distinct, opts.filter_bits_per_key)
+        }
+        let filter = (!hashes.is_empty()).then(|| {
+            let keys = hashes.iter().copied();
+            BloomFilter::build_hashed(keys, hashes.len(), opts.filter_bits_per_key)
         });
 
         // Assemble: header | meta | prefix | gindex [| codecs] | entries
@@ -251,6 +265,6 @@ impl PmTableBuilder {
             encoded_bytes: out.len(),
             entries: count,
         };
-        (out, stats)
+        (out, stats, hashes)
     }
 }

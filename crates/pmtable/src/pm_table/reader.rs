@@ -382,6 +382,11 @@ impl<S: Storage> PmTable<S> {
         self.filter.is_some()
     }
 
+    /// The cost model the table's storage charges reads under.
+    pub fn cost_model(&self) -> &sim::CostModel {
+        self.storage.cost_model()
+    }
+
     /// Probe the bloom filter: `Some(false)` means the key is definitely
     /// absent and the group search can be skipped entirely; `None` means
     /// the table was built without a filter. The filter is DRAM-resident

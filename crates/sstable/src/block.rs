@@ -113,6 +113,67 @@ impl BlockBuilder {
     }
 }
 
+/// Where a block reader rebuilds a delta-compressed key.
+pub(crate) trait KeyBuf {
+    /// Keep the first `shared` bytes (all, if fewer) and append `tail`.
+    fn replace_tail(&mut self, shared: usize, tail: &[u8]);
+
+    fn bytes(&self) -> &[u8];
+}
+
+impl KeyBuf for Vec<u8> {
+    fn replace_tail(&mut self, shared: usize, tail: &[u8]) {
+        self.truncate(shared);
+        self.extend_from_slice(tail);
+    }
+
+    fn bytes(&self) -> &[u8] {
+        self
+    }
+}
+
+/// A key buffer on the stack for keys of up to `N` bytes: a point
+/// lookup's seek allocates nothing for the keys it walks unless one is
+/// longer, which moves the key to one heap buffer for good.
+pub(crate) struct InlineKey<const N: usize> {
+    inline: [u8; N],
+    len: usize,
+    /// The key, once one did not fit `inline`; empty until then.
+    spill: Vec<u8>,
+}
+
+impl<const N: usize> InlineKey<N> {
+    pub(crate) fn new() -> Self {
+        InlineKey {
+            inline: [0; N],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+}
+
+impl<const N: usize> KeyBuf for InlineKey<N> {
+    fn replace_tail(&mut self, shared: usize, tail: &[u8]) {
+        let keep = shared.min(self.len);
+        self.len = keep + tail.len();
+        if self.spill.is_empty() && self.len <= N {
+            self.inline[keep..self.len].copy_from_slice(tail);
+        } else {
+            if self.spill.is_empty() {
+                self.spill.extend_from_slice(&self.inline[..keep]);
+            }
+            self.spill.replace_tail(keep, tail);
+        }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        match self.spill.is_empty() {
+            true => &self.inline[..self.len],
+            false => &self.spill,
+        }
+    }
+}
+
 /// A decoded (verified) block ready for searches.
 #[derive(Clone, Debug)]
 pub struct Block {
@@ -179,7 +240,7 @@ impl Block {
     pub(crate) fn entry_at(
         &self,
         pos: usize,
-        prev_key: &mut Vec<u8>,
+        prev_key: &mut impl KeyBuf,
     ) -> Option<(usize, std::ops::Range<usize>)> {
         if pos >= self.restarts_off {
             return None;
@@ -195,8 +256,7 @@ impl Block {
         if val_start + vlen > self.restarts_off {
             return None;
         }
-        prev_key.truncate(shared);
-        prev_key.extend_from_slice(&self.data[key_start..key_start + non_shared]);
+        prev_key.replace_tail(shared, &self.data[key_start..key_start + non_shared]);
         Some((val_start + vlen, val_start..val_start + vlen))
     }
 
@@ -225,7 +285,7 @@ impl Block {
         &self,
         user_key: &[u8],
         trailer: u64,
-        key: &mut Vec<u8>,
+        key: &mut impl KeyBuf,
     ) -> Option<(usize, std::ops::Range<usize>)> {
         // Binary search restarts for the last restart key <= target.
         let (mut lo, mut hi) = (0usize, self.restart_count);
@@ -233,7 +293,8 @@ impl Block {
             let mid = (lo + hi) / 2;
             // Restart entries have shared == 0, so prev_key content is moot.
             self.entry_at(self.restart(mid), key)?;
-            if key::compare_to_parts(key, user_key, trailer) == std::cmp::Ordering::Greater {
+            let order = key::compare_to_parts(key.bytes(), user_key, trailer);
+            if order == std::cmp::Ordering::Greater {
                 hi = mid;
             } else {
                 lo = mid;
@@ -242,7 +303,7 @@ impl Block {
         // Linear scan from restart `lo`.
         let mut pos = self.restart(lo);
         while let Some((next, vrange)) = self.entry_at(pos, key) {
-            if key::compare_to_parts(key, user_key, trailer) != std::cmp::Ordering::Less {
+            if key::compare_to_parts(key.bytes(), user_key, trailer) != std::cmp::Ordering::Less {
                 return Some((next, vrange));
             }
             pos = next;
@@ -417,6 +478,28 @@ mod tests {
                 let (k2, v2) = block.seek(ik).unwrap();
                 proptest::prop_assert_eq!(&k2, ik);
                 proptest::prop_assert_eq!(&v2, v);
+            }
+        }
+
+        /// A 16-byte stack key rebuilds every key a seek walks — keys
+        /// that spill past it included — exactly as a `Vec` does.
+        #[test]
+        fn prop_inline_key_seeks_like_a_vec(
+            keys in proptest::collection::btree_set(
+                proptest::collection::vec(b'a'..=b'c', 1..40), 1..80),
+            probes in proptest::collection::vec(
+                proptest::collection::vec(b'a'..=b'c', 1..40), 1..20),
+        ) {
+            let mut b = BlockBuilder::new();
+            for (i, k) in keys.iter().enumerate() {
+                b.add(&InternalKey::new(k, i as u64 + 1, KeyKind::Value).into_encoded(), k);
+            }
+            let block = Block::decode(b.finish()).unwrap();
+            for probe in keys.iter().chain(&probes) {
+                let (mut heap, mut stack) = (Vec::new(), InlineKey::<16>::new());
+                let want = block.seek_entry(probe, 0, &mut heap);
+                proptest::prop_assert_eq!(block.seek_entry(probe, 0, &mut stack), want);
+                proptest::prop_assert_eq!(stack.bytes(), heap.as_slice());
             }
         }
     }

@@ -21,7 +21,7 @@ use pmtable::EntryRef;
 use sim::Timeline;
 use ssd_device::{SsdDevice, SsdError, SsdFile};
 
-use crate::block::{Block, BlockBuilder};
+use crate::block::{Block, BlockBuilder, InlineKey, KeyBuf};
 use crate::bloom::BloomFilter;
 use crate::cache::{table_id, BlockCache, BlockKey};
 
@@ -329,9 +329,10 @@ impl SsTable {
         if !self.bloom.may_contain(user_key) {
             return Ok(None);
         }
-        // The seek target `(user_key, trailer)` stays in parts: nothing
-        // on this path allocates but the found entry's key buffer and
-        // the returned value.
+        // The seek target `(user_key, trailer)` stays in parts and the
+        // keys the seek walks are rebuilt on the stack: nothing on this
+        // path allocates but the returned value (and a key buffer for a
+        // key over 64 bytes).
         let trailer = key::seek_trailer(snapshot);
         // Index binary search (DRAM).
         let cpu = self.cost.cpu;
@@ -347,11 +348,13 @@ impl SsTable {
         let block = self.load_block(idx, tl)?;
         // In-block restart search at DRAM cost.
         tl.charge(self.cost.dram.random_read(64) * 5);
-        let mut ikey = Vec::with_capacity(user_key.len() + 8);
-        match block.seek_entry(user_key, trailer, &mut ikey) {
-            Some((_, value)) if key::user_key(&ikey) == user_key => {
-                let seq = key::sequence(&ikey);
-                let kind = key::kind(&ikey).ok_or(TableError::Corrupt("entry kind"))?;
+        let mut found = InlineKey::<64>::new();
+        let entry = block.seek_entry(user_key, trailer, &mut found);
+        let ikey = found.bytes();
+        match entry {
+            Some((_, value)) if key::user_key(ikey) == user_key => {
+                let seq = key::sequence(ikey);
+                let kind = key::kind(ikey).ok_or(TableError::Corrupt("entry kind"))?;
                 Ok(Some((seq, kind, block.value(value).to_vec())))
             }
             _ => Ok(None),

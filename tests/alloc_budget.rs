@@ -1,8 +1,8 @@
 //! Allocation budgets, pinned so they cannot silently regress.
 //!
 //! Point reads: with every cache warm, a `Db::get` allocates the value
-//! it returns and at most one scratch buffer — and the count does not
-//! depend on how many unsorted level-0 tables the partition holds.
+//! it returns and nothing else — and the count does not depend on how
+//! many unsorted level-0 tables the partition holds.
 //!
 //! The uncached PM path: with the group cache disabled, a get and a
 //! scan allocate per decoded *group* (its arena, its slots, its `Arc`)
@@ -154,12 +154,12 @@ fn warm_get_allocates_the_value_and_at_most_one_buffer_at_any_unsorted_count() {
         .unwrap();
     assert_eq!(unsorted_tables(&db), 0);
 
-    // …then 4 unsorted tables, then 16. Each spans the whole key range,
-    // so every probe key falls inside its fences and only its filter
-    // (or, with filters off, a group search) rules it out; none holds
-    // a probe key.
+    // …then 4 unsorted tables, then 16, then 64 (all the key sketch
+    // covers). Each spans the whole key range, so every probe key falls
+    // inside its fences and only the sketch (or, with filters off, a
+    // group search) rules it out; none holds a probe key.
     let mut at = Vec::new();
-    for target in [4, 16] {
+    for target in [4, 16, 64] {
         for nth in unsorted_tables(&db)..target {
             let keys = (0..1000).filter(|i| !PROBE_KEYS.contains(i));
             put_keys(&db, keys.skip(nth as usize % 7).step_by(7), 2 + nth as u64);
@@ -167,19 +167,22 @@ fn warm_get_allocates_the_value_and_at_most_one_buffer_at_any_unsorted_count() {
         }
         assert_eq!(unsorted_tables(&db), target);
         let allocations = warm_get_allocations(&db);
-        for (n, what) in allocations.iter().zip(["memtable", "pm", "ssd", "miss"]) {
+        // A hit allocates the value and nothing else (an SSD seek
+        // rebuilds the keys it walks on the stack); a miss, nothing.
+        let budgets = [("memtable", 1), ("pm", 1), ("ssd", 1), ("miss", 0)];
+        for (n, (what, budget)) in allocations.iter().zip(budgets) {
             assert!(
-                *n <= 2,
+                *n <= budget,
                 "a warm {what} get allocated {n} times at {target} unsorted tables \
-                 (budget: the value + at most one buffer)"
+                 (budget: {budget})"
             );
         }
         at.push(allocations);
     }
-    assert_eq!(
-        at[0], at[1],
+    assert!(
+        at.windows(2).all(|w| w[0] == w[1]),
         "allocations per get [memtable, pm, ssd, miss] must not depend on the \
-         unsorted-table count (4 tables vs 16)"
+         unsorted-table count (4, 16, 64 tables): {at:?}"
     );
 }
 

@@ -14,7 +14,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use pm_blade::{CompactionRequest, Db, DbError, MaintenanceMode, Mode, ScanRequest, TraceSpan};
+use pm_blade::{
+    CompactionRequest, Db, DbError, MaintenanceMode, MetricKey, Mode, ScanRequest, TraceSpan,
+};
 use pmblade_integration_tests::{key_for, tiny_options, value_for, HookLog};
 use pmtable::CodecMode;
 use proptest::prelude::*;
@@ -225,6 +227,62 @@ fn recovery_metrics_export_through_prometheus() {
             "{series} missing from the exposition"
         );
     }
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// PM bytes the open below read before level-0 had a key sketch. The
+/// sketch is rebuilt inside the pass that finds each reopened table's
+/// largest sequence, so the open reads not one byte more.
+const SKETCH_REOPEN_PM_BYTES_READ: u64 = 56_414;
+
+#[test]
+fn a_reopen_rebuilds_the_key_sketch_and_reads_no_more_pm() {
+    let dir = scratch_dir("sketch");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut opts = tiny_options(Mode::PmBlade);
+    opts.wal_dir = Some(dir.clone());
+    // Pinned over the CI matrix: the sketch needs filters, and the
+    // bytes read depend on the codec.
+    opts.pm_filter_bits_per_key = 10;
+    opts.pm_codec_mode = CodecMode::Prefix;
+    opts.l0_unsorted_hard_cap = 64;
+    let gets = |db: &Db| -> Vec<Option<Vec<u8>>> {
+        (0..320u64)
+            .map(|i| db.get(&key_for(i)).unwrap().value)
+            .collect()
+    };
+    let sketch_bytes =
+        |db: &Db| db.metrics_snapshot().gauges[&MetricKey::global("pm_l0_sketch_bytes")];
+    let (answers, bytes);
+    {
+        let db = Db::open(opts.clone()).unwrap();
+        // Six overlapping flushes, so every key has versions in two
+        // tables, then a seventh of tombstones for every eleventh key.
+        for round in 0..6u64 {
+            for i in (round % 3..300).step_by(3) {
+                db.put(&key_for(i), &value_for(i + round, 48)).unwrap();
+            }
+            db.compact(CompactionRequest::FlushAll).unwrap();
+        }
+        for i in (0..300u64).step_by(11) {
+            db.delete(&key_for(i)).unwrap();
+        }
+        db.compact(CompactionRequest::FlushAll).unwrap();
+        (answers, bytes) = (gets(&db), sketch_bytes(&db));
+        assert!(bytes > 0);
+    }
+    let db = Db::open(opts).unwrap();
+    let read = db.metrics_snapshot().counter("pm_bytes_read");
+    assert_eq!(read, SKETCH_REOPEN_PM_BYTES_READ);
+    assert_eq!(
+        sketch_bytes(&db),
+        bytes,
+        "the reopen rebuilt the same sketch"
+    );
+    assert_eq!(gets(&db), answers);
+    let probes = db.metrics_snapshot().counter("pm_l0_sketch_probes_total");
+    assert_eq!(probes, 320, "every get went through the sketch");
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -278,10 +278,14 @@ fn fold_span(out: &mut Vec<u8>, s: &TraceSpan) {
 /// fixed two-partition stream, per mode, recorded on the commit before
 /// flush / internal / major shared one maintenance frame. A rewrite of
 /// the maintenance path may change how the spans are produced, never
-/// which spans, in which order, with which numbers.
+/// which spans, in which order, with which numbers. The two PM level-0
+/// pins were re-recorded when a get's per-table filter consults became
+/// one key-sketch lookup: the middle third's gets advance the virtual
+/// clock less, which every later span's start carries, and Eq 1 reads
+/// the sketch's prune ratio.
 const SPAN_SEQUENCE_PINS: [(Mode, u32); 4] = [
-    (Mode::PmBlade, 3_951_568_047),
-    (Mode::PmBladePm, 1_937_048_491),
+    (Mode::PmBlade, 942_226_803),
+    (Mode::PmBladePm, 170_659_018),
     (Mode::MatrixKv, 973_351_758),
     (Mode::SsdLevel0, 31_844_557),
 ];

@@ -755,7 +755,10 @@ fn traced_remote_get_spans_client_server_engine() {
     let mut engine = tiny_options(Mode::PmBlade);
     // Deliberately weak filters: the absent-key probes below need
     // bloom false positives to walk the PM-decode leg before falling
-    // through to the SSD.
+    // through to the SSD. The sorted run's table is the one a get
+    // still consults its own filter for (an unsorted table's keys are
+    // in the level-0 key sketch, which has no false positives to speak
+    // of).
     engine.pm_filter_bits_per_key = 1;
     engine.pm_group_cache_bytes = 256 << 10;
     engine.trace_sample_every = 0; // only wire-adopted contexts record
@@ -777,6 +780,9 @@ fn traced_remote_get_spans_client_server_engine() {
         client.put(&key_for(i), &value_for(i + 100, 64)).unwrap();
     }
     client.compact(CompactionRequest::FlushAll).unwrap();
+    client
+        .compact(CompactionRequest::Internal { partition: 0 })
+        .unwrap();
 
     // An unsampled wire context is adopted, not re-sampled: it reads
     // the value and records nothing (engine sampling is off, so any
@@ -807,7 +813,7 @@ fn traced_remote_get_spans_client_server_engine() {
     assert!(ours.stage_nanos() <= ours.total_nanos);
     assert!(ours.stages.iter().all(|s| s.trace_id == LIVE_ID));
 
-    // Absent keys that sit between the PM table's fences: with 1-bit
+    // Absent keys that sit between the sorted run's fences: with 1-bit
     // filters, a false positive (~63% per key) sends the probe through
     // the PM decode before the SSD search. 64 candidates make a miss
     // on all of them vanishingly unlikely (~1e-28).
@@ -943,6 +949,9 @@ fn debug_endpoint_serves_flight_recorder_and_queue_state() {
     assert!(response.contains("manifest_edits_total"));
     assert!(response.contains("recovery_wal_records_replayed"));
     assert!(response.contains("recovery_tables_reopened"));
+    // So does the PM level-0 key sketch: its lookups and DRAM bytes.
+    assert!(response.contains("pm_l0_sketch_probes_total"));
+    assert!(response.contains("pm_l0_sketch_bytes"));
 
     server.shutdown();
 }
