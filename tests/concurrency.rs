@@ -192,9 +192,10 @@ fn cross_partition_batches_survive_concurrent_traffic() {
 /// Background maintenance keeps major compactions off the write path:
 /// concurrent writers drive enough traffic to force majors (tight τ_m),
 /// and afterwards no write's recorded virtual latency reaches the size
-/// of the cheapest real major compaction. Backpressure thresholds are
-/// set generously so only the maintenance offload — not throttling — is
-/// being measured.
+/// of the cheapest real major compaction — a whole one, not one chunk
+/// of it: a chunk moving a last small table can cost less than one
+/// slowdown penalty. Backpressure thresholds are set generously so only
+/// the maintenance offload — not throttling — is being measured.
 #[test]
 fn background_writers_never_pay_major_compaction_latency() {
     let mut opts = small_opts();
@@ -231,11 +232,28 @@ fn background_writers_never_pay_major_compaction_latency() {
         db.stats().major_compactions.get() >= 1,
         "workload must force majors for the assertion to mean anything"
     );
-    let cheapest_major = db
-        .compaction_log()
-        .iter()
-        .filter(|e| e.kind == pm_blade::SpanKind::Major && e.duration() > SimDuration::ZERO)
-        .map(|e| e.duration())
+    // A background major moves level-0 in chunks, one span each, until
+    // level-0 is empty; flushes landing between its chunks only extend
+    // it. So a partition's Major spans with nothing but flushes between
+    // them are one major: sum them.
+    let mut majors: Vec<SimDuration> = Vec::new();
+    let mut open = std::collections::HashMap::new();
+    for e in db.compaction_log() {
+        match e.kind {
+            pm_blade::SpanKind::Major => {
+                let at = *open.entry(e.partition).or_insert_with(|| {
+                    majors.push(SimDuration::ZERO);
+                    majors.len() - 1
+                });
+                majors[at] += e.duration();
+            }
+            pm_blade::SpanKind::Flush => {}
+            _ => drop(open.remove(&e.partition)),
+        }
+    }
+    let cheapest_major = majors
+        .into_iter()
+        .filter(|&d| d > SimDuration::ZERO)
         .min()
         .expect("at least one major ran");
     assert!(
