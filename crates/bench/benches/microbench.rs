@@ -170,19 +170,21 @@ fn bench_merge(c: &mut Criterion) {
 /// overlapping PM tables (every table holds every 30th key, as a
 /// partition's unsorted level-0 does). The scan pulls 50 rows from a
 /// rotating start key, one cursor per table through a shared group
-/// cache; the internal compaction streams all 30 tables, read
+/// cache, each table held by its key column until the merge reaches
+/// it; the internal compaction streams all 30 tables, read
 /// sequentially, into a new sorted run. `compaction/merge_dedup_10k`
 /// above is the materialising reference both replaced.
 fn bench_scan_merge(c: &mut Criterion) {
     use pm_blade::cursor::{merge_into, Cursor, MergingIter, PmRun, ScanStats};
     use pm_blade::handle::{PmRunWriter, PmTableHandle};
+    use pmtable::TableKeys;
     let cost = CostModel::default();
     let pool = pm_device::PmPool::new(64 << 20, cost);
     let ids = pm_blade::handle::CacheIds::new();
     let opts = Options::default();
     let all = entries(30 * 250);
     let run_writer = |max_bytes| PmRunWriter::new(&opts, max_bytes, &pool, &ids);
-    let tables: Vec<PmTableHandle> = (0..30)
+    let tables: Vec<(PmTableHandle, TableKeys)> = (0..30)
         .flat_map(|source| {
             let mut writer = run_writer(usize::MAX);
             for e in all.iter().skip(source).step_by(30) {
@@ -190,7 +192,6 @@ fn bench_scan_merge(c: &mut Criterion) {
             }
             writer.finish(&mut Timeline::new()).unwrap()
         })
-        .map(|(table, _)| table)
         .collect();
     let cache = pm_blade::PmGroupCache::new(4 << 20);
     let starts: Vec<&[u8]> = all.iter().step_by(97).map(|e| &e.user_key[..]).collect();
@@ -198,8 +199,10 @@ fn bench_scan_merge(c: &mut Criterion) {
         let mut i = 0;
         b.iter(|| {
             i += 1;
-            let runs = tables.iter().map(std::slice::from_ref);
-            let cursors = runs.map(|run| Cursor::Pm(PmRun::new(run, None, Some(&cache))));
+            let cursors = tables.iter().map(|(table, keys)| {
+                let (run, column) = (std::slice::from_ref(table), Some(&keys.column));
+                Cursor::Pm(PmRun::new(run, column, None, Some(&cache)))
+            });
             let (mut stats, mut tl) = (ScanStats::default(), Timeline::new());
             let mut rows = MergingIter::new(
                 cursors.collect(),
@@ -221,8 +224,8 @@ fn bench_scan_merge(c: &mut Criterion) {
     let errors = sim::Counter::new();
     c.bench_function("compaction/stream_internal_30_tables", |b| {
         b.iter(|| {
-            let runs = tables.iter().map(std::slice::from_ref);
-            let cursors = runs.map(|run| Cursor::Pm(PmRun::new(run, None, None)));
+            let runs = tables.iter().map(|(table, _)| std::slice::from_ref(table));
+            let cursors = runs.map(|run| Cursor::Pm(PmRun::new(run, None, None, None)));
             let (mut tl, mut writer) = (Timeline::new(), run_writer(256 << 10));
             let sink = |e: pmtable::EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
             merge_into(cursors.collect(), false, &cost, &errors, &mut tl, sink).unwrap();

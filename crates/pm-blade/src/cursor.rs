@@ -9,15 +9,22 @@
 //! decodes one PM group or reads one SSD block at a time, and only when
 //! the merge steps it.
 //!
+//! A scan *defers* each unsorted PM table ([`PmRun`]): its seek is a
+//! search of the table's DRAM key column, which yields a lower bound on
+//! its first key at or past the scan's start, and the heap holds the
+//! table under that bound until the bound reaches the top. Only then is
+//! the table opened, so a scan's PM work follows the rows it returns,
+//! not the unsorted-table count.
+//!
 //! Compactions are the same merge run to the end ([`merge_into`]) over
 //! cursors that read their tables front to back, into a run writer.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 
 use encoding::key::KeyKind;
 use memtable::MemCursor;
 use pm_device::PmRegion;
-use pmtable::{ArrayCursor, EntryRef, GroupLoad, PmCursor};
+use pmtable::{ArrayCursor, ColumnSeek, EntryRef, GroupLoad, KeyColumn, PmCursor};
 use sim::{SimDuration, Timeline};
 use sstable::SsCursor;
 
@@ -42,11 +49,11 @@ pub enum Cursor<'a> {
     Ss(SsRun<'a>),
 }
 
-impl Cursor<'_> {
+impl<'a> Cursor<'a> {
     /// Seek to the first entry with user key >= `seek`, or step to the
     /// next entry when `None`. Returns the trace stage the virtual time
     /// the step charged belongs to.
-    fn step(&mut self, seek: Option<&[u8]>, tl: &mut Timeline) -> Result<SpanKind, DbError> {
+    fn step(&mut self, seek: Option<&'a [u8]>, tl: &mut Timeline) -> Result<SpanKind, DbError> {
         match self {
             Cursor::Mem(c) => {
                 match seek {
@@ -76,6 +83,16 @@ impl Cursor<'_> {
             Cursor::Ss(run) => run.cur.as_ref()?.current(),
         }
     }
+
+    /// Where the cursor sits in the merge's order: its entry's user key
+    /// (in two pieces to concatenate) and sequence, or a held table's
+    /// bound under the newest sequence there can be.
+    fn head(&self) -> Option<(&[u8], &[u8], u64)> {
+        match self {
+            Cursor::Pm(PmRun { held: Some(h), .. }) => Some((h.head, h.seek.tail(), u64::MAX)),
+            _ => self.current().map(|e| (e.user_key, &[][..], e.seq)),
+        }
+    }
 }
 
 /// A concatenating cursor over non-overlapping PM tables: opens only
@@ -83,18 +100,41 @@ impl Cursor<'_> {
 /// Groups are fetched through the shared decode cache; without one (a
 /// compaction's input) each table is read sequentially, see
 /// [`pmtable::PmTable::sequential_cursor`].
+///
+/// A scan's run of one unsorted table comes with the table's
+/// [`KeyColumn`], and its seek *holds* the table instead of opening it:
+/// one search of the column in DRAM yields a lower bound on the table's
+/// first key >= the seek key, which the merge keeps in its heap until
+/// it reaches the top. Only then does the next step open the table —
+/// one group load, from the group the column named, with no
+/// prefix-layer search. The bound is the table's first key when that
+/// is >= the seek key; else the column's window of the first key >= the
+/// seek key behind the table's common prefix, trimmed of trailing zero
+/// bytes (a prefix of that key), or the seek key itself when that window
+/// ties with the seek key's. It is never below the seek key, nor above
+/// the table's first key at or past it.
 pub struct PmRun<'a> {
     tables: &'a [PmTableHandle],
     /// The table opened when `cur` runs out.
     next: usize,
     end: Option<&'a [u8]>,
     cache: Option<&'a PmGroupCache>,
+    column: Option<&'a KeyColumn>,
+    held: Option<Held<'a>>,
     cur: Option<PmCursor<'a, PmRegion, TableGroupCache<'a>>>,
+}
+
+/// A held table: its bound is `head ‖ seek.tail()`.
+struct Held<'a> {
+    start: &'a [u8],
+    head: &'a [u8],
+    seek: ColumnSeek,
 }
 
 impl<'a> PmRun<'a> {
     pub fn new(
         tables: &'a [PmTableHandle],
+        column: Option<&'a KeyColumn>,
         end: Option<&'a [u8]>,
         cache: Option<&'a PmGroupCache>,
     ) -> Self {
@@ -103,16 +143,18 @@ impl<'a> PmRun<'a> {
             next: tables.len(),
             end,
             cache,
+            column,
+            held: None,
             cur: None,
         }
     }
 
-    fn step(&mut self, seek: Option<&[u8]>, tl: &mut Timeline) -> Result<SpanKind, DbError> {
+    fn step(&mut self, seek: Option<&'a [u8]>, tl: &mut Timeline) -> Result<SpanKind, DbError> {
         let mut load = GroupLoad::None;
         match (seek, &mut self.cur) {
             (Some(start), _) => {
                 self.next = self.tables.partition_point(|h| &*h.last < start);
-                self.cur = None;
+                (self.cur, self.held) = (None, None);
             }
             (None, Some(c)) => load = c.advance(tl).map_err(corrupt)?,
             (None, None) => {}
@@ -122,12 +164,32 @@ impl<'a> PmRun<'a> {
             let table = self.tables.get(self.next);
             self.cur = match table.filter(|h| self.end.is_none_or(|e| &*h.first < e)) {
                 Some(h) => {
+                    if let (Some(start), Some(column)) = (seek, self.column) {
+                        // Hold the table: one DRAM read per 64-byte line
+                        // the column search touched.
+                        let seek = column.seek(&h.first, start);
+                        tl.charge(h.table.cost_model().dram.random_read(64) * seek.lines);
+                        let head = match seek.tail() {
+                            _ if start <= &*h.first => &h.first,
+                            [] => start,
+                            _ => &h.first[..column.prefix_len()],
+                        };
+                        self.held = Some(Held { start, head, seek });
+                        return Ok(SpanKind::FilterConsult);
+                    }
                     self.next += 1;
                     let mut c = match self.cache {
                         Some(cache) => h.table.cursor(cache.for_table(h.cache_id)),
                         None => h.table.sequential_cursor(),
                     };
-                    load = load.max(c.seek(seek.unwrap_or_default(), tl).map_err(corrupt)?);
+                    let sought = match self.held.take() {
+                        Some(Held { start, seek, .. }) => match seek.group {
+                            Some(group) => c.seek_from(group, start, tl),
+                            None => c.seek(start, tl),
+                        },
+                        None => c.seek(seek.unwrap_or_default(), tl),
+                    };
+                    load = load.max(sought.map_err(corrupt)?);
                     Some(c)
                 }
                 None => {
@@ -194,11 +256,16 @@ impl<'a> SsRun<'a> {
 /// Where one scan's virtual time went, by trace stage.
 #[derive(Clone, Copy, Debug)]
 pub struct ScanStats {
-    /// Per source kind: (stage, nanos, cursor steps that charged time).
-    pub stages: [(SpanKind, u64, u64); 4],
+    /// Per stage, in consult order: (stage, nanos, cursor steps that
+    /// charged time). Key-column searches are `filter_consult`.
+    pub stages: [(SpanKind, u64, u64); 5],
     /// Records pulled off the merge heap, each charged
     /// `cpu.merge_per_entry`.
     pub records: u64,
+    /// Unsorted PM tables the merge held under a key-column bound, and
+    /// how many of those it then opened.
+    pub tables_held: u64,
+    pub tables_opened: u64,
 }
 
 impl Default for ScanStats {
@@ -206,12 +273,15 @@ impl Default for ScanStats {
         ScanStats {
             stages: [
                 SpanKind::MemtableProbe,
+                SpanKind::FilterConsult,
                 SpanKind::PmDecodeHit,
                 SpanKind::PmDecodeMiss,
                 SpanKind::SsdRead,
             ]
             .map(|kind| (kind, 0, 0)),
             records: 0,
+            tables_held: 0,
+            tables_opened: 0,
         }
     }
 }
@@ -224,8 +294,8 @@ impl Default for ScanStats {
 /// rows never pays for the step past its last row.
 pub struct MergingIter<'a> {
     cursors: Vec<Cursor<'a>>,
-    /// Indices of the cursors with an entry under them: a binary
-    /// min-heap on (user key, newest sequence first).
+    /// Indices of the cursors with an entry under them, or held under a
+    /// bound: a binary min-heap on (user key, newest sequence first).
     heap: Vec<usize>,
     end: Option<&'a [u8]>,
     drop_tombstones: bool,
@@ -242,7 +312,7 @@ impl<'a> MergingIter<'a> {
     /// Seek every cursor to `start` and build the heap.
     pub fn new(
         cursors: Vec<Cursor<'a>>,
-        start: &[u8],
+        start: &'a [u8],
         end: Option<&'a [u8]>,
         drop_tombstones: bool,
         merge_cost: SimDuration,
@@ -261,6 +331,7 @@ impl<'a> MergingIter<'a> {
         };
         for i in 0..iter.cursors.len() {
             if iter.step(i, Some(start), tl)? {
+                iter.stats.tables_held += u64::from(iter.cursors[i].current().is_none());
                 iter.heap.push(i);
             }
         }
@@ -271,8 +342,13 @@ impl<'a> MergingIter<'a> {
     }
 
     /// Step cursor `i`, attribute the virtual time it charged, and
-    /// report whether an entry is under it.
-    fn step(&mut self, i: usize, seek: Option<&[u8]>, tl: &mut Timeline) -> Result<bool, DbError> {
+    /// report whether it still has a place in the heap.
+    fn step(
+        &mut self,
+        i: usize,
+        seek: Option<&'a [u8]>,
+        tl: &mut Timeline,
+    ) -> Result<bool, DbError> {
         let before = tl.elapsed().as_nanos();
         let kind = self.cursors[i].step(seek, tl)?;
         let spent = tl.elapsed().as_nanos() - before;
@@ -282,21 +358,28 @@ impl<'a> MergingIter<'a> {
             stage.1 += spent;
             stage.2 += 1;
         }
-        Ok(self.cursors[i].current().is_some())
+        Ok(self.cursors[i].head().is_some())
     }
 
     /// Heap order of the cursor in `slot`.
-    fn key(&self, slot: usize) -> (&[u8], Reverse<u64>) {
-        let e = self.cursors[self.heap[slot]].current();
-        let e = e.expect("the heap holds only cursors with an entry under them");
-        (e.user_key, Reverse(e.seq))
+    fn key(&self, slot: usize) -> (&[u8], &[u8], Reverse<u64>) {
+        let head = self.cursors[self.heap[slot]].head();
+        let (key, tail, seq) = head.expect("the heap holds only cursors with a head");
+        (key, tail, Reverse(seq))
+    }
+
+    fn less(&self, a: usize, b: usize) -> bool {
+        let ((a, a_tail, a_seq), (b, b_tail, b_seq)) = (self.key(a), self.key(b));
+        cmp_split(a, a_tail, b, b_tail)
+            .then(a_seq.cmp(&b_seq))
+            .is_lt()
     }
 
     fn sift_down(&mut self, mut slot: usize) {
         loop {
             let mut least = slot;
             for child in [2 * slot + 1, 2 * slot + 2] {
-                if child < self.heap.len() && self.key(child) < self.key(least) {
+                if child < self.heap.len() && self.less(child, least) {
                     least = child;
                 }
             }
@@ -323,11 +406,24 @@ impl<'a> MergingIter<'a> {
             let Some(&top) = self.heap.first() else {
                 return Ok(None);
             };
-            let e = self.cursors[top].current().expect("heap top has an entry");
-            if self.end.is_some_and(|end| e.user_key >= end) {
+            let (key, tail, _) = self.cursors[top].head().expect("heap top has a head");
+            if self
+                .end
+                .is_some_and(|end| cmp_split(key, tail, end, b"").is_ge())
+            {
                 self.heap.clear();
                 return Ok(None);
             }
+            if self.cursors[top].current().is_none() {
+                // A held table's bound reached the top: open it.
+                self.stats.tables_opened += 1;
+                if !self.step(top, None, tl)? {
+                    self.heap.swap_remove(0);
+                }
+                self.sift_down(0);
+                continue;
+            }
+            let e = self.cursors[top].current().expect("heap top has an entry");
             tl.charge(self.merge_cost);
             self.stats.records += 1;
             self.consumed = true;
@@ -346,6 +442,15 @@ impl<'a> MergingIter<'a> {
             }
         }
         Ok(self.cursors[self.heap[0]].current())
+    }
+}
+
+/// Order of `a ‖ a_tail` and `b ‖ b_tail`.
+fn cmp_split(a: &[u8], a_tail: &[u8], b: &[u8], b_tail: &[u8]) -> Ordering {
+    if a_tail.is_empty() && b_tail.is_empty() {
+        a.cmp(b)
+    } else {
+        a.iter().chain(a_tail).cmp(b.iter().chain(b_tail))
     }
 }
 
@@ -374,18 +479,34 @@ pub fn merge_into<E: Into<DbError>>(
 pub(crate) mod tests {
     use super::*;
     use crate::handle::merge_dedup;
+    use crate::level0::tests::table_opts;
+    use crate::level0::PmLevel0;
     use memtable::MemTable;
-    use pmtable::OwnedEntry;
+    use pm_device::PmPool;
+    use pmtable::{L0Table, OwnedEntry, PmTableOptions};
+    use proptest::collection::{btree_set, vec};
     use proptest::prelude::*;
     use sim::CostModel;
 
     /// Everything a merge over `cursors` yields for `[start, end)`.
     pub(crate) fn drain<'a>(
         cursors: Vec<Cursor<'a>>,
-        start: &[u8],
+        start: &'a [u8],
         end: Option<&'a [u8]>,
         drop_tombstones: bool,
     ) -> Vec<OwnedEntry> {
+        merge_rows(cursors, start, end, drop_tombstones, usize::MAX).0
+    }
+
+    /// The first `limit` rows a merge over `cursors` yields for
+    /// `[start, end)`, and the merge's stats.
+    fn merge_rows<'a>(
+        cursors: Vec<Cursor<'a>>,
+        start: &'a [u8],
+        end: Option<&'a [u8]>,
+        drop_tombstones: bool,
+        limit: usize,
+    ) -> (Vec<OwnedEntry>, ScanStats) {
         let mut stats = ScanStats::default();
         let mut tl = Timeline::new();
         let cost = CostModel::default().cpu.merge_per_entry;
@@ -400,17 +521,39 @@ pub(crate) mod tests {
         )
         .unwrap();
         let mut out = Vec::new();
-        while let Some(e) = iter.next(&mut tl).unwrap() {
+        while out.len() < limit {
+            let Some(e) = iter.next(&mut tl).unwrap() else {
+                assert!(iter.next(&mut tl).unwrap().is_none(), "stays exhausted");
+                break;
+            };
             out.push(e.to_owned());
         }
-        assert!(iter.next(&mut tl).unwrap().is_none(), "stays exhausted");
+        drop(iter);
         let staged: u64 = stats.stages.iter().map(|s| s.1).sum();
         assert_eq!(
             staged + stats.records * cost.as_nanos(),
             tl.elapsed().as_nanos(),
             "every nanosecond of the merge is attributed to a stage"
         );
-        out
+        (out, stats)
+    }
+
+    /// What keys are made of: zero bytes (trailing ones too), pieces
+    /// shorter than the column's 8-byte window, and one that fills it,
+    /// so keys tie on their window and differ after it.
+    const PIECES: [&[u8]; 6] = [b"\0", b"\0\0\0", b"a", b"ab", b"\xff", b"zzzzzzzz"];
+
+    fn key() -> impl Strategy<Value = Vec<u8>> {
+        vec(0..PIECES.len(), 1..4)
+            .prop_map(|p| p.into_iter().flat_map(|i| PIECES[i]).copied().collect())
+    }
+
+    /// The bound a held table sits under, or `None` when its seek
+    /// dropped it.
+    fn bound(run: &PmRun<'_>) -> Option<Vec<u8>> {
+        run.held
+            .as_ref()
+            .map(|held| [held.head, held.seek.tail()].concat())
     }
 
     proptest! {
@@ -446,6 +589,91 @@ pub(crate) mod tests {
                 merge_dedup(materialized.collect(), drop_tombstones, &cost, &mut tl);
             let cursors = sources.iter().map(|s| Cursor::Mem(s.cursor())).collect();
             prop_assert_eq!(drain(cursors, &start, end, drop_tombstones), reference);
+        }
+
+        /// Over a level-0 of up to 40 unsorted tables (and maybe a sorted
+        /// run) whose keys tie on their column window, hold zero bytes
+        /// and run shorter than it, with one key's versions and
+        /// tombstones spread across tables, a scan's merge over deferred
+        /// tables yields what one over eager cursors does — from a start
+        /// before, inside and after every table, to no end or a bounded
+        /// one, whole (a reverse scan keeps the tail of this pass) or
+        /// cut at a limit. Every bound a seek leaves lies between the
+        /// seek key and the table's first key at or past it.
+        #[test]
+        fn prop_deferred_tables_merge_like_eager_ones(
+            keys in btree_set(key(), 1..24),
+            in_run in vec(proptest::bool::ANY, 24),
+            tables in vec(vec((0usize..24, 0u8..5), 1..12), 0..40),
+            group_size in 2usize..5,
+            drop_tombstones in proptest::bool::ANY,
+            end_at in 0usize..80,
+            limit in 1usize..20,
+        ) {
+            let keys: Vec<Vec<u8>> = keys.into_iter().collect();
+            let pool = PmPool::new(64 << 20, CostModel::default());
+            let opts = PmTableOptions { group_size, ..PmTableOptions::default() };
+            let (mut l0, mut seq) = (PmLevel0::new(), 0);
+            let run: Vec<OwnedEntry> = keys.iter().zip(&in_run).filter(|(_, &r)| r).map(|(k, _)| {
+                seq += 1;
+                OwnedEntry::value(k.clone(), seq, b"run".to_vec())
+            }).collect();
+            // Each table its own group-cache id (`table_opts` mints 1).
+            let ids = crate::handle::CacheIds::new();
+            let new_table = |entries| {
+                let (table, keys) = table_opts(&pool, entries, opts);
+                (crate::handle::PmTableHandle { cache_id: ids.next(), ..table }, keys)
+            };
+            if !run.is_empty() {
+                l0.set_sorted_run(vec![new_table(run).0]);
+            }
+            for table in &tables {
+                let entries = table.iter().map(|&(k, kind)| {
+                    seq += 1;
+                    let k = keys[k % keys.len()].clone();
+                    match kind {
+                        0 => OwnedEntry::tombstone(k, seq),
+                        _ => OwnedEntry::value(k, seq, seq.to_le_bytes().to_vec()),
+                    }
+                });
+                let (table, table_keys) = new_table(entries.collect());
+                l0.push_unsorted(table, table_keys);
+            }
+            let mut starts = vec![Vec::new(), vec![0xff; 12]];
+            for k in &keys {
+                starts.extend([k.clone(), [k.as_slice(), b"\0"].concat(), k[..k.len() - 1].to_vec()]);
+            }
+            let cache = PmGroupCache::new(1 << 20);
+            for start in &starts {
+                let end_key = &starts[end_at % starts.len()];
+                for end in [None, Some(end_key.as_slice()).filter(|e| *e > start.as_slice())] {
+                    let deferred = l0.cursors(usize::MAX, end, Some(&cache)).collect();
+                    let (rows, stats) = merge_rows(deferred, start, end, drop_tombstones, usize::MAX);
+                    let eager = drain(l0.cursors(usize::MAX, end, None).collect(), start, end, drop_tombstones);
+                    prop_assert_eq!(&rows, &eager);
+                    prop_assert!(stats.tables_opened <= stats.tables_held);
+                    let deferred = l0.cursors(usize::MAX, end, Some(&cache)).collect();
+                    let (first, _) = merge_rows(deferred, start, end, drop_tombstones, limit);
+                    prop_assert_eq!(&first[..], &eager[..limit.min(eager.len())]);
+                }
+            }
+            for h in l0.unsorted() {
+                let entries = h.table.scan_all(&mut Timeline::new());
+                for start in &starts {
+                    let (table, column) = (std::slice::from_ref(h), h.column.as_deref());
+                    let mut cursor = PmRun::new(table, column, None, Some(&cache));
+                    cursor.step(Some(start), &mut Timeline::new()).unwrap();
+                    let target = entries.iter().find(|e| e.user_key >= *start);
+                    match (bound(&cursor), target) {
+                        (Some(bound), Some(target)) => prop_assert!(
+                            start <= &bound && bound <= target.user_key,
+                            "bound {:?} outside [{:?}, {:?}]", bound, start, target.user_key
+                        ),
+                        (None, None) => {}
+                        (bound, target) => prop_assert!(false, "bound {:?}, target {:?}", bound, target),
+                    }
+                }
+            }
         }
     }
 }

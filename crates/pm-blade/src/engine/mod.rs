@@ -275,11 +275,12 @@ impl DbCore {
         m.block_cache_used_bytes.set(self.cache.used() as i64);
         m.pm_group_cache_used_bytes
             .set(self.group_cache.used() as i64);
-        let mut sketch_bytes = 0;
+        let (mut sketch_bytes, mut column_bytes) = (0, 0);
         for (lock, m) in self.partitions.iter().zip(&m.partitions) {
             let p = lock.read();
             if let Level0::Pm(l0) = &p.level0 {
                 sketch_bytes += l0.sketch_bytes() as i64;
+                column_bytes += l0.key_column_bytes() as i64;
             }
             m.memtable_bytes.set(p.mem.approximate_size() as i64);
             m.pm_l0_bytes.set(p.pm_bytes() as i64);
@@ -287,6 +288,7 @@ impl DbCore {
             m.ssd_level_bytes.set(p.levels.total_bytes() as i64);
         }
         m.pm_l0_sketch_bytes.set(sketch_bytes);
+        m.pm_l0_key_column_bytes.set(column_bytes);
         let (mut counters, gauges, histograms) = self.registry.collect();
         // Device and cache counters live in their own crates; mirror
         // them into the snapshot (they are monotonic, so deltas work).

@@ -237,6 +237,8 @@ impl DbCore {
         let latency = tl.elapsed();
         self.advance(latency);
         self.metrics.lat_scans.record(latency);
+        self.metrics.pm_scan_tables.add(stats.tables_held);
+        self.metrics.pm_scan_tables_sought.add(stats.tables_opened);
         if let Some(ctx) = trace {
             // Per-kind sums of the cursor steps' measured sub-intervals,
             // laid out back to back, then the merge CPU.

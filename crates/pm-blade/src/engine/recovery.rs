@@ -12,6 +12,7 @@ use encoding::key::SequenceNumber;
 use memtable::Wal;
 use parking_lot::{Mutex, RwLock};
 use pm_device::PmPool;
+use pmtable::TableKeys;
 use sim::{SimInstant, Timeline};
 use ssd_device::SsdDevice;
 use sstable::{BlockCache, SsTable};
@@ -20,7 +21,7 @@ use super::wal_ring::{wal_segment_file, SealedSegment, WalRing};
 use super::{DbCore, DbError};
 use crate::commit::{CommitMetrics, Committer};
 use crate::groupcache::PmGroupCache;
-use crate::handle::{reopen_pm_table, CacheIds, KeyHashes, PmTableHandle, SsTableHandle};
+use crate::handle::{reopen_pm_table, CacheIds, PmTableHandle, SsTableHandle};
 use crate::maintenance::{MaintenanceShared, QueueMetrics};
 use crate::manifest::{Manifest, PartitionVersion, SsdMeta, VersionEdit};
 use crate::options::{MaintenanceMode, Mode, Options};
@@ -32,13 +33,13 @@ use crate::telemetry::{EventRing, MetricKey, MetricsRegistry, Tracer};
 /// which bounds how much of the log an open replays.
 const MANIFEST_SNAPSHOT_EVERY: u64 = 64;
 
-/// Reopen one PM region as a level-0 table handle, with the hashes of
-/// its keys (recovery path).
+/// Reopen one PM region as a level-0 table handle, with what level-0's
+/// DRAM indexes need of its keys (recovery path).
 fn recover_pm_handle(
     pool: &PmPool,
     id: u64,
     ids: &CacheIds,
-) -> Result<(PmTableHandle, KeyHashes), DbError> {
+) -> Result<(PmTableHandle, TableKeys), DbError> {
     let region = pool.get(id).ok_or_else(|| {
         DbError::Corrupt(format!(
             "manifest names PM region {id} but the pool does not hold it"
@@ -104,10 +105,10 @@ fn rebuild_partition(
                 _ => Ok(()),
             };
             for (idx, &id) in version.unsorted.iter().enumerate() {
-                let (h, key_hashes) = recover_pm_handle(pool, id, cache_ids)?;
+                let (h, keys) = recover_pm_handle(pool, id, cache_ids)?;
                 check_codec(idx, &h)?;
                 max_seq = max_seq.max(h.max_seq);
-                l0.push_unsorted(h, &key_hashes);
+                l0.push_unsorted(h, keys);
                 count += 1;
             }
             let mut run = Vec::with_capacity(version.sorted.len());

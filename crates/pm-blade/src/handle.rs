@@ -5,9 +5,11 @@ use std::sync::Arc;
 
 use encoding::bloom::BloomFilter;
 use encoding::key::SequenceNumber;
+use encoding::prefix::common_prefix_len;
 use pm_device::{PmError, PmPool, PmRegion, RegionId};
 use pmtable::{
-    CodecMode, EntryRef, L0Table, NoGroupCache, OwnedEntry, PmTable, PmTableBuilder, PmTableError,
+    CodecMode, EntryRef, KeyColumn, L0Table, NoGroupCache, OwnedEntry, PmTable, PmTableBuilder,
+    PmTableError, TableKeys,
 };
 use sim::Timeline;
 use sstable::SsTable;
@@ -62,6 +64,9 @@ pub struct PmTableHandle {
     /// this table's groups encode with. Feeds the Eq 1/Eq 2 decode
     /// terms and the manifest's per-table codec record.
     pub codec: u8,
+    /// An unsorted table's DRAM key column, which a scan seeks it by
+    /// (set by [`crate::level0::PmLevel0::push_unsorted`]).
+    pub column: Option<Arc<KeyColumn>>,
 }
 
 impl PmTableHandle {
@@ -154,15 +159,10 @@ pub fn merge_dedup(
     out
 }
 
-/// The [`BloomFilter::hashes`] of a PM table's distinct user keys, what
-/// the level-0 key sketch is filled from; empty for a table without a
-/// filter.
-pub type KeyHashes = Vec<(u64, u64)>;
-
-/// The handle of a PM table in `region`, with its [`KeyHashes`]: one
+/// The handle of a PM table in `region`, with its [`TableKeys`]: one
 /// just published, or one recovered (manifest replay). The region
 /// payload is self-describing; `first`/`last` are re-derived from it,
-/// and so are `max_seq` and the hashes when the caller does not know
+/// and so are `max_seq` and the keys when the caller does not know
 /// them — by a full sequential pass, which ticks the PM device's read
 /// counters, so a build passes what it saw go in. A group that does not
 /// decode fails the reopen: the sequences behind it would go unseen. A
@@ -170,21 +170,26 @@ pub type KeyHashes = Vec<(u64, u64)>;
 /// after a restart, so no aliasing is possible.
 pub fn reopen_pm_table(
     region: PmRegion,
-    built: Option<(SequenceNumber, KeyHashes)>,
+    built: Option<(SequenceNumber, TableKeys)>,
     ids: &CacheIds,
-) -> Result<(PmTableHandle, KeyHashes), String> {
+) -> Result<(PmTableHandle, TableKeys), String> {
     let (region_id, bytes) = (region.id(), region.len());
     let corrupt = |e: PmTableError| format!("region {region_id}: {e}");
     let table = PmTable::open(region).map_err(corrupt)?;
     let empty = || format!("region {region_id}: empty table");
-    let (max_seq, hashes) = match built {
+    let first = table.first_user_key().ok_or_else(empty)?;
+    let last = table.last_user_key().ok_or_else(empty)?;
+    let (max_seq, keys) = match built {
         Some(known) => known,
         None => {
             let (mut seq, mut hashes, mut tl) = (0, Vec::new(), Timeline::new());
+            let (entries, groups) = (table.entry_count(), table.group_count() as usize);
+            let mut column = KeyColumn::new(common_prefix_len(first, last), entries, groups);
             let mut cursor = table.sequential_cursor::<NoGroupCache>();
             cursor.seek(b"", &mut tl).map_err(corrupt)?;
             while let Some(e) = cursor.current() {
                 seq = seq.max(e.seq);
+                column.push(cursor.group(), e.user_key);
                 // A key's versions are adjacent: one pair per key.
                 let key = table.has_filter().then(|| BloomFilter::hashes(e.user_key));
                 if let Some(key) = key.filter(|key| hashes.last() != Some(key)) {
@@ -192,12 +197,12 @@ pub fn reopen_pm_table(
                 }
                 cursor.advance(&mut tl).map_err(corrupt)?;
             }
-            (seq, hashes)
+            (seq, TableKeys { hashes, column })
         }
     };
     let handle = PmTableHandle {
-        first: table.first_user_key().ok_or_else(empty)?.into(),
-        last: table.last_user_key().ok_or_else(empty)?.into(),
+        first: first.into(),
+        last: last.into(),
         entries: table.entry_count(),
         max_seq,
         codec: table.dominant_codec(),
@@ -205,8 +210,9 @@ pub fn reopen_pm_table(
         region: region_id,
         bytes,
         cache_id: ids.next(),
+        column: None,
     };
-    Ok((handle, hashes))
+    Ok((handle, keys))
 }
 
 /// The PM sink of a compaction: sorted entries in, a run of PM tables
@@ -236,7 +242,7 @@ pub struct PmRunWriter<'a> {
     builder: PmTableBuilder,
     /// Largest sequence in `builder`.
     max_seq: SequenceNumber,
-    done: Vec<(PmTableHandle, KeyHashes)>,
+    done: Vec<(PmTableHandle, TableKeys)>,
 }
 
 impl<'a> PmRunWriter<'a> {
@@ -269,17 +275,17 @@ impl<'a> PmRunWriter<'a> {
             let codec = select_codec(&builder.shape(), &opts.codec_costs, &opts.cost);
             builder.set_codec(codec);
         }
-        let (bytes, _stats, hashes) = builder.finish_hashed(&opts.cost, tl);
+        let (bytes, _stats, keys) = builder.finish_with_keys(&opts.cost, tl);
         let region = self.pool.publish(bytes, tl)?;
-        let built = Some((std::mem::take(&mut self.max_seq), hashes));
+        let built = Some((std::mem::take(&mut self.max_seq), keys));
         let table = reopen_pm_table(region, built, self.ids);
         self.done.push(table.expect("just-built table parses"));
         Ok(())
     }
 
     /// Publish the last table and hand the run over, each table with its
-    /// [`KeyHashes`].
-    pub fn finish(mut self, tl: &mut Timeline) -> Result<Vec<(PmTableHandle, KeyHashes)>, PmError> {
+    /// [`TableKeys`].
+    pub fn finish(mut self, tl: &mut Timeline) -> Result<Vec<(PmTableHandle, TableKeys)>, PmError> {
         if self.builder.entry_count() > 0 {
             self.cut(tl)?;
         }
@@ -577,11 +583,17 @@ pub(crate) mod tests {
                 writer.add(entry.as_ref(), &mut tl).unwrap();
             }
         }
-        let [(built, hashes)] = writer.finish(&mut tl).unwrap().try_into().unwrap();
-        assert_eq!(hashes.len(), 200);
+        let [(built, keys)] = writer.finish(&mut tl).unwrap().try_into().unwrap();
+        assert_eq!(keys.hashes.len(), 200);
+        assert_eq!(
+            keys.column.bytes(),
+            8 * 400 + 4 * 25,
+            "one window per entry"
+        );
         let region = pool.get(built.region).unwrap();
-        let (reopened, rehashed) = reopen_pm_table(region, None, &ids).unwrap();
-        assert_eq!((reopened.max_seq, rehashed), (400, hashes));
+        // The pass fills the same hashes and the same key column.
+        let (reopened, rekeyed) = reopen_pm_table(region, None, &ids).unwrap();
+        assert_eq!((reopened.max_seq, rekeyed), (400, keys));
     }
 
     #[test]
@@ -603,7 +615,8 @@ pub(crate) mod tests {
         let region = pool.publish(bytes, &mut Timeline::new()).unwrap();
         let id = region.id();
         let ids = CacheIds::new();
-        let with_known_seq = reopen_pm_table(region.clone(), Some((400, Vec::new())), &ids);
+        let with_known_seq =
+            reopen_pm_table(region.clone(), Some((400, TableKeys::default())), &ids);
         assert_eq!(with_known_seq.unwrap().0.max_seq, 400);
         assert_eq!(
             reopen_pm_table(region, None, &ids).unwrap_err(),

@@ -300,7 +300,7 @@ impl Partition {
                     for e in entries {
                         writer.add(e, tl)?;
                     }
-                    for (table, key_hashes) in writer.finish(tl)? {
+                    for (table, keys) in writer.finish(tl)? {
                         // Only PM-table flushes pick a codec; the matrix
                         // and SSD level-0 containers have none to choose.
                         report.decision = Some(CostDecision::CodecChoice {
@@ -309,7 +309,7 @@ impl Partition {
                             entries: frozen.len(),
                             pm_bytes: (written.get() - written_before) as usize,
                         });
-                        l0.push_unsorted(table, &key_hashes);
+                        l0.push_unsorted(table, keys);
                     }
                 }
                 Level0::Matrix(m) => m.flush_row(entries, opts, pool, tl)?,

@@ -89,6 +89,10 @@ pub struct EngineMetrics {
     /// Distribution of PM tables actually probed per PM-L0 lookup (a
     /// count, not a duration).
     pub pm_tables_probed: Arc<LatencyRecorder>,
+    /// Unsorted PM tables scans held under a key-column bound, and the
+    /// ones among them the merge reached and opened.
+    pub pm_scan_tables: Arc<Counter>,
+    pub pm_scan_tables_sought: Arc<Counter>,
     /// Table-read failures surfaced by the SSD read path (these
     /// propagate to the caller instead of being swallowed as misses).
     pub ssd_read_errors: Arc<Counter>,
@@ -104,8 +108,10 @@ pub struct EngineMetrics {
     pub(crate) pm_used_bytes: Arc<Gauge>,
     pub(crate) block_cache_used_bytes: Arc<Gauge>,
     pub(crate) pm_group_cache_used_bytes: Arc<Gauge>,
-    /// DRAM held by every partition's PM-L0 key sketch.
+    /// DRAM held by every partition's PM-L0 key sketch, and by its
+    /// unsorted tables' key columns.
     pub(crate) pm_l0_sketch_bytes: Arc<Gauge>,
+    pub(crate) pm_l0_key_column_bytes: Arc<Gauge>,
     pub(crate) partitions: Vec<PartitionMetrics>,
 }
 
@@ -170,6 +176,8 @@ impl EngineMetrics {
             pm_filter_useful: counter("pm_filter_useful_total"),
             pm_filter_miss: counter("pm_filter_miss_total"),
             pm_tables_probed: histogram("pm_tables_probed_per_get"),
+            pm_scan_tables: counter("pm_scan_tables_total"),
+            pm_scan_tables_sought: counter("pm_scan_tables_sought_total"),
             ssd_read_errors: counter("ssd_read_errors_total"),
             compaction_input_errors: counter("compaction_input_errors_total"),
             write_slowdowns: counter("write_slowdowns"),
@@ -179,6 +187,7 @@ impl EngineMetrics {
             block_cache_used_bytes: gauge("block_cache_used_bytes"),
             pm_group_cache_used_bytes: gauge("pm_group_cache_used_bytes"),
             pm_l0_sketch_bytes: gauge("pm_l0_sketch_bytes"),
+            pm_l0_key_column_bytes: gauge("pm_l0_key_column_bytes"),
             partitions: (0..partitions)
                 .map(|pid| PartitionMetrics::register(registry, pid))
                 .collect(),
@@ -304,8 +313,8 @@ mod tests {
         // Every field is registered: the global series plus, for each
         // partition, four read counters, the level-1 SSD source and
         // four gauges.
-        assert_eq!(counters.len(), 31 + 2 * 5);
-        assert_eq!(gauges.len(), 4 + 2 * 4);
+        assert_eq!(counters.len(), 33 + 2 * 5);
+        assert_eq!(gauges.len(), 5 + 2 * 4);
         assert_eq!(histograms.len(), 8);
     }
 }

@@ -33,9 +33,9 @@ pub use compressed_array::{
     SnappyGroupTable, SnappyGroupTableBuilder, SnappyTable, SnappyTableBuilder,
 };
 pub use pm_table::{
-    CodecMode, GroupAccess, GroupLoad, MetaExtractor, NoGroupCache, PmCursor, PmTable,
-    PmTableBuilder, PmTableError, PmTableOptions, CODEC_COUNT, CODEC_DELTA, CODEC_FIXED,
-    CODEC_NAMES, CODEC_PREFIX,
+    CodecMode, ColumnSeek, GroupAccess, GroupLoad, KeyColumn, MetaExtractor, NoGroupCache,
+    PmCursor, PmTable, PmTableBuilder, PmTableError, PmTableOptions, TableKeys, CODEC_COUNT,
+    CODEC_DELTA, CODEC_FIXED, CODEC_NAMES, CODEC_PREFIX,
 };
 pub use storage::{DramBuf, Storage};
 

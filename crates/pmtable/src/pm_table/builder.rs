@@ -8,8 +8,8 @@ use sim::Timeline;
 
 use super::codec::{encode_group, Scratch};
 use super::{
-    CodecMode, PmTableOptions, CODEC_PREFIX, FLAG_CODECS, FLAG_FILTER, GINDEX_ENTRY_LEN,
-    HEADER_LEN, MAGIC, PREFIX_WIDTH,
+    CodecMode, KeyColumn, PmTableOptions, TableKeys, CODEC_PREFIX, FLAG_CODECS, FLAG_FILTER,
+    GINDEX_ENTRY_LEN, HEADER_LEN, MAGIC, PREFIX_WIDTH,
 };
 use crate::{AsEntry, BuildStats, EntryRef, EntryRun};
 
@@ -79,18 +79,19 @@ impl PmTableBuilder {
     /// Encode the table, charging CPU encode cost to `tl`.
     /// Returns the payload (to be published to PM) and build stats.
     pub fn finish(self, cost: &sim::CostModel, tl: &mut Timeline) -> (Vec<u8>, BuildStats) {
-        let (bytes, stats, _) = self.finish_hashed(cost, tl);
+        let (bytes, stats, _) = self.finish_with_keys(cost, tl);
         (bytes, stats)
     }
 
-    /// [`PmTableBuilder::finish`], also handing back the
-    /// [`BloomFilter::hashes`] of the table's distinct user keys that its
-    /// filter was built from (none when it has no filter).
-    pub fn finish_hashed(
+    /// [`PmTableBuilder::finish`], also handing back the table's
+    /// [`TableKeys`], taken from the entries it buffered: the hashes its
+    /// filter was built from and its key column. Neither is charged, as
+    /// the filter is not.
+    pub fn finish_with_keys(
         self,
         cost: &sim::CostModel,
         tl: &mut Timeline,
-    ) -> (Vec<u8>, BuildStats, Vec<(u64, u64)>) {
+    ) -> (Vec<u8>, BuildStats, TableKeys) {
         let opts = self.opts;
         let count = self.run.len();
         let rest_of = |i: usize| opts.extractor.split(self.run.get(i).user_key);
@@ -141,9 +142,13 @@ impl PmTableBuilder {
         let mut slice: Vec<EntryRef<'_>> = Vec::with_capacity(opts.group_size);
         let mut rests: Vec<&[u8]> = Vec::with_capacity(opts.group_size);
         let mut scratch = Scratch::default();
-        for g in &groups {
+        let mut column = KeyColumn::new(self.shape().batch_lcp, count, groups.len());
+        for (group, g) in groups.iter().enumerate() {
             slice.clear();
             slice.extend((g.start..g.start + g.len).map(|i| self.run.get(i)));
+            for e in &slice {
+                column.push(group as u32, e.user_key);
+            }
             rests.clear();
             rests.extend(slice.iter().map(|e| opts.extractor.split(e.user_key).1));
             let meta = &metas[g.meta_id as usize];
@@ -265,6 +270,6 @@ impl PmTableBuilder {
             encoded_bytes: out.len(),
             entries: count,
         };
-        (out, stats, hashes)
+        (out, stats, TableKeys { hashes, column })
     }
 }

@@ -39,7 +39,20 @@ pub struct PmCursor<'a, S: Storage, A: GroupAccess> {
 impl<S: Storage, A: GroupAccess> PmCursor<'_, S, A> {
     /// Position at the first entry with user key >= `start`.
     pub fn seek(&mut self, start: &[u8], tl: &mut Timeline) -> Result<GroupLoad, PmTableError> {
-        self.next_group = self.table.seek_group(start, tl);
+        let group = self.table.seek_group(start, tl);
+        self.seek_from(group, start, tl)
+    }
+
+    /// [`PmCursor::seek`] from `group`, which the caller knows no entry
+    /// at or past `start` precedes (a [`super::KeyColumn`] search names
+    /// it): no prefix-layer search, no step-back.
+    pub fn seek_from(
+        &mut self,
+        group: u32,
+        start: &[u8],
+        tl: &mut Timeline,
+    ) -> Result<GroupLoad, PmTableError> {
+        self.next_group = group;
         self.adjacent = false;
         let mut load = GroupLoad::None;
         // The located group can end before `start`; the next one then
@@ -72,6 +85,11 @@ impl<S: Storage, A: GroupAccess> PmCursor<'_, S, A> {
     /// last entry.
     pub fn current(&self) -> Option<EntryRef<'_>> {
         self.entries.as_ref().map(|entries| entries.get(self.pos))
+    }
+
+    /// The group of the entry under the cursor, while there is one.
+    pub fn group(&self) -> u32 {
+        self.next_group.saturating_sub(1)
     }
 
     /// Move onto the first entry of the next non-empty group.

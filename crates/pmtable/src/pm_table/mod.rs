@@ -69,10 +69,12 @@
 
 mod builder;
 mod codec;
+mod column;
 mod cursor;
 mod reader;
 
 pub use builder::PmTableBuilder;
+pub use column::{ColumnSeek, KeyColumn, TableKeys};
 pub use cursor::{GroupAccess, GroupLoad, NoGroupCache, PmCursor};
 pub use reader::{PmTable, PmTableError};
 

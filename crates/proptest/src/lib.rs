@@ -446,7 +446,8 @@ macro_rules! __proptest_bind {
 }
 
 /// Shimmed `proptest!` block: runs each test for `config.cases` deterministic
-/// cases. No shrinking; the case index printed on failure reproduces it.
+/// cases, or `PROPTEST_CASES` when that is set. No shrinking; the case
+/// index printed on failure reproduces it.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($config:expr)]
@@ -455,7 +456,8 @@ macro_rules! proptest {
             $(#[$meta])*
             fn $name() {
                 let __config = $config;
-                for __case in 0..__config.cases {
+                let __cases = ::std::env::var("PROPTEST_CASES").ok().and_then(|n| n.parse().ok());
+                for __case in 0..__cases.unwrap_or(__config.cases) {
                     let mut __rng = $crate::test_runner::TestRng::for_case(
                         concat!(module_path!(), "::", stringify!($name)),
                         __case,

@@ -6,7 +6,9 @@
 //!
 //! The uncached PM path: with the group cache disabled, a get and a
 //! scan allocate per decoded *group* (its arena, its slots, its `Arc`)
-//! and per row they return, never per decoded entry.
+//! and per row they return, never per decoded entry; and a scan
+//! allocates and reads no more for unsorted tables that hold none of
+//! its rows.
 //!
 //! Compactions: a flush and an SSD-to-SSD merge allocate per table and
 //! per block, an internal compaction per input group and per output
@@ -321,6 +323,61 @@ fn an_uncached_pm_scan_allocates_per_group_and_per_row_not_per_entry() {
              (budget {budget}: 2 per row, {PER_GROUP} per group, 24 per scan)"
         );
     }
+}
+
+#[test]
+fn a_scan_allocates_and_reads_as_much_over_32_unsorted_tables_as_over_8() {
+    // No group cache, so each scan decodes (and allocates for) every
+    // group it opens; nothing merges the unsorted tables away.
+    let mut opts = tiny_options(Mode::PmBladePm);
+    opts.pm_capacity = 32 << 20;
+    opts.tau_m = 30 << 20;
+    opts.memtable_bytes = 1 << 20;
+    opts.l0_table_trigger = usize::MAX;
+    opts.l0_unsorted_hard_cap = usize::MAX;
+    opts.pm_group_cache_bytes = 0;
+    opts.trace_sample_every = 0;
+    let db = Db::open(opts).unwrap();
+    let flush = || db.compact(CompactionRequest::FlushAll).unwrap();
+    let counter = |name| db.metrics_snapshot().counter(name);
+    // Allocations and PM bytes read of one 50-row scan, and the unsorted
+    // tables it held by their key columns and opened.
+    let scan = || {
+        let request = || ScanRequest::new().start(key_for(400)).limit(50);
+        db.scan(request()).unwrap();
+        let before = [counter("pm_bytes_read"), counter("pm_scan_tables_total")];
+        let opened = counter("pm_scan_tables_sought_total");
+        let (allocations, (rows, _)) = allocations_in(|| db.scan(request()).unwrap());
+        assert_eq!(rows.len(), 50);
+        let read = counter("pm_bytes_read") - before[0];
+        let held = counter("pm_scan_tables_total") - before[1];
+        (
+            allocations,
+            read,
+            held,
+            counter("pm_scan_tables_sought_total") - opened,
+        )
+    };
+    // The rows: eight tables, each every eighth key of 0..1000.
+    for table in 0..8 {
+        put_keys(&db, (0..1000).filter(|i| i % 8 == table), 0);
+        flush();
+    }
+    let (allocations, read, held, opened) = scan();
+    assert_eq!((held, opened), (8, 8));
+    // Then 24 tables across the scan's range with no key among its rows.
+    for table in 0..24 {
+        put_keys(&db, [0, 999].into_iter(), 1 + table);
+        flush();
+    }
+    assert_eq!(unsorted_tables(&db), 32);
+    let at_32 = scan();
+    assert_eq!(
+        at_32,
+        (allocations, read, 32, 8),
+        "(allocations, PM bytes read, tables held, tables opened) of a 50-row scan \
+         at 32 unsorted tables, against 8"
+    );
 }
 
 #[test]

@@ -231,9 +231,9 @@ fn recovery_metrics_export_through_prometheus() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// PM bytes the open below read before level-0 had a key sketch. The
-/// sketch is rebuilt inside the pass that finds each reopened table's
-/// largest sequence, so the open reads not one byte more.
+/// PM bytes the open below read before level-0 had a key sketch or key
+/// columns. Both are rebuilt inside the pass that finds each reopened
+/// table's largest sequence, so the open reads not one byte more.
 const SKETCH_REOPEN_PM_BYTES_READ: u64 = 56_414;
 
 #[test]
@@ -252,9 +252,25 @@ fn a_reopen_rebuilds_the_key_sketch_and_reads_no_more_pm() {
             .map(|i| db.get(&key_for(i)).unwrap().value)
             .collect()
     };
-    let sketch_bytes =
-        |db: &Db| db.metrics_snapshot().gauges[&MetricKey::global("pm_l0_sketch_bytes")];
-    let (answers, bytes);
+    // Scans from before, inside and past the keys, forward and reverse,
+    // bounded and not: every unsorted table is held by its key column.
+    let scans = |db: &Db| -> Vec<Vec<(Vec<u8>, Vec<u8>)>> {
+        let from = |i| ScanRequest::new().start(key_for(i)).limit(40);
+        let requests = [
+            ScanRequest::new().limit(25),
+            from(7),
+            from(150).end(key_for(170)),
+            from(299).reverse(true),
+            from(120).end(key_for(200)).reverse(true),
+            from(400),
+        ];
+        requests.map(|r| db.scan(r).unwrap().0).into()
+    };
+    let dram_bytes = |db: &Db| {
+        let gauges = db.metrics_snapshot().gauges;
+        ["pm_l0_sketch_bytes", "pm_l0_key_column_bytes"].map(|g| gauges[&MetricKey::global(g)])
+    };
+    let (answers, rows, bytes);
     {
         let db = Db::open(opts.clone()).unwrap();
         // Six overlapping flushes, so every key has versions in two
@@ -269,20 +285,23 @@ fn a_reopen_rebuilds_the_key_sketch_and_reads_no_more_pm() {
             db.delete(&key_for(i)).unwrap();
         }
         db.compact(CompactionRequest::FlushAll).unwrap();
-        (answers, bytes) = (gets(&db), sketch_bytes(&db));
-        assert!(bytes > 0);
+        (answers, rows, bytes) = (gets(&db), scans(&db), dram_bytes(&db));
+        assert!(bytes.iter().all(|&b| b > 0));
     }
     let db = Db::open(opts).unwrap();
     let read = db.metrics_snapshot().counter("pm_bytes_read");
     assert_eq!(read, SKETCH_REOPEN_PM_BYTES_READ);
     assert_eq!(
-        sketch_bytes(&db),
+        dram_bytes(&db),
         bytes,
-        "the reopen rebuilt the same sketch"
+        "the reopen rebuilt the same sketch and key columns"
     );
     assert_eq!(gets(&db), answers);
     let probes = db.metrics_snapshot().counter("pm_l0_sketch_probes_total");
     assert_eq!(probes, 320, "every get went through the sketch");
+    assert_eq!(scans(&db), rows);
+    let held = db.metrics_snapshot().counter("pm_scan_tables_total");
+    assert!(held > 0, "the scans held tables by their key columns");
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -281,8 +281,11 @@ fn prometheus_rendering_matches_golden() {
     counters.insert(MetricKey::partition("group_commits", 1), 9);
     counters.insert(MetricKey::level("read_source_ssd", 1, 2), 3);
     counters.insert(MetricKey::global("pm_l0_sketch_probes_total"), 40);
+    counters.insert(MetricKey::global("pm_scan_tables_sought_total"), 10);
+    counters.insert(MetricKey::global("pm_scan_tables_total"), 30);
     let mut gauges = BTreeMap::new();
     gauges.insert(MetricKey::global("maintenance_queue_depth"), 3);
+    gauges.insert(MetricKey::global("pm_l0_key_column_bytes"), 8_512);
     gauges.insert(MetricKey::global("pm_l0_sketch_bytes"), 4_096);
     gauges.insert(MetricKey::global("pm_used_bytes"), 65_536);
     let mut histograms = BTreeMap::new();
@@ -300,10 +303,16 @@ pmblade_group_commits{partition=\"0\"} 7
 pmblade_group_commits{partition=\"1\"} 9
 # TYPE pmblade_pm_l0_sketch_probes_total counter
 pmblade_pm_l0_sketch_probes_total 40
+# TYPE pmblade_pm_scan_tables_sought_total counter
+pmblade_pm_scan_tables_sought_total 10
+# TYPE pmblade_pm_scan_tables_total counter
+pmblade_pm_scan_tables_total 30
 # TYPE pmblade_read_source_ssd counter
 pmblade_read_source_ssd{partition=\"1\",level=\"2\"} 3
 # TYPE pmblade_maintenance_queue_depth gauge
 pmblade_maintenance_queue_depth 3
+# TYPE pmblade_pm_l0_key_column_bytes gauge
+pmblade_pm_l0_key_column_bytes 8512
 # TYPE pmblade_pm_l0_sketch_bytes gauge
 pmblade_pm_l0_sketch_bytes 4096
 # TYPE pmblade_pm_used_bytes gauge
@@ -365,6 +374,8 @@ const SERIES: &[(&str, &str, &str)] = &[
     ("counter", "pm_group_cache_invalidations_total", ""),
     ("counter", "pm_group_cache_miss_total", ""),
     ("counter", "pm_l0_sketch_probes_total", ""),
+    ("counter", "pm_scan_tables_sought_total", ""),
+    ("counter", "pm_scan_tables_total", ""),
     ("counter", "puts", ""),
     ("counter", "read_misses", ""),
     ("counter", "read_source_memtable", "{partition=\"0\"}"),
@@ -410,6 +421,7 @@ const SERIES: &[(&str, &str, &str)] = &[
     ("gauge", "pm_group_cache_used_bytes", ""),
     ("gauge", "pm_l0_bytes", "{partition=\"0\"}"),
     ("gauge", "pm_l0_bytes", "{partition=\"1\"}"),
+    ("gauge", "pm_l0_key_column_bytes", ""),
     ("gauge", "pm_l0_sketch_bytes", ""),
     ("gauge", "pm_used_bytes", ""),
     ("gauge", "ssd_level_bytes", "{partition=\"0\"}"),

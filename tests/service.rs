@@ -952,6 +952,10 @@ fn debug_endpoint_serves_flight_recorder_and_queue_state() {
     // So does the PM level-0 key sketch: its lookups and DRAM bytes.
     assert!(response.contains("pm_l0_sketch_probes_total"));
     assert!(response.contains("pm_l0_sketch_bytes"));
+    // And the scan side's key columns: tables held and opened, bytes.
+    assert!(response.contains("pm_scan_tables_total"));
+    assert!(response.contains("pm_scan_tables_sought_total"));
+    assert!(response.contains("pm_l0_key_column_bytes"));
 
     server.shutdown();
 }

@@ -149,9 +149,16 @@ fn sampled_scan_attributes_every_nanosecond_to_a_stage() {
     assert_eq!(cold.total_nanos, cold_latency.as_nanos());
     for (trace, pm_stage) in [(cold, "pm_decode_miss"), (warm, "pm_decode_hit")] {
         let kinds: Vec<&str> = trace.stages.iter().map(|s| s.kind.as_str()).collect();
+        // The unsorted table's key-column search is a filter consult.
         assert_eq!(
             kinds,
-            ["memtable_probe", pm_stage, "ssd_read", "merge"],
+            [
+                "memtable_probe",
+                "filter_consult",
+                pm_stage,
+                "ssd_read",
+                "merge"
+            ],
             "one stage per kind, in consult order"
         );
         assert_eq!(trace.stage_nanos(), trace.total_nanos);
