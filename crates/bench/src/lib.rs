@@ -19,7 +19,7 @@
 //! | memtable       | 64 MB  | 32 KB |
 
 use pm_blade::{Db, Mode, Options};
-use pmtable::{MetaExtractor, OwnedEntry, PmTableOptions};
+use pmtable::OwnedEntry;
 use sim::Pcg64;
 
 /// Scaled dataset size standing in for the paper's 200 GB.
@@ -43,12 +43,6 @@ fn scaled(mode: Mode, pm: usize) -> Options {
         l1_target: 512 << 10,
         max_table_bytes: 512 << 10,
         block_cache_bytes: 2 << 20,
-        pm_table: PmTableOptions {
-            group_size: 16,
-            extractor: MetaExtractor::None,
-            filter_bits_per_key: 0, // overridden by pm_filter_bits_per_key at open
-            codec: pmtable::CodecMode::Prefix, // overridden by pm_codec_mode at open
-        },
         ..Options::default()
     }
 }

@@ -31,7 +31,7 @@ use sstable::SsCursor;
 use crate::engine::DbError;
 use crate::groupcache::{PmGroupCache, TableGroupCache};
 use crate::handle::{PmTableHandle, SsTableHandle};
-use crate::telemetry::SpanKind;
+use crate::telemetry::{SpanKind, StageTimes};
 
 fn corrupt(e: impl std::fmt::Display) -> DbError {
     DbError::Corrupt(e.to_string())
@@ -253,12 +253,12 @@ impl<'a> SsRun<'a> {
     }
 }
 
-/// Where one scan's virtual time went, by trace stage.
-#[derive(Clone, Copy, Debug)]
+/// Where one scan's virtual time went, and what its merge did.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ScanStats {
-    /// Per stage, in consult order: (stage, nanos, cursor steps that
-    /// charged time). Key-column searches are `filter_consult`.
-    pub stages: [(SpanKind, u64, u64); 5],
+    /// The cursor steps that charged time, by the stage each reported.
+    /// Key-column searches are `filter_consult`.
+    pub stages: StageTimes,
     /// Records pulled off the merge heap, each charged
     /// `cpu.merge_per_entry`.
     pub records: u64,
@@ -266,24 +266,6 @@ pub struct ScanStats {
     /// how many of those it then opened.
     pub tables_held: u64,
     pub tables_opened: u64,
-}
-
-impl Default for ScanStats {
-    fn default() -> Self {
-        ScanStats {
-            stages: [
-                SpanKind::MemtableProbe,
-                SpanKind::FilterConsult,
-                SpanKind::PmDecodeHit,
-                SpanKind::PmDecodeMiss,
-                SpanKind::SsdRead,
-            ]
-            .map(|kind| (kind, 0, 0)),
-            records: 0,
-            tables_held: 0,
-            tables_opened: 0,
-        }
-    }
 }
 
 /// Heap-based k-way merge over [`Cursor`]s, bounded by `end`.
@@ -353,10 +335,7 @@ impl<'a> MergingIter<'a> {
         let kind = self.cursors[i].step(seek, tl)?;
         let spent = tl.elapsed().as_nanos() - before;
         if spent > 0 {
-            let stage = self.stats.stages.iter_mut().find(|s| s.0 == kind);
-            let stage = stage.expect("every cursor stage has a slot");
-            stage.1 += spent;
-            stage.2 += 1;
+            self.stats.stages.add(kind, spent, 1, 0);
         }
         Ok(self.cursors[i].head().is_some())
     }
@@ -529,9 +508,8 @@ pub(crate) mod tests {
             out.push(e.to_owned());
         }
         drop(iter);
-        let staged: u64 = stats.stages.iter().map(|s| s.1).sum();
         assert_eq!(
-            staged + stats.records * cost.as_nanos(),
+            stats.stages.nanos() + stats.records * cost.as_nanos(),
             tl.elapsed().as_nanos(),
             "every nanosecond of the merge is attributed to a stage"
         );

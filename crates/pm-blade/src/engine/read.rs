@@ -1,20 +1,25 @@
-//! The read path: point reads and range scans. Takes a partition read
-//! lock — dropped while a point read searches the published PM
-//! level-0 — and nothing else.
+//! The read path: point reads and range scans.
+//!
+//! A get is one walk in every mode — memtable, level-0, SSD levels,
+//! newest first, stopping at the first hit — and only its level-0 step
+//! differs by mode. It takes the partition read lock, and drops it
+//! while it searches a published PM level-0. A scan merges cursors over
+//! every tier under the lock. Both count their virtual time per stage
+//! in a [`StageTimes`], which a traced request lays out as its stages.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 
 use encoding::key::SequenceNumber;
+use pmtable::Lookup;
 use sim::Timeline;
 
 use super::{DbCore, DbError, ReadOutcome, ScanRequest, ScanResult};
 use crate::cursor::{MergingIter, ScanStats};
 use crate::level0::ProbeStats;
-use crate::levels::SsdReadStats;
 use crate::partition::Level0;
 use crate::stats::ReadSource;
-use crate::telemetry::{SpanKind, StageTrace, TraceContext, TraceOp};
+use crate::telemetry::{SpanKind, StageTimes, StageTrace, TraceContext, TraceOp};
 
 impl DbCore {
     /// Point read at the latest snapshot.
@@ -26,21 +31,11 @@ impl DbCore {
     /// [`DbCore::snapshot`]; [`SequenceNumber::MAX`] reads the latest)
     /// with the trace context stated, as [`DbCore::put_with`] takes it.
     ///
-    /// Fast path: the memtable probe runs under the partition's read
-    /// lock; if the partition has a PM level-0, the read takes a
-    /// reference to its published [`crate::level0::L0Version`] (one
-    /// refcount bump), drops the lock and searches the PM tables
-    /// through it (PM tables are never mutated after publication, and
-    /// the `Arc`s keep them readable even if a concurrent compaction
-    /// frees their pool space). Only the SSD levels — whose tables *can*
-    /// be deleted by a concurrent major compaction — are searched under
-    /// the lock again.
-    ///
-    /// When the request is traced, each leg records a stage span from the
-    /// `Timeline::elapsed` deltas around it — measured sub-intervals of
-    /// the same virtual timeline that produces the read's latency, so
-    /// the stage sum can never exceed the total. Untraced reads take
-    /// the exact pre-tracing path (one `None` check per leg).
+    /// Every get takes one walk, `probe`'s: memtable, level-0, SSD
+    /// levels. Its steps count their virtual time per stage in one
+    /// [`StageTimes`], which a traced get lays out as its stages — every
+    /// nanosecond of the latency, in every mode. Counting only observes
+    /// the timeline, so tracing moves no virtual number.
     pub fn get_with(
         &self,
         user_key: &[u8],
@@ -51,90 +46,8 @@ impl DbCore {
         let mut tl = Timeline::new();
         let pid = self.opts.partitioner.locate(user_key);
         let start_nanos = self.clock.load(Ordering::Relaxed);
-        let mut st = trace.map(|ctx| StageTrace::new(ctx, TraceOp::Get, pid, start_nanos));
-        let guard = self.partitions[pid].read();
-        guard.counters.reads.incr();
-        let mem_hit = guard.mem.get(user_key, snapshot, &mut tl);
-        if let Some(s) = st.as_mut() {
-            s.stage(SpanKind::MemtableProbe, 0, tl.elapsed().as_nanos());
-        }
-        let probed = if let Some(hit) = mem_hit {
-            Ok((Some(hit), ReadSource::MemTable, None))
-        } else if let Level0::Pm(l0) = &guard.level0 {
-            let l0 = l0.version();
-            drop(guard);
-            let pm_from = tl.elapsed().as_nanos();
-            let mut probe = ProbeStats::default();
-            let l0_hit = l0.get(
-                user_key,
-                snapshot,
-                &mut tl,
-                Some(&self.group_cache),
-                &mut probe,
-            );
-            self.note_probe_stats(&probe);
-            if let Some(s) = st.as_mut() {
-                // Lay the measured PM sub-intervals out in consult
-                // order: filters, then cache-served probes, then
-                // probes that decoded groups from PM.
-                let mut cursor = pm_from;
-                if probe.filter_lookups > 0 {
-                    s.stage_counts(
-                        SpanKind::FilterConsult,
-                        cursor,
-                        cursor + probe.filter_nanos,
-                        probe.filter_lookups,
-                        probe.filter_useful,
-                    );
-                    cursor += probe.filter_nanos;
-                }
-                if probe.decode_cache_hits > 0 {
-                    s.stage_counts(
-                        SpanKind::PmDecodeHit,
-                        cursor,
-                        cursor + probe.decode_hit_nanos,
-                        probe.decode_cache_hits,
-                        0,
-                    );
-                    cursor += probe.decode_hit_nanos;
-                }
-                if probe.decode_cache_misses > 0 || probe.decode_miss_nanos > 0 {
-                    s.stage_counts(
-                        SpanKind::PmDecodeMiss,
-                        cursor,
-                        cursor + probe.decode_miss_nanos,
-                        probe.decode_cache_misses,
-                        0,
-                    );
-                }
-            }
-            if let Some(hit) = l0_hit {
-                Ok((Some(hit), ReadSource::Pm, None))
-            } else {
-                let guard = self.partitions[pid].read();
-                let ssd_from = tl.elapsed().as_nanos();
-                let mut ssd = SsdReadStats::default();
-                let res = guard
-                    .levels
-                    .get_with_stats(user_key, snapshot, &mut tl, &mut ssd);
-                if let Some(s) = st.as_mut() {
-                    s.stage_counts(
-                        SpanKind::SsdRead,
-                        ssd_from,
-                        tl.elapsed().as_nanos(),
-                        ssd.levels_searched,
-                        ssd.tables_probed,
-                    );
-                }
-                match res {
-                    Ok(Some((hit, level))) => Ok((Some(hit), ReadSource::Ssd, Some(level))),
-                    Ok(None) => Ok((None, ReadSource::Miss, None)),
-                    Err(e) => Err(DbError::from(e)),
-                }
-            }
-        } else {
-            guard.get_below_memtable(user_key, snapshot, &mut tl)
-        };
+        let mut stages = StageTimes::default();
+        let probed = self.probe(pid, user_key, snapshot, &mut tl, &mut stages);
         let (hit, source, ssd_level) = match probed {
             Ok(result) => result,
             Err(e) => {
@@ -150,13 +63,80 @@ impl DbCore {
         let latency = tl.elapsed();
         self.advance(latency);
         self.metrics.lat_reads.record(latency);
-        if let Some(s) = st {
-            self.tracer.finish(s.finish(latency.as_nanos()));
+        if let Some(ctx) = trace {
+            let mut st = StageTrace::new(ctx, TraceOp::Get, pid, start_nanos);
+            st.lay_out(&stages);
+            self.tracer.finish(st.finish(latency.as_nanos()));
         }
         Ok(ReadOutcome {
             value: hit.and_then(|l| l.into_value()),
             source,
             latency,
+        })
+    }
+
+    /// The one point-read walk of partition `pid`, newest data first:
+    /// the memtable, then level-0, then the SSD levels. The third
+    /// element is the SSD level that served the read (0 for an SSD
+    /// level-0 table), `None` for the other sources.
+    ///
+    /// Only the level-0 step depends on the mode. A PM level-0 is
+    /// searched through its published [`crate::level0::L0Version`] (one
+    /// refcount bump) with the partition lock dropped: PM tables are
+    /// never mutated after publication, and the `Arc`s keep them
+    /// readable even if a concurrent compaction frees their pool space.
+    /// A PM hit returns without the lock; a miss takes it again for the
+    /// SSD levels, whose tables a concurrent major compaction *can*
+    /// delete. Matrix rows and SSD level-0 tables are searched under the
+    /// lock the memtable probe took.
+    fn probe(
+        &self,
+        pid: usize,
+        user_key: &[u8],
+        snapshot: SequenceNumber,
+        tl: &mut Timeline,
+        stages: &mut StageTimes,
+    ) -> Result<(Option<Lookup>, ReadSource, Option<usize>), DbError> {
+        let guard = self.partitions[pid].read();
+        guard.counters.reads.incr();
+        let mem = |tl: &mut Timeline| guard.mem.get(user_key, snapshot, tl);
+        if let Some(hit) = stages.time(SpanKind::MemtableProbe, tl, mem) {
+            return Ok((Some(hit), ReadSource::MemTable, None));
+        }
+        let guard = match &guard.level0 {
+            Level0::Pm(l0) => {
+                let version = l0.version();
+                drop(guard);
+                let mut probe = ProbeStats::default();
+                let cache = &self.group_cache;
+                let hit = version.get(user_key, snapshot, tl, cache, &mut probe, stages);
+                self.note_probe_stats(&probe);
+                if hit.is_some() {
+                    return Ok((hit, ReadSource::Pm, None));
+                }
+                self.partitions[pid].read()
+            }
+            Level0::Matrix(m) => {
+                let rows = |tl: &mut Timeline| m.get(user_key, snapshot, tl);
+                if let Some(hit) = stages.time(SpanKind::PmDecodeMiss, tl, rows) {
+                    return Ok((Some(hit), ReadSource::Pm, None));
+                }
+                guard
+            }
+            Level0::Ssd(tables) => {
+                // The tables overlap: newest first. An unreadable one
+                // fails the read — an older version may hide behind it.
+                for handle in tables.iter().rev().filter(|h| h.overlaps_key(user_key)) {
+                    if let Some(hit) = handle.get(user_key, snapshot, tl, stages)? {
+                        return Ok((Some(hit), ReadSource::Ssd, Some(0)));
+                    }
+                }
+                guard
+            }
+        };
+        Ok(match guard.levels.get(user_key, snapshot, tl, stages)? {
+            Some((hit, level)) => (Some(hit), ReadSource::Ssd, Some(level)),
+            None => (None, ReadSource::Miss, None),
         })
     }
 
@@ -166,7 +146,7 @@ impl DbCore {
         self.metrics
             .pm_tables_probed
             .record_nanos(probe.tables_probed);
-        if probe.filter_lookups > 0 {
+        if probe.filter_checked > 0 {
             self.metrics.pm_sketch_probes.add(probe.sketch_probes);
             self.metrics.pm_filter_checked.add(probe.filter_checked);
             self.metrics.pm_filter_useful.add(probe.filter_useful);
@@ -240,16 +220,9 @@ impl DbCore {
         self.metrics.pm_scan_tables.add(stats.tables_held);
         self.metrics.pm_scan_tables_sought.add(stats.tables_opened);
         if let Some(ctx) = trace {
-            // Per-kind sums of the cursor steps' measured sub-intervals,
-            // laid out back to back, then the merge CPU.
+            // The cursor steps' stages, then the merge CPU.
             let mut st = StageTrace::new(ctx, TraceOp::Scan, first_pid, start_nanos);
-            let mut at = 0;
-            for (kind, nanos, steps) in stats.stages {
-                if nanos > 0 {
-                    st.stage_counts(kind, at, at + nanos, steps, 0);
-                    at += nanos;
-                }
-            }
+            let at = st.lay_out(&stats.stages);
             let merge = self.opts.cost.cpu.merge_per_entry.as_nanos() * stats.records;
             st.stage_counts(
                 SpanKind::Merge,

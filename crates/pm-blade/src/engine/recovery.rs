@@ -189,16 +189,11 @@ impl DbCore {
     /// newer than each partition's flush checkpoint.
     pub(super) fn open(mut opts: Options) -> Result<DbCore, DbError> {
         let recovery_start = std::time::Instant::now();
-        // The PM-table filter knob lives on the engine options; project
-        // it onto the per-table build options so every flush and
-        // compaction builds (or skips) filters consistently.
-        opts.pm_table.filter_bits_per_key = opts.pm_filter_bits_per_key;
-        // Same for the codec knob (encoding v2). For anything beyond
-        // plain prefix groups, calibrate the per-codec decode-cost table
-        // once, on the virtual clock, so Auto selection and the Eq 1/2
-        // decode terms see measured numbers instead of zeros. SSD
-        // level-0 mode never builds PM tables, so it skips the work.
-        opts.pm_table.codec = opts.pm_codec_mode;
+        // For any codec beyond plain prefix groups, calibrate the
+        // per-codec decode-cost table once, on the virtual clock, so Auto
+        // selection and the Eq 1/2 decode terms see measured numbers
+        // instead of zeros. SSD level-0 mode never builds PM tables, so
+        // it skips the work.
         if opts.mode != Mode::SsdLevel0 && opts.pm_codec_mode != pmtable::CodecMode::Prefix {
             opts.codec_costs = crate::costmodel::CodecCostTable::calibrate(&opts.cost);
         }

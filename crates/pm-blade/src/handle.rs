@@ -8,14 +8,16 @@ use encoding::key::SequenceNumber;
 use encoding::prefix::common_prefix_len;
 use pm_device::{PmError, PmPool, PmRegion, RegionId};
 use pmtable::{
-    CodecMode, EntryRef, KeyColumn, L0Table, NoGroupCache, OwnedEntry, PmTable, PmTableBuilder,
-    PmTableError, TableKeys,
+    CodecMode, EntryRef, KeyColumn, L0Table, Lookup, NoGroupCache, OwnedEntry, PmTable,
+    PmTableBuilder, PmTableError, TableKeys,
 };
 use sim::Timeline;
+use sstable::table::TableError;
 use sstable::SsTable;
 
 use crate::costmodel::select_codec;
 use crate::options::Options;
+use crate::telemetry::{SpanKind, StageTimes};
 
 /// Per-engine allocator for [`PmTableHandle::cache_id`]. Ids are
 /// monotonic and never reused within an engine, so a retired table's
@@ -100,6 +102,19 @@ pub struct SsTableHandle {
 impl SsTableHandle {
     pub fn overlaps_key(&self, key: &[u8]) -> bool {
         self.first.as_slice() <= key && key <= self.last.as_slice()
+    }
+
+    /// Point lookup in this table, its time one `ssd_read` step.
+    pub(crate) fn get(
+        &self,
+        user_key: &[u8],
+        snapshot: SequenceNumber,
+        tl: &mut Timeline,
+        stages: &mut StageTimes,
+    ) -> Result<Option<Lookup>, TableError> {
+        let read = |tl: &mut Timeline| self.table.get(user_key, snapshot, tl);
+        let found = stages.time(SpanKind::SsdRead, tl, read)?;
+        Ok(found.map(|(seq, kind, value)| Lookup { seq, kind, value }))
     }
 
     pub fn overlaps_handle_range(&self, first: &[u8], last: &[u8]) -> bool {
@@ -252,7 +267,7 @@ impl<'a> PmRunWriter<'a> {
             max_bytes,
             pool,
             ids,
-            builder: PmTableBuilder::new(opts.pm_table),
+            builder: PmTableBuilder::new(opts.pm_table_options()),
             max_seq: 0,
             done: Vec::new(),
         }
@@ -270,8 +285,9 @@ impl<'a> PmRunWriter<'a> {
     /// Encode and publish the table built so far and begin the next.
     fn cut(&mut self, tl: &mut Timeline) -> Result<(), PmError> {
         let opts = self.opts;
-        let mut builder = std::mem::replace(&mut self.builder, PmTableBuilder::new(opts.pm_table));
-        if opts.pm_table.codec == CodecMode::Auto {
+        let next = PmTableBuilder::new(opts.pm_table_options());
+        let mut builder = std::mem::replace(&mut self.builder, next);
+        if opts.pm_codec_mode == CodecMode::Auto {
             let codec = select_codec(&builder.shape(), &opts.codec_costs, &opts.cost);
             builder.set_codec(codec);
         }
@@ -297,9 +313,29 @@ impl<'a> PmRunWriter<'a> {
 pub(crate) mod tests {
     use super::*;
     use crate::costmodel::CodecCostTable;
+    use crate::options::PmTableLayout;
     use encoding::key::KeyKind;
     use pmtable::PmTableOptions;
     use sim::CostModel;
+
+    /// Engine options under which a [`PmRunWriter`] builds with `table`.
+    fn writing(table: PmTableOptions) -> Options {
+        let PmTableOptions {
+            group_size,
+            extractor,
+            filter_bits_per_key,
+            codec,
+        } = table;
+        Options {
+            pm_table: PmTableLayout {
+                group_size,
+                extractor,
+            },
+            pm_filter_bits_per_key: filter_bits_per_key,
+            pm_codec_mode: codec,
+            ..Options::default()
+        }
+    }
 
     /// A [`PmRunWriter`] fed from a slice.
     #[allow(clippy::too_many_arguments)]
@@ -314,10 +350,9 @@ pub(crate) mod tests {
         tl: &mut Timeline,
     ) -> Result<Vec<PmTableHandle>, PmError> {
         let opts = Options {
-            pm_table,
             codec_costs: *codec_costs,
             cost: *cost,
-            ..Options::default()
+            ..writing(pm_table)
         };
         let mut writer = PmRunWriter::new(&opts, max_bytes, pool, ids);
         for e in entries {
@@ -565,14 +600,10 @@ pub(crate) mod tests {
     fn a_reopen_hashes_the_keys_the_build_hashed() {
         let cost = CostModel::default();
         let pool = PmPool::new(1 << 20, cost);
-        let pm_table = PmTableOptions {
+        let opts = writing(PmTableOptions {
             filter_bits_per_key: 10,
             ..PmTableOptions::default()
-        };
-        let opts = Options {
-            pm_table,
-            ..Options::default()
-        };
+        });
         let ids = CacheIds::new();
         let mut writer = PmRunWriter::new(&opts, usize::MAX, &pool, &ids);
         let mut tl = Timeline::new();

@@ -48,17 +48,17 @@ use std::sync::Arc;
 use encoding::bloom::BloomFilter;
 use encoding::key::SequenceNumber;
 use pm_device::RegionId;
-use pmtable::{L0Table, Lookup, TableKeys};
+use pmtable::{Lookup, TableKeys};
 use sim::Timeline;
 
 use crate::cursor::{Cursor, PmRun};
 use crate::groupcache::PmGroupCache;
 use crate::handle::PmTableHandle;
+use crate::telemetry::{SpanKind, StageTimes};
 
-/// Per-get probe accounting, surfaced through engine telemetry and the
-/// request tracer. All `_nanos` fields are virtual-clock sub-intervals
-/// measured as `Timeline::elapsed` deltas around the work — tracing
-/// observes the timeline, it never charges it.
+/// What one get's level-0 search decided, folded into the engine's
+/// level-0 counters. Where its time went is counted apart, in a
+/// [`StageTimes`].
 #[derive(Default, Clone, Copy, Debug)]
 pub struct ProbeStats {
     /// PM tables actually searched (meta layer touched).
@@ -70,32 +70,75 @@ pub struct ProbeStats {
     pub filter_useful: u64,
     /// A verdict said "maybe" but the table did not hold the key.
     pub filter_false_positives: u64,
-    /// Lookups actually made: the key sketch's, plus one per bloom
-    /// filter consulted.
-    pub filter_lookups: u64,
     /// Key-sketch lookups (0 or 1 per get).
     pub sketch_probes: u64,
-    /// Virtual time spent in those lookups.
-    pub filter_nanos: u64,
-    /// Group lookups served from the decode cache.
-    pub decode_cache_hits: u64,
-    /// Group lookups that decoded prefix groups from PM (includes all
-    /// lookups when the cache is absent or disabled).
-    pub decode_cache_misses: u64,
-    /// Virtual time in table probes served entirely from the cache.
-    pub decode_hit_nanos: u64,
-    /// Virtual time in table probes that decoded at least one group.
-    pub decode_miss_nanos: u64,
 }
 
-impl ProbeStats {
+/// One get's search of an [`L0Version`]: the key, the cache its groups
+/// come through, and where its verdicts and time are counted.
+struct Probe<'a> {
+    user_key: &'a [u8],
+    snapshot: SequenceNumber,
+    cache: &'a PmGroupCache,
+    /// Hashed on the first filter or sketch consulted, then reused.
+    hashes: Option<(u64, u64)>,
+    stats: &'a mut ProbeStats,
+    stages: &'a mut StageTimes,
+}
+
+impl Probe<'_> {
+    fn hashes(&mut self) -> (u64, u64) {
+        *self
+            .hashes
+            .get_or_insert_with(|| BloomFilter::hashes(self.user_key))
+    }
+
     /// One sketch or filter lookup that ruled on `tables` tables, `passed`
     /// of which may hold the key, in `nanos` of virtual time.
     fn rule(&mut self, tables: u64, passed: u64, nanos: u64) {
-        self.filter_lookups += 1;
-        self.filter_checked += tables;
-        self.filter_useful += tables - passed;
-        self.filter_nanos += nanos;
+        let ruled_out = tables - passed;
+        self.stats.filter_checked += tables;
+        self.stats.filter_useful += ruled_out;
+        self.stages
+            .add(SpanKind::FilterConsult, nanos, 1, ruled_out);
+    }
+
+    /// Search one table through the group cache. Its time is a decode
+    /// hit when every group it touched came out of the cache, a decode
+    /// miss otherwise.
+    fn table(&mut self, handle: &PmTableHandle, tl: &mut Timeline) -> Option<Lookup> {
+        self.stats.tables_probed += 1;
+        let before = tl.elapsed().as_nanos();
+        let access = self.cache.for_table(handle.cache_id);
+        let hit = handle
+            .table
+            .get_with_cache(self.user_key, self.snapshot, tl, &access);
+        let spent = tl.elapsed().as_nanos() - before;
+        let (hits, misses) = (access.hits(), access.misses());
+        let hit_nanos = if hits > 0 && misses == 0 { spent } else { 0 };
+        self.stages.add(SpanKind::PmDecodeHit, hit_nanos, hits, 0);
+        self.stages
+            .add(SpanKind::PmDecodeMiss, spent - hit_nanos, misses, 0);
+        hit
+    }
+
+    /// Search one table behind its own bloom filter, when it has one:
+    /// the sorted run's candidate, or an unsorted table the sketch does
+    /// not cover.
+    fn filtered(&mut self, handle: &PmTableHandle, tl: &mut Timeline) -> Option<Lookup> {
+        let filtered = handle.table.has_filter();
+        if filtered {
+            let key = self.hashes();
+            let before = tl.elapsed().as_nanos();
+            let may_contain = handle.table.filter_may_contain(key, tl) == Some(true);
+            self.rule(1, may_contain.into(), tl.elapsed().as_nanos() - before);
+            if !may_contain {
+                return None;
+            }
+        }
+        let hit = self.table(handle, tl);
+        self.stats.filter_false_positives += u64::from(filtered && hit.is_none());
+        hit
     }
 }
 
@@ -262,25 +305,34 @@ impl L0Version {
     }
 
     /// Point lookup across level-0: newest unsorted table wins, then the
-    /// sorted run. `cache` of `None` (or a zero-capacity cache) degrades
-    /// to plain PM reads.
+    /// sorted run. Groups come through `cache`; a zero-capacity cache
+    /// reads every one from PM. The sketch and filter lookups are
+    /// `filter_consult` in `stages`, the table probes `pm_decode_hit` or
+    /// `pm_decode_miss`.
     pub fn get(
         &self,
         user_key: &[u8],
         snapshot: SequenceNumber,
         tl: &mut Timeline,
-        cache: Option<&PmGroupCache>,
+        cache: &PmGroupCache,
         stats: &mut ProbeStats,
+        stages: &mut StageTimes,
     ) -> Option<Lookup> {
-        // Hashed on the first filter or sketch consulted, then reused.
-        let mut hashes = None;
+        let mut probe = Probe {
+            user_key,
+            snapshot,
+            cache,
+            hashes: None,
+            stats,
+            stages,
+        };
         // Unsorted tables are mutually overlapping and flushed in
         // sequence order: walking newest→oldest, the first hit is the
         // newest visible version. Those past the sketch are the newest.
         let covered = self.sketch.covered;
         for handle in self.unsorted[covered..].iter().rev() {
             if handle.overlaps_key(user_key) {
-                let hit = filtered_probe(handle, user_key, &mut hashes, snapshot, tl, cache, stats);
+                let hit = probe.filtered(handle, tl);
                 if hit.is_some() {
                     return hit;
                 }
@@ -288,27 +340,26 @@ impl L0Version {
         }
         if covered > 0 {
             let before = tl.elapsed().as_nanos();
-            let key = *hashes.get_or_insert_with(|| BloomFilter::hashes(user_key));
-            let (slot, lines) = self.sketch.slot(fingerprint(key));
+            let (slot, lines) = self.sketch.slot(fingerprint(probe.hashes()));
             let mut mask = self.sketch.slots[slot][1];
             tl.charge(self.unsorted[0].table.cost_model().dram.random_read(64) * lines);
-            stats.sketch_probes += 1;
+            probe.stats.sketch_probes += 1;
             let nanos = tl.elapsed().as_nanos() - before;
-            stats.rule(covered as u64, mask.count_ones().into(), nanos);
+            probe.rule(covered as u64, mask.count_ones().into(), nanos);
             while mask != 0 {
                 let newest = (u64::BITS - 1 - mask.leading_zeros()) as usize;
                 mask ^= 1 << newest;
-                let hit = probe_table(&self.unsorted[newest], user_key, snapshot, tl, cache, stats);
+                let hit = probe.table(&self.unsorted[newest], tl);
                 if hit.is_some() {
                     return hit;
                 }
-                stats.filter_false_positives += 1;
+                probe.stats.filter_false_positives += 1;
             }
         }
         // Sorted run: the fence keys name the only table that can
         // contain the key (or prove none does).
         let handle = &self.sorted[self.locate(user_key)?];
-        filtered_probe(handle, user_key, &mut hashes, snapshot, tl, cache, stats)
+        probe.filtered(handle, tl)
     }
 
     /// The `limit` *oldest* tables, as (sorted-run tables, unsorted
@@ -445,73 +496,13 @@ impl std::fmt::Debug for PmLevel0 {
     }
 }
 
-/// Search one table, going through the shared group cache when provided.
-fn probe_table(
-    handle: &PmTableHandle,
-    user_key: &[u8],
-    snapshot: SequenceNumber,
-    tl: &mut Timeline,
-    cache: Option<&PmGroupCache>,
-    stats: &mut ProbeStats,
-) -> Option<Lookup> {
-    stats.tables_probed += 1;
-    let before = tl.elapsed().as_nanos();
-    let (hit, cache_hits, cache_misses) = match cache {
-        Some(c) => {
-            let access = c.for_table(handle.cache_id);
-            let hit = handle.table.get_with_cache(user_key, snapshot, tl, &access);
-            (hit, access.hits(), access.misses())
-        }
-        None => (handle.table.get(user_key, snapshot, tl), 0, 0),
-    };
-    let spent = tl.elapsed().as_nanos().saturating_sub(before);
-    stats.decode_cache_hits += cache_hits;
-    stats.decode_cache_misses += cache_misses;
-    // A probe counts as cache-served only when every group it touched
-    // came out of the cache; anything else decoded from PM.
-    if cache_hits > 0 && cache_misses == 0 {
-        stats.decode_hit_nanos += spent;
-    } else {
-        stats.decode_miss_nanos += spent;
-    }
-    hit
-}
-
-/// Search one table behind its own bloom filter, when it has one: the
-/// sorted run's candidate, or an unsorted table the sketch does not
-/// cover.
-fn filtered_probe(
-    handle: &PmTableHandle,
-    user_key: &[u8],
-    hashes: &mut Option<(u64, u64)>,
-    snapshot: SequenceNumber,
-    tl: &mut Timeline,
-    cache: Option<&PmGroupCache>,
-    stats: &mut ProbeStats,
-) -> Option<Lookup> {
-    let filtered = handle.table.has_filter();
-    if filtered {
-        let key = *hashes.get_or_insert_with(|| BloomFilter::hashes(user_key));
-        let before = tl.elapsed().as_nanos();
-        let may_contain = handle.table.filter_may_contain(key, tl) == Some(true);
-        stats.rule(1, may_contain.into(), tl.elapsed().as_nanos() - before);
-        if !may_contain {
-            return None;
-        }
-    }
-    let hit = probe_table(handle, user_key, snapshot, tl, cache, stats);
-    stats.filter_false_positives += u64::from(filtered && hit.is_none());
-    hit
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::cursor::tests::drain;
-    use crate::handle::{CacheIds, PmRunWriter};
-    use crate::options::Options;
+    use crate::handle::{reopen_pm_table, CacheIds};
     use pm_device::PmPool;
-    use pmtable::{OwnedEntry, PmTableOptions};
+    use pmtable::{L0Table, OwnedEntry, PmTableBuilder, PmTableOptions};
     use proptest::collection::{btree_set, vec};
     use proptest::prelude::*;
     use sim::CostModel;
@@ -549,6 +540,8 @@ pub(crate) mod tests {
         table_opts(pool, entries, opts)
     }
 
+    /// One table of `entries`, built with `pm_table`. Every handle
+    /// comes with cache id 1.
     pub(crate) fn table_opts(
         pool: &PmPool,
         entries: Vec<OwnedEntry>,
@@ -556,17 +549,13 @@ pub(crate) mod tests {
     ) -> (PmTableHandle, TableKeys) {
         let mut sorted = entries;
         sorted.sort_by(|a, b| a.internal_cmp(b));
-        let opts = Options {
-            pm_table,
-            ..Options::default()
-        };
-        let ids = CacheIds::new();
-        let mut writer = PmRunWriter::new(&opts, usize::MAX, pool, &ids);
+        let mut builder = PmTableBuilder::new(pm_table);
+        sorted.iter().for_each(|e| builder.add(e));
+        let max_seq = sorted.iter().map(|e| e.seq).max().unwrap_or(0);
         let mut tl = Timeline::new();
-        for e in &sorted {
-            writer.add(e.as_ref(), &mut tl).unwrap();
-        }
-        writer.finish(&mut tl).unwrap().pop().unwrap()
+        let (bytes, _, keys) = builder.finish_with_keys(&CostModel::default(), &mut tl);
+        let region = pool.publish(bytes, &mut tl).unwrap();
+        reopen_pm_table(region, Some((max_seq, keys)), &CacheIds::new()).unwrap()
     }
 
     fn push_filtered(l0: &mut PmLevel0, pool: &PmPool, entries: Vec<OwnedEntry>) {
@@ -584,10 +573,23 @@ pub(crate) mod tests {
         PmPool::new(8 << 20, CostModel::default())
     }
 
+    /// `v.get` through `cache`, with the stats and stage times it counted.
+    fn probe(
+        v: &L0Version,
+        key: &[u8],
+        tl: &mut Timeline,
+        cache: &PmGroupCache,
+    ) -> (Option<Lookup>, ProbeStats, StageTimes) {
+        let (mut stats, mut stages) = Default::default();
+        let hit = v.get(key, u64::MAX, tl, cache, &mut stats, &mut stages);
+        (hit, stats, stages)
+    }
+
     /// Uncached point lookup at `snapshot`.
     fn get_lookup(v: &L0Version, key: &[u8], snapshot: u64) -> Option<Lookup> {
-        let mut stats = ProbeStats::default();
-        v.get(key, snapshot, &mut Timeline::new(), None, &mut stats)
+        let (mut stats, mut stages) = Default::default();
+        let (tl, cache) = (&mut Timeline::new(), &PmGroupCache::disabled());
+        v.get(key, snapshot, tl, cache, &mut stats, &mut stages)
     }
 
     /// [`get_lookup`], returning the value.
@@ -829,12 +831,13 @@ pub(crate) mod tests {
         push_filtered(&mut l0, &pool, vec![entry("a", 1, "1"), entry("z", 2, "2")]);
         push_filtered(&mut l0, &pool, vec![entry("b", 3, "3"), entry("y", 4, "4")]);
         let snap = l0.version();
-        let mut tl = Timeline::new();
-        let mut stats = ProbeStats::default();
-        let miss = snap.get(b"mmm", u64::MAX, &mut tl, None, &mut stats);
+        let (mut tl, cache) = (Timeline::new(), PmGroupCache::disabled());
+        let (miss, stats, stages) = probe(&snap, b"mmm", &mut tl, &cache);
         assert!(miss.is_none());
         // One sketch lookup rules on both tables.
-        assert_eq!((stats.filter_lookups, stats.sketch_probes), (1, 1));
+        let (_, lookups, ruled_out) = stages.of(SpanKind::FilterConsult);
+        assert_eq!((lookups, stats.sketch_probes), (1, 1));
+        assert_eq!(ruled_out, stats.filter_useful);
         assert_eq!(stats.filter_checked, 2);
         assert_eq!(
             stats.filter_useful + stats.filter_false_positives,
@@ -846,8 +849,7 @@ pub(crate) mod tests {
             "only false positives cost a table probe"
         );
         // Present keys always reach the table (no false negatives).
-        let mut stats = ProbeStats::default();
-        let hit = snap.get(b"b", u64::MAX, &mut tl, None, &mut stats);
+        let (hit, stats, _) = probe(&snap, b"b", &mut tl, &cache);
         assert_eq!(hit.unwrap().value, b"3");
         assert!(stats.tables_probed >= 1);
     }
@@ -860,15 +862,24 @@ pub(crate) mod tests {
         let entries = (0..64).map(|i| entry(&format!("k{i:04}"), i + 1, "v"));
         push_filtered(&mut l0, &pool, entries.collect());
         let snap = l0.version();
-        let mut stats = ProbeStats::default();
         let mut cold_tl = Timeline::new();
-        let cold = snap.get(b"k0007", u64::MAX, &mut cold_tl, Some(&cache), &mut stats);
+        let (cold, _, cold_stages) = probe(&snap, b"k0007", &mut cold_tl, &cache);
         assert_eq!(cold.unwrap().value, b"v");
         assert_eq!(cache.hits.get(), 0);
         let mut warm_tl = Timeline::new();
-        let warm = snap.get(b"k0007", u64::MAX, &mut warm_tl, Some(&cache), &mut stats);
+        let (warm, _, warm_stages) = probe(&snap, b"k0007", &mut warm_tl, &cache);
         assert_eq!(warm.unwrap().value, b"v");
         assert_eq!(cache.hits.get(), 1);
+        // Every nanosecond of both is a stage's: the cold probe's a
+        // decode miss, the warm one's a decode hit.
+        for (tl, stages, kind) in [
+            (&cold_tl, cold_stages, SpanKind::PmDecodeMiss),
+            (&warm_tl, warm_stages, SpanKind::PmDecodeHit),
+        ] {
+            let filter = stages.of(SpanKind::FilterConsult).0;
+            assert_eq!(stages.of(kind).0 + filter, tl.elapsed().as_nanos());
+            assert_eq!(stages.nanos(), tl.elapsed().as_nanos());
+        }
         assert!(
             warm_tl.elapsed() < cold_tl.elapsed(),
             "cached group read must be cheaper than a PM decode"

@@ -18,16 +18,7 @@ use sstable::{BlockCache, SsTable, SsTableBuilder, SsTableOptions};
 
 use crate::cursor::{Cursor, SsRun};
 use crate::handle::SsTableHandle;
-
-/// Per-get SSD probe accounting, threaded into the request tracer's
-/// `ssd_read` stage.
-#[derive(Default, Clone, Copy, Debug)]
-pub struct SsdReadStats {
-    /// Levels whose candidate table overlapped the key and was probed.
-    pub tables_probed: u64,
-    /// Levels walked (including those skipped by the key-range check).
-    pub levels_searched: u64,
-}
+use crate::telemetry::StageTimes;
 
 /// SSD level stack for one partition.
 #[derive(Default)]
@@ -73,7 +64,8 @@ impl SsdLevels {
 
     /// Point lookup: walk levels top-down; within a level at most one
     /// table overlaps. Returns the hit plus the 1-based level that
-    /// served it (for the per-level read-source metrics).
+    /// served it (for the per-level read-source metrics); each table
+    /// searched is an `ssd_read` step in `stages`.
     ///
     /// A table-read failure propagates instead of being skipped: a
     /// deeper level may hold an *older* version of the key, so falling
@@ -83,34 +75,15 @@ impl SsdLevels {
         user_key: &[u8],
         snapshot: SequenceNumber,
         tl: &mut Timeline,
-    ) -> Result<Option<(Lookup, usize)>, sstable::table::TableError> {
-        let mut stats = SsdReadStats::default();
-        self.get_with_stats(user_key, snapshot, tl, &mut stats)
-    }
-
-    /// [`SsdLevels::get`] with per-get probe accounting for tracing.
-    pub fn get_with_stats(
-        &self,
-        user_key: &[u8],
-        snapshot: SequenceNumber,
-        tl: &mut Timeline,
-        stats: &mut SsdReadStats,
-    ) -> Result<Option<(Lookup, usize)>, sstable::table::TableError> {
+        stages: &mut StageTimes,
+    ) -> Result<Option<(Lookup, usize)>, TableError> {
         for (depth, level) in self.levels.iter().enumerate() {
-            stats.levels_searched += 1;
             let idx = level.partition_point(|h| h.last.as_slice() < user_key);
-            let Some(handle) = level.get(idx) else {
+            let Some(handle) = level.get(idx).filter(|h| h.overlaps_key(user_key)) else {
                 continue;
             };
-            if !handle.overlaps_key(user_key) {
-                continue;
-            }
-            stats.tables_probed += 1;
-            match handle.table.get(user_key, snapshot, tl)? {
-                Some((seq, kind, value)) => {
-                    return Ok(Some((Lookup { seq, kind, value }, depth + 1)))
-                }
-                None => continue,
+            if let Some(hit) = handle.get(user_key, snapshot, tl, stages)? {
+                return Ok(Some((hit, depth + 1)));
             }
         }
         Ok(None)
@@ -310,14 +283,23 @@ pub(crate) mod tests {
         levels.replace_level(1, t1);
         levels.replace_level(2, t2);
         // Key in both levels: L1 wins (and reports level 1).
-        let (hit, level) = levels.get(b"k0050", u64::MAX, &mut tl).unwrap().unwrap();
+        let (hit, level) = levels
+            .get(b"k0050", u64::MAX, &mut tl, &mut StageTimes::default())
+            .unwrap()
+            .unwrap();
         assert_eq!(hit.value, b"l1");
         assert_eq!(level, 1);
         // Key only in L2.
-        let (hit, level) = levels.get(b"k0150", u64::MAX, &mut tl).unwrap().unwrap();
+        let (hit, level) = levels
+            .get(b"k0150", u64::MAX, &mut tl, &mut StageTimes::default())
+            .unwrap()
+            .unwrap();
         assert_eq!(hit.value, b"l2");
         assert_eq!(level, 2);
-        assert!(levels.get(b"k9999", u64::MAX, &mut tl).unwrap().is_none());
+        assert!(levels
+            .get(b"k9999", u64::MAX, &mut tl, &mut StageTimes::default())
+            .unwrap()
+            .is_none());
         assert_eq!(levels.depth(), 2);
         assert!(levels.total_bytes() > 0);
     }
@@ -440,7 +422,10 @@ pub(crate) mod tests {
         .unwrap();
         let mut levels = SsdLevels::new();
         levels.replace_level(1, tables);
-        let (hit, _) = levels.get(b"gone", u64::MAX, &mut tl).unwrap().unwrap();
+        let (hit, _) = levels
+            .get(b"gone", u64::MAX, &mut tl, &mut StageTimes::default())
+            .unwrap()
+            .unwrap();
         assert_eq!(hit.kind, KeyKind::Delete);
     }
 }

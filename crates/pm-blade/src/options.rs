@@ -112,6 +112,15 @@ impl Default for CostScalars {
     }
 }
 
+/// The layout half of a PM table's build options ([`PmTableOptions`]).
+#[derive(Clone, Copy, Debug)]
+pub struct PmTableLayout {
+    /// Entries per group: the paper uses eight or sixteen.
+    pub group_size: usize,
+    /// Meta-prefix extraction rule.
+    pub extractor: MetaExtractor,
+}
+
 /// Full engine options.
 #[derive(Clone, Debug)]
 pub struct Options {
@@ -137,11 +146,10 @@ pub struct Options {
     pub tau_t: usize,
     /// Cost scalars for Eqs 1–3.
     pub scalars: CostScalars,
-    /// PM table encoding options. `Db::open` copies
-    /// [`Options::pm_filter_bits_per_key`] into
-    /// `pm_table.filter_bits_per_key` and [`Options::pm_codec_mode`]
-    /// into `pm_table.codec`, so the engine-level knobs win.
-    pub pm_table: PmTableOptions,
+    /// How PM level-0 tables lay out their entries. A table's filter
+    /// budget and codec are [`Options::pm_filter_bits_per_key`] and
+    /// [`Options::pm_codec_mode`].
+    pub pm_table: PmTableLayout,
     /// Per-flush codec policy for PM level-0 tables:
     /// [`CodecMode::Auto`] (the default) analyzes each flush batch's key
     /// shape and picks the codec minimizing PM bytes plus decode cost
@@ -246,11 +254,9 @@ impl Default for Options {
             tau_m: 72 << 20,
             tau_t: 48 << 20,
             scalars: CostScalars::default(),
-            pm_table: PmTableOptions {
+            pm_table: PmTableLayout {
                 group_size: 16,
                 extractor: MetaExtractor::None,
-                filter_bits_per_key: 0,
-                codec: CodecMode::Prefix,
             },
             pm_codec_mode: CodecMode::Auto,
             codec_costs: CodecCostTable::default(),
@@ -286,6 +292,18 @@ impl Options {
             tau_m: pm_capacity - pm_capacity / 10,
             tau_t: pm_capacity * 6 / 10,
             ..Options::default()
+        }
+    }
+
+    /// The build options of every PM table the engine writes: the
+    /// layout of [`Options::pm_table`], the filter budget and codec of
+    /// their knobs.
+    pub(crate) fn pm_table_options(&self) -> PmTableOptions {
+        PmTableOptions {
+            group_size: self.pm_table.group_size,
+            extractor: self.pm_table.extractor,
+            filter_bits_per_key: self.pm_filter_bits_per_key,
+            codec: self.pm_codec_mode,
         }
     }
 
@@ -539,10 +557,13 @@ mod tests {
     fn codec_mode_knob_defaults_to_auto_with_zero_cost_table() {
         let opts = Options::default();
         assert_eq!(opts.pm_codec_mode, CodecMode::Auto);
-        // The raw table options stay prefix so directly-constructed
-        // table builders keep byte-stable output; `Db::open` projects the
-        // engine knob (and a calibrated cost table) on top.
-        assert_eq!(opts.pm_table.codec, CodecMode::Prefix);
+        // The engine builds its tables under the knobs; `Db::open`
+        // calibrates the cost table.
+        let table = opts.pm_table_options();
+        assert_eq!(
+            (table.codec, table.filter_bits_per_key),
+            (CodecMode::Auto, 10)
+        );
         assert_eq!(opts.codec_costs, CodecCostTable::default());
     }
 

@@ -7,10 +7,9 @@
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use encoding::key::SequenceNumber;
 use memtable::MemTable;
 use pm_device::PmPool;
-use pmtable::{EntryRef, Lookup};
+use pmtable::EntryRef;
 use sim::{CostModel, Counter, SimInstant, Timeline};
 use ssd_device::SsdDevice;
 use sstable::BlockCache;
@@ -19,11 +18,10 @@ use crate::costmodel::PartitionCounters;
 use crate::cursor::{merge_into, Cursor, SsRun};
 use crate::groupcache::PmGroupCache;
 use crate::handle::{CacheIds, PmRunWriter, SsTableHandle};
-use crate::level0::{PmLevel0, ProbeStats};
+use crate::level0::PmLevel0;
 use crate::levels::{SsRunWriter, SsdLevels};
 use crate::matrix::MatrixL0;
 use crate::options::{Mode, Options};
-use crate::stats::ReadSource;
 use crate::telemetry::CostDecision;
 
 /// Level-0 representation, by engine mode.
@@ -182,63 +180,6 @@ impl Partition {
             Level0::Pm(l0) => l0.sorted_count() + l0.unsorted_count(),
             _ => 0,
         }
-    }
-
-    /// Point lookup through every tier of this partition. The third
-    /// element is the SSD level that served the read (0 for an SSD
-    /// level-0 table, 1-based below), `None` for non-SSD sources.
-    /// Table-read errors propagate instead of being treated as misses.
-    pub fn get(
-        &self,
-        user_key: &[u8],
-        snapshot: SequenceNumber,
-        tl: &mut Timeline,
-    ) -> Result<(Option<Lookup>, ReadSource, Option<usize>), crate::engine::DbError> {
-        if let Some(hit) = self.mem.get(user_key, snapshot, tl) {
-            return Ok((Some(hit), ReadSource::MemTable, None));
-        }
-        self.get_below_memtable(user_key, snapshot, tl)
-    }
-
-    /// Point lookup through level-0 and the SSD levels, skipping the
-    /// memtable (which the engine's fast path has already probed).
-    /// Returns `(hit, source, ssd_level)` as in [`Partition::get`].
-    pub fn get_below_memtable(
-        &self,
-        user_key: &[u8],
-        snapshot: SequenceNumber,
-        tl: &mut Timeline,
-    ) -> Result<(Option<Lookup>, ReadSource, Option<usize>), crate::engine::DbError> {
-        match &self.level0 {
-            Level0::Pm(l0) => {
-                let mut stats = ProbeStats::default();
-                if let Some(hit) = l0.get(user_key, snapshot, tl, None, &mut stats) {
-                    return Ok((Some(hit), ReadSource::Pm, None));
-                }
-            }
-            Level0::Matrix(m) => {
-                if let Some(hit) = m.get(user_key, snapshot, tl) {
-                    return Ok((Some(hit), ReadSource::Pm, None));
-                }
-            }
-            Level0::Ssd(tables) => {
-                // SSD level-0 tables overlap: newest first. An unreadable
-                // table must fail the read — an older version of the key
-                // may hide behind it.
-                for handle in tables.iter().rev() {
-                    if !handle.overlaps_key(user_key) {
-                        continue;
-                    }
-                    if let Some((seq, kind, value)) = handle.table.get(user_key, snapshot, tl)? {
-                        return Ok((Some(Lookup { seq, kind, value }), ReadSource::Ssd, Some(0)));
-                    }
-                }
-            }
-        }
-        if let Some((hit, level)) = self.levels.get(user_key, snapshot, tl)? {
-            return Ok((Some(hit), ReadSource::Ssd, Some(level)));
-        }
-        Ok((None, ReadSource::Miss, None))
     }
 
     /// One scan cursor per sorted source of `[start, end)`, across all
@@ -683,8 +624,13 @@ mod tests {
         );
         assert_eq!(errors.get(), 0, "no input failed to read");
         assert_eq!((p.unsorted_count(), p.l0_table_count()), (4, 4));
+        let Level0::Pm(l0) = &p.level0 else {
+            unreachable!("PmBlade mode keeps a PM level-0")
+        };
+        let (cache, tl) = (PmGroupCache::disabled(), &mut Timeline::new());
         for k in 0..160u8 {
-            let (hit, ..) = p.get(&[b'k', k], u64::MAX, &mut Timeline::new()).unwrap();
+            let (mut stats, mut stages) = Default::default();
+            let hit = l0.get(&[b'k', k], u64::MAX, tl, &cache, &mut stats, &mut stages);
             assert_eq!(hit.unwrap().value, vec![k; 40]);
         }
     }

@@ -40,5 +40,6 @@ pub use ring::EventRing;
 pub use snapshot::{HistogramSummary, MetricsSnapshot};
 pub use span::{CostDecision, SpanKind, TraceSpan};
 pub use trace::{
-    chrome_trace_json, FlightRecorder, RequestTrace, StageTrace, TraceContext, TraceOp, Tracer,
+    chrome_trace_json, FlightRecorder, RequestTrace, StageTimes, StageTrace, TraceContext, TraceOp,
+    Tracer,
 };

@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sim::Counter;
+use sim::{Counter, Timeline};
 
 use super::registry::{MetricKey, MetricsRegistry};
 use super::ring::Ring;
@@ -139,6 +139,54 @@ impl RequestTrace {
     }
 }
 
+/// The read stages, in the order a read consults them and
+/// [`StageTrace::lay_out`] lays them out.
+const READ_STAGES: [SpanKind; 5] = [
+    SpanKind::MemtableProbe,
+    SpanKind::FilterConsult,
+    SpanKind::PmDecodeHit,
+    SpanKind::PmDecodeMiss,
+    SpanKind::SsdRead,
+];
+
+/// Where one read's virtual time went, per read stage: the nanoseconds
+/// its steps took — `Timeline::elapsed` deltas around them, so counting
+/// never charges the timeline — the steps, and how many tables a filter
+/// step ruled out. A get sums its probes into one, a scan its cursor
+/// steps; either is laid into a trace by `StageTrace::lay_out`.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct StageTimes {
+    /// Per [`READ_STAGES`] slot: (nanos, steps, tables ruled out).
+    sums: [(u64, u64, u64); READ_STAGES.len()],
+}
+
+impl StageTimes {
+    fn slot(kind: SpanKind) -> usize {
+        let slot = READ_STAGES.iter().position(|&k| k == kind);
+        slot.expect("a read stage")
+    }
+
+    /// Add `nanos`, `steps` and `ruled_out` to read stage `kind`.
+    pub(crate) fn add(&mut self, kind: SpanKind, nanos: u64, steps: u64, ruled_out: u64) {
+        let sum = &mut self.sums[Self::slot(kind)];
+        *sum = (sum.0 + nanos, sum.1 + steps, sum.2 + ruled_out);
+    }
+
+    /// Run `step`, adding the virtual time it charged `tl` to `kind` as
+    /// one step.
+    pub(crate) fn time<T>(
+        &mut self,
+        kind: SpanKind,
+        tl: &mut Timeline,
+        step: impl FnOnce(&mut Timeline) -> T,
+    ) -> T {
+        let before = tl.elapsed().as_nanos();
+        let out = step(tl);
+        self.add(kind, tl.elapsed().as_nanos() - before, 1, 0);
+        out
+    }
+}
+
 /// Accumulates one sampled request's stage spans while it runs.
 ///
 /// Offsets passed to [`StageTrace::stage`] are nanoseconds since the
@@ -194,6 +242,21 @@ impl StageTrace {
             (0, 0),
             None,
         ));
+    }
+
+    /// Lay `times` out back to back from the request start: one stage
+    /// per read stage that took time or counted a step, in consult
+    /// order, each with its steps and tables ruled out as input and
+    /// output counts. Returns where the last one ends.
+    pub(crate) fn lay_out(&mut self, times: &StageTimes) -> u64 {
+        let mut at = 0;
+        for (kind, (nanos, steps, ruled_out)) in READ_STAGES.into_iter().zip(times.sums) {
+            if nanos > 0 || steps > 0 {
+                self.stage_counts(kind, at, at + nanos, steps, ruled_out);
+                at += nanos;
+            }
+        }
+        at
     }
 
     /// Append a span already carrying absolute bounds (group-commit
@@ -371,6 +434,19 @@ pub fn chrome_trace_json(traces: &[RequestTrace]) -> String {
 mod tests {
     use super::*;
 
+    impl StageTimes {
+        /// What read stage `kind` summed: (nanos, steps, tables ruled
+        /// out).
+        pub(crate) fn of(&self, kind: SpanKind) -> (u64, u64, u64) {
+            self.sums[Self::slot(kind)]
+        }
+
+        /// Nanoseconds summed over every stage.
+        pub(crate) fn nanos(&self) -> u64 {
+            self.sums.iter().map(|s| s.0).sum()
+        }
+    }
+
     #[test]
     fn sampling_rate_picks_every_nth() {
         let t = Tracer::new(4, 0, 8, &MetricsRegistry::new());
@@ -440,6 +516,41 @@ mod tests {
         assert!(trace.stage_nanos() <= trace.total_nanos);
         assert_eq!(trace.stages[0].start_nanos, 1_000);
         assert_eq!(trace.stages[2].end_nanos, 1_200);
+    }
+
+    #[test]
+    fn lay_out_places_busy_read_stages_back_to_back_in_consult_order() {
+        let mut times = StageTimes::default();
+        times.add(SpanKind::SsdRead, 30, 1, 0);
+        times.add(SpanKind::MemtableProbe, 10, 1, 0);
+        times.add(SpanKind::PmDecodeHit, 0, 0, 0);
+        times.add(SpanKind::FilterConsult, 5, 1, 2);
+        let mut st = StageTrace::new(TraceContext::sampled(3), TraceOp::Get, 0, 100);
+        assert_eq!(st.lay_out(&times), 45);
+        let trace = st.finish(45);
+        let laid: Vec<_> = trace
+            .stages
+            .iter()
+            .map(|s| {
+                (
+                    s.kind,
+                    s.start_nanos,
+                    s.end_nanos,
+                    s.input_records,
+                    s.output_records,
+                )
+            })
+            .collect();
+        assert_eq!(
+            laid,
+            [
+                (SpanKind::MemtableProbe, 100, 110, 1, 0),
+                (SpanKind::FilterConsult, 110, 115, 1, 2),
+                (SpanKind::SsdRead, 115, 145, 1, 0),
+            ],
+            "the idle stage is left out"
+        );
+        assert_eq!(times.nanos(), trace.stage_nanos());
     }
 
     #[test]

@@ -355,14 +355,20 @@ impl<S: Storage> PmTable<S> {
         }
     }
 
-    /// Binary search the prefix layer within `[lo, hi)` for the last group
-    /// whose leader prefix <= probe. Charges one fixed-size PM read per
-    /// probe.
-    fn locate_group(&self, rest: &[u8], lo: u32, hi: u32, tl: &mut Timeline) -> u32 {
+    /// The first group of meta `row` that can hold `rest` (a key with
+    /// the row's meta prefix stripped): a binary search of the row's
+    /// prefix layer for the last group whose leader prefix <= `rest`,
+    /// charged one fixed-size PM read per probe, then a step back while
+    /// the group's full first key is >= `rest`, one PM read per step.
+    /// Fixed-width leaders can tie across groups, and the versions of
+    /// one key can straddle a group boundary — internal-key order
+    /// stores the newest sequence *first*, so newer versions live in
+    /// earlier groups.
+    fn locate_group(&self, row: &MetaRow, rest: &[u8], tl: &mut Timeline) -> u32 {
         let probe = FixedPrefix::<PREFIX_WIDTH>::of(rest);
         let cpu = self.storage.cost_model().cpu;
-        let (mut lo, mut hi) = (lo as i64, hi as i64);
-        let base = lo;
+        let base = row.first_group as i64;
+        let (mut lo, mut hi) = (base, base + row.group_count as i64);
         while lo < hi {
             let mid = (lo + hi) / 2;
             self.storage.meter_random(PREFIX_WIDTH, tl);
@@ -374,7 +380,15 @@ impl<S: Storage> PmTable<S> {
                 hi = mid;
             }
         }
-        (lo - 1).max(base) as u32
+        let mut group = (lo - 1).max(base) as u32;
+        while group > row.first_group {
+            self.storage.meter_random(32, tl);
+            match self.cmp_group_first(group, rest) {
+                Some(first) if first.is_ge() => group -= 1,
+                _ => break,
+            }
+        }
+        group
     }
 
     /// Whether the table carries a bloom filter section.
@@ -424,21 +438,7 @@ impl<S: Storage> PmTable<S> {
             .binary_search_by(|row| row.prefix.as_slice().cmp(meta))
             .ok()?;
         let row = &self.metas[mid];
-        let mut group =
-            self.locate_group(rest, row.first_group, row.first_group + row.group_count, tl);
-        // Fixed-width leaders can tie across groups, and the versions of
-        // one key can straddle a group boundary — internal-key order
-        // stores the newest sequence *first*, so newer versions live in
-        // earlier groups. Step back while the group's full first key is
-        // >= the probe: the match, or a newer version of it, may live in
-        // an earlier group.
-        while group > row.first_group {
-            self.storage.meter_random(32, tl);
-            match self.cmp_group_first(group, rest) {
-                Some(first) if first.is_ge() => group -= 1,
-                _ => break,
-            }
-        }
+        let group = self.locate_group(row, rest, tl);
         // Scan forward from the earliest candidate group. Versions are
         // laid out newest-first, so the first group with a visible
         // (seq <= snapshot) entry holds the newest visible version.
@@ -495,9 +495,9 @@ impl<S: Storage> PmTable<S> {
 
     /// The first group that can hold an entry with user key >= `start`
     /// (`group_count` when every key sorts before it): the meta row,
-    /// then the prefix-layer search `get` uses, then the same tie
-    /// step-back — a newer version of `start` may sit at the tail of
-    /// the group before the one whose first key equals it.
+    /// then the group search `get` uses — a newer version of `start` may
+    /// sit at the tail of the group before the one whose first key
+    /// equals it.
     pub(super) fn seek_group(&self, start: &[u8], tl: &mut Timeline) -> u32 {
         if self.first_key.as_deref().is_none_or(|first| first >= start) {
             return 0;
@@ -507,18 +507,7 @@ impl<S: Storage> PmTable<S> {
             .metas
             .partition_point(|row| row.prefix.as_slice() < meta);
         match self.metas.get(start_meta) {
-            Some(row) if row.prefix.as_slice() == meta => {
-                let mut g =
-                    self.locate_group(rest, row.first_group, row.first_group + row.group_count, tl);
-                while g > row.first_group {
-                    self.storage.meter_random(32, tl);
-                    match self.cmp_group_first(g, rest) {
-                        Some(first) if first.is_ge() => g -= 1,
-                        _ => break,
-                    }
-                }
-                g
-            }
+            Some(row) if row.prefix.as_slice() == meta => self.locate_group(row, rest, tl),
             Some(row) => row.first_group,
             None => self.group_count,
         }

@@ -14,12 +14,15 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use pm_blade::handle::CacheIds;
-use pm_blade::level0::ProbeStats;
+use pm_blade::options::PmTableLayout;
 use pm_blade::partition::{Level0, Partition};
-use pm_blade::{CompactionRequest, Db, L0Version, Mode, Options, ScanRequest, Timeline};
+use pm_blade::telemetry::StageTimes;
+use pm_blade::{
+    CompactionRequest, Db, L0Version, Mode, Options, PmGroupCache, ScanRequest, Timeline,
+};
 use pm_device::PmPool;
 use pmblade_integration_tests::{tiny_options, value_for};
-use pmtable::{CodecMode, MetaExtractor, PmTableOptions};
+use pmtable::{CodecMode, MetaExtractor};
 use proptest::prelude::*;
 use ssd_device::SsdDevice;
 use sstable::BlockCache;
@@ -188,11 +191,9 @@ fn straddle_ops() -> Vec<Op> {
 /// exercised with filters and a tiny cache against the plain engine.
 #[test]
 fn group_straddle_regression_parity() {
-    let pm_table = PmTableOptions {
+    let pm_table = PmTableLayout {
         group_size: 8,
         extractor: MetaExtractor::Delimiter(b':'),
-        filter_bits_per_key: 0,   // overridden from pm_filter_bits_per_key
-        codec: CodecMode::Prefix, // overridden from pm_codec_mode
     };
     let fast = {
         let mut opts = accelerated_options();
@@ -427,11 +428,7 @@ fn straddle_schedule_parity_and_concurrent_reads() {
 /// partition answers the same keys from wherever they moved.
 #[test]
 fn held_version_reads_across_internal_and_chunked_major_compaction() {
-    let mut opts = accelerated_options();
-    // `Db::open` projects these onto the table options; a bare
-    // partition has to do it itself.
-    opts.pm_table.filter_bits_per_key = opts.pm_filter_bits_per_key;
-    opts.pm_table.codec = opts.pm_codec_mode;
+    let opts = accelerated_options();
     let pool = PmPool::new(opts.pm_capacity, opts.cost);
     let device = SsdDevice::new(opts.cost);
     let block_cache = Arc::new(BlockCache::new(opts.block_cache_bytes));
@@ -462,18 +459,27 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
         Level0::Pm(l0) => l0.version(),
         _ => unreachable!("PmBlade mode keeps a PM level-0"),
     };
+    let cache = PmGroupCache::disabled();
+    let l0_get = |version: &L0Version, k: u16| {
+        let (mut stats, mut stages) = Default::default();
+        let tl = &mut Timeline::new();
+        version.get(&key(k), u64::MAX, tl, &cache, &mut stats, &mut stages)
+    };
     // Every key the version held when it was taken, from its own tables.
     let check_held = |held: &L0Version, keys: std::ops::Range<u16>, when: &str| {
         for k in keys {
-            let mut stats = ProbeStats::default();
-            let hit = held.get(&key(k), u64::MAX, &mut Timeline::new(), None, &mut stats);
-            let value = hit.and_then(|l| l.into_value());
+            let value = l0_get(held, k).and_then(|l| l.into_value());
             assert_eq!(value, Some(value_for(k as u64, 64)), "{when}: held key {k}");
         }
     };
+    // The live partition: its level-0, then its SSD levels.
     let check_live = |p: &Partition, keys: std::ops::Range<u16>, when: &str| {
         for k in keys {
-            let (hit, _, _) = p.get(&key(k), u64::MAX, &mut Timeline::new()).unwrap();
+            let (tl, stages) = (&mut Timeline::new(), &mut StageTimes::default());
+            let hit = l0_get(&version(p), k).or_else(|| {
+                let below = p.levels.get(&key(k), u64::MAX, tl, stages).unwrap();
+                below.map(|(hit, _)| hit)
+            });
             let value = hit.and_then(|l| l.into_value());
             assert_eq!(value, Some(value_for(k as u64, 64)), "{when}: live key {k}");
         }

@@ -17,8 +17,8 @@ use proptest::prelude::*;
 /// Engine options with every read-path knob this file depends on
 /// pinned (the CI matrix may globally disable filters or the group
 /// cache; these tests need them on) and every request sampled.
-fn traced_opts() -> pm_blade::Options {
-    let mut opts = tiny_options(Mode::PmBlade);
+fn traced_opts(mode: Mode) -> pm_blade::Options {
+    let mut opts = tiny_options(mode);
     opts.pm_filter_bits_per_key = 10;
     opts.pm_group_cache_bytes = 256 << 10;
     opts.trace_sample_every = 1;
@@ -37,7 +37,7 @@ fn traced_opts() -> pm_blade::Options {
 /// stages, deterministically.
 #[test]
 fn sampled_get_attributes_four_distinct_stages() {
-    let db = Db::open(traced_opts()).unwrap();
+    let db = Db::open(traced_opts(Mode::PmBlade)).unwrap();
     for i in 0..16u64 {
         db.put(&key_for(i), &value_for(i, 64)).unwrap();
     }
@@ -97,7 +97,7 @@ fn sampled_get_attributes_four_distinct_stages() {
 /// `pm_decode_hit` stage instead of a miss.
 #[test]
 fn cached_pm_read_records_a_decode_hit_stage() {
-    let db = Db::open(traced_opts()).unwrap();
+    let db = Db::open(traced_opts(Mode::PmBlade)).unwrap();
     for i in 0..16u64 {
         db.put(&key_for(i), &value_for(i, 64)).unwrap();
     }
@@ -116,13 +116,58 @@ fn cached_pm_read_records_a_decode_hit_stage() {
     );
 }
 
+/// In every mode a sampled get that an SSD level serves records the
+/// walk it took, and nothing but: the memtable probe, the level-0
+/// search in the stage its level-0 kind reports (the key sketch's
+/// filter consult over PM tables, a decode over matrix rows, an SSD
+/// read of an SSD level-0 table), then the SSD read that found the key.
+#[test]
+fn sampled_get_from_an_ssd_level_records_every_leg_in_every_mode() {
+    // (mode, its level-0 stage, SSD tables the get reads)
+    let modes = [
+        (Mode::PmBlade, "filter_consult", 1),
+        (Mode::PmBladePm, "filter_consult", 1),
+        (Mode::MatrixKv, "pm_decode_miss", 1),
+        (Mode::SsdLevel0, "ssd_read", 2),
+    ];
+    for (mode, level0_stage, ssd_tables) in modes {
+        let db = Db::open(traced_opts(mode)).unwrap();
+        // Even keys move down to level 1; the odd ones stay in a level-0
+        // table whose key range covers the even ones.
+        for parity in [0, 1] {
+            for i in (parity..32u64).step_by(2) {
+                db.put(&key_for(i), &value_for(i, 64)).unwrap();
+            }
+            db.compact(CompactionRequest::FlushAll).unwrap();
+            if parity == 0 {
+                db.compact(CompactionRequest::Major { partition: 0 })
+                    .unwrap();
+            }
+        }
+        let got = db.get(&key_for(10)).unwrap();
+        assert_eq!(got.value, Some(value_for(10, 64)), "{mode:?}");
+        assert_eq!(got.source, ReadSource::Ssd, "{mode:?}");
+
+        let traces = db.flight_recorder();
+        let trace = traces.last().expect("the get is recorded");
+        assert_eq!(trace.op, TraceOp::Get, "{mode:?}");
+        let kinds: BTreeSet<&str> = trace.stages.iter().map(|s| s.kind.as_str()).collect();
+        for want in ["memtable_probe", level0_stage, "ssd_read"] {
+            assert!(kinds.contains(want), "{mode:?}: no {want}, got {kinds:?}");
+        }
+        let ssd = trace.stages.iter().find(|s| s.kind == SpanKind::SsdRead);
+        assert_eq!(ssd.unwrap().input_records, ssd_tables, "{mode:?}");
+        assert_eq!(trace.stage_nanos(), trace.total_nanos, "{mode:?}");
+    }
+}
+
 /// A sampled scan records the point-read stage kinds — summed per
 /// kind over every cursor step — plus one `merge` stage, and together
 /// they account for the scan's whole latency. The first pass decodes
 /// its PM groups; a repeat is served by the decode cache.
 #[test]
 fn sampled_scan_attributes_every_nanosecond_to_a_stage() {
-    let db = Db::open(traced_opts()).unwrap();
+    let db = Db::open(traced_opts(Mode::PmBlade)).unwrap();
     for i in 0..64u64 {
         db.put(&key_for(i), &value_for(i, 64)).unwrap();
     }
@@ -362,14 +407,17 @@ fn recorder_ring_caps_and_counts_drops() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// For every recorded trace, the summed stage durations never
-    /// exceed the request latency reported to the caller — stages are
-    /// measured sub-intervals of the request, not estimates.
+    /// In every mode, for every recorded trace, the summed stage
+    /// durations never exceed the request latency reported to the
+    /// caller — stages are measured sub-intervals of the request, not
+    /// estimates — and a get or scan attributes every nanosecond.
     #[test]
     fn stage_sums_never_exceed_request_latency(
+        mode in 0usize..4,
         ops in proptest::collection::vec((0u8..4, 0u64..64), 1..120),
     ) {
-        let mut opts = tiny_options(Mode::PmBlade);
+        let mode = [Mode::PmBlade, Mode::PmBladePm, Mode::SsdLevel0, Mode::MatrixKv][mode];
+        let mut opts = tiny_options(mode);
         opts.trace_sample_every = 1;
         opts.trace_slow_query_nanos = 0;
         opts.trace_recorder_capacity = 4096;
@@ -401,11 +449,19 @@ proptest! {
             for s in &t.stages {
                 prop_assert_eq!(s.trace_id, t.trace_id);
             }
-            if t.op == TraceOp::Scan {
-                // Scans attribute every nanosecond: cursor steps by
-                // source kind, and the merge.
-                prop_assert_eq!(t.stage_nanos(), t.total_nanos);
-                prop_assert_eq!(t.stages.last().map(|s| s.kind), Some(SpanKind::Merge));
+            match t.op {
+                // Gets attribute every nanosecond to the steps of their
+                // walk; scans to cursor steps by source kind, and the
+                // merge.
+                TraceOp::Get => {
+                    prop_assert_eq!(t.stage_nanos(), t.total_nanos, "{:?}", mode);
+                    prop_assert_eq!(t.stages[0].kind, SpanKind::MemtableProbe);
+                }
+                TraceOp::Scan => {
+                    prop_assert_eq!(t.stage_nanos(), t.total_nanos, "{:?}", mode);
+                    prop_assert_eq!(t.stages.last().map(|s| s.kind), Some(SpanKind::Merge));
+                }
+                TraceOp::Write => {}
             }
         }
     }
