@@ -175,15 +175,16 @@ fn bench_merge(c: &mut Criterion) {
 /// sequentially, into a new sorted run. `compaction/merge_dedup_10k`
 /// above is the materialising reference both replaced.
 fn bench_scan_merge(c: &mut Criterion) {
+    use pm_blade::costmodel::CodecCostTable;
     use pm_blade::cursor::{merge_into, Cursor, MergingIter, PmRun, ScanStats};
     use pm_blade::handle::{PmRunWriter, PmTableHandle};
     use pmtable::TableKeys;
     let cost = CostModel::default();
     let pool = pm_device::PmPool::new(64 << 20, cost);
     let ids = pm_blade::handle::CacheIds::new();
-    let opts = Options::default();
+    let (opts, costs) = (Options::default(), CodecCostTable::default());
     let all = entries(30 * 250);
-    let run_writer = |max_bytes| PmRunWriter::new(&opts, max_bytes, &pool, &ids);
+    let run_writer = |max_bytes| PmRunWriter::new(&opts, &costs, max_bytes, &pool, &ids);
     let tables: Vec<(PmTableHandle, TableKeys)> = (0..30)
         .flat_map(|source| {
             let mut writer = run_writer(usize::MAX);

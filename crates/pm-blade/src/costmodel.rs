@@ -212,8 +212,9 @@ pub fn select_retained(candidates: &[RetentionCandidate], budget: usize) -> Vec<
 ///
 /// The zero default is deliberate: with an all-zero table every codec
 /// scores identically, ties resolve to the lowest id, and the engine
-/// behaves exactly like the pre-codec build — tests that construct
-/// `Options` directly keep their byte-for-byte behavior.
+/// behaves exactly like the pre-codec build — engines that skip the
+/// calibration and tests that build tables without an engine keep their
+/// byte-for-byte behavior.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CodecCostTable {
     /// Virtual nanos to decode one group, per codec.

@@ -179,7 +179,7 @@ impl<'a> PmRun<'a> {
                     }
                     self.next += 1;
                     let mut c = match self.cache {
-                        Some(cache) => h.table.cursor(cache.for_table(h.cache_id)),
+                        Some(cache) => h.table.cursor(TableGroupCache::new(cache, h.cache_id)),
                         None => h.table.sequential_cursor(),
                     };
                     let sought = match self.held.take() {

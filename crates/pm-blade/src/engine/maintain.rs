@@ -230,6 +230,7 @@ impl DbCore {
             tl.charge(synced);
             p.minor_compaction(
                 &self.opts,
+                &self.codec_costs,
                 &self.pool,
                 &self.device,
                 &self.cache,
@@ -264,11 +265,9 @@ impl DbCore {
                     // actual mix (zero with an uncalibrated cost table).
                     let (probe_decode, decode_per_record) = match &partition.level0 {
                         Level0::Pm(l0) => (
-                            self.opts
-                                .codec_costs
+                            self.codec_costs
                                 .probe_decode(l0.unsorted().iter().map(|h| (h.codec, h.entries))),
-                            self.opts
-                                .codec_costs
+                            self.codec_costs
                                 .decode_per_record(l0.tables().map(|h| (h.codec, h.entries))),
                         ),
                         _ => (SimDuration::ZERO, SimDuration::ZERO),
@@ -377,8 +376,8 @@ impl DbCore {
         origin: u64,
     ) -> Result<(), DbError> {
         let merged = self.run_frame(SpanKind::Internal, pid, cost, origin, |p, tl| {
-            let input_errors = &self.metrics.compaction_input_errors;
-            p.internal_compaction(&self.opts, &self.pool, &self.cache_ids, input_errors, tl)
+            let (costs, errors) = (&self.codec_costs, &self.metrics.compaction_input_errors);
+            p.internal_compaction(&self.opts, costs, &self.pool, &self.cache_ids, errors, tl)
         });
         match merged {
             Ok(Some(report)) => {

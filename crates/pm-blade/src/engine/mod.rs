@@ -57,6 +57,7 @@ use ssd_device::SsdDevice;
 use sstable::BlockCache;
 
 use crate::commit::Committer;
+use crate::costmodel::CodecCostTable;
 use crate::groupcache::PmGroupCache;
 use crate::handle::CacheIds;
 use crate::maintenance::MaintenanceShared;
@@ -220,6 +221,9 @@ pub struct DbCore {
     /// Shared decoded-prefix-group cache for the PM level-0 read path.
     /// Sized by [`Options::pm_group_cache_bytes`] (0 disables it).
     group_cache: Arc<PmGroupCache>,
+    /// Measured per-codec decode cost and density, calibrated at open:
+    /// what Auto codec selection and the Eq 1/Eq 2 decode terms price.
+    codec_costs: CodecCostTable,
     /// The background job queue; `Some` iff
     /// `opts.maintenance == MaintenanceMode::Background`.
     maintenance: Option<Arc<MaintenanceShared>>,
@@ -290,13 +294,10 @@ impl DbCore {
         m.pm_l0_sketch_bytes.set(sketch_bytes);
         m.pm_l0_key_column_bytes.set(column_bytes);
         let (mut counters, gauges, histograms) = self.registry.collect();
-        // Device and cache counters live in their own crates; mirror
-        // them into the snapshot (they are monotonic, so deltas work).
+        // Device counters live in their own crates; mirror them into
+        // the snapshot (they are monotonic, so deltas work).
         let (pm, ssd) = (self.pool.stats(), self.device.stats());
         for (name, counter) in [
-            ("block_cache_hits", &self.cache.hits),
-            ("block_cache_misses", &self.cache.misses),
-            ("block_cache_evictions", &self.cache.evictions),
             ("pm_bytes_written", &pm.bytes_written),
             ("pm_bytes_read", &pm.bytes_read),
             ("ssd_bytes_written", &ssd.bytes_written),

@@ -20,6 +20,7 @@ use sstable::{BlockCache, SsTable};
 use super::wal_ring::{wal_segment_file, SealedSegment, WalRing};
 use super::{DbCore, DbError};
 use crate::commit::{CommitMetrics, Committer};
+use crate::costmodel::CodecCostTable;
 use crate::groupcache::PmGroupCache;
 use crate::handle::{reopen_pm_table, CacheIds, PmTableHandle, SsTableHandle};
 use crate::maintenance::{MaintenanceShared, QueueMetrics};
@@ -187,16 +188,19 @@ impl DbCore {
     /// from the backing directories), garbage-collect media objects the
     /// manifest does not reference, then replay only the WAL records
     /// newer than each partition's flush checkpoint.
-    pub(super) fn open(mut opts: Options) -> Result<DbCore, DbError> {
+    pub(super) fn open(opts: Options) -> Result<DbCore, DbError> {
         let recovery_start = std::time::Instant::now();
         // For any codec beyond plain prefix groups, calibrate the
         // per-codec decode-cost table once, on the virtual clock, so Auto
         // selection and the Eq 1/2 decode terms see measured numbers
         // instead of zeros. SSD level-0 mode never builds PM tables, so
         // it skips the work.
-        if opts.mode != Mode::SsdLevel0 && opts.pm_codec_mode != pmtable::CodecMode::Prefix {
-            opts.codec_costs = crate::costmodel::CodecCostTable::calibrate(&opts.cost);
-        }
+        let codec_costs =
+            if opts.mode != Mode::SsdLevel0 && opts.pm_codec_mode != pmtable::CodecMode::Prefix {
+                CodecCostTable::calibrate(&opts.cost)
+            } else {
+                CodecCostTable::default()
+            };
         let fault = opts.fault_plan.clone();
         let cache = Arc::new(BlockCache::new(opts.block_cache_bytes));
         let now = SimInstant::ORIGIN;
@@ -368,11 +372,14 @@ impl DbCore {
         let committers = (0..partitions.len())
             .map(|pid| Committer::new(CommitMetrics::register(&registry, pid)))
             .collect();
-        // PM-L0 read-acceleration metrics. The cache owns its counters;
-        // registering the same `Arc`s means snapshots and Prometheus
-        // rendering see them with zero mirroring on the hot path.
+        // Cache metrics. Each cache owns its counters; registering the
+        // same `Arc`s means snapshots and Prometheus rendering see them
+        // with zero mirroring on the hot path.
         let group_cache = Arc::new(PmGroupCache::new(opts.pm_group_cache_bytes));
         for (name, counter) in [
+            ("block_cache_hits", &cache.hits),
+            ("block_cache_misses", &cache.misses),
+            ("block_cache_evictions", &cache.evictions),
             ("pm_group_cache_hit_total", &group_cache.hits),
             ("pm_group_cache_miss_total", &group_cache.misses),
             ("pm_group_cache_evictions_total", &group_cache.evictions),
@@ -426,6 +433,7 @@ impl DbCore {
             ring,
             span_ids: AtomicU64::new(0),
             group_cache,
+            codec_costs,
             maintenance,
             tracer,
             opts,

@@ -15,7 +15,7 @@ use sim::Timeline;
 use sstable::table::TableError;
 use sstable::SsTable;
 
-use crate::costmodel::select_codec;
+use crate::costmodel::{select_codec, CodecCostTable};
 use crate::options::Options;
 use crate::telemetry::{SpanKind, StageTimes};
 
@@ -237,10 +237,10 @@ pub fn reopen_pm_table(
 /// [`CodecMode::Auto`] is resolved *here*, once per output table as it
 /// is cut: [`select_codec`] reads the shape the builder folded over the
 /// table's entries and charges each eligible codec's measured density
-/// and decode cost from `opts.codec_costs`. The winner is forced for
-/// the whole table (individual groups still fall back to prefix
-/// encoding inside the builder when the codec cannot represent them or
-/// would grow them).
+/// and decode cost from the engine's calibrated `codec_costs`. The
+/// winner is forced for the whole table (individual groups still fall
+/// back to prefix encoding inside the builder when the codec cannot
+/// represent them or would grow them).
 ///
 /// A run abandoned before [`PmRunWriter::finish`] leaves the regions it
 /// had published in the pool until the next open's orphan collection,
@@ -251,6 +251,7 @@ pub fn reopen_pm_table(
 /// PR 18).
 pub struct PmRunWriter<'a> {
     opts: &'a Options,
+    codec_costs: &'a CodecCostTable,
     max_bytes: usize,
     pool: &'a PmPool,
     ids: &'a CacheIds,
@@ -261,9 +262,16 @@ pub struct PmRunWriter<'a> {
 }
 
 impl<'a> PmRunWriter<'a> {
-    pub fn new(opts: &'a Options, max_bytes: usize, pool: &'a PmPool, ids: &'a CacheIds) -> Self {
+    pub fn new(
+        opts: &'a Options,
+        codec_costs: &'a CodecCostTable,
+        max_bytes: usize,
+        pool: &'a PmPool,
+        ids: &'a CacheIds,
+    ) -> Self {
         PmRunWriter {
             opts,
+            codec_costs,
             max_bytes,
             pool,
             ids,
@@ -288,7 +296,7 @@ impl<'a> PmRunWriter<'a> {
         let next = PmTableBuilder::new(opts.pm_table_options());
         let mut builder = std::mem::replace(&mut self.builder, next);
         if opts.pm_codec_mode == CodecMode::Auto {
-            let codec = select_codec(&builder.shape(), &opts.codec_costs, &opts.cost);
+            let codec = select_codec(&builder.shape(), self.codec_costs, &opts.cost);
             builder.set_codec(codec);
         }
         let (bytes, _stats, keys) = builder.finish_with_keys(&opts.cost, tl);
@@ -312,7 +320,6 @@ impl<'a> PmRunWriter<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::costmodel::CodecCostTable;
     use crate::options::PmTableLayout;
     use encoding::key::KeyKind;
     use pmtable::PmTableOptions;
@@ -350,11 +357,10 @@ pub(crate) mod tests {
         tl: &mut Timeline,
     ) -> Result<Vec<PmTableHandle>, PmError> {
         let opts = Options {
-            codec_costs: *codec_costs,
             cost: *cost,
             ..writing(pm_table)
         };
-        let mut writer = PmRunWriter::new(&opts, max_bytes, pool, ids);
+        let mut writer = PmRunWriter::new(&opts, codec_costs, max_bytes, pool, ids);
         for e in entries {
             writer.add(e.as_ref(), tl)?;
         }
@@ -519,7 +525,7 @@ pub(crate) mod tests {
     fn auto_codec_resolves_per_flush_batch() {
         let cost = CostModel::default();
         let pool = PmPool::new(16 << 20, cost);
-        let costs = crate::costmodel::CodecCostTable::calibrate(&cost);
+        let costs = CodecCostTable::calibrate(&cost);
         let ids = CacheIds::new();
         let auto_opts = PmTableOptions {
             codec: CodecMode::Auto,
@@ -605,7 +611,8 @@ pub(crate) mod tests {
             ..PmTableOptions::default()
         });
         let ids = CacheIds::new();
-        let mut writer = PmRunWriter::new(&opts, usize::MAX, &pool, &ids);
+        let costs = CodecCostTable::default();
+        let mut writer = PmRunWriter::new(&opts, &costs, usize::MAX, &pool, &ids);
         let mut tl = Timeline::new();
         // Two versions of every key: one hash pair per key.
         for i in 0..200u64 {

@@ -52,7 +52,7 @@ use pmtable::{Lookup, TableKeys};
 use sim::Timeline;
 
 use crate::cursor::{Cursor, PmRun};
-use crate::groupcache::PmGroupCache;
+use crate::groupcache::{PmGroupCache, TableGroupCache};
 use crate::handle::PmTableHandle;
 use crate::telemetry::{SpanKind, StageTimes};
 
@@ -109,7 +109,7 @@ impl Probe<'_> {
     fn table(&mut self, handle: &PmTableHandle, tl: &mut Timeline) -> Option<Lookup> {
         self.stats.tables_probed += 1;
         let before = tl.elapsed().as_nanos();
-        let access = self.cache.for_table(handle.cache_id);
+        let access = TableGroupCache::new(self.cache, handle.cache_id);
         let hit = handle
             .table
             .get_with_cache(self.user_key, self.snapshot, tl, &access);

@@ -3,7 +3,6 @@
 use pmtable::{CodecMode, MetaExtractor, PmTableOptions};
 use sim::{CostModel, SimDuration};
 
-use crate::costmodel::CodecCostTable;
 use crate::telemetry::ListenerSet;
 
 /// Which system the engine behaves as — the paper's comparison matrix.
@@ -153,17 +152,12 @@ pub struct Options {
     /// Per-flush codec policy for PM level-0 tables:
     /// [`CodecMode::Auto`] (the default) analyzes each flush batch's key
     /// shape and picks the codec minimizing PM bytes plus decode cost
-    /// against the calibrated [`Options::codec_costs`]; the other
-    /// variants force one codec for every flush (each group still falls
-    /// back to prefix encoding when the forced codec cannot represent
-    /// it or would grow the group).
+    /// against the per-codec costs `Db::open` measures
+    /// ([`crate::costmodel::CodecCostTable::calibrate`] of
+    /// [`Options::cost`]); the other variants force one codec for every
+    /// flush (each group still falls back to prefix encoding when the
+    /// forced codec cannot represent it or would grow the group).
     pub pm_codec_mode: CodecMode,
-    /// Measured per-codec decode cost and density feeding codec
-    /// selection and the Eq 1/Eq 2 decode terms. The zero default makes
-    /// codec selection resolve to the prefix baseline; `Db::open`
-    /// replaces it with [`CodecCostTable::calibrate`] of
-    /// [`Options::cost`].
-    pub codec_costs: CodecCostTable,
     /// Bloom-filter budget for PM level-0 tables, in bits per distinct
     /// user key (RocksDB-style; 10 ≈ 1% false positives). 0 disables
     /// the filters entirely — every `get` walks the group search of
@@ -259,7 +253,6 @@ impl Default for Options {
                 extractor: MetaExtractor::None,
             },
             pm_codec_mode: CodecMode::Auto,
-            codec_costs: CodecCostTable::default(),
             pm_filter_bits_per_key: 10,
             pm_group_cache_bytes: 4 << 20,
             l1_target: 8 << 20,
@@ -557,14 +550,14 @@ mod tests {
     fn codec_mode_knob_defaults_to_auto_with_zero_cost_table() {
         let opts = Options::default();
         assert_eq!(opts.pm_codec_mode, CodecMode::Auto);
-        // The engine builds its tables under the knobs; `Db::open`
-        // calibrates the cost table.
+        // The engine builds its tables under the knobs; the cost table
+        // is not a knob: `Db::open` calibrates it (Auto) or keeps the
+        // zero table (Prefix).
         let table = opts.pm_table_options();
         assert_eq!(
             (table.codec, table.filter_bits_per_key),
             (CodecMode::Auto, 10)
         );
-        assert_eq!(opts.codec_costs, CodecCostTable::default());
     }
 
     #[test]

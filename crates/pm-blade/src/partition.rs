@@ -14,7 +14,7 @@ use sim::{CostModel, Counter, SimInstant, Timeline};
 use ssd_device::SsdDevice;
 use sstable::BlockCache;
 
-use crate::costmodel::PartitionCounters;
+use crate::costmodel::{CodecCostTable, PartitionCounters};
 use crate::cursor::{merge_into, Cursor, SsRun};
 use crate::groupcache::PmGroupCache;
 use crate::handle::{CacheIds, PmRunWriter, SsTableHandle};
@@ -209,6 +209,7 @@ impl Partition {
     pub fn minor_compaction(
         &mut self,
         opts: &Options,
+        codec_costs: &CodecCostTable,
         pool: &PmPool,
         device: &Arc<SsdDevice>,
         cache: &Arc<BlockCache>,
@@ -237,7 +238,8 @@ impl Partition {
                 Level0::Pm(l0) => {
                     let written = &pool.stats().bytes_written;
                     let written_before = written.get();
-                    let mut writer = PmRunWriter::new(opts, usize::MAX, pool, cache_ids);
+                    let mut writer =
+                        PmRunWriter::new(opts, codec_costs, usize::MAX, pool, cache_ids);
                     for e in entries {
                         writer.add(e, tl)?;
                     }
@@ -286,6 +288,7 @@ impl Partition {
     pub fn internal_compaction(
         &mut self,
         opts: &Options,
+        codec_costs: &CodecCostTable,
         pool: &PmPool,
         cache_ids: &CacheIds,
         input_errors: &Counter,
@@ -297,7 +300,8 @@ impl Partition {
         if l0.unsorted_count() == 0 {
             return Ok(None);
         }
-        let mut writer = PmRunWriter::new(opts, opts.max_table_bytes, pool, cache_ids);
+        let max_bytes = opts.max_table_bytes;
+        let mut writer = PmRunWriter::new(opts, codec_costs, max_bytes, pool, cache_ids);
         // Keep tombstones: deeper levels may still hold older versions.
         let inputs = l0.cursors(usize::MAX, None, None).collect();
         let sink = |e: EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
@@ -471,6 +475,7 @@ mod tests {
     /// One partition and everything its compactions are handed.
     struct Rig {
         opts: Options,
+        costs: CodecCostTable,
         pool: Arc<PmPool>,
         device: Arc<SsdDevice>,
         cache: Arc<BlockCache>,
@@ -502,6 +507,7 @@ mod tests {
                 p: Partition::new(0, &opts, SimInstant::ORIGIN),
                 seq: 0,
                 opts,
+                costs: CodecCostTable::default(),
             }
         }
 
@@ -521,6 +527,7 @@ mod tests {
             let held = self.p.mem.iter().map(|e| e.to_owned()).collect();
             let Rig {
                 opts,
+                costs,
                 pool,
                 device,
                 cache,
@@ -529,7 +536,7 @@ mod tests {
                 ..
             } = self;
             self.p
-                .minor_compaction(opts, pool, device, cache, counter, ids, &mut tl)
+                .minor_compaction(opts, costs, pool, device, cache, counter, ids, &mut tl)
                 .unwrap();
             held
         }
@@ -608,13 +615,14 @@ mod tests {
         }
         let Rig {
             opts,
+            costs,
             pool,
             ids,
             errors,
             p,
             ..
         } = &mut rig;
-        let failed = p.internal_compaction(opts, pool, ids, errors, &mut Timeline::new());
+        let failed = p.internal_compaction(opts, costs, pool, ids, errors, &mut Timeline::new());
         use {crate::engine::DbError, pm_device::PmError};
         let full = matches!(failed, Err(DbError::Pm(PmError::OutOfSpace { .. })));
         assert!(full, "{failed:?}");
@@ -670,9 +678,9 @@ mod tests {
                         let sources = rig.l0_sources();
                         let records: usize = sources.iter().map(Vec::len).sum();
                         let expect = reference(sources, false);
-                        let Rig { opts, pool, ids, errors, p, .. } = &mut rig;
+                        let Rig { opts, costs, pool, ids, errors, p, .. } = &mut rig;
                         let mut tl = Timeline::new();
-                        let report = p.internal_compaction(opts, pool, ids, errors, &mut tl);
+                        let report = p.internal_compaction(opts, costs, pool, ids, errors, &mut tl);
                         let report = report.unwrap().expect("three unsorted tables merge");
                         prop_assert_eq!(report.records_in, records);
                         prop_assert_eq!(report.records_out, expect.len());

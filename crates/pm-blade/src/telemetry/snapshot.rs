@@ -161,7 +161,8 @@ impl MetricsSnapshot {
         }
         let _ = writeln!(
             out,
-            "-- latency (virtual ns) --\n  {:<36} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+            "-- histograms (virtual ns; *_wall_* and server_* wall ns; *_per_* counts) --\n  \
+             {:<36} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
             "histogram", "count", "mean", "p50", "p95", "p99", "max"
         );
         for (key, h) in &self.histograms {
@@ -572,7 +573,7 @@ mod tests {
         for needle in [
             "-- counters --",
             "-- gauges --",
-            "-- latency",
+            "-- histograms (virtual ns; *_wall_* and server_* wall ns; *_per_* counts) --",
             "-- spans (1 retained, 2 evicted) --",
             "group_commits{partition=\"0\"}",
             "eq3_retention",

@@ -1,22 +1,43 @@
-//! Shared LRU block cache.
+//! The one DRAM cache of the workspace: an exact LRU, O(1) per
+//! operation, generic over the value it holds.
 //!
-//! Caches decoded data blocks keyed by `(table, block offset)`. A hit
-//! serves the block at DRAM cost; a miss pays the SSD random read. The
-//! paper's Table I "SSTable in cache" row corresponds to a 100% hit rate
-//! here.
+//! Entries are keyed by `(table cache-id, position)`, and each is
+//! charged the bytes its inserter names against a byte budget. Two
+//! caches are built from it:
+//! - [`BlockCache`]: decoded SSTable data blocks keyed by `(table, block
+//!   offset)`, in one shard, so one global LRU. A hit serves the block at
+//!   DRAM cost; a miss pays the SSD random read. The paper's Table I
+//!   "SSTable in cache" row corresponds to a 100% hit rate here.
+//! - `pm_blade::PmGroupCache`: decoded PM-table prefix groups keyed by
+//!   `(table, group index)`, in 16 shards.
+//!
+//! A cache of `SHARDS` shards is that many independent LRUs, each behind
+//! its own mutex and holding at most `capacity / SHARDS` bytes. A key's
+//! shard is the top byte of `table * 0x9E3779B97F4A7C15 + position`.
+//! Within a shard the nodes sit in a dense slab, doubly linked by slot
+//! index in recency order, and a map finds a key's slot: a hit relinks
+//! its node at the front, an insert evicts from the back.
+//!
+//! A cache of capacity 0 is disabled: it stores nothing, and a lookup
+//! returns `None` without taking a lock or counting a miss.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sim::Counter;
 
 use crate::block::Block;
 
-/// Cache key: table file name hash + block offset.
+/// The SSD block cache: one shard of decoded data blocks.
+pub type BlockCache = LruCache<Block>;
+
+/// Cache key: a table's cache id plus a position in the table (a block
+/// offset, a group index).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct BlockKey {
+pub struct CacheKey {
     pub table: u64,
-    pub offset: u64,
+    pub pos: u64,
 }
 
 /// Hash a table name to a compact cache id.
@@ -32,21 +53,21 @@ pub fn table_id(name: &str) -> u64 {
 /// "No slot": the end of the recency list.
 const NIL: usize = usize::MAX;
 
-struct Node {
-    key: BlockKey,
-    block: Block,
+struct Node<V> {
+    key: CacheKey,
+    value: V,
+    /// Bytes charged against the shard's budget, as inserted.
+    charge: usize,
     /// Slot of the next more recently used node.
     prev: usize,
     /// Slot of the next less recently used node.
     next: usize,
 }
 
-/// Exact LRU in O(1) per operation: the nodes sit in a dense slab,
-/// doubly linked by slot index in recency order, and `map` finds a
-/// key's slot.
-struct CacheState {
-    map: HashMap<BlockKey, usize>,
-    nodes: Vec<Node>,
+/// One shard's LRU.
+struct Shard<V> {
+    map: HashMap<CacheKey, usize>,
+    nodes: Vec<Node<V>>,
     /// Most recently used slot.
     head: usize,
     /// Least recently used slot: the next victim.
@@ -54,7 +75,17 @@ struct CacheState {
     used: usize,
 }
 
-impl CacheState {
+impl<V> Shard<V> {
+    fn new() -> Self {
+        Shard {
+            map: HashMap::new(),
+            nodes: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            used: 0,
+        }
+    }
+
     /// Rewire the neighbours of a node whose links are `(prev, next)`:
     /// the node before it (or `head`) now leads to `forward`, the node
     /// after it (or `tail`) back to `backward`. Past the node to unlink
@@ -89,7 +120,7 @@ impl CacheState {
         self.unlink(slot);
         let node = self.nodes.swap_remove(slot);
         self.map.remove(&node.key);
-        self.used -= node.block.size();
+        self.used -= node.charge;
         if let Some(moved) = self.nodes.get(slot) {
             let (key, links) = (moved.key, (moved.prev, moved.next));
             self.map.insert(key, slot);
@@ -98,132 +129,120 @@ impl CacheState {
     }
 }
 
-/// A capacity-bounded LRU cache of decoded blocks.
-pub struct BlockCache {
+/// A capacity-bounded LRU cache in `SHARDS` independently locked shards.
+pub struct LruCache<V, const SHARDS: usize = 1> {
     capacity: usize,
-    state: Mutex<CacheState>,
-    /// Cache hits served.
-    pub hits: Counter,
-    /// Cache misses.
-    pub misses: Counter,
-    /// Blocks evicted.
-    pub evictions: Counter,
+    shards: [Mutex<Shard<V>>; SHARDS],
+    /// Lookups served from the cache.
+    pub hits: Arc<Counter>,
+    /// Lookups that found nothing.
+    pub misses: Arc<Counter>,
+    /// Entries evicted to make room.
+    pub evictions: Arc<Counter>,
+    /// Entries dropped because their table was purged.
+    pub invalidations: Arc<Counter>,
 }
 
-impl BlockCache {
-    /// A cache holding at most `capacity` bytes of decoded blocks.
+impl<V: Clone, const SHARDS: usize> LruCache<V, SHARDS> {
+    /// A cache holding at most `capacity` bytes, `capacity / SHARDS` in
+    /// each shard.
     pub fn new(capacity: usize) -> Self {
-        BlockCache {
+        LruCache {
             capacity,
-            state: Mutex::new(CacheState {
-                map: HashMap::new(),
-                nodes: Vec::new(),
-                head: NIL,
-                tail: NIL,
-                used: 0,
-            }),
-            hits: Counter::new(),
-            misses: Counter::new(),
-            evictions: Counter::new(),
+            shards: std::array::from_fn(|_| Mutex::new(Shard::new())),
+            hits: Arc::new(Counter::new()),
+            misses: Arc::new(Counter::new()),
+            evictions: Arc::new(Counter::new()),
+            invalidations: Arc::new(Counter::new()),
         }
     }
 
-    /// A cache that stores nothing (every lookup misses).
+    /// A cache that stores nothing and counts nothing.
     pub fn disabled() -> Self {
         Self::new(0)
     }
 
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
+    /// Bytes currently charged.
     pub fn used(&self) -> usize {
-        self.state.lock().used
+        self.shards.iter().map(|s| s.lock().used).sum()
     }
 
     pub fn len(&self) -> usize {
-        self.state.lock().map.len()
+        self.shards.iter().map(|s| s.lock().nodes.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Fetch a block, refreshing its recency.
-    pub fn get(&self, key: BlockKey) -> Option<Block> {
-        let mut state = self.state.lock();
-        match state.map.get(&key) {
-            Some(&slot) => {
-                state.unlink(slot);
-                state.push_front(slot);
-                self.hits.incr();
-                Some(state.nodes[slot].block.clone())
-            }
-            None => {
-                self.misses.incr();
-                None
-            }
-        }
+    fn shard(&self, key: CacheKey) -> &Mutex<Shard<V>> {
+        // Mix table and position so one table's entries spread over shards.
+        let h = key
+            .table
+            .wrapping_mul(0x9E3779B97F4A7C15)
+            .wrapping_add(key.pos);
+        &self.shards[(h >> 56) as usize % SHARDS]
     }
 
-    /// Insert a block, evicting least-recently-used entries to fit.
-    pub fn insert(&self, key: BlockKey, block: Block) {
-        let size = block.size();
-        if size > self.capacity {
-            return; // larger than the whole cache: never cacheable
+    /// Fetch a value, making it the most recently used of its shard.
+    pub fn get(&self, key: CacheKey) -> Option<V> {
+        if self.capacity == 0 {
+            return None;
         }
-        let mut state = self.state.lock();
-        if let Some(&old) = state.map.get(&key) {
-            state.remove(old);
+        let mut shard = self.shard(key).lock();
+        let Some(&slot) = shard.map.get(&key) else {
+            self.misses.incr();
+            return None;
+        };
+        shard.unlink(slot);
+        shard.push_front(slot);
+        self.hits.incr();
+        Some(shard.nodes[slot].value.clone())
+    }
+
+    /// Insert a value charged `charge` bytes, evicting its shard's least
+    /// recently used entries to fit. A value larger than a whole shard is
+    /// never cached.
+    pub fn insert(&self, key: CacheKey, value: V, charge: usize) {
+        let budget = self.capacity / SHARDS;
+        if charge > budget {
+            return;
         }
-        while state.used + size > self.capacity && state.tail != NIL {
-            let victim = state.tail;
-            state.remove(victim);
+        let mut shard = self.shard(key).lock();
+        if let Some(&old) = shard.map.get(&key) {
+            shard.remove(old);
+        }
+        while shard.used + charge > budget && shard.tail != NIL {
+            let victim = shard.tail;
+            shard.remove(victim);
             self.evictions.incr();
         }
-        state.used += size;
-        let slot = state.nodes.len();
-        state.nodes.push(Node {
+        shard.used += charge;
+        let slot = shard.nodes.len();
+        shard.nodes.push(Node {
             key,
-            block,
+            value,
+            charge,
             prev: NIL,
             next: NIL,
         });
-        state.map.insert(key, slot);
-        state.push_front(slot);
+        shard.map.insert(key, slot);
+        shard.push_front(slot);
     }
 
-    /// Drop every cached block of a table (after the table is deleted).
+    /// Drop every cached entry of a table (after the table is retired).
     pub fn purge_table(&self, table: u64) {
-        let mut state = self.state.lock();
-        let of_table = state.map.keys().filter(|k| k.table == table);
-        let doomed: Vec<BlockKey> = of_table.copied().collect();
-        for key in doomed {
-            let slot = state.map[&key];
-            state.remove(slot);
+        for shard in &self.shards {
+            let mut shard = shard.lock();
+            // From the back: the node `remove` moves into a freed slot
+            // was already passed over.
+            for slot in (0..shard.nodes.len()).rev() {
+                if shard.nodes[slot].key.table == table {
+                    shard.remove(slot);
+                    self.invalidations.incr();
+                }
+            }
         }
-    }
-
-    /// Observed hit ratio so far.
-    pub fn hit_ratio(&self) -> f64 {
-        let h = self.hits.get();
-        let m = self.misses.get();
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
-    }
-}
-
-impl std::fmt::Debug for BlockCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BlockCache")
-            .field("capacity", &self.capacity)
-            .field("used", &self.used())
-            .field("hits", &self.hits.get())
-            .field("misses", &self.misses.get())
-            .finish()
     }
 }
 
@@ -240,22 +259,24 @@ mod tests {
         Block::decode(b.finish()).unwrap()
     }
 
-    fn key(i: u64) -> BlockKey {
-        BlockKey {
-            table: 1,
-            offset: i,
-        }
+    /// Insert a block charged its size, as an SSTable read does.
+    fn put(c: &BlockCache, key: CacheKey, block: Block) {
+        let charge = block.size();
+        c.insert(key, block, charge);
+    }
+
+    fn key(i: u64) -> CacheKey {
+        CacheKey { table: 1, pos: i }
     }
 
     #[test]
     fn hit_and_miss_accounting() {
         let c = BlockCache::new(1 << 16);
         assert!(c.get(key(0)).is_none());
-        c.insert(key(0), block(0, 10));
+        put(&c, key(0), block(0, 10));
         assert!(c.get(key(0)).is_some());
         assert_eq!(c.hits.get(), 1);
         assert_eq!(c.misses.get(), 1);
-        assert!((c.hit_ratio() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -264,12 +285,12 @@ mod tests {
         let unit = b.size();
         let c = BlockCache::new(unit * 3 + unit / 2); // fits 3
         for i in 0..3 {
-            c.insert(key(i), block(i as u32, 400));
+            put(&c, key(i), block(i as u32, 400));
         }
         // Touch 0 and 1 so 2 is stalest.
         c.get(key(0));
         c.get(key(1));
-        c.insert(key(3), block(3, 400));
+        put(&c, key(3), block(3, 400));
         assert!(c.get(key(2)).is_none(), "2 should be evicted");
         assert!(c.get(key(0)).is_some());
         assert!(c.get(key(3)).is_some());
@@ -279,7 +300,7 @@ mod tests {
     #[test]
     fn oversized_blocks_are_not_cached() {
         let c = BlockCache::new(64);
-        c.insert(key(0), block(0, 4096));
+        put(&c, key(0), block(0, 4096));
         assert!(c.get(key(0)).is_none());
         assert_eq!(c.used(), 0);
     }
@@ -287,16 +308,18 @@ mod tests {
     #[test]
     fn disabled_cache_never_stores() {
         let c = BlockCache::disabled();
-        c.insert(key(0), block(0, 8));
+        put(&c, key(0), block(0, 8));
         assert!(c.get(key(0)).is_none());
+        // Never consulted, so nothing is counted either.
+        assert_eq!((c.hits.get(), c.misses.get()), (0, 0));
     }
 
     #[test]
     fn reinsert_replaces_and_accounts() {
         let c = BlockCache::new(1 << 16);
-        c.insert(key(0), block(0, 100));
+        put(&c, key(0), block(0, 100));
         let used1 = c.used();
-        c.insert(key(0), block(0, 300));
+        put(&c, key(0), block(0, 300));
         assert!(c.used() > used1);
         assert_eq!(c.len(), 1);
     }
@@ -304,140 +327,161 @@ mod tests {
     #[test]
     fn purge_table_removes_only_that_table() {
         let c = BlockCache::new(1 << 16);
-        c.insert(
-            BlockKey {
-                table: 1,
-                offset: 0,
-            },
-            block(1, 10),
-        );
-        c.insert(
-            BlockKey {
-                table: 2,
-                offset: 0,
-            },
-            block(2, 10),
-        );
+        let (one, two) = (CacheKey { table: 1, pos: 0 }, CacheKey { table: 2, pos: 0 });
+        put(&c, one, block(1, 10));
+        put(&c, two, block(2, 10));
         c.purge_table(1);
-        assert!(c
-            .get(BlockKey {
-                table: 1,
-                offset: 0
-            })
-            .is_none());
-        assert!(c
-            .get(BlockKey {
-                table: 2,
-                offset: 0
-            })
-            .is_some());
+        assert!(c.get(one).is_none());
+        assert!(c.get(two).is_some());
+        assert_eq!(c.invalidations.get(), 1);
     }
 
-    /// The implementation this cache replaced, kept as the model: a
-    /// recency stamp per entry, the victim found by scanning for the
-    /// smallest. Block sizes stand in for blocks.
+    /// The rule this cache replaced, kept as the model: each of `shards`
+    /// shards holds `capacity / shards` bytes, a key's shard is the top
+    /// byte of `table * 0x9E3779B97F4A7C15 + pos`, every entry carries a
+    /// recency stamp, and a shard's victim is found by scanning it for
+    /// the smallest stamp.
     struct StampLru {
-        capacity: usize,
-        map: HashMap<BlockKey, (usize, u64)>,
-        used: usize,
+        shards: usize,
+        shard_capacity: usize,
+        /// Key → (charge, stamp).
+        map: HashMap<CacheKey, (usize, u64)>,
         clock: u64,
         evictions: u64,
+        invalidations: u64,
     }
 
     impl StampLru {
-        fn get(&mut self, key: BlockKey) -> bool {
-            self.clock += 1;
-            let entry = self.map.get_mut(&key);
-            entry.map(|e| e.1 = self.clock).is_some()
+        fn new(capacity: usize, shards: usize) -> Self {
+            StampLru {
+                shards,
+                shard_capacity: capacity / shards,
+                map: HashMap::new(),
+                clock: 0,
+                evictions: 0,
+                invalidations: 0,
+            }
         }
 
-        fn insert(&mut self, key: BlockKey, size: usize) {
-            if size > self.capacity {
+        fn shard(&self, key: CacheKey) -> usize {
+            let h = key
+                .table
+                .wrapping_mul(0x9E3779B97F4A7C15)
+                .wrapping_add(key.pos);
+            (h >> 56) as usize % self.shards
+        }
+
+        fn used(&self, shard: usize) -> usize {
+            let of_shard = self.map.iter().filter(|(k, _)| self.shard(**k) == shard);
+            of_shard.map(|(_, e)| e.0).sum()
+        }
+
+        fn get(&mut self, key: CacheKey) -> Option<usize> {
+            self.clock += 1;
+            let entry = self.map.get_mut(&key)?;
+            entry.1 = self.clock;
+            Some(entry.0)
+        }
+
+        fn insert(&mut self, key: CacheKey, charge: usize) {
+            if charge > self.shard_capacity {
                 return;
             }
             self.clock += 1;
-            if let Some((old, _)) = self.map.remove(&key) {
-                self.used -= old;
-            }
-            while self.used + size > self.capacity {
-                let Some((&victim, _)) = self.map.iter().min_by_key(|(_, e)| e.1) else {
+            self.map.remove(&key);
+            let shard = self.shard(key);
+            while self.used(shard) + charge > self.shard_capacity {
+                let of_shard = self.map.iter().filter(|(k, _)| self.shard(**k) == shard);
+                let Some((&victim, _)) = of_shard.min_by_key(|(_, e)| e.1) else {
                     break;
                 };
-                self.used -= self.map.remove(&victim).unwrap().0;
+                self.map.remove(&victim);
                 self.evictions += 1;
             }
-            self.used += size;
-            self.map.insert(key, (size, self.clock));
+            self.map.insert(key, (charge, self.clock));
         }
 
         fn purge_table(&mut self, table: u64) {
+            let before = self.map.len();
             self.map.retain(|k, _| k.table != table);
-            self.used = self.map.values().map(|e| e.0).sum();
+            self.invalidations += (before - self.map.len()) as u64;
         }
     }
 
     #[derive(Clone, Debug)]
     enum Op {
-        Get(BlockKey),
-        Insert(BlockKey, usize),
+        Get(CacheKey),
+        Insert(CacheKey, usize),
         Purge(u64),
     }
 
     fn op() -> impl proptest::prelude::Strategy<Value = Op> {
         use proptest::prelude::*;
-        let key = || (0u64..3, 0u64..14).prop_map(|(table, offset)| BlockKey { table, offset });
-        let pad = proptest::sample::select(vec![0usize, 90, 400, 1300, 5000]);
+        // Small positions leave the shard to the table; high ones move
+        // the top byte the shard is taken from.
+        let pos = || prop_oneof![0u64..14, (0u64..14).prop_map(|p| p << 58)];
+        let key = || (0u64..6, pos()).prop_map(|(table, pos)| CacheKey { table, pos });
+        // Around a 4000-byte shard: an exact fit, and one byte over.
+        let charges = vec![1usize, 90, 400, 1000, 1300, 4000, 4001];
+        let charge = proptest::sample::select(charges);
         prop_oneof![
             4 => key().prop_map(Op::Get),
-            5 => (key(), pad).prop_map(|(key, pad)| Op::Insert(key, pad)),
-            1 => (0u64..3).prop_map(Op::Purge),
+            5 => (key(), charge).prop_map(|(key, charge)| Op::Insert(key, charge)),
+            1 => (0u64..6).prop_map(Op::Purge),
         ]
+    }
+
+    /// Run `ops` against a `SHARDS`-shard cache and the model, comparing
+    /// them after every operation. Each value is its own charge.
+    fn check_against_model<const SHARDS: usize>(ops: Vec<Op>) {
+        // Not a multiple of the shard count: the budget rounds down.
+        let capacity = 4000 * SHARDS + SHARDS - 1;
+        let cache = LruCache::<usize, SHARDS>::new(capacity);
+        let mut model = StampLru::new(capacity, SHARDS);
+        for op in ops {
+            match op {
+                Op::Get(key) => assert_eq!(cache.get(key), model.get(key)),
+                Op::Insert(key, charge) => {
+                    cache.insert(key, charge, charge);
+                    model.insert(key, charge);
+                }
+                Op::Purge(table) => {
+                    cache.purge_table(table);
+                    model.purge_table(table);
+                }
+            }
+            for (i, shard) in cache.shards.iter().enumerate() {
+                let shard = shard.lock();
+                let mut held: Vec<CacheKey> = shard.map.keys().copied().collect();
+                let mut expect: Vec<CacheKey> = model.map.keys().copied().collect();
+                expect.retain(|k| model.shard(*k) == i);
+                held.sort_by_key(|k| (k.table, k.pos));
+                expect.sort_by_key(|k| (k.table, k.pos));
+                assert_eq!(held, expect, "shard {i}");
+                assert_eq!(shard.used, model.used(i));
+                assert_eq!(shard.nodes.len(), shard.map.len());
+            }
+            assert_eq!(cache.evictions.get(), model.evictions);
+            assert_eq!(cache.invalidations.get(), model.invalidations);
+        }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// Over random get / insert / purge streams with mixed block
-        /// sizes the linked list evicts exactly the blocks the
-        /// min-stamp scan did, in the same order: after every
-        /// operation both hold the same keys.
+        /// Over random get / insert / purge streams with mixed charges,
+        /// at the block cache's one shard and the group cache's 16, the
+        /// linked lists evict exactly the entries the per-shard min-stamp
+        /// scan did, in the same order: after every operation both hold
+        /// the same keys in the same shards.
         #[test]
-        fn victims_are_the_min_stamp_scans(ops in proptest::collection::vec(op(), 0..400)) {
-            let capacity = 4000;
-            let cache = BlockCache::new(capacity);
-            let mut model = StampLru {
-                capacity,
-                map: HashMap::new(),
-                used: 0,
-                clock: 0,
-                evictions: 0,
-            };
-            for op in ops {
-                match op {
-                    Op::Get(key) => {
-                        proptest::prop_assert_eq!(cache.get(key).is_some(), model.get(key));
-                    }
-                    Op::Insert(key, pad) => {
-                        let block = block(key.offset as u32, pad);
-                        model.insert(key, block.size());
-                        cache.insert(key, block);
-                    }
-                    Op::Purge(table) => {
-                        cache.purge_table(table);
-                        model.purge_table(table);
-                    }
-                }
-                let state = cache.state.lock();
-                let mut held: Vec<(u64, u64)> =
-                    state.map.keys().map(|k| (k.table, k.offset)).collect();
-                let mut expect: Vec<(u64, u64)> =
-                    model.map.keys().map(|k| (k.table, k.offset)).collect();
-                held.sort();
-                expect.sort();
-                proptest::prop_assert_eq!(held, expect);
-                proptest::prop_assert_eq!(state.used, model.used);
-                proptest::prop_assert_eq!(state.nodes.len(), state.map.len());
-                proptest::prop_assert_eq!(cache.evictions.get(), model.evictions);
+        fn victims_are_the_min_stamp_scans(
+            sharded in proptest::bool::ANY,
+            ops in proptest::collection::vec(op(), 0..400),
+        ) {
+            match sharded {
+                false => check_against_model::<1>(ops),
+                true => check_against_model::<16>(ops),
             }
         }
     }

@@ -12,8 +12,9 @@
 //! - [`bloom`]: per-table bloom filter over user keys (shared with the
 //!   PM table format, so the implementation lives in [`encoding::bloom`]
 //!   and is re-exported here);
-//! - [`cache`]: a shared LRU block cache (DRAM) — a cached block read
-//!   costs DRAM latency, an uncached one costs an SSD random read;
+//! - [`cache`]: the workspace's one LRU (DRAM), here as the shared block
+//!   cache — a cached block read costs DRAM latency, an uncached one
+//!   costs an SSD random read;
 //! - [`table`]: the table builder and reader.
 
 pub mod block;

@@ -23,7 +23,7 @@ use ssd_device::{SsdDevice, SsdError, SsdFile};
 
 use crate::block::{Block, BlockBuilder, InlineKey, KeyBuf};
 use crate::bloom::BloomFilter;
-use crate::cache::{table_id, BlockCache, BlockKey};
+use crate::cache::{table_id, BlockCache, CacheKey};
 
 const FOOTER_LEN: usize = 8 + 4 + 8 + 4 + 4;
 const MAGIC: u32 = 0x5353_5442; // "SSTB"
@@ -302,9 +302,9 @@ impl SsTable {
     /// Fetch block `i`, via the cache when possible.
     fn load_block(&self, i: usize, tl: &mut Timeline) -> Result<Block, TableError> {
         let (_, off, len) = self.index[i];
-        let key = BlockKey {
+        let key = CacheKey {
             table: self.id,
-            offset: off,
+            pos: off,
         };
         if let Some(block) = self.cache.get(key) {
             // Served from DRAM.
@@ -313,7 +313,7 @@ impl SsTable {
         }
         let raw = self.file.read(off, len as usize, tl)?.to_vec();
         let block = Block::decode(raw).map_err(|_| TableError::Corrupt("data block"))?;
-        self.cache.insert(key, block.clone());
+        self.cache.insert(key, block.clone(), block.size());
         Ok(block)
     }
 

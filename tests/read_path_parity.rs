@@ -13,6 +13,7 @@
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
+use pm_blade::costmodel::CodecCostTable;
 use pm_blade::handle::CacheIds;
 use pm_blade::options::PmTableLayout;
 use pm_blade::partition::{Level0, Partition};
@@ -433,7 +434,7 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
     let device = SsdDevice::new(opts.cost);
     let block_cache = Arc::new(BlockCache::new(opts.block_cache_bytes));
     let (cache_ids, table_counter) = (CacheIds::new(), AtomicU64::new(0));
-    let errors = sim::Counter::new();
+    let (costs, errors) = (CodecCostTable::default(), sim::Counter::new());
     let mut tl = Timeline::new();
     let mut p = Partition::new(0, &opts, sim::SimInstant::ORIGIN);
     let mut seq = 0;
@@ -446,6 +447,7 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
         }
         p.minor_compaction(
             &opts,
+            &costs,
             &pool,
             &device,
             &block_cache,
@@ -491,7 +493,7 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
     let before_internal = version(&p);
     assert_eq!(before_internal.unsorted_count(), 6);
     let report = p
-        .internal_compaction(&opts, &pool, &cache_ids, &errors, &mut tl)
+        .internal_compaction(&opts, &costs, &pool, &cache_ids, &errors, &mut tl)
         .unwrap()
         .expect("six unsorted tables merge");
     for region in report.retired_regions {
