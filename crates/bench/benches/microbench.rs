@@ -100,6 +100,18 @@ fn bench_szip(c: &mut Criterion) {
     });
 }
 
+fn bench_crc(c: &mut Criterion) {
+    // One SSTable block's checksum: what a block-cache miss verifies.
+    let mut block = vec![0u8; 4096];
+    Pcg64::seeded(4).fill_bytes(&mut block);
+    c.bench_function("encoding/crc32c_4k", |b| {
+        b.iter(|| encoding::crc::crc32c(std::hint::black_box(&block)))
+    });
+    c.bench_function("encoding/crc32c_4k_portable", |b| {
+        b.iter(|| encoding::crc::extend_portable(0, std::hint::black_box(&block)))
+    });
+}
+
 fn bench_engine(c: &mut Criterion) {
     c.bench_function("engine/put_get_cycle", |b| {
         let db = Db::open(Options {
@@ -295,6 +307,7 @@ criterion_group!(
         bench_pm_table,
         bench_array_table,
         bench_szip,
+        bench_crc,
         bench_engine,
         bench_merge,
         bench_scan_merge,

@@ -7,6 +7,7 @@
 //! every tier under the lock. Both count their virtual time per stage
 //! in a [`StageTimes`], which a traced request lays out as its stages.
 
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 
@@ -89,6 +90,10 @@ impl DbCore {
     /// SSD levels, whose tables a concurrent major compaction *can*
     /// delete. Matrix rows and SSD level-0 tables are searched under the
     /// lock the memtable probe took.
+    ///
+    /// The key is hashed for filters at most once: the level-0 sketch or
+    /// filter, or the first SSD table's filter, whichever comes first,
+    /// fills the pair every later filter probes with.
     fn probe(
         &self,
         pid: usize,
@@ -103,13 +108,14 @@ impl DbCore {
         if let Some(hit) = stages.time(SpanKind::MemtableProbe, tl, mem) {
             return Ok((Some(hit), ReadSource::MemTable, None));
         }
+        let hashes = OnceCell::new();
         let guard = match &guard.level0 {
             Level0::Pm(l0) => {
                 let version = l0.version();
                 drop(guard);
                 let mut probe = ProbeStats::default();
                 let cache = &self.group_cache;
-                let hit = version.get(user_key, snapshot, tl, cache, &mut probe, stages);
+                let hit = version.get(user_key, &hashes, snapshot, tl, cache, &mut probe, stages);
                 self.note_probe_stats(&probe);
                 if hit.is_some() {
                     return Ok((hit, ReadSource::Pm, None));
@@ -127,14 +133,15 @@ impl DbCore {
                 // The tables overlap: newest first. An unreadable one
                 // fails the read — an older version may hide behind it.
                 for handle in tables.iter().rev().filter(|h| h.overlaps_key(user_key)) {
-                    if let Some(hit) = handle.get(user_key, snapshot, tl, stages)? {
+                    if let Some(hit) = handle.get(user_key, &hashes, snapshot, tl, stages)? {
                         return Ok((Some(hit), ReadSource::Ssd, Some(0)));
                     }
                 }
                 guard
             }
         };
-        Ok(match guard.levels.get(user_key, snapshot, tl, stages)? {
+        let below = guard.levels.get(user_key, &hashes, snapshot, tl, stages)?;
+        Ok(match below {
             Some((hit, level)) => (Some(hit), ReadSource::Ssd, Some(level)),
             None => (None, ReadSource::Miss, None),
         })

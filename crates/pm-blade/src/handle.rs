@@ -1,5 +1,6 @@
 //! Table handles and merge utilities shared by the compaction paths.
 
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -104,15 +105,19 @@ impl SsTableHandle {
         self.first.as_slice() <= key && key <= self.last.as_slice()
     }
 
-    /// Point lookup in this table, its time one `ssd_read` step.
+    /// Point lookup in this table, its time one `ssd_read` step. The
+    /// key's filter hashes come from `hashes`, filled here if no filter
+    /// this get consulted before has.
     pub(crate) fn get(
         &self,
         user_key: &[u8],
+        hashes: &OnceCell<(u64, u64)>,
         snapshot: SequenceNumber,
         tl: &mut Timeline,
         stages: &mut StageTimes,
     ) -> Result<Option<Lookup>, TableError> {
-        let read = |tl: &mut Timeline| self.table.get(user_key, snapshot, tl);
+        let hashes = *hashes.get_or_init(|| BloomFilter::hashes(user_key));
+        let read = |tl: &mut Timeline| self.table.get_with(user_key, hashes, snapshot, tl);
         let found = stages.time(SpanKind::SsdRead, tl, read)?;
         Ok(found.map(|(seq, kind, value)| Lookup { seq, kind, value }))
     }

@@ -43,6 +43,7 @@
 //! current version (one refcount bump, whatever the table count) and
 //! searches it with no lock held.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 use encoding::bloom::BloomFilter;
@@ -80,17 +81,18 @@ struct Probe<'a> {
     user_key: &'a [u8],
     snapshot: SequenceNumber,
     cache: &'a PmGroupCache,
-    /// Hashed on the first filter or sketch consulted, then reused.
-    hashes: Option<(u64, u64)>,
+    /// The get's one hash pair: hashed on the first filter or sketch
+    /// consulted, here or in a level before or after, then reused.
+    hashes: &'a OnceCell<(u64, u64)>,
     stats: &'a mut ProbeStats,
     stages: &'a mut StageTimes,
 }
 
 impl Probe<'_> {
-    fn hashes(&mut self) -> (u64, u64) {
+    fn hashes(&self) -> (u64, u64) {
         *self
             .hashes
-            .get_or_insert_with(|| BloomFilter::hashes(self.user_key))
+            .get_or_init(|| BloomFilter::hashes(self.user_key))
     }
 
     /// One sketch or filter lookup that ruled on `tables` tables, `passed`
@@ -308,10 +310,13 @@ impl L0Version {
     /// sorted run. Groups come through `cache`; a zero-capacity cache
     /// reads every one from PM. The sketch and filter lookups are
     /// `filter_consult` in `stages`, the table probes `pm_decode_hit` or
-    /// `pm_decode_miss`.
+    /// `pm_decode_miss`. The sketch and every filter take the key's pair
+    /// from `hashes`, hashed at the first of them.
+    #[allow(clippy::too_many_arguments)]
     pub fn get(
         &self,
         user_key: &[u8],
+        hashes: &OnceCell<(u64, u64)>,
         snapshot: SequenceNumber,
         tl: &mut Timeline,
         cache: &PmGroupCache,
@@ -322,7 +327,7 @@ impl L0Version {
             user_key,
             snapshot,
             cache,
-            hashes: None,
+            hashes,
             stats,
             stages,
         };
@@ -580,16 +585,16 @@ pub(crate) mod tests {
         tl: &mut Timeline,
         cache: &PmGroupCache,
     ) -> (Option<Lookup>, ProbeStats, StageTimes) {
-        let (mut stats, mut stages) = Default::default();
-        let hit = v.get(key, u64::MAX, tl, cache, &mut stats, &mut stages);
+        let (mut stats, mut stages, hashes) = Default::default();
+        let hit = v.get(key, &hashes, u64::MAX, tl, cache, &mut stats, &mut stages);
         (hit, stats, stages)
     }
 
     /// Uncached point lookup at `snapshot`.
     fn get_lookup(v: &L0Version, key: &[u8], snapshot: u64) -> Option<Lookup> {
-        let (mut stats, mut stages) = Default::default();
+        let (mut stats, mut stages, hashes) = Default::default();
         let (tl, cache) = (&mut Timeline::new(), &PmGroupCache::disabled());
-        v.get(key, snapshot, tl, cache, &mut stats, &mut stages)
+        v.get(key, &hashes, snapshot, tl, cache, &mut stats, &mut stages)
     }
 
     /// [`get_lookup`], returning the value.

@@ -6,6 +6,7 @@
 //! policy — adequate at the reproduction's scale and identical in
 //! write-amplification shape to per-table picking).
 
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -65,7 +66,8 @@ impl SsdLevels {
     /// Point lookup: walk levels top-down; within a level at most one
     /// table overlaps. Returns the hit plus the 1-based level that
     /// served it (for the per-level read-source metrics); each table
-    /// searched is an `ssd_read` step in `stages`.
+    /// searched is an `ssd_read` step in `stages`. Every table's filter
+    /// is probed with the one pair in `hashes`, hashed at the first.
     ///
     /// A table-read failure propagates instead of being skipped: a
     /// deeper level may hold an *older* version of the key, so falling
@@ -73,6 +75,7 @@ impl SsdLevels {
     pub fn get(
         &self,
         user_key: &[u8],
+        hashes: &OnceCell<(u64, u64)>,
         snapshot: SequenceNumber,
         tl: &mut Timeline,
         stages: &mut StageTimes,
@@ -82,7 +85,7 @@ impl SsdLevels {
             let Some(handle) = level.get(idx).filter(|h| h.overlaps_key(user_key)) else {
                 continue;
             };
-            if let Some(hit) = handle.get(user_key, snapshot, tl, stages)? {
+            if let Some(hit) = handle.get(user_key, hashes, snapshot, tl, stages)? {
                 return Ok(Some((hit, depth + 1)));
             }
         }
@@ -236,6 +239,14 @@ pub(crate) mod tests {
     use pmtable::OwnedEntry;
     use sim::CostModel;
 
+    /// A get at the latest snapshot, its key hashed afresh.
+    fn latest(levels: &SsdLevels, key: &[u8], tl: &mut Timeline) -> Option<(Lookup, usize)> {
+        let stages = &mut StageTimes::default();
+        levels
+            .get(key, &OnceCell::new(), u64::MAX, tl, stages)
+            .unwrap()
+    }
+
     fn e(k: &str, seq: u64, v: &str) -> OwnedEntry {
         OwnedEntry::value(k.as_bytes().to_vec(), seq, v.as_bytes().to_vec())
     }
@@ -283,23 +294,14 @@ pub(crate) mod tests {
         levels.replace_level(1, t1);
         levels.replace_level(2, t2);
         // Key in both levels: L1 wins (and reports level 1).
-        let (hit, level) = levels
-            .get(b"k0050", u64::MAX, &mut tl, &mut StageTimes::default())
-            .unwrap()
-            .unwrap();
+        let (hit, level) = latest(&levels, b"k0050", &mut tl).unwrap();
         assert_eq!(hit.value, b"l1");
         assert_eq!(level, 1);
         // Key only in L2.
-        let (hit, level) = levels
-            .get(b"k0150", u64::MAX, &mut tl, &mut StageTimes::default())
-            .unwrap()
-            .unwrap();
+        let (hit, level) = latest(&levels, b"k0150", &mut tl).unwrap();
         assert_eq!(hit.value, b"l2");
         assert_eq!(level, 2);
-        assert!(levels
-            .get(b"k9999", u64::MAX, &mut tl, &mut StageTimes::default())
-            .unwrap()
-            .is_none());
+        assert!(latest(&levels, b"k9999", &mut tl).is_none());
         assert_eq!(levels.depth(), 2);
         assert!(levels.total_bytes() > 0);
     }
@@ -422,10 +424,7 @@ pub(crate) mod tests {
         .unwrap();
         let mut levels = SsdLevels::new();
         levels.replace_level(1, tables);
-        let (hit, _) = levels
-            .get(b"gone", u64::MAX, &mut tl, &mut StageTimes::default())
-            .unwrap()
-            .unwrap();
+        let (hit, _) = latest(&levels, b"gone", &mut tl).unwrap();
         assert_eq!(hit.kind, KeyKind::Delete);
     }
 }

@@ -637,8 +637,16 @@ mod tests {
         };
         let (cache, tl) = (PmGroupCache::disabled(), &mut Timeline::new());
         for k in 0..160u8 {
-            let (mut stats, mut stages) = Default::default();
-            let hit = l0.get(&[b'k', k], u64::MAX, tl, &cache, &mut stats, &mut stages);
+            let (mut stats, mut stages, hashes) = Default::default();
+            let hit = l0.get(
+                &[b'k', k],
+                &hashes,
+                u64::MAX,
+                tl,
+                &cache,
+                &mut stats,
+                &mut stages,
+            );
             assert_eq!(hit.unwrap().value, vec![k; 40]);
         }
     }

@@ -324,9 +324,22 @@ impl SsTable {
         snapshot: SequenceNumber,
         tl: &mut Timeline,
     ) -> Result<Option<VersionedValue>, TableError> {
+        self.get_with(user_key, BloomFilter::hashes(user_key), snapshot, tl)
+    }
+
+    /// [`SsTable::get`] for a key already hashed by
+    /// [`BloomFilter::hashes`]: a get that consults the filters of many
+    /// tables hashes its key once.
+    pub fn get_with(
+        &self,
+        user_key: &[u8],
+        hashes: (u64, u64),
+        snapshot: SequenceNumber,
+        tl: &mut Timeline,
+    ) -> Result<Option<VersionedValue>, TableError> {
         // Bloom filter: DRAM-resident probes.
         tl.charge(self.cost.dram.random_read(8) * 3);
-        if !self.bloom.may_contain(user_key) {
+        if !self.bloom.may_contain_hashed(hashes) {
             return Ok(None);
         }
         // The seek target `(user_key, trailer)` stays in parts and the

@@ -463,9 +463,17 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
     };
     let cache = PmGroupCache::disabled();
     let l0_get = |version: &L0Version, k: u16| {
-        let (mut stats, mut stages) = Default::default();
+        let (mut stats, mut stages, hashes) = Default::default();
         let tl = &mut Timeline::new();
-        version.get(&key(k), u64::MAX, tl, &cache, &mut stats, &mut stages)
+        version.get(
+            &key(k),
+            &hashes,
+            u64::MAX,
+            tl,
+            &cache,
+            &mut stats,
+            &mut stages,
+        )
     };
     // Every key the version held when it was taken, from its own tables.
     let check_held = |held: &L0Version, keys: std::ops::Range<u16>, when: &str| {
@@ -479,8 +487,10 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
         for k in keys {
             let (tl, stages) = (&mut Timeline::new(), &mut StageTimes::default());
             let hit = l0_get(&version(p), k).or_else(|| {
-                let below = p.levels.get(&key(k), u64::MAX, tl, stages).unwrap();
-                below.map(|(hit, _)| hit)
+                let below = p
+                    .levels
+                    .get(&key(k), &Default::default(), u64::MAX, tl, stages);
+                below.unwrap().map(|(hit, _)| hit)
             });
             let value = hit.and_then(|l| l.into_value());
             assert_eq!(value, Some(value_for(k as u64, 64)), "{when}: live key {k}");
