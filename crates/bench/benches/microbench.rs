@@ -218,7 +218,7 @@ fn bench_scan_merge(c: &mut Criterion) {
             });
             let (mut stats, mut tl) = (ScanStats::default(), Timeline::new());
             let mut rows = MergingIter::new(
-                cursors.collect(),
+                cursors,
                 starts[i % starts.len()],
                 None,
                 true,
@@ -241,7 +241,7 @@ fn bench_scan_merge(c: &mut Criterion) {
             let cursors = runs.map(|run| Cursor::Pm(PmRun::new(run, None, None, None)));
             let (mut tl, mut writer) = (Timeline::new(), run_writer(256 << 10));
             let sink = |e: pmtable::EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
-            merge_into(cursors.collect(), false, &cost, &errors, &mut tl, sink).unwrap();
+            merge_into(cursors, false, &cost, &errors, &mut tl, sink).unwrap();
             let run = writer.finish(&mut tl).unwrap();
             run.iter().for_each(|(table, _)| pool.free(table.region));
             run.len()
@@ -282,11 +282,34 @@ fn bench_cascade(c: &mut Criterion) {
             let cursors = runs.each_ref().map(|run| Cursor::Ss(SsRun::new(run, None)));
             let (mut tl, mut writer) = (Timeline::new(), run_writer("out"));
             let sink = |e: pmtable::EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
-            merge_into(cursors.into(), true, &cost, &errors, &mut tl, sink).unwrap();
+            merge_into(cursors, true, &cost, &errors, &mut tl, sink).unwrap();
             let run = writer.finish(&mut tl).unwrap();
             run.iter()
                 .for_each(|table| device.delete(&table.name).unwrap());
             run.len()
+        })
+    });
+}
+
+fn bench_cache(c: &mut Criterion) {
+    // A group-cache hit: 16 shards, 4 096 groups of 64 tables resident;
+    // the shard's map lookup, one relink, one `Arc` clone.
+    use sstable::cache::{CacheKey, LruCache};
+    let cache = LruCache::<std::sync::Arc<[u8; 64]>, 16>::new(64 << 20);
+    let keys: Vec<CacheKey> = (0..4096)
+        .map(|i| CacheKey {
+            table: 1 + i % 64,
+            pos: i / 64,
+        })
+        .collect();
+    for &key in &keys {
+        cache.insert(key, std::sync::Arc::new([0; 64]), 64);
+    }
+    let mut i = 0;
+    c.bench_function("cache/group_get_hit", |b| {
+        b.iter(|| {
+            i = (i + 1) % keys.len();
+            cache.get(keys[i]).expect("hit")
         })
     });
 }
@@ -312,6 +335,7 @@ criterion_group!(
         bench_merge,
         bench_scan_merge,
         bench_cascade,
+        bench_cache,
         bench_storage_metering_overhead
 );
 criterion_main!(benches);

@@ -10,6 +10,7 @@
 //! - [`frame`]: the CRC frame (`len | masked crc | payload`) of the WAL,
 //!   the manifest and the wire protocol, and the reader that finds
 //!   where a log's intact frames end.
+//! - [`hash`]: the fixed hasher of the engine's in-memory maps.
 //! - [`prefix`]: the shared-prefix group codec backing the PM table's
 //!   prefix layer (§IV-A of the paper).
 //! - [`delta`] / [`bitpack`]: zigzag + delta transforms and fixed-width
@@ -24,6 +25,7 @@ pub mod bloom;
 pub mod crc;
 pub mod delta;
 pub mod frame;
+pub mod hash;
 pub mod key;
 pub mod prefix;
 pub mod szip;

@@ -7,7 +7,6 @@
 //! every tier under the lock. Both count their virtual time per stage
 //! in a [`StageTimes`], which a traced request lays out as its stages.
 
-use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 
@@ -17,7 +16,7 @@ use sim::Timeline;
 
 use super::{DbCore, DbError, ReadOutcome, ScanRequest, ScanResult};
 use crate::cursor::{MergingIter, ScanStats};
-use crate::level0::ProbeStats;
+use crate::level0::{Probe, ProbeStats};
 use crate::partition::Level0;
 use crate::stats::ReadSource;
 use crate::telemetry::{SpanKind, StageTimes, StageTrace, TraceContext, TraceOp};
@@ -91,9 +90,8 @@ impl DbCore {
     /// delete. Matrix rows and SSD level-0 tables are searched under the
     /// lock the memtable probe took.
     ///
-    /// The key is hashed for filters at most once: the level-0 sketch or
-    /// filter, or the first SSD table's filter, whichever comes first,
-    /// fills the pair every later filter probes with.
+    /// The key is hashed for filters at most once: every level takes the
+    /// one [`Probe`], whose pair the first sketch or filter fills.
     fn probe(
         &self,
         pid: usize,
@@ -108,15 +106,14 @@ impl DbCore {
         if let Some(hit) = stages.time(SpanKind::MemtableProbe, tl, mem) {
             return Ok((Some(hit), ReadSource::MemTable, None));
         }
-        let hashes = OnceCell::new();
+        let probe = Probe::new(user_key, snapshot, &self.group_cache);
         let guard = match &guard.level0 {
             Level0::Pm(l0) => {
                 let version = l0.version();
                 drop(guard);
-                let mut probe = ProbeStats::default();
-                let cache = &self.group_cache;
-                let hit = version.get(user_key, &hashes, snapshot, tl, cache, &mut probe, stages);
-                self.note_probe_stats(&probe);
+                let mut stats = ProbeStats::default();
+                let hit = version.get(&probe, tl, &mut stats, stages);
+                self.note_probe_stats(&stats);
                 if hit.is_some() {
                     return Ok((hit, ReadSource::Pm, None));
                 }
@@ -133,14 +130,14 @@ impl DbCore {
                 // The tables overlap: newest first. An unreadable one
                 // fails the read — an older version may hide behind it.
                 for handle in tables.iter().rev().filter(|h| h.overlaps_key(user_key)) {
-                    if let Some(hit) = handle.get(user_key, &hashes, snapshot, tl, stages)? {
+                    if let Some(hit) = handle.get(&probe, tl, stages)? {
                         return Ok((Some(hit), ReadSource::Ssd, Some(0)));
                     }
                 }
                 guard
             }
         };
-        let below = guard.levels.get(user_key, &hashes, snapshot, tl, stages)?;
+        let below = guard.levels.get(&probe, tl, stages)?;
         Ok(match below {
             Some((hit, level)) => (Some(hit), ReadSource::Ssd, Some(level)),
             None => (None, ReadSource::Miss, None),

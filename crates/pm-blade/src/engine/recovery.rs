@@ -8,6 +8,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use encoding::hash::HashSet;
 use encoding::key::SequenceNumber;
 use memtable::Wal;
 use parking_lot::{Mutex, RwLock};
@@ -236,10 +237,8 @@ impl DbCore {
                 // Rebuild each partition's table set from its last
                 // logged version, and remember every media object the
                 // manifest still references.
-                let mut live_regions: std::collections::HashSet<u64> =
-                    std::collections::HashSet::new();
-                let mut live_tables: std::collections::HashSet<String> =
-                    std::collections::HashSet::new();
+                let mut live_regions: HashSet<u64> = HashSet::default();
+                let mut live_tables: HashSet<String> = HashSet::default();
                 for (&pid_u, version) in &state.partitions {
                     let pid = pid_u as usize;
                     if pid >= partitions.len() {

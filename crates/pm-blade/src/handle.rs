@@ -1,6 +1,5 @@
 //! Table handles and merge utilities shared by the compaction paths.
 
-use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -17,6 +16,7 @@ use sstable::table::TableError;
 use sstable::SsTable;
 
 use crate::costmodel::{select_codec, CodecCostTable};
+use crate::level0::Probe;
 use crate::options::Options;
 use crate::telemetry::{SpanKind, StageTimes};
 
@@ -106,18 +106,15 @@ impl SsTableHandle {
     }
 
     /// Point lookup in this table, its time one `ssd_read` step. The
-    /// key's filter hashes come from `hashes`, filled here if no filter
-    /// this get consulted before has.
+    /// filter takes the probe's hash pair.
     pub(crate) fn get(
         &self,
-        user_key: &[u8],
-        hashes: &OnceCell<(u64, u64)>,
-        snapshot: SequenceNumber,
+        probe: &Probe<'_>,
         tl: &mut Timeline,
         stages: &mut StageTimes,
     ) -> Result<Option<Lookup>, TableError> {
-        let hashes = *hashes.get_or_init(|| BloomFilter::hashes(user_key));
-        let read = |tl: &mut Timeline| self.table.get_with(user_key, hashes, snapshot, tl);
+        let (key, hashes, snapshot) = (probe.user_key, probe.hashes(), probe.snapshot);
+        let read = |tl: &mut Timeline| self.table.get_with(key, hashes, snapshot, tl);
         let found = stages.time(SpanKind::SsdRead, tl, read)?;
         Ok(found.map(|(seq, kind, value)| Lookup { seq, kind, value }))
     }

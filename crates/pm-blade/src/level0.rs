@@ -75,26 +75,45 @@ pub struct ProbeStats {
     pub sketch_probes: u64,
 }
 
-/// One get's search of an [`L0Version`]: the key, the cache its groups
-/// come through, and where its verdicts and time are counted.
-struct Probe<'a> {
-    user_key: &'a [u8],
-    snapshot: SequenceNumber,
-    cache: &'a PmGroupCache,
-    /// The get's one hash pair: hashed on the first filter or sketch
-    /// consulted, here or in a level before or after, then reused.
-    hashes: &'a OnceCell<(u64, u64)>,
-    stats: &'a mut ProbeStats,
-    stages: &'a mut StageTimes,
+/// One get: the key, the snapshot it reads at, the cache PM groups come
+/// through, and the key's one filter hash pair. The pair is hashed from
+/// this key at the first sketch or filter that asks — level-0's or an
+/// SSD table's — and reused by every later one; it is private, so it
+/// can only ever be this key's.
+pub struct Probe<'a> {
+    pub(crate) user_key: &'a [u8],
+    pub(crate) snapshot: SequenceNumber,
+    pub(crate) cache: &'a PmGroupCache,
+    hashes: OnceCell<(u64, u64)>,
 }
 
-impl Probe<'_> {
-    fn hashes(&self) -> (u64, u64) {
+impl<'a> Probe<'a> {
+    pub fn new(user_key: &'a [u8], snapshot: SequenceNumber, cache: &'a PmGroupCache) -> Self {
+        Probe {
+            user_key,
+            snapshot,
+            cache,
+            hashes: OnceCell::new(),
+        }
+    }
+
+    /// The key's [`BloomFilter::hashes`], hashed on first use.
+    pub(crate) fn hashes(&self) -> (u64, u64) {
         *self
             .hashes
             .get_or_init(|| BloomFilter::hashes(self.user_key))
     }
+}
 
+/// A [`Probe`]'s search of an [`L0Version`], and where its verdicts and
+/// time are counted.
+struct Search<'a> {
+    probe: &'a Probe<'a>,
+    stats: &'a mut ProbeStats,
+    stages: &'a mut StageTimes,
+}
+
+impl Search<'_> {
     /// One sketch or filter lookup that ruled on `tables` tables, `passed`
     /// of which may hold the key, in `nanos` of virtual time.
     fn rule(&mut self, tables: u64, passed: u64, nanos: u64) {
@@ -111,10 +130,9 @@ impl Probe<'_> {
     fn table(&mut self, handle: &PmTableHandle, tl: &mut Timeline) -> Option<Lookup> {
         self.stats.tables_probed += 1;
         let before = tl.elapsed().as_nanos();
-        let access = TableGroupCache::new(self.cache, handle.cache_id);
-        let hit = handle
-            .table
-            .get_with_cache(self.user_key, self.snapshot, tl, &access);
+        let access = TableGroupCache::new(self.probe.cache, handle.cache_id);
+        let (key, snapshot) = (self.probe.user_key, self.probe.snapshot);
+        let hit = handle.table.get_with_cache(key, snapshot, tl, &access);
         let spent = tl.elapsed().as_nanos() - before;
         let (hits, misses) = (access.hits(), access.misses());
         let hit_nanos = if hits > 0 && misses == 0 { spent } else { 0 };
@@ -130,7 +148,7 @@ impl Probe<'_> {
     fn filtered(&mut self, handle: &PmTableHandle, tl: &mut Timeline) -> Option<Lookup> {
         let filtered = handle.table.has_filter();
         if filtered {
-            let key = self.hashes();
+            let key = self.probe.hashes();
             let before = tl.elapsed().as_nanos();
             let may_contain = handle.table.filter_may_contain(key, tl) == Some(true);
             self.rule(1, may_contain.into(), tl.elapsed().as_nanos() - before);
@@ -307,27 +325,20 @@ impl L0Version {
     }
 
     /// Point lookup across level-0: newest unsorted table wins, then the
-    /// sorted run. Groups come through `cache`; a zero-capacity cache
-    /// reads every one from PM. The sketch and filter lookups are
-    /// `filter_consult` in `stages`, the table probes `pm_decode_hit` or
-    /// `pm_decode_miss`. The sketch and every filter take the key's pair
-    /// from `hashes`, hashed at the first of them.
-    #[allow(clippy::too_many_arguments)]
+    /// sorted run. Groups come through the probe's cache; a
+    /// zero-capacity cache reads every one from PM. The sketch and
+    /// filter lookups are `filter_consult` in `stages`, the table probes
+    /// `pm_decode_hit` or `pm_decode_miss`. The sketch and every filter
+    /// take the probe's one hash pair.
     pub fn get(
         &self,
-        user_key: &[u8],
-        hashes: &OnceCell<(u64, u64)>,
-        snapshot: SequenceNumber,
+        probe: &Probe<'_>,
         tl: &mut Timeline,
-        cache: &PmGroupCache,
         stats: &mut ProbeStats,
         stages: &mut StageTimes,
     ) -> Option<Lookup> {
-        let mut probe = Probe {
-            user_key,
-            snapshot,
-            cache,
-            hashes,
+        let mut search = Search {
+            probe,
             stats,
             stages,
         };
@@ -336,8 +347,8 @@ impl L0Version {
         // newest visible version. Those past the sketch are the newest.
         let covered = self.sketch.covered;
         for handle in self.unsorted[covered..].iter().rev() {
-            if handle.overlaps_key(user_key) {
-                let hit = probe.filtered(handle, tl);
+            if handle.overlaps_key(probe.user_key) {
+                let hit = search.filtered(handle, tl);
                 if hit.is_some() {
                     return hit;
                 }
@@ -348,23 +359,23 @@ impl L0Version {
             let (slot, lines) = self.sketch.slot(fingerprint(probe.hashes()));
             let mut mask = self.sketch.slots[slot][1];
             tl.charge(self.unsorted[0].table.cost_model().dram.random_read(64) * lines);
-            probe.stats.sketch_probes += 1;
+            search.stats.sketch_probes += 1;
             let nanos = tl.elapsed().as_nanos() - before;
-            probe.rule(covered as u64, mask.count_ones().into(), nanos);
+            search.rule(covered as u64, mask.count_ones().into(), nanos);
             while mask != 0 {
                 let newest = (u64::BITS - 1 - mask.leading_zeros()) as usize;
                 mask ^= 1 << newest;
-                let hit = probe.table(&self.unsorted[newest], tl);
+                let hit = search.table(&self.unsorted[newest], tl);
                 if hit.is_some() {
                     return hit;
                 }
-                probe.stats.filter_false_positives += 1;
+                search.stats.filter_false_positives += 1;
             }
         }
         // Sorted run: the fence keys name the only table that can
         // contain the key (or prove none does).
-        let handle = &self.sorted[self.locate(user_key)?];
-        probe.filtered(handle, tl)
+        let handle = &self.sorted[self.locate(probe.user_key)?];
+        search.filtered(handle, tl)
     }
 
     /// The `limit` *oldest* tables, as (sorted-run tables, unsorted
@@ -585,16 +596,22 @@ pub(crate) mod tests {
         tl: &mut Timeline,
         cache: &PmGroupCache,
     ) -> (Option<Lookup>, ProbeStats, StageTimes) {
-        let (mut stats, mut stages, hashes) = Default::default();
-        let hit = v.get(key, &hashes, u64::MAX, tl, cache, &mut stats, &mut stages);
+        let (mut stats, mut stages) = Default::default();
+        let hit = v.get(
+            &Probe::new(key, u64::MAX, cache),
+            tl,
+            &mut stats,
+            &mut stages,
+        );
         (hit, stats, stages)
     }
 
     /// Uncached point lookup at `snapshot`.
     fn get_lookup(v: &L0Version, key: &[u8], snapshot: u64) -> Option<Lookup> {
-        let (mut stats, mut stages, hashes) = Default::default();
-        let (tl, cache) = (&mut Timeline::new(), &PmGroupCache::disabled());
-        v.get(key, &hashes, snapshot, tl, cache, &mut stats, &mut stages)
+        let (mut stats, mut stages) = Default::default();
+        let cache = PmGroupCache::disabled();
+        let probe = Probe::new(key, snapshot, &cache);
+        v.get(&probe, &mut Timeline::new(), &mut stats, &mut stages)
     }
 
     /// [`get_lookup`], returning the value.

@@ -6,7 +6,6 @@
 //! policy — adequate at the reproduction's scale and identical in
 //! write-amplification shape to per-table picking).
 
-use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -19,6 +18,7 @@ use sstable::{BlockCache, SsTable, SsTableBuilder, SsTableOptions};
 
 use crate::cursor::{Cursor, SsRun};
 use crate::handle::SsTableHandle;
+use crate::level0::Probe;
 use crate::telemetry::StageTimes;
 
 /// SSD level stack for one partition.
@@ -67,25 +67,24 @@ impl SsdLevels {
     /// table overlaps. Returns the hit plus the 1-based level that
     /// served it (for the per-level read-source metrics); each table
     /// searched is an `ssd_read` step in `stages`. Every table's filter
-    /// is probed with the one pair in `hashes`, hashed at the first.
+    /// takes the probe's one hash pair.
     ///
     /// A table-read failure propagates instead of being skipped: a
     /// deeper level may hold an *older* version of the key, so falling
     /// through past an unreadable table could silently serve stale data.
     pub fn get(
         &self,
-        user_key: &[u8],
-        hashes: &OnceCell<(u64, u64)>,
-        snapshot: SequenceNumber,
+        probe: &Probe<'_>,
         tl: &mut Timeline,
         stages: &mut StageTimes,
     ) -> Result<Option<(Lookup, usize)>, TableError> {
+        let user_key = probe.user_key;
         for (depth, level) in self.levels.iter().enumerate() {
             let idx = level.partition_point(|h| h.last.as_slice() < user_key);
             let Some(handle) = level.get(idx).filter(|h| h.overlaps_key(user_key)) else {
                 continue;
             };
-            if let Some(hit) = handle.get(user_key, hashes, snapshot, tl, stages)? {
+            if let Some(hit) = handle.get(probe, tl, stages)? {
                 return Ok(Some((hit, depth + 1)));
             }
         }
@@ -241,10 +240,9 @@ pub(crate) mod tests {
 
     /// A get at the latest snapshot, its key hashed afresh.
     fn latest(levels: &SsdLevels, key: &[u8], tl: &mut Timeline) -> Option<(Lookup, usize)> {
-        let stages = &mut StageTimes::default();
-        levels
-            .get(key, &OnceCell::new(), u64::MAX, tl, stages)
-            .unwrap()
+        let cache = crate::groupcache::PmGroupCache::disabled();
+        let probe = Probe::new(key, u64::MAX, &cache);
+        levels.get(&probe, tl, &mut StageTimes::default()).unwrap()
     }
 
     fn e(k: &str, seq: u64, v: &str) -> OwnedEntry {

@@ -71,7 +71,7 @@ pub struct Partition {
     pub counters: PartitionCounters,
     /// Approximate set of user keys present (hashes), used to classify
     /// writes as inserts vs updates for Eq 2.
-    seen_keys: std::collections::HashSet<u64>,
+    seen_keys: encoding::hash::HashSet<u64>,
     cost: CostModel,
 }
 
@@ -96,18 +96,57 @@ impl Level0 {
     }
 }
 
+/// The cursors of one kind of level-0, as one iterator type that keeps
+/// its length hint: the merge sizes its sources once.
+enum L0Cursors<P, M, S> {
+    Pm(P),
+    Matrix(M),
+    Ssd(S),
+}
+
+impl<'a, P, M, S> Iterator for L0Cursors<P, M, S>
+where
+    P: Iterator<Item = Cursor<'a>>,
+    M: Iterator<Item = Cursor<'a>>,
+    S: Iterator<Item = Cursor<'a>>,
+{
+    type Item = Cursor<'a>;
+
+    fn next(&mut self) -> Option<Cursor<'a>> {
+        match self {
+            L0Cursors::Pm(it) => it.next(),
+            L0Cursors::Matrix(it) => it.next(),
+            L0Cursors::Ssd(it) => it.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            L0Cursors::Pm(it) => it.size_hint(),
+            L0Cursors::Matrix(it) => it.size_hint(),
+            L0Cursors::Ssd(it) => it.size_hint(),
+        }
+    }
+}
+
+/// SSD level-0 tables overlap: each is a run of its own.
+fn ssd_l0_cursors<'a>(
+    tables: &'a [SsTableHandle],
+    end: Option<&'a [u8]>,
+) -> impl Iterator<Item = Cursor<'a>> {
+    let runs = tables.iter().map(std::slice::from_ref);
+    runs.map(move |run| Cursor::Ss(SsRun::new(run, end)))
+}
+
 /// A major compaction's level-0 input is the `limit` oldest tables;
 /// non-PM level-0s ignore the limit and move whole.
 impl Level0 {
     /// One compaction cursor per sorted source among those tables.
-    fn input_cursors(&self, limit: usize) -> Vec<Cursor<'_>> {
+    fn input_cursors(&self, limit: usize) -> impl Iterator<Item = Cursor<'_>> {
         match self {
-            Level0::Pm(l0) => l0.cursors(limit, None, None).collect(),
-            Level0::Matrix(m) => m.input_cursors().collect(),
-            Level0::Ssd(tables) => {
-                let runs = tables.iter().map(std::slice::from_ref);
-                runs.map(|run| Cursor::Ss(SsRun::new(run, None))).collect()
-            }
+            Level0::Pm(l0) => L0Cursors::Pm(l0.cursors(limit, None, None)),
+            Level0::Matrix(m) => L0Cursors::Matrix(m.input_cursors()),
+            Level0::Ssd(tables) => L0Cursors::Ssd(ssd_l0_cursors(tables, None)),
         }
     }
 
@@ -141,7 +180,7 @@ impl Partition {
             level0,
             levels: SsdLevels::new(),
             counters: PartitionCounters::new(now),
-            seen_keys: std::collections::HashSet::new(),
+            seen_keys: Default::default(),
             cost: opts.cost,
         }
     }
@@ -189,18 +228,14 @@ impl Partition {
         start: &'a [u8],
         end: Option<&'a [u8]>,
         cache: &'a PmGroupCache,
-    ) -> Vec<Cursor<'a>> {
-        let mut cursors = vec![Cursor::Mem(self.mem.cursor())];
-        match &self.level0 {
-            Level0::Pm(l0) => cursors.extend(l0.cursors(usize::MAX, end, Some(cache))),
-            Level0::Matrix(m) => cursors.extend(m.cursors(start, end)),
-            Level0::Ssd(tables) => {
-                let runs = tables.iter().map(std::slice::from_ref);
-                cursors.extend(runs.map(|run| Cursor::Ss(SsRun::new(run, end))))
-            }
-        }
-        cursors.extend(self.levels.cursors(end));
-        cursors
+    ) -> impl Iterator<Item = Cursor<'a>> {
+        let level0 = match &self.level0 {
+            Level0::Pm(l0) => L0Cursors::Pm(l0.cursors(usize::MAX, end, Some(cache))),
+            Level0::Matrix(m) => L0Cursors::Matrix(m.cursors(start, end)),
+            Level0::Ssd(tables) => L0Cursors::Ssd(ssd_l0_cursors(tables, end)),
+        };
+        let mem = std::iter::once(Cursor::Mem(self.mem.cursor()));
+        mem.chain(level0).chain(self.levels.cursors(end))
     }
 
     /// Minor compaction: freeze the memtable and flush it to level-0.
@@ -303,7 +338,7 @@ impl Partition {
         let max_bytes = opts.max_table_bytes;
         let mut writer = PmRunWriter::new(opts, codec_costs, max_bytes, pool, cache_ids);
         // Keep tombstones: deeper levels may still hold older versions.
-        let inputs = l0.cursors(usize::MAX, None, None).collect();
+        let inputs = l0.cursors(usize::MAX, None, None);
         let sink = |e: EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
         let records_in = merge_into(inputs, false, &opts.cost, input_errors, tl, sink)? as usize;
         let run: Vec<_> = writer.finish(tl)?.into_iter().map(|(h, _)| h).collect();
@@ -354,8 +389,8 @@ impl Partition {
         if let Some((first, last)) = range {
             // Merge with the overlapping level-1 tables, as one more run.
             let l1_overlap = self.levels.overlapping(1, &first, &last);
-            let mut sources = self.level0.input_cursors(table_limit);
-            sources.push(Cursor::Ss(SsRun::new(&l1_overlap, None)));
+            let l1 = Cursor::Ss(SsRun::new(&l1_overlap, None));
+            let sources = self.level0.input_cursors(table_limit).chain([l1]);
             // Tombstones can drop only when no deeper level holds the key
             // range; be conservative: drop only when levels below 1 are empty.
             let drop_tombstones = self.levels.depth() <= 1;
@@ -436,7 +471,7 @@ impl Partition {
             let mut writer =
                 SsRunWriter::new(device, cache, prefix, table_counter, opts.max_table_bytes);
             let sink = |e: EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
-            merge_into(sources.into(), bottom, &opts.cost, input_errors, tl, sink)?;
+            merge_into(sources, bottom, &opts.cost, input_errors, tl, sink)?;
             let new_tables = writer.finish(tl)?;
             let this_level = self.levels.replace_level(level, Vec::new());
             let next_level = self.levels.replace_level(level + 1, new_tables);
@@ -637,16 +672,10 @@ mod tests {
         };
         let (cache, tl) = (PmGroupCache::disabled(), &mut Timeline::new());
         for k in 0..160u8 {
-            let (mut stats, mut stages, hashes) = Default::default();
-            let hit = l0.get(
-                &[b'k', k],
-                &hashes,
-                u64::MAX,
-                tl,
-                &cache,
-                &mut stats,
-                &mut stages,
-            );
+            let (mut stats, mut stages) = Default::default();
+            let key = [b'k', k];
+            let probe = crate::level0::Probe::new(&key, u64::MAX, &cache);
+            let hit = l0.get(&probe, tl, &mut stats, &mut stages);
             assert_eq!(hit.unwrap().value, vec![k; 40]);
         }
     }

@@ -15,15 +15,16 @@
 //! its own mutex and holding at most `capacity / SHARDS` bytes. A key's
 //! shard is the top byte of `table * 0x9E3779B97F4A7C15 + position`.
 //! Within a shard the nodes sit in a dense slab, doubly linked by slot
-//! index in recency order, and a map finds a key's slot: a hit relinks
+//! index in recency order, and a map (over the fixed
+//! [`encoding::hash::FixedHasher`]) finds a key's slot: a hit relinks
 //! its node at the front, an insert evicts from the back.
 //!
 //! A cache of capacity 0 is disabled: it stores nothing, and a lookup
 //! returns `None` without taking a lock or counting a miss.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use encoding::hash::HashMap;
 use parking_lot::Mutex;
 use sim::Counter;
 
@@ -78,7 +79,7 @@ struct Shard<V> {
 impl<V> Shard<V> {
     fn new() -> Self {
         Shard {
-            map: HashMap::new(),
+            map: HashMap::default(),
             nodes: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -356,7 +357,7 @@ mod tests {
             StampLru {
                 shards,
                 shard_capacity: capacity / shards,
-                map: HashMap::new(),
+                map: HashMap::default(),
                 clock: 0,
                 evictions: 0,
                 invalidations: 0,

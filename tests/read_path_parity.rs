@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use pm_blade::costmodel::CodecCostTable;
 use pm_blade::handle::CacheIds;
+use pm_blade::level0::Probe;
 use pm_blade::options::PmTableLayout;
 use pm_blade::partition::{Level0, Partition};
 use pm_blade::telemetry::StageTimes;
@@ -463,14 +464,11 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
     };
     let cache = PmGroupCache::disabled();
     let l0_get = |version: &L0Version, k: u16| {
-        let (mut stats, mut stages, hashes) = Default::default();
-        let tl = &mut Timeline::new();
+        let (mut stats, mut stages) = Default::default();
+        let (key, tl) = (key(k), &mut Timeline::new());
         version.get(
-            &key(k),
-            &hashes,
-            u64::MAX,
+            &Probe::new(&key, u64::MAX, &cache),
             tl,
-            &cache,
             &mut stats,
             &mut stages,
         )
@@ -487,9 +485,10 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
         for k in keys {
             let (tl, stages) = (&mut Timeline::new(), &mut StageTimes::default());
             let hit = l0_get(&version(p), k).or_else(|| {
+                let key = key(k);
                 let below = p
                     .levels
-                    .get(&key(k), &Default::default(), u64::MAX, tl, stages);
+                    .get(&Probe::new(&key, u64::MAX, &cache), tl, stages);
                 below.unwrap().map(|(hit, _)| hit)
             });
             let value = hit.and_then(|l| l.into_value());
