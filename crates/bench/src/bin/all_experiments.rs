@@ -1,12 +1,15 @@
 //! Run every table/figure reproduction in sequence (the full §VI sweep).
 //!
 //! ```sh
-//! cargo run --release -p bench --bin all_experiments
+//! cargo build --release -p bench --bins
+//! target/release/all_experiments | diff crates/bench/all_experiments.txt -
 //! ```
 //!
 //! Each experiment is also available as its own binary (table1, fig2a,
 //! table3, fig6, table4, table5, fig7, fig8, fig9, fig10, fig11, fig12,
-//! ablations); this runner simply executes them in paper order.
+//! ablations, future_cxl); this runner executes the ones built next to
+//! it in paper order. Its output is committed as
+//! `crates/bench/all_experiments.txt` and CI diffs every run against it.
 
 use std::process::Command;
 

@@ -118,7 +118,7 @@ fn main() {
         let m = run_meituan(&rel, &ops).unwrap();
         // Fold compaction (background) time into throughput, with the
         // coroutine discount for the full system.
-        let bg: sim::SimDuration = rel.db().compaction_log().iter().map(|e| e.duration()).sum();
+        let bg = bench::background_time(rel.db());
         let total = m.elapsed + bg.mul_f64(rung.coroutine_factor);
         let tput = m.operations as f64 / total.as_secs_f64();
         let base = *baseline_tput.get_or_insert(tput);

@@ -66,7 +66,7 @@ fn main() {
             us(m.writes.mean_duration()),
             us(m.scans.mean_duration()),
         ]);
-        let bg: sim::SimDuration = rel.db().compaction_log().iter().map(|e| e.duration()).sum();
+        let bg = bench::background_time(rel.db());
         let tput = m.operations as f64 / (m.elapsed + bg).as_secs_f64();
         let base = *pmblade_tput.get_or_insert(tput);
         thr.row(&[name.to_string(), format!("{:.2}x", tput / base)]);

@@ -52,7 +52,7 @@ fn main() {
             } else {
                 run_ycsb(&db, &w.ops(RUN_OPS)).unwrap()
             };
-            let bg: sim::SimDuration = db.compaction_log().iter().map(|e| e.duration()).sum();
+            let bg = bench::background_time(&db);
             // For run phases, background time attributable to the run is
             // what happened after the load; approximate by weighting bg
             // by the run's share of total writes.

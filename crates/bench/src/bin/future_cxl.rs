@@ -43,7 +43,7 @@ fn main() {
                 writes += 1;
             }
         }
-        let bg: sim::SimDuration = db.compaction_log().iter().map(|e| e.duration()).sum();
+        let bg = bench::background_time(&db);
         let wa = db.write_amp();
         let (pm, ssd, user) = (wa.pm_bytes, wa.ssd_bytes, wa.user_bytes);
         results.push((

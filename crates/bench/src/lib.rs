@@ -43,8 +43,19 @@ fn scaled(mode: Mode, pm: usize) -> Options {
         l1_target: 512 << 10,
         max_table_bytes: 512 << 10,
         block_cache_bytes: 2 << 20,
+        // Keep every span: `background_time` sums them all.
+        event_log_capacity: 1 << 17,
         ..Options::default()
     }
+}
+
+/// Background (flush and compaction) time: the summed duration of
+/// every span in `db`'s ring. Panics if the ring evicted any — a
+/// truncated sum would flatter whichever system compacts most.
+pub fn background_time(db: &Db) -> sim::SimDuration {
+    let snap = db.metrics_snapshot();
+    assert_eq!(snap.spans_dropped, 0, "the span ring dropped spans");
+    snap.spans.iter().map(|s| s.duration()).sum()
 }
 
 /// The full PM-Blade configuration.

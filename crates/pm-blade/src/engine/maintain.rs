@@ -39,7 +39,7 @@ impl DbCore {
             };
             self.registry.counter(MetricKey::global(name)).incr();
         }
-        self.opts.listeners.cost_decision(decision);
+        self.opts.listeners.each(|l| l.on_cost_decision(decision));
     }
 
     /// Route one piece of triggered maintenance onto the background
@@ -137,8 +137,8 @@ impl DbCore {
         let start_nanos = self.clock.load(Ordering::Relaxed);
         let listeners = &self.opts.listeners;
         match kind {
-            SpanKind::Flush => listeners.flush_begin(pid),
-            _ => listeners.compaction_begin(kind, pid),
+            SpanKind::Flush => listeners.each(|l| l.on_flush_begin(pid)),
+            _ => listeners.each(|l| l.on_compaction_begin(kind, pid)),
         }
         // Device counters are global: a compaction racing on another
         // partition skews this span's work attribution but never the
@@ -206,8 +206,8 @@ impl DbCore {
             self.ring.push(span.clone());
         }
         match kind {
-            SpanKind::Flush => listeners.flush_complete(&span),
-            _ => listeners.compaction_complete(&span),
+            SpanKind::Flush => listeners.each(|l| l.on_flush_complete(&span)),
+            _ => listeners.each(|l| l.on_compaction_complete(&span)),
         }
         outcome
     }

@@ -365,7 +365,7 @@ impl DbCore {
                 (group_bytes, group_bytes),
                 None,
             );
-            self.opts.listeners.group_commit(&span);
+            self.opts.listeners.each(|l| l.on_group_commit(&span));
         }
         // Maintenance the group triggered. Inline mode runs the flush
         // *before* the tickets complete and bills its virtual time to

@@ -57,48 +57,13 @@ impl ListenerSet {
         self.listeners.push(listener);
     }
 
-    pub fn len(&self) -> usize {
-        self.listeners.len()
-    }
-
     pub fn is_empty(&self) -> bool {
         self.listeners.is_empty()
     }
 
-    pub fn flush_begin(&self, partition: usize) {
-        for l in &self.listeners {
-            l.on_flush_begin(partition);
-        }
-    }
-
-    pub fn flush_complete(&self, span: &TraceSpan) {
-        for l in &self.listeners {
-            l.on_flush_complete(span);
-        }
-    }
-
-    pub fn compaction_begin(&self, kind: SpanKind, partition: usize) {
-        for l in &self.listeners {
-            l.on_compaction_begin(kind, partition);
-        }
-    }
-
-    pub fn compaction_complete(&self, span: &TraceSpan) {
-        for l in &self.listeners {
-            l.on_compaction_complete(span);
-        }
-    }
-
-    pub fn group_commit(&self, span: &TraceSpan) {
-        for l in &self.listeners {
-            l.on_group_commit(span);
-        }
-    }
-
-    pub fn cost_decision(&self, decision: &CostDecision) {
-        for l in &self.listeners {
-            l.on_cost_decision(decision);
-        }
+    /// Call `hook` on every listener, in registration order.
+    pub(crate) fn each(&self, hook: impl Fn(&dyn EventListener)) {
+        self.listeners.iter().for_each(|l| hook(l.as_ref()));
     }
 }
 
@@ -136,22 +101,23 @@ mod tests {
         assert!(set.is_empty());
         set.add(a.clone());
         set.add(b.clone());
-        assert_eq!(set.len(), 2);
-        set.flush_begin(0);
-        set.flush_begin(1);
-        set.cost_decision(&CostDecision::HardCap {
+        assert!(!set.is_empty());
+        set.each(|l| l.on_flush_begin(0));
+        set.each(|l| l.on_flush_begin(1));
+        let decision = CostDecision::HardCap {
             partition: 0,
             unsorted: 3,
             cap: 2,
             triggered: true,
-        });
+        };
+        set.each(|l| l.on_cost_decision(&decision));
         for l in [&a, &b] {
             assert_eq!(l.flushes.load(Ordering::Relaxed), 2);
             assert_eq!(l.decisions.load(Ordering::Relaxed), 1);
         }
         // Cloning shares the same listener instances.
         let cloned = set.clone();
-        cloned.flush_begin(2);
+        cloned.each(|l| l.on_flush_begin(2));
         assert_eq!(a.flushes.load(Ordering::Relaxed), 3);
     }
 }

@@ -5,10 +5,10 @@
 //!
 //! - [`MetricsRegistry`] — named counters, gauges, and virtual-clock
 //!   latency histograms, keyed by [`MetricKey`] (metric name plus
-//!   optional partition and level labels). Hot paths hold pre-fetched
-//!   `Arc` handles so recording a metric is one relaxed atomic op; the
-//!   registry's own locks are touched only at registration and
-//!   snapshot time.
+//!   optional partition, level, connection and codec labels). Hot
+//!   paths hold pre-fetched `Arc` handles so recording a metric is one
+//!   relaxed atomic op; the registry's own locks are touched only at
+//!   registration and snapshot time.
 //! - [`TraceSpan`] — one record per background-work episode (flush,
 //!   internal compaction, major compaction, group commit) carrying
 //!   start/end virtual time, input/output bytes and record counts, and
@@ -20,13 +20,14 @@
 //!   fast, must not block, and must never call back into the `Db`.
 //! - [`MetricsSnapshot`] — a serializable point-in-time view produced
 //!   by `Db::metrics_snapshot()`, with [`MetricsSnapshot::delta`]
-//!   support and three renderers (table, JSON, Prometheus text).
+//!   support and two renderers (JSON and Prometheus text).
 //!
 //! Compaction spans are additionally retained in an [`EventRing`] — a
 //! ring buffer capped at `Options::event_log_capacity` — which backs
 //! the engine's `compaction_log()` accessor; when full, the oldest
 //! spans are evicted and counted in `MetricsSnapshot::spans_dropped`.
 
+mod json;
 pub mod listener;
 pub mod registry;
 pub mod ring;

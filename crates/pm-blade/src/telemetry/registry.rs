@@ -76,28 +76,52 @@ impl MetricKey {
         }
     }
 
+    /// Every label, in key order, with its value where set. The one
+    /// list the renderers read: [`Self::label_string`] (Prometheus and
+    /// `Display`) and the JSON documents.
+    pub(crate) fn labels(&self) -> [(&'static str, Option<LabelValue>); 4] {
+        use LabelValue::{Name, Num};
+        let num = |n: usize| Num(n as u64);
+        [
+            ("partition", self.partition.map(num)),
+            ("level", self.level.map(num)),
+            ("connection", self.connection.map(Num)),
+            ("codec", self.codec.map(Name)),
+        ]
+    }
+
     /// Prometheus-style label suffix: `{partition="0",level="1"}`, or
     /// the empty string for a global metric.
     pub fn label_string(&self) -> String {
-        let mut parts = Vec::new();
-        if let Some(p) = self.partition {
-            parts.push(format!("partition=\"{p}\""));
-        }
-        if let Some(l) = self.level {
-            parts.push(format!("level=\"{l}\""));
-        }
-        if let Some(c) = self.connection {
-            parts.push(format!("connection=\"{c}\""));
-        }
-        if let Some(codec) = self.codec {
-            parts.push(format!("codec=\"{codec}\""));
-        }
+        self.label_string_and(None)
+    }
+
+    /// [`Self::label_string`] with `extra` as one more label after the
+    /// key's own (a summary's `quantile`).
+    pub(crate) fn label_string_and(&self, extra: Option<(&'static str, LabelValue)>) -> String {
+        let parts: Vec<String> = self
+            .labels()
+            .into_iter()
+            .chain(extra.map(|(name, value)| (name, Some(value))))
+            .filter_map(|(name, value)| match value? {
+                LabelValue::Num(n) => Some(format!("{name}=\"{n}\"")),
+                LabelValue::Name(v) => Some(format!("{name}=\"{v}\"")),
+            })
+            .collect();
         if parts.is_empty() {
             String::new()
         } else {
             format!("{{{}}}", parts.join(","))
         }
     }
+}
+
+/// A set label's value: a number (partition, level, connection) or a
+/// name (codec, quantile). Prometheus quotes both; JSON quotes a name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum LabelValue {
+    Num(u64),
+    Name(&'static str),
 }
 
 impl std::fmt::Display for MetricKey {

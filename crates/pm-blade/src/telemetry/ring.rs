@@ -65,18 +65,6 @@ impl<T: Clone> Ring<T> {
     pub fn dropped(&self) -> u64 {
         self.inner.lock().dropped
     }
-
-    pub fn capacity(&self) -> usize {
-        self.inner.lock().capacity
-    }
-
-    pub fn len(&self) -> usize {
-        self.inner.lock().buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().buf.is_empty()
-    }
 }
 
 impl<T> std::fmt::Debug for Ring<T> {
@@ -120,8 +108,6 @@ mod tests {
         let ids: Vec<u64> = ring.snapshot().iter().map(|s| s.id).collect();
         assert_eq!(ids, vec![2, 3, 4]);
         assert_eq!(ring.dropped(), 2);
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.capacity(), 3);
     }
 
     #[test]
@@ -129,8 +115,8 @@ mod tests {
         let ring = EventRing::new(0);
         ring.push(span(1));
         ring.push(span(2));
-        assert_eq!(ring.capacity(), 1);
         assert_eq!(ring.snapshot().len(), 1);
+        assert_eq!(ring.dropped(), 1);
         assert_eq!(ring.snapshot()[0].id, 2);
     }
 }

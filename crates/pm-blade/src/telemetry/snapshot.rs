@@ -1,4 +1,5 @@
-//! Point-in-time metric snapshots and their renderers.
+//! Point-in-time metric snapshots and their two renderers, JSON and
+//! Prometheus text.
 //!
 //! Durations are nanoseconds on the clock of their series, and there
 //! are two clocks:
@@ -16,20 +17,16 @@
 //! The renderers carry no clock label; the series name is the key.
 
 use std::collections::BTreeMap;
+use std::fmt::{Display, Write};
 
 use sim::Histogram;
 
-use super::registry::MetricKey;
+use super::json::{self, Json, Layout};
+use super::registry::{LabelValue, MetricKey};
 use super::span::{CostDecision, TraceSpan};
 
-/// Digest of one histogram. Which clock the `_nanos` fields are on
-/// depends on the series: engine latencies (`read_latency`,
-/// `write_latency`, `scan_latency`, `group_commit_latency`,
-/// `wal_sync_latency`) are **virtual** nanoseconds from the device
-/// models, while `server_{ping,put,delete,write_batch,get,scan,compact}_latency`,
-/// `server_flush_latency`, `write_stall_wall_nanos` and
-/// `recovery_wall_nanos` are **wall-clock** nanoseconds.
-/// `pm_tables_probed_per_get` records a count, not a duration.
+/// Digest of one histogram. The `_nanos` fields are on the clock of
+/// the series, listed in [`crate::telemetry::snapshot`]'s docs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSummary {
     pub count: u64,
@@ -146,192 +143,71 @@ impl MetricsSnapshot {
     // Renderers
     // -----------------------------------------------------------------
 
-    /// Human-readable fixed-width table.
-    pub fn render_table(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "== metrics snapshot @ {} virtual ns ==", self.at_nanos);
-        let _ = writeln!(out, "-- counters --");
-        for (key, value) in &self.counters {
-            let _ = writeln!(out, "  {:<52} {:>14}", key.to_string(), value);
-        }
-        let _ = writeln!(out, "-- gauges --");
-        for (key, value) in &self.gauges {
-            let _ = writeln!(out, "  {:<52} {:>14}", key.to_string(), value);
-        }
-        let _ = writeln!(
-            out,
-            "-- histograms (virtual ns; *_wall_* and server_* wall ns; *_per_* counts) --\n  \
-             {:<36} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-            "histogram", "count", "mean", "p50", "p95", "p99", "max"
-        );
-        for (key, h) in &self.histograms {
-            let _ = writeln!(
-                out,
-                "  {:<36} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-                key.to_string(),
-                h.count,
-                h.mean_nanos,
-                h.p50_nanos,
-                h.p95_nanos,
-                h.p99_nanos,
-                h.max_nanos
-            );
-        }
-        let _ = writeln!(
-            out,
-            "-- spans ({} retained, {} evicted) --",
-            self.spans.len(),
-            self.spans_dropped
-        );
-        for span in &self.spans {
-            let _ = writeln!(
-                out,
-                "  #{:<5} {:<12} p{:<3} {:>10}ns  in {} rec/{} B  out {} rec/{} B{}",
-                span.id,
-                span.kind.as_str(),
-                span.partition,
-                span.duration().as_nanos(),
-                span.input_records,
-                span.input_bytes,
-                span.output_records,
-                span.output_bytes,
-                span.cost
-                    .as_ref()
-                    .map(|c| format!("  [{}]", c.rule()))
-                    .unwrap_or_default()
-            );
-        }
-        out
-    }
-
-    /// JSON document (no external dependencies; all keys sorted).
+    /// JSON document: one object per series, one line each, in key
+    /// order, then the retained spans.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"at_nanos\": {},", self.at_nanos);
-        out.push_str("  \"counters\": [\n");
-        json_values(&mut out, &self.counters);
-        out.push_str("\n  ],\n  \"gauges\": [\n");
-        json_values(&mut out, &self.gauges);
-        out.push_str("\n  ],\n  \"histograms\": [\n");
-        let mut first = true;
-        for (key, h) in &self.histograms {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "    {{\"name\": \"{}\", {}\"count\": {}, \"sum_nanos\": {}, \
-                 \"mean_nanos\": {}, \"min_nanos\": {}, \"p50_nanos\": {}, \
-                 \"p95_nanos\": {}, \"p99_nanos\": {}, \"max_nanos\": {}}}",
-                key.name,
-                json_labels(key),
-                h.count,
-                h.sum_nanos,
-                h.mean_nanos,
-                h.min_nanos,
-                h.p50_nanos,
-                h.p95_nanos,
-                h.p99_nanos,
-                h.max_nanos
-            );
-        }
-        out.push_str("\n  ],\n  \"spans\": [\n");
-        first = true;
-        for span in &self.spans {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "    {{\"id\": {}, \"trace_id\": {}, \"kind\": \"{}\", \"partition\": {}, \
-                 \"start_nanos\": {}, \"end_nanos\": {}, \
-                 \"input_records\": {}, \"output_records\": {}, \
-                 \"input_bytes\": {}, \"output_bytes\": {}, \"cost\": {}}}",
-                span.id,
-                span.trace_id,
-                span.kind.as_str(),
-                span.partition,
-                span.start_nanos,
-                span.end_nanos,
-                span.input_records,
-                span.output_records,
-                span.input_bytes,
-                span.output_bytes,
-                cost_json(span.cost.as_ref())
-            );
-        }
-        let _ = write!(
-            out,
-            "\n  ],\n  \"spans_dropped\": {}\n}}\n",
-            self.spans_dropped
-        );
+        let mut out = json::object(Layout::Indented(0), |o| {
+            o.num("at_nanos", self.at_nanos);
+            values(o, "counters", &self.counters);
+            values(o, "gauges", &self.gauges);
+            o.array("histograms", Layout::Indented(1), |a| {
+                for (key, h) in &self.histograms {
+                    a.push_object(|o| {
+                        key_fields(o, key)
+                            .num("count", h.count)
+                            .num("sum_nanos", h.sum_nanos)
+                            .num("mean_nanos", h.mean_nanos)
+                            .num("min_nanos", h.min_nanos)
+                            .num("p50_nanos", h.p50_nanos)
+                            .num("p95_nanos", h.p95_nanos)
+                            .num("p99_nanos", h.p99_nanos)
+                            .num("max_nanos", h.max_nanos);
+                    });
+                }
+            });
+            o.array("spans", Layout::Indented(1), |a| {
+                for span in &self.spans {
+                    a.push_object(|o| span_fields(o, span));
+                }
+            });
+            o.num("spans_dropped", self.spans_dropped);
+        });
+        out.push('\n');
         out
     }
 
     /// Prometheus text exposition. Metric names get a `pmblade_`
     /// prefix; histogram summaries use `quantile` labels plus `_sum`
-    /// and `_count` series. Durations are nanoseconds on the clock of
-    /// their series — virtual for engine latencies, wall for the
-    /// `server_*_latency`, `server_flush_latency`,
-    /// `write_stall_wall_nanos` and `recovery_wall_nanos` series (see
-    /// [`HistogramSummary`]).
+    /// and `_count` series.
     pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write;
         let mut out = String::new();
-        let mut last_name = "";
+        let mut last = ("", "");
+        // One `# TYPE` line per run of one name, then `name{labels} value` rows.
+        let mut series = |kind, key: &MetricKey, rows: &[(&str, String, &dyn Display)]| {
+            if last != (kind, key.name) {
+                let _ = writeln!(out, "# TYPE pmblade_{} {kind}", key.name);
+                last = (kind, key.name);
+            }
+            for (suffix, labels, value) in rows {
+                let _ = writeln!(out, "pmblade_{}{suffix}{labels} {value}", key.name);
+            }
+        };
         for (key, value) in &self.counters {
-            if key.name != last_name {
-                let _ = writeln!(out, "# TYPE pmblade_{} counter", key.name);
-                last_name = key.name;
-            }
-            let _ = writeln!(out, "pmblade_{}{} {}", key.name, key.label_string(), value);
+            series("counter", key, &[("", key.label_string(), value)]);
         }
-        last_name = "";
         for (key, value) in &self.gauges {
-            if key.name != last_name {
-                let _ = writeln!(out, "# TYPE pmblade_{} gauge", key.name);
-                last_name = key.name;
-            }
-            let _ = writeln!(out, "pmblade_{}{} {}", key.name, key.label_string(), value);
+            series("gauge", key, &[("", key.label_string(), value)]);
         }
-        last_name = "";
         for (key, h) in &self.histograms {
-            if key.name != last_name {
-                let _ = writeln!(out, "# TYPE pmblade_{} summary", key.name);
-                last_name = key.name;
-            }
-            for (q, v) in [
-                ("0.5", h.p50_nanos),
-                ("0.95", h.p95_nanos),
-                ("0.99", h.p99_nanos),
-            ] {
-                let _ = writeln!(
-                    out,
-                    "pmblade_{}{} {}",
-                    key.name,
-                    merge_labels(key, &format!("quantile=\"{q}\"")),
-                    v
-                );
-            }
-            let _ = writeln!(
-                out,
-                "pmblade_{}_sum{} {}",
-                key.name,
-                key.label_string(),
-                h.sum_nanos
-            );
-            let _ = writeln!(
-                out,
-                "pmblade_{}_count{} {}",
-                key.name,
-                key.label_string(),
-                h.count
-            );
+            let quantile = |q| key.label_string_and(Some(("quantile", LabelValue::Name(q))));
+            let rows: [(_, _, &dyn Display); 5] = [
+                ("", quantile("0.5"), &h.p50_nanos),
+                ("", quantile("0.95"), &h.p95_nanos),
+                ("", quantile("0.99"), &h.p99_nanos),
+                ("_sum", key.label_string(), &h.sum_nanos),
+                ("_count", key.label_string(), &h.count),
+            ];
+            series("summary", key, &rows);
         }
         let _ = writeln!(out, "# TYPE pmblade_spans_dropped counter");
         let _ = writeln!(out, "pmblade_spans_dropped {}", self.spans_dropped);
@@ -339,150 +215,107 @@ impl MetricsSnapshot {
     }
 }
 
-/// The counter and gauge rows of the JSON document: one
-/// `{"name": .., labels, "value": ..}` object per line.
-fn json_values<V: std::fmt::Display>(out: &mut String, values: &BTreeMap<MetricKey, V>) {
-    use std::fmt::Write;
-    for (i, (key, value)) in values.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
+/// `"name": [..]`, one object per counter or gauge: its key, then
+/// `"value"`.
+fn values(o: &mut Json, name: &str, values: &BTreeMap<MetricKey, impl Display>) {
+    o.array(name, Layout::Indented(1), |a| {
+        for (key, value) in values {
+            a.push_object(|o| {
+                key_fields(o, key).num("value", value);
+            });
         }
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", {}\"value\": {}}}",
-            key.name,
-            json_labels(key),
-            value
-        );
-    }
+    });
 }
 
-/// `"partition": 0, "level": 1, ` (or nulls) for JSON objects; a
-/// `"connection": N` field rides along only when the label is set
-/// (server-side per-connection counters).
-fn json_labels(key: &MetricKey) -> String {
-    let connection = match key.connection {
-        Some(c) => format!("\"connection\": {c}, "),
-        None => String::new(),
+/// The series name and its labels: `partition` and `level` in every
+/// object (`null` when unset), the later labels only when set.
+fn key_fields<'o, 'a>(o: &'o mut Json<'a>, key: &MetricKey) -> &'o mut Json<'a> {
+    o.str("name", key.name);
+    for (name, value) in key.labels() {
+        match value {
+            Some(LabelValue::Num(n)) => o.num(name, n),
+            Some(LabelValue::Name(s)) => o.str(name, s),
+            None if matches!(name, "partition" | "level") => o.null(name),
+            None => o,
+        };
+    }
+    o
+}
+
+fn span_fields(o: &mut Json, span: &TraceSpan) {
+    o.num("id", span.id)
+        .num("trace_id", span.trace_id)
+        .str("kind", span.kind.as_str())
+        .num("partition", span.partition)
+        .num("start_nanos", span.start_nanos)
+        .num("end_nanos", span.end_nanos)
+        .num("input_records", span.input_records)
+        .num("output_records", span.output_records)
+        .num("input_bytes", span.input_bytes)
+        .num("output_bytes", span.output_bytes);
+    match &span.cost {
+        Some(cost) => o.object("cost", |o| cost_fields(o, cost)),
+        None => o.null("cost"),
     };
-    format!(
-        "\"partition\": {}, \"level\": {}, {connection}",
-        key.partition
-            .map(|p| p.to_string())
-            .unwrap_or_else(|| "null".into()),
-        key.level
-            .map(|l| l.to_string())
-            .unwrap_or_else(|| "null".into()),
-    )
 }
 
-/// Merge an extra label into a key's label set.
-fn merge_labels(key: &MetricKey, extra: &str) -> String {
-    let base = key.label_string();
-    if base.is_empty() {
-        format!("{{{extra}}}")
-    } else {
-        format!("{},{extra}}}", &base[..base.len() - 1])
-    }
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
-}
-
-fn json_usize_list(values: &[usize]) -> String {
-    let items: Vec<String> = values.iter().map(|v| v.to_string()).collect();
-    format!("[{}]", items.join(", "))
-}
-
-fn cost_json(cost: Option<&CostDecision>) -> String {
-    let Some(cost) = cost else {
-        return "null".into();
-    };
+/// The rule name, then the verdict's inputs in declaration order.
+fn cost_fields(o: &mut Json, cost: &CostDecision) {
+    o.str("rule", cost.rule());
     match cost {
         CostDecision::ReadBenefit {
             partition,
             read_rate,
             unsorted,
             triggered,
-        } => format!(
-            "{{\"rule\": \"{}\", \"partition\": {}, \"read_rate\": {}, \
-             \"unsorted\": {}, \"triggered\": {}}}",
-            cost.rule(),
-            partition,
-            json_f64(*read_rate),
-            unsorted,
-            triggered
-        ),
+        } => o
+            .num("partition", partition)
+            .f64("read_rate", *read_rate)
+            .num("unsorted", unsorted)
+            .num("triggered", triggered),
         CostDecision::WriteBenefit {
             partition,
             window_writes,
             window_updates,
             l0_records,
             triggered,
-        } => format!(
-            "{{\"rule\": \"{}\", \"partition\": {}, \"window_writes\": {}, \
-             \"window_updates\": {}, \"l0_records\": {}, \"triggered\": {}}}",
-            cost.rule(),
-            partition,
-            window_writes,
-            window_updates,
-            l0_records,
-            triggered
-        ),
+        } => o
+            .num("partition", partition)
+            .num("window_writes", window_writes)
+            .num("window_updates", window_updates)
+            .num("l0_records", l0_records)
+            .num("triggered", triggered),
         CostDecision::HardCap {
             partition,
             unsorted,
             cap,
             triggered,
-        } => {
-            format!(
-                "{{\"rule\": \"{}\", \"partition\": {}, \"unsorted\": {}, \
-                 \"cap\": {}, \"triggered\": {}}}",
-                cost.rule(),
-                partition,
-                unsorted,
-                cap,
-                triggered
-            )
-        }
+        } => o
+            .num("partition", partition)
+            .num("unsorted", unsorted)
+            .num("cap", cap)
+            .num("triggered", triggered),
         CostDecision::Retention {
             pm_used,
             budget,
             retained,
             victims,
-        } => {
-            format!(
-                "{{\"rule\": \"{}\", \"pm_used\": {}, \"budget\": {}, \
-                 \"retained\": {}, \"victims\": {}}}",
-                cost.rule(),
-                pm_used,
-                budget,
-                json_usize_list(retained),
-                json_usize_list(victims)
-            )
-        }
+        } => o
+            .num("pm_used", pm_used)
+            .num("budget", budget)
+            .nums("retained", retained)
+            .nums("victims", victims),
         CostDecision::CodecChoice {
             partition,
             codec,
             entries,
             pm_bytes,
-        } => {
-            format!(
-                "{{\"rule\": \"{}\", \"partition\": {}, \"codec\": \"{}\", \
-                 \"entries\": {}, \"pm_bytes\": {}}}",
-                cost.rule(),
-                partition,
-                codec,
-                entries,
-                pm_bytes
-            )
-        }
-    }
+        } => o
+            .num("partition", partition)
+            .str("codec", codec)
+            .num("entries", entries)
+            .num("pm_bytes", pm_bytes),
+    };
 }
 
 #[cfg(test)]
@@ -568,21 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn table_render_mentions_every_section() {
-        let table = sample().render_table();
-        for needle in [
-            "-- counters --",
-            "-- gauges --",
-            "-- histograms (virtual ns; *_wall_* and server_* wall ns; *_per_* counts) --",
-            "-- spans (1 retained, 2 evicted) --",
-            "group_commits{partition=\"0\"}",
-            "eq3_retention",
-        ] {
-            assert!(table.contains(needle), "missing {needle}:\n{table}");
-        }
-    }
-
-    #[test]
     fn prometheus_summary_gets_quantiles_sum_and_count() {
         let text = sample().to_prometheus();
         assert!(text.contains("# TYPE pmblade_puts counter"));
@@ -597,12 +415,13 @@ mod tests {
 
     #[test]
     fn merged_labels_compose() {
+        let quantile = |q| Some(("quantile", LabelValue::Name(q)));
         assert_eq!(
-            merge_labels(&MetricKey::global("x"), "quantile=\"0.5\""),
+            MetricKey::global("x").label_string_and(quantile("0.5")),
             "{quantile=\"0.5\"}"
         );
         assert_eq!(
-            merge_labels(&MetricKey::level("x", 2, 1), "quantile=\"0.99\""),
+            MetricKey::level("x", 2, 1).label_string_and(quantile("0.99")),
             "{partition=\"2\",level=\"1\",quantile=\"0.99\"}"
         );
     }

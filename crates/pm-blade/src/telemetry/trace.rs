@@ -17,12 +17,12 @@
 //! charges it, so enabling or disabling sampling cannot move a single
 //! virtual latency.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sim::{Counter, Timeline};
 
+use super::json::{self, Json, Layout};
 use super::registry::{MetricKey, MetricsRegistry};
 use super::ring::Ring;
 use super::span::{SpanKind, TraceSpan};
@@ -102,40 +102,30 @@ impl RequestTrace {
             .sum()
     }
 
-    /// Hand-rolled JSON object (same dialect as the metrics snapshot).
+    /// JSON object, the stages in recording order (the dialect of
+    /// every telemetry document, see `telemetry::json`).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128 + self.stages.len() * 96);
-        let _ = write!(
-            out,
-            "{{\"trace_id\": {}, \"op\": \"{}\", \"partition\": {}, \
-             \"start_nanos\": {}, \"total_nanos\": {}, \"deadline_nanos\": {}, \"stages\": [",
-            self.trace_id,
-            self.op.as_str(),
-            self.partition,
-            self.start_nanos,
-            self.total_nanos,
-            match self.deadline_nanos {
-                Some(d) => d.to_string(),
-                None => "null".into(),
-            }
-        );
-        for (i, s) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"stage\": \"{}\", \"start_nanos\": {}, \"end_nanos\": {}, \
-                 \"input_records\": {}, \"output_records\": {}}}",
-                s.kind.as_str(),
-                s.start_nanos,
-                s.end_nanos,
-                s.input_records,
-                s.output_records
-            );
-        }
-        out.push_str("]}");
-        out
+        json::object(Layout::Inline, |o| self.json_fields(o))
+    }
+
+    fn json_fields(&self, o: &mut Json) {
+        o.num("trace_id", self.trace_id)
+            .str("op", self.op.as_str())
+            .num("partition", self.partition)
+            .num("start_nanos", self.start_nanos)
+            .num("total_nanos", self.total_nanos)
+            .opt("deadline_nanos", self.deadline_nanos)
+            .array("stages", Layout::Inline, |a| {
+                for s in &self.stages {
+                    a.push_object(|o| {
+                        o.str("stage", s.kind.as_str())
+                            .num("start_nanos", s.start_nanos)
+                            .num("end_nanos", s.end_nanos)
+                            .num("input_records", s.input_records)
+                            .num("output_records", s.output_records);
+                    });
+                }
+            });
     }
 }
 
@@ -285,16 +275,14 @@ impl Ring<RequestTrace> {
     /// `{"dropped": N, "traces": [...]}` for the `/debug` endpoint.
     pub fn to_json(&self) -> String {
         let (traces, dropped) = self.snapshot_and_dropped();
-        let mut out = String::with_capacity(64 + traces.len() * 256);
-        let _ = write!(out, "{{\"dropped\": {dropped}, \"traces\": [");
-        for (i, t) in traces.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&t.to_json());
-        }
-        out.push_str("]}");
-        out
+        json::object(Layout::Inline, |o| {
+            o.num("dropped", dropped);
+            o.array("traces", Layout::Inline, |a| {
+                for t in &traces {
+                    a.push_object(|o| t.json_fields(o));
+                }
+            });
+        })
     }
 }
 
@@ -386,48 +374,59 @@ impl Tracer {
 /// id, timestamps are virtual-clock microseconds with nanosecond
 /// precision in the fraction.
 pub fn chrome_trace_json(traces: &[RequestTrace]) -> String {
-    fn micros(nanos: u64) -> String {
-        format!("{}.{:03}", nanos / 1_000, nanos % 1_000)
-    }
-    let mut out = String::with_capacity(64 + traces.len() * 512);
-    out.push_str("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [");
-    let mut first = true;
-    for t in traces {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"name\": \"{}\", \"cat\": \"request\", \"ph\": \"X\", \
-             \"ts\": {}, \"dur\": {}, \"pid\": {}, \"tid\": {}, \
-             \"args\": {{\"trace_id\": {}, \"stage_nanos\": {}}}}}",
-            t.op.as_str(),
-            micros(t.start_nanos),
-            micros(t.total_nanos),
-            t.partition,
-            t.trace_id,
-            t.trace_id,
-            t.stage_nanos()
-        );
-        for s in &t.stages {
-            let _ = write!(
-                out,
-                ",\n{{\"name\": \"{}\", \"cat\": \"stage\", \"ph\": \"X\", \
-                 \"ts\": {}, \"dur\": {}, \"pid\": {}, \"tid\": {}, \
-                 \"args\": {{\"input_records\": {}, \"output_records\": {}}}}}",
-                s.kind.as_str(),
-                micros(s.start_nanos),
-                micros(s.end_nanos.saturating_sub(s.start_nanos)),
-                s.partition,
-                t.trace_id,
-                s.input_records,
-                s.output_records
-            );
-        }
-    }
-    out.push_str("]}\n");
+    let mut out = json::object(Layout::Inline, |o| {
+        o.str("displayTimeUnit", "ms");
+        o.array("traceEvents", Layout::Lines, |a| {
+            for t in traces {
+                let at = (t.start_nanos, t.total_nanos);
+                let ids = (t.partition, t.trace_id);
+                let args = [("trace_id", t.trace_id), ("stage_nanos", t.stage_nanos())];
+                chrome_event(a, (t.op.as_str(), "request"), at, ids, args);
+                for s in &t.stages {
+                    let at = (s.start_nanos, s.end_nanos.saturating_sub(s.start_nanos));
+                    let ids = (s.partition, t.trace_id);
+                    let args = [
+                        ("input_records", s.input_records),
+                        ("output_records", s.output_records),
+                    ];
+                    chrome_event(a, (s.kind.as_str(), "stage"), at, ids, args);
+                }
+            }
+        });
+    });
+    out.push('\n');
     out
+}
+
+/// One complete event: its name and category, its start and duration
+/// in nanoseconds, its pid and tid, and its two arguments.
+fn chrome_event(
+    a: &mut Json,
+    (name, cat): (&str, &str),
+    (start_nanos, nanos): (u64, u64),
+    (pid, tid): (usize, u64),
+    args: [(&str, u64); 2],
+) {
+    a.push_object(|o| {
+        o.str("name", name)
+            .str("cat", cat)
+            .str("ph", "X")
+            .num("ts", micros(start_nanos))
+            .num("dur", micros(nanos))
+            .num("pid", pid)
+            .num("tid", tid)
+            .object("args", |o| {
+                for (name, value) in args {
+                    o.num(name, value);
+                }
+            });
+    });
+}
+
+/// `nanos` as microseconds with the nanoseconds in the fraction:
+/// `1234` is `1.234`.
+fn micros(nanos: u64) -> impl std::fmt::Display {
+    format!("{}.{:03}", nanos / 1_000, nanos % 1_000)
 }
 
 #[cfg(test)]

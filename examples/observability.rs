@@ -1,5 +1,5 @@
 //! Observability tour: event listeners, metrics snapshots, deltas, and
-//! the Prometheus / JSON / table renderers.
+//! the Prometheus and JSON renderers.
 //!
 //! ```sh
 //! cargo run --release -p pmblade-examples --bin observability
@@ -106,7 +106,14 @@ fn main() -> Result<(), pm_blade::DbError> {
     // 2. Pull-style: one snapshot covers every counter, gauge, latency
     //    histogram, and the retained compaction spans.
     let snap = db.metrics_snapshot();
-    println!("\n{}", snap.render_table());
+    println!(
+        "\n== snapshot @ {} virtual ns == {} counters, {} gauges, {} histograms, {} spans",
+        snap.at_nanos,
+        snap.counters.len(),
+        snap.gauges.len(),
+        snap.histograms.len(),
+        snap.spans.len()
+    );
 
     // 3. Deltas: subtract an earlier snapshot to get a rate window.
     let before = db.metrics_snapshot();

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use std::sync::Mutex;
 
 use pm_blade::{
-    CompactionRequest, Db, EventListener, MetricKey, MetricsSnapshot, Mode, Options, ScanRequest,
-    SpanKind, TraceSpan,
+    CompactionRequest, CostDecision, Db, EventListener, FlightRecorder, MetricKey, MetricsSnapshot,
+    Mode, Options, RequestTrace, ScanRequest, SpanKind, TraceOp, TraceSpan,
 };
 use proptest::prelude::*;
 use sim::Histogram;
@@ -327,6 +327,265 @@ pmblade_read_latency_count 4
 pmblade_spans_dropped 5
 ";
     assert_eq!(snap.to_prometheus(), expected);
+}
+
+// -------------------------------------------------------------------
+// JSON golden output
+// -------------------------------------------------------------------
+
+/// A span of `kind` on partition 1 with distinct counts, carrying `cost`.
+fn span(id: u64, kind: SpanKind, cost: Option<CostDecision>) -> TraceSpan {
+    TraceSpan::new(
+        id,
+        id * 10,
+        kind,
+        1,
+        id * 100,
+        40,
+        (20, 18),
+        (2_000, 1_800),
+        cost,
+    )
+}
+
+/// A snapshot with every label kind, one histogram, a span without a
+/// verdict, one span per `CostDecision` variant (Eq 1 twice: a finite
+/// and a non-finite read rate) and evicted spans.
+fn json_sample() -> MetricsSnapshot {
+    let mut counters = BTreeMap::new();
+    counters.insert(MetricKey::global("puts"), 10);
+    counters.insert(MetricKey::partition("group_commits", 0), 4);
+    counters.insert(MetricKey::level("read_source_ssd", 1, 2), 3);
+    counters.insert(MetricKey::connection("server_conn_gets_total", 7), 5);
+    counters.insert(MetricKey::codec("pm_codec_chosen_total", "delta"), 2);
+    let mut gauges = BTreeMap::new();
+    gauges.insert(MetricKey::global("pm_used_bytes"), 4_096);
+    gauges.insert(MetricKey::partition("memtable_bytes", 1), -1);
+    let mut histograms = BTreeMap::new();
+    let mut h = Histogram::new();
+    for v in [100, 300, 500] {
+        h.record(v);
+    }
+    histograms.insert(MetricKey::partition("read_latency", 0), h);
+    let spans = vec![
+        span(1, SpanKind::Flush, None),
+        span(
+            2,
+            SpanKind::Internal,
+            Some(CostDecision::ReadBenefit {
+                partition: 1,
+                read_rate: 12.5,
+                unsorted: 4,
+                triggered: true,
+            }),
+        ),
+        span(
+            3,
+            SpanKind::Internal,
+            Some(CostDecision::ReadBenefit {
+                partition: 1,
+                read_rate: f64::INFINITY,
+                unsorted: 5,
+                triggered: false,
+            }),
+        ),
+        span(
+            4,
+            SpanKind::Internal,
+            Some(CostDecision::WriteBenefit {
+                partition: 1,
+                window_writes: 900,
+                window_updates: 300,
+                l0_records: 1_200,
+                triggered: true,
+            }),
+        ),
+        span(
+            5,
+            SpanKind::Internal,
+            Some(CostDecision::HardCap {
+                partition: 1,
+                unsorted: 9,
+                cap: 8,
+                triggered: true,
+            }),
+        ),
+        span(
+            6,
+            SpanKind::Major,
+            Some(CostDecision::Retention {
+                pm_used: 900,
+                budget: 600,
+                retained: vec![0, 2],
+                victims: vec![1],
+            }),
+        ),
+        span(
+            7,
+            SpanKind::Flush,
+            Some(CostDecision::CodecChoice {
+                partition: 1,
+                codec: "delta",
+                entries: 128,
+                pm_bytes: 2_048,
+            }),
+        ),
+    ];
+    MetricsSnapshot::from_parts(1_000, counters, gauges, histograms, spans, 2)
+}
+
+/// Byte-exact golden for `MetricsSnapshot::to_json` (what `/debug`
+/// serves): one object per series and span, one line each.
+#[test]
+fn snapshot_json_matches_golden() {
+    let expected = concat!(
+        "{\n",
+        "  \"at_nanos\": 1000,\n",
+        "  \"counters\": [\n",
+        "    {\"name\": \"group_commits\", \"partition\": 0, \"level\": null, \"value\": 4},\n",
+        "    {\"name\": \"pm_codec_chosen_total\", \"partition\": null, \"level\": null, ",
+        "\"codec\": \"delta\", \"value\": 2},\n",
+        "    {\"name\": \"puts\", \"partition\": null, \"level\": null, \"value\": 10},\n",
+        "    {\"name\": \"read_source_ssd\", \"partition\": 1, \"level\": 2, \"value\": 3},\n",
+        "    {\"name\": \"server_conn_gets_total\", \"partition\": null, \"level\": null, ",
+        "\"connection\": 7, \"value\": 5}\n",
+        "  ],\n",
+        "  \"gauges\": [\n",
+        "    {\"name\": \"memtable_bytes\", \"partition\": 1, \"level\": null, \"value\": -1},\n",
+        "    {\"name\": \"pm_used_bytes\", \"partition\": null, \"level\": null, \"value\": 4096}\n",
+        "  ],\n",
+        "  \"histograms\": [\n",
+        "    {\"name\": \"read_latency\", \"partition\": 0, \"level\": null, \"count\": 3, ",
+        "\"sum_nanos\": 900, \"mean_nanos\": 300, \"min_nanos\": 100, \"p50_nanos\": 300, ",
+        "\"p95_nanos\": 500, \"p99_nanos\": 500, \"max_nanos\": 500}\n",
+        "  ],\n",
+        "  \"spans\": [\n",
+        "    {\"id\": 1, \"trace_id\": 10, \"kind\": \"flush\", \"partition\": 1, ",
+        "\"start_nanos\": 100, \"end_nanos\": 140, \"input_records\": 20, \"output_records\": 18, ",
+        "\"input_bytes\": 2000, \"output_bytes\": 1800, \"cost\": null},\n",
+        "    {\"id\": 2, \"trace_id\": 20, \"kind\": \"internal\", \"partition\": 1, ",
+        "\"start_nanos\": 200, \"end_nanos\": 240, \"input_records\": 20, \"output_records\": 18, ",
+        "\"input_bytes\": 2000, \"output_bytes\": 1800, \"cost\": {\"rule\": \"eq1_read_benefit\", ",
+        "\"partition\": 1, \"read_rate\": 12.5, \"unsorted\": 4, \"triggered\": true}},\n",
+        "    {\"id\": 3, \"trace_id\": 30, \"kind\": \"internal\", \"partition\": 1, ",
+        "\"start_nanos\": 300, \"end_nanos\": 340, \"input_records\": 20, \"output_records\": 18, ",
+        "\"input_bytes\": 2000, \"output_bytes\": 1800, \"cost\": {\"rule\": \"eq1_read_benefit\", ",
+        "\"partition\": 1, \"read_rate\": null, \"unsorted\": 5, \"triggered\": false}},\n",
+        "    {\"id\": 4, \"trace_id\": 40, \"kind\": \"internal\", \"partition\": 1, ",
+        "\"start_nanos\": 400, \"end_nanos\": 440, \"input_records\": 20, \"output_records\": 18, ",
+        "\"input_bytes\": 2000, \"output_bytes\": 1800, \"cost\": {\"rule\": \"eq2_write_benefit\", ",
+        "\"partition\": 1, \"window_writes\": 900, \"window_updates\": 300, \"l0_records\": 1200, ",
+        "\"triggered\": true}},\n",
+        "    {\"id\": 5, \"trace_id\": 50, \"kind\": \"internal\", \"partition\": 1, ",
+        "\"start_nanos\": 500, \"end_nanos\": 540, \"input_records\": 20, \"output_records\": 18, ",
+        "\"input_bytes\": 2000, \"output_bytes\": 1800, \"cost\": {\"rule\": \"hard_cap\", ",
+        "\"partition\": 1, \"unsorted\": 9, \"cap\": 8, \"triggered\": true}},\n",
+        "    {\"id\": 6, \"trace_id\": 60, \"kind\": \"major\", \"partition\": 1, ",
+        "\"start_nanos\": 600, \"end_nanos\": 640, \"input_records\": 20, \"output_records\": 18, ",
+        "\"input_bytes\": 2000, \"output_bytes\": 1800, \"cost\": {\"rule\": \"eq3_retention\", ",
+        "\"pm_used\": 900, \"budget\": 600, \"retained\": [0, 2], \"victims\": [1]}},\n",
+        "    {\"id\": 7, \"trace_id\": 70, \"kind\": \"flush\", \"partition\": 1, ",
+        "\"start_nanos\": 700, \"end_nanos\": 740, \"input_records\": 20, \"output_records\": 18, ",
+        "\"input_bytes\": 2000, \"output_bytes\": 1800, \"cost\": {\"rule\": \"flush_codec_decision\", ",
+        "\"partition\": 1, \"codec\": \"delta\", \"entries\": 128, \"pm_bytes\": 2048}}\n",
+        "  ],\n",
+        "  \"spans_dropped\": 2\n",
+        "}\n",
+    );
+    assert_eq!(json_sample().to_json(), expected);
+    assert_eq!(
+        MetricsSnapshot::default().to_json(),
+        concat!(
+            "{\n",
+            "  \"at_nanos\": 0,\n",
+            "  \"counters\": [\n\n  ],\n",
+            "  \"gauges\": [\n\n  ],\n",
+            "  \"histograms\": [\n\n  ],\n",
+            "  \"spans\": [\n\n  ],\n",
+            "  \"spans_dropped\": 0\n",
+            "}\n",
+        )
+    );
+}
+
+/// Two codec-labelled series of one name render as two objects that
+/// say which codec each counts.
+#[test]
+fn snapshot_json_keeps_the_codec_label() {
+    let counters = [("prefix", 3), ("delta", 4)]
+        .into_iter()
+        .map(|(codec, n)| (MetricKey::codec("pm_codec_chosen_total", codec), n))
+        .collect();
+    let snap =
+        MetricsSnapshot::from_parts(0, counters, BTreeMap::new(), BTreeMap::new(), vec![], 0);
+    let json = snap.to_json();
+    let rows: Vec<&str> = json
+        .lines()
+        .filter(|l| l.contains("pm_codec_chosen_total"))
+        .collect();
+    assert_eq!(rows.len(), 2, "{json}");
+    assert!(rows[0].contains("\"codec\": \"delta\""), "{json}");
+    assert!(rows[1].contains("\"codec\": \"prefix\""), "{json}");
+}
+
+/// Byte-exact golden for `FlightRecorder::to_json` (the `/debug`
+/// recorder): evicted count, then each retained trace with its stages.
+#[test]
+fn flight_recorder_json_matches_golden() {
+    let stage = |kind, start_nanos, end_nanos: u64| {
+        TraceSpan::new(
+            0,
+            2,
+            kind,
+            1,
+            start_nanos,
+            end_nanos - start_nanos,
+            (2, 1),
+            (0, 0),
+            None,
+        )
+    };
+    let recorder = FlightRecorder::new(2);
+    for (trace_id, op, deadline_nanos, stages) in [
+        (1, TraceOp::Get, None, Vec::new()),
+        (
+            2,
+            TraceOp::Write,
+            Some(9_000),
+            vec![
+                stage(SpanKind::WalAppend, 200, 240),
+                stage(SpanKind::MemtableApply, 240, 250),
+            ],
+        ),
+        (3, TraceOp::Scan, None, vec![]),
+    ] {
+        recorder.push(RequestTrace {
+            trace_id,
+            op,
+            partition: 1,
+            start_nanos: trace_id * 100,
+            total_nanos: 70,
+            deadline_nanos,
+            stages,
+        });
+    }
+    let expected = concat!(
+        "{\"dropped\": 1, \"traces\": [",
+        "{\"trace_id\": 2, \"op\": \"write\", \"partition\": 1, \"start_nanos\": 200, ",
+        "\"total_nanos\": 70, \"deadline_nanos\": 9000, \"stages\": [",
+        "{\"stage\": \"wal_append\", \"start_nanos\": 200, \"end_nanos\": 240, ",
+        "\"input_records\": 2, \"output_records\": 1}, ",
+        "{\"stage\": \"memtable_apply\", \"start_nanos\": 240, \"end_nanos\": 250, ",
+        "\"input_records\": 2, \"output_records\": 1}]}, ",
+        "{\"trace_id\": 3, \"op\": \"scan\", \"partition\": 1, \"start_nanos\": 300, ",
+        "\"total_nanos\": 70, \"deadline_nanos\": null, \"stages\": []}",
+        "]}",
+    );
+    assert_eq!(recorder.to_json(), expected);
+    assert_eq!(
+        FlightRecorder::new(2).to_json(),
+        "{\"dropped\": 0, \"traces\": []}"
+    );
 }
 
 /// Every series a two-partition Inline engine exposes after the
