@@ -147,11 +147,10 @@ fn server_bench(args: &Args) {
         Some(addr) => (addr.clone(), None),
         None => {
             let db = std::sync::Arc::new(open_db(args));
-            let opts = ServerOptions::builder()
-                .addr("127.0.0.1:0")
-                .poll_interval(std::time::Duration::from_millis(5))
-                .build()
-                .expect("server options");
+            let opts = ServerOptions {
+                poll_interval: std::time::Duration::from_millis(5),
+                ..ServerOptions::default()
+            };
             let server = Server::start(db, opts).expect("server starts");
             (server.local_addr().to_string(), Some(server))
         }

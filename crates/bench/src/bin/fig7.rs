@@ -19,9 +19,10 @@ fn make(mode: Mode) -> Db {
         _ => unreachable!(),
     };
     // Keep level-0 resident: this experiment isolates L0 read behaviour.
-    opts.tau_m = usize::MAX;
-    opts.l0_table_trigger = usize::MAX;
     opts.pm_capacity = 64 << 20;
+    // Eq 3 never fires: PM use cannot pass the pool's capacity.
+    opts.tau_m = opts.pm_capacity;
+    opts.l0_table_trigger = usize::MAX;
     // A small block cache, as in the paper's level-0 experiments — the
     // dataset must not fit in DRAM or the SSD rows degenerate.
     opts.block_cache_bytes = 128 << 10;

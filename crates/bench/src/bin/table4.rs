@@ -16,11 +16,12 @@ fn main() {
         let mut opts: Options = bench::pmblade();
         // Disable automatic internal/major compaction: triggered manually.
         opts.l0_unsorted_hard_cap = usize::MAX;
-        opts.tau_m = usize::MAX;
         opts.tau_w = usize::MAX;
-        opts.scalars.binary_search = sim::SimDuration::ZERO; // Eq1 off
-                                                             // Headroom for the sorted run built by the manual compaction.
+        // Headroom for the sorted run built by the manual compaction.
         opts.pm_capacity = 32 << 20;
+        // Eq 3 never fires: PM use cannot pass the pool's capacity.
+        opts.tau_m = opts.pm_capacity;
+        opts.scalars.binary_search = sim::SimDuration::ZERO; // Eq1 off
         let mut db = Db::open(opts).unwrap();
         bench::load_data(&mut db, 4 << 20, 1024, skew, 1000);
         db.compact(CompactionRequest::FlushAll).unwrap();

@@ -35,17 +35,14 @@ pub const MEMTABLE_BYTES: usize = 32 << 10;
 fn scaled(mode: Mode, pm: usize) -> Options {
     Options {
         mode,
-        pm_capacity: pm,
         memtable_bytes: MEMTABLE_BYTES,
-        tau_m: pm - pm / 10,
-        tau_t: pm * 6 / 10,
         tau_w: 256 << 10,
         l1_target: 512 << 10,
         max_table_bytes: 512 << 10,
         block_cache_bytes: 2 << 20,
         // Keep every span: `background_time` sums them all.
         event_log_capacity: 1 << 17,
-        ..Options::default()
+        ..Options::pm_blade(pm)
     }
 }
 
@@ -133,7 +130,7 @@ pub fn meituan_partitioner() -> pm_blade::Partitioner {
         boundaries.push(format!("x{:04}:", t).into_bytes());
     }
     boundaries.sort();
-    pm_blade::Partitioner::Ranges(boundaries)
+    pm_blade::Partitioner(boundaries)
 }
 
 /// Print a formatted results table.
@@ -271,10 +268,9 @@ mod tests {
     #[test]
     fn load_data_fills_engine() {
         let mut db = Db::open(Options {
-            pm_capacity: 4 << 20,
             memtable_bytes: 16 << 10,
             tau_m: 3 << 20,
-            ..Options::default()
+            ..Options::pm_blade(4 << 20)
         })
         .unwrap();
         let n = load_data(&mut db, 256 << 10, 100, 0.0, 7);

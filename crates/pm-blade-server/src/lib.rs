@@ -58,8 +58,8 @@ pub mod rate_limit;
 
 use rate_limit::TokenBucket;
 
-/// Knobs for one [`Server`]. Build with [`ServerOptions::builder`],
-/// which validates the combination.
+/// Knobs for one [`Server`]; [`Server::start`] rejects an inconsistent
+/// combination.
 #[derive(Clone, Debug)]
 pub struct ServerOptions {
     /// Bind address for the KV protocol, e.g. `"127.0.0.1:0"` (port 0
@@ -94,73 +94,26 @@ impl Default for ServerOptions {
 }
 
 impl ServerOptions {
-    pub fn builder() -> ServerOptionsBuilder {
-        ServerOptionsBuilder {
-            opts: ServerOptions::default(),
+    /// The first inconsistent setting, as the `InvalidInput` error
+    /// [`Server::start`] reports it with.
+    fn check(&self) -> io::Result<()> {
+        let invalid = |msg: &str| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        if self.addr.is_empty() {
+            return invalid("server addr must not be empty");
         }
-    }
-}
-
-/// Consuming builder; `build()` rejects inconsistent settings with
-/// [`DbError::Config`] diagnostics.
-#[derive(Debug)]
-pub struct ServerOptionsBuilder {
-    opts: ServerOptions,
-}
-
-impl ServerOptionsBuilder {
-    pub fn addr(mut self, addr: impl Into<String>) -> Self {
-        self.opts.addr = addr.into();
-        self
-    }
-
-    pub fn max_connections(mut self, n: usize) -> Self {
-        self.opts.max_connections = n;
-        self
-    }
-
-    pub fn rate_limit_ops_per_sec(mut self, rate: u64) -> Self {
-        self.opts.rate_limit_ops_per_sec = Some(rate);
-        self
-    }
-
-    pub fn rate_limit_burst(mut self, burst: u64) -> Self {
-        self.opts.rate_limit_burst = burst;
-        self
-    }
-
-    pub fn poll_interval(mut self, interval: Duration) -> Self {
-        self.opts.poll_interval = interval;
-        self
-    }
-
-    pub fn metrics_addr(mut self, addr: impl Into<String>) -> Self {
-        self.opts.metrics_addr = Some(addr.into());
-        self
-    }
-
-    pub fn build(self) -> Result<ServerOptions, DbError> {
-        let o = &self.opts;
-        if o.addr.is_empty() {
-            return Err(DbError::Config("server addr must not be empty".into()));
+        if self.max_connections == 0 {
+            return invalid("max_connections must be at least 1");
         }
-        if o.max_connections == 0 {
-            return Err(DbError::Config("max_connections must be at least 1".into()));
+        if self.rate_limit_ops_per_sec == Some(0) {
+            return invalid("rate_limit_ops_per_sec must be nonzero (None for unlimited)");
         }
-        if o.rate_limit_ops_per_sec == Some(0) {
-            return Err(DbError::Config(
-                "rate_limit_ops_per_sec must be nonzero (omit it for unlimited)".into(),
-            ));
+        if self.rate_limit_burst == 0 {
+            return invalid("rate_limit_burst must be at least 1");
         }
-        if o.rate_limit_burst == 0 {
-            return Err(DbError::Config(
-                "rate_limit_burst must be at least 1".into(),
-            ));
+        if self.poll_interval.is_zero() {
+            return invalid("poll_interval must be nonzero");
         }
-        if o.poll_interval.is_zero() {
-            return Err(DbError::Config("poll_interval must be nonzero".into()));
-        }
-        Ok(self.opts)
+        Ok(())
     }
 }
 
@@ -273,8 +226,12 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind and start serving `db` per `opts`.
+    /// Bind and start serving `db` per `opts`. An inconsistent `opts`
+    /// (empty `addr`, no connections, a zero rate, burst or poll
+    /// interval) fails with [`io::ErrorKind::InvalidInput`] before
+    /// anything is bound.
     pub fn start(db: Arc<Db>, opts: ServerOptions) -> std::io::Result<Server> {
+        opts.check()?;
         let listener = TcpListener::bind(&opts.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
@@ -715,12 +672,49 @@ mod tests {
     use std::time::Instant;
 
     #[test]
+    fn start_rejects_inconsistent_options() {
+        let db = Arc::new(Db::open(pm_blade::Options::default()).unwrap());
+        let invalid = [
+            ServerOptions {
+                addr: String::new(),
+                ..ServerOptions::default()
+            },
+            ServerOptions {
+                max_connections: 0,
+                ..ServerOptions::default()
+            },
+            ServerOptions {
+                rate_limit_ops_per_sec: Some(0),
+                ..ServerOptions::default()
+            },
+            ServerOptions {
+                rate_limit_burst: 0,
+                ..ServerOptions::default()
+            },
+            ServerOptions {
+                poll_interval: Duration::ZERO,
+                ..ServerOptions::default()
+            },
+        ];
+        for opts in invalid {
+            let shown = format!("{opts:?}");
+            match Server::start(Arc::clone(&db), opts) {
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "{shown}: {e}"),
+                Ok(server) => {
+                    server.shutdown();
+                    panic!("{shown} started");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn closed_connections_do_not_accumulate_join_handles() {
         let db = Arc::new(Db::open(pm_blade::Options::default()).unwrap());
-        let opts = ServerOptions::builder()
-            .poll_interval(Duration::from_millis(1))
-            .build()
-            .unwrap();
+        let opts = ServerOptions {
+            poll_interval: Duration::from_millis(1),
+            ..ServerOptions::default()
+        };
         let server = Server::start(db, opts).unwrap();
         let handlers = || server.shared.handlers.lock().len();
         let newest = || {

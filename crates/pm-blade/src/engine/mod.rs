@@ -115,8 +115,9 @@ const MAINTENANCE_WORKERS: usize = 2;
 impl Db {
     /// Open an engine with the given options.
     ///
-    /// `open` trusts its input; use [`Options::validate`] to check a
-    /// configuration before opening. In `MaintenanceMode::Background`
+    /// An inconsistent configuration (a zero memtable, τ_t above τ_m, τ_m
+    /// above the PM capacity, …) is rejected with [`DbError::Config`]
+    /// before anything is touched. In `MaintenanceMode::Background`
     /// this also spawns the two maintenance worker threads.
     pub fn open(opts: Options) -> Result<Db, DbError> {
         let core = Arc::new(DbCore::open(opts)?);

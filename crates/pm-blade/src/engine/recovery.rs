@@ -191,6 +191,7 @@ impl DbCore {
     /// newer than each partition's flush checkpoint.
     pub(super) fn open(opts: Options) -> Result<DbCore, DbError> {
         let recovery_start = std::time::Instant::now();
+        let opts = opts.validate()?;
         // For any codec beyond plain prefix groups, calibrate the
         // per-codec decode-cost table once, on the virtual clock, so Auto
         // selection and the Eq 1/2 decode terms see measured numbers

@@ -37,6 +37,25 @@ fn fill(db: &Db, n: usize, vlen: usize, tag: &str) {
 }
 
 #[test]
+fn open_rejects_what_validation_rejects() {
+    let rejects = |what: &str, edit: &dyn Fn(&mut Options)| {
+        let mut opts = small_opts(Mode::PmBlade);
+        edit(&mut opts);
+        match Db::open(opts) {
+            Err(DbError::Config(msg)) => assert!(msg.contains(what), "{what}: {msg}"),
+            Err(e) => panic!("{what}: expected a Config error, got {e:?}"),
+            Ok(_) => panic!("{what}: an inconsistent configuration opened"),
+        }
+    };
+    rejects("memtable_bytes", &|o| o.memtable_bytes = 0);
+    rejects("tau_t", &|o| o.tau_t = o.tau_m + 1);
+    rejects("tau_m", &|o| o.tau_m = o.pm_capacity + 1);
+    rejects("pm_filter_bits_per_key", &|o| o.pm_filter_bits_per_key = 65);
+    rejects("l0_stall_trigger", &|o| o.l0_stall_trigger = 1);
+    rejects("memtable_stall_debt", &|o| o.memtable_stall_debt = 1);
+}
+
+#[test]
 fn put_get_roundtrip_through_memtable() {
     let db = Db::open(small_opts(Mode::PmBlade)).unwrap();
     db.put(b"hello", b"world").unwrap();
@@ -255,7 +274,7 @@ fn scan_respects_limit() {
 #[test]
 fn partitioned_engine_routes_and_scans_across_partitions() {
     let mut opts = small_opts(Mode::PmBlade);
-    opts.partitioner = Partitioner::Ranges(vec![b"key00000500".to_vec()]);
+    opts.partitioner = Partitioner(vec![b"key00000500".to_vec()]);
     let db = Db::open(opts).unwrap();
     fill(&db, 1000, 32, "p");
     db.compact(CompactionRequest::FlushAll).unwrap();
@@ -276,7 +295,7 @@ fn partitioned_engine_routes_and_scans_across_partitions() {
 #[test]
 fn write_amplification_accounting_sane() {
     let mut opts = small_opts(Mode::PmBlade);
-    opts.tau_m = 128 << 10;
+    (opts.tau_m, opts.tau_t) = (128 << 10, 64 << 10);
     let db = Db::open(opts).unwrap();
     fill(&db, 2000, 64, "w");
     db.compact(CompactionRequest::FlushAll).unwrap();
@@ -312,7 +331,7 @@ fn wal_recovery_restores_unflushed_writes() {
 #[test]
 fn compaction_log_records_events() {
     let mut opts = small_opts(Mode::PmBlade);
-    opts.tau_m = 128 << 10;
+    (opts.tau_m, opts.tau_t) = (128 << 10, 64 << 10);
     opts.l0_unsorted_hard_cap = 2;
     let db = Db::open(opts).unwrap();
     fill(&db, 2000, 64, "c");
@@ -338,7 +357,7 @@ fn compaction_log_is_capped_by_event_log_capacity() {
 #[test]
 fn metrics_snapshot_covers_engine_activity() {
     let mut opts = small_opts(Mode::PmBlade);
-    opts.tau_m = 128 << 10;
+    (opts.tau_m, opts.tau_t) = (128 << 10, 64 << 10);
     opts.l0_unsorted_hard_cap = 2;
     let db = Db::open(opts).unwrap();
     fill(&db, 2000, 64, "s");

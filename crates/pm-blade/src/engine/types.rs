@@ -23,7 +23,7 @@ pub enum DbError {
     Table(sstable::table::TableError),
     Wal(memtable::WalError),
     Corrupt(String),
-    /// Invalid configuration, rejected by [`crate::options::Options::validate`].
+    /// Invalid configuration, rejected by [`Db::open`](crate::Db::open).
     Config(String),
     /// A group commit failed; the string carries the leader's error for
     /// every follower in the group.

@@ -170,24 +170,26 @@ impl DbCore {
     /// the commit queue (Background mode only; Inline writes pay for
     /// maintenance directly and need no gate). Two pressure signals per
     /// partition — unsorted level-0 tables and memtable debt (size as a
-    /// multiple of the flush target) — each with a *slowdown* threshold
-    /// (charge [`SLOWDOWN_DELAY`] of virtual latency) and a
-    /// *stall* threshold (park the real thread until the workers catch
-    /// up). Returns the virtual penalty to add to the write's latency;
-    /// the engine clock is advanced by it here.
+    /// multiple of the flush target) — each with a *stall* threshold
+    /// (park the real thread until the workers catch up) and, at half
+    /// of it, a *slowdown* threshold (charge [`SLOWDOWN_DELAY`] of
+    /// virtual latency). Returns the virtual penalty to add to the
+    /// write's latency; the engine clock is advanced by it here.
     /// `origin` is the trace id of the throttled write (0 = untraced),
     /// stamped onto the relief jobs it queues.
     fn throttle(&self, pid: usize, origin: u64) -> SimDuration {
         let Some(m) = &self.maintenance else {
             return SimDuration::ZERO;
         };
+        let l0_slowdown = self.opts.l0_stall_trigger / 2;
+        let mem_slowdown = self.opts.memtable_stall_debt / 2;
         let mut stall_start: Option<std::time::Instant> = None;
         loop {
             let (mem_bytes, unsorted) = {
                 let p = self.partitions[pid].read();
                 (p.mem.approximate_size(), p.unsorted_count())
             };
-            let debt = mem_bytes / self.opts.memtable_bytes.max(1);
+            let debt = mem_bytes / self.opts.memtable_bytes;
             let l0_stalled = unsorted >= self.opts.l0_stall_trigger;
             let mem_stalled = debt >= self.opts.memtable_stall_debt;
             if (l0_stalled || mem_stalled) && m.accepting() {
@@ -215,11 +217,11 @@ impl DbCore {
             // watermark, queue an internal compaction so the workers
             // usually clear the signal before any penalty engages.
             // (Dedup makes the repeated enqueue free.)
-            if unsorted * 2 >= self.opts.l0_slowdown_trigger && m.accepting() {
+            if unsorted * 2 >= l0_slowdown && m.accepting() {
                 self.offload(JobKind::Internal, pid, None, origin);
             }
-            let l0_slowed = unsorted >= self.opts.l0_slowdown_trigger;
-            let mem_slowed = debt >= self.opts.memtable_slowdown_debt;
+            let l0_slowed = unsorted >= l0_slowdown;
+            let mem_slowed = debt >= mem_slowdown;
             if l0_slowed || mem_slowed {
                 // A slowdown must queue its own relief: the condition
                 // can sit below the engine's §IV triggers indefinitely,

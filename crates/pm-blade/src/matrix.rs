@@ -12,7 +12,7 @@
 //! reproduces:
 //!
 //! - flushes pay an extra construction overhead for the matrix/cross-hint
-//!   structure (`matrix_flush_overhead` × the flush cost), which is why
+//!   structure (`FLUSH_OVERHEAD` × the flush cost), which is why
 //!   MatrixKV-80GB loses the Load workload in Fig 12;
 //! - reads touch every row even with hints (no internal compaction), so
 //!   read amplification grows with the row count;
@@ -26,6 +26,10 @@ use sim::Timeline;
 
 use crate::cursor::Cursor;
 use crate::options::Options;
+
+/// Extra flush construction overhead: the fraction of a row's flush
+/// cost spent building the matrix cross-hint structure.
+const FLUSH_OVERHEAD: f64 = 0.6;
 
 /// One flushed row of the matrix container.
 struct Row {
@@ -83,7 +87,7 @@ impl MatrixL0 {
         let region_id = region.id();
         // Matrix construction overhead: proportional to the flush cost.
         let flush_cost = tl.elapsed() - before;
-        tl.charge(flush_cost.mul_f64(opts.matrix_flush_overhead));
+        tl.charge(flush_cost.mul_f64(FLUSH_OVERHEAD));
         let table =
             ArrayTable::open(region).map_err(|e| crate::engine::DbError::Corrupt(e.to_string()))?;
         let first = table.first_user_key().expect("nonempty row").to_vec();
@@ -273,19 +277,21 @@ mod tests {
 
     #[test]
     fn flush_overhead_is_charged() {
-        let (pool, base_opts) = setup();
+        let (pool, opts) = setup();
         let rows = entries(1, 200);
         let mut with = Timeline::new();
-        let mut without = Timeline::new();
-        let mut m1 = MatrixL0::default();
-        flush(&mut m1, &rows, &base_opts, &pool, &mut with);
-        let mut m2 = MatrixL0::default();
-        let cheap = Options {
-            matrix_flush_overhead: 0.0,
-            ..base_opts.clone()
-        };
-        flush(&mut m2, &rows, &cheap, &pool, &mut without);
-        assert!(with.elapsed() > without.elapsed());
+        flush(&mut MatrixL0::default(), &rows, &opts, &pool, &mut with);
+        // The same row built and published on its own: the flush cost
+        // the overhead is a fraction of.
+        let (bare_pool, _) = setup();
+        let mut bare = Timeline::new();
+        let mut builder = ArrayTableBuilder::new();
+        rows.iter().for_each(|e| builder.add(e.as_ref()));
+        let (bytes, _) = builder.finish(&opts.cost, &mut bare);
+        bare_pool.publish(bytes, &mut bare).unwrap();
+        let cost = bare.elapsed();
+        assert!(cost > sim::SimDuration::ZERO);
+        assert_eq!(with.elapsed(), cost + cost.mul_f64(FLUSH_OVERHEAD));
     }
 
     #[test]

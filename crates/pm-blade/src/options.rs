@@ -42,45 +42,33 @@ pub enum MaintenanceMode {
     Background,
 }
 
-/// How the key space is split into independently-managed partitions.
-#[derive(Clone, Debug)]
-pub enum Partitioner {
-    /// One partition for everything.
-    Single,
-    /// Range partitions: `boundaries` are the sorted upper-exclusive
-    /// split keys; `boundaries.len() + 1` partitions result.
-    Ranges(Vec<Vec<u8>>),
-}
+/// How the key space is split into independently-managed partitions:
+/// the strictly ascending, upper-exclusive split keys. `n` keys make
+/// `n + 1` partitions; none (the default) makes one.
+#[derive(Clone, Debug, Default)]
+pub struct Partitioner(pub Vec<Vec<u8>>);
 
 impl Partitioner {
     /// Number of partitions.
     pub fn count(&self) -> usize {
-        match self {
-            Partitioner::Single => 1,
-            Partitioner::Ranges(b) => b.len() + 1,
-        }
+        self.0.len() + 1
     }
 
     /// Partition index owning `key`.
     pub fn locate(&self, key: &[u8]) -> usize {
-        match self {
-            Partitioner::Single => 0,
-            Partitioner::Ranges(b) => b.partition_point(|split| split.as_slice() <= key),
-        }
+        self.0.partition_point(|split| split.as_slice() <= key)
     }
 
     /// Evenly spaced split points over formatted numeric keys
     /// `prefix{00000000}`, handy for benchmark workloads.
     pub fn numeric(prefix: &str, domain: u64, partitions: usize) -> Self {
         assert!(partitions >= 1);
-        if partitions == 1 {
-            return Partitioner::Single;
-        }
         let step = domain / partitions as u64;
-        let boundaries = (1..partitions as u64)
-            .map(|i| format!("{prefix}{:010}", i * step).into_bytes())
-            .collect();
-        Partitioner::Ranges(boundaries)
+        Partitioner(
+            (1..partitions as u64)
+                .map(|i| format!("{prefix}{:010}", i * step).into_bytes())
+                .collect(),
+        )
     }
 }
 
@@ -175,9 +163,6 @@ pub struct Options {
     pub max_table_bytes: usize,
     /// DRAM block-cache capacity for SSD reads.
     pub block_cache_bytes: usize,
-    /// MatrixKV: extra flush construction overhead (fraction of the
-    /// flush cost spent building the matrix cross-hint structure).
-    pub matrix_flush_overhead: f64,
     /// Directory for the write-ahead log; `None` disables the WAL.
     pub wal_dir: Option<std::path::PathBuf>,
     /// WAL segment size: the active segment rotates once it exceeds
@@ -203,20 +188,16 @@ pub struct Options {
     /// Inline (deterministic, default) or background (worker-pool)
     /// maintenance execution.
     pub maintenance: MaintenanceMode,
-    /// Unsorted level-0 tables per partition beyond which writes to that
-    /// partition are *slowed down* in background mode.
-    pub l0_slowdown_trigger: usize,
-    /// Unsorted level-0 tables per partition beyond which writes to that
-    /// partition *stall* until a worker catches up. Must exceed
-    /// [`Options::l0_slowdown_trigger`].
+    /// Unsorted level-0 tables per partition at which writes to that
+    /// partition *stall* in background mode until a worker catches up.
+    /// Half of it slows writes down, a quarter queues early relief; at
+    /// least 2.
     pub l0_stall_trigger: usize,
     /// Memtable debt (memtable size as a multiple of
-    /// [`Options::memtable_bytes`]) that slows writes down in background
-    /// mode. The memtable keeps absorbing writes past its freeze
-    /// threshold while the flush job waits for a worker.
-    pub memtable_slowdown_debt: usize,
-    /// Memtable debt multiple that stalls writes. Must exceed
-    /// [`Options::memtable_slowdown_debt`].
+    /// [`Options::memtable_bytes`]) that stalls writes in background
+    /// mode; half of it slows them down. The memtable keeps absorbing
+    /// writes past its freeze threshold while the flush job waits for a
+    /// worker. At least 2.
     pub memtable_stall_debt: usize,
     /// Sample 1 in N engine-originated requests for end-to-end stage
     /// tracing; 0 disables sampling entirely (wire-carried sampled
@@ -236,17 +217,25 @@ impl Default for Options {
     /// Laptop-scale defaults preserving the paper's ratios
     /// (80 GB PM : 64 MB memtable ≈ 80 MB : 64 KB).
     fn default() -> Self {
+        Options::pm_blade(80 << 20)
+    }
+}
+
+impl Options {
+    /// The paper's "PMBlade" configuration at a given PM scale: τ_m at
+    /// 90 % and τ_t at 60 % of the pool.
+    pub fn pm_blade(pm_capacity: usize) -> Self {
         Options {
             mode: Mode::PmBlade,
-            partitioner: Partitioner::Single,
+            partitioner: Partitioner::default(),
             cost: CostModel::default(),
-            pm_capacity: 80 << 20,
+            pm_capacity,
             memtable_bytes: 64 << 10,
             l0_unsorted_hard_cap: 64,
             l0_table_trigger: 4,
             tau_w: 1 << 20,
-            tau_m: 72 << 20,
-            tau_t: 48 << 20,
+            tau_m: pm_capacity - pm_capacity / 10,
+            tau_t: pm_capacity * 6 / 10,
             scalars: CostScalars::default(),
             pm_table: PmTableLayout {
                 group_size: 16,
@@ -259,32 +248,17 @@ impl Default for Options {
             level_multiplier: 10,
             max_table_bytes: 2 << 20,
             block_cache_bytes: 8 << 20,
-            matrix_flush_overhead: 0.6,
             wal_dir: None,
             wal_segment_bytes: 4 << 20,
             fault_plan: None,
             event_log_capacity: 1024,
             listeners: ListenerSet::new(),
             maintenance: MaintenanceMode::Inline,
-            l0_slowdown_trigger: 12,
             l0_stall_trigger: 24,
-            memtable_slowdown_debt: 2,
             memtable_stall_debt: 4,
             trace_sample_every: 1024,
             trace_slow_query_nanos: 0,
             trace_recorder_capacity: 256,
-        }
-    }
-}
-
-impl Options {
-    /// The paper's "PMBlade" configuration at a given PM scale.
-    pub fn pm_blade(pm_capacity: usize) -> Self {
-        Options {
-            pm_capacity,
-            tau_m: pm_capacity - pm_capacity / 10,
-            tau_t: pm_capacity * 6 / 10,
-            ..Options::default()
         }
     }
 
@@ -308,29 +282,16 @@ impl Options {
         }
     }
 
-    /// Cross-validate the configuration: the first violation found
-    /// comes back as [`DbError::Config`](crate::engine::DbError::Config)
-    /// with a human-readable diagnostic. `Db::open` accepts an `Options`
-    /// as it is; run a configuration that arrives from outside the
-    /// program through this first.
-    pub fn validate(self) -> Result<Options, crate::engine::DbError> {
+    /// Cross-validate the configuration, as [`Db::open`](crate::Db::open)
+    /// does before anything else: the first violation found comes back
+    /// as [`DbError::Config`](crate::engine::DbError::Config) with a
+    /// human-readable diagnostic.
+    pub(crate) fn validate(self) -> Result<Options, crate::engine::DbError> {
         use crate::engine::DbError;
         let o = &self;
         let fail = |msg: String| Err(DbError::Config(msg));
-        if o.partitioner.count() == 0 {
-            return fail("at least one partition is required".into());
-        }
-        if let Partitioner::Ranges(bounds) = &o.partitioner {
-            if bounds.is_empty() {
-                return fail(
-                    "range partitioner needs at least one boundary \
-                     (use Partitioner::Single for one partition)"
-                        .into(),
-                );
-            }
-            if !bounds.windows(2).all(|w| w[0] < w[1]) {
-                return fail("partition boundaries must be strictly ascending".into());
-            }
+        if !o.partitioner.0.windows(2).all(|w| w[0] < w[1]) {
+            return fail("partition boundaries must be strictly ascending".into());
         }
         if o.memtable_bytes == 0 {
             return fail("memtable_bytes must be positive".into());
@@ -390,26 +351,18 @@ impl Options {
         if o.wal_segment_bytes == 0 {
             return fail("wal_segment_bytes must be positive".into());
         }
-        if o.l0_slowdown_trigger == 0 {
-            return fail("l0_slowdown_trigger must be at least 1".into());
-        }
-        if o.l0_slowdown_trigger >= o.l0_stall_trigger {
+        // Half a stall watermark is its slowdown: below 2 that is 0, a
+        // penalty on every write.
+        if o.l0_stall_trigger < 2 {
             return fail(format!(
-                "l0_slowdown_trigger ({}) must stay below \
-                 l0_stall_trigger ({}): the stall threshold is the hard \
-                 backstop behind the slowdown",
-                o.l0_slowdown_trigger, o.l0_stall_trigger
+                "l0_stall_trigger ({}) must be at least 2",
+                o.l0_stall_trigger
             ));
         }
-        if o.memtable_slowdown_debt == 0 {
-            return fail("memtable_slowdown_debt must be at least 1".into());
-        }
-        if o.memtable_slowdown_debt >= o.memtable_stall_debt {
+        if o.memtable_stall_debt < 2 {
             return fail(format!(
-                "memtable_slowdown_debt ({}) must stay below \
-                 memtable_stall_debt ({}): the stall threshold is the \
-                 hard backstop behind the slowdown",
-                o.memtable_slowdown_debt, o.memtable_stall_debt
+                "memtable_stall_debt ({}) must be at least 2",
+                o.memtable_stall_debt
             ));
         }
         if o.trace_recorder_capacity == 0 {
@@ -430,7 +383,7 @@ mod tests {
 
     #[test]
     fn partitioner_single_maps_everything_to_zero() {
-        let p = Partitioner::Single;
+        let p = Partitioner::default();
         assert_eq!(p.count(), 1);
         assert_eq!(p.locate(b""), 0);
         assert_eq!(p.locate(b"zzz"), 0);
@@ -438,7 +391,7 @@ mod tests {
 
     #[test]
     fn partitioner_ranges_locates_by_boundary() {
-        let p = Partitioner::Ranges(vec![b"h".to_vec(), b"p".to_vec()]);
+        let p = Partitioner(vec![b"h".to_vec(), b"p".to_vec()]);
         assert_eq!(p.count(), 3);
         assert_eq!(p.locate(b"apple"), 0);
         assert_eq!(p.locate(b"h"), 1, "boundaries are upper-exclusive");
@@ -501,10 +454,15 @@ mod tests {
         .contains("pm_capacity"));
         assert!(rejection(|o| (o.tau_m, o.tau_t) = (96 << 20, 90 << 20)).contains("tau_m"));
         assert!(rejection(|o| (o.tau_t, o.tau_m) = (80 << 20, 72 << 20)).contains("tau_t"));
-        let ranges =
-            |keys: &[&[u8]]| Partitioner::Ranges(keys.iter().map(|k| k.to_vec()).collect());
+        let ranges = |keys: &[&[u8]]| Partitioner(keys.iter().map(|k| k.to_vec()).collect());
         assert!(rejection(|o| o.partitioner = ranges(&[b"m", b"f"])).contains("ascending"));
-        assert!(rejection(|o| o.partitioner = ranges(&[])).contains("at least one boundary"));
+        assert!(rejection(|o| o.partitioner = ranges(&[b"m", b"m"])).contains("ascending"));
+        assert_eq!(
+            accepted(|o| o.partitioner = ranges(&[]))
+                .partitioner
+                .count(),
+            1
+        );
         assert!(rejection(|o| o.level_multiplier = 1).contains("level_multiplier"));
         assert!(rejection(|o| o.l1_target = 0).contains("l1_target"));
         assert!(rejection(|o| o.max_table_bytes = 0).contains("max_table_bytes"));
@@ -524,24 +482,16 @@ mod tests {
 
     #[test]
     fn builder_rejects_bad_maintenance_configs() {
-        // Slowdown thresholds must stay strictly below their stall
-        // backstops.
-        for (slowdown, stall) in [(8, 8), (9, 8)] {
-            assert!(
-                rejection(|o| (o.l0_slowdown_trigger, o.l0_stall_trigger) = (slowdown, stall))
-                    .contains("l0_slowdown_trigger")
-            );
+        // A stall watermark's slowdown is half of it: it must be at
+        // least 1.
+        for stall in [0, 1] {
+            assert!(rejection(|o| o.l0_stall_trigger = stall).contains("l0_stall_trigger"));
+            assert!(rejection(|o| o.memtable_stall_debt = stall).contains("memtable_stall_debt"));
         }
-        assert!(
-            rejection(|o| (o.memtable_slowdown_debt, o.memtable_stall_debt) = (4, 4))
-                .contains("memtable_slowdown_debt")
-        );
-        assert!(rejection(|o| o.memtable_slowdown_debt = 0).contains("memtable_slowdown_debt"));
-        assert!(rejection(|o| o.l0_slowdown_trigger = 0).contains("l0_slowdown_trigger"));
         // A consistent background configuration passes.
         let opts = accepted(|o| {
             o.maintenance = MaintenanceMode::Background;
-            (o.l0_slowdown_trigger, o.l0_stall_trigger) = (6, 12);
+            (o.l0_stall_trigger, o.memtable_stall_debt) = (2, 2);
         });
         assert_eq!(opts.maintenance, MaintenanceMode::Background);
     }
@@ -567,5 +517,10 @@ mod tests {
         let o = Options::pm_blade(100);
         assert!(o.tau_m < o.pm_capacity);
         assert!(o.tau_t < o.tau_m);
+        let d = Options::default();
+        assert_eq!(
+            (d.pm_capacity, d.tau_m, d.tau_t),
+            (80 << 20, 72 << 20, 48 << 20)
+        );
     }
 }

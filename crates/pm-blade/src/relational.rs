@@ -248,14 +248,12 @@ impl std::fmt::Debug for Relational {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::{Mode, Options};
+    use crate::options::Options;
 
     fn setup() -> Relational {
         let opts = Options {
-            pm_capacity: 4 << 20,
             memtable_bytes: 16 << 10,
-            mode: Mode::PmBlade,
-            ..Options::default()
+            ..Options::pm_blade(4 << 20)
         };
         let db = Db::open(opts).unwrap();
         Relational::new(

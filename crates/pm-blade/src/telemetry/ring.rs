@@ -28,8 +28,8 @@ struct Inner<T> {
 pub type EventRing = Ring<TraceSpan>;
 
 impl<T: Clone> Ring<T> {
-    /// `capacity` must be at least 1 (enforced by
-    /// `Options::validate`; an unvalidated `Options` with 0 gets 1).
+    /// `capacity` must be at least 1 (`Db::open` rejects an `Options`
+    /// whose ring capacities are 0); 0 gets 1.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Ring {

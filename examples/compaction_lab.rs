@@ -15,7 +15,8 @@ fn main() -> Result<(), DbError> {
     // Manual control: disable the automatic triggers.
     opts.l0_unsorted_hard_cap = usize::MAX;
     opts.tau_w = usize::MAX;
-    opts.tau_m = usize::MAX;
+    // Eq 3 never fires: PM use cannot pass the pool's capacity.
+    opts.tau_m = opts.pm_capacity;
     opts.scalars.binary_search = sim::SimDuration::ZERO;
     let db = Db::open(opts)?;
 

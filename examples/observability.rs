@@ -64,8 +64,7 @@ fn main() -> Result<(), pm_blade::DbError> {
         max_table_bytes: 128 << 10,
         event_log_capacity: 256,
         ..Options::default()
-    }
-    .validate()?;
+    };
     opts.listeners
         .add(Arc::clone(&tally) as Arc<dyn EventListener>);
     let db = Db::open(opts)?;

@@ -23,15 +23,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // its lifecycle from here: `Server::shutdown` drains connections and
     // calls `Db::close()` before returning the engine.
     let db = Arc::new(Db::open(Options::pm_blade(8 << 20))?);
-    let opts = ServerOptions::builder()
-        .addr("127.0.0.1:0")
-        .metrics_addr("127.0.0.1:0")
+    let opts = ServerOptions {
+        addr: "127.0.0.1:0".into(),
+        metrics_addr: Some("127.0.0.1:0".into()),
         // A gentle per-connection rate limit: clients above 50k ops/s
         // are slowed down (never errored), and each delay ticks the
         // `server_throttled_total` counter.
-        .rate_limit_ops_per_sec(50_000)
-        .poll_interval(Duration::from_millis(5))
-        .build()?;
+        rate_limit_ops_per_sec: Some(50_000),
+        poll_interval: Duration::from_millis(5),
+        ..ServerOptions::default()
+    };
     let server = Server::start(db, opts)?;
     let addr = server.local_addr();
     println!("serving  : {addr}");

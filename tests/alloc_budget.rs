@@ -197,10 +197,12 @@ fn allocations_per_record(
     load: impl Fn(&Db),
     request: CompactionRequest,
 ) -> f64 {
-    // Nothing flushes, merges or traces on its own.
+    // Nothing flushes, merges or traces on its own. The pool holds one
+    // memtable: a limit, not an allocation.
     opts.memtable_bytes = 1 << 30;
-    opts.pm_capacity = 64 << 20;
-    (opts.tau_w, opts.tau_m, opts.tau_t) = (usize::MAX, usize::MAX, usize::MAX);
+    opts.pm_capacity = 1 << 30;
+    // Eq 3 never fires: PM use cannot pass the pool's capacity.
+    (opts.tau_w, opts.tau_m, opts.tau_t) = (usize::MAX, opts.pm_capacity, opts.pm_capacity);
     opts.l0_unsorted_hard_cap = usize::MAX;
     opts.l0_table_trigger = usize::MAX;
     opts.trace_sample_every = 0;

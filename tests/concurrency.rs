@@ -158,7 +158,7 @@ fn group_commit_batches_concurrent_writers() {
 #[test]
 fn cross_partition_batches_survive_concurrent_traffic() {
     let mut opts = small_opts();
-    opts.partitioner = Partitioner::Ranges(vec![b"m".to_vec()]);
+    opts.partitioner = Partitioner(vec![b"m".to_vec()]);
     let db = Arc::new(Db::open(opts).unwrap());
     std::thread::scope(|s| {
         for t in 0..4 {
@@ -202,9 +202,7 @@ fn background_writers_never_pay_major_compaction_latency() {
     opts.maintenance = MaintenanceMode::Background;
     opts.tau_m = 256 << 10;
     opts.tau_t = 128 << 10;
-    opts.l0_slowdown_trigger = 64;
     opts.l0_stall_trigger = 128;
-    opts.memtable_slowdown_debt = 32;
     opts.memtable_stall_debt = 64;
     let db = Arc::new(Db::open(opts).unwrap());
     let mut max_write = SimDuration::ZERO;
@@ -411,25 +409,33 @@ proptest! {
         stall_at in 2usize..6,
         extra_puts in 1usize..20,
     ) {
+        let dir = std::env::temp_dir().join(format!(
+            "pmblade-stall-{}-{stall_at}-{extra_puts}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
         let mut opts = small_opts();
-        opts.maintenance = MaintenanceMode::Background;
+        opts.wal_dir = Some(dir.clone());
         opts.l0_stall_trigger = stall_at;
-        // Park the slowdown trigger *above* the stall trigger (Db::open
-        // trusts its input; only the builder validates ordering) so
-        // neither the slowdown penalty nor its early-relief enqueue can
-        // drain L0 mid-setup — this test isolates the stall path.
-        opts.l0_slowdown_trigger = stall_at + 10;
         // Keep the automatic compaction triggers out of the picture so
         // the unsorted count is fully under the test's control.
         opts.tau_w = 1 << 30;
         opts.l0_unsorted_hard_cap = 100;
-        let db = Db::open(opts).unwrap();
-        // Build exactly `stall_at` unsorted tables via manual flushes
-        // (manual `compact` runs inline on this thread, by design).
-        for t in 0..stall_at {
-            db.put(format!("stall-{t:02}").as_bytes(), b"v").unwrap();
-            db.compact(CompactionRequest::Flush { partition: 0 }).unwrap();
+        // Build exactly `stall_at` unsorted tables via manual flushes on
+        // an Inline engine, whose writes are never throttled: the
+        // slowdown at half the stall, and its early relief, cannot
+        // drain L0 mid-setup — this test isolates the stall path.
+        {
+            let db = Db::open(opts.clone()).unwrap();
+            for t in 0..stall_at {
+                db.put(format!("stall-{t:02}").as_bytes(), b"v").unwrap();
+                db.compact(CompactionRequest::Flush { partition: 0 }).unwrap();
+            }
         }
+        opts.maintenance = MaintenanceMode::Background;
+        let db = Db::open(opts).unwrap();
+        let unsorted = db.metrics_snapshot().gauges[&MetricKey::partition("l0_unsorted_tables", 0)];
+        prop_assert_eq!(unsorted, stall_at as i64);
         prop_assert_eq!(db.metrics_snapshot().counter("write_stalls"), 0);
         // This write crosses the stall threshold: it must park, enqueue
         // relief, and complete only after a worker compacted the L0.
@@ -447,5 +453,6 @@ proptest! {
         prop_assert_eq!(db.metrics_snapshot().counter("write_stalls"), 1);
         prop_assert!(db.get(b"stalled-write").unwrap().value.is_some());
         db.close();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

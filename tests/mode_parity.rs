@@ -298,7 +298,7 @@ fn maintenance_span_sequence_is_pinned_in_every_mode() {
         // shapes the compaction sequence and every knob the CI matrix's
         // `PMBLADE_TEST_*` overrides can move.
         let mut opts = pm_blade::Options {
-            partitioner: Partitioner::Ranges(vec![key_for(4_000)]),
+            partitioner: Partitioner(vec![key_for(4_000)]),
             pm_capacity: 384 << 10,
             tau_w: 24 << 10,
             tau_m: 288 << 10,

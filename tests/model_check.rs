@@ -50,7 +50,7 @@ fn check_mode(mode: Mode, ops: &[Op]) {
     // Two range partitions, so scans (reverse ones above all) cross a
     // partition boundary; `Internal` / `Major` compact the lower one.
     let mut opts = tiny_options(mode);
-    opts.partitioner = Partitioner::Ranges(vec![key(150)]);
+    opts.partitioner = Partitioner(vec![key(150)]);
     let db = Db::open(opts).unwrap();
     let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
     for (step, op) in ops.iter().enumerate() {

@@ -225,7 +225,7 @@ fn listener_sees_paired_events_in_order() {
 fn listener_ordering_survives_concurrency() {
     let recorder = Arc::new(Recorder::default());
     let mut opts = small_opts();
-    opts.partitioner = pm_blade::Partitioner::Ranges(vec![b"w2".to_vec()]);
+    opts.partitioner = pm_blade::Partitioner(vec![b"w2".to_vec()]);
     opts.listeners
         .add(Arc::clone(&recorder) as Arc<dyn EventListener>);
     let db = Arc::new(Db::open(opts).unwrap());
@@ -715,7 +715,7 @@ fn series_of(snap: &MetricsSnapshot) -> Vec<(&'static str, &'static str, String)
 #[test]
 fn prometheus_exposition_is_well_formed() {
     let mut opts = small_opts();
-    opts.partitioner = pm_blade::Partitioner::Ranges(vec![b"key000600".to_vec()]);
+    opts.partitioner = pm_blade::Partitioner(vec![b"key000600".to_vec()]);
     let db = Db::open(opts).unwrap();
     for i in 0..1_200u32 {
         db.put(format!("key{i:06}").as_bytes(), &[b'p'; 64])

@@ -23,7 +23,8 @@ fn internal_compaction_caps_read_amplification() {
         let mut opts = tiny_options(Mode::PmBladePm);
         // Keep its level-0 resident so the comparison is pure read-amp.
         opts.l0_table_trigger = usize::MAX;
-        opts.tau_m = usize::MAX;
+        // Eq 3 never fires: PM use cannot pass the pool's capacity.
+        opts.tau_m = opts.pm_capacity;
         opts.pm_filter_bits_per_key = 0;
         Db::open(opts).unwrap()
     };
@@ -57,7 +58,8 @@ fn space_released_grows_with_skew() {
     let released_at = |skew: f64| -> u64 {
         let mut opts = tiny_options(Mode::PmBlade);
         opts.pm_capacity = 16 << 20;
-        opts.tau_m = usize::MAX;
+        // Eq 3 never fires: PM use cannot pass the pool's capacity.
+        opts.tau_m = opts.pm_capacity;
         opts.tau_w = usize::MAX;
         opts.l0_unsorted_hard_cap = usize::MAX;
         opts.scalars.binary_search = sim::SimDuration::ZERO;

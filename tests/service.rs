@@ -187,10 +187,10 @@ fn http_request(addr: std::net::SocketAddr, method: &str, path: &str) -> String 
 }
 
 fn quick_poll() -> ServerOptions {
-    ServerOptions::builder()
-        .poll_interval(Duration::from_millis(5))
-        .build()
-        .unwrap()
+    ServerOptions {
+        poll_interval: Duration::from_millis(5),
+        ..ServerOptions::default()
+    }
 }
 
 #[test]
@@ -332,12 +332,11 @@ fn shutdown_drains_pipelined_requests_without_lost_acks() {
 
 #[test]
 fn rate_limit_throttles_hot_client_without_errors() {
-    let opts = ServerOptions::builder()
-        .poll_interval(Duration::from_millis(5))
-        .rate_limit_ops_per_sec(500)
-        .rate_limit_burst(1)
-        .build()
-        .unwrap();
+    let opts = ServerOptions {
+        rate_limit_ops_per_sec: Some(500),
+        rate_limit_burst: 1,
+        ..quick_poll()
+    };
     let (server, _db) = start_server(opts);
     let addr = server.local_addr();
 
@@ -397,11 +396,10 @@ fn corrupt_frame_gets_error_response_and_disconnect() {
 
 #[test]
 fn metrics_endpoint_serves_prometheus_text() {
-    let opts = ServerOptions::builder()
-        .poll_interval(Duration::from_millis(5))
-        .metrics_addr("127.0.0.1:0")
-        .build()
-        .unwrap();
+    let opts = ServerOptions {
+        metrics_addr: Some("127.0.0.1:0".into()),
+        ..quick_poll()
+    };
     let (server, _db) = start_server(opts);
     let addr = server.local_addr();
     let metrics_addr = server.metrics_local_addr().expect("metrics listener");
@@ -499,10 +497,10 @@ fn put(i: u64) -> Request {
 fn replies_are_not_withheld_behind_a_split_frame() {
     // A long poll interval: the mid-frame stall grace (two read
     // timeouts) must outlast the client's pause between the halves.
-    let opts = ServerOptions::builder()
-        .poll_interval(Duration::from_millis(500))
-        .build()
-        .unwrap();
+    let opts = ServerOptions {
+        poll_interval: Duration::from_millis(500),
+        ..ServerOptions::default()
+    };
     let (server, _db) = start_server(opts);
     let mut stream = raw_connection(server.local_addr());
 
@@ -614,12 +612,11 @@ fn replies_do_not_wait_out_a_rate_limit_sleep() {
     // 20 ops/s, burst 1: the second and third ping each wait one 50 ms
     // refill period.
     const PERIOD: Duration = Duration::from_millis(50);
-    let opts = ServerOptions::builder()
-        .poll_interval(Duration::from_millis(5))
-        .rate_limit_ops_per_sec(20)
-        .rate_limit_burst(1)
-        .build()
-        .unwrap();
+    let opts = ServerOptions {
+        rate_limit_ops_per_sec: Some(20),
+        rate_limit_burst: 1,
+        ..quick_poll()
+    };
     let (server, _db) = start_server(opts);
     let mut stream = raw_connection(server.local_addr());
 
@@ -647,11 +644,10 @@ fn replies_do_not_wait_out_a_rate_limit_sleep() {
 #[test]
 fn connection_churn_leaves_bounded_metric_cardinality() {
     const CYCLES: u64 = 300;
-    let opts = ServerOptions::builder()
-        .poll_interval(Duration::from_millis(5))
-        .metrics_addr("127.0.0.1:0")
-        .build()
-        .unwrap();
+    let opts = ServerOptions {
+        metrics_addr: Some("127.0.0.1:0".into()),
+        ..quick_poll()
+    };
     let (server, db) = start_server(opts);
     let addr = server.local_addr();
     let metrics_addr = server.metrics_local_addr().expect("metrics listener");
@@ -698,10 +694,10 @@ fn connection_churn_leaves_bounded_metric_cardinality() {
 fn replies_to(wire: &[u8], write_sizes: &[usize], replies: usize) -> Vec<Response> {
     // A generous stall grace (two poll intervals): this test's own
     // thread may be descheduled between two writes that split a frame.
-    let opts = ServerOptions::builder()
-        .poll_interval(Duration::from_millis(100))
-        .build()
-        .unwrap();
+    let opts = ServerOptions {
+        poll_interval: Duration::from_millis(100),
+        ..ServerOptions::default()
+    };
     let (server, _db) = start_server(opts);
     let mut stream = raw_connection(server.local_addr());
     let mut rest = wire;
@@ -861,11 +857,10 @@ fn traced_remote_get_spans_client_server_engine() {
 
 #[test]
 fn metrics_http_sets_content_type_and_supports_head() {
-    let opts = ServerOptions::builder()
-        .poll_interval(Duration::from_millis(5))
-        .metrics_addr("127.0.0.1:0")
-        .build()
-        .unwrap();
+    let opts = ServerOptions {
+        metrics_addr: Some("127.0.0.1:0".into()),
+        ..quick_poll()
+    };
     let (server, _db) = start_server(opts);
     let metrics_addr = server.metrics_local_addr().expect("metrics listener");
 
@@ -910,11 +905,10 @@ fn debug_endpoint_serves_flight_recorder_and_queue_state() {
     let mut engine = tiny_options(Mode::PmBlade);
     engine.trace_sample_every = 0;
     engine.trace_slow_query_nanos = 0;
-    let opts = ServerOptions::builder()
-        .poll_interval(Duration::from_millis(5))
-        .metrics_addr("127.0.0.1:0")
-        .build()
-        .unwrap();
+    let opts = ServerOptions {
+        metrics_addr: Some("127.0.0.1:0".into()),
+        ..quick_poll()
+    };
     let (server, _db) = start_server_custom(engine, opts);
     let addr = server.local_addr();
     let metrics_addr = server.metrics_local_addr().expect("metrics listener");

@@ -374,7 +374,7 @@ fn slow_query_threshold_gates_the_flight_recorder() {
 }
 
 /// The recorder is a capped ring: overflow evicts the oldest traces
-/// and counts the drops. Exercised through a validated configuration.
+/// and counts the drops.
 #[test]
 fn recorder_ring_caps_and_counts_drops() {
     let opts = pm_blade::Options {
@@ -382,9 +382,7 @@ fn recorder_ring_caps_and_counts_drops() {
         trace_slow_query_nanos: 0,
         trace_recorder_capacity: 4,
         ..pm_blade::Options::default()
-    }
-    .validate()
-    .unwrap();
+    };
     let db = Db::open(opts).unwrap();
     db.put(b"k", b"v").unwrap();
     for _ in 0..20 {
