@@ -5,18 +5,19 @@
 //! `write`, the response is read through a `BufReader` into a reused
 //! payload buffer. Connection establishment
 //! retries with exponential backoff; all socket I/O honors a
-//! configurable timeout. Conveniences on top of the raw protocol:
+//! configurable timeout. The calls mirror the engine's: a short name
+//! plus, for a read, one `*_with` that states the trace context.
 //!
-//! - [`Client::put_batch`] — many puts in one round trip via
-//!   `Request::WriteBatch`;
+//! - [`Client::write_batch`] — the engine's [`WriteBatch`] in one round
+//!   trip via `Request::WriteBatch`;
 //! - [`Client::scan_paged`] — a large forward scan split into
 //!   server-friendly pages, re-issued from the successor of the last
 //!   key until the range or limit is exhausted;
-//! - [`Client::get_traced`] / [`Client::put_traced`] / the generic
-//!   [`Client::call_traced`] — wrap any request in a
-//!   [`Request::Traced`] envelope so the client-chosen trace id spans
-//!   client → server → engine (the server records sampled requests in
-//!   its slow-query flight recorder under that id).
+//! - [`Client::get_with`] — a get with the engine's virtual latency;
+//!   `Some(ctx)` wraps it in a [`Request::Traced`] envelope so the
+//!   client-chosen trace id spans client → server → engine (the server
+//!   records sampled requests in its slow-query flight recorder under
+//!   that id).
 //!
 //! Engine-side failures arrive as [`ClientError::Remote`] carrying the
 //! stable numeric code of `DbError::code()` plus its display message.
@@ -26,7 +27,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use pm_blade::protocol::{Request, Response, WireError};
-use pm_blade::{BatchOp, CompactionRequest, ScanRequest, TraceContext};
+use pm_blade::{CompactionRequest, ScanRequest, TraceContext, WriteBatch};
 
 /// Client-side knobs.
 #[derive(Clone, Debug)]
@@ -152,25 +153,20 @@ impl Client {
         })))
     }
 
-    /// Issue one request and wait for its response. Remote engine
-    /// errors pass through as `Ok(Response::Error { .. })`; use the
-    /// typed wrappers below for automatic conversion.
-    pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        req.write_with(self.reader.get_mut(), &mut self.frame)?;
-        Response::read_with(&mut self.reader, &mut self.payload)?
-            .ok_or(ClientError::ConnectionClosed)
-    }
-
-    fn call_checked(&mut self, req: &Request) -> Result<Response, ClientError> {
-        match self.call(req)? {
-            Response::Error { code, message } => Err(ClientError::Remote { code, message }),
-            other => Ok(other),
+    /// Issue one request and wait for its response; a remote engine
+    /// error becomes [`ClientError::Remote`].
+    fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
+        req.write(self.reader.get_mut(), &mut self.frame)?;
+        match Response::read(&mut self.reader, &mut self.payload)? {
+            None => Err(ClientError::ConnectionClosed),
+            Some(Response::Error { code, message }) => Err(ClientError::Remote { code, message }),
+            Some(other) => Ok(other),
         }
     }
 
     /// Round-trip liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        match self.call_checked(&Request::Ping)? {
+        match self.call(&Request::Ping)? {
             Response::Pong => Ok(()),
             other => Err(ClientError::Unexpected(format!("{other:?} to Ping"))),
         }
@@ -192,25 +188,14 @@ impl Client {
         self.expect_written(&req)
     }
 
-    /// Many puts in one round trip.
-    pub fn put_batch(&mut self, pairs: &[(Vec<u8>, Vec<u8>)]) -> Result<u64, ClientError> {
-        let ops = pairs
-            .iter()
-            .map(|(key, value)| BatchOp::Put {
-                key: key.clone(),
-                value: value.clone(),
-            })
-            .collect();
-        self.write_batch(ops)
-    }
-
-    /// An arbitrary put/delete batch in one round trip.
-    pub fn write_batch(&mut self, ops: Vec<BatchOp>) -> Result<u64, ClientError> {
-        self.expect_written(&Request::WriteBatch { ops })
+    /// A put/delete batch in one round trip, applied as the engine's
+    /// [`pm_blade::DbCore::write_batch`] applies it.
+    pub fn write_batch(&mut self, batch: WriteBatch) -> Result<u64, ClientError> {
+        self.expect_written(&Request::WriteBatch { ops: batch.into() })
     }
 
     fn expect_written(&mut self, req: &Request) -> Result<u64, ClientError> {
-        match self.call_checked(req)? {
+        match self.call(req)? {
             Response::Written { latency_nanos } => Ok(latency_nanos),
             other => Err(ClientError::Unexpected(format!("{other:?} to a write"))),
         }
@@ -218,13 +203,27 @@ impl Client {
 
     /// Point read; `None` = key absent.
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, ClientError> {
-        Ok(self.get_with_latency(key)?.0)
+        Ok(self.get_with(key, None)?.0)
     }
 
-    /// Point read plus the engine's virtual read latency in nanoseconds.
-    pub fn get_with_latency(&mut self, key: &[u8]) -> Result<(Option<Vec<u8>>, u64), ClientError> {
-        let req = Request::Get { key: key.to_vec() };
-        match self.call_checked(&req)? {
+    /// Point read plus the engine's virtual read latency in
+    /// nanoseconds, with the trace context stated: `Some(ctx)` sends
+    /// the get in a [`Request::Traced`] envelope, and the server runs it
+    /// through the engine's traced read under `ctx.trace_id`.
+    pub fn get_with(
+        &mut self,
+        key: &[u8],
+        trace: Option<TraceContext>,
+    ) -> Result<(Option<Vec<u8>>, u64), ClientError> {
+        let get = Request::Get { key: key.to_vec() };
+        let req = match trace {
+            Some(ctx) => Request::Traced {
+                ctx,
+                inner: Box::new(get),
+            },
+            None => get,
+        };
+        match self.call(&req)? {
             Response::Value {
                 value,
                 latency_nanos,
@@ -236,7 +235,7 @@ impl Client {
     /// One scan request, one response — at most `request.limit` rows in
     /// a single frame. For large ranges prefer [`Client::scan_paged`].
     pub fn scan(&mut self, request: ScanRequest) -> Result<Rows, ClientError> {
-        match self.call_checked(&Request::Scan(request))? {
+        match self.call(&Request::Scan(request))? {
             Response::Rows { rows, .. } => Ok(rows),
             other => Err(ClientError::Unexpected(format!("{other:?} to Scan"))),
         }
@@ -283,59 +282,9 @@ impl Client {
 
     /// Run a compaction on the server.
     pub fn compact(&mut self, request: CompactionRequest) -> Result<(), ClientError> {
-        match self.call_checked(&Request::Compact(request))? {
+        match self.call(&Request::Compact(request))? {
             Response::Compacted => Ok(()),
             other => Err(ClientError::Unexpected(format!("{other:?} to Compact"))),
-        }
-    }
-
-    /// Issue any request inside a [`Request::Traced`] envelope. The
-    /// server runs it through the engine's traced entry points, so a
-    /// sampled context lands in the server-side flight recorder under
-    /// `ctx.trace_id`. Remote errors are converted like the typed
-    /// wrappers do.
-    pub fn call_traced(
-        &mut self,
-        ctx: TraceContext,
-        inner: Request,
-    ) -> Result<Response, ClientError> {
-        self.call_checked(&Request::Traced {
-            ctx,
-            inner: Box::new(inner),
-        })
-    }
-
-    /// [`Client::get_with_latency`] under a caller-supplied trace
-    /// context.
-    pub fn get_traced(
-        &mut self,
-        key: &[u8],
-        ctx: TraceContext,
-    ) -> Result<(Option<Vec<u8>>, u64), ClientError> {
-        let inner = Request::Get { key: key.to_vec() };
-        match self.call_traced(ctx, inner)? {
-            Response::Value {
-                value,
-                latency_nanos,
-            } => Ok((value, latency_nanos)),
-            other => Err(ClientError::Unexpected(format!("{other:?} to Get"))),
-        }
-    }
-
-    /// [`Client::put`] under a caller-supplied trace context.
-    pub fn put_traced(
-        &mut self,
-        key: &[u8],
-        value: &[u8],
-        ctx: TraceContext,
-    ) -> Result<u64, ClientError> {
-        let inner = Request::Put {
-            key: key.to_vec(),
-            value: value.to_vec(),
-        };
-        match self.call_traced(ctx, inner)? {
-            Response::Written { latency_nanos } => Ok(latency_nanos),
-            other => Err(ClientError::Unexpected(format!("{other:?} to a write"))),
         }
     }
 }

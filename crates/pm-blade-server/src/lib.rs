@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use pm_blade::protocol::{starts_with_frame, Request, Response, WireError};
 use pm_blade::telemetry::{Gauge, LatencyRecorder, MetricsRegistry};
-use pm_blade::{Db, DbError, MetricKey, SequenceNumber, WriteBatch};
+use pm_blade::{Db, DbError, MetricKey};
 use sim::Counter;
 
 pub mod rate_limit;
@@ -477,7 +477,7 @@ fn serve(
         if !starts_with_frame(reader.buffer()) && writer.flush().is_err() {
             return;
         }
-        match Request::read_with(reader, &mut payload) {
+        match Request::read(reader, &mut payload) {
             Ok(Some(req)) => {
                 if let Some(bucket) = bucket.as_mut() {
                     let wait = bucket.take();
@@ -504,7 +504,18 @@ fn serve(
                 if matches!(resp, Response::Error { .. }) {
                     shared.metrics.errors_total.incr();
                 }
-                if resp.write_with(writer, &mut frame).is_err() {
+                // A reply over the frame cap is refused before a byte
+                // leaves; the client hears why, and the stream keeps
+                // its frame sync.
+                let sent = match resp.write(writer, &mut frame) {
+                    Err(e @ WireError::TooLarge(_)) => {
+                        shared.metrics.errors_total.incr();
+                        let message = e.to_string();
+                        Response::Error { code: 0, message }.write(writer, &mut frame)
+                    }
+                    sent => sent,
+                };
+                if sent.is_err() {
                     return;
                 }
             }
@@ -519,7 +530,7 @@ fn serve(
             Err(e @ (WireError::Corrupt(_) | WireError::TooLarge(_))) => {
                 shared.metrics.errors_total.incr();
                 let message = e.to_string();
-                let _ = Response::Error { code: 0, message }.write_with(writer, &mut frame);
+                let _ = Response::Error { code: 0, message }.write(writer, &mut frame);
                 return;
             }
         }
@@ -539,27 +550,11 @@ fn dispatch(db: &Db, req: Request) -> Response {
         Request::Ping => return Response::Pong,
         Request::Put { key, value } => db.put_with(&key, &value, ctx).map(written),
         Request::Delete { key } => db.delete_with(&key, ctx).map(written),
-        Request::WriteBatch { ops } => {
-            let mut batch = WriteBatch::new();
-            for op in ops {
-                match op {
-                    pm_blade::BatchOp::Put { key, value } => {
-                        batch.put(key, value);
-                    }
-                    pm_blade::BatchOp::Delete { key } => {
-                        batch.delete(key);
-                    }
-                }
-            }
-            db.write_batch_with(batch, ctx).map(written)
-        }
-        Request::Get { key } => {
-            db.get_with(&key, SequenceNumber::MAX, ctx)
-                .map(|out| Response::Value {
-                    value: out.value,
-                    latency_nanos: out.latency.as_nanos(),
-                })
-        }
+        Request::WriteBatch { ops } => db.write_batch_with(ops.into(), ctx).map(written),
+        Request::Get { key } => db.get_with(&key, ctx).map(|out| Response::Value {
+            value: out.value,
+            latency_nanos: out.latency.as_nanos(),
+        }),
         Request::Scan(scan) => db
             .scan_with(scan, ctx)
             .map(|(rows, latency)| Response::Rows {

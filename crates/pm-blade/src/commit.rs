@@ -49,10 +49,11 @@ impl BatchOp {
 
 /// An ordered set of writes applied atomically *per partition*: all
 /// operations routed to one partition become visible to readers in a
-/// single step (one memtable apply under the partition's write lock,
-/// with the batch's sequence range published only afterwards). A batch
-/// spanning several partitions is applied partition-by-partition in
-/// ascending id order; cross-partition atomicity is not guaranteed.
+/// single step (one memtable apply under the partition's write lock, so
+/// a scan of the partition sees all of them or none). A batch spanning
+/// several partitions is applied partition-by-partition in ascending id
+/// order; cross-partition atomicity is not guaranteed. It converts to
+/// and from its ops, the form `Request::WriteBatch` carries.
 #[derive(Clone, Debug, Default)]
 pub struct WriteBatch {
     pub(crate) ops: Vec<BatchOp>,
@@ -84,6 +85,18 @@ impl WriteBatch {
 
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
+    }
+}
+
+impl From<Vec<BatchOp>> for WriteBatch {
+    fn from(ops: Vec<BatchOp>) -> Self {
+        WriteBatch { ops }
+    }
+}
+
+impl From<WriteBatch> for Vec<BatchOp> {
+    fn from(batch: WriteBatch) -> Self {
+        batch.ops
     }
 }
 

@@ -49,7 +49,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use encoding::key::SequenceNumber;
 use parking_lot::{Mutex, RwLock};
 use pm_device::PmPool;
 use sim::{SimDuration, SimInstant};
@@ -195,10 +194,6 @@ pub struct DbCore {
     cache: Arc<BlockCache>,
     /// Next-sequence allocator (`fetch_add` hands out disjoint ranges).
     seq: AtomicU64,
-    /// Highest sequence published to readers: advanced only *after* the
-    /// owning batch has been applied, so a snapshot never observes half
-    /// a batch (batch sequence ranges are contiguous and disjoint).
-    visible_seq: AtomicU64,
     /// Virtual clock as nanoseconds since `SimInstant::ORIGIN`.
     clock: AtomicU64,
     table_counter: AtomicU64,
@@ -357,17 +352,6 @@ impl DbCore {
     /// Current logical clock.
     pub fn now(&self) -> SimInstant {
         SimInstant::ORIGIN + SimDuration::from_nanos(self.clock.load(Ordering::Relaxed))
-    }
-
-    /// Latest *published* sequence number (usable as a snapshot): every
-    /// write batch at or below this sequence is fully visible.
-    ///
-    /// Snapshots are not pinned: compactions keep only the newest
-    /// version of each key, so a snapshot stays accurate only while the
-    /// versions it references still exist (i.e. until a flush-triggered
-    /// compaction rewrites them).
-    pub fn snapshot(&self) -> SequenceNumber {
-        self.visible_seq.load(Ordering::Acquire)
     }
 
     /// Total PM bytes in use.

@@ -22,14 +22,13 @@ use crate::stats::ReadSource;
 use crate::telemetry::{SpanKind, StageTimes, StageTrace, TraceContext, TraceOp};
 
 impl DbCore {
-    /// Point read at the latest snapshot.
+    /// Point read of the newest version of `user_key`.
     pub fn get(&self, user_key: &[u8]) -> Result<ReadOutcome, DbError> {
-        self.get_with(user_key, SequenceNumber::MAX, None)
+        self.get_with(user_key, None)
     }
 
-    /// The read path proper: a point read at `snapshot` (see
-    /// [`DbCore::snapshot`]; [`SequenceNumber::MAX`] reads the latest)
-    /// with the trace context stated, as [`DbCore::put_with`] takes it.
+    /// The read path proper: a point read of the newest version with
+    /// the trace context stated, as [`DbCore::put_with`] takes it.
     ///
     /// Every get takes one walk, `probe`'s: memtable, level-0, SSD
     /// levels. Its steps count their virtual time per stage in one
@@ -39,7 +38,6 @@ impl DbCore {
     pub fn get_with(
         &self,
         user_key: &[u8],
-        snapshot: SequenceNumber,
         trace: Option<TraceContext>,
     ) -> Result<ReadOutcome, DbError> {
         let trace = self.trace_for(trace);
@@ -47,7 +45,7 @@ impl DbCore {
         let pid = self.opts.partitioner.locate(user_key);
         let start_nanos = self.clock.load(Ordering::Relaxed);
         let mut stages = StageTimes::default();
-        let probed = self.probe(pid, user_key, snapshot, &mut tl, &mut stages);
+        let probed = self.probe(pid, user_key, &mut tl, &mut stages);
         let (hit, source, ssd_level) = match probed {
             Ok(result) => result,
             Err(e) => {
@@ -96,17 +94,16 @@ impl DbCore {
         &self,
         pid: usize,
         user_key: &[u8],
-        snapshot: SequenceNumber,
         tl: &mut Timeline,
         stages: &mut StageTimes,
     ) -> Result<(Option<Lookup>, ReadSource, Option<usize>), DbError> {
         let guard = self.partitions[pid].read();
         guard.counters.reads.incr();
-        let mem = |tl: &mut Timeline| guard.mem.get(user_key, snapshot, tl);
+        let mem = |tl: &mut Timeline| guard.mem.get(user_key, SequenceNumber::MAX, tl);
         if let Some(hit) = stages.time(SpanKind::MemtableProbe, tl, mem) {
             return Ok((Some(hit), ReadSource::MemTable, None));
         }
-        let probe = Probe::new(user_key, snapshot, &self.group_cache);
+        let probe = Probe::new(user_key, &self.group_cache);
         let guard = match &guard.level0 {
             Level0::Pm(l0) => {
                 let version = l0.version();
@@ -120,7 +117,7 @@ impl DbCore {
                 self.partitions[pid].read()
             }
             Level0::Matrix(m) => {
-                let rows = |tl: &mut Timeline| m.get(user_key, snapshot, tl);
+                let rows = |tl: &mut Timeline| m.get(user_key, tl);
                 if let Some(hit) = stages.time(SpanKind::PmDecodeMiss, tl, rows) {
                     return Ok((Some(hit), ReadSource::Pm, None));
                 }

@@ -422,7 +422,6 @@ impl DbCore {
             device,
             cache,
             seq: AtomicU64::new(seq),
-            visible_seq: AtomicU64::new(seq),
             clock: AtomicU64::new(0),
             table_counter: AtomicU64::new(table_counter_start),
             cache_ids,

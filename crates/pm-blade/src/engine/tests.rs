@@ -114,23 +114,13 @@ fn a_delete_is_not_counted_as_a_put() {
 }
 
 #[test]
-fn snapshot_reads_see_past_versions() {
-    let db = Db::open(small_opts(Mode::PmBlade)).unwrap();
-    db.put(b"k", b"old").unwrap();
-    let snap = db.snapshot();
-    db.put(b"k", b"new").unwrap();
-    assert_eq!(
-        db.get_with(b"k", snap, None).unwrap().value.as_deref(),
-        Some(&b"old"[..])
-    );
-    assert_eq!(db.get(b"k").unwrap().value.as_deref(), Some(&b"new"[..]));
-}
-
-#[test]
 fn write_batch_applies_atomically_per_partition() {
     let db = Db::open(small_opts(Mode::PmBlade)).unwrap();
     db.put(b"a", b"0").unwrap();
-    let before = db.snapshot();
+    let value = |key: &[u8]| db.get(key).unwrap().value;
+    // Before the batch, none of it is visible.
+    assert_eq!(value(b"a").as_deref(), Some(&b"0"[..]));
+    assert_eq!(value(b"b"), None);
     let mut batch = WriteBatch::new();
     batch
         .put(&b"a"[..], &b"1"[..])
@@ -138,22 +128,10 @@ fn write_batch_applies_atomically_per_partition() {
         .delete(&b"c"[..]);
     let latency = db.write_batch(batch).unwrap();
     assert!(latency > SimDuration::ZERO);
-    let after = db.snapshot();
-    // Pre-batch snapshot sees none of the batch.
-    assert_eq!(
-        db.get_with(b"a", before, None).unwrap().value.as_deref(),
-        Some(&b"0"[..])
-    );
-    assert_eq!(db.get_with(b"b", before, None).unwrap().value, None);
-    // Post-batch snapshot sees all of it.
-    assert_eq!(
-        db.get_with(b"a", after, None).unwrap().value.as_deref(),
-        Some(&b"1"[..])
-    );
-    assert_eq!(
-        db.get_with(b"b", after, None).unwrap().value.as_deref(),
-        Some(&b"1"[..])
-    );
+    // After it, all of it is.
+    assert_eq!(value(b"a").as_deref(), Some(&b"1"[..]));
+    assert_eq!(value(b"b").as_deref(), Some(&b"1"[..]));
+    assert_eq!(value(b"c"), None);
     assert_eq!(db.stats().batch_writes.get(), 1);
     assert!(db.stats().group_commits.get() >= 1);
     assert!(db.stats().grouped_writes.get() >= 3);

@@ -245,14 +245,14 @@ impl DbCore {
 
     /// Commit one group: allocate sequences, append every record to the
     /// WAL once, apply everything to the memtable under one partition
-    /// write lock, publish the sequence range, then complete every
-    /// ticket. Runs with the partition's commit mutex held.
+    /// write lock (so a scan of the partition sees all of a batch or
+    /// none of it), then complete every ticket. Runs with the
+    /// partition's commit mutex held.
     fn commit_group(&self, pid: usize, group: &[Arc<Ticket>]) -> Result<(), DbError> {
         let mut tl = Timeline::new();
         let start_nanos = self.clock.load(Ordering::Relaxed);
         let total_ops: usize = group.iter().map(|t| t.ops.len()).sum();
         let base = self.seq.fetch_add(total_ops as u64, Ordering::Relaxed);
-        let max_seq = base + total_ops as u64;
         // First sampled writer in the group becomes the origin for any
         // maintenance this commit triggers.
         let origin = group
@@ -343,8 +343,6 @@ impl DbCore {
             p.mem.approximate_size() >= self.opts.memtable_bytes
         };
         let apply_nanos = tl.elapsed().as_nanos().saturating_sub(wal_nanos);
-        // Publish: snapshots taken from here on see the whole group.
-        self.visible_seq.fetch_max(max_seq, Ordering::AcqRel);
         self.metrics.group_commits.incr();
         self.metrics.grouped_writes.add(total_ops as u64);
         let committer = &self.committers[pid];

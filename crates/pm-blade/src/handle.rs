@@ -113,8 +113,8 @@ impl SsTableHandle {
         tl: &mut Timeline,
         stages: &mut StageTimes,
     ) -> Result<Option<Lookup>, TableError> {
-        let (key, hashes, snapshot) = (probe.user_key, probe.hashes(), probe.snapshot);
-        let read = |tl: &mut Timeline| self.table.get_with(key, hashes, snapshot, tl);
+        let (key, hashes) = (probe.user_key, probe.hashes());
+        let read = |tl: &mut Timeline| self.table.get_with(key, hashes, SequenceNumber::MAX, tl);
         let found = stages.time(SpanKind::SsdRead, tl, read)?;
         Ok(found.map(|(seq, kind, value)| Lookup { seq, kind, value }))
     }

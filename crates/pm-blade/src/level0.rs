@@ -75,23 +75,21 @@ pub struct ProbeStats {
     pub sketch_probes: u64,
 }
 
-/// One get: the key, the snapshot it reads at, the cache PM groups come
+/// One get of the newest version: the key, the cache PM groups come
 /// through, and the key's one filter hash pair. The pair is hashed from
 /// this key at the first sketch or filter that asks — level-0's or an
 /// SSD table's — and reused by every later one; it is private, so it
 /// can only ever be this key's.
 pub struct Probe<'a> {
     pub(crate) user_key: &'a [u8],
-    pub(crate) snapshot: SequenceNumber,
     pub(crate) cache: &'a PmGroupCache,
     hashes: OnceCell<(u64, u64)>,
 }
 
 impl<'a> Probe<'a> {
-    pub fn new(user_key: &'a [u8], snapshot: SequenceNumber, cache: &'a PmGroupCache) -> Self {
+    pub fn new(user_key: &'a [u8], cache: &'a PmGroupCache) -> Self {
         Probe {
             user_key,
-            snapshot,
             cache,
             hashes: OnceCell::new(),
         }
@@ -131,8 +129,10 @@ impl Search<'_> {
         self.stats.tables_probed += 1;
         let before = tl.elapsed().as_nanos();
         let access = TableGroupCache::new(self.probe.cache, handle.cache_id);
-        let (key, snapshot) = (self.probe.user_key, self.probe.snapshot);
-        let hit = handle.table.get_with_cache(key, snapshot, tl, &access);
+        let key = self.probe.user_key;
+        let hit = handle
+            .table
+            .get_with_cache(key, SequenceNumber::MAX, tl, &access);
         let spent = tl.elapsed().as_nanos() - before;
         let (hits, misses) = (access.hits(), access.misses());
         let hit_nanos = if hits > 0 && misses == 0 { spent } else { 0 };
@@ -597,26 +597,21 @@ pub(crate) mod tests {
         cache: &PmGroupCache,
     ) -> (Option<Lookup>, ProbeStats, StageTimes) {
         let (mut stats, mut stages) = Default::default();
-        let hit = v.get(
-            &Probe::new(key, u64::MAX, cache),
-            tl,
-            &mut stats,
-            &mut stages,
-        );
+        let hit = v.get(&Probe::new(key, cache), tl, &mut stats, &mut stages);
         (hit, stats, stages)
     }
 
-    /// Uncached point lookup at `snapshot`.
-    fn get_lookup(v: &L0Version, key: &[u8], snapshot: u64) -> Option<Lookup> {
+    /// Uncached point lookup.
+    fn get_lookup(v: &L0Version, key: &[u8]) -> Option<Lookup> {
         let (mut stats, mut stages) = Default::default();
         let cache = PmGroupCache::disabled();
-        let probe = Probe::new(key, snapshot, &cache);
+        let probe = Probe::new(key, &cache);
         v.get(&probe, &mut Timeline::new(), &mut stats, &mut stages)
     }
 
     /// [`get_lookup`], returning the value.
-    fn get(v: &L0Version, key: &[u8], snapshot: u64) -> Option<Vec<u8>> {
-        get_lookup(v, key, snapshot).map(|hit| hit.value)
+    fn get(v: &L0Version, key: &[u8]) -> Option<Vec<u8>> {
+        get_lookup(v, key).map(|hit| hit.value)
     }
 
     #[test]
@@ -624,7 +619,7 @@ pub(crate) mod tests {
         let l0 = PmLevel0::new();
         assert!(l0.is_empty());
         assert_eq!(l0.bytes(), 0);
-        assert!(get(&l0, b"k", u64::MAX).is_none());
+        assert!(get(&l0, b"k").is_none());
     }
 
     #[test]
@@ -633,10 +628,11 @@ pub(crate) mod tests {
         let mut l0 = PmLevel0::new();
         push(&mut l0, &pool, vec![entry("k", 1, "old")]);
         push(&mut l0, &pool, vec![entry("k", 9, "new")]);
-        assert_eq!(get(&l0, b"k", u64::MAX).unwrap(), b"new");
-        // Snapshot below the newer version falls through to the older
-        // table.
-        assert_eq!(get(&l0, b"k", 5).unwrap(), b"old");
+        assert_eq!(get(&l0, b"k").unwrap(), b"new");
+        // The older table still holds its version; the newer shadows it.
+        let older = &l0.unsorted()[0].table;
+        let hit = older.get(b"k", u64::MAX, &mut Timeline::new()).unwrap();
+        assert_eq!(hit.value, b"old");
     }
 
     #[test]
@@ -648,9 +644,9 @@ pub(crate) mod tests {
             table(&pool, vec![entry("m", 3, "3"), entry("z", 4, "4")]),
         ]);
         push(&mut l0, &pool, vec![entry("b", 9, "fresh")]);
-        assert_eq!(get(&l0, b"m", u64::MAX).unwrap(), b"3");
-        assert_eq!(get(&l0, b"b", u64::MAX).unwrap(), b"fresh");
-        assert!(get(&l0, b"q", u64::MAX).is_none());
+        assert_eq!(get(&l0, b"m").unwrap(), b"3");
+        assert_eq!(get(&l0, b"b").unwrap(), b"fresh");
+        assert!(get(&l0, b"q").is_none());
         assert_eq!(l0.sorted_count(), 2);
         assert_eq!(l0.unsorted_count(), 1);
     }
@@ -670,7 +666,7 @@ pub(crate) mod tests {
         assert_eq!(l0.unsorted_count(), 0);
         assert_eq!(l0.sorted_count(), 1);
         assert!(pool.used() < before);
-        assert_eq!(get(&l0, b"a", u64::MAX).unwrap(), b"y");
+        assert_eq!(get(&l0, b"a").unwrap(), b"y");
     }
 
     #[test]
@@ -755,8 +751,8 @@ pub(crate) mod tests {
         assert_eq!(l0.locate(b"f"), None);
         assert_eq!(l0.locate(b"z"), None);
         let snap = l0.version();
-        assert_eq!(get(&snap, b"h", u64::MAX).unwrap(), b"3");
-        assert!(get(&snap, b"f", u64::MAX).is_none());
+        assert_eq!(get(&snap, b"h").unwrap(), b"3");
+        assert!(get(&snap, b"f").is_none());
     }
 
     #[test]
@@ -837,9 +833,9 @@ pub(crate) mod tests {
             mutate(&mut l0);
             // The held version still reads the pre-mutation tables —
             // even those whose pool regions the mutation freed.
-            assert_eq!(get(&held, b"u", u64::MAX).unwrap(), b"u-old", "{name}");
-            assert_eq!(get(&held, b"s", u64::MAX).unwrap(), b"s-old", "{name}");
-            let live = |key| get(&l0, key, u64::MAX).map(|v| String::from_utf8(v).unwrap());
+            assert_eq!(get(&held, b"u").unwrap(), b"u-old", "{name}");
+            assert_eq!(get(&held, b"s").unwrap(), b"s-old", "{name}");
+            let live = |key| get(&l0, key).map(|v| String::from_utf8(v).unwrap());
             assert_eq!(live(b"u").as_deref(), live_u, "{name}");
             assert_eq!(live(b"s").as_deref(), live_s, "{name}");
         }
@@ -976,9 +972,9 @@ pub(crate) mod tests {
     }
 
     /// Newest first over every table, consulting no filter or sketch.
-    fn reference(v: &L0Version, key: &[u8], snapshot: u64) -> Option<Lookup> {
+    fn reference(v: &L0Version, key: &[u8]) -> Option<Lookup> {
         let mut tables = v.unsorted().iter().rev().chain(v.sorted_run());
-        tables.find_map(|h| h.table.get(key, snapshot, &mut Timeline::new()))
+        tables.find_map(|h| h.table.get(key, u64::MAX, &mut Timeline::new()))
     }
 
     proptest! {
@@ -992,18 +988,12 @@ pub(crate) mod tests {
         fn prop_sketched_gets_equal_a_walk_of_every_table(
             prefill in vec(push_op(false), 0..80),
             ops in vec(op(), 1..40),
-            probes in vec((0..KEYS + 2, 0u64..6000), 8),
         ) {
             let pool = PmPool::new(64 << 20, CostModel::default());
-            // Every key (two never written) at the latest snapshot, and
-            // more anywhere in the sequences used.
-            let latest = (0..KEYS + 2).map(|k| (k, 0));
-            let probes: Vec<(Vec<u8>, u64)> = latest
-                .chain(probes)
-                .map(|(k, s)| (key(k), if s % 4 == 0 { u64::MAX } else { s % 1500 }))
-                .collect();
+            // Every key, two of them never written.
+            let probes: Vec<Vec<u8>> = (0..KEYS + 2).map(key).collect();
             let answers = |v: &L0Version| -> Vec<Option<Lookup>> {
-                probes.iter().map(|(k, s)| get_lookup(v, k, *s)).collect()
+                probes.iter().map(|k| get_lookup(v, k)).collect()
             };
             let (mut l0, mut seq, mut held) = (PmLevel0::new(), 0, Vec::new());
             for op in prefill.into_iter().chain(ops) {
@@ -1020,8 +1010,8 @@ pub(crate) mod tests {
                     }
                     Op::Hold => held.push((l0.version(), answers(&l0))),
                 }
-                for (k, snapshot) in &probes {
-                    prop_assert_eq!(get_lookup(&l0, k, *snapshot), reference(&l0, k, *snapshot));
+                for k in &probes {
+                    prop_assert_eq!(get_lookup(&l0, k), reference(&l0, k));
                 }
                 for (version, then) in &held {
                     prop_assert_eq!(&answers(version), then);

@@ -238,10 +238,10 @@ pub(crate) mod tests {
     use pmtable::OwnedEntry;
     use sim::CostModel;
 
-    /// A get at the latest snapshot, its key hashed afresh.
+    /// A get of the newest version, its key hashed afresh.
     fn latest(levels: &SsdLevels, key: &[u8], tl: &mut Timeline) -> Option<(Lookup, usize)> {
         let cache = crate::groupcache::PmGroupCache::disabled();
-        let probe = Probe::new(key, u64::MAX, &cache);
+        let probe = Probe::new(key, &cache);
         levels.get(&probe, tl, &mut StageTimes::default()).unwrap()
     }
 

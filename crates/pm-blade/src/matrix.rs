@@ -136,12 +136,7 @@ impl MatrixL0 {
 
     /// Cross-hint point lookup: full search cost on the first (newest)
     /// row, discounted hinted probes on the rest.
-    pub fn get(
-        &self,
-        user_key: &[u8],
-        snapshot: SequenceNumber,
-        tl: &mut Timeline,
-    ) -> Option<Lookup> {
+    pub fn get(&self, user_key: &[u8], tl: &mut Timeline) -> Option<Lookup> {
         let mut first_row_searched = false;
         for row in self.rows.iter().rev() {
             if row.first.as_slice() > user_key || row.last.as_slice() < user_key {
@@ -149,7 +144,7 @@ impl MatrixL0 {
             }
             if !first_row_searched {
                 first_row_searched = true;
-                if let Some(hit) = row.table.get(user_key, snapshot, tl) {
+                if let Some(hit) = row.table.get(user_key, SequenceNumber::MAX, tl) {
                     return Some(hit);
                 }
             } else {
@@ -157,7 +152,7 @@ impl MatrixL0 {
                 // row's search window; model as a constant small probe
                 // plus the actual (unmetered) verification.
                 let mut free = Timeline::new();
-                let hit = row.table.get(user_key, snapshot, &mut free);
+                let hit = row.table.get(user_key, SequenceNumber::MAX, &mut free);
                 // Two hinted PM touches instead of a full binary search.
                 tl.charge(opts_probe_cost() * 2);
                 if let Some(hit) = hit {
@@ -267,12 +262,12 @@ mod tests {
         flush(&mut m, &entries(1000, 50), &opts, &pool, &mut tl);
         assert_eq!(m.rows(), 2);
         // Newest row wins.
-        let hit = m.get(b"k00006", u64::MAX, &mut tl).unwrap();
+        let hit = m.get(b"k00006", &mut tl).unwrap();
         assert_eq!(hit.value, b"v1000-2");
-        // Snapshot below the newer flush sees the older row.
-        let hit = m.get(b"k00006", 500, &mut tl).unwrap();
+        // The older row still holds its version; the newer one shadows it.
+        let hit = m.rows[0].table.get(b"k00006", u64::MAX, &mut tl).unwrap();
         assert_eq!(hit.value, b"v1-2");
-        assert!(m.get(b"k00001", u64::MAX, &mut tl).is_none());
+        assert!(m.get(b"k00001", &mut tl).is_none());
     }
 
     #[test]

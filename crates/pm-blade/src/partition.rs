@@ -674,7 +674,7 @@ mod tests {
         for k in 0..160u8 {
             let (mut stats, mut stages) = Default::default();
             let key = [b'k', k];
-            let probe = crate::level0::Probe::new(&key, u64::MAX, &cache);
+            let probe = crate::level0::Probe::new(&key, &cache);
             let hit = l0.get(&probe, tl, &mut stats, &mut stages);
             assert_eq!(hit.unwrap().value, vec![k; 40]);
         }

@@ -136,8 +136,8 @@ impl Response {
 // --- framing ---------------------------------------------------------
 
 /// Write one frame around an already-encoded `payload`. Two writes
-/// (header, payload): hand it a buffered writer, or build the frame
-/// with [`Request::encode_frame_into`] / [`Response::encode_frame_into`].
+/// (header, payload): hand it a buffered writer, or send the message
+/// with [`Request::write`] / [`Response::write`], which frame it first.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {
     w.write_all(&frame::header(payload))?;
     w.write_all(payload)?;
@@ -196,16 +196,23 @@ fn release_scratch(buf: &mut Vec<u8>) {
 
 /// Frame a message into the scratch buffer `frame` and send it with
 /// one `write_all`: header and payload are contiguous, so the frame
-/// leaves as one TCP segment on a `TCP_NODELAY` socket.
+/// leaves as one TCP segment on a `TCP_NODELAY` socket. A payload over
+/// [`MAX_FRAME_BYTES`] is refused with nothing written: the peer would
+/// refuse it without reading it, and the stream would lose frame sync.
 fn write_framed<W: Write>(
     w: &mut W,
     frame: &mut Vec<u8>,
     payload: impl FnOnce(&mut Vec<u8>),
 ) -> Result<(), WireError> {
     frame_into(frame, payload);
-    let sent = w.write_all(frame);
+    let len = frame.len() - HEADER;
+    let sent = if len > MAX_FRAME_BYTES {
+        Err(WireError::TooLarge(len))
+    } else {
+        w.write_all(frame).map_err(WireError::from)
+    };
     release_scratch(frame);
-    Ok(sent?)
+    sent
 }
 
 /// Read one frame through the scratch buffer `payload` and decode it;
@@ -383,11 +390,6 @@ impl Request {
         out
     }
 
-    /// Append this request as one whole frame to `out`.
-    pub fn encode_frame_into(&self, out: &mut Vec<u8>) {
-        frame_into(out, |out| self.encode_payload_into(out));
-    }
-
     fn encode_payload_into(&self, out: &mut Vec<u8>) {
         match self {
             Request::Ping => out.push(tag::PING),
@@ -555,27 +557,17 @@ impl Request {
         Ok(req)
     }
 
-    /// Frame + write this request (one `write_all`).
-    pub fn write<W: Write>(&self, w: &mut W) -> Result<(), WireError> {
-        self.write_with(w, &mut Vec::new())
-    }
-
-    /// [`Self::write`] through a scratch buffer the connection reuses
-    /// (it comes back empty).
-    pub fn write_with<W: Write>(&self, w: &mut W, frame: &mut Vec<u8>) -> Result<(), WireError> {
+    /// Frame + write this request through the scratch buffer `frame`
+    /// the connection reuses (one `write_all`; the buffer comes back
+    /// empty). A payload over [`MAX_FRAME_BYTES`] is
+    /// [`WireError::TooLarge`], and nothing is written.
+    pub fn write<W: Write>(&self, w: &mut W, frame: &mut Vec<u8>) -> Result<(), WireError> {
         write_framed(w, frame, |out| self.encode_payload_into(out))
     }
 
-    /// Read one framed request; `Ok(None)` on clean EOF.
-    pub fn read<R: Read>(r: &mut R) -> Result<Option<Request>, WireError> {
-        Request::read_with(r, &mut Vec::new())
-    }
-
-    /// [`Self::read`] through a scratch buffer the connection reuses.
-    pub fn read_with<R: Read>(
-        r: &mut R,
-        payload: &mut Vec<u8>,
-    ) -> Result<Option<Request>, WireError> {
+    /// Read one framed request through the scratch buffer `payload`
+    /// the connection reuses; `Ok(None)` on clean EOF.
+    pub fn read<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> Result<Option<Request>, WireError> {
         read_framed(r, payload, Request::decode)
     }
 }
@@ -586,11 +578,6 @@ impl Response {
         let mut out = Vec::new();
         self.encode_payload_into(&mut out);
         out
-    }
-
-    /// Append this response as one whole frame to `out`.
-    pub fn encode_frame_into(&self, out: &mut Vec<u8>) {
-        frame_into(out, |out| self.encode_payload_into(out));
     }
 
     fn encode_payload_into(&self, out: &mut Vec<u8>) {
@@ -676,27 +663,17 @@ impl Response {
         Ok(resp)
     }
 
-    /// Frame + write this response (one `write_all`).
-    pub fn write<W: Write>(&self, w: &mut W) -> Result<(), WireError> {
-        self.write_with(w, &mut Vec::new())
-    }
-
-    /// [`Self::write`] through a scratch buffer the connection reuses
-    /// (it comes back empty).
-    pub fn write_with<W: Write>(&self, w: &mut W, frame: &mut Vec<u8>) -> Result<(), WireError> {
+    /// Frame + write this response through the scratch buffer `frame`
+    /// the connection reuses (one `write_all`; the buffer comes back
+    /// empty). A payload over [`MAX_FRAME_BYTES`] is
+    /// [`WireError::TooLarge`], and nothing is written.
+    pub fn write<W: Write>(&self, w: &mut W, frame: &mut Vec<u8>) -> Result<(), WireError> {
         write_framed(w, frame, |out| self.encode_payload_into(out))
     }
 
-    /// Read one framed response; `Ok(None)` on clean EOF.
-    pub fn read<R: Read>(r: &mut R) -> Result<Option<Response>, WireError> {
-        Response::read_with(r, &mut Vec::new())
-    }
-
-    /// [`Self::read`] through a scratch buffer the connection reuses.
-    pub fn read_with<R: Read>(
-        r: &mut R,
-        payload: &mut Vec<u8>,
-    ) -> Result<Option<Response>, WireError> {
+    /// Read one framed response through the scratch buffer `payload`
+    /// the connection reuses; `Ok(None)` on clean EOF.
+    pub fn read<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> Result<Option<Response>, WireError> {
         read_framed(r, payload, Response::decode)
     }
 }
@@ -845,7 +822,7 @@ mod tests {
     }
 
     #[test]
-    fn encode_frame_into_appends_the_bytes_write_frame_sends() {
+    fn write_sends_the_bytes_write_frame_sends() {
         let put = Request::Put {
             key: b"k".to_vec(),
             value: vec![3u8; 300],
@@ -854,11 +831,12 @@ mod tests {
         let mut expect = Vec::new();
         write_frame(&mut expect, &put.encode_payload()).unwrap();
         write_frame(&mut expect, &reply.encode_payload()).unwrap();
-        let mut frames = Vec::new();
-        put.encode_frame_into(&mut frames);
+        let (mut frames, mut scratch) = (Vec::new(), Vec::new());
+        put.write(&mut frames, &mut scratch).unwrap();
         let first = frames.len();
-        reply.encode_frame_into(&mut frames);
+        reply.write(&mut frames, &mut scratch).unwrap();
         assert_eq!(frames, expect);
+        assert!(scratch.is_empty());
 
         // `starts_with_frame` needs the header and every payload byte.
         for cut in 0..first {
@@ -901,6 +879,23 @@ mod tests {
             read_frame(&mut std::io::Cursor::new(bad)),
             Err(WireError::TooLarge(_))
         ));
+    }
+
+    #[test]
+    fn over_cap_reply_is_refused_before_a_byte_is_written() {
+        // 33 MiB of rows: one MiB past the cap.
+        let rows = (0..33u8).map(|i| (vec![i], vec![i; 1 << 20])).collect();
+        let reply = Response::Rows {
+            rows,
+            latency_nanos: 1,
+        };
+        let (mut wire, mut scratch) = (Vec::new(), Vec::new());
+        assert!(matches!(
+            reply.write(&mut wire, &mut scratch),
+            Err(WireError::TooLarge(len)) if len > MAX_FRAME_BYTES
+        ));
+        assert!(wire.is_empty(), "nothing was sent");
+        assert!(scratch.is_empty() && scratch.capacity() <= SCRATCH_KEEP_BYTES);
     }
 
     #[test]

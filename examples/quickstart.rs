@@ -26,12 +26,9 @@ fn main() -> Result<(), pm_blade::DbError> {
         out.source,
     );
 
-    // Deletes write tombstones; reads below a snapshot still see history.
-    let snapshot = db.snapshot();
+    // Deletes write tombstones; reads see the newest version.
     db.delete(b"order:1002")?;
     assert!(db.get(b"order:1002")?.value.is_none());
-    let old = db.get_with(b"order:1002", snapshot, None)?;
-    assert!(old.value.is_some(), "snapshot read sees the old value");
 
     // Range scans merge the memtable, PM level-0 and SSD levels.
     for i in 0..2_000u32 {

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use pm_blade::{CompactionRequest, Db, Options, ScanRequest};
+use pm_blade::{CompactionRequest, Db, Options, ScanRequest, WriteBatch};
 use pm_blade_client::Client;
 use pm_blade_server::{Server, ServerOptions};
 
@@ -47,11 +47,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lat = client.put(b"order:1001", b"status=placed")?;
     println!("put      : committed in {lat}ns (engine virtual time)");
 
-    // Many writes in one round trip.
-    let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..2_000u32)
-        .map(|i| (format!("order:{i:06}").into_bytes(), b"payload".to_vec()))
-        .collect();
-    client.put_batch(&pairs)?;
+    // Many writes in one round trip, applied as the engine's batch.
+    let mut batch = WriteBatch::new();
+    for i in 0..2_000u32 {
+        batch.put(format!("order:{i:06}"), "payload");
+    }
+    client.write_batch(batch)?;
 
     let value = client.get(b"order:001234")?;
     println!(

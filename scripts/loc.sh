@@ -4,7 +4,8 @@
 # Per crate: lines of src/**/*.rs up to the file's first `#[cfg(test)]`
 # that are neither blank nor start with `//` (so doc comments and test
 # modules do not count; a `src/**/tests.rs` file is a test module as a
-# whole). Also the non-test `pub fn` count of pm-blade, the field count
+# whole). Also the non-test `pub fn` count of pm-blade and of
+# pm-blade-client (the engine's and the client's surface), the field count
 # of `Options`, and the largest source file under crates/*/src by the
 # same count. Prints one table; `--max-file N` also exits 1 when that
 # largest file has more than N code lines — the one thing it gates, so
@@ -34,33 +35,35 @@ pub_fns() {
         END { print n + 0 }' "$@" /dev/null
 }
 
-printf '%-18s %8s\n' crate code_lines
+printf '%-22s %8s\n' crate code_lines
 total=0
 for dir in crates/*/; do
     crate=$(basename "$dir")
     mapfile -t files < <(find "$dir/src" -name '*.rs' | sort)
     n=$(code_lines "${files[@]}")
     total=$((total + n))
-    printf '%-18s %8d\n' "$crate" "$n"
+    printf '%-22s %8d\n' "$crate" "$n"
 done
-printf '%-18s %8d\n' "all of crates/" "$total"
+printf '%-22s %8d\n' "all of crates/" "$total"
 
 mapfile -t engine < <(find crates/pm-blade/src -name '*.rs' | sort)
-printf '%-18s %8d\n' "pm-blade pub fn" "$(pub_fns "${engine[@]}")"
+printf '%-22s %8d\n' "pm-blade pub fn" "$(pub_fns "${engine[@]}")"
+mapfile -t client < <(find crates/pm-blade-client/src -name '*.rs' | sort)
+printf '%-22s %8d\n' "pm-blade-client pub fn" "$(pub_fns "${client[@]}")"
 fields=$(awk '
     /^pub struct Options \{/ { inside = 1; next }
     inside && /^\}/ { exit }
     inside && /^    pub [a-z_0-9]+:/ { n++ }
     END { print n + 0 }
 ' crates/pm-blade/src/options.rs)
-printf '%-18s %8d\n' "Options fields" "$fields"
+printf '%-22s %8d\n' "Options fields" "$fields"
 
 mapfile -t sources < <(find crates/*/src -name '*.rs' | sort)
 read -r largest largest_file < <(awk "$non_test"'
     /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
     { if (++n[FILENAME] > max) { max = n[FILENAME]; at = FILENAME } }
     END { print max + 0, at }' "${sources[@]}")
-printf '%-18s %8d  %s\n' "largest file" "$largest" "$largest_file"
+printf '%-22s %8d  %s\n' "largest file" "$largest" "$largest_file"
 if [[ ${1:-} == --max-file ]] && ((largest > $2)); then
     echo "loc: $largest_file has $largest code lines, more than $2" >&2
     exit 1

@@ -5,8 +5,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use pm_blade::{
-    CompactionRequest, Db, MaintenanceMode, MetricKey, Mode, Options, Partitioner, SimDuration,
-    WriteBatch,
+    CompactionRequest, Db, MaintenanceMode, MetricKey, Mode, Options, Partitioner, ScanRequest,
+    SimDuration, WriteBatch,
 };
 use proptest::prelude::*;
 
@@ -319,17 +319,17 @@ fn close_drains_the_maintenance_queue() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..Default::default() })]
 
-    /// WriteBatch atomicity against concurrent snapshot readers: one
-    /// writer applies numbered batches that rewrite a fixed key set; a
-    /// reader taking a snapshot must observe every key at the *same*
-    /// batch number — never a mix.
+    /// WriteBatch atomicity against concurrent scans: one writer
+    /// applies numbered batches that rewrite a fixed key set, all in one
+    /// partition; a reader scanning the set must observe every key at
+    /// the *same* batch number — never a mix. A scan holds the
+    /// partition read lock for its whole pass, and the commit leader
+    /// applies a group under one write lock.
     ///
-    /// The memtable is sized so no flush happens: compactions keep only
-    /// the newest version of each key (the engine does not pin live
-    /// snapshots), so snapshot reads are only stable against versions
-    /// that still exist. Batch visibility itself is what's under test.
+    /// The memtable is sized so no flush happens: batch visibility is
+    /// what is under test.
     #[test]
-    fn write_batch_is_atomic_under_concurrent_gets(
+    fn write_batch_is_atomic_under_concurrent_scans(
         keys in 2usize..6,
         rounds in 5u32..25,
     ) {
@@ -369,19 +369,12 @@ proptest! {
                 s.spawn(move || {
                     loop {
                         let finished = done.load(Ordering::Relaxed);
-                        let snap = db.snapshot();
-                        let observed: Vec<Vec<u8>> = key_names
-                            .iter()
-                            .map(|k| {
-                                db.get_with(k.as_bytes(), snap, None)
-                                    .unwrap()
-                                    .value
-                                    .expect("seeded key must exist")
-                            })
-                            .collect();
+                        let scan = ScanRequest::new().start("atomic-").end("atomic.");
+                        let (rows, _) = db.scan(scan).unwrap();
+                        assert_eq!(rows.len(), key_names.len(), "every seeded key is live");
                         assert!(
-                            observed.windows(2).all(|w| w[0] == w[1]),
-                            "torn batch at snapshot {snap}: {observed:?}"
+                            rows.windows(2).all(|w| w[0].1 == w[1].1),
+                            "torn batch: {rows:?}"
                         );
                         if finished {
                             break;

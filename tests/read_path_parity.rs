@@ -466,12 +466,7 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
     let l0_get = |version: &L0Version, k: u16| {
         let (mut stats, mut stages) = Default::default();
         let (key, tl) = (key(k), &mut Timeline::new());
-        version.get(
-            &Probe::new(&key, u64::MAX, &cache),
-            tl,
-            &mut stats,
-            &mut stages,
-        )
+        version.get(&Probe::new(&key, &cache), tl, &mut stats, &mut stages)
     };
     // Every key the version held when it was taken, from its own tables.
     let check_held = |held: &L0Version, keys: std::ops::Range<u16>, when: &str| {
@@ -486,9 +481,7 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
             let (tl, stages) = (&mut Timeline::new(), &mut StageTimes::default());
             let hit = l0_get(&version(p), k).or_else(|| {
                 let key = key(k);
-                let below = p
-                    .levels
-                    .get(&Probe::new(&key, u64::MAX, &cache), tl, stages);
+                let below = p.levels.get(&Probe::new(&key, &cache), tl, stages);
                 below.unwrap().map(|(hit, _)| hit)
             });
             let value = hit.and_then(|l| l.into_value());

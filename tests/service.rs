@@ -8,9 +8,9 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pm_blade::protocol::{read_frame, write_frame, Request, Response, WireError};
-use pm_blade::{BatchOp, CompactionRequest, Mode, ScanRequest, TraceContext, TraceOp};
-use pm_blade_client::{Client, ClientOptions};
+use pm_blade::protocol::{read_frame, write_frame, Request, Response, WireError, MAX_FRAME_BYTES};
+use pm_blade::{BatchOp, CompactionRequest, Mode, ScanRequest, TraceContext, TraceOp, WriteBatch};
+use pm_blade_client::{Client, ClientError, ClientOptions};
 use pm_blade_server::{Server, ServerOptions};
 use pmblade_integration_tests::{key_for, tiny_options, value_for};
 use proptest::prelude::*;
@@ -105,18 +105,18 @@ proptest! {
     #[test]
     fn request_roundtrips_through_frames(req in request_strategy()) {
         let mut wire = Vec::new();
-        req.write(&mut wire).unwrap();
+        req.write(&mut wire, &mut Vec::new()).unwrap();
         let mut cursor = std::io::Cursor::new(&wire);
-        let back = Request::read(&mut cursor).unwrap().expect("one frame");
+        let back = Request::read(&mut cursor, &mut Vec::new()).unwrap().expect("one frame");
         prop_assert_eq!(back, req);
-        prop_assert!(Request::read(&mut cursor).unwrap().is_none(), "clean EOF");
+        prop_assert!(Request::read(&mut cursor, &mut Vec::new()).unwrap().is_none(), "clean EOF");
     }
 
     #[test]
     fn response_roundtrips_through_frames(resp in response_strategy()) {
         let mut wire = Vec::new();
-        resp.write(&mut wire).unwrap();
-        let back = Response::read(&mut std::io::Cursor::new(&wire))
+        resp.write(&mut wire, &mut Vec::new()).unwrap();
+        let back = Response::read(&mut std::io::Cursor::new(&wire), &mut Vec::new())
             .unwrap()
             .expect("one frame");
         prop_assert_eq!(back, resp);
@@ -129,7 +129,7 @@ proptest! {
         cut in 1usize..32,
     ) {
         let mut wire = Vec::new();
-        req.write(&mut wire).unwrap();
+        req.write(&mut wire, &mut Vec::new()).unwrap();
         // Any single bit flip must be caught: in the length/CRC header
         // it desynchronizes or mismatches; in the payload the CRC
         // catches it.
@@ -207,10 +207,11 @@ fn loopback_parity_with_direct_db_calls() {
                 client.ping().expect("ping");
                 for i in (t * PER_THREAD)..((t + 1) * PER_THREAD) {
                     if i % 3 == 0 {
-                        let batch: Vec<_> = (0..3)
-                            .map(|j| (key_for(i * 10 + j), value_for(i, 48)))
-                            .collect();
-                        client.put_batch(&batch).expect("batch");
+                        let mut batch = WriteBatch::new();
+                        for j in 0..3 {
+                            batch.put(key_for(i * 10 + j), value_for(i, 48));
+                        }
+                        client.write_batch(batch).expect("batch");
                     } else {
                         client
                             .put(&key_for(i * 10), &value_for(i, 48))
@@ -289,8 +290,8 @@ fn shutdown_drains_pipelined_requests_without_lost_acks() {
     // Handshake first, so the handler thread is provably attached
     // before shutdown starts (otherwise the not-yet-accepted socket is
     // reset when the listener drops).
-    Request::Ping.write(&mut stream).unwrap();
-    match Response::read(&mut stream) {
+    Request::Ping.write(&mut stream, &mut Vec::new()).unwrap();
+    match Response::read(&mut stream, &mut Vec::new()) {
         Ok(Some(Response::Pong)) => {}
         other => panic!("handshake failed: {other:?}"),
     }
@@ -299,7 +300,7 @@ fn shutdown_drains_pipelined_requests_without_lost_acks() {
             key: key_for(i),
             value: value_for(i, 32),
         }
-        .write(&mut stream)
+        .write(&mut stream, &mut Vec::new())
         .unwrap();
     }
     stream.flush().unwrap();
@@ -312,7 +313,7 @@ fn shutdown_drains_pipelined_requests_without_lost_acks() {
         .unwrap();
     let mut acked = 0;
     loop {
-        match Response::read(&mut stream) {
+        match Response::read(&mut stream, &mut Vec::new()) {
             Ok(Some(Response::Written { .. })) => acked += 1,
             Ok(Some(other)) => panic!("unexpected response {other:?}"),
             Ok(None) => break,
@@ -381,17 +382,50 @@ fn corrupt_frame_gets_error_response_and_disconnect() {
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    match Response::read(&mut stream) {
+    match Response::read(&mut stream, &mut Vec::new()) {
         Ok(Some(Response::Error { code: 0, message })) => {
             assert!(message.contains("corrupt"), "got message {message:?}");
         }
         other => panic!("expected a code-0 error, got {other:?}"),
     }
     // The server hangs up after a framing error.
-    assert!(Response::read(&mut stream).unwrap().is_none());
+    assert!(Response::read(&mut stream, &mut Vec::new())
+        .unwrap()
+        .is_none());
 
     let db = server.shutdown();
     assert!(db.metrics_snapshot().counter("server_errors_total") > 0);
+}
+
+/// A reply over the frame cap is refused before a byte of it leaves:
+/// the client hears why, and the connection keeps its frame sync.
+#[test]
+fn over_cap_scan_reply_is_an_error_and_the_connection_lives_on() {
+    let engine = pm_blade::Options {
+        memtable_bytes: 64 << 20,
+        ..pm_blade::Options::pm_blade(128 << 20)
+    };
+    let (server, db) = start_server_custom(engine, quick_poll());
+    // 33 MiB of rows, all in the memtable: one MiB past the cap.
+    let value = vec![b'v'; 1 << 20];
+    for i in 0..33u64 {
+        db.put(&key_for(i), &value).unwrap();
+    }
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    match client.scan(ScanRequest::new()) {
+        Err(ClientError::Remote { code: 0, message }) => {
+            let cap = MAX_FRAME_BYTES.to_string();
+            assert!(message.contains(&cap), "got message {message:?}");
+        }
+        other => panic!("expected a code-0 error, got {other:?}"),
+    }
+    client
+        .ping()
+        .expect("the connection is still in frame sync");
+    assert_eq!(client.get(&key_for(0)).unwrap(), Some(value));
+    drop(client);
+    let db = server.shutdown();
+    assert_eq!(db.metrics_snapshot().counter("server_errors_total"), 1);
 }
 
 #[test]
@@ -473,7 +507,7 @@ fn frames(requests: &[Request]) -> (Vec<u8>, Vec<usize>) {
     let ends = requests
         .iter()
         .map(|r| {
-            r.encode_frame_into(&mut wire);
+            r.write(&mut wire, &mut Vec::new()).unwrap();
             wire.len()
         })
         .collect();
@@ -481,7 +515,7 @@ fn frames(requests: &[Request]) -> (Vec<u8>, Vec<usize>) {
 }
 
 fn read_reply(stream: &mut std::net::TcpStream) -> Response {
-    Response::read(stream)
+    Response::read(stream, &mut Vec::new())
         .expect("reply arrives")
         .expect("connection still open")
 }
@@ -787,7 +821,7 @@ fn traced_remote_get_spans_client_server_engine() {
         sampled: false,
         ..TraceContext::sampled(LIVE_ID)
     };
-    let (value, _) = client.get_traced(&key_for(7), unsampled).unwrap();
+    let (value, _) = client.get_with(&key_for(7), Some(unsampled)).unwrap();
     assert_eq!(value, Some(value_for(107, 64)));
     assert_eq!(db.metrics_snapshot().counter("trace_sampled_total"), 0);
     assert!(db.flight_recorder().is_empty());
@@ -795,7 +829,7 @@ fn traced_remote_get_spans_client_server_engine() {
     // A traced get of a live key: the client-chosen id must appear in
     // the server-side flight recorder with a stage breakdown.
     let ctx = TraceContext::sampled(LIVE_ID);
-    let (value, latency) = client.get_traced(&key_for(7), ctx).unwrap();
+    let (value, latency) = client.get_with(&key_for(7), Some(ctx)).unwrap();
     assert_eq!(value, Some(value_for(107, 64)));
     assert!(latency > 0);
     assert_eq!(db.metrics_snapshot().counter("trace_sampled_total"), 1);
@@ -816,7 +850,7 @@ fn traced_remote_get_spans_client_server_engine() {
     for i in 0..64u64 {
         let key = format!("key{:08}x{i:02}", i % 19).into_bytes();
         let (miss, _) = client
-            .get_traced(&key, TraceContext::sampled(PROBE_BASE + i))
+            .get_with(&key, Some(TraceContext::sampled(PROBE_BASE + i)))
             .unwrap();
         assert_eq!(miss, None, "probe keys must not exist");
     }
@@ -916,7 +950,7 @@ fn debug_endpoint_serves_flight_recorder_and_queue_state() {
     let mut client = Client::connect(addr).unwrap();
     client.put(b"slow", b"query").unwrap();
     client
-        .get_traced(b"slow", TraceContext::sampled(WIRE_ID))
+        .get_with(b"slow", Some(TraceContext::sampled(WIRE_ID)))
         .unwrap();
 
     let response = http_request(metrics_addr, "GET", "/debug");

@@ -30,42 +30,44 @@ fn traced_opts(mode: Mode) -> pm_blade::Options {
 // Read-path stage attribution
 // -------------------------------------------------------------------
 
-/// A snapshot read that finds only an invisible newer version in PM
-/// walks every leg of the read path: memtable probe (miss), filter
-/// consult (pass — the key *is* in the PM table), PM group decode
-/// (entry too new for the snapshot), SSD search (hit). Four distinct
+/// A get that PM level-0 must search but cannot answer walks every leg
+/// of the read path: memtable probe (miss), filter consult (the sorted
+/// run's candidate table passes the key), PM group decode (the key is
+/// not there), SSD search (hit). Keys the sorted run covers but does not
+/// hold are tried until one's get decodes a group: with filters on, a
+/// bloom false positive; with them off, the first key. Four distinct
 /// stages, deterministically.
 #[test]
 fn sampled_get_attributes_four_distinct_stages() {
+    const KEYS: u64 = 2000;
     let db = Db::open(traced_opts(Mode::PmBlade)).unwrap();
-    for i in 0..16u64 {
+    for i in 0..KEYS {
         db.put(&key_for(i), &value_for(i, 64)).unwrap();
     }
     db.compact(CompactionRequest::FlushAll).unwrap();
     db.compact(CompactionRequest::Major { partition: 0 })
         .unwrap();
-    // Old versions now live on the SSD; remember a sequence that sees
-    // them, then overwrite so PM level-0 holds newer versions.
-    let snap = db.snapshot();
-    for i in 0..16u64 {
-        db.put(&key_for(i), &value_for(i + 100, 64)).unwrap();
+    // Every key now lives on the SSD. Rewrite the even ones into a PM
+    // sorted run: it covers the odd keys and holds none of them.
+    for i in (0..KEYS).step_by(2) {
+        db.put(&key_for(i), &value_for(i + KEYS, 64)).unwrap();
     }
     db.compact(CompactionRequest::FlushAll).unwrap();
+    db.compact(CompactionRequest::Internal { partition: 0 })
+        .unwrap();
 
-    let got = db.get_with(&key_for(3), snap, None).unwrap();
-    assert_eq!(
-        got.value,
-        Some(value_for(3, 64)),
-        "snapshot sees the old version"
-    );
-    assert_eq!(got.source, ReadSource::Ssd);
-
-    let traces = db.flight_recorder();
-    let trace = traces
-        .iter()
-        .rev()
-        .find(|t| t.op == TraceOp::Get && t.stages.iter().any(|s| s.kind == SpanKind::SsdRead))
-        .expect("the snapshot get must be in the flight recorder");
+    let decodes = |t: &RequestTrace| t.stages.iter().any(|s| s.kind == SpanKind::PmDecodeMiss);
+    let trace = (1..KEYS)
+        .step_by(2)
+        .find_map(|i| {
+            let got = db.get(&key_for(i)).unwrap();
+            assert_eq!(got.value, Some(value_for(i, 64)), "key {i}");
+            assert_eq!(got.source, ReadSource::Ssd, "key {i}");
+            let trace = db.flight_recorder().pop().expect("every get is recorded");
+            assert_eq!(trace.op, TraceOp::Get);
+            decodes(&trace).then_some(trace)
+        })
+        .expect("some covered key's get decodes a PM group");
     let kinds: BTreeSet<&str> = trace.stages.iter().map(|s| s.kind.as_str()).collect();
     for want in [
         "memtable_probe",
