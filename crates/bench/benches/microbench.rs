@@ -92,11 +92,11 @@ fn bench_szip(c: &mut Criterion) {
         .flat_map(|e| e.user_key.iter().chain(e.value.iter()).copied())
         .collect();
     c.bench_function("szip/compress_8k", |b| {
-        b.iter(|| encoding::szip::compress(&raw))
+        b.iter(|| bench::szip::compress(&raw))
     });
-    let compressed = encoding::szip::compress(&raw);
+    let compressed = bench::szip::compress(&raw);
     c.bench_function("szip/decompress_8k", |b| {
-        b.iter(|| encoding::szip::decompress(&compressed).unwrap())
+        b.iter(|| bench::szip::decompress(&compressed).unwrap())
     });
 }
 

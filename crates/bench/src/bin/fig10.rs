@@ -13,8 +13,8 @@
 //! throughput +51%.
 
 use bench::{us, Table};
-use pm_blade::{Db, Mode, Options, Relational};
-use workloads::{run_meituan, MeituanWorkload};
+use pm_blade::{Db, Mode, Options};
+use workloads::{run_meituan, MeituanWorkload, Relational};
 
 /// The five ablation rungs.
 #[derive(Clone, Copy, Debug)]

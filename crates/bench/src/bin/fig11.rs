@@ -9,8 +9,8 @@
 //! RocksDB and ~2.6× MatrixKV.
 
 use bench::{mib, us, Table};
-use pm_blade::{Db, Options, Relational};
-use workloads::{run_meituan, MeituanWorkload};
+use pm_blade::{Db, Options};
+use workloads::{run_meituan, MeituanWorkload, Relational};
 
 fn main() {
     let systems: [(&str, Options); 4] = [

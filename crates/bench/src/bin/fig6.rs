@@ -11,12 +11,14 @@
 
 use std::sync::Arc;
 
+use bench::compressed_array::{
+    SnappyGroupTable, SnappyGroupTableBuilder, SnappyTable, SnappyTableBuilder,
+};
 use bench::{index_entries, us, Table};
 use encoding::key::KeyKind;
 use pm_device::PmPool;
 use pmtable::{
     ArrayTable, ArrayTableBuilder, L0Table, MetaExtractor, PmTable, PmTableBuilder, PmTableOptions,
-    SnappyGroupTable, SnappyGroupTableBuilder, SnappyTable, SnappyTableBuilder,
 };
 use sim::{CostModel, Pcg64, SimDuration, Timeline};
 use ssd_device::SsdDevice;

@@ -38,7 +38,8 @@ fn main() {
             dup_ratio: 0.25,
             ..TraceParams::default()
         };
-        // The paper: concurrency 4, two cores, q = 4.
+        // The paper: concurrency 4, two cores, q = 4 (the scheduler's
+        // default, which the engine's background workers run at).
         let tasks = coroutine::trace::split(&params, 4, 55);
         let mut cells = [
             vec![format!("{value_size}B")],
@@ -49,8 +50,6 @@ fn main() {
         for (_, policy) in policies {
             let report = Scheduler::new(SchedulerConfig {
                 policy,
-                cores: 2,
-                max_io: 4,
                 ..SchedulerConfig::default()
             })
             .run(&tasks);

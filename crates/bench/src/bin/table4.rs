@@ -21,7 +21,7 @@ fn main() {
         opts.pm_capacity = 32 << 20;
         // Eq 3 never fires: PM use cannot pass the pool's capacity.
         opts.tau_m = opts.pm_capacity;
-        opts.scalars.binary_search = sim::SimDuration::ZERO; // Eq1 off
+        // Eq 1 never fires either: the load reads nothing.
         let mut db = Db::open(opts).unwrap();
         bench::load_data(&mut db, 4 << 20, 1024, skew, 1000);
         db.compact(CompactionRequest::FlushAll).unwrap();

@@ -15,10 +15,10 @@ fn run(mode: Mode, value_size: usize) -> sim::SimDuration {
     opts.l0_unsorted_hard_cap = usize::MAX;
     opts.l0_table_trigger = usize::MAX;
     opts.tau_w = usize::MAX;
-    opts.scalars.binary_search = sim::SimDuration::ZERO;
     opts.pm_capacity = 16 << 20;
     // Eq 3 never fires: PM use cannot pass the pool's capacity.
     opts.tau_m = opts.pm_capacity;
+    // Eq 1 never fires either: the load reads nothing.
     let mut db = Db::open(opts).unwrap();
     bench::load_data(&mut db, 1 << 20, value_size, 0.3, 2000);
     db.compact(CompactionRequest::FlushAll).unwrap();

@@ -5,6 +5,10 @@
 //! common pieces: the scaled system configurations, dataset builders and
 //! plain-text table printing.
 //!
+//! It also holds the code only a figure runs: [`compressed_array`], Fig
+//! 6's two snappy-compressed array baselines, over [`szip`], the LZ codec
+//! standing in for snappy.
+//!
 //! ## Scaling
 //!
 //! The paper ran 200 GB datasets against 80 GB of PM with 64 MB
@@ -17,6 +21,9 @@
 //! | PM level-0     | 80 GB  | 8 MB  |
 //! | MatrixKV PM    | 8 GB   | 0.8 MB |
 //! | memtable       | 64 MB  | 32 KB |
+
+pub mod compressed_array;
+pub mod szip;
 
 use pm_blade::{Db, Mode, Options};
 use pmtable::OwnedEntry;

@@ -16,9 +16,6 @@
 //! - [`delta`] / [`bitpack`]: zigzag + delta transforms and fixed-width
 //!   bit packing behind the PM table's numeric codecs (encoding v2), plus
 //!   the [`delta::CodecStats`] shape fold that picks a table's codec.
-//! - [`szip`]: a small LZ77-class byte compressor standing in for snappy in
-//!   the Array-snappy baselines (Fig 6) — same architecture (literal /
-//!   copy tags, greedy hash-chain matcher), no external dependency.
 
 pub mod bitpack;
 pub mod bloom;
@@ -28,7 +25,6 @@ pub mod frame;
 pub mod hash;
 pub mod key;
 pub mod prefix;
-pub mod szip;
 pub mod varint;
 
 pub use key::{InternalKey, KeyKind, SequenceNumber, MAX_SEQUENCE};

@@ -13,6 +13,9 @@
 //! 3. **Warm-data retention (Eq 3)** — at major compaction, keep the
 //!    hottest partitions in PM: maximize `Σ nʳᵢ` subject to
 //!    `Σ sᵢ ≤ τ_t`, solved greedily by read density `nʳᵢ / sᵢ`.
+//!
+//! Table II's four scalars are the constants [`I_B`], [`I_P`], [`I_S`]
+//! and [`T_HAT_P`].
 
 use encoding::delta::CodecStats;
 use pm_device::PmPool;
@@ -22,8 +25,18 @@ use pmtable::{
 };
 use sim::{CostModel, Counter, SimDuration, SimInstant, Timeline};
 
-use crate::options::CostScalars;
 use crate::telemetry::CostDecision;
+
+/// `I_b`: cost of binary-searching one PM table.
+pub const I_B: SimDuration = SimDuration::from_micros(2);
+/// `I_p`: internal-compaction cost per record.
+pub const I_P: SimDuration = SimDuration::from_micros(2);
+/// `I_s`: major-compaction cost per record.
+pub const I_S: SimDuration = SimDuration::from_micros(5);
+/// `t̂_p`: wall time internal compaction spends per record, calibrated
+/// so Eq 1 fires around `n_i ≈ 10` unsorted tables at the virtual-time
+/// read rates the engine observes (~5k reads/s).
+pub const T_HAT_P: SimDuration = SimDuration::from_micros(40);
 
 /// Per-partition access counters from Table II. The engine resets them
 /// when a compaction touches the partition ("re-zeroed when a major
@@ -96,7 +109,6 @@ pub fn explain_read_benefit(
     counters: &PartitionCounters,
     unsorted: usize,
     now: SimInstant,
-    scalars: &CostScalars,
     prune_ratio: f64,
     probe_decode: SimDuration,
 ) -> CostDecision {
@@ -114,10 +126,9 @@ pub fn explain_read_benefit(
         return decision(false);
     }
     let effective = unsorted as f64 * (1.0 - prune_ratio.clamp(0.0, 1.0));
-    let probe = (scalars.binary_search + probe_decode).as_secs_f64();
+    let probe = (I_B + probe_decode).as_secs_f64();
     let benefit_per_sec = rate * (effective / 2.0) * probe;
-    let work_rate = scalars.internal_per_record.as_secs_f64()
-        / scalars.internal_time_per_record.as_secs_f64().max(1e-12);
+    let work_rate = I_P.as_secs_f64() / T_HAT_P.as_secs_f64();
     decision(benefit_per_sec > work_rate)
 }
 
@@ -145,7 +156,6 @@ pub fn explain_write_benefit(
     counters: &PartitionCounters,
     l0_records: usize,
     gated: bool,
-    scalars: &CostScalars,
     decode_per_record: SimDuration,
 ) -> CostDecision {
     let (writes, updates) = (counters.writes.get(), counters.updates.get());
@@ -160,8 +170,8 @@ pub fn explain_write_benefit(
         return decision(false);
     }
     let removable = updates.min(writes) as f64;
-    let saved = removable * scalars.major_per_record.as_secs_f64();
-    let spent = l0_records as f64 * (scalars.internal_per_record + decode_per_record).as_secs_f64();
+    let saved = removable * I_S.as_secs_f64();
+    let spent = l0_records as f64 * (I_P + decode_per_record).as_secs_f64();
     decision(gated && saved > spent)
 }
 
@@ -365,10 +375,6 @@ mod tests {
     use super::*;
     use sim::SimDuration;
 
-    fn scalars() -> CostScalars {
-        CostScalars::default()
-    }
-
     fn at(secs: u64) -> SimInstant {
         SimInstant::ORIGIN + SimDuration::from_secs(secs)
     }
@@ -392,12 +398,12 @@ mod tests {
         prune_ratio: f64,
         probe_decode: SimDuration,
     ) -> bool {
-        explain_read_benefit(0, c, unsorted, now, &scalars(), prune_ratio, probe_decode).triggered()
+        explain_read_benefit(0, c, unsorted, now, prune_ratio, probe_decode).triggered()
     }
 
     /// Eq 2's verdict with the τ_w gate open.
     fn eq2(c: &PartitionCounters, l0_records: usize, decode_per_record: SimDuration) -> bool {
-        explain_write_benefit(0, c, l0_records, true, &scalars(), decode_per_record).triggered()
+        explain_write_benefit(0, c, l0_records, true, decode_per_record).triggered()
     }
 
     #[test]
@@ -455,8 +461,7 @@ mod tests {
         assert!(!eq2(&empty, 1000, SimDuration::ZERO));
         assert!(!eq2(&c, 0, SimDuration::ZERO));
         // The τ_w gate closes a verdict the comparison alone would open.
-        let s = scalars();
-        assert!(!explain_write_benefit(0, &c, 1000, false, &s, SimDuration::ZERO).triggered());
+        assert!(!explain_write_benefit(0, &c, 1000, false, SimDuration::ZERO).triggered());
     }
 
     #[test]

@@ -280,7 +280,6 @@ impl DbCore {
                         &partition.counters,
                         unsorted,
                         now,
-                        &self.opts.scalars,
                         self.filter_prune_ratio(),
                         probe_decode,
                     );
@@ -291,7 +290,6 @@ impl DbCore {
                         &partition.counters,
                         partition.level0.entries(),
                         partition.pm_bytes() >= self.opts.tau_w,
-                        &self.opts.scalars,
                         decode_per_record,
                     );
                     let d_hard = CostDecision::HardCap {
@@ -415,7 +413,7 @@ impl DbCore {
     /// background workers; the inline path keeps the single-install
     /// major for deterministic span counts.
     fn do_major_chunked(&self, pid: usize, origin: u64) -> Result<(), DbError> {
-        let k = maintenance::chunk_count(&coroutine::SchedulerConfig::default());
+        let k = maintenance::COMPACTION_CHUNKS;
         let total = self.partitions[pid].read().l0_table_count();
         if k <= 1 || total == 0 {
             // Nothing to split (or a Matrix/SSD level-0, which drains

@@ -59,7 +59,7 @@ use crate::commit::Committer;
 use crate::costmodel::CodecCostTable;
 use crate::groupcache::PmGroupCache;
 use crate::handle::CacheIds;
-use crate::maintenance::MaintenanceShared;
+use crate::maintenance::{MaintenanceShared, MAINTENANCE_WORKERS};
 use crate::manifest::Manifest;
 use crate::options::Options;
 use crate::partition::{Level0, Partition};
@@ -107,9 +107,6 @@ impl std::ops::Deref for Db {
         &self.core
     }
 }
-
-/// Background worker threads servicing the maintenance queue.
-const MAINTENANCE_WORKERS: usize = 2;
 
 impl Db {
     /// Open an engine with the given options.

@@ -402,12 +402,8 @@ impl DbCore {
         // Prometheus scrape of an Inline engine still lists them (at
         // zero) and dashboards render identically across modes.
         let queue_metrics = QueueMetrics::register(&registry);
-        let maintenance = (opts.maintenance == MaintenanceMode::Background).then(|| {
-            Arc::new(MaintenanceShared::new(
-                coroutine::SchedulerConfig::default(),
-                queue_metrics,
-            ))
-        });
+        let maintenance = (opts.maintenance == MaintenanceMode::Background)
+            .then(|| Arc::new(MaintenanceShared::new(queue_metrics)));
         let ring = EventRing::new(opts.event_log_capacity);
         let tracer = Tracer::new(
             opts.trace_sample_every,

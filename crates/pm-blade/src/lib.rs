@@ -12,10 +12,15 @@
 //! Three cost models (§IV-C) decide when internal compaction pays off for
 //! reads (Eq 1), when it pays off for SSD write amplification (Eq 2), and
 //! which partitions stay resident in PM during major compaction (the
-//! greedy knapsack of Eq 3). Of §V, the flush-admission gate and the
-//! compaction splitter reach the background workers ([`maintenance`]);
-//! the scheduling policies themselves are modelled by the [`coroutine`]
-//! crate on synthesised traces, beside the engine.
+//! greedy knapsack of Eq 3). Of §V, the I/O window `q`, the worker count
+//! `c`, the flush-admission gate and the compaction splitter reach the
+//! background workers, as constants of [`maintenance`]; the scheduling
+//! policies themselves are simulated beside the engine, by the
+//! `coroutine` crate, which this crate does not link.
+//!
+//! This crate and the crates it links hold only the engine: the
+//! record/index-table layer of §VI-D is `workloads::relational`, and
+//! Fig 6's snappy baselines live in the `bench` crate.
 //!
 //! Alternative engine modes reproduce the paper's baselines:
 //! [`options::Mode::PmBladePm`] (PM level-0 without internal compaction),
@@ -37,7 +42,6 @@ pub mod matrix;
 pub mod options;
 pub mod partition;
 pub mod protocol;
-pub mod relational;
 pub mod stats;
 pub mod telemetry;
 
@@ -47,7 +51,6 @@ pub use groupcache::PmGroupCache;
 pub use level0::L0Version;
 pub use options::{MaintenanceMode, Mode, Options, Partitioner};
 pub use protocol::{Request, Response, WireError};
-pub use relational::{Relational, TableDef};
 pub use stats::{EngineMetrics, ReadSource};
 pub use telemetry::{
     chrome_trace_json, CostDecision, EventListener, FlightRecorder, HistogramSummary, ListenerSet,

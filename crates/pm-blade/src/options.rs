@@ -1,7 +1,7 @@
 //! Engine configuration.
 
 use pmtable::{CodecMode, MetaExtractor, PmTableOptions};
-use sim::{CostModel, SimDuration};
+use sim::CostModel;
 
 use crate::telemetry::ListenerSet;
 
@@ -72,33 +72,6 @@ impl Partitioner {
     }
 }
 
-/// Tunable cost scalars from Table II of the paper.
-#[derive(Clone, Copy, Debug)]
-pub struct CostScalars {
-    /// `I_b`: cost of binary-searching one PM table (seconds).
-    pub binary_search: SimDuration,
-    /// `I_p`: internal-compaction cost per record.
-    pub internal_per_record: SimDuration,
-    /// `I_s`: major-compaction cost per record.
-    pub major_per_record: SimDuration,
-    /// `t̂_p`: wall time internal compaction spends per record.
-    pub internal_time_per_record: SimDuration,
-}
-
-impl Default for CostScalars {
-    fn default() -> Self {
-        CostScalars {
-            binary_search: SimDuration::from_micros(2),
-            internal_per_record: SimDuration::from_micros(2),
-            major_per_record: SimDuration::from_micros(5),
-            // t̂_p is a tunable scalar (Table II); calibrated so Eq 1
-            // fires around n_i ≈ 10 unsorted tables at the virtual-time
-            // read rates the engine actually observes (~5k reads/s).
-            internal_time_per_record: SimDuration::from_micros(40),
-        }
-    }
-}
-
 /// The layout half of a PM table's build options ([`PmTableOptions`]).
 #[derive(Clone, Copy, Debug)]
 pub struct PmTableLayout {
@@ -131,8 +104,6 @@ pub struct Options {
     pub tau_m: usize,
     /// `τ_t`: PM budget for partitions retained by the knapsack.
     pub tau_t: usize,
-    /// Cost scalars for Eqs 1–3.
-    pub scalars: CostScalars,
     /// How PM level-0 tables lay out their entries. A table's filter
     /// budget and codec are [`Options::pm_filter_bits_per_key`] and
     /// [`Options::pm_codec_mode`].
@@ -236,7 +207,6 @@ impl Options {
             tau_w: 1 << 20,
             tau_m: pm_capacity - pm_capacity / 10,
             tau_t: pm_capacity * 6 / 10,
-            scalars: CostScalars::default(),
             pm_table: PmTableLayout {
                 group_size: 16,
                 extractor: MetaExtractor::None,

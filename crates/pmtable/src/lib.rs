@@ -1,18 +1,17 @@
 //! Level-0 table formats for PM-Blade.
 //!
 //! This crate implements the paper's compressed **PM table** (§IV-A) and
-//! the three baselines it is evaluated against in Fig 6:
+//! the array table the engine's MatrixKV mode stores:
 //!
 //! - [`pm_table::PmTable`] — three-layer meta / prefix / entry structure
 //!   with group prefix compression;
 //! - [`array_table::ArrayTable`] — plain sorted data array + metadata
-//!   offsets, no compression (MatrixKV-style);
-//! - [`compressed_array::SnappyTable`] — array table with each key-value
-//!   pair LZ-compressed individually ("Array-snappy");
-//! - [`compressed_array::SnappyGroupTable`] — array table compressing
-//!   groups of eight pairs together ("Array-snappy-group").
+//!   offsets, no compression (MatrixKV-style).
 //!
-//! All formats store *internal* entries (user key, sequence, kind, value)
+//! Fig 6's two snappy-compressed array baselines live beside their one
+//! caller, in the `bench` crate.
+//!
+//! Both formats store *internal* entries (user key, sequence, kind, value)
 //! in internal-key order, read from any [`Storage`] (simulated PM or a
 //! DRAM buffer), and meter every access to a [`sim::Timeline`].
 //!
@@ -23,15 +22,11 @@
 //! their table (`scan_all`, `scan_range`) and for tests.
 
 pub mod array_table;
-pub mod compressed_array;
 pub mod pm_table;
 pub mod storage;
 
 pub use array_table::ArrayCursor;
 pub use array_table::{ArrayTable, ArrayTableBuilder};
-pub use compressed_array::{
-    SnappyGroupTable, SnappyGroupTableBuilder, SnappyTable, SnappyTableBuilder,
-};
 pub use pm_table::{
     CodecMode, ColumnSeek, GroupAccess, GroupLoad, KeyColumn, MetaExtractor, NoGroupCache,
     PmCursor, PmTable, PmTableBuilder, PmTableError, PmTableOptions, TableKeys, CODEC_COUNT,

@@ -2,10 +2,11 @@
 //! the paper's evaluation reports: per-class latency distributions and
 //! virtual-time throughput.
 
-use pm_blade::{Db, DbError, Relational, ScanRequest};
+use pm_blade::{Db, DbError, ScanRequest};
 use sim::{Histogram, SimDuration};
 
 use crate::meituan::OrderOp;
+use crate::relational::Relational;
 use crate::ycsb::YcsbOp;
 
 /// Metrics from one driven phase.

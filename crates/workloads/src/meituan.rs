@@ -16,9 +16,9 @@
 //! packed → delivering → done`, with reads concentrated on recent orders
 //! (a "latest" recency distribution).
 
-use pm_blade::relational::Row;
-use pm_blade::TableDef;
 use sim::{KeyDistribution, Pcg64};
+
+use crate::relational::{Row, TableDef};
 
 /// Logical operation against the relational layer.
 #[derive(Clone, Debug)]

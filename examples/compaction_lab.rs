@@ -17,7 +17,7 @@ fn main() -> Result<(), DbError> {
     opts.tau_w = usize::MAX;
     // Eq 3 never fires: PM use cannot pass the pool's capacity.
     opts.tau_m = opts.pm_capacity;
-    opts.scalars.binary_search = sim::SimDuration::ZERO;
+    // Eq 1 never fires either: the load reads nothing.
     let db = Db::open(opts)?;
 
     // Update-heavy traffic: 4000 writes over 800 keys.

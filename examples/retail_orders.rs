@@ -5,7 +5,8 @@
 //! cargo run --release -p pmblade-examples --bin retail_orders
 //! ```
 
-use pm_blade::{Db, DbError, Options, Relational, TableDef};
+use pm_blade::{Db, DbError, Options};
+use workloads::{Relational, TableDef};
 
 const ORDERS: u16 = 1;
 

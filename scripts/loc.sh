@@ -7,7 +7,8 @@
 # whole). Also the non-test `pub fn` count of pm-blade and of
 # pm-blade-client (the engine's and the client's surface), the field count
 # of `Options`, and the largest source file under crates/*/src by the
-# same count. Prints one table; `--max-file N` also exits 1 when that
+# same count, and `engine crates`: the summed code lines of every crate
+# `pm-blade` links (its normal `cargo tree`). Prints one table; `--max-file N` also exits 1 when that
 # largest file has more than N code lines — the one thing it gates, so
 # a file split for its size cannot silently grow back.
 set -euo pipefail
@@ -37,14 +38,24 @@ pub_fns() {
 
 printf '%-22s %8s\n' crate code_lines
 total=0
+declare -A lines
 for dir in crates/*/; do
     crate=$(basename "$dir")
     mapfile -t files < <(find "$dir/src" -name '*.rs' | sort)
     n=$(code_lines "${files[@]}")
+    lines[$crate]=$n
     total=$((total + n))
     printf '%-22s %8d\n' "$crate" "$n"
 done
 printf '%-22s %8d\n' "all of crates/" "$total"
+
+# Each line of the tree is `name version (path)`, a repeat ending `(*)`.
+engine=0
+tree=$(cargo tree -p pm-blade -e normal --prefix none --offline)
+while read -r dir; do
+    engine=$((engine + lines[$(basename "$dir")]))
+done < <(awk '{ gsub(/[()]/, "", $3); print $3 }' <<<"$tree" | sort -u)
+printf '%-22s %8d\n' "engine crates" "$engine"
 
 mapfile -t engine < <(find crates/pm-blade/src -name '*.rs' | sort)
 printf '%-22s %8d\n' "pm-blade pub fn" "$(pub_fns "${engine[@]}")"

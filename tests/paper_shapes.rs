@@ -62,7 +62,7 @@ fn space_released_grows_with_skew() {
         opts.tau_m = opts.pm_capacity;
         opts.tau_w = usize::MAX;
         opts.l0_unsorted_hard_cap = usize::MAX;
-        opts.scalars.binary_search = sim::SimDuration::ZERO;
+        // Eq 1 never fires: the load reads nothing.
         let db = Db::open(opts).unwrap();
         let mut rng = sim::Pcg64::seeded(31);
         let dist = sim::KeyDistribution::zipfian(2_000, skew);
@@ -130,8 +130,6 @@ fn scheduler_policy_ordering_holds() {
     let run = |policy| {
         Scheduler::new(SchedulerConfig {
             policy,
-            cores: 2,
-            max_io: 4,
             ..SchedulerConfig::default()
         })
         .run(&tasks)
@@ -148,6 +146,16 @@ fn scheduler_policy_ordering_holds() {
     assert!(naive.cpu_utilization > thread.cpu_utilization);
     assert!(blade.duration <= naive.duration);
     assert!(naive.duration <= thread.duration);
+}
+
+/// §V: the background workers run at the scheduler's default `q` and
+/// `c`, the configuration Fig 9 and the ordering above simulate, so the
+/// figure and the engine cannot drift apart silently.
+#[test]
+fn engine_maintenance_runs_the_simulated_q_and_c() {
+    let simulated = SchedulerConfig::default();
+    assert_eq!(pm_blade::maintenance::IO_WINDOW, simulated.max_io);
+    assert_eq!(pm_blade::maintenance::MAINTENANCE_WORKERS, simulated.cores);
 }
 
 /// Table I anchor: a PM lookup sits between a cached and an SSD lookup,
