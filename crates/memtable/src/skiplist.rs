@@ -6,6 +6,14 @@
 //! deterministic per-table PRNG (p = 1/4, max 12 levels), keeping tests
 //! reproducible. The structure is single-writer/multi-reader; the engine
 //! serializes writers externally.
+//!
+//! Layout: an insert makes one allocation. A `Node` is one boxed
+//! buffer, `user_key ∥ trailer ∥ value` (the first `key_len + 8` bytes
+//! are the encoded internal key), plus the offset of its tower in
+//! `links`, one table-wide arena of successor indices. A node of height
+//! `h` owns `links[at..at + h]`; slot `at + l` is its successor on level
+//! `l`, `NIL` at the end of the level. The head sentinel is node 0,
+//! with an empty buffer and a full-height tower at offset 0.
 
 use encoding::key::{self, KeyKind, SequenceNumber};
 use pmtable::{EntryRef, Lookup};
@@ -13,18 +21,34 @@ use sim::{CostModel, Pcg64, Timeline};
 
 const MAX_HEIGHT: usize = 12;
 const BRANCHING: u64 = 4;
+/// The end of a level in `links`.
+const NIL: u32 = u32::MAX;
 
 struct Node {
-    /// Encoded internal key (user key ∥ trailer).
-    ikey: Vec<u8>,
-    value: Vec<u8>,
-    next: Vec<Option<usize>>, // per-level successor node index
+    /// `user_key ∥ trailer ∥ value`.
+    buf: Box<[u8]>,
+    key_len: u32,
+    /// Offset of this node's tower in `MemTable::links`.
+    tower: u32,
+}
+
+impl Node {
+    /// The encoded internal key (user key ∥ trailer).
+    fn ikey(&self) -> &[u8] {
+        &self.buf[..self.key_len as usize + 8]
+    }
+
+    fn value(&self) -> &[u8] {
+        &self.buf[self.key_len as usize + 8..]
+    }
 }
 
 /// An in-DRAM sorted write buffer.
 pub struct MemTable {
     /// Arena of nodes; index 0 is the head sentinel.
     nodes: Vec<Node>,
+    /// Every node's tower of successor node indices (see the module doc).
+    links: Vec<u32>,
     height: usize,
     rng: Pcg64,
     approximate_bytes: usize,
@@ -35,12 +59,13 @@ pub struct MemTable {
 impl MemTable {
     pub fn new(cost: CostModel) -> Self {
         let head = Node {
-            ikey: Vec::new(),
-            value: Vec::new(),
-            next: vec![None; MAX_HEIGHT],
+            buf: Box::default(),
+            key_len: 0,
+            tower: 0,
         };
         MemTable {
             nodes: vec![head],
+            links: vec![NIL; MAX_HEIGHT],
             height: 1,
             rng: Pcg64::seeded(0x6d656d74),
             approximate_bytes: 0,
@@ -71,6 +96,12 @@ impl MemTable {
         self.approximate_bytes
     }
 
+    /// The successor of node `idx` on `level`.
+    fn next(&self, idx: usize, level: usize) -> Option<usize> {
+        let next = self.links[self.nodes[idx].tower as usize + level];
+        (next != NIL).then_some(next as usize)
+    }
+
     /// Insert an entry. Sequences must be unique per user key; the engine
     /// guarantees this by allocating them monotonically.
     pub fn insert(
@@ -81,44 +112,33 @@ impl MemTable {
         value: &[u8],
         tl: &mut Timeline,
     ) {
-        let ikey = key::InternalKey::new(user_key, seq, kind).into_encoded();
+        let trailer = key::pack_trailer(seq, kind);
         let height = self.random_height();
         if height > self.height {
             self.height = height;
         }
-        // Find predecessors at every level.
+        // Predecessors at every level.
         let mut prev = [0usize; MAX_HEIGHT];
-        let mut cur = 0usize;
-        for level in (0..self.height).rev() {
-            loop {
-                // Each link traversal is a DRAM pointer chase.
-                tl.charge(self.cost.dram.random_read(32));
-                match self.nodes[cur].next[level] {
-                    Some(nxt)
-                        if key::compare(&self.nodes[nxt].ikey, &ikey)
-                            == std::cmp::Ordering::Less =>
-                    {
-                        cur = nxt
-                    }
-                    _ => break,
-                }
-            }
-            prev[level] = cur;
+        self.descend(user_key, trailer, tl, |level, cur| prev[level] = cur);
+        let idx = u32::try_from(self.nodes.len()).expect("a memtable holds < 2^32 nodes");
+        let at = u32::try_from(self.links.len()).expect("a memtable holds < 2^32 links");
+        for (level, &p) in prev.iter().enumerate().take(height) {
+            let slot = self.nodes[p].tower as usize + level;
+            self.links.push(self.links[slot]);
+            self.links[slot] = idx;
         }
-        let idx = self.nodes.len();
-        let mut next = vec![None; height];
-        #[allow(clippy::needless_range_loop)]
-        for level in 0..height {
-            next[level] = self.nodes[prev[level]].next[level];
-            self.nodes[prev[level]].next[level] = Some(idx);
-        }
-        self.approximate_bytes += ikey.len() + value.len() + 64;
+        let ikey_len = user_key.len() + 8;
+        let mut buf = Vec::with_capacity(ikey_len + value.len());
+        buf.extend_from_slice(user_key);
+        buf.extend_from_slice(&trailer.to_le_bytes());
+        buf.extend_from_slice(value);
+        self.approximate_bytes += ikey_len + value.len() + 64;
         self.entries += 1;
-        tl.charge(self.cost.dram.write(ikey.len() + value.len()));
+        tl.charge(self.cost.dram.write(ikey_len + value.len()));
         self.nodes.push(Node {
-            ikey,
-            value: value.to_vec(),
-            next,
+            buf: buf.into_boxed_slice(),
+            key_len: u32::try_from(user_key.len()).expect("a key is < 4 GiB"),
+            tower: at,
         });
     }
 
@@ -131,31 +151,47 @@ impl MemTable {
     ) -> Option<Lookup> {
         let candidate = self.seek_node(user_key, key::seek_trailer(snapshot), tl)?;
         let node = &self.nodes[candidate];
-        if key::user_key(&node.ikey) != user_key {
+        let ikey = node.ikey();
+        if key::user_key(ikey) != user_key {
             return None;
         }
-        let seq = key::sequence(&node.ikey);
+        let seq = key::sequence(ikey);
         debug_assert!(seq <= snapshot, "seek placed us at a visible version");
-        let kind = key::kind(&node.ikey)?;
-        tl.charge(self.cost.dram.sequential_read(node.value.len()));
+        let kind = key::kind(ikey)?;
+        let value = node.value();
+        tl.charge(self.cost.dram.sequential_read(value.len()));
         Some(Lookup {
             seq,
             kind,
-            value: node.value.clone(),
+            value: value.to_vec(),
         })
     }
 
-    /// The first node at or after the internal key `(user_key, trailer)`,
-    /// compared in parts so no target key is materialised. Each link
-    /// traversal is a DRAM pointer chase.
+    /// The first node at or after the internal key `(user_key, trailer)`.
     fn seek_node(&self, user_key: &[u8], trailer: u64, tl: &mut Timeline) -> Option<usize> {
+        let cur = self.descend(user_key, trailer, tl, |_, _| {});
+        self.next(cur, 0)
+    }
+
+    /// Walk down from the head's top level towards the internal key
+    /// `(user_key, trailer)`, compared in parts so no key is
+    /// materialised. `at_level(level, node)` sees the last node on each
+    /// level that sorts before the key; the one on level 0 is returned.
+    /// Each link traversal is a DRAM pointer chase.
+    fn descend(
+        &self,
+        user_key: &[u8],
+        trailer: u64,
+        tl: &mut Timeline,
+        mut at_level: impl FnMut(usize, usize),
+    ) -> usize {
         let mut cur = 0usize;
         for level in (0..self.height).rev() {
             loop {
                 tl.charge(self.cost.dram.random_read(32));
-                match self.nodes[cur].next[level] {
+                match self.next(cur, level) {
                     Some(nxt)
-                        if key::compare_to_parts(&self.nodes[nxt].ikey, user_key, trailer)
+                        if key::compare_to_parts(self.nodes[nxt].ikey(), user_key, trailer)
                             == std::cmp::Ordering::Less =>
                     {
                         cur = nxt
@@ -163,19 +199,23 @@ impl MemTable {
                     _ => break,
                 }
             }
+            at_level(level, cur);
         }
-        self.nodes[cur].next[0]
+        cur
     }
 
     /// Every entry in internal-key order, borrowed from its skiplist
     /// node. Charges nothing: this is how a flush reads its frozen
     /// memtable, off the clock ([`MemCursor`] is the metered way in).
     pub fn iter(&self) -> impl Iterator<Item = EntryRef<'_>> {
-        let level0 = std::iter::successors(self.nodes[0].next[0], |&i| self.nodes[i].next[0]);
-        level0.map(|i| {
-            let n = &self.nodes[i];
-            EntryRef::parse(&n.ikey, &n.value).expect("memtable nodes hold valid internal keys")
-        })
+        let level0 = std::iter::successors(self.next(0, 0), |&i| self.next(i, 0));
+        level0.map(|i| self.entry(i))
+    }
+
+    /// The entry held by node `idx`.
+    fn entry(&self, idx: usize) -> EntryRef<'_> {
+        let n = &self.nodes[idx];
+        EntryRef::parse(n.ikey(), n.value()).expect("memtable nodes hold valid internal keys")
     }
 
     /// A cursor over this table, unpositioned until its first `seek`.
@@ -205,7 +245,7 @@ impl<'a> MemCursor<'a> {
     /// Step to the next entry; a no-op once the table is exhausted.
     pub fn advance(&mut self, tl: &mut Timeline) {
         if let Some(idx) = self.node {
-            self.land(self.table.nodes[idx].next[0], tl);
+            self.land(self.table.next(idx, 0), tl);
         }
     }
 
@@ -213,21 +253,15 @@ impl<'a> MemCursor<'a> {
     fn land(&mut self, node: Option<usize>, tl: &mut Timeline) {
         self.node = node;
         if let Some(idx) = node {
-            let n = &self.table.nodes[idx];
-            tl.charge(
-                self.table
-                    .cost
-                    .dram
-                    .sequential_read(n.ikey.len() + n.value.len()),
-            );
+            let len = self.table.nodes[idx].buf.len();
+            tl.charge(self.table.cost.dram.sequential_read(len));
         }
     }
 
     /// The entry under the cursor; `None` before a seek and after the
     /// last entry.
     pub fn current(&self) -> Option<EntryRef<'a>> {
-        let n = &self.table.nodes[self.node?];
-        Some(EntryRef::parse(&n.ikey, &n.value).expect("memtable nodes hold valid internal keys"))
+        Some(self.table.entry(self.node?))
     }
 }
 
@@ -362,6 +396,28 @@ mod tests {
     }
 
     #[test]
+    fn approximate_size_is_the_flush_triggers_sum() {
+        // The engine flushes on this number: each entry counts its
+        // internal key (user key + 8-byte trailer), its value and 64
+        // bytes of node overhead, whatever the node layout.
+        let mut t = table();
+        let mut tl = Timeline::new();
+        let mut expected = 0;
+        for i in 0..300usize {
+            let k = format!("key-{:0w$}", i * 7 % 300, w = 1 + i % 9);
+            let v = vec![b'v'; i % 40];
+            let kind = if i % 5 == 0 {
+                KeyKind::Delete
+            } else {
+                KeyKind::Value
+            };
+            t.insert(k.as_bytes(), i as u64 + 1, kind, &v, &mut tl);
+            expected += k.len() + 8 + v.len() + 64;
+            assert_eq!(t.approximate_size(), expected);
+        }
+    }
+
+    #[test]
     fn reads_charge_time() {
         let mut t = table();
         let mut tl = Timeline::new();
@@ -414,6 +470,33 @@ mod tests {
             let entries: Vec<_> = t.iter().map(|e| (e.user_key, std::cmp::Reverse(e.seq))).collect();
             proptest::prop_assert_eq!(entries.len(), ops.len());
             proptest::prop_assert!(entries.windows(2).all(|pair| pair[0] < pair[1]));
+            // The cursor walks the level-0 links: from every seek key
+            // (present, between two keys, past the end) it yields the
+            // reference's newest versions in key order, each followed
+            // by its older ones.
+            for start in [&b""[..], b"a", b"b", b"bb", b"cd", b"dddd", b"e"] {
+                let mut cursor = t.cursor();
+                cursor.seek(start, &mut tl);
+                let mut newest = Vec::new();
+                let mut last: Option<Vec<u8>> = None;
+                let mut visited = 0;
+                while let Some(e) = cursor.current() {
+                    visited += 1;
+                    if last.as_deref() != Some(e.user_key) {
+                        newest.push((e.user_key.to_vec(), (e.seq, e.kind == KeyKind::Delete)));
+                        last = Some(e.user_key.to_vec());
+                    }
+                    cursor.advance(&mut tl);
+                }
+                let expected: Vec<_> = reference
+                    .range(start.to_vec()..)
+                    .map(|(k, v)| (k.clone(), *v))
+                    .collect();
+                proptest::prop_assert_eq!(newest, expected);
+                if start.is_empty() {
+                    proptest::prop_assert_eq!(visited, ops.len());
+                }
+            }
         }
     }
 }

@@ -72,6 +72,9 @@ pub struct Wal {
     path: PathBuf,
     cost: CostModel,
     fault: Option<Arc<FaultPlan>>,
+    /// The frame being appended: cleared and refilled by every
+    /// [`Wal::append`], so a record allocates nothing once it has grown.
+    frame: Vec<u8>,
 }
 
 impl Wal {
@@ -86,6 +89,7 @@ impl Wal {
             path,
             cost,
             fault: None,
+            frame: Vec::new(),
         })
     }
 
@@ -104,14 +108,14 @@ impl Wal {
 
     /// Append one record and charge its device cost.
     pub fn append(&mut self, rec: &WalRecord, tl: &mut Timeline) -> Result<(), WalError> {
-        let mut framed = Vec::with_capacity(rec.user_key.len() + rec.value.len() + 32);
-        frame::frame_into(&mut framed, |out| {
+        self.frame.clear();
+        frame::frame_into(&mut self.frame, |out| {
             out.extend_from_slice(&key::pack_trailer(rec.seq, rec.kind).to_le_bytes());
             varint::put_slice(out, &rec.user_key);
             varint::put_slice(out, &rec.value);
         });
-        self.log.append(&self.fault, &framed, false)?;
-        tl.charge(self.cost.ssd.write(framed.len()));
+        self.log.append(&self.fault, &self.frame, false)?;
+        tl.charge(self.cost.ssd.write(self.frame.len()));
         Ok(())
     }
 

@@ -11,6 +11,17 @@
 //! is needed: a follower either finds its ticket done, or becomes the
 //! next leader itself.
 //!
+//! A **lone writer** skips the queue. One that wins the commit mutex
+//! with `try_lock` and then finds the queue empty is a group of one: it
+//! commits a `Ticket` on its own stack that borrows the caller's key
+//! and value (`Ops::One`), so nothing is allocated or copied before
+//! the memtable copies the bytes into its node. The proof above is
+//! unchanged: tickets still leave the queue only under the commit
+//! mutex, and a writer that queues after the emptiness check waits on
+//! the mutex and then finds its ticket not done, so it leads the next
+//! group. Every other writer copies its ops into an owned ticket
+//! (`Ops::into_owned`) and queues.
+//!
 //! Lock hierarchy (documented in DESIGN.md): commit mutex (per
 //! partition) → WAL mutex → partition `RwLock`. The leader never holds
 //! two of these except in that order, and never holds two partition
@@ -100,12 +111,50 @@ impl From<WriteBatch> for Vec<BatchOp> {
     }
 }
 
+/// The writes one ticket carries: a lone `put` / `delete` borrowing
+/// the caller's slices, or a batch's owned ops for one partition.
+pub(crate) enum Ops<'a> {
+    One(&'a [u8], &'a [u8], KeyKind),
+    Batch(Vec<BatchOp>),
+}
+
+impl Ops<'_> {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Ops::One(..) => 1,
+            Ops::Batch(ops) => ops.len(),
+        }
+    }
+
+    /// Each op's key, value (empty for a tombstone) and kind, in order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8], KeyKind)> {
+        let (one, batch) = match self {
+            Ops::One(key, value, kind) => (Some((*key, *value, *kind)), &[][..]),
+            Ops::Batch(ops) => (None, &ops[..]),
+        };
+        one.into_iter().chain(batch.iter().map(BatchOp::parts))
+    }
+
+    /// The same ops, owning their bytes, for a ticket that must queue.
+    pub(crate) fn into_owned(self) -> Ops<'static> {
+        let op = match self {
+            Ops::One(key, value, KeyKind::Value) => BatchOp::Put {
+                key: key.to_vec(),
+                value: value.to_vec(),
+            },
+            Ops::One(key, _, KeyKind::Delete) => BatchOp::Delete { key: key.to_vec() },
+            Ops::Batch(ops) => return Ops::Batch(ops),
+        };
+        Ops::Batch(vec![op])
+    }
+}
+
 /// One writer's stake in a commit group. The leader fills `result` and
 /// then raises `done` (with release ordering) before it releases the
 /// commit mutex; the owning writer spins on the mutex/`done` pair, so
 /// there is no lost-wakeup window.
-pub(crate) struct Ticket {
-    pub(crate) ops: Vec<BatchOp>,
+pub(crate) struct Ticket<'a> {
+    pub(crate) ops: Ops<'a>,
     /// Trace context of the submitting writer (sampled requests only).
     /// The leader reads it to attribute this ticket's share of the
     /// group's WAL/apply work and to tag triggered maintenance.
@@ -117,8 +166,8 @@ pub(crate) struct Ticket {
     result: Mutex<Option<Result<SimDuration, DbError>>>,
 }
 
-impl Ticket {
-    pub(crate) fn new(ops: Vec<BatchOp>, trace: Option<TraceContext>) -> Self {
+impl<'a> Ticket<'a> {
+    pub(crate) fn new(ops: Ops<'a>, trace: Option<TraceContext>) -> Self {
         Ticket {
             ops,
             trace,
@@ -175,7 +224,7 @@ impl CommitMetrics {
 /// Per-partition group-commit state.
 pub(crate) struct Committer {
     /// Tickets waiting to be committed.
-    pub(crate) queue: Mutex<Vec<std::sync::Arc<Ticket>>>,
+    pub(crate) queue: Mutex<Vec<Arc<Ticket<'static>>>>,
     /// Held by the current leader for the duration of one group commit
     /// (including any memtable flush it triggers).
     pub(crate) commit: Mutex<()>,
@@ -217,6 +266,19 @@ mod tests {
     }
 
     #[test]
+    fn a_lone_op_owns_the_same_parts_it_borrowed() {
+        for kind in [KeyKind::Value, KeyKind::Delete] {
+            let value: &[u8] = if kind == KeyKind::Value { b"v" } else { b"" };
+            let parts = [(&b"k"[..], value, kind)];
+            let one = Ops::One(b"k", value, kind);
+            assert_eq!(one.iter().collect::<Vec<_>>(), parts);
+            let owned = one.into_owned();
+            assert_eq!(owned.len(), 1);
+            assert_eq!(owned.iter().collect::<Vec<_>>(), parts);
+        }
+    }
+
+    #[test]
     fn commit_metrics_register_per_partition() {
         let registry = MetricsRegistry::new();
         let m = CommitMetrics::register(&registry, 3);
@@ -238,7 +300,7 @@ mod tests {
 
     #[test]
     fn ticket_completion_is_visible() {
-        let t = Ticket::new(vec![], None);
+        let t = Ticket::new(Ops::Batch(vec![]), None);
         assert!(!t.is_done());
         t.complete(Ok(SimDuration::from_nanos(7)));
         assert!(t.is_done());

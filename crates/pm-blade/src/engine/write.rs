@@ -2,6 +2,7 @@
 //! backpressure gate and the per-partition group commit. Takes the
 //! commit mutex, then the WAL mutex, then the partition write lock.
 
+use std::ops::Deref;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -10,7 +11,7 @@ use memtable::WalRecord;
 use sim::{SimDuration, Timeline};
 
 use super::{DbCore, DbError};
-use crate::commit::{BatchOp, Ticket, WriteBatch};
+use crate::commit::{BatchOp, Ops, Ticket, WriteBatch};
 use crate::maintenance::JobKind;
 use crate::manifest::VersionEdit;
 use crate::telemetry::{SpanKind, StageTrace, TraceContext, TraceOp, TraceSpan};
@@ -57,10 +58,7 @@ impl DbCore {
         let pid = self.opts.partitioner.locate(user_key);
         self.submit(
             pid,
-            vec![BatchOp::Put {
-                key: user_key.to_vec(),
-                value: value.to_vec(),
-            }],
+            Ops::One(user_key, value, KeyKind::Value),
             self.trace_for(trace),
         )
     }
@@ -80,9 +78,7 @@ impl DbCore {
         let pid = self.opts.partitioner.locate(user_key);
         self.submit(
             pid,
-            vec![BatchOp::Delete {
-                key: user_key.to_vec(),
-            }],
+            Ops::One(user_key, &[], KeyKind::Delete),
             self.trace_for(trace),
         )
     }
@@ -116,28 +112,38 @@ impl DbCore {
         let mut total = SimDuration::ZERO;
         for (pid, ops) in per_pid.into_iter().enumerate() {
             if !ops.is_empty() {
-                total += self.submit(pid, ops, trace)?;
+                total += self.submit(pid, Ops::Batch(ops), trace)?;
             }
         }
         Ok(total)
     }
 
-    /// Enqueue `ops` for partition `pid` and wait for a commit group to
-    /// carry them. See [`crate::commit`] for the leader/follower scheme.
-    /// In Background mode the write first passes the backpressure gate
-    /// ([`DbCore::throttle`]); any slowdown penalty is part of the
-    /// write's reported latency.
+    /// Commit `ops` to partition `pid` in a commit group. See
+    /// [`crate::commit`] for the leader/follower scheme and the lone
+    /// writer, which commits `ops` as borrowed. In Background mode the
+    /// write first passes the backpressure gate ([`DbCore::throttle`]);
+    /// any slowdown penalty is part of the write's reported latency.
     fn submit(
         &self,
         pid: usize,
-        ops: Vec<BatchOp>,
+        ops: Ops<'_>,
         trace: Option<TraceContext>,
     ) -> Result<SimDuration, DbError> {
         let start_nanos = self.clock.load(Ordering::Relaxed);
         let origin = trace.map_or(0, |c| c.trace_id);
         let penalty = self.throttle(pid, origin);
         let committer = &self.committers[pid];
-        let ticket = Arc::new(Ticket::new(ops, trace));
+        if let Some(leader) = committer.commit.try_lock() {
+            if committer.queue.lock().is_empty() {
+                // A lone writer: a group of one, committed from the stack.
+                let ticket = Ticket::new(ops, trace);
+                let committed = self.commit_group(pid, &[&ticket]);
+                drop(leader);
+                committed?;
+                return self.finish_write(pid, &ticket, penalty, start_nanos);
+            }
+        }
+        let ticket = Arc::new(Ticket::new(ops.into_owned(), trace));
         committer.queue.lock().push(Arc::clone(&ticket));
         if !ticket.is_done() {
             let _leader = committer.commit.lock();
@@ -146,14 +152,27 @@ impl DbCore {
                 // only leave the queue inside this critical section). A
                 // done ticket here would mean a previous leader committed
                 // it, completing it before releasing the mutex we hold.
-                let group: Vec<Arc<Ticket>> = std::mem::take(&mut *committer.queue.lock());
+                let group = std::mem::take(&mut *committer.queue.lock());
                 debug_assert!(group.iter().any(|t| Arc::ptr_eq(t, &ticket)));
                 self.commit_group(pid, &group)?;
             }
         }
+        self.finish_write(pid, &ticket, penalty, start_nanos)
+    }
+
+    /// The submitter's side of a completed ticket: its latency (the
+    /// group's share plus any throttle `penalty`), recorded, and its
+    /// trace finished.
+    fn finish_write(
+        &self,
+        pid: usize,
+        ticket: &Ticket<'_>,
+        penalty: SimDuration,
+        start_nanos: u64,
+    ) -> Result<SimDuration, DbError> {
         let total = ticket.take_result()? + penalty;
         self.metrics.lat_writes.record(total);
-        if let Some(ctx) = trace {
+        if let Some(ctx) = ticket.trace {
             let mut st = StageTrace::new(ctx, TraceOp::Write, pid, start_nanos);
             if penalty > SimDuration::ZERO {
                 st.stage(SpanKind::ThrottleWait, 0, penalty.as_nanos());
@@ -248,7 +267,11 @@ impl DbCore {
     /// write lock (so a scan of the partition sees all of a batch or
     /// none of it), then complete every ticket. Runs with the
     /// partition's commit mutex held.
-    fn commit_group(&self, pid: usize, group: &[Arc<Ticket>]) -> Result<(), DbError> {
+    fn commit_group<'a, T: Deref<Target = Ticket<'a>>>(
+        &self,
+        pid: usize,
+        group: &[T],
+    ) -> Result<(), DbError> {
         let mut tl = Timeline::new();
         let start_nanos = self.clock.load(Ordering::Relaxed);
         let total_ops: usize = group.iter().map(|t| t.ops.len()).sum();
@@ -274,9 +297,8 @@ impl DbCore {
             let mut ring = ring.lock();
             let mut seq = base;
             for ticket in group {
-                for op in &ticket.ops {
+                for (key, value, kind) in ticket.ops.iter() {
                     seq += 1;
-                    let (key, value, kind) = op.parts();
                     let rec = WalRecord {
                         seq,
                         kind,
@@ -324,9 +346,8 @@ impl DbCore {
             let mut p = self.partitions[pid].write();
             let mut seq = base;
             for ticket in group {
-                for op in &ticket.ops {
+                for (key, value, kind) in ticket.ops.iter() {
                     seq += 1;
-                    let (key, value, kind) = op.parts();
                     p.note_write(key);
                     p.mem.insert(key, seq, kind, value, &mut tl);
                     group_bytes += (key.len() + value.len()) as u64;

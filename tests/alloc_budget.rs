@@ -14,6 +14,10 @@
 //! per block, an internal compaction per input group and per output
 //! table, never per record.
 //!
+//! Writes: a lone put or delete allocates its memtable node and nothing
+//! else; a one-partition batch adds a constant for splitting it by
+//! partition.
+//!
 //! The test binary installs a counting `#[global_allocator]` that
 //! tallies per thread, so the harness's own threads and parallel tests
 //! never bleed into a measurement. Maintenance is Inline: everything a
@@ -22,7 +26,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use pm_blade::{CompactionRequest, Db, MetricKey, Mode, ReadSource, ScanRequest};
+use pm_blade::{CompactionRequest, Db, MetricKey, Mode, ReadSource, ScanRequest, WriteBatch};
 use pmblade_integration_tests::{key_for, tiny_options, value_for};
 
 thread_local! {
@@ -407,4 +411,77 @@ fn an_internal_compaction_allocates_per_group_and_table_not_per_record() {
         "an internal compaction allocated {small:.3} times per key at 5 000 keys \
          and {large:.3} at 20 000: the count grows with the records"
     );
+}
+
+/// What a `write_batch` allocates beside its nodes: the per-partition
+/// split's outer vector and the one partition's op vector.
+const BATCH_SPLIT: u64 = 2;
+
+/// Check that every write in `counts` allocated exactly `base`, except
+/// the few that also grew one of the memtable's two arenas (its nodes
+/// and their links), each by doubling: at most `growths` in all, and
+/// never both arenas twice in one write.
+fn assert_write_allocations(what: &str, counts: &[u64], base: u64, growths: usize) {
+    let grew: Vec<_> = counts.iter().filter(|&&n| n != base).collect();
+    assert!(
+        grew.len() <= growths && grew.iter().all(|&&n| n > base && n <= base + 2),
+        "every {what} must allocate {base}, plus an arena doubling in at most \
+         {growths} of them: {} of {} differ, the first {:?}",
+        grew.len(),
+        counts.len(),
+        &grew[..grew.len().min(8)]
+    );
+}
+
+#[test]
+fn a_lone_put_or_delete_allocates_its_memtable_node_and_nothing_else() {
+    // Nothing flushes, merges or traces: the memtable holds every write.
+    let mut opts = tiny_options(Mode::PmBlade);
+    opts.memtable_bytes = 1 << 30;
+    opts.pm_capacity = 1 << 30;
+    (opts.tau_w, opts.tau_m, opts.tau_t) = (usize::MAX, opts.pm_capacity, opts.pm_capacity);
+    opts.trace_sample_every = 0;
+    let db = Db::open(opts).unwrap();
+    const KEYS: u64 = 1_000;
+    // Every key once, so the partition's set of seen keys holds them all
+    // and the timed writes are overwrites.
+    put_keys(&db, 0..KEYS, 0);
+    // Deletes every fourth key, puts the rest: 1 000 → 2 000 entries,
+    // so each arena doubles at most twice.
+    let counts: Vec<u64> = (0..KEYS)
+        .map(|i| {
+            let (key, value) = (key_for(i), value_for(i + 1, 100));
+            let (allocations, done) = allocations_in(|| {
+                if i % 4 == 3 {
+                    db.delete(&key)
+                } else {
+                    db.put(&key, &value)
+                }
+            });
+            done.unwrap();
+            allocations
+        })
+        .collect();
+    assert_write_allocations("lone put or delete", &counts, 1, 4);
+    // Four-op batches (three puts and a delete) on the one partition:
+    // 2 000 → 2 400 entries.
+    let counts: Vec<u64> = (0..100)
+        .map(|round| {
+            let mut batch = WriteBatch::new();
+            for i in round * 4..round * 4 + 3 {
+                batch.put(key_for(i), value_for(i + 2, 100));
+            }
+            batch.delete(key_for(round * 4 + 3));
+            let (allocations, done) = allocations_in(|| db.write_batch(batch));
+            done.unwrap();
+            allocations
+        })
+        .collect();
+    assert_write_allocations("4-op batch", &counts, 4 + BATCH_SPLIT, 2);
+    for i in [0, 3, 398, 401, 999] {
+        // The batches rewrote keys 0..400, with their own stamp.
+        let stamp = if i < 400 { 2 } else { 1 };
+        let expected = (i % 4 != 3).then(|| value_for(i + stamp, 100));
+        assert_eq!(db.get(&key_for(i)).unwrap().value, expected, "key {i}");
+    }
 }
