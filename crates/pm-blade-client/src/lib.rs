@@ -16,7 +16,7 @@
 //! - [`Client::get_with`] — a get with the engine's virtual latency;
 //!   `Some(ctx)` wraps it in a [`Request::Traced`] envelope so the
 //!   client-chosen trace id spans client → server → engine (the server
-//!   records sampled requests in its slow-query flight recorder under
+//!   records sampled requests in its flight recorder under
 //!   that id).
 //!
 //! Engine-side failures arrive as [`ClientError::Remote`] carrying the

@@ -34,7 +34,7 @@
 //!   `server_connections_total` / `server_throttled_total` /
 //!   `server_errors_total`. An optional HTTP listener serves the whole
 //!   registry in Prometheus text format at `/metrics` and a live debug
-//!   view (slow-query flight recorder, maintenance-queue state, metrics
+//!   view (flight recorder, maintenance-queue state, metrics
 //!   snapshot) as JSON at `/debug`.
 //! - **Tracing** — a [`Request::Traced`] envelope carries the client's
 //!   trace context; the server hands it to the engine's `*_with` entry
@@ -644,7 +644,7 @@ fn serve_http_once(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.flush();
 }
 
-/// The `/debug` JSON document: the slow-query flight recorder, live
+/// The `/debug` JSON document: the flight recorder, live
 /// maintenance-queue state, the server's in-flight request gauge, and
 /// a full metrics snapshot.
 fn debug_json(shared: &Shared) -> String {

@@ -90,7 +90,7 @@ impl PartitionCounters {
 
 /// Eq 1: should partition `p_i` run an internal compaction to relieve
 /// read amplification? `unsorted` is `n_i`. The inputs and the verdict
-/// come back as a [`CostDecision`] for listeners and spans.
+/// come back as a [`CostDecision`] for the trigger counters and spans.
 ///
 /// Adjusted for per-table bloom filters: a probe the filter prunes
 /// costs ~0, so the read amplification a merge would relieve is not

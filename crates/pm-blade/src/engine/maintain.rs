@@ -22,8 +22,7 @@ use crate::telemetry::{CostDecision, MetricKey, SpanKind, TraceSpan};
 type Compacted = Result<Option<CompactionReport>, DbError>;
 
 impl DbCore {
-    /// Record a cost-model verdict: bump its trigger counter and notify
-    /// listeners. Called before the compaction the decision may trigger.
+    /// Record a cost-model verdict: bump its trigger counter if it fired.
     fn note_cost_decision(&self, decision: &CostDecision) {
         if decision.triggered() {
             let name = match decision {
@@ -39,7 +38,6 @@ impl DbCore {
             };
             self.registry.counter(MetricKey::global(name)).incr();
         }
-        self.opts.listeners.each(|l| l.on_cost_decision(decision));
     }
 
     /// Route one piece of triggered maintenance onto the background
@@ -107,17 +105,15 @@ impl DbCore {
     }
 
     /// The maintenance frame: the steps a flush, an internal and a major
-    /// compaction share, in the one order that is crash-safe — begin
-    /// hook, device-counter sample, partition write lock, `compact`,
-    /// version snapshot, manifest append, free / purge / delete, clock
-    /// advance, span, ring push, complete hook. `compact` is the only
-    /// step that differs by `kind`; it returns `None` when there was
-    /// nothing to do.
+    /// compaction share, in the one order that is crash-safe — device-
+    /// counter sample, partition write lock, `compact`, version
+    /// snapshot, manifest append, free / purge / delete, clock advance,
+    /// span pushed to the ring. `compact` is the only step that differs
+    /// by `kind`; it returns `None` when there was nothing to do.
     ///
-    /// The matching `*_complete` hook fires on every exit. When the
-    /// work was empty or failed it carries a zero-work span that is not
-    /// pushed to the ring, and the clock does not advance: an abandoned
-    /// attempt costs no virtual time.
+    /// Only work that installed leaves a span. An empty or failed
+    /// attempt leaves none, and the clock does not advance: an
+    /// abandoned attempt costs no virtual time.
     ///
     /// `origin` throughout the maintenance chain is the trace id of the
     /// sampled foreground request that triggered the work (0 = none, or
@@ -135,11 +131,6 @@ impl DbCore {
     ) -> Compacted {
         let mut tl = Timeline::new();
         let start_nanos = self.clock.load(Ordering::Relaxed);
-        let listeners = &self.opts.listeners;
-        match kind {
-            SpanKind::Flush => listeners.each(|l| l.on_flush_begin(pid)),
-            _ => listeners.each(|l| l.on_compaction_begin(kind, pid)),
-        }
         // Device counters are global: a compaction racing on another
         // partition skews this span's work attribution but never the
         // cumulative totals.
@@ -183,31 +174,38 @@ impl DbCore {
             }
             Ok(Some(report))
         })();
-        let id = self.next_span_id();
-        let mut span = TraceSpan::new(id, origin, kind, pid, start_nanos, 0, (0, 0), (0, 0), cost);
         if let Ok(Some(report)) = &outcome {
             let d = tl.elapsed();
             self.advance(d);
-            span.end_nanos += d.as_nanos();
-            span.input_records = report.records_in as u64;
-            span.output_records = report.records_out as u64;
+            let records = (report.records_in as u64, report.records_out as u64);
             let pm_read = pm.bytes_read.get() - pm_read_before;
             let pm_written = pm.bytes_written.get() - pm_written_before;
             let ssd_written = ssd.bytes_written.get() - ssd_written_before;
-            (span.input_bytes, span.output_bytes) = match kind {
+            let bytes = match kind {
                 SpanKind::Flush => (report.raw_bytes as u64, pm_written + ssd_written),
                 SpanKind::Internal => (pm_read, pm_written),
                 _ => (pm_read, ssd_written),
             };
-            if let Some(decision) = &report.decision {
-                self.note_cost_decision(decision);
-                span.cost = Some(decision.clone());
-            }
-            self.ring.push(span.clone());
-        }
-        match kind {
-            SpanKind::Flush => listeners.each(|l| l.on_flush_complete(&span)),
-            _ => listeners.each(|l| l.on_compaction_complete(&span)),
+            let cost = match &report.decision {
+                Some(decision) => {
+                    self.note_cost_decision(decision);
+                    Some(decision.clone())
+                }
+                None => cost,
+            };
+            let id = self.next_span_id();
+            let span = TraceSpan::new(
+                id,
+                origin,
+                kind,
+                pid,
+                start_nanos,
+                d.as_nanos(),
+                records,
+                bytes,
+                cost,
+            );
+            self.ring.push(span);
         }
         outcome
     }
@@ -215,9 +213,9 @@ impl DbCore {
     /// Minor compaction of one partition, then Algorithm 1 on what it
     /// left behind.
     pub(super) fn do_flush(&self, pid: usize, origin: u64) -> Result<(), DbError> {
-        // Sync the WAL before anything begins: its mutex orders before
-        // the partition lock the frame takes, and a failed sync then
-        // leaves no hook to complete. The flush is charged its cost.
+        // Sync the WAL before the frame begins: its mutex orders before
+        // the partition lock the frame takes. The flush is charged its
+        // cost.
         let mut synced = SimDuration::ZERO;
         if let Some(wal) = &self.wal {
             let mut sync_tl = Timeline::new();
@@ -387,10 +385,11 @@ impl DbCore {
                 Ok(())
             }
             Ok(None) => Ok(()),
-            // PM cannot fit the new sorted run. The frame closed the
-            // attempt with a zero-work span at no virtual time; move
-            // the level-0 to the SSD instead.
+            // PM cannot fit the new sorted run. The frame dropped the
+            // attempt at no virtual time and left no span; move the
+            // level-0 to the SSD instead.
             Err(DbError::Pm(PmError::OutOfSpace { .. })) => {
+                self.metrics.internal_out_of_pm_fallbacks.incr();
                 self.do_major_limited(pid, usize::MAX, origin)
             }
             Err(e) => Err(e),

@@ -220,8 +220,8 @@ pub struct DbCore {
     /// The background job queue; `Some` iff
     /// `opts.maintenance == MaintenanceMode::Background`.
     maintenance: Option<Arc<MaintenanceShared>>,
-    /// Request tracer: sampling decisions plus the slow-query flight
-    /// recorder. Observes the virtual clock, never charges it.
+    /// Request tracer: sampling decisions plus the flight recorder.
+    /// Observes the virtual clock, never charges it.
     tracer: Tracer,
 }
 
@@ -308,7 +308,7 @@ impl DbCore {
         )
     }
 
-    /// The request tracer (sampling state + slow-query flight recorder).
+    /// The request tracer (sampling state + flight recorder).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -323,9 +323,8 @@ impl DbCore {
         }
     }
 
-    /// Snapshot of the slow-query flight recorder: the most recent
-    /// sampled request traces that crossed the slow-query threshold
-    /// (all sampled traces when the threshold is 0), oldest first.
+    /// Snapshot of the flight recorder: the most recent sampled request
+    /// traces, oldest first.
     pub fn flight_recorder(&self) -> Vec<RequestTrace> {
         self.tracer.recorder().snapshot()
     }

@@ -405,12 +405,7 @@ impl DbCore {
         let maintenance = (opts.maintenance == MaintenanceMode::Background)
             .then(|| Arc::new(MaintenanceShared::new(queue_metrics)));
         let ring = EventRing::new(opts.event_log_capacity);
-        let tracer = Tracer::new(
-            opts.trace_sample_every,
-            opts.trace_slow_query_nanos,
-            opts.trace_recorder_capacity,
-            &registry,
-        );
+        let tracer = Tracer::new(opts.trace_sample_every, &registry);
         Ok(DbCore {
             partitions: partitions.into_iter().map(RwLock::new).collect(),
             committers,

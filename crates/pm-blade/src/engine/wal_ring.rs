@@ -66,7 +66,9 @@ impl WalRing {
     }
 
     /// Delete every sealed segment whose records are all at or below
-    /// their partition's flush checkpoint. Returns how many went.
+    /// their partition's flush checkpoint. Returns how many went; a
+    /// segment whose file could not be removed stays sealed, so the
+    /// next checkpoint's prune retries it.
     pub(super) fn prune(&mut self, checkpoints: &BTreeMap<u64, u64>) -> u64 {
         let mut deleted = 0u64;
         self.sealed.retain(|seg| {
@@ -74,12 +76,48 @@ impl WalRing {
                 .max_seq
                 .iter()
                 .all(|(pid, seq)| checkpoints.get(pid).is_some_and(|c| c >= seq));
-            if covered {
-                let _ = std::fs::remove_file(&seg.path);
-                deleted += 1;
-            }
-            !covered
+            let removed = covered && std::fs::remove_file(&seg.path).is_ok();
+            deleted += removed as u64;
+            !removed
         });
         deleted
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn prune_keeps_a_segment_it_could_not_remove() {
+        let dir = std::env::temp_dir().join(format!("pmblade-wal-ring-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // A directory where the sealed segment's file should be: the
+        // unlink fails.
+        let path = dir.join(wal_segment_file(0));
+        std::fs::create_dir(&path).unwrap();
+        let cost = CostModel::default();
+        let mut ring = WalRing {
+            dir: dir.clone(),
+            cost,
+            fault: None,
+            active: Wal::create(dir.join(wal_segment_file(1)), cost).unwrap(),
+            active_segment: 1,
+            active_max: BTreeMap::new(),
+            sealed: vec![SealedSegment {
+                path: path.clone(),
+                max_seq: BTreeMap::from([(0, 5)]),
+            }],
+        };
+        let checkpoints = BTreeMap::from([(0, 5)]);
+        assert_eq!(ring.prune(&checkpoints), 0);
+        assert_eq!(ring.sealed.len(), 1);
+        std::fs::remove_dir(&path).unwrap();
+        std::fs::write(&path, b"").unwrap();
+        assert_eq!(ring.prune(&checkpoints), 1);
+        assert!(ring.sealed.is_empty());
+        assert!(!path.exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

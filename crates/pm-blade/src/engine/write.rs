@@ -341,7 +341,6 @@ impl DbCore {
         }
         let wal_nanos = tl.elapsed().as_nanos();
         // One memtable apply for the whole group.
-        let mut group_bytes = 0u64;
         let mem_full = {
             let mut p = self.partitions[pid].write();
             let mut seq = base;
@@ -350,7 +349,6 @@ impl DbCore {
                     seq += 1;
                     p.note_write(key);
                     p.mem.insert(key, seq, kind, value, &mut tl);
-                    group_bytes += (key.len() + value.len()) as u64;
                     self.metrics
                         .user_bytes_written
                         .add((key.len() + value.len()) as u64);
@@ -372,22 +370,6 @@ impl DbCore {
         let elapsed = tl.elapsed();
         self.advance(elapsed);
         self.metrics.commit_latency.record(elapsed);
-        // Group-commit spans go to listeners and metrics only — the
-        // ring is reserved for compaction history.
-        if !self.opts.listeners.is_empty() {
-            let span = TraceSpan::new(
-                self.next_span_id(),
-                origin,
-                SpanKind::GroupCommit,
-                pid,
-                start_nanos,
-                elapsed.as_nanos(),
-                (total_ops as u64, total_ops as u64),
-                (group_bytes, group_bytes),
-                None,
-            );
-            self.opts.listeners.each(|l| l.on_group_commit(&span));
-        }
         // Maintenance the group triggered. Inline mode runs the flush
         // *before* the tickets complete and bills its virtual time to
         // the group — the triggering writers observe the latency spike

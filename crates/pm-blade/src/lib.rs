@@ -53,9 +53,9 @@ pub use options::{MaintenanceMode, Mode, Options, Partitioner};
 pub use protocol::{Request, Response, WireError};
 pub use stats::{EngineMetrics, ReadSource};
 pub use telemetry::{
-    chrome_trace_json, CostDecision, EventListener, FlightRecorder, HistogramSummary, ListenerSet,
-    MetricKey, MetricsRegistry, MetricsSnapshot, RequestTrace, SpanKind, TraceContext, TraceOp,
-    TraceSpan, Tracer,
+    chrome_trace_json, CostDecision, FlightRecorder, HistogramSummary, MetricKey, MetricsRegistry,
+    MetricsSnapshot, RequestTrace, SpanKind, TraceContext, TraceOp, TraceSpan, Tracer,
+    FLIGHT_RECORDER_CAPACITY,
 };
 
 /// Convenience re-exports for downstream users.

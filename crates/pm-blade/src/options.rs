@@ -3,8 +3,6 @@
 use pmtable::{CodecMode, MetaExtractor, PmTableOptions};
 use sim::CostModel;
 
-use crate::telemetry::ListenerSet;
-
 /// Which system the engine behaves as — the paper's comparison matrix.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Mode {
@@ -151,11 +149,6 @@ pub struct Options {
     /// the *oldest* spans are evicted (and counted as dropped in
     /// snapshots). Must be at least 1.
     pub event_log_capacity: usize,
-    /// Event listeners invoked on flush/compaction/commit spans and
-    /// cost-model decisions. See
-    /// [`EventListener`](crate::telemetry::EventListener) for the
-    /// reentrancy rules.
-    pub listeners: ListenerSet,
     /// Inline (deterministic, default) or background (worker-pool)
     /// maintenance execution.
     pub maintenance: MaintenanceMode,
@@ -173,15 +166,11 @@ pub struct Options {
     /// Sample 1 in N engine-originated requests for end-to-end stage
     /// tracing; 0 disables sampling entirely (wire-carried sampled
     /// contexts are still honored). Sampling only observes the virtual
-    /// clock — it never charges it.
+    /// clock — it never charges it. Every sampled request lands in the
+    /// flight recorder, a ring of
+    /// [`FLIGHT_RECORDER_CAPACITY`](crate::telemetry::FLIGHT_RECORDER_CAPACITY)
+    /// traces.
     pub trace_sample_every: u64,
-    /// Keep a sampled request in the slow-query flight recorder only
-    /// if its total virtual latency is at least this many nanoseconds;
-    /// 0 keeps every sampled request.
-    pub trace_slow_query_nanos: u64,
-    /// Capacity of the slow-query flight-recorder ring (oldest traces
-    /// are evicted and counted as dropped). Must be at least 1.
-    pub trace_recorder_capacity: usize,
 }
 
 impl Default for Options {
@@ -222,13 +211,10 @@ impl Options {
             wal_segment_bytes: 4 << 20,
             fault_plan: None,
             event_log_capacity: 1024,
-            listeners: ListenerSet::new(),
             maintenance: MaintenanceMode::Inline,
             l0_stall_trigger: 24,
             memtable_stall_debt: 4,
             trace_sample_every: 1024,
-            trace_slow_query_nanos: 0,
-            trace_recorder_capacity: 256,
         }
     }
 
@@ -335,14 +321,6 @@ impl Options {
                 o.memtable_stall_debt
             ));
         }
-        if o.trace_recorder_capacity == 0 {
-            return fail(
-                "trace_recorder_capacity must be at least 1 \
-                 (wire-carried sampled traces land there even when \
-                 trace_sample_every is 0)"
-                    .into(),
-            );
-        }
         Ok(self)
     }
 }
@@ -443,7 +421,6 @@ mod tests {
         assert!(rejection(|o| o.l0_table_trigger = 0).contains("l0_table_trigger"));
         assert!(rejection(|o| o.event_log_capacity = 0).contains("event_log_capacity"));
         assert!(rejection(|o| o.wal_segment_bytes = 0).contains("wal_segment_bytes"));
-        assert!(rejection(|o| o.trace_recorder_capacity = 0).contains("trace_recorder_capacity"));
         // Sampling off is a legal steady state.
         accepted(|o| o.trace_sample_every = 0);
         // SSD-only mode doesn't need PM headroom.

@@ -53,6 +53,9 @@ pub struct EngineMetrics {
     pub internal_space_released: Arc<Counter>,
     /// Records dropped as duplicates by internal compaction.
     pub internal_dropped_records: Arc<Counter>,
+    /// Internal compactions that found no PM room for their sorted run
+    /// and fell back to a major compaction.
+    pub internal_out_of_pm_fallbacks: Arc<Counter>,
     /// Group-commit activity: commit groups flushed by a leader, total
     /// write operations that rode in those groups, and `WriteBatch`
     /// submissions (a batch of N ops counts once here, N times in
@@ -156,6 +159,7 @@ impl EngineMetrics {
             major_compactions: counter("major_compactions"),
             internal_space_released: counter("internal_space_released"),
             internal_dropped_records: counter("internal_dropped_records"),
+            internal_out_of_pm_fallbacks: counter("internal_out_of_pm_fallbacks"),
             group_commits: counter("group_commits"),
             grouped_writes: counter("grouped_writes"),
             batch_writes: counter("batch_writes"),
@@ -313,7 +317,7 @@ mod tests {
         // Every field is registered: the global series plus, for each
         // partition, four read counters, the level-1 SSD source and
         // four gauges.
-        assert_eq!(counters.len(), 33 + 2 * 5);
+        assert_eq!(counters.len(), 34 + 2 * 5);
         assert_eq!(gauges.len(), 5 + 2 * 4);
         assert_eq!(histograms.len(), 8);
     }

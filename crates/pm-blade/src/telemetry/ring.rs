@@ -1,5 +1,5 @@
-//! The capped ring behind `Db::compaction_log()` and the slow-query
-//! flight recorder.
+//! The capped ring behind `Db::compaction_log()` and the flight
+//! recorder.
 
 use std::collections::VecDeque;
 
@@ -21,15 +21,15 @@ struct Inner<T> {
     dropped: u64,
 }
 
-/// The ring of completed compaction spans. Group-commit spans are
-/// deliberately kept out of it (they would evict the much rarer
-/// compaction spans within seconds on a write-heavy workload) — they
-/// reach listeners and the metrics registry instead.
+/// The ring of completed maintenance spans: one per flush, internal or
+/// major compaction that installed. Group commits are counted in the
+/// metrics registry, not here (they would evict the much rarer
+/// compaction spans within seconds on a write-heavy workload).
 pub type EventRing = Ring<TraceSpan>;
 
 impl<T: Clone> Ring<T> {
-    /// `capacity` must be at least 1 (`Db::open` rejects an `Options`
-    /// whose ring capacities are 0); 0 gets 1.
+    /// `capacity` must be at least 1 (`Db::open` rejects an
+    /// `event_log_capacity` of 0); 0 gets 1.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Ring {

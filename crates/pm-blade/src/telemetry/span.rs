@@ -4,7 +4,7 @@ use sim::SimDuration;
 
 /// What kind of work a span covers.
 ///
-/// The first four kinds are background-work episodes stored in the
+/// The first three kinds are background-work episodes stored in the
 /// engine's span ring. The remaining kinds are *request stages*: the
 /// per-request breakdown recorded by the end-to-end tracer (see
 /// [`crate::telemetry::trace`]) for sampled reads and writes. Stage
@@ -18,8 +18,6 @@ pub enum SpanKind {
     Internal,
     /// Major compaction: level-0 moved into the SSD levels.
     Major,
-    /// One group commit (leader drain): WAL pass + memtable apply.
-    GroupCommit,
     /// Stage: this write's share of the group's WAL append pass.
     WalAppend,
     /// Stage: this write's share of the group's memtable apply.
@@ -50,7 +48,6 @@ impl SpanKind {
             SpanKind::Flush => "flush",
             SpanKind::Internal => "internal",
             SpanKind::Major => "major",
-            SpanKind::GroupCommit => "group_commit",
             SpanKind::WalAppend => "wal_append",
             SpanKind::MemtableApply => "memtable_apply",
             SpanKind::LeaderWait => "leader_wait",

@@ -1,5 +1,5 @@
 //! End-to-end request tracing: sampling, per-stage attribution, and
-//! the slow-query flight recorder.
+//! the flight recorder.
 //!
 //! A [`TraceContext`] names one logical request. It either originates
 //! inside the engine (1-in-N sampling, see [`Tracer::sample`]) or
@@ -8,9 +8,7 @@
 //! engine logs line up. Sampled requests accumulate *stage* spans —
 //! plain [`TraceSpan`]s with request-stage [`SpanKind`]s and the trace
 //! id set — into a [`RequestTrace`], which the [`Tracer`] files into a
-//! capped [`FlightRecorder`] ring when the request's total latency
-//! meets the slow-query threshold (threshold 0 keeps every sampled
-//! request).
+//! [`FlightRecorder`] ring of [`FLIGHT_RECORDER_CAPACITY`] traces.
 //!
 //! All durations are on the engine's virtual clock. Tracing only ever
 //! *observes* the timeline (`Timeline::elapsed` deltas); it never
@@ -271,6 +269,10 @@ impl StageTrace {
 /// The ring of recently recorded [`RequestTrace`]s.
 pub type FlightRecorder = Ring<RequestTrace>;
 
+/// Traces the engine's flight recorder keeps; older ones are evicted
+/// and counted as dropped.
+pub const FLIGHT_RECORDER_CAPACITY: usize = 256;
+
 impl Ring<RequestTrace> {
     /// `{"dropped": N, "traces": [...]}` for the `/debug` endpoint.
     pub fn to_json(&self) -> String {
@@ -286,8 +288,8 @@ impl Ring<RequestTrace> {
     }
 }
 
-/// Sampling front-end plus the slow-query recorder, owned by the
-/// engine core.
+/// Sampling front-end plus the flight recorder, owned by the engine
+/// core.
 ///
 /// The sampling-off fast path ([`Tracer::sample`] with rate 0) is a
 /// single branch on a pre-loaded field: no atomics, no allocation.
@@ -295,33 +297,23 @@ impl Ring<RequestTrace> {
 pub struct Tracer {
     /// Sample 1 in N engine-originated requests; 0 disables sampling.
     sample_every: u64,
-    /// Keep a sampled request only if its total latency is ≥ this; 0
-    /// keeps every sampled request.
-    slow_nanos: u64,
     ops: AtomicU64,
     ids: AtomicU64,
     recorder: FlightRecorder,
     /// Requests that recorded a stage breakdown (engine-sampled or
     /// wire-adopted).
     pub sampled_total: Arc<Counter>,
-    /// Traces filed into the flight recorder (passed the slow-query
-    /// threshold).
+    /// Traces filed into the flight recorder.
     pub recorded_total: Arc<Counter>,
 }
 
 impl Tracer {
-    pub fn new(
-        sample_every: u64,
-        slow_nanos: u64,
-        recorder_capacity: usize,
-        registry: &MetricsRegistry,
-    ) -> Self {
+    pub fn new(sample_every: u64, registry: &MetricsRegistry) -> Self {
         Tracer {
             sample_every,
-            slow_nanos,
             ops: AtomicU64::new(0),
             ids: AtomicU64::new(0),
-            recorder: FlightRecorder::new(recorder_capacity),
+            recorder: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
             sampled_total: registry.counter(MetricKey::global("trace_sampled_total")),
             recorded_total: registry.counter(MetricKey::global("trace_recorded_total")),
         }
@@ -355,12 +347,10 @@ impl Tracer {
         }
     }
 
-    /// File a finished trace if it meets the slow-query threshold.
+    /// File a finished trace into the flight recorder.
     pub fn finish(&self, trace: RequestTrace) {
-        if trace.total_nanos >= self.slow_nanos {
-            self.recorded_total.incr();
-            self.recorder.push(trace);
-        }
+        self.recorded_total.incr();
+        self.recorder.push(trace);
     }
 
     pub fn recorder(&self) -> &FlightRecorder {
@@ -448,7 +438,7 @@ mod tests {
 
     #[test]
     fn sampling_rate_picks_every_nth() {
-        let t = Tracer::new(4, 0, 8, &MetricsRegistry::new());
+        let t = Tracer::new(4, &MetricsRegistry::new());
         let picks: Vec<bool> = (0..8).map(|_| t.sample().is_some()).collect();
         assert_eq!(
             picks,
@@ -459,7 +449,7 @@ mod tests {
 
     #[test]
     fn sampling_off_records_nothing() {
-        let t = Tracer::new(0, 0, 8, &MetricsRegistry::new());
+        let t = Tracer::new(0, &MetricsRegistry::new());
         for _ in 0..100 {
             assert!(t.sample().is_none());
         }
@@ -468,7 +458,7 @@ mod tests {
 
     #[test]
     fn adopt_honors_the_wire_decision() {
-        let t = Tracer::new(0, 0, 8, &MetricsRegistry::new());
+        let t = Tracer::new(0, &MetricsRegistry::new());
         assert!(t.adopt(TraceContext::sampled(9)).is_some());
         let unsampled = TraceContext {
             trace_id: 9,
@@ -480,16 +470,15 @@ mod tests {
     }
 
     #[test]
-    fn slow_threshold_filters_the_recorder() {
-        let t = Tracer::new(1, 100, 8, &MetricsRegistry::new());
-        let fast = StageTrace::new(TraceContext::sampled(1), TraceOp::Get, 0, 0).finish(99);
+    fn finish_files_every_sampled_trace() {
+        let t = Tracer::new(1, &MetricsRegistry::new());
+        let instant = StageTrace::new(TraceContext::sampled(1), TraceOp::Get, 0, 0).finish(0);
         let slow = StageTrace::new(TraceContext::sampled(2), TraceOp::Get, 0, 0).finish(100);
-        t.finish(fast);
+        t.finish(instant);
         t.finish(slow);
-        let kept = t.recorder().snapshot();
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].trace_id, 2);
-        assert_eq!(t.recorded_total.get(), 1);
+        let kept: Vec<u64> = t.recorder().snapshot().iter().map(|t| t.trace_id).collect();
+        assert_eq!(kept, [1, 2]);
+        assert_eq!(t.recorded_total.get(), 2);
     }
 
     #[test]

@@ -1,60 +1,14 @@
-//! Observability tour: event listeners, metrics snapshots, deltas, and
-//! the Prometheus and JSON renderers.
+//! Observability tour: the compaction log, metrics snapshots, deltas,
+//! and the Prometheus and JSON renderers.
 //!
 //! ```sh
 //! cargo run --release -p pmblade-examples --bin observability
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use pm_blade::{
-    CompactionRequest, CostDecision, Db, EventListener, Options, ScanRequest, TraceSpan,
-};
-
-/// A listener that tallies engine events. Listener hooks run on the
-/// engine thread that did the work — with the partition's commit mutex
-/// held for group commits — so they must stay cheap and must never call
-/// back into the `Db`.
-#[derive(Default)]
-struct Tally {
-    flushes: AtomicU64,
-    compactions: AtomicU64,
-    group_commits: AtomicU64,
-    cost_triggers: AtomicU64,
-}
-
-impl EventListener for Tally {
-    fn on_flush_complete(&self, _span: &TraceSpan) {
-        self.flushes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn on_compaction_complete(&self, span: &TraceSpan) {
-        self.compactions.fetch_add(1, Ordering::Relaxed);
-        if let Some(cost) = &span.cost {
-            println!(
-                "  [listener] {} compaction on p{} triggered by {}",
-                span.kind.as_str(),
-                span.partition,
-                cost.rule()
-            );
-        }
-    }
-
-    fn on_group_commit(&self, _span: &TraceSpan) {
-        self.group_commits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn on_cost_decision(&self, decision: &CostDecision) {
-        if decision.triggered() {
-            self.cost_triggers.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
+use pm_blade::{CompactionRequest, Db, MetricKey, Options, ScanRequest, SpanKind};
 
 fn main() -> Result<(), pm_blade::DbError> {
-    let tally = Arc::new(Tally::default());
-    let mut opts = Options {
+    let opts = Options {
         pm_capacity: 4 << 20,
         memtable_bytes: 32 << 10,
         tau_w: 64 << 10,
@@ -65,8 +19,6 @@ fn main() -> Result<(), pm_blade::DbError> {
         event_log_capacity: 256,
         ..Options::default()
     };
-    opts.listeners
-        .add(Arc::clone(&tally) as Arc<dyn EventListener>);
     let db = Db::open(opts)?;
 
     // Generate enough traffic to exercise flushes and compactions.
@@ -86,25 +38,44 @@ fn main() -> Result<(), pm_blade::DbError> {
     )?;
     db.compact(CompactionRequest::FlushAll)?;
 
-    // 1. The listener saw every event as it happened.
-    println!("\n== listener tallies ==");
-    println!("flushes        {}", tally.flushes.load(Ordering::Relaxed));
-    println!(
-        "compactions    {}",
-        tally.compactions.load(Ordering::Relaxed)
-    );
-    println!(
-        "group commits  {}",
-        tally.group_commits.load(Ordering::Relaxed)
-    );
-    println!(
-        "cost triggers  {}",
-        tally.cost_triggers.load(Ordering::Relaxed)
-    );
+    // 1. The engine's record of its background work. The compaction log
+    //    is the span ring: one span per flush, internal or major
+    //    compaction that installed, at most `event_log_capacity` of
+    //    them. Group commits and cost-model triggers are counters.
+    let log = db.compaction_log();
+    let snap = db.metrics_snapshot();
+    println!("\n== background work ==");
+    for kind in [SpanKind::Flush, SpanKind::Internal, SpanKind::Major] {
+        let spans = log.iter().filter(|s| s.kind == kind).count();
+        println!("{:<14} {spans}", kind.as_str());
+    }
+    for span in log.iter().filter(|s| s.kind != SpanKind::Flush) {
+        if let Some(cost) = &span.cost {
+            println!(
+                "  {} compaction on p{} triggered by {}",
+                span.kind.as_str(),
+                span.partition,
+                cost.rule()
+            );
+        }
+    }
+    let cost_triggers: u64 = [
+        "cost_eq1_triggers",
+        "cost_eq2_triggers",
+        "cost_hard_cap_triggers",
+        "cost_retention_passes",
+        "cost_codec_choices",
+    ]
+    .into_iter()
+    .map(|name| snap.counter(name))
+    .sum();
+    let group_commits = snap.counter_at(&MetricKey::global("group_commits"));
+    println!("group commits  {group_commits}");
+    println!("cost triggers  {cost_triggers}");
+    println!("spans dropped  {}", snap.spans_dropped);
 
     // 2. Pull-style: one snapshot covers every counter, gauge, latency
     //    histogram, and the retained compaction spans.
-    let snap = db.metrics_snapshot();
     println!(
         "\n== snapshot @ {} virtual ns == {} counters, {} gauges, {} histograms, {} spans",
         snap.at_nanos,
@@ -122,8 +93,8 @@ fn main() -> Result<(), pm_blade::DbError> {
     let window = db.metrics_snapshot().delta(&before);
     println!(
         "== delta window == puts {} / group commits {} / spans {}",
-        window.counter_at(&pm_blade::MetricKey::global("puts")),
-        window.counter_at(&pm_blade::MetricKey::global("group_commits")),
+        window.counter_at(&MetricKey::global("puts")),
+        window.counter_at(&MetricKey::global("group_commits")),
         window.spans.len()
     );
 
@@ -170,14 +141,5 @@ fn main() -> Result<(), pm_blade::DbError> {
     for line in json.lines().take(6) {
         println!("{line}");
     }
-
-    // The compaction log is the span ring itself: at most
-    // `event_log_capacity` recent flush / internal / major spans.
-    let log = db.compaction_log();
-    println!(
-        "\ncompaction log: {} recent spans (flush/internal/major), {:?} spans dropped",
-        log.len(),
-        snap.spans_dropped
-    );
     Ok(())
 }

@@ -12,12 +12,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use pm_blade::{
     CompactionRequest, Db, DbError, MaintenanceMode, MetricKey, Mode, ScanRequest, TraceSpan,
 };
-use pmblade_integration_tests::{key_for, tiny_options, value_for, HookLog};
+use pmblade_integration_tests::{key_for, tiny_options, value_for};
 use pmtable::CodecMode;
 use proptest::prelude::*;
 use sim::FaultPlan;
@@ -582,13 +581,13 @@ fn crash_boundary_sweep_mid_flush_and_major() {
 }
 
 // ---------------------------------------------------------------------
-// The listener contract on failure: a flush, internal or major
-// compaction that fails at any durable-write boundary — its manifest
-// append among them — still completes every hook it began.
+// Maintenance on failure: a flush, internal or major compaction that
+// fails at any durable-write boundary — its manifest append among
+// them — leaves no span in the ring and loses no acked write.
 // ---------------------------------------------------------------------
 
 #[test]
-fn a_failed_maintenance_step_completes_every_hook_it_began() {
+fn a_failed_maintenance_step_pushes_no_span_and_keeps_acked_data() {
     let partition = 0;
     let mut first_success = Vec::new();
     for request in [
@@ -602,14 +601,13 @@ fn a_failed_maintenance_step_completes_every_hook_it_began() {
         for countdown in 0.. {
             let dir = scratch_dir("hooks");
             let _ = std::fs::remove_dir_all(&dir);
-            let (plan, hooks) = (FaultPlan::disarmed(), Arc::new(HookLog::default()));
+            let plan = FaultPlan::disarmed();
             let mut opts = tiny_options(Mode::PmBlade);
             opts.wal_dir = Some(dir.clone());
             opts.fault_plan = Some(plan.clone());
             // Nothing flushes or compacts unasked: two unsorted tables
             // and a memtable tail, then the armed request.
             opts.memtable_bytes = 1 << 20;
-            opts.listeners.add(hooks.clone());
             let db = Db::open(opts.clone()).unwrap();
             let mut acked = BTreeMap::new();
             for round in 0..3u64 {
@@ -625,19 +623,11 @@ fn a_failed_maintenance_step_completes_every_hook_it_began() {
             let ring = db.metrics_snapshot().spans.len();
             plan.arm(countdown, false);
             let outcome = db.compact(request);
-            // Begins (hooks 0 and 2) minus completes (1 and 3), per
-            // `(kind, partition)`.
-            let calls = hooks.0.lock().unwrap().clone();
-            let mut open = BTreeMap::new();
-            for (hook, kind, partition, _) in calls.iter().filter(|call| call.0 < 4) {
-                *open.entry((kind, partition)).or_insert(0) += if hook % 2 == 0 { 1 } else { -1 };
-            }
-            assert!(open.values().all(|n| *n == 0), "{request:?}: {open:?}");
             if outcome.is_err() {
                 // Only the two set-up flushes ever reported work.
                 let worked = |s: &&TraceSpan| s.end_nanos > s.start_nanos || s.input_records > 0;
-                let spans = calls.iter().filter_map(|call| call.3.as_ref());
-                assert_eq!(spans.filter(worked).count(), 2, "{request:?}");
+                let spans = db.compaction_log();
+                assert_eq!(spans.iter().filter(worked).count(), 2, "{request:?}");
                 assert_eq!(db.metrics_snapshot().spans.len(), ring, "{request:?}");
             }
             manifest_failed |=

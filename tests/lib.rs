@@ -1,8 +1,6 @@
 //! Shared helpers for the cross-crate integration tests.
 
-use std::sync::Mutex;
-
-use pm_blade::{CostDecision, Db, EventListener, Mode, Options, SpanKind, TraceSpan};
+use pm_blade::{Db, Mode, Options};
 use pmtable::CodecMode;
 
 /// A small engine configuration that exercises every compaction path
@@ -77,44 +75,4 @@ pub fn value_for(i: u64, len: usize) -> Vec<u8> {
 /// `keyNNNNNNNN` formatted key.
 pub fn key_for(i: u64) -> Vec<u8> {
     format!("key{:08}", i).into_bytes()
-}
-
-/// One listener hook call: `(hook, span kind or verdict, partition or
-/// rule, the completing span)`. Hooks 0 / 1 are flush begin / complete,
-/// 2 / 3 compaction begin / complete, 4 a group commit, 5 a cost
-/// decision.
-pub type HookCall = (u8, u8, u64, Option<TraceSpan>);
-
-/// A listener that records every hook call, in call order.
-#[derive(Default)]
-pub struct HookLog(pub Mutex<Vec<HookCall>>);
-
-impl HookLog {
-    fn note(&self, hook: u8, kind: SpanKind, partition: usize, span: Option<&TraceSpan>) {
-        let call = (hook, kind as u8, partition as u64, span.cloned());
-        self.0.lock().unwrap().push(call);
-    }
-}
-
-impl EventListener for HookLog {
-    fn on_flush_begin(&self, partition: usize) {
-        self.note(0, SpanKind::Flush, partition, None);
-    }
-    fn on_flush_complete(&self, span: &TraceSpan) {
-        self.note(1, span.kind, span.partition, Some(span));
-    }
-    fn on_compaction_begin(&self, kind: SpanKind, partition: usize) {
-        self.note(2, kind, partition, None);
-    }
-    fn on_compaction_complete(&self, span: &TraceSpan) {
-        self.note(3, span.kind, span.partition, Some(span));
-    }
-    fn on_group_commit(&self, span: &TraceSpan) {
-        self.note(4, span.kind, span.partition, None);
-    }
-    fn on_cost_decision(&self, decision: &CostDecision) {
-        let rule = encoding::crc::crc32c(decision.rule().as_bytes());
-        let call = (5, decision.triggered() as u8, rule as u64, None);
-        self.0.lock().unwrap().push(call);
-    }
 }

@@ -792,8 +792,6 @@ fn traced_remote_get_spans_client_server_engine() {
     engine.pm_filter_bits_per_key = 1;
     engine.pm_group_cache_bytes = 256 << 10;
     engine.trace_sample_every = 0; // only wire-adopted contexts record
-    engine.trace_slow_query_nanos = 0;
-    engine.trace_recorder_capacity = 512;
     let (server, db) = start_server_custom(engine, quick_poll());
     let addr = server.local_addr();
     let mut client = Client::connect(addr).expect("connect");
@@ -938,7 +936,6 @@ fn debug_endpoint_serves_flight_recorder_and_queue_state() {
     const WIRE_ID: u64 = 3_735_928_559; // 0xDEADBEEF
     let mut engine = tiny_options(Mode::PmBlade);
     engine.trace_sample_every = 0;
-    engine.trace_slow_query_nanos = 0;
     let opts = ServerOptions {
         metrics_addr: Some("127.0.0.1:0".into()),
         ..quick_poll()

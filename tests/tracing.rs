@@ -1,15 +1,13 @@
 //! End-to-end request-tracing tests: deterministic stage attribution
 //! on the read path, maintenance cross-linking to the originating
-//! trace, a golden Chrome trace-event export, slow-query flight
-//! recorder semantics, and the stage-sum invariant under random
-//! workloads.
+//! trace, a golden Chrome trace-event export, flight-recorder
+//! semantics, and the stage-sum invariant under random workloads.
 
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
 
 use pm_blade::{
-    chrome_trace_json, CompactionRequest, Db, EventListener, Mode, ReadSource, RequestTrace,
-    ScanRequest, SpanKind, TraceContext, TraceOp, TraceSpan,
+    chrome_trace_json, CompactionRequest, Db, Mode, ReadSource, RequestTrace, ScanRequest,
+    SpanKind, TraceContext, TraceOp, TraceSpan, FLIGHT_RECORDER_CAPACITY,
 };
 use pmblade_integration_tests::{key_for, tiny_options, value_for};
 use proptest::prelude::*;
@@ -22,7 +20,6 @@ fn traced_opts(mode: Mode) -> pm_blade::Options {
     opts.pm_filter_bits_per_key = 10;
     opts.pm_group_cache_bytes = 256 << 10;
     opts.trace_sample_every = 1;
-    opts.trace_slow_query_nanos = 0;
     opts
 }
 
@@ -223,15 +220,11 @@ fn sampled_scan_attributes_every_nanosecond_to_a_stage() {
 // Write path + maintenance cross-linking
 // -------------------------------------------------------------------
 
-#[derive(Default)]
-struct FlushOrigins {
-    origins: Mutex<Vec<u64>>,
-}
-
-impl EventListener for FlushOrigins {
-    fn on_flush_complete(&self, span: &TraceSpan) {
-        self.origins.lock().unwrap().push(span.trace_id);
-    }
+/// The trace ids of the flush spans in `db`'s compaction log.
+fn flush_origins(db: &Db) -> Vec<u64> {
+    let log = db.compaction_log();
+    let flushes = log.iter().filter(|s| s.kind == SpanKind::Flush);
+    flushes.map(|s| s.trace_id).collect()
 }
 
 /// A memtable flush tripped by a traced write carries that write's
@@ -240,26 +233,23 @@ impl EventListener for FlushOrigins {
 #[test]
 fn flush_triggered_by_traced_write_carries_the_origin_trace_id() {
     const WIRE_ID: u64 = 0xFACE;
-    let recorder = Arc::new(FlushOrigins::default());
     let wal_dir =
         std::env::temp_dir().join(format!("pmblade-it-{}-trace-origin", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal_dir);
     let mut opts = tiny_options(Mode::PmBlade);
     opts.trace_sample_every = 0; // only the explicit contexts below record
     opts.wal_dir = Some(wal_dir.clone()); // so writes record a WAL-append stage
-    opts.listeners
-        .add(Arc::clone(&recorder) as Arc<dyn EventListener>);
     let db = Db::open(opts).unwrap();
 
     let ctx = TraceContext::sampled(WIRE_ID);
     let mut i = 0u64;
-    while recorder.origins.lock().unwrap().is_empty() {
+    while flush_origins(&db).is_empty() {
         db.put_with(&key_for(i), &value_for(i, 256), Some(ctx))
             .unwrap();
         i += 1;
         assert!(i < 10_000, "no automatic flush after 10k writes");
     }
-    let origins = recorder.origins.lock().unwrap().clone();
+    let origins = flush_origins(&db);
     assert!(
         origins.contains(&WIRE_ID),
         "flush span must carry the originating trace id, got {origins:?}"
@@ -360,39 +350,30 @@ fn chrome_trace_export_matches_golden() {
 // Flight-recorder semantics
 // -------------------------------------------------------------------
 
-/// `trace_slow_query_nanos` gates what reaches the recorder; sampling
-/// still counts.
-#[test]
-fn slow_query_threshold_gates_the_flight_recorder() {
-    let mut opts = tiny_options(Mode::PmBlade);
-    opts.trace_sample_every = 1;
-    opts.trace_slow_query_nanos = u64::MAX;
-    let db = Db::open(opts).unwrap();
-    db.put(b"k", b"v").unwrap();
-    db.get(b"k").unwrap();
-    assert!(db.flight_recorder().is_empty(), "nothing is that slow");
-    assert!(db.tracer().sampled_total.get() >= 2);
-    assert_eq!(db.tracer().recorded_total.get(), 0);
-}
-
-/// The recorder is a capped ring: overflow evicts the oldest traces
-/// and counts the drops.
+/// The recorder is a capped ring of [`FLIGHT_RECORDER_CAPACITY`]
+/// traces: overflow evicts the oldest traces and counts the drops.
 #[test]
 fn recorder_ring_caps_and_counts_drops() {
     let opts = pm_blade::Options {
         trace_sample_every: 1,
-        trace_slow_query_nanos: 0,
-        trace_recorder_capacity: 4,
         ..pm_blade::Options::default()
     };
     let db = Db::open(opts).unwrap();
     db.put(b"k", b"v").unwrap();
-    for _ in 0..20 {
+    let gets = FLIGHT_RECORDER_CAPACITY + 20;
+    for _ in 0..gets {
         db.get(b"k").unwrap();
     }
     let traces = db.flight_recorder();
-    assert_eq!(traces.len(), 4, "ring keeps exactly its capacity");
-    assert!(db.tracer().recorder().dropped() > 0);
+    assert_eq!(
+        traces.len(),
+        FLIGHT_RECORDER_CAPACITY,
+        "ring keeps exactly its capacity"
+    );
+    // Every sampled request was filed: the put and the gets, minus
+    // what the ring evicted.
+    assert_eq!(db.tracer().recorded_total.get(), 1 + gets as u64);
+    assert_eq!(db.tracer().recorder().dropped(), 21);
     // Oldest-to-newest ordering: engine-originated ids count up.
     let ids: Vec<u64> = traces.iter().map(|t| t.trace_id).collect();
     let mut sorted = ids.clone();
@@ -419,8 +400,6 @@ proptest! {
         let mode = [Mode::PmBlade, Mode::PmBladePm, Mode::SsdLevel0, Mode::MatrixKv][mode];
         let mut opts = tiny_options(mode);
         opts.trace_sample_every = 1;
-        opts.trace_slow_query_nanos = 0;
-        opts.trace_recorder_capacity = 4096;
         let db = Db::open(opts).unwrap();
         for (kind, k) in ops {
             match kind {
@@ -479,7 +458,6 @@ fn sampling_choice_never_moves_virtual_latencies() {
     let run = |sample_every: u64| -> (Vec<u64>, u64) {
         let mut opts = tiny_options(Mode::PmBlade);
         opts.trace_sample_every = sample_every;
-        opts.trace_slow_query_nanos = 0;
         let db = Db::open(opts).unwrap();
         let mut latencies = Vec::new();
         for i in 0..200u64 {
