@@ -243,7 +243,8 @@ fn bench_scan_merge(c: &mut Criterion) {
             let sink = |e: pmtable::EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
             merge_into(cursors, false, &cost, &errors, &mut tl, sink).unwrap();
             let run = writer.finish(&mut tl).unwrap();
-            run.iter().for_each(|(table, _)| pool.free(table.region));
+            run.iter()
+                .for_each(|(table, _)| pool.free(table.region).unwrap());
             run.len()
         })
     });

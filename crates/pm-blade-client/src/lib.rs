@@ -4,8 +4,8 @@
 //! time: the frame is built in a reused buffer and sent with one
 //! `write`, the response is read through a `BufReader` into a reused
 //! payload buffer. Connection establishment
-//! retries with exponential backoff; all socket I/O honors a
-//! configurable timeout. The calls mirror the engine's: a short name
+//! retries with exponential backoff; all socket I/O honors a fixed
+//! timeout. The calls mirror the engine's: a short name
 //! plus, for a read, one `*_with` that states the trace context.
 //!
 //! - [`Client::write_batch`] — the engine's [`WriteBatch`] in one round
@@ -16,8 +16,7 @@
 //! - [`Client::get_with`] — a get with the engine's virtual latency;
 //!   `Some(ctx)` wraps it in a [`Request::Traced`] envelope so the
 //!   client-chosen trace id spans client → server → engine (the server
-//!   records sampled requests in its flight recorder under
-//!   that id).
+//!   records the request in its flight recorder under that id).
 //!
 //! Engine-side failures arrive as [`ClientError::Remote`] carrying the
 //! stable numeric code of `DbError::code()` plus its display message.
@@ -29,29 +28,14 @@ use std::time::Duration;
 use pm_blade::protocol::{Request, Response, WireError};
 use pm_blade::{CompactionRequest, ScanRequest, TraceContext, WriteBatch};
 
-/// Client-side knobs.
-#[derive(Clone, Debug)]
-pub struct ClientOptions {
-    /// Total connection attempts (1 = no retry).
-    pub connect_attempts: u32,
-    /// Backoff before the second attempt; doubles per retry.
-    pub retry_backoff: Duration,
-    /// Read/write timeout on the socket (`None` = block forever).
-    pub io_timeout: Option<Duration>,
-    /// Rows per request issued by [`Client::scan_paged`].
-    pub scan_page: usize,
-}
-
-impl Default for ClientOptions {
-    fn default() -> Self {
-        ClientOptions {
-            connect_attempts: 5,
-            retry_backoff: Duration::from_millis(20),
-            io_timeout: Some(Duration::from_secs(30)),
-            scan_page: 1_000,
-        }
-    }
-}
+/// Total connection attempts [`Client::connect`] makes.
+const CONNECT_ATTEMPTS: u32 = 5;
+/// Backoff before the second connection attempt; doubles per retry.
+const RETRY_BACKOFF: Duration = Duration::from_millis(20);
+/// Read/write timeout on the socket.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
+/// Rows per request issued by [`Client::scan_paged`].
+const SCAN_PAGE: usize = 1_000;
 
 /// Anything a client call can fail with.
 #[derive(Debug)]
@@ -110,47 +94,34 @@ pub struct Client {
     /// Scratch for the request frame and the response payload of a call.
     frame: Vec<u8>,
     payload: Vec<u8>,
-    opts: ClientOptions,
 }
 
 impl Client {
-    /// Connect with defaults.
+    /// Connect, making up to 5 attempts 20 ms apart, the gap doubling
+    /// per retry (covers the races where the server is still binding).
+    /// Every socket read and write then times out after 30 s.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
-        Client::connect_with(addr, ClientOptions::default())
-    }
-
-    /// Connect, retrying `connect_attempts` times with doubling
-    /// backoff (covers the races where the server is still binding).
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        opts: ClientOptions,
-    ) -> Result<Client, ClientError> {
-        let attempts = opts.connect_attempts.max(1);
-        let mut backoff = opts.retry_backoff;
-        let mut last_err: Option<io::Error> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(backoff);
-                backoff = backoff.saturating_mul(2);
-            }
+        let mut backoff = RETRY_BACKOFF;
+        let mut attempt = 1;
+        let stream = loop {
             match TcpStream::connect(&addr) {
-                Ok(stream) => {
-                    stream.set_nodelay(true)?;
-                    stream.set_read_timeout(opts.io_timeout)?;
-                    stream.set_write_timeout(opts.io_timeout)?;
-                    return Ok(Client {
-                        reader: BufReader::new(stream),
-                        frame: Vec::new(),
-                        payload: Vec::new(),
-                        opts,
-                    });
+                Ok(stream) => break stream,
+                Err(e) if attempt == CONNECT_ATTEMPTS => return Err(ClientError::Io(e)),
+                Err(_) => {
+                    std::thread::sleep(backoff);
+                    backoff *= 2;
+                    attempt += 1;
                 }
-                Err(e) => last_err = Some(e),
             }
-        }
-        Err(ClientError::Io(last_err.unwrap_or_else(|| {
-            io::Error::other("no connection attempts made")
-        })))
+        };
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(IO_TIMEOUT))?;
+        Ok(Client {
+            reader: BufReader::new(stream),
+            frame: Vec::new(),
+            payload: Vec::new(),
+        })
     }
 
     /// Issue one request and wait for its response; a remote engine
@@ -241,16 +212,15 @@ impl Client {
         }
     }
 
-    /// Forward scan split into pages of `ClientOptions::scan_page`
-    /// rows: each full page is followed up from the successor of its
-    /// last key, until the range, the overall `request.limit`, or the
-    /// data runs out. Reverse scans are issued as a single request
-    /// (paging from the tail would need an exclusive-end cursor).
+    /// Forward scan split into pages of 1 000 rows: each full page is
+    /// followed up from the successor of its last key, until the range,
+    /// the overall `request.limit`, or the data runs out. Reverse scans
+    /// are issued as a single request (paging from the tail would need
+    /// an exclusive-end cursor).
     pub fn scan_paged(&mut self, request: ScanRequest) -> Result<Rows, ClientError> {
         if request.reverse {
             return self.scan(request);
         }
-        let page = self.opts.scan_page.max(1);
         let mut out: Rows = Vec::new();
         let mut cursor = request.start.clone();
         loop {
@@ -261,7 +231,7 @@ impl Client {
             let page_req = ScanRequest {
                 start: cursor.clone(),
                 end: request.end.clone(),
-                limit: page.min(remaining),
+                limit: SCAN_PAGE.min(remaining),
                 reverse: false,
             };
             let want = page_req.limit;
@@ -293,7 +263,6 @@ impl std::fmt::Debug for Client {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Client")
             .field("peer", &self.reader.get_ref().peer_addr().ok())
-            .field("opts", &self.opts)
             .finish()
     }
 }

@@ -26,13 +26,13 @@
 //!   runs [`Db::close`] so background maintenance lands. No acked
 //!   write is ever lost.
 //! - **Observability** — every operation is wired into the engine's
-//!   [`MetricsRegistry`]: per-op counters (`server_get_total`, …, plus
-//!   a `connection="N"`-labeled copy per live client connection, folded
-//!   into a label-less series of the same name on disconnect) and
-//!   wall-clock latency histograms (`server_get_latency`, …), plus
-//!   `server_active_connections` / `server_inflight_requests` /
-//!   `server_connections_total` / `server_throttled_total` /
-//!   `server_errors_total`. An optional HTTP listener serves the whole
+//!   [`MetricsRegistry`]: one counter (`server_get_total`, …) and one
+//!   wall-clock latency histogram (`server_get_latency`, …) per op,
+//!   plus `server_active_connections` / `server_inflight_requests` /
+//!   `server_connections_total` / `server_conn_rejected_total` /
+//!   `server_throttled_total` / `server_errors_total`. No series is
+//!   labeled per connection, so the set of series does not grow with
+//!   the clients served. An optional HTTP listener serves the whole
 //!   registry in Prometheus text format at `/metrics` and a live debug
 //!   view (flight recorder, maintenance-queue state, metrics
 //!   snapshot) as JSON at `/debug`.
@@ -43,7 +43,7 @@
 
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -137,30 +137,6 @@ struct OpMetrics {
     latency: Arc<LatencyRecorder>,
 }
 
-/// Per-op counter names, indexed like `ServerMetrics::ops`.
-const OP_TOTAL_NAMES: [&str; 7] = [
-    "server_ping_total",
-    "server_put_total",
-    "server_delete_total",
-    "server_write_batch_total",
-    "server_get_total",
-    "server_scan_total",
-    "server_compact_total",
-];
-
-/// Per-connection copies of the op counters, labeled `connection="N"`.
-/// Distinct names keep `MetricsSnapshot::counter` (which sums a name
-/// across labels) from double-counting the global totals.
-const CONN_OP_TOTAL_NAMES: [&str; 7] = [
-    "server_conn_ping_total",
-    "server_conn_put_total",
-    "server_conn_delete_total",
-    "server_conn_write_batch_total",
-    "server_conn_get_total",
-    "server_conn_scan_total",
-    "server_conn_compact_total",
-];
-
 /// Index into `ServerMetrics::ops`, in `Request` variant order. A
 /// traced envelope counts as its inner operation.
 fn op_index(req: &Request) -> usize {
@@ -192,13 +168,13 @@ impl ServerMetrics {
             flushes_total: registry.counter(MetricKey::global("server_flushes_total")),
             flush_latency: registry.histogram(MetricKey::global("server_flush_latency")),
             ops: [
-                op(OP_TOTAL_NAMES[0], "server_ping_latency"),
-                op(OP_TOTAL_NAMES[1], "server_put_latency"),
-                op(OP_TOTAL_NAMES[2], "server_delete_latency"),
-                op(OP_TOTAL_NAMES[3], "server_write_batch_latency"),
-                op(OP_TOTAL_NAMES[4], "server_get_latency"),
-                op(OP_TOTAL_NAMES[5], "server_scan_latency"),
-                op(OP_TOTAL_NAMES[6], "server_compact_latency"),
+                op("server_ping_total", "server_ping_latency"),
+                op("server_put_total", "server_put_latency"),
+                op("server_delete_total", "server_delete_latency"),
+                op("server_write_batch_total", "server_write_batch_latency"),
+                op("server_get_total", "server_get_latency"),
+                op("server_scan_total", "server_scan_latency"),
+                op("server_compact_total", "server_compact_latency"),
             ],
         }
     }
@@ -210,7 +186,6 @@ struct Shared {
     shutdown: AtomicBool,
     active: AtomicI64,
     inflight: AtomicI64,
-    next_conn_id: AtomicU64,
     metrics: ServerMetrics,
     handlers: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -255,7 +230,6 @@ impl Server {
             shutdown: AtomicBool::new(false),
             active: AtomicI64::new(0),
             inflight: AtomicI64::new(0),
-            next_conn_id: AtomicU64::new(0),
             metrics,
             handlers: Mutex::new(Vec::new()),
         });
@@ -346,12 +320,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 }
                 let n = shared.active.fetch_add(1, Ordering::Relaxed) + 1;
                 shared.metrics.active_connections.set(n);
-                let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
                 let conn_shared = Arc::clone(&shared);
                 let handle = std::thread::Builder::new()
                     .name("pmblade-conn".into())
                     .spawn(move || {
-                        handle_connection(stream, &conn_shared, conn_id);
+                        handle_connection(stream, &conn_shared);
                         let n = conn_shared.active.fetch_sub(1, Ordering::Relaxed) - 1;
                         conn_shared.metrics.active_connections.set(n);
                     });
@@ -416,7 +389,7 @@ impl Write for CountedWrites<'_> {
 
 /// Serve one connection until the client hangs up, the stream breaks,
 /// or shutdown drains it.
-fn handle_connection(stream: TcpStream, shared: &Shared, conn_id: u64) {
+fn handle_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.opts.poll_interval));
     let Ok(read_half) = stream.try_clone() else {
@@ -425,21 +398,10 @@ fn handle_connection(stream: TcpStream, shared: &Shared, conn_id: u64) {
     let mut reader = BufReader::with_capacity(IO_BUF_BYTES, read_half);
     let metrics = &shared.metrics;
     let mut writer = BufWriter::with_capacity(IO_BUF_BYTES, CountedWrites { stream, metrics });
-    // Per-connection copies of the op counters, labeled with this
-    // connection's id; fetched once so the request loop stays off the
-    // registry locks.
-    let registry = shared.db.metrics();
-    let conn_key = |name| MetricKey::connection(name, conn_id);
-    let conn_ops = CONN_OP_TOTAL_NAMES.map(|name| registry.counter(conn_key(name)));
-    serve(&mut reader, &mut writer, shared, &conn_ops);
+    serve(&mut reader, &mut writer, shared);
     // Flush rule (c): however `serve` returned, replies still buffered
     // leave before the socket closes.
     let _ = writer.flush();
-    // Label cardinality stays bounded by the live connections: a closed
-    // connection's counts move to the label-less series of each name.
-    for name in CONN_OP_TOTAL_NAMES {
-        registry.fold_counter(conn_key(name), MetricKey::global(name));
-    }
 }
 
 /// The request loop. Replies are framed into `writer` and flushed only
@@ -450,7 +412,6 @@ fn serve(
     reader: &mut BufReader<TcpStream>,
     writer: &mut BufWriter<CountedWrites<'_>>,
     shared: &Shared,
-    conn_ops: &[Arc<Counter>; 7],
 ) {
     let mut bucket = shared
         .opts
@@ -499,7 +460,6 @@ fn serve(
                 shared.metrics.inflight_requests.set(n);
                 let m = &shared.metrics.ops[idx];
                 m.total.incr();
-                conn_ops[idx].incr();
                 m.latency.record_nanos(started.elapsed().as_nanos() as u64);
                 if matches!(resp, Response::Error { .. }) {
                     shared.metrics.errors_total.incr();

@@ -160,12 +160,19 @@ impl DbCore {
             // dropped is safe: the install removed every handle to the
             // replaced tables, so no reader can reach them.
             self.log_version(version, report.durable_seq.map(|seq| (pid, seq)))?;
+            // A file that could not be unlinked stays on disk, outside
+            // the accounting, which drops either way: count it.
+            let retire_errors = &self.metrics.media_retire_errors;
             for name in &report.deleted_tables {
-                let _ = self.device.delete(name);
+                if self.device.delete(name).is_err() {
+                    retire_errors.incr();
+                }
                 self.cache.purge_table(sstable::cache::table_id(name));
             }
             for region in &report.retired_regions {
-                self.pool.free(*region);
+                if self.pool.free(*region).is_err() {
+                    retire_errors.incr();
+                }
             }
             // The retired PM tables can never serve a read again (their
             // ids are never reused); purging just reclaims cache space.

@@ -314,11 +314,10 @@ impl DbCore {
     }
 
     /// The context a request runs under: the engine's own sampling
-    /// decision when the caller brought none, else the caller's — which
-    /// records nothing unless it is sampled.
+    /// decision when the caller brought none, else the caller's.
     fn trace_for(&self, wire: Option<TraceContext>) -> Option<TraceContext> {
         match wire {
-            Some(ctx) => self.tracer.adopt(ctx),
+            Some(ctx) => Some(self.tracer.adopt(ctx)),
             None => self.tracer.sample(),
         }
     }

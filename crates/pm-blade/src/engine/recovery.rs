@@ -215,6 +215,7 @@ impl DbCore {
         let mut recovered_tables = 0u64;
         let mut replayed_records = 0u64;
         let mut edits_at_open = 0u64;
+        let mut retire_errors = 0u64;
         let (pool, device, manifest, wal) = match opts.wal_dir.clone() {
             None => (
                 PmPool::new(opts.pm_capacity, opts.cost),
@@ -277,13 +278,13 @@ impl DbCore {
                 // GC orphans: media published by a crashed process whose
                 // manifest edit never landed. Nothing references them.
                 for id in pool.region_ids() {
-                    if !live_regions.contains(&id) {
-                        pool.free(id);
+                    if !live_regions.contains(&id) && pool.free(id).is_err() {
+                        retire_errors += 1;
                     }
                 }
                 for name in device.list() {
-                    if !live_tables.contains(&name) {
-                        let _ = device.delete(&name);
+                    if !live_tables.contains(&name) && device.delete(&name).is_err() {
+                        retire_errors += 1;
                     }
                 }
                 // WAL segments replay ascending; records at or below the
@@ -393,6 +394,7 @@ impl DbCore {
         // Durability / recovery observability: zero without a wal_dir;
         // set once, here, from the open pass.
         metrics.manifest_edits.add(edits_at_open);
+        metrics.media_retire_errors.add(retire_errors);
         metrics.recovery_wal_records_replayed.add(replayed_records);
         metrics.recovery_tables_reopened.add(recovered_tables);
         metrics

@@ -351,7 +351,7 @@ fn metrics_snapshot_covers_engine_activity() {
     )
     .unwrap();
     let snap = db.metrics_snapshot();
-    // Global counters absorbed from EngineStats.
+    // Global counters of `EngineMetrics`.
     assert_eq!(snap.counter("puts"), 2000);
     assert!(snap.counter("gets") > 0);
     assert_eq!(snap.counter("scans"), 1);

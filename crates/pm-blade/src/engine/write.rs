@@ -46,8 +46,7 @@ impl DbCore {
     /// [`DbCore::put`] with the trace context stated: `None` lets the
     /// engine sample ([`Tracer::sample`](crate::telemetry::Tracer::sample)),
     /// `Some` is a wire-carried context — the entry point for
-    /// `Request::Traced` — honoured when it is sampled and recording
-    /// nothing when it is not
+    /// `Request::Traced` — always recorded
     /// ([`Tracer::adopt`](crate::telemetry::Tracer::adopt)).
     pub fn put_with(
         &self,

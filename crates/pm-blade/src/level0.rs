@@ -542,7 +542,7 @@ pub(crate) mod tests {
     ) -> (usize, Vec<u64>) {
         let (released, regions, cache_ids) = l0.replace_with_sorted_deferred(run);
         for region in regions {
-            pool.free(region);
+            pool.free(region).unwrap();
         }
         (released, cache_ids)
     }
@@ -1002,11 +1002,11 @@ pub(crate) mod tests {
                         let (table, keys) = build(&pool, &mut seq, &entries, filtered);
                         l0.push_unsorted(table, keys);
                     }
-                    Op::Detach(limit) => l0.detach_oldest(limit).0.into_iter().for_each(|r| pool.free(r)),
+                    Op::Detach(limit) => l0.detach_oldest(limit).0.into_iter().for_each(|r| pool.free(r).unwrap()),
                     Op::SetRun(keys) => l0.set_sorted_run(run_of(&pool, &mut seq, &keys)),
                     Op::Replace(keys) => {
                         let (_, regions, _) = l0.replace_with_sorted_deferred(run_of(&pool, &mut seq, &keys));
-                        regions.into_iter().for_each(|r| pool.free(r));
+                        regions.into_iter().for_each(|r| pool.free(r).unwrap());
                     }
                     Op::Hold => held.push((l0.version(), answers(&l0))),
                 }

@@ -304,7 +304,7 @@ mod tests {
             Some((&b"k00000"[..], &b"k00057"[..]))
         );
         for region in m.take_regions() {
-            pool.free(region);
+            pool.free(region).unwrap();
         }
         assert!(m.is_empty());
         assert_eq!(pool.used(), 0);

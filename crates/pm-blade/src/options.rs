@@ -164,8 +164,8 @@ pub struct Options {
     /// worker. At least 2.
     pub memtable_stall_debt: usize,
     /// Sample 1 in N engine-originated requests for end-to-end stage
-    /// tracing; 0 disables sampling entirely (wire-carried sampled
-    /// contexts are still honored). Sampling only observes the virtual
+    /// tracing; 0 disables sampling entirely (wire-carried contexts are
+    /// still honored). Sampling only observes the virtual
     /// clock — it never charges it. Every sampled request lands in the
     /// flight recorder, a ring of
     /// [`FLIGHT_RECORDER_CAPACITY`](crate::telemetry::FLIGHT_RECORDER_CAPACITY)

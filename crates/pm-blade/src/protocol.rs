@@ -287,10 +287,6 @@ mod tag {
     pub const COMPACT: u8 = 6;
     pub const TRACED: u8 = 7;
 
-    // Traced-envelope flag bits.
-    pub const TRACE_SAMPLED: u8 = 0b01;
-    pub const TRACE_HAS_DEADLINE: u8 = 0b10;
-
     // Response tags.
     pub const PONG: u8 = 0;
     pub const WRITTEN: u8 = 1;
@@ -452,17 +448,6 @@ impl Request {
             Request::Traced { ctx, inner } => {
                 out.push(tag::TRACED);
                 varint::put_u64(out, ctx.trace_id);
-                let mut flags = 0u8;
-                if ctx.sampled {
-                    flags |= tag::TRACE_SAMPLED;
-                }
-                if ctx.deadline_nanos.is_some() {
-                    flags |= tag::TRACE_HAS_DEADLINE;
-                }
-                out.push(flags);
-                if let Some(d) = ctx.deadline_nanos {
-                    varint::put_u64(out, d);
-                }
                 inner.encode_payload_into(out);
             }
         }
@@ -528,26 +513,13 @@ impl Request {
                 _ => return Err(corrupt("compaction request")),
             }),
             tag::TRACED => {
-                let trace_id = d.u64()?;
-                let flags = d.u8()?;
-                if flags & !(tag::TRACE_SAMPLED | tag::TRACE_HAS_DEADLINE) != 0 {
-                    return Err(corrupt("trace flags"));
-                }
-                let deadline_nanos = if flags & tag::TRACE_HAS_DEADLINE != 0 {
-                    Some(d.u64()?)
-                } else {
-                    None
-                };
+                let ctx = TraceContext::sampled(d.u64()?);
                 let inner = Request::decode(d.rest())?;
                 if matches!(inner, Request::Traced { .. }) {
                     return Err(WireError::Corrupt("nested traced envelope".into()));
                 }
                 Request::Traced {
-                    ctx: TraceContext {
-                        trace_id,
-                        sampled: flags & tag::TRACE_SAMPLED != 0,
-                        deadline_nanos,
-                    },
+                    ctx,
                     inner: Box::new(inner),
                 }
             }
@@ -734,19 +706,11 @@ mod tests {
     #[test]
     fn traced_envelope_roundtrips() {
         roundtrip_request(Request::Traced {
-            ctx: TraceContext {
-                trace_id: 0xDEAD_BEEF,
-                sampled: true,
-                deadline_nanos: None,
-            },
+            ctx: TraceContext::sampled(0xDEAD_BEEF),
             inner: Box::new(Request::Get { key: b"k".to_vec() }),
         });
         roundtrip_request(Request::Traced {
-            ctx: TraceContext {
-                trace_id: u64::MAX,
-                sampled: false,
-                deadline_nanos: Some(5_000_000),
-            },
+            ctx: TraceContext::sampled(u64::MAX),
             inner: Box::new(Request::Put {
                 key: b"k".to_vec(),
                 value: vec![7u8; 300],
@@ -770,19 +734,6 @@ mod tests {
         };
         assert!(matches!(
             Request::decode(&nested.encode_payload()),
-            Err(WireError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn traced_envelope_bad_flags_rejected() {
-        let mut payload = Vec::new();
-        payload.push(7); // TRACED
-        encoding::varint::put_u64(&mut payload, 1);
-        payload.push(0b100); // undefined flag bit
-        payload.push(0); // PING
-        assert!(matches!(
-            Request::decode(&payload),
             Err(WireError::Corrupt(_))
         ));
     }

@@ -102,6 +102,10 @@ pub struct EngineMetrics {
     /// Compaction inputs (SSTables) that could not be read; the
     /// compaction aborted with every input table still in place.
     pub compaction_input_errors: Arc<Counter>,
+    /// Retired SSTables and PM regions (after a compaction, or orphans
+    /// at open) whose backing file could not be removed: each one
+    /// stays on disk, though the engine no longer accounts for it.
+    pub media_retire_errors: Arc<Counter>,
     pub write_slowdowns: Arc<Counter>,
     pub write_stalls: Arc<Counter>,
     /// Wall-clock (not virtual) stall durations: stalls park the real
@@ -184,6 +188,7 @@ impl EngineMetrics {
             pm_scan_tables_sought: counter("pm_scan_tables_sought_total"),
             ssd_read_errors: counter("ssd_read_errors_total"),
             compaction_input_errors: counter("compaction_input_errors_total"),
+            media_retire_errors: counter("media_retire_errors_total"),
             write_slowdowns: counter("write_slowdowns"),
             write_stalls: counter("write_stalls"),
             stall_wall: histogram("write_stall_wall_nanos"),
@@ -317,7 +322,7 @@ mod tests {
         // Every field is registered: the global series plus, for each
         // partition, four read counters, the level-1 SSD source and
         // four gauges.
-        assert_eq!(counters.len(), 34 + 2 * 5);
+        assert_eq!(counters.len(), 35 + 2 * 5);
         assert_eq!(gauges.len(), 5 + 2 * 4);
         assert_eq!(histograms.len(), 8);
     }

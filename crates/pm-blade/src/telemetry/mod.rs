@@ -5,7 +5,7 @@
 //!
 //! - [`MetricsRegistry`] — named counters, gauges, and virtual-clock
 //!   latency histograms, keyed by [`MetricKey`] (metric name plus
-//!   optional partition, level, connection and codec labels). Hot
+//!   optional partition, level and codec labels). Hot
 //!   paths hold pre-fetched `Arc` handles so recording a metric is one
 //!   relaxed atomic op; the registry's own locks are touched only at
 //!   registration and snapshot time.

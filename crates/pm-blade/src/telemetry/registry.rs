@@ -15,17 +15,14 @@ use parking_lot::{Mutex, RwLock};
 use sim::{Counter, Histogram, SimDuration};
 
 /// Identity of one metric: a static name plus optional partition,
-/// level, connection, and codec labels. Ordering is lexicographic
-/// (name, partition, level, connection, codec), which gives snapshots
-/// and renderers a stable order for free.
+/// level, and codec labels. Ordering is lexicographic (name, partition,
+/// level, codec), which gives snapshots and renderers a stable order
+/// for free.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct MetricKey {
     pub name: &'static str,
     pub partition: Option<usize>,
     pub level: Option<usize>,
-    /// Server-side connection id (the service layer labels its per-op
-    /// counters with the connection that issued them).
-    pub connection: Option<u64>,
     /// PM table codec name (`pmtable::CODEC_NAMES`); the flush path
     /// labels `pm_codec_chosen_total` with the codec it picked.
     pub codec: Option<&'static str>,
@@ -38,7 +35,6 @@ impl MetricKey {
             name,
             partition: None,
             level: None,
-            connection: None,
             codec: None,
         }
     }
@@ -60,14 +56,6 @@ impl MetricKey {
         }
     }
 
-    /// A per-connection metric (server op counters).
-    pub const fn connection(name: &'static str, connection: u64) -> Self {
-        MetricKey {
-            connection: Some(connection),
-            ..MetricKey::global(name)
-        }
-    }
-
     /// A per-codec metric (flush codec decisions).
     pub const fn codec(name: &'static str, codec: &'static str) -> Self {
         MetricKey {
@@ -79,13 +67,12 @@ impl MetricKey {
     /// Every label, in key order, with its value where set. The one
     /// list the renderers read: [`Self::label_string`] (Prometheus and
     /// `Display`) and the JSON documents.
-    pub(crate) fn labels(&self) -> [(&'static str, Option<LabelValue>); 4] {
+    pub(crate) fn labels(&self) -> [(&'static str, Option<LabelValue>); 3] {
         use LabelValue::{Name, Num};
         let num = |n: usize| Num(n as u64);
         [
             ("partition", self.partition.map(num)),
             ("level", self.level.map(num)),
-            ("connection", self.connection.map(Num)),
             ("codec", self.codec.map(Name)),
         ]
     }
@@ -116,7 +103,7 @@ impl MetricKey {
     }
 }
 
-/// A set label's value: a number (partition, level, connection) or a
+/// A set label's value: a number (partition, level) or a
 /// name (codec, quantile). Prometheus quotes both; JSON quotes a name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum LabelValue {
@@ -197,22 +184,11 @@ impl MetricsRegistry {
         )
     }
 
-    /// Register an externally-owned counter under `key` (used to absorb
-    /// the `EngineStats` counters). Replaces any previous registration.
+    /// Register an externally-owned counter under `key` (the caches
+    /// register the hit, miss and eviction counters they own). Replaces
+    /// any previous registration.
     pub fn register_counter(&self, key: MetricKey, counter: Arc<Counter>) {
         self.counters.write().insert(key, counter);
-    }
-
-    /// Retire the counter under `key`: drop the series and add its
-    /// final value to the counter under `into`, in one step under the
-    /// write lock, so a concurrent [`Self::collect`] sees the count
-    /// exactly once. Keeps per-connection (or otherwise short-lived)
-    /// labels from accumulating in the registry.
-    pub fn fold_counter(&self, key: MetricKey, into: MetricKey) {
-        let mut counters = self.counters.write();
-        if let Some(retired) = counters.remove(&key) {
-            counters.entry(into).or_default().add(retired.get());
-        }
     }
 
     /// Get or create the gauge registered under `key`.
@@ -311,21 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn folded_counter_leaves_the_registry_and_keeps_its_count() {
-        let reg = MetricsRegistry::new();
-        reg.counter(MetricKey::connection("ops", 1)).add(5);
-        reg.counter(MetricKey::connection("ops", 2)).add(7);
-        reg.fold_counter(MetricKey::connection("ops", 1), MetricKey::global("ops"));
-        let (counters, _, _) = reg.collect();
-        assert_eq!(counters.len(), 2, "the retired label is gone");
-        assert_eq!(counters[&MetricKey::global("ops")], 5);
-        assert_eq!(counters[&MetricKey::connection("ops", 2)], 7);
-        // Folding a key that is not registered changes nothing.
-        reg.fold_counter(MetricKey::connection("ops", 1), MetricKey::global("ops"));
-        assert_eq!(reg.counter(MetricKey::global("ops")).get(), 5);
-    }
-
-    #[test]
     fn gauges_and_histograms_roundtrip() {
         let reg = MetricsRegistry::new();
         reg.gauge(MetricKey::global("g")).set(-5);
@@ -346,9 +307,6 @@ mod tests {
         assert_eq!(b.label_string(), "{partition=\"1\"}");
         assert_eq!(c.label_string(), "{partition=\"1\",level=\"2\"}");
         assert_eq!(c.to_string(), "alpha{partition=\"1\",level=\"2\"}");
-        let d = MetricKey::connection("alpha", 3);
-        assert!(a < d, "connection-labeled keys sort after global");
-        assert_eq!(d.label_string(), "{connection=\"3\"}");
         let e = MetricKey::codec("alpha", "delta");
         assert!(a < e, "codec-labeled keys sort after global");
         assert_eq!(e.label_string(), "{codec=\"delta\"}");

@@ -25,30 +25,20 @@ use super::registry::{MetricKey, MetricsRegistry};
 use super::ring::Ring;
 use super::span::{SpanKind, TraceSpan};
 
-/// Per-request trace identity, carried client → server → engine.
+/// Per-request trace identity, carried client → server → engine. A
+/// request that carries one records its stages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceContext {
     /// Non-zero id shared by every span of the trace. Wire-originated
     /// ids are chosen by the client; engine-originated ids count up
     /// from 1.
     pub trace_id: u64,
-    /// Whether stage recording is on for this request. An unsampled
-    /// context still propagates its id (for log correlation) but
-    /// records nothing.
-    pub sampled: bool,
-    /// Advisory deadline on the engine's virtual clock; recorded for
-    /// diagnosis, never enforced.
-    pub deadline_nanos: Option<u64>,
 }
 
 impl TraceContext {
-    /// A sampled context with no deadline.
+    /// The context of a sampled request with id `trace_id`.
     pub fn sampled(trace_id: u64) -> Self {
-        TraceContext {
-            trace_id,
-            sampled: true,
-            deadline_nanos: None,
-        }
+        TraceContext { trace_id }
     }
 }
 
@@ -86,8 +76,6 @@ pub struct RequestTrace {
     pub start_nanos: u64,
     /// Full request latency as reported to the caller.
     pub total_nanos: u64,
-    /// Advisory deadline from the context, if one was carried.
-    pub deadline_nanos: Option<u64>,
     pub stages: Vec<TraceSpan>,
 }
 
@@ -112,7 +100,6 @@ impl RequestTrace {
             .num("partition", self.partition)
             .num("start_nanos", self.start_nanos)
             .num("total_nanos", self.total_nanos)
-            .opt("deadline_nanos", self.deadline_nanos)
             .array("stages", Layout::Inline, |a| {
                 for s in &self.stages {
                     a.push_object(|o| {
@@ -260,7 +247,6 @@ impl StageTrace {
             partition: self.partition,
             start_nanos: self.start_nanos,
             total_nanos,
-            deadline_nanos: self.ctx.deadline_nanos,
             stages: self.stages,
         }
     }
@@ -335,16 +321,12 @@ impl Tracer {
         ))
     }
 
-    /// Adopt a wire-carried context. An explicitly sampled context is
-    /// honored regardless of the local sampling rate (the client
-    /// already made the decision); an unsampled one records nothing.
-    pub fn adopt(&self, ctx: TraceContext) -> Option<TraceContext> {
-        if ctx.sampled {
-            self.sampled_total.incr();
-            Some(ctx)
-        } else {
-            None
-        }
+    /// Adopt a wire-carried context: the client already made the
+    /// sampling decision, so it is honored regardless of the local
+    /// rate, and counted.
+    pub fn adopt(&self, ctx: TraceContext) -> TraceContext {
+        self.sampled_total.incr();
+        ctx
     }
 
     /// File a finished trace into the flight recorder.
@@ -459,13 +441,7 @@ mod tests {
     #[test]
     fn adopt_honors_the_wire_decision() {
         let t = Tracer::new(0, &MetricsRegistry::new());
-        assert!(t.adopt(TraceContext::sampled(9)).is_some());
-        let unsampled = TraceContext {
-            trace_id: 9,
-            sampled: false,
-            deadline_nanos: None,
-        };
-        assert!(t.adopt(unsampled).is_none());
+        assert_eq!(t.adopt(TraceContext::sampled(9)).trace_id, 9);
         assert_eq!(t.sampled_total.get(), 1);
     }
 
@@ -563,7 +539,7 @@ mod tests {
         assert!(json.contains("\"trace_id\": 11"));
         assert!(json.contains("\"op\": \"write\""));
         assert!(json.contains("\"stage\": \"wal_append\""));
-        assert!(json.contains("\"deadline_nanos\": null"));
+        assert!(!json.contains("deadline"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

@@ -299,14 +299,18 @@ impl PmPool {
     }
 
     /// Release a region's space. Outstanding `PmRegion` clones stay
-    /// readable (epoch-style reclamation); the pool accounting drops now.
-    pub fn free(&self, id: RegionId) {
+    /// readable (epoch-style reclamation); the pool accounting drops now,
+    /// even when the region's backing file could not be removed (the
+    /// error is returned). Freeing an unknown id does nothing.
+    pub fn free(&self, id: RegionId) -> Result<(), PmError> {
         let mut state = self.state.lock();
-        if let Some(region) = state.regions.remove(&id) {
-            state.used -= region.len();
-            if let Some(dir) = &self.backing {
-                let _ = fs::remove_file(dir.join(format!("region-{id}.pm")));
-            }
+        let Some(region) = state.regions.remove(&id) else {
+            return Ok(());
+        };
+        state.used -= region.len();
+        match &self.backing {
+            Some(dir) => Ok(fs::remove_file(dir.join(format!("region-{id}.pm")))?),
+            None => Ok(()),
         }
     }
 
@@ -395,7 +399,7 @@ mod tests {
         let mut tl = Timeline::new();
         let r = p.publish(vec![7; 10], &mut tl).unwrap();
         let id = r.id();
-        p.free(id);
+        p.free(id).unwrap();
         assert_eq!(p.used(), 0);
         assert!(p.get(id).is_none());
         // The clone we kept still reads.
@@ -409,8 +413,8 @@ mod tests {
         let p = pool(100);
         let mut tl = Timeline::new();
         let r = p.publish(vec![1; 10], &mut tl).unwrap();
-        p.free(r.id());
-        p.free(r.id());
+        p.free(r.id()).unwrap();
+        p.free(r.id()).unwrap();
         assert_eq!(p.used(), 0);
     }
 
@@ -455,13 +459,32 @@ mod tests {
             id_a = p.publish(b"alpha".to_vec(), &mut tl).unwrap().id();
             id_b = p.publish(b"beta".to_vec(), &mut tl).unwrap().id();
             let c = p.publish(b"gone".to_vec(), &mut tl).unwrap();
-            p.free(c.id());
+            p.free(c.id()).unwrap();
         }
         let p2 = PmPool::with_backing(4096, cost, &dir).unwrap();
         assert_eq!(p2.region_ids(), vec![id_a, id_b]);
         assert_eq!(p2.get(id_a).unwrap().bytes(), b"alpha");
         assert_eq!(p2.get(id_b).unwrap().bytes(), b"beta");
         assert_eq!(p2.used(), 9);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn free_reports_a_failed_unlink_and_still_drops_the_region() {
+        let dir = std::env::temp_dir().join(format!("pmblade-pm-unlink-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let p = PmPool::with_backing(4096, CostModel::default(), &dir).unwrap();
+        let id = p
+            .publish(b"stuck".to_vec(), &mut Timeline::new())
+            .unwrap()
+            .id();
+        // A directory where the region file was: `remove_file` refuses it.
+        let path = dir.join(format!("region-{id}.pm"));
+        fs::remove_file(&path).unwrap();
+        fs::create_dir(&path).unwrap();
+        assert!(matches!(p.free(id), Err(PmError::Io(_))));
+        assert_eq!(p.used(), 0);
+        assert!(p.get(id).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 

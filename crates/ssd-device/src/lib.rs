@@ -166,17 +166,19 @@ impl SsdDevice {
         })
     }
 
-    /// Delete an object (obsolete SSTable after compaction).
+    /// Delete an object (obsolete SSTable after compaction). The device
+    /// forgets it either way; a backing file that could not be removed
+    /// is reported as [`SsdError::Io`].
     pub fn delete(&self, name: &str) -> Result<(), SsdError> {
         self.objects
             .lock()
             .remove(name)
             .map(|_| ())
             .ok_or_else(|| SsdError::NotFound(name.to_string()))?;
-        if let Some(dir) = &self.backing {
-            let _ = fs::remove_file(dir.join(name));
+        match &self.backing {
+            Some(dir) => fs::remove_file(dir.join(name)).map_err(|e| SsdError::Io(e.to_string())),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// List object names, ascending.

@@ -5,8 +5,9 @@
 # that are neither blank nor start with `//` (so doc comments and test
 # modules do not count; a `src/**/tests.rs` file is a test module as a
 # whole). Also the non-test `pub fn` count of pm-blade and of
-# pm-blade-client (the engine's and the client's surface), the field count
-# of `Options`, and the largest source file under crates/*/src by the
+# pm-blade-client (the engine's and the client's surface), the field counts
+# of `Options` and `ServerOptions` (the engine's and the service tier's
+# knobs), and the largest source file under crates/*/src by the
 # same count, and `engine crates`: the summed code lines of every crate
 # `pm-blade` links (its normal `cargo tree`). Prints one table; `--max-file N` also exits 1 when that
 # largest file has more than N code lines — the one thing it gates, so
@@ -61,13 +62,17 @@ mapfile -t engine < <(find crates/pm-blade/src -name '*.rs' | sort)
 printf '%-22s %8d\n' "pm-blade pub fn" "$(pub_fns "${engine[@]}")"
 mapfile -t client < <(find crates/pm-blade-client/src -name '*.rs' | sort)
 printf '%-22s %8d\n' "pm-blade-client pub fn" "$(pub_fns "${client[@]}")"
-fields=$(awk '
-    /^pub struct Options \{/ { inside = 1; next }
-    inside && /^\}/ { exit }
-    inside && /^    pub [a-z_0-9]+:/ { n++ }
-    END { print n + 0 }
-' crates/pm-blade/src/options.rs)
-printf '%-22s %8d\n' "Options fields" "$fields"
+# fields STRUCT FILE — the `pub` fields of `pub struct STRUCT` in FILE.
+fields() {
+    awk -v open="pub struct $1 {" '
+        $0 == open { inside = 1; next }
+        inside && /^\}/ { exit }
+        inside && /^    pub [a-z_0-9]+:/ { n++ }
+        END { print n + 0 }' "$2"
+}
+printf '%-22s %8d\n' "Options fields" "$(fields Options crates/pm-blade/src/options.rs)"
+printf '%-22s %8d\n' "ServerOptions fields" \
+    "$(fields ServerOptions crates/pm-blade-server/src/lib.rs)"
 
 mapfile -t sources < <(find crates/*/src -name '*.rs' | sort)
 read -r largest largest_file < <(awk "$non_test"'

@@ -84,7 +84,7 @@ fn pm_pool_backing_recovers_regions() {
         ids = (0..5)
             .map(|i| pool.publish(value_for(i, 512), &mut tl).unwrap().id())
             .collect();
-        pool.free(ids[2]);
+        pool.free(ids[2]).unwrap();
     }
     let pool = pm_device::PmPool::with_backing(1 << 20, cost, &dir).unwrap();
     let live = pool.region_ids();

@@ -922,6 +922,62 @@ fn read_fault_case(mode: Mode, late: bool) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A retired level-1 table whose backing file cannot be unlinked: the
+/// major that retired it still succeeds, every key reads back, and the
+/// failed unlink is counted in `media_retire_errors_total`.
+#[test]
+fn a_retired_table_that_cannot_be_unlinked_is_counted() {
+    let dir = scratch_dir("retire");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut opts = tiny_options(Mode::PmBlade);
+    opts.wal_dir = Some(dir.clone());
+    opts.max_table_bytes = 16 << 10;
+    let db = Db::open(opts).unwrap();
+    for i in 0..3000u64 {
+        db.put(&key_for(i), &value_for(i, 64)).unwrap();
+    }
+    db.compact(CompactionRequest::FlushAll).unwrap();
+    db.compact(CompactionRequest::Major { partition: 0 })
+        .unwrap();
+    let level1 = ssd_dir_listing(&dir);
+    assert!(level1.len() >= 8, "level 1 holds {level1:?}");
+    // Behind the engine's back: one table's file becomes a directory,
+    // which `remove_file` refuses. The device still holds its bytes.
+    let path = dir.join("ssd").join(&level1[0]);
+    std::fs::remove_file(&path).unwrap();
+    std::fs::create_dir(&path).unwrap();
+
+    // New versions across the whole key range: the next major retires
+    // every level-1 table.
+    let newer = |i: u64| i.is_multiple_of(100) || i == 2999;
+    for i in (0..3000u64).filter(|&i| newer(i)) {
+        db.put(&key_for(i), b"newer").unwrap();
+    }
+    db.compact(CompactionRequest::FlushAll).unwrap();
+    db.compact(CompactionRequest::Major { partition: 0 })
+        .unwrap();
+    let live = db.ssd().list();
+    assert!(
+        level1.iter().all(|name| !live.contains(name)),
+        "every level-1 table retired: {live:?}"
+    );
+    assert_eq!(
+        db.metrics_snapshot().counter("media_retire_errors_total"),
+        1
+    );
+    assert!(path.is_dir(), "the failed unlink left the file in place");
+    for i in 0..3000u64 {
+        let want = if newer(i) {
+            b"newer".to_vec()
+        } else {
+            value_for(i, 64)
+        };
+        assert_eq!(db.get(&key_for(i)).unwrap().value, Some(want), "key {i}");
+    }
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Object names in the durable SSD directory, ascending.
 fn ssd_dir_listing(dir: &std::path::Path) -> Vec<String> {
     let mut names: Vec<String> = std::fs::read_dir(dir.join("ssd"))

@@ -266,7 +266,6 @@ fn json_sample() -> MetricsSnapshot {
     counters.insert(MetricKey::global("puts"), 10);
     counters.insert(MetricKey::partition("group_commits", 0), 4);
     counters.insert(MetricKey::level("read_source_ssd", 1, 2), 3);
-    counters.insert(MetricKey::connection("server_conn_gets_total", 7), 5);
     counters.insert(MetricKey::codec("pm_codec_chosen_total", "delta"), 2);
     let mut gauges = BTreeMap::new();
     gauges.insert(MetricKey::global("pm_used_bytes"), 4_096);
@@ -356,9 +355,7 @@ fn snapshot_json_matches_golden() {
         "    {\"name\": \"pm_codec_chosen_total\", \"partition\": null, \"level\": null, ",
         "\"codec\": \"delta\", \"value\": 2},\n",
         "    {\"name\": \"puts\", \"partition\": null, \"level\": null, \"value\": 10},\n",
-        "    {\"name\": \"read_source_ssd\", \"partition\": 1, \"level\": 2, \"value\": 3},\n",
-        "    {\"name\": \"server_conn_gets_total\", \"partition\": null, \"level\": null, ",
-        "\"connection\": 7, \"value\": 5}\n",
+        "    {\"name\": \"read_source_ssd\", \"partition\": 1, \"level\": 2, \"value\": 3}\n",
         "  ],\n",
         "  \"gauges\": [\n",
         "    {\"name\": \"memtable_bytes\", \"partition\": 1, \"level\": null, \"value\": -1},\n",
@@ -456,18 +453,17 @@ fn flight_recorder_json_matches_golden() {
         )
     };
     let recorder = FlightRecorder::new(2);
-    for (trace_id, op, deadline_nanos, stages) in [
-        (1, TraceOp::Get, None, Vec::new()),
+    for (trace_id, op, stages) in [
+        (1, TraceOp::Get, Vec::new()),
         (
             2,
             TraceOp::Write,
-            Some(9_000),
             vec![
                 stage(SpanKind::WalAppend, 200, 240),
                 stage(SpanKind::MemtableApply, 240, 250),
             ],
         ),
-        (3, TraceOp::Scan, None, vec![]),
+        (3, TraceOp::Scan, vec![]),
     ] {
         recorder.push(RequestTrace {
             trace_id,
@@ -475,20 +471,19 @@ fn flight_recorder_json_matches_golden() {
             partition: 1,
             start_nanos: trace_id * 100,
             total_nanos: 70,
-            deadline_nanos,
             stages,
         });
     }
     let expected = concat!(
         "{\"dropped\": 1, \"traces\": [",
         "{\"trace_id\": 2, \"op\": \"write\", \"partition\": 1, \"start_nanos\": 200, ",
-        "\"total_nanos\": 70, \"deadline_nanos\": 9000, \"stages\": [",
+        "\"total_nanos\": 70, \"stages\": [",
         "{\"stage\": \"wal_append\", \"start_nanos\": 200, \"end_nanos\": 240, ",
         "\"input_records\": 2, \"output_records\": 1}, ",
         "{\"stage\": \"memtable_apply\", \"start_nanos\": 240, \"end_nanos\": 250, ",
         "\"input_records\": 2, \"output_records\": 1}]}, ",
         "{\"trace_id\": 3, \"op\": \"scan\", \"partition\": 1, \"start_nanos\": 300, ",
-        "\"total_nanos\": 70, \"deadline_nanos\": null, \"stages\": []}",
+        "\"total_nanos\": 70, \"stages\": []}",
         "]}",
     );
     assert_eq!(recorder.to_json(), expected);
@@ -530,6 +525,7 @@ const SERIES: &[(&str, &str, &str)] = &[
     ("counter", "maintenance_jobs_failed", ""),
     ("counter", "major_compactions", ""),
     ("counter", "manifest_edits_total", ""),
+    ("counter", "media_retire_errors_total", ""),
     ("counter", "minor_compactions", ""),
     ("counter", "partition_reads", "{partition=\"0\"}"),
     ("counter", "partition_reads", "{partition=\"1\"}"),

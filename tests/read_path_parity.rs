@@ -499,7 +499,7 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
         .unwrap()
         .expect("six unsorted tables merge");
     for region in report.retired_regions {
-        pool.free(region);
+        pool.free(region).unwrap();
     }
     check_held(&before_internal, 0..300, "after internal compaction");
     check_live(&p, 0..300, "after internal compaction");
@@ -523,7 +523,7 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
             )
             .unwrap();
         for region in report.retired_regions {
-            pool.free(region);
+            pool.free(region).unwrap();
         }
         chunks += 1;
         let when = format!("after major chunk {chunks}");

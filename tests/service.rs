@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use pm_blade::protocol::{read_frame, write_frame, Request, Response, WireError, MAX_FRAME_BYTES};
 use pm_blade::{BatchOp, CompactionRequest, Mode, ScanRequest, TraceContext, TraceOp, WriteBatch};
-use pm_blade_client::{Client, ClientError, ClientOptions};
+use pm_blade_client::{Client, ClientError};
 use pm_blade_server::{Server, ServerOptions};
 use pmblade_integration_tests::{key_for, tiny_options, value_for};
 use proptest::prelude::*;
@@ -46,7 +46,22 @@ fn scan_strategy() -> BoxedStrategy<ScanRequest> {
         .boxed()
 }
 
+/// Every request shape, the traced envelope around any other one.
 fn request_strategy() -> BoxedStrategy<Request> {
+    prop_oneof![
+        8 => plain_request_strategy(),
+        1 => (1u64..u64::MAX, plain_request_strategy()).prop_map(|(trace_id, inner)| {
+            Request::Traced {
+                ctx: TraceContext::sampled(trace_id),
+                inner: Box::new(inner),
+            }
+        }),
+    ]
+    .boxed()
+}
+
+/// Every request but the traced envelope.
+fn plain_request_strategy() -> BoxedStrategy<Request> {
     prop_oneof![
         1 => Just(Request::Ping),
         3 => (bytes_strategy(), bytes_strategy())
@@ -244,16 +259,14 @@ fn loopback_parity_with_direct_db_calls() {
     let (direct, _) = db.scan(scan).expect("direct scan");
     assert_eq!(via_wire, direct, "scan parity diverged");
 
-    // Paged scans see the same rows as one big scan.
-    let mut paged_client = Client::connect_with(
-        addr,
-        ClientOptions {
-            scan_page: 64,
-            ..ClientOptions::default()
-        },
-    )
-    .expect("connect");
-    let paged = paged_client
+    // Paged scans see the same rows as one big scan, over more than
+    // one 1 000-row page.
+    assert!(
+        via_wire.len() > 1_000,
+        "{} rows fit one page",
+        via_wire.len()
+    );
+    let paged = client
         .scan_paged(ScanRequest::new().start(key_for(0)).limit(5_000))
         .expect("paged scan");
     assert_eq!(paged, via_wire, "paged scan diverged from single scan");
@@ -363,9 +376,6 @@ fn rate_limit_throttles_hot_client_without_errors() {
     assert_eq!(snap.counter("server_errors_total"), 0);
     assert_eq!(snap.counter("server_put_total"), 50);
     assert_eq!(snap.counter("server_get_total"), 50);
-    // The per-connection labeled copies agree (one connection here).
-    assert_eq!(snap.counter("server_conn_put_total"), 50);
-    assert_eq!(snap.counter("server_conn_get_total"), 50);
 }
 
 #[test]
@@ -682,12 +692,27 @@ fn connection_churn_leaves_bounded_metric_cardinality() {
         metrics_addr: Some("127.0.0.1:0".into()),
         ..quick_poll()
     };
-    let (server, db) = start_server(opts);
+    // The memtable holds every put, so no flush adds an engine series
+    // (a flush labels the codec it picked) and any new series would be
+    // the connections'.
+    let mut engine = tiny_options(Mode::PmBlade);
+    engine.memtable_bytes = 256 << 10;
+    let (server, db) = start_server_custom(engine, opts);
     let addr = server.local_addr();
     let metrics_addr = server.metrics_local_addr().expect("metrics listener");
 
+    // The series `/metrics` lists, each line up to its value.
+    let series = || -> Vec<String> {
+        let body = http_request(metrics_addr, "GET", "/metrics");
+        let (_, text) = body.split_once("\r\n\r\n").expect("headers end");
+        text.lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|l| l.rsplit_once(' ').expect("series and value").0.to_owned())
+            .collect()
+    };
     let mut live = Client::connect(addr).expect("connect");
     live.ping().unwrap();
+    let with_one_connection = series();
     for i in 0..CYCLES {
         let mut client = Client::connect(addr).expect("connect");
         client.put(&key_for(i), b"churn").expect("put");
@@ -699,25 +724,12 @@ fn connection_churn_leaves_bounded_metric_cardinality() {
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    let body = http_request(metrics_addr, "GET", "/metrics");
-    let conn_series: Vec<&str> = body
-        .lines()
-        .filter(|l| l.starts_with("pmblade_server_conn_") && !l.contains("rejected"))
-        .collect();
-    // Seven series for the one live connection, seven residual ones.
-    assert!(
-        conn_series.len() <= 7 * (1 + 1),
-        "{} per-connection series after {CYCLES} closed connections",
-        conn_series.len()
+    assert_eq!(
+        series(),
+        with_one_connection,
+        "{CYCLES} closed connections changed the series listed"
     );
-    assert!(
-        conn_series.contains(&format!("pmblade_server_conn_put_total {CYCLES}").as_str()),
-        "closed connections fold into the label-less series: {conn_series:?}"
-    );
-    let snap = db.metrics_snapshot();
-    assert_eq!(snap.counter("server_conn_put_total"), CYCLES);
-    assert_eq!(snap.counter("server_conn_ping_total"), 1);
-    assert_eq!(snap.counter("server_put_total"), CYCLES);
+    assert_eq!(db.metrics_snapshot().counter("server_put_total"), CYCLES);
 
     drop(live);
     server.shutdown();
@@ -812,15 +824,7 @@ fn traced_remote_get_spans_client_server_engine() {
         .compact(CompactionRequest::Internal { partition: 0 })
         .unwrap();
 
-    // An unsampled wire context is adopted, not re-sampled: it reads
-    // the value and records nothing (engine sampling is off, so any
-    // trace below came over the wire).
-    let unsampled = TraceContext {
-        sampled: false,
-        ..TraceContext::sampled(LIVE_ID)
-    };
-    let (value, _) = client.get_with(&key_for(7), Some(unsampled)).unwrap();
-    assert_eq!(value, Some(value_for(107, 64)));
+    // Engine sampling is off, so every trace below came over the wire.
     assert_eq!(db.metrics_snapshot().counter("trace_sampled_total"), 0);
     assert!(db.flight_recorder().is_empty());
 

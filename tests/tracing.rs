@@ -316,7 +316,6 @@ fn chrome_trace_export_matches_golden() {
         partition: 1,
         start_nanos: 2_000,
         total_nanos: 1_500,
-        deadline_nanos: None,
         stages: vec![
             stage(SpanKind::MemtableProbe, 2_000, 2_250, 0, 0),
             stage(SpanKind::FilterConsult, 2_250, 2_500, 2, 1),
