@@ -62,7 +62,7 @@ fn partition_ablation() {
         let mut db = Db::open(opts).unwrap();
         bench::load_data(&mut db, 8 << 20, 1024, 0.0, 91);
         let mut rng = Pcg64::seeded(92);
-        let dist = sim::KeyDistribution::zipfian(8_000, 0.8);
+        let dist = workloads::KeyDistribution::zipfian(8_000, 0.8);
         let value = vec![0u8; 1024];
         for i in 0..12_000 {
             let k = format!("user{:010}", dist.sample(&mut rng, 8_000));

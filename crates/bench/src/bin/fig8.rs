@@ -74,7 +74,7 @@ fn main() {
             // what to keep.
             bench::load_data(&mut db, 12 << 20, 1024, -1.0, 5000);
             // Mixed phase with the requested read skew.
-            let dist = sim::KeyDistribution::zipfian(keys, skew);
+            let dist = workloads::KeyDistribution::zipfian(keys, skew);
             let mut rng = Pcg64::seeded(6000);
             let value = vec![0u8; 1024];
             for i in 0..30_000 {

@@ -17,9 +17,28 @@
 use encoding::key::{self, SequenceNumber};
 use encoding::varint;
 use pmtable::{BuildStats, Lookup, OwnedEntry, Storage};
-use sim::Timeline;
+use sim::{SimDuration, Timeline};
 
 use crate::szip;
+
+// The CPU cost of one `szip` call: a per-call setup plus a throughput
+// term per KiB (of input when compressing, of output when decompressing).
+// LZ compression is what makes these baselines CPU-expensive next to the
+// PM table's prefix stripping.
+const COMPRESS_BASE: SimDuration = SimDuration::from_nanos(250);
+const COMPRESS_PER_KIB: SimDuration = SimDuration::from_nanos(350); // ~2.9 GiB/s
+const DECOMPRESS_BASE: SimDuration = SimDuration::from_nanos(200);
+const DECOMPRESS_PER_KIB: SimDuration = SimDuration::from_nanos(700); // ~1.4 GiB/s
+
+/// `unit` per KiB over `bytes`, rounded down to the nanosecond.
+fn per_kib(unit: SimDuration, bytes: usize) -> SimDuration {
+    SimDuration::from_nanos((unit.as_nanos() as u128 * bytes as u128 / 1024) as u64)
+}
+
+/// The cost of `calls` compressor calls over `input` bytes in total.
+fn compress_cost(calls: usize, input: usize) -> SimDuration {
+    COMPRESS_BASE * calls as u64 + per_kib(COMPRESS_PER_KIB, input)
+}
 
 const MAGIC_PAIR: u32 = 0x535A_5031; // "SZP1"
 const MAGIC_GROUP: u32 = 0x535A_4731; // "SZG1"
@@ -127,7 +146,7 @@ impl<S: Storage> Opened<S> {
         let (off, comp_len, raw_len) = self.meta_row(idx);
         self.storage.meter_random(META_ROW_LEN, tl);
         self.storage.meter_random(comp_len as usize, tl);
-        tl.charge(self.storage.cost_model().cpu.decompress(raw_len as usize));
+        tl.charge(DECOMPRESS_BASE + per_kib(DECOMPRESS_PER_KIB, raw_len as usize));
         let start = self.blob_off + off as usize;
         szip::decompress(&self.storage.bytes()[start..start + comp_len as usize])
             .expect("blob written by our builder")
@@ -168,12 +187,7 @@ impl SnappyTableBuilder {
     pub fn finish(self, cost: &sim::CostModel, tl: &mut Timeline) -> (Vec<u8>, BuildStats) {
         // One compressor invocation per record: pay the per-call base every
         // time — the expense the paper calls out for Array-snappy.
-        tl.charge(cost.cpu.compress_base * self.compress_calls as u64);
-        tl.charge(
-            cost.cpu
-                .compress(self.compressed_input)
-                .saturating_sub(cost.cpu.compress_base),
-        );
+        tl.charge(compress_cost(self.compress_calls, self.compressed_input));
         tl.charge(cost.cpu.merge_per_entry * self.enc.rows as u64);
         let entries = self.enc.rows as usize;
         let out = self.enc.assemble(MAGIC_PAIR);
@@ -295,12 +309,7 @@ impl SnappyGroupTableBuilder {
         self.flush_group();
         // One compressor call per GROUP records: the per-call base is
         // amortized 8×, the saving the paper credits to group compression.
-        tl.charge(cost.cpu.compress_base * self.compress_calls as u64);
-        tl.charge(
-            cost.cpu
-                .compress(self.compressed_input)
-                .saturating_sub(cost.cpu.compress_base),
-        );
+        tl.charge(compress_cost(self.compress_calls, self.compressed_input));
         tl.charge(cost.cpu.merge_per_entry * self.entries as u64);
         let entries = self.entries;
         let out = self.enc.assemble(MAGIC_GROUP);

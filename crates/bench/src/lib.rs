@@ -223,7 +223,7 @@ pub fn load_data(db: &mut Db, total_bytes: usize, value_size: usize, skew: f64, 
     let per_entry = value_size + 14;
     let n = (total_bytes / per_entry).max(1) as u64;
     let mut rng = Pcg64::seeded(seed);
-    let dist = sim::KeyDistribution::zipfian(n, skew.max(0.0));
+    let dist = workloads::KeyDistribution::zipfian(n, skew.max(0.0));
     let mut value = vec![0u8; value_size];
     for i in 0..n {
         let key_idx = if skew < 0.0 {

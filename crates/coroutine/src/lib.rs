@@ -23,8 +23,11 @@
 //!
 //! The scheduler reports compaction duration, CPU/I-O utilization and I/O
 //! latency — the four panels of the paper's Fig 9 and the rows of
-//! Table III.
+//! Table III. Its two resources, pinned CPU cores and an SSD whose
+//! latency rises with queue depth, are a private module: nothing else
+//! in the workspace simulates a device queue.
 
+mod resource;
 pub mod scheduler;
 pub mod trace;
 

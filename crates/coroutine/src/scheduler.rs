@@ -1,7 +1,7 @@
 //! The virtual-time scheduler executing compaction traces under the three
 //! policies the paper compares.
 //!
-//! The scheduler is a discrete-event simulation over [`sim::resource`]:
+//! The scheduler is a discrete-event simulation over two resources:
 //! `cores` CPU cores and one I/O device with a contention-dependent
 //! latency model. It always advances the runnable entity with the
 //! smallest local clock, so resource grants are chronological and results
@@ -9,9 +9,9 @@
 
 use std::collections::VecDeque;
 
-use sim::resource::{CpuCores, IoDevice};
 use sim::{Histogram, SimDuration, SimInstant};
 
+use crate::resource::{CpuCores, IoDevice};
 use crate::trace::{CompactionTask, StageKind};
 
 /// Scheduling policy for compaction tasks.
@@ -125,9 +125,6 @@ impl Scheduler {
         let mut cpu = CpuCores::new(cfg.cores);
         let mut io = IoDevice::new(cfg.io_contention);
         let mut latency = Histogram::new();
-        // Useful merge work only; switch/preemption overhead occupies
-        // cores but must not count as utilization.
-        let mut useful_cpu = SimDuration::ZERO;
         let mut states: Vec<TaskState> = tasks
             .iter()
             .map(|t| TaskState {
@@ -218,9 +215,9 @@ impl Scheduler {
                     // k coroutines each (§V-C). A blocked coroutine
                     // idles its own core.
                     let core = idx % cfg.cores.max(1);
-                    let end = cpu.run_on(core, state.now, stage.dur + overhead);
-                    useful_cpu += stage.dur;
-                    state.now = end;
+                    // Switch/preemption overhead occupies the core but
+                    // does not count as utilization.
+                    state.now = cpu.run_on(core, state.now, stage.dur, overhead);
                 }
                 StageKind::Read => {
                     let rec = io.submit(state.now, stage.dur);
@@ -262,16 +259,9 @@ impl Scheduler {
             .unwrap_or(SimInstant::ORIGIN);
         let end = tasks_end.max(flush_now);
         let start = SimInstant::ORIGIN;
-        let span = end.duration_since(start).as_nanos() as f64 * cfg.cores as f64;
-        let cpu_utilization = if span == 0.0 {
-            0.0
-        } else {
-            (useful_cpu.as_nanos() as f64 / span).min(1.0)
-        };
-        let _ = &cpu;
         RunReport {
             duration: end.duration_since(start),
-            cpu_utilization,
+            cpu_utilization: cpu.utilization(start, end),
             io_utilization: io.utilization(start, end),
             io_mean_latency: io.mean_latency(),
             io_latency: latency,

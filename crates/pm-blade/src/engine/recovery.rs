@@ -225,7 +225,7 @@ impl DbCore {
             ),
             Some(dir) => {
                 std::fs::create_dir_all(&dir).map_err(|e| DbError::Io(format!("wal dir: {e}")))?;
-                let pool = PmPool::with_backing_faults(
+                let pool = PmPool::with_backing(
                     opts.pm_capacity,
                     opts.cost,
                     dir.join("pm"),

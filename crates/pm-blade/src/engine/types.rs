@@ -28,9 +28,6 @@ pub enum DbError {
     /// A group commit failed; the string carries the leader's error for
     /// every follower in the group.
     Commit(String),
-    /// The operation is valid but this build does not implement it
-    /// (e.g. a protocol feature ahead of the engine).
-    Unsupported(String),
     /// A plain filesystem/device I/O failure (directory creation, thread
     /// spawn, manifest write, ...). Distinct from [`DbError::Corrupt`],
     /// which means durable data failed validation — an I/O error is
@@ -52,7 +49,7 @@ impl DbError {
     /// | 5    | `Corrupt`     |
     /// | 6    | `Config`      |
     /// | 7    | `Commit`      |
-    /// | 8    | `Unsupported` |
+    /// | 8    | retired (was `Unsupported`, never raised) |
     /// | 9    | `Io`          |
     ///
     /// Code 0 is reserved for "unknown" (an error shipped by a newer
@@ -66,7 +63,6 @@ impl DbError {
             DbError::Corrupt(_) => 5,
             DbError::Config(_) => 6,
             DbError::Commit(_) => 7,
-            DbError::Unsupported(_) => 8,
             DbError::Io(_) => 9,
         }
     }
@@ -82,7 +78,6 @@ impl std::fmt::Display for DbError {
             DbError::Corrupt(msg) => write!(f, "corrupt: {msg}"),
             DbError::Config(msg) => write!(f, "config: {msg}"),
             DbError::Commit(msg) => write!(f, "commit: {msg}"),
-            DbError::Unsupported(msg) => write!(f, "unsupported: {msg}"),
             DbError::Io(msg) => write!(f, "io: {msg}"),
         }
     }
@@ -260,4 +255,27 @@ pub enum CompactionRequest {
     /// Eq 3: major-compact the cold partitions, retaining the hottest
     /// in PM under the τ_t budget.
     MajorWithRetention,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn error_codes_are_pinned() {
+        let io = || std::io::Error::other("x");
+        let cases = [
+            (DbError::Pm(PmError::Io(io())), 1),
+            (DbError::Ssd(SsdError::Io("x".into())), 2),
+            (DbError::Table(sstable::table::TableError::Corrupt("x")), 3),
+            (DbError::Wal(memtable::WalError::Io(io())), 4),
+            (DbError::Corrupt("x".into()), 5),
+            (DbError::Config("x".into()), 6),
+            (DbError::Commit("x".into()), 7),
+            (DbError::Io("x".into()), 9),
+        ];
+        for (err, code) in cases {
+            assert_eq!(err.code(), code, "{err}");
+        }
+    }
 }

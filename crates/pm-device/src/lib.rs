@@ -180,17 +180,9 @@ impl PmPool {
     }
 
     /// Pool persisted under `dir`; previously persisted regions are
-    /// recovered eagerly.
+    /// recovered eagerly. Durable writes consult an optional
+    /// crash-injection plan.
     pub fn with_backing(
-        capacity: usize,
-        cost: CostModel,
-        dir: impl Into<PathBuf>,
-    ) -> Result<Arc<Self>, PmError> {
-        PmPool::with_backing_faults(capacity, cost, dir, None)
-    }
-
-    /// Backed pool whose durable writes consult a crash-injection plan.
-    pub fn with_backing_faults(
         capacity: usize,
         cost: CostModel,
         dir: impl Into<PathBuf>,
@@ -233,6 +225,13 @@ impl PmPool {
             let id: RegionId = idpart
                 .parse()
                 .map_err(|_| PmError::Corrupt(format!("bad region file {name}")))?;
+            // The pool writes only regular files; anything else (a
+            // directory where a freed region failed to unlink) holds no
+            // region, but its id stays taken so no publish lands on it.
+            state.next_id = state.next_id.max(id + 1);
+            if !entry.file_type()?.is_file() {
+                continue;
+            }
             let raw = fs::read(entry.path())?;
             if raw.len() < 4 {
                 return Err(PmError::Corrupt(format!("{name} too short")));
@@ -243,7 +242,6 @@ impl PmPool {
                 return Err(PmError::Corrupt(format!("{name} checksum mismatch")));
             }
             state.used += payload.len();
-            state.next_id = state.next_id.max(id + 1);
             state.regions.insert(
                 id,
                 PmRegion {
@@ -454,14 +452,14 @@ mod tests {
         let cost = CostModel::default();
         let (id_a, id_b);
         {
-            let p = PmPool::with_backing(4096, cost, &dir).unwrap();
+            let p = PmPool::with_backing(4096, cost, &dir, None).unwrap();
             let mut tl = Timeline::new();
             id_a = p.publish(b"alpha".to_vec(), &mut tl).unwrap().id();
             id_b = p.publish(b"beta".to_vec(), &mut tl).unwrap().id();
             let c = p.publish(b"gone".to_vec(), &mut tl).unwrap();
             p.free(c.id()).unwrap();
         }
-        let p2 = PmPool::with_backing(4096, cost, &dir).unwrap();
+        let p2 = PmPool::with_backing(4096, cost, &dir, None).unwrap();
         assert_eq!(p2.region_ids(), vec![id_a, id_b]);
         assert_eq!(p2.get(id_a).unwrap().bytes(), b"alpha");
         assert_eq!(p2.get(id_b).unwrap().bytes(), b"beta");
@@ -473,7 +471,7 @@ mod tests {
     fn free_reports_a_failed_unlink_and_still_drops_the_region() {
         let dir = std::env::temp_dir().join(format!("pmblade-pm-unlink-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let p = PmPool::with_backing(4096, CostModel::default(), &dir).unwrap();
+        let p = PmPool::with_backing(4096, CostModel::default(), &dir, None).unwrap();
         let id = p
             .publish(b"stuck".to_vec(), &mut Timeline::new())
             .unwrap()
@@ -489,12 +487,37 @@ mod tests {
     }
 
     #[test]
+    fn recovery_skips_a_directory_named_like_a_region() {
+        let dir = std::env::temp_dir().join(format!("pmblade-pm-dir-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let cost = CostModel::default();
+        let (id_a, id_b);
+        {
+            let p = PmPool::with_backing(4096, cost, &dir, None).unwrap();
+            let mut tl = Timeline::new();
+            id_a = p.publish(b"alpha".to_vec(), &mut tl).unwrap().id();
+            id_b = p.publish(b"beta".to_vec(), &mut tl).unwrap().id();
+        }
+        // Where a freed region could not be unlinked: a directory.
+        let stuck = id_b + 5;
+        fs::create_dir(dir.join(format!("region-{stuck}.pm"))).unwrap();
+        let p2 = PmPool::with_backing(4096, cost, &dir, None).unwrap();
+        assert_eq!(p2.region_ids(), vec![id_a, id_b]);
+        assert_eq!(p2.get(id_b).unwrap().bytes(), b"beta");
+        assert_eq!(p2.used(), 9);
+        // The directory's id stays taken: the next publish lands past it.
+        let next = p2.publish(b"gamma".to_vec(), &mut Timeline::new()).unwrap();
+        assert_eq!(next.id(), stuck + 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn recovery_detects_corruption() {
         let dir = std::env::temp_dir().join(format!("pmblade-pm-corrupt-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let cost = CostModel::default();
         {
-            let p = PmPool::with_backing(4096, cost, &dir).unwrap();
+            let p = PmPool::with_backing(4096, cost, &dir, None).unwrap();
             let mut tl = Timeline::new();
             p.publish(b"payload".to_vec(), &mut tl).unwrap();
         }
@@ -503,7 +526,7 @@ mod tests {
         let mut raw = fs::read(&file).unwrap();
         raw[0] ^= 0xff;
         fs::write(&file, raw).unwrap();
-        let err = PmPool::with_backing(4096, cost, &dir).unwrap_err();
+        let err = PmPool::with_backing(4096, cost, &dir, None).unwrap_err();
         assert!(matches!(err, PmError::Corrupt(_)), "got {err}");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -515,7 +538,7 @@ mod tests {
         let cost = CostModel::default();
         let plan = FaultPlan::armed(1, true, 42);
         {
-            let p = PmPool::with_backing_faults(4096, cost, &dir, Some(Arc::clone(&plan))).unwrap();
+            let p = PmPool::with_backing(4096, cost, &dir, Some(Arc::clone(&plan))).unwrap();
             let mut tl = Timeline::new();
             p.publish(b"survivor".to_vec(), &mut tl).unwrap();
             let err = p
@@ -526,7 +549,7 @@ mod tests {
             assert_eq!(p.region_ids().len(), 1, "dead publish must not register");
         }
         plan.disarm();
-        let p2 = PmPool::with_backing(4096, cost, &dir).unwrap();
+        let p2 = PmPool::with_backing(4096, cost, &dir, None).unwrap();
         assert_eq!(p2.region_ids().len(), 1);
         assert_eq!(p2.get(p2.region_ids()[0]).unwrap().bytes(), b"survivor");
         // Recovery swept the torn tmp file.

@@ -84,20 +84,8 @@ fn per_byte(unit: SimDuration, bytes: usize) -> SimDuration {
 }
 
 /// CPU work costs, charged to timelines for compute-bound table work.
-///
-/// These drive the trade-offs in the paper's Fig 6: snappy-style
-/// compression is CPU-expensive (hurting Array-snappy), while prefix
-/// stripping is nearly free (helping the PM table).
 #[derive(Clone, Copy, Debug)]
 pub struct CpuCost {
-    /// Per-call setup overhead of one compression invocation.
-    pub compress_base: SimDuration,
-    /// LZ compression throughput term, per KiB of input.
-    pub compress_per_kib: SimDuration,
-    /// Per-call setup overhead of one decompression invocation.
-    pub decompress_base: SimDuration,
-    /// LZ decompression, per KiB of output.
-    pub decompress_per_kib: SimDuration,
     /// Table/record encode work, per KiB processed.
     pub encode_per_kib: SimDuration,
     /// One key comparison in a search or merge.
@@ -107,18 +95,6 @@ pub struct CpuCost {
 }
 
 impl CpuCost {
-    /// Cost of one compression call over `bytes` of input.
-    #[inline]
-    pub fn compress(&self, bytes: usize) -> SimDuration {
-        self.compress_base + per_byte(self.compress_per_kib, bytes)
-    }
-
-    /// Cost of one decompression call producing `bytes` of output.
-    #[inline]
-    pub fn decompress(&self, bytes: usize) -> SimDuration {
-        self.decompress_base + per_byte(self.decompress_per_kib, bytes)
-    }
-
     /// Cost of encoding `bytes` of records.
     #[inline]
     pub fn encode(&self, bytes: usize) -> SimDuration {
@@ -129,10 +105,6 @@ impl CpuCost {
 impl Default for CpuCost {
     fn default() -> Self {
         CpuCost {
-            compress_base: SimDuration::from_nanos(250),
-            compress_per_kib: SimDuration::from_nanos(350), // ~2.9 GiB/s
-            decompress_base: SimDuration::from_nanos(200),
-            decompress_per_kib: SimDuration::from_nanos(700), // ~1.4 GiB/s
             encode_per_kib: SimDuration::from_nanos(220),
             key_compare: SimDuration::from_nanos(8),
             merge_per_entry: SimDuration::from_nanos(45),
@@ -159,30 +131,6 @@ impl CostModel {
             DeviceClass::Dram => &self.dram,
             DeviceClass::Pm => &self.pm,
             DeviceClass::Ssd => &self.ssd,
-        }
-    }
-}
-
-impl CostModel {
-    /// The paper's future-work target: CXL-expanded memory as the
-    /// level-0 device. CXL.mem attached DRAM reads land around 300-400ns
-    /// (a ~2x NUMA-like hop over local DRAM), with *symmetric* and much
-    /// higher bandwidth than Optane but no persistence guarantee without
-    /// an explicit flush protocol — modeled as a pricier persist barrier.
-    pub fn cxl() -> Self {
-        CostModel {
-            pm: DeviceCost {
-                read_base: SimDuration::from_nanos(350),
-                read_per_byte: SimDuration::from_nanos(60), // ~16 GiB/s
-                write_base: SimDuration::from_nanos(350),
-                write_per_byte: SimDuration::from_nanos(60),
-                // Persistence via a Global Persistent Flush domain: a
-                // pricier barrier than an Optane clwb, but covering a
-                // whole page, so bulk flushes are cheap per byte.
-                persist: SimDuration::from_nanos(600),
-                granularity: 4096,
-            },
-            ..CostModel::default()
         }
     }
 }
@@ -291,25 +239,6 @@ mod tests {
         let m = CostModel::default();
         assert_eq!(m.ssd.write(0), m.ssd.write_base);
         assert_eq!(m.pm.sequential_read(0), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn cxl_profile_differs_in_the_right_directions() {
-        let optane = CostModel::default();
-        let cxl = CostModel::cxl();
-        // Reads: CXL base latency is higher than Optane's but its
-        // bandwidth term is far better.
-        assert!(cxl.pm.read_base > optane.pm.read_base);
-        assert!(cxl.pm.read_per_byte < optane.pm.read_per_byte);
-        // Writes: symmetric on CXL, asymmetric (slow) on Optane.
-        assert_eq!(cxl.pm.read_per_byte, cxl.pm.write_per_byte);
-        assert!(cxl.pm.write_per_byte < optane.pm.write_per_byte);
-        // Persistence: a pricier barrier, but page- rather than
-        // cacheline-granular, so bulk flushes cost less per byte.
-        assert!(cxl.pm.persist > optane.pm.persist);
-        let per_byte_optane = optane.pm.persist.as_nanos() as f64 / optane.pm.granularity as f64;
-        let per_byte_cxl = cxl.pm.persist.as_nanos() as f64 / cxl.pm.granularity as f64;
-        assert!(per_byte_cxl < per_byte_optane);
     }
 
     #[test]

@@ -113,6 +113,12 @@ impl SsdDevice {
         let mut objects = BTreeMap::new();
         for entry in fs::read_dir(&dir).map_err(io_err)? {
             let entry = entry.map_err(io_err)?;
+            // The device writes only regular files; anything else (a
+            // directory where a retired object failed to unlink) holds
+            // no object.
+            if !entry.file_type().map_err(io_err)?.is_file() {
+                continue;
+            }
             let name = entry.file_name().to_string_lossy().into_owned();
             let data = fs::read(entry.path()).map_err(io_err)?;
             objects.insert(name, Arc::new(data));
@@ -463,6 +469,31 @@ mod tests {
         let mut tl = Timeline::new();
         let f = d2.open("keep.sst").unwrap();
         assert_eq!(f.read(0, 7, &mut tl).unwrap(), b"payload");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovery_skips_a_directory_named_like_an_object() {
+        let dir = std::env::temp_dir().join(format!("pmblade-ssd-dir-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let cost = CostModel::default();
+        {
+            let d = SsdDevice::with_backing(cost, &dir, None).unwrap();
+            let mut tl = Timeline::new();
+            for name in ["a.sst", "b.sst"] {
+                let mut w = d.create(name).unwrap();
+                w.append(name.as_bytes());
+                w.finish(&mut tl).unwrap();
+            }
+        }
+        // Where a retired object could not be unlinked: a directory.
+        fs::create_dir(dir.join("000009.sst")).unwrap();
+        let d2 = SsdDevice::with_backing(cost, &dir, None).unwrap();
+        assert_eq!(d2.list(), vec!["a.sst", "b.sst"]);
+        let mut tl = Timeline::new();
+        let f = d2.open("b.sst").unwrap();
+        assert_eq!(f.read(0, 5, &mut tl).unwrap(), b"b.sst");
+        assert!(d2.open("000009.sst").is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 

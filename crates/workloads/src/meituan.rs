@@ -16,9 +16,10 @@
 //! packed → delivering → done`, with reads concentrated on recent orders
 //! (a "latest" recency distribution).
 
-use sim::{KeyDistribution, Pcg64};
+use sim::Pcg64;
 
 use crate::relational::{Row, TableDef};
+use crate::KeyDistribution;
 
 /// Logical operation against the relational layer.
 #[derive(Clone, Debug)]

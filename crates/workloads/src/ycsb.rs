@@ -12,7 +12,9 @@
 //! | E | 95% scan / 5% insert, zipfian, scan length ≤ 100 |
 //! | F | 50% read / 50% read-modify-write, zipfian |
 
-use sim::{KeyDistribution, Pcg64};
+use sim::Pcg64;
+
+use crate::KeyDistribution;
 
 /// Which YCSB workload.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -79,14 +79,14 @@ fn pm_pool_backing_recovers_regions() {
     let cost = sim::CostModel::default();
     let ids: Vec<u64>;
     {
-        let pool = pm_device::PmPool::with_backing(1 << 20, cost, &dir).unwrap();
+        let pool = pm_device::PmPool::with_backing(1 << 20, cost, &dir, None).unwrap();
         let mut tl = sim::Timeline::new();
         ids = (0..5)
             .map(|i| pool.publish(value_for(i, 512), &mut tl).unwrap().id())
             .collect();
         pool.free(ids[2]).unwrap();
     }
-    let pool = pm_device::PmPool::with_backing(1 << 20, cost, &dir).unwrap();
+    let pool = pm_device::PmPool::with_backing(1 << 20, cost, &dir, None).unwrap();
     let live = pool.region_ids();
     assert_eq!(live.len(), 4);
     assert!(!live.contains(&ids[2]), "freed region must stay freed");

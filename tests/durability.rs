@@ -923,8 +923,9 @@ fn read_fault_case(mode: Mode, late: bool) {
 }
 
 /// A retired level-1 table whose backing file cannot be unlinked: the
-/// major that retired it still succeeds, every key reads back, and the
-/// failed unlink is counted in `media_retire_errors_total`.
+/// major that retired it still succeeds, every key reads back, the
+/// failed unlink is counted in `media_retire_errors_total`, and the
+/// next open skips the leftover and reads every key back again.
 #[test]
 fn a_retired_table_that_cannot_be_unlinked_is_counted() {
     let dir = scratch_dir("retire");
@@ -932,7 +933,7 @@ fn a_retired_table_that_cannot_be_unlinked_is_counted() {
     let mut opts = tiny_options(Mode::PmBlade);
     opts.wal_dir = Some(dir.clone());
     opts.max_table_bytes = 16 << 10;
-    let db = Db::open(opts).unwrap();
+    let db = Db::open(opts.clone()).unwrap();
     for i in 0..3000u64 {
         db.put(&key_for(i), &value_for(i, 64)).unwrap();
     }
@@ -966,14 +967,22 @@ fn a_retired_table_that_cannot_be_unlinked_is_counted() {
         1
     );
     assert!(path.is_dir(), "the failed unlink left the file in place");
-    for i in 0..3000u64 {
-        let want = if newer(i) {
-            b"newer".to_vec()
-        } else {
-            value_for(i, 64)
-        };
-        assert_eq!(db.get(&key_for(i)).unwrap().value, Some(want), "key {i}");
-    }
+    let read_back = |db: &Db| {
+        for i in 0..3000u64 {
+            let want = if newer(i) {
+                b"newer".to_vec()
+            } else {
+                value_for(i, 64)
+            };
+            assert_eq!(db.get(&key_for(i)).unwrap().value, Some(want), "key {i}");
+        }
+    };
+    read_back(&db);
+    drop(db);
+    // The directory holds no object, so the next open skips it.
+    let db = Db::open(opts).unwrap();
+    read_back(&db);
+    assert!(path.is_dir());
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }

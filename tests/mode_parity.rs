@@ -310,7 +310,7 @@ fn maintenance_span_sequence_is_pinned_in_every_mode() {
         // third, reads (Eq 1); partition 1 takes fresh keys only, so
         // nothing but the hard cap merges it.
         let mut rng = sim::Pcg64::seeded(22);
-        let zipf = sim::KeyDistribution::zipfian(4_000, 0.9);
+        let zipf = workloads::KeyDistribution::zipfian(4_000, 0.9);
         for i in 0..6_000u64 {
             let key = match i % 4 {
                 0 => key_for(4_000 + i),

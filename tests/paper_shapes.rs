@@ -65,7 +65,7 @@ fn space_released_grows_with_skew() {
         // Eq 1 never fires: the load reads nothing.
         let db = Db::open(opts).unwrap();
         let mut rng = sim::Pcg64::seeded(31);
-        let dist = sim::KeyDistribution::zipfian(2_000, skew);
+        let dist = workloads::KeyDistribution::zipfian(2_000, skew);
         for _ in 0..4_000 {
             let i = dist.sample(&mut rng, 2_000);
             db.put(&key_for(i), &value_for(i, 300)).unwrap();
@@ -97,7 +97,7 @@ fn retention_beats_whole_level_eviction_on_hit_ratio() {
         }
         // Skewed read phase.
         let mut rng = sim::Pcg64::seeded(47);
-        let dist = sim::KeyDistribution::zipfian(2_000, 0.9);
+        let dist = workloads::KeyDistribution::zipfian(2_000, 0.9);
         for step in 0..6_000 {
             let i = dist.sample(&mut rng, 2_000);
             if step % 2 == 0 {
@@ -236,7 +236,7 @@ fn readrandom_p99(db: &Db, skew: f64) -> u64 {
     for i in order {
         db.put(&key_for(i), &value_for(i, 100)).unwrap();
     }
-    let dist = sim::KeyDistribution::zipfian(KEYS, skew);
+    let dist = workloads::KeyDistribution::zipfian(KEYS, skew);
     let mut gets = sim::Histogram::new();
     for _ in 0..4_000 {
         let out = db.get(&key_for(dist.sample(&mut rng, KEYS))).unwrap();
