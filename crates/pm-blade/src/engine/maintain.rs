@@ -12,7 +12,7 @@ use super::{CompactionRequest, DbCore, DbError};
 use crate::costmodel::{
     explain_read_benefit, explain_write_benefit, select_retained, RetentionCandidate,
 };
-use crate::maintenance::{self, Job, JobKind};
+use crate::maintenance::{self, Job};
 use crate::options::Mode;
 use crate::partition::{CompactionReport, Level0, Partition};
 use crate::telemetry::{CostDecision, MetricKey, SpanKind, TraceSpan};
@@ -40,35 +40,45 @@ impl DbCore {
         }
     }
 
-    /// Route one piece of triggered maintenance onto the background
-    /// queue. Returns `false` when the engine runs Inline (or the queue
-    /// has shut down) and the caller must execute the work itself.
-    pub(super) fn offload(
-        &self,
-        kind: JobKind,
-        partition: usize,
-        cost: Option<CostDecision>,
-        origin_trace: u64,
-    ) -> bool {
-        self.maintenance.as_ref().is_some_and(|m| {
-            m.enqueue(Job {
-                kind,
-                partition,
-                cost,
-                origin_trace,
-            })
-        })
+    /// Queue `job` for the background workers. Returns `false` when
+    /// the engine runs Inline or the queue has shut down.
+    pub(super) fn offload(&self, job: &Job) -> bool {
+        self.maintenance.as_ref().is_some_and(|m| m.enqueue(job))
     }
 
-    /// Execute one background job (called from the worker threads).
-    pub(crate) fn run_job(&self, job: &Job) -> Result<(), DbError> {
-        match job.kind {
-            JobKind::Flush => self.do_flush(job.partition, job.origin_trace),
-            JobKind::Internal => {
-                self.do_internal(job.partition, job.cost.clone(), job.origin_trace)
+    /// A trigger site's one call: queue `job` in Background mode, else
+    /// run it here. Returns whether it ran on the calling thread.
+    pub(super) fn trigger(&self, job: Job) -> Result<bool, DbError> {
+        if self.offload(&job) {
+            return Ok(false);
+        }
+        self.run(&job, false)?;
+        Ok(true)
+    }
+
+    /// The engine's one dispatcher: run `job` on this thread. A major
+    /// on a maintenance worker (`on_worker`) moves level-0 in the §V-C
+    /// chunks, retention's evictions included; everywhere else a major
+    /// is one install.
+    pub(crate) fn run(&self, job: &Job, on_worker: bool) -> Result<(), DbError> {
+        let origin = job.origin_trace;
+        let major = |pid| {
+            if on_worker {
+                self.do_major_chunked(pid, origin)
+            } else {
+                self.do_major_limited(pid, usize::MAX, origin)
             }
-            JobKind::Major => self.do_major_chunked(job.partition, job.origin_trace),
-            JobKind::Retention => self.do_retention_inner(true, job.origin_trace),
+        };
+        match job.request {
+            CompactionRequest::Flush { partition } => self.do_flush(partition, origin),
+            CompactionRequest::FlushAll => {
+                (0..self.partitions.len()).try_for_each(|pid| self.do_flush(pid, origin))
+            }
+            CompactionRequest::Internal { partition } => {
+                self.do_internal(partition, job.cost.clone(), origin)
+            }
+            CompactionRequest::Major { partition } => major(partition),
+            CompactionRequest::MajorWithRetention => self.do_retention(major),
         }
     }
 
@@ -76,9 +86,9 @@ impl DbCore {
     // Compaction driving (Algorithm 1)
     // ---------------------------------------------------------------
 
-    /// Run a compaction now. This is the single entry point for every
-    /// manually-triggered compaction; the engine calls the same internal
-    /// paths from its automatic triggers.
+    /// Run a compaction now, on the calling thread. This is the single
+    /// entry point for every manually-triggered compaction; the engine's
+    /// automatic triggers go through the same dispatcher.
     pub fn compact(&self, request: CompactionRequest) -> Result<(), DbError> {
         if let CompactionRequest::Flush { partition }
         | CompactionRequest::Internal { partition }
@@ -91,17 +101,7 @@ impl DbCore {
                 )));
             }
         }
-        match request {
-            CompactionRequest::Flush { partition } => self.do_flush(partition, 0),
-            CompactionRequest::FlushAll => {
-                (0..self.partitions.len()).try_for_each(|pid| self.do_flush(pid, 0))
-            }
-            CompactionRequest::Internal { partition } => self.do_internal(partition, None, 0),
-            CompactionRequest::Major { partition } => {
-                self.do_major_limited(partition, usize::MAX, 0)
-            }
-            CompactionRequest::MajorWithRetention => self.do_retention_inner(false, 0),
-        }
+        self.run(&Job::new(request, 0), false)
     }
 
     /// The maintenance frame: the steps a flush, an internal and a major
@@ -256,6 +256,7 @@ impl DbCore {
     /// before acting; the compaction paths re-check what is actually
     /// there, so a racing compaction at worst makes one of them a no-op.
     fn apply_strategy(&self, pid: usize, origin: u64) -> Result<(), DbError> {
+        let major = |partition| Job::new(CompactionRequest::Major { partition }, origin);
         match self.opts.mode {
             Mode::PmBlade => {
                 let now = self.now();
@@ -313,23 +314,16 @@ impl DbCore {
                 if run_internal {
                     // Attribute the compaction to the first rule that
                     // fired (Algorithm 1 evaluates them in this order).
-                    let cause = [d_eq1, d_eq2, d_hard].into_iter().find(|d| d.triggered());
-                    let offloaded = self.offload(JobKind::Internal, pid, cause.clone(), origin);
-                    if !offloaded {
-                        self.do_internal(pid, cause, origin)?;
-                    }
+                    let cost = [d_eq1, d_eq2, d_hard].into_iter().find(|d| d.triggered());
+                    let internal = CompactionRequest::Internal { partition: pid };
+                    self.trigger(Job {
+                        cost,
+                        ..Job::new(internal, origin)
+                    })?;
                 }
                 // Line 7-9: Eq 3 — major compaction with retention.
                 if self.pool.used() >= self.opts.tau_m {
-                    let offloaded = self.offload(
-                        JobKind::Retention,
-                        maintenance::GLOBAL_PARTITION,
-                        None,
-                        origin,
-                    );
-                    if !offloaded {
-                        self.do_retention_inner(false, origin)?;
-                    }
+                    self.trigger(Job::new(CompactionRequest::MajorWithRetention, origin))?;
                 }
             }
             Mode::PmBladePm => {
@@ -342,7 +336,7 @@ impl DbCore {
                 if self.partitions[pid].read().unsorted_count() >= self.opts.l0_table_trigger
                     || self.pool.used() >= self.opts.tau_m
                 {
-                    self.major_or_enqueue(pid, origin)?;
+                    self.trigger(major(pid))?;
                 }
             }
             Mode::MatrixKv => {
@@ -350,7 +344,7 @@ impl DbCore {
                 // no retention.
                 if self.pool.used() >= self.opts.tau_m {
                     for pid in 0..self.partitions.len() {
-                        self.major_or_enqueue(pid, origin)?;
+                        self.trigger(major(pid))?;
                     }
                 }
             }
@@ -359,7 +353,7 @@ impl DbCore {
                     .read()
                     .ssd_l0_full(self.opts.l0_table_trigger)
                 {
-                    self.major_or_enqueue(pid, origin)?;
+                    self.trigger(major(pid))?;
                 }
             }
         }
@@ -403,21 +397,12 @@ impl DbCore {
         }
     }
 
-    /// Trigger-site helper: enqueue a major compaction in Background
-    /// mode, run it inline otherwise.
-    fn major_or_enqueue(&self, pid: usize, origin: u64) -> Result<(), DbError> {
-        if self.offload(JobKind::Major, pid, None, origin) {
-            return Ok(());
-        }
-        self.do_major_limited(pid, usize::MAX, origin)
-    }
-
     /// The §V-C compaction splitter applied to real work: move the
     /// partition's level-0 in `k = max(⌊q/c⌋, 1)` installs, yielding
     /// the partition lock (and the CPU) between chunks so foreground
-    /// operations interleave with a large major compaction. Used by the
-    /// background workers; the inline path keeps the single-install
-    /// major for deterministic span counts.
+    /// operations interleave with a large major compaction. Run only on
+    /// a maintenance worker; every other major is one install, which
+    /// keeps Inline span counts deterministic.
     fn do_major_chunked(&self, pid: usize, origin: u64) -> Result<(), DbError> {
         let k = maintenance::COMPACTION_CHUNKS;
         let total = self.partitions[pid].read().l0_table_count();
@@ -464,19 +449,8 @@ impl DbCore {
     /// Partition locks are taken one at a time (candidate sampling,
     /// then each victim's compaction) — never two at once.
     ///
-    /// `chunked` selects the background flavor: victims move through
-    /// [`DbCore::do_major_chunked`] with a yield between partitions, so
-    /// one retention pass never monopolizes a worker.
-    fn do_retention_inner(&self, chunked: bool, origin: u64) -> Result<(), DbError> {
-        let evict = |pid: usize| -> Result<(), DbError> {
-            if chunked {
-                let r = self.do_major_chunked(pid, origin);
-                std::thread::yield_now();
-                r
-            } else {
-                self.do_major_limited(pid, usize::MAX, origin)
-            }
-        };
+    /// `evict` major-compacts one partition, as the dispatcher chose.
+    fn do_retention(&self, evict: impl Fn(usize) -> Result<(), DbError>) -> Result<(), DbError> {
         let candidates: Vec<RetentionCandidate> = self
             .partitions
             .iter()

@@ -116,39 +116,23 @@ impl Db {
     /// before anything is touched. In `MaintenanceMode::Background`
     /// this also spawns the two maintenance worker threads.
     pub fn open(opts: Options) -> Result<Db, DbError> {
-        let core = Arc::new(DbCore::open(opts)?);
-        let mut workers = Vec::new();
-        if let Some(m) = &core.maintenance {
+        let db = Db {
+            core: Arc::new(DbCore::open(opts)?),
+            workers: Mutex::new(Vec::new()),
+        };
+        if let Some(m) = &db.core.maintenance {
             for i in 0..MAINTENANCE_WORKERS {
-                let core = Arc::clone(&core);
-                let queue = Arc::clone(m);
-                let spawned = std::thread::Builder::new()
+                let (core, queue) = (Arc::clone(&db.core), Arc::clone(m));
+                let worker = std::thread::Builder::new()
                     .name(format!("pmblade-maint-{i}"))
-                    .spawn(move || {
-                        while let Some(job) = queue.next_job() {
-                            let ok = core.run_job(&job).is_ok();
-                            queue.job_done(&job, ok);
-                        }
-                    });
-                match spawned {
-                    Ok(handle) => workers.push(handle),
-                    Err(e) => {
-                        // Unwind the workers already running before
-                        // reporting failure, or they would spin forever
-                        // on a queue nobody ever drains.
-                        m.drain();
-                        for h in workers {
-                            let _ = h.join();
-                        }
-                        return Err(DbError::Io(format!("spawn maintenance worker: {e}")));
-                    }
-                }
+                    .spawn(move || queue.work(|job| core.run(job, true).is_ok()))
+                    // Dropping `db` drains the queue and joins the
+                    // workers already running.
+                    .map_err(|e| DbError::Io(format!("spawn maintenance worker: {e}")))?;
+                db.workers.lock().push(worker);
             }
         }
-        Ok(Db {
-            core,
-            workers: Mutex::new(workers),
-        })
+        Ok(db)
     }
 
     /// Drain the maintenance queue and join the worker pool: blocks
@@ -156,14 +140,18 @@ impl Db {
     /// enqueue) has finished, then stops the workers. Idempotent, and
     /// also run by `Drop`. The engine stays usable afterwards —
     /// triggered maintenance falls back to inline execution, as in
-    /// `MaintenanceMode::Inline`.
+    /// `MaintenanceMode::Inline`. A worker that panicked outside a job
+    /// counts as one more failed job.
     pub fn close(&self) {
-        if let Some(m) = &self.core.maintenance {
-            m.drain();
-        }
+        let Some(m) = &self.core.maintenance else {
+            return;
+        };
+        m.drain();
         let workers: Vec<_> = std::mem::take(&mut *self.workers.lock());
         for handle in workers {
-            let _ = handle.join();
+            if handle.join().is_err() {
+                m.metrics.failed.incr();
+            }
         }
     }
 }
