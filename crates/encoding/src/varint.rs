@@ -55,16 +55,6 @@ pub fn get_u32(buf: &[u8]) -> Option<(u32, usize)> {
     }
 }
 
-/// Encoded length of `value` without writing it (the tests' oracle).
-#[cfg(test)]
-fn len_u64(value: u64) -> usize {
-    if value == 0 {
-        1
-    } else {
-        (64 - value.leading_zeros() as usize).div_ceil(7)
-    }
-}
-
 /// A cursor for sequentially decoding varint-framed records.
 #[derive(Debug)]
 pub struct Reader<'a> {
@@ -128,6 +118,15 @@ pub fn put_slice(out: &mut Vec<u8>, s: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Encoded length of `value` without writing it (the oracle).
+    fn len_u64(value: u64) -> usize {
+        if value == 0 {
+            1
+        } else {
+            (64 - value.leading_zeros() as usize).div_ceil(7)
+        }
+    }
 
     #[test]
     fn roundtrip_representative_values() {

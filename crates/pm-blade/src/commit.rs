@@ -214,9 +214,10 @@ pub(crate) struct CommitMetrics {
 
 impl CommitMetrics {
     pub(crate) fn register(registry: &MetricsRegistry, partition: usize) -> Self {
+        let counter = |name| registry.counter(MetricKey::partition(name, partition));
         CommitMetrics {
-            group_commits: registry.counter(MetricKey::partition("group_commits", partition)),
-            grouped_writes: registry.counter(MetricKey::partition("grouped_writes", partition)),
+            group_commits: counter("partition_group_commits"),
+            grouped_writes: counter("partition_grouped_writes"),
         }
     }
 }
@@ -286,13 +287,13 @@ mod tests {
         m.grouped_writes.add(5);
         assert_eq!(
             registry
-                .counter(MetricKey::partition("group_commits", 3))
+                .counter(MetricKey::partition("partition_group_commits", 3))
                 .get(),
             1
         );
         assert_eq!(
             registry
-                .counter(MetricKey::partition("grouped_writes", 3))
+                .counter(MetricKey::partition("partition_grouped_writes", 3))
                 .get(),
             5
         );

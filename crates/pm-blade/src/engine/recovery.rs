@@ -351,6 +351,7 @@ impl DbCore {
                     &mut tl,
                 )?;
                 edits_at_open = manifest.state().edits_applied;
+                retire_errors += manifest.take_retire_errors();
                 let ring = WalRing {
                     dir,
                     cost: opts.cost,
@@ -445,7 +446,9 @@ impl DbCore {
             m.append(edit, &mut tl)?;
             self.metrics.manifest_edits.incr();
         }
+        let retire_errors = m.take_retire_errors();
         drop(m);
+        self.metrics.media_retire_errors.add(retire_errors);
         self.advance(tl.elapsed());
         Ok(())
     }
@@ -520,7 +523,8 @@ impl DbCore {
                 m.state().checkpoints.clone()
             };
             if let Some(ring) = &self.wal {
-                let deleted = ring.lock().prune(&checkpoints);
+                let retire_errors = &self.metrics.media_retire_errors;
+                let deleted = ring.lock().prune(&checkpoints, retire_errors);
                 self.metrics.wal_segments_deleted.add(deleted);
             }
         }

@@ -333,6 +333,33 @@ fn compaction_log_is_capped_by_event_log_capacity() {
 }
 
 #[test]
+fn no_series_name_is_both_global_and_labelled() {
+    // `MetricsSnapshot::counter` sums a name over its labels, so a name
+    // registered both bare and labelled would count its events twice.
+    let mut opts = small_opts(Mode::PmBlade);
+    (opts.tau_m, opts.tau_t) = (128 << 10, 64 << 10);
+    let db = Db::open(opts).unwrap();
+    fill(&db, 2000, 64, "n");
+    for i in (0..2000).step_by(7) {
+        db.get(format!("key{i:08}").as_bytes()).unwrap();
+    }
+    let snap = db.metrics_snapshot();
+    let keys = || {
+        let (c, g, h) = (&snap.counters, &snap.gauges, &snap.histograms);
+        c.keys().chain(g.keys()).chain(h.keys())
+    };
+    let global: std::collections::BTreeSet<&str> = keys()
+        .filter(|k| k.label_string().is_empty())
+        .map(|k| k.name)
+        .collect();
+    let both: Vec<String> = keys()
+        .filter(|k| !k.label_string().is_empty() && global.contains(k.name))
+        .map(|k| format!("{}{}", k.name, k.label_string()))
+        .collect();
+    assert!(both.is_empty(), "both bare and labelled: {both:?}");
+}
+
+#[test]
 fn metrics_snapshot_covers_engine_activity() {
     let mut opts = small_opts(Mode::PmBlade);
     (opts.tau_m, opts.tau_t) = (128 << 10, 64 << 10);
@@ -356,7 +383,7 @@ fn metrics_snapshot_covers_engine_activity() {
     assert!(snap.counter("gets") > 0);
     assert_eq!(snap.counter("scans"), 1);
     // Per-partition group-commit counters.
-    assert!(snap.counter_at(&MetricKey::partition("group_commits", 0)) > 0);
+    assert!(snap.counter_at(&MetricKey::partition("partition_group_commits", 0)) > 0);
     // Read-source split, keyed by partition.
     assert!(
         snap.counter("partition_reads") >= snap.counter("gets"),

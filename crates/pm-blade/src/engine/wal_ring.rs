@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use memtable::Wal;
 use sim::fault::FaultPlan;
-use sim::CostModel;
+use sim::{CostModel, Counter};
 
 use super::DbError;
 
@@ -67,9 +67,13 @@ impl WalRing {
 
     /// Delete every sealed segment whose records are all at or below
     /// their partition's flush checkpoint. Returns how many went; a
-    /// segment whose file could not be removed stays sealed, so the
-    /// next checkpoint's prune retries it.
-    pub(super) fn prune(&mut self, checkpoints: &BTreeMap<u64, u64>) -> u64 {
+    /// segment whose file could not be removed ticks `retire_errors`
+    /// and stays sealed, so the next checkpoint's prune retries it.
+    pub(super) fn prune(
+        &mut self,
+        checkpoints: &BTreeMap<u64, u64>,
+        retire_errors: &Counter,
+    ) -> u64 {
         let mut deleted = 0u64;
         self.sealed.retain(|seg| {
             let covered = seg
@@ -77,6 +81,9 @@ impl WalRing {
                 .iter()
                 .all(|(pid, seq)| checkpoints.get(pid).is_some_and(|c| c >= seq));
             let removed = covered && std::fs::remove_file(&seg.path).is_ok();
+            if covered && !removed {
+                retire_errors.incr();
+            }
             deleted += removed as u64;
             !removed
         });
@@ -111,11 +118,14 @@ mod tests {
             }],
         };
         let checkpoints = BTreeMap::from([(0, 5)]);
-        assert_eq!(ring.prune(&checkpoints), 0);
+        let retire_errors = Counter::new();
+        assert_eq!(ring.prune(&checkpoints, &retire_errors), 0);
         assert_eq!(ring.sealed.len(), 1);
+        assert_eq!(retire_errors.get(), 1);
         std::fs::remove_dir(&path).unwrap();
         std::fs::write(&path, b"").unwrap();
-        assert_eq!(ring.prune(&checkpoints), 1);
+        assert_eq!(ring.prune(&checkpoints, &retire_errors), 1);
+        assert_eq!(retire_errors.get(), 1);
         assert!(ring.sealed.is_empty());
         assert!(!path.exists());
         let _ = std::fs::remove_dir_all(&dir);

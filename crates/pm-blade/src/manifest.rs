@@ -339,6 +339,9 @@ pub struct Manifest {
     state: ManifestState,
     cost: CostModel,
     fault: Option<Arc<FaultPlan>>,
+    /// Stale manifest files whose unlink failed, not yet taken by
+    /// [`Manifest::take_retire_errors`].
+    retire_errors: u64,
 }
 
 impl Manifest {
@@ -382,13 +385,14 @@ impl Manifest {
         };
         // Remove manifest files other than the live one (debris from a
         // crashed snapshot rewrite, or the pre-swap predecessor).
+        let mut retire_errors = 0;
         for entry in fs::read_dir(&dir)? {
             let entry = entry?;
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if let Some(n) = name.strip_prefix("MANIFEST-") {
-                if n.parse::<u64>().ok() != Some(number) {
-                    let _ = fs::remove_file(entry.path());
+                if n.parse::<u64>().ok() != Some(number) && fs::remove_file(entry.path()).is_err() {
+                    retire_errors += 1;
                 }
             }
         }
@@ -403,6 +407,7 @@ impl Manifest {
             state,
             cost,
             fault,
+            retire_errors,
         };
         if !m.dir.join("CURRENT").exists() {
             m.swap_current()?;
@@ -415,10 +420,10 @@ impl Manifest {
         &self.state
     }
 
-    /// Path of the live manifest file.
-    #[cfg(test)]
-    fn current_path(&self) -> PathBuf {
-        self.dir.join(manifest_name(self.number))
+    /// How many stale manifest files could not be removed since the
+    /// last call. Such a file stays on disk; the next open retries it.
+    pub(crate) fn take_retire_errors(&mut self) -> u64 {
+        std::mem::take(&mut self.retire_errors)
     }
 
     /// Atomically point `CURRENT` at the live manifest file.
@@ -465,7 +470,9 @@ impl Manifest {
         self.log = log;
         self.number = new_number;
         self.swap_current()?;
-        let _ = fs::remove_file(self.dir.join(manifest_name(old_number)));
+        if fs::remove_file(self.dir.join(manifest_name(old_number))).is_err() {
+            self.retire_errors += 1;
+        }
         self.edits_since_snapshot = 0;
         Ok(())
     }
@@ -489,6 +496,11 @@ mod tests {
             std::env::temp_dir().join(format!("pmblade-manifest-{}-{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Path of `m`'s live manifest file.
+    fn current_path(m: &Manifest) -> PathBuf {
+        m.dir.join(manifest_name(m.number))
     }
 
     fn sample_pv(partition: u64) -> PartitionVersion {
@@ -650,7 +662,7 @@ mod tests {
         }
         let path = {
             let m = Manifest::open(&dir, 1000, cost, None).unwrap();
-            m.current_path()
+            current_path(&m)
         };
         let raw = fs::read(&path).unwrap();
         fs::write(&path, &raw[..raw.len() - 2]).unwrap();
@@ -710,6 +722,27 @@ mod tests {
         // recovery still reads a consistent log.
         let m2 = Manifest::open(&dir, 1000, cost, None).unwrap();
         assert_eq!(m2.state().table_counter, 50);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stale_manifest_that_cannot_be_removed_is_counted() {
+        let dir = tmp("stale");
+        let cost = CostModel::default();
+        drop(Manifest::open(&dir, 1000, cost, None).unwrap());
+        // A stale manifest name that `remove_file` refuses: a directory.
+        let stale = dir.join(manifest_name(99));
+        fs::create_dir(&stale).unwrap();
+        let mut m = Manifest::open(&dir, 1000, cost, None).unwrap();
+        assert_eq!(m.take_retire_errors(), 1);
+        assert_eq!(m.take_retire_errors(), 0, "taken once");
+        assert!(stale.is_dir());
+        drop(m);
+        fs::remove_dir(&stale).unwrap();
+        fs::write(&stale, b"").unwrap();
+        let mut m = Manifest::open(&dir, 1000, cost, None).unwrap();
+        assert_eq!(m.take_retire_errors(), 0);
+        assert!(!stale.exists(), "the next open removes it");
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -10,8 +10,10 @@
 # knobs), and the largest source file under crates/*/src by the
 # same count, and `engine crates`: the summed code lines of every crate
 # `pm-blade` links (its normal `cargo tree`). Prints one table; `--max-file N` also exits 1 when that
-# largest file has more than N code lines — the one thing it gates, so
-# a file split for its size cannot silently grow back.
+# largest file has more than N code lines, so a file split for its size
+# cannot silently grow back. It always exits 1 when a `#[cfg(test)]`
+# line is followed by anything but a `mod`: the count would skip the
+# code after that item.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -82,5 +84,13 @@ read -r largest largest_file < <(awk "$non_test"'
 printf '%-22s %8d  %s\n' "largest file" "$largest" "$largest_file"
 if [[ ${1:-} == --max-file ]] && ((largest > $2)); then
     echo "loc: $largest_file has $largest code lines, more than $2" >&2
+    exit 1
+fi
+stray=$(awk '
+    after && !/^[[:space:]]*(pub(\([a-z]+\))? )?mod / { print FILENAME ":" FNR }
+    { after = /^[[:space:]]*#\[cfg\(test\)\]/ }' "${sources[@]}")
+if [[ -n $stray ]]; then
+    echo "loc: a #[cfg(test)] item that is not a mod hides the code after it:" >&2
+    echo "$stray" >&2
     exit 1
 fi

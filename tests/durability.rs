@@ -187,6 +187,53 @@ fn flush_checkpoints_delete_covered_wal_segments() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A covered WAL segment that cannot be unlinked ticks
+/// `media_retire_errors_total` at every prune that tries it, and stays
+/// sealed: once it can be removed, the next checkpoint removes it.
+#[test]
+fn a_covered_wal_segment_that_cannot_be_unlinked_is_counted() {
+    let dir = scratch_dir("wal-unlink");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut opts = tiny_options(Mode::PmBlade);
+    opts.wal_dir = Some(dir.clone());
+    opts.wal_segment_bytes = 4 << 10;
+    let db = Db::open(opts).unwrap();
+    let put_round = |round: u64| {
+        for i in 0..40u64 {
+            db.put(&key_for(round * 40 + i), &value_for(i, 96)).unwrap();
+        }
+    };
+    put_round(0);
+    let segments = wal_segments_on_disk(&dir);
+    assert!(
+        segments.len() >= 2,
+        "a sealed segment to remove: {segments:?}"
+    );
+    // Behind the engine's back: the oldest segment on disk, sealed,
+    // becomes a directory, which `remove_file` refuses.
+    let path = dir.join(&segments[0]);
+    std::fs::remove_file(&path).unwrap();
+    std::fs::create_dir(&path).unwrap();
+    let retire_errors = |db: &Db| db.metrics_snapshot().counter("media_retire_errors_total");
+    // One partition: one flush, one checkpoint, one prune that fails.
+    db.compact(CompactionRequest::FlushAll).unwrap();
+    assert_eq!(retire_errors(&db), 1);
+    assert!(path.is_dir(), "the failed unlink left the segment in place");
+    // Still sealed: the next checkpoint tries it again.
+    put_round(1);
+    db.compact(CompactionRequest::FlushAll).unwrap();
+    assert_eq!(retire_errors(&db), 2);
+    // Once it can go, it goes, and nothing more is counted.
+    std::fs::remove_dir(&path).unwrap();
+    std::fs::write(&path, b"").unwrap();
+    put_round(2);
+    db.compact(CompactionRequest::FlushAll).unwrap();
+    assert!(!path.exists(), "the retried segment is removed");
+    assert_eq!(retire_errors(&db), 2);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // Recovery observability: the durability counters and the recovery
 // wall-clock histogram flow through the Prometheus exposition.

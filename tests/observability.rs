@@ -510,11 +510,7 @@ const SERIES: &[(&str, &str, &str)] = &[
     ("counter", "deletes", ""),
     ("counter", "gets", ""),
     ("counter", "group_commits", ""),
-    ("counter", "group_commits", "{partition=\"0\"}"),
-    ("counter", "group_commits", "{partition=\"1\"}"),
     ("counter", "grouped_writes", ""),
-    ("counter", "grouped_writes", "{partition=\"0\"}"),
-    ("counter", "grouped_writes", "{partition=\"1\"}"),
     ("counter", "internal_compactions", ""),
     ("counter", "internal_dropped_records", ""),
     ("counter", "internal_out_of_pm_fallbacks", ""),
@@ -527,6 +523,10 @@ const SERIES: &[(&str, &str, &str)] = &[
     ("counter", "manifest_edits_total", ""),
     ("counter", "media_retire_errors_total", ""),
     ("counter", "minor_compactions", ""),
+    ("counter", "partition_group_commits", "{partition=\"0\"}"),
+    ("counter", "partition_group_commits", "{partition=\"1\"}"),
+    ("counter", "partition_grouped_writes", "{partition=\"0\"}"),
+    ("counter", "partition_grouped_writes", "{partition=\"1\"}"),
     ("counter", "partition_reads", "{partition=\"0\"}"),
     ("counter", "partition_reads", "{partition=\"1\"}"),
     ("counter", "pm_bytes_read", ""),
