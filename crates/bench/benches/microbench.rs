@@ -196,7 +196,20 @@ fn bench_scan_merge(c: &mut Criterion) {
     let ids = pm_blade::handle::CacheIds::new();
     let (opts, costs) = (Options::default(), CodecCostTable::default());
     let all = entries(30 * 250);
-    let run_writer = |max_bytes| PmRunWriter::new(&opts, &costs, max_bytes, &pool, &ids);
+    let device = ssd_device::SsdDevice::new(cost);
+    let cache = std::sync::Arc::new(sstable::BlockCache::new(0));
+    let (counter, errors) = (std::sync::atomic::AtomicU64::new(0), sim::Counter::new());
+    let media = pm_blade::partition::Media {
+        opts: &opts,
+        codec_costs: &costs,
+        pool: &pool,
+        device: &device,
+        cache: &cache,
+        table_counter: &counter,
+        cache_ids: &ids,
+        input_errors: &errors,
+    };
+    let run_writer = |max_bytes| PmRunWriter::new(&media, max_bytes);
     let tables: Vec<(PmTableHandle, TableKeys)> = (0..30)
         .flat_map(|source| {
             let mut writer = run_writer(usize::MAX);
@@ -259,8 +272,26 @@ fn bench_cascade(c: &mut Criterion) {
     let device = ssd_device::SsdDevice::new(cost);
     let cache = std::sync::Arc::new(sstable::BlockCache::new(2 << 20));
     let counter = std::sync::atomic::AtomicU64::new(0);
-    let run_writer =
-        |level: &str| SsRunWriter::new(&device, &cache, level.into(), &counter, 256 << 10);
+    let (opts, costs) = (
+        Options::default(),
+        pm_blade::costmodel::CodecCostTable::default(),
+    );
+    let (pool, ids) = (
+        pm_device::PmPool::new(0, cost),
+        pm_blade::handle::CacheIds::new(),
+    );
+    let errors = sim::Counter::new();
+    let media = pm_blade::partition::Media {
+        opts: &opts,
+        codec_costs: &costs,
+        pool: &pool,
+        device: &device,
+        cache: &cache,
+        table_counter: &counter,
+        cache_ids: &ids,
+        input_errors: &errors,
+    };
+    let run_writer = |level: &str| SsRunWriter::new(&media, level.into(), 256 << 10);
     let older = entries(10_000);
     let newer = older.iter().step_by(2).map(|e| OwnedEntry {
         seq: e.seq + (1 << 20),

@@ -282,11 +282,9 @@ impl Server {
     /// inspection.
     pub fn shutdown(mut self) -> Arc<Db> {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.metrics_thread.take() {
-            let _ = t.join();
+        let threads = [self.accept_thread.take(), self.metrics_thread.take()];
+        for t in threads.into_iter().flatten() {
+            join_handler(&self.shared, t);
         }
         loop {
             let Some(h) = self.shared.handlers.lock().pop() else {
@@ -299,8 +297,9 @@ impl Server {
     }
 }
 
-/// Join a connection handler that has finished (or, at shutdown, is
-/// about to). One that panicked counts as a server error.
+/// Join a server thread: a connection handler that has finished (or,
+/// at shutdown, is about to), or at shutdown the accept loop and the
+/// `/metrics` endpoint. One that panicked counts as a server error.
 fn join_handler(shared: &Shared, handler: JoinHandle<()>) {
     if handler.join().is_err() {
         shared.metrics.errors_total.incr();

@@ -14,7 +14,7 @@ use crate::costmodel::{
 };
 use crate::maintenance::{self, Job};
 use crate::options::Mode;
-use crate::partition::{CompactionReport, Level0, Partition};
+use crate::partition::{CompactionReport, Partition};
 use crate::telemetry::{CostDecision, MetricKey, SpanKind, TraceSpan};
 
 /// What a compaction run through the maintenance frame hands back: its
@@ -233,16 +233,7 @@ impl DbCore {
         }
         let flushed = self.run_frame(SpanKind::Flush, pid, None, origin, |p, tl| {
             tl.charge(synced);
-            p.minor_compaction(
-                &self.opts,
-                &self.codec_costs,
-                &self.pool,
-                &self.device,
-                &self.cache,
-                &self.table_counter,
-                &self.cache_ids,
-                tl,
-            )
+            p.minor_compaction(&self.media(), tl)
         })?;
         if flushed.is_some() {
             self.metrics.minor_compactions.incr();
@@ -262,21 +253,21 @@ impl DbCore {
                 let now = self.now();
                 let (d_eq1, d_eq2, d_hard, unsorted) = {
                     let partition = self.partitions[pid].read();
-                    let unsorted = partition.unsorted_count();
+                    let unsorted = partition.level0.unsorted_count();
                     // Per-codec decode CPU (encoding v2): a probe of a
                     // delta/fixed table pays that codec's measured group
                     // decode on top of the PM read, and an internal pass
                     // re-decodes every record it rewrites. Entries-
                     // weighted over the live level-0 so Eq 1/2 price the
                     // actual mix (zero with an uncalibrated cost table).
-                    let (probe_decode, decode_per_record) = match &partition.level0 {
-                        Level0::Pm(l0) => (
+                    let (probe_decode, decode_per_record) = match partition.level0.pm() {
+                        Some(l0) => (
                             self.codec_costs
                                 .probe_decode(l0.unsorted().iter().map(|h| (h.codec, h.entries))),
                             self.codec_costs
                                 .decode_per_record(l0.tables().map(|h| (h.codec, h.entries))),
                         ),
-                        _ => (SimDuration::ZERO, SimDuration::ZERO),
+                        None => (SimDuration::ZERO, SimDuration::ZERO),
                     };
                     // Line 1-3: Eq 1 — read-amplification relief.
                     // Bloom-pruned probes cost ~nothing, so the benefit
@@ -295,7 +286,7 @@ impl DbCore {
                         pid,
                         &partition.counters,
                         partition.level0.entries(),
-                        partition.pm_bytes() >= self.opts.tau_w,
+                        partition.level0.bytes() >= self.opts.tau_w,
                         decode_per_record,
                     );
                     let d_hard = CostDecision::HardCap {
@@ -333,9 +324,8 @@ impl DbCore {
                 // is compacted to level-1 — leaving the PM capacity
                 // underutilized, exactly the behaviour the paper
                 // criticises.
-                if self.partitions[pid].read().unsorted_count() >= self.opts.l0_table_trigger
-                    || self.pool.used() >= self.opts.tau_m
-                {
+                let unsorted = self.partitions[pid].read().level0.unsorted_count();
+                if unsorted >= self.opts.l0_table_trigger || self.pool.used() >= self.opts.tau_m {
                     self.trigger(major(pid))?;
                 }
             }
@@ -349,10 +339,8 @@ impl DbCore {
                 }
             }
             Mode::SsdLevel0 => {
-                if self.partitions[pid]
-                    .read()
-                    .ssd_l0_full(self.opts.l0_table_trigger)
-                {
+                let tables = self.partitions[pid].read().level0.unsorted_count();
+                if tables >= self.opts.l0_table_trigger {
                     self.trigger(major(pid))?;
                 }
             }
@@ -373,8 +361,7 @@ impl DbCore {
         origin: u64,
     ) -> Result<(), DbError> {
         let merged = self.run_frame(SpanKind::Internal, pid, cost, origin, |p, tl| {
-            let (costs, errors) = (&self.codec_costs, &self.metrics.compaction_input_errors);
-            p.internal_compaction(&self.opts, costs, &self.pool, &self.cache_ids, errors, tl)
+            p.internal_compaction(&self.media(), tl)
         });
         match merged {
             Ok(Some(report)) => {
@@ -405,7 +392,7 @@ impl DbCore {
     /// keeps Inline span counts deterministic.
     fn do_major_chunked(&self, pid: usize, origin: u64) -> Result<(), DbError> {
         let k = maintenance::COMPACTION_CHUNKS;
-        let total = self.partitions[pid].read().l0_table_count();
+        let total = self.partitions[pid].read().level0.chunkable_tables();
         if k <= 1 || total == 0 {
             // Nothing to split (or a Matrix/SSD level-0, which drains
             // in one install regardless).
@@ -417,7 +404,7 @@ impl DbCore {
         // key it holds. Loop until empty: a concurrent flush may add
         // tables mid-pass, and each pass removes at least one table, so
         // this terminates once the partition quiesces.
-        while self.partitions[pid].read().l0_table_count() > 0 {
+        while self.partitions[pid].read().level0.chunkable_tables() > 0 {
             self.do_major_limited(pid, per_chunk, origin)?;
             std::thread::yield_now();
         }
@@ -429,16 +416,7 @@ impl DbCore {
     /// `usize::MAX` moves the whole level-0).
     fn do_major_limited(&self, pid: usize, table_limit: usize, origin: u64) -> Result<(), DbError> {
         self.run_frame(SpanKind::Major, pid, None, origin, |p, tl| {
-            let moved = p.major_compaction(
-                &self.opts,
-                &self.device,
-                &self.cache,
-                &self.table_counter,
-                table_limit,
-                &self.metrics.compaction_input_errors,
-                tl,
-            );
-            moved.map(Some)
+            p.major_compaction(&self.media(), table_limit, tl).map(Some)
         })?;
         self.metrics.major_compactions.incr();
         Ok(())
@@ -459,7 +437,7 @@ impl DbCore {
                 RetentionCandidate {
                     partition: p.id,
                     reads: p.counters.reads.get(),
-                    bytes: p.pm_bytes(),
+                    bytes: p.level0.bytes(),
                 }
             })
             .collect();
@@ -485,7 +463,7 @@ impl DbCore {
                 .into_iter()
                 .map(|pid| {
                     let p = self.partitions[pid].read();
-                    let density = p.counters.reads.get() as f64 / p.pm_bytes().max(1) as f64;
+                    let density = p.counters.reads.get() as f64 / p.level0.bytes().max(1) as f64;
                     (pid, density)
                 })
                 .collect();

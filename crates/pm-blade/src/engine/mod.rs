@@ -62,7 +62,7 @@ use crate::handle::CacheIds;
 use crate::maintenance::{MaintenanceShared, MAINTENANCE_WORKERS};
 use crate::manifest::Manifest;
 use crate::options::Options;
-use crate::partition::{Level0, Partition};
+use crate::partition::{Media, Partition};
 use crate::stats::EngineMetrics;
 use crate::telemetry::{
     chrome_trace_json, EventRing, MetricKey, MetricsRegistry, MetricsSnapshot, RequestTrace,
@@ -263,13 +263,13 @@ impl DbCore {
         let (mut sketch_bytes, mut column_bytes) = (0, 0);
         for (lock, m) in self.partitions.iter().zip(&m.partitions) {
             let p = lock.read();
-            if let Level0::Pm(l0) = &p.level0 {
+            if let Some(l0) = p.level0.pm() {
                 sketch_bytes += l0.sketch_bytes() as i64;
                 column_bytes += l0.key_column_bytes() as i64;
             }
             m.memtable_bytes.set(p.mem.approximate_size() as i64);
-            m.pm_l0_bytes.set(p.pm_bytes() as i64);
-            m.l0_unsorted_tables.set(p.unsorted_count() as i64);
+            m.pm_l0_bytes.set(p.level0.bytes() as i64);
+            m.l0_unsorted_tables.set(p.level0.unsorted_count() as i64);
             m.ssd_level_bytes.set(p.levels.total_bytes() as i64);
         }
         m.pm_l0_sketch_bytes.set(sketch_bytes);
@@ -349,7 +349,7 @@ impl DbCore {
         let mut hist = [0u64; pmtable::CODEC_COUNT];
         for partition in &self.partitions {
             let p = partition.read();
-            if let Level0::Pm(l0) = &p.level0 {
+            if let Some(l0) = p.level0.pm() {
                 for h in l0.tables() {
                     hist[(h.codec as usize).min(pmtable::CODEC_COUNT - 1)] += 1;
                 }
@@ -364,6 +364,20 @@ impl DbCore {
             pm_bytes: self.pool.stats().bytes_written.get(),
             ssd_bytes: self.device.stats().bytes_written.get(),
             user_bytes: self.metrics.user_bytes_written.get(),
+        }
+    }
+
+    /// What a compaction is handed, borrowed from the engine.
+    fn media(&self) -> Media<'_> {
+        Media {
+            opts: &self.opts,
+            codec_costs: &self.codec_costs,
+            pool: &self.pool,
+            device: &self.device,
+            cache: &self.cache,
+            table_counter: &self.table_counter,
+            cache_ids: &self.cache_ids,
+            input_errors: &self.metrics.compaction_input_errors,
         }
     }
 

@@ -16,8 +16,7 @@ use sim::Timeline;
 
 use super::{DbCore, DbError, ReadOutcome, ScanRequest, ScanResult};
 use crate::cursor::{MergingIter, ScanStats};
-use crate::level0::{Probe, ProbeStats};
-use crate::partition::Level0;
+use crate::level0::{PmLevel0, Probe, ProbeStats};
 use crate::stats::ReadSource;
 use crate::telemetry::{SpanKind, StageTimes, StageTrace, TraceContext, TraceOp};
 
@@ -104,11 +103,10 @@ impl DbCore {
             return Ok((Some(hit), ReadSource::MemTable, None));
         }
         let probe = Probe::new(user_key, &self.group_cache);
-        let guard = match &guard.level0 {
-            Level0::Pm(l0) => {
-                let version = l0.version();
+        let mut stats = ProbeStats::default();
+        let guard = match guard.level0.pm().map(PmLevel0::version) {
+            Some(version) => {
                 drop(guard);
-                let mut stats = ProbeStats::default();
                 let hit = version.get(&probe, tl, &mut stats, stages);
                 self.note_probe_stats(&stats);
                 if hit.is_some() {
@@ -116,20 +114,11 @@ impl DbCore {
                 }
                 self.partitions[pid].read()
             }
-            Level0::Matrix(m) => {
-                let rows = |tl: &mut Timeline| m.get(user_key, tl);
-                if let Some(hit) = stages.time(SpanKind::PmDecodeMiss, tl, rows) {
-                    return Ok((Some(hit), ReadSource::Pm, None));
-                }
-                guard
-            }
-            Level0::Ssd(tables) => {
-                // The tables overlap: newest first. An unreadable one
-                // fails the read — an older version may hide behind it.
-                for handle in tables.iter().rev().filter(|h| h.overlaps_key(user_key)) {
-                    if let Some(hit) = handle.get(&probe, tl, stages)? {
-                        return Ok((Some(hit), ReadSource::Ssd, Some(0)));
-                    }
+            None => {
+                if let Some((hit, source, level)) =
+                    guard.level0.get(&probe, tl, &mut stats, stages)?
+                {
+                    return Ok((Some(hit), source, level));
                 }
                 guard
             }

@@ -13,21 +13,20 @@ use encoding::key::SequenceNumber;
 use memtable::Wal;
 use parking_lot::{Mutex, RwLock};
 use pm_device::PmPool;
-use pmtable::TableKeys;
 use sim::{SimInstant, Timeline};
 use ssd_device::SsdDevice;
-use sstable::{BlockCache, SsTable};
+use sstable::BlockCache;
 
 use super::wal_ring::{wal_segment_file, SealedSegment, WalRing};
 use super::{DbCore, DbError};
 use crate::commit::{CommitMetrics, Committer};
 use crate::costmodel::CodecCostTable;
 use crate::groupcache::PmGroupCache;
-use crate::handle::{reopen_pm_table, CacheIds, PmTableHandle, SsTableHandle};
+use crate::handle::{CacheIds, SsTableHandle};
 use crate::maintenance::{MaintenanceShared, QueueMetrics};
-use crate::manifest::{Manifest, PartitionVersion, SsdMeta, VersionEdit};
+use crate::manifest::{Manifest, PartitionVersion, VersionEdit};
 use crate::options::{MaintenanceMode, Mode, Options};
-use crate::partition::{Level0, Partition};
+use crate::partition::{Media, Partition};
 use crate::stats::EngineMetrics;
 use crate::telemetry::{EventRing, MetricKey, MetricsRegistry, Tracer};
 
@@ -35,132 +34,19 @@ use crate::telemetry::{EventRing, MetricKey, MetricsRegistry, Tracer};
 /// which bounds how much of the log an open replays.
 const MANIFEST_SNAPSHOT_EVERY: u64 = 64;
 
-/// Reopen one PM region as a level-0 table handle, with what level-0's
-/// DRAM indexes need of its keys (recovery path).
-fn recover_pm_handle(
-    pool: &PmPool,
-    id: u64,
-    ids: &CacheIds,
-) -> Result<(PmTableHandle, TableKeys), DbError> {
-    let region = pool.get(id).ok_or_else(|| {
-        DbError::Corrupt(format!(
-            "manifest names PM region {id} but the pool does not hold it"
-        ))
-    })?;
-    reopen_pm_table(region, None, ids).map_err(DbError::Corrupt)
-}
-
-/// Reopen one SSTable from its manifest metadata (recovery path).
-fn recover_ss_handle(
-    device: &Arc<SsdDevice>,
-    cache: &Arc<BlockCache>,
-    meta: &SsdMeta,
-    tl: &mut Timeline,
-) -> Result<SsTableHandle, DbError> {
-    let table = SsTable::open(device, &meta.name, Arc::clone(cache), tl)?;
-    Ok(SsTableHandle {
-        table: Arc::new(table),
-        name: meta.name.clone(),
-        first: meta.first.clone(),
-        last: meta.last.clone(),
-        bytes: meta.bytes,
-        max_seq: meta.max_seq,
-    })
-}
-
 /// Rebuild one partition's table set from its last manifest version.
 /// Returns `(tables_reopened, max_seq_recovered)`.
 fn rebuild_partition(
     p: &mut Partition,
     version: &PartitionVersion,
-    pool: &PmPool,
-    device: &Arc<SsdDevice>,
-    cache: &Arc<BlockCache>,
-    cache_ids: &CacheIds,
+    media: &Media<'_>,
     tl: &mut Timeline,
 ) -> Result<(u64, u64), DbError> {
-    let mismatch = |what: &str| {
-        DbError::Corrupt(format!(
-            "manifest version for partition {} holds {what} tables the \
-             configured mode has no container for",
-            p.id
-        ))
-    };
-    let mut count = 0u64;
-    let mut max_seq = 0u64;
-    match &mut p.level0 {
-        Level0::Pm(l0) => {
-            if !version.matrix.is_empty() || !version.l0_tables.is_empty() {
-                return Err(mismatch("matrix/SSD level-0"));
-            }
-            // Codec ids were logged in unsorted-then-sorted order; a
-            // pre-encoding-v2 manifest logged none (empty = unchecked).
-            // When present, each reopened table's self-described
-            // dominant codec must match what the manifest recorded —
-            // a mismatch means the region was swapped or corrupted.
-            let check_codec = |idx: usize, h: &PmTableHandle| match version.codecs.get(idx) {
-                Some(&logged) if logged != h.codec as u64 => Err(DbError::Corrupt(format!(
-                    "partition {}: manifest logged codec {logged} for PM region {} \
-                         but the reopened table decodes as codec {}",
-                    p.id, h.region, h.codec
-                ))),
-                _ => Ok(()),
-            };
-            for (idx, &id) in version.unsorted.iter().enumerate() {
-                let (h, keys) = recover_pm_handle(pool, id, cache_ids)?;
-                check_codec(idx, &h)?;
-                max_seq = max_seq.max(h.max_seq);
-                l0.push_unsorted(h, keys);
-                count += 1;
-            }
-            let mut run = Vec::with_capacity(version.sorted.len());
-            for (idx, &id) in version.sorted.iter().enumerate() {
-                let (h, _) = recover_pm_handle(pool, id, cache_ids)?;
-                check_codec(version.unsorted.len() + idx, &h)?;
-                max_seq = max_seq.max(h.max_seq);
-                run.push(h);
-                count += 1;
-            }
-            if !run.is_empty() {
-                l0.set_sorted_run(run);
-            }
-        }
-        Level0::Matrix(m) => {
-            if !version.unsorted.is_empty()
-                || !version.sorted.is_empty()
-                || !version.l0_tables.is_empty()
-            {
-                return Err(mismatch("PM/SSD level-0"));
-            }
-            for &id in &version.matrix {
-                let region = pool.get(id).ok_or_else(|| {
-                    DbError::Corrupt(format!(
-                        "manifest names matrix region {id} but the pool does not hold it"
-                    ))
-                })?;
-                m.push_recovered_row(region)?;
-                count += 1;
-            }
-        }
-        Level0::Ssd(tables) => {
-            if !version.unsorted.is_empty()
-                || !version.sorted.is_empty()
-                || !version.matrix.is_empty()
-            {
-                return Err(mismatch("PM level-0"));
-            }
-            for meta in &version.l0_tables {
-                let h = recover_ss_handle(device, cache, meta, tl)?;
-                max_seq = max_seq.max(h.max_seq);
-                tables.push(h);
-                count += 1;
-            }
-        }
-    }
+    let (mut count, mut max_seq) = p.level0.recover(p.id, version, media, tl)?;
     for (i, level) in version.levels.iter().enumerate() {
         let mut handles = Vec::with_capacity(level.len());
         for meta in level {
-            let h = recover_ss_handle(device, cache, meta, tl)?;
+            let h = SsTableHandle::reopen(meta, media, tl)?;
             max_seq = max_seq.max(h.max_seq);
             handles.push(h);
             count += 1;
@@ -210,8 +96,10 @@ impl DbCore {
             .map(|id| Partition::new(id, &opts, now))
             .collect();
         let mut seq: SequenceNumber = 0;
-        let mut table_counter_start = 0u64;
+        let table_counter = AtomicU64::new(0);
         let cache_ids = CacheIds::new();
+        let registry = MetricsRegistry::new();
+        let metrics = EngineMetrics::register(&registry, partitions.len());
         let mut recovered_tables = 0u64;
         let mut replayed_records = 0u64;
         let mut edits_at_open = 0u64;
@@ -236,6 +124,16 @@ impl DbCore {
                     Manifest::open(&dir, MANIFEST_SNAPSHOT_EVERY, opts.cost, fault.clone())?;
                 let mut tl = Timeline::new();
                 let state = manifest.state().clone();
+                let media = Media {
+                    opts: &opts,
+                    codec_costs: &codec_costs,
+                    pool: &pool,
+                    device: &device,
+                    cache: &cache,
+                    table_counter: &table_counter,
+                    cache_ids: &cache_ids,
+                    input_errors: &metrics.compaction_input_errors,
+                };
                 // Rebuild each partition's table set from its last
                 // logged version, and remember every media object the
                 // manifest still references.
@@ -249,31 +147,22 @@ impl DbCore {
                             partitions.len()
                         )));
                     }
-                    let (count, max_seq) = rebuild_partition(
-                        &mut partitions[pid],
-                        version,
-                        &pool,
-                        &device,
-                        &cache,
-                        &cache_ids,
-                        &mut tl,
-                    )?;
+                    let (count, max_seq) =
+                        rebuild_partition(&mut partitions[pid], version, &media, &mut tl)?;
                     recovered_tables += count;
                     seq = seq.max(max_seq);
-                    live_regions.extend(&version.unsorted);
-                    live_regions.extend(&version.sorted);
-                    live_regions.extend(&version.matrix);
+                    let pm = version.unsorted.iter().chain(&version.sorted);
+                    live_regions.extend(pm.chain(&version.matrix));
                     for meta in version
                         .l0_tables
                         .iter()
                         .chain(version.levels.iter().flatten())
                     {
-                        table_counter_start =
-                            table_counter_start.max(table_name_counter(&meta.name));
+                        table_counter.fetch_max(table_name_counter(&meta.name), Ordering::Relaxed);
                         live_tables.insert(meta.name.clone());
                     }
                 }
-                table_counter_start = table_counter_start.max(state.table_counter);
+                table_counter.fetch_max(state.table_counter, Ordering::Relaxed);
                 seq = seq.max(state.checkpoints.values().copied().max().unwrap_or(0));
                 // GC orphans: media published by a crashed process whose
                 // manifest edit never landed. Nothing references them.
@@ -369,8 +258,6 @@ impl DbCore {
                 )
             }
         };
-        let registry = MetricsRegistry::new();
-        let metrics = EngineMetrics::register(&registry, partitions.len());
         let committers = (0..partitions.len())
             .map(|pid| Committer::new(CommitMetrics::register(&registry, pid)))
             .collect();
@@ -417,7 +304,7 @@ impl DbCore {
             cache,
             seq: AtomicU64::new(seq),
             clock: AtomicU64::new(0),
-            table_counter: AtomicU64::new(table_counter_start),
+            table_counter,
             cache_ids,
             metrics,
             wal,
@@ -459,31 +346,14 @@ impl DbCore {
     /// set a crash-reopen must rebuild.
     pub(super) fn partition_version(&self, p: &Partition) -> Option<PartitionVersion> {
         self.manifest.as_ref()?;
-        let meta = |h: &SsTableHandle| SsdMeta {
-            name: h.name.clone(),
-            first: h.first.clone(),
-            last: h.last.clone(),
-            bytes: h.bytes,
-            max_seq: h.max_seq,
-        };
         let mut v = PartitionVersion {
             partition: p.id as u64,
             ..PartitionVersion::default()
         };
-        match &p.level0 {
-            Level0::Pm(l0) => {
-                v.unsorted = l0.unsorted().iter().map(|h| h.region).collect();
-                v.sorted = l0.sorted_run().iter().map(|h| h.region).collect();
-                v.codecs = l0.tables().map(|h| h.codec as u64).collect();
-            }
-            Level0::Matrix(m) => v.matrix = m.region_ids(),
-            Level0::Ssd(tables) => v.l0_tables = tables.iter().map(meta).collect(),
-        }
-        v.levels = p
-            .levels
-            .levels
-            .iter()
-            .map(|lvl| lvl.iter().map(meta).collect())
+        p.level0.record(&mut v);
+        let levels = p.levels.levels.iter();
+        v.levels = levels
+            .map(|lvl| lvl.iter().map(SsTableHandle::meta).collect())
             .collect();
         Some(v)
     }

@@ -207,7 +207,7 @@ impl DbCore {
         loop {
             let (mem_bytes, unsorted) = {
                 let p = self.partitions[pid].read();
-                (p.mem.approximate_size(), p.unsorted_count())
+                (p.mem.approximate_size(), p.level0.unsorted_count())
             };
             let debt = mem_bytes / self.opts.memtable_bytes;
             let l0_stalled = unsorted >= self.opts.l0_stall_trigger;

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use encoding::bloom::BloomFilter;
 use encoding::key::SequenceNumber;
 use encoding::prefix::common_prefix_len;
-use pm_device::{PmError, PmPool, PmRegion, RegionId};
+use pm_device::{PmError, PmRegion, RegionId};
 use pmtable::{
     CodecMode, EntryRef, KeyColumn, L0Table, Lookup, NoGroupCache, OwnedEntry, PmTable,
     PmTableBuilder, PmTableError, TableKeys,
@@ -15,9 +15,11 @@ use sim::Timeline;
 use sstable::table::TableError;
 use sstable::SsTable;
 
-use crate::costmodel::{select_codec, CodecCostTable};
+use crate::costmodel::select_codec;
+use crate::engine::DbError;
 use crate::level0::Probe;
-use crate::options::Options;
+use crate::manifest::SsdMeta;
+use crate::partition::Media;
 use crate::telemetry::{SpanKind, StageTimes};
 
 /// Per-engine allocator for [`PmTableHandle::cache_id`]. Ids are
@@ -101,6 +103,35 @@ pub struct SsTableHandle {
 }
 
 impl SsTableHandle {
+    /// Reopen the table a manifest recorded as `meta` (recovery path).
+    pub(crate) fn reopen(
+        meta: &SsdMeta,
+        media: &Media<'_>,
+        tl: &mut Timeline,
+    ) -> Result<SsTableHandle, DbError> {
+        let table = SsTable::open(media.device, &meta.name, Arc::clone(media.cache), tl)?;
+        Ok(SsTableHandle {
+            table: Arc::new(table),
+            name: meta.name.clone(),
+            first: meta.first.clone(),
+            last: meta.last.clone(),
+            bytes: meta.bytes,
+            max_seq: meta.max_seq,
+        })
+    }
+
+    /// What the manifest records of this table; [`SsTableHandle::reopen`]
+    /// reads it back.
+    pub(crate) fn meta(&self) -> SsdMeta {
+        SsdMeta {
+            name: self.name.clone(),
+            first: self.first.clone(),
+            last: self.last.clone(),
+            bytes: self.bytes,
+            max_seq: self.max_seq,
+        }
+    }
+
     pub fn overlaps_key(&self, key: &[u8]) -> bool {
         self.first.as_slice() <= key && key <= self.last.as_slice()
     }
@@ -252,11 +283,8 @@ pub fn reopen_pm_table(
 /// compaction triggers, so it is a change of its own (CHANGES.md,
 /// PR 18).
 pub struct PmRunWriter<'a> {
-    opts: &'a Options,
-    codec_costs: &'a CodecCostTable,
+    media: Media<'a>,
     max_bytes: usize,
-    pool: &'a PmPool,
-    ids: &'a CacheIds,
     builder: PmTableBuilder,
     /// Largest sequence in `builder`.
     max_seq: SequenceNumber,
@@ -264,20 +292,12 @@ pub struct PmRunWriter<'a> {
 }
 
 impl<'a> PmRunWriter<'a> {
-    pub fn new(
-        opts: &'a Options,
-        codec_costs: &'a CodecCostTable,
-        max_bytes: usize,
-        pool: &'a PmPool,
-        ids: &'a CacheIds,
-    ) -> Self {
+    /// Writes with `media`'s options, codec costs, pool and cache ids.
+    pub fn new(media: &Media<'a>, max_bytes: usize) -> Self {
         PmRunWriter {
-            opts,
-            codec_costs,
+            media: *media,
             max_bytes,
-            pool,
-            ids,
-            builder: PmTableBuilder::new(opts.pm_table_options()),
+            builder: PmTableBuilder::new(media.opts.pm_table_options()),
             max_seq: 0,
             done: Vec::new(),
         }
@@ -294,17 +314,17 @@ impl<'a> PmRunWriter<'a> {
 
     /// Encode and publish the table built so far and begin the next.
     fn cut(&mut self, tl: &mut Timeline) -> Result<(), PmError> {
-        let opts = self.opts;
+        let Media { opts, pool, .. } = self.media;
         let next = PmTableBuilder::new(opts.pm_table_options());
         let mut builder = std::mem::replace(&mut self.builder, next);
         if opts.pm_codec_mode == CodecMode::Auto {
-            let codec = select_codec(&builder.shape(), self.codec_costs, &opts.cost);
+            let codec = select_codec(&builder.shape(), self.media.codec_costs, &opts.cost);
             builder.set_codec(codec);
         }
         let (bytes, _stats, keys) = builder.finish_with_keys(&opts.cost, tl);
-        let region = self.pool.publish(bytes, tl)?;
+        let region = pool.publish(bytes, tl)?;
         let built = Some((std::mem::take(&mut self.max_seq), keys));
-        let table = reopen_pm_table(region, built, self.ids);
+        let table = reopen_pm_table(region, built, self.media.cache_ids);
         self.done.push(table.expect("just-built table parses"));
         Ok(())
     }
@@ -322,8 +342,11 @@ impl<'a> PmRunWriter<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::options::PmTableLayout;
+    use crate::costmodel::CodecCostTable;
+    use crate::options::{Options, PmTableLayout};
+    use crate::partition::tests::Store;
     use encoding::key::KeyKind;
+    use pm_device::PmPool;
     use pmtable::PmTableOptions;
     use sim::CostModel;
 
@@ -358,11 +381,17 @@ pub(crate) mod tests {
         cost: &CostModel,
         tl: &mut Timeline,
     ) -> Result<Vec<PmTableHandle>, PmError> {
-        let opts = Options {
+        let store = Store::new(Options {
             cost: *cost,
             ..writing(pm_table)
+        });
+        let media = Media {
+            codec_costs,
+            pool,
+            cache_ids: ids,
+            ..store.media()
         };
-        let mut writer = PmRunWriter::new(&opts, codec_costs, max_bytes, pool, ids);
+        let mut writer = PmRunWriter::new(&media, max_bytes);
         for e in entries {
             writer.add(e.as_ref(), tl)?;
         }
@@ -608,13 +637,17 @@ pub(crate) mod tests {
     fn a_reopen_hashes_the_keys_the_build_hashed() {
         let cost = CostModel::default();
         let pool = PmPool::new(1 << 20, cost);
-        let opts = writing(PmTableOptions {
+        let store = Store::new(writing(PmTableOptions {
             filter_bits_per_key: 10,
             ..PmTableOptions::default()
-        });
+        }));
         let ids = CacheIds::new();
-        let costs = CodecCostTable::default();
-        let mut writer = PmRunWriter::new(&opts, &costs, usize::MAX, &pool, &ids);
+        let media = Media {
+            pool: &pool,
+            cache_ids: &ids,
+            ..store.media()
+        };
+        let mut writer = PmRunWriter::new(&media, usize::MAX);
         let mut tl = Timeline::new();
         // Two versions of every key: one hash pair per key.
         for i in 0..200u64 {

@@ -1,6 +1,11 @@
-//! The PM-resident level-0 of one partition.
+//! The level-0 of one partition.
 //!
-//! Level-0 holds two sets of PM tables (§IV-B, Fig 3):
+//! [`Level0`] is the one place the engine's three level-0 kinds are told
+//! apart: PM tables, MatrixKV's matrix container ([`crate::matrix`]) and
+//! RocksDB-style SSD tables. The rest of this module is the PM level-0,
+//! [`PmLevel0`].
+//!
+//! A PM level-0 holds two sets of PM tables (§IV-B, Fig 3):
 //!
 //! - **unsorted tables** — raw minor-compaction output, mutually
 //!   overlapping; a read must consult every one (newest first), which is
@@ -48,14 +53,21 @@ use std::sync::Arc;
 
 use encoding::bloom::BloomFilter;
 use encoding::key::SequenceNumber;
-use pm_device::RegionId;
-use pmtable::{Lookup, TableKeys};
+use pm_device::{PmPool, PmRegion, RegionId};
+use pmtable::{EntryRef, Lookup, TableKeys};
 use sim::Timeline;
 
-use crate::cursor::{Cursor, PmRun};
+use crate::cursor::{Cursor, PmRun, SsRun};
+use crate::engine::DbError;
 use crate::groupcache::{PmGroupCache, TableGroupCache};
-use crate::handle::PmTableHandle;
-use crate::telemetry::{SpanKind, StageTimes};
+use crate::handle::{reopen_pm_table, PmRunWriter, PmTableHandle, SsTableHandle};
+use crate::levels::SsRunWriter;
+use crate::manifest::PartitionVersion;
+use crate::matrix::MatrixL0;
+use crate::options::Mode;
+use crate::partition::{CompactionReport, Media};
+use crate::stats::ReadSource;
+use crate::telemetry::{CostDecision, SpanKind, StageTimes};
 
 /// What one get's level-0 search decided, folded into the engine's
 /// level-0 counters. Where its time went is counted apart, in a
@@ -399,7 +411,7 @@ impl L0Version {
     /// `cache` and holds each unsorted table by its key column until the
     /// merge reaches it ([`PmRun`]); a compaction passes none and reads
     /// each table sequentially past it.
-    pub fn cursors<'a>(
+    pub(crate) fn cursors<'a>(
         &'a self,
         limit: usize,
         end: Option<&'a [u8]>,
@@ -509,6 +521,351 @@ impl std::fmt::Debug for PmLevel0 {
             .field("sorted", &self.sorted.len())
             .field("bytes", &self.bytes())
             .finish()
+    }
+}
+
+/// A partition's level-0, in the kind its engine mode keeps: PM tables
+/// (PM-Blade, PMBlade-PM), RocksDB-style SSD tables, or MatrixKV's
+/// matrix container. This is the one place the three kinds are told
+/// apart; what exists only for PM is reached through [`Level0::pm`].
+pub enum Level0 {
+    Pm(PmLevel0),
+    Ssd(Vec<SsTableHandle>),
+    Matrix(MatrixL0),
+}
+
+/// The cursors of one kind of level-0, as one iterator type that keeps
+/// its length hint: the merge sizes its sources once.
+enum L0Cursors<P, M, S> {
+    Pm(P),
+    Matrix(M),
+    Ssd(S),
+}
+
+impl<'a, P, M, S> Iterator for L0Cursors<P, M, S>
+where
+    P: Iterator<Item = Cursor<'a>>,
+    M: Iterator<Item = Cursor<'a>>,
+    S: Iterator<Item = Cursor<'a>>,
+{
+    type Item = Cursor<'a>;
+
+    fn next(&mut self) -> Option<Cursor<'a>> {
+        match self {
+            L0Cursors::Pm(it) => it.next(),
+            L0Cursors::Matrix(it) => it.next(),
+            L0Cursors::Ssd(it) => it.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            L0Cursors::Pm(it) => it.size_hint(),
+            L0Cursors::Matrix(it) => it.size_hint(),
+            L0Cursors::Ssd(it) => it.size_hint(),
+        }
+    }
+}
+
+/// SSD level-0 tables overlap: each is a run of its own.
+fn ssd_l0_cursors<'a>(
+    tables: &'a [SsTableHandle],
+    end: Option<&'a [u8]>,
+) -> impl Iterator<Item = Cursor<'a>> {
+    let runs = tables.iter().map(std::slice::from_ref);
+    runs.map(move |run| Cursor::Ss(SsRun::new(run, end)))
+}
+
+/// The PM region a manifest names, or `Corrupt` when the pool lost it.
+fn logged_region(pool: &PmPool, id: RegionId) -> Result<PmRegion, DbError> {
+    pool.get(id).ok_or_else(|| {
+        DbError::Corrupt(format!(
+            "manifest names PM region {id} but the pool does not hold it"
+        ))
+    })
+}
+
+impl Level0 {
+    /// An empty level-0 of the kind `mode` keeps.
+    pub(crate) fn new(mode: Mode) -> Self {
+        match mode {
+            Mode::PmBlade | Mode::PmBladePm => Level0::Pm(PmLevel0::new()),
+            Mode::SsdLevel0 => Level0::Ssd(Vec::new()),
+            Mode::MatrixKv => Level0::Matrix(MatrixL0::default()),
+        }
+    }
+
+    /// The PM tables, when this level-0 keeps them: the versioned probe,
+    /// the sketch and column gauges, the codec terms and internal
+    /// compaction exist only for them.
+    pub fn pm(&self) -> Option<&PmLevel0> {
+        match self {
+            Level0::Pm(l0) => Some(l0),
+            _ => None,
+        }
+    }
+
+    /// [`Level0::pm`], to mutate.
+    pub(crate) fn pm_mut(&mut self) -> Option<&mut PmLevel0> {
+        match self {
+            Level0::Pm(l0) => Some(l0),
+            _ => None,
+        }
+    }
+
+    /// Records held, every version counted. An SSD table reopened by
+    /// recovery counts as 0: its file does not say.
+    pub fn entries(&self) -> usize {
+        match self {
+            Level0::Pm(l0) => l0.entries(),
+            Level0::Matrix(m) => m.entries(),
+            Level0::Ssd(tables) => tables.iter().map(|h| h.table.entries_hint()).sum(),
+        }
+    }
+
+    /// PM bytes held (`s_i`); 0 for an SSD level-0.
+    pub fn bytes(&self) -> usize {
+        match self {
+            Level0::Pm(l0) => l0.bytes(),
+            Level0::Matrix(m) => m.bytes(),
+            Level0::Ssd(_) => 0,
+        }
+    }
+
+    /// Mutually overlapping tables, each of which a read may consult
+    /// (`n_i`): PM unsorted tables, matrix rows, or SSD level-0 tables.
+    pub fn unsorted_count(&self) -> usize {
+        match self {
+            Level0::Pm(l0) => l0.unsorted_count(),
+            Level0::Matrix(m) => m.rows(),
+            Level0::Ssd(tables) => tables.len(),
+        }
+    }
+
+    /// The tables a major compaction can move in chunks, the unit the
+    /// §V splitter counts: every PM table (sorted run + unsorted). 0 for
+    /// the other kinds, which drain in one install.
+    pub fn chunkable_tables(&self) -> usize {
+        match self {
+            Level0::Pm(l0) => l0.sorted_count() + l0.unsorted_count(),
+            _ => 0,
+        }
+    }
+
+    /// One cursor per sorted source of the `limit` oldest tables (see
+    /// [`L0Version::oldest`]; the other kinds ignore the limit and yield
+    /// every table) over `[start, end)`. A scan passes the group `cache`
+    /// and is held to its range; a compaction passes none and reads
+    /// each table whole, front to back.
+    pub(crate) fn cursors<'a>(
+        &'a self,
+        limit: usize,
+        start: &'a [u8],
+        end: Option<&'a [u8]>,
+        cache: Option<&'a PmGroupCache>,
+    ) -> impl Iterator<Item = Cursor<'a>> {
+        match self {
+            Level0::Pm(l0) => L0Cursors::Pm(l0.cursors(limit, end, cache)),
+            Level0::Matrix(m) => L0Cursors::Matrix(m.cursors(start, end, cache.is_none())),
+            Level0::Ssd(tables) => L0Cursors::Ssd(ssd_l0_cursors(tables, end)),
+        }
+    }
+
+    /// The user-key range the `limit` oldest tables span, from their
+    /// fence keys; `None` when there is no table.
+    pub(crate) fn input_range(&self, limit: usize) -> Option<(Vec<u8>, Vec<u8>)> {
+        let (firsts, lasts): (Vec<&[u8]>, Vec<&[u8]>) = match self {
+            Level0::Pm(l0) => {
+                let (run, unsorted) = l0.oldest(limit);
+                let tables = run.iter().chain(unsorted);
+                tables.map(|h| (&*h.first, &*h.last)).unzip()
+            }
+            Level0::Matrix(m) => m.key_ranges().unzip(),
+            Level0::Ssd(tables) => tables.iter().map(|h| (&h.first[..], &h.last[..])).unzip(),
+        };
+        let (first, last) = (firsts.into_iter().min()?, lasts.into_iter().max()?);
+        Some((first.to_vec(), last.to_vec()))
+    }
+
+    /// Flush partition `pid`'s frozen memtable `entries` into one new
+    /// table (neither writer is given a size to cut at) or matrix row.
+    /// A PM flush returns the codec it chose and what that wrote; the
+    /// other kinds have no codec to choose.
+    pub(crate) fn flush<'e>(
+        &mut self,
+        pid: usize,
+        mut entries: impl Iterator<Item = EntryRef<'e>>,
+        media: &Media<'_>,
+        tl: &mut Timeline,
+    ) -> Result<Option<CostDecision>, DbError> {
+        let Media { opts, pool, .. } = *media;
+        match self {
+            Level0::Pm(l0) => {
+                let written = &pool.stats().bytes_written;
+                let written_before = written.get();
+                let mut writer = PmRunWriter::new(media, usize::MAX);
+                entries.try_for_each(|e| writer.add(e, tl))?;
+                let mut decision = None;
+                for (table, keys) in writer.finish(tl)? {
+                    decision = Some(CostDecision::CodecChoice {
+                        partition: pid,
+                        codec: pmtable::CODEC_NAMES[table.codec as usize],
+                        entries: table.entries,
+                        pm_bytes: (written.get() - written_before) as usize,
+                    });
+                    l0.push_unsorted(table, keys);
+                }
+                Ok(decision)
+            }
+            Level0::Matrix(m) => m.flush_row(entries, opts, pool, tl).map(|()| None),
+            Level0::Ssd(tables) => {
+                let mut writer = SsRunWriter::new(media, format!("p{pid:03}-L0"), usize::MAX);
+                entries.try_for_each(|e| writer.add(e, tl))?;
+                tables.extend(writer.finish(tl)?);
+                Ok(None)
+            }
+        }
+    }
+
+    /// Detach the tables [`Level0::cursors`] gave a major compaction
+    /// limited to `limit`, once their merged output is installed below,
+    /// into `retired`: PM regions and group-cache ids to free and purge,
+    /// SSD tables to delete by name.
+    pub(crate) fn detach_oldest(&mut self, limit: usize, retired: &mut CompactionReport) {
+        match self {
+            Level0::Pm(l0) => {
+                (retired.retired_regions, retired.retired_cache_ids) = l0.detach_oldest(limit);
+            }
+            Level0::Matrix(m) => retired.retired_regions = m.take_regions(),
+            Level0::Ssd(tables) => {
+                let names = tables.drain(..).map(|handle| handle.name);
+                retired.deleted_tables.extend(names);
+            }
+        }
+    }
+
+    /// Name this level-0's tables in `version`, the manifest's record
+    /// of its partition; [`Level0::recover`] reads them back.
+    pub(crate) fn record(&self, version: &mut PartitionVersion) {
+        match self {
+            Level0::Pm(l0) => {
+                version.unsorted = l0.unsorted().iter().map(|h| h.region).collect();
+                version.sorted = l0.sorted_run().iter().map(|h| h.region).collect();
+                version.codecs = l0.tables().map(|h| h.codec as u64).collect();
+            }
+            Level0::Matrix(m) => version.matrix = m.region_ids(),
+            Level0::Ssd(tables) => version.l0_tables = tables.iter().map(|h| h.meta()).collect(),
+        }
+    }
+
+    /// Rebuild this empty level-0 of partition `pid` from the tables
+    /// [`Level0::record`] named in `version`. Returns how many tables it
+    /// reopened and the largest sequence they hold (0 for matrix rows,
+    /// which do not record it). A version holding another kind's tables
+    /// is `Corrupt`: the mode changed between runs.
+    pub(crate) fn recover(
+        &mut self,
+        pid: usize,
+        version: &PartitionVersion,
+        media: &Media<'_>,
+        tl: &mut Timeline,
+    ) -> Result<(u64, u64), DbError> {
+        let own = match self {
+            Level0::Pm(_) => "PM",
+            Level0::Matrix(_) => "matrix",
+            Level0::Ssd(_) => "SSD",
+        };
+        let held = [
+            ("PM", version.unsorted.len() + version.sorted.len()),
+            ("matrix", version.matrix.len()),
+            ("SSD", version.l0_tables.len()),
+        ];
+        if let Some((kind, _)) = held.iter().find(|&&(kind, n)| n > 0 && kind != own) {
+            return Err(DbError::Corrupt(format!(
+                "manifest version for partition {pid} holds {kind} level-0 tables \
+                 the configured mode has no container for"
+            )));
+        }
+        let mut max_seq = 0;
+        match self {
+            Level0::Pm(l0) => {
+                // Codec ids were logged in unsorted-then-sorted order; a
+                // pre-encoding-v2 manifest logged none (empty =
+                // unchecked). When present, each reopened table's
+                // self-described dominant codec must match what the
+                // manifest recorded — a mismatch means the region was
+                // swapped or corrupted.
+                let ids = version.unsorted.iter().chain(&version.sorted);
+                let mut run = Vec::with_capacity(version.sorted.len());
+                for (idx, &id) in ids.enumerate() {
+                    let region = logged_region(media.pool, id)?;
+                    let reopened = reopen_pm_table(region, None, media.cache_ids);
+                    let (h, keys) = reopened.map_err(DbError::Corrupt)?;
+                    let logged = version.codecs.get(idx).copied();
+                    if let Some(logged) = logged.filter(|&c| c != h.codec as u64) {
+                        return Err(DbError::Corrupt(format!(
+                            "partition {pid}: manifest logged codec {logged} for PM \
+                             region {} but the reopened table decodes as codec {}",
+                            h.region, h.codec
+                        )));
+                    }
+                    max_seq = max_seq.max(h.max_seq);
+                    if idx < version.unsorted.len() {
+                        l0.push_unsorted(h, keys);
+                    } else {
+                        run.push(h);
+                    }
+                }
+                l0.set_sorted_run(run);
+            }
+            Level0::Matrix(m) => {
+                for &id in &version.matrix {
+                    m.push_row(logged_region(media.pool, id)?)?;
+                }
+            }
+            Level0::Ssd(tables) => {
+                for meta in &version.l0_tables {
+                    let h = SsTableHandle::reopen(meta, media, tl)?;
+                    max_seq = max_seq.max(h.max_seq);
+                    tables.push(h);
+                }
+            }
+        }
+        let reopened = held.iter().map(|&(_, n)| n as u64).sum();
+        Ok((reopened, max_seq))
+    }
+
+    /// A get's level-0 step under the partition lock: the newest
+    /// version of the probe's key, and where it came from (an SSD
+    /// level-0 table reports level 0). A PM level-0 is searched through
+    /// its current version; the engine's get takes [`Level0::pm`]'s
+    /// version instead and searches it with the lock dropped.
+    pub(crate) fn get(
+        &self,
+        probe: &Probe<'_>,
+        tl: &mut Timeline,
+        stats: &mut ProbeStats,
+        stages: &mut StageTimes,
+    ) -> Result<Option<(Lookup, ReadSource, Option<usize>)>, DbError> {
+        let pm = match self {
+            Level0::Pm(l0) => l0.get(probe, tl, stats, stages),
+            Level0::Matrix(m) => {
+                let rows = |tl: &mut Timeline| m.get(probe.user_key, tl);
+                stages.time(SpanKind::PmDecodeMiss, tl, rows)
+            }
+            Level0::Ssd(tables) => {
+                // The tables overlap: newest first. An unreadable one
+                // fails the read — an older version may hide behind it.
+                let key = probe.user_key;
+                for handle in tables.iter().rev().filter(|h| h.overlaps_key(key)) {
+                    if let Some(hit) = handle.get(probe, tl, stages)? {
+                        return Ok(Some((hit, ReadSource::Ssd, Some(0))));
+                    }
+                }
+                None
+            }
+        };
+        Ok(pm.map(|hit| (hit, ReadSource::Pm, None)))
     }
 }
 

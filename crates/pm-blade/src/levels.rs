@@ -6,19 +6,19 @@
 //! policy — adequate at the reproduction's scale and identical in
 //! write-amplification shape to per-table picking).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use encoding::key::SequenceNumber;
 use pmtable::{EntryRef, Lookup};
 use sim::Timeline;
-use ssd_device::SsdDevice;
 use sstable::table::TableError;
-use sstable::{BlockCache, SsTable, SsTableBuilder, SsTableOptions};
+use sstable::{SsTable, SsTableBuilder, SsTableOptions};
 
 use crate::cursor::{Cursor, SsRun};
 use crate::handle::SsTableHandle;
 use crate::level0::Probe;
+use crate::partition::Media;
 use crate::telemetry::StageTimes;
 
 /// SSD level stack for one partition.
@@ -148,10 +148,8 @@ impl std::fmt::Debug for SsdLevels {
 /// Dropped without [`SsRunWriter::finish`] — the compaction failed on a
 /// read or on a later table — it deletes the tables it had finished.
 pub struct SsRunWriter<'a> {
-    device: &'a Arc<SsdDevice>,
-    cache: &'a Arc<BlockCache>,
+    media: Media<'a>,
     prefix: String,
-    counter: &'a AtomicU64,
     max_bytes: usize,
     /// The table being written, its name and its largest sequence.
     open: Option<(SsTableBuilder, String, SequenceNumber)>,
@@ -159,18 +157,12 @@ pub struct SsRunWriter<'a> {
 }
 
 impl<'a> SsRunWriter<'a> {
-    pub fn new(
-        device: &'a Arc<SsdDevice>,
-        cache: &'a Arc<BlockCache>,
-        prefix: String,
-        counter: &'a AtomicU64,
-        max_bytes: usize,
-    ) -> Self {
+    /// Writes to `media`'s device and block cache, naming tables from
+    /// its table counter.
+    pub fn new(media: &Media<'a>, prefix: String, max_bytes: usize) -> Self {
         SsRunWriter {
-            device,
-            cache,
+            media: *media,
             prefix,
-            counter,
             max_bytes,
             open: None,
             done: Vec::new(),
@@ -179,9 +171,10 @@ impl<'a> SsRunWriter<'a> {
 
     pub fn add(&mut self, entry: EntryRef<'_>, tl: &mut Timeline) -> Result<(), TableError> {
         if self.open.is_none() {
-            let n = self.counter.fetch_add(1, Ordering::Relaxed) + 1;
+            let n = self.media.table_counter.fetch_add(1, Ordering::Relaxed) + 1;
             let name = format!("{}-{n:08}.sst", self.prefix);
-            let builder = SsTableBuilder::new(self.device, &name, SsTableOptions::default())?;
+            let device = self.media.device;
+            let builder = SsTableBuilder::new(device, &name, SsTableOptions::default())?;
             self.open = Some((builder, name, 0));
         }
         let (builder, _, max_seq) = self.open.as_mut().expect("opened above");
@@ -202,8 +195,9 @@ impl<'a> SsRunWriter<'a> {
         let (bytes, first, last) = builder.finish(tl)?;
         // The object exists from here on: it is deleted, here or by
         // `drop`, unless the run is handed over.
-        let table = SsTable::open(self.device, &name, Arc::clone(self.cache), tl);
-        let table = table.inspect_err(|_| drop(self.device.delete(&name)))?;
+        let Media { device, cache, .. } = self.media;
+        let table = SsTable::open(device, &name, Arc::clone(cache), tl);
+        let table = table.inspect_err(|_| drop(device.delete(&name)))?;
         self.done.push(SsTableHandle {
             table: Arc::new(table.with_entries_hint(entries)),
             name,
@@ -225,7 +219,7 @@ impl<'a> SsRunWriter<'a> {
 impl Drop for SsRunWriter<'_> {
     fn drop(&mut self) {
         for handle in &self.done {
-            let _ = self.device.delete(&handle.name);
+            let _ = self.media.device.delete(&handle.name);
         }
     }
 }
@@ -234,9 +228,13 @@ impl Drop for SsRunWriter<'_> {
 pub(crate) mod tests {
     use super::*;
     use crate::cursor::tests::drain;
+    use crate::partition::tests::Store;
     use encoding::key::KeyKind;
     use pmtable::OwnedEntry;
     use sim::CostModel;
+    use ssd_device::SsdDevice;
+    use sstable::BlockCache;
+    use std::sync::atomic::AtomicU64;
 
     /// A get of the newest version, its key hashed afresh.
     fn latest(levels: &SsdLevels, key: &[u8], tl: &mut Timeline) -> Option<(Lookup, usize)> {
@@ -259,7 +257,14 @@ pub(crate) mod tests {
         max_bytes: usize,
         tl: &mut Timeline,
     ) -> Result<Vec<SsTableHandle>, TableError> {
-        let mut writer = SsRunWriter::new(device, cache, prefix.into(), counter, max_bytes);
+        let store = Store::new(Default::default());
+        let media = Media {
+            device,
+            cache,
+            table_counter: counter,
+            ..store.media()
+        };
+        let mut writer = SsRunWriter::new(&media, prefix.into(), max_bytes);
         for e in entries {
             writer.add(e.as_ref(), tl)?;
         }

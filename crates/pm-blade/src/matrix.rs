@@ -25,6 +25,7 @@ use pmtable::{ArrayTable, ArrayTableBuilder, EntryRef, L0Table, Lookup};
 use sim::Timeline;
 
 use crate::cursor::Cursor;
+use crate::engine::DbError;
 use crate::options::Options;
 
 /// Extra flush construction overhead: the fraction of a row's flush
@@ -73,34 +74,19 @@ impl MatrixL0 {
         opts: &Options,
         pool: &PmPool,
         tl: &mut Timeline,
-    ) -> Result<(), crate::engine::DbError> {
+    ) -> Result<(), DbError> {
         let mut builder = ArrayTableBuilder::new();
         entries.for_each(|e| builder.add(e));
-        let entries = builder.entry_count();
-        if entries == 0 {
+        if builder.entry_count() == 0 {
             return Ok(());
         }
         let before = tl.elapsed();
         let (bytes, _stats) = builder.finish(&opts.cost, tl);
-        let len = bytes.len();
         let region = pool.publish(bytes, tl)?;
-        let region_id = region.id();
         // Matrix construction overhead: proportional to the flush cost.
         let flush_cost = tl.elapsed() - before;
         tl.charge(flush_cost.mul_f64(FLUSH_OVERHEAD));
-        let table =
-            ArrayTable::open(region).map_err(|e| crate::engine::DbError::Corrupt(e.to_string()))?;
-        let first = table.first_user_key().expect("nonempty row").to_vec();
-        let last = table.last_user_key().expect("nonempty row").to_vec();
-        self.rows.push(Row {
-            table,
-            region: region_id,
-            first,
-            last,
-            bytes: len,
-            entries,
-        });
-        Ok(())
+        self.push_row(region)
     }
 
     /// Region ids of the rows, oldest first — what the manifest logs.
@@ -108,28 +94,23 @@ impl MatrixL0 {
         self.rows.iter().map(|r| r.region).collect()
     }
 
-    /// Rebuild one row from a recovered region (manifest replay). Rows
-    /// must be pushed oldest-first, matching [`MatrixL0::region_ids`].
-    pub fn push_recovered_row(&mut self, region: PmRegion) -> Result<(), crate::engine::DbError> {
-        let region_id = region.id();
-        let len = region.len();
-        let table =
-            ArrayTable::open(region).map_err(|e| crate::engine::DbError::Corrupt(e.to_string()))?;
-        let first = table
-            .first_user_key()
-            .ok_or_else(|| {
-                crate::engine::DbError::Corrupt(format!("matrix region {region_id} is empty"))
-            })?
-            .to_vec();
-        let last = table.last_user_key().expect("nonempty row").to_vec();
-        let entries = table.entry_count();
+    /// Open `region` as the newest row: a flush's, or one recovery
+    /// reopens (oldest first, matching [`MatrixL0::region_ids`]).
+    /// `Corrupt` when it is not an array table or holds no entry.
+    pub fn push_row(&mut self, region: PmRegion) -> Result<(), DbError> {
+        let (id, bytes) = (region.id(), region.len());
+        let table = ArrayTable::open(region).map_err(|e| DbError::Corrupt(e.to_string()))?;
+        let (Some(first), Some(last)) = (table.first_user_key(), table.last_user_key()) else {
+            return Err(DbError::Corrupt(format!("matrix region {id} is empty")));
+        };
+        let (first, last) = (first.to_vec(), last.to_vec());
         self.rows.push(Row {
+            entries: table.entry_count(),
             table,
-            region: region_id,
+            region: id,
             first,
             last,
-            bytes: len,
-            entries,
+            bytes,
         });
         Ok(())
     }
@@ -163,27 +144,23 @@ impl MatrixL0 {
         None
     }
 
-    /// Scan cursors, one per row overlapping `[start, end)` (each row is
-    /// internally sorted).
+    /// Cursors, one per row overlapping `[start, end)` (each row is
+    /// internally sorted). A column compaction asks for `whole` rows: a
+    /// cursor that reads its row front to back. Nothing is consumed
+    /// until [`MatrixL0::take_regions`].
     pub fn cursors<'a>(
         &'a self,
         start: &'a [u8],
         end: Option<&'a [u8]>,
+        whole: bool,
     ) -> impl Iterator<Item = Cursor<'a>> {
-        self.rows
-            .iter()
-            .filter(move |row| {
-                row.last.as_slice() >= start && end.is_none_or(|e| row.first.as_slice() < e)
-            })
-            .map(|row| Cursor::Row(row.table.cursor()))
-    }
-
-    /// Column-compaction cursors, one per row, each reading its row
-    /// front to back; the caller merges them into level-1. Nothing is
-    /// consumed until [`MatrixL0::take_regions`].
-    pub fn input_cursors(&self) -> impl Iterator<Item = Cursor<'_>> {
-        let rows = self.rows.iter();
-        rows.map(|row| Cursor::Row(row.table.scan_cursor()))
+        let rows = self.rows.iter().filter(move |row| {
+            row.last.as_slice() >= start && end.is_none_or(|e| row.first.as_slice() < e)
+        });
+        rows.map(move |row| match whole {
+            true => Cursor::Row(row.table.scan_cursor()),
+            false => Cursor::Row(row.table.cursor()),
+        })
     }
 
     /// Each row's smallest and largest user key.
@@ -296,8 +273,9 @@ mod tests {
         let mut tl = Timeline::new();
         flush(&mut m, &entries(1, 20), &opts, &pool, &mut tl);
         assert!(m.bytes() > 0);
-        assert_eq!(m.input_cursors().count(), 1);
-        let rows = crate::cursor::tests::drain(m.input_cursors().collect(), b"", None, false);
+        assert_eq!(m.cursors(b"", None, true).count(), 1);
+        let cursors = m.cursors(b"", None, true).collect();
+        let rows = crate::cursor::tests::drain(cursors, b"", None, false);
         assert_eq!(rows, entries(1, 20));
         assert_eq!(
             m.key_ranges().next(),
@@ -319,10 +297,11 @@ mod tests {
         flush(&mut m, &entries(1000, 10), &opts, &pool, &mut tl);
         // The second row ends at k00027: a scan starting past it opens
         // only the first.
-        assert_eq!(m.cursors(b"k00030", None).count(), 1);
-        assert_eq!(m.cursors(b"k00010", Some(b"k00030")).count(), 2);
+        assert_eq!(m.cursors(b"k00030", None, false).count(), 1);
+        assert_eq!(m.cursors(b"k00010", Some(b"k00030"), false).count(), 2);
         let (start, end) = (b"k00010".as_slice(), Some(b"k00030".as_slice()));
-        let rows = crate::cursor::tests::drain(m.cursors(start, end).collect(), start, end, false);
+        let cursors = m.cursors(start, end, false).collect();
+        let rows = crate::cursor::tests::drain(cursors, start, end, false);
         // Keys k00012..k00027 step 3, each from the newer row.
         let keys: Vec<_> = (4..10)
             .map(|i| format!("k{:05}", i * 3).into_bytes())

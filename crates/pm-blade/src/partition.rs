@@ -1,8 +1,9 @@
 //! One range partition of the LSM tree.
 //!
 //! Each partition is an independent LSM tree (§III): its own memtable,
-//! level-0 (PM or SSD depending on the engine mode) and SSD level stack,
-//! with its own access counters feeding the cost models.
+//! level-0 (PM or SSD depending on the engine mode; see
+//! [`crate::level0::Level0`]) and SSD level stack, with its own access
+//! counters feeding the cost models.
 
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -18,17 +19,25 @@ use crate::costmodel::{CodecCostTable, PartitionCounters};
 use crate::cursor::{merge_into, Cursor, SsRun};
 use crate::groupcache::PmGroupCache;
 use crate::handle::{CacheIds, PmRunWriter, SsTableHandle};
-use crate::level0::PmLevel0;
+use crate::level0::Level0;
 use crate::levels::{SsRunWriter, SsdLevels};
-use crate::matrix::MatrixL0;
-use crate::options::{Mode, Options};
+use crate::options::Options;
 use crate::telemetry::CostDecision;
 
-/// Level-0 representation, by engine mode.
-pub enum Level0 {
-    Pm(PmLevel0),
-    Ssd(Vec<SsTableHandle>),
-    Matrix(MatrixL0),
+/// What every compaction is handed: the engine's options and codec
+/// costs, both devices, the block cache, the two id allocators, and the
+/// counter a compaction ticks when one of its inputs cannot be read.
+#[derive(Clone, Copy)]
+pub struct Media<'a> {
+    pub opts: &'a Options,
+    pub codec_costs: &'a CodecCostTable,
+    pub pool: &'a PmPool,
+    pub device: &'a Arc<SsdDevice>,
+    pub cache: &'a Arc<BlockCache>,
+    /// SSTable name allocator.
+    pub table_counter: &'a AtomicU64,
+    pub cache_ids: &'a CacheIds,
+    pub input_errors: &'a Counter,
 }
 
 /// What one compaction — minor, internal or major — did: the numbers
@@ -84,100 +93,12 @@ fn hash_key(key: &[u8]) -> u64 {
     h
 }
 
-impl Level0 {
-    /// Records held, every version counted. An SSD table reopened by
-    /// recovery counts as 0: its file does not say.
-    pub fn entries(&self) -> usize {
-        match self {
-            Level0::Pm(l0) => l0.entries(),
-            Level0::Matrix(m) => m.entries(),
-            Level0::Ssd(tables) => tables.iter().map(|h| h.table.entries_hint()).sum(),
-        }
-    }
-}
-
-/// The cursors of one kind of level-0, as one iterator type that keeps
-/// its length hint: the merge sizes its sources once.
-enum L0Cursors<P, M, S> {
-    Pm(P),
-    Matrix(M),
-    Ssd(S),
-}
-
-impl<'a, P, M, S> Iterator for L0Cursors<P, M, S>
-where
-    P: Iterator<Item = Cursor<'a>>,
-    M: Iterator<Item = Cursor<'a>>,
-    S: Iterator<Item = Cursor<'a>>,
-{
-    type Item = Cursor<'a>;
-
-    fn next(&mut self) -> Option<Cursor<'a>> {
-        match self {
-            L0Cursors::Pm(it) => it.next(),
-            L0Cursors::Matrix(it) => it.next(),
-            L0Cursors::Ssd(it) => it.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            L0Cursors::Pm(it) => it.size_hint(),
-            L0Cursors::Matrix(it) => it.size_hint(),
-            L0Cursors::Ssd(it) => it.size_hint(),
-        }
-    }
-}
-
-/// SSD level-0 tables overlap: each is a run of its own.
-fn ssd_l0_cursors<'a>(
-    tables: &'a [SsTableHandle],
-    end: Option<&'a [u8]>,
-) -> impl Iterator<Item = Cursor<'a>> {
-    let runs = tables.iter().map(std::slice::from_ref);
-    runs.map(move |run| Cursor::Ss(SsRun::new(run, end)))
-}
-
-/// A major compaction's level-0 input is the `limit` oldest tables;
-/// non-PM level-0s ignore the limit and move whole.
-impl Level0 {
-    /// One compaction cursor per sorted source among those tables.
-    fn input_cursors(&self, limit: usize) -> impl Iterator<Item = Cursor<'_>> {
-        match self {
-            Level0::Pm(l0) => L0Cursors::Pm(l0.cursors(limit, None, None)),
-            Level0::Matrix(m) => L0Cursors::Matrix(m.input_cursors()),
-            Level0::Ssd(tables) => L0Cursors::Ssd(ssd_l0_cursors(tables, None)),
-        }
-    }
-
-    /// The user-key range those tables span, from their fence keys;
-    /// `None` when there is no table.
-    fn input_range(&self, limit: usize) -> Option<(Vec<u8>, Vec<u8>)> {
-        let (firsts, lasts): (Vec<&[u8]>, Vec<&[u8]>) = match self {
-            Level0::Pm(l0) => {
-                let (run, unsorted) = l0.oldest(limit);
-                let tables = run.iter().chain(unsorted);
-                tables.map(|h| (&*h.first, &*h.last)).unzip()
-            }
-            Level0::Matrix(m) => m.key_ranges().unzip(),
-            Level0::Ssd(tables) => tables.iter().map(|h| (&h.first[..], &h.last[..])).unzip(),
-        };
-        let (first, last) = (firsts.into_iter().min()?, lasts.into_iter().max()?);
-        Some((first.to_vec(), last.to_vec()))
-    }
-}
-
 impl Partition {
     pub fn new(id: usize, opts: &Options, now: SimInstant) -> Self {
-        let level0 = match opts.mode {
-            Mode::PmBlade | Mode::PmBladePm => Level0::Pm(PmLevel0::new()),
-            Mode::SsdLevel0 => Level0::Ssd(Vec::new()),
-            Mode::MatrixKv => Level0::Matrix(MatrixL0::default()),
-        };
         Partition {
             id,
             mem: MemTable::new(opts.cost),
-            level0,
+            level0: Level0::new(opts.mode),
             levels: SsdLevels::new(),
             counters: PartitionCounters::new(now),
             seen_keys: Default::default(),
@@ -193,34 +114,6 @@ impl Partition {
         }
     }
 
-    /// PM bytes held by this partition (`s_i`).
-    pub fn pm_bytes(&self) -> usize {
-        match &self.level0 {
-            Level0::Pm(l0) => l0.bytes(),
-            Level0::Matrix(m) => m.bytes(),
-            Level0::Ssd(_) => 0,
-        }
-    }
-
-    /// Unsorted-table count (`n_i`), zero for non-PM level-0s.
-    pub fn unsorted_count(&self) -> usize {
-        match &self.level0 {
-            Level0::Pm(l0) => l0.unsorted_count(),
-            Level0::Matrix(m) => m.rows(),
-            Level0::Ssd(tables) => tables.len(),
-        }
-    }
-
-    /// Total PM level-0 tables (sorted run + unsorted), the unit the §V
-    /// compaction splitter chunks by. Zero for non-PM level-0s, whose
-    /// major compactions are not chunkable.
-    pub fn l0_table_count(&self) -> usize {
-        match &self.level0 {
-            Level0::Pm(l0) => l0.sorted_count() + l0.unsorted_count(),
-            _ => 0,
-        }
-    }
-
     /// One scan cursor per sorted source of `[start, end)`, across all
     /// tiers; PM groups are fetched through `cache`.
     pub fn cursors<'a>(
@@ -229,80 +122,34 @@ impl Partition {
         end: Option<&'a [u8]>,
         cache: &'a PmGroupCache,
     ) -> impl Iterator<Item = Cursor<'a>> {
-        let level0 = match &self.level0 {
-            Level0::Pm(l0) => L0Cursors::Pm(l0.cursors(usize::MAX, end, Some(cache))),
-            Level0::Matrix(m) => L0Cursors::Matrix(m.cursors(start, end)),
-            Level0::Ssd(tables) => L0Cursors::Ssd(ssd_l0_cursors(tables, end)),
-        };
+        let level0 = self.level0.cursors(usize::MAX, start, end, Some(cache));
         let mem = std::iter::once(Cursor::Mem(self.mem.cursor()));
         mem.chain(level0).chain(self.levels.cursors(end))
     }
 
     /// Minor compaction: freeze the memtable and flush it to level-0.
     /// Returns the report, or `None` when the memtable was empty.
-    #[allow(clippy::too_many_arguments)]
     pub fn minor_compaction(
         &mut self,
-        opts: &Options,
-        codec_costs: &CodecCostTable,
-        pool: &PmPool,
-        device: &Arc<SsdDevice>,
-        cache: &Arc<BlockCache>,
-        table_counter: &AtomicU64,
-        cache_ids: &CacheIds,
+        media: &Media<'_>,
         tl: &mut Timeline,
     ) -> Result<Option<CompactionReport>, crate::engine::DbError> {
         if self.mem.is_empty() {
             return Ok(None);
         }
         let frozen = std::mem::replace(&mut self.mem, MemTable::new(self.cost));
-        // The frozen memtable streams into one new level-0 table (neither
-        // writer is given a size to cut at); the report is tallied as
-        // its entries go by.
-        let flushed = (|| {
-            let mut report = CompactionReport {
-                records_in: frozen.len(),
-                records_out: frozen.len(),
-                ..CompactionReport::default()
-            };
-            let entries = frozen.iter().inspect(|e| {
-                report.raw_bytes += e.raw_len();
-                report.durable_seq = report.durable_seq.max(Some(e.seq));
-            });
-            match &mut self.level0 {
-                Level0::Pm(l0) => {
-                    let written = &pool.stats().bytes_written;
-                    let written_before = written.get();
-                    let mut writer =
-                        PmRunWriter::new(opts, codec_costs, usize::MAX, pool, cache_ids);
-                    for e in entries {
-                        writer.add(e, tl)?;
-                    }
-                    for (table, keys) in writer.finish(tl)? {
-                        // Only PM-table flushes pick a codec; the matrix
-                        // and SSD level-0 containers have none to choose.
-                        report.decision = Some(CostDecision::CodecChoice {
-                            partition: self.id,
-                            codec: pmtable::CODEC_NAMES[table.codec as usize],
-                            entries: frozen.len(),
-                            pm_bytes: (written.get() - written_before) as usize,
-                        });
-                        l0.push_unsorted(table, keys);
-                    }
-                }
-                Level0::Matrix(m) => m.flush_row(entries, opts, pool, tl)?,
-                Level0::Ssd(tables) => {
-                    let prefix = format!("p{:03}-L0", self.id);
-                    let mut writer =
-                        SsRunWriter::new(device, cache, prefix, table_counter, usize::MAX);
-                    for e in entries {
-                        writer.add(e, tl)?;
-                    }
-                    tables.extend(writer.finish(tl)?);
-                }
-            }
-            Ok(report)
-        })();
+        // The frozen memtable streams into level-0; the report is
+        // tallied as its entries go by.
+        let mut report = CompactionReport {
+            records_in: frozen.len(),
+            records_out: frozen.len(),
+            ..CompactionReport::default()
+        };
+        let entries = frozen.iter().inspect(|e| {
+            report.raw_bytes += e.raw_len();
+            report.durable_seq = report.durable_seq.max(Some(e.seq));
+        });
+        let flushed = self.level0.flush(self.id, entries, media, tl);
         if flushed.is_err() {
             // Put the frozen memtable back before surfacing the error:
             // a background worker has nowhere to report it, and silently
@@ -314,7 +161,8 @@ impl Partition {
                 self.mem.insert(r.user_key, r.seq, r.kind, r.value, tl);
             }
         }
-        flushed.map(Some)
+        report.decision = flushed?;
+        Ok(Some(report))
     }
 
     /// Internal compaction (§IV-B): merge all PM tables into a fresh
@@ -322,30 +170,26 @@ impl Partition {
     /// to merge.
     pub fn internal_compaction(
         &mut self,
-        opts: &Options,
-        codec_costs: &CodecCostTable,
-        pool: &PmPool,
-        cache_ids: &CacheIds,
-        input_errors: &Counter,
+        media: &Media<'_>,
         tl: &mut Timeline,
     ) -> Result<Option<CompactionReport>, crate::engine::DbError> {
-        let Level0::Pm(l0) = &mut self.level0 else {
+        let Some(l0) = self.level0.pm_mut() else {
             return Ok(None);
         };
         if l0.unsorted_count() == 0 {
             return Ok(None);
         }
-        let max_bytes = opts.max_table_bytes;
-        let mut writer = PmRunWriter::new(opts, codec_costs, max_bytes, pool, cache_ids);
+        let opts = media.opts;
+        let mut writer = PmRunWriter::new(media, opts.max_table_bytes);
         // Keep tombstones: deeper levels may still hold older versions.
         let inputs = l0.cursors(usize::MAX, None, None);
         let sink = |e: EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
-        let records_in = merge_into(inputs, false, &opts.cost, input_errors, tl, sink)? as usize;
+        let errors = media.input_errors;
+        let records_in = merge_into(inputs, false, &opts.cost, errors, tl, sink)? as usize;
         let run: Vec<_> = writer.finish(tl)?.into_iter().map(|(h, _)| h).collect();
         let records_out = run.iter().map(|h| h.entries).sum();
         let new_bytes: usize = run.iter().map(|h| h.bytes).sum();
-        let old_bytes = l0.bytes();
-        let (_freed, retired_regions, retired_cache_ids) = l0.replace_with_sorted_deferred(run);
+        let (old_bytes, retired_regions, retired_cache_ids) = l0.replace_with_sorted_deferred(run);
         Ok(Some(CompactionReport {
             records_in,
             records_out,
@@ -371,41 +215,37 @@ impl Partition {
     /// replaced: an SSTable that cannot be read fails the compaction
     /// (ticking `input_errors`) with every input table still in place,
     /// and the run writer removes the outputs it had already finished.
-    #[allow(clippy::too_many_arguments)]
     pub fn major_compaction(
         &mut self,
-        opts: &Options,
-        device: &Arc<SsdDevice>,
-        cache: &Arc<BlockCache>,
-        table_counter: &AtomicU64,
+        media: &Media<'_>,
         table_limit: usize,
-        input_errors: &Counter,
         tl: &mut Timeline,
     ) -> Result<CompactionReport, crate::engine::DbError> {
         let l0_records = self.level0.entries();
         let range = self.level0.input_range(table_limit);
-        let mut deleted: Vec<String> = Vec::new();
+        let mut report = CompactionReport::default();
         let moved = range.is_some();
         if let Some((first, last)) = range {
             // Merge with the overlapping level-1 tables, as one more run.
             let l1_overlap = self.levels.overlapping(1, &first, &last);
             let l1 = Cursor::Ss(SsRun::new(&l1_overlap, None));
-            let sources = self.level0.input_cursors(table_limit).chain([l1]);
+            let l0 = self.level0.cursors(table_limit, b"", None, None);
+            let sources = l0.chain([l1]);
             // Tombstones can drop only when no deeper level holds the key
             // range; be conservative: drop only when levels below 1 are empty.
             let drop_tombstones = self.levels.depth() <= 1;
             let prefix = format!("p{:03}-L1", self.id);
-            let mut writer =
-                SsRunWriter::new(device, cache, prefix, table_counter, opts.max_table_bytes);
+            let mut writer = SsRunWriter::new(media, prefix, media.opts.max_table_bytes);
             let sink = |e: EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
-            merge_into(sources, drop_tombstones, &opts.cost, input_errors, tl, sink)?;
+            let (cost, errors) = (&media.opts.cost, media.input_errors);
+            merge_into(sources, drop_tombstones, cost, errors, tl, sink)?;
             let new_tables = writer.finish(tl)?;
             // Install: keep non-overlapping old L1 tables, insert the new run.
             let old_l1 = self.levels.replace_level(1, Vec::new());
             let mut next_l1: Vec<SsTableHandle> = Vec::new();
             for handle in old_l1 {
                 if l1_overlap.iter().any(|o| o.name == handle.name) {
-                    deleted.push(handle.name.clone());
+                    report.deleted_tables.push(handle.name.clone());
                 } else {
                     next_l1.push(handle);
                 }
@@ -415,44 +255,26 @@ impl Partition {
             self.levels.replace_level(1, next_l1);
         }
         // Detach the moved level-0 tables (nothing, when level-0 was
-        // empty). SSD tables are deleted by name; PM regions are freed
-        // by the engine once the manifest edit recording this version
-        // is durable.
-        let (retired_regions, retired_cache_ids) = match &mut self.level0 {
-            Level0::Pm(l0) => l0.detach_oldest(table_limit),
-            Level0::Matrix(m) => (m.take_regions(), Vec::new()),
-            Level0::Ssd(tables) => {
-                deleted.extend(tables.drain(..).map(|handle| handle.name));
-                (Vec::new(), Vec::new())
-            }
-        };
+        // empty). The engine deletes or frees them once the manifest
+        // edit recording this version is durable.
+        self.level0.detach_oldest(table_limit, &mut report);
         if moved {
             // Cascade oversized deeper levels.
-            let cascaded =
-                self.cascade_levels(opts, device, cache, table_counter, input_errors, tl)?;
-            deleted.extend(cascaded);
+            let cascaded = self.cascade_levels(media, tl)?;
+            report.deleted_tables.extend(cascaded);
         }
-        let records = l0_records.saturating_sub(self.level0.entries());
-        Ok(CompactionReport {
-            records_in: records,
-            records_out: records,
-            retired_regions,
-            retired_cache_ids,
-            deleted_tables: deleted,
-            ..CompactionReport::default()
-        })
+        report.records_in = l0_records.saturating_sub(self.level0.entries());
+        report.records_out = report.records_in;
+        Ok(report)
     }
 
     /// Push oversized levels downward until every level fits its target.
     fn cascade_levels(
         &mut self,
-        opts: &Options,
-        device: &Arc<SsdDevice>,
-        cache: &Arc<BlockCache>,
-        table_counter: &AtomicU64,
-        input_errors: &Counter,
+        media: &Media<'_>,
         tl: &mut Timeline,
     ) -> Result<Vec<String>, crate::engine::DbError> {
+        let opts = media.opts;
         let mut deleted = Vec::new();
         let mut level = 1usize;
         while level <= self.levels.depth() {
@@ -468,10 +290,9 @@ impl Partition {
             let sources = runs.map(|run| Cursor::Ss(SsRun::new(run, None)));
             let bottom = level + 1 >= self.levels.depth();
             let prefix = format!("p{:03}-L{}", self.id, level + 1);
-            let mut writer =
-                SsRunWriter::new(device, cache, prefix, table_counter, opts.max_table_bytes);
+            let mut writer = SsRunWriter::new(media, prefix, opts.max_table_bytes);
             let sink = |e: EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
-            merge_into(sources, bottom, &opts.cost, input_errors, tl, sink)?;
+            merge_into(sources, bottom, &opts.cost, media.input_errors, tl, sink)?;
             let new_tables = writer.finish(tl)?;
             let this_level = self.levels.replace_level(level, Vec::new());
             let next_level = self.levels.replace_level(level + 1, new_tables);
@@ -480,11 +301,6 @@ impl Partition {
         }
         Ok(deleted)
     }
-
-    /// Should the RocksDB-style level-0 trigger fire?
-    pub fn ssd_l0_full(&self, trigger: usize) -> bool {
-        matches!(&self.level0, Level0::Ssd(tables) if tables.len() >= trigger)
-    }
 }
 
 impl std::fmt::Debug for Partition {
@@ -492,23 +308,25 @@ impl std::fmt::Debug for Partition {
         f.debug_struct("Partition")
             .field("id", &self.id)
             .field("mem_bytes", &self.mem.approximate_size())
-            .field("pm_bytes", &self.pm_bytes())
+            .field("pm_bytes", &self.level0.bytes())
             .field("ssd_bytes", &self.levels.total_bytes())
             .finish()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cursor::tests::drain;
     use crate::handle::merge_dedup;
+    use crate::options::Mode;
+    use crate::stats::ReadSource;
     use encoding::key::KeyKind;
     use pmtable::{L0Table, OwnedEntry};
     use proptest::prelude::*;
 
-    /// One partition and everything its compactions are handed.
-    struct Rig {
+    /// What [`Media`] borrows, owned.
+    pub(crate) struct Store {
         opts: Options,
         costs: CodecCostTable,
         pool: Arc<PmPool>,
@@ -517,6 +335,40 @@ mod tests {
         counter: AtomicU64,
         ids: CacheIds,
         errors: Counter,
+    }
+
+    impl Store {
+        /// Fresh media under `opts`: a 64 MiB pool, a 64 KiB block cache.
+        pub(crate) fn new(opts: Options) -> Store {
+            Store {
+                pool: PmPool::new(64 << 20, opts.cost),
+                device: SsdDevice::new(opts.cost),
+                cache: Arc::new(BlockCache::new(64 << 10)),
+                counter: AtomicU64::new(0),
+                ids: CacheIds::new(),
+                errors: Counter::new(),
+                opts,
+                costs: CodecCostTable::default(),
+            }
+        }
+
+        pub(crate) fn media(&self) -> Media<'_> {
+            Media {
+                opts: &self.opts,
+                codec_costs: &self.costs,
+                pool: &self.pool,
+                device: &self.device,
+                cache: &self.cache,
+                table_counter: &self.counter,
+                cache_ids: &self.ids,
+                input_errors: &self.errors,
+            }
+        }
+    }
+
+    /// One partition and everything its compactions are handed.
+    struct Rig {
+        store: Store,
         p: Partition,
         seq: u64,
     }
@@ -533,16 +385,9 @@ mod tests {
                 ..Options::default()
             };
             Rig {
-                pool: PmPool::new(64 << 20, opts.cost),
-                device: SsdDevice::new(opts.cost),
-                cache: Arc::new(BlockCache::new(64 << 10)),
-                counter: AtomicU64::new(0),
-                ids: CacheIds::new(),
-                errors: Counter::new(),
                 p: Partition::new(0, &opts, SimInstant::ORIGIN),
                 seq: 0,
-                opts,
-                costs: CodecCostTable::default(),
+                store: Store::new(opts),
             }
         }
 
@@ -560,19 +405,8 @@ mod tests {
                 self.p.mem.insert(&key, self.seq, kind, &[k; 40], &mut tl);
             }
             let held = self.p.mem.iter().map(|e| e.to_owned()).collect();
-            let Rig {
-                opts,
-                costs,
-                pool,
-                device,
-                cache,
-                counter,
-                ids,
-                ..
-            } = self;
-            self.p
-                .minor_compaction(opts, costs, pool, device, cache, counter, ids, &mut tl)
-                .unwrap();
+            let media = self.store.media();
+            self.p.minor_compaction(&media, &mut tl).unwrap();
             held
         }
 
@@ -588,7 +422,7 @@ mod tests {
                     .map(|t| ss_content(std::slice::from_ref(t)))
                     .collect(),
                 Level0::Matrix(m) => {
-                    let rows = m.input_cursors();
+                    let rows = m.cursors(b"", None, true);
                     rows.map(|row| drain(vec![row], b"", None, false)).collect()
                 }
             }
@@ -599,20 +433,14 @@ mod tests {
             let opts = Options {
                 l1_target: 1 << 40,
                 level_multiplier: 1,
-                ..self.opts.clone()
+                ..self.store.opts.clone()
             };
-            let Rig {
-                device,
-                cache,
-                counter,
-                errors,
-                ..
-            } = self;
+            let media = Media {
+                opts: &opts,
+                ..self.store.media()
+            };
             let mut tl = Timeline::new();
-            let limit = usize::MAX;
-            let major = self
-                .p
-                .major_compaction(&opts, device, cache, counter, limit, errors, &mut tl);
+            let major = self.p.major_compaction(&media, usize::MAX, &mut tl);
             major.unwrap()
         }
     }
@@ -640,7 +468,7 @@ mod tests {
     #[test]
     fn an_internal_compaction_that_runs_out_of_pm_installs_and_detaches_nothing() {
         let mut rig = Rig::new(Mode::PmBlade, 2 << 10);
-        rig.pool = PmPool::new(12 << 10, rig.opts.cost);
+        rig.store.pool = PmPool::new(12 << 10, rig.store.opts.cost);
         // Four tables of 40 distinct keys, about 2 KiB each: the merged
         // run is as large again and stops fitting a couple of tables
         // in, with most of its input still unread.
@@ -648,35 +476,26 @@ mod tests {
             let keys: Vec<(u8, bool)> = (0..40).map(|i| (table * 40 + i, false)).collect();
             rig.flush(&keys);
         }
-        let Rig {
-            opts,
-            costs,
-            pool,
-            ids,
-            errors,
-            p,
-            ..
-        } = &mut rig;
-        let failed = p.internal_compaction(opts, costs, pool, ids, errors, &mut Timeline::new());
+        let Rig { store, p, .. } = &mut rig;
+        let failed = p.internal_compaction(&store.media(), &mut Timeline::new());
         use {crate::engine::DbError, pm_device::PmError};
         let full = matches!(failed, Err(DbError::Pm(PmError::OutOfSpace { .. })));
         assert!(full, "{failed:?}");
         assert!(
-            pool.stats().persists.get() > 4,
+            store.pool.stats().persists.get() > 4,
             "part of the new run was published before the pool filled up"
         );
-        assert_eq!(errors.get(), 0, "no input failed to read");
-        assert_eq!((p.unsorted_count(), p.l0_table_count()), (4, 4));
-        let Level0::Pm(l0) = &p.level0 else {
-            unreachable!("PmBlade mode keeps a PM level-0")
-        };
+        assert_eq!(store.errors.get(), 0, "no input failed to read");
+        let counts = (p.level0.unsorted_count(), p.level0.chunkable_tables());
+        assert_eq!(counts, (4, 4));
         let (cache, tl) = (PmGroupCache::disabled(), &mut Timeline::new());
         for k in 0..160u8 {
             let (mut stats, mut stages) = Default::default();
             let key = [b'k', k];
             let probe = crate::level0::Probe::new(&key, &cache);
-            let hit = l0.get(&probe, tl, &mut stats, &mut stages);
-            assert_eq!(hit.unwrap().value, vec![k; 40]);
+            let found = p.level0.get(&probe, tl, &mut stats, &mut stages).unwrap();
+            let (hit, source, _) = found.expect("every key is still in level-0");
+            assert_eq!((hit.value, source), (vec![k; 40], ReadSource::Pm));
         }
     }
 
@@ -711,20 +530,20 @@ mod tests {
                             prop_assert_eq!(sources.last().unwrap(), &held);
                         }
                     }
-                    if let Level0::Pm(_) = &rig.p.level0 {
+                    if rig.p.level0.pm().is_some() {
                         let sources = rig.l0_sources();
                         let records: usize = sources.iter().map(Vec::len).sum();
                         let expect = reference(sources, false);
-                        let Rig { opts, costs, pool, ids, errors, p, .. } = &mut rig;
+                        let Rig { store, p, .. } = &mut rig;
                         let mut tl = Timeline::new();
-                        let report = p.internal_compaction(opts, costs, pool, ids, errors, &mut tl);
+                        let report = p.internal_compaction(&store.media(), &mut tl);
                         let report = report.unwrap().expect("three unsorted tables merge");
                         prop_assert_eq!(report.records_in, records);
                         prop_assert_eq!(report.records_out, expect.len());
                         let run = rig.l0_sources().concat();
                         prop_assert_eq!(run, expect);
                         if small_tables && records > 12 {
-                            prop_assert!(rig.p.l0_table_count() > 1, "the run was cut");
+                            prop_assert!(rig.p.level0.chunkable_tables() > 1, "the run was cut");
                         }
                     }
                     // Major: level-0 and the level-1 tables its range
@@ -743,22 +562,22 @@ mod tests {
                     expect.sort_by(|a, b| a.internal_cmp(b));
                     let report = rig.major();
                     prop_assert_eq!(ss_content(rig.p.levels.tables(1)), expect);
-                    prop_assert_eq!(rig.p.unsorted_count() + rig.p.pm_bytes(), 0);
+                    prop_assert_eq!(rig.p.level0.unsorted_count() + rig.p.level0.bytes(), 0);
                     let replaced = overlap.iter().map(|t| &t.name);
                     prop_assert!(replaced.clone().all(|name| report.deleted_tables.contains(name)));
                     // Cascade: all of level 1 into level 2, the bottom.
                     let levels = [1, 2].map(|level| ss_content(rig.p.levels.tables(level)));
                     let expect = reference(levels.into(), true);
-                    let Rig { opts, device, cache, counter, errors, p, .. } = &mut rig;
+                    let Rig { store, p, .. } = &mut rig;
                     let mut tl = Timeline::new();
-                    p.cascade_levels(opts, device, cache, counter, errors, &mut tl).unwrap();
+                    p.cascade_levels(&store.media(), &mut tl).unwrap();
                     prop_assert!(rig.p.levels.tables(1).is_empty());
                     if small_tables && expect.len() > 24 {
                         prop_assert!(rig.p.levels.tables(2).len() > 1, "the run was cut");
                     }
                     prop_assert_eq!(ss_content(rig.p.levels.tables(2)), expect);
                 }
-                prop_assert_eq!(rig.errors.get(), 0);
+                prop_assert_eq!(rig.store.errors.get(), 0);
             }
         }
     }

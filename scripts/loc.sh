@@ -18,11 +18,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Skips a file's lines from its first `#[cfg(test)]` on (a tests.rs
-# wholly): the prefix of both awk programs below.
-non_test='
-    FNR == 1 { in_tests = (FILENAME ~ /\/tests\.rs$/) }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
-    in_tests { next }'
+# wholly): the prefix of the awk programs below.
+non_test=$(<scripts/non_test.awk)
 
 # code_lines FILE... — the rule above, summed over the files.
 code_lines() {

@@ -17,7 +17,7 @@ use pm_blade::costmodel::CodecCostTable;
 use pm_blade::handle::CacheIds;
 use pm_blade::level0::Probe;
 use pm_blade::options::PmTableLayout;
-use pm_blade::partition::{Level0, Partition};
+use pm_blade::partition::{Media, Partition};
 use pm_blade::telemetry::StageTimes;
 use pm_blade::{
     CompactionRequest, Db, L0Version, Mode, Options, PmGroupCache, ScanRequest, Timeline,
@@ -436,6 +436,16 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
     let block_cache = Arc::new(BlockCache::new(opts.block_cache_bytes));
     let (cache_ids, table_counter) = (CacheIds::new(), AtomicU64::new(0));
     let (costs, errors) = (CodecCostTable::default(), sim::Counter::new());
+    let media = Media {
+        opts: &opts,
+        codec_costs: &costs,
+        pool: &pool,
+        device: &device,
+        cache: &block_cache,
+        table_counter: &table_counter,
+        cache_ids: &cache_ids,
+        input_errors: &errors,
+    };
     let mut tl = Timeline::new();
     let mut p = Partition::new(0, &opts, sim::SimInstant::ORIGIN);
     let mut seq = 0;
@@ -446,21 +456,11 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
             p.mem
                 .insert(&key(k), seq, pm_blade::KeyKind::Value, &value, tl);
         }
-        p.minor_compaction(
-            &opts,
-            &costs,
-            &pool,
-            &device,
-            &block_cache,
-            &table_counter,
-            &cache_ids,
-            tl,
-        )
-        .unwrap();
+        p.minor_compaction(&media, tl).unwrap();
     };
-    let version = |p: &Partition| match &p.level0 {
-        Level0::Pm(l0) => l0.version(),
-        _ => unreachable!("PmBlade mode keeps a PM level-0"),
+    let version = |p: &Partition| {
+        let l0 = p.level0.pm().expect("PmBlade mode keeps a PM level-0");
+        l0.version()
     };
     let cache = PmGroupCache::disabled();
     let l0_get = |version: &L0Version, k: u16| {
@@ -495,7 +495,7 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
     let before_internal = version(&p);
     assert_eq!(before_internal.unsorted_count(), 6);
     let report = p
-        .internal_compaction(&opts, &costs, &pool, &cache_ids, &errors, &mut tl)
+        .internal_compaction(&media, &mut tl)
         .unwrap()
         .expect("six unsorted tables merge");
     for region in report.retired_regions {
@@ -510,18 +510,8 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
     let before_major = version(&p);
     assert!(before_major.sorted_count() > 0 && before_major.unsorted_count() == 3);
     let mut chunks = 0;
-    while p.l0_table_count() > 0 {
-        let report = p
-            .major_compaction(
-                &opts,
-                &device,
-                &block_cache,
-                &table_counter,
-                2,
-                &errors,
-                &mut tl,
-            )
-            .unwrap();
+    while p.level0.chunkable_tables() > 0 {
+        let report = p.major_compaction(&media, 2, &mut tl).unwrap();
         for region in report.retired_regions {
             pool.free(region).unwrap();
         }
