@@ -6,8 +6,8 @@
 use std::collections::BTreeSet;
 
 use pm_blade::{
-    chrome_trace_json, CompactionRequest, Db, Mode, ReadSource, RequestTrace, ScanRequest,
-    SpanKind, TraceContext, TraceOp, TraceSpan, FLIGHT_RECORDER_CAPACITY,
+    chrome_trace_json, CompactionRequest, Db, Mode, Partitioner, ReadSource, RequestTrace,
+    ScanRequest, SpanKind, TraceContext, TraceOp, TraceSpan, WriteBatch, FLIGHT_RECORDER_CAPACITY,
 };
 use pmblade_integration_tests::{key_for, tiny_options, value_for};
 use proptest::prelude::*;
@@ -214,6 +214,102 @@ fn sampled_scan_attributes_every_nanosecond_to_a_stage() {
         warm.total_nanos < cold.total_nanos,
         "cached groups cost DRAM, not PM"
     );
+}
+
+// -------------------------------------------------------------------
+// The engine's own traces, pinned
+// -------------------------------------------------------------------
+
+/// CRC32C of `tracer().recorder().to_json()` after
+/// [`pinned_trace_workload`], per mode.
+const ENGINE_TRACE_PINS: [(Mode, u32); 3] = [
+    (Mode::PmBlade, 1_608_991_636),
+    (Mode::SsdLevel0, 1_805_942_510),
+    (Mode::MatrixKv, 1_473_994_895),
+];
+
+/// A fixed single-threaded Inline workload over two partitions with a
+/// WAL, every request traced: a memtable get, a level-0 get, a get an
+/// SSD level serves, a miss, a scan with rows, a scan past every key,
+/// puts up to the one that trips a flush, and a batch spanning both
+/// partitions. Returns the flight recorder's JSON.
+fn pinned_trace_workload(mode: Mode) -> String {
+    let wal_dir = std::env::temp_dir().join(format!(
+        "pmblade-it-{}-trace-pins-{mode:?}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    // Pinned here, not taken from `tiny_options`: every knob the CI
+    // matrix's `PMBLADE_TEST_*` overrides can move.
+    let opts = pm_blade::Options {
+        partitioner: Partitioner(vec![key_for(1_000)]),
+        pm_filter_bits_per_key: 10,
+        pm_group_cache_bytes: 256 << 10,
+        pm_codec_mode: pmtable::CodecMode::Auto,
+        trace_sample_every: 1,
+        wal_dir: Some(wal_dir.clone()),
+        ..tiny_options(mode)
+    };
+    let db = Db::open(opts).unwrap();
+    for i in 0..32u64 {
+        db.put(&key_for(i), &value_for(i, 64)).unwrap();
+    }
+    db.compact(CompactionRequest::FlushAll).unwrap();
+    db.compact(CompactionRequest::Major { partition: 0 })
+        .unwrap();
+    for i in (0..32u64).step_by(2) {
+        db.put(&key_for(i), &value_for(i + 100, 64)).unwrap();
+    }
+    db.compact(CompactionRequest::FlushAll).unwrap();
+    db.put(&key_for(7), b"in the memtable").unwrap();
+
+    let sources = [7, 4, 5, 500].map(|i| db.get(&key_for(i)).unwrap().source);
+    let want = [
+        ReadSource::MemTable,
+        if mode == Mode::SsdLevel0 {
+            ReadSource::Ssd
+        } else {
+            ReadSource::Pm
+        },
+        ReadSource::Ssd,
+        ReadSource::Miss,
+    ];
+    assert_eq!(sources, want, "{mode:?}");
+    let (rows, _) = db
+        .scan(ScanRequest::new().start(key_for(4)).limit(10))
+        .unwrap();
+    assert_eq!(rows.len(), 10, "{mode:?}");
+    let (rows, _) = db.scan(ScanRequest::new().start(key_for(9_000))).unwrap();
+    assert!(rows.is_empty(), "{mode:?}");
+
+    let flushes = || flush_origins(&db).len();
+    let before = flushes();
+    let mut i = 100u64;
+    while flushes() == before {
+        db.put(&key_for(i), &value_for(i, 96)).unwrap();
+        i += 1;
+        assert!(i < 1_000, "{mode:?}: no flush tripped");
+    }
+    let mut batch = WriteBatch::new();
+    batch.put(key_for(3), value_for(3, 32));
+    batch.put(key_for(1_003), value_for(1_003, 32));
+    db.write_batch(batch).unwrap();
+
+    let json = db.tracer().recorder().to_json();
+    drop(db);
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    json
+}
+
+/// The traces the engine itself lays out — every request kind, in
+/// every level-0 kind — are pinned byte for byte.
+#[test]
+fn engine_traces_are_pinned_in_every_mode() {
+    for (mode, pin) in ENGINE_TRACE_PINS {
+        let json = pinned_trace_workload(mode);
+        let crc = encoding::crc::crc32c(json.as_bytes());
+        assert_eq!(crc, pin, "{mode:?} traces moved:\n{json}");
+    }
 }
 
 // -------------------------------------------------------------------
