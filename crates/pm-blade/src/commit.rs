@@ -34,7 +34,7 @@ use parking_lot::Mutex;
 use sim::{Counter, SimDuration};
 
 use crate::engine::DbError;
-use crate::telemetry::{MetricKey, MetricsRegistry, TraceContext, TraceSpan};
+use crate::telemetry::{MetricKey, MetricsRegistry, TraceContext};
 
 /// One write operation inside a [`WriteBatch`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -149,6 +149,19 @@ impl Ops<'_> {
     }
 }
 
+/// What the leader measured of one sampled ticket's share of its group,
+/// in virtual nanoseconds — the WAL append, the memtable apply, and the
+/// rest of the share (the group's other work and any flush it tripped)
+/// — plus the group's op count. The submitter lays it out as its
+/// write stages.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct GroupShare {
+    pub(crate) wal_nanos: u64,
+    pub(crate) apply_nanos: u64,
+    pub(crate) wait_nanos: u64,
+    pub(crate) group_ops: u64,
+}
+
 /// One writer's stake in a commit group. The leader fills `result` and
 /// then raises `done` (with release ordering) before it releases the
 /// commit mutex; the owning writer spins on the mutex/`done` pair, so
@@ -156,12 +169,13 @@ impl Ops<'_> {
 pub(crate) struct Ticket<'a> {
     pub(crate) ops: Ops<'a>,
     /// Trace context of the submitting writer (sampled requests only).
-    /// The leader reads it to attribute this ticket's share of the
+    /// The leader reads it to measure this ticket's share of the
     /// group's WAL/apply work and to tag triggered maintenance.
     pub(crate) trace: Option<TraceContext>,
-    /// Stage spans the leader attributed to this ticket (filled before
-    /// `complete`, drained by the submitter after `take_result`).
-    pub(crate) stages: Mutex<Vec<TraceSpan>>,
+    /// A sampled ticket's share of the group, by stage (filled by the
+    /// leader before `complete`, read by the submitter after
+    /// `take_result`: `done` was published with release ordering).
+    pub(crate) share: Mutex<GroupShare>,
     done: std::sync::atomic::AtomicBool,
     result: Mutex<Option<Result<SimDuration, DbError>>>,
 }
@@ -171,17 +185,10 @@ impl<'a> Ticket<'a> {
         Ticket {
             ops,
             trace,
-            stages: Mutex::new(Vec::new()),
+            share: Mutex::new(GroupShare::default()),
             done: std::sync::atomic::AtomicBool::new(false),
             result: Mutex::new(None),
         }
-    }
-
-    /// Drain the leader-attributed stage spans (submitter side; safe
-    /// after `take_result` because `done` was published with release
-    /// ordering).
-    pub(crate) fn take_stages(&self) -> Vec<TraceSpan> {
-        std::mem::take(&mut *self.stages.lock())
     }
 
     pub(crate) fn is_done(&self) -> bool {

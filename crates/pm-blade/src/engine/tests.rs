@@ -6,7 +6,7 @@ use super::*;
 use crate::commit::WriteBatch;
 use crate::options::{MaintenanceMode, Mode, Partitioner};
 use crate::stats::ReadSource;
-use crate::telemetry::SpanKind;
+use crate::telemetry::{SpanKind, TraceOp};
 
 // Compile-time proof that the engine can be shared across threads.
 const _: fn() = || {
@@ -489,4 +489,39 @@ fn shared_handle_supports_concurrent_writers_and_readers() {
         }
     }
     assert_eq!(db.stats().puts.get(), 800);
+}
+
+/// A writer that queued behind a busy leader is traced inside its own
+/// request window: held at partition 0's commit mutex while the engine
+/// clock moves 50 µs, it leads the next group, and its stages still lie
+/// within `[start_nanos, start_nanos + total_nanos]`.
+#[test]
+fn a_queued_writers_stages_lie_inside_its_request_window() {
+    let db = Db::open(small_opts(Mode::PmBlade)).unwrap();
+    let held = db.committers[0].commit.lock();
+    let ctx = Some(TraceContext::sampled(7));
+    std::thread::scope(|s| {
+        let writer = s.spawn(|| db.put_with(b"k", b"v", ctx));
+        while db.committers[0].queue.lock().is_empty() {
+            std::thread::yield_now();
+        }
+        db.advance(SimDuration::from_micros(50));
+        drop(held);
+        writer.join().unwrap().unwrap();
+    });
+    let traces = db.flight_recorder();
+    let [trace] = &traces[..] else {
+        panic!("one traced write, got {traces:?}");
+    };
+    assert_eq!((trace.trace_id, trace.op), (7, TraceOp::Write));
+    assert!(!trace.stages.is_empty());
+    let window = trace.start_nanos..=trace.start_nanos + trace.total_nanos;
+    for s in &trace.stages {
+        let inside = window.contains(&s.start_nanos) && window.contains(&s.end_nanos);
+        assert!(
+            inside,
+            "{:?} at {}..{} outside {window:?}",
+            s.kind, s.start_nanos, s.end_nanos
+        );
+    }
 }

@@ -11,10 +11,10 @@ use memtable::WalRecord;
 use sim::{SimDuration, Timeline};
 
 use super::{CompactionRequest, DbCore, DbError};
-use crate::commit::{BatchOp, Ops, Ticket, WriteBatch};
+use crate::commit::{BatchOp, GroupShare, Ops, Ticket, WriteBatch};
 use crate::maintenance::Job;
 use crate::manifest::VersionEdit;
-use crate::telemetry::{SpanKind, StageTrace, TraceContext, TraceOp, TraceSpan};
+use crate::telemetry::{RequestTrace, SpanKind, StageTimes, TraceContext, TraceOp};
 
 /// Virtual-time penalty charged to each write admitted under slowdown
 /// (the RocksDB `delayed_write_rate` analogue).
@@ -172,14 +172,23 @@ impl DbCore {
         let total = ticket.take_result()? + penalty;
         self.metrics.lat_writes.record(total);
         if let Some(ctx) = ticket.trace {
-            let mut st = StageTrace::new(ctx, TraceOp::Write, pid, start_nanos);
+            let share = *ticket.share.lock();
+            let ops = ticket.ops.len() as u64;
+            let mut stages = StageTimes::default();
             if penalty > SimDuration::ZERO {
-                st.stage(SpanKind::ThrottleWait, 0, penalty.as_nanos());
+                stages.add(SpanKind::ThrottleWait, penalty.as_nanos(), 0, 0);
             }
-            for span in ticket.take_stages() {
-                st.push_span(span);
+            if share.wal_nanos > 0 {
+                stages.add(SpanKind::WalAppend, share.wal_nanos, ops, ops);
             }
-            self.tracer.finish(st.finish(total.as_nanos()));
+            stages.add(SpanKind::MemtableApply, share.apply_nanos, ops, ops);
+            if share.wait_nanos > 0 {
+                let group = share.group_ops;
+                stages.add(SpanKind::LeaderWait, share.wait_nanos, group, group);
+            }
+            let total = total.as_nanos();
+            let trace = RequestTrace::new(ctx, TraceOp::Write, pid, start_nanos, &stages, total);
+            self.tracer.finish(trace);
         }
         Ok(total)
     }
@@ -274,7 +283,6 @@ impl DbCore {
         group: &[T],
     ) -> Result<(), DbError> {
         let mut tl = Timeline::new();
-        let start_nanos = self.clock.load(Ordering::Relaxed);
         let total_ops: usize = group.iter().map(|t| t.ops.len()).sum();
         let base = self.seq.fetch_add(total_ops as u64, Ordering::Relaxed);
         // First sampled writer in the group becomes the origin for any
@@ -398,46 +406,17 @@ impl DbCore {
             let ops = ticket.ops.len() as u64;
             let share_of = |nanos: u64| nanos * ops / total_ops.max(1) as u64;
             let share = SimDuration::from_nanos(share_of(billed.as_nanos()));
-            // Sampled writers get their share of the group's work split
-            // into stages on the group's timeline. Shares use the same
-            // integer scaling as the billed latency, so the per-stage
-            // sum can never exceed the ticket's reported latency.
-            if let Some(ctx) = ticket.trace {
-                let wal_share = share_of(wal_nanos);
-                let apply_share = share_of(apply_nanos);
-                let wait = share.as_nanos().saturating_sub(wal_share + apply_share);
-                let mk = |kind: SpanKind, from: u64, to: u64, records: u64| {
-                    TraceSpan::new(
-                        0,
-                        ctx.trace_id,
-                        kind,
-                        pid,
-                        start_nanos + from,
-                        to - from,
-                        (records, records),
-                        (0, 0),
-                        None,
-                    )
+            // A sampled writer's share of the group's work, by stage.
+            // Shares use the same integer scaling as the billed latency,
+            // so their sum can never exceed the ticket's reported latency.
+            if ticket.trace.is_some() {
+                let (wal_nanos, apply_nanos) = (share_of(wal_nanos), share_of(apply_nanos));
+                *ticket.share.lock() = GroupShare {
+                    wal_nanos,
+                    apply_nanos,
+                    wait_nanos: share.as_nanos().saturating_sub(wal_nanos + apply_nanos),
+                    group_ops: total_ops as u64,
                 };
-                let mut stages = Vec::with_capacity(3);
-                if wal_share > 0 {
-                    stages.push(mk(SpanKind::WalAppend, 0, wal_share, ops));
-                }
-                stages.push(mk(
-                    SpanKind::MemtableApply,
-                    wal_share,
-                    wal_share + apply_share,
-                    ops,
-                ));
-                if wait > 0 {
-                    stages.push(mk(
-                        SpanKind::LeaderWait,
-                        wal_share + apply_share,
-                        wal_share + apply_share + wait,
-                        total_ops as u64,
-                    ));
-                }
-                *ticket.stages.lock() = stages;
             }
             ticket.complete(Ok(share));
         }

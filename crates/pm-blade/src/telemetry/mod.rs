@@ -37,6 +37,6 @@ pub use ring::EventRing;
 pub use snapshot::{HistogramSummary, MetricsSnapshot};
 pub use span::{CostDecision, SpanKind, TraceSpan};
 pub use trace::{
-    chrome_trace_json, FlightRecorder, RequestTrace, StageTimes, StageTrace, TraceContext, TraceOp,
-    Tracer, FLIGHT_RECORDER_CAPACITY,
+    chrome_trace_json, FlightRecorder, RequestTrace, StageTimes, TraceContext, TraceOp, Tracer,
+    FLIGHT_RECORDER_CAPACITY,
 };
