@@ -378,6 +378,7 @@ impl DbCore {
             table_counter: &self.table_counter,
             cache_ids: &self.cache_ids,
             input_errors: &self.metrics.compaction_input_errors,
+            retire_errors: &self.metrics.media_retire_errors,
         }
     }
 

@@ -133,6 +133,7 @@ impl DbCore {
                     table_counter: &table_counter,
                     cache_ids: &cache_ids,
                     input_errors: &metrics.compaction_input_errors,
+                    retire_errors: &metrics.media_retire_errors,
                 };
                 // Rebuild each partition's table set from its last
                 // logged version, and remember every media object the

@@ -3,10 +3,12 @@
 #
 #   scripts/discards.sh
 #
-# Lists every `let _ =` and `.ok();` in the non-test code (the rule of
-# scripts/loc.sh) of the engine crates — what `pm-blade` links, its
-# normal `cargo tree` — and of pm-blade-server, and exits 1 when one is
-# not in scripts/discards.allow or an entry there matches nothing.
+# Lists every `let _ =`, `.ok();` and `drop(<call>(..))` (a call's
+# result handed straight to `drop`; `drop(guard)` is not one) in the
+# non-test code (the rule of scripts/loc.sh) of the engine crates — what
+# `pm-blade` links, its normal `cargo tree` — and of pm-blade-server,
+# and exits 1 when one is not in scripts/discards.allow or an entry
+# there matches nothing.
 #
 # An allowlist entry is one tab-separated line: the file, the line's
 # text without its indentation, and a one-line proof that dropping the
@@ -25,7 +27,7 @@ awk -F '\t' -v root="$root" "$(<scripts/non_test.awk)"'
         if ($0 !~ /^#/ && NF > 0) { allowed[$1 SUBSEP $2]++; entry[$1 SUBSEP $2] = FNR }
         next
     }
-    /let _ =|\.ok\(\);/ {
+    /let _ =|\.ok\(\);|drop\([[:alnum:]_:.&]+\(/ {
         file = FILENAME; sub("^" root, "", file)
         text = $0; sub(/^[[:space:]]+/, "", text)
         if (allowed[file SUBSEP text]-- > 0) next
