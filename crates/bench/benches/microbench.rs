@@ -7,8 +7,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pm_blade::{Db, Options};
 use pmtable::{
-    ArrayTable, ArrayTableBuilder, DramBuf, L0Table, MetaExtractor, OwnedEntry, PmTable,
-    PmTableBuilder, PmTableOptions, Storage,
+    ArrayTable, ArrayTableBuilder, DramBuf, MetaExtractor, OwnedEntry, PmTable, PmTableBuilder,
+    PmTableOptions, Storage,
 };
 use sim::{CostModel, Pcg64, Timeline};
 
@@ -208,6 +208,7 @@ fn bench_scan_merge(c: &mut Criterion) {
         table_counter: &counter,
         cache_ids: &ids,
         input_errors: &errors,
+        retire_errors: &errors,
     };
     let run_writer = |max_bytes| PmRunWriter::new(&media, max_bytes);
     let tables: Vec<(PmTableHandle, TableKeys)> = (0..30)
@@ -290,6 +291,7 @@ fn bench_cascade(c: &mut Criterion) {
         table_counter: &counter,
         cache_ids: &ids,
         input_errors: &errors,
+        retire_errors: &errors,
     };
     let run_writer = |level: &str| SsRunWriter::new(&media, level.into(), 256 << 10);
     let older = entries(10_000);

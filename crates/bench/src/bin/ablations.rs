@@ -7,7 +7,7 @@
 use bench::{pct, us, Table};
 use coroutine::{Policy, Scheduler, SchedulerConfig, TraceParams};
 use pm_blade::{Db, Options, Partitioner};
-use pmtable::{DramBuf, L0Table, MetaExtractor, PmTable, PmTableBuilder, PmTableOptions};
+use pmtable::{DramBuf, MetaExtractor, PmTable, PmTableBuilder, PmTableOptions};
 use sim::{CostModel, Pcg64, Timeline};
 
 fn group_size_ablation() {

@@ -18,7 +18,7 @@ use bench::{index_entries, us, Table};
 use encoding::key::KeyKind;
 use pm_device::PmPool;
 use pmtable::{
-    ArrayTable, ArrayTableBuilder, L0Table, MetaExtractor, PmTable, PmTableBuilder, PmTableOptions,
+    ArrayTable, ArrayTableBuilder, MetaExtractor, PmTable, PmTableBuilder, PmTableOptions,
 };
 use sim::{CostModel, Pcg64, SimDuration, Timeline};
 use ssd_device::SsdDevice;

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use bench::{index_entries, us, Table};
 use encoding::key::KeyKind;
 use pm_device::PmPool;
-use pmtable::{L0Table, PmTable, PmTableBuilder, PmTableOptions};
+use pmtable::{PmTable, PmTableBuilder, PmTableOptions};
 use sim::{CostModel, Pcg64, SimDuration, Timeline};
 use ssd_device::SsdDevice;
 use sstable::{BlockCache, SsTable, SsTableBuilder, SsTableOptions};

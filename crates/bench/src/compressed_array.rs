@@ -394,7 +394,7 @@ impl<S: Storage> SnappyGroupTable<S> {
 mod tests {
     use super::*;
     use pmtable::testutil::index_entries;
-    use pmtable::{ArrayTable, ArrayTableBuilder, DramBuf, L0Table};
+    use pmtable::{ArrayTable, ArrayTableBuilder, DramBuf};
     use sim::CostModel;
 
     fn build_pair(entries: &[OwnedEntry]) -> (SnappyTable<DramBuf>, BuildStats, Timeline) {

@@ -20,8 +20,7 @@
 use encoding::delta::CodecStats;
 use pm_device::PmPool;
 use pmtable::{
-    CodecMode, L0Table, MetaExtractor, OwnedEntry, PmTable, PmTableBuilder, PmTableOptions,
-    CODEC_COUNT,
+    CodecMode, MetaExtractor, OwnedEntry, PmTable, PmTableBuilder, PmTableOptions, CODEC_COUNT,
 };
 use sim::{CostModel, Counter, SimDuration, SimInstant, Timeline};
 

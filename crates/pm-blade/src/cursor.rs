@@ -500,7 +500,7 @@ pub(crate) mod tests {
     use crate::level0::PmLevel0;
     use memtable::MemTable;
     use pm_device::PmPool;
-    use pmtable::{L0Table, OwnedEntry, PmTableOptions};
+    use pmtable::{OwnedEntry, PmTableOptions};
     use proptest::collection::{btree_set, vec};
     use proptest::prelude::*;
     use sim::CostModel;

@@ -162,16 +162,14 @@ impl DbCore {
             self.log_version(version, report.durable_seq.map(|seq| (pid, seq)))?;
             // A file that could not be unlinked stays on disk, outside
             // the accounting, which drops either way: count it.
-            let retire_errors = &self.metrics.media_retire_errors;
+            let media = self.media();
             for name in &report.deleted_tables {
-                if self.device.delete(name).is_err() {
-                    retire_errors.incr();
-                }
+                media.discard_table(name);
                 self.cache.purge_table(sstable::cache::table_id(name));
             }
             for region in &report.retired_regions {
                 if self.pool.free(*region).is_err() {
-                    retire_errors.incr();
+                    media.retire_errors.incr();
                 }
             }
             // The retired PM tables can never serve a read again (their

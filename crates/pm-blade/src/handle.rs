@@ -8,8 +8,8 @@ use encoding::key::SequenceNumber;
 use encoding::prefix::common_prefix_len;
 use pm_device::{PmError, PmRegion, RegionId};
 use pmtable::{
-    CodecMode, EntryRef, KeyColumn, L0Table, Lookup, NoGroupCache, OwnedEntry, PmTable,
-    PmTableBuilder, PmTableError, TableKeys,
+    CodecMode, EntryRef, KeyColumn, Lookup, NoGroupCache, OwnedEntry, PmTable, PmTableBuilder,
+    PmTableError, TableKeys,
 };
 use sim::Timeline;
 use sstable::table::TableError;

@@ -11,7 +11,7 @@ use encoding::key::{self, SequenceNumber};
 use sim::Timeline;
 
 use crate::storage::Storage;
-use crate::{AsEntry, BuildStats, EntryRef, L0Table, Lookup, OwnedEntry};
+use crate::{AsEntry, BuildStats, EntryRef, Lookup, OwnedEntry};
 
 const MAGIC: u32 = 0x4152_5442; // "ARTB"
 const HEADER_LEN: usize = 8;
@@ -260,8 +260,14 @@ impl<'a, S: Storage> ArrayCursor<'a, S> {
     }
 }
 
-impl<S: Storage> L0Table for ArrayTable<S> {
-    fn get(&self, user_key: &[u8], snapshot: SequenceNumber, tl: &mut Timeline) -> Option<Lookup> {
+impl<S: Storage> ArrayTable<S> {
+    /// Newest entry for `user_key` visible at `snapshot`, if present.
+    pub fn get(
+        &self,
+        user_key: &[u8],
+        snapshot: SequenceNumber,
+        tl: &mut Timeline,
+    ) -> Option<Lookup> {
         let mut idx = self.lower_bound(user_key, tl);
         // Versions of one key are adjacent, newest first; walk forward to
         // the first one at or below the snapshot.
@@ -282,17 +288,21 @@ impl<S: Storage> L0Table for ArrayTable<S> {
         None
     }
 
-    fn entry_count(&self) -> usize {
+    /// Number of entries stored.
+    pub fn entry_count(&self) -> usize {
         self.count as usize
     }
 
-    fn encoded_len(&self) -> usize {
+    /// Encoded size in bytes.
+    pub fn encoded_len(&self) -> usize {
         self.storage.bytes().len()
     }
 
+    /// Every entry in internal-key order, metering reads.
+    ///
     /// A [`ArrayTable::scan_cursor`] pass collected into a `Vec`. An
     /// entry that does not parse ends the result early.
-    fn scan_all(&self, tl: &mut Timeline) -> Vec<OwnedEntry> {
+    pub fn scan_all(&self, tl: &mut Timeline) -> Vec<OwnedEntry> {
         let mut out = Vec::with_capacity(self.count as usize);
         let mut cursor = self.scan_cursor();
         let mut step = cursor.seek(b"", tl);
@@ -303,11 +313,13 @@ impl<S: Storage> L0Table for ArrayTable<S> {
         out
     }
 
-    fn first_user_key(&self) -> Option<&[u8]> {
+    /// Smallest user key, if non-empty.
+    pub fn first_user_key(&self) -> Option<&[u8]> {
         self.first_key.as_deref()
     }
 
-    fn last_user_key(&self) -> Option<&[u8]> {
+    /// Largest user key, if non-empty.
+    pub fn last_user_key(&self) -> Option<&[u8]> {
         self.last_key.as_deref()
     }
 }

@@ -291,32 +291,6 @@ impl BuildStats {
     }
 }
 
-/// Common read interface over every level-0 table format.
-pub trait L0Table {
-    /// Newest entry for `user_key` visible at `snapshot`, if present.
-    fn get(
-        &self,
-        user_key: &[u8],
-        snapshot: SequenceNumber,
-        tl: &mut sim::Timeline,
-    ) -> Option<Lookup>;
-
-    /// Number of entries stored.
-    fn entry_count(&self) -> usize;
-
-    /// Encoded size in bytes.
-    fn encoded_len(&self) -> usize;
-
-    /// Iterate every entry in internal-key order, metering reads.
-    fn scan_all(&self, tl: &mut sim::Timeline) -> Vec<OwnedEntry>;
-
-    /// Smallest user key, if non-empty.
-    fn first_user_key(&self) -> Option<&[u8]>;
-
-    /// Largest user key, if non-empty.
-    fn last_user_key(&self) -> Option<&[u8]>;
-}
-
 /// Deterministic fixtures for this workspace's tests (the pinned
 /// table-byte checksums in `pmtable` and `sstable` share one input).
 #[doc(hidden)]

@@ -133,7 +133,7 @@ pub trait GroupAccess {
     fn store(&self, group: u32, entries: Arc<EntryRun>);
 }
 
-/// The no-op cache behind the plain [`crate::L0Table::get`] path.
+/// The no-op cache behind the plain [`crate::PmTable::get`] path.
 pub struct NoGroupCache;
 
 impl GroupAccess for NoGroupCache {

@@ -19,7 +19,7 @@ use super::{
     PREFIX_WIDTH,
 };
 use crate::storage::Storage;
-use crate::{EntryRun, L0Table, Lookup, OwnedEntry};
+use crate::{EntryRun, Lookup, OwnedEntry};
 
 /// One decoded meta-layer row, cached in DRAM by the reader.
 #[derive(Clone, Debug)]
@@ -415,7 +415,7 @@ impl<S: Storage> PmTable<S> {
         Some(filter.may_contain_hashed(hashes))
     }
 
-    /// [`L0Table::get`] with a decoded-group cache: a cache hit replaces
+    /// [`PmTable::get`] with a decoded-group cache: a cache hit replaces
     /// the group block's PM read + prefix reconstruction with one DRAM
     /// read of the same length. Results are byte-identical to the
     /// uncached path — the cache only memoizes `decode_group`.
@@ -514,32 +514,44 @@ impl<S: Storage> PmTable<S> {
     }
 }
 
-impl<S: Storage> L0Table for PmTable<S> {
-    fn get(&self, user_key: &[u8], snapshot: SequenceNumber, tl: &mut Timeline) -> Option<Lookup> {
+impl<S: Storage> PmTable<S> {
+    /// Newest entry for `user_key` visible at `snapshot`, if present.
+    pub fn get(
+        &self,
+        user_key: &[u8],
+        snapshot: SequenceNumber,
+        tl: &mut Timeline,
+    ) -> Option<Lookup> {
         self.get_with_cache(user_key, snapshot, tl, &NoGroupCache)
     }
 
-    fn entry_count(&self) -> usize {
+    /// Number of entries stored.
+    pub fn entry_count(&self) -> usize {
         self.entry_count as usize
     }
 
-    fn encoded_len(&self) -> usize {
+    /// Encoded size in bytes.
+    pub fn encoded_len(&self) -> usize {
         self.storage.bytes().len()
     }
 
+    /// Every entry in internal-key order, metering reads.
+    ///
     /// A sequential-cursor pass collected into a `Vec`. A group that
     /// fails to decode ends the result early.
-    fn scan_all(&self, tl: &mut Timeline) -> Vec<OwnedEntry> {
+    pub fn scan_all(&self, tl: &mut Timeline) -> Vec<OwnedEntry> {
         let out = Vec::with_capacity(self.entry_count as usize);
         let cursor = self.sequential_cursor::<NoGroupCache>();
         collect(cursor, b"", None, usize::MAX, tl, out)
     }
 
-    fn first_user_key(&self) -> Option<&[u8]> {
+    /// Smallest user key, if non-empty.
+    pub fn first_user_key(&self) -> Option<&[u8]> {
         self.first_key.as_deref()
     }
 
-    fn last_user_key(&self) -> Option<&[u8]> {
+    /// Largest user key, if non-empty.
+    pub fn last_user_key(&self) -> Option<&[u8]> {
         self.last_key.as_deref()
     }
 }

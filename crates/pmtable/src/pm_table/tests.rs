@@ -3,7 +3,7 @@ use std::sync::Arc;
 use super::*;
 use crate::storage::DramBuf;
 use crate::testutil::index_entries;
-use crate::{EntryRun, L0Table, OwnedEntry};
+use crate::{EntryRun, OwnedEntry};
 use encoding::bloom::BloomFilter;
 use encoding::key::KeyKind;
 use sim::{CostModel, Timeline};

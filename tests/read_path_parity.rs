@@ -445,6 +445,7 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
         table_counter: &table_counter,
         cache_ids: &cache_ids,
         input_errors: &errors,
+        retire_errors: &errors,
     };
     let mut tl = Timeline::new();
     let mut p = Partition::new(0, &opts, sim::SimInstant::ORIGIN);
