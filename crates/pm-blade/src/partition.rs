@@ -492,6 +492,7 @@ pub(crate) mod tests {
             rig.flush(&keys);
         }
         let Rig { store, p, .. } = &mut rig;
+        let (used, regions) = (store.pool.used(), store.pool.region_ids());
         let failed = p.internal_compaction(&store.media(), &mut Timeline::new());
         use {crate::engine::DbError, pm_device::PmError};
         let full = matches!(failed, Err(DbError::Pm(PmError::OutOfSpace { .. })));
@@ -500,7 +501,10 @@ pub(crate) mod tests {
             store.pool.stats().persists.get() > 4,
             "part of the new run was published before the pool filled up"
         );
+        let after = (store.pool.used(), store.pool.region_ids());
+        assert_eq!(after, (used, regions), "what the run published is freed");
         assert_eq!(store.errors.get(), 0, "no input failed to read");
+        assert_eq!(store.retire_errors.get(), 0);
         let counts = (p.level0.unsorted_count(), p.level0.chunkable_tables());
         assert_eq!(counts, (4, 4));
         let (cache, tl) = (PmGroupCache::disabled(), &mut Timeline::new());

@@ -76,3 +76,12 @@ pub fn value_for(i: u64, len: usize) -> Vec<u8> {
 pub fn key_for(i: u64) -> Vec<u8> {
     format!("key{:08}", i).into_bytes()
 }
+
+/// `pm_pool_unreferenced_bytes`: pool bytes in use that no live
+/// level-0 references. 0 whenever no maintenance step is in flight.
+pub fn pm_unreferenced_bytes(db: &Db) -> i64 {
+    let snap = db.metrics_snapshot();
+    let mut gauges = snap.gauges.iter();
+    let gauge = gauges.find(|(key, _)| key.name == "pm_pool_unreferenced_bytes");
+    *gauge.expect("the gauge is registered at open").1
+}

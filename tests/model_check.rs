@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use pm_blade::{CompactionRequest, Db, Mode, Partitioner, ScanRequest};
-use pmblade_integration_tests::{tiny_db, tiny_options, value_for};
+use pmblade_integration_tests::{pm_unreferenced_bytes, tiny_db, tiny_options, value_for};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -120,10 +120,12 @@ fn check_mode(mode: Mode, ops: &[Op]) {
                 .unwrap(),
         }
     }
-    // Final audit: every model key readable, every deleted key absent.
+    // Final audit: every model key readable, every deleted key absent,
+    // and every PM byte in use belongs to level-0.
     for (k, v) in &model {
         assert_eq!(db.get(k).unwrap().value.as_ref(), Some(v));
     }
+    assert_eq!(pm_unreferenced_bytes(&db), 0, "{mode:?}");
 }
 
 proptest! {
