@@ -142,14 +142,15 @@ mod tests {
         let g = group(0, 4, 64);
         // The charge counts the decoded keys and values, not what the
         // group takes on PM, which a dense codec could undershoot by
-        // 3x+: 64 bytes per run and per entry on top of the bytes.
+        // 3x+: 64 bytes per run and a 24-byte slot per entry on top of
+        // the bytes.
         let raw: usize = g.iter().map(|e| e.raw_len()).sum();
         assert!(
             g.charge() > raw,
             "decoded charge {} must exceed encoded payload {raw}",
             g.charge()
         );
-        assert_eq!(g.charge(), 64 + 4 * (10 + 64 + 64));
+        assert_eq!(g.charge(), 64 + 4 * (10 + 64 + 24));
     }
 
     #[test]

@@ -79,6 +79,13 @@ pub struct PmTableLayout {
     pub extractor: MetaExtractor,
 }
 
+/// Largest [`Options::memtable_bytes`] and [`Options::max_table_bytes`].
+/// A PM table build buffers its entries in one [`pmtable::EntryRun`],
+/// whose 32-bit offsets end at [`pmtable::MAX_RUN_BYTES`]; half of that
+/// leaves room for the write that overfills a memtable and for the
+/// entry that crosses a table cut.
+pub const MAX_TABLE_INPUT_BYTES: usize = pmtable::MAX_RUN_BYTES / 2;
+
 /// Full engine options.
 #[derive(Clone, Debug)]
 pub struct Options {
@@ -89,6 +96,7 @@ pub struct Options {
     /// PM pool capacity in bytes (the paper uses 80 GB; scale down).
     pub pm_capacity: usize,
     /// Memtable freeze threshold in bytes (64 MB in the paper; scale).
+    /// At most [`MAX_TABLE_INPUT_BYTES`]: a flush builds one table.
     pub memtable_bytes: usize,
     /// Unsorted L0 tables per partition that force internal compaction
     /// regardless of the cost model (safety valve).
@@ -128,7 +136,8 @@ pub struct Options {
     /// `l1_target * level_multiplier^(n-1)`.
     pub l1_target: usize,
     pub level_multiplier: usize,
-    /// Max bytes per output table (PM table or SSTable) in compactions.
+    /// Max bytes per output table (PM table or SSTable) in compactions;
+    /// at most [`MAX_TABLE_INPUT_BYTES`].
     pub max_table_bytes: usize,
     /// DRAM block-cache capacity for SSD reads.
     pub block_cache_bytes: usize,
@@ -278,6 +287,18 @@ impl Options {
         if o.max_table_bytes == 0 {
             return fail("max_table_bytes must be positive".into());
         }
+        for (name, bytes) in [
+            ("memtable_bytes", o.memtable_bytes),
+            ("max_table_bytes", o.max_table_bytes),
+        ] {
+            if bytes > MAX_TABLE_INPUT_BYTES {
+                return fail(format!(
+                    "{name} ({bytes}) is capped at {MAX_TABLE_INPUT_BYTES}: \
+                     a PM table build buffers its entries in one run of \
+                     32-bit offsets"
+                ));
+            }
+        }
         if o.pm_filter_bits_per_key > 64 {
             return fail(format!(
                 "pm_filter_bits_per_key ({}) is capped at 64: past that \
@@ -414,6 +435,14 @@ mod tests {
         assert!(rejection(|o| o.level_multiplier = 1).contains("level_multiplier"));
         assert!(rejection(|o| o.l1_target = 0).contains("l1_target"));
         assert!(rejection(|o| o.max_table_bytes = 0).contains("max_table_bytes"));
+        // One table's entries fit the 32-bit offsets of a build's run.
+        let past = MAX_TABLE_INPUT_BYTES + 1;
+        let big_memtable = |o: &mut Options| {
+            (o.memtable_bytes, o.pm_capacity, o.tau_m, o.tau_t) = (past, usize::MAX, 0, 0)
+        };
+        assert!(rejection(big_memtable).contains("memtable_bytes (2147483648) is capped"));
+        assert!(rejection(|o| o.max_table_bytes = past).contains("max_table_bytes"));
+        accepted(|o| o.max_table_bytes = MAX_TABLE_INPUT_BYTES);
         assert!(rejection(|o| o.pm_filter_bits_per_key = 65).contains("pm_filter_bits_per_key"));
         // 0 legitimately disables the filter and the cache.
         accepted(|o| (o.pm_filter_bits_per_key, o.pm_group_cache_bytes) = (0, 0));

@@ -51,8 +51,9 @@ fn an_entry_run_views_what_was_pushed_and_searches_by_user_key() {
     assert_eq!(run.get(2), rows[2].as_ref());
     let bounds = [b"ka", b"kb", b"kc", b"kd", b"ke"].map(|k| run.lower_bound(k));
     assert_eq!(bounds, [0, 0, 2, 2, 3]);
-    // 64 per run and per entry on top of the 6 key and 3 value bytes.
-    assert_eq!((run.len(), run.charge()), (3, 64 + 9 + 3 * 64));
+    // 64 per run and a 24-byte slot per entry on top of the 6 key and
+    // 3 value bytes.
+    assert_eq!((run.len(), run.charge()), (3, 64 + 9 + 3 * 24));
 }
 
 #[test]
