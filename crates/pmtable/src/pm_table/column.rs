@@ -99,6 +99,24 @@ impl KeyColumn {
             + std::mem::size_of_val(self.group_starts.as_slice())
     }
 
+    /// The group a get of `key` starts in, and the 64-byte lines the
+    /// search touched, for a `key` within the table's first and last
+    /// key: the group of the first entry whose window is at or past
+    /// `key`'s. On a tie that is the tie's first entry, which sorts
+    /// before `key` or is its newest version, so a get can start there
+    /// and walk forward. Every group when the column holds no entry
+    /// (`0`); none when every window sorts before `key`'s (the group
+    /// count).
+    pub fn group_of(&self, key: &[u8]) -> (u32, u64) {
+        let key = self.window(key);
+        let (i, lines) = search(&self.windows, |w| w < key);
+        if i == self.windows.len() {
+            return (self.group_starts.len() as u32, lines);
+        }
+        let (groups, group_lines) = search(&self.group_starts, |first| first as usize <= i);
+        ((groups - 1) as u32, lines + group_lines)
+    }
+
     /// Find the first entry with user key >= `start` in the table whose
     /// first key is `first`, for a `start` at most its last key. A start
     /// at or before `first` lands on group 0 with no search; any other

@@ -426,6 +426,33 @@ impl<S: Storage> PmTable<S> {
         tl: &mut Timeline,
         cache: &dyn GroupAccess,
     ) -> Option<Lookup> {
+        let (row, rest) = self.meta_row(user_key, tl)?;
+        let group = self.locate_group(row, rest, tl);
+        let groups = group..row.first_group + row.group_count;
+        self.get_in_groups(groups, rest, user_key, snapshot, tl, cache)
+    }
+
+    /// [`PmTable::get_with_cache`] from `group`, which the caller found
+    /// without the prefix-layer search: a group at or before the one
+    /// holding the newest version of `user_key` (a DRAM key column's
+    /// [`crate::KeyColumn::group_of`]).
+    pub fn get_from_group(
+        &self,
+        user_key: &[u8],
+        snapshot: SequenceNumber,
+        group: u32,
+        tl: &mut Timeline,
+        cache: &dyn GroupAccess,
+    ) -> Option<Lookup> {
+        let (row, rest) = self.meta_row(user_key, tl)?;
+        // Every group of an earlier meta row sorts before the key.
+        let groups = group.max(row.first_group)..row.first_group + row.group_count;
+        self.get_in_groups(groups, rest, user_key, snapshot, tl, cache)
+    }
+
+    /// The meta row `user_key` falls in, searched in DRAM, and the key
+    /// with the row's meta prefix stripped.
+    fn meta_row<'k>(&self, user_key: &'k [u8], tl: &mut Timeline) -> Option<(&MetaRow, &'k [u8])> {
         if self.group_count == 0 {
             return None;
         }
@@ -437,13 +464,25 @@ impl<S: Storage> PmTable<S> {
             .metas
             .binary_search_by(|row| row.prefix.as_slice().cmp(meta))
             .ok()?;
-        let row = &self.metas[mid];
-        let group = self.locate_group(row, rest, tl);
-        // Scan forward from the earliest candidate group. Versions are
-        // laid out newest-first, so the first group with a visible
-        // (seq <= snapshot) entry holds the newest visible version.
-        let end = row.first_group + row.group_count;
-        for g in group..end {
+        Some((&self.metas[mid], rest))
+    }
+
+    /// Scan `groups` of one meta row forward from the earliest
+    /// candidate; `rest` is the key with the row's meta prefix stripped.
+    /// Versions are laid out newest-first, so the first group with a
+    /// visible (seq <= snapshot) entry holds the newest visible version.
+    fn get_in_groups(
+        &self,
+        groups: std::ops::Range<u32>,
+        rest: &[u8],
+        user_key: &[u8],
+        snapshot: SequenceNumber,
+        tl: &mut Timeline,
+        cache: &dyn GroupAccess,
+    ) -> Option<Lookup> {
+        let cpu = self.storage.cost_model().cpu;
+        let group = groups.start;
+        for g in groups {
             if g > group {
                 self.storage.meter_random(32, tl);
                 match self.cmp_group_first(g, rest) {
