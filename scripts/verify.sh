@@ -23,7 +23,7 @@ run() {
 }
 
 run cargo build --workspace --release
-run cargo test --workspace -q
+run cargo test --workspace -q --no-fail-fast
 # benchmark/ is a package of its own, so the workspace build never
 # compiles it: build it here, or a break of the API it calls by name
 # shows up only in the benchmark pipeline.
