@@ -260,12 +260,14 @@ impl DbCore {
         m.block_cache_used_bytes.set(self.cache.used() as i64);
         m.pm_group_cache_used_bytes
             .set(self.group_cache.used() as i64);
-        let (mut sketch_bytes, mut column_bytes, mut level0_bytes) = (0, 0, 0);
+        let (mut sketch_bytes, mut column_bytes, mut index_bytes) = (0, 0, 0);
+        let mut level0_bytes = 0;
         for (lock, m) in self.partitions.iter().zip(&m.partitions) {
             let p = lock.read();
             if let Some(l0) = p.level0.pm() {
                 sketch_bytes += l0.sketch_bytes() as i64;
                 column_bytes += l0.key_column_bytes() as i64;
+                index_bytes += l0.index_bytes() as i64;
             }
             let pm_l0_bytes = p.level0.bytes() as i64;
             level0_bytes += pm_l0_bytes;
@@ -276,6 +278,7 @@ impl DbCore {
         }
         m.pm_l0_sketch_bytes.set(sketch_bytes);
         m.pm_l0_key_column_bytes.set(column_bytes);
+        m.pm_l0_index_bytes.set(index_bytes);
         m.pm_pool_unreferenced_bytes
             .set(self.pool.used() as i64 - level0_bytes);
         let (mut counters, gauges, histograms) = self.registry.collect();

@@ -130,15 +130,11 @@ impl DbCore {
         })
     }
 
-    /// Fold one PM-L0 probe's sketch/filter/probe outcome and how its
-    /// table searches found their groups into the global counters and
-    /// the tables-probed-per-get distribution.
+    /// Fold one PM-L0 probe's sketch/filter/probe outcome into the
+    /// global counters and the tables-probed-per-get distribution.
     fn note_probe_stats(&self, probe: &ProbeStats) {
         let m = &self.metrics;
         m.pm_tables_probed.record_nanos(probe.tables_probed);
-        m.pm_get_column_located.add(probe.column_located);
-        let prefix_searched = probe.tables_probed - probe.column_located;
-        m.pm_get_prefix_searched.add(prefix_searched);
         if probe.filter_checked > 0 {
             m.pm_sketch_probes.add(probe.sketch_probes);
             m.pm_filter_checked.add(probe.filter_checked);

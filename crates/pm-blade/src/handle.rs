@@ -8,8 +8,8 @@ use encoding::key::SequenceNumber;
 use encoding::prefix::common_prefix_len;
 use pm_device::{PmError, PmRegion, RegionId};
 use pmtable::{
-    CodecMode, EntryRef, KeyColumn, Lookup, NoGroupCache, OwnedEntry, PmTable, PmTableBuilder,
-    PmTableError, TableKeys,
+    CodecMode, EntryRef, GroupFences, KeyColumn, Lookup, NoGroupCache, OwnedEntry, PmTable,
+    PmTableBuilder, PmTableError, TableKeys,
 };
 use sim::Timeline;
 use sstable::table::TableError;
@@ -69,6 +69,9 @@ pub struct PmTableHandle {
     /// this table's groups encode with. Feeds the Eq 1/Eq 2 decode
     /// terms and the manifest's per-table codec record.
     pub codec: u8,
+    /// The table's DRAM group fences, which every level-0 get finds its
+    /// group by.
+    pub fences: GroupFences,
     /// An unsorted table's DRAM key column, which a scan seeks it by
     /// (set by [`crate::level0::PmLevel0::push_unsorted`]).
     pub column: Option<Arc<KeyColumn>>,
@@ -212,7 +215,8 @@ pub fn merge_dedup(
 /// payload is self-describing; `first`/`last` are re-derived from it,
 /// and so are `max_seq` and the keys when the caller does not know
 /// them — by a full sequential pass, which ticks the PM device's read
-/// counters, so a build passes what it saw go in. A group that does not
+/// counters, so a build passes what it saw go in. The handle keeps the
+/// group fences the keys' column yields. A group that does not
 /// decode fails the reopen: the sequences behind it would go unseen. A
 /// fresh `cache_id` is minted — the group-decode cache starts empty
 /// after a restart, so no aliasing is possible.
@@ -258,6 +262,7 @@ pub fn reopen_pm_table(
         region: region_id,
         bytes,
         cache_id: ids.next(),
+        fences: keys.column.fences(),
         column: None,
     };
     Ok((handle, keys))

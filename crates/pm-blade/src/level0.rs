@@ -36,6 +36,13 @@
 //! - the sorted run's **fence keys** (each handle's first/last user key)
 //!   locate the single candidate table with one binary search.
 //!
+//! A table probe then finds its group by the table's DRAM **group
+//! fences** ([`pmtable::GroupFences`], on every handle, unsorted or
+//! sorted-run: each group's last key window, 8 bytes per group, filled
+//! from the same build or open pass as the sketch), charged one DRAM
+//! random read per 64-byte line, instead of binary-searching the
+//! table's prefix layer in PM.
+//!
 //! Scans have their own: each unsorted table's DRAM **key column**
 //! ([`pmtable::KeyColumn`], on its handle, filled from the same build or
 //! open pass as the sketch; 8 bytes per entry and 4 per group). A scan
@@ -85,10 +92,6 @@ pub struct ProbeStats {
     pub filter_false_positives: u64,
     /// Key-sketch lookups (0 or 1 per get).
     pub sketch_probes: u64,
-    /// Of `tables_probed`, the searches that found their group in the
-    /// table's DRAM key column; the rest searched its prefix layer in
-    /// PM (a sorted-run table has no column).
-    pub column_located: u64,
 }
 
 /// One get of the newest version: the key, the cache PM groups come
@@ -138,32 +141,25 @@ impl Search<'_> {
             .add(SpanKind::FilterConsult, nanos, 1, ruled_out);
     }
 
-    /// Search one table through the group cache. A table with a key
-    /// column finds its group there, charged one DRAM random read per
-    /// line the search touched; the sorted run's search their prefix
-    /// layer in PM. Its time is a decode hit when every group it
-    /// touched came out of the cache, a decode miss otherwise.
+    /// Search one table through the group cache, from the group its
+    /// DRAM fences name, charged one DRAM random read per line the
+    /// fence search touched. Its time is a decode hit when every group
+    /// it touched came out of the cache, a decode miss otherwise.
     fn table(&mut self, handle: &PmTableHandle, tl: &mut Timeline) -> Option<Lookup> {
         let key = self.probe.user_key;
         // A sketch false positive can name a table whose range misses
-        // the key, whose column window would then ignore the common
+        // the key, whose fence window would then ignore the common
         // prefix.
-        if handle.column.is_some() && !handle.overlaps_key(key) {
+        if !handle.overlaps_key(key) {
             return None;
         }
         self.stats.tables_probed += 1;
         let before = tl.elapsed().as_nanos();
         let access = TableGroupCache::new(self.probe.cache, handle.cache_id);
-        let (table, seq) = (&handle.table, SequenceNumber::MAX);
-        let hit = match handle.column.as_deref() {
-            Some(column) => {
-                self.stats.column_located += 1;
-                let (group, lines) = column.group_of(key);
-                tl.charge(table.cost_model().dram.random_read(64) * lines);
-                table.get_from_group(key, seq, group, tl, &access)
-            }
-            None => table.get_with_cache(key, seq, tl, &access),
-        };
+        let table = &handle.table;
+        let (group, lines) = handle.fences.group_of(key);
+        tl.charge(table.cost_model().dram.random_read(64) * lines);
+        let hit = table.get_from_group(key, SequenceNumber::MAX, group, tl, &access);
         let spent = tl.elapsed().as_nanos() - before;
         let (hits, misses) = (access.hits(), access.misses());
         let hit_nanos = if hits > 0 && misses == 0 { spent } else { 0 };
@@ -351,6 +347,15 @@ impl L0Version {
     pub fn key_column_bytes(&self) -> usize {
         let columns = self.unsorted.iter().filter_map(|h| h.column.as_deref());
         columns.map(|c| c.bytes()).sum()
+    }
+
+    /// DRAM every level-0 index takes: the key sketch, the key columns,
+    /// and each table's group fences and decoded bloom filter.
+    pub fn index_bytes(&self) -> usize {
+        let per_table = self
+            .tables()
+            .map(|h| h.fences.bytes() + h.table.filter_bytes());
+        self.sketch_bytes() + self.key_column_bytes() + per_table.sum::<usize>()
     }
 
     /// Index of the unique sorted-run table whose `[first, last]` range
@@ -900,7 +905,7 @@ pub(crate) mod tests {
     use crate::cursor::tests::drain;
     use crate::handle::{reopen_pm_table, CacheIds};
     use pm_device::PmPool;
-    use pmtable::{OwnedEntry, PmTableBuilder, PmTableOptions};
+    use pmtable::{NoGroupCache, OwnedEntry, PmTableBuilder, PmTableOptions};
     use proptest::collection::{btree_set, vec};
     use proptest::prelude::*;
     use sim::CostModel;
@@ -1304,7 +1309,28 @@ pub(crate) mod tests {
         assert_eq!(pool.stats().bytes_read.get(), before, "no group was read");
         let (hit, stats, _) = probe(&snap, b"p", &mut tl, &cache);
         assert_eq!(hit.unwrap().value, b"2");
-        assert_eq!((stats.column_located, stats.tables_probed), (1, 1));
+        assert_eq!(stats.tables_probed, 1);
+    }
+
+    #[test]
+    fn a_sorted_run_get_whose_group_is_cached_reads_no_pm() {
+        let pool = pool();
+        let cache = PmGroupCache::new(1 << 20);
+        let mut l0 = PmLevel0::new();
+        let entries = (0..64).map(|i| entry(&format!("k{i:04}"), i + 1, "v"));
+        l0.set_sorted_run(vec![table(&pool, entries.collect())]);
+        let snap = l0.version();
+        let (cold, _, _) = probe(&snap, b"k0040", &mut Timeline::new(), &cache);
+        assert_eq!(cold.unwrap().value, b"v");
+        let before = pool.stats().bytes_read.get();
+        let (warm, stats, _) = probe(&snap, b"k0040", &mut Timeline::new(), &cache);
+        assert_eq!(warm.unwrap().value, b"v");
+        assert_eq!((stats.tables_probed, cache.hits.get()), (1, 1));
+        assert_eq!(
+            pool.stats().bytes_read.get(),
+            before,
+            "the fences found the cached group: no prefix-layer read"
+        );
     }
 
     /// A user key from a small alphabet behind a meta prefix: long keys
@@ -1314,19 +1340,38 @@ pub(crate) mod tests {
         (0u8..2, rest).prop_map(|(meta, rest)| [&b"t0:"[..], &[b'0' + meta], &rest].concat())
     }
 
+    /// The first group holding an entry whose fence window — the 8
+    /// bytes after `prefix` — is at or past `key`'s, by a walk of every
+    /// group; the group count when there is none.
+    fn first_group_at_or_past(groups: &[Vec<Vec<u8>>], prefix: usize, key: &[u8]) -> u32 {
+        let window = |k: &[u8]| {
+            let rest = k.get(prefix..).unwrap_or_default();
+            let mut w = [0; 8];
+            let n = rest.len().min(8);
+            w[..n].copy_from_slice(&rest[..n]);
+            w
+        };
+        let at_or_past = |g: &Vec<Vec<u8>>| g.iter().any(|k| window(k) >= window(key));
+        groups.iter().position(at_or_past).unwrap_or(groups.len()) as u32
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// A get that finds its group in the table's key column returns
-        /// exactly what one that searches the prefix layer returns: for
-        /// every key in the table, with versions that straddle group
-        /// boundaries, and for keys absent from it, between two of its
-        /// keys and outside its first and last key.
+        /// A get that finds its group by the table's fences returns
+        /// exactly what one that searches the prefix layer returns, the
+        /// same entries installed once as an unsorted table and once as
+        /// a sorted run cut into one to three tables: for every key
+        /// written, with versions that straddle group boundaries, and
+        /// for keys absent from it, between two of its keys and outside
+        /// its first and last key. The fences name the first group with
+        /// an entry whose window is at or past the key's.
         #[test]
-        fn prop_column_located_gets_equal_prefix_searched_ones(
+        fn prop_fence_located_gets_equal_prefix_searched_ones(
             written in vec((column_key(), 1usize..7), 1..40),
             absent in vec(column_key(), 0..20),
             delimited in proptest::bool::ANY,
+            cuts in vec(0usize..40, 0..3),
         ) {
             let extractor = match delimited {
                 true => pmtable::MetaExtractor::Delimiter(b':'),
@@ -1341,21 +1386,59 @@ pub(crate) mod tests {
                     entries.push(OwnedEntry::value(key.clone(), seq, seq.to_le_bytes().to_vec()));
                 }
             }
+            entries.sort_by(|a, b| a.internal_cmp(b));
             let pool = pool();
-            let (handle, keys) = table_opts(&pool, entries, opts);
-            let table = handle.table.clone();
-            let mut l0 = PmLevel0::new();
-            l0.push_unsorted(handle, keys);
+            let (handle, keys) = table_opts(&pool, entries.clone(), opts);
+            let whole = handle.table.clone();
+            let mut unsorted = PmLevel0::new();
+            unsorted.push_unsorted(handle, keys);
+            // The run, cut between two user keys at the drawn points.
+            let key_starts: Vec<usize> = entries.iter().enumerate().skip(1)
+                .filter(|(i, e)| e.user_key != entries[i - 1].user_key)
+                .map(|(i, _)| i)
+                .collect();
+            let points: BTreeSet<usize> = cuts.iter()
+                .filter(|_| !key_starts.is_empty())
+                .map(|&c| key_starts[c % key_starts.len()])
+                .collect();
+            let starts: Vec<usize> = [0].into_iter().chain(points).chain([entries.len()]).collect();
+            // `table_opts` mints cache id 1, the unsorted table's.
+            let run: Vec<PmTableHandle> = starts.windows(2).zip(2..)
+                .map(|(w, cache_id)| PmTableHandle {
+                    cache_id,
+                    ..table_opts(&pool, entries[w[0]..w[1]].to_vec(), opts).0
+                })
+                .collect();
+            let mut sorted = PmLevel0::new();
+            sorted.set_sorted_run(run);
             let outside = [&b""[..], b"t0", b"t0:0", b"t0:1cccccccccccccccc", b"t1", b"\xff"];
-            let probes = written.iter().map(|(k, _)| k.as_slice())
+            let probes: Vec<&[u8]> = written.iter().map(|(k, _)| k.as_slice())
                 .chain(absent.iter().map(Vec::as_slice))
-                .chain(outside);
+                .chain(outside)
+                .collect();
             let cache = PmGroupCache::new(1 << 20);
-            for key in probes {
-                let (got, stats, _) = probe(&l0, key, &mut Timeline::new(), &cache);
-                let want = table.get(key, u64::MAX, &mut Timeline::new());
-                prop_assert_eq!(&got, &want, "{:?}", String::from_utf8_lossy(key));
-                prop_assert_eq!(stats.column_located, stats.tables_probed);
+            for key in &probes {
+                let want = whole.get(key, u64::MAX, &mut Timeline::new());
+                for l0 in [&unsorted, &sorted] {
+                    let (got, _, _) = probe(l0, key, &mut Timeline::new(), &cache);
+                    prop_assert_eq!(&got, &want, "{:?}", String::from_utf8_lossy(key));
+                }
+            }
+            // Each table's fences against a walk of its groups.
+            for h in unsorted.tables().chain(sorted.tables()) {
+                let mut groups: Vec<Vec<Vec<u8>>> = Vec::new();
+                let (mut cursor, tl) = (h.table.sequential_cursor::<NoGroupCache>(), &mut Timeline::new());
+                cursor.seek(b"", tl).unwrap();
+                while let Some(e) = cursor.current() {
+                    groups.resize_with(groups.len().max(cursor.group() as usize + 1), Vec::new);
+                    groups[cursor.group() as usize].push(e.user_key.to_vec());
+                    cursor.advance(tl).unwrap();
+                }
+                let prefix = encoding::prefix::common_prefix_len(&h.first, &h.last);
+                for key in probes.iter().filter(|k| h.overlaps_key(k)) {
+                    let (group, _) = h.fences.group_of(key);
+                    prop_assert_eq!(group, first_group_at_or_past(&groups, prefix, key));
+                }
             }
         }
     }

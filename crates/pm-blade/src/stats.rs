@@ -89,10 +89,6 @@ pub struct EngineMetrics {
     pub pm_filter_checked: Arc<Counter>,
     pub pm_filter_useful: Arc<Counter>,
     pub pm_filter_miss: Arc<Counter>,
-    /// PM-L0 table searches by how they found their group: the table's
-    /// DRAM key column, or its prefix layer in PM.
-    pub pm_get_column_located: Arc<Counter>,
-    pub pm_get_prefix_searched: Arc<Counter>,
     /// Distribution of PM tables actually probed per PM-L0 lookup (a
     /// count, not a duration).
     pub pm_tables_probed: Arc<LatencyRecorder>,
@@ -119,10 +115,12 @@ pub struct EngineMetrics {
     pub(crate) pm_used_bytes: Arc<Gauge>,
     pub(crate) block_cache_used_bytes: Arc<Gauge>,
     pub(crate) pm_group_cache_used_bytes: Arc<Gauge>,
-    /// DRAM held by every partition's PM-L0 key sketch, and by its
-    /// unsorted tables' key columns.
+    /// DRAM held by every partition's PM-L0 key sketch, by its
+    /// unsorted tables' key columns, and by every PM-L0 index: those
+    /// two plus each table's group fences and decoded bloom filter.
     pub(crate) pm_l0_sketch_bytes: Arc<Gauge>,
     pub(crate) pm_l0_key_column_bytes: Arc<Gauge>,
+    pub(crate) pm_l0_index_bytes: Arc<Gauge>,
     /// Pool bytes in use that no live level-0 references: 0 at
     /// quiescence, when every region is a level-0 table or matrix row.
     pub(crate) pm_pool_unreferenced_bytes: Arc<Gauge>,
@@ -190,8 +188,6 @@ impl EngineMetrics {
             pm_filter_checked: counter("pm_filter_checked_total"),
             pm_filter_useful: counter("pm_filter_useful_total"),
             pm_filter_miss: counter("pm_filter_miss_total"),
-            pm_get_column_located: counter("pm_get_column_located_total"),
-            pm_get_prefix_searched: counter("pm_get_prefix_searched_total"),
             pm_tables_probed: histogram("pm_tables_probed_per_get"),
             pm_scan_tables: counter("pm_scan_tables_total"),
             pm_scan_tables_sought: counter("pm_scan_tables_sought_total"),
@@ -206,6 +202,7 @@ impl EngineMetrics {
             pm_group_cache_used_bytes: gauge("pm_group_cache_used_bytes"),
             pm_l0_sketch_bytes: gauge("pm_l0_sketch_bytes"),
             pm_l0_key_column_bytes: gauge("pm_l0_key_column_bytes"),
+            pm_l0_index_bytes: gauge("pm_l0_index_bytes"),
             pm_pool_unreferenced_bytes: gauge("pm_pool_unreferenced_bytes"),
             partitions: (0..partitions)
                 .map(|pid| PartitionMetrics::register(registry, pid))
@@ -332,8 +329,8 @@ mod tests {
         // Every field is registered: the global series plus, for each
         // partition, four read counters, the level-1 SSD source and
         // four gauges.
-        assert_eq!(counters.len(), 37 + 2 * 5);
-        assert_eq!(gauges.len(), 6 + 2 * 4);
+        assert_eq!(counters.len(), 35 + 2 * 5);
+        assert_eq!(gauges.len(), 7 + 2 * 4);
         assert_eq!(histograms.len(), 8);
     }
 }

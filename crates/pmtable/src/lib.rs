@@ -28,9 +28,9 @@ pub mod storage;
 pub use array_table::ArrayCursor;
 pub use array_table::{ArrayTable, ArrayTableBuilder};
 pub use pm_table::{
-    CodecMode, ColumnSeek, GroupAccess, GroupLoad, KeyColumn, MetaExtractor, NoGroupCache,
-    PmCursor, PmTable, PmTableBuilder, PmTableError, PmTableOptions, TableKeys, CODEC_COUNT,
-    CODEC_DELTA, CODEC_FIXED, CODEC_NAMES, CODEC_PREFIX,
+    CodecMode, ColumnSeek, GroupAccess, GroupFences, GroupLoad, KeyColumn, MetaExtractor,
+    NoGroupCache, PmCursor, PmTable, PmTableBuilder, PmTableError, PmTableOptions, TableKeys,
+    CODEC_COUNT, CODEC_DELTA, CODEC_FIXED, CODEC_NAMES, CODEC_PREFIX,
 };
 pub use storage::{DramBuf, Storage};
 

@@ -1,12 +1,26 @@
-//! The DRAM key column a level-0 scan seeks an unsorted table by.
+//! The DRAM key indexes of a level-0 table: the key column a scan
+//! seeks an unsorted table by, and the group fences every get finds its
+//! group by.
+
+use std::sync::Arc;
 
 /// Key bytes a [`KeyColumn`] keeps per entry.
 const WINDOW: usize = 8;
 
-/// A table's keys in DRAM, searched instead of its prefix layer: per
-/// entry, the 8 bytes after the table's common prefix (the LCP of its
-/// first and last key) as a big-endian `u64`, zero-padded past the
-/// key's end; per group, the index of its first entry. A larger key
+/// The 8 bytes of `key` after a table's common prefix of `prefix`
+/// bytes, as a big-endian `u64`, zero-padded past the key's end.
+fn window(prefix: usize, key: &[u8]) -> u64 {
+    let rest = key.get(prefix..).unwrap_or_default();
+    let mut window = [0; WINDOW];
+    let n = rest.len().min(WINDOW);
+    window[..n].copy_from_slice(&rest[..n]);
+    u64::from_be_bytes(window)
+}
+
+/// A table's keys in DRAM, which a scan searches instead of its prefix
+/// layer: per entry, the 8 bytes after the table's common prefix (the
+/// LCP of its first and last key) as a big-endian `u64`, zero-padded
+/// past the key's end; per group, the index of its first entry. A larger key
 /// never has a smaller window, so a binary search over the windows
 /// finds where a seek lands without reading PM. 8 bytes per entry, 4
 /// per group.
@@ -76,15 +90,7 @@ impl KeyColumn {
         while self.group_starts.len() <= group as usize {
             self.group_starts.push(self.windows.len() as u32);
         }
-        self.windows.push(self.window(key));
-    }
-
-    fn window(&self, key: &[u8]) -> u64 {
-        let rest = key.get(self.prefix..).unwrap_or_default();
-        let mut window = [0; WINDOW];
-        let n = rest.len().min(WINDOW);
-        window[..n].copy_from_slice(&rest[..n]);
-        u64::from_be_bytes(window)
+        self.windows.push(window(self.prefix, key));
     }
 
     /// Length of the table's common prefix, which every bound a seek
@@ -99,22 +105,18 @@ impl KeyColumn {
             + std::mem::size_of_val(self.group_starts.as_slice())
     }
 
-    /// The group a get of `key` starts in, and the 64-byte lines the
-    /// search touched, for a `key` within the table's first and last
-    /// key: the group of the first entry whose window is at or past
-    /// `key`'s. On a tie that is the tie's first entry, which sorts
-    /// before `key` or is its newest version, so a get can start there
-    /// and walk forward. Every group when the column holds no entry
-    /// (`0`); none when every window sorts before `key`'s (the group
-    /// count).
-    pub fn group_of(&self, key: &[u8]) -> (u32, u64) {
-        let key = self.window(key);
-        let (i, lines) = search(&self.windows, |w| w < key);
-        if i == self.windows.len() {
-            return (self.group_starts.len() as u32, lines);
+    /// The table's [`GroupFences`]: each group's last window.
+    pub fn fences(&self) -> GroupFences {
+        let next_starts = self.group_starts.get(1..).unwrap_or_default();
+        let ends = next_starts.iter().map(|&next| next as usize);
+        let ends = ends.chain([self.windows.len()]);
+        // An empty group (only in a damaged table) repeats the fence
+        // before it, so the fences stay sorted.
+        let last = |end: usize| self.windows[..end].last().copied().unwrap_or(0);
+        GroupFences {
+            prefix: self.prefix,
+            lasts: ends.map(last).collect(),
         }
-        let (groups, group_lines) = search(&self.group_starts, |first| first as usize <= i);
-        ((groups - 1) as u32, lines + group_lines)
     }
 
     /// Find the first entry with user key >= `start` in the table whose
@@ -132,7 +134,7 @@ impl KeyColumn {
                 ..ColumnSeek::default()
             };
         }
-        let key = self.window(start);
+        let key = window(self.prefix, start);
         let (i, mut lines) = search(&self.windows, |w| w < key);
         let (groups, group_lines) = search(&self.group_starts, |first| first as usize <= i);
         lines += group_lines;
@@ -166,10 +168,42 @@ impl KeyColumn {
     }
 }
 
+/// A table's groups in DRAM, searched instead of its prefix layer by a
+/// get: per group, the [`KeyColumn`] window of its last key. A larger
+/// key never has a smaller window, so the first group whose last window
+/// is at or past a key's holds the first entry whose window is. 8 bytes
+/// per group, half a byte per entry at 16 entries to a group. Cloning
+/// them is a refcount bump.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct GroupFences {
+    prefix: usize,
+    lasts: Arc<[u64]>,
+}
+
+impl GroupFences {
+    /// The group a get of `key` starts in, and the 64-byte lines the
+    /// search touched, for a `key` within the table's first and last
+    /// key: the group of the first entry whose window is at or past
+    /// `key`'s. On a tie that is the tie's first entry, which sorts
+    /// before `key` or is its newest version, so a get can start there
+    /// and walk forward. No group when every window sorts before
+    /// `key`'s (the group count).
+    pub fn group_of(&self, key: &[u8]) -> (u32, u64) {
+        let key = window(self.prefix, key);
+        let (group, lines) = search(&self.lasts, |last| last < key);
+        (group as u32, lines)
+    }
+
+    /// DRAM the fences take.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.lasts)
+    }
+}
+
 /// What building a table, or re-reading one, learns of its keys for
 /// level-0's DRAM indexes: the [`encoding::bloom::BloomFilter::hashes`]
 /// of its distinct user keys (none when it has no filter) and its
-/// [`KeyColumn`].
+/// [`KeyColumn`], from which its [`GroupFences`] are drawn.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TableKeys {
     pub hashes: Vec<(u64, u64)>,

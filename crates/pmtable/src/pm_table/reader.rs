@@ -396,6 +396,11 @@ impl<S: Storage> PmTable<S> {
         self.filter.is_some()
     }
 
+    /// DRAM the decoded bloom filter takes; 0 without one.
+    pub fn filter_bytes(&self) -> usize {
+        self.filter.as_ref().map_or(0, BloomFilter::encoded_len)
+    }
+
     /// The cost model the table's storage charges reads under.
     pub fn cost_model(&self) -> &sim::CostModel {
         self.storage.cost_model()
@@ -434,8 +439,8 @@ impl<S: Storage> PmTable<S> {
 
     /// [`PmTable::get_with_cache`] from `group`, which the caller found
     /// without the prefix-layer search: a group at or before the one
-    /// holding the newest version of `user_key` (a DRAM key column's
-    /// [`crate::KeyColumn::group_of`]).
+    /// holding the newest version of `user_key` (its DRAM
+    /// [`crate::GroupFences::group_of`]).
     pub fn get_from_group(
         &self,
         user_key: &[u8],

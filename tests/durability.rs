@@ -402,7 +402,12 @@ fn a_reopen_rebuilds_the_key_sketch_and_reads_no_more_pm() {
     };
     let dram_bytes = |db: &Db| {
         let gauges = db.metrics_snapshot().gauges;
-        ["pm_l0_sketch_bytes", "pm_l0_key_column_bytes"].map(|g| gauges[&MetricKey::global(g)])
+        let names = [
+            "pm_l0_sketch_bytes",
+            "pm_l0_key_column_bytes",
+            "pm_l0_index_bytes",
+        ];
+        names.map(|g| gauges[&MetricKey::global(g)])
     };
     let (answers, rows, bytes);
     {
@@ -429,7 +434,7 @@ fn a_reopen_rebuilds_the_key_sketch_and_reads_no_more_pm() {
     assert_eq!(
         dram_bytes(&db),
         bytes,
-        "the reopen rebuilt the same sketch and key columns"
+        "the reopen rebuilt the same sketch, key columns and fences"
     );
     assert_eq!(gets(&db), answers);
     let probes = db.metrics_snapshot().counter("pm_l0_sketch_probes_total");
@@ -437,6 +442,57 @@ fn a_reopen_rebuilds_the_key_sketch_and_reads_no_more_pm() {
     assert_eq!(scans(&db), rows);
     let held = db.metrics_snapshot().counter("pm_scan_tables_total");
     assert!(held > 0, "the scans held tables by their key columns");
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every level-0 table, unsorted or in the sorted run, gets back its
+/// group fences on a reopen, and they take at most a byte per level-0
+/// entry. Without filters there is no sketch and no filter, so the
+/// index gauge is the key columns plus the fences.
+#[test]
+fn a_reopen_rebuilds_group_fences_within_a_byte_per_entry() {
+    let dir = scratch_dir("fences");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut opts = tiny_options(Mode::PmBlade);
+    opts.wal_dir = Some(dir.clone());
+    opts.pm_filter_bits_per_key = 0;
+    opts.l0_unsorted_hard_cap = 64;
+    let gauge_sum = |db: &Db, name: &str| -> i64 {
+        let snap = db.metrics_snapshot();
+        let gauges = snap.gauges.iter().filter(|(key, _)| key.name == name);
+        gauges.map(|(_, &v)| v).sum()
+    };
+    let fence_bytes =
+        |db: &Db| gauge_sum(db, "pm_l0_index_bytes") - gauge_sum(db, "pm_l0_key_column_bytes");
+    // Distinct keys, none of which leaves level-0: one entry each.
+    let keys = 600u64;
+    let fences;
+    {
+        let db = Db::open(opts.clone()).unwrap();
+        for i in 0..keys {
+            db.put(&key_for(i), &value_for(i, 48)).unwrap();
+            if i == keys / 2 {
+                db.compact(CompactionRequest::FlushAll).unwrap();
+                db.compact(CompactionRequest::Internal { partition: 0 })
+                    .unwrap();
+            }
+        }
+        db.compact(CompactionRequest::FlushAll).unwrap();
+        fences = fence_bytes(&db);
+    }
+    let db = Db::open(opts).unwrap();
+    assert_eq!(pm_unreferenced_bytes(&db), 0);
+    assert_eq!(
+        gauge_sum(&db, "ssd_level_bytes"),
+        0,
+        "level-0 holds every key"
+    );
+    assert_eq!(fence_bytes(&db), fences, "the reopen rebuilt every fence");
+    assert!(
+        fences > 0 && fences as u64 <= keys,
+        "{fences} fence bytes for {keys} level-0 entries"
+    );
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -280,8 +280,8 @@ fn fold_span(out: &mut Vec<u8>, s: &TraceSpan) {
 /// which numbers. Span ids are left out: they number the spans, they
 /// do not describe the work.
 const SPAN_SEQUENCE_PINS: [(Mode, u32); 4] = [
-    (Mode::PmBlade, 4_100_155_344),
-    (Mode::PmBladePm, 376_969_692),
+    (Mode::PmBlade, 737_553_169),
+    (Mode::PmBladePm, 2_483_083_200),
     (Mode::MatrixKv, 1_557_039_122),
     (Mode::SsdLevel0, 3_009_319_333),
 ];

@@ -195,6 +195,7 @@ fn prometheus_rendering_matches_golden() {
     counters.insert(MetricKey::global("pm_scan_tables_total"), 30);
     let mut gauges = BTreeMap::new();
     gauges.insert(MetricKey::global("maintenance_queue_depth"), 3);
+    gauges.insert(MetricKey::global("pm_l0_index_bytes"), 14_336);
     gauges.insert(MetricKey::global("pm_l0_key_column_bytes"), 8_512);
     gauges.insert(MetricKey::global("pm_l0_sketch_bytes"), 4_096);
     gauges.insert(MetricKey::global("pm_pool_unreferenced_bytes"), 0);
@@ -222,6 +223,8 @@ pmblade_pm_scan_tables_total 30
 pmblade_read_source_ssd{partition=\"1\",level=\"2\"} 3
 # TYPE pmblade_maintenance_queue_depth gauge
 pmblade_maintenance_queue_depth 3
+# TYPE pmblade_pm_l0_index_bytes gauge
+pmblade_pm_l0_index_bytes 14336
 # TYPE pmblade_pm_l0_key_column_bytes gauge
 pmblade_pm_l0_key_column_bytes 8512
 # TYPE pmblade_pm_l0_sketch_bytes gauge
@@ -538,8 +541,6 @@ const SERIES: &[(&str, &str, &str)] = &[
     ("counter", "pm_filter_checked_total", ""),
     ("counter", "pm_filter_miss_total", ""),
     ("counter", "pm_filter_useful_total", ""),
-    ("counter", "pm_get_column_located_total", ""),
-    ("counter", "pm_get_prefix_searched_total", ""),
     ("counter", "pm_group_cache_evictions_total", ""),
     ("counter", "pm_group_cache_hit_total", ""),
     ("counter", "pm_group_cache_invalidations_total", ""),
@@ -592,6 +593,7 @@ const SERIES: &[(&str, &str, &str)] = &[
     ("gauge", "pm_group_cache_used_bytes", ""),
     ("gauge", "pm_l0_bytes", "{partition=\"0\"}"),
     ("gauge", "pm_l0_bytes", "{partition=\"1\"}"),
+    ("gauge", "pm_l0_index_bytes", ""),
     ("gauge", "pm_l0_key_column_bytes", ""),
     ("gauge", "pm_l0_sketch_bytes", ""),
     ("gauge", "pm_pool_unreferenced_bytes", ""),

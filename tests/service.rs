@@ -985,6 +985,8 @@ fn debug_endpoint_serves_flight_recorder_and_queue_state() {
     assert!(response.contains("pm_scan_tables_total"));
     assert!(response.contains("pm_scan_tables_sought_total"));
     assert!(response.contains("pm_l0_key_column_bytes"));
+    // And every level-0 index together: sketch, columns, fences, filters.
+    assert!(response.contains("pm_l0_index_bytes"));
 
     server.shutdown();
 }
