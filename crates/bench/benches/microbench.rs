@@ -190,7 +190,6 @@ fn bench_scan_merge(c: &mut Criterion) {
     use pm_blade::costmodel::CodecCostTable;
     use pm_blade::cursor::{merge_into, Cursor, MergingIter, PmRun, ScanStats};
     use pm_blade::handle::{PmRunWriter, PmTableHandle};
-    use pmtable::TableKeys;
     let cost = CostModel::default();
     let pool = pm_device::PmPool::new(64 << 20, cost);
     let ids = pm_blade::handle::CacheIds::new();
@@ -211,13 +210,18 @@ fn bench_scan_merge(c: &mut Criterion) {
         retire_errors: &errors,
     };
     let run_writer = |max_bytes| PmRunWriter::new(&media, max_bytes);
-    let tables: Vec<(PmTableHandle, TableKeys)> = (0..30)
+    // Each table holds its key column, as an unsorted table does.
+    let tables: Vec<PmTableHandle> = (0..30)
         .flat_map(|source| {
             let mut writer = run_writer(usize::MAX);
             for e in all.iter().skip(source).step_by(30) {
                 writer.add(e.as_ref(), &mut Timeline::new()).unwrap();
             }
             writer.finish(&mut Timeline::new()).unwrap()
+        })
+        .map(|(table, keys)| PmTableHandle {
+            column: Some(std::sync::Arc::new(keys.column)),
+            ..table
         })
         .collect();
     let cache = pm_blade::PmGroupCache::new(4 << 20);
@@ -226,9 +230,8 @@ fn bench_scan_merge(c: &mut Criterion) {
         let mut i = 0;
         b.iter(|| {
             i += 1;
-            let cursors = tables.iter().map(|(table, keys)| {
-                let (run, column) = (std::slice::from_ref(table), Some(&keys.column));
-                Cursor::Pm(PmRun::new(run, column, None, Some(&cache)))
+            let cursors = tables.iter().map(|table| {
+                Cursor::Pm(PmRun::new(std::slice::from_ref(table), None, Some(&cache)))
             });
             let (mut stats, mut tl) = (ScanStats::default(), Timeline::new());
             let mut rows = MergingIter::new(
@@ -251,8 +254,8 @@ fn bench_scan_merge(c: &mut Criterion) {
     let errors = sim::Counter::new();
     c.bench_function("compaction/stream_internal_30_tables", |b| {
         b.iter(|| {
-            let runs = tables.iter().map(|(table, _)| std::slice::from_ref(table));
-            let cursors = runs.map(|run| Cursor::Pm(PmRun::new(run, None, None, None)));
+            let runs = tables.iter().map(std::slice::from_ref);
+            let cursors = runs.map(|run| Cursor::Pm(PmRun::new(run, None, None)));
             let (mut tl, mut writer) = (Timeline::new(), run_writer(256 << 10));
             let sink = |e: pmtable::EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
             merge_into(cursors, false, &cost, &errors, &mut tl, sink).unwrap();

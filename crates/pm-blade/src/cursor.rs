@@ -13,8 +13,8 @@
 //! search of the table's DRAM key column, which yields a lower bound on
 //! its first key at or past the scan's start, and the heap holds the
 //! table under that bound until the bound reaches the top. Only then is
-//! the table opened, so a scan's PM work follows the rows it returns,
-//! not the unsorted-table count.
+//! the table opened, from the group its DRAM fences name, so a scan's
+//! PM work follows the rows it returns, not the unsorted-table count.
 //!
 //! Compactions are the same merge run to the end ([`merge_into`]) over
 //! cursors that read their tables front to back, into a run writer.
@@ -22,7 +22,7 @@
 use encoding::key::KeyKind;
 use memtable::MemCursor;
 use pm_device::PmRegion;
-use pmtable::{ArrayCursor, ColumnSeek, EntryRef, GroupLoad, KeyColumn, PmCursor};
+use pmtable::{ArrayCursor, ColumnSeek, EntryRef, GroupLoad, PmCursor};
 use sim::{SimDuration, Timeline};
 use sstable::SsCursor;
 
@@ -100,25 +100,29 @@ impl<'a> Cursor<'a> {
 /// compaction's input) each table is read sequentially, see
 /// [`pmtable::PmTable::sequential_cursor`].
 ///
-/// A scan's run of one unsorted table comes with the table's
-/// [`KeyColumn`], and its seek *holds* the table instead of opening it:
+/// A table is opened one way: from the group its DRAM
+/// [`pmtable::GroupFences`] name for the seek key, charged one DRAM
+/// random read per 64-byte line, or from group 0 when the key is at or
+/// before the table's first key (a step onto the run's next table
+/// seeks the empty key). It never searches the table's prefix layer.
+///
+/// A scan's run holds an unsorted table by the [`pmtable::KeyColumn`]
+/// on its handle (sorted-run handles carry none) instead of opening it:
 /// one search of the column in DRAM yields a lower bound on the table's
 /// first key >= the seek key, which the merge keeps in its heap until
-/// it reaches the top. Only then does the next step open the table —
-/// one group load, from the group the column named, with no
-/// prefix-layer search. The bound is the table's first key when that
-/// is >= the seek key; else the column's window of the first key >= the
-/// seek key behind the table's common prefix, trimmed of trailing zero
-/// bytes (a prefix of that key), or the seek key itself when that window
-/// ties with the seek key's. It is never below the seek key, nor above
-/// the table's first key at or past it.
+/// it reaches the top. Only then does the next step open the table.
+/// The bound is the table's first key when that is >= the seek key;
+/// else the column's window of the first key >= the seek key behind
+/// the table's common prefix, trimmed of trailing zero bytes (a prefix
+/// of that key), or the seek key itself when that window ties with the
+/// seek key's. It is never below the seek key, nor above the table's
+/// first key at or past it.
 pub struct PmRun<'a> {
     tables: &'a [PmTableHandle],
     /// The table opened when `cur` runs out.
     next: usize,
     end: Option<&'a [u8]>,
     cache: Option<&'a PmGroupCache>,
-    column: Option<&'a KeyColumn>,
     held: Option<Held<'a>>,
     cur: Option<PmCursor<'a, PmRegion, TableGroupCache<'a>>>,
 }
@@ -133,7 +137,6 @@ struct Held<'a> {
 impl<'a> PmRun<'a> {
     pub fn new(
         tables: &'a [PmTableHandle],
-        column: Option<&'a KeyColumn>,
         end: Option<&'a [u8]>,
         cache: Option<&'a PmGroupCache>,
     ) -> Self {
@@ -142,7 +145,6 @@ impl<'a> PmRun<'a> {
             next: tables.len(),
             end,
             cache,
-            column,
             held: None,
             cur: None,
         }
@@ -163,7 +165,8 @@ impl<'a> PmRun<'a> {
             let table = self.tables.get(self.next);
             self.cur = match table.filter(|h| self.end.is_none_or(|e| &*h.first < e)) {
                 Some(h) => {
-                    if let (Some(start), Some(column)) = (seek, self.column) {
+                    let column = h.column.as_deref().filter(|_| self.cache.is_some());
+                    if let (Some(start), Some(column)) = (seek, column) {
                         // Hold the table: one DRAM read per 64-byte line
                         // the column search touched.
                         let seek = column.seek(&h.first, start);
@@ -177,18 +180,22 @@ impl<'a> PmRun<'a> {
                         return Ok(SpanKind::FilterConsult);
                     }
                     self.next += 1;
+                    let start = match self.held.take() {
+                        Some(held) => held.start,
+                        None => seek.unwrap_or_default(),
+                    };
+                    let group = if start <= &*h.first {
+                        0
+                    } else {
+                        let (group, lines) = h.fences.group_of(start);
+                        tl.charge(h.table.cost_model().dram.random_read(64) * lines);
+                        group
+                    };
                     let mut c = match self.cache {
                         Some(cache) => h.table.cursor(TableGroupCache::new(cache, h.cache_id)),
                         None => h.table.sequential_cursor(),
                     };
-                    let sought = match self.held.take() {
-                        Some(Held { start, seek, .. }) => match seek.group {
-                            Some(group) => c.seek_from(group, start, tl),
-                            None => c.seek(start, tl),
-                        },
-                        None => c.seek(seek.unwrap_or_default(), tl),
-                    };
-                    load = load.max(sought.map_err(corrupt)?);
+                    load = load.max(c.seek(group, start, tl).map_err(corrupt)?);
                     Some(c)
                 }
                 None => {
@@ -504,6 +511,7 @@ pub(crate) mod tests {
     use proptest::collection::{btree_set, vec};
     use proptest::prelude::*;
     use sim::CostModel;
+    use std::collections::BTreeSet;
 
     /// Everything a merge over `cursors` yields for `[start, end)`.
     pub(crate) fn drain<'a>(
@@ -622,18 +630,21 @@ pub(crate) mod tests {
         }
 
         /// Over a level-0 of up to 40 unsorted tables (and maybe a sorted
-        /// run) whose keys tie on their column window, hold zero bytes
-        /// and run shorter than it, with one key's versions and
-        /// tombstones spread across tables, a scan's merge over deferred
-        /// tables yields what one over eager cursors does — from a start
-        /// before, inside and after every table, to no end or a bounded
-        /// one, whole (a reverse scan keeps the tail of this pass) or
-        /// cut at a limit. Every bound a seek leaves lies between the
-        /// seek key and the table's first key at or past it.
+        /// run cut into one to three tables) whose keys tie on their
+        /// column window, hold zero bytes and run shorter than it, with
+        /// one key's versions and tombstones spread across tables, a
+        /// scan's merge over deferred tables yields what one over eager
+        /// cursors does, and both what a merge of every table's full
+        /// contents does — from a start before, inside and after every
+        /// table, to no end or a bounded one, whole (a reverse scan
+        /// keeps the tail of this pass) or cut at a limit. Every bound a
+        /// seek leaves lies between the seek key and the table's first
+        /// key at or past it.
         #[test]
         fn prop_deferred_tables_merge_like_eager_ones(
             keys in btree_set(key(), 1..24),
             in_run in vec(proptest::bool::ANY, 24),
+            cuts in vec(0usize..24, 0..3),
             tables in vec(vec((0usize..24, 0u8..5), 1..12), 0..40),
             group_size in 2usize..5,
             drop_tombstones in proptest::bool::ANY,
@@ -654,9 +665,11 @@ pub(crate) mod tests {
                 let (table, keys) = table_opts(&pool, entries, opts);
                 (crate::handle::PmTableHandle { cache_id: ids.next(), ..table }, keys)
             };
-            if !run.is_empty() {
-                l0.set_sorted_run(vec![new_table(run).0]);
-            }
+            // The run, cut between two of its keys at the drawn points.
+            let points: BTreeSet<usize> = cuts.iter().map(|&c| c % run.len().max(1)).collect();
+            let bounds: Vec<usize> = [0].into_iter().chain(points).chain([run.len()]).collect();
+            let pieces = bounds.windows(2).map(|w| &run[w[0]..w[1]]).filter(|p| !p.is_empty());
+            l0.set_sorted_run(pieces.map(|p| new_table(p.to_vec()).0).collect());
             for table in &tables {
                 let entries = table.iter().map(|&(k, kind)| {
                     seq += 1;
@@ -673,7 +686,7 @@ pub(crate) mod tests {
             for k in &keys {
                 starts.extend([k.clone(), [k.as_slice(), b"\0"].concat(), k[..k.len() - 1].to_vec()]);
             }
-            let cache = PmGroupCache::new(1 << 20);
+            let (cache, cost) = (PmGroupCache::new(1 << 20), CostModel::default());
             for start in &starts {
                 let end_key = &starts[end_at % starts.len()];
                 for end in [None, Some(end_key.as_slice()).filter(|e| *e > start.as_slice())] {
@@ -681,6 +694,14 @@ pub(crate) mod tests {
                     let (rows, stats) = merge_rows(deferred, start, end, drop_tombstones, usize::MAX);
                     let eager = drain(l0.cursors(usize::MAX, end, None).collect(), start, end, drop_tombstones);
                     prop_assert_eq!(&rows, &eager);
+                    let in_range = |e: &OwnedEntry| {
+                        e.user_key.as_slice() >= start.as_slice() && end.is_none_or(|end| e.user_key.as_slice() < end)
+                    };
+                    let whole = l0.tables().map(|h| {
+                        h.table.scan_all(&mut Timeline::new()).into_iter().filter(in_range).collect()
+                    });
+                    let reference = merge_dedup(whole.collect(), drop_tombstones, &cost, &mut Timeline::new());
+                    prop_assert_eq!(&eager, &reference);
                     prop_assert!(stats.tables_opened <= stats.tables_held);
                     let deferred = l0.cursors(usize::MAX, end, Some(&cache)).collect();
                     let (first, _) = merge_rows(deferred, start, end, drop_tombstones, limit);
@@ -690,8 +711,7 @@ pub(crate) mod tests {
             for h in l0.unsorted() {
                 let entries = h.table.scan_all(&mut Timeline::new());
                 for start in &starts {
-                    let (table, column) = (std::slice::from_ref(h), h.column.as_deref());
-                    let mut cursor = PmRun::new(table, column, None, Some(&cache));
+                    let mut cursor = PmRun::new(std::slice::from_ref(h), None, Some(&cache));
                     cursor.step(Some(start), &mut Timeline::new()).unwrap();
                     let target = entries.iter().find(|e| e.user_key >= *start);
                     match (bound(&cursor), target) {

@@ -69,9 +69,9 @@ pub struct PmTableHandle {
     /// this table's groups encode with. Feeds the Eq 1/Eq 2 decode
     /// terms and the manifest's per-table codec record.
     pub codec: u8,
-    /// The table's DRAM group fences, which every level-0 get finds its
-    /// group by.
-    pub fences: GroupFences,
+    /// The table's DRAM group fences, which every level-0 get and scan
+    /// seek finds its group by.
+    pub fences: Arc<GroupFences>,
     /// An unsorted table's DRAM key column, which a scan seeks it by
     /// (set by [`crate::level0::PmLevel0::push_unsorted`]).
     pub column: Option<Arc<KeyColumn>>,
@@ -215,11 +215,12 @@ pub fn merge_dedup(
 /// payload is self-describing; `first`/`last` are re-derived from it,
 /// and so are `max_seq` and the keys when the caller does not know
 /// them — by a full sequential pass, which ticks the PM device's read
-/// counters, so a build passes what it saw go in. The handle keeps the
-/// group fences the keys' column yields. A group that does not
-/// decode fails the reopen: the sequences behind it would go unseen. A
-/// fresh `cache_id` is minted — the group-decode cache starts empty
-/// after a restart, so no aliasing is possible.
+/// counters, so a build passes what it saw go in. The handle takes the
+/// keys' group fences, and the hashes and the key column are handed
+/// back. A group that does not decode fails the reopen: the sequences
+/// behind it would go unseen. A fresh `cache_id` is minted — the
+/// group-decode cache starts empty after a restart, so no aliasing is
+/// possible.
 pub fn reopen_pm_table(
     region: PmRegion,
     built: Option<(SequenceNumber, TableKeys)>,
@@ -231,25 +232,25 @@ pub fn reopen_pm_table(
     let empty = || format!("region {region_id}: empty table");
     let first = table.first_user_key().ok_or_else(empty)?;
     let last = table.last_user_key().ok_or_else(empty)?;
-    let (max_seq, keys) = match built {
+    let (max_seq, mut keys) = match built {
         Some(known) => known,
         None => {
-            let (mut seq, mut hashes, mut tl) = (0, Vec::new(), Timeline::new());
+            let (mut seq, mut tl) = (0, Timeline::new());
             let (entries, groups) = (table.entry_count(), table.group_count() as usize);
-            let mut column = KeyColumn::new(common_prefix_len(first, last), entries, groups);
+            let mut keys = TableKeys::new(common_prefix_len(first, last), entries, groups);
             let mut cursor = table.sequential_cursor::<NoGroupCache>();
-            cursor.seek(b"", &mut tl).map_err(corrupt)?;
+            cursor.seek(0, b"", &mut tl).map_err(corrupt)?;
             while let Some(e) = cursor.current() {
                 seq = seq.max(e.seq);
-                column.push(cursor.group(), e.user_key);
+                keys.push(cursor.group(), e.user_key);
                 // A key's versions are adjacent: one pair per key.
                 let key = table.has_filter().then(|| BloomFilter::hashes(e.user_key));
-                if let Some(key) = key.filter(|key| hashes.last() != Some(key)) {
-                    hashes.push(key);
+                if let Some(key) = key.filter(|key| keys.hashes.last() != Some(key)) {
+                    keys.hashes.push(key);
                 }
                 cursor.advance(&mut tl).map_err(corrupt)?;
             }
-            (seq, TableKeys { hashes, column })
+            (seq, keys)
         }
     };
     let handle = PmTableHandle {
@@ -262,7 +263,7 @@ pub fn reopen_pm_table(
         region: region_id,
         bytes,
         cache_id: ids.next(),
-        fences: keys.column.fences(),
+        fences: Arc::new(std::mem::take(&mut keys.fences)),
         column: None,
     };
     Ok((handle, keys))
@@ -743,13 +744,15 @@ pub(crate) mod tests {
         assert_eq!(keys.hashes.len(), 200);
         assert_eq!(
             keys.column.bytes(),
-            8 * 400 + 4 * 25,
-            "one window per entry"
+            8 * 400,
+            "one window per entry and nothing per group"
         );
         let region = pool.get(built.region).unwrap();
-        // The pass fills the same hashes and the same key column.
+        // The pass fills the same hashes, key column and fences.
         let (reopened, rekeyed) = reopen_pm_table(region, None, &ids).unwrap();
         assert_eq!((reopened.max_seq, rekeyed), (400, keys));
+        assert_eq!(reopened.fences, built.fences);
+        assert_eq!(built.fences.bytes(), 8 * 25, "one window per group");
     }
 
     #[test]

@@ -41,11 +41,11 @@
 //! sorted-run: each group's last key window, 8 bytes per group, filled
 //! from the same build or open pass as the sketch), charged one DRAM
 //! random read per 64-byte line, instead of binary-searching the
-//! table's prefix layer in PM.
+//! table's prefix layer in PM. A scan opens a table the same way.
 //!
-//! Scans have their own: each unsorted table's DRAM **key column**
-//! ([`pmtable::KeyColumn`], on its handle, filled from the same build or
-//! open pass as the sketch; 8 bytes per entry and 4 per group). A scan
+//! Scans also have their own: each unsorted table's DRAM **key
+//! column** ([`pmtable::KeyColumn`], on its handle, filled from the
+//! same build or open pass as the sketch; 8 bytes per entry). A scan
 //! searches it instead of seeking the table, and opens the table only
 //! when the merge reaches the bound the search gave (see
 //! [`crate::cursor::PmRun`]).
@@ -448,11 +448,10 @@ impl L0Version {
         cache: Option<&'a PmGroupCache>,
     ) -> impl Iterator<Item = Cursor<'a>> {
         let (run, unsorted) = self.oldest(limit);
-        let unsorted = unsorted.iter().map(move |h| {
-            let column = h.column.as_deref().filter(|_| cache.is_some());
-            Cursor::Pm(PmRun::new(std::slice::from_ref(h), column, end, cache))
-        });
-        let run = Cursor::Pm(PmRun::new(run, None, end, cache));
+        let unsorted = unsorted
+            .iter()
+            .map(move |h| Cursor::Pm(PmRun::new(std::slice::from_ref(h), end, cache)));
+        let run = Cursor::Pm(PmRun::new(run, end, cache));
         unsorted.chain(std::iter::once(run))
     }
 }
@@ -1333,6 +1332,30 @@ pub(crate) mod tests {
         );
     }
 
+    #[test]
+    fn a_sorted_run_scan_whose_group_is_cached_reads_no_pm() {
+        let pool = pool();
+        let cache = PmGroupCache::new(1 << 20);
+        let mut l0 = PmLevel0::new();
+        let entries = (0..64).map(|i| entry(&format!("k{i:04}"), i + 1, "v"));
+        l0.set_sorted_run(vec![table(&pool, entries.collect())]);
+        let scan = || {
+            let cursors = l0.cursors(usize::MAX, None, Some(&cache)).collect();
+            crate::cursor::tests::drain(cursors, b"k0040", None, false)
+        };
+        let want: Vec<OwnedEntry> = (40..64)
+            .map(|i| entry(&format!("k{i:04}"), i + 1, "v"))
+            .collect();
+        assert_eq!(scan(), want);
+        let before = pool.stats().bytes_read.get();
+        assert_eq!(scan(), want);
+        assert_eq!(
+            pool.stats().bytes_read.get(),
+            before,
+            "the fences found the cached group: no prefix-layer read"
+        );
+    }
+
     /// A user key from a small alphabet behind a meta prefix: long keys
     /// tie in their column windows, and short ones end inside them.
     fn column_key() -> impl Strategy<Value = Vec<u8>> {
@@ -1428,7 +1451,7 @@ pub(crate) mod tests {
             for h in unsorted.tables().chain(sorted.tables()) {
                 let mut groups: Vec<Vec<Vec<u8>>> = Vec::new();
                 let (mut cursor, tl) = (h.table.sequential_cursor::<NoGroupCache>(), &mut Timeline::new());
-                cursor.seek(b"", tl).unwrap();
+                cursor.seek(0, b"", tl).unwrap();
                 while let Some(e) = cursor.current() {
                     groups.resize_with(groups.len().max(cursor.group() as usize + 1), Vec::new);
                     groups[cursor.group() as usize].push(e.user_key.to_vec());

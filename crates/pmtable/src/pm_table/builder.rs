@@ -8,8 +8,8 @@ use sim::Timeline;
 
 use super::codec::{encode_group, Scratch};
 use super::{
-    CodecMode, KeyColumn, PmTableOptions, TableKeys, CODEC_PREFIX, FLAG_CODECS, FLAG_FILTER,
-    GINDEX_ENTRY_LEN, HEADER_LEN, MAGIC, PREFIX_WIDTH,
+    CodecMode, PmTableOptions, TableKeys, CODEC_PREFIX, FLAG_CODECS, FLAG_FILTER, GINDEX_ENTRY_LEN,
+    HEADER_LEN, MAGIC, PREFIX_WIDTH,
 };
 use crate::{AsEntry, BuildStats, EntryRef, EntryRun};
 
@@ -85,8 +85,8 @@ impl PmTableBuilder {
 
     /// [`PmTableBuilder::finish`], also handing back the table's
     /// [`TableKeys`], taken from the entries it buffered: the hashes its
-    /// filter was built from and its key column. Neither is charged, as
-    /// the filter is not.
+    /// filter was built from, its key column and its group fences. None
+    /// of them is charged, as the filter is not.
     pub fn finish_with_keys(
         self,
         cost: &sim::CostModel,
@@ -142,12 +142,12 @@ impl PmTableBuilder {
         let mut slice: Vec<EntryRef<'_>> = Vec::with_capacity(opts.group_size);
         let mut rests: Vec<&[u8]> = Vec::with_capacity(opts.group_size);
         let mut scratch = Scratch::default();
-        let mut column = KeyColumn::new(self.shape().batch_lcp, count, groups.len());
+        let mut keys = TableKeys::new(self.shape().batch_lcp, count, groups.len());
         for (group, g) in groups.iter().enumerate() {
             slice.clear();
             slice.extend((g.start..g.start + g.len).map(|i| self.run.get(i)));
             for e in &slice {
-                column.push(group as u32, e.user_key);
+                keys.push(group as u32, e.user_key);
             }
             rests.clear();
             rests.extend(slice.iter().map(|e| opts.extractor.split(e.user_key).1));
@@ -270,6 +270,7 @@ impl PmTableBuilder {
             encoded_bytes: out.len(),
             entries: count,
         };
-        (out, stats, TableKeys { hashes, column })
+        keys.hashes = hashes;
+        (out, stats, keys)
     }
 }

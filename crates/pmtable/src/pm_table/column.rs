@@ -1,8 +1,6 @@
 //! The DRAM key indexes of a level-0 table: the key column a scan
-//! seeks an unsorted table by, and the group fences every get finds its
-//! group by.
-
-use std::sync::Arc;
+//! holds an unsorted table by, and the group fences every get and seek
+//! finds its group by.
 
 /// Key bytes a [`KeyColumn`] keeps per entry.
 const WINDOW: usize = 8;
@@ -20,25 +18,19 @@ fn window(prefix: usize, key: &[u8]) -> u64 {
 /// A table's keys in DRAM, which a scan searches instead of its prefix
 /// layer: per entry, the 8 bytes after the table's common prefix (the
 /// LCP of its first and last key) as a big-endian `u64`, zero-padded
-/// past the key's end; per group, the index of its first entry. A larger key
-/// never has a smaller window, so a binary search over the windows
-/// finds where a seek lands without reading PM. 8 bytes per entry, 4
-/// per group.
+/// past the key's end. A larger key never has a smaller window, so a
+/// binary search over the windows finds where a seek lands without
+/// reading PM. 8 bytes per entry.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KeyColumn {
     prefix: usize,
     windows: Vec<u64>,
-    group_starts: Vec<u32>,
 }
 
 /// Where a [`KeyColumn::seek`] lands: on the first entry with user key
 /// at or after the seek key, the *target*.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ColumnSeek {
-    /// The target's group, to seek from without a prefix-layer search;
-    /// `None` when keys that tie with the seek key's window run past that
-    /// group, so only the table's own search finds the target cheaply.
-    pub group: Option<u32>,
     /// When the target's window sorts after the seek key's, that window
     /// with its trailing zero bytes trimmed: after the table's common
     /// prefix, a prefix of the target's key, so a bound on it that lies
@@ -75,24 +67,6 @@ fn search<T: Copy>(items: &[T], pred: impl Fn(T) -> bool) -> (usize, u64) {
 }
 
 impl KeyColumn {
-    /// An empty column for a table of `entries` entries in `groups`
-    /// groups whose first and last keys share `prefix` bytes.
-    pub fn new(prefix: usize, entries: usize, groups: usize) -> Self {
-        KeyColumn {
-            prefix,
-            windows: Vec::with_capacity(entries),
-            group_starts: Vec::with_capacity(groups),
-        }
-    }
-
-    /// Append the table's next entry, which sits in `group`.
-    pub fn push(&mut self, group: u32, key: &[u8]) {
-        while self.group_starts.len() <= group as usize {
-            self.group_starts.push(self.windows.len() as u32);
-        }
-        self.windows.push(window(self.prefix, key));
-    }
-
     /// Length of the table's common prefix, which every bound a seek
     /// returns goes behind.
     pub fn prefix_len(&self) -> usize {
@@ -102,92 +76,55 @@ impl KeyColumn {
     /// DRAM the column takes.
     pub fn bytes(&self) -> usize {
         std::mem::size_of_val(self.windows.as_slice())
-            + std::mem::size_of_val(self.group_starts.as_slice())
-    }
-
-    /// The table's [`GroupFences`]: each group's last window.
-    pub fn fences(&self) -> GroupFences {
-        let next_starts = self.group_starts.get(1..).unwrap_or_default();
-        let ends = next_starts.iter().map(|&next| next as usize);
-        let ends = ends.chain([self.windows.len()]);
-        // An empty group (only in a damaged table) repeats the fence
-        // before it, so the fences stay sorted.
-        let last = |end: usize| self.windows[..end].last().copied().unwrap_or(0);
-        GroupFences {
-            prefix: self.prefix,
-            lasts: ends.map(last).collect(),
-        }
     }
 
     /// Find the first entry with user key >= `start` in the table whose
     /// first key is `first`, for a `start` at most its last key. A start
-    /// at or before `first` lands on group 0 with no search; any other
-    /// shares the table's common prefix. Every entry before the first
-    /// window at or past `start`'s sorts before `start`; if that window
-    /// is past it, its entry is the target, else the target is the first
-    /// of its tie at or past `start`.
+    /// at or before `first` lands on the table's first entry with no
+    /// search; any other shares the table's common prefix. Every entry
+    /// before the first window at or past `start`'s sorts before
+    /// `start`; if that window is past it, its entry is the target, else
+    /// the target is the first of its tie at or past `start`.
     pub fn seek(&self, first: &[u8], start: &[u8]) -> ColumnSeek {
         if start <= first {
-            let group = Some(0);
-            return ColumnSeek {
-                group,
-                ..ColumnSeek::default()
-            };
+            return ColumnSeek::default();
         }
         let key = window(self.prefix, start);
-        let (i, mut lines) = search(&self.windows, |w| w < key);
-        let (groups, group_lines) = search(&self.group_starts, |first| first as usize <= i);
-        lines += group_lines;
-        let group = groups.checked_sub(1).map(|g| g as u32);
-        let Some(&window) = self.windows.get(i) else {
-            return ColumnSeek {
+        let (i, lines) = search(&self.windows, |w| w < key);
+        match self.windows.get(i) {
+            Some(&window) if window > key => ColumnSeek {
+                tail: window.to_be_bytes(),
+                tail_len: WINDOW - (window.trailing_zeros() / 8) as usize,
+                lines,
+            },
+            _ => ColumnSeek {
                 lines,
                 ..ColumnSeek::default()
-            };
-        };
-        if window > key {
-            let tail = window.to_be_bytes();
-            let tail_len = WINDOW - (window.trailing_zeros() / 8) as usize;
-            return ColumnSeek {
-                group,
-                tail,
-                tail_len,
-                lines,
-            };
-        }
-        // A tie: does the target's group end past it?
-        let end = group
-            .and_then(|g| self.group_starts.get(g as usize + 1))
-            .map_or(self.windows.len(), |&next| next as usize);
-        let ends_past = end == self.windows.len() || self.windows[end - 1] > key;
-        ColumnSeek {
-            group: group.filter(|_| ends_past),
-            lines: lines + 1,
-            ..ColumnSeek::default()
+            },
         }
     }
 }
 
-/// A table's groups in DRAM, searched instead of its prefix layer by a
-/// get: per group, the [`KeyColumn`] window of its last key. A larger
-/// key never has a smaller window, so the first group whose last window
-/// is at or past a key's holds the first entry whose window is. 8 bytes
-/// per group, half a byte per entry at 16 entries to a group. Cloning
-/// them is a refcount bump.
+/// A table's groups in DRAM, which every level-0 get and seek finds
+/// its group by instead of searching the prefix layer: per group, the
+/// [`KeyColumn`] window of its last key. A larger key never has a
+/// smaller window, so the first group whose last window is at or past a
+/// key's holds the first entry whose window is. 8 bytes per group, half
+/// a byte per entry at 16 entries to a group.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GroupFences {
     prefix: usize,
-    lasts: Arc<[u64]>,
+    lasts: Vec<u64>,
 }
 
 impl GroupFences {
-    /// The group a get of `key` starts in, and the 64-byte lines the
-    /// search touched, for a `key` within the table's first and last
-    /// key: the group of the first entry whose window is at or past
-    /// `key`'s. On a tie that is the tie's first entry, which sorts
-    /// before `key` or is its newest version, so a get can start there
-    /// and walk forward. No group when every window sorts before
-    /// `key`'s (the group count).
+    /// The group a get or seek of `key` starts in, and the 64-byte
+    /// lines the search touched, for a `key` within the table's first
+    /// and last key: the group of the first entry whose window is at or
+    /// past `key`'s. On a tie that is the tie's first entry, which sorts
+    /// before `key` or is its newest version, so a get or seek can
+    /// start there and walk forward. No group when every window sorts
+    /// before `key`'s (the group count).
     pub fn group_of(&self, key: &[u8]) -> (u32, u64) {
         let key = window(self.prefix, key);
         let (group, lines) = search(&self.lasts, |last| last < key);
@@ -196,16 +133,48 @@ impl GroupFences {
 
     /// DRAM the fences take.
     pub fn bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.lasts)
+        std::mem::size_of_val(self.lasts.as_slice())
     }
 }
 
 /// What building a table, or re-reading one, learns of its keys for
 /// level-0's DRAM indexes: the [`encoding::bloom::BloomFilter::hashes`]
-/// of its distinct user keys (none when it has no filter) and its
-/// [`KeyColumn`], from which its [`GroupFences`] are drawn.
+/// of its distinct user keys (none when it has no filter), its
+/// [`KeyColumn`] and its [`GroupFences`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TableKeys {
     pub hashes: Vec<(u64, u64)>,
     pub column: KeyColumn,
+    pub fences: GroupFences,
+}
+
+impl TableKeys {
+    /// No keys yet of a table of `entries` entries in `groups` groups
+    /// whose first and last keys share `prefix` bytes.
+    pub fn new(prefix: usize, entries: usize, groups: usize) -> Self {
+        TableKeys {
+            hashes: Vec::new(),
+            column: KeyColumn {
+                prefix,
+                windows: Vec::with_capacity(entries),
+            },
+            fences: GroupFences {
+                prefix,
+                lasts: Vec::with_capacity(groups),
+            },
+        }
+    }
+
+    /// Take in the table's next entry, which sits in `group`.
+    pub fn push(&mut self, group: u32, key: &[u8]) {
+        let window = window(self.column.prefix, key);
+        self.column.windows.push(window);
+        let lasts = &mut self.fences.lasts;
+        // An empty group (only in a damaged table) repeats the fence
+        // before it, so the fences stay sorted.
+        while lasts.len() <= group as usize {
+            lasts.push(lasts.last().copied().unwrap_or(0));
+        }
+        lasts[group as usize] = window;
+    }
 }

@@ -37,16 +37,12 @@ pub struct PmCursor<'a, S: Storage, A: GroupAccess> {
 }
 
 impl<S: Storage, A: GroupAccess> PmCursor<'_, S, A> {
-    /// Position at the first entry with user key >= `start`.
-    pub fn seek(&mut self, start: &[u8], tl: &mut Timeline) -> Result<GroupLoad, PmTableError> {
-        let group = self.table.seek_group(start, tl);
-        self.seek_from(group, start, tl)
-    }
-
-    /// [`PmCursor::seek`] from `group`, which the caller knows no entry
-    /// at or past `start` precedes (a [`super::KeyColumn`] search names
-    /// it): no prefix-layer search, no step-back.
-    pub fn seek_from(
+    /// Position at the first entry with user key >= `start`, reading
+    /// from `group`, which the caller knows no entry at or past `start`
+    /// precedes: [`PmTable::scan_range`] searches the prefix layer for
+    /// it, level-0 the table's DRAM [`super::GroupFences`]; group 0
+    /// reads from the front.
+    pub fn seek(
         &mut self,
         group: u32,
         start: &[u8],

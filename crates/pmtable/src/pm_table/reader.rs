@@ -586,7 +586,7 @@ impl<S: Storage> PmTable<S> {
     pub fn scan_all(&self, tl: &mut Timeline) -> Vec<OwnedEntry> {
         let out = Vec::with_capacity(self.entry_count as usize);
         let cursor = self.sequential_cursor::<NoGroupCache>();
-        collect(cursor, b"", None, usize::MAX, tl, out)
+        collect(cursor, 0, b"", None, usize::MAX, tl, out)
     }
 
     /// Smallest user key, if non-empty.
@@ -611,14 +611,17 @@ impl<S: Storage> PmTable<S> {
         limit: usize,
         tl: &mut Timeline,
     ) -> Vec<OwnedEntry> {
-        collect(self.cursor(NoGroupCache), start, end, limit, tl, Vec::new())
+        let (cursor, group) = (self.cursor(NoGroupCache), self.seek_group(start, tl));
+        collect(cursor, group, start, end, limit, tl, Vec::new())
     }
 }
 
-/// Append to `out` what `cursor` yields in `[start, end)`, at most
-/// `limit` entries in all, stepping no further than the last one taken.
+/// Append to `out` what `cursor` yields in `[start, end)`, seeking from
+/// `group`, at most `limit` entries in all, stepping no further than the
+/// last one taken.
 fn collect<S: Storage, A: GroupAccess>(
     mut cursor: PmCursor<'_, S, A>,
+    group: u32,
     start: &[u8],
     end: Option<&[u8]>,
     limit: usize,
@@ -628,7 +631,7 @@ fn collect<S: Storage, A: GroupAccess>(
     if limit == 0 {
         return out;
     }
-    let mut step = cursor.seek(start, tl);
+    let mut step = cursor.seek(group, start, tl);
     while let (Ok(_), Some(e)) = (&step, cursor.current()) {
         if end.is_some_and(|end| e.user_key >= end) {
             break;

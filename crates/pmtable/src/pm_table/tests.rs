@@ -656,7 +656,8 @@ fn drain_from(t: &PmTable<DramBuf>, start: &[u8]) -> Vec<OwnedEntry> {
     let mut tl = Timeline::new();
     let mut cursor = t.cursor(NoGroupCache);
     assert!(cursor.current().is_none(), "unpositioned before a seek");
-    cursor.seek(start, &mut tl).unwrap();
+    let group = t.seek_group(start, &mut tl);
+    cursor.seek(group, start, &mut tl).unwrap();
     let mut out = Vec::new();
     while let Some(e) = cursor.current() {
         out.push(e.to_owned());
@@ -755,15 +756,19 @@ fn cursor_fetches_groups_through_the_access_hook() {
     let cache = MapCache(Default::default());
     let start = entries[50].user_key.clone();
     let (mut cold, mut warm) = (Timeline::new(), Timeline::new());
+    let group = t.seek_group(&start, &mut Timeline::new());
     let mut cursor = t.cursor(&cache);
-    assert_eq!(cursor.seek(&start, &mut cold), Ok(GroupLoad::Decoded));
+    assert_eq!(
+        cursor.seek(group, &start, &mut cold),
+        Ok(GroupLoad::Decoded)
+    );
     assert_eq!(
         cache.0.borrow().len(),
         1,
         "a seek decodes one group, not the table"
     );
     let mut cursor = t.cursor(&cache);
-    assert_eq!(cursor.seek(&start, &mut warm), Ok(GroupLoad::Cached));
+    assert_eq!(cursor.seek(group, &start, &mut warm), Ok(GroupLoad::Cached));
     assert_eq!(cursor.current(), Some(entries[50].as_ref()));
     assert!(
         warm.elapsed() < cold.elapsed(),
@@ -880,7 +885,7 @@ proptest::proptest! {
 /// or fails.
 fn drain_until_error<A: GroupAccess>(mut cursor: PmCursor<'_, DramBuf, A>) -> usize {
     let mut tl = Timeline::new();
-    let mut step = cursor.seek(b"", &mut tl);
+    let mut step = cursor.seek(0, b"", &mut tl);
     let mut rows = 0;
     while let (Ok(_), Some(_)) = (&step, cursor.current()) {
         rows += 1;
@@ -958,4 +963,27 @@ proptest::proptest! {
             proptest::prop_assert_eq!(drain_until_error(t.sequential_cursor::<NoGroupCache>()), rows);
         }
     }
+}
+
+#[test]
+fn the_column_keeps_one_window_per_entry_and_the_fences_one_per_group() {
+    let mut keys = TableKeys::new(1, 5, 3);
+    // Group 1 is empty: its fence repeats group 0's.
+    for (group, key) in [
+        (0, &b"ka"[..]),
+        (0, b"kb"),
+        (2, b"kc"),
+        (2, b"kd"),
+        (2, b"ke"),
+    ] {
+        keys.push(group, key);
+    }
+    assert_eq!(keys.column.bytes(), 8 * 5);
+    assert_eq!(keys.fences.bytes(), 8 * 3);
+    assert_eq!(keys.fences.group_of(b"kb").0, 0);
+    assert_eq!(keys.fences.group_of(b"kbb").0, 2);
+    assert_eq!(keys.fences.group_of(b"ke").0, 2);
+    assert_eq!(keys.fences.group_of(b"kf").0, 3);
+    let seek = keys.column.seek(b"ka", b"kbb");
+    assert_eq!((seek.tail(), seek.lines), (&b"c"[..], 1));
 }

@@ -223,7 +223,7 @@ fn sampled_scan_attributes_every_nanosecond_to_a_stage() {
 /// CRC32C of `tracer().recorder().to_json()` after
 /// [`pinned_trace_workload`], per mode.
 const ENGINE_TRACE_PINS: [(Mode, u32); 3] = [
-    (Mode::PmBlade, 2_411_164_415),
+    (Mode::PmBlade, 3_490_679_637),
     (Mode::SsdLevel0, 1_805_942_510),
     (Mode::MatrixKv, 1_473_994_895),
 ];
