@@ -181,15 +181,16 @@ fn bench_merge(c: &mut Criterion) {
 /// The merge behind scans and compactions, over 30 mutually
 /// overlapping PM tables (every table holds every 30th key, as a
 /// partition's unsorted level-0 does). The scan pulls 50 rows from a
-/// rotating start key, one cursor per table through a shared group
-/// cache, each table held by its key column until the merge reaches
-/// it; the internal compaction streams all 30 tables, read
+/// rotating start key through a shared group cache, the tables behind
+/// their level-0's merged key column until the merge reaches each; the
+/// internal compaction streams all 30 tables, read
 /// sequentially, into a new sorted run. `compaction/merge_dedup_10k`
 /// above is the materialising reference both replaced.
 fn bench_scan_merge(c: &mut Criterion) {
     use pm_blade::costmodel::CodecCostTable;
     use pm_blade::cursor::{merge_into, Cursor, MergingIter, PmRun, ScanStats};
-    use pm_blade::handle::{PmRunWriter, PmTableHandle};
+    use pm_blade::handle::PmRunWriter;
+    use pm_blade::level0::PmLevel0;
     let cost = CostModel::default();
     let pool = pm_device::PmPool::new(64 << 20, cost);
     let ids = pm_blade::handle::CacheIds::new();
@@ -210,29 +211,24 @@ fn bench_scan_merge(c: &mut Criterion) {
         retire_errors: &errors,
     };
     let run_writer = |max_bytes| PmRunWriter::new(&media, max_bytes);
-    // Each table holds its key column, as an unsorted table does.
-    let tables: Vec<PmTableHandle> = (0..30)
-        .flat_map(|source| {
-            let mut writer = run_writer(usize::MAX);
-            for e in all.iter().skip(source).step_by(30) {
-                writer.add(e.as_ref(), &mut Timeline::new()).unwrap();
-            }
-            writer.finish(&mut Timeline::new()).unwrap()
-        })
-        .map(|(table, keys)| PmTableHandle {
-            column: Some(std::sync::Arc::new(keys.column)),
-            ..table
-        })
-        .collect();
+    let mut l0 = PmLevel0::new();
+    for source in 0..30 {
+        let mut writer = PmRunWriter::unsorted(&media);
+        for e in all.iter().skip(source).step_by(30) {
+            writer.add(e.as_ref(), &mut Timeline::new()).unwrap();
+        }
+        for (table, keys) in writer.finish(&mut Timeline::new()).unwrap() {
+            l0.push_unsorted(table, keys);
+        }
+    }
+    let tables = l0.unsorted();
     let cache = pm_blade::PmGroupCache::new(4 << 20);
     let starts: Vec<&[u8]> = all.iter().step_by(97).map(|e| &e.user_key[..]).collect();
     c.bench_function("scan/merging_iter_50_of_30_sources", |b| {
         let mut i = 0;
         b.iter(|| {
             i += 1;
-            let cursors = tables.iter().map(|table| {
-                Cursor::Pm(PmRun::new(std::slice::from_ref(table), None, Some(&cache)))
-            });
+            let cursors = l0.cursors(usize::MAX, None, Some(&cache));
             let (mut stats, mut tl) = (ScanStats::default(), Timeline::new());
             let mut rows = MergingIter::new(
                 cursors,

@@ -9,12 +9,14 @@
 //! decodes one PM group or reads one SSD block at a time, and only when
 //! the merge steps it.
 //!
-//! A scan *defers* each unsorted PM table ([`PmRun`]): its seek is a
-//! search of the table's DRAM key column, which yields a lower bound on
-//! its first key at or past the scan's start, and the heap holds the
-//! table under that bound until the bound reaches the top. Only then is
-//! the table opened, from the group its DRAM fences name, so a scan's
-//! PM work follows the rows it returns, not the unsorted-table count.
+//! A scan *defers* the unsorted PM tables of a level-0: one
+//! [`Reveal`] stands in the heap for every table not yet opened, at a
+//! lower bound on their keys that one search of the level-0's merged
+//! key column ([`pmtable::MergedColumn`]) yields. When that bound
+//! reaches the top, the merge opens the table it stands for, from the
+//! group its DRAM fences name, and the revealer walks on. So a scan's
+//! set-up and PM work follow the rows it returns, not the
+//! unsorted-table count.
 //!
 //! Compactions are the same merge run to the end ([`merge_into`]) over
 //! cursors that read their tables front to back, into a run writer.
@@ -22,7 +24,7 @@
 use encoding::key::KeyKind;
 use memtable::MemCursor;
 use pm_device::PmRegion;
-use pmtable::{ArrayCursor, ColumnSeek, EntryRef, GroupLoad, PmCursor};
+use pmtable::{ArrayCursor, EntryRef, GroupLoad, MergedColumn, PmCursor};
 use sim::{SimDuration, Timeline};
 use sstable::SsCursor;
 
@@ -41,6 +43,9 @@ pub enum Cursor<'a> {
     Mem(MemCursor<'a>),
     /// PM tables in key order (an unsorted table is a run of one).
     Pm(PmRun<'a>),
+    /// The unsorted PM tables of a level-0 not yet opened; their
+    /// cursors follow it, parked.
+    Reveal(Reveal<'a>),
     /// One matrix-container row.
     Row(ArrayCursor<'a, PmRegion>),
     /// SSTables in key order (an SSD level-0 table is a run of one).
@@ -69,6 +74,7 @@ impl<'a> Cursor<'a> {
                 Ok(SpanKind::PmDecodeMiss)
             }
             Cursor::Pm(run) => run.step(seek, tl),
+            Cursor::Reveal(reveal) => Ok(reveal.step(seek, tl)),
             Cursor::Ss(run) => run.step(seek, tl),
         }
     }
@@ -78,17 +84,18 @@ impl<'a> Cursor<'a> {
             Cursor::Mem(c) => c.current(),
             Cursor::Row(c) => c.current(),
             Cursor::Pm(run) => run.cur.as_ref()?.current(),
+            Cursor::Reveal(_) => None,
             Cursor::Ss(run) => run.cur.as_ref()?.current(),
         }
     }
 
     /// Where the cursor sits in the merge's order: its entry's user key
-    /// (in two pieces to concatenate) and sequence, or a held table's
+    /// (in two pieces to concatenate) and sequence, or a revealer's
     /// bound under the newest sequence there can be. [`Head::set`] joins
     /// the pieces.
     fn head(&self) -> Option<(&[u8], &[u8], u64)> {
         match self {
-            Cursor::Pm(PmRun { held: Some(h), .. }) => Some((h.head, h.seek.tail(), u64::MAX)),
+            Cursor::Reveal(reveal) => reveal.head(),
             _ => self.current().map(|e| (e.user_key, &[][..], e.seq)),
         }
     }
@@ -105,33 +112,13 @@ impl<'a> Cursor<'a> {
 /// random read per 64-byte line, or from group 0 when the key is at or
 /// before the table's first key (a step onto the run's next table
 /// seeks the empty key). It never searches the table's prefix layer.
-///
-/// A scan's run holds an unsorted table by the [`pmtable::KeyColumn`]
-/// on its handle (sorted-run handles carry none) instead of opening it:
-/// one search of the column in DRAM yields a lower bound on the table's
-/// first key >= the seek key, which the merge keeps in its heap until
-/// it reaches the top. Only then does the next step open the table.
-/// The bound is the table's first key when that is >= the seek key;
-/// else the column's window of the first key >= the seek key behind
-/// the table's common prefix, trimmed of trailing zero bytes (a prefix
-/// of that key), or the seek key itself when that window ties with the
-/// seek key's. It is never below the seek key, nor above the table's
-/// first key at or past it.
 pub struct PmRun<'a> {
     tables: &'a [PmTableHandle],
     /// The table opened when `cur` runs out.
     next: usize,
     end: Option<&'a [u8]>,
     cache: Option<&'a PmGroupCache>,
-    held: Option<Held<'a>>,
     cur: Option<PmCursor<'a, PmRegion, TableGroupCache<'a>>>,
-}
-
-/// A held table: its bound is `head ‖ seek.tail()`.
-struct Held<'a> {
-    start: &'a [u8],
-    head: &'a [u8],
-    seek: ColumnSeek,
 }
 
 impl<'a> PmRun<'a> {
@@ -145,7 +132,6 @@ impl<'a> PmRun<'a> {
             next: tables.len(),
             end,
             cache,
-            held: None,
             cur: None,
         }
     }
@@ -155,7 +141,7 @@ impl<'a> PmRun<'a> {
         match (seek, &mut self.cur) {
             (Some(start), _) => {
                 self.next = self.tables.partition_point(|h| &*h.last < start);
-                (self.cur, self.held) = (None, None);
+                self.cur = None;
             }
             (None, Some(c)) => load = c.advance(tl).map_err(corrupt)?,
             (None, None) => {}
@@ -165,25 +151,8 @@ impl<'a> PmRun<'a> {
             let table = self.tables.get(self.next);
             self.cur = match table.filter(|h| self.end.is_none_or(|e| &*h.first < e)) {
                 Some(h) => {
-                    let column = h.column.as_deref().filter(|_| self.cache.is_some());
-                    if let (Some(start), Some(column)) = (seek, column) {
-                        // Hold the table: one DRAM read per 64-byte line
-                        // the column search touched.
-                        let seek = column.seek(&h.first, start);
-                        tl.charge(h.table.cost_model().dram.random_read(64) * seek.lines);
-                        let head = match seek.tail() {
-                            _ if start <= &*h.first => &h.first,
-                            [] => start,
-                            _ => &h.first[..column.prefix_len()],
-                        };
-                        self.held = Some(Held { start, head, seek });
-                        return Ok(SpanKind::FilterConsult);
-                    }
                     self.next += 1;
-                    let start = match self.held.take() {
-                        Some(held) => held.start,
-                        None => seek.unwrap_or_default(),
-                    };
+                    let start = seek.unwrap_or_default();
                     let group = if start <= &*h.first {
                         0
                     } else {
@@ -209,6 +178,106 @@ impl<'a> PmRun<'a> {
         } else {
             SpanKind::PmDecodeHit
         })
+    }
+}
+
+/// The unsorted tables of a level-0 that a scan has not opened, behind
+/// their [`MergedColumn`]. Its seek searches the column once, charged
+/// one DRAM random read per 64-byte line, for the first entry whose
+/// window is at or past the scan's start; every entry of a key at or
+/// past the start sits there or later. It then walks the column one
+/// entry at a time, charged each line it steps into, and its head is a
+/// lower bound on every key at or past the start whose entry is at or
+/// past the walk's: the common prefix and the entry's window trimmed of
+/// trailing zero bytes (a prefix of the entry's key), or the start when
+/// that sorts before it (the window ties with the start's). A table's
+/// own first key is no such bound, as another table's key can tie with
+/// it on the window and sort before it.
+///
+/// The tables' own cursors follow the revealer in the merge's sources,
+/// parked: never stepped. When the head reaches the top of the heap,
+/// the merge opens the table of the entry it stands for, unless that is
+/// open already or outside the scan's range, and steps the revealer to
+/// the next entry.
+pub struct Reveal<'a> {
+    /// The tables whose cursors follow this one, parked.
+    tables: &'a [PmTableHandle],
+    column: &'a MergedColumn,
+    end: Option<&'a [u8]>,
+    start: &'a [u8],
+    /// Where the walk began, and the entry the head stands for.
+    from: usize,
+    pos: usize,
+    /// The window of the entry the head stands for, trimmed.
+    tail: ([u8; 8], usize),
+    /// Tables in the scan's range: last key at or past the start, first
+    /// key before the end.
+    held: u64,
+}
+
+impl<'a> Reveal<'a> {
+    pub(crate) fn new(
+        tables: &'a [PmTableHandle],
+        column: &'a MergedColumn,
+        end: Option<&'a [u8]>,
+    ) -> Self {
+        Reveal {
+            tables,
+            column,
+            end,
+            start: b"",
+            from: 0,
+            pos: column.len(),
+            tail: ([0; 8], 0),
+            held: 0,
+        }
+    }
+
+    /// Seek to `start`, or step one entry on; either way a filter
+    /// consult.
+    fn step(&mut self, seek: Option<&'a [u8]>, tl: &mut Timeline) -> SpanKind {
+        let mut lines = 0;
+        match seek {
+            Some(start) => {
+                self.start = start;
+                (self.pos, lines) = self.column.seek(start);
+                self.from = self.pos;
+                let in_range = |h: &&PmTableHandle| self.in_range(h);
+                self.held = self.tables.iter().filter(in_range).count() as u64;
+            }
+            None => self.pos += 1,
+        }
+        if self.pos < self.column.len() {
+            lines += MergedColumn::walk_lines(self.from, self.pos);
+            self.tail = self.column.tail(self.pos);
+        }
+        if lines > 0 {
+            tl.charge(self.tables[0].table.cost_model().dram.random_read(64) * lines);
+        }
+        SpanKind::FilterConsult
+    }
+
+    fn in_range(&self, h: &PmTableHandle) -> bool {
+        &*h.last >= self.start && self.end.is_none_or(|e| &*h.first < e)
+    }
+
+    /// `prefix ‖ tail`, or `start` when that sorts before it.
+    fn head(&self) -> Option<(&[u8], &[u8], u64)> {
+        let (prefix, tail) = (self.column.prefix(), &self.tail.0[..self.tail.1]);
+        let at_start = prefix.iter().chain(tail).le(self.start);
+        let (key, tail) = if at_start {
+            (self.start, &[][..])
+        } else {
+            (prefix, tail)
+        };
+        (self.pos < self.column.len()).then_some((key, tail, u64::MAX))
+    }
+
+    /// The table of the entry the head stands for, if it is in the
+    /// scan's range.
+    fn table(&self) -> (usize, bool) {
+        let table = self.column.table(self.pos);
+        (table, self.in_range(&self.tables[table]))
     }
 }
 
@@ -263,13 +332,13 @@ impl<'a> SsRun<'a> {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ScanStats {
     /// The cursor steps that charged time, by the stage each reported.
-    /// Key-column searches are `filter_consult`.
+    /// The merged key column's search and walk are `filter_consult`.
     pub stages: StageTimes,
     /// Records pulled off the merge heap, each charged
     /// `cpu.merge_per_entry`.
     pub records: u64,
-    /// Unsorted PM tables the merge held under a key-column bound, and
-    /// how many of those it then opened.
+    /// Unsorted PM tables in the scan's range, which the merge held
+    /// behind a [`Reveal`], and how many of those it then opened.
     pub tables_held: u64,
     pub tables_opened: u64,
 }
@@ -278,7 +347,7 @@ pub struct ScanStats {
 const INLINE_KEY: usize = 24;
 
 /// A source's place in the merge's order, copied out of its cursor
-/// each time the merge steps it: the key of its entry, or a held table's
+/// each time the merge steps it: the key of its entry, or a revealer's
 /// bound already joined, and the sequence. The heap compares heads, so
 /// no compare goes back through the cursor.
 #[derive(Default)]
@@ -318,6 +387,8 @@ impl Head {
 struct Source<'a> {
     cursor: Cursor<'a>,
     head: Head,
+    /// An unsorted table's cursor a [`Reveal`] has not opened yet.
+    parked: bool,
 }
 
 /// Heap-based k-way merge over [`Cursor`]s, bounded by `end`.
@@ -326,11 +397,17 @@ struct Source<'a> {
 /// cursor at the top of the heap, so that cursor is stepped at the
 /// start of the *following* call: a caller that stops after `limit`
 /// rows never pays for the step past its last row.
+///
+/// A [`Cursor::Reveal`] is followed in `cursors` by the cursors of its
+/// tables, in table order. The merge parks them and seeks each only
+/// when the revealer opens it.
 pub struct MergingIter<'a> {
     sources: Vec<Source<'a>>,
-    /// Indices of the sources with an entry under them, or held under a
-    /// bound: a binary min-heap on (user key, newest sequence first).
+    /// Indices of the sources with an entry under them, or a revealer
+    /// under its bound: a binary min-heap on (user key, newest sequence
+    /// first).
     heap: Vec<usize>,
+    start: &'a [u8],
     end: Option<&'a [u8]>,
     drop_tombstones: bool,
     /// The entry at the top of the heap was already considered.
@@ -358,11 +435,13 @@ impl<'a> MergingIter<'a> {
             .map(|cursor| Source {
                 cursor,
                 head: Head::default(),
+                parked: false,
             })
             .collect();
         let mut iter = MergingIter {
             heap: Vec::with_capacity(sources.len()),
             sources,
+            start,
             end,
             drop_tombstones,
             consumed: false,
@@ -370,10 +449,18 @@ impl<'a> MergingIter<'a> {
             merge_cost,
             stats,
         };
+        let mut parked = 0;
         for i in 0..iter.sources.len() {
+            if parked > 0 {
+                (iter.sources[i].parked, parked) = (true, parked - 1);
+                continue;
+            }
             if iter.step(i, Some(start), tl)? {
-                iter.stats.tables_held += u64::from(iter.sources[i].cursor.current().is_none());
                 iter.heap.push(i);
+            }
+            if let Cursor::Reveal(reveal) = &iter.sources[i].cursor {
+                iter.stats.tables_held += reveal.held;
+                parked = reveal.tables.len();
             }
         }
         for slot in (0..iter.heap.len() / 2).rev() {
@@ -391,7 +478,7 @@ impl<'a> MergingIter<'a> {
         tl: &mut Timeline,
     ) -> Result<bool, DbError> {
         let before = tl.elapsed().as_nanos();
-        let Source { cursor, head } = &mut self.sources[i];
+        let Source { cursor, head, .. } = &mut self.sources[i];
         let kind = cursor.step(seek, tl)?;
         let spent = tl.elapsed().as_nanos() - before;
         if spent > 0 {
@@ -413,6 +500,13 @@ impl<'a> MergingIter<'a> {
         a.key().cmp(b.key()).then(b.seq.cmp(&a.seq)).is_lt()
     }
 
+    fn sift_up(&mut self, mut slot: usize) {
+        while slot > 0 && self.less(slot, (slot - 1) / 2) {
+            self.heap.swap(slot, (slot - 1) / 2);
+            slot = (slot - 1) / 2;
+        }
+    }
+
     fn sift_down(&mut self, mut slot: usize) {
         loop {
             let mut least = slot;
@@ -427,6 +521,31 @@ impl<'a> MergingIter<'a> {
             self.heap.swap(slot, least);
             slot = least;
         }
+    }
+
+    /// The revealer in source `top` reached the top of the heap: step it
+    /// to its next entry, and open the table of the entry it stood for —
+    /// its parked cursor, sought to the scan's start and pushed on the
+    /// heap — unless that is open already or outside the scan's range.
+    fn reveal(&mut self, top: usize, tl: &mut Timeline) -> Result<(), DbError> {
+        let Cursor::Reveal(reveal) = &self.sources[top].cursor else {
+            unreachable!("only a revealer sits in the heap without an entry");
+        };
+        let (table, in_range) = reveal.table();
+        let source = top + 1 + table;
+        let open = std::mem::take(&mut self.sources[source].parked) && in_range;
+        if !self.step(top, None, tl)? {
+            self.heap.swap_remove(0);
+        }
+        self.sift_down(0);
+        if open {
+            self.stats.tables_opened += 1;
+            if self.step(source, Some(self.start), tl)? {
+                self.heap.push(source);
+                self.sift_up(self.heap.len() - 1);
+            }
+        }
+        Ok(())
     }
 
     /// The newest version of the next user key in `[start, end)`
@@ -449,12 +568,7 @@ impl<'a> MergingIter<'a> {
                 return Ok(None);
             }
             let Some(e) = self.sources[top].cursor.current() else {
-                // A held table's bound reached the top: open it.
-                self.stats.tables_opened += 1;
-                if !self.step(top, None, tl)? {
-                    self.heap.swap_remove(0);
-                }
-                self.sift_down(0);
+                self.reveal(top, tl)?;
                 continue;
             };
             tl.charge(self.merge_cost);
@@ -581,14 +695,6 @@ pub(crate) mod tests {
             .prop_map(|p| p.into_iter().flat_map(|i| PIECES[i]).copied().collect())
     }
 
-    /// The bound a held table sits under, or `None` when its seek
-    /// dropped it.
-    fn bound(run: &PmRun<'_>) -> Option<Vec<u8>> {
-        run.held
-            .as_ref()
-            .map(|held| [held.head, held.seek.tail()].concat())
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -637,9 +743,10 @@ pub(crate) mod tests {
         /// cursors does, and both what a merge of every table's full
         /// contents does — from a start before, inside and after every
         /// table, to no end or a bounded one, whole (a reverse scan
-        /// keeps the tail of this pass) or cut at a limit. Every bound a
-        /// seek leaves lies between the seek key and the table's first
-        /// key at or past it.
+        /// keeps the tail of this pass) or cut at a limit. Every bound
+        /// the revealer takes on its walk lies at or past the seek key
+        /// and at or before the first key at or past it of every table
+        /// it has not walked past.
         #[test]
         fn prop_deferred_tables_merge_like_eager_ones(
             keys in btree_set(key(), 1..24),
@@ -708,20 +815,34 @@ pub(crate) mod tests {
                     prop_assert_eq!(&first[..], &eager[..limit.min(eager.len())]);
                 }
             }
-            for h in l0.unsorted() {
-                let entries = h.table.scan_all(&mut Timeline::new());
-                for start in &starts {
-                    let mut cursor = PmRun::new(std::slice::from_ref(h), None, Some(&cache));
-                    cursor.step(Some(start), &mut Timeline::new()).unwrap();
-                    let target = entries.iter().find(|e| e.user_key >= *start);
-                    match (bound(&cursor), target) {
-                        (Some(bound), Some(target)) => prop_assert!(
-                            start <= &bound && bound <= target.user_key,
-                            "bound {:?} outside [{:?}, {:?}]", bound, start, target.user_key
-                        ),
-                        (None, None) => {}
-                        (bound, target) => prop_assert!(false, "bound {:?}, target {:?}", bound, target),
+            let contents: Vec<Vec<OwnedEntry>> =
+                l0.unsorted().iter().map(|h| h.table.scan_all(&mut Timeline::new())).collect();
+            let column = l0.key_column();
+            for start in &starts {
+                let mut reveal = Reveal::new(l0.unsorted(), column, None);
+                reveal.step(Some(start), &mut Timeline::new());
+                // Each table's first entry at or past the seek's.
+                let mut first_at = vec![usize::MAX; contents.len()];
+                for (pos, (_, table)) in column.entries().enumerate().skip(reveal.pos) {
+                    first_at[table] = first_at[table].min(pos);
+                }
+                let targets = contents.iter().map(|entries| entries.iter().find(|e| e.user_key >= *start));
+                let targets: Vec<Option<&OwnedEntry>> = targets.collect();
+                for (table, target) in targets.iter().enumerate() {
+                    prop_assert!(target.is_none() || first_at[table] != usize::MAX);
+                }
+                while let Some((key, tail, _)) = reveal.head() {
+                    let bound = [key, tail].concat();
+                    prop_assert!(start <= &bound, "bound {:?} before {:?}", bound, start);
+                    for (table, target) in targets.iter().enumerate() {
+                        if let Some(target) = target.filter(|_| first_at[table] >= reveal.pos) {
+                            prop_assert!(
+                                bound <= target.user_key,
+                                "bound {:?} past {:?}", bound, target.user_key
+                            );
+                        }
                     }
+                    reveal.step(None, &mut Timeline::new());
                 }
             }
         }

@@ -8,8 +8,8 @@ use encoding::key::SequenceNumber;
 use encoding::prefix::common_prefix_len;
 use pm_device::{PmError, PmRegion, RegionId};
 use pmtable::{
-    CodecMode, EntryRef, GroupFences, KeyColumn, Lookup, NoGroupCache, OwnedEntry, PmTable,
-    PmTableBuilder, PmTableError, TableKeys,
+    CodecMode, EntryRef, GroupFences, Lookup, NoGroupCache, OwnedEntry, PmTable, PmTableBuilder,
+    PmTableError, TableKeys,
 };
 use sim::Timeline;
 use sstable::table::TableError;
@@ -72,9 +72,6 @@ pub struct PmTableHandle {
     /// The table's DRAM group fences, which every level-0 get and scan
     /// seek finds its group by.
     pub fences: Arc<GroupFences>,
-    /// An unsorted table's DRAM key column, which a scan seeks it by
-    /// (set by [`crate::level0::PmLevel0::push_unsorted`]).
-    pub column: Option<Arc<KeyColumn>>,
 }
 
 impl PmTableHandle {
@@ -264,14 +261,15 @@ pub fn reopen_pm_table(
         bytes,
         cache_id: ids.next(),
         fences: Arc::new(std::mem::take(&mut keys.fences)),
-        column: None,
     };
     Ok((handle, keys))
 }
 
 /// The PM sink of a compaction: sorted entries in, a run of PM tables
 /// published to the pool out, a new table begun whenever the one being
-/// built holds `max_bytes` of raw entries.
+/// built holds `max_bytes` of raw entries. A sorted run's tables keep
+/// only their group fences; a flush's one unsorted table
+/// ([`PmRunWriter::unsorted`]) hands its full [`TableKeys`] to level-0.
 ///
 /// [`CodecMode::Auto`] is resolved *here*, once per output table as it
 /// is cut: [`select_codec`] reads the shape the builder folded over the
@@ -288,6 +286,8 @@ pub fn reopen_pm_table(
 pub struct PmRunWriter<'a> {
     media: Media<'a>,
     max_bytes: usize,
+    /// Build each table's full [`TableKeys`], not its fences only.
+    full_keys: bool,
     builder: PmTableBuilder,
     /// Largest sequence in `builder`.
     max_seq: SequenceNumber,
@@ -295,15 +295,25 @@ pub struct PmRunWriter<'a> {
 }
 
 impl<'a> PmRunWriter<'a> {
-    /// Writes with `media`'s options, codec costs, pool and cache ids.
+    /// Writes a sorted run with `media`'s options, codec costs, pool and
+    /// cache ids.
     pub fn new(media: &Media<'a>, max_bytes: usize) -> Self {
         PmRunWriter {
             media: *media,
             max_bytes,
+            full_keys: false,
             builder: PmTableBuilder::new(media.opts.pm_table_options()),
             max_seq: 0,
             done: Vec::new(),
         }
+    }
+
+    /// [`PmRunWriter::new`], for one unsorted table: never cut, with its
+    /// full [`TableKeys`].
+    pub fn unsorted(media: &Media<'a>) -> Self {
+        let mut writer = PmRunWriter::new(media, usize::MAX);
+        writer.full_keys = true;
+        writer
     }
 
     pub fn add(&mut self, entry: EntryRef<'_>, tl: &mut Timeline) -> Result<(), PmError> {
@@ -323,6 +333,9 @@ impl<'a> PmRunWriter<'a> {
         if opts.pm_codec_mode == CodecMode::Auto {
             let codec = select_codec(&builder.shape(), self.media.codec_costs, &opts.cost);
             builder.set_codec(codec);
+        }
+        if !self.full_keys {
+            builder.set_fences_only();
         }
         let (bytes, _stats, keys) = builder.finish_with_keys(&opts.cost, tl);
         let region = pool.publish(bytes, tl)?;
@@ -731,16 +744,19 @@ pub(crate) mod tests {
             cache_ids: &ids,
             ..store.media()
         };
-        let mut writer = PmRunWriter::new(&media, usize::MAX);
-        let mut tl = Timeline::new();
-        // Two versions of every key: one hash pair per key.
-        for i in 0..200u64 {
-            for seq in [2 * i + 2, 2 * i + 1] {
-                let entry = e(&format!("key{i:04}"), seq, "v");
-                writer.add(entry.as_ref(), &mut tl).unwrap();
+        let write = |mut writer: PmRunWriter| {
+            let mut tl = Timeline::new();
+            // Two versions of every key: one hash pair per key.
+            for i in 0..200u64 {
+                for seq in [2 * i + 2, 2 * i + 1] {
+                    let entry = e(&format!("key{i:04}"), seq, "v");
+                    writer.add(entry.as_ref(), &mut tl).unwrap();
+                }
             }
-        }
-        let [(built, keys)] = writer.finish(&mut tl).unwrap().try_into().unwrap();
+            let [table] = writer.finish(&mut tl).unwrap().try_into().unwrap();
+            table
+        };
+        let (built, keys) = write(PmRunWriter::unsorted(&media));
         assert_eq!(keys.hashes.len(), 200);
         assert_eq!(
             keys.column.bytes(),
@@ -753,6 +769,10 @@ pub(crate) mod tests {
         assert_eq!((reopened.max_seq, rekeyed), (400, keys));
         assert_eq!(reopened.fences, built.fences);
         assert_eq!(built.fences.bytes(), 8 * 25, "one window per group");
+        // A sorted-run table keeps its fences and builds nothing else.
+        let (run_table, run_keys) = write(PmRunWriter::new(&media, usize::MAX));
+        assert_eq!(run_table.fences, built.fences);
+        assert_eq!((run_keys.hashes.len(), run_keys.column.bytes()), (0, 0));
     }
 
     #[test]

@@ -43,12 +43,18 @@
 //! random read per 64-byte line, instead of binary-searching the
 //! table's prefix layer in PM. A scan opens a table the same way.
 //!
-//! Scans also have their own: each unsorted table's DRAM **key
-//! column** ([`pmtable::KeyColumn`], on its handle, filled from the
-//! same build or open pass as the sketch; 8 bytes per entry). A scan
-//! searches it instead of seeking the table, and opens the table only
-//! when the merge reaches the bound the search gave (see
-//! [`crate::cursor::PmRun`]).
+//! Scans also have their own: the version's **merged key column**
+//! ([`pmtable::MergedColumn`]; 12 bytes per unsorted entry), every
+//! unsorted table's key windows behind their common prefix, each with
+//! the index of its table, in one sorted array. `push_unsorted` merges
+//! a table's column in (from the same build or open pass as the
+//! sketch), re-framing the windows already in when the table shortens
+//! the common prefix; `detach_oldest` drops the detached tables'
+//! entries and renumbers the rest; an internal compaction clears it.
+//! Like the sketch, none of this is charged. A scan searches the column
+//! once per partition, whatever the unsorted-table count, and opens a
+//! table only when the merge reaches the bound the column gave (see
+//! [`crate::cursor::Reveal`]).
 //!
 //! The table set is published as an immutable [`L0Version`] behind an
 //! `Arc` and copied on *write*: a point read takes a reference to the
@@ -61,10 +67,10 @@ use std::sync::Arc;
 use encoding::bloom::BloomFilter;
 use encoding::key::SequenceNumber;
 use pm_device::{PmPool, PmRegion, RegionId};
-use pmtable::{EntryRef, Lookup, TableKeys};
+use pmtable::{EntryRef, Lookup, MergedColumn, TableKeys};
 use sim::Timeline;
 
-use crate::cursor::{Cursor, PmRun, SsRun};
+use crate::cursor::{Cursor, PmRun, Reveal, SsRun};
 use crate::engine::DbError;
 use crate::groupcache::{PmGroupCache, TableGroupCache};
 use crate::handle::{reopen_pm_table, PmRunWriter, PmTableHandle, SsTableHandle};
@@ -286,8 +292,9 @@ impl KeySketch {
 /// frees their pool space. Whoever *mutates* level-0 pays instead, and
 /// only when a reader still holds the version being replaced: the two
 /// handle lists are copied — refcount bumps per handle, never table
-/// data or a key — and so are the key sketch's slots, one `memcpy` of
-/// its [`L0Version::sketch_bytes`]. With no concurrent reader (one
+/// data or a key — and so are the key sketch's slots and the merged key
+/// column, one `memcpy` each of [`L0Version::sketch_bytes`] and
+/// [`L0Version::key_column_bytes`]. With no concurrent reader (one
 /// thread driving an Inline engine) nothing is ever copied.
 #[derive(Default, Clone)]
 pub struct L0Version {
@@ -296,6 +303,8 @@ pub struct L0Version {
     /// Non-overlapping ascending run.
     sorted: Vec<PmTableHandle>,
     sketch: KeySketch,
+    /// Every unsorted table's keys, merged.
+    column: MergedColumn,
 }
 
 impl L0Version {
@@ -343,14 +352,18 @@ impl L0Version {
         std::mem::size_of_val(self.sketch.slots.as_slice())
     }
 
-    /// DRAM the unsorted tables' key columns take.
-    pub fn key_column_bytes(&self) -> usize {
-        let columns = self.unsorted.iter().filter_map(|h| h.column.as_deref());
-        columns.map(|c| c.bytes()).sum()
+    /// The unsorted tables' merged key column.
+    pub fn key_column(&self) -> &MergedColumn {
+        &self.column
     }
 
-    /// DRAM every level-0 index takes: the key sketch, the key columns,
-    /// and each table's group fences and decoded bloom filter.
+    /// DRAM the merged key column takes.
+    pub fn key_column_bytes(&self) -> usize {
+        self.column.bytes()
+    }
+
+    /// DRAM every level-0 index takes: the key sketch, the merged key
+    /// column, and each table's group fences and decoded bloom filter.
     pub fn index_bytes(&self) -> usize {
         let per_table = self
             .tables()
@@ -438,21 +451,27 @@ impl L0Version {
     /// Cursors over the `limit` oldest tables (`usize::MAX`: all of
     /// them) for `[.., end)`: one per unsorted table plus one
     /// concatenating cursor over the sorted run. A scan reads through
-    /// `cache` and holds each unsorted table by its key column until the
-    /// merge reaches it ([`PmRun`]); a compaction passes none and reads
-    /// each table sequentially past it.
-    pub(crate) fn cursors<'a>(
+    /// `cache` and takes every table: a [`Reveal`] over the merged key
+    /// column goes first, and the unsorted tables' cursors right behind
+    /// it stay parked until it opens them. A compaction passes no cache
+    /// and reads each table sequentially.
+    pub fn cursors<'a>(
         &'a self,
         limit: usize,
         end: Option<&'a [u8]>,
         cache: Option<&'a PmGroupCache>,
     ) -> impl Iterator<Item = Cursor<'a>> {
         let (run, unsorted) = self.oldest(limit);
+        debug_assert!(cache.is_none() || unsorted.len() == self.unsorted.len());
+        let reveal = cache.map(|_| Cursor::Reveal(Reveal::new(unsorted, &self.column, end)));
         let unsorted = unsorted
             .iter()
             .map(move |h| Cursor::Pm(PmRun::new(std::slice::from_ref(h), end, cache)));
         let run = Cursor::Pm(PmRun::new(run, end, cache));
-        unsorted.chain(std::iter::once(run))
+        reveal
+            .into_iter()
+            .chain(unsorted)
+            .chain(std::iter::once(run))
     }
 }
 
@@ -488,9 +507,9 @@ impl PmLevel0 {
     /// Register a fresh minor-compaction output with its [`TableKeys`].
     /// The key sketch takes its hashes in when it covers every older
     /// unsorted table and has a bit left; otherwise the table's own
-    /// filter guards its probes. The table keeps its key column for
-    /// scans.
-    pub fn push_unsorted(&mut self, mut handle: PmTableHandle, keys: TableKeys) {
+    /// filter guards its probes. Its key column is merged into the
+    /// version's, uncharged, as the sketch's hashes are.
+    pub fn push_unsorted(&mut self, handle: PmTableHandle, keys: TableKeys) {
         let next = Arc::make_mut(&mut self.current);
         let sketch = &mut next.sketch;
         if sketch.covered == next.unsorted.len()
@@ -499,7 +518,8 @@ impl PmLevel0 {
         {
             sketch.cover(&keys.hashes);
         }
-        handle.column = Some(Arc::new(keys.column));
+        next.column
+            .push(next.unsorted.len(), keys.column, &handle.first);
         next.unsorted.push(handle);
     }
 
@@ -518,6 +538,7 @@ impl PmLevel0 {
         let (take_sorted, take_unsorted) = (run.len(), unsorted.len());
         let next = Arc::make_mut(&mut self.current);
         next.sketch.drop_oldest(take_unsorted);
+        next.column.drop_oldest(take_unsorted);
         let detached = next.sorted.drain(..take_sorted);
         let detached = detached.chain(next.unsorted.drain(..take_unsorted));
         detached.map(|h| (h.region, h.cache_id)).unzip()
@@ -732,7 +753,7 @@ impl Level0 {
             Level0::Pm(l0) => {
                 let written = &pool.stats().bytes_written;
                 let written_before = written.get();
-                let mut writer = PmRunWriter::new(media, usize::MAX);
+                let mut writer = PmRunWriter::unsorted(media);
                 entries.try_for_each(|e| writer.add(e, tl))?;
                 let mut decision = None;
                 for (table, keys) in writer.finish(tl)? {
@@ -902,7 +923,7 @@ impl Level0 {
 pub(crate) mod tests {
     use super::*;
     use crate::cursor::tests::drain;
-    use crate::handle::{reopen_pm_table, CacheIds};
+    use crate::handle::{merge_dedup, reopen_pm_table, CacheIds};
     use pm_device::PmPool;
     use pmtable::{NoGroupCache, OwnedEntry, PmTableBuilder, PmTableOptions};
     use proptest::collection::{btree_set, vec};
@@ -1577,6 +1598,166 @@ pub(crate) mod tests {
                 }
                 for (version, then) in &held {
                     prop_assert_eq!(&answers(version), then);
+                }
+            }
+        }
+    }
+    #[derive(Clone, Debug)]
+    enum Upkeep {
+        /// An unsorted table: one lead shared by its keys, and each
+        /// key's rest and whether it is a tombstone.
+        Push(usize, Vec<(Vec<u8>, bool)>),
+        Detach(usize),
+        /// An internal compaction into a run of these keys.
+        Replace(BTreeSet<u8>),
+        /// Keep the live version and what its scans return now.
+        Hold,
+    }
+
+    /// Key leads of different lengths: pushing a table of a shorter one
+    /// shortens the merged column's common prefix.
+    const LEADS: [&[u8]; 4] = [b"t0:aaaaaaaaaaaa", b"t0:", b"t1", b""];
+
+    fn upkeep_push() -> impl Strategy<Value = Upkeep> {
+        let rest = vec(prop_oneof![Just(b'a'), Just(b'b'), Just(0u8)], 1..10);
+        let entries = vec((rest, 0u8..5), 1..6);
+        (0..LEADS.len(), entries).prop_map(|(lead, entries)| {
+            Upkeep::Push(
+                lead,
+                entries.into_iter().map(|(r, t)| (r, t == 0)).collect(),
+            )
+        })
+    }
+
+    fn upkeep() -> impl Strategy<Value = Upkeep> {
+        prop_oneof![
+            8 => upkeep_push(),
+            2 => (1usize..6).prop_map(Upkeep::Detach),
+            1 => btree_set(0..KEYS, 1..6).prop_map(Upkeep::Replace),
+            2 => Just(Upkeep::Hold),
+        ]
+    }
+
+    /// `v`'s merged column built from scratch, behind the prefix it
+    /// keeps: every unsorted table's every entry as (window, table), in
+    /// order.
+    fn rebuilt_column(v: &L0Version) -> Vec<(u64, usize)> {
+        let prefix = v.key_column().prefix();
+        let mut entries = Vec::new();
+        for (table, h) in v.unsorted().iter().enumerate() {
+            for e in h.table.scan_all(&mut Timeline::new()) {
+                assert!(
+                    e.user_key.starts_with(prefix),
+                    "{:?} outside the prefix",
+                    e.user_key
+                );
+                let mut window = [0; 8];
+                let rest = &e.user_key[prefix.len()..];
+                let n = rest.len().min(8);
+                window[..n].copy_from_slice(&rest[..n]);
+                entries.push((u64::from_be_bytes(window), table));
+            }
+        }
+        entries.sort();
+        entries
+    }
+
+    /// Scans of `v` from each of `starts` through the merged column,
+    /// checked against eager cursors and a merge of every table's full
+    /// contents.
+    fn upkeep_scans(v: &L0Version, starts: &[Vec<u8>]) -> Vec<Vec<OwnedEntry>> {
+        let (cache, cost) = (PmGroupCache::new(1 << 20), CostModel::default());
+        let whole: Vec<Vec<OwnedEntry>> = v
+            .tables()
+            .map(|h| h.table.scan_all(&mut Timeline::new()))
+            .collect();
+        starts
+            .iter()
+            .map(|start| {
+                let deferred = drain(
+                    v.cursors(usize::MAX, None, Some(&cache)).collect(),
+                    start,
+                    None,
+                    false,
+                );
+                let eager = drain(
+                    v.cursors(usize::MAX, None, None).collect(),
+                    start,
+                    None,
+                    false,
+                );
+                assert_eq!(deferred, eager);
+                let from_start = whole
+                    .iter()
+                    .map(|t| t.iter().filter(|e| e.user_key >= *start).cloned().collect());
+                assert_eq!(
+                    eager,
+                    merge_dedup(from_start.collect(), false, &cost, &mut Timeline::new())
+                );
+                deferred
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The merged key column equals one built from scratch after
+        /// every push (past 64 unsorted tables, with common prefixes
+        /// that differ, so a push re-frames it), detach and internal
+        /// compaction, and in every version held across them; and
+        /// every version's scans equal both an eager merge and a merge
+        /// of every table's full contents.
+        #[test]
+        fn prop_the_merged_column_equals_a_rebuild_after_every_mutation(
+            prefill in vec(upkeep_push(), 65..72),
+            ops in vec(upkeep(), 1..30),
+        ) {
+            let pool = PmPool::new(64 << 20, CostModel::default());
+            let (mut l0, mut seq, mut held) = (PmLevel0::new(), 0, Vec::new());
+            // Each table its own group-cache id (`table_opts` mints 1).
+            let ids = CacheIds::new();
+            let mut starts = vec![Vec::new(), b"t0:a".to_vec(), b"t1a".to_vec(), vec![0xff]];
+            for op in prefill.into_iter().chain(ops) {
+                match op {
+                    Upkeep::Push(lead, entries) => {
+                        let entries = entries.into_iter().map(|(rest, tombstone)| {
+                            seq += 1;
+                            let key = [LEADS[lead], &rest].concat();
+                            match tombstone {
+                                true => OwnedEntry::tombstone(key, seq),
+                                false => OwnedEntry::value(key, seq, seq.to_le_bytes().to_vec()),
+                            }
+                        });
+                        let entries: Vec<OwnedEntry> = entries.collect();
+                        starts.push(entries[0].user_key.clone());
+                        let (table, keys) = table_opts(&pool, entries, PmTableOptions::default());
+                        l0.push_unsorted(PmTableHandle { cache_id: ids.next(), ..table }, keys);
+                    }
+                    Upkeep::Detach(limit) => {
+                        l0.detach_oldest(limit).0.into_iter().for_each(|r| pool.free(r).unwrap());
+                    }
+                    Upkeep::Replace(keys) => {
+                        let run = run_of(&pool, &mut seq, &keys).into_iter();
+                        let run = run.map(|h| PmTableHandle { cache_id: ids.next(), ..h });
+                        let (_, regions, _) = l0.replace_with_sorted_deferred(run.collect());
+                        regions.into_iter().for_each(|r| pool.free(r).unwrap());
+                        prop_assert!(l0.key_column().is_empty());
+                    }
+                    Upkeep::Hold => {
+                        let starts = starts[starts.len() - 6..].to_vec();
+                        let scans = upkeep_scans(&l0, &starts);
+                        held.push((l0.version(), starts, scans));
+                    }
+                }
+                let column: Vec<(u64, usize)> = l0.key_column().entries().collect();
+                prop_assert_eq!(&column, &rebuilt_column(&l0));
+                prop_assert_eq!(l0.key_column_bytes(), 12 * column.len());
+                upkeep_scans(&l0, &starts[starts.len().saturating_sub(4)..]);
+                for (version, starts, scans) in &held {
+                    let column: Vec<(u64, usize)> = version.key_column().entries().collect();
+                    prop_assert_eq!(&column, &rebuilt_column(version));
+                    prop_assert_eq!(&upkeep_scans(version, starts), scans);
                 }
             }
         }

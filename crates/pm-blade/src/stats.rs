@@ -92,8 +92,8 @@ pub struct EngineMetrics {
     /// Distribution of PM tables actually probed per PM-L0 lookup (a
     /// count, not a duration).
     pub pm_tables_probed: Arc<LatencyRecorder>,
-    /// Unsorted PM tables scans held under a key-column bound, and the
-    /// ones among them the merge reached and opened.
+    /// Unsorted PM tables in scans' ranges, held behind the merged key
+    /// column, and the ones among them the merge reached and opened.
     pub pm_scan_tables: Arc<Counter>,
     pub pm_scan_tables_sought: Arc<Counter>,
     /// Table-read failures surfaced by the SSD read path (these
@@ -115,9 +115,9 @@ pub struct EngineMetrics {
     pub(crate) pm_used_bytes: Arc<Gauge>,
     pub(crate) block_cache_used_bytes: Arc<Gauge>,
     pub(crate) pm_group_cache_used_bytes: Arc<Gauge>,
-    /// DRAM held by every partition's PM-L0 key sketch, by its
-    /// unsorted tables' key columns, and by every PM-L0 index: those
-    /// two plus each table's group fences and decoded bloom filter.
+    /// DRAM held by every partition's PM-L0 key sketch, by its merged
+    /// key column, and by every PM-L0 index: those two plus each
+    /// table's group fences and decoded bloom filter.
     pub(crate) pm_l0_sketch_bytes: Arc<Gauge>,
     pub(crate) pm_l0_key_column_bytes: Arc<Gauge>,
     pub(crate) pm_l0_index_bytes: Arc<Gauge>,

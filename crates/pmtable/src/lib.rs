@@ -28,7 +28,7 @@ pub mod storage;
 pub use array_table::ArrayCursor;
 pub use array_table::{ArrayTable, ArrayTableBuilder};
 pub use pm_table::{
-    CodecMode, ColumnSeek, GroupAccess, GroupFences, GroupLoad, KeyColumn, MetaExtractor,
+    CodecMode, GroupAccess, GroupFences, GroupLoad, KeyColumn, MergedColumn, MetaExtractor,
     NoGroupCache, PmCursor, PmTable, PmTableBuilder, PmTableError, PmTableOptions, TableKeys,
     CODEC_COUNT, CODEC_DELTA, CODEC_FIXED, CODEC_NAMES, CODEC_PREFIX,
 };

@@ -23,6 +23,8 @@ pub struct PmTableBuilder {
     run: EntryRun,
     raw_bytes: usize,
     shape: delta::CodecStats,
+    /// Hand back the group fences only.
+    fences_only: bool,
 }
 
 impl PmTableBuilder {
@@ -33,6 +35,7 @@ impl PmTableBuilder {
             run: EntryRun::default(),
             raw_bytes: 0,
             shape: delta::CodecStats::default(),
+            fences_only: false,
         }
     }
 
@@ -74,6 +77,13 @@ impl PmTableBuilder {
     /// Replace the codec policy the table will be encoded under.
     pub fn set_codec(&mut self, codec: CodecMode) {
         self.opts.codec = codec;
+    }
+
+    /// Build only the group fences of the [`TableKeys`]
+    /// [`PmTableBuilder::finish_with_keys`] hands back: no hashes, no
+    /// column. The filter is built all the same.
+    pub fn set_fences_only(&mut self) {
+        self.fences_only = true;
     }
 
     /// Encode the table, charging CPU encode cost to `tl`.
@@ -142,7 +152,11 @@ impl PmTableBuilder {
         let mut slice: Vec<EntryRef<'_>> = Vec::with_capacity(opts.group_size);
         let mut rests: Vec<&[u8]> = Vec::with_capacity(opts.group_size);
         let mut scratch = Scratch::default();
-        let mut keys = TableKeys::new(self.shape().batch_lcp, count, groups.len());
+        let prefix = self.shape().batch_lcp;
+        let mut keys = match self.fences_only {
+            true => TableKeys::fences_only(prefix, groups.len()),
+            false => TableKeys::new(prefix, count, groups.len()),
+        };
         for (group, g) in groups.iter().enumerate() {
             slice.clear();
             slice.extend((g.start..g.start + g.len).map(|i| self.run.get(i)));
@@ -270,7 +284,9 @@ impl PmTableBuilder {
             encoded_bytes: out.len(),
             entries: count,
         };
-        keys.hashes = hashes;
+        if !self.fences_only {
+            keys.hashes = hashes;
+        }
         (out, stats, keys)
     }
 }

@@ -1,12 +1,14 @@
-//! The DRAM key indexes of a level-0 table: the key column a scan
-//! holds an unsorted table by, and the group fences every get and seek
-//! finds its group by.
+//! The DRAM key indexes of level-0: each unsorted table's key column,
+//! which level-0 merges into one [`MergedColumn`] a scan seeks, and the
+//! group fences every get and seek finds its group by.
 
-/// Key bytes a [`KeyColumn`] keeps per entry.
+use encoding::prefix::common_prefix_len;
+
+/// Key bytes a window keeps per entry.
 const WINDOW: usize = 8;
 
-/// The 8 bytes of `key` after a table's common prefix of `prefix`
-/// bytes, as a big-endian `u64`, zero-padded past the key's end.
+/// The 8 bytes of `key` after a common prefix of `prefix` bytes, as a
+/// big-endian `u64`, zero-padded past the key's end.
 fn window(prefix: usize, key: &[u8]) -> u64 {
     let rest = key.get(prefix..).unwrap_or_default();
     let mut window = [0; WINDOW];
@@ -15,36 +17,31 @@ fn window(prefix: usize, key: &[u8]) -> u64 {
     u64::from_be_bytes(window)
 }
 
-/// A table's keys in DRAM, which a scan searches instead of its prefix
-/// layer: per entry, the 8 bytes after the table's common prefix (the
-/// LCP of its first and last key) as a big-endian `u64`, zero-padded
-/// past the key's end. A larger key never has a smaller window, so a
-/// binary search over the windows finds where a seek lands without
-/// reading PM. 8 bytes per entry.
+/// A window behind `lead`, the prefix bytes a shorter prefix leaves
+/// out: the first 8 bytes of `lead ‖ window`.
+fn reframe(lead: &[u8], window: u64) -> u64 {
+    let n = lead.len().min(WINDOW);
+    let mut bytes = [0; WINDOW];
+    bytes[..n].copy_from_slice(&lead[..n]);
+    let rest = window.checked_shr(8 * n as u32).unwrap_or(0);
+    u64::from_be_bytes(bytes) | rest
+}
+
+/// A table's keys in DRAM: per entry, the 8 bytes after the table's
+/// common prefix (the LCP of its first and last key) as a big-endian
+/// `u64`, zero-padded past the key's end. A larger key never has a
+/// smaller window. Level-0 merges an unsorted table's column into its
+/// [`MergedColumn`]. 8 bytes per entry.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KeyColumn {
     prefix: usize,
     windows: Vec<u64>,
 }
 
-/// Where a [`KeyColumn::seek`] lands: on the first entry with user key
-/// at or after the seek key, the *target*.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ColumnSeek {
-    /// When the target's window sorts after the seek key's, that window
-    /// with its trailing zero bytes trimmed: after the table's common
-    /// prefix, a prefix of the target's key, so a bound on it that lies
-    /// above the seek key. Empty on a tie.
-    tail: [u8; WINDOW],
-    tail_len: usize,
-    /// 64-byte lines the search touched.
-    pub lines: u64,
-}
-
-impl ColumnSeek {
-    /// See the field doc: empty when the target ties with the seek key.
-    pub fn tail(&self) -> &[u8] {
-        &self.tail[..self.tail_len]
+impl KeyColumn {
+    /// DRAM the column takes.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.windows.as_slice())
     }
 }
 
@@ -66,42 +63,142 @@ fn search<T: Copy>(items: &[T], pred: impl Fn(T) -> bool) -> (usize, u64) {
     (lo, lines)
 }
 
-impl KeyColumn {
-    /// Length of the table's common prefix, which every bound a seek
-    /// returns goes behind.
-    pub fn prefix_len(&self) -> usize {
-        self.prefix
+/// Windows and table indexes per 64-byte line.
+const WINDOWS_PER_LINE: usize = 64 / std::mem::size_of::<u64>();
+const TABLES_PER_LINE: usize = 64 / std::mem::size_of::<u32>();
+
+/// The key columns of a level-0's unsorted tables merged into one, which
+/// a scan searches once whatever the table count: per entry of every
+/// table, its window behind the tables' common prefix (the LCP of every
+/// table's first and last key; see [`KeyColumn`]) and the index of the
+/// table that holds it, in (window, table) order. Two parallel arrays,
+/// 12 bytes per entry. A larger key never has a smaller window, so
+/// every entry of a key at or past a seek key sits at or after the
+/// first window at or past the seek key's.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct MergedColumn {
+    /// The common prefix every window goes behind.
+    prefix: Vec<u8>,
+    windows: Vec<u64>,
+    tables: Vec<u32>,
+}
+
+impl MergedColumn {
+    /// Merge in table `table`, newer than every table in, whose first
+    /// key is `first`, by its column. When the table shortens the common
+    /// prefix, every window already in is re-framed behind the bytes the
+    /// prefix gives up.
+    pub fn push(&mut self, table: usize, mut column: KeyColumn, first: &[u8]) {
+        let own = &first[..column.prefix];
+        if self.windows.is_empty() {
+            self.prefix = own.to_vec();
+        }
+        let keep = common_prefix_len(&self.prefix, own);
+        if keep < self.prefix.len() {
+            let lead = &self.prefix[keep..];
+            self.windows.iter_mut().for_each(|w| *w = reframe(lead, *w));
+            self.prefix.truncate(keep);
+            // Windows the re-framing made equal go back in table order.
+            let mut at = 0;
+            for tie in self.windows.chunk_by(|a, b| a == b) {
+                self.tables[at..at + tie.len()].sort_unstable();
+                at += tie.len();
+            }
+        }
+        let (lead, new) = (&own[keep..], &mut column.windows);
+        if !lead.is_empty() {
+            new.iter_mut().for_each(|w| *w = reframe(lead, *w));
+        }
+        let (table, old, add) = (table as u32, self.windows.len(), new.len());
+        self.windows.resize(old + add, 0);
+        self.tables.resize(old + add, 0);
+        // Merge from the back: the old entries past each new one move up
+        // past it in one block. On a tie the new table's entry goes last.
+        let mut i = old;
+        for (j, &window) in new.iter().enumerate().rev() {
+            let past = self.windows[..i].iter().rev().take_while(|&&w| w > window);
+            let lo = i - past.count();
+            self.windows.copy_within(lo..i, lo + j + 1);
+            self.tables.copy_within(lo..i, lo + j + 1);
+            i = lo;
+            (self.windows[i + j], self.tables[i + j]) = (window, table);
+        }
+    }
+
+    /// Forget the `n` oldest tables and renumber the rest. The prefix
+    /// stays while a table is left: they all still share it.
+    pub fn drop_oldest(&mut self, n: usize) {
+        let n = n as u32;
+        let mut kept = self.tables.iter().map(|&table| table >= n);
+        self.windows.retain(|_| kept.next() == Some(true));
+        self.tables.retain(|&table| table >= n);
+        self.tables.iter_mut().for_each(|table| *table -= n);
+        if self.tables.is_empty() {
+            self.prefix.clear();
+        }
     }
 
     /// DRAM the column takes.
     pub fn bytes(&self) -> usize {
         std::mem::size_of_val(self.windows.as_slice())
+            + std::mem::size_of_val(self.tables.as_slice())
     }
 
-    /// Find the first entry with user key >= `start` in the table whose
-    /// first key is `first`, for a `start` at most its last key. A start
-    /// at or before `first` lands on the table's first entry with no
-    /// search; any other shares the table's common prefix. Every entry
-    /// before the first window at or past `start`'s sorts before
-    /// `start`; if that window is past it, its entry is the target, else
-    /// the target is the first of its tie at or past `start`.
-    pub fn seek(&self, first: &[u8], start: &[u8]) -> ColumnSeek {
-        if start <= first {
-            return ColumnSeek::default();
+    pub fn len(&self) -> usize {
+        self.windows.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.windows.is_empty()
+    }
+
+    /// The common prefix every window goes behind.
+    pub fn prefix(&self) -> &[u8] {
+        &self.prefix
+    }
+
+    /// Every entry, as (window, table), in column order.
+    pub fn entries(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        let tables = self.tables.iter().map(|&t| t as usize);
+        self.windows.iter().copied().zip(tables)
+    }
+
+    /// The table entry `pos` belongs to.
+    pub fn table(&self, pos: usize) -> usize {
+        self.tables[pos] as usize
+    }
+
+    /// Where a scan from `start` begins: the first entry whose window is
+    /// at or past `start`'s, and the 64-byte lines the search touched. A
+    /// `start` before the common prefix lands on the first entry, one
+    /// after it past the last, with no search.
+    pub fn seek(&self, start: &[u8]) -> (usize, u64) {
+        let p = self.prefix.len();
+        match start.get(..p) {
+            Some(head) if head == self.prefix => {
+                let key = window(p, start);
+                search(&self.windows, |w| w < key)
+            }
+            _ if start < self.prefix.as_slice() => (0, 0),
+            _ => (self.len(), 0),
         }
-        let key = window(self.prefix, start);
-        let (i, lines) = search(&self.windows, |w| w < key);
-        match self.windows.get(i) {
-            Some(&window) if window > key => ColumnSeek {
-                tail: window.to_be_bytes(),
-                tail_len: WINDOW - (window.trailing_zeros() / 8) as usize,
-                lines,
-            },
-            _ => ColumnSeek {
-                lines,
-                ..ColumnSeek::default()
-            },
-        }
+    }
+
+    /// Entry `pos`'s window with its trailing zero bytes trimmed, and
+    /// its length: behind the prefix, a prefix of the entry's key, so a
+    /// lower bound on every key whose window is at or past it.
+    pub fn tail(&self, pos: usize) -> ([u8; WINDOW], usize) {
+        let window = self.windows[pos];
+        let len = WINDOW - (window.trailing_zeros() / 8) as usize;
+        (window.to_be_bytes(), len)
+    }
+
+    /// The 64-byte lines a walk that began at entry `from` touches anew
+    /// on entry `pos`: a line of each array on the first, then each line
+    /// it steps into.
+    pub fn walk_lines(from: usize, pos: usize) -> u64 {
+        let enters = |per_line: usize| u64::from(pos == from || pos.is_multiple_of(per_line));
+        enters(WINDOWS_PER_LINE) + enters(TABLES_PER_LINE)
     }
 }
 
@@ -140,12 +237,14 @@ impl GroupFences {
 /// What building a table, or re-reading one, learns of its keys for
 /// level-0's DRAM indexes: the [`encoding::bloom::BloomFilter::hashes`]
 /// of its distinct user keys (none when it has no filter), its
-/// [`KeyColumn`] and its [`GroupFences`].
+/// [`KeyColumn`] and its [`GroupFences`]. Built for fences only (a
+/// sorted-run table's), it keeps no hashes and no column.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TableKeys {
     pub hashes: Vec<(u64, u64)>,
     pub column: KeyColumn,
     pub fences: GroupFences,
+    fences_only: bool,
 }
 
 impl TableKeys {
@@ -162,13 +261,24 @@ impl TableKeys {
                 prefix,
                 lasts: Vec::with_capacity(groups),
             },
+            fences_only: false,
+        }
+    }
+
+    /// [`TableKeys::new`], to fill the group fences only.
+    pub fn fences_only(prefix: usize, groups: usize) -> Self {
+        TableKeys {
+            fences_only: true,
+            ..TableKeys::new(prefix, 0, groups)
         }
     }
 
     /// Take in the table's next entry, which sits in `group`.
     pub fn push(&mut self, group: u32, key: &[u8]) {
-        let window = window(self.column.prefix, key);
-        self.column.windows.push(window);
+        let window = window(self.fences.prefix, key);
+        if !self.fences_only {
+            self.column.windows.push(window);
+        }
         let lasts = &mut self.fences.lasts;
         // An empty group (only in a damaged table) repeats the fence
         // before it, so the fences stay sorted.

@@ -984,6 +984,58 @@ fn the_column_keeps_one_window_per_entry_and_the_fences_one_per_group() {
     assert_eq!(keys.fences.group_of(b"kbb").0, 2);
     assert_eq!(keys.fences.group_of(b"ke").0, 2);
     assert_eq!(keys.fences.group_of(b"kf").0, 3);
-    let seek = keys.column.seek(b"ka", b"kbb");
-    assert_eq!((seek.tail(), seek.lines), (&b"c"[..], 1));
+    let fences = TableKeys::fences_only(1, 3);
+    assert_eq!((fences.column.bytes(), fences.fences.bytes()), (0, 0));
+}
+
+/// The keys of one table, as its builder would hand them over.
+fn column_of(keys: &[&[u8]]) -> KeyColumn {
+    let prefix = encoding::prefix::common_prefix_len(keys[0], keys[keys.len() - 1]);
+    let mut table = TableKeys::new(prefix, keys.len(), 1);
+    keys.iter().for_each(|key| table.push(0, key));
+    table.column
+}
+
+#[test]
+fn a_merged_column_reframes_renumbers_and_seeks_once() {
+    let mut merged = MergedColumn::default();
+    merged.push(0, column_of(&[b"k:a1", b"k:a3"]), b"k:a1");
+    assert_eq!(merged.prefix(), b"k:a");
+    // A second table shortens the common prefix to `k:`: the first
+    // table's windows are re-framed behind the `a` it gives up.
+    merged.push(1, column_of(&[b"k:a2", b"k:b"]), b"k:a2");
+    assert_eq!(merged.prefix(), b"k:");
+    let window = |key: &[u8]| {
+        let mut w = [0; 8];
+        w[..key.len()].copy_from_slice(key);
+        u64::from_be_bytes(w)
+    };
+    let order: Vec<(u64, usize)> = merged.entries().collect();
+    assert_eq!(
+        order,
+        [
+            (window(b"a1"), 0),
+            (window(b"a2"), 1),
+            (window(b"a3"), 0),
+            (window(b"b"), 1)
+        ]
+    );
+    assert_eq!(merged.bytes(), 12 * 4);
+    assert_eq!(merged.seek(b"k:a2"), (1, 1));
+    assert_eq!(merged.seek(b"k:a25").0, 2);
+    assert_eq!(merged.seek(b"a"), (0, 0), "before the prefix: no search");
+    assert_eq!(merged.seek(b"z"), (4, 0), "after it: past the last entry");
+    assert_eq!(merged.tail(3), (window(b"b").to_be_bytes(), 1));
+    // The oldest table goes; the other is renumbered and keeps the prefix.
+    merged.drop_oldest(1);
+    assert_eq!(
+        merged.entries().collect::<Vec<_>>(),
+        [(window(b"a2"), 0), (window(b"b"), 0)]
+    );
+    assert_eq!(merged.prefix(), b"k:");
+    merged.drop_oldest(1);
+    assert_eq!(merged, MergedColumn::default());
+    assert_eq!(MergedColumn::walk_lines(3, 3), 2);
+    assert_eq!(MergedColumn::walk_lines(3, 8), 1);
+    assert_eq!(MergedColumn::walk_lines(3, 16), 2);
 }

@@ -26,7 +26,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use pm_blade::{CompactionRequest, Db, MetricKey, Mode, ReadSource, ScanRequest, WriteBatch};
+use pm_blade::{
+    CompactionRequest, Db, MetricKey, Mode, ReadSource, ScanRequest, SpanKind, WriteBatch,
+};
 use pmblade_integration_tests::{key_for, tiny_options, value_for};
 
 thread_local! {
@@ -347,7 +349,7 @@ fn a_scan_allocates_and_reads_as_much_over_32_unsorted_tables_as_over_8() {
     let flush = || db.compact(CompactionRequest::FlushAll).unwrap();
     let counter = |name| db.metrics_snapshot().counter(name);
     // Allocations and PM bytes read of one 50-row scan, and the unsorted
-    // tables it held by their key columns and opened.
+    // tables it held behind the merged key column and opened.
     let scan = || {
         let request = || ScanRequest::new().start(key_for(400)).limit(50);
         db.scan(request()).unwrap();
@@ -383,6 +385,56 @@ fn a_scan_allocates_and_reads_as_much_over_32_unsorted_tables_as_over_8() {
         (allocations, read, 32, 8),
         "(allocations, PM bytes read, tables held, tables opened) of a 50-row scan \
          at 32 unsorted tables, against 8"
+    );
+}
+
+#[test]
+fn a_scans_level0_seek_costs_as_much_over_32_unsorted_tables_as_over_8() {
+    // The level-0 of the test above, every scan traced.
+    let mut opts = tiny_options(Mode::PmBladePm);
+    opts.pm_capacity = 32 << 20;
+    opts.tau_m = 30 << 20;
+    opts.memtable_bytes = 1 << 20;
+    opts.l0_table_trigger = usize::MAX;
+    opts.l0_unsorted_hard_cap = usize::MAX;
+    opts.pm_group_cache_bytes = 0;
+    opts.trace_sample_every = 1;
+    let line = opts.cost.dram.random_read(64).as_nanos();
+    let db = Db::open(opts).unwrap();
+    let flush = || db.compact(CompactionRequest::FlushAll).unwrap();
+    // The virtual nanos of a 50-row scan's filter consults: its search
+    // and walk of the merged key column.
+    let filter_consult = || {
+        let (rows, _) = db
+            .scan(ScanRequest::new().start(key_for(400)).limit(50))
+            .unwrap();
+        assert_eq!(rows.len(), 50);
+        let trace = db.flight_recorder().pop().unwrap();
+        let stage = trace
+            .stages
+            .iter()
+            .find(|s| s.kind == SpanKind::FilterConsult);
+        stage.map_or(0, |s| s.end_nanos - s.start_nanos)
+    };
+    for table in 0..8 {
+        put_keys(&db, (0..1000).filter(|i| i % 8 == table), 0);
+        flush();
+    }
+    let at_8 = filter_consult();
+    assert!(at_8 > 0);
+    for table in 0..24 {
+        put_keys(&db, [0, 999].into_iter(), 1 + table);
+        flush();
+    }
+    assert_eq!(unsorted_tables(&db), 32);
+    // 1 048 entries against 1 000: one more probe of the search, and
+    // the walk's entries sit 24 further on, so its lines may split
+    // differently.
+    let at_32 = filter_consult();
+    assert!(
+        at_32.abs_diff(at_8) <= 2 * line,
+        "a 50-row scan's filter consults took {at_32} ns over 32 unsorted tables \
+         and {at_8} ns over 8; a line is {line} ns"
     );
 }
 

@@ -434,14 +434,17 @@ fn a_reopen_rebuilds_the_key_sketch_and_reads_no_more_pm() {
     assert_eq!(
         dram_bytes(&db),
         bytes,
-        "the reopen rebuilt the same sketch, key columns and fences"
+        "the reopen rebuilt the same sketch, merged key column and fences"
     );
     assert_eq!(gets(&db), answers);
     let probes = db.metrics_snapshot().counter("pm_l0_sketch_probes_total");
     assert_eq!(probes, 320, "every get went through the sketch");
     assert_eq!(scans(&db), rows);
     let held = db.metrics_snapshot().counter("pm_scan_tables_total");
-    assert!(held > 0, "the scans held tables by their key columns");
+    assert!(
+        held > 0,
+        "the scans held tables behind the merged key column"
+    );
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -449,7 +452,7 @@ fn a_reopen_rebuilds_the_key_sketch_and_reads_no_more_pm() {
 /// Every level-0 table, unsorted or in the sorted run, gets back its
 /// group fences on a reopen, and they take at most a byte per level-0
 /// entry. Without filters there is no sketch and no filter, so the
-/// index gauge is the key columns plus the fences.
+/// index gauge is the merged key column plus the fences.
 #[test]
 fn a_reopen_rebuilds_group_fences_within_a_byte_per_entry() {
     let dir = scratch_dir("fences");
