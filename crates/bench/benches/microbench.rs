@@ -257,7 +257,7 @@ fn bench_scan_merge(c: &mut Criterion) {
             merge_into(cursors, false, &cost, &errors, &mut tl, sink).unwrap();
             let run = writer.finish(&mut tl).unwrap();
             run.iter()
-                .for_each(|(table, _)| pool.free(table.region).unwrap());
+                .for_each(|(table, _)| pool.free(table.region()).unwrap());
             run.len()
         })
     });
@@ -318,7 +318,7 @@ fn bench_cascade(c: &mut Criterion) {
             merge_into(cursors, true, &cost, &errors, &mut tl, sink).unwrap();
             let run = writer.finish(&mut tl).unwrap();
             run.iter()
-                .for_each(|table| device.delete(&table.name).unwrap());
+                .for_each(|table| device.delete(table.table.name()).unwrap());
             run.len()
         })
     });

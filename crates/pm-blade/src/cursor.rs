@@ -140,7 +140,7 @@ impl<'a> PmRun<'a> {
         let mut load = GroupLoad::None;
         match (seek, &mut self.cur) {
             (Some(start), _) => {
-                self.next = self.tables.partition_point(|h| &*h.last < start);
+                self.next = self.tables.partition_point(|h| h.last() < start);
                 self.cur = None;
             }
             (None, Some(c)) => load = c.advance(tl).map_err(corrupt)?,
@@ -149,11 +149,11 @@ impl<'a> PmRun<'a> {
         if self.cur.as_ref().is_none_or(|c| c.current().is_none()) {
             // Tables that begin at or past `end` are never opened.
             let table = self.tables.get(self.next);
-            self.cur = match table.filter(|h| self.end.is_none_or(|e| &*h.first < e)) {
+            self.cur = match table.filter(|h| self.end.is_none_or(|e| h.first() < e)) {
                 Some(h) => {
                     self.next += 1;
                     let start = seek.unwrap_or_default();
-                    let group = if start <= &*h.first {
+                    let group = if start <= h.first() {
                         0
                     } else {
                         let (group, lines) = h.fences.group_of(start);
@@ -185,14 +185,16 @@ impl<'a> PmRun<'a> {
 /// their [`MergedColumn`]. Its seek searches the column once, charged
 /// one DRAM random read per 64-byte line, for the first entry whose
 /// window is at or past the scan's start; every entry of a key at or
-/// past the start sits there or later. It then walks the column one
-/// entry at a time, charged each line it steps into, and its head is a
-/// lower bound on every key at or past the start whose entry is at or
-/// past the walk's: the common prefix and the entry's window trimmed of
-/// trailing zero bytes (a prefix of the entry's key), or the start when
-/// that sorts before it (the window ties with the start's). A table's
-/// own first key is no such bound, as another table's key can tie with
-/// it on the window and sort before it.
+/// past the start sits there or later. A start at or before every
+/// table's first key lands on the first entry with no search. It then
+/// walks the column one entry at a time, charged each line it steps
+/// into, and its head is a lower bound on every key at or past the
+/// start whose entry is at or past the walk's: the common prefix and
+/// the entry's window trimmed of trailing zero bytes (a prefix of the
+/// entry's key), or the start when that sorts before it (the window
+/// ties with the start's). A table's own first key is no such bound, as
+/// another table's key can tie with it on the window and sort before
+/// it.
 ///
 /// The tables' own cursors follow the revealer in the merge's sources,
 /// parked: never stepped. When the head reaches the top of the heap,
@@ -240,10 +242,18 @@ impl<'a> Reveal<'a> {
         match seek {
             Some(start) => {
                 self.start = start;
-                (self.pos, lines) = self.column.seek(start);
-                self.from = self.pos;
-                let in_range = |h: &&PmTableHandle| self.in_range(h);
-                self.held = self.tables.iter().filter(in_range).count() as u64;
+                let (mut held, mut before_all) = (0, true);
+                for h in self.tables {
+                    held += u64::from(self.in_range(h));
+                    before_all &= start <= h.first();
+                }
+                // A start at or before every table's first key is at or
+                // before every entry: no search finds another place.
+                (self.pos, lines) = match before_all {
+                    true => (0, 0),
+                    false => self.column.seek(start),
+                };
+                (self.from, self.held) = (self.pos, held);
             }
             None => self.pos += 1,
         }
@@ -258,7 +268,7 @@ impl<'a> Reveal<'a> {
     }
 
     fn in_range(&self, h: &PmTableHandle) -> bool {
-        &*h.last >= self.start && self.end.is_none_or(|e| &*h.first < e)
+        h.last() >= self.start && self.end.is_none_or(|e| h.first() < e)
     }
 
     /// `prefix ‖ tail`, or `start` when that sorts before it.
@@ -695,6 +705,34 @@ pub(crate) mod tests {
             .prop_map(|p| p.into_iter().flat_map(|i| PIECES[i]).copied().collect())
     }
 
+    /// A scan from a key that shares the merged column's prefix but
+    /// precedes every unsorted table lands where a scan from the empty
+    /// key does, and is charged no search to get there.
+    #[test]
+    fn a_seek_before_every_table_searches_nothing() {
+        let pool = PmPool::new(64 << 20, CostModel::default());
+        let (mut l0, mut seq) = (PmLevel0::new(), 0);
+        for t in 0..8u64 {
+            let entries = (0..32u64).map(|i| {
+                seq += 1;
+                let key = format!("key{:05}", 100 + 8 * i + t);
+                OwnedEntry::value(key.into_bytes(), seq, b"v".to_vec())
+            });
+            let (table, keys) = table_opts(&pool, entries.collect(), PmTableOptions::default());
+            l0.push_unsorted(table, keys);
+        }
+        assert_eq!(l0.key_column().prefix(), b"key00");
+        let cache = PmGroupCache::new(1 << 20);
+        let scan = |start: &'static [u8]| {
+            let cursors = l0.cursors(usize::MAX, None, Some(&cache)).collect();
+            let (rows, stats) = merge_rows(cursors, start, None, false, 5);
+            (rows, stats.stages.of(SpanKind::FilterConsult).0)
+        };
+        let (rows, nanos) = scan(b"");
+        assert!(nanos > 0, "the walk onto the first entry is charged");
+        assert_eq!(scan(b"key000"), (rows, nanos));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -821,6 +859,7 @@ pub(crate) mod tests {
             for start in &starts {
                 let mut reveal = Reveal::new(l0.unsorted(), column, None);
                 reveal.step(Some(start), &mut Timeline::new());
+                prop_assert_eq!(reveal.pos, column.seek(start).0);
                 // Each table's first entry at or past the seek's.
                 let mut first_at = vec![usize::MAX; contents.len()];
                 for (pos, (_, table)) in column.entries().enumerate().skip(reveal.pos) {

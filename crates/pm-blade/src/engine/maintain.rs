@@ -12,6 +12,7 @@ use super::{CompactionRequest, DbCore, DbError};
 use crate::costmodel::{
     explain_read_benefit, explain_write_benefit, select_retained, RetentionCandidate,
 };
+use crate::handle::PmTableHandle;
 use crate::maintenance::{self, Job};
 use crate::options::Mode;
 use crate::partition::{CompactionReport, Partition};
@@ -167,15 +168,16 @@ impl DbCore {
                 media.discard_table(name);
                 self.cache.purge_table(sstable::cache::table_id(name));
             }
-            for region in &report.retired_regions {
-                if self.pool.free(*region).is_err() {
+            let regions = report.retired.iter().map(PmTableHandle::region);
+            for region in regions.chain(report.retired_rows.iter().copied()) {
+                if self.pool.free(region).is_err() {
                     media.retire_errors.incr();
                 }
             }
             // The retired PM tables can never serve a read again (their
             // ids are never reused); purging just reclaims cache space.
-            for id in &report.retired_cache_ids {
-                self.group_cache.purge_table(*id);
+            for h in &report.retired {
+                self.group_cache.purge_table(h.cache_id);
             }
             Ok(Some(report))
         })();
@@ -258,12 +260,11 @@ impl DbCore {
                     // re-decodes every record it rewrites. Entries-
                     // weighted over the live level-0 so Eq 1/2 price the
                     // actual mix (zero with an uncalibrated cost table).
+                    let mix = |h: &PmTableHandle| (h.table.dominant_codec(), h.table.entry_count());
                     let (probe_decode, decode_per_record) = match partition.level0.pm() {
                         Some(l0) => (
-                            self.codec_costs
-                                .probe_decode(l0.unsorted().iter().map(|h| (h.codec, h.entries))),
-                            self.codec_costs
-                                .decode_per_record(l0.tables().map(|h| (h.codec, h.entries))),
+                            self.codec_costs.probe_decode(l0.unsorted().iter().map(mix)),
+                            self.codec_costs.decode_per_record(l0.tables().map(mix)),
                         ),
                         None => (SimDuration::ZERO, SimDuration::ZERO),
                     };

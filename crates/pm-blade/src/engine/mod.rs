@@ -358,7 +358,7 @@ impl DbCore {
             let p = partition.read();
             if let Some(l0) = p.level0.pm() {
                 for h in l0.tables() {
-                    hist[(h.codec as usize).min(pmtable::CODEC_COUNT - 1)] += 1;
+                    hist[h.table.dominant_codec() as usize] += 1;
                 }
             }
         }

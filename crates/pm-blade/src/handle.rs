@@ -1,4 +1,9 @@
 //! Table handles and merge utilities shared by the compaction paths.
+//!
+//! A handle holds its table and only what the table cannot tell: a PM
+//! table's largest sequence, group-cache id and DRAM group fences, an
+//! SSTable's key range and largest sequence. Its key range, region,
+//! size, entry count, codec or name it reads from the table.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -49,56 +54,63 @@ impl Default for CacheIds {
     }
 }
 
-/// A PM table resident in level-0. Cloning one is refcount bumps only
-/// (the fence keys are shared slices), so copying a level-0 table list
-/// on write never copies a key.
+/// A PM table resident in level-0: its table and what the table cannot
+/// tell. Its key range, region, size, entry count and codec are read
+/// from the table. Cloning one is two refcount bumps, so copying a
+/// level-0 table list on write never copies a key.
 #[derive(Clone)]
 pub struct PmTableHandle {
     pub table: Arc<PmTable<PmRegion>>,
-    pub region: RegionId,
-    pub first: Arc<[u8]>,
-    pub last: Arc<[u8]>,
-    pub entries: usize,
-    pub bytes: usize,
     /// Largest sequence stored; newer tables shadow older ones.
     pub max_seq: SequenceNumber,
     /// Unique key for the shared group-decode cache
     /// ([`crate::groupcache::PmGroupCache`]).
     pub cache_id: u64,
-    /// Dominant group codec id (`pmtable::CODEC_*`): the codec most of
-    /// this table's groups encode with. Feeds the Eq 1/Eq 2 decode
-    /// terms and the manifest's per-table codec record.
-    pub codec: u8,
     /// The table's DRAM group fences, which every level-0 get and scan
     /// seek finds its group by.
     pub fences: Arc<GroupFences>,
 }
 
 impl PmTableHandle {
+    /// The table's smallest user key. A handle's table is never empty
+    /// ([`reopen_pm_table`] refuses one).
+    pub(crate) fn first(&self) -> &[u8] {
+        self.table.first_user_key().unwrap_or_default()
+    }
+
+    /// The table's largest user key.
+    pub(crate) fn last(&self) -> &[u8] {
+        self.table.last_user_key().unwrap_or_default()
+    }
+
+    /// The PM region the table lives in.
+    pub fn region(&self) -> RegionId {
+        self.table.storage().id()
+    }
+
     /// Could this table contain `key`?
     pub fn overlaps_key(&self, key: &[u8]) -> bool {
-        &*self.first <= key && key <= &*self.last
+        self.first() <= key && key <= self.last()
     }
 }
 
 impl std::fmt::Debug for PmTableHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PmTableHandle")
-            .field("region", &self.region)
-            .field("entries", &self.entries)
-            .field("bytes", &self.bytes)
+            .field("region", &self.region())
+            .field("entries", &self.table.entry_count())
+            .field("bytes", &self.table.encoded_len())
             .finish()
     }
 }
 
-/// An SSTable resident in an SSD level.
+/// An SSTable resident in an SSD level; its name and size are the
+/// table's.
 #[derive(Clone)]
 pub struct SsTableHandle {
     pub table: Arc<SsTable>,
-    pub name: String,
     pub first: Vec<u8>,
     pub last: Vec<u8>,
-    pub bytes: u64,
     pub max_seq: SequenceNumber,
 }
 
@@ -112,10 +124,8 @@ impl SsTableHandle {
         let table = SsTable::open(media.device, &meta.name, Arc::clone(media.cache), tl)?;
         Ok(SsTableHandle {
             table: Arc::new(table),
-            name: meta.name.clone(),
             first: meta.first.clone(),
             last: meta.last.clone(),
-            bytes: meta.bytes,
             max_seq: meta.max_seq,
         })
     }
@@ -124,10 +134,10 @@ impl SsTableHandle {
     /// reads it back.
     pub(crate) fn meta(&self) -> SsdMeta {
         SsdMeta {
-            name: self.name.clone(),
+            name: self.table.name().to_string(),
             first: self.first.clone(),
             last: self.last.clone(),
-            bytes: self.bytes,
+            bytes: self.table.size(),
             max_seq: self.max_seq,
         }
     }
@@ -158,8 +168,8 @@ impl SsTableHandle {
 impl std::fmt::Debug for SsTableHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SsTableHandle")
-            .field("name", &self.name)
-            .field("bytes", &self.bytes)
+            .field("name", &self.table.name())
+            .field("bytes", &self.table.size())
             .finish()
     }
 }
@@ -209,11 +219,11 @@ pub fn merge_dedup(
 
 /// The handle of a PM table in `region`, with its [`TableKeys`]: one
 /// just published, or one recovered (manifest replay). The region
-/// payload is self-describing; `first`/`last` are re-derived from it,
+/// payload is self-describing; the table's key range is read from it,
 /// and so are `max_seq` and the keys when the caller does not know
 /// them — by a full sequential pass, which ticks the PM device's read
 /// counters, so a build passes what it saw go in. The handle takes the
-/// keys' group fences, and the hashes and the key column are handed
+/// keys' group fences, and the hashes and the key windows are handed
 /// back. A group that does not decode fails the reopen: the sequences
 /// behind it would go unseen. A fresh `cache_id` is minted — the
 /// group-decode cache starts empty after a restart, so no aliasing is
@@ -223,7 +233,7 @@ pub fn reopen_pm_table(
     built: Option<(SequenceNumber, TableKeys)>,
     ids: &CacheIds,
 ) -> Result<(PmTableHandle, TableKeys), String> {
-    let (region_id, bytes) = (region.id(), region.len());
+    let region_id = region.id();
     let corrupt = |e: PmTableError| format!("region {region_id}: {e}");
     let table = PmTable::open(region).map_err(corrupt)?;
     let empty = || format!("region {region_id}: empty table");
@@ -251,14 +261,8 @@ pub fn reopen_pm_table(
         }
     };
     let handle = PmTableHandle {
-        first: first.into(),
-        last: last.into(),
-        entries: table.entry_count(),
-        max_seq,
-        codec: table.dominant_codec(),
         table: Arc::new(table),
-        region: region_id,
-        bytes,
+        max_seq,
         cache_id: ids.next(),
         fences: Arc::new(std::mem::take(&mut keys.fences)),
     };
@@ -358,7 +362,7 @@ impl<'a> PmRunWriter<'a> {
 impl Drop for PmRunWriter<'_> {
     fn drop(&mut self) {
         for (handle, _) in &self.done {
-            let failed = self.media.pool.free(handle.region).is_err();
+            let failed = self.media.pool.free(handle.region()).is_err();
             self.media.retire_errors.add(failed.into());
         }
     }
@@ -496,15 +500,15 @@ pub(crate) mod tests {
         assert!(handles.len() > 1, "400x~110B must split at 8KiB");
         // Ranges are contiguous and ordered.
         for pair in handles.windows(2) {
-            assert!(pair[0].last < pair[1].first);
+            assert!(pair[0].last() < pair[1].first());
         }
-        let total: usize = handles.iter().map(|h| h.entries).sum();
+        let total: usize = handles.iter().map(|h| h.table.entry_count()).sum();
         assert_eq!(total, 400);
         // Every handle's range brackets its content.
         for h in &handles {
-            assert!(h.overlaps_key(&h.first));
-            assert!(h.overlaps_key(&h.last));
-            assert!(h.bytes > 0);
+            assert!(h.overlaps_key(h.first()));
+            assert!(h.overlaps_key(h.last()));
+            assert!(h.table.encoded_len() > 0);
         }
     }
 
@@ -539,7 +543,7 @@ pub(crate) mod tests {
         // bounds; nothing else may read the device during a build.
         let mut opened = 0;
         for h in &handles {
-            let region = pool.get(h.region).unwrap();
+            let region = pool.get(h.region()).unwrap();
             let before = pool.stats().bytes_read.get();
             PmTable::open(region).unwrap();
             opened += pool.stats().bytes_read.get() - before;
@@ -547,10 +551,10 @@ pub(crate) mod tests {
         assert_eq!(pool.stats().bytes_read.get(), 2 * opened);
         let mut rest = &entries[..];
         for h in &handles {
-            let (mine, after) = rest.split_at(h.entries);
+            let (mine, after) = rest.split_at(h.table.entry_count());
             rest = after;
-            assert_eq!(&*h.first, mine[0].user_key.as_slice());
-            assert_eq!(&*h.last, mine[mine.len() - 1].user_key.as_slice());
+            assert_eq!(h.first(), mine[0].user_key.as_slice());
+            assert_eq!(h.last(), mine[mine.len() - 1].user_key.as_slice());
             assert_eq!(h.max_seq, mine.iter().map(|e| e.seq).max().unwrap());
             assert_eq!(h.table.scan_all(&mut Timeline::new()), mine);
         }
@@ -617,7 +621,10 @@ pub(crate) mod tests {
         );
         assert_eq!(
             pool.used(),
-            run.unwrap().iter().map(|h| h.bytes).sum::<usize>()
+            run.unwrap()
+                .iter()
+                .map(|h| h.table.encoded_len())
+                .sum::<usize>()
         );
     }
 
@@ -683,7 +690,7 @@ pub(crate) mod tests {
         )
         .unwrap();
         assert_eq!(coded.len(), 1);
-        assert_ne!(coded[0].codec, pmtable::CODEC_PREFIX);
+        assert_ne!(coded[0].table.dominant_codec(), pmtable::CODEC_PREFIX);
         let prefix_opts = PmTableOptions::default();
         let plain = build_pm_tables(
             &ts,
@@ -696,8 +703,8 @@ pub(crate) mod tests {
             &mut tl,
         )
         .unwrap();
-        assert_eq!(plain[0].codec, pmtable::CODEC_PREFIX);
-        assert!(coded[0].bytes < plain[0].bytes);
+        assert_eq!(plain[0].table.dominant_codec(), pmtable::CODEC_PREFIX);
+        assert!(coded[0].table.encoded_len() < plain[0].table.encoded_len());
         // Ragged text batch (variable key and value widths): neither
         // numeric codec is eligible, Auto falls back to the prefix
         // baseline.
@@ -723,11 +730,14 @@ pub(crate) mod tests {
             &mut tl,
         )
         .unwrap();
-        assert_eq!(t[0].codec, pmtable::CODEC_PREFIX);
+        assert_eq!(t[0].table.dominant_codec(), pmtable::CODEC_PREFIX);
         // Reopen preserves the dominant codec (regions self-describe).
-        let region = pool.get(coded[0].region).unwrap();
+        let region = pool.get(coded[0].region()).unwrap();
         let (reopened, _) = reopen_pm_table(region, None, &ids).unwrap();
-        assert_eq!(reopened.codec, coded[0].codec);
+        assert_eq!(
+            reopened.table.dominant_codec(),
+            coded[0].table.dominant_codec()
+        );
     }
 
     #[test]
@@ -759,12 +769,12 @@ pub(crate) mod tests {
         let (built, keys) = write(PmRunWriter::unsorted(&media));
         assert_eq!(keys.hashes.len(), 200);
         assert_eq!(
-            keys.column.bytes(),
-            8 * 400,
+            keys.windows.len(),
+            400,
             "one window per entry and nothing per group"
         );
-        let region = pool.get(built.region).unwrap();
-        // The pass fills the same hashes, key column and fences.
+        let region = pool.get(built.region()).unwrap();
+        // The pass fills the same hashes, key windows and fences.
         let (reopened, rekeyed) = reopen_pm_table(region, None, &ids).unwrap();
         assert_eq!((reopened.max_seq, rekeyed), (400, keys));
         assert_eq!(reopened.fences, built.fences);
@@ -772,7 +782,7 @@ pub(crate) mod tests {
         // A sorted-run table keeps its fences and builds nothing else.
         let (run_table, run_keys) = write(PmRunWriter::new(&media, usize::MAX));
         assert_eq!(run_table.fences, built.fences);
-        assert_eq!((run_keys.hashes.len(), run_keys.column.bytes()), (0, 0));
+        assert_eq!((run_keys.hashes.len(), run_keys.windows.len()), (0, 0));
     }
 
     #[test]

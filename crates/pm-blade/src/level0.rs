@@ -33,8 +33,9 @@
 //!   knob) is consulted before the sorted run's candidate table is
 //!   searched, and before any unsorted table the sketch does not cover
 //!   (a 65th table, or one pushed while an older one is uncovered);
-//! - the sorted run's **fence keys** (each handle's first/last user key)
-//!   locate the single candidate table with one binary search.
+//! - the sorted run's **fence keys** (each table's first/last user key,
+//!   read from the table) locate the single candidate table with one
+//!   binary search.
 //!
 //! A table probe then finds its group by the table's DRAM **group
 //! fences** ([`pmtable::GroupFences`], on every handle, unsorted or
@@ -50,7 +51,8 @@
 //! a table's column in (from the same build or open pass as the
 //! sketch), re-framing the windows already in when the table shortens
 //! the common prefix; `detach_oldest` drops the detached tables'
-//! entries and renumbers the rest; an internal compaction clears it.
+//! entries and renumbers the rest; an internal compaction clears it and
+//! keeps its buffers.
 //! Like the sketch, none of this is charged. A scan searches the column
 //! once per partition, whatever the unsorted-table count, and opens a
 //! table only when the merge reaches the bound the column gave (see
@@ -59,7 +61,10 @@
 //! The table set is published as an immutable [`L0Version`] behind an
 //! `Arc` and copied on *write*: a point read takes a reference to the
 //! current version (one refcount bump, whatever the table count) and
-//! searches it with no lock held.
+//! searches it with no lock held. A mutation that takes tables out —
+//! a major compaction's detach, an internal compaction's swap — returns
+//! their handles, for the engine to free and purge once the manifest
+//! edit that drops them is durable.
 
 use std::cell::OnceCell;
 use std::sync::Arc;
@@ -291,7 +296,7 @@ impl KeySketch {
 /// and the handles' `Arc`s keep them readable even after a compaction
 /// frees their pool space. Whoever *mutates* level-0 pays instead, and
 /// only when a reader still holds the version being replaced: the two
-/// handle lists are copied — refcount bumps per handle, never table
+/// handle lists are copied — two refcount bumps per handle, never table
 /// data or a key — and so are the key sketch's slots and the merged key
 /// column, one `memcpy` each of [`L0Version::sketch_bytes`] and
 /// [`L0Version::key_column_bytes`]. With no concurrent reader (one
@@ -325,7 +330,7 @@ impl L0Version {
 
     /// Total bytes held on PM by this partition (`s_i` in Table II).
     pub fn bytes(&self) -> usize {
-        self.tables().map(|h| h.bytes).sum()
+        self.tables().map(|h| h.table.encoded_len()).sum()
     }
 
     /// Number of unsorted tables (`n_i`).
@@ -344,7 +349,7 @@ impl L0Version {
 
     /// Total entries across level-0.
     pub fn entries(&self) -> usize {
-        self.tables().map(|h| h.entries).sum()
+        self.tables().map(|h| h.table.entry_count()).sum()
     }
 
     /// DRAM the key sketch takes.
@@ -375,8 +380,8 @@ impl L0Version {
     /// covers `user_key`, if any: binary search over the last-key
     /// fences, then one first-key comparison to reject a key in a gap.
     fn locate(&self, user_key: &[u8]) -> Option<usize> {
-        let idx = self.sorted.partition_point(|h| &*h.last < user_key);
-        (self.sorted.get(idx)?.first.as_ref() <= user_key).then_some(idx)
+        let idx = self.sorted.partition_point(|h| h.last() < user_key);
+        (self.sorted.get(idx)?.first() <= user_key).then_some(idx)
     }
 
     /// Point lookup across level-0: newest unsorted table wins, then the
@@ -478,8 +483,7 @@ impl L0Version {
 /// Level-0 state for one partition: the current [`L0Version`] (read
 /// through `Deref`) and the mutations that publish its successor. Every
 /// mutation runs under the partition write lock and goes through
-/// `Arc::make_mut` or build-and-swap, so a version a reader holds never
-/// changes.
+/// `Arc::make_mut`, so a version a reader holds never changes.
 #[derive(Default)]
 pub struct PmLevel0 {
     current: Arc<L0Version>,
@@ -518,49 +522,46 @@ impl PmLevel0 {
         {
             sketch.cover(&keys.hashes);
         }
-        next.column
-            .push(next.unsorted.len(), keys.column, &handle.first);
+        let prefix = &handle.first()[..handle.fences.prefix_len()];
+        next.column.push(next.unsorted.len(), keys.windows, prefix);
         next.unsorted.push(handle);
     }
 
     /// Install a sorted run directly (tests and recovery); nothing is
     /// retired.
     pub fn set_sorted_run(&mut self, run: Vec<PmTableHandle>) {
-        debug_assert!(run.windows(2).all(|w| w[0].last < w[1].first));
+        debug_assert!(run.windows(2).all(|w| w[0].last() < w[1].first()));
         Arc::make_mut(&mut self.current).sorted = run;
     }
 
     /// Detach the tables [`L0Version::oldest`] names, once their
-    /// merged output is installed below. Returns their PM regions and
-    /// group-cache ids (for purging).
-    pub fn detach_oldest(&mut self, limit: usize) -> (Vec<RegionId>, Vec<u64>) {
+    /// merged output is installed below, and return them: their
+    /// regions to free and their groups to purge from the cache.
+    pub fn detach_oldest(&mut self, limit: usize) -> Vec<PmTableHandle> {
         let (run, unsorted) = self.oldest(limit);
         let (take_sorted, take_unsorted) = (run.len(), unsorted.len());
         let next = Arc::make_mut(&mut self.current);
         next.sketch.drop_oldest(take_unsorted);
         next.column.drop_oldest(take_unsorted);
         let detached = next.sorted.drain(..take_sorted);
-        let detached = detached.chain(next.unsorted.drain(..take_unsorted));
-        detached.map(|h| (h.region, h.cache_id)).unzip()
+        detached
+            .chain(next.unsorted.drain(..take_unsorted))
+            .collect()
     }
 
     /// Replace the whole level-0 with a new sorted run WITHOUT freeing
-    /// the old tables: returns their bytes, regions, and group-cache
-    /// ids so the caller can retire them *after* the manifest edit
-    /// recording the new version is durable. Freeing before the edit
-    /// commits would let a crash destroy the only copy of the data.
-    pub fn replace_with_sorted_deferred(
-        &mut self,
-        run: Vec<PmTableHandle>,
-    ) -> (usize, Vec<RegionId>, Vec<u64>) {
-        debug_assert!(run.windows(2).all(|w| w[0].last < w[1].first));
-        let next = L0Version {
-            sorted: run,
-            ..L0Version::default()
-        };
-        let old = std::mem::replace(&mut self.current, Arc::new(next));
-        let (regions, cache_ids) = old.tables().map(|h| (h.region, h.cache_id)).unzip();
-        (old.bytes(), regions, cache_ids)
+    /// the old tables: returns them so the caller can retire them
+    /// *after* the manifest edit recording the new version is durable.
+    /// Freeing before the edit commits would let a crash destroy the
+    /// only copy of the data. The merged key column keeps its buffers
+    /// for the flushes that follow.
+    pub fn replace_with_sorted_deferred(&mut self, run: Vec<PmTableHandle>) -> Vec<PmTableHandle> {
+        debug_assert!(run.windows(2).all(|w| w[0].last() < w[1].first()));
+        let next = Arc::make_mut(&mut self.current);
+        next.sketch = KeySketch::default();
+        next.column.clear();
+        let old = std::mem::replace(&mut next.sorted, run);
+        next.unsorted.drain(..).chain(old).collect()
     }
 }
 
@@ -728,7 +729,7 @@ impl Level0 {
             Level0::Pm(l0) => {
                 let (run, unsorted) = l0.oldest(limit);
                 let tables = run.iter().chain(unsorted);
-                tables.map(|h| (&*h.first, &*h.last)).unzip()
+                tables.map(|h| (h.first(), h.last())).unzip()
             }
             Level0::Matrix(m) => m.key_ranges().unzip(),
             Level0::Ssd(tables) => tables.iter().map(|h| (&h.first[..], &h.last[..])).unzip(),
@@ -759,8 +760,8 @@ impl Level0 {
                 for (table, keys) in writer.finish(tl)? {
                     decision = Some(CostDecision::CodecChoice {
                         partition: pid,
-                        codec: pmtable::CODEC_NAMES[table.codec as usize],
-                        entries: table.entries,
+                        codec: pmtable::CODEC_NAMES[table.table.dominant_codec() as usize],
+                        entries: table.table.entry_count(),
                         pm_bytes: (written.get() - written_before) as usize,
                     });
                     l0.push_unsorted(table, keys);
@@ -779,17 +780,15 @@ impl Level0 {
 
     /// Detach the tables [`Level0::cursors`] gave a major compaction
     /// limited to `limit`, once their merged output is installed below,
-    /// into `retired`: PM regions and group-cache ids to free and purge,
-    /// SSD tables to delete by name.
-    pub(crate) fn detach_oldest(&mut self, limit: usize, retired: &mut CompactionReport) {
+    /// into `report`: PM tables to free and purge, matrix rows' regions
+    /// to free, SSD tables to delete by name.
+    pub(crate) fn detach_oldest(&mut self, limit: usize, report: &mut CompactionReport) {
         match self {
-            Level0::Pm(l0) => {
-                (retired.retired_regions, retired.retired_cache_ids) = l0.detach_oldest(limit);
-            }
-            Level0::Matrix(m) => retired.retired_regions = m.take_regions(),
+            Level0::Pm(l0) => report.retired = l0.detach_oldest(limit),
+            Level0::Matrix(m) => report.retired_rows = m.take_regions(),
             Level0::Ssd(tables) => {
-                let names = tables.drain(..).map(|handle| handle.name);
-                retired.deleted_tables.extend(names);
+                let names = tables.drain(..).map(|h| h.table.name().to_string());
+                report.deleted_tables.extend(names);
             }
         }
     }
@@ -799,9 +798,12 @@ impl Level0 {
     pub(crate) fn record(&self, version: &mut PartitionVersion) {
         match self {
             Level0::Pm(l0) => {
-                version.unsorted = l0.unsorted().iter().map(|h| h.region).collect();
-                version.sorted = l0.sorted_run().iter().map(|h| h.region).collect();
-                version.codecs = l0.tables().map(|h| h.codec as u64).collect();
+                version.unsorted = l0.unsorted().iter().map(|h| h.region()).collect();
+                version.sorted = l0.sorted_run().iter().map(|h| h.region()).collect();
+                version.codecs = l0
+                    .tables()
+                    .map(|h| h.table.dominant_codec() as u64)
+                    .collect();
             }
             Level0::Matrix(m) => version.matrix = m.region_ids(),
             Level0::Ssd(tables) => version.l0_tables = tables.iter().map(|h| h.meta()).collect(),
@@ -851,12 +853,11 @@ impl Level0 {
                     let region = logged_region(media.pool, id)?;
                     let reopened = reopen_pm_table(region, None, media.cache_ids);
                     let (h, keys) = reopened.map_err(DbError::Corrupt)?;
-                    let logged = version.codecs.get(idx).copied();
-                    if let Some(logged) = logged.filter(|&c| c != h.codec as u64) {
+                    let codec = h.table.dominant_codec();
+                    if let Some(logged) = version.codecs.get(idx).filter(|&&c| c != codec as u64) {
                         return Err(DbError::Corrupt(format!(
                             "partition {pid}: manifest logged codec {logged} for PM \
-                             region {} but the reopened table decodes as codec {}",
-                            h.region, h.codec
+                             region {id} but the reopened table decodes as codec {codec}"
                         )));
                     }
                     max_seq = max_seq.max(h.max_seq);
@@ -941,17 +942,20 @@ pub(crate) mod tests {
 
     /// What an internal compaction does in production (`partition.rs` +
     /// `engine/maintain.rs`): swap the run in, then free the regions of
-    /// the tables it replaced.
+    /// the tables it replaced, which it returns.
     fn replace_and_free(
         l0: &mut PmLevel0,
         run: Vec<PmTableHandle>,
         pool: &PmPool,
-    ) -> (usize, Vec<u64>) {
-        let (released, regions, cache_ids) = l0.replace_with_sorted_deferred(run);
-        for region in regions {
-            pool.free(region).unwrap();
-        }
-        (released, cache_ids)
+    ) -> Vec<PmTableHandle> {
+        let retired = l0.replace_with_sorted_deferred(run);
+        free(&retired, pool);
+        retired
+    }
+
+    /// Free the regions of `retired`.
+    fn free(retired: &[PmTableHandle], pool: &PmPool) {
+        retired.iter().for_each(|h| pool.free(h.region()).unwrap());
     }
 
     /// A table with a bloom filter, and the key hashes the sketch takes.
@@ -1067,9 +1071,8 @@ pub(crate) mod tests {
         let before = pool.used();
         assert!(before > 0);
         let run = vec![table(&pool, vec![entry("a", 2, "y")])];
-        let (released, retired) = replace_and_free(&mut l0, run, &pool);
-        assert!(released > 0);
-        assert_eq!(retired.len(), 2, "both old tables report cache ids");
+        let retired = replace_and_free(&mut l0, run, &pool);
+        assert_eq!(retired.len(), 2, "both old tables are retired");
         assert_eq!(l0.unsorted_count(), 0);
         assert_eq!(l0.sorted_count(), 1);
         assert!(pool.used() < before);
@@ -1082,8 +1085,7 @@ pub(crate) mod tests {
         let mut l0 = PmLevel0::new();
         push(&mut l0, &pool, vec![entry("a", 1, "x")]);
         l0.set_sorted_run(vec![table(&pool, vec![entry("b", 2, "y")])]);
-        let (released, retired) = replace_and_free(&mut l0, Vec::new(), &pool);
-        assert!(released > 0);
+        let retired = replace_and_free(&mut l0, Vec::new(), &pool);
         assert_eq!(retired.len(), 2);
         assert!(l0.is_empty());
         assert_eq!(pool.used(), 0);
@@ -1179,11 +1181,9 @@ pub(crate) mod tests {
         assert!(!Arc::ptr_eq(&held, &l0.version()));
         assert_eq!(held.unsorted_count(), 2);
         assert_eq!(l0.unsorted_count(), 3);
-        // The copy shares every table and fence key with the original.
+        // The copy shares every table with the original.
         for (old, new) in held.unsorted().iter().zip(l0.unsorted()) {
             assert!(Arc::ptr_eq(&old.table, &new.table));
-            assert!(Arc::ptr_eq(&old.first, &new.first));
-            assert!(Arc::ptr_eq(&old.last, &new.last));
         }
     }
 
@@ -1478,7 +1478,7 @@ pub(crate) mod tests {
                     groups[cursor.group() as usize].push(e.user_key.to_vec());
                     cursor.advance(tl).unwrap();
                 }
-                let prefix = encoding::prefix::common_prefix_len(&h.first, &h.last);
+                let prefix = encoding::prefix::common_prefix_len(h.first(), h.last());
                 for key in probes.iter().filter(|k| h.overlaps_key(k)) {
                     let (group, _) = h.fences.group_of(key);
                     prop_assert_eq!(group, first_group_at_or_past(&groups, prefix, key));
@@ -1585,11 +1585,10 @@ pub(crate) mod tests {
                         let (table, keys) = build(&pool, &mut seq, &entries, filtered);
                         l0.push_unsorted(table, keys);
                     }
-                    Op::Detach(limit) => l0.detach_oldest(limit).0.into_iter().for_each(|r| pool.free(r).unwrap()),
+                    Op::Detach(limit) => free(&l0.detach_oldest(limit), &pool),
                     Op::SetRun(keys) => l0.set_sorted_run(run_of(&pool, &mut seq, &keys)),
                     Op::Replace(keys) => {
-                        let (_, regions, _) = l0.replace_with_sorted_deferred(run_of(&pool, &mut seq, &keys));
-                        regions.into_iter().for_each(|r| pool.free(r).unwrap());
+                        replace_and_free(&mut l0, run_of(&pool, &mut seq, &keys), &pool);
                     }
                     Op::Hold => held.push((l0.version(), answers(&l0))),
                 }
@@ -1735,13 +1734,12 @@ pub(crate) mod tests {
                         l0.push_unsorted(PmTableHandle { cache_id: ids.next(), ..table }, keys);
                     }
                     Upkeep::Detach(limit) => {
-                        l0.detach_oldest(limit).0.into_iter().for_each(|r| pool.free(r).unwrap());
+                        free(&l0.detach_oldest(limit), &pool);
                     }
                     Upkeep::Replace(keys) => {
                         let run = run_of(&pool, &mut seq, &keys).into_iter();
                         let run = run.map(|h| PmTableHandle { cache_id: ids.next(), ..h });
-                        let (_, regions, _) = l0.replace_with_sorted_deferred(run.collect());
-                        regions.into_iter().for_each(|r| pool.free(r).unwrap());
+                        replace_and_free(&mut l0, run.collect(), &pool);
                         prop_assert!(l0.key_column().is_empty());
                     }
                     Upkeep::Hold => {

@@ -37,7 +37,7 @@ impl SsdLevels {
     pub fn level_bytes(&self, level: usize) -> u64 {
         self.levels
             .get(level - 1)
-            .map(|tables| tables.iter().map(|t| t.bytes).sum())
+            .map(|tables| tables.iter().map(|t| t.table.size()).sum())
             .unwrap_or(0)
     }
 
@@ -46,7 +46,7 @@ impl SsdLevels {
         self.levels
             .iter()
             .flat_map(|l| l.iter())
-            .map(|t| t.bytes)
+            .map(|t| t.table.size())
             .sum()
     }
 
@@ -193,17 +193,15 @@ impl<'a> SsRunWriter<'a> {
             return Ok(());
         };
         let entries = builder.entries();
-        let (bytes, first, last) = builder.finish(tl)?;
+        let (_, first, last) = builder.finish(tl)?;
         // The object exists from here on: it is deleted, here or by
         // `drop`, unless the run is handed over.
         let table = SsTable::open(self.media.device, &name, Arc::clone(self.media.cache), tl);
         let table = table.inspect_err(|_| self.media.discard_table(&name))?;
         self.done.push(SsTableHandle {
             table: Arc::new(table.with_entries_hint(entries)),
-            name,
             first: first.expect("a table is opened by its first entry"),
             last: last.expect("a table is opened by its first entry"),
-            bytes,
             max_seq,
         });
         Ok(())
@@ -219,7 +217,7 @@ impl<'a> SsRunWriter<'a> {
 impl Drop for SsRunWriter<'_> {
     fn drop(&mut self) {
         for handle in &self.done {
-            self.media.discard_table(&handle.name);
+            self.media.discard_table(handle.table.name());
         }
     }
 }

@@ -32,17 +32,26 @@ use crate::options::Options;
 /// cost spent building the matrix cross-hint structure.
 const FLUSH_OVERHEAD: f64 = 0.6;
 
-/// One flushed row of the matrix container.
+/// One flushed row of the matrix container; its key range, region,
+/// size and entry count are its table's.
 struct Row {
     table: ArrayTable<PmRegion>,
-    region: RegionId,
-    first: Vec<u8>,
-    last: Vec<u8>,
-    bytes: usize,
-    entries: usize,
     /// One hinted probe: a cacheline read on the pool that published
     /// the row.
     hint_cost: SimDuration,
+}
+
+impl Row {
+    /// The row's smallest and largest user key. A row is never empty
+    /// ([`MatrixL0::push_row`] refuses one).
+    fn range(&self) -> (&[u8], &[u8]) {
+        let (first, last) = (self.table.first_user_key(), self.table.last_user_key());
+        (first.unwrap_or_default(), last.unwrap_or_default())
+    }
+
+    fn region(&self) -> RegionId {
+        self.table.storage().id()
+    }
 }
 
 /// The matrix container.
@@ -57,11 +66,11 @@ impl MatrixL0 {
     }
 
     pub fn bytes(&self) -> usize {
-        self.rows.iter().map(|r| r.bytes).sum()
+        self.rows.iter().map(|r| r.table.encoded_len()).sum()
     }
 
     pub fn entries(&self) -> usize {
-        self.rows.iter().map(|r| r.entries).sum()
+        self.rows.iter().map(|r| r.table.entry_count()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -94,29 +103,20 @@ impl MatrixL0 {
 
     /// Region ids of the rows, oldest first — what the manifest logs.
     pub fn region_ids(&self) -> Vec<RegionId> {
-        self.rows.iter().map(|r| r.region).collect()
+        self.rows.iter().map(Row::region).collect()
     }
 
     /// Open `region` as the newest row: a flush's, or one recovery
     /// reopens (oldest first, matching [`MatrixL0::region_ids`]).
     /// `Corrupt` when it is not an array table or holds no entry.
     pub fn push_row(&mut self, region: PmRegion) -> Result<(), DbError> {
-        let (id, bytes) = (region.id(), region.len());
+        let id = region.id();
         let hint_cost = region.cost_model().pm.random_read(64);
         let table = ArrayTable::open(region).map_err(|e| DbError::Corrupt(e.to_string()))?;
-        let (Some(first), Some(last)) = (table.first_user_key(), table.last_user_key()) else {
+        if table.entry_count() == 0 {
             return Err(DbError::Corrupt(format!("matrix region {id} is empty")));
-        };
-        let (first, last) = (first.to_vec(), last.to_vec());
-        self.rows.push(Row {
-            entries: table.entry_count(),
-            table,
-            region: id,
-            first,
-            last,
-            bytes,
-            hint_cost,
-        });
+        }
+        self.rows.push(Row { table, hint_cost });
         Ok(())
     }
 
@@ -125,7 +125,8 @@ impl MatrixL0 {
     pub fn get(&self, user_key: &[u8], tl: &mut Timeline) -> Option<Lookup> {
         let mut first_row_searched = false;
         for row in self.rows.iter().rev() {
-            if row.first.as_slice() > user_key || row.last.as_slice() < user_key {
+            let (first, last) = row.range();
+            if first > user_key || last < user_key {
                 continue;
             }
             if !first_row_searched {
@@ -160,7 +161,8 @@ impl MatrixL0 {
         whole: bool,
     ) -> impl Iterator<Item = Cursor<'a>> {
         let rows = self.rows.iter().filter(move |row| {
-            row.last.as_slice() >= start && end.is_none_or(|e| row.first.as_slice() < e)
+            let (first, last) = row.range();
+            last >= start && end.is_none_or(|e| first < e)
         });
         rows.map(move |row| match whole {
             true => Cursor::Row(row.table.scan_cursor()),
@@ -170,12 +172,12 @@ impl MatrixL0 {
 
     /// Each row's smallest and largest user key.
     pub fn key_ranges(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
-        self.rows.iter().map(|row| (&row.first[..], &row.last[..]))
+        self.rows.iter().map(Row::range)
     }
 
     /// Region ids to free after the rows were merged down.
     pub fn take_regions(&mut self) -> Vec<RegionId> {
-        self.rows.drain(..).map(|r| r.region).collect()
+        self.rows.drain(..).map(|r| r.region()).collect()
     }
 }
 

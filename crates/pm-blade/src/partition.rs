@@ -18,7 +18,7 @@ use sstable::BlockCache;
 use crate::costmodel::{CodecCostTable, PartitionCounters};
 use crate::cursor::{merge_into, Cursor, SsRun};
 use crate::groupcache::PmGroupCache;
-use crate::handle::{CacheIds, PmRunWriter, SsTableHandle};
+use crate::handle::{CacheIds, PmRunWriter, PmTableHandle, SsTableHandle};
 use crate::level0::Level0;
 use crate::levels::{SsRunWriter, SsdLevels};
 use crate::options::Options;
@@ -75,10 +75,11 @@ pub struct CompactionReport {
     pub decision: Option<CostDecision>,
     /// Internal: PM bytes the new sorted run is smaller than its inputs.
     pub bytes_released: usize,
-    /// PM regions of the tables that left level-0.
-    pub retired_regions: Vec<pm_device::RegionId>,
-    /// Cache ids of those tables, for group-cache invalidation.
-    pub retired_cache_ids: Vec<u64>,
+    /// PM tables that left level-0: their regions to free, their groups
+    /// to purge from the group cache.
+    pub retired: Vec<PmTableHandle>,
+    /// PM regions of the matrix rows that left level-0.
+    pub retired_rows: Vec<pm_device::RegionId>,
     /// SSTables replaced or drained, to delete by name.
     pub deleted_tables: Vec<String>,
 }
@@ -198,16 +199,14 @@ impl Partition {
         let sink = |e: EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
         let errors = media.input_errors;
         let records_in = merge_into(inputs, false, &opts.cost, errors, tl, sink)? as usize;
-        let run: Vec<_> = writer.finish(tl)?.into_iter().map(|(h, _)| h).collect();
-        let records_out = run.iter().map(|h| h.entries).sum();
-        let new_bytes: usize = run.iter().map(|h| h.bytes).sum();
-        let (old_bytes, retired_regions, retired_cache_ids) = l0.replace_with_sorted_deferred(run);
+        let run = writer.finish(tl)?.into_iter().map(|(h, _)| h).collect();
+        let old_bytes = l0.bytes();
+        let retired = l0.replace_with_sorted_deferred(run);
         Ok(Some(CompactionReport {
             records_in,
-            records_out,
-            bytes_released: old_bytes.saturating_sub(new_bytes),
-            retired_regions,
-            retired_cache_ids,
+            records_out: l0.entries(),
+            bytes_released: old_bytes.saturating_sub(l0.bytes()),
+            retired,
             ..CompactionReport::default()
         }))
     }
@@ -256,8 +255,9 @@ impl Partition {
             let old_l1 = self.levels.replace_level(1, Vec::new());
             let mut next_l1: Vec<SsTableHandle> = Vec::new();
             for handle in old_l1 {
-                if l1_overlap.iter().any(|o| o.name == handle.name) {
-                    report.deleted_tables.push(handle.name.clone());
+                let name = handle.table.name();
+                if l1_overlap.iter().any(|o| o.table.name() == name) {
+                    report.deleted_tables.push(name.to_string());
                 } else {
                     next_l1.push(handle);
                 }
@@ -308,7 +308,8 @@ impl Partition {
             let new_tables = writer.finish(tl)?;
             let this_level = self.levels.replace_level(level, Vec::new());
             let next_level = self.levels.replace_level(level + 1, new_tables);
-            deleted.extend(this_level.into_iter().chain(next_level).map(|h| h.name));
+            let tables = this_level.into_iter().chain(next_level);
+            deleted.extend(tables.map(|h| h.table.name().to_string()));
             level += 1;
         }
         Ok(deleted)
@@ -572,7 +573,7 @@ pub(crate) mod tests {
                     let last = sources.iter().map(|s| &s[s.len() - 1].user_key).max().unwrap();
                     let overlap = rig.p.levels.overlapping(1, first, last);
                     let untouched: Vec<SsTableHandle> = rig.p.levels.tables(1).iter()
-                        .filter(|t| overlap.iter().all(|o| o.name != t.name))
+                        .filter(|t| overlap.iter().all(|o| o.table.name() != t.table.name()))
                         .cloned()
                         .collect();
                     sources.push(ss_content(&overlap));
@@ -582,8 +583,8 @@ pub(crate) mod tests {
                     let report = rig.major();
                     prop_assert_eq!(ss_content(rig.p.levels.tables(1)), expect);
                     prop_assert_eq!(rig.p.level0.unsorted_count() + rig.p.level0.bytes(), 0);
-                    let replaced = overlap.iter().map(|t| &t.name);
-                    prop_assert!(replaced.clone().all(|name| report.deleted_tables.contains(name)));
+                    let deleted = |t: &SsTableHandle| report.deleted_tables.iter().any(|n| n == t.table.name());
+                    prop_assert!(overlap.iter().all(deleted));
                     // Cascade: all of level 1 into level 2, the bottom.
                     let levels = [1, 2].map(|level| ss_content(rig.p.levels.tables(level)));
                     let expect = reference(levels.into(), true);

@@ -293,6 +293,11 @@ impl<S: Storage> ArrayTable<S> {
         self.count as usize
     }
 
+    /// The medium the table's bytes live in.
+    pub fn storage(&self) -> &S {
+        &self.storage
+    }
+
     /// Encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
         self.storage.bytes().len()

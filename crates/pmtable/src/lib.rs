@@ -28,9 +28,9 @@ pub mod storage;
 pub use array_table::ArrayCursor;
 pub use array_table::{ArrayTable, ArrayTableBuilder};
 pub use pm_table::{
-    CodecMode, GroupAccess, GroupFences, GroupLoad, KeyColumn, MergedColumn, MetaExtractor,
-    NoGroupCache, PmCursor, PmTable, PmTableBuilder, PmTableError, PmTableOptions, TableKeys,
-    CODEC_COUNT, CODEC_DELTA, CODEC_FIXED, CODEC_NAMES, CODEC_PREFIX,
+    CodecMode, GroupAccess, GroupFences, GroupLoad, MergedColumn, MetaExtractor, NoGroupCache,
+    PmCursor, PmTable, PmTableBuilder, PmTableError, PmTableOptions, TableKeys, CODEC_COUNT,
+    CODEC_DELTA, CODEC_FIXED, CODEC_NAMES, CODEC_PREFIX,
 };
 pub use storage::{DramBuf, Storage};
 

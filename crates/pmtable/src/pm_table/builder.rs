@@ -81,7 +81,7 @@ impl PmTableBuilder {
 
     /// Build only the group fences of the [`TableKeys`]
     /// [`PmTableBuilder::finish_with_keys`] hands back: no hashes, no
-    /// column. The filter is built all the same.
+    /// windows. The filter is built all the same.
     pub fn set_fences_only(&mut self) {
         self.fences_only = true;
     }
@@ -95,7 +95,7 @@ impl PmTableBuilder {
 
     /// [`PmTableBuilder::finish`], also handing back the table's
     /// [`TableKeys`], taken from the entries it buffered: the hashes its
-    /// filter was built from, its key column and its group fences. None
+    /// filter was built from, its key windows and its group fences. None
     /// of them is charged, as the filter is not.
     pub fn finish_with_keys(
         self,

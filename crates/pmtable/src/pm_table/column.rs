@@ -1,6 +1,11 @@
-//! The DRAM key indexes of level-0: each unsorted table's key column,
+//! The DRAM key indexes of level-0: each unsorted table's key windows,
 //! which level-0 merges into one [`MergedColumn`] a scan seeks, and the
 //! group fences every get and seek finds its group by.
+//!
+//! A key's window is the 8 bytes after its table's common prefix (the
+//! LCP of the table's first and last key) as a big-endian `u64`,
+//! zero-padded past the key's end. A larger key never has a smaller
+//! window.
 
 use encoding::prefix::common_prefix_len;
 
@@ -27,24 +32,6 @@ fn reframe(lead: &[u8], window: u64) -> u64 {
     u64::from_be_bytes(bytes) | rest
 }
 
-/// A table's keys in DRAM: per entry, the 8 bytes after the table's
-/// common prefix (the LCP of its first and last key) as a big-endian
-/// `u64`, zero-padded past the key's end. A larger key never has a
-/// smaller window. Level-0 merges an unsorted table's column into its
-/// [`MergedColumn`]. 8 bytes per entry.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct KeyColumn {
-    prefix: usize,
-    windows: Vec<u64>,
-}
-
-impl KeyColumn {
-    /// DRAM the column takes.
-    pub fn bytes(&self) -> usize {
-        std::mem::size_of_val(self.windows.as_slice())
-    }
-}
-
 /// `items.partition_point(pred)`, and the 64-byte lines its probes
 /// touched (a probe into the line of the probe before it is free).
 fn search<T: Copy>(items: &[T], pred: impl Fn(T) -> bool) -> (usize, u64) {
@@ -67,14 +54,14 @@ fn search<T: Copy>(items: &[T], pred: impl Fn(T) -> bool) -> (usize, u64) {
 const WINDOWS_PER_LINE: usize = 64 / std::mem::size_of::<u64>();
 const TABLES_PER_LINE: usize = 64 / std::mem::size_of::<u32>();
 
-/// The key columns of a level-0's unsorted tables merged into one, which
+/// The key windows of a level-0's unsorted tables merged into one, which
 /// a scan searches once whatever the table count: per entry of every
 /// table, its window behind the tables' common prefix (the LCP of every
-/// table's first and last key; see [`KeyColumn`]) and the index of the
-/// table that holds it, in (window, table) order. Two parallel arrays,
-/// 12 bytes per entry. A larger key never has a smaller window, so
-/// every entry of a key at or past a seek key sits at or after the
-/// first window at or past the seek key's.
+/// table's first and last key) and the index of the table that holds
+/// it, in (window, table) order. Two parallel arrays, 12 bytes per
+/// entry. A larger key never has a smaller window, so every entry of a
+/// key at or past a seek key sits at or after the first window at or
+/// past the seek key's.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MergedColumn {
     /// The common prefix every window goes behind.
@@ -84,14 +71,14 @@ pub struct MergedColumn {
 }
 
 impl MergedColumn {
-    /// Merge in table `table`, newer than every table in, whose first
-    /// key is `first`, by its column. When the table shortens the common
-    /// prefix, every window already in is re-framed behind the bytes the
-    /// prefix gives up.
-    pub fn push(&mut self, table: usize, mut column: KeyColumn, first: &[u8]) {
-        let own = &first[..column.prefix];
+    /// Merge in table `table`, newer than every table in, by its
+    /// [`TableKeys::windows`] behind its common prefix `own`. When the
+    /// table shortens the common prefix, every window already in is
+    /// re-framed behind the bytes the prefix gives up.
+    pub fn push(&mut self, table: usize, mut new: Vec<u64>, own: &[u8]) {
         if self.windows.is_empty() {
-            self.prefix = own.to_vec();
+            self.prefix.clear();
+            self.prefix.extend_from_slice(own);
         }
         let keep = common_prefix_len(&self.prefix, own);
         if keep < self.prefix.len() {
@@ -105,7 +92,7 @@ impl MergedColumn {
                 at += tie.len();
             }
         }
-        let (lead, new) = (&own[keep..], &mut column.windows);
+        let lead = &own[keep..];
         if !lead.is_empty() {
             new.iter_mut().for_each(|w| *w = reframe(lead, *w));
         }
@@ -123,6 +110,13 @@ impl MergedColumn {
             i = lo;
             (self.windows[i + j], self.tables[i + j]) = (window, table);
         }
+    }
+
+    /// Forget every table, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.prefix.clear();
+        self.windows.clear();
+        self.tables.clear();
     }
 
     /// Forget the `n` oldest tables and renumber the rest. The prefix
@@ -204,10 +198,10 @@ impl MergedColumn {
 
 /// A table's groups in DRAM, which every level-0 get and seek finds
 /// its group by instead of searching the prefix layer: per group, the
-/// [`KeyColumn`] window of its last key. A larger key never has a
-/// smaller window, so the first group whose last window is at or past a
-/// key's holds the first entry whose window is. 8 bytes per group, half
-/// a byte per entry at 16 entries to a group.
+/// window of its last key. A larger key never has a smaller window, so
+/// the first group whose last window is at or past a key's holds the
+/// first entry whose window is. 8 bytes per group, half a byte per
+/// entry at 16 entries to a group.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GroupFences {
     prefix: usize,
@@ -232,17 +226,26 @@ impl GroupFences {
     pub fn bytes(&self) -> usize {
         std::mem::size_of_val(self.lasts.as_slice())
     }
+
+    /// The length of the table's common prefix, which every window goes
+    /// behind.
+    pub fn prefix_len(&self) -> usize {
+        self.prefix
+    }
 }
 
 /// What building a table, or re-reading one, learns of its keys for
 /// level-0's DRAM indexes: the [`encoding::bloom::BloomFilter::hashes`]
-/// of its distinct user keys (none when it has no filter), its
-/// [`KeyColumn`] and its [`GroupFences`]. Built for fences only (a
-/// sorted-run table's), it keeps no hashes and no column.
+/// of its distinct user keys (none when it has no filter), every
+/// entry's window, which level-0 merges into its [`MergedColumn`], and
+/// its [`GroupFences`], which hold the common prefix the windows go
+/// behind. Built for fences only (a sorted-run table's), it keeps no
+/// hashes and no windows.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TableKeys {
     pub hashes: Vec<(u64, u64)>,
-    pub column: KeyColumn,
+    /// One window per entry, in key order: 8 bytes per entry.
+    pub windows: Vec<u64>,
     pub fences: GroupFences,
     fences_only: bool,
 }
@@ -253,10 +256,7 @@ impl TableKeys {
     pub fn new(prefix: usize, entries: usize, groups: usize) -> Self {
         TableKeys {
             hashes: Vec::new(),
-            column: KeyColumn {
-                prefix,
-                windows: Vec::with_capacity(entries),
-            },
+            windows: Vec::with_capacity(entries),
             fences: GroupFences {
                 prefix,
                 lasts: Vec::with_capacity(groups),
@@ -277,7 +277,7 @@ impl TableKeys {
     pub fn push(&mut self, group: u32, key: &[u8]) {
         let window = window(self.fences.prefix, key);
         if !self.fences_only {
-            self.column.windows.push(window);
+            self.windows.push(window);
         }
         let lasts = &mut self.fences.lasts;
         // An empty group (only in a damaged table) repeats the fence

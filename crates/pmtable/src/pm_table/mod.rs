@@ -74,7 +74,7 @@ mod cursor;
 mod reader;
 
 pub use builder::PmTableBuilder;
-pub use column::{GroupFences, KeyColumn, MergedColumn, TableKeys};
+pub use column::{GroupFences, MergedColumn, TableKeys};
 pub use cursor::{GroupAccess, GroupLoad, NoGroupCache, PmCursor};
 pub use reader::{PmTable, PmTableError};
 

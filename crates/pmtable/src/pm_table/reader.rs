@@ -574,6 +574,11 @@ impl<S: Storage> PmTable<S> {
         self.entry_count as usize
     }
 
+    /// The medium the table's bytes live in.
+    pub fn storage(&self) -> &S {
+        &self.storage
+    }
+
     /// Encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
         self.storage.bytes().len()

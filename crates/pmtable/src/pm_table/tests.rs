@@ -978,32 +978,33 @@ fn the_column_keeps_one_window_per_entry_and_the_fences_one_per_group() {
     ] {
         keys.push(group, key);
     }
-    assert_eq!(keys.column.bytes(), 8 * 5);
+    assert_eq!(keys.windows.len(), 5);
     assert_eq!(keys.fences.bytes(), 8 * 3);
     assert_eq!(keys.fences.group_of(b"kb").0, 0);
     assert_eq!(keys.fences.group_of(b"kbb").0, 2);
     assert_eq!(keys.fences.group_of(b"ke").0, 2);
     assert_eq!(keys.fences.group_of(b"kf").0, 3);
     let fences = TableKeys::fences_only(1, 3);
-    assert_eq!((fences.column.bytes(), fences.fences.bytes()), (0, 0));
+    assert_eq!((fences.windows.len(), fences.fences.bytes()), (0, 0));
 }
 
-/// The keys of one table, as its builder would hand them over.
-fn column_of(keys: &[&[u8]]) -> KeyColumn {
+/// The windows of one table, as its builder would hand them over.
+fn windows_of(keys: &[&[u8]]) -> Vec<u64> {
     let prefix = encoding::prefix::common_prefix_len(keys[0], keys[keys.len() - 1]);
     let mut table = TableKeys::new(prefix, keys.len(), 1);
     keys.iter().for_each(|key| table.push(0, key));
-    table.column
+    assert_eq!(table.fences.prefix_len(), prefix);
+    table.windows
 }
 
 #[test]
 fn a_merged_column_reframes_renumbers_and_seeks_once() {
     let mut merged = MergedColumn::default();
-    merged.push(0, column_of(&[b"k:a1", b"k:a3"]), b"k:a1");
+    merged.push(0, windows_of(&[b"k:a1", b"k:a3"]), b"k:a");
     assert_eq!(merged.prefix(), b"k:a");
     // A second table shortens the common prefix to `k:`: the first
     // table's windows are re-framed behind the `a` it gives up.
-    merged.push(1, column_of(&[b"k:a2", b"k:b"]), b"k:a2");
+    merged.push(1, windows_of(&[b"k:a2", b"k:b"]), b"k:");
     assert_eq!(merged.prefix(), b"k:");
     let window = |key: &[u8]| {
         let mut w = [0; 8];
@@ -1034,6 +1035,10 @@ fn a_merged_column_reframes_renumbers_and_seeks_once() {
     );
     assert_eq!(merged.prefix(), b"k:");
     merged.drop_oldest(1);
+    assert_eq!(merged, MergedColumn::default());
+    // Clearing forgets every table as dropping them all does.
+    merged.push(0, windows_of(&[b"k:a1", b"k:a3"]), b"k:a");
+    merged.clear();
     assert_eq!(merged, MergedColumn::default());
     assert_eq!(MergedColumn::walk_lines(3, 3), 2);
     assert_eq!(MergedColumn::walk_lines(3, 8), 1);

@@ -14,8 +14,23 @@
 # cannot silently grow back. It always exits 1 when a `#[cfg(test)]`
 # line is followed by anything but a `mod`: the count would skip the
 # code after that item.
+#
+# `--base REV` also counts REV — a `git archive REV` extract, by this
+# script's rules — and prints its column beside the working tree's and
+# the change between them (`scripts/loc.sh --base HEAD^`: parent →
+# change). The checks above look at the working tree only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+max_file='' base=''
+while (($#)); do
+    case $1 in
+        --max-file) max_file=$2 ;;
+        --base) base=$2 ;;
+        *) echo "usage: $0 [--max-file N] [--base REV]" >&2 && exit 2 ;;
+    esac
+    shift 2
+done
 
 # Skips a file's lines from its first `#[cfg(test)]` on (a tests.rs
 # wholly): the prefix of the awk programs below.
@@ -36,31 +51,6 @@ pub_fns() {
         END { print n + 0 }' "$@" /dev/null
 }
 
-printf '%-22s %8s\n' crate code_lines
-total=0
-declare -A lines
-for dir in crates/*/; do
-    crate=$(basename "$dir")
-    mapfile -t files < <(find "$dir/src" -name '*.rs' | sort)
-    n=$(code_lines "${files[@]}")
-    lines[$crate]=$n
-    total=$((total + n))
-    printf '%-22s %8d\n' "$crate" "$n"
-done
-printf '%-22s %8d\n' "all of crates/" "$total"
-
-# Each line of the tree is `name version (path)`, a repeat ending `(*)`.
-engine=0
-tree=$(cargo tree -p pm-blade -e normal --prefix none --offline)
-while read -r dir; do
-    engine=$((engine + lines[$(basename "$dir")]))
-done < <(awk '{ gsub(/[()]/, "", $3); print $3 }' <<<"$tree" | sort -u)
-printf '%-22s %8d\n' "engine crates" "$engine"
-
-mapfile -t engine < <(find crates/pm-blade/src -name '*.rs' | sort)
-printf '%-22s %8d\n' "pm-blade pub fn" "$(pub_fns "${engine[@]}")"
-mapfile -t client < <(find crates/pm-blade-client/src -name '*.rs' | sort)
-printf '%-22s %8d\n' "pm-blade-client pub fn" "$(pub_fns "${client[@]}")"
 # fields STRUCT FILE — the `pub` fields of `pub struct STRUCT` in FILE.
 fields() {
     awk -v open="pub struct $1 {" '
@@ -69,20 +59,70 @@ fields() {
         inside && /^    pub [a-z_0-9]+:/ { n++ }
         END { print n + 0 }' "$2"
 }
-printf '%-22s %8d\n' "Options fields" "$(fields Options crates/pm-blade/src/options.rs)"
-printf '%-22s %8d\n' "ServerOptions fields" \
-    "$(fields ServerOptions crates/pm-blade-server/src/lib.rs)"
 
-mapfile -t sources < <(find crates/*/src -name '*.rs' | sort)
-read -r largest largest_file < <(awk "$non_test"'
-    /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
-    { if (++n[FILENAME] > max) { max = n[FILENAME]; at = FILENAME } }
-    END { print max + 0, at }' "${sources[@]}")
-printf '%-22s %8d  %s\n' "largest file" "$largest" "$largest_file"
-if [[ ${1:-} == --max-file ]] && ((largest > $2)); then
-    echo "loc: $largest_file has $largest code lines, more than $2" >&2
+# rows — the table of the tree in the current directory, one
+# `label<TAB>count` line per row; the largest file's adds its path.
+rows() {
+    local dir crate n total=0 engine=0
+    local -A lines
+    for dir in crates/*/; do
+        crate=$(basename "$dir")
+        mapfile -t files < <(find "$dir/src" -name '*.rs' | sort)
+        n=$(code_lines "${files[@]}")
+        lines[$crate]=$n
+        total=$((total + n))
+        printf '%s\t%d\n' "$crate" "$n"
+    done
+    printf 'all of crates/\t%d\n' "$total"
+
+    # Each line of the tree is `name version (path)`, a repeat ending `(*)`.
+    tree=$(cargo tree -p pm-blade -e normal --prefix none --offline)
+    while read -r dir; do
+        engine=$((engine + lines[$(basename "$dir")]))
+    done < <(awk '{ gsub(/[()]/, "", $3); print $3 }' <<<"$tree" | sort -u)
+    printf 'engine crates\t%d\n' "$engine"
+
+    mapfile -t files < <(find crates/pm-blade/src -name '*.rs' | sort)
+    printf 'pm-blade pub fn\t%d\n' "$(pub_fns "${files[@]}")"
+    mapfile -t files < <(find crates/pm-blade-client/src -name '*.rs' | sort)
+    printf 'pm-blade-client pub fn\t%d\n' "$(pub_fns "${files[@]}")"
+    printf 'Options fields\t%d\n' "$(fields Options crates/pm-blade/src/options.rs)"
+    printf 'ServerOptions fields\t%d\n' \
+        "$(fields ServerOptions crates/pm-blade-server/src/lib.rs)"
+
+    mapfile -t files < <(find crates/*/src -name '*.rs' | sort)
+    awk "$non_test"'
+        /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+        { if (++n[FILENAME] > max) { max = n[FILENAME]; at = FILENAME } }
+        END { print "largest file\t" max + 0 "\t" at }' "${files[@]}"
+}
+
+tree_rows=$(rows)
+if [[ -z $base ]]; then
+    printf '%-22s %8s\n' crate code_lines
+    awk -F'\t' '{ printf "%-22s %8d%s\n", $1, $2, ($3 == "" ? "" : "  " $3) }' <<<"$tree_rows"
+else
+    extract=$(mktemp -d)
+    trap 'rm -rf "$extract"' EXIT
+    git archive "$base" | tar -x -C "$extract"
+    base_rows=$(cd "$extract" && rows)
+    printf '%-22s %8s %8s %8s\n' crate "$base" tree change
+    # Rows in the working tree's order; a crate only REV has goes last.
+    awk -F'\t' '
+        NR == FNR { old[$1] = $2; order[++n] = $1; next }
+        { printf "%-22s %8s %8d %+8d\n", $1, ($1 in old ? old[$1] : "-"), $2, $2 - old[$1]
+          delete old[$1] }
+        END { for (i = 1; i <= n; i++) if (order[i] in old)
+                  printf "%-22s %8d %8s %+8d\n", order[i], old[order[i]], "-", -old[order[i]] }
+    ' <(printf '%s\n' "$base_rows") <(printf '%s\n' "$tree_rows")
+fi
+
+read -r largest largest_file < <(awk -F'\t' '$1 == "largest file" { print $2, $3 }' <<<"$tree_rows")
+if [[ -n $max_file ]] && ((largest > max_file)); then
+    echo "loc: $largest_file has $largest code lines, more than $max_file" >&2
     exit 1
 fi
+mapfile -t sources < <(find crates/*/src -name '*.rs' | sort)
 stray=$(awk '
     after && !/^[[:space:]]*(pub(\([a-z]+\))? )?mod / { print FILENAME ":" FNR }
     { after = /^[[:space:]]*#\[cfg\(test\)\]/ }' "${sources[@]}")

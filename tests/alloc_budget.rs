@@ -12,7 +12,9 @@
 //!
 //! Compactions: a flush and an SSD-to-SSD merge allocate per table and
 //! per block, an internal compaction per input group and per output
-//! table, never per record.
+//! table, never per record; a table's handle copies nothing its table
+//! holds. An internal compaction keeps the merged key column's buffers,
+//! so the flushes after it do not grow them again.
 //!
 //! Writes: a lone put or delete allocates its memtable node and nothing
 //! else; a one-partition batch adds a constant for splitting it by
@@ -33,35 +35,39 @@ use pmblade_integration_tests::{key_for, tiny_options, value_for};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes asked for: each allocation's size, each reallocation's new
+    /// size.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct CountingAllocator;
 
-fn tally() {
+fn tally(bytes: usize) {
     // `try_with`: an allocation during thread teardown, after the
     // thread-local is gone, goes uncounted instead of panicking.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the only addition is a
-// thread-local `Cell<u64>` bump, which neither allocates (const-
-// initialised, no destructor) nor unwinds.
+// which upholds the `GlobalAlloc` contract; the only addition is two
+// thread-local `Cell<u64>` bumps, which neither allocate (const-
+// initialised, no destructor) nor unwind.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tally();
+        tally(layout.size());
         // SAFETY: the caller's `layout` obligations pass through as-is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        tally();
+        tally(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        tally();
+        tally(new_size);
         // SAFETY: `ptr` came from this allocator, i.e. from `System`,
         // with `layout`; the caller guarantees the rest.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -81,6 +87,13 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCATIONS.with(Cell::get);
     let result = f();
     (ALLOCATIONS.with(Cell::get) - before, result)
+}
+
+/// Bytes `f` allocates (and reallocates to) on this thread.
+fn bytes_in(f: impl FnOnce()) -> u64 {
+    let before = BYTES.with(Cell::get);
+    f();
+    BYTES.with(Cell::get) - before
 }
 
 /// Lives only in the SSD level.
@@ -194,17 +207,10 @@ fn warm_get_allocates_the_value_and_at_most_one_buffer_at_any_unsorted_count() {
     );
 }
 
-/// Allocations per record of the one maintenance call that moves `n`
-/// records `passes` times: `load` fills the engine, `request` is timed.
-fn allocations_per_record(
-    mut opts: pm_blade::Options,
-    n: u64,
-    passes: u64,
-    load: impl Fn(&Db),
-    request: CompactionRequest,
-) -> f64 {
-    // Nothing flushes, merges or traces on its own. The pool holds one
-    // memtable: a limit, not an allocation.
+/// An engine under `opts` where nothing flushes, merges or traces on
+/// its own.
+fn quiet_db(mut opts: pm_blade::Options) -> Db {
+    // The pool holds one memtable: a limit, not an allocation.
     opts.memtable_bytes = 1 << 30;
     opts.pm_capacity = 1 << 30;
     // Eq 3 never fires: PM use cannot pass the pool's capacity.
@@ -212,7 +218,18 @@ fn allocations_per_record(
     opts.l0_unsorted_hard_cap = usize::MAX;
     opts.l0_table_trigger = usize::MAX;
     opts.trace_sample_every = 0;
-    let db = Db::open(opts).unwrap();
+    Db::open(opts).unwrap()
+}
+
+/// Allocations of the one maintenance call that moves `n` records:
+/// `load` fills the engine, `request` is timed.
+fn compaction_allocations(
+    opts: pm_blade::Options,
+    n: u64,
+    load: impl Fn(&Db),
+    request: CompactionRequest,
+) -> u64 {
+    let db = quiet_db(opts);
     put_keys(&db, 0..n, 0);
     load(&db);
     let (allocations, done) = allocations_in(|| db.compact(request));
@@ -220,8 +237,19 @@ fn allocations_per_record(
     for i in (0..n).step_by(997) {
         assert_eq!(db.get(&key_for(i)).unwrap().value, Some(value_for(i, 100)));
     }
-    allocations as f64 / (n * passes) as f64
+    allocations
 }
+
+/// What a flush of 20 000 records allocates in the costliest of the CI
+/// matrix's configurations (filters on, auto codec): one table, and
+/// nothing for its key range, region, size, entry count or codec, which
+/// its handle reads from the table.
+const FLUSH_OF_20K: u64 = 105;
+
+/// What the internal compaction below allocates at 20 000 keys in that
+/// configuration: per input group, and per output table nothing its
+/// handle could read from the table.
+const INTERNAL_OF_20K: u64 = 6_878;
 
 #[test]
 fn a_flush_and_an_ssd_merge_allocate_per_table_and_block_not_per_record() {
@@ -229,7 +257,7 @@ fn a_flush_and_an_ssd_merge_allocate_per_table_and_block_not_per_record() {
     // the CI matrix's codec, with or without a filter).
     let flush = |n| {
         let opts = tiny_options(Mode::PmBlade);
-        allocations_per_record(opts, n, 1, |_| (), CompactionRequest::FlushAll)
+        compaction_allocations(opts, n, |_| (), CompactionRequest::FlushAll)
     };
     // SSD to SSD: a major compaction in SSD level-0 mode streams the one
     // level-0 table into level 1, which is then over its target and
@@ -240,12 +268,18 @@ fn a_flush_and_an_ssd_merge_allocate_per_table_and_block_not_per_record() {
         (opts.l1_target, opts.level_multiplier) = (1 << 10, 1 << 20);
         let load = |db: &Db| db.compact(CompactionRequest::FlushAll).unwrap();
         let major = CompactionRequest::Major { partition: 0 };
-        allocations_per_record(opts, n, 2, load, major)
+        compaction_allocations(opts, n, load, major)
     };
-    for (what, per_record) in [
-        ("flush", &flush as &dyn Fn(u64) -> f64),
-        ("cascade", &cascade),
+    let flushed = flush(20_000);
+    assert!(
+        flushed <= FLUSH_OF_20K,
+        "a flush of 20 000 records allocated {flushed} times (budget {FLUSH_OF_20K})"
+    );
+    for (what, count, passes) in [
+        ("flush", &flush as &dyn Fn(u64) -> u64, 1),
+        ("cascade", &cascade, 2),
     ] {
+        let per_record = |n| count(n) as f64 / (n * passes) as f64;
         let (small, large) = (per_record(5_000), per_record(20_000));
         assert!(
             large <= 0.25,
@@ -449,9 +483,15 @@ fn an_internal_compaction_allocates_per_group_and_table_not_per_record() {
             db.compact(CompactionRequest::FlushAll).unwrap();
         };
         let request = CompactionRequest::Internal { partition: 0 };
-        allocations_per_record(tiny_options(Mode::PmBlade), n, 1, load, request)
+        compaction_allocations(tiny_options(Mode::PmBlade), n, load, request)
     };
     let (small, large) = (internal(5_000), internal(20_000));
+    assert!(
+        large <= INTERNAL_OF_20K,
+        "an internal compaction of 20 000 keys allocated {large} times \
+         (budget {INTERNAL_OF_20K})"
+    );
+    let (small, large) = (small as f64 / 5_000.0, large as f64 / 20_000.0);
     // Each group of 16 input records allocates three times, so 1.5 n
     // input records make 0.28 n; the output tables add theirs.
     assert!(
@@ -536,4 +576,35 @@ fn a_lone_put_or_delete_allocates_its_memtable_node_and_nothing_else() {
         let expected = (i % 4 != 3).then(|| value_for(i + stamp, 100));
         assert_eq!(db.get(&key_for(i)).unwrap().value, expected, "key {i}");
     }
+}
+
+#[test]
+fn an_internal_compaction_keeps_the_merged_key_columns_buffers() {
+    // Two identical cycles, each from an empty level-0: 2 000 keys
+    // flushed into one unsorted table, whose windows go into the merged
+    // key column, then merged into the sorted run. A major compaction
+    // between them empties level-0 again. The internal compaction clears
+    // the column but keeps its buffers, so the second cycle's flush
+    // grows them no more: it allocates at least the column's 12 bytes
+    // per entry fewer than the first.
+    const N: u64 = 2_000;
+    let db = quiet_db(tiny_options(Mode::PmBlade));
+    let cycle = |stamp| {
+        put_keys(&db, 0..N, stamp);
+        bytes_in(|| {
+            db.compact(CompactionRequest::FlushAll).unwrap();
+            db.compact(CompactionRequest::Internal { partition: 0 })
+                .unwrap();
+        })
+    };
+    let first = cycle(0);
+    db.compact(CompactionRequest::Major { partition: 0 })
+        .unwrap();
+    assert_eq!(unsorted_tables(&db), 0);
+    let second = cycle(1);
+    assert!(
+        second + 12 * N <= first,
+        "the first cycle allocated {first} bytes, the second {second}: \
+         the second grew the merged key column again"
+    );
 }

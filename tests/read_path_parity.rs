@@ -499,8 +499,8 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
         .internal_compaction(&media, &mut tl)
         .unwrap()
         .expect("six unsorted tables merge");
-    for region in report.retired_regions {
-        pool.free(region).unwrap();
+    for h in &report.retired {
+        pool.free(h.region()).unwrap();
     }
     check_held(&before_internal, 0..300, "after internal compaction");
     check_live(&p, 0..300, "after internal compaction");
@@ -513,8 +513,8 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
     let mut chunks = 0;
     while p.level0.chunkable_tables() > 0 {
         let report = p.major_compaction(&media, 2, &mut tl).unwrap();
-        for region in report.retired_regions {
-            pool.free(region).unwrap();
+        for h in &report.retired {
+            pool.free(h.region()).unwrap();
         }
         chunks += 1;
         let when = format!("after major chunk {chunks}");
