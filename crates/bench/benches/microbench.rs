@@ -193,7 +193,6 @@ fn bench_scan_merge(c: &mut Criterion) {
     use pm_blade::level0::PmLevel0;
     let cost = CostModel::default();
     let pool = pm_device::PmPool::new(64 << 20, cost);
-    let ids = pm_blade::handle::CacheIds::new();
     let (opts, costs) = (Options::default(), CodecCostTable::default());
     let all = entries(30 * 250);
     let device = ssd_device::SsdDevice::new(cost);
@@ -206,7 +205,6 @@ fn bench_scan_merge(c: &mut Criterion) {
         device: &device,
         cache: &cache,
         table_counter: &counter,
-        cache_ids: &ids,
         input_errors: &errors,
         retire_errors: &errors,
     };
@@ -276,10 +274,7 @@ fn bench_cascade(c: &mut Criterion) {
         Options::default(),
         pm_blade::costmodel::CodecCostTable::default(),
     );
-    let (pool, ids) = (
-        pm_device::PmPool::new(0, cost),
-        pm_blade::handle::CacheIds::new(),
-    );
+    let pool = pm_device::PmPool::new(0, cost);
     let errors = sim::Counter::new();
     let media = pm_blade::partition::Media {
         opts: &opts,
@@ -288,7 +283,6 @@ fn bench_cascade(c: &mut Criterion) {
         device: &device,
         cache: &cache,
         table_counter: &counter,
-        cache_ids: &ids,
         input_errors: &errors,
         retire_errors: &errors,
     };

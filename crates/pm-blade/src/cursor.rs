@@ -161,7 +161,7 @@ impl<'a> PmRun<'a> {
                         group
                     };
                     let mut c = match self.cache {
-                        Some(cache) => h.table.cursor(TableGroupCache::new(cache, h.cache_id)),
+                        Some(cache) => h.table.cursor(TableGroupCache::new(cache, h.region())),
                         None => h.table.sequential_cursor(),
                     };
                     load = load.max(c.seek(group, start, tl).map_err(corrupt)?);
@@ -804,12 +804,7 @@ pub(crate) mod tests {
                 seq += 1;
                 OwnedEntry::value(k.clone(), seq, b"run".to_vec())
             }).collect();
-            // Each table its own group-cache id (`table_opts` mints 1).
-            let ids = crate::handle::CacheIds::new();
-            let new_table = |entries| {
-                let (table, keys) = table_opts(&pool, entries, opts);
-                (crate::handle::PmTableHandle { cache_id: ids.next(), ..table }, keys)
-            };
+            let new_table = |entries| table_opts(&pool, entries, opts);
             // The run, cut between two of its keys at the drawn points.
             let points: BTreeSet<usize> = cuts.iter().map(|&c| c % run.len().max(1)).collect();
             let bounds: Vec<usize> = [0].into_iter().chain(points).chain([run.len()]).collect();

@@ -168,16 +168,14 @@ impl DbCore {
                 media.discard_table(name);
                 self.cache.purge_table(sstable::cache::table_id(name));
             }
-            let regions = report.retired.iter().map(PmTableHandle::region);
-            for region in regions.chain(report.retired_rows.iter().copied()) {
+            // A retired region can never serve a read again (the pool
+            // never reuses an id); purging just reclaims cache space,
+            // and finds nothing of a matrix row.
+            for &region in &report.retired {
                 if self.pool.free(region).is_err() {
                     media.retire_errors.incr();
                 }
-            }
-            // The retired PM tables can never serve a read again (their
-            // ids are never reused); purging just reclaims cache space.
-            for h in &report.retired {
-                self.group_cache.purge_table(h.cache_id);
+                self.group_cache.purge_table(region);
             }
             Ok(Some(report))
         })();

@@ -58,7 +58,6 @@ use sstable::BlockCache;
 use crate::commit::Committer;
 use crate::costmodel::CodecCostTable;
 use crate::groupcache::PmGroupCache;
-use crate::handle::CacheIds;
 use crate::maintenance::{MaintenanceShared, MAINTENANCE_WORKERS};
 use crate::manifest::Manifest;
 use crate::options::Options;
@@ -182,9 +181,6 @@ pub struct DbCore {
     /// Virtual clock as nanoseconds since `SimInstant::ORIGIN`.
     clock: AtomicU64,
     table_counter: AtomicU64,
-    /// Per-engine [`PmTableHandle::cache_id`] allocator (see
-    /// [`CacheIds`] for why it must not be process-global).
-    cache_ids: CacheIds,
     /// Every metric handle the engine updates, resolved once at open.
     metrics: EngineMetrics,
     wal: Option<Mutex<WalRing>>,
@@ -383,7 +379,6 @@ impl DbCore {
             device: &self.device,
             cache: &self.cache,
             table_counter: &self.table_counter,
-            cache_ids: &self.cache_ids,
             input_errors: &self.metrics.compaction_input_errors,
             retire_errors: &self.metrics.media_retire_errors,
         }

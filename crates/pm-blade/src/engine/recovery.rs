@@ -22,7 +22,7 @@ use super::{DbCore, DbError};
 use crate::commit::{CommitMetrics, Committer};
 use crate::costmodel::CodecCostTable;
 use crate::groupcache::PmGroupCache;
-use crate::handle::{CacheIds, SsTableHandle};
+use crate::handle::SsTableHandle;
 use crate::maintenance::{MaintenanceShared, QueueMetrics};
 use crate::manifest::{Manifest, PartitionVersion, VersionEdit};
 use crate::options::{MaintenanceMode, Mode, Options};
@@ -43,7 +43,7 @@ fn rebuild_partition(
     tl: &mut Timeline,
 ) -> Result<(u64, u64), DbError> {
     let (mut count, mut max_seq) = p.level0.recover(p.id, version, media, tl)?;
-    for (i, level) in version.levels.iter().enumerate() {
+    for level in &version.levels {
         let mut handles = Vec::with_capacity(level.len());
         for meta in level {
             let h = SsTableHandle::reopen(meta, media, tl)?;
@@ -51,7 +51,7 @@ fn rebuild_partition(
             handles.push(h);
             count += 1;
         }
-        p.levels.replace_level(i + 1, handles);
+        p.levels.levels.push(handles);
     }
     Ok((count, max_seq))
 }
@@ -97,7 +97,6 @@ impl DbCore {
             .collect();
         let mut seq: SequenceNumber = 0;
         let table_counter = AtomicU64::new(0);
-        let cache_ids = CacheIds::new();
         let registry = MetricsRegistry::new();
         let metrics = EngineMetrics::register(&registry, partitions.len());
         let mut recovered_tables = 0u64;
@@ -131,7 +130,6 @@ impl DbCore {
                     device: &device,
                     cache: &cache,
                     table_counter: &table_counter,
-                    cache_ids: &cache_ids,
                     input_errors: &metrics.compaction_input_errors,
                     retire_errors: &metrics.media_retire_errors,
                 };
@@ -306,7 +304,6 @@ impl DbCore {
             seq: AtomicU64::new(seq),
             clock: AtomicU64::new(0),
             table_counter,
-            cache_ids,
             metrics,
             wal,
             manifest,

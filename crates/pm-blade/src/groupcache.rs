@@ -8,12 +8,14 @@
 //! cache's own byte budget
 //! ([`crate::options::Options::pm_group_cache_bytes`]).
 //!
-//! Keys are `(table cache-id, group index)`. Cache ids are allocated
-//! from the engine's own monotonic counter
-//! ([`crate::handle::CacheIds`], per engine like this cache) when a
-//! table handle is built and never reused, so a retired table's entries
-//! can never be served to a later table — they are also purged eagerly
-//! (`purge_table`) when compaction frees the table.
+//! Keys are `(region id, group index)`: a PM table is named by the
+//! [`pm_device::PmPool`] region it lives in. One cache serves one pool,
+//! the engine's, whose ids are never reused, so a retired table's
+//! groups can never be served to a later table; they are also purged
+//! eagerly (`purge_table`) when compaction frees the region. Region ids
+//! are per pool, not per process, so two engines running the same
+//! workload place and evict groups in the same shards, which every
+//! virtual-time benchmark and parity test relies on.
 //!
 //! The cache has 16 shards, each its own mutex and exact LRU over a
 //! sixteenth of the budget. A hit takes its shard's mutex to relink the
@@ -36,13 +38,13 @@ pub type PmGroupCache = LruCache<Arc<EntryRun>, 16>;
 /// to a PM group decode (any lookup missed); a scan ignores the counts.
 pub struct TableGroupCache<'a> {
     cache: &'a PmGroupCache,
-    table: u64,
+    table: pm_device::RegionId,
     hits: Cell<u64>,
     misses: Cell<u64>,
 }
 
 impl<'a> TableGroupCache<'a> {
-    pub fn new(cache: &'a PmGroupCache, table: u64) -> Self {
+    pub fn new(cache: &'a PmGroupCache, table: pm_device::RegionId) -> Self {
         TableGroupCache {
             cache,
             table,

@@ -1,11 +1,11 @@
 //! Table handles and merge utilities shared by the compaction paths.
 //!
-//! A handle holds its table and only what the table cannot tell: a PM
-//! table's largest sequence, group-cache id and DRAM group fences, an
-//! SSTable's key range and largest sequence. Its key range, region,
-//! size, entry count, codec or name it reads from the table.
+//! A PM table's handle is one `Arc` of the table and its DRAM group
+//! fences, and its region id names it, in the pool and in the group
+//! cache. An SSTable's handle holds its key range and largest sequence.
+//! Key range, region, size, entry count, codec or name a handle reads
+//! from its table.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use encoding::bloom::BloomFilter;
@@ -27,53 +27,28 @@ use crate::manifest::SsdMeta;
 use crate::partition::Media;
 use crate::telemetry::{SpanKind, StageTimes};
 
-/// Per-engine allocator for [`PmTableHandle::cache_id`]. Ids are
-/// monotonic and never reused within an engine, so a retired table's
-/// cached groups can never alias a newer table's (the group-decode
-/// cache the ids key is itself per-engine and starts empty on open).
-/// Deliberately *not* process-global: the cache shards by id hash, so
-/// two engines running the same workload must mint the same ids to
-/// place and evict groups identically — the determinism every
-/// virtual-time benchmark and parity test relies on.
-pub struct CacheIds(AtomicU64);
+/// A PM table resident in level-0, behind one `Arc`: cloning a handle
+/// is one refcount bump, so copying a level-0 table list on write never
+/// copies a key.
+pub type PmTableHandle = Arc<ResidentPmTable>;
 
-impl CacheIds {
-    pub fn new() -> Self {
-        Self(AtomicU64::new(1))
-    }
-
-    /// Mint the next table cache id.
-    pub fn next(&self) -> u64 {
-        self.0.fetch_add(1, Ordering::Relaxed)
-    }
+/// A PM table and its DRAM group fences, which every level-0 get and
+/// scan seek finds its group by. Its key range, region, size, entry
+/// count and codec are read from the table.
+pub struct ResidentPmTable {
+    pub table: PmTable<PmRegion>,
+    pub fences: GroupFences,
 }
 
-impl Default for CacheIds {
-    fn default() -> Self {
-        Self::new()
+impl ResidentPmTable {
+    /// The handle of `table`, which takes the fences out of its `keys`.
+    pub(crate) fn new(table: PmTable<PmRegion>, keys: &mut TableKeys) -> PmTableHandle {
+        let fences = std::mem::take(&mut keys.fences);
+        Arc::new(ResidentPmTable { table, fences })
     }
-}
 
-/// A PM table resident in level-0: its table and what the table cannot
-/// tell. Its key range, region, size, entry count and codec are read
-/// from the table. Cloning one is two refcount bumps, so copying a
-/// level-0 table list on write never copies a key.
-#[derive(Clone)]
-pub struct PmTableHandle {
-    pub table: Arc<PmTable<PmRegion>>,
-    /// Largest sequence stored; newer tables shadow older ones.
-    pub max_seq: SequenceNumber,
-    /// Unique key for the shared group-decode cache
-    /// ([`crate::groupcache::PmGroupCache`]).
-    pub cache_id: u64,
-    /// The table's DRAM group fences, which every level-0 get and scan
-    /// seek finds its group by.
-    pub fences: Arc<GroupFences>,
-}
-
-impl PmTableHandle {
-    /// The table's smallest user key. A handle's table is never empty
-    /// ([`reopen_pm_table`] refuses one).
+    /// The table's smallest user key. A handle's table is never empty: a
+    /// run writer never cuts one and [`reopen_pm_table`] refuses one.
     pub(crate) fn first(&self) -> &[u8] {
         self.table.first_user_key().unwrap_or_default()
     }
@@ -83,7 +58,7 @@ impl PmTableHandle {
         self.table.last_user_key().unwrap_or_default()
     }
 
-    /// The PM region the table lives in.
+    /// The PM region the table lives in, which names it.
     pub fn region(&self) -> RegionId {
         self.table.storage().id()
     }
@@ -94,9 +69,9 @@ impl PmTableHandle {
     }
 }
 
-impl std::fmt::Debug for PmTableHandle {
+impl std::fmt::Debug for ResidentPmTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PmTableHandle")
+        f.debug_struct("ResidentPmTable")
             .field("region", &self.region())
             .field("entries", &self.table.entry_count())
             .field("bytes", &self.table.encoded_len())
@@ -159,10 +134,6 @@ impl SsTableHandle {
         let found = stages.time(SpanKind::SsdRead, tl, read)?;
         Ok(found.map(|(seq, kind, value)| Lookup { seq, kind, value }))
     }
-
-    pub fn overlaps_handle_range(&self, first: &[u8], last: &[u8]) -> bool {
-        self.first.as_slice() <= last && first <= self.last.as_slice()
-    }
 }
 
 impl std::fmt::Debug for SsTableHandle {
@@ -217,56 +188,36 @@ pub fn merge_dedup(
     out
 }
 
-/// The handle of a PM table in `region`, with its [`TableKeys`]: one
-/// just published, or one recovered (manifest replay). The region
-/// payload is self-describing; the table's key range is read from it,
-/// and so are `max_seq` and the keys when the caller does not know
-/// them — by a full sequential pass, which ticks the PM device's read
-/// counters, so a build passes what it saw go in. The handle takes the
-/// keys' group fences, and the hashes and the key windows are handed
-/// back. A group that does not decode fails the reopen: the sequences
-/// behind it would go unseen. A fresh `cache_id` is minted — the
-/// group-decode cache starts empty after a restart, so no aliasing is
-/// possible.
+/// Reopen the PM table in `region` (manifest replay): its handle, its
+/// [`TableKeys`] and its largest sequence, all from one full sequential
+/// pass, which ticks the PM device's read counters. The region payload
+/// is self-describing. A group that does not decode fails the reopen:
+/// the sequences behind it would go unseen.
 pub fn reopen_pm_table(
     region: PmRegion,
-    built: Option<(SequenceNumber, TableKeys)>,
-    ids: &CacheIds,
-) -> Result<(PmTableHandle, TableKeys), String> {
+) -> Result<(PmTableHandle, TableKeys, SequenceNumber), String> {
     let region_id = region.id();
     let corrupt = |e: PmTableError| format!("region {region_id}: {e}");
     let table = PmTable::open(region).map_err(corrupt)?;
     let empty = || format!("region {region_id}: empty table");
     let first = table.first_user_key().ok_or_else(empty)?;
     let last = table.last_user_key().ok_or_else(empty)?;
-    let (max_seq, mut keys) = match built {
-        Some(known) => known,
-        None => {
-            let (mut seq, mut tl) = (0, Timeline::new());
-            let (entries, groups) = (table.entry_count(), table.group_count() as usize);
-            let mut keys = TableKeys::new(common_prefix_len(first, last), entries, groups);
-            let mut cursor = table.sequential_cursor::<NoGroupCache>();
-            cursor.seek(0, b"", &mut tl).map_err(corrupt)?;
-            while let Some(e) = cursor.current() {
-                seq = seq.max(e.seq);
-                keys.push(cursor.group(), e.user_key);
-                // A key's versions are adjacent: one pair per key.
-                let key = table.has_filter().then(|| BloomFilter::hashes(e.user_key));
-                if let Some(key) = key.filter(|key| keys.hashes.last() != Some(key)) {
-                    keys.hashes.push(key);
-                }
-                cursor.advance(&mut tl).map_err(corrupt)?;
-            }
-            (seq, keys)
+    let (mut max_seq, mut tl) = (0, Timeline::new());
+    let (entries, groups) = (table.entry_count(), table.group_count() as usize);
+    let mut keys = TableKeys::new(common_prefix_len(first, last), entries, groups);
+    let mut cursor = table.sequential_cursor::<NoGroupCache>();
+    cursor.seek(0, b"", &mut tl).map_err(corrupt)?;
+    while let Some(e) = cursor.current() {
+        max_seq = max_seq.max(e.seq);
+        keys.push(cursor.group(), e.user_key);
+        // A key's versions are adjacent: one pair per key.
+        let key = table.has_filter().then(|| BloomFilter::hashes(e.user_key));
+        if let Some(key) = key.filter(|key| keys.hashes.last() != Some(key)) {
+            keys.hashes.push(key);
         }
-    };
-    let handle = PmTableHandle {
-        table: Arc::new(table),
-        max_seq,
-        cache_id: ids.next(),
-        fences: Arc::new(std::mem::take(&mut keys.fences)),
-    };
-    Ok((handle, keys))
+        cursor.advance(&mut tl).map_err(corrupt)?;
+    }
+    Ok((ResidentPmTable::new(table, &mut keys), keys, max_seq))
 }
 
 /// The PM sink of a compaction: sorted entries in, a run of PM tables
@@ -293,21 +244,17 @@ pub struct PmRunWriter<'a> {
     /// Build each table's full [`TableKeys`], not its fences only.
     full_keys: bool,
     builder: PmTableBuilder,
-    /// Largest sequence in `builder`.
-    max_seq: SequenceNumber,
     done: Vec<(PmTableHandle, TableKeys)>,
 }
 
 impl<'a> PmRunWriter<'a> {
-    /// Writes a sorted run with `media`'s options, codec costs, pool and
-    /// cache ids.
+    /// Writes a sorted run with `media`'s options, codec costs and pool.
     pub fn new(media: &Media<'a>, max_bytes: usize) -> Self {
         PmRunWriter {
             media: *media,
             max_bytes,
             full_keys: false,
             builder: PmTableBuilder::new(media.opts.pm_table_options()),
-            max_seq: 0,
             done: Vec::new(),
         }
     }
@@ -322,7 +269,6 @@ impl<'a> PmRunWriter<'a> {
 
     pub fn add(&mut self, entry: EntryRef<'_>, tl: &mut Timeline) -> Result<(), PmError> {
         self.builder.add(entry);
-        self.max_seq = self.max_seq.max(entry.seq);
         if self.builder.raw_bytes() >= self.max_bytes {
             self.cut(tl)?;
         }
@@ -341,11 +287,10 @@ impl<'a> PmRunWriter<'a> {
         if !self.full_keys {
             builder.set_fences_only();
         }
-        let (bytes, _stats, keys) = builder.finish_with_keys(&opts.cost, tl);
-        let region = pool.publish(bytes, tl)?;
-        let built = Some((std::mem::take(&mut self.max_seq), keys));
-        let table = reopen_pm_table(region, built, self.media.cache_ids);
-        self.done.push(table.expect("just-built table parses"));
+        let (bytes, _stats, mut keys) = builder.finish_with_keys(&opts.cost, tl);
+        let table = PmTable::open(pool.publish(bytes, tl)?).expect("just-built table parses");
+        self.done
+            .push((ResidentPmTable::new(table, &mut keys), keys));
         Ok(())
     }
 
@@ -399,14 +344,12 @@ pub(crate) mod tests {
     }
 
     /// A [`PmRunWriter`] fed from a slice.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn build_pm_tables(
         entries: &[OwnedEntry],
         pm_table: PmTableOptions,
         codec_costs: &CodecCostTable,
         max_bytes: usize,
         pool: &PmPool,
-        ids: &CacheIds,
         cost: &CostModel,
         tl: &mut Timeline,
     ) -> Result<Vec<PmTableHandle>, PmError> {
@@ -417,7 +360,6 @@ pub(crate) mod tests {
         let media = Media {
             codec_costs,
             pool,
-            cache_ids: ids,
             ..store.media()
         };
         let mut writer = PmRunWriter::new(&media, max_bytes);
@@ -492,7 +434,6 @@ pub(crate) mod tests {
             &CodecCostTable::default(),
             8 << 10,
             &pool,
-            &CacheIds::new(),
             &cost,
             &mut tl,
         )
@@ -516,8 +457,7 @@ pub(crate) mod tests {
     fn handles_describe_their_slice_of_the_input_without_reading_it_back() {
         let cost = CostModel::default();
         let pool = PmPool::new(16 << 20, cost);
-        // Sequences in no particular order, so each table's largest is
-        // neither its first nor its last entry's.
+        // Sequences in no particular order: each entry keeps its own.
         let entries: Vec<OwnedEntry> = (0..400u64)
             .map(|i| {
                 e(
@@ -533,7 +473,6 @@ pub(crate) mod tests {
             &CodecCostTable::default(),
             8 << 10,
             &pool,
-            &CacheIds::new(),
             &cost,
             &mut Timeline::new(),
         )
@@ -555,7 +494,6 @@ pub(crate) mod tests {
             rest = after;
             assert_eq!(h.first(), mine[0].user_key.as_slice());
             assert_eq!(h.last(), mine[mine.len() - 1].user_key.as_slice());
-            assert_eq!(h.max_seq, mine.iter().map(|e| e.seq).max().unwrap());
             assert_eq!(h.table.scan_all(&mut Timeline::new()), mine);
         }
         assert!(rest.is_empty());
@@ -572,7 +510,6 @@ pub(crate) mod tests {
             &CodecCostTable::default(),
             1 << 10,
             &pool,
-            &CacheIds::new(),
             &cost,
             &mut tl,
         )
@@ -588,11 +525,11 @@ pub(crate) mod tests {
         let entries: Vec<OwnedEntry> = (0..400)
             .map(|i| e(&format!("key{:05}", i), i + 1, &"v".repeat(100)))
             .collect();
-        let (costs, ids) = (CodecCostTable::default(), CacheIds::new());
+        let costs = CodecCostTable::default();
         let opts = PmTableOptions::default();
         let mut tl = Timeline::new();
         // 400 x ~110 B in 8 KiB tables: the third does not fit 20 KiB.
-        let full = build_pm_tables(&entries, opts, &costs, 8 << 10, &pool, &ids, &cost, &mut tl);
+        let full = build_pm_tables(&entries, opts, &costs, 8 << 10, &pool, &cost, &mut tl);
         assert!(matches!(full, Err(PmError::OutOfSpace { .. })));
         assert_eq!(pool.used(), 0, "the tables before the failure are freed");
         let store = Store::new(writing(opts));
@@ -615,7 +552,6 @@ pub(crate) mod tests {
             &costs,
             8 << 10,
             &pool,
-            &ids,
             &cost,
             &mut tl,
         );
@@ -661,7 +597,6 @@ pub(crate) mod tests {
         let cost = CostModel::default();
         let pool = PmPool::new(16 << 20, cost);
         let costs = CodecCostTable::calibrate(&cost);
-        let ids = CacheIds::new();
         let auto_opts = PmTableOptions {
             codec: CodecMode::Auto,
             ..PmTableOptions::default()
@@ -678,31 +613,13 @@ pub(crate) mod tests {
             })
             .collect();
         let mut tl = Timeline::new();
-        let coded = build_pm_tables(
-            &ts,
-            auto_opts,
-            &costs,
-            usize::MAX,
-            &pool,
-            &ids,
-            &cost,
-            &mut tl,
-        )
-        .unwrap();
+        let coded =
+            build_pm_tables(&ts, auto_opts, &costs, usize::MAX, &pool, &cost, &mut tl).unwrap();
         assert_eq!(coded.len(), 1);
         assert_ne!(coded[0].table.dominant_codec(), pmtable::CODEC_PREFIX);
         let prefix_opts = PmTableOptions::default();
-        let plain = build_pm_tables(
-            &ts,
-            prefix_opts,
-            &costs,
-            usize::MAX,
-            &pool,
-            &ids,
-            &cost,
-            &mut tl,
-        )
-        .unwrap();
+        let plain =
+            build_pm_tables(&ts, prefix_opts, &costs, usize::MAX, &pool, &cost, &mut tl).unwrap();
         assert_eq!(plain[0].table.dominant_codec(), pmtable::CODEC_PREFIX);
         assert!(coded[0].table.encoded_len() < plain[0].table.encoded_len());
         // Ragged text batch (variable key and value widths): neither
@@ -725,7 +642,6 @@ pub(crate) mod tests {
             &costs,
             usize::MAX,
             &pool,
-            &ids,
             &cost,
             &mut tl,
         )
@@ -733,7 +649,7 @@ pub(crate) mod tests {
         assert_eq!(t[0].table.dominant_codec(), pmtable::CODEC_PREFIX);
         // Reopen preserves the dominant codec (regions self-describe).
         let region = pool.get(coded[0].region()).unwrap();
-        let (reopened, _) = reopen_pm_table(region, None, &ids).unwrap();
+        let (reopened, _, _) = reopen_pm_table(region).unwrap();
         assert_eq!(
             reopened.table.dominant_codec(),
             coded[0].table.dominant_codec()
@@ -748,10 +664,8 @@ pub(crate) mod tests {
             filter_bits_per_key: 10,
             ..PmTableOptions::default()
         }));
-        let ids = CacheIds::new();
         let media = Media {
             pool: &pool,
-            cache_ids: &ids,
             ..store.media()
         };
         let write = |mut writer: PmRunWriter| {
@@ -775,8 +689,8 @@ pub(crate) mod tests {
         );
         let region = pool.get(built.region()).unwrap();
         // The pass fills the same hashes, key windows and fences.
-        let (reopened, rekeyed) = reopen_pm_table(region, None, &ids).unwrap();
-        assert_eq!((reopened.max_seq, rekeyed), (400, keys));
+        let (reopened, rekeyed, max_seq) = reopen_pm_table(region).unwrap();
+        assert_eq!((max_seq, rekeyed), (400, keys));
         assert_eq!(reopened.fences, built.fences);
         assert_eq!(built.fences.bytes(), 8 * 25, "one window per group");
         // A sorted-run table keeps its fences and builds nothing else.
@@ -803,12 +717,11 @@ pub(crate) mod tests {
         let pool = PmPool::new(1 << 20, cost);
         let region = pool.publish(bytes, &mut Timeline::new()).unwrap();
         let id = region.id();
-        let ids = CacheIds::new();
-        let with_known_seq =
-            reopen_pm_table(region.clone(), Some((400, TableKeys::default())), &ids);
-        assert_eq!(with_known_seq.unwrap().0.max_seq, 400);
+        // The table opens, as a run writer opens what it built; only the
+        // reopen's pass reads the group.
+        assert!(PmTable::open(region.clone()).is_ok());
         assert_eq!(
-            reopen_pm_table(region, None, &ids).unwrap_err(),
+            reopen_pm_table(region).unwrap_err(),
             format!("region {id}: pm table: corrupt group block")
         );
     }
@@ -825,7 +738,6 @@ pub(crate) mod tests {
             &CodecCostTable::default(),
             1 << 20,
             &pool,
-            &CacheIds::new(),
             &cost,
             &mut tl,
         )

@@ -63,8 +63,9 @@
 //! current version (one refcount bump, whatever the table count) and
 //! searches it with no lock held. A mutation that takes tables out —
 //! a major compaction's detach, an internal compaction's swap — returns
-//! their handles, for the engine to free and purge once the manifest
-//! edit that drops them is durable.
+//! their region ids, which name them in the pool and in the group
+//! cache, for the engine to free and purge once the manifest edit that
+//! drops them is durable.
 
 use std::cell::OnceCell;
 use std::sync::Arc;
@@ -166,7 +167,7 @@ impl Search<'_> {
         }
         self.stats.tables_probed += 1;
         let before = tl.elapsed().as_nanos();
-        let access = TableGroupCache::new(self.probe.cache, handle.cache_id);
+        let access = TableGroupCache::new(self.probe.cache, handle.region());
         let table = &handle.table;
         let (group, lines) = handle.fences.group_of(key);
         tl.charge(table.cost_model().dram.random_read(64) * lines);
@@ -296,7 +297,7 @@ impl KeySketch {
 /// and the handles' `Arc`s keep them readable even after a compaction
 /// frees their pool space. Whoever *mutates* level-0 pays instead, and
 /// only when a reader still holds the version being replaced: the two
-/// handle lists are copied — two refcount bumps per handle, never table
+/// handle lists are copied — one refcount bump per handle, never table
 /// data or a key — and so are the key sketch's slots and the merged key
 /// column, one `memcpy` each of [`L0Version::sketch_bytes`] and
 /// [`L0Version::key_column_bytes`]. With no concurrent reader (one
@@ -535,33 +536,33 @@ impl PmLevel0 {
     }
 
     /// Detach the tables [`L0Version::oldest`] names, once their
-    /// merged output is installed below, and return them: their
-    /// regions to free and their groups to purge from the cache.
-    pub fn detach_oldest(&mut self, limit: usize) -> Vec<PmTableHandle> {
+    /// merged output is installed below, and return their regions: to
+    /// free, and to purge from the group cache.
+    pub fn detach_oldest(&mut self, limit: usize) -> Vec<RegionId> {
         let (run, unsorted) = self.oldest(limit);
         let (take_sorted, take_unsorted) = (run.len(), unsorted.len());
         let next = Arc::make_mut(&mut self.current);
         next.sketch.drop_oldest(take_unsorted);
         next.column.drop_oldest(take_unsorted);
         let detached = next.sorted.drain(..take_sorted);
-        detached
-            .chain(next.unsorted.drain(..take_unsorted))
-            .collect()
+        let detached = detached.chain(next.unsorted.drain(..take_unsorted));
+        detached.map(|h| h.region()).collect()
     }
 
     /// Replace the whole level-0 with a new sorted run WITHOUT freeing
-    /// the old tables: returns them so the caller can retire them
+    /// the old tables: returns their regions so the caller can retire them
     /// *after* the manifest edit recording the new version is durable.
     /// Freeing before the edit commits would let a crash destroy the
     /// only copy of the data. The merged key column keeps its buffers
     /// for the flushes that follow.
-    pub fn replace_with_sorted_deferred(&mut self, run: Vec<PmTableHandle>) -> Vec<PmTableHandle> {
+    pub fn replace_with_sorted_deferred(&mut self, run: Vec<PmTableHandle>) -> Vec<RegionId> {
         debug_assert!(run.windows(2).all(|w| w[0].last() < w[1].first()));
         let next = Arc::make_mut(&mut self.current);
         next.sketch = KeySketch::default();
         next.column.clear();
         let old = std::mem::replace(&mut next.sorted, run);
-        next.unsorted.drain(..).chain(old).collect()
+        let retired = next.unsorted.drain(..).chain(old);
+        retired.map(|h| h.region()).collect()
     }
 }
 
@@ -780,12 +781,12 @@ impl Level0 {
 
     /// Detach the tables [`Level0::cursors`] gave a major compaction
     /// limited to `limit`, once their merged output is installed below,
-    /// into `report`: PM tables to free and purge, matrix rows' regions
-    /// to free, SSD tables to delete by name.
+    /// into `report`: the regions of PM tables and matrix rows to free
+    /// and purge, SSD tables to delete by name.
     pub(crate) fn detach_oldest(&mut self, limit: usize, report: &mut CompactionReport) {
         match self {
             Level0::Pm(l0) => report.retired = l0.detach_oldest(limit),
-            Level0::Matrix(m) => report.retired_rows = m.take_regions(),
+            Level0::Matrix(m) => report.retired = m.take_regions(),
             Level0::Ssd(tables) => {
                 let names = tables.drain(..).map(|h| h.table.name().to_string());
                 report.deleted_tables.extend(names);
@@ -851,8 +852,7 @@ impl Level0 {
                 let mut run = Vec::with_capacity(version.sorted.len());
                 for (idx, &id) in ids.enumerate() {
                     let region = logged_region(media.pool, id)?;
-                    let reopened = reopen_pm_table(region, None, media.cache_ids);
-                    let (h, keys) = reopened.map_err(DbError::Corrupt)?;
+                    let (h, keys, seq) = reopen_pm_table(region).map_err(DbError::Corrupt)?;
                     let codec = h.table.dominant_codec();
                     if let Some(logged) = version.codecs.get(idx).filter(|&&c| c != codec as u64) {
                         return Err(DbError::Corrupt(format!(
@@ -860,7 +860,7 @@ impl Level0 {
                              region {id} but the reopened table decodes as codec {codec}"
                         )));
                     }
-                    max_seq = max_seq.max(h.max_seq);
+                    max_seq = max_seq.max(seq);
                     if idx < version.unsorted.len() {
                         l0.push_unsorted(h, keys);
                     } else {
@@ -924,9 +924,9 @@ impl Level0 {
 pub(crate) mod tests {
     use super::*;
     use crate::cursor::tests::drain;
-    use crate::handle::{merge_dedup, reopen_pm_table, CacheIds};
+    use crate::handle::{merge_dedup, ResidentPmTable};
     use pm_device::PmPool;
-    use pmtable::{NoGroupCache, OwnedEntry, PmTableBuilder, PmTableOptions};
+    use pmtable::{NoGroupCache, OwnedEntry, PmTable, PmTableBuilder, PmTableOptions};
     use proptest::collection::{btree_set, vec};
     use proptest::prelude::*;
     use sim::CostModel;
@@ -941,21 +941,21 @@ pub(crate) mod tests {
     }
 
     /// What an internal compaction does in production (`partition.rs` +
-    /// `engine/maintain.rs`): swap the run in, then free the regions of
-    /// the tables it replaced, which it returns.
+    /// `engine/maintain.rs`): swap the run in, then free the regions it
+    /// returns, those of the tables it replaced.
     fn replace_and_free(
         l0: &mut PmLevel0,
         run: Vec<PmTableHandle>,
         pool: &PmPool,
-    ) -> Vec<PmTableHandle> {
+    ) -> Vec<RegionId> {
         let retired = l0.replace_with_sorted_deferred(run);
         free(&retired, pool);
         retired
     }
 
-    /// Free the regions of `retired`.
-    fn free(retired: &[PmTableHandle], pool: &PmPool) {
-        retired.iter().for_each(|h| pool.free(h.region()).unwrap());
+    /// Free the `retired` regions.
+    fn free(retired: &[RegionId], pool: &PmPool) {
+        retired.iter().for_each(|&id| pool.free(id).unwrap());
     }
 
     /// A table with a bloom filter, and the key hashes the sketch takes.
@@ -967,8 +967,7 @@ pub(crate) mod tests {
         table_opts(pool, entries, opts)
     }
 
-    /// One table of `entries`, built with `pm_table`. Every handle
-    /// comes with cache id 1.
+    /// One table of `entries`, built with `pm_table`.
     pub(crate) fn table_opts(
         pool: &PmPool,
         entries: Vec<OwnedEntry>,
@@ -978,11 +977,10 @@ pub(crate) mod tests {
         sorted.sort_by(|a, b| a.internal_cmp(b));
         let mut builder = PmTableBuilder::new(pm_table);
         sorted.iter().for_each(|e| builder.add(e));
-        let max_seq = sorted.iter().map(|e| e.seq).max().unwrap_or(0);
         let mut tl = Timeline::new();
-        let (bytes, _, keys) = builder.finish_with_keys(&CostModel::default(), &mut tl);
-        let region = pool.publish(bytes, &mut tl).unwrap();
-        reopen_pm_table(region, Some((max_seq, keys)), &CacheIds::new()).unwrap()
+        let (bytes, _, mut keys) = builder.finish_with_keys(&CostModel::default(), &mut tl);
+        let table = PmTable::open(pool.publish(bytes, &mut tl).unwrap()).unwrap();
+        (ResidentPmTable::new(table, &mut keys), keys)
     }
 
     fn push_filtered(l0: &mut PmLevel0, pool: &PmPool, entries: Vec<OwnedEntry>) {
@@ -1096,23 +1094,14 @@ pub(crate) mod tests {
         let pool = pool();
         let cache = PmGroupCache::new(1 << 20);
         let mut l0 = PmLevel0::new();
-        // The `table` helper mints every handle the same cache id.
-        let table = |cache_id, entries| PmTableHandle {
-            cache_id,
-            ..table(&pool, entries)
-        };
         l0.set_sorted_run(vec![
-            table(1, vec![entry("a", 1, "1"), entry("c", 2, "2")]),
-            table(2, vec![entry("m", 3, "3"), entry("z", 4, "4")]),
+            table(&pool, vec![entry("a", 1, "1"), entry("c", 2, "2")]),
+            table(&pool, vec![entry("m", 3, "3"), entry("z", 4, "4")]),
         ]);
-        let entries = vec![entry("b", 8, "b"), entry("c", 9, "new")];
-        let (unsorted, keys) = table_opts(&pool, entries, PmTableOptions::default());
-        l0.push_unsorted(
-            PmTableHandle {
-                cache_id: 3,
-                ..unsorted
-            },
-            keys,
+        push(
+            &mut l0,
+            &pool,
+            vec![entry("b", 8, "b"), entry("c", 9, "new")],
         );
         let scan = |start: &[u8], end: Option<&'static [u8]>| -> Vec<(Vec<u8>, Vec<u8>)> {
             let rows = drain(
@@ -1181,9 +1170,9 @@ pub(crate) mod tests {
         assert!(!Arc::ptr_eq(&held, &l0.version()));
         assert_eq!(held.unsorted_count(), 2);
         assert_eq!(l0.unsorted_count(), 3);
-        // The copy shares every table with the original.
+        // The copy shares every handle with the original.
         for (old, new) in held.unsorted().iter().zip(l0.unsorted()) {
-            assert!(Arc::ptr_eq(&old.table, &new.table));
+            assert!(Arc::ptr_eq(old, new));
         }
     }
 
@@ -1433,7 +1422,7 @@ pub(crate) mod tests {
             entries.sort_by(|a, b| a.internal_cmp(b));
             let pool = pool();
             let (handle, keys) = table_opts(&pool, entries.clone(), opts);
-            let whole = handle.table.clone();
+            let whole = Arc::clone(&handle);
             let mut unsorted = PmLevel0::new();
             unsorted.push_unsorted(handle, keys);
             // The run, cut between two user keys at the drawn points.
@@ -1446,12 +1435,8 @@ pub(crate) mod tests {
                 .map(|&c| key_starts[c % key_starts.len()])
                 .collect();
             let starts: Vec<usize> = [0].into_iter().chain(points).chain([entries.len()]).collect();
-            // `table_opts` mints cache id 1, the unsorted table's.
-            let run: Vec<PmTableHandle> = starts.windows(2).zip(2..)
-                .map(|(w, cache_id)| PmTableHandle {
-                    cache_id,
-                    ..table_opts(&pool, entries[w[0]..w[1]].to_vec(), opts).0
-                })
+            let run: Vec<PmTableHandle> = starts.windows(2)
+                .map(|w| table_opts(&pool, entries[w[0]..w[1]].to_vec(), opts).0)
                 .collect();
             let mut sorted = PmLevel0::new();
             sorted.set_sorted_run(run);
@@ -1462,7 +1447,7 @@ pub(crate) mod tests {
                 .collect();
             let cache = PmGroupCache::new(1 << 20);
             for key in &probes {
-                let want = whole.get(key, u64::MAX, &mut Timeline::new());
+                let want = whole.table.get(key, u64::MAX, &mut Timeline::new());
                 for l0 in [&unsorted, &sorted] {
                     let (got, _, _) = probe(l0, key, &mut Timeline::new(), &cache);
                     prop_assert_eq!(&got, &want, "{:?}", String::from_utf8_lossy(key));
@@ -1714,8 +1699,6 @@ pub(crate) mod tests {
         ) {
             let pool = PmPool::new(64 << 20, CostModel::default());
             let (mut l0, mut seq, mut held) = (PmLevel0::new(), 0, Vec::new());
-            // Each table its own group-cache id (`table_opts` mints 1).
-            let ids = CacheIds::new();
             let mut starts = vec![Vec::new(), b"t0:a".to_vec(), b"t1a".to_vec(), vec![0xff]];
             for op in prefill.into_iter().chain(ops) {
                 match op {
@@ -1731,15 +1714,13 @@ pub(crate) mod tests {
                         let entries: Vec<OwnedEntry> = entries.collect();
                         starts.push(entries[0].user_key.clone());
                         let (table, keys) = table_opts(&pool, entries, PmTableOptions::default());
-                        l0.push_unsorted(PmTableHandle { cache_id: ids.next(), ..table }, keys);
+                        l0.push_unsorted(table, keys);
                     }
                     Upkeep::Detach(limit) => {
                         free(&l0.detach_oldest(limit), &pool);
                     }
                     Upkeep::Replace(keys) => {
-                        let run = run_of(&pool, &mut seq, &keys).into_iter();
-                        let run = run.map(|h| PmTableHandle { cache_id: ids.next(), ..h });
-                        replace_and_free(&mut l0, run.collect(), &pool);
+                        replace_and_free(&mut l0, run_of(&pool, &mut seq, &keys), &pool);
                         prop_assert!(l0.key_column().is_empty());
                     }
                     Upkeep::Hold => {

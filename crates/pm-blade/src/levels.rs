@@ -6,6 +6,7 @@
 //! policy — adequate at the reproduction's scale and identical in
 //! write-amplification shape to per-table picking).
 
+use std::ops::{Range, RangeBounds};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -99,32 +100,30 @@ impl SsdLevels {
             .map(move |level| Cursor::Ss(SsRun::new(level, end)))
     }
 
-    /// Install `tables` as the new level `n`, returning the old tables
-    /// for deletion by the caller.
-    pub fn replace_level(
-        &mut self,
-        level: usize,
-        tables: Vec<SsTableHandle>,
-    ) -> Vec<SsTableHandle> {
-        while self.levels.len() < level {
-            self.levels.push(Vec::new());
-        }
-        debug_assert!(tables.windows(2).all(|w| w[0].last < w[1].first));
-        std::mem::replace(&mut self.levels[level - 1], tables)
+    /// The index range of level `n`'s tables that overlap `[first,
+    /// last]`: a level is sorted and non-overlapping, so they are
+    /// contiguous.
+    pub fn overlap(&self, level: usize, first: &[u8], last: &[u8]) -> Range<usize> {
+        let tables = self.tables(level);
+        let lo = tables.partition_point(|t| t.last.as_slice() < first);
+        lo..tables.partition_point(|t| t.first.as_slice() <= last)
     }
 
-    /// All tables of level `n` overlapping `[first, last]`.
-    pub fn overlapping(&self, level: usize, first: &[u8], last: &[u8]) -> Vec<SsTableHandle> {
-        self.levels
-            .get(level - 1)
-            .map(|tables| {
-                tables
-                    .iter()
-                    .filter(|t| t.overlaps_handle_range(first, last))
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default()
+    /// Put `tables` in place of `range` of level `n`, returning the
+    /// tables they replace for the caller to delete.
+    pub fn splice(
+        &mut self,
+        level: usize,
+        range: impl RangeBounds<usize>,
+        tables: Vec<SsTableHandle>,
+    ) -> Vec<SsTableHandle> {
+        if self.levels.len() < level {
+            self.levels.resize_with(level, Vec::new);
+        }
+        let level = &mut self.levels[level - 1];
+        let replaced = level.splice(range, tables).collect();
+        debug_assert!(level.windows(2).all(|w| w[0].last < w[1].first));
+        replaced
     }
 }
 
@@ -292,8 +291,8 @@ pub(crate) mod tests {
         let t2 =
             build_ss_tables(&l2, &device, &cache, "p0-L2", &counter, usize::MAX, &mut tl).unwrap();
         let mut levels = SsdLevels::new();
-        levels.replace_level(1, t1);
-        levels.replace_level(2, t2);
+        levels.splice(1, .., t1);
+        levels.splice(2, .., t2);
         // Key in both levels: L1 wins (and reports level 1).
         let (hit, level) = latest(&levels, b"k0050", &mut tl).unwrap();
         assert_eq!(hit.value, b"l1");
@@ -359,11 +358,11 @@ pub(crate) mod tests {
         let mut levels = SsdLevels::new();
         let mut l1 = a;
         l1.extend(b);
-        levels.replace_level(1, l1);
-        assert_eq!(levels.overlapping(1, b"b", b"d").len(), 1);
-        assert_eq!(levels.overlapping(1, b"a", b"z").len(), 2);
-        assert_eq!(levels.overlapping(1, b"e", b"f").len(), 0);
-        assert_eq!(levels.overlapping(2, b"a", b"z").len(), 0);
+        levels.splice(1, .., l1);
+        assert_eq!(levels.overlap(1, b"b", b"d"), 0..1);
+        assert_eq!(levels.overlap(1, b"a", b"z"), 0..2);
+        assert_eq!(levels.overlap(1, b"e", b"f"), 1..1);
+        assert_eq!(levels.overlap(2, b"a", b"z"), 0..0);
     }
 
     /// A run writer dropped before `finish` deletes the tables it
@@ -411,8 +410,8 @@ pub(crate) mod tests {
             .map(|i| e(&format!("k{i:05}"), 10_000 + i, "new"))
             .collect();
         let mut levels = SsdLevels::new();
-        levels.replace_level(1, build(&newer, usize::MAX));
-        levels.replace_level(2, build(&old, 32 << 10));
+        levels.splice(1, .., build(&newer, usize::MAX));
+        levels.splice(2, .., build(&old, 32 << 10));
         assert!(
             levels.tables(2).len() > 2,
             "level 2 is a run of several tables"
@@ -453,7 +452,7 @@ pub(crate) mod tests {
         )
         .unwrap();
         let mut levels = SsdLevels::new();
-        levels.replace_level(1, tables);
+        levels.splice(1, .., tables);
         let (hit, _) = latest(&levels, b"gone", &mut tl).unwrap();
         assert_eq!(hit.kind, KeyKind::Delete);
     }

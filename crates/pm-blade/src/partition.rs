@@ -18,15 +18,15 @@ use sstable::BlockCache;
 use crate::costmodel::{CodecCostTable, PartitionCounters};
 use crate::cursor::{merge_into, Cursor, SsRun};
 use crate::groupcache::PmGroupCache;
-use crate::handle::{CacheIds, PmRunWriter, PmTableHandle, SsTableHandle};
+use crate::handle::PmRunWriter;
 use crate::level0::Level0;
 use crate::levels::{SsRunWriter, SsdLevels};
 use crate::options::Options;
 use crate::telemetry::CostDecision;
 
 /// What every compaction is handed: the engine's options and codec
-/// costs, both devices, the block cache, the two id allocators, the
-/// counter a compaction ticks when one of its inputs cannot be read,
+/// costs, both devices, the block cache, the SSTable name allocator,
+/// the counter a compaction ticks when one of its inputs cannot be read,
 /// and the one it ticks when an output it abandons cannot be deleted.
 #[derive(Clone, Copy)]
 pub struct Media<'a> {
@@ -37,7 +37,6 @@ pub struct Media<'a> {
     pub cache: &'a Arc<BlockCache>,
     /// SSTable name allocator.
     pub table_counter: &'a AtomicU64,
-    pub cache_ids: &'a CacheIds,
     pub input_errors: &'a Counter,
     /// `media_retire_errors_total`.
     pub retire_errors: &'a Counter,
@@ -75,11 +74,9 @@ pub struct CompactionReport {
     pub decision: Option<CostDecision>,
     /// Internal: PM bytes the new sorted run is smaller than its inputs.
     pub bytes_released: usize,
-    /// PM tables that left level-0: their regions to free, their groups
-    /// to purge from the group cache.
-    pub retired: Vec<PmTableHandle>,
-    /// PM regions of the matrix rows that left level-0.
-    pub retired_rows: Vec<pm_device::RegionId>,
+    /// PM regions that left level-0, of PM tables or matrix rows: to
+    /// free, and to purge from the group cache.
+    pub retired: Vec<pm_device::RegionId>,
     /// SSTables replaced or drained, to delete by name.
     pub deleted_tables: Vec<String>,
 }
@@ -237,9 +234,10 @@ impl Partition {
         let mut report = CompactionReport::default();
         let moved = range.is_some();
         if let Some((first, last)) = range {
-            // Merge with the overlapping level-1 tables, as one more run.
-            let l1_overlap = self.levels.overlapping(1, &first, &last);
-            let l1 = Cursor::Ss(SsRun::new(&l1_overlap, None));
+            // Merge with the level-1 tables the range overlaps, as one
+            // more run; the output takes their place.
+            let overlap = self.levels.overlap(1, &first, &last);
+            let l1 = Cursor::Ss(SsRun::new(&self.levels.tables(1)[overlap.clone()], None));
             let l0 = self.level0.cursors(table_limit, b"", None, None);
             let sources = l0.chain([l1]);
             // Tombstones can drop only when no deeper level holds the key
@@ -250,21 +248,9 @@ impl Partition {
             let sink = |e: EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
             let (cost, errors) = (&media.opts.cost, media.input_errors);
             merge_into(sources, drop_tombstones, cost, errors, tl, sink)?;
-            let new_tables = writer.finish(tl)?;
-            // Install: keep non-overlapping old L1 tables, insert the new run.
-            let old_l1 = self.levels.replace_level(1, Vec::new());
-            let mut next_l1: Vec<SsTableHandle> = Vec::new();
-            for handle in old_l1 {
-                let name = handle.table.name();
-                if l1_overlap.iter().any(|o| o.table.name() == name) {
-                    report.deleted_tables.push(name.to_string());
-                } else {
-                    next_l1.push(handle);
-                }
-            }
-            next_l1.extend(new_tables);
-            next_l1.sort_by(|a, b| a.first.cmp(&b.first));
-            self.levels.replace_level(1, next_l1);
+            let replaced = self.levels.splice(1, overlap, writer.finish(tl)?);
+            let names = replaced.iter().map(|h| h.table.name().to_string());
+            report.deleted_tables.extend(names);
         }
         // Detach the moved level-0 tables (nothing, when level-0 was
         // empty). The engine deletes or frees them once the manifest
@@ -306,8 +292,8 @@ impl Partition {
             let sink = |e: EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
             merge_into(sources, bottom, &opts.cost, media.input_errors, tl, sink)?;
             let new_tables = writer.finish(tl)?;
-            let this_level = self.levels.replace_level(level, Vec::new());
-            let next_level = self.levels.replace_level(level + 1, new_tables);
+            let this_level = self.levels.splice(level, .., Vec::new());
+            let next_level = self.levels.splice(level + 1, .., new_tables);
             let tables = this_level.into_iter().chain(next_level);
             deleted.extend(tables.map(|h| h.table.name().to_string()));
             level += 1;
@@ -331,7 +317,7 @@ impl std::fmt::Debug for Partition {
 pub(crate) mod tests {
     use super::*;
     use crate::cursor::tests::drain;
-    use crate::handle::merge_dedup;
+    use crate::handle::{merge_dedup, SsTableHandle};
     use crate::options::Mode;
     use crate::stats::ReadSource;
     use encoding::key::KeyKind;
@@ -346,7 +332,6 @@ pub(crate) mod tests {
         device: Arc<SsdDevice>,
         cache: Arc<BlockCache>,
         counter: AtomicU64,
-        ids: CacheIds,
         errors: Counter,
         retire_errors: Counter,
     }
@@ -359,7 +344,6 @@ pub(crate) mod tests {
                 device: SsdDevice::new(opts.cost),
                 cache: Arc::new(BlockCache::new(64 << 10)),
                 counter: AtomicU64::new(0),
-                ids: CacheIds::new(),
                 errors: Counter::new(),
                 retire_errors: Counter::new(),
                 opts,
@@ -375,7 +359,6 @@ pub(crate) mod tests {
                 device: &self.device,
                 cache: &self.cache,
                 table_counter: &self.counter,
-                cache_ids: &self.ids,
                 input_errors: &self.errors,
                 retire_errors: &self.retire_errors,
             }
@@ -571,7 +554,8 @@ pub(crate) mod tests {
                     let mut sources = rig.l0_sources();
                     let first = sources.iter().map(|s| &s[0].user_key).min().unwrap();
                     let last = sources.iter().map(|s| &s[s.len() - 1].user_key).max().unwrap();
-                    let overlap = rig.p.levels.overlapping(1, first, last);
+                    let overlap = rig.p.levels.overlap(1, first, last);
+                    let overlap = rig.p.levels.tables(1)[overlap].to_vec();
                     let untouched: Vec<SsTableHandle> = rig.p.levels.tables(1).iter()
                         .filter(|t| overlap.iter().all(|o| o.table.name() != t.table.name()))
                         .cloned()

@@ -11,7 +11,9 @@
 # same count, and `engine crates`: the summed code lines of every crate
 # `pm-blade` links (its normal `cargo tree`). Prints one table; `--max-file N` also exits 1 when that
 # largest file has more than N code lines, so a file split for its size
-# cannot silently grow back. It always exits 1 when a `#[cfg(test)]`
+# cannot silently grow back, and `--max-options N` when `Options` and
+# `ServerOptions` together have more than N fields, so a new knob is
+# added on purpose, with the raised number in its diff. It always exits 1 when a `#[cfg(test)]`
 # line is followed by anything but a `mod`: the count would skip the
 # code after that item.
 #
@@ -22,12 +24,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-max_file='' base=''
+max_file='' max_options='' base=''
 while (($#)); do
     case $1 in
         --max-file) max_file=$2 ;;
+        --max-options) max_options=$2 ;;
         --base) base=$2 ;;
-        *) echo "usage: $0 [--max-file N] [--base REV]" >&2 && exit 2 ;;
+        *) echo "usage: $0 [--max-file N] [--max-options N] [--base REV]" >&2 && exit 2 ;;
     esac
     shift 2
 done
@@ -120,6 +123,11 @@ fi
 read -r largest largest_file < <(awk -F'\t' '$1 == "largest file" { print $2, $3 }' <<<"$tree_rows")
 if [[ -n $max_file ]] && ((largest > max_file)); then
     echo "loc: $largest_file has $largest code lines, more than $max_file" >&2
+    exit 1
+fi
+knobs=$(awk -F'\t' '$1 ~ /^(Server)?Options fields$/ { n += $2 } END { print n + 0 }' <<<"$tree_rows")
+if [[ -n $max_options ]] && ((knobs > max_options)); then
+    echo "loc: Options and ServerOptions have $knobs fields, more than $max_options" >&2
     exit 1
 fi
 mapfile -t sources < <(find crates/*/src -name '*.rs' | sort)

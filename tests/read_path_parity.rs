@@ -14,7 +14,6 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use pm_blade::costmodel::CodecCostTable;
-use pm_blade::handle::CacheIds;
 use pm_blade::level0::Probe;
 use pm_blade::options::PmTableLayout;
 use pm_blade::partition::{Media, Partition};
@@ -434,7 +433,7 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
     let pool = PmPool::new(opts.pm_capacity, opts.cost);
     let device = SsdDevice::new(opts.cost);
     let block_cache = Arc::new(BlockCache::new(opts.block_cache_bytes));
-    let (cache_ids, table_counter) = (CacheIds::new(), AtomicU64::new(0));
+    let table_counter = AtomicU64::new(0);
     let (costs, errors) = (CodecCostTable::default(), sim::Counter::new());
     let media = Media {
         opts: &opts,
@@ -443,7 +442,6 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
         device: &device,
         cache: &block_cache,
         table_counter: &table_counter,
-        cache_ids: &cache_ids,
         input_errors: &errors,
         retire_errors: &errors,
     };
@@ -499,8 +497,8 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
         .internal_compaction(&media, &mut tl)
         .unwrap()
         .expect("six unsorted tables merge");
-    for h in &report.retired {
-        pool.free(h.region()).unwrap();
+    for &region in &report.retired {
+        pool.free(region).unwrap();
     }
     check_held(&before_internal, 0..300, "after internal compaction");
     check_live(&p, 0..300, "after internal compaction");
@@ -513,8 +511,8 @@ fn held_version_reads_across_internal_and_chunked_major_compaction() {
     let mut chunks = 0;
     while p.level0.chunkable_tables() > 0 {
         let report = p.major_compaction(&media, 2, &mut tl).unwrap();
-        for h in &report.retired {
-            pool.free(h.region()).unwrap();
+        for &region in &report.retired {
+            pool.free(region).unwrap();
         }
         chunks += 1;
         let when = format!("after major chunk {chunks}");
