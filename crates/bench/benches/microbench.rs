@@ -306,7 +306,9 @@ fn bench_cascade(c: &mut Criterion) {
     let errors = sim::Counter::new();
     c.bench_function("compaction/stream_cascade_2_runs", |b| {
         b.iter(|| {
-            let cursors = runs.each_ref().map(|run| Cursor::Ss(SsRun::new(run, None)));
+            let cursors = runs
+                .each_ref()
+                .map(|run| Cursor::Ss(SsRun::sequential(run)));
             let (mut tl, mut writer) = (Timeline::new(), run_writer("out"));
             let sink = |e: pmtable::EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
             merge_into(cursors, true, &cost, &errors, &mut tl, sink).unwrap();

@@ -19,7 +19,8 @@
 //! unsorted-table count.
 //!
 //! Compactions are the same merge run to the end ([`merge_into`]) over
-//! cursors that read their tables front to back, into a run writer.
+//! cursors that read their tables front to back, past the group and
+//! block caches, into a run writer.
 
 use encoding::key::KeyKind;
 use memtable::MemCursor;
@@ -258,7 +259,10 @@ impl<'a> Reveal<'a> {
             None => self.pos += 1,
         }
         if self.pos < self.column.len() {
-            lines += MergedColumn::walk_lines(self.from, self.pos);
+            // A search probed the entry it landed on, so its windows
+            // line is read already: the walk adds the table-index line.
+            let searched = seek.is_some() && lines > 0;
+            lines += MergedColumn::walk_lines(self.from, self.pos) - u64::from(searched);
             self.tail = self.column.tail(self.pos);
         }
         if lines > 0 {
@@ -292,21 +296,35 @@ impl<'a> Reveal<'a> {
 }
 
 /// A concatenating cursor over non-overlapping SSTables, reading one
-/// block at a time; see [`PmRun`].
+/// block at a time; see [`PmRun`]. A scan's blocks are fetched through
+/// the block cache; a compaction's input reads each table sequentially,
+/// see [`sstable::SsTable::sequential_cursor`].
 pub struct SsRun<'a> {
     tables: &'a [SsTableHandle],
     next: usize,
     end: Option<&'a [u8]>,
+    sequential: bool,
     cur: Option<SsCursor<'a>>,
 }
 
 impl<'a> SsRun<'a> {
+    /// A scan's run over `[.., end)`.
     pub fn new(tables: &'a [SsTableHandle], end: Option<&'a [u8]>) -> Self {
         SsRun {
             tables,
             next: tables.len(),
             end,
+            sequential: false,
             cur: None,
+        }
+    }
+
+    /// A compaction's input: every table whole, front to back, past the
+    /// block cache.
+    pub fn sequential(tables: &'a [SsTableHandle]) -> Self {
+        SsRun {
+            sequential: true,
+            ..SsRun::new(tables, None)
         }
     }
 
@@ -324,7 +342,10 @@ impl<'a> SsRun<'a> {
             self.cur = match table.filter(|h| self.end.is_none_or(|e| h.first.as_slice() < e)) {
                 Some(h) => {
                     self.next += 1;
-                    let mut c = h.table.cursor();
+                    let mut c = match self.sequential {
+                        true => h.table.sequential_cursor(),
+                        false => h.table.cursor(),
+                    };
                     c.seek(seek.unwrap_or_default(), tl)?;
                     Some(c)
                 }
@@ -705,12 +726,9 @@ pub(crate) mod tests {
             .prop_map(|p| p.into_iter().flat_map(|i| PIECES[i]).copied().collect())
     }
 
-    /// A scan from a key that shares the merged column's prefix but
-    /// precedes every unsorted table lands where a scan from the empty
-    /// key does, and is charged no search to get there.
-    #[test]
-    fn a_seek_before_every_table_searches_nothing() {
-        let pool = PmPool::new(64 << 20, CostModel::default());
+    /// Eight unsorted tables of 32 keys each, `key00100` up, dealt out
+    /// in turn.
+    fn interleaved_level0(pool: &PmPool) -> PmLevel0 {
         let (mut l0, mut seq) = (PmLevel0::new(), 0);
         for t in 0..8u64 {
             let entries = (0..32u64).map(|i| {
@@ -718,9 +736,19 @@ pub(crate) mod tests {
                 let key = format!("key{:05}", 100 + 8 * i + t);
                 OwnedEntry::value(key.into_bytes(), seq, b"v".to_vec())
             });
-            let (table, keys) = table_opts(&pool, entries.collect(), PmTableOptions::default());
+            let (table, keys) = table_opts(pool, entries.collect(), PmTableOptions::default());
             l0.push_unsorted(table, keys);
         }
+        l0
+    }
+
+    /// A scan from a key that shares the merged column's prefix but
+    /// precedes every unsorted table lands where a scan from the empty
+    /// key does, and is charged no search to get there.
+    #[test]
+    fn a_seek_before_every_table_searches_nothing() {
+        let pool = PmPool::new(64 << 20, CostModel::default());
+        let l0 = interleaved_level0(&pool);
         assert_eq!(l0.key_column().prefix(), b"key00");
         let cache = PmGroupCache::new(1 << 20);
         let scan = |start: &'static [u8]| {
@@ -731,6 +759,26 @@ pub(crate) mod tests {
         let (rows, nanos) = scan(b"");
         assert!(nanos > 0, "the walk onto the first entry is charged");
         assert_eq!(scan(b"key000"), (rows, nanos));
+    }
+
+    /// A seek that searches the merged column is charged the lines its
+    /// search touched plus the table-index line of the entry it lands
+    /// on, whose windows line the search read; a seek that lands with
+    /// no search is charged both lines of that entry.
+    #[test]
+    fn a_searched_seek_charges_its_search_and_one_table_index_line() {
+        let pool = PmPool::new(64 << 20, CostModel::default());
+        let l0 = interleaved_level0(&pool);
+        let (column, line) = (l0.key_column(), CostModel::default().dram.random_read(64));
+        let seek = |start: &'static [u8]| {
+            let mut tl = Timeline::new();
+            Reveal::new(l0.unsorted(), column, None).step(Some(start), &mut tl);
+            tl.elapsed().as_nanos()
+        };
+        let (pos, searched) = column.seek(b"key00200");
+        assert!(searched > 0 && pos < column.len());
+        assert_eq!(seek(b"key00200"), line.as_nanos() * (searched + 1));
+        assert_eq!(seek(b"key000"), line.as_nanos() * 2);
     }
 
     proptest! {

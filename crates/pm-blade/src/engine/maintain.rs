@@ -138,6 +138,7 @@ impl DbCore {
         let (pm, ssd) = (self.pool.stats(), self.device.stats());
         let pm_read_before = pm.bytes_read.get();
         let pm_written_before = pm.bytes_written.get();
+        let ssd_read_before = ssd.bytes_read.get();
         let ssd_written_before = ssd.bytes_written.get();
         let outcome = (|| {
             let (report, version) = {
@@ -185,11 +186,12 @@ impl DbCore {
             let records = (report.records_in as u64, report.records_out as u64);
             let pm_read = pm.bytes_read.get() - pm_read_before;
             let pm_written = pm.bytes_written.get() - pm_written_before;
+            let ssd_read = ssd.bytes_read.get() - ssd_read_before;
             let ssd_written = ssd.bytes_written.get() - ssd_written_before;
             let bytes = match kind {
                 SpanKind::Flush => (report.raw_bytes as u64, pm_written + ssd_written),
                 SpanKind::Internal => (pm_read, pm_written),
-                _ => (pm_read, ssd_written),
+                _ => (pm_read + ssd_read, ssd_written),
             };
             let cost = match &report.decision {
                 Some(decision) => {

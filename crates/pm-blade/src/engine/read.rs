@@ -20,6 +20,10 @@ use crate::level0::{PmLevel0, Probe, ProbeStats};
 use crate::stats::ReadSource;
 use crate::telemetry::{RequestTrace, SpanKind, StageTimes, TraceContext, TraceOp};
 
+/// The most rows a scan reserves room for up front: a scan with a
+/// larger limit, or none, grows its result past this as rows arrive.
+const SCAN_RESERVE_ROWS: usize = 256;
+
 impl DbCore {
     /// Point read of the newest version of `user_key`.
     pub fn get(&self, user_key: &[u8]) -> Result<ReadOutcome, DbError> {
@@ -181,7 +185,7 @@ impl DbCore {
             .as_deref()
             .map(|e| self.opts.partitioner.locate(e))
             .unwrap_or(self.partitions.len() - 1);
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(request.limit.min(SCAN_RESERVE_ROWS));
         let mut stats = ScanStats::default();
         for i in 0..(last_pid + 1).saturating_sub(first_pid) {
             if out.len() >= request.limit {

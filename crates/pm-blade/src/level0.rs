@@ -619,13 +619,18 @@ where
     }
 }
 
-/// SSD level-0 tables overlap: each is a run of its own.
+/// SSD level-0 tables overlap: each is a run of its own, read `whole`
+/// (sequentially, past the block cache) by a compaction.
 fn ssd_l0_cursors<'a>(
     tables: &'a [SsTableHandle],
     end: Option<&'a [u8]>,
+    whole: bool,
 ) -> impl Iterator<Item = Cursor<'a>> {
     let runs = tables.iter().map(std::slice::from_ref);
-    runs.map(move |run| Cursor::Ss(SsRun::new(run, end)))
+    runs.map(move |run| match whole {
+        true => Cursor::Ss(SsRun::sequential(run)),
+        false => Cursor::Ss(SsRun::new(run, end)),
+    })
 }
 
 /// The PM region a manifest names, or `Corrupt` when the pool lost it.
@@ -719,7 +724,7 @@ impl Level0 {
         match self {
             Level0::Pm(l0) => L0Cursors::Pm(l0.cursors(limit, end, cache)),
             Level0::Matrix(m) => L0Cursors::Matrix(m.cursors(start, end, cache.is_none())),
-            Level0::Ssd(tables) => L0Cursors::Ssd(ssd_l0_cursors(tables, end)),
+            Level0::Ssd(tables) => L0Cursors::Ssd(ssd_l0_cursors(tables, end, cache.is_none())),
         }
     }
 

@@ -237,7 +237,7 @@ impl Partition {
             // Merge with the level-1 tables the range overlaps, as one
             // more run; the output takes their place.
             let overlap = self.levels.overlap(1, &first, &last);
-            let l1 = Cursor::Ss(SsRun::new(&self.levels.tables(1)[overlap.clone()], None));
+            let l1 = Cursor::Ss(SsRun::sequential(&self.levels.tables(1)[overlap.clone()]));
             let l0 = self.level0.cursors(table_limit, b"", None, None);
             let sources = l0.chain([l1]);
             // Tombstones can drop only when no deeper level holds the key
@@ -285,7 +285,7 @@ impl Partition {
             // Merge the whole level into the next one. Both stay in
             // place until every table of both has been read.
             let runs = [self.levels.tables(level), self.levels.tables(level + 1)];
-            let sources = runs.map(|run| Cursor::Ss(SsRun::new(run, None)));
+            let sources = runs.map(|run| Cursor::Ss(SsRun::sequential(run)));
             let bottom = level + 1 >= self.levels.depth();
             let prefix = format!("p{:03}-L{}", self.id, level + 1);
             let mut writer = SsRunWriter::new(media, prefix, opts.max_table_bytes);
@@ -500,6 +500,55 @@ pub(crate) mod tests {
             let (hit, source, _) = found.expect("every key is still in level-0");
             assert_eq!((hit.value, source), (vec![k; 40], ReadSource::Pm));
         }
+    }
+
+    /// A major reads its SSTable inputs, the level-0 tables and the
+    /// level-1 tables they overlap, the way it reads PM tables: front to
+    /// back past the block cache, one random SSD read per table. A
+    /// warmed cache is neither consulted nor filled (the engine purges
+    /// the deleted tables' blocks after the install).
+    #[test]
+    fn a_major_reads_each_input_sstable_once_past_the_block_cache() {
+        let mut rig = Rig::new(Mode::SsdLevel0, 1 << 20);
+        let keys = |lo: u8| (lo..lo + 200).map(|k| (k, false)).collect::<Vec<_>>();
+        rig.flush(&keys(0));
+        rig.major();
+        rig.flush(&keys(20));
+        rig.flush(&keys(40));
+        let Level0::Ssd(l0) = &rig.p.level0 else {
+            unreachable!("an SSD level-0")
+        };
+        let inputs: Vec<SsTableHandle> = l0.iter().chain(rig.p.levels.tables(1)).cloned().collect();
+        assert_eq!(inputs.len(), 3);
+        assert!(inputs.iter().all(|h| h.table.block_count() > 2));
+        // One block of each input cached.
+        for h in &inputs {
+            h.table
+                .get(&[b'k', 100], u64::MAX, &mut Timeline::new())
+                .unwrap();
+        }
+        let cache = Arc::clone(&rig.store.cache);
+        let cached = || {
+            (
+                cache.hits.get(),
+                cache.misses.get(),
+                cache.len(),
+                cache.used(),
+            )
+        };
+        let before = cached();
+        assert_eq!(before.2, inputs.len());
+        let reads = rig.store.device.stats().reads.get();
+        let report = rig.major();
+        let outputs = rig.p.levels.tables(1).len() as u64;
+        assert_eq!(
+            rig.store.device.stats().reads.get() - reads,
+            inputs.len() as u64 + 3 * outputs,
+            "one read per input table, and three (footer, filter, index) to open each output"
+        );
+        assert_eq!(cached(), before);
+        let deleted = |h: &SsTableHandle| report.deleted_tables.iter().any(|n| n == h.table.name());
+        assert!(inputs.iter().all(deleted));
     }
 
     proptest! {

@@ -85,7 +85,9 @@ pub struct TraceSpan {
     pub input_records: u64,
     /// Records surviving into the output.
     pub output_records: u64,
-    /// Device bytes read by the work.
+    /// Bytes read by the work: a flush's raw memtable bytes, an
+    /// internal compaction's PM bytes, a major's PM and SSD bytes (its
+    /// level-0 and every SSTable it merged, cascades included).
     pub input_bytes: u64,
     /// Device bytes written by the work.
     pub output_bytes: u64,

@@ -6,7 +6,8 @@
 //!
 //! - writes pay `write_base + per_byte` per buffered flush plus an fsync
 //!   (`persist`) on `finish()`;
-//! - random block reads pay `read_base + per_byte`;
+//! - random block reads pay `read_base + per_byte`, reads adjacent to
+//!   the one before (a compaction's input) `per_byte` alone;
 //! - byte counters feed the write-amplification experiments (Figs 8/11).
 
 use std::collections::BTreeMap;
@@ -311,6 +312,8 @@ impl SsdFile {
     }
 
     /// Sequential read adjacent to a previous one: skips the seek base.
+    /// A compaction reads each block of an input table after the first
+    /// this way (`sstable::SsTable::sequential_cursor`).
     pub fn read_sequential(
         &self,
         offset: u64,

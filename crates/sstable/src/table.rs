@@ -11,7 +11,8 @@
 //! The index block maps each data block's last internal key to
 //! `(offset u64, len u32)`. Reads go: bloom check (DRAM once loaded) →
 //! index binary search (DRAM) → data block fetch (block cache or SSD) →
-//! in-block restart search (DRAM).
+//! in-block restart search (DRAM). A compaction reads its inputs in
+//! file order past the block cache ([`SsTable::sequential_cursor`]).
 
 use std::sync::Arc;
 
@@ -311,10 +312,21 @@ impl SsTable {
             tl.charge(self.cost.dram.random_read(len as usize));
             return Ok(block);
         }
-        let raw = self.file.read(off, len as usize, tl)?.to_vec();
-        let block = Block::decode(raw).map_err(|_| TableError::Corrupt("data block"))?;
+        let block = self.read_block(i, false, tl)?;
         self.cache.insert(key, block.clone(), block.size());
         Ok(block)
+    }
+
+    /// Read block `i` from the SSD and decode it (its CRC checked): a
+    /// sequential read when it follows the block just read, else a
+    /// random one.
+    fn read_block(&self, i: usize, adjacent: bool, tl: &mut Timeline) -> Result<Block, TableError> {
+        let (_, off, len) = self.index[i];
+        let raw = match adjacent {
+            true => self.file.read_sequential(off, len as usize, tl)?,
+            false => self.file.read(off, len as usize, tl)?,
+        };
+        Block::decode(raw.to_vec()).map_err(|_| TableError::Corrupt("data block"))
     }
 
     /// Point lookup: newest visible version of `user_key` at `snapshot`.
@@ -375,9 +387,25 @@ impl SsTable {
     }
 
     /// A cursor over this table, unpositioned until its first `seek`.
+    /// Blocks are fetched through the block cache, one at a time, on
+    /// demand.
     pub fn cursor(&self) -> SsCursor<'_> {
         SsCursor {
+            cached: true,
+            ..self.sequential_cursor()
+        }
+    }
+
+    /// A cursor that reads the table the way a compaction does, front
+    /// to back past the block cache: the block a `seek` lands on is one
+    /// random SSD read, each block after it a sequential read of the
+    /// adjacent bytes, every block is decoded (its CRC checked), and the
+    /// block cache is neither consulted nor filled.
+    pub fn sequential_cursor(&self) -> SsCursor<'_> {
+        SsCursor {
             table: self,
+            cached: false,
+            adjacent: false,
             next_block: self.index.len(),
             block: None,
             next_pos: 0,
@@ -416,7 +444,9 @@ impl SsTable {
         Ok(out)
     }
 
-    /// Collect all entries (for compaction inputs and tests).
+    /// Collect all entries, through the block cache (for tests and the
+    /// per-layer benchmark; compactions read through
+    /// [`SsTable::sequential_cursor`]).
     pub fn scan_all(&self, tl: &mut Timeline) -> Result<Vec<RawEntry>, TableError> {
         let mut out = Vec::new();
         for i in 0..self.index.len() {
@@ -441,6 +471,10 @@ impl std::fmt::Debug for SsTable {
 /// one data block at a time.
 pub struct SsCursor<'a> {
     table: &'a SsTable,
+    /// `false` reads sequentially: see [`SsTable::sequential_cursor`].
+    cached: bool,
+    /// Reading sequentially, the next block follows the one just read.
+    adjacent: bool,
     /// The block `enter_block` fetches.
     next_block: usize,
     /// The current block; `Some` only while an entry is under the cursor.
@@ -459,6 +493,7 @@ impl SsCursor<'_> {
         self.next_block = self.table.index.partition_point(|(last, _, _)| {
             key::compare_to_parts(last, start, trailer) == std::cmp::Ordering::Less
         });
+        self.adjacent = false;
         self.enter_block(Some((start, trailer)), tl)
     }
 
@@ -491,7 +526,13 @@ impl SsCursor<'_> {
         if self.next_block >= self.table.index.len() {
             return Ok(());
         }
-        let block = self.table.load_block(self.next_block, tl)?;
+        let block = match self.cached {
+            true => self.table.load_block(self.next_block, tl)?,
+            false => {
+                let adjacent = std::mem::replace(&mut self.adjacent, true);
+                self.table.read_block(self.next_block, adjacent, tl)?
+            }
+        };
         self.next_block += 1;
         // The index promised an entry here: every block is non-empty and
         // a seek picks the first block whose last key is >= the target.
@@ -775,14 +816,15 @@ mod tests {
         let mut t = SsTable::open(&device, "bad.sst", cache, &mut tl).unwrap();
         // Point the second block's index entry past the end of the file.
         t.index[1].1 = t.size();
-        let mut cursor = t.cursor();
-        cursor.seek(b"", &mut tl).unwrap();
-        let step = std::iter::from_fn(|| match cursor.advance(&mut tl) {
-            Ok(()) => cursor.current().map(|_| Ok(())),
-            Err(e) => Some(Err(e)),
-        });
-        let outcome: Result<Vec<()>, TableError> = step.collect();
-        assert!(matches!(outcome, Err(TableError::Ssd(_))), "{outcome:?}");
+        for mut cursor in [t.cursor(), t.sequential_cursor()] {
+            cursor.seek(b"", &mut tl).unwrap();
+            let step = std::iter::from_fn(|| match cursor.advance(&mut tl) {
+                Ok(()) => cursor.current().map(|_| Ok(())),
+                Err(e) => Some(Err(e)),
+            });
+            let outcome: Result<Vec<()>, TableError> = step.collect();
+            assert!(matches!(outcome, Err(TableError::Ssd(_))), "{outcome:?}");
+        }
         assert!(t.scan_range(b"", None, usize::MAX, &mut tl).is_err());
     }
 
@@ -821,6 +863,62 @@ mod tests {
             proptest::prop_assert_eq!(all.len(), keys.len());
             for ((ikey, _), k) in all.iter().zip(keys.iter()) {
                 proptest::prop_assert_eq!(key::user_key(ikey), &k[..]);
+            }
+        }
+
+        /// From every seek point a sequential cursor yields what a
+        /// cached one does. It makes one random SSD read (none from past
+        /// the last key), reads each block from the one it lands on to
+        /// the end once, and leaves the block cache as it found it.
+        #[test]
+        fn prop_sequential_cursor_reads_like_a_compaction(
+            keys in proptest::collection::btree_set(
+                proptest::collection::vec(b'a'..=b'f', 1..14), 1..150),
+            vlen in 0usize..60,
+            warm in proptest::collection::vec(0usize..150, 0..8),
+        ) {
+            let (device, cache) = setup();
+            let opts = SsTableOptions { block_size: 256, bloom_bits_per_key: 10 };
+            let mut b = SsTableBuilder::new(&device, "s.sst", opts).unwrap();
+            let mut tl = Timeline::new();
+            for (i, k) in keys.iter().enumerate() {
+                b.add(k, i as u64 + 1, KeyKind::Value, &vec![b'v'; vlen], &mut tl);
+            }
+            b.finish(&mut tl).unwrap();
+            let t = SsTable::open(&device, "s.sst", Arc::clone(&cache), &mut tl).unwrap();
+            let keys: Vec<Vec<u8>> = keys.into_iter().collect();
+            // Some blocks cached, some not.
+            for &i in &warm {
+                t.get(&keys[i % keys.len()], u64::MAX, &mut tl).unwrap();
+            }
+            let drain = |mut cursor: SsCursor<'_>, start: &[u8]| {
+                let mut tl = Timeline::new();
+                cursor.seek(start, &mut tl).unwrap();
+                let mut out = Vec::new();
+                while let Some(e) = cursor.current() {
+                    out.push(e.to_owned());
+                    cursor.advance(&mut tl).unwrap();
+                }
+                out
+            };
+            let mut starts = vec![Vec::new(), b"g".to_vec()];
+            for k in &keys {
+                starts.extend([k.clone(), [k.as_slice(), b"\0"].concat()]);
+            }
+            let stats = device.stats();
+            for start in &starts {
+                let want = drain(t.cursor(), start);
+                let cached = (cache.hits.get(), cache.misses.get(), cache.len());
+                let (reads, read) = (stats.reads.get(), stats.bytes_read.get());
+                proptest::prop_assert_eq!(drain(t.sequential_cursor(), start), want);
+                let trailer = key::seek_trailer(key::MAX_SEQUENCE);
+                let landing = t.index.partition_point(|(last, _, _)| {
+                    key::compare_to_parts(last, start, trailer).is_lt()
+                });
+                let blocks: u64 = t.index[landing..].iter().map(|&(_, _, len)| len as u64).sum();
+                proptest::prop_assert_eq!(stats.reads.get() - reads, u64::from(landing < t.index.len()));
+                proptest::prop_assert_eq!(stats.bytes_read.get() - read, blocks);
+                proptest::prop_assert_eq!((cache.hits.get(), cache.misses.get(), cache.len()), cached);
             }
         }
     }

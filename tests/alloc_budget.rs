@@ -8,7 +8,7 @@
 //! scan allocate per decoded *group* (its arena, its slots, its `Arc`)
 //! and per row they return, never per decoded entry; and a scan
 //! allocates and reads no more for unsorted tables that hold none of
-//! its rows.
+//! its rows. A scan reserves its result once, for its limit.
 //!
 //! Compactions: a flush and an SSD-to-SSD merge allocate per table and
 //! per block, an internal compaction per input group and per output
@@ -366,6 +366,25 @@ fn an_uncached_pm_scan_allocates_per_group_and_per_row_not_per_entry() {
              (budget {budget}: 2 per row, {PER_GROUP} per group, 24 per scan)"
         );
     }
+}
+
+#[test]
+fn a_memtable_scan_allocates_its_rows_and_a_fixed_few_buffers() {
+    let db = quiet_db(tiny_options(Mode::PmBlade));
+    put_keys(&db, 0..200, 0);
+    let request = || ScanRequest::new().start(key_for(50)).limit(50);
+    db.scan(request()).unwrap();
+    let (allocations, (rows, _)) = allocations_in(|| db.scan(request()).unwrap());
+    assert_eq!(rows.len(), 50);
+    // A row is its key and its value. Six buffers do not grow with the
+    // rows: among them the merge's sources, heap and last key, and the
+    // result, reserved once for the limit (grown row by row it would
+    // take five).
+    let budget = 2 * 50 + 6;
+    assert!(
+        allocations <= budget,
+        "a 50-row memtable scan allocated {allocations} times (budget {budget})"
+    );
 }
 
 #[test]

@@ -173,21 +173,24 @@ fn matrixkv_costs_more_to_flush_than_pmblade() {
 }
 
 /// The virtual clock and the device byte counters a fixed write-only
-/// stream ends on, per mode, recorded at the commit before compactions
-/// streamed (PR 17): `(mode, now_nanos, pm_bytes_written,
-/// ssd_bytes_written, ssd_bytes_read)`. A compaction rewrite may change
-/// how the host gets there, never where the virtual clock ends up.
+/// stream ends on, per mode: `(mode, now_nanos, pm_bytes_written,
+/// ssd_bytes_written, ssd_bytes_read)`. The byte columns were recorded
+/// before compactions streamed; the clock moved once since, when
+/// compactions began to read SSTable inputs sequentially past the block
+/// cache (every input block reads the same bytes, most without a seek).
+/// A compaction rewrite may change how the host gets there, never where
+/// the virtual clock ends up.
 const WRITE_ONLY_PARITY: [(Mode, u64, u64, u64, u64); 4] = [
-    (Mode::PmBlade, 224_016_102, 46_754_716, 7_581_527, 5_669_897),
+    (Mode::PmBlade, 203_928_102, 46_754_716, 7_581_527, 5_669_897),
     (
         Mode::PmBladePm,
-        407_495_597,
+        308_585_597,
         3_036_367,
         30_777_481,
         27_853_923,
     ),
-    (Mode::SsdLevel0, 509_676_894, 0, 34_091_784, 31_167_481),
-    (Mode::MatrixKv, 122_749_774, 3_731_506, 8_002_613, 5_399_691),
+    (Mode::SsdLevel0, 397_950_894, 0, 34_091_784, 31_167_481),
+    (Mode::MatrixKv, 103_741_774, 3_731_506, 8_002_613, 5_399_691),
 ];
 
 #[test]
@@ -278,12 +281,15 @@ fn fold_span(out: &mut Vec<u8>, s: &TraceSpan) {
 /// ring order, per mode. A rewrite of the maintenance path may change
 /// how the spans are produced, never which spans, in which order, with
 /// which numbers. Span ids are left out: they number the spans, they
-/// do not describe the work.
+/// do not describe the work. The pins moved when compactions began to
+/// read SSTable inputs sequentially (the clock fields) and a major's
+/// span began to count the SSD bytes it read (`input_bytes`); every
+/// other field of every span held.
 const SPAN_SEQUENCE_PINS: [(Mode, u32); 4] = [
-    (Mode::PmBlade, 737_553_169),
-    (Mode::PmBladePm, 2_483_083_200),
-    (Mode::MatrixKv, 1_557_039_122),
-    (Mode::SsdLevel0, 3_009_319_333),
+    (Mode::PmBlade, 3_720_064_843),
+    (Mode::PmBladePm, 2_860_649_764),
+    (Mode::MatrixKv, 2_019_721_015),
+    (Mode::SsdLevel0, 1_014_370_276),
 ];
 
 #[test]

@@ -224,9 +224,11 @@ fn sampled_scan_attributes_every_nanosecond_to_a_stage() {
 /// [`pinned_trace_workload`], per mode. PmBlade's moved when scans
 /// began to seek the merged key column: the scan with rows spends 324
 /// virtual ns in `filter_consult` (four lines), not 162, and every
-/// later trace starts 162 ns on.
+/// later trace starts 162 ns on. It moved again when the seek stopped
+/// charging the windows line its search had read: 243 ns (three
+/// lines), every later trace 81 ns earlier.
 const ENGINE_TRACE_PINS: [(Mode, u32); 3] = [
-    (Mode::PmBlade, 1_848_200_455),
+    (Mode::PmBlade, 2_795_200_062),
     (Mode::SsdLevel0, 1_805_942_510),
     (Mode::MatrixKv, 1_473_994_895),
 ];
