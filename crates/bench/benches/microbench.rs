@@ -261,9 +261,10 @@ fn bench_scan_merge(c: &mut Criterion) {
     });
 }
 
-/// A cascade's merge: two SSTable runs (10 000 records, and a newer
-/// version of every other one) streamed into a third.
-fn bench_cascade(c: &mut Criterion) {
+/// An SSD-to-SSD merge, as a major that lands below level 1 runs one:
+/// two SSTable runs (10 000 records, and a newer version of every other
+/// one) streamed into a third.
+fn bench_ssd_merge(c: &mut Criterion) {
     use pm_blade::cursor::{merge_into, Cursor, SsRun};
     use pm_blade::levels::SsRunWriter;
     let cost = CostModel::default();
@@ -304,7 +305,7 @@ fn bench_cascade(c: &mut Criterion) {
         build("L2", &mut older.iter().cloned()),
     ];
     let errors = sim::Counter::new();
-    c.bench_function("compaction/stream_cascade_2_runs", |b| {
+    c.bench_function("compaction/stream_ssd_merge_2_runs", |b| {
         b.iter(|| {
             let cursors = runs
                 .each_ref()
@@ -363,7 +364,7 @@ criterion_group!(
         bench_engine,
         bench_merge,
         bench_scan_merge,
-        bench_cascade,
+        bench_ssd_merge,
         bench_cache,
         bench_storage_metering_overhead
 );

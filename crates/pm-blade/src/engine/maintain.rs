@@ -200,6 +200,11 @@ impl DbCore {
                 }
                 None => cost,
             };
+            // Rare enough to resolve its series by name.
+            if let Some((level, bytes)) = report.ssd_written {
+                let key = MetricKey::level("ssd_level_bytes_written", pid, level);
+                self.registry.counter(key).add(bytes);
+            }
             let id = self.next_span_id();
             let span = TraceSpan::new(
                 id,
@@ -212,7 +217,8 @@ impl DbCore {
                 bytes,
                 cost,
             );
-            self.ring.push(span);
+            let level = report.ssd_written.map(|(level, _)| level);
+            self.ring.push(TraceSpan { level, ..span });
         }
         outcome
     }
@@ -411,8 +417,8 @@ impl DbCore {
     }
 
     /// Major-compact one partition: one install moving at most
-    /// `table_limit` level-0 tables into level-1 (oldest first;
-    /// `usize::MAX` moves the whole level-0).
+    /// `table_limit` level-0 tables into the SSD level they fit (oldest
+    /// first; `usize::MAX` moves the whole level-0).
     fn do_major_limited(&self, pid: usize, table_limit: usize, origin: u64) -> Result<(), DbError> {
         self.run_frame(SpanKind::Major, pid, None, origin, |p, tl| {
             p.major_compaction(&self.media(), table_limit, tl).map(Some)

@@ -38,13 +38,22 @@ pub type PmTableHandle = Arc<ResidentPmTable>;
 pub struct ResidentPmTable {
     pub table: PmTable<PmRegion>,
     pub fences: GroupFences,
+    /// Key, trailer and value bytes of every entry: about what the
+    /// entries take in an SSTable, which a major sizes its landing level
+    /// by. The table's own `encoded_len` is compressed and smaller.
+    pub raw_bytes: usize,
 }
 
 impl ResidentPmTable {
-    /// The handle of `table`, which takes the fences out of its `keys`.
-    pub(crate) fn new(table: PmTable<PmRegion>, keys: &mut TableKeys) -> PmTableHandle {
+    /// The handle of `table`, holding `raw` bytes of entries, which
+    /// takes the fences out of its `keys`.
+    pub(crate) fn new(table: PmTable<PmRegion>, keys: &mut TableKeys, raw: usize) -> PmTableHandle {
         let fences = std::mem::take(&mut keys.fences);
-        Arc::new(ResidentPmTable { table, fences })
+        Arc::new(ResidentPmTable {
+            table,
+            fences,
+            raw_bytes: raw,
+        })
     }
 
     /// The table's smallest user key. A handle's table is never empty: a
@@ -188,11 +197,11 @@ pub fn merge_dedup(
     out
 }
 
-/// Reopen the PM table in `region` (manifest replay): its handle, its
-/// [`TableKeys`] and its largest sequence, all from one full sequential
-/// pass, which ticks the PM device's read counters. The region payload
-/// is self-describing. A group that does not decode fails the reopen:
-/// the sequences behind it would go unseen.
+/// Reopen the PM table in `region` (manifest replay): its handle (with
+/// its raw bytes), its [`TableKeys`] and its largest sequence, all from
+/// one full sequential pass, which ticks the PM device's read counters.
+/// The region payload is self-describing. A group that does not decode
+/// fails the reopen: the sequences behind it would go unseen.
 pub fn reopen_pm_table(
     region: PmRegion,
 ) -> Result<(PmTableHandle, TableKeys, SequenceNumber), String> {
@@ -202,13 +211,14 @@ pub fn reopen_pm_table(
     let empty = || format!("region {region_id}: empty table");
     let first = table.first_user_key().ok_or_else(empty)?;
     let last = table.last_user_key().ok_or_else(empty)?;
-    let (mut max_seq, mut tl) = (0, Timeline::new());
+    let (mut max_seq, mut raw_bytes, mut tl) = (0, 0, Timeline::new());
     let (entries, groups) = (table.entry_count(), table.group_count() as usize);
     let mut keys = TableKeys::new(common_prefix_len(first, last), entries, groups);
     let mut cursor = table.sequential_cursor::<NoGroupCache>();
     cursor.seek(0, b"", &mut tl).map_err(corrupt)?;
     while let Some(e) = cursor.current() {
         max_seq = max_seq.max(e.seq);
+        raw_bytes += e.raw_len();
         keys.push(cursor.group(), e.user_key);
         // A key's versions are adjacent: one pair per key.
         let key = table.has_filter().then(|| BloomFilter::hashes(e.user_key));
@@ -217,7 +227,8 @@ pub fn reopen_pm_table(
         }
         cursor.advance(&mut tl).map_err(corrupt)?;
     }
-    Ok((ResidentPmTable::new(table, &mut keys), keys, max_seq))
+    let handle = ResidentPmTable::new(table, &mut keys, raw_bytes);
+    Ok((handle, keys, max_seq))
 }
 
 /// The PM sink of a compaction: sorted entries in, a run of PM tables
@@ -287,10 +298,15 @@ impl<'a> PmRunWriter<'a> {
         if !self.full_keys {
             builder.set_fences_only();
         }
-        let (bytes, _stats, mut keys) = builder.finish_with_keys(&opts.cost, tl);
-        let table = PmTable::open(pool.publish(bytes, tl)?).expect("just-built table parses");
-        self.done
-            .push((ResidentPmTable::new(table, &mut keys), keys));
+        let (bytes, stats, mut keys) = builder.finish_with_keys(&opts.cost, tl);
+        let region = pool.publish(bytes, tl)?;
+        let id = region.id();
+        let corrupt = |e| PmError::Corrupt(format!("region {id}: {e}"));
+        let table = PmTable::open(region).map_err(corrupt);
+        let table =
+            table.inspect_err(|_| self.media.retire_errors.add(pool.free(id).is_err().into()))?;
+        let handle = ResidentPmTable::new(table, &mut keys, stats.raw_bytes);
+        self.done.push((handle, keys));
         Ok(())
     }
 
@@ -691,6 +707,11 @@ pub(crate) mod tests {
         // The pass fills the same hashes, key windows and fences.
         let (reopened, rekeyed, max_seq) = reopen_pm_table(region).unwrap();
         assert_eq!((max_seq, rekeyed), (400, keys));
+        assert_eq!(
+            reopened.raw_bytes, built.raw_bytes,
+            "the walk re-sums the raw bytes"
+        );
+        assert_eq!(built.raw_bytes, 400 * (7 + 8 + 1));
         assert_eq!(reopened.fences, built.fences);
         assert_eq!(built.fences.bytes(), 8 * 25, "one window per group");
         // A sorted-run table keeps its fences and builds nothing else.

@@ -729,32 +729,44 @@ impl Level0 {
     }
 
     /// The user-key range the `limit` oldest tables span, from their
-    /// fence keys; `None` when there is no table.
-    pub(crate) fn input_range(&self, limit: usize) -> Option<(Vec<u8>, Vec<u8>)> {
-        let (firsts, lasts): (Vec<&[u8]>, Vec<&[u8]>) = match self {
+    /// fence keys, and what they would take in SSTables, from what each
+    /// table holds: the key, trailer and value bytes of PM tables and
+    /// matrix rows (before duplicates merge away), the size of SSD
+    /// level-0 tables. `None` when there is no table.
+    pub(crate) fn input(&self, limit: usize) -> Option<(Vec<u8>, Vec<u8>, u64)> {
+        let tables: Vec<(&[u8], &[u8], u64)> = match self {
             Level0::Pm(l0) => {
                 let (run, unsorted) = l0.oldest(limit);
                 let tables = run.iter().chain(unsorted);
-                tables.map(|h| (h.first(), h.last())).unzip()
+                tables
+                    .map(|h| (h.first(), h.last(), h.raw_bytes as u64))
+                    .collect()
             }
-            Level0::Matrix(m) => m.key_ranges().unzip(),
-            Level0::Ssd(tables) => tables.iter().map(|h| (&h.first[..], &h.last[..])).unzip(),
+            Level0::Matrix(m) => m.inputs().collect(),
+            Level0::Ssd(tables) => tables
+                .iter()
+                .map(|h| (&h.first[..], &h.last[..], h.table.size()))
+                .collect(),
         };
-        let (first, last) = (firsts.into_iter().min()?, lasts.into_iter().max()?);
-        Some((first.to_vec(), last.to_vec()))
+        let first = tables.iter().map(|t| t.0).min()?;
+        let last = tables.iter().map(|t| t.1).max()?;
+        let bytes = tables.iter().map(|t| t.2).sum();
+        Some((first.to_vec(), last.to_vec(), bytes))
     }
 
     /// Flush partition `pid`'s frozen memtable `entries` into one new
     /// table (neither writer is given a size to cut at) or matrix row.
-    /// A PM flush returns the codec it chose and what that wrote; the
-    /// other kinds have no codec to choose.
+    /// A PM flush puts the codec it chose and what that wrote in
+    /// `report`, an SSD flush the bytes it wrote to level 0; the matrix
+    /// has no codec to choose.
     pub(crate) fn flush<'e>(
         &mut self,
         pid: usize,
         mut entries: impl Iterator<Item = EntryRef<'e>>,
         media: &Media<'_>,
+        report: &mut CompactionReport,
         tl: &mut Timeline,
-    ) -> Result<Option<CostDecision>, DbError> {
+    ) -> Result<(), DbError> {
         let Media { opts, pool, .. } = *media;
         match self {
             Level0::Pm(l0) => {
@@ -762,9 +774,8 @@ impl Level0 {
                 let written_before = written.get();
                 let mut writer = PmRunWriter::unsorted(media);
                 entries.try_for_each(|e| writer.add(e, tl))?;
-                let mut decision = None;
                 for (table, keys) in writer.finish(tl)? {
-                    decision = Some(CostDecision::CodecChoice {
+                    report.decision = Some(CostDecision::CodecChoice {
                         partition: pid,
                         codec: pmtable::CODEC_NAMES[table.table.dominant_codec() as usize],
                         entries: table.table.entry_count(),
@@ -772,16 +783,17 @@ impl Level0 {
                     });
                     l0.push_unsorted(table, keys);
                 }
-                Ok(decision)
             }
-            Level0::Matrix(m) => m.flush_row(entries, opts, pool, tl).map(|()| None),
+            Level0::Matrix(m) => m.flush_row(entries, opts, pool, tl)?,
             Level0::Ssd(tables) => {
                 let mut writer = SsRunWriter::new(media, format!("p{pid:03}-L0"), usize::MAX);
                 entries.try_for_each(|e| writer.add(e, tl))?;
-                tables.extend(writer.finish(tl)?);
-                Ok(None)
+                let flushed = writer.finish(tl)?;
+                report.ssd_written = Some((0, flushed.iter().map(|h| h.table.size()).sum()));
+                tables.extend(flushed);
             }
         }
+        Ok(())
     }
 
     /// Detach the tables [`Level0::cursors`] gave a major compaction
@@ -983,9 +995,12 @@ pub(crate) mod tests {
         let mut builder = PmTableBuilder::new(pm_table);
         sorted.iter().for_each(|e| builder.add(e));
         let mut tl = Timeline::new();
-        let (bytes, _, mut keys) = builder.finish_with_keys(&CostModel::default(), &mut tl);
+        let (bytes, stats, mut keys) = builder.finish_with_keys(&CostModel::default(), &mut tl);
         let table = PmTable::open(pool.publish(bytes, &mut tl).unwrap()).unwrap();
-        (ResidentPmTable::new(table, &mut keys), keys)
+        (
+            ResidentPmTable::new(table, &mut keys, stats.raw_bytes),
+            keys,
+        )
     }
 
     fn push_filtered(l0: &mut PmLevel0, pool: &PmPool, entries: Vec<OwnedEntry>) {

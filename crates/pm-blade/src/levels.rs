@@ -1,10 +1,15 @@
 //! The SSD levels (level-1 and below) of one partition.
 //!
 //! Each level is a sorted run of non-overlapping SSTables. Level `n` has
-//! a target size of `l1_target * multiplier^(n-1)`; when it overflows,
-//! the whole level is merged into level `n+1` (a whole-level leveled
-//! policy — adequate at the reproduction's scale and identical in
-//! write-amplification shape to per-table picking).
+//! a target size of `l1_target * multiplier^(n-1)`. A major compaction
+//! picks its landing level before it merges: the shallowest level `L`
+//! that holds the moved level-0 chunk, every level above `L` and `L`
+//! itself within `L`'s target ([`SsdLevels::landing_level`]). One merge
+//! then writes the chunk, the levels above `L` and `L`'s overlap into
+//! `L`, and leaves the levels above empty, so every byte that leaves
+//! level-0 is written to the SSD once per major. No level is merged on
+//! its own: one the size estimate left over its target is taken down
+//! whole by the next major's landing test.
 
 use std::ops::{Range, RangeBounds};
 use std::sync::atomic::Ordering;
@@ -19,6 +24,7 @@ use sstable::{SsTable, SsTableBuilder, SsTableOptions};
 use crate::cursor::{Cursor, SsRun};
 use crate::handle::SsTableHandle;
 use crate::level0::Probe;
+use crate::options::Options;
 use crate::partition::Media;
 use crate::telemetry::StageTimes;
 
@@ -30,38 +36,42 @@ pub struct SsdLevels {
 }
 
 impl SsdLevels {
-    pub fn new() -> Self {
-        SsdLevels::default()
-    }
-
     /// Bytes held at level `n` (1-based).
     pub fn level_bytes(&self, level: usize) -> u64 {
-        self.levels
-            .get(level - 1)
-            .map(|tables| tables.iter().map(|t| t.table.size()).sum())
-            .unwrap_or(0)
+        self.tables(level).iter().map(|t| t.table.size()).sum()
     }
 
     /// Total SSD bytes of this partition.
     pub fn total_bytes(&self) -> u64 {
-        self.levels
-            .iter()
-            .flat_map(|l| l.iter())
-            .map(|t| t.table.size())
-            .sum()
+        (1..=self.levels.len()).map(|l| self.level_bytes(l)).sum()
     }
 
+    /// The deepest level holding a table; 0 when every level is empty.
     pub fn depth(&self) -> usize {
-        self.levels.len()
+        let deepest = self.levels.iter().rposition(|l| !l.is_empty());
+        deepest.map_or(0, |i| i + 1)
+    }
+
+    /// The level a major compaction moving `chunk` bytes from level-0
+    /// lands in: the shallowest `L` where the chunk, every level above
+    /// `L` and `L` itself fit `l1_target * level_multiplier^(L-1)`,
+    /// which saturates. A level past the deepest is a candidate like any
+    /// other. The multiplier is at least 2 (`Options` validates it), so
+    /// targets grow until one holds everything.
+    pub fn landing_level(&self, chunk: u64, opts: &Options) -> usize {
+        let (mut level, mut bytes) = (1, chunk + self.level_bytes(1));
+        let mut target = opts.l1_target as u64;
+        while bytes > target {
+            level += 1;
+            bytes += self.level_bytes(level);
+            target = target.saturating_mul(opts.level_multiplier as u64);
+        }
+        level
     }
 
     /// The tables of level `n` (1-based), in key order.
     pub fn tables(&self, level: usize) -> &[SsTableHandle] {
         self.levels.get(level - 1).map_or(&[], |tables| tables)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.levels.iter().all(|l| l.is_empty())
     }
 
     /// Point lookup: walk levels top-down; within a level at most one
@@ -124,17 +134,6 @@ impl SsdLevels {
         let replaced = level.splice(range, tables).collect();
         debug_assert!(level.windows(2).all(|w| w[0].last < w[1].first));
         replaced
-    }
-}
-
-impl std::fmt::Debug for SsdLevels {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let sizes: Vec<u64> = (1..=self.levels.len())
-            .map(|l| self.level_bytes(l))
-            .collect();
-        f.debug_struct("SsdLevels")
-            .field("level_bytes", &sizes)
-            .finish()
     }
 }
 
@@ -290,7 +289,7 @@ pub(crate) mod tests {
             build_ss_tables(&l1, &device, &cache, "p0-L1", &counter, usize::MAX, &mut tl).unwrap();
         let t2 =
             build_ss_tables(&l2, &device, &cache, "p0-L2", &counter, usize::MAX, &mut tl).unwrap();
-        let mut levels = SsdLevels::new();
+        let mut levels = SsdLevels::default();
         levels.splice(1, .., t1);
         levels.splice(2, .., t2);
         // Key in both levels: L1 wins (and reports level 1).
@@ -304,6 +303,43 @@ pub(crate) mod tests {
         assert!(latest(&levels, b"k9999", &mut tl).is_none());
         assert_eq!(levels.depth(), 2);
         assert!(levels.total_bytes() > 0);
+    }
+
+    /// A chunk lands in the shallowest level that holds it with every
+    /// level above and the level itself, to the byte, and a target past
+    /// `u64::MAX` saturates.
+    #[test]
+    fn a_chunk_lands_where_it_fits_with_every_level_above() {
+        let (device, cache) = setup();
+        let (mut tl, counter) = (Timeline::new(), AtomicU64::new(0));
+        let run = |n: u64, v: &str| -> Vec<OwnedEntry> {
+            (0..n).map(|i| e(&format!("k{i:04}"), 1 + i, v)).collect()
+        };
+        let mut levels = SsdLevels::default();
+        for (level, entries) in [(1, run(200, "newer")), (2, run(100, "old"))] {
+            let tables =
+                build_ss_tables(&entries, &device, &cache, "p0", &counter, 4 << 10, &mut tl);
+            levels.splice(level, .., tables.unwrap());
+        }
+        let (a, b) = (levels.level_bytes(1), levels.level_bytes(2));
+        assert!(a > b);
+        let opts = |l1_target: u64, level_multiplier| Options {
+            l1_target: l1_target as usize,
+            level_multiplier,
+            ..Options::default()
+        };
+        // Sized so that the chunk, level 1 and level 2 are exactly
+        // 2 (a + 1): level 2's target at an l1_target of a + 1.
+        let chunk = a + 2 - b;
+        assert_eq!(levels.landing_level(chunk, &opts(chunk + a, 2)), 1);
+        assert_eq!(levels.landing_level(chunk, &opts(a + 1, 2)), 2);
+        assert_eq!(levels.landing_level(chunk + 1, &opts(a + 1, 2)), 3);
+        // Level 4's target, 2^90, saturates and holds everything.
+        assert_eq!(levels.landing_level(u64::MAX - a - b, &opts(1, 1 << 30)), 4);
+        assert_eq!(
+            SsdLevels::default().landing_level(1 << 20, &opts(1 << 20, 10)),
+            1
+        );
     }
 
     #[test]
@@ -355,7 +391,7 @@ pub(crate) mod tests {
             &mut tl,
         )
         .unwrap();
-        let mut levels = SsdLevels::new();
+        let mut levels = SsdLevels::default();
         let mut l1 = a;
         l1.extend(b);
         levels.splice(1, .., l1);
@@ -409,7 +445,7 @@ pub(crate) mod tests {
             .step_by(2)
             .map(|i| e(&format!("k{i:05}"), 10_000 + i, "new"))
             .collect();
-        let mut levels = SsdLevels::new();
+        let mut levels = SsdLevels::default();
         levels.splice(1, .., build(&newer, usize::MAX));
         levels.splice(2, .., build(&old, 32 << 10));
         assert!(
@@ -451,7 +487,7 @@ pub(crate) mod tests {
             &mut tl,
         )
         .unwrap();
-        let mut levels = SsdLevels::new();
+        let mut levels = SsdLevels::default();
         levels.splice(1, .., tables);
         let (hit, _) = latest(&levels, b"gone", &mut tl).unwrap();
         assert_eq!(hit.kind, KeyKind::Delete);

@@ -52,6 +52,11 @@ impl Row {
     fn region(&self) -> RegionId {
         self.table.storage().id()
     }
+
+    fn input(&self) -> (&[u8], &[u8], u64) {
+        let (first, last) = self.range();
+        (first, last, self.table.data_len() as u64)
+    }
 }
 
 /// The matrix container.
@@ -170,9 +175,11 @@ impl MatrixL0 {
         })
     }
 
-    /// Each row's smallest and largest user key.
-    pub fn key_ranges(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
-        self.rows.iter().map(Row::range)
+    /// Each row's smallest and largest user key, and the key, trailer
+    /// and value bytes of its entries: its data array, which holds
+    /// exactly those.
+    pub fn inputs(&self) -> impl Iterator<Item = (&[u8], &[u8], u64)> {
+        self.rows.iter().map(Row::input)
     }
 
     /// Region ids to free after the rows were merged down.
@@ -307,10 +314,12 @@ mod tests {
         let cursors = m.cursors(b"", None, true).collect();
         let rows = crate::cursor::tests::drain(cursors, b"", None, false);
         assert_eq!(rows, entries(1, 20));
-        assert_eq!(
-            m.key_ranges().next(),
-            Some((&b"k00000"[..], &b"k00057"[..]))
-        );
+        let raw = entries(1, 20)
+            .iter()
+            .map(OwnedEntry::raw_len)
+            .sum::<usize>();
+        let input = (&b"k00000"[..], &b"k00057"[..], raw as u64);
+        assert_eq!(m.inputs().next(), Some(input));
         for region in m.take_regions() {
             pool.free(region).unwrap();
         }

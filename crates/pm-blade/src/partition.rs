@@ -79,6 +79,9 @@ pub struct CompactionReport {
     pub retired: Vec<pm_device::RegionId>,
     /// SSTables replaced or drained, to delete by name.
     pub deleted_tables: Vec<String>,
+    /// SSTables written: the level they joined (0 for an SSD level-0
+    /// flush, a major's landing level) and their bytes.
+    pub ssd_written: Option<(usize, u64)>,
 }
 
 /// One partition's state.
@@ -109,7 +112,7 @@ impl Partition {
             id,
             mem: MemTable::new(opts.cost),
             level0: Level0::new(opts.mode),
-            levels: SsdLevels::new(),
+            levels: SsdLevels::default(),
             counters: PartitionCounters::new(now),
             seen_keys: Default::default(),
             cost: opts.cost,
@@ -148,18 +151,19 @@ impl Partition {
             return Ok(None);
         }
         let frozen = std::mem::replace(&mut self.mem, MemTable::new(self.cost));
-        // The frozen memtable streams into level-0; the report is
-        // tallied as its entries go by.
+        // The frozen memtable streams into level-0; its bytes and
+        // largest sequence are tallied as its entries go by.
         let mut report = CompactionReport {
             records_in: frozen.len(),
             records_out: frozen.len(),
             ..CompactionReport::default()
         };
+        let (mut raw_bytes, mut durable_seq) = (0, None);
         let entries = frozen.iter().inspect(|e| {
-            report.raw_bytes += e.raw_len();
-            report.durable_seq = report.durable_seq.max(Some(e.seq));
+            raw_bytes += e.raw_len();
+            durable_seq = durable_seq.max(Some(e.seq));
         });
-        let flushed = self.level0.flush(self.id, entries, media, tl);
+        let flushed = self.level0.flush(self.id, entries, media, &mut report, tl);
         if flushed.is_err() {
             // Put the frozen memtable back before surfacing the error:
             // a background worker has nowhere to report it, and silently
@@ -171,7 +175,8 @@ impl Partition {
                 self.mem.insert(r.user_key, r.seq, r.kind, r.value, tl);
             }
         }
-        report.decision = flushed?;
+        flushed?;
+        (report.raw_bytes, report.durable_seq) = (raw_bytes, durable_seq);
         Ok(Some(report))
     }
 
@@ -208,8 +213,13 @@ impl Partition {
         }))
     }
 
-    /// Major compaction: move this partition's level-0 into level-1,
-    /// merging with the overlapping level-1 tables.
+    /// Major compaction: move this partition's level-0 down to the SSD
+    /// levels, writing each byte once. The moved chunk lands in the
+    /// shallowest level it fits ([`SsdLevels::landing_level`]); one
+    /// merge takes the chunk, every level above the landing level whole,
+    /// and the landing level's tables that overlap their key range. Its
+    /// output takes those tables' place, and the levels above are left
+    /// empty.
     ///
     /// `table_limit` bounds how many level-0 tables move in this pass
     /// (`usize::MAX` = the whole level-0). Background workers pass the
@@ -230,25 +240,33 @@ impl Partition {
         tl: &mut Timeline,
     ) -> Result<CompactionReport, crate::engine::DbError> {
         let l0_records = self.level0.entries();
-        let range = self.level0.input_range(table_limit);
         let mut report = CompactionReport::default();
-        let moved = range.is_some();
-        if let Some((first, last)) = range {
-            // Merge with the level-1 tables the range overlaps, as one
-            // more run; the output takes their place.
-            let overlap = self.levels.overlap(1, &first, &last);
-            let l1 = Cursor::Ss(SsRun::sequential(&self.levels.tables(1)[overlap.clone()]));
+        if let Some((first, last, chunk)) = self.level0.input(table_limit) {
+            let opts = media.opts;
+            let level = self.levels.landing_level(chunk, opts);
+            // The levels above move down whole: the landing level's
+            // overlap is taken with their key range too.
+            let above = (1..level).flat_map(|l| self.levels.tables(l));
+            let firsts = above.clone().map(|t| &t.first[..]);
+            let first = firsts.fold(&first[..], Ord::min);
+            let last = above.map(|t| &t.last[..]).fold(&last[..], Ord::max);
+            let overlap = self.levels.overlap(level, first, last);
+            let landing = &self.levels.tables(level)[overlap.clone()];
+            let runs = (1..level).map(|l| self.levels.tables(l)).chain([landing]);
+            let runs = runs.map(|run| Cursor::Ss(SsRun::sequential(run)));
             let l0 = self.level0.cursors(table_limit, b"", None, None);
-            let sources = l0.chain([l1]);
-            // Tombstones can drop only when no deeper level holds the key
-            // range; be conservative: drop only when levels below 1 are empty.
-            let drop_tombstones = self.levels.depth() <= 1;
-            let prefix = format!("p{:03}-L1", self.id);
-            let mut writer = SsRunWriter::new(media, prefix, media.opts.max_table_bytes);
+            // Tombstones drop only when no deeper level can hold an
+            // older version of the key.
+            let drop_tombstones = self.levels.depth() <= level;
+            let prefix = format!("p{:03}-L{level}", self.id);
+            let mut writer = SsRunWriter::new(media, prefix, opts.max_table_bytes);
             let sink = |e: EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
-            let (cost, errors) = (&media.opts.cost, media.input_errors);
-            merge_into(sources, drop_tombstones, cost, errors, tl, sink)?;
-            let replaced = self.levels.splice(1, overlap, writer.finish(tl)?);
+            let (cost, errors) = (&opts.cost, media.input_errors);
+            merge_into(l0.chain(runs), drop_tombstones, cost, errors, tl, sink)?;
+            let output = writer.finish(tl)?;
+            report.ssd_written = Some((level, output.iter().map(|h| h.table.size()).sum()));
+            let mut replaced = self.levels.splice(level, overlap, output);
+            replaced.extend((1..level).flat_map(|l| self.levels.splice(l, .., vec![])));
             let names = replaced.iter().map(|h| h.table.name().to_string());
             report.deleted_tables.extend(names);
         }
@@ -256,49 +274,9 @@ impl Partition {
         // empty). The engine deletes or frees them once the manifest
         // edit recording this version is durable.
         self.level0.detach_oldest(table_limit, &mut report);
-        if moved {
-            // Cascade oversized deeper levels.
-            let cascaded = self.cascade_levels(media, tl)?;
-            report.deleted_tables.extend(cascaded);
-        }
         report.records_in = l0_records.saturating_sub(self.level0.entries());
         report.records_out = report.records_in;
         Ok(report)
-    }
-
-    /// Push oversized levels downward until every level fits its target.
-    fn cascade_levels(
-        &mut self,
-        media: &Media<'_>,
-        tl: &mut Timeline,
-    ) -> Result<Vec<String>, crate::engine::DbError> {
-        let opts = media.opts;
-        let mut deleted = Vec::new();
-        let mut level = 1usize;
-        while level <= self.levels.depth() {
-            let target =
-                opts.l1_target as u64 * (opts.level_multiplier as u64).pow(level as u32 - 1);
-            if self.levels.level_bytes(level) <= target {
-                level += 1;
-                continue;
-            }
-            // Merge the whole level into the next one. Both stay in
-            // place until every table of both has been read.
-            let runs = [self.levels.tables(level), self.levels.tables(level + 1)];
-            let sources = runs.map(|run| Cursor::Ss(SsRun::sequential(run)));
-            let bottom = level + 1 >= self.levels.depth();
-            let prefix = format!("p{:03}-L{}", self.id, level + 1);
-            let mut writer = SsRunWriter::new(media, prefix, opts.max_table_bytes);
-            let sink = |e: EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
-            merge_into(sources, bottom, &opts.cost, media.input_errors, tl, sink)?;
-            let new_tables = writer.finish(tl)?;
-            let this_level = self.levels.splice(level, .., Vec::new());
-            let next_level = self.levels.splice(level + 1, .., new_tables);
-            let tables = this_level.into_iter().chain(next_level);
-            deleted.extend(tables.map(|h| h.table.name().to_string()));
-            level += 1;
-        }
-        Ok(deleted)
     }
 }
 
@@ -377,10 +355,6 @@ pub(crate) mod tests {
             let opts = Options {
                 mode,
                 max_table_bytes,
-                // Exactly one cascade per `cascade_levels` call: level 1
-                // is always over its target, level 2 never.
-                l1_target: 1,
-                level_multiplier: 1 << 30,
                 ..Options::default()
             };
             Rig {
@@ -427,11 +401,12 @@ pub(crate) mod tests {
             }
         }
 
-        fn major(&mut self) -> CompactionReport {
-            // The cascade is driven on its own.
+        /// A major of the whole level-0 under level targets
+        /// `l1_target * multiplier^(n-1)`.
+        fn major_at(&mut self, l1_target: usize, multiplier: usize) -> CompactionReport {
             let opts = Options {
-                l1_target: 1 << 40,
-                level_multiplier: 1,
+                l1_target,
+                level_multiplier: multiplier,
                 ..self.store.opts.clone()
             };
             let media = Media {
@@ -441,6 +416,15 @@ pub(crate) mod tests {
             let mut tl = Timeline::new();
             let major = self.p.major_compaction(&media, usize::MAX, &mut tl);
             major.unwrap()
+        }
+
+        /// A major that lands in `level`: level 1 holds anything when it
+        /// is 1, nothing when it is 2, and level 2 holds anything.
+        fn major_into(&mut self, level: usize) -> CompactionReport {
+            let l1_target = if level == 1 { 1 << 40 } else { 1 };
+            let report = self.major_at(l1_target, 1 << 30);
+            assert_eq!(report.ssd_written.map(|(l, _)| l), Some(level));
+            report
         }
     }
 
@@ -512,7 +496,7 @@ pub(crate) mod tests {
         let mut rig = Rig::new(Mode::SsdLevel0, 1 << 20);
         let keys = |lo: u8| (lo..lo + 200).map(|k| (k, false)).collect::<Vec<_>>();
         rig.flush(&keys(0));
-        rig.major();
+        rig.major_into(1);
         rig.flush(&keys(20));
         rig.flush(&keys(40));
         let Level0::Ssd(l0) = &rig.p.level0 else {
@@ -539,7 +523,7 @@ pub(crate) mod tests {
         let before = cached();
         assert_eq!(before.2, inputs.len());
         let reads = rig.store.device.stats().reads.get();
-        let report = rig.major();
+        let report = rig.major_into(1);
         let outputs = rig.p.levels.tables(1).len() as u64;
         assert_eq!(
             rig.store.device.stats().reads.get() - reads,
@@ -551,17 +535,159 @@ pub(crate) mod tests {
         assert!(inputs.iter().all(deleted));
     }
 
+    /// A major moving `n` fresh keys from `lo` on (every fourth a
+    /// tombstone) out of a one-table level-0.
+    fn flushed(rig: &mut Rig, lo: u8, n: u8) {
+        let batch: Vec<(u8, bool)> = (lo..lo + n).map(|k| (k, k % 4 == 0)).collect();
+        rig.flush(&batch);
+    }
+
+    /// A chunk is sized from what its tables hold, with no read: the
+    /// key, trailer and value bytes of every entry of a PM table or a
+    /// matrix row, whatever its encoding, and an SSD table's size.
+    #[test]
+    fn a_chunk_is_sized_in_raw_entry_bytes() {
+        for mode in [Mode::PmBlade, Mode::SsdLevel0, Mode::MatrixKv] {
+            let mut rig = Rig::new(mode, 1 << 20);
+            let mut raw = 0;
+            for lo in [0, 100] {
+                let batch: Vec<(u8, bool)> = (lo..lo + 80).map(|k| (k, k % 5 == 0)).collect();
+                raw += rig
+                    .flush(&batch)
+                    .iter()
+                    .map(OwnedEntry::raw_len)
+                    .sum::<usize>() as u64;
+            }
+            let reads = (
+                rig.store.pool.stats().bytes_read.get(),
+                rig.store.device.stats().reads.get(),
+            );
+            let chunk = rig.p.level0.input(usize::MAX).unwrap().2;
+            let after = (
+                rig.store.pool.stats().bytes_read.get(),
+                rig.store.device.stats().reads.get(),
+            );
+            assert_eq!(after, reads, "{mode:?}");
+            match &rig.p.level0 {
+                Level0::Ssd(tables) => {
+                    assert_eq!(chunk, tables.iter().map(|h| h.table.size()).sum())
+                }
+                _ => assert_eq!(chunk, raw, "{mode:?}"),
+            }
+        }
+    }
+
+    /// A major whose chunk overflows level 1 lands in level 2 with level
+    /// 1's tables and writes each of their bytes once: the device writes
+    /// exactly the output tables, and level 1 is left empty.
+    #[test]
+    fn a_major_that_overflows_level_1_writes_each_byte_once() {
+        let mut rig = Rig::new(Mode::PmBlade, 2 << 10);
+        flushed(&mut rig, 0, 100);
+        rig.major_into(1);
+        let level_1 = rig.p.levels.level_bytes(1);
+        assert!(rig.p.levels.tables(1).len() > 1);
+        flushed(&mut rig, 50, 100);
+        let written = rig.store.device.stats().bytes_written.get();
+        // Level 1 holds its tables, and the chunk overflows it.
+        let report = rig.major_at(level_1 as usize, 10);
+        let (level, bytes) = report.ssd_written.unwrap();
+        assert_eq!(level, 2);
+        assert!(rig.p.levels.tables(1).is_empty());
+        let output: u64 = rig.p.levels.tables(2).iter().map(|h| h.table.size()).sum();
+        assert_eq!(bytes, output);
+        assert_eq!(
+            rig.store.device.stats().bytes_written.get() - written,
+            output
+        );
+        let keys: Vec<Vec<u8>> = ss_content(rig.p.levels.tables(2))
+            .into_iter()
+            .map(|e| e.user_key)
+            .collect();
+        let live = (0..150u8).filter(|k| k % 4 != 0).map(|k| vec![b'k', k]);
+        assert_eq!(
+            keys,
+            live.collect::<Vec<_>>(),
+            "the bottom drops tombstones"
+        );
+    }
+
+    /// A chunk that fits level 1 with what level 1 holds lands there,
+    /// one byte over its target does not, and level 2 is left as it was.
+    #[test]
+    fn a_major_that_fits_level_1_stays_there() {
+        let mut rig = Rig::new(Mode::PmBlade, 2 << 10);
+        flushed(&mut rig, 0, 100);
+        rig.major_into(2);
+        let level_2 = rig.p.levels.tables(2).to_vec();
+        flushed(&mut rig, 50, 40);
+        let fits = rig.p.level0.input(usize::MAX).unwrap().2 as usize;
+        let landing = |l1_target| {
+            let opts = Options {
+                l1_target,
+                level_multiplier: 10,
+                ..Options::default()
+            };
+            rig.p.levels.landing_level(fits as u64, &opts)
+        };
+        assert_eq!((landing(fits), landing(fits - 1)), (1, 2));
+        let expect = reference(rig.l0_sources(), false);
+        let report = rig.major_at(fits, 10);
+        assert_eq!(report.ssd_written.map(|(l, _)| l), Some(1));
+        assert_eq!(
+            ss_content(rig.p.levels.tables(1)),
+            expect,
+            "tombstones kept above level 2"
+        );
+        let names = |t: &[SsTableHandle]| {
+            t.iter()
+                .map(|h| h.table.name().to_string())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(names(rig.p.levels.tables(2)), names(&level_2));
+        assert!(report
+            .deleted_tables
+            .iter()
+            .all(|n| !names(&level_2).contains(n)));
+    }
+
+    /// On an empty tree with a tiny `l1_target` the first major lands in
+    /// the shallowest level past the bottom that holds it, drops
+    /// tombstones there, and leaves that level within its target.
+    #[test]
+    fn a_major_on_an_empty_tree_lands_past_the_bottom_within_its_target() {
+        let mut rig = Rig::new(Mode::PmBlade, 2 << 10);
+        flushed(&mut rig, 0, 200);
+        let chunk = rig.p.level0.input(usize::MAX).unwrap().2;
+        let expect = reference(rig.l0_sources(), true);
+        let (l1_target, multiplier) = (64, 4);
+        let target = |level: u32| l1_target as u64 * (multiplier as u64).pow(level - 1);
+        let report = rig.major_at(l1_target, multiplier);
+        let level = report.ssd_written.unwrap().0;
+        assert!(level > 2, "landed in level {level}");
+        assert!(
+            chunk > target(level as u32 - 1),
+            "level {} held it",
+            level - 1
+        );
+        assert!(rig.p.levels.level_bytes(level) <= target(level as u32));
+        assert!((1..level).all(|l| rig.p.levels.tables(l).is_empty()));
+        assert_eq!(ss_content(rig.p.levels.tables(level)), expect);
+        assert!(expect.iter().all(|e| e.kind == KeyKind::Value));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// `handle::merge_dedup` over the collected inputs is the
         /// reference for what each compaction kind streams out: flushes
         /// (every version kept), an internal compaction (tombstones
-        /// kept), majors from each kind of level-0 into an empty level 1
-        /// (tombstones dropped) and into an overlapping one above a
-        /// level 2 (kept), and cascades — with duplicate keys within and
-        /// across sources, through both run writers, at a table size
-        /// that cuts mid-stream and one that never cuts.
+        /// kept), majors from each kind of level-0 into level 1, empty
+        /// (tombstones dropped) or above a level 2 (kept), and majors
+        /// into level 2 that take all of level 1 with them — with
+        /// duplicate keys within and across sources, through both run
+        /// writers, at a table size that cuts mid-stream and one that
+        /// never cuts.
         #[test]
         fn streamed_compactions_equal_merge_dedup(
             batches in proptest::collection::vec(
@@ -598,8 +724,8 @@ pub(crate) mod tests {
                             prop_assert!(rig.p.level0.chunkable_tables() > 1, "the run was cut");
                         }
                     }
-                    // Major: level-0 and the level-1 tables its range
-                    // overlaps merge; the rest of level 1 stays.
+                    // Major into level 1: level-0 and the level-1 tables
+                    // its range overlaps merge; the rest of level 1 stays.
                     let mut sources = rig.l0_sources();
                     let first = sources.iter().map(|s| &s[0].user_key).min().unwrap();
                     let last = sources.iter().map(|s| &s[s.len() - 1].user_key).max().unwrap();
@@ -613,22 +739,37 @@ pub(crate) mod tests {
                     let mut expect = reference(sources, rig.p.levels.depth() <= 1);
                     expect.extend(ss_content(&untouched));
                     expect.sort_by(|a, b| a.internal_cmp(b));
-                    let report = rig.major();
+                    let report = rig.major_into(1);
                     prop_assert_eq!(ss_content(rig.p.levels.tables(1)), expect);
                     prop_assert_eq!(rig.p.level0.unsorted_count() + rig.p.level0.bytes(), 0);
                     let deleted = |t: &SsTableHandle| report.deleted_tables.iter().any(|n| n == t.table.name());
                     prop_assert!(overlap.iter().all(deleted));
-                    // Cascade: all of level 1 into level 2, the bottom.
-                    let levels = [1, 2].map(|level| ss_content(rig.p.levels.tables(level)));
-                    let expect = reference(levels.into(), true);
-                    let Rig { store, p, .. } = &mut rig;
-                    let mut tl = Timeline::new();
-                    p.cascade_levels(&store.media(), &mut tl).unwrap();
+                    // Major into level 2, the bottom: a flushed batch, all
+                    // of level 1 and every level-2 table their range
+                    // overlaps merge, tombstones dropped.
+                    rig.flush(&round[0]);
+                    let mut sources = rig.l0_sources();
+                    sources.push(ss_content(rig.p.levels.tables(1)));
+                    let swallowed = sources.iter().flatten().map(|e| &e.user_key);
+                    let (first, last) = (swallowed.clone().min().unwrap(), swallowed.max().unwrap());
+                    let overlap = rig.p.levels.overlap(2, first, last);
+                    let level_2 = rig.p.levels.tables(2).to_vec();
+                    sources.push(ss_content(&level_2[overlap.clone()]));
+                    let mut expect = reference(sources, true);
+                    expect.extend(ss_content(&level_2[..overlap.start]));
+                    expect.extend(ss_content(&level_2[overlap.end..]));
+                    expect.sort_by(|a, b| a.internal_cmp(b));
+                    let swallowed: Vec<String> = rig.p.levels.tables(1).iter()
+                        .chain(&level_2[overlap])
+                        .map(|t| t.table.name().to_string())
+                        .collect();
+                    let report = rig.major_into(2);
                     prop_assert!(rig.p.levels.tables(1).is_empty());
+                    prop_assert_eq!(ss_content(rig.p.levels.tables(2)), expect.clone());
                     if small_tables && expect.len() > 24 {
                         prop_assert!(rig.p.levels.tables(2).len() > 1, "the run was cut");
                     }
-                    prop_assert_eq!(ss_content(rig.p.levels.tables(2)), expect);
+                    prop_assert!(swallowed.iter().all(|n| report.deleted_tables.contains(n)));
                 }
                 prop_assert_eq!(rig.store.errors.get(), 0);
             }

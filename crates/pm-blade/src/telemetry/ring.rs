@@ -95,6 +95,7 @@ mod tests {
             output_records: 0,
             input_bytes: 0,
             output_bytes: 0,
+            level: None,
             cost: None,
         }
     }

@@ -252,7 +252,8 @@ fn span_fields(o: &mut Json, span: &TraceSpan) {
         .num("input_records", span.input_records)
         .num("output_records", span.output_records)
         .num("input_bytes", span.input_bytes)
-        .num("output_bytes", span.output_bytes);
+        .num("output_bytes", span.output_bytes)
+        .opt("level", span.level);
     match &span.cost {
         Some(cost) => o.object("cost", |o| cost_fields(o, cost)),
         None => o.null("cost"),
@@ -345,6 +346,7 @@ mod tests {
             output_records: 18,
             input_bytes: 2000,
             output_bytes: 1800,
+            level: None,
             cost: Some(CostDecision::Retention {
                 pm_used: 900,
                 budget: 600,

@@ -87,10 +87,14 @@ pub struct TraceSpan {
     pub output_records: u64,
     /// Bytes read by the work: a flush's raw memtable bytes, an
     /// internal compaction's PM bytes, a major's PM and SSD bytes (its
-    /// level-0 and every SSTable it merged, cascades included).
+    /// level-0 chunk, the levels above its landing level and the landing
+    /// level's overlap).
     pub input_bytes: u64,
     /// Device bytes written by the work.
     pub output_bytes: u64,
+    /// The SSD level the work wrote SSTables to: a major's landing
+    /// level, or 0 for a flush into an SSD level-0.
+    pub level: Option<usize>,
     /// The cost-model verdict that triggered this work, if any.
     pub cost: Option<CostDecision>,
 }
@@ -122,6 +126,7 @@ impl TraceSpan {
             output_records: records.1,
             input_bytes: bytes.0,
             output_bytes: bytes.1,
+            level: None,
             cost,
         }
     }
@@ -226,6 +231,7 @@ mod tests {
             output_records: 0,
             input_bytes: 0,
             output_bytes: 0,
+            level: None,
             cost: None,
         };
         assert_eq!(span.duration(), SimDuration::from_nanos(250));

@@ -303,6 +303,13 @@ impl<S: Storage> ArrayTable<S> {
         self.storage.bytes().len()
     }
 
+    /// Bytes of the data array: every entry's key, trailer and value,
+    /// the sum of their [`EntryRef::raw_len`]s, without the header or
+    /// the metadata rows.
+    pub fn data_len(&self) -> usize {
+        self.encoded_len() - self.data_off
+    }
+
     /// Every entry in internal-key order, metering reads.
     ///
     /// A [`ArrayTable::scan_cursor`] pass collected into a `Vec`. An
@@ -367,6 +374,8 @@ mod tests {
             assert_eq!(hit.value, e.value);
         }
         assert_eq!(t.scan_all(&mut tl), entries);
+        let raw: usize = entries.iter().map(OwnedEntry::raw_len).sum();
+        assert_eq!(t.data_len(), raw);
     }
 
     #[test]

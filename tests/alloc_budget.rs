@@ -261,10 +261,10 @@ fn a_flush_and_an_ssd_merge_allocate_per_table_and_block_not_per_record() {
         compaction_allocations(opts, n, |_| (), CompactionRequest::FlushAll)
     };
     // SSD to SSD: a major compaction in SSD level-0 mode streams the one
-    // level-0 table into level 1, which is then over its target and
-    // cascades whole into level 2 — every record moves twice, read a
-    // block at a time and written a block at a time.
-    let cascade = |n| {
+    // level-0 table, which overflows level 1, straight into level 2 —
+    // every record moves once, read a block at a time and written a
+    // block at a time.
+    let ssd_merge = |n| {
         let mut opts = tiny_options(Mode::SsdLevel0);
         (opts.l1_target, opts.level_multiplier) = (1 << 10, 1 << 20);
         let load = |db: &Db| db.compact(CompactionRequest::FlushAll).unwrap();
@@ -278,7 +278,7 @@ fn a_flush_and_an_ssd_merge_allocate_per_table_and_block_not_per_record() {
     );
     for (what, count, passes) in [
         ("flush", &flush as &dyn Fn(u64) -> u64, 1),
-        ("cascade", &cascade, 2),
+        ("SSD merge", &ssd_merge, 1),
     ] {
         let per_record = |n| count(n) as f64 / (n * passes) as f64;
         let (small, large) = (per_record(5_000), per_record(20_000));

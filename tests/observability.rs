@@ -190,6 +190,7 @@ fn prometheus_rendering_matches_golden() {
     counters.insert(MetricKey::partition("group_commits", 0), 7);
     counters.insert(MetricKey::partition("group_commits", 1), 9);
     counters.insert(MetricKey::level("read_source_ssd", 1, 2), 3);
+    counters.insert(MetricKey::level("ssd_level_bytes_written", 1, 2), 8_192);
     counters.insert(MetricKey::global("pm_l0_sketch_probes_total"), 40);
     counters.insert(MetricKey::global("pm_scan_tables_sought_total"), 10);
     counters.insert(MetricKey::global("pm_scan_tables_total"), 30);
@@ -221,6 +222,8 @@ pmblade_pm_scan_tables_sought_total 10
 pmblade_pm_scan_tables_total 30
 # TYPE pmblade_read_source_ssd counter
 pmblade_read_source_ssd{partition=\"1\",level=\"2\"} 3
+# TYPE pmblade_ssd_level_bytes_written counter
+pmblade_ssd_level_bytes_written{partition=\"1\",level=\"2\"} 8192
 # TYPE pmblade_maintenance_queue_depth gauge
 pmblade_maintenance_queue_depth 3
 # TYPE pmblade_pm_l0_index_bytes gauge
@@ -266,7 +269,8 @@ fn span(id: u64, kind: SpanKind, cost: Option<CostDecision>) -> TraceSpan {
 
 /// A snapshot with every label kind, one histogram, a span without a
 /// verdict, one span per `CostDecision` variant (Eq 1 twice: a finite
-/// and a non-finite read rate) and evicted spans.
+/// and a non-finite read rate), a major with its landing level and
+/// evicted spans.
 fn json_sample() -> MetricsSnapshot {
     let mut counters = BTreeMap::new();
     counters.insert(MetricKey::global("puts"), 10);
@@ -325,16 +329,19 @@ fn json_sample() -> MetricsSnapshot {
                 triggered: true,
             }),
         ),
-        span(
-            6,
-            SpanKind::Major,
-            Some(CostDecision::Retention {
-                pm_used: 900,
-                budget: 600,
-                retained: vec![0, 2],
-                victims: vec![1],
-            }),
-        ),
+        TraceSpan {
+            level: Some(2),
+            ..span(
+                6,
+                SpanKind::Major,
+                Some(CostDecision::Retention {
+                    pm_used: 900,
+                    budget: 600,
+                    retained: vec![0, 2],
+                    victims: vec![1],
+                }),
+            )
+        },
         span(
             7,
             SpanKind::Flush,
@@ -375,31 +382,31 @@ fn snapshot_json_matches_golden() {
         "  \"spans\": [\n",
         "    {\"id\": 1, \"trace_id\": 10, \"kind\": \"flush\", \"partition\": 1, ",
         "\"start_nanos\": 100, \"end_nanos\": 140, \"input_records\": 20, \"output_records\": 18, ",
-        "\"input_bytes\": 2000, \"output_bytes\": 1800, \"cost\": null},\n",
+        "\"input_bytes\": 2000, \"output_bytes\": 1800, \"level\": null, \"cost\": null},\n",
         "    {\"id\": 2, \"trace_id\": 20, \"kind\": \"internal\", \"partition\": 1, ",
         "\"start_nanos\": 200, \"end_nanos\": 240, \"input_records\": 20, \"output_records\": 18, ",
-        "\"input_bytes\": 2000, \"output_bytes\": 1800, \"cost\": {\"rule\": \"eq1_read_benefit\", ",
+        "\"input_bytes\": 2000, \"output_bytes\": 1800, \"level\": null, \"cost\": {\"rule\": \"eq1_read_benefit\", ",
         "\"partition\": 1, \"read_rate\": 12.5, \"unsorted\": 4, \"triggered\": true}},\n",
         "    {\"id\": 3, \"trace_id\": 30, \"kind\": \"internal\", \"partition\": 1, ",
         "\"start_nanos\": 300, \"end_nanos\": 340, \"input_records\": 20, \"output_records\": 18, ",
-        "\"input_bytes\": 2000, \"output_bytes\": 1800, \"cost\": {\"rule\": \"eq1_read_benefit\", ",
+        "\"input_bytes\": 2000, \"output_bytes\": 1800, \"level\": null, \"cost\": {\"rule\": \"eq1_read_benefit\", ",
         "\"partition\": 1, \"read_rate\": null, \"unsorted\": 5, \"triggered\": false}},\n",
         "    {\"id\": 4, \"trace_id\": 40, \"kind\": \"internal\", \"partition\": 1, ",
         "\"start_nanos\": 400, \"end_nanos\": 440, \"input_records\": 20, \"output_records\": 18, ",
-        "\"input_bytes\": 2000, \"output_bytes\": 1800, \"cost\": {\"rule\": \"eq2_write_benefit\", ",
+        "\"input_bytes\": 2000, \"output_bytes\": 1800, \"level\": null, \"cost\": {\"rule\": \"eq2_write_benefit\", ",
         "\"partition\": 1, \"window_writes\": 900, \"window_updates\": 300, \"l0_records\": 1200, ",
         "\"triggered\": true}},\n",
         "    {\"id\": 5, \"trace_id\": 50, \"kind\": \"internal\", \"partition\": 1, ",
         "\"start_nanos\": 500, \"end_nanos\": 540, \"input_records\": 20, \"output_records\": 18, ",
-        "\"input_bytes\": 2000, \"output_bytes\": 1800, \"cost\": {\"rule\": \"hard_cap\", ",
+        "\"input_bytes\": 2000, \"output_bytes\": 1800, \"level\": null, \"cost\": {\"rule\": \"hard_cap\", ",
         "\"partition\": 1, \"unsorted\": 9, \"cap\": 8, \"triggered\": true}},\n",
         "    {\"id\": 6, \"trace_id\": 60, \"kind\": \"major\", \"partition\": 1, ",
         "\"start_nanos\": 600, \"end_nanos\": 640, \"input_records\": 20, \"output_records\": 18, ",
-        "\"input_bytes\": 2000, \"output_bytes\": 1800, \"cost\": {\"rule\": \"eq3_retention\", ",
+        "\"input_bytes\": 2000, \"output_bytes\": 1800, \"level\": 2, \"cost\": {\"rule\": \"eq3_retention\", ",
         "\"pm_used\": 900, \"budget\": 600, \"retained\": [0, 2], \"victims\": [1]}},\n",
         "    {\"id\": 7, \"trace_id\": 70, \"kind\": \"flush\", \"partition\": 1, ",
         "\"start_nanos\": 700, \"end_nanos\": 740, \"input_records\": 20, \"output_records\": 18, ",
-        "\"input_bytes\": 2000, \"output_bytes\": 1800, \"cost\": {\"rule\": \"flush_codec_decision\", ",
+        "\"input_bytes\": 2000, \"output_bytes\": 1800, \"level\": null, \"cost\": {\"rule\": \"flush_codec_decision\", ",
         "\"partition\": 1, \"codec\": \"delta\", \"entries\": 128, \"pm_bytes\": 2048}}\n",
         "  ],\n",
         "  \"spans_dropped\": 2\n",
@@ -574,6 +581,16 @@ const SERIES: &[(&str, &str, &str)] = &[
     ("counter", "scans", ""),
     ("counter", "ssd_bytes_read", ""),
     ("counter", "ssd_bytes_written", ""),
+    (
+        "counter",
+        "ssd_level_bytes_written",
+        "{partition=\"0\",level=\"1\"}",
+    ),
+    (
+        "counter",
+        "ssd_level_bytes_written",
+        "{partition=\"1\",level=\"1\"}",
+    ),
     ("counter", "ssd_read_errors_total", ""),
     ("counter", "trace_recorded_total", ""),
     ("counter", "trace_sampled_total", ""),
@@ -676,6 +693,10 @@ fn prometheus_exposition_is_well_formed() {
     let found = series_of(&snap);
     let found: Vec<_> = found.iter().map(|(k, n, l)| (*k, *n, l.as_str())).collect();
     assert_eq!(found, SERIES, "the set of exposed series moved");
+    // Every SSD byte was a major's output, counted at its level.
+    let written = snap.counter("ssd_level_bytes_written");
+    assert!(written > 0);
+    assert_eq!(written, snap.counter("ssd_bytes_written"));
     for (kind, name, labels) in SERIES {
         let needle = match (*kind, labels.strip_suffix('}')) {
             ("histogram", None) => format!("pmblade_{name}{{quantile=\"0.5\"}} "),

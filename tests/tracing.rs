@@ -409,6 +409,7 @@ fn chrome_trace_export_matches_golden() {
         output_records,
         input_bytes: 0,
         output_bytes: 0,
+        level: None,
         cost: None,
     };
     let trace = RequestTrace {
