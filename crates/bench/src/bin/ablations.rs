@@ -28,7 +28,7 @@ fn group_size_ablation() {
             b.add(e.clone());
         }
         let mut build = Timeline::new();
-        let (bytes, stats) = b.finish(&cost, &mut build);
+        let (bytes, (stats, _)) = b.finish(&cost, &mut build);
         let t = PmTable::open(DramBuf::new(bytes, cost)).unwrap();
         let mut rng = Pcg64::seeded(8);
         let mut read = Timeline::new();

@@ -47,15 +47,15 @@ fn main() {
             let mut w = YcsbWorkload::new(kind, RECORDS, VALUE, 90);
             let load_ops = w.load_ops();
             let load_metrics = run_ycsb(&db, &load_ops).unwrap();
-            let metrics = if kind == YcsbKind::Load {
-                load_metrics
+            let after_load = bench::background_time(&db);
+            // A phase is charged the background work that ran during it:
+            // a run phase only what came after the load.
+            let (metrics, bg) = if kind == YcsbKind::Load {
+                (load_metrics, after_load)
             } else {
-                run_ycsb(&db, &w.ops(RUN_OPS)).unwrap()
+                let metrics = run_ycsb(&db, &w.ops(RUN_OPS)).unwrap();
+                (metrics, bench::background_time(&db) - after_load)
             };
-            let bg = bench::background_time(&db);
-            // For run phases, background time attributable to the run is
-            // what happened after the load; approximate by weighting bg
-            // by the run's share of total writes.
             let tput = metrics.operations as f64 / (metrics.elapsed + bg).as_secs_f64();
             tputs.push(tput);
         }

@@ -97,10 +97,15 @@ impl BloomFilter {
 
     /// Serialize: bits followed by the probe count.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.bits.len() + 1);
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// [`BloomFilter::encode`], appended to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.bits);
         out.push(self.k);
-        out
     }
 
     /// Inverse of [`BloomFilter::encode`]. Returns `None` on an empty buffer.

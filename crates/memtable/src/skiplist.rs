@@ -23,6 +23,8 @@ const MAX_HEIGHT: usize = 12;
 const BRANCHING: u64 = 4;
 /// The end of a level in `links`.
 const NIL: u32 = u32::MAX;
+/// What [`MemTable::approximate_size`] counts per node beyond its bytes.
+const NODE_OVERHEAD: usize = 64;
 
 struct Node {
     /// `user_key ∥ trailer ∥ value`.
@@ -96,6 +98,12 @@ impl MemTable {
         self.approximate_bytes
     }
 
+    /// Key, trailer and value bytes of every entry: the footprint less
+    /// each node's overhead.
+    pub fn raw_bytes(&self) -> usize {
+        self.approximate_bytes - NODE_OVERHEAD * self.entries
+    }
+
     /// The successor of node `idx` on `level`.
     fn next(&self, idx: usize, level: usize) -> Option<usize> {
         let next = self.links[self.nodes[idx].tower as usize + level];
@@ -132,7 +140,7 @@ impl MemTable {
         buf.extend_from_slice(user_key);
         buf.extend_from_slice(&trailer.to_le_bytes());
         buf.extend_from_slice(value);
-        self.approximate_bytes += ikey_len + value.len() + 64;
+        self.approximate_bytes += ikey_len + value.len() + NODE_OVERHEAD;
         self.entries += 1;
         tl.charge(self.cost.dram.write(ikey_len + value.len()));
         self.nodes.push(Node {

@@ -275,7 +275,7 @@ impl CodecCostTable {
                 builder.add(e.clone());
             }
             let mut build_tl = Timeline::new();
-            let (bytes, _stats) = builder.finish(cost, &mut build_tl);
+            let (bytes, _) = builder.finish(cost, &mut build_tl);
             let encoded = bytes.len();
             let Ok(region) = pool.publish(bytes, &mut build_tl) else {
                 continue; // leave this codec's row zeroed

@@ -5,6 +5,11 @@
 //! cache. An SSTable's handle holds its key range and largest sequence.
 //! Key range, region, size, entry count, codec or name a handle reads
 //! from its table.
+//!
+//! `PmRunWriter`, the PM sink of every compaction, builds all the tables
+//! of its run with one builder: its entry buffer is sized once and kept
+//! from cut to cut, and each table is encoded into the buffer the pool
+//! publishes.
 
 use std::sync::Arc;
 
@@ -237,6 +242,14 @@ pub fn reopen_pm_table(
 /// only their group fences; a flush's one unsorted table
 /// ([`PmRunWriter::unsorted`]) hands its full [`TableKeys`] to level-0.
 ///
+/// One builder builds every table of the run: its entry buffer is sized
+/// once ([`PmRunWriter::reserve`], from what the caller knows of its
+/// input) and kept from cut to cut, and each table is encoded straight
+/// into the buffer the pool publishes. A flush of a frozen memtable
+/// allocates its entries' bytes and slots once and the table once; a
+/// sorted run allocates one table's worth of entries, then each
+/// table's bytes.
+///
 /// [`CodecMode::Auto`] is resolved *here*, once per output table as it
 /// is cut: [`select_codec`] reads the shape the builder folded over the
 /// table's entries and charges each eligible codec's measured density
@@ -252,8 +265,6 @@ pub fn reopen_pm_table(
 pub struct PmRunWriter<'a> {
     media: Media<'a>,
     max_bytes: usize,
-    /// Build each table's full [`TableKeys`], not its fences only.
-    full_keys: bool,
     builder: PmTableBuilder,
     done: Vec<(PmTableHandle, TableKeys)>,
 }
@@ -261,11 +272,12 @@ pub struct PmRunWriter<'a> {
 impl<'a> PmRunWriter<'a> {
     /// Writes a sorted run with `media`'s options, codec costs and pool.
     pub fn new(media: &Media<'a>, max_bytes: usize) -> Self {
+        let mut builder = PmTableBuilder::new(media.opts.pm_table_options());
+        builder.set_fences_only();
         PmRunWriter {
             media: *media,
             max_bytes,
-            full_keys: false,
-            builder: PmTableBuilder::new(media.opts.pm_table_options()),
+            builder,
             done: Vec::new(),
         }
     }
@@ -274,8 +286,21 @@ impl<'a> PmRunWriter<'a> {
     /// full [`TableKeys`].
     pub fn unsorted(media: &Media<'a>) -> Self {
         let mut writer = PmRunWriter::new(media, usize::MAX);
-        writer.full_keys = true;
+        writer.builder = PmTableBuilder::new(media.opts.pm_table_options());
         writer
+    }
+
+    /// Make room, once, for the tables `entries` entries of `raw` raw
+    /// bytes in all make: one table of all of them, or, cut at
+    /// `max_bytes`, up to `max_bytes` and the entry that crosses it,
+    /// given two entries of average size.
+    pub fn reserve(&mut self, entries: usize, raw: usize) {
+        let Some(average) = raw.checked_div(entries) else {
+            return;
+        };
+        let table = raw.min(self.max_bytes.saturating_add(2 * average));
+        self.builder
+            .reserve((entries * table).div_ceil(raw.max(1)), table);
     }
 
     pub fn add(&mut self, entry: EntryRef<'_>, tl: &mut Timeline) -> Result<(), PmError> {
@@ -289,16 +314,12 @@ impl<'a> PmRunWriter<'a> {
     /// Encode and publish the table built so far and begin the next.
     fn cut(&mut self, tl: &mut Timeline) -> Result<(), PmError> {
         let Media { opts, pool, .. } = self.media;
-        let next = PmTableBuilder::new(opts.pm_table_options());
-        let mut builder = std::mem::replace(&mut self.builder, next);
+        let builder = &mut self.builder;
         if opts.pm_codec_mode == CodecMode::Auto {
             let codec = select_codec(&builder.shape(), self.media.codec_costs, &opts.cost);
             builder.set_codec(codec);
         }
-        if !self.full_keys {
-            builder.set_fences_only();
-        }
-        let (bytes, stats, mut keys) = builder.finish_with_keys(&opts.cost, tl);
+        let (bytes, (stats, mut keys)) = builder.finish(&opts.cost, tl);
         let region = pool.publish(bytes, tl)?;
         let id = region.id();
         let corrupt = |e| PmError::Corrupt(format!("region {id}: {e}"));

@@ -756,9 +756,10 @@ impl Level0 {
 
     /// Flush partition `pid`'s frozen memtable `entries` into one new
     /// table (neither writer is given a size to cut at) or matrix row.
-    /// A PM flush puts the codec it chose and what that wrote in
-    /// `report`, an SSD flush the bytes it wrote to level 0; the matrix
-    /// has no codec to choose.
+    /// `report` comes in holding the memtable's record count and raw
+    /// bytes, which a PM flush sizes its builder by. A PM flush puts the
+    /// codec it chose and what that wrote in `report`, an SSD flush the
+    /// bytes it wrote to level 0; the matrix has no codec to choose.
     pub(crate) fn flush<'e>(
         &mut self,
         pid: usize,
@@ -773,6 +774,7 @@ impl Level0 {
                 let written = &pool.stats().bytes_written;
                 let written_before = written.get();
                 let mut writer = PmRunWriter::unsorted(media);
+                writer.reserve(report.records_in, report.raw_bytes);
                 entries.try_for_each(|e| writer.add(e, tl))?;
                 for (table, keys) in writer.finish(tl)? {
                     report.decision = Some(CostDecision::CodecChoice {
@@ -995,7 +997,7 @@ pub(crate) mod tests {
         let mut builder = PmTableBuilder::new(pm_table);
         sorted.iter().for_each(|e| builder.add(e));
         let mut tl = Timeline::new();
-        let (bytes, stats, mut keys) = builder.finish_with_keys(&CostModel::default(), &mut tl);
+        let (bytes, (stats, mut keys)) = builder.finish(&CostModel::default(), &mut tl);
         let table = PmTable::open(pool.publish(bytes, &mut tl).unwrap()).unwrap();
         (
             ResidentPmTable::new(table, &mut keys, stats.raw_bytes),

@@ -151,18 +151,18 @@ impl Partition {
             return Ok(None);
         }
         let frozen = std::mem::replace(&mut self.mem, MemTable::new(self.cost));
-        // The frozen memtable streams into level-0; its bytes and
-        // largest sequence are tallied as its entries go by.
+        // The frozen memtable streams into level-0; its largest
+        // sequence is tallied as its entries go by.
         let mut report = CompactionReport {
             records_in: frozen.len(),
             records_out: frozen.len(),
+            raw_bytes: frozen.raw_bytes(),
             ..CompactionReport::default()
         };
-        let (mut raw_bytes, mut durable_seq) = (0, None);
-        let entries = frozen.iter().inspect(|e| {
-            raw_bytes += e.raw_len();
-            durable_seq = durable_seq.max(Some(e.seq));
-        });
+        let mut durable_seq = None;
+        let entries = frozen
+            .iter()
+            .inspect(|e| durable_seq = durable_seq.max(Some(e.seq)));
         let flushed = self.level0.flush(self.id, entries, media, &mut report, tl);
         if flushed.is_err() {
             // Put the frozen memtable back before surfacing the error:
@@ -176,7 +176,7 @@ impl Partition {
             }
         }
         flushed?;
-        (report.raw_bytes, report.durable_seq) = (raw_bytes, durable_seq);
+        report.durable_seq = durable_seq;
         Ok(Some(report))
     }
 
@@ -196,6 +196,7 @@ impl Partition {
         }
         let opts = media.opts;
         let mut writer = PmRunWriter::new(media, opts.max_table_bytes);
+        writer.reserve(l0.entries(), l0.tables().map(|h| h.raw_bytes).sum());
         // Keep tombstones: deeper levels may still hold older versions.
         let inputs = l0.cursors(usize::MAX, None, None);
         let sink = |e: EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);

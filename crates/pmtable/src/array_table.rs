@@ -508,7 +508,7 @@ mod tests {
             pb.add(e.clone());
         }
         let (_, astats) = ab.finish(&cost, &mut tl);
-        let (_, pstats) = pb.finish(&cost, &mut tl);
+        let (_, (pstats, _)) = pb.finish(&cost, &mut tl);
         assert!(pstats.encoded_bytes < astats.encoded_bytes);
     }
 }

@@ -172,6 +172,20 @@ impl EntryRun {
         }
     }
 
+    /// Make room for `entries` more entries of `bytes` more key and
+    /// value bytes: on an empty run, exactly what
+    /// [`EntryRun::with_capacity`] allocates.
+    pub(crate) fn reserve(&mut self, entries: usize, bytes: usize) {
+        self.arena.reserve_exact(bytes);
+        self.slots.reserve_exact(entries);
+    }
+
+    /// Drop every entry, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.arena.clear();
+        self.slots.clear();
+    }
+
     /// Append an entry whose user key is the concatenation of `key`'s
     /// pieces (a decoder has it as meta ‖ group prefix ‖ remainder).
     /// Panics when the entry would start past [`MAX_RUN_BYTES`].
@@ -281,7 +295,7 @@ impl Lookup {
 }
 
 /// Statistics from building one table.
-#[derive(Clone, Copy, Default, Debug)]
+#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct BuildStats {
     /// Bytes of raw input (keys + trailers + values).
     pub raw_bytes: usize,

@@ -187,21 +187,42 @@ fn encode_fixed_block(
     true
 }
 
-/// The [`EntryRun`] a decoder fills: each key goes straight into the
-/// arena as `meta ‖ lcp ‖ remainder`, its value after it, so beyond the
-/// `shared` bytes every entry repeats the run holds at most what the
-/// block does. `None` when `count` is more than the block can encode:
+/// Empty `out` for a decoder to fill, with room for the group: each key
+/// goes straight into the arena as `meta ‖ lcp ‖ remainder`, its value
+/// after it, so beyond the `shared` bytes every entry repeats the run
+/// holds at most what the block does. A run a cursor decoded into before
+/// grows only past the largest group it held; an empty one allocates
+/// exactly that. `None` when `count` is more than the block can encode:
 /// every codec spends at least a byte per entry.
-fn run_for(block: &[u8], count: usize, shared: usize) -> Option<EntryRun> {
-    (count <= block.len()).then(|| EntryRun::with_capacity(count, block.len() + count * shared))
+fn run_for(out: &mut EntryRun, block: &[u8], count: usize, shared: usize) -> Option<()> {
+    (count <= block.len()).then(|| {
+        out.clear();
+        out.reserve(count, block.len() + count * shared);
+    })
+}
+
+/// Decode the `count` entries of a block under codec `codec` into `out`,
+/// each key behind `meta`.
+pub(super) fn decode_block(
+    codec: u8,
+    block: &[u8],
+    count: usize,
+    meta: &[u8],
+    out: &mut EntryRun,
+) -> Option<()> {
+    match codec {
+        CODEC_DELTA => decode_delta_block(block, count, meta, out),
+        CODEC_FIXED => decode_fixed_block(block, count, meta, out),
+        _ => decode_prefix_block(block, count, meta, out),
+    }
 }
 
 /// Decode a codec-0 block.
-pub(super) fn decode_prefix_block(block: &[u8], count: usize, meta: &[u8]) -> Option<EntryRun> {
+fn decode_prefix_block(block: &[u8], count: usize, meta: &[u8], out: &mut EntryRun) -> Option<()> {
     let mut r = varint::Reader::new(block);
     let lcp_len = r.read_u32()? as usize;
     let lcp = r.read_bytes(lcp_len)?;
-    let mut out = run_for(block, count, meta.len() + lcp.len())?;
+    run_for(out, block, count, meta.len() + lcp.len())?;
     for _ in 0..count {
         let krem_len = r.read_u32()? as usize;
         let vlen = r.read_u32()? as usize;
@@ -211,11 +232,11 @@ pub(super) fn decode_prefix_block(block: &[u8], count: usize, meta: &[u8]) -> Op
         let (seq, kind) = key::unpack_trailer(trailer);
         out.push(&[meta, lcp, krem], seq, kind?, r.read_bytes(vlen)?);
     }
-    Some(out)
+    Some(())
 }
 
 /// Decode a codec-1 block (delta + zigzag + bit-packed key remainders).
-pub(super) fn decode_delta_block(block: &[u8], count: usize, meta: &[u8]) -> Option<EntryRun> {
+fn decode_delta_block(block: &[u8], count: usize, meta: &[u8], out: &mut EntryRun) -> Option<()> {
     let mut r = varint::Reader::new(block);
     let lcp_len = r.read_u32()? as usize;
     let lcp = r.read_bytes(lcp_len)?;
@@ -230,18 +251,18 @@ pub(super) fn decode_delta_block(block: &[u8], count: usize, meta: &[u8]) -> Opt
     let dels = bitpack::unpack(packed_keys, key_bits, count - 1)?;
     let packed_trailers = r.read_bytes(bitpack::packed_len(count, trailer_bits))?;
     let toffs = bitpack::unpack(packed_trailers, trailer_bits, count)?;
-    let mut out = run_for(block, count, meta.len() + lcp.len() + w)?;
+    run_for(out, block, count, meta.len() + lcp.len() + w)?;
     for (rem, toff) in delta::undelta(first_rem, dels).zip(toffs) {
         let vlen = r.read_u32()? as usize;
         let (seq, kind) = key::unpack_trailer(min_trailer.checked_add(toff)?);
         let krem = &rem.to_be_bytes()[8 - w..];
         out.push(&[meta, lcp, krem], seq, kind?, r.read_bytes(vlen)?);
     }
-    Some(out)
+    Some(())
 }
 
 /// Decode a codec-2 block (frame-of-reference fixed-width values).
-pub(super) fn decode_fixed_block(block: &[u8], count: usize, meta: &[u8]) -> Option<EntryRun> {
+fn decode_fixed_block(block: &[u8], count: usize, meta: &[u8], out: &mut EntryRun) -> Option<()> {
     let mut r = varint::Reader::new(block);
     let lcp_len = r.read_u32()? as usize;
     let lcp = r.read_bytes(lcp_len)?;
@@ -256,7 +277,7 @@ pub(super) fn decode_fixed_block(block: &[u8], count: usize, meta: &[u8]) -> Opt
     let voffs = bitpack::unpack(packed_values, value_bits, count)?;
     let packed_trailers = r.read_bytes(bitpack::packed_len(count, trailer_bits))?;
     let toffs = bitpack::unpack(packed_trailers, trailer_bits, count)?;
-    let mut out = run_for(block, count, meta.len() + lcp.len() + vw)?;
+    run_for(out, block, count, meta.len() + lcp.len() + vw)?;
     for (voff, toff) in voffs.zip(toffs) {
         let krem_len = r.read_u32()? as usize;
         let krem = r.read_bytes(krem_len)?;
@@ -264,5 +285,5 @@ pub(super) fn decode_fixed_block(block: &[u8], count: usize, meta: &[u8]) -> Opt
         let value = min_value.checked_add(voff)?.to_be_bytes();
         out.push(&[meta, lcp, krem], seq, kind?, &value[8 - vw..]);
     }
-    Some(out)
+    Some(())
 }

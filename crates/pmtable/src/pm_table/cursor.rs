@@ -1,5 +1,10 @@
 //! The forward cursor over one table, and the hook through which a
 //! caller caches the groups it decodes.
+//!
+//! A cursor holds one decoded group at a time. Reading sequentially (a
+//! compaction's input), nothing else ever holds it, so the cursor
+//! decodes each next group into that same run: an input allocates for
+//! its largest group once, not a run per group.
 
 use std::sync::Arc;
 
@@ -88,28 +93,36 @@ impl<S: Storage, A: GroupAccess> PmCursor<'_, S, A> {
         self.next_group.saturating_sub(1)
     }
 
-    /// Move onto the first entry of the next non-empty group.
+    /// Move onto the first entry of the next non-empty group. Reading
+    /// sequentially, it decodes into the run it held, which no cache
+    /// shares: a compaction input allocates for its largest group, not
+    /// for every group.
     fn load_next(&mut self, tl: &mut Timeline) -> Result<GroupLoad, PmTableError> {
         self.pos = 0;
-        self.entries = None;
+        let mut held = self.entries.take();
         while self.next_group < self.table.group_count {
-            let table = self.table;
+            let (table, group) = (self.table, self.next_group);
             let loaded = match &self.access {
-                Some(access) => table.load_group(self.next_group, access, tl),
+                Some(access) => table.load_group(group, access, tl),
                 None => {
-                    let (_, block_len, _, _) = table.gindex(self.next_group);
+                    let (_, block_len, _, _) = table.gindex(group);
                     if std::mem::replace(&mut self.adjacent, true) {
                         table.storage.meter_sequential(block_len as usize, tl);
                     } else {
                         table.storage.meter_random(block_len as usize, tl);
                     }
-                    let decoded = table.decode_group(self.next_group);
-                    decoded.map(|entries| (Arc::new(entries), GroupLoad::Decoded))
+                    let decoded = match held.as_mut().and_then(Arc::get_mut) {
+                        Some(run) => table.decode_group_into(group, run).and(held.take()),
+                        None => table.decode_group(group).map(Arc::new),
+                    };
+                    decoded.map(|entries| (entries, GroupLoad::Decoded))
                 }
             };
             let (entries, load) = loaded.ok_or(PmTableError::Corrupt("group block"))?;
             self.next_group += 1;
-            if !entries.is_empty() {
+            if entries.is_empty() {
+                held = Some(entries);
+            } else {
                 self.entries = Some(entries);
                 return Ok(load);
             }

@@ -12,7 +12,7 @@ use encoding::prefix::FixedPrefix;
 use encoding::varint;
 use sim::Timeline;
 
-use super::codec::{decode_delta_block, decode_fixed_block, decode_prefix_block};
+use super::codec::decode_block;
 use super::{
     GroupAccess, GroupLoad, MetaExtractor, NoGroupCache, PmCursor, CODEC_COUNT, CODEC_DELTA,
     CODEC_FIXED, CODEC_PREFIX, FLAG_CODECS, FLAG_FILTER, GINDEX_ENTRY_LEN, HEADER_LEN, MAGIC,
@@ -299,16 +299,21 @@ impl<S: Storage> PmTable<S> {
         }
     }
 
-    /// Decode every entry of one group. Meters nothing: the caller
-    /// charges the block read its access pattern implies.
+    /// Decode every entry of one group into a run of its own. Meters
+    /// nothing: the caller charges the block read its access pattern
+    /// implies.
     pub(super) fn decode_group(&self, group: u32) -> Option<EntryRun> {
+        let mut run = EntryRun::default();
+        self.decode_group_into(group, &mut run)?;
+        Some(run)
+    }
+
+    /// [`PmTable::decode_group`] into `out`, which it empties first,
+    /// keeping its buffers.
+    pub(super) fn decode_group_into(&self, group: u32, out: &mut EntryRun) -> Option<()> {
         let (block, count, meta_id) = self.block(group)?;
         let meta = &self.metas.get(meta_id)?.prefix;
-        match self.group_codec(group) {
-            CODEC_DELTA => decode_delta_block(block, count, meta),
-            CODEC_FIXED => decode_fixed_block(block, count, meta),
-            _ => decode_prefix_block(block, count, meta),
-        }
+        decode_block(self.group_codec(group), block, count, meta, out)
     }
 
     /// Order of a group's (meta-stripped) first key — its stored LCP

@@ -15,7 +15,7 @@ fn build(entries: &[OwnedEntry], opts: PmTableOptions) -> PmTable<DramBuf> {
         b.add(e.clone());
     }
     let mut tl = Timeline::new();
-    let (bytes, stats) = b.finish(&cost, &mut tl);
+    let (bytes, (stats, _)) = b.finish(&cost, &mut tl);
     assert_eq!(stats.entries, entries.len());
     PmTable::open(DramBuf::new(bytes, cost)).unwrap()
 }
@@ -203,7 +203,7 @@ fn compression_shrinks_prefixed_keys() {
         b.add(e.clone());
     }
     let mut tl = Timeline::new();
-    let (_, stats) = b.finish(&cost, &mut tl);
+    let (_, (stats, _)) = b.finish(&cost, &mut tl);
     assert_eq!(stats.raw_bytes, raw);
     assert!(
         stats.ratio() < 0.95,
@@ -1043,4 +1043,91 @@ fn a_merged_column_reframes_renumbers_and_seeks_once() {
     assert_eq!(MergedColumn::walk_lines(3, 3), 2);
     assert_eq!(MergedColumn::walk_lines(3, 8), 1);
     assert_eq!(MergedColumn::walk_lines(3, 16), 2);
+}
+
+/// A table's entries from `(meta, key)` pairs: keys `t{meta}:` and a
+/// big-endian `u16` (so delta-eligible once the meta is stripped),
+/// values `vlen` bytes wide (fixed-codec eligible at 1–8), every third
+/// key with an older version and every seventh of those a tombstone.
+fn reuse_entries(keys: &std::collections::BTreeSet<(u8, u16)>, vlen: usize) -> Vec<OwnedEntry> {
+    let mut seq = 1 << 20;
+    let mut entries = Vec::new();
+    for &(meta, k) in keys {
+        let key = [&[b't', b'0' + meta, b':'][..], &k.to_be_bytes()].concat();
+        let versions = if k % 3 == 0 { 2 } else { 1 };
+        for v in 0..versions {
+            seq -= 1;
+            let value = vec![(k as u8).wrapping_add(v); vlen];
+            entries.push(match v == 1 && k % 7 == 0 {
+                true => OwnedEntry::tombstone(key.clone(), seq),
+                false => OwnedEntry::value(key.clone(), seq, value),
+            });
+        }
+    }
+    entries
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+    /// One builder cuts table after table, as a run writer does; each
+    /// table, under the options' codec or one set for it alone, must
+    /// come out as a fresh builder writes it: bytes, stats and keys, and
+    /// the shape and sizes it reports before the cut.
+    #[test]
+    fn prop_a_reused_builder_writes_what_a_fresh_one_writes(
+        tables in proptest::collection::vec((
+            proptest::collection::btree_set((0u8..3, 0u16..600), 1..120),
+            0usize..12,
+            proptest::sample::select(vec![
+                None,
+                Some(CodecMode::Prefix),
+                Some(CodecMode::Delta),
+                Some(CodecMode::Fixed),
+                Some(CodecMode::Auto),
+            ]),
+        ), 2..6),
+        codec in proptest::sample::select(vec![
+            CodecMode::Prefix, CodecMode::Delta, CodecMode::Fixed, CodecMode::Auto,
+        ]),
+        filter_bits_per_key in proptest::sample::select(vec![0usize, 10]),
+        fences_only in proptest::bool::ANY,
+        extractor in proptest::sample::select(vec![
+            MetaExtractor::None, MetaExtractor::Delimiter(b':'),
+        ]),
+        group_size in proptest::sample::select(vec![2usize, 8, 16]),
+    ) {
+        let opts = PmTableOptions { group_size, extractor, filter_bits_per_key, codec };
+        let cost = CostModel::default();
+        let builder = || {
+            let mut b = PmTableBuilder::new(opts);
+            if fences_only {
+                b.set_fences_only();
+            }
+            b
+        };
+        let mut reused = builder();
+        // The first table grows the buffers; later ones reuse them.
+        reused.reserve(16, 16 * 20);
+        for (keys, vlen, table_codec) in &tables {
+            let entries = reuse_entries(keys, *vlen);
+            let mut fresh = builder();
+            let mut built = Vec::new();
+            for b in [&mut reused, &mut fresh] {
+                for e in &entries {
+                    b.add(e);
+                }
+                if let Some(codec) = table_codec {
+                    b.set_codec(*codec);
+                }
+                let seen = (b.entry_count(), b.raw_bytes(), b.shape());
+                let mut tl = Timeline::new();
+                built.push((seen, b.finish(&cost, &mut tl), tl.elapsed()));
+            }
+            proptest::prop_assert_eq!(&built[0], &built[1]);
+            let (_, (bytes, (stats, _)), _) = &built[0];
+            proptest::prop_assert_eq!(stats.encoded_bytes, bytes.len());
+            let t = PmTable::open(DramBuf::new(bytes.clone(), cost)).unwrap();
+            proptest::prop_assert_eq!(&t.scan_all(&mut Timeline::new()), &entries);
+        }
+    }
 }

@@ -11,9 +11,11 @@
 //! its rows. A scan reserves its result once, for its limit.
 //!
 //! Compactions: a flush and an SSD-to-SSD merge allocate per table and
-//! per block, an internal compaction per input group and per output
-//! table, never per record; a table's handle copies nothing its table
-//! holds. An internal compaction keeps the merged key column's buffers,
+//! per block, an internal compaction per input and per output table,
+//! never per record; a table's handle copies nothing its table holds. A
+//! PM table is encoded in the buffer the pool publishes, and its entries
+//! are buffered once: a flush and an internal compaction are held to a
+//! byte budget per record too. An internal compaction keeps the merged key column's buffers,
 //! so the flushes after it do not grow them again.
 //!
 //! Writes: a lone put or delete allocates its memtable node and nothing
@@ -221,45 +223,64 @@ fn quiet_db(mut opts: pm_blade::Options) -> Db {
     Db::open(opts).unwrap()
 }
 
-/// Allocations of the one maintenance call that moves `n` records:
-/// `load` fills the engine, `request` is timed.
+/// Allocations and bytes allocated of the one maintenance call that
+/// moves `n` records: `load` fills the engine, `request` is timed.
 fn compaction_allocations(
     opts: pm_blade::Options,
     n: u64,
     load: impl Fn(&Db),
     request: CompactionRequest,
-) -> u64 {
+) -> (u64, u64) {
     let db = quiet_db(opts);
     put_keys(&db, 0..n, 0);
     load(&db);
-    let (allocations, done) = allocations_in(|| db.compact(request));
-    done.unwrap();
+    let mut allocations = 0;
+    let bytes = bytes_in(|| {
+        let (count, done) = allocations_in(|| db.compact(request));
+        done.unwrap();
+        allocations = count;
+    });
     for i in (0..n).step_by(997) {
         assert_eq!(db.get(&key_for(i)).unwrap().value, Some(value_for(i, 100)));
     }
-    allocations
+    (allocations, bytes)
 }
 
 /// What a flush of 20 000 records allocates in the costliest of the CI
-/// matrix's configurations (filters on, auto codec): one table behind
-/// one `Arc` with its fences, and nothing for its key range, region,
-/// size, entry count or codec, which its handle reads from the table.
-const FLUSH_OF_20K: u64 = 104;
+/// matrix's configurations (filters on): its entry buffer sized once
+/// from the memtable, one table behind one `Arc` with its fences, and
+/// nothing for its key range, region, size, entry count or codec, which
+/// its handle reads from the table.
+const FLUSH_OF_20K: u64 = 54;
 
 /// What the internal compaction below allocates at 20 000 keys in that
-/// configuration: per input group, and per output table one `Arc` for
-/// the table and its fences and nothing its handle could read from the
-/// table.
-const INTERNAL_OF_20K: u64 = 6_859;
+/// configuration: per input table one run its cursor decodes every
+/// group into, one entry buffer for the writer, and per output table its
+/// bytes and one `Arc` for the table and its fences, and nothing its
+/// handle could read from the table.
+const INTERNAL_OF_20K: u64 = 339;
+
+/// Bytes a flush allocates per record in that configuration: the
+/// record's key, value and slot once in the entry buffer, its bytes in
+/// the table (encoded in place, never copied), its filter hash and its
+/// key window.
+const FLUSH_BYTES_PER_RECORD: f64 = 354.0;
+
+/// Bytes the internal compaction below allocates per record it reads
+/// in that configuration: output tables of at most `max_table_bytes`,
+/// built in one reused entry buffer, and no decoded run per input
+/// group.
+const INTERNAL_BYTES_PER_RECORD: f64 = 94.0;
 
 #[test]
 fn a_flush_and_an_ssd_merge_allocate_per_table_and_block_not_per_record() {
     // A flush: the memtable's entries stream into one PM table (under
     // the CI matrix's codec, with or without a filter).
-    let flush = |n| {
+    let flush_with_bytes = |n| {
         let opts = tiny_options(Mode::PmBlade);
         compaction_allocations(opts, n, |_| (), CompactionRequest::FlushAll)
     };
+    let flush = |n| flush_with_bytes(n).0;
     // SSD to SSD: a major compaction in SSD level-0 mode streams the one
     // level-0 table, which overflows level 1, straight into level 2 —
     // every record moves once, read a block at a time and written a
@@ -269,12 +290,18 @@ fn a_flush_and_an_ssd_merge_allocate_per_table_and_block_not_per_record() {
         (opts.l1_target, opts.level_multiplier) = (1 << 10, 1 << 20);
         let load = |db: &Db| db.compact(CompactionRequest::FlushAll).unwrap();
         let major = CompactionRequest::Major { partition: 0 };
-        compaction_allocations(opts, n, load, major)
+        compaction_allocations(opts, n, load, major).0
     };
-    let flushed = flush(20_000);
+    let (flushed, bytes) = flush_with_bytes(20_000);
     assert!(
         flushed <= FLUSH_OF_20K,
         "a flush of 20 000 records allocated {flushed} times (budget {FLUSH_OF_20K})"
+    );
+    let per_record = bytes as f64 / 20_000.0;
+    assert!(
+        per_record <= FLUSH_BYTES_PER_RECORD,
+        "a flush of 20 000 records allocated {per_record:.1} bytes per record \
+         (budget {FLUSH_BYTES_PER_RECORD})"
     );
     for (what, count, passes) in [
         ("flush", &flush as &dyn Fn(u64) -> u64, 1),
@@ -505,15 +532,22 @@ fn an_internal_compaction_allocates_per_group_and_table_not_per_record() {
         let request = CompactionRequest::Internal { partition: 0 };
         compaction_allocations(tiny_options(Mode::PmBlade), n, load, request)
     };
-    let (small, large) = (internal(5_000), internal(20_000));
+    let ((small, _), (large, bytes)) = (internal(5_000), internal(20_000));
     assert!(
         large <= INTERNAL_OF_20K,
         "an internal compaction of 20 000 keys allocated {large} times \
          (budget {INTERNAL_OF_20K})"
     );
+    // 30 000 records in: every key, then every other key again.
+    let per_record = bytes as f64 / 30_000.0;
+    assert!(
+        per_record <= INTERNAL_BYTES_PER_RECORD,
+        "an internal compaction of 20 000 keys allocated {per_record:.1} bytes per \
+         record rewritten (budget {INTERNAL_BYTES_PER_RECORD})"
+    );
     let (small, large) = (small as f64 / 5_000.0, large as f64 / 20_000.0);
-    // Each group of 16 input records allocates three times, so 1.5 n
-    // input records make 0.28 n; the output tables add theirs.
+    // Each input table decodes every group into one run, so the count
+    // follows the tables in and out, not the records.
     assert!(
         large <= 0.5,
         "an internal compaction of 20 000 keys allocated {large:.3} times per key"
