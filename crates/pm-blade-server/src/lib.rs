@@ -604,13 +604,15 @@ fn serve_http_once(mut stream: TcpStream, shared: &Shared) {
 }
 
 /// The `/debug` JSON document: the flight recorder, live
-/// maintenance-queue state, the server's in-flight request gauge, and
-/// a full metrics snapshot.
+/// maintenance-queue state, the current split of the DRAM cache budget,
+/// the server's in-flight request gauge, and a full metrics snapshot.
 fn debug_json(shared: &Shared) -> String {
     let (queue_depth, jobs_inflight) = shared.db.maintenance_status();
+    let (block, group) = shared.db.cache_split();
     format!(
         "{{\"flight_recorder\": {}, \
          \"maintenance\": {{\"queue_depth\": {queue_depth}, \"jobs_inflight\": {jobs_inflight}}}, \
+         \"cache_split\": {{\"block_cache_bytes\": {block}, \"pm_group_cache_bytes\": {group}}}, \
          \"inflight_requests\": {}, \
          \"metrics\": {}}}\n",
         shared.db.tracer().recorder().to_json(),

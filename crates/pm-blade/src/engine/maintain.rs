@@ -24,21 +24,26 @@ type Compacted = Result<Option<CompactionReport>, DbError>;
 
 impl DbCore {
     /// Record a cost-model verdict: bump its trigger counter if it fired.
-    fn note_cost_decision(&self, decision: &CostDecision) {
-        if decision.triggered() {
-            let name = match decision {
-                CostDecision::ReadBenefit { .. } => "cost_eq1_triggers",
-                CostDecision::WriteBenefit { .. } => "cost_eq2_triggers",
-                CostDecision::HardCap { .. } => "cost_hard_cap_triggers",
-                CostDecision::Retention { .. } => "cost_retention_passes",
-                CostDecision::CodecChoice { codec, .. } => {
-                    let chosen = MetricKey::codec("pm_codec_chosen_total", codec);
-                    self.registry.counter(chosen).incr();
-                    "cost_codec_choices"
-                }
-            };
-            self.registry.counter(MetricKey::global(name)).incr();
+    pub(super) fn note_cost_decision(&self, decision: &CostDecision) {
+        if !decision.triggered() {
+            return;
         }
+        let m = &self.metrics;
+        let counter = match decision {
+            CostDecision::ReadBenefit { .. } => &m.cost_eq1_triggers,
+            CostDecision::WriteBenefit { .. } => &m.cost_eq2_triggers,
+            CostDecision::HardCap { .. } => &m.cost_hard_cap_triggers,
+            CostDecision::Retention { .. } => &m.cost_retention_passes,
+            CostDecision::CacheSplit => &m.cost_cache_split_steps,
+            CostDecision::CodecChoice { codec, .. } => {
+                let chosen = pmtable::CODEC_NAMES.iter().position(|c| c == codec);
+                if let Some(chosen) = chosen {
+                    m.codec_chosen[chosen].incr();
+                }
+                &m.cost_codec_choices
+            }
+        };
+        counter.incr();
     }
 
     /// Queue `job` for the background workers. Returns `false` when

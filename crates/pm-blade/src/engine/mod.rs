@@ -75,6 +75,7 @@ mod types;
 mod wal_ring;
 mod write;
 
+use read::CacheTuner;
 pub use types::{CompactionRequest, DbError, ReadOutcome, ScanRequest, ScanResult, WriteAmp};
 use wal_ring::WalRing;
 
@@ -196,8 +197,11 @@ pub struct DbCore {
     /// Monotonic span-id allocator (ids order span *completion*).
     span_ids: AtomicU64,
     /// Shared decoded-prefix-group cache for the PM level-0 read path.
-    /// Sized by [`Options::pm_group_cache_bytes`] (0 disables it).
+    /// Opens at [`Options::pm_group_cache_bytes`] (0 disables it).
     group_cache: Arc<PmGroupCache>,
+    /// Splits one DRAM budget between `cache` and `group_cache`; `None`
+    /// when either opened disabled or below the tuner's floor.
+    tuner: Option<CacheTuner>,
     /// Measured per-codec decode cost and density, calibrated at open:
     /// what Auto codec selection and the Eq 1/Eq 2 decode terms price.
     codec_costs: CodecCostTable,
@@ -256,6 +260,9 @@ impl DbCore {
         m.block_cache_used_bytes.set(self.cache.used() as i64);
         m.pm_group_cache_used_bytes
             .set(self.group_cache.used() as i64);
+        let (block, group) = self.cache_split();
+        m.block_cache_capacity_bytes.set(block as i64);
+        m.pm_group_cache_capacity_bytes.set(group as i64);
         let (mut sketch_bytes, mut column_bytes, mut index_bytes) = (0, 0, 0);
         let mut level0_bytes = 0;
         for (lock, m) in self.partitions.iter().zip(&m.partitions) {
@@ -338,6 +345,12 @@ impl DbCore {
     /// Current logical clock.
     pub fn now(&self) -> SimInstant {
         SimInstant::ORIGIN + SimDuration::from_nanos(self.clock.load(Ordering::Relaxed))
+    }
+
+    /// The current split of the one DRAM cache budget, in bytes:
+    /// `(block cache, group cache)`.
+    pub fn cache_split(&self) -> (usize, usize) {
+        (self.cache.capacity(), self.group_cache.capacity())
     }
 
     /// Total PM bytes in use.

@@ -6,11 +6,17 @@
 //! while it searches a published PM level-0. A scan merges cursors over
 //! every tier under the lock. Both count their virtual time per stage
 //! in a [`StageTimes`], which a traced request lays out as its stages.
+//!
+//! Reads also split the DRAM the two caches share ([`CacheTuner`]):
+//! every [`TUNE_EVERY`]-th get or scan moves a step of the budget toward
+//! the cache whose ghost list would have served more bytes.
 
+use std::cmp::Ordering as Cmp;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 
 use encoding::key::SequenceNumber;
+use parking_lot::Mutex;
 use pmtable::Lookup;
 use sim::Timeline;
 
@@ -18,11 +24,50 @@ use super::{DbCore, DbError, ReadOutcome, ScanRequest, ScanResult};
 use crate::cursor::{MergingIter, ScanStats};
 use crate::level0::{PmLevel0, Probe, ProbeStats};
 use crate::stats::ReadSource;
-use crate::telemetry::{RequestTrace, SpanKind, StageTimes, TraceContext, TraceOp};
+use crate::telemetry::{CostDecision, RequestTrace, SpanKind, StageTimes, TraceContext, TraceOp};
 
 /// The most rows a scan reserves room for up front: a scan with a
 /// larger limit, or none, grows its result past this as rows arrive.
 const SCAN_RESERVE_ROWS: usize = 256;
+
+/// Engine reads (gets and scans) in one period of the cache tuner.
+pub(super) const TUNE_EVERY: u64 = 1024;
+
+/// The split of one DRAM budget, the block cache's and the group
+/// cache's bytes at open, between the two.
+///
+/// Each period, the cache whose ghost list counted more charged bytes
+/// of missed keys gains `total / 32` from the other, which keeps at
+/// least `total / 16`; a tie, zero included, moves nothing. Bytes, not
+/// the virtual time each hit would have saved: an SSD read saves more
+/// than a group decode, so time weighting drains the group cache on
+/// every workload, and scans, which read whole groups, lose most (see
+/// DESIGN.md "Caches").
+pub(super) struct CacheTuner {
+    total: usize,
+    /// Each cache's ghost-hit bytes, block then group, when the last
+    /// period ended.
+    seen: Mutex<[u64; 2]>,
+}
+
+impl CacheTuner {
+    /// The tuner of caches that open at `block` and `group` bytes, or
+    /// `None` when either opens disabled or below the floor: such a
+    /// split was asked for, and is kept.
+    pub(super) fn new(block: usize, group: usize) -> Option<CacheTuner> {
+        let total = block + group;
+        let floor = total / 16;
+        (block.min(group) >= floor.max(1) && total >= 32).then(|| CacheTuner {
+            total,
+            seen: Mutex::new([0; 2]),
+        })
+    }
+
+    /// The ghost bytes each cache keeps.
+    pub(super) fn ghost_bytes(&self) -> usize {
+        self.total / 8
+    }
+}
 
 impl DbCore {
     /// Point read of the newest version of `user_key`.
@@ -69,6 +114,7 @@ impl DbCore {
             let trace = RequestTrace::new(ctx, TraceOp::Get, pid, start_nanos, &stages, total);
             self.tracer.finish(trace);
         }
+        self.tune_caches();
         Ok(ReadOutcome {
             value: hit.and_then(|l| l.into_value()),
             source,
@@ -219,7 +265,51 @@ impl DbCore {
             let trace = RequestTrace::new(ctx, op, first_pid, start_nanos, stages, total);
             self.tracer.finish(trace);
         }
+        self.tune_caches();
         Ok((out, latency))
+    }
+
+    /// Called by every get and scan once it is counted. The read that
+    /// completes a period (brings `gets + scans` to a multiple of
+    /// [`TUNE_EVERY`]) compares the two caches' ghost-hit bytes over it
+    /// and moves one step of the budget, recording it as a
+    /// [`CostDecision::CacheSplit`]. The read counters are loaded, not
+    /// bumped: a read pays no atomic write for the tuner.
+    fn tune_caches(&self) {
+        let Some(tuner) = &self.tuner else { return };
+        if !(self.metrics.gets.get() + self.metrics.scans.get()).is_multiple_of(TUNE_EVERY) {
+            return;
+        }
+        // Read under the lock: a later period's step, on another thread,
+        // must not store counts newer than these first.
+        let mut seen = tuner.seen.lock();
+        let hits = [
+            self.cache.ghost_hit_bytes.get(),
+            self.group_cache.ghost_hit_bytes.get(),
+        ];
+        let period = [hits[0] - seen[0], hits[1] - seen[1]];
+        *seen = hits;
+        let (total, was) = (tuner.total, self.cache.capacity());
+        let (floor, step) = (total / 16, total / 32);
+        let block = match period[0].cmp(&period[1]) {
+            Cmp::Greater => (was + step).min(total - floor),
+            Cmp::Less => was.saturating_sub(step).max(floor),
+            Cmp::Equal => was,
+        };
+        if block == was {
+            return;
+        }
+        // Shrink first: the shrinking cache sheds to its new share
+        // before the other grows, so the two never hold more than `total`.
+        if block < was {
+            self.cache.set_capacity(block);
+            self.group_cache.set_capacity(total - block);
+        } else {
+            self.group_cache.set_capacity(total - block);
+            self.cache.set_capacity(block);
+        }
+        debug_assert!(self.cache.used() + self.group_cache.used() <= total);
+        self.note_cost_decision(&CostDecision::CacheSplit);
     }
 
     /// Append one partition's share of a scan to `out`: one merging

@@ -18,7 +18,7 @@ use ssd_device::SsdDevice;
 use sstable::BlockCache;
 
 use super::wal_ring::{wal_segment_file, SealedSegment, WalRing};
-use super::{DbCore, DbError};
+use super::{CacheTuner, DbCore, DbError};
 use crate::commit::{CommitMetrics, Committer};
 use crate::costmodel::CodecCostTable;
 use crate::groupcache::PmGroupCache;
@@ -90,7 +90,9 @@ impl DbCore {
                 CodecCostTable::default()
             };
         let fault = opts.fault_plan.clone();
-        let cache = Arc::new(BlockCache::new(opts.block_cache_bytes));
+        let tuner = CacheTuner::new(opts.block_cache_bytes, opts.pm_group_cache_bytes);
+        let ghost = tuner.as_ref().map_or(0, CacheTuner::ghost_bytes);
+        let cache = Arc::new(BlockCache::with_ghost(opts.block_cache_bytes, ghost));
         let now = SimInstant::ORIGIN;
         let mut partitions: Vec<Partition> = (0..opts.partitioner.count())
             .map(|id| Partition::new(id, &opts, now))
@@ -263,11 +265,16 @@ impl DbCore {
         // Cache metrics. Each cache owns its counters; registering the
         // same `Arc`s means snapshots and Prometheus rendering see them
         // with zero mirroring on the hot path.
-        let group_cache = Arc::new(PmGroupCache::new(opts.pm_group_cache_bytes));
+        let group_cache = Arc::new(PmGroupCache::with_ghost(opts.pm_group_cache_bytes, ghost));
         for (name, counter) in [
             ("block_cache_hits", &cache.hits),
             ("block_cache_misses", &cache.misses),
             ("block_cache_evictions", &cache.evictions),
+            ("block_cache_ghost_hit_bytes_total", &cache.ghost_hit_bytes),
+            (
+                "pm_group_cache_ghost_hit_bytes_total",
+                &group_cache.ghost_hit_bytes,
+            ),
             ("pm_group_cache_hit_total", &group_cache.hits),
             ("pm_group_cache_miss_total", &group_cache.misses),
             ("pm_group_cache_evictions_total", &group_cache.evictions),
@@ -311,6 +318,7 @@ impl DbCore {
             ring,
             span_ids: AtomicU64::new(0),
             group_cache,
+            tuner,
             codec_costs,
             maintenance,
             tracer,

@@ -525,3 +525,86 @@ fn a_queued_writers_stages_lie_inside_its_request_window() {
         );
     }
 }
+
+/// `small_opts` with caches of `block` and `group` bytes, and a PM
+/// level-0 that keeps under a tenth of what `fill` writes, so most
+/// reads go to the SSD levels.
+fn tuned_opts(block: usize, group: usize) -> Options {
+    Options {
+        block_cache_bytes: block,
+        pm_group_cache_bytes: group,
+        tau_m: 192 << 10,
+        tau_t: 96 << 10,
+        ..small_opts(Mode::PmBlade)
+    }
+}
+
+/// Fill 12 000 keys of ~200 bytes (2.6 MB), then run `periods` tuner
+/// periods of gets over the first `keys` of them, drawn uniformly from
+/// `seed`, checking that the two caches hold no more than their split.
+/// Returns the cache split at open and after each period.
+fn split_per_period(opts: Options, keys: u64, periods: u64, seed: u64) -> Vec<(usize, usize)> {
+    let db = Db::open(opts).unwrap();
+    fill(&db, 12_000, 200, "t");
+    let mut rng = sim::Pcg64::seeded(seed);
+    let mut splits = vec![db.cache_split()];
+    for _ in 0..periods {
+        for _ in 0..read::TUNE_EVERY {
+            let k = format!("key{:08}", rng.next_below(keys));
+            assert!(db.get(k.as_bytes()).unwrap().value.is_some(), "{k}");
+        }
+        let (block, group) = db.cache_split();
+        let held = db.core.cache.used() + db.core.group_cache.used();
+        assert!(held <= block + group, "{held} held over {block} + {group}");
+        splits.push((block, group));
+    }
+    let moves = splits.windows(2).filter(|w| w[0] != w[1]).count() as u64;
+    let steps = db.metrics_snapshot().counter("cost_cache_split_steps");
+    assert_eq!(steps, moves, "one recorded step per move");
+    splits
+}
+
+/// The tuner moves the one DRAM budget toward the cache whose ghost
+/// list would have served more bytes, a step of `total / 32` per period,
+/// and stops at the other's floor of `total / 16`.
+#[test]
+fn uniform_gets_beyond_both_caches_move_bytes_to_the_block_cache() {
+    let (block, group) = (64 << 10, 64 << 10);
+    let total = block + group;
+    let splits = split_per_period(tuned_opts(block, group), 12_000, 20, 7);
+    for &(b, g) in &splits {
+        assert_eq!(b + g, total, "the budget is kept");
+        assert!(b.min(g) >= total / 16, "{b} : {g} under the floor");
+    }
+    for w in splits.windows(2) {
+        assert!(w[0].0.abs_diff(w[1].0) <= total / 32, "one step per period");
+    }
+    // Most reads go to the SSD levels: the block cache gains, down to
+    // the group cache's floor.
+    assert_eq!(splits.last(), Some(&(total - total / 16, total / 16)));
+    // One seed, one sequence of steps.
+    let again = split_per_period(tuned_opts(block, group), 12_000, 20, 7);
+    assert_eq!(splits, again);
+}
+
+/// Gets over a set both caches hold evict nothing, so neither ghost
+/// list hits and the split stays where it opened.
+#[test]
+fn gets_over_a_set_both_caches_hold_move_nothing() {
+    let splits = split_per_period(tuned_opts(64 << 10, 64 << 10), 64, 4, 7);
+    assert!(splits.iter().all(|&s| s == (64 << 10, 64 << 10)));
+}
+
+/// A cache that opens disabled or below the floor keeps the split it
+/// was given: such a split was asked for.
+#[test]
+fn a_disabled_or_sub_floor_cache_is_never_tuned() {
+    for (block, group) in [(128 << 10, 0), (0, 128 << 10), (128 << 10, 7 << 10)] {
+        let opts = tuned_opts(block, group);
+        let splits = split_per_period(opts, 12_000, 3, 7);
+        assert!(
+            splits.iter().all(|&s| s == (block, group)),
+            "{block} : {group}"
+        );
+    }
+}

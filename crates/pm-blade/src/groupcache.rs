@@ -5,8 +5,11 @@
 //! entries from DRAM and skips both the PM block read and the prefix
 //! reconstruction in [`pmtable::PmTable`]. One cache is shared by every
 //! partition; each group is charged its [`EntryRun::charge`] against the
-//! cache's own byte budget
-//! ([`crate::options::Options::pm_group_cache_bytes`]).
+//! cache's byte budget. That budget is the group cache's share of the
+//! DRAM it splits with the block cache: it opens at
+//! [`crate::options::Options::pm_group_cache_bytes`], and the engine's
+//! read path moves bytes between the two from their ghost lists (the
+//! keys each evicted; `engine::read`'s `CacheTuner`).
 //!
 //! Keys are `(region id, group index)`: a PM table is named by the
 //! [`pm_device::PmPool`] region it lives in. One cache serves one pool,

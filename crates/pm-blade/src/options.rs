@@ -129,8 +129,16 @@ pub struct Options {
     /// every overlapping table, the pre-acceleration read path.
     pub pm_filter_bits_per_key: usize,
     /// DRAM capacity of the shared decoded-group cache for PM level-0
-    /// reads, in bytes. Charged like [`Options::block_cache_bytes`]; 0
-    /// disables the cache (every lookup decodes its group from PM).
+    /// reads at open, in bytes. Charged like
+    /// [`Options::block_cache_bytes`]; 0 disables the cache (every
+    /// lookup decodes its group from PM).
+    ///
+    /// The two cache fields are one DRAM budget, split at open: their
+    /// sum is the budget, each field the share its cache starts with.
+    /// Every 1 024 reads a tuner moves `sum / 32` toward the cache whose
+    /// ghost list (the keys it evicted) would have served more bytes,
+    /// keeping each at least `sum / 16`. When either field opens at 0 or
+    /// below that floor, the split stays as given.
     pub pm_group_cache_bytes: usize,
     /// Level-1 target size per partition; level n target is
     /// `l1_target * level_multiplier^(n-1)`.
@@ -139,7 +147,9 @@ pub struct Options {
     /// Max bytes per output table (PM table or SSTable) in compactions;
     /// at most [`MAX_TABLE_INPUT_BYTES`].
     pub max_table_bytes: usize,
-    /// DRAM block-cache capacity for SSD reads.
+    /// DRAM block-cache capacity for SSD reads at open, in bytes: the
+    /// block cache's share of the budget split at open with
+    /// [`Options::pm_group_cache_bytes`].
     pub block_cache_bytes: usize,
     /// Directory for the write-ahead log; `None` disables the WAL.
     pub wal_dir: Option<std::path::PathBuf>,

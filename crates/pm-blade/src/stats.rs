@@ -108,6 +108,15 @@ pub struct EngineMetrics {
     pub media_retire_errors: Arc<Counter>,
     pub write_slowdowns: Arc<Counter>,
     pub write_stalls: Arc<Counter>,
+    /// Cost-model verdicts that fired, by rule (`cost_*`), and the
+    /// codec each flush chose, indexed like [`pmtable::CODEC_NAMES`].
+    pub(crate) cost_eq1_triggers: Arc<Counter>,
+    pub(crate) cost_eq2_triggers: Arc<Counter>,
+    pub(crate) cost_hard_cap_triggers: Arc<Counter>,
+    pub(crate) cost_retention_passes: Arc<Counter>,
+    pub(crate) cost_codec_choices: Arc<Counter>,
+    pub(crate) cost_cache_split_steps: Arc<Counter>,
+    pub(crate) codec_chosen: [Arc<Counter>; pmtable::CODEC_COUNT],
     /// Wall-clock (not virtual) stall durations: stalls park the real
     /// thread, so the histogram measures what a client would feel.
     pub stall_wall: Arc<LatencyRecorder>,
@@ -115,6 +124,9 @@ pub struct EngineMetrics {
     pub(crate) pm_used_bytes: Arc<Gauge>,
     pub(crate) block_cache_used_bytes: Arc<Gauge>,
     pub(crate) pm_group_cache_used_bytes: Arc<Gauge>,
+    /// Each cache's share of the one DRAM budget, as the tuner left it.
+    pub(crate) block_cache_capacity_bytes: Arc<Gauge>,
+    pub(crate) pm_group_cache_capacity_bytes: Arc<Gauge>,
     /// DRAM held by every partition's PM-L0 key sketch, by its merged
     /// key column, and by every PM-L0 index: those two plus each
     /// table's group fences and decoded bloom filter.
@@ -196,10 +208,20 @@ impl EngineMetrics {
             media_retire_errors: counter("media_retire_errors_total"),
             write_slowdowns: counter("write_slowdowns"),
             write_stalls: counter("write_stalls"),
+            cost_eq1_triggers: counter("cost_eq1_triggers"),
+            cost_eq2_triggers: counter("cost_eq2_triggers"),
+            cost_hard_cap_triggers: counter("cost_hard_cap_triggers"),
+            cost_retention_passes: counter("cost_retention_passes"),
+            cost_codec_choices: counter("cost_codec_choices"),
+            cost_cache_split_steps: counter("cost_cache_split_steps"),
+            codec_chosen: pmtable::CODEC_NAMES
+                .map(|codec| registry.counter(MetricKey::codec("pm_codec_chosen_total", codec))),
             stall_wall: histogram("write_stall_wall_nanos"),
             pm_used_bytes: gauge("pm_used_bytes"),
             block_cache_used_bytes: gauge("block_cache_used_bytes"),
             pm_group_cache_used_bytes: gauge("pm_group_cache_used_bytes"),
+            block_cache_capacity_bytes: gauge("block_cache_capacity_bytes"),
+            pm_group_cache_capacity_bytes: gauge("pm_group_cache_capacity_bytes"),
             pm_l0_sketch_bytes: gauge("pm_l0_sketch_bytes"),
             pm_l0_key_column_bytes: gauge("pm_l0_key_column_bytes"),
             pm_l0_index_bytes: gauge("pm_l0_index_bytes"),
@@ -326,11 +348,11 @@ mod tests {
         assert_eq!(s.puts.get(), 4);
         let (counters, gauges, histograms) = registry.collect();
         assert_eq!(counters[&MetricKey::global("puts")], 4);
-        // Every field is registered: the global series plus, for each
-        // partition, four read counters, the level-1 SSD source and
-        // four gauges.
-        assert_eq!(counters.len(), 35 + 2 * 5);
-        assert_eq!(gauges.len(), 7 + 2 * 4);
+        // Every field is registered: the global series (six cost rules
+        // and three codecs among them) plus, for each partition, four
+        // read counters, the level-1 SSD source and four gauges.
+        assert_eq!(counters.len(), 44 + 2 * 5);
+        assert_eq!(gauges.len(), 9 + 2 * 4);
         assert_eq!(histograms.len(), 8);
     }
 }

@@ -316,6 +316,7 @@ fn cost_fields(o: &mut Json, cost: &CostDecision) {
             .str("codec", codec)
             .num("entries", entries)
             .num("pm_bytes", pm_bytes),
+        CostDecision::CacheSplit => o,
     };
 }
 

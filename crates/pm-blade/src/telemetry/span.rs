@@ -188,6 +188,10 @@ pub enum CostDecision {
         /// Encoded PM bytes the flush produced.
         pm_bytes: usize,
     },
+    /// One step of the cache tuner: bytes of the one DRAM budget moved
+    /// toward the cache whose ghost list would have served more.
+    /// `Db::cache_split` is where the split stands.
+    CacheSplit,
 }
 
 impl CostDecision {
@@ -199,17 +203,21 @@ impl CostDecision {
             CostDecision::HardCap { .. } => "hard_cap",
             CostDecision::Retention { .. } => "eq3_retention",
             CostDecision::CodecChoice { .. } => "flush_codec_decision",
+            CostDecision::CacheSplit => "cache_split",
         }
     }
 
-    /// Did the rule fire? (Retention passes and codec choices always
-    /// count as fired — every flush picks *some* codec.)
+    /// Did the rule fire? (Retention passes, codec choices and cache
+    /// steps always count as fired — every flush picks *some* codec, and
+    /// a tuner period that moves nothing records no step.)
     pub fn triggered(&self) -> bool {
         match self {
             CostDecision::ReadBenefit { triggered, .. }
             | CostDecision::WriteBenefit { triggered, .. }
             | CostDecision::HardCap { triggered, .. } => *triggered,
-            CostDecision::Retention { .. } | CostDecision::CodecChoice { .. } => true,
+            CostDecision::Retention { .. }
+            | CostDecision::CodecChoice { .. }
+            | CostDecision::CacheSplit => true,
         }
     }
 }
@@ -264,5 +272,7 @@ mod tests {
         };
         assert_eq!(c.rule(), "flush_codec_decision");
         assert!(c.triggered());
+        assert_eq!(CostDecision::CacheSplit.rule(), "cache_split");
+        assert!(CostDecision::CacheSplit.triggered());
     }
 }

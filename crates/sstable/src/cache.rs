@@ -19,9 +19,24 @@
 //! [`encoding::hash::FixedHasher`]) finds a key's slot: a hit relinks
 //! its node at the front, an insert evicts from the back.
 //!
+//! The capacity can move while the cache runs ([`LruCache::set_capacity`]):
+//! every shard sheds down to its new budget before the call returns, and
+//! an insert reads the budget under its shard's lock, so no shard holds
+//! more than its share of the capacity last set. The engine
+//! treats its two caches as one DRAM budget and moves bytes between
+//! them from what each cache's *ghost list* reports. A cache built
+//! [`LruCache::with_ghost`] keeps, per shard, the keys it evicted with
+//! the bytes each was charged, oldest dropped first, up to
+//! `ghost_capacity / SHARDS` bytes. A lookup that misses and finds its
+//! key there removes it and adds its charge to
+//! [`LruCache::ghost_hit_bytes`]: the bytes a larger cache would have
+//! served. A live key is never a ghost, and a purged table leaves no
+//! ghost behind.
+//!
 //! A cache of capacity 0 is disabled: it stores nothing, and a lookup
 //! returns `None` without taking a lock or counting a miss.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use encoding::hash::HashMap;
@@ -57,7 +72,7 @@ const NIL: usize = usize::MAX;
 struct Node<V> {
     key: CacheKey,
     value: V,
-    /// Bytes charged against the shard's budget, as inserted.
+    /// Bytes charged against the list's budget, as inserted.
     charge: usize,
     /// Slot of the next more recently used node.
     prev: usize,
@@ -65,8 +80,8 @@ struct Node<V> {
     next: usize,
 }
 
-/// One shard's LRU.
-struct Shard<V> {
+/// One recency list: a shard's live entries, or its ghosts (`V = ()`).
+struct Lru<V> {
     map: HashMap<CacheKey, usize>,
     nodes: Vec<Node<V>>,
     /// Most recently used slot.
@@ -76,9 +91,9 @@ struct Shard<V> {
     used: usize,
 }
 
-impl<V> Shard<V> {
+impl<V> Lru<V> {
     fn new() -> Self {
-        Shard {
+        Lru {
             map: HashMap::default(),
             nodes: Vec::new(),
             head: NIL,
@@ -116,8 +131,23 @@ impl<V> Shard<V> {
         self.head = slot;
     }
 
+    /// Add a node at the front, charged `charge` bytes.
+    fn push(&mut self, key: CacheKey, value: V, charge: usize) {
+        self.used += charge;
+        let slot = self.nodes.len();
+        self.nodes.push(Node {
+            key,
+            value,
+            charge,
+            prev: NIL,
+            next: NIL,
+        });
+        self.map.insert(key, slot);
+        self.push_front(slot);
+    }
+
     /// Drop the node in `slot`; the slab's last node takes its place.
-    fn remove(&mut self, slot: usize) {
+    fn remove(&mut self, slot: usize) -> Node<V> {
         self.unlink(slot);
         let node = self.nodes.swap_remove(slot);
         self.map.remove(&node.key);
@@ -127,12 +157,50 @@ impl<V> Shard<V> {
             self.map.insert(key, slot);
             self.relink(links, slot, slot);
         }
+        node
     }
+
+    /// Drop `key`'s node, if it has one.
+    fn remove_key(&mut self, key: CacheKey) -> Option<Node<V>> {
+        let slot = *self.map.get(&key)?;
+        Some(self.remove(slot))
+    }
+
+    /// Drop least recently used nodes until at most `budget` bytes are
+    /// charged, handing each to `evicted`.
+    fn shed(&mut self, budget: usize, mut evicted: impl FnMut(Node<V>)) {
+        while self.used > budget && self.tail != NIL {
+            evicted(self.remove(self.tail));
+        }
+    }
+
+    /// Drop every node of `table`, returning how many went.
+    fn purge_table(&mut self, table: u64) -> u64 {
+        let mut purged = 0;
+        // From the back: the node `remove` moves into a freed slot was
+        // already passed over.
+        for slot in (0..self.nodes.len()).rev() {
+            if self.nodes[slot].key.table == table {
+                self.remove(slot);
+                purged += 1;
+            }
+        }
+        purged
+    }
+}
+
+/// One shard: its live entries and the ghosts of those it evicted.
+struct Shard<V> {
+    live: Lru<V>,
+    ghost: Lru<()>,
 }
 
 /// A capacity-bounded LRU cache in `SHARDS` independently locked shards.
 pub struct LruCache<V, const SHARDS: usize = 1> {
-    capacity: usize,
+    capacity: AtomicUsize,
+    /// Ghost bytes the cache keeps, `ghost_capacity / SHARDS` per shard;
+    /// 0 keeps none.
+    ghost_capacity: usize,
     shards: [Mutex<Shard<V>>; SHARDS],
     /// Lookups served from the cache.
     pub hits: Arc<Counter>,
@@ -142,19 +210,34 @@ pub struct LruCache<V, const SHARDS: usize = 1> {
     pub evictions: Arc<Counter>,
     /// Entries dropped because their table was purged.
     pub invalidations: Arc<Counter>,
+    /// Charged bytes of the missed keys found in the ghost list.
+    pub ghost_hit_bytes: Arc<Counter>,
 }
 
 impl<V: Clone, const SHARDS: usize> LruCache<V, SHARDS> {
     /// A cache holding at most `capacity` bytes, `capacity / SHARDS` in
-    /// each shard.
+    /// each shard, that keeps no ghosts.
     pub fn new(capacity: usize) -> Self {
+        Self::with_ghost(capacity, 0)
+    }
+
+    /// A cache of `capacity` bytes whose shards remember the keys they
+    /// evicted, up to `ghost_capacity / SHARDS` charged bytes each.
+    pub fn with_ghost(capacity: usize, ghost_capacity: usize) -> Self {
         LruCache {
-            capacity,
-            shards: std::array::from_fn(|_| Mutex::new(Shard::new())),
+            capacity: AtomicUsize::new(capacity),
+            ghost_capacity,
+            shards: std::array::from_fn(|_| {
+                Mutex::new(Shard {
+                    live: Lru::new(),
+                    ghost: Lru::new(),
+                })
+            }),
             hits: Arc::new(Counter::new()),
             misses: Arc::new(Counter::new()),
             evictions: Arc::new(Counter::new()),
             invalidations: Arc::new(Counter::new()),
+            ghost_hit_bytes: Arc::new(Counter::new()),
         }
     }
 
@@ -163,13 +246,27 @@ impl<V: Clone, const SHARDS: usize> LruCache<V, SHARDS> {
         Self::new(0)
     }
 
+    /// The byte budget, over all shards.
+    pub fn capacity(&self) -> usize {
+        self.capacity.load(Ordering::Relaxed)
+    }
+
+    /// Move the byte budget. Each shard sheds down to its new share
+    /// now, its victims becoming ghosts.
+    pub fn set_capacity(&self, capacity: usize) {
+        self.capacity.store(capacity, Ordering::Relaxed);
+        for shard in &self.shards {
+            self.shed(&mut shard.lock(), capacity / SHARDS, 0);
+        }
+    }
+
     /// Bytes currently charged.
     pub fn used(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().used).sum()
+        self.shards.iter().map(|s| s.lock().live.used).sum()
     }
 
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().nodes.len()).sum()
+        self.shards.iter().map(|s| s.lock().live.nodes.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -185,64 +282,76 @@ impl<V: Clone, const SHARDS: usize> LruCache<V, SHARDS> {
         &self.shards[(h >> 56) as usize % SHARDS]
     }
 
-    /// Fetch a value, making it the most recently used of its shard.
+    /// Fetch a value, making it the most recently used of its shard. A
+    /// miss on a ghost counts the ghost's charge and forgets it.
     pub fn get(&self, key: CacheKey) -> Option<V> {
-        if self.capacity == 0 {
+        if self.capacity() == 0 {
             return None;
         }
         let mut shard = self.shard(key).lock();
-        let Some(&slot) = shard.map.get(&key) else {
+        let Shard { live, ghost } = &mut *shard;
+        let Some(&slot) = live.map.get(&key) else {
             self.misses.incr();
+            if let Some(node) = ghost.remove_key(key) {
+                self.ghost_hit_bytes.add(node.charge as u64);
+            }
             return None;
         };
-        shard.unlink(slot);
-        shard.push_front(slot);
+        live.unlink(slot);
+        live.push_front(slot);
         self.hits.incr();
-        Some(shard.nodes[slot].value.clone())
+        Some(live.nodes[slot].value.clone())
     }
 
     /// Insert a value charged `charge` bytes, evicting its shard's least
-    /// recently used entries to fit. A value larger than a whole shard is
-    /// never cached.
+    /// recently used entries to fit its budget. A value larger than a
+    /// whole shard is never cached, but its shard still sheds to budget.
     pub fn insert(&self, key: CacheKey, value: V, charge: usize) {
-        let budget = self.capacity / SHARDS;
-        if charge > budget {
+        if self.capacity() == 0 {
             return;
         }
         let mut shard = self.shard(key).lock();
-        if let Some(&old) = shard.map.get(&key) {
-            shard.remove(old);
+        // Under the lock: a `set_capacity` that shed this shard is seen.
+        let budget = self.capacity() / SHARDS;
+        if budget == 0 {
+            return;
         }
-        while shard.used + charge > budget && shard.tail != NIL {
-            let victim = shard.tail;
-            shard.remove(victim);
-            self.evictions.incr();
+        let fits = charge <= budget;
+        if fits {
+            if let Some(&old) = shard.live.map.get(&key) {
+                shard.live.remove(old);
+            }
+            shard.ghost.remove_key(key);
         }
-        shard.used += charge;
-        let slot = shard.nodes.len();
-        shard.nodes.push(Node {
-            key,
-            value,
-            charge,
-            prev: NIL,
-            next: NIL,
-        });
-        shard.map.insert(key, slot);
-        shard.push_front(slot);
+        let room = if fits { charge } else { 0 };
+        self.shed(&mut shard, budget, room);
+        if fits {
+            shard.live.push(key, value, charge);
+        }
     }
 
-    /// Drop every cached entry of a table (after the table is retired).
+    /// Evict `shard`'s least recently used entries until `room` more
+    /// bytes fit in `budget`, keeping each victim as a ghost, then trim
+    /// the ghosts to their budget.
+    fn shed(&self, shard: &mut Shard<V>, budget: usize, room: usize) {
+        let ghost_budget = self.ghost_capacity / SHARDS;
+        let Shard { live, ghost } = shard;
+        live.shed(budget - room, |victim| {
+            self.evictions.incr();
+            if ghost_budget != 0 && victim.charge <= ghost_budget {
+                ghost.push(victim.key, (), victim.charge);
+            }
+        });
+        ghost.shed(ghost_budget, drop);
+    }
+
+    /// Drop every cached entry and ghost of a table (after the table is
+    /// retired).
     pub fn purge_table(&self, table: u64) {
         for shard in &self.shards {
             let mut shard = shard.lock();
-            // From the back: the node `remove` moves into a freed slot
-            // was already passed over.
-            for slot in (0..shard.nodes.len()).rev() {
-                if shard.nodes[slot].key.table == table {
-                    shard.remove(slot);
-                    self.invalidations.incr();
-                }
-            }
+            self.invalidations.add(shard.live.purge_table(table));
+            shard.ghost.purge_table(table);
         }
     }
 }
@@ -341,26 +450,34 @@ mod tests {
     /// shards holds `capacity / shards` bytes, a key's shard is the top
     /// byte of `table * 0x9E3779B97F4A7C15 + pos`, every entry carries a
     /// recency stamp, and a shard's victim is found by scanning it for
-    /// the smallest stamp.
+    /// the smallest stamp. A victim no larger than the shard's ghost
+    /// budget becomes a ghost, stamped with its eviction; a shard's
+    /// ghosts past that budget go smallest stamp first.
     struct StampLru {
         shards: usize,
         shard_capacity: usize,
-        /// Key → (charge, stamp).
+        ghost_capacity: usize,
+        /// Key → (charge, stamp), live and ghost.
         map: HashMap<CacheKey, (usize, u64)>,
+        ghosts: HashMap<CacheKey, (usize, u64)>,
         clock: u64,
         evictions: u64,
         invalidations: u64,
+        ghost_hit_bytes: u64,
     }
 
     impl StampLru {
-        fn new(capacity: usize, shards: usize) -> Self {
+        fn new(capacity: usize, ghost_capacity: usize, shards: usize) -> Self {
             StampLru {
                 shards,
                 shard_capacity: capacity / shards,
+                ghost_capacity: ghost_capacity / shards,
                 map: HashMap::default(),
+                ghosts: HashMap::default(),
                 clock: 0,
                 evictions: 0,
                 invalidations: 0,
+                ghost_hit_bytes: 0,
             }
         }
 
@@ -372,39 +489,80 @@ mod tests {
             (h >> 56) as usize % self.shards
         }
 
-        fn used(&self, shard: usize) -> usize {
-            let of_shard = self.map.iter().filter(|(k, _)| self.shard(**k) == shard);
-            of_shard.map(|(_, e)| e.0).sum()
+        /// The entries of `shard` in `of`: `map` or `ghosts`.
+        fn of_shard<'a>(
+            &'a self,
+            of: &'a HashMap<CacheKey, (usize, u64)>,
+            shard: usize,
+        ) -> impl Iterator<Item = (&'a CacheKey, &'a (usize, u64))> {
+            of.iter().filter(move |(k, _)| self.shard(**k) == shard)
+        }
+
+        fn used(&self, of: &HashMap<CacheKey, (usize, u64)>, shard: usize) -> usize {
+            self.of_shard(of, shard).map(|(_, e)| e.0).sum()
         }
 
         fn get(&mut self, key: CacheKey) -> Option<usize> {
             self.clock += 1;
-            let entry = self.map.get_mut(&key)?;
+            let Some(entry) = self.map.get_mut(&key) else {
+                if let Some((charge, _)) = self.ghosts.remove(&key) {
+                    self.ghost_hit_bytes += charge as u64;
+                }
+                return None;
+            };
             entry.1 = self.clock;
             Some(entry.0)
         }
 
+        /// The key of `shard`'s smallest stamp in `of`.
+        fn stalest(&self, of: &HashMap<CacheKey, (usize, u64)>, shard: usize) -> CacheKey {
+            let of_shard = self.of_shard(of, shard);
+            *of_shard.min_by_key(|(_, e)| e.1).unwrap().0
+        }
+
         fn insert(&mut self, key: CacheKey, charge: usize) {
-            if charge > self.shard_capacity {
-                return;
-            }
+            let fits = charge <= self.shard_capacity;
             self.clock += 1;
-            self.map.remove(&key);
-            let shard = self.shard(key);
-            while self.used(shard) + charge > self.shard_capacity {
-                let of_shard = self.map.iter().filter(|(k, _)| self.shard(**k) == shard);
-                let Some((&victim, _)) = of_shard.min_by_key(|(_, e)| e.1) else {
-                    break;
-                };
-                self.map.remove(&victim);
-                self.evictions += 1;
+            if fits {
+                self.map.remove(&key);
+                self.ghosts.remove(&key);
             }
-            self.map.insert(key, (charge, self.clock));
+            self.shed(self.shard(key), if fits { charge } else { 0 });
+            if fits {
+                self.map.insert(key, (charge, self.clock));
+            }
+        }
+
+        /// Evict `shard`'s stalest entries, each to a ghost, until
+        /// `room` more bytes fit, then drop its oldest ghosts to budget.
+        fn shed(&mut self, shard: usize, room: usize) {
+            while self.used(&self.map, shard) + room > self.shard_capacity {
+                let victim = self.stalest(&self.map, shard);
+                let (victim_charge, _) = self.map.remove(&victim).unwrap();
+                self.evictions += 1;
+                if self.ghost_capacity != 0 && victim_charge <= self.ghost_capacity {
+                    self.clock += 1;
+                    self.ghosts.insert(victim, (victim_charge, self.clock));
+                }
+            }
+            while self.used(&self.ghosts, shard) > self.ghost_capacity {
+                let oldest = self.stalest(&self.ghosts, shard);
+                self.ghosts.remove(&oldest);
+            }
+        }
+
+        /// A new budget, which every shard sheds down to at once.
+        fn resize(&mut self, capacity: usize) {
+            self.shard_capacity = capacity / self.shards;
+            for shard in 0..self.shards {
+                self.shed(shard, 0);
+            }
         }
 
         fn purge_table(&mut self, table: u64) {
             let before = self.map.len();
             self.map.retain(|k, _| k.table != table);
+            self.ghosts.retain(|k, _| k.table != table);
             self.invalidations += (before - self.map.len()) as u64;
         }
     }
@@ -414,6 +572,8 @@ mod tests {
         Get(CacheKey),
         Insert(CacheKey, usize),
         Purge(u64),
+        /// A new per-shard budget.
+        Resize(usize),
     }
 
     fn op() -> impl proptest::prelude::Strategy<Value = Op> {
@@ -425,10 +585,13 @@ mod tests {
         // Around a 4000-byte shard: an exact fit, and one byte over.
         let charges = vec![1usize, 90, 400, 1000, 1300, 4000, 4001];
         let charge = proptest::sample::select(charges);
+        // Shrinks below the largest charges and growths past them.
+        let budgets = vec![1000usize, 2500, 4000, 6000];
         prop_oneof![
-            4 => key().prop_map(Op::Get),
-            5 => (key(), charge).prop_map(|(key, charge)| Op::Insert(key, charge)),
-            1 => (0u64..6).prop_map(Op::Purge),
+            8 => key().prop_map(Op::Get),
+            10 => (key(), charge).prop_map(|(key, charge)| Op::Insert(key, charge)),
+            2 => (0u64..6).prop_map(Op::Purge),
+            1 => proptest::sample::select(budgets).prop_map(Op::Resize),
         ]
     }
 
@@ -437,8 +600,9 @@ mod tests {
     fn check_against_model<const SHARDS: usize>(ops: Vec<Op>) {
         // Not a multiple of the shard count: the budget rounds down.
         let capacity = 4000 * SHARDS + SHARDS - 1;
-        let cache = LruCache::<usize, SHARDS>::new(capacity);
-        let mut model = StampLru::new(capacity, SHARDS);
+        let ghost_capacity = 2500 * SHARDS + SHARDS - 1;
+        let cache = LruCache::<usize, SHARDS>::with_ghost(capacity, ghost_capacity);
+        let mut model = StampLru::new(capacity, ghost_capacity, SHARDS);
         for op in ops {
             match op {
                 Op::Get(key) => assert_eq!(cache.get(key), model.get(key)),
@@ -449,32 +613,62 @@ mod tests {
                 Op::Purge(table) => {
                     cache.purge_table(table);
                     model.purge_table(table);
+                    for shard in &cache.shards {
+                        let ghosts = &shard.lock().ghost.nodes;
+                        assert!(ghosts.iter().all(|g| g.key.table != table));
+                    }
+                }
+                Op::Resize(budget) => {
+                    let capacity = budget * SHARDS + SHARDS - 1;
+                    cache.set_capacity(capacity);
+                    model.resize(capacity);
                 }
             }
             for (i, shard) in cache.shards.iter().enumerate() {
                 let shard = shard.lock();
-                let mut held: Vec<CacheKey> = shard.map.keys().copied().collect();
-                let mut expect: Vec<CacheKey> = model.map.keys().copied().collect();
-                expect.retain(|k| model.shard(*k) == i);
-                held.sort_by_key(|k| (k.table, k.pos));
-                expect.sort_by_key(|k| (k.table, k.pos));
-                assert_eq!(held, expect, "shard {i}");
-                assert_eq!(shard.used, model.used(i));
-                assert_eq!(shard.nodes.len(), shard.map.len());
+                for (lru, of) in [
+                    (&shard.live.map, &model.map),
+                    (&shard.ghost.map, &model.ghosts),
+                ] {
+                    let mut held: Vec<CacheKey> = lru.keys().copied().collect();
+                    let mut expect: Vec<CacheKey> =
+                        model.of_shard(of, i).map(|(k, _)| *k).collect();
+                    held.sort_by_key(|k| (k.table, k.pos));
+                    expect.sort_by_key(|k| (k.table, k.pos));
+                    assert_eq!(held, expect, "shard {i}");
+                }
+                assert_eq!(shard.live.used, model.used(&model.map, i));
+                // Every shard fits the budget last set, whatever the
+                // budget was when its entries went in.
+                assert!(shard.live.used <= cache.capacity() / SHARDS);
+                assert_eq!(shard.ghost.used, model.used(&model.ghosts, i));
+                assert!(shard.ghost.used <= ghost_capacity / SHARDS);
+                assert!(shard
+                    .live
+                    .map
+                    .keys()
+                    .all(|k| !shard.ghost.map.contains_key(k)));
+                assert_eq!(shard.live.nodes.len(), shard.live.map.len());
+                assert_eq!(shard.ghost.nodes.len(), shard.ghost.map.len());
             }
             assert_eq!(cache.evictions.get(), model.evictions);
             assert_eq!(cache.invalidations.get(), model.invalidations);
+            assert_eq!(cache.ghost_hit_bytes.get(), model.ghost_hit_bytes);
         }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// Over random get / insert / purge streams with mixed charges,
-        /// at the block cache's one shard and the group cache's 16, the
-        /// linked lists evict exactly the entries the per-shard min-stamp
-        /// scan did, in the same order: after every operation both hold
-        /// the same keys in the same shards.
+        /// Over random get / insert / purge / resize streams with mixed
+        /// charges, at the block cache's one shard and the group cache's
+        /// 16, the linked lists evict exactly the entries the per-shard
+        /// min-stamp scan did, in the same order, and keep the same
+        /// ghosts: after every operation both hold the same live and
+        /// ghost keys in the same shards. Every shard sheds to a moved
+        /// budget at once and stays within it; its ghosts within theirs,
+        /// never hold a live key, count a hit's charge once, and go with
+        /// their purged table.
         #[test]
         fn victims_are_the_min_stamp_scans(
             sharded in proptest::bool::ANY,

@@ -186,6 +186,11 @@ fn listener_ordering_survives_concurrency() {
 #[test]
 fn prometheus_rendering_matches_golden() {
     let mut counters = BTreeMap::new();
+    counters.insert(
+        MetricKey::global("block_cache_ghost_hit_bytes_total"),
+        16_384,
+    );
+    counters.insert(MetricKey::global("cost_cache_split_steps"), 2);
     counters.insert(MetricKey::global("gets"), 42);
     counters.insert(MetricKey::partition("group_commits", 0), 7);
     counters.insert(MetricKey::partition("group_commits", 1), 9);
@@ -195,6 +200,7 @@ fn prometheus_rendering_matches_golden() {
     counters.insert(MetricKey::global("pm_scan_tables_sought_total"), 10);
     counters.insert(MetricKey::global("pm_scan_tables_total"), 30);
     let mut gauges = BTreeMap::new();
+    gauges.insert(MetricKey::global("block_cache_capacity_bytes"), 2_490_368);
     gauges.insert(MetricKey::global("maintenance_queue_depth"), 3);
     gauges.insert(MetricKey::global("pm_l0_index_bytes"), 14_336);
     gauges.insert(MetricKey::global("pm_l0_key_column_bytes"), 8_512);
@@ -209,6 +215,10 @@ fn prometheus_rendering_matches_golden() {
     histograms.insert(MetricKey::global("read_latency"), h);
     let snap = MetricsSnapshot::from_parts(1_000_000, counters, gauges, histograms, Vec::new(), 5);
     let expected = "\
+# TYPE pmblade_block_cache_ghost_hit_bytes_total counter
+pmblade_block_cache_ghost_hit_bytes_total 16384
+# TYPE pmblade_cost_cache_split_steps counter
+pmblade_cost_cache_split_steps 2
 # TYPE pmblade_gets counter
 pmblade_gets 42
 # TYPE pmblade_group_commits counter
@@ -224,6 +234,8 @@ pmblade_pm_scan_tables_total 30
 pmblade_read_source_ssd{partition=\"1\",level=\"2\"} 3
 # TYPE pmblade_ssd_level_bytes_written counter
 pmblade_ssd_level_bytes_written{partition=\"1\",level=\"2\"} 8192
+# TYPE pmblade_block_cache_capacity_bytes gauge
+pmblade_block_cache_capacity_bytes 2490368
 # TYPE pmblade_maintenance_queue_depth gauge
 pmblade_maintenance_queue_depth 3
 # TYPE pmblade_pm_l0_index_bytes gauge
@@ -514,12 +526,16 @@ fn flight_recorder_json_matches_golden() {
 const SERIES: &[(&str, &str, &str)] = &[
     ("counter", "batch_writes", ""),
     ("counter", "block_cache_evictions", ""),
+    ("counter", "block_cache_ghost_hit_bytes_total", ""),
     ("counter", "block_cache_hits", ""),
     ("counter", "block_cache_misses", ""),
     ("counter", "compaction_input_errors_total", ""),
+    ("counter", "cost_cache_split_steps", ""),
     ("counter", "cost_codec_choices", ""),
     ("counter", "cost_eq1_triggers", ""),
+    ("counter", "cost_eq2_triggers", ""),
     ("counter", "cost_hard_cap_triggers", ""),
+    ("counter", "cost_retention_passes", ""),
     ("counter", "deletes", ""),
     ("counter", "gets", ""),
     ("counter", "group_commits", ""),
@@ -545,10 +561,13 @@ const SERIES: &[(&str, &str, &str)] = &[
     ("counter", "pm_bytes_read", ""),
     ("counter", "pm_bytes_written", ""),
     ("counter", "pm_codec_chosen_total", "{codec=\"delta\"}"),
+    ("counter", "pm_codec_chosen_total", "{codec=\"fixed\"}"),
+    ("counter", "pm_codec_chosen_total", "{codec=\"prefix\"}"),
     ("counter", "pm_filter_checked_total", ""),
     ("counter", "pm_filter_miss_total", ""),
     ("counter", "pm_filter_useful_total", ""),
     ("counter", "pm_group_cache_evictions_total", ""),
+    ("counter", "pm_group_cache_ghost_hit_bytes_total", ""),
     ("counter", "pm_group_cache_hit_total", ""),
     ("counter", "pm_group_cache_invalidations_total", ""),
     ("counter", "pm_group_cache_miss_total", ""),
@@ -600,6 +619,7 @@ const SERIES: &[(&str, &str, &str)] = &[
     ("counter", "wal_syncs", ""),
     ("counter", "write_slowdowns", ""),
     ("counter", "write_stalls", ""),
+    ("gauge", "block_cache_capacity_bytes", ""),
     ("gauge", "block_cache_used_bytes", ""),
     ("gauge", "l0_unsorted_tables", "{partition=\"0\"}"),
     ("gauge", "l0_unsorted_tables", "{partition=\"1\"}"),
@@ -607,6 +627,7 @@ const SERIES: &[(&str, &str, &str)] = &[
     ("gauge", "maintenance_queue_depth", ""),
     ("gauge", "memtable_bytes", "{partition=\"0\"}"),
     ("gauge", "memtable_bytes", "{partition=\"1\"}"),
+    ("gauge", "pm_group_cache_capacity_bytes", ""),
     ("gauge", "pm_group_cache_used_bytes", ""),
     ("gauge", "pm_l0_bytes", "{partition=\"0\"}"),
     ("gauge", "pm_l0_bytes", "{partition=\"1\"}"),

@@ -944,7 +944,7 @@ fn debug_endpoint_serves_flight_recorder_and_queue_state() {
         metrics_addr: Some("127.0.0.1:0".into()),
         ..quick_poll()
     };
-    let (server, _db) = start_server_custom(engine, opts);
+    let (server, db) = start_server_custom(engine, opts);
     let addr = server.local_addr();
     let metrics_addr = server.metrics_local_addr().expect("metrics listener");
 
@@ -968,6 +968,12 @@ fn debug_endpoint_serves_flight_recorder_and_queue_state() {
     assert!(response.contains("\"maintenance\""));
     assert!(response.contains("\"queue_depth\""));
     assert!(response.contains("\"jobs_inflight\""));
+    // The split of the one cache budget, as the tuner left it.
+    let (block, group) = db.cache_split();
+    let split = format!(
+        "\"cache_split\": {{\"block_cache_bytes\": {block}, \"pm_group_cache_bytes\": {group}}}"
+    );
+    assert!(response.contains(&split), "{response}");
     assert!(response.contains("\"inflight_requests\""));
     assert!(response.contains("\"metrics\""));
     assert!(response.contains("server_flushes_total"));
