@@ -14,10 +14,18 @@
 //! `h` owns `links[at..at + h]`; slot `at + l` is its successor on level
 //! `l`, `NIL` at the end of the level. The head sentinel is node 0,
 //! with an empty buffer and a full-height tower at offset 0.
+//!
+//! Beside the nodes sits a [`KeyFilter`] sized from the table's byte
+//! budget. An insert sets its key's bits, a value's and a tombstone's
+//! alike, for one DRAM line write; a get reads that line first and
+//! skips the descent when the filter rules its key out.
 
+use encoding::bloom::BloomFilter;
 use encoding::key::{self, KeyKind, SequenceNumber};
 use pmtable::{EntryRef, Lookup};
 use sim::{CostModel, Pcg64, Timeline};
+
+use crate::filter::KeyFilter;
 
 const MAX_HEIGHT: usize = 12;
 const BRANCHING: u64 = 4;
@@ -25,6 +33,8 @@ const BRANCHING: u64 = 4;
 const NIL: u32 = u32::MAX;
 /// What [`MemTable::approximate_size`] counts per node beyond its bytes.
 const NODE_OVERHEAD: usize = 64;
+/// The byte budget [`MemTable::new`] sizes its key filter for.
+const DEFAULT_BUDGET: usize = 64 << 10;
 
 struct Node {
     /// `user_key ∥ trailer ∥ value`.
@@ -56,10 +66,23 @@ pub struct MemTable {
     approximate_bytes: usize,
     entries: usize,
     cost: CostModel,
+    filter: KeyFilter,
+    budget: usize,
 }
 
 impl MemTable {
+    /// A table whose key filter is sized for a 64 KiB budget.
     pub fn new(cost: CostModel) -> Self {
+        Self::with_budget(cost, DEFAULT_BUDGET)
+    }
+
+    /// A table whose key filter is sized for `budget` bytes of
+    /// [`MemTable::approximate_size`]; it may grow past them.
+    pub fn with_budget(cost: CostModel, budget: usize) -> Self {
+        Self::with_filter(cost, budget, KeyFilter::new(budget))
+    }
+
+    fn with_filter(cost: CostModel, budget: usize, filter: KeyFilter) -> Self {
         let head = Node {
             buf: Box::default(),
             key_len: 0,
@@ -73,7 +96,19 @@ impl MemTable {
             approximate_bytes: 0,
             entries: 0,
             cost,
+            filter,
+            budget,
         }
+    }
+
+    /// An empty table with this one's cost model and budget: what a
+    /// flush swaps in for the table it freezes. It takes this table's
+    /// filter lines, cleared, so a flush allocates no filter; this table,
+    /// which a flush only iterates, keeps an empty filter that passes
+    /// every key.
+    pub fn fresh(&mut self) -> Self {
+        let filter = self.filter.recycle(self.budget);
+        Self::with_filter(self.cost, self.budget, filter)
     }
 
     fn random_height(&mut self) -> usize {
@@ -142,7 +177,8 @@ impl MemTable {
         buf.extend_from_slice(value);
         self.approximate_bytes += ikey_len + value.len() + NODE_OVERHEAD;
         self.entries += 1;
-        tl.charge(self.cost.dram.write(ikey_len + value.len()));
+        self.filter.insert(BloomFilter::hashes(user_key));
+        tl.charge(self.cost.dram.write(ikey_len + value.len()) + self.cost.dram.write(64));
         self.nodes.push(Node {
             buf: buf.into_boxed_slice(),
             key_len: u32::try_from(user_key.len()).expect("a key is < 4 GiB"),
@@ -157,6 +193,29 @@ impl MemTable {
         snapshot: SequenceNumber,
         tl: &mut Timeline,
     ) -> Option<Lookup> {
+        self.get_hashed(user_key, BloomFilter::hashes(user_key), snapshot, tl)
+            .flatten()
+    }
+
+    /// [`MemTable::get`] for a key already hashed by
+    /// [`BloomFilter::hashes`]: one DRAM line read of the key filter,
+    /// then the descent. `None` when the filter rules the key out and
+    /// the descent is skipped, `Some(None)` when the descent misses.
+    pub fn get_hashed(
+        &self,
+        user_key: &[u8],
+        hashes: (u64, u64),
+        snapshot: SequenceNumber,
+        tl: &mut Timeline,
+    ) -> Option<Option<Lookup>> {
+        tl.charge(self.cost.dram.random_read(64));
+        self.filter
+            .may_contain(hashes)
+            .then(|| self.find(user_key, snapshot, tl))
+    }
+
+    /// The skiplist descent of a get.
+    fn find(&self, user_key: &[u8], snapshot: SequenceNumber, tl: &mut Timeline) -> Option<Lookup> {
         let candidate = self.seek_node(user_key, key::seek_trailer(snapshot), tl)?;
         let node = &self.nodes[candidate];
         let ikey = node.ikey();
@@ -445,8 +504,93 @@ mod tests {
         assert!(read_tl.elapsed() < CostModel::default().ssd.random_read(4096));
     }
 
+    #[test]
+    fn an_insert_writes_and_a_get_reads_one_filter_line() {
+        let dram = CostModel::default().dram;
+        let mut t = table();
+        let mut tl = Timeline::new();
+        t.insert(b"k", 1, KeyKind::Value, b"v", &mut tl);
+        // An empty table's descent reads one link per level.
+        let descent = dram.random_read(32) * t.height as u64;
+        assert_eq!(tl.elapsed(), descent + dram.write(8 + 2) + dram.write(64));
+        // A key the filter rules out costs its line and nothing else.
+        let absent = (0u32..)
+            .map(|i| format!("absent-{i}").into_bytes())
+            .find(|k| !t.filter.may_contain(BloomFilter::hashes(k)))
+            .unwrap();
+        let mut tl = Timeline::new();
+        assert!(t.get(&absent, u64::MAX, &mut tl).is_none());
+        assert_eq!(tl.elapsed(), dram.random_read(64));
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        #[test]
+        fn prop_filtered_gets_equal_the_bare_descent(
+            ops in proptest::collection::vec(
+                (0u8..40, proptest::bool::ANY, proptest::bool::ANY, 0usize..48),
+                1..64),
+        ) {
+            // A one-line filter, filled to 4x its budget (a memtable a
+            // stalled flush lets grow), over several versions per key,
+            // tombstones and keys past 64 bytes.
+            const BUDGET: usize = 4096;
+            let line = CostModel::default().dram.random_read(64);
+            let key = |id: u8, long: bool| {
+                let mut k = format!("key-{id:02}").into_bytes();
+                if long {
+                    k.resize(66 + id as usize, b'0' + id % 10);
+                }
+                k
+            };
+            let mut t = MemTable::with_budget(CostModel::default(), BUDGET);
+            let mut inserted = std::collections::HashSet::new();
+            let mut tl = Timeline::new();
+            let (mut seq, mut checked) = (0u64, 0);
+            // Every asked key, at the newest version and at an older
+            // one: the filtered get returns what the descent does, and
+            // costs one line more, or one line only when the filter
+            // ruled the key out, which it never does for a key it holds.
+            let check = |t: &MemTable, inserted: &std::collections::HashSet<Vec<u8>>, seq| {
+                for k in (0..48).flat_map(|id| [key(id, false), key(id, true)]) {
+                    for snapshot in [u64::MAX, seq / 2] {
+                        let (mut filtered, mut bare) = (Timeline::new(), Timeline::new());
+                        let got = t.get(&k, snapshot, &mut filtered);
+                        proptest::prop_assert_eq!(got, t.find(&k, snapshot, &mut bare));
+                        let passed = filtered.elapsed() == line + bare.elapsed();
+                        proptest::prop_assert!(passed || filtered.elapsed() == line);
+                        proptest::prop_assert!(passed || !inserted.contains(&k));
+                    }
+                }
+            };
+            while t.approximate_size() < 4 * BUDGET {
+                for &(id, long, is_delete, value_len) in &ops {
+                    let k = key(id, long);
+                    seq += 1;
+                    if is_delete {
+                        t.insert(&k, seq, KeyKind::Delete, b"", &mut tl);
+                    } else {
+                        t.insert(&k, seq, KeyKind::Value, &vec![id; value_len], &mut tl);
+                    }
+                    inserted.insert(k);
+                    if t.approximate_size() >= (checked + 1) * BUDGET {
+                        check(&t, &inserted, seq);
+                        checked = t.approximate_size() / BUDGET;
+                    }
+                }
+            }
+            // A flush's fresh table takes the filter lines, cleared: it
+            // rules every key out. The frozen table keeps none, passes
+            // every key, and still answers as the descent does.
+            let fresh = t.fresh();
+            check(&t, &inserted, seq);
+            for k in &inserted {
+                let mut tl = Timeline::new();
+                proptest::prop_assert!(fresh.get(k, u64::MAX, &mut tl).is_none());
+                proptest::prop_assert_eq!(tl.elapsed(), line);
+            }
+        }
+
         #[test]
         fn prop_matches_btreemap_reference(
             ops in proptest::collection::vec(

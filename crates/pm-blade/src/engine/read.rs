@@ -137,8 +137,10 @@ impl DbCore {
     /// delete. Matrix rows and SSD level-0 tables are searched under the
     /// lock the memtable probe took.
     ///
-    /// The key is hashed for filters at most once: every level takes the
-    /// one [`Probe`], whose pair the first sketch or filter fills.
+    /// The key is hashed for filters once: every level takes the one
+    /// [`Probe`], whose pair the memtable's key filter fills. A key that
+    /// filter rules out skips the skiplist descent; the memtable stage
+    /// counts it as its output.
     fn probe(
         &self,
         pid: usize,
@@ -148,11 +150,21 @@ impl DbCore {
     ) -> Result<(Option<Lookup>, ReadSource, Option<usize>), DbError> {
         let guard = self.partitions[pid].read();
         guard.counters.reads.incr();
-        let mem = |tl: &mut Timeline| guard.mem.get(user_key, SequenceNumber::MAX, tl);
-        if let Some(hit) = stages.time(SpanKind::MemtableProbe, tl, mem) {
+        let probe = Probe::new(user_key, &self.group_cache);
+        let before = tl.elapsed().as_nanos();
+        let mem = guard
+            .mem
+            .get_hashed(user_key, probe.hashes(), SequenceNumber::MAX, tl);
+        let ruled_out = mem.is_none();
+        self.metrics.memtable_filter_checked.incr();
+        if ruled_out {
+            self.metrics.memtable_filter_skipped.incr();
+        }
+        let nanos = tl.elapsed().as_nanos() - before;
+        stages.add(SpanKind::MemtableProbe, nanos, 1, u64::from(ruled_out));
+        if let Some(Some(hit)) = mem {
             return Ok((Some(hit), ReadSource::MemTable, None));
         }
-        let probe = Probe::new(user_key, &self.group_cache);
         let mut stats = ProbeStats::default();
         let guard = match guard.level0.pm().map(PmLevel0::version) {
             Some(version) => {

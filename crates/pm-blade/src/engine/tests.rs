@@ -526,6 +526,53 @@ fn a_queued_writers_stages_lie_inside_its_request_window() {
     }
 }
 
+#[test]
+fn a_memtable_tombstone_shadows_level0_and_ssd_values() {
+    for mode in [Mode::PmBlade, Mode::SsdLevel0, Mode::MatrixKv] {
+        let opts = Options {
+            trace_sample_every: 0,
+            ..small_opts(mode)
+        };
+        let db = Db::open(opts).unwrap();
+        db.put(b"deep", b"on an SSD level").unwrap();
+        db.compact(CompactionRequest::FlushAll).unwrap();
+        db.compact(CompactionRequest::Major { partition: 0 })
+            .unwrap();
+        db.put(b"shallow", b"in level-0").unwrap();
+        db.compact(CompactionRequest::FlushAll).unwrap();
+        let level0 = match mode {
+            Mode::SsdLevel0 => ReadSource::Ssd,
+            _ => ReadSource::Pm,
+        };
+        // The memtable is empty: its filter rules both keys out, and a
+        // traced get counts the skipped descent as the stage's output.
+        let ctx = Some(TraceContext::sampled(1));
+        let deep = db.get_with(b"deep", ctx).unwrap();
+        assert_eq!(deep.source, ReadSource::Ssd, "{mode:?}");
+        assert_eq!(db.get(b"shallow").unwrap().source, level0, "{mode:?}");
+        let [trace] = &db.flight_recorder()[..] else {
+            panic!("{mode:?}: one traced get");
+        };
+        let probe = &trace.stages[0];
+        assert_eq!(probe.kind, SpanKind::MemtableProbe, "{mode:?}");
+        assert_eq!((probe.input_records, probe.output_records), (1, 1));
+        // A tombstone in the memtable sets the filter too, so the
+        // descent finds it and the older values stay hidden.
+        db.delete(b"deep").unwrap();
+        db.delete(b"shallow").unwrap();
+        for key in [&b"deep"[..], b"shallow"] {
+            let out = db.get(key).unwrap();
+            assert_eq!((out.value, out.source), (None, ReadSource::MemTable));
+        }
+        let m = &db.metrics;
+        let counts = (
+            m.memtable_filter_checked.get(),
+            m.memtable_filter_skipped.get(),
+        );
+        assert_eq!(counts, (4, 2), "{mode:?}");
+    }
+}
+
 /// `small_opts` with caches of `block` and `group` bytes, and a PM
 /// level-0 that keeps under a tenth of what `fill` writes, so most
 /// reads go to the SSD levels.

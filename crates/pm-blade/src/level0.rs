@@ -67,7 +67,6 @@
 //! cache, for the engine to free and purge once the manifest edit that
 //! drops them is durable.
 
-use std::cell::OnceCell;
 use std::sync::Arc;
 
 use encoding::bloom::BloomFilter;
@@ -108,13 +107,13 @@ pub struct ProbeStats {
 
 /// One get of the newest version: the key, the cache PM groups come
 /// through, and the key's one filter hash pair. The pair is hashed from
-/// this key at the first sketch or filter that asks — level-0's or an
-/// SSD table's — and reused by every later one; it is private, so it
-/// can only ever be this key's.
+/// this key when the probe is built — every get's walk reads it first at
+/// its memtable step — and reused by every sketch and filter after; it
+/// is private, so it can only ever be this key's.
 pub struct Probe<'a> {
     pub(crate) user_key: &'a [u8],
     pub(crate) cache: &'a PmGroupCache,
-    hashes: OnceCell<(u64, u64)>,
+    hashes: (u64, u64),
 }
 
 impl<'a> Probe<'a> {
@@ -122,15 +121,13 @@ impl<'a> Probe<'a> {
         Probe {
             user_key,
             cache,
-            hashes: OnceCell::new(),
+            hashes: BloomFilter::hashes(user_key),
         }
     }
 
-    /// The key's [`BloomFilter::hashes`], hashed on first use.
+    /// The key's [`BloomFilter::hashes`].
     pub(crate) fn hashes(&self) -> (u64, u64) {
-        *self
-            .hashes
-            .get_or_init(|| BloomFilter::hashes(self.user_key))
+        self.hashes
     }
 }
 

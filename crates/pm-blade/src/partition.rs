@@ -11,7 +11,7 @@ use std::sync::Arc;
 use memtable::MemTable;
 use pm_device::PmPool;
 use pmtable::EntryRef;
-use sim::{CostModel, Counter, SimInstant, Timeline};
+use sim::{Counter, SimInstant, Timeline};
 use ssd_device::SsdDevice;
 use sstable::BlockCache;
 
@@ -94,7 +94,6 @@ pub struct Partition {
     /// Approximate set of user keys present (hashes), used to classify
     /// writes as inserts vs updates for Eq 2.
     seen_keys: encoding::hash::HashSet<u64>,
-    cost: CostModel,
 }
 
 fn hash_key(key: &[u8]) -> u64 {
@@ -110,12 +109,11 @@ impl Partition {
     pub fn new(id: usize, opts: &Options, now: SimInstant) -> Self {
         Partition {
             id,
-            mem: MemTable::new(opts.cost),
+            mem: MemTable::with_budget(opts.cost, opts.memtable_bytes),
             level0: Level0::new(opts.mode),
             levels: SsdLevels::default(),
             counters: PartitionCounters::new(now),
             seen_keys: Default::default(),
-            cost: opts.cost,
         }
     }
 
@@ -150,7 +148,8 @@ impl Partition {
         if self.mem.is_empty() {
             return Ok(None);
         }
-        let frozen = std::mem::replace(&mut self.mem, MemTable::new(self.cost));
+        let fresh = self.mem.fresh();
+        let frozen = std::mem::replace(&mut self.mem, fresh);
         // The frozen memtable streams into level-0; its largest
         // sequence is tallied as its entries go by.
         let mut report = CompactionReport {
@@ -302,6 +301,7 @@ pub(crate) mod tests {
     use encoding::key::KeyKind;
     use pmtable::OwnedEntry;
     use proptest::prelude::*;
+    use sim::CostModel;
 
     /// What [`Media`] borrows, owned.
     pub(crate) struct Store {

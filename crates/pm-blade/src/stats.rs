@@ -89,6 +89,10 @@ pub struct EngineMetrics {
     pub pm_filter_checked: Arc<Counter>,
     pub pm_filter_useful: Arc<Counter>,
     pub pm_filter_miss: Arc<Counter>,
+    /// Gets that read the memtable's key filter, and those it ruled
+    /// out, which skip the skiplist descent.
+    pub memtable_filter_checked: Arc<Counter>,
+    pub memtable_filter_skipped: Arc<Counter>,
     /// Distribution of PM tables actually probed per PM-L0 lookup (a
     /// count, not a duration).
     pub pm_tables_probed: Arc<LatencyRecorder>,
@@ -200,6 +204,8 @@ impl EngineMetrics {
             pm_filter_checked: counter("pm_filter_checked_total"),
             pm_filter_useful: counter("pm_filter_useful_total"),
             pm_filter_miss: counter("pm_filter_miss_total"),
+            memtable_filter_checked: counter("memtable_filter_checked_total"),
+            memtable_filter_skipped: counter("memtable_filter_skipped_total"),
             pm_tables_probed: histogram("pm_tables_probed_per_get"),
             pm_scan_tables: counter("pm_scan_tables_total"),
             pm_scan_tables_sought: counter("pm_scan_tables_sought_total"),
@@ -351,7 +357,7 @@ mod tests {
         // Every field is registered: the global series (six cost rules
         // and three codecs among them) plus, for each partition, four
         // read counters, the level-1 SSD source and four gauges.
-        assert_eq!(counters.len(), 44 + 2 * 5);
+        assert_eq!(counters.len(), 46 + 2 * 5);
         assert_eq!(gauges.len(), 9 + 2 * 4);
         assert_eq!(histograms.len(), 8);
     }

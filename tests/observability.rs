@@ -551,6 +551,8 @@ const SERIES: &[(&str, &str, &str)] = &[
     ("counter", "major_compactions", ""),
     ("counter", "manifest_edits_total", ""),
     ("counter", "media_retire_errors_total", ""),
+    ("counter", "memtable_filter_checked_total", ""),
+    ("counter", "memtable_filter_skipped_total", ""),
     ("counter", "minor_compactions", ""),
     ("counter", "partition_group_commits", "{partition=\"0\"}"),
     ("counter", "partition_group_commits", "{partition=\"1\"}"),

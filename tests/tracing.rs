@@ -228,9 +228,9 @@ fn sampled_scan_attributes_every_nanosecond_to_a_stage() {
 /// charging the windows line its search had read: 243 ns (three
 /// lines), every later trace 81 ns earlier.
 const ENGINE_TRACE_PINS: [(Mode, u32); 3] = [
-    (Mode::PmBlade, 2_795_200_062),
-    (Mode::SsdLevel0, 1_805_942_510),
-    (Mode::MatrixKv, 1_473_994_895),
+    (Mode::PmBlade, 2_641_718_881),
+    (Mode::SsdLevel0, 1_844_895_740),
+    (Mode::MatrixKv, 1_388_706_220),
 ];
 
 /// A fixed single-threaded Inline workload over two partitions with a
