@@ -188,9 +188,10 @@ fn bench_merge(c: &mut Criterion) {
 /// above is the materialising reference both replaced.
 fn bench_scan_merge(c: &mut Criterion) {
     use pm_blade::costmodel::CodecCostTable;
-    use pm_blade::cursor::{merge_into, Cursor, MergingIter, PmRun, ScanStats};
+    use pm_blade::cursor::{merge_into, Cursor, MergingIter, ScanStats};
     use pm_blade::handle::PmRunWriter;
     use pm_blade::level0::PmLevel0;
+    use pm_blade::run::RunCursor;
     let cost = CostModel::default();
     let pool = pm_device::PmPool::new(64 << 20, cost);
     let (opts, costs) = (Options::default(), CodecCostTable::default());
@@ -249,7 +250,7 @@ fn bench_scan_merge(c: &mut Criterion) {
     c.bench_function("compaction/stream_internal_30_tables", |b| {
         b.iter(|| {
             let runs = tables.iter().map(std::slice::from_ref);
-            let cursors = runs.map(|run| Cursor::Pm(PmRun::new(run, None, None)));
+            let cursors = runs.map(|run| Cursor::Pm(RunCursor::new(run, None, None)));
             let (mut tl, mut writer) = (Timeline::new(), run_writer(256 << 10));
             let sink = |e: pmtable::EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
             merge_into(cursors, false, &cost, &errors, &mut tl, sink).unwrap();
@@ -265,8 +266,9 @@ fn bench_scan_merge(c: &mut Criterion) {
 /// two SSTable runs (10 000 records, and a newer version of every other
 /// one) streamed into a third.
 fn bench_ssd_merge(c: &mut Criterion) {
-    use pm_blade::cursor::{merge_into, Cursor, SsRun};
+    use pm_blade::cursor::{merge_into, Cursor};
     use pm_blade::levels::SsRunWriter;
+    use pm_blade::run::RunCursor;
     let cost = CostModel::default();
     let device = ssd_device::SsdDevice::new(cost);
     let cache = std::sync::Arc::new(sstable::BlockCache::new(2 << 20));
@@ -309,7 +311,7 @@ fn bench_ssd_merge(c: &mut Criterion) {
         b.iter(|| {
             let cursors = runs
                 .each_ref()
-                .map(|run| Cursor::Ss(SsRun::sequential(run)));
+                .map(|run| Cursor::Ss(RunCursor::new(run, None, None)));
             let (mut tl, mut writer) = (Timeline::new(), run_writer("out"));
             let sink = |e: pmtable::EntryRef<'_>, tl: &mut Timeline| writer.add(e, tl);
             merge_into(cursors, true, &cost, &errors, &mut tl, sink).unwrap();

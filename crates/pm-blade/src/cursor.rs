@@ -3,7 +3,8 @@
 //! A range scan is a merge over every sorted source of a partition: the
 //! memtable, each unsorted PM table, the PM sorted run, matrix rows, SSD
 //! level-0 tables and one run per SSD level. Each source is a lazy
-//! [`Cursor`]; [`MergingIter`] keeps them in a binary heap ordered by
+//! [`Cursor`], and every run of tables, PM or SSD, is read by one
+//! [`RunCursor`]; [`MergingIter`] keeps them in a binary heap ordered by
 //! internal key (user key ascending, sequence descending) and yields the
 //! newest version of each user key. Nothing is materialized: a source
 //! decodes one PM group or reads one SSD block at a time, and only when
@@ -30,11 +31,12 @@ use sim::{SimDuration, Timeline};
 use sstable::SsCursor;
 
 use crate::engine::DbError;
-use crate::groupcache::{PmGroupCache, TableGroupCache};
+use crate::groupcache::TableGroupCache;
 use crate::handle::{PmTableHandle, SsTableHandle};
+use crate::run::{RunCursor, RunTable};
 use crate::telemetry::{SpanKind, StageTimes};
 
-fn corrupt(e: impl std::fmt::Display) -> DbError {
+pub(crate) fn corrupt(e: impl std::fmt::Display) -> DbError {
     DbError::Corrupt(e.to_string())
 }
 
@@ -43,14 +45,14 @@ fn corrupt(e: impl std::fmt::Display) -> DbError {
 pub enum Cursor<'a> {
     Mem(MemCursor<'a>),
     /// PM tables in key order (an unsorted table is a run of one).
-    Pm(PmRun<'a>),
+    Pm(RunCursor<'a, PmTableHandle, PmCursor<'a, PmRegion, TableGroupCache<'a>>>),
     /// The unsorted PM tables of a level-0 not yet opened; their
     /// cursors follow it, parked.
     Reveal(Reveal<'a>),
     /// One matrix-container row.
     Row(ArrayCursor<'a, PmRegion>),
     /// SSTables in key order (an SSD level-0 table is a run of one).
-    Ss(SsRun<'a>),
+    Ss(RunCursor<'a, SsTableHandle, SsCursor<'a>>),
 }
 
 impl<'a> Cursor<'a> {
@@ -74,9 +76,12 @@ impl<'a> Cursor<'a> {
                 .map_err(corrupt)?;
                 Ok(SpanKind::PmDecodeMiss)
             }
-            Cursor::Pm(run) => run.step(seek, tl),
+            Cursor::Pm(run) => match run.step(seek, tl)? {
+                GroupLoad::Decoded => Ok(SpanKind::PmDecodeMiss),
+                _ => Ok(SpanKind::PmDecodeHit),
+            },
             Cursor::Reveal(reveal) => Ok(reveal.step(seek, tl)),
-            Cursor::Ss(run) => run.step(seek, tl),
+            Cursor::Ss(run) => run.step(seek, tl).map(|_| SpanKind::SsdRead),
         }
     }
 
@@ -84,9 +89,9 @@ impl<'a> Cursor<'a> {
         match self {
             Cursor::Mem(c) => c.current(),
             Cursor::Row(c) => c.current(),
-            Cursor::Pm(run) => run.cur.as_ref()?.current(),
+            Cursor::Pm(run) => run.current(),
             Cursor::Reveal(_) => None,
-            Cursor::Ss(run) => run.cur.as_ref()?.current(),
+            Cursor::Ss(run) => run.current(),
         }
     }
 
@@ -99,86 +104,6 @@ impl<'a> Cursor<'a> {
             Cursor::Reveal(reveal) => reveal.head(),
             _ => self.current().map(|e| (e.user_key, &[][..], e.seq)),
         }
-    }
-}
-
-/// A concatenating cursor over non-overlapping PM tables: opens only
-/// the table holding the seek key and moves to the next one lazily.
-/// Groups are fetched through the shared decode cache; without one (a
-/// compaction's input) each table is read sequentially, see
-/// [`pmtable::PmTable::sequential_cursor`].
-///
-/// A table is opened one way: from the group its DRAM
-/// [`pmtable::GroupFences`] name for the seek key, charged one DRAM
-/// random read per 64-byte line, or from group 0 when the key is at or
-/// before the table's first key (a step onto the run's next table
-/// seeks the empty key). It never searches the table's prefix layer.
-pub struct PmRun<'a> {
-    tables: &'a [PmTableHandle],
-    /// The table opened when `cur` runs out.
-    next: usize,
-    end: Option<&'a [u8]>,
-    cache: Option<&'a PmGroupCache>,
-    cur: Option<PmCursor<'a, PmRegion, TableGroupCache<'a>>>,
-}
-
-impl<'a> PmRun<'a> {
-    pub fn new(
-        tables: &'a [PmTableHandle],
-        end: Option<&'a [u8]>,
-        cache: Option<&'a PmGroupCache>,
-    ) -> Self {
-        PmRun {
-            tables,
-            next: tables.len(),
-            end,
-            cache,
-            cur: None,
-        }
-    }
-
-    fn step(&mut self, seek: Option<&'a [u8]>, tl: &mut Timeline) -> Result<SpanKind, DbError> {
-        let mut load = GroupLoad::None;
-        match (seek, &mut self.cur) {
-            (Some(start), _) => {
-                self.next = self.tables.partition_point(|h| h.last() < start);
-                self.cur = None;
-            }
-            (None, Some(c)) => load = c.advance(tl).map_err(corrupt)?,
-            (None, None) => {}
-        }
-        if self.cur.as_ref().is_none_or(|c| c.current().is_none()) {
-            // Tables that begin at or past `end` are never opened.
-            let table = self.tables.get(self.next);
-            self.cur = match table.filter(|h| self.end.is_none_or(|e| h.first() < e)) {
-                Some(h) => {
-                    self.next += 1;
-                    let start = seek.unwrap_or_default();
-                    let group = if start <= h.first() {
-                        0
-                    } else {
-                        let (group, lines) = h.fences.group_of(start);
-                        tl.charge(h.table.cost_model().dram.random_read(64) * lines);
-                        group
-                    };
-                    let mut c = match self.cache {
-                        Some(cache) => h.table.cursor(TableGroupCache::new(cache, h.region())),
-                        None => h.table.sequential_cursor(),
-                    };
-                    load = load.max(c.seek(group, start, tl).map_err(corrupt)?);
-                    Some(c)
-                }
-                None => {
-                    self.next = self.tables.len();
-                    None
-                }
-            };
-        }
-        Ok(if load == GroupLoad::Decoded {
-            SpanKind::PmDecodeMiss
-        } else {
-            SpanKind::PmDecodeHit
-        })
     }
 }
 
@@ -292,70 +217,6 @@ impl<'a> Reveal<'a> {
     fn table(&self) -> (usize, bool) {
         let table = self.column.table(self.pos);
         (table, self.in_range(&self.tables[table]))
-    }
-}
-
-/// A concatenating cursor over non-overlapping SSTables, reading one
-/// block at a time; see [`PmRun`]. A scan's blocks are fetched through
-/// the block cache; a compaction's input reads each table sequentially,
-/// see [`sstable::SsTable::sequential_cursor`].
-pub struct SsRun<'a> {
-    tables: &'a [SsTableHandle],
-    next: usize,
-    end: Option<&'a [u8]>,
-    sequential: bool,
-    cur: Option<SsCursor<'a>>,
-}
-
-impl<'a> SsRun<'a> {
-    /// A scan's run over `[.., end)`.
-    pub fn new(tables: &'a [SsTableHandle], end: Option<&'a [u8]>) -> Self {
-        SsRun {
-            tables,
-            next: tables.len(),
-            end,
-            sequential: false,
-            cur: None,
-        }
-    }
-
-    /// A compaction's input: every table whole, front to back, past the
-    /// block cache.
-    pub fn sequential(tables: &'a [SsTableHandle]) -> Self {
-        SsRun {
-            sequential: true,
-            ..SsRun::new(tables, None)
-        }
-    }
-
-    fn step(&mut self, seek: Option<&[u8]>, tl: &mut Timeline) -> Result<SpanKind, DbError> {
-        match (seek, &mut self.cur) {
-            (Some(start), _) => {
-                self.next = self.tables.partition_point(|h| h.last.as_slice() < start);
-                self.cur = None;
-            }
-            (None, Some(c)) => c.advance(tl)?,
-            (None, None) => {}
-        }
-        if self.cur.as_ref().is_none_or(|c| c.current().is_none()) {
-            let table = self.tables.get(self.next);
-            self.cur = match table.filter(|h| self.end.is_none_or(|e| h.first.as_slice() < e)) {
-                Some(h) => {
-                    self.next += 1;
-                    let mut c = match self.sequential {
-                        true => h.table.sequential_cursor(),
-                        false => h.table.cursor(),
-                    };
-                    c.seek(seek.unwrap_or_default(), tl)?;
-                    Some(c)
-                }
-                None => {
-                    self.next = self.tables.len();
-                    None
-                }
-            };
-        }
-        Ok(SpanKind::SsdRead)
     }
 }
 
@@ -647,6 +508,7 @@ pub fn merge_into<'a, E: Into<DbError>>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::groupcache::PmGroupCache;
     use crate::handle::merge_dedup;
     use crate::level0::tests::table_opts;
     use crate::level0::PmLevel0;

@@ -45,6 +45,17 @@
 //! with no WAL-ring or partition lock held (version snapshots are
 //! captured under the partition lock, the lock dropped, then the edit
 //! appended), so it cannot participate in a cycle.
+//!
+//! Two more kinds of lock sit off this chain, as its leaves: no lock
+//! of the chain is taken while one of them is held. The shard mutexes
+//! of the block cache and the PM group cache are innermost: a read
+//! takes them under a partition read lock (a PM level-0 get under none,
+//! once it has taken its version), maintenance purges with no
+//! partition lock held, and a thread holding one acquires no other
+//! lock. The cache tuner's `seen` mutex comes just before them:
+//! `tune_caches` takes it at the end of a read, with no other lock
+//! held, and holds it while each `set_capacity` takes every shard mutex
+//! of its cache in turn.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -27,6 +27,7 @@ use crate::maintenance::{MaintenanceShared, QueueMetrics};
 use crate::manifest::{Manifest, PartitionVersion, VersionEdit};
 use crate::options::{MaintenanceMode, Mode, Options};
 use crate::partition::{Media, Partition};
+use crate::run::Run;
 use crate::stats::EngineMetrics;
 use crate::telemetry::{EventRing, MetricKey, MetricsRegistry, Tracer};
 
@@ -51,7 +52,7 @@ fn rebuild_partition(
             handles.push(h);
             count += 1;
         }
-        p.levels.levels.push(handles);
+        p.levels.levels.push(Run::new(handles));
     }
     Ok((count, max_seq))
 }
@@ -359,7 +360,7 @@ impl DbCore {
         p.level0.record(&mut v);
         let levels = p.levels.levels.iter();
         v.levels = levels
-            .map(|lvl| lvl.iter().map(SsTableHandle::meta).collect())
+            .map(|lvl| lvl.tables().iter().map(SsTableHandle::meta).collect())
             .collect();
         Some(v)
     }

@@ -4,7 +4,8 @@
 //! fences, and its region id names it, in the pool and in the group
 //! cache. An SSTable's handle holds its key range and largest sequence.
 //! Key range, region, size, entry count, codec or name a handle reads
-//! from its table.
+//! from its table; both kinds give their key range as a
+//! [`crate::run::RunTable`].
 //!
 //! `PmRunWriter`, the PM sink of every compaction, builds all the tables
 //! of its run with one builder: its entry buffer is sized once and kept
@@ -61,25 +62,9 @@ impl ResidentPmTable {
         })
     }
 
-    /// The table's smallest user key. A handle's table is never empty: a
-    /// run writer never cuts one and [`reopen_pm_table`] refuses one.
-    pub(crate) fn first(&self) -> &[u8] {
-        self.table.first_user_key().unwrap_or_default()
-    }
-
-    /// The table's largest user key.
-    pub(crate) fn last(&self) -> &[u8] {
-        self.table.last_user_key().unwrap_or_default()
-    }
-
     /// The PM region the table lives in, which names it.
     pub fn region(&self) -> RegionId {
         self.table.storage().id()
-    }
-
-    /// Could this table contain `key`?
-    pub fn overlaps_key(&self, key: &[u8]) -> bool {
-        self.first() <= key && key <= self.last()
     }
 }
 
@@ -129,10 +114,6 @@ impl SsTableHandle {
             bytes: self.table.size(),
             max_seq: self.max_seq,
         }
-    }
-
-    pub fn overlaps_key(&self, key: &[u8]) -> bool {
-        self.first.as_slice() <= key && key <= self.last.as_slice()
     }
 
     /// Point lookup in this table, its time one `ssd_read` step. The
@@ -356,6 +337,7 @@ pub(crate) mod tests {
     use crate::costmodel::CodecCostTable;
     use crate::options::{Options, PmTableLayout};
     use crate::partition::tests::Store;
+    use crate::run::RunTable;
     use encoding::key::KeyKind;
     use pm_device::PmPool;
     use pmtable::PmTableOptions;

@@ -35,7 +35,7 @@
 //!   (a 65th table, or one pushed while an older one is uncovered);
 //! - the sorted run's **fence keys** (each table's first/last user key,
 //!   read from the table) locate the single candidate table with one
-//!   binary search.
+//!   binary search (`run::Run::locate`).
 //!
 //! A table probe then finds its group by the table's DRAM **group
 //! fences** ([`pmtable::GroupFences`], on every handle, unsorted or
@@ -75,7 +75,7 @@ use pm_device::{PmPool, PmRegion, RegionId};
 use pmtable::{EntryRef, Lookup, MergedColumn, TableKeys};
 use sim::Timeline;
 
-use crate::cursor::{Cursor, PmRun, Reveal, SsRun};
+use crate::cursor::{Cursor, Reveal};
 use crate::engine::DbError;
 use crate::groupcache::{PmGroupCache, TableGroupCache};
 use crate::handle::{reopen_pm_table, PmRunWriter, PmTableHandle, SsTableHandle};
@@ -84,6 +84,7 @@ use crate::manifest::PartitionVersion;
 use crate::matrix::MatrixL0;
 use crate::options::Mode;
 use crate::partition::{CompactionReport, Media};
+use crate::run::{Run, RunCursor, RunTable};
 use crate::stats::ReadSource;
 use crate::telemetry::{CostDecision, SpanKind, StageTimes};
 
@@ -303,8 +304,7 @@ impl KeySketch {
 pub struct L0Version {
     /// Oldest → newest; reads walk newest → oldest.
     unsorted: Vec<PmTableHandle>,
-    /// Non-overlapping ascending run.
-    sorted: Vec<PmTableHandle>,
+    sorted: Run<PmTableHandle>,
     sketch: KeySketch,
     /// Every unsorted table's keys, merged.
     column: MergedColumn,
@@ -318,12 +318,12 @@ impl L0Version {
 
     /// The sorted run, oldest data in level-0.
     pub fn sorted_run(&self) -> &[PmTableHandle] {
-        &self.sorted
+        self.sorted.tables()
     }
 
     /// Every table: the unsorted ones, then the sorted run.
     pub fn tables(&self) -> impl Iterator<Item = &PmTableHandle> {
-        self.unsorted.iter().chain(&self.sorted)
+        self.unsorted.iter().chain(self.sorted.tables())
     }
 
     /// Total bytes held on PM by this partition (`s_i` in Table II).
@@ -338,11 +338,11 @@ impl L0Version {
 
     /// Number of sorted-run tables (`m_i`).
     pub fn sorted_count(&self) -> usize {
-        self.sorted.len()
+        self.sorted_run().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.unsorted.is_empty() && self.sorted.is_empty()
+        self.unsorted.is_empty() && self.sorted_run().is_empty()
     }
 
     /// Total entries across level-0.
@@ -372,14 +372,6 @@ impl L0Version {
             .tables()
             .map(|h| h.fences.bytes() + h.table.filter_bytes());
         self.sketch_bytes() + self.key_column_bytes() + per_table.sum::<usize>()
-    }
-
-    /// Index of the unique sorted-run table whose `[first, last]` range
-    /// covers `user_key`, if any: binary search over the last-key
-    /// fences, then one first-key comparison to reject a key in a gap.
-    fn locate(&self, user_key: &[u8]) -> Option<usize> {
-        let idx = self.sorted.partition_point(|h| h.last() < user_key);
-        (self.sorted.get(idx)?.first() <= user_key).then_some(idx)
     }
 
     /// Point lookup across level-0: newest unsorted table wins, then the
@@ -432,8 +424,7 @@ impl L0Version {
         }
         // Sorted run: the fence keys name the only table that can
         // contain the key (or prove none does).
-        let handle = &self.sorted[self.locate(probe.user_key)?];
-        search.filtered(handle, tl)
+        search.filtered(self.sorted.locate(probe.user_key)?, tl)
     }
 
     /// The `limit` *oldest* tables, as (sorted-run tables, unsorted
@@ -446,9 +437,10 @@ impl L0Version {
     /// level-0 is newer than what moved down, and reads (level-0 before
     /// level-1) stay correct between chunks.
     pub fn oldest(&self, limit: usize) -> (&[PmTableHandle], &[PmTableHandle]) {
-        let take_sorted = self.sorted.len().min(limit);
-        let take_unsorted = self.unsorted.len().min(limit - take_sorted);
-        (&self.sorted[..take_sorted], &self.unsorted[..take_unsorted])
+        let (run, unsorted) = (self.sorted.tables(), &self.unsorted);
+        let take_sorted = run.len().min(limit);
+        let take_unsorted = unsorted.len().min(limit - take_sorted);
+        (&run[..take_sorted], &unsorted[..take_unsorted])
     }
 
     /// Cursors over the `limit` oldest tables (`usize::MAX`: all of
@@ -469,8 +461,8 @@ impl L0Version {
         let reveal = cache.map(|_| Cursor::Reveal(Reveal::new(unsorted, &self.column, end)));
         let unsorted = unsorted
             .iter()
-            .map(move |h| Cursor::Pm(PmRun::new(std::slice::from_ref(h), end, cache)));
-        let run = Cursor::Pm(PmRun::new(run, end, cache));
+            .map(move |h| Cursor::Pm(RunCursor::new(std::slice::from_ref(h), end, cache)));
+        let run = Cursor::Pm(RunCursor::new(run, end, cache));
         reveal
             .into_iter()
             .chain(unsorted)
@@ -528,8 +520,7 @@ impl PmLevel0 {
     /// Install a sorted run directly (tests and recovery); nothing is
     /// retired.
     pub fn set_sorted_run(&mut self, run: Vec<PmTableHandle>) {
-        debug_assert!(run.windows(2).all(|w| w[0].last() < w[1].first()));
-        Arc::make_mut(&mut self.current).sorted = run;
+        Arc::make_mut(&mut self.current).sorted = Run::new(run);
     }
 
     /// Detach the tables [`L0Version::oldest`] names, once their
@@ -541,7 +532,7 @@ impl PmLevel0 {
         let next = Arc::make_mut(&mut self.current);
         next.sketch.drop_oldest(take_unsorted);
         next.column.drop_oldest(take_unsorted);
-        let detached = next.sorted.drain(..take_sorted);
+        let detached = next.sorted.splice(..take_sorted, Vec::new()).into_iter();
         let detached = detached.chain(next.unsorted.drain(..take_unsorted));
         detached.map(|h| h.region()).collect()
     }
@@ -553,12 +544,11 @@ impl PmLevel0 {
     /// only copy of the data. The merged key column keeps its buffers
     /// for the flushes that follow.
     pub fn replace_with_sorted_deferred(&mut self, run: Vec<PmTableHandle>) -> Vec<RegionId> {
-        debug_assert!(run.windows(2).all(|w| w[0].last() < w[1].first()));
         let next = Arc::make_mut(&mut self.current);
         next.sketch = KeySketch::default();
         next.column.clear();
-        let old = std::mem::replace(&mut next.sorted, run);
-        let retired = next.unsorted.drain(..).chain(old);
+        let old = std::mem::replace(&mut next.sorted, Run::new(run));
+        let retired = next.unsorted.drain(..).chain(old.tables().iter().cloned());
         retired.map(|h| h.region()).collect()
     }
 }
@@ -567,7 +557,7 @@ impl std::fmt::Debug for PmLevel0 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PmLevel0")
             .field("unsorted", &self.unsorted.len())
-            .field("sorted", &self.sorted.len())
+            .field("sorted", &self.sorted_count())
             .field("bytes", &self.bytes())
             .finish()
     }
@@ -614,20 +604,6 @@ where
             L0Cursors::Ssd(it) => it.size_hint(),
         }
     }
-}
-
-/// SSD level-0 tables overlap: each is a run of its own, read `whole`
-/// (sequentially, past the block cache) by a compaction.
-fn ssd_l0_cursors<'a>(
-    tables: &'a [SsTableHandle],
-    end: Option<&'a [u8]>,
-    whole: bool,
-) -> impl Iterator<Item = Cursor<'a>> {
-    let runs = tables.iter().map(std::slice::from_ref);
-    runs.map(move |run| match whole {
-        true => Cursor::Ss(SsRun::sequential(run)),
-        false => Cursor::Ss(SsRun::new(run, end)),
-    })
 }
 
 /// The PM region a manifest names, or `Corrupt` when the pool lost it.
@@ -721,7 +697,12 @@ impl Level0 {
         match self {
             Level0::Pm(l0) => L0Cursors::Pm(l0.cursors(limit, end, cache)),
             Level0::Matrix(m) => L0Cursors::Matrix(m.cursors(start, end, cache.is_none())),
-            Level0::Ssd(tables) => L0Cursors::Ssd(ssd_l0_cursors(tables, end, cache.is_none())),
+            // SSD level-0 tables overlap: each is a run of its own.
+            Level0::Ssd(tables) => L0Cursors::Ssd(
+                tables
+                    .iter()
+                    .map(move |h| Cursor::Ss(RunCursor::new(std::slice::from_ref(h), end, cache))),
+            ),
         }
     }
 
@@ -1158,16 +1139,21 @@ pub(crate) mod tests {
             table(&pool, vec![entry("b", 1, "1"), entry("d", 2, "2")]),
             table(&pool, vec![entry("h", 3, "3"), entry("k", 4, "4")]),
         ]);
-        assert_eq!(l0.locate(b"b"), Some(0));
-        assert_eq!(l0.locate(b"c"), Some(0));
-        assert_eq!(l0.locate(b"d"), Some(0));
-        assert_eq!(l0.locate(b"h"), Some(1));
-        assert_eq!(l0.locate(b"k"), Some(1));
-        // Keys before, between, and after the run resolve to no table.
-        assert_eq!(l0.locate(b"a"), None);
-        assert_eq!(l0.locate(b"f"), None);
-        assert_eq!(l0.locate(b"z"), None);
         let snap = l0.version();
+        let locate = |key: &[u8]| {
+            let run = snap.sorted_run();
+            let hit = snap.sorted.locate(key)?;
+            run.iter().position(|t| Arc::ptr_eq(t, hit))
+        };
+        assert_eq!(locate(b"b"), Some(0));
+        assert_eq!(locate(b"c"), Some(0));
+        assert_eq!(locate(b"d"), Some(0));
+        assert_eq!(locate(b"h"), Some(1));
+        assert_eq!(locate(b"k"), Some(1));
+        // Keys before, between, and after the run resolve to no table.
+        assert_eq!(locate(b"a"), None);
+        assert_eq!(locate(b"f"), None);
+        assert_eq!(locate(b"z"), None);
         assert_eq!(get(&snap, b"h").unwrap(), b"3");
         assert!(get(&snap, b"f").is_none());
     }

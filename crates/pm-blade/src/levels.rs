@@ -21,18 +21,20 @@ use sim::Timeline;
 use sstable::table::TableError;
 use sstable::{SsTable, SsTableBuilder, SsTableOptions};
 
-use crate::cursor::{Cursor, SsRun};
+use crate::cursor::Cursor;
+use crate::groupcache::PmGroupCache;
 use crate::handle::SsTableHandle;
 use crate::level0::Probe;
 use crate::options::Options;
 use crate::partition::Media;
+use crate::run::{Run, RunCursor};
 use crate::telemetry::StageTimes;
 
 /// SSD level stack for one partition.
 #[derive(Default)]
 pub struct SsdLevels {
-    /// `levels[0]` is level-1. Each inner vec is sorted by key range.
-    pub levels: Vec<Vec<SsTableHandle>>,
+    /// `levels[0]` is level-1.
+    pub levels: Vec<Run<SsTableHandle>>,
 }
 
 impl SsdLevels {
@@ -48,7 +50,7 @@ impl SsdLevels {
 
     /// The deepest level holding a table; 0 when every level is empty.
     pub fn depth(&self) -> usize {
-        let deepest = self.levels.iter().rposition(|l| !l.is_empty());
+        let deepest = self.levels.iter().rposition(|l| !l.tables().is_empty());
         deepest.map_or(0, |i| i + 1)
     }
 
@@ -71,7 +73,7 @@ impl SsdLevels {
 
     /// The tables of level `n` (1-based), in key order.
     pub fn tables(&self, level: usize) -> &[SsTableHandle] {
-        self.levels.get(level - 1).map_or(&[], |tables| tables)
+        self.levels.get(level - 1).map_or(&[], Run::tables)
     }
 
     /// Point lookup: walk levels top-down; within a level at most one
@@ -91,8 +93,7 @@ impl SsdLevels {
     ) -> Result<Option<(Lookup, usize)>, TableError> {
         let user_key = probe.user_key;
         for (depth, level) in self.levels.iter().enumerate() {
-            let idx = level.partition_point(|h| h.last.as_slice() < user_key);
-            let Some(handle) = level.get(idx).filter(|h| h.overlaps_key(user_key)) else {
+            let Some(handle) = level.locate(user_key) else {
                 continue;
             };
             if let Some(hit) = handle.get(probe, tl, stages)? {
@@ -102,21 +103,22 @@ impl SsdLevels {
         Ok(None)
     }
 
-    /// Scan cursors over `[.., end)`: one concatenating cursor per level
-    /// (each level is itself sorted).
-    pub fn cursors<'a>(&'a self, end: Option<&'a [u8]>) -> impl Iterator<Item = Cursor<'a>> {
-        self.levels
-            .iter()
-            .map(move |level| Cursor::Ss(SsRun::new(level, end)))
+    /// One cursor per level over `[.., end)`: through the block cache
+    /// when a scan passes the group `cache`, as [`RunCursor::new`] reads.
+    pub fn cursors<'a>(
+        &'a self,
+        end: Option<&'a [u8]>,
+        cache: Option<&'a PmGroupCache>,
+    ) -> impl Iterator<Item = Cursor<'a>> {
+        let runs = self.levels.iter();
+        runs.map(move |run| Cursor::Ss(RunCursor::new(run.tables(), end, cache)))
     }
 
     /// The index range of level `n`'s tables that overlap `[first,
-    /// last]`: a level is sorted and non-overlapping, so they are
-    /// contiguous.
+    /// last]` (`Run::overlap`); empty past the deepest level.
     pub fn overlap(&self, level: usize, first: &[u8], last: &[u8]) -> Range<usize> {
-        let tables = self.tables(level);
-        let lo = tables.partition_point(|t| t.last.as_slice() < first);
-        lo..tables.partition_point(|t| t.first.as_slice() <= last)
+        let run = self.levels.get(level - 1);
+        run.map_or(0..0, |run| run.overlap(first, last))
     }
 
     /// Put `tables` in place of `range` of level `n`, returning the
@@ -128,12 +130,9 @@ impl SsdLevels {
         tables: Vec<SsTableHandle>,
     ) -> Vec<SsTableHandle> {
         if self.levels.len() < level {
-            self.levels.resize_with(level, Vec::new);
+            self.levels.resize_with(level, Run::default);
         }
-        let level = &mut self.levels[level - 1];
-        let replaced = level.splice(range, tables).collect();
-        debug_assert!(level.windows(2).all(|w| w[0].last < w[1].first));
-        replaced
+        self.levels[level - 1].splice(range, tables)
     }
 }
 
@@ -394,11 +393,19 @@ pub(crate) mod tests {
         let mut levels = SsdLevels::default();
         let mut l1 = a;
         l1.extend(b);
-        levels.splice(1, .., l1);
+        levels.splice(1, .., l1.clone());
         assert_eq!(levels.overlap(1, b"b", b"d"), 0..1);
         assert_eq!(levels.overlap(1, b"a", b"z"), 0..2);
         assert_eq!(levels.overlap(1, b"e", b"f"), 1..1);
         assert_eq!(levels.overlap(2, b"a", b"z"), 0..0);
+        // An empty level above a full one overlaps nothing.
+        let mut deeper = SsdLevels::default();
+        deeper.splice(2, .., l1);
+        assert_eq!(deeper.overlap(1, b"a", b"z"), 0..0);
+        assert_eq!(deeper.overlap(2, b"b", b"d"), 0..1);
+        let (hit, level) = latest(&deeper, b"m", &mut tl).unwrap();
+        assert_eq!((hit.value.as_slice(), level), (&b"3"[..], 2));
+        assert!(latest(&deeper, b"e", &mut tl).is_none());
     }
 
     /// A run writer dropped before `finish` deletes the tables it
@@ -445,7 +452,7 @@ pub(crate) mod tests {
             .step_by(2)
             .map(|i| e(&format!("k{i:05}"), 10_000 + i, "new"))
             .collect();
-        let mut levels = SsdLevels::default();
+        let (mut levels, group_cache) = (SsdLevels::default(), PmGroupCache::disabled());
         levels.splice(1, .., build(&newer, usize::MAX));
         levels.splice(2, .., build(&old, 32 << 10));
         assert!(
@@ -453,7 +460,12 @@ pub(crate) mod tests {
             "level 2 is a run of several tables"
         );
         let scan = |start: &[u8], end: Option<&'static [u8]>| {
-            drain(levels.cursors(end).collect(), start, end, false)
+            drain(
+                levels.cursors(end, Some(&group_cache)).collect(),
+                start,
+                end,
+                false,
+            )
         };
         let all = scan(b"", None);
         assert_eq!(

@@ -42,6 +42,7 @@ pub mod matrix;
 pub mod options;
 pub mod partition;
 pub mod protocol;
+pub mod run;
 pub mod stats;
 pub mod telemetry;
 
