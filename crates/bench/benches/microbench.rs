@@ -115,9 +115,8 @@ fn bench_crc(c: &mut Criterion) {
 fn bench_engine(c: &mut Criterion) {
     c.bench_function("engine/put_get_cycle", |b| {
         let db = Db::open(Options {
-            pm_capacity: 32 << 20,
             memtable_bytes: 256 << 10,
-            ..Options::default()
+            ..Options::pm_blade(32 << 20)
         })
         .unwrap();
         let mut i = 0u64;
@@ -136,11 +135,10 @@ fn bench_engine(c: &mut Criterion) {
     c.bench_function("engine/get_cached_30_unsorted", |b| {
         let db = Db::open(Options {
             mode: pm_blade::Mode::PmBladePm,
-            pm_capacity: 32 << 20,
             memtable_bytes: 1 << 20,
             l0_table_trigger: usize::MAX,
             trace_sample_every: 0,
-            ..Options::default()
+            ..Options::pm_blade(32 << 20)
         })
         .unwrap();
         for table in 0..30u64 {

@@ -1,55 +1,84 @@
-//! Bloom filter over user keys.
+//! The key filter of every table: a blocked bloom filter (Putze,
+//! Sanders & Singler).
 //!
-//! Double-hashing construction (Kirsch–Mitzenmacher): two base hashes
-//! combine into `k` probe positions. Sized at `bits_per_key` bits per key
-//! (default 10, ≈1% false positives), matching the RocksDB default the
-//! paper's baselines use.
+//! A filter is an array of 64-byte lines. A key's line comes from the
+//! first of its [`BloomFilter::hashes`] by multiply-shift, and the six
+//! bits it sets or tests there from 9-bit chunks of the second, so an
+//! insert writes one DRAM line and a probe reads one: every probe, of a
+//! memtable, a PM table or an SSTable, is charged one
+//! `dram.random_read(64)`.
+//!
+//! Two sizing rules: a table's filter gets `distinct × bits_per_key`
+//! bits rounded up to whole lines ([`BloomFilter::build_hashed`]; at 10
+//! bits per key ≈ 1 % false positives, the RocksDB default the paper's
+//! baselines use), and a memtable's one line per 4 KiB of its byte
+//! budget ([`BloomFilter::for_budget`]). A filter with no lines holds
+//! nothing and passes every key.
 //!
 //! Lives in `encoding` because both table formats attach it: the SSD
 //! SSTable stores it as a named filter block, and the PM table appends
 //! it after the entry layer (flagged in the header) so PM level-0 gets
-//! the same negative-lookup pruning as the SSD levels.
+//! the same negative-lookup pruning as the SSD levels. Its encoded form
+//! is the lines' little-endian words and a tag byte. A section
+//! written before lines ("bits ‖ k", k in 1..=30) decodes to a filter
+//! with no lines: it costs such a table's gets their probes, never a
+//! key.
 
-/// An immutable bloom filter.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Bits in one line.
+const LINE_BITS: usize = 512;
+/// Bits a key sets in its line, 9 bits of its second hash each.
+const PROBES: u32 = 6;
+/// Budget bytes per line of a [`BloomFilter::for_budget`] filter.
+const BUDGET_PER_LINE: usize = 4096;
+/// The last byte of an encoded filter; never a probe count of the
+/// format before lines.
+const TAG: u8 = 0x40;
+
+/// A blocked bloom filter.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BloomFilter {
-    bits: Vec<u8>,
-    k: u8,
+    lines: Box<[[u64; 8]]>,
 }
 
 impl BloomFilter {
+    /// An empty filter of `lines` lines.
+    fn with_lines(lines: usize) -> Self {
+        BloomFilter {
+            lines: vec![[0; 8]; lines].into(),
+        }
+    }
+
+    /// An empty filter for a write buffer of `budget` bytes: one line
+    /// per 4 KiB, at least one.
+    pub fn for_budget(budget: usize) -> Self {
+        Self::with_lines(budget.div_ceil(BUDGET_PER_LINE).max(1))
+    }
+
     /// Build a filter for `keys` with `bits_per_key` bits of budget each.
     pub fn build<'a>(
         keys: impl IntoIterator<Item = &'a [u8]>,
         count_hint: usize,
         bits_per_key: usize,
     ) -> Self {
-        let hashes = keys.into_iter().map(Self::hashes);
-        Self::build_hashed(hashes, count_hint, bits_per_key)
+        Self::build_hashed(keys.into_iter().map(Self::hashes), count_hint, bits_per_key)
     }
 
     /// [`BloomFilter::build`] for keys already hashed by
     /// [`BloomFilter::hashes`]: a table builder remembers 16 bytes per
-    /// key instead of the key.
+    /// key instead of the key. `count_hint × bits_per_key` bits, rounded
+    /// up to whole lines, at least one; 0 bits per key turns the filter
+    /// off: no lines, which pass every key.
     pub fn build_hashed(
         hashes: impl IntoIterator<Item = (u64, u64)>,
         count_hint: usize,
         bits_per_key: usize,
     ) -> Self {
-        let bits_per_key = bits_per_key.max(1);
-        // k = bits_per_key * ln2, clamped to a sane range.
-        let k = ((bits_per_key as f64 * 0.69) as u8).clamp(1, 30);
-        let nbits = (count_hint * bits_per_key).max(64);
-        let nbytes = nbits.div_ceil(8);
-        let mut bits = vec![0u8; nbytes];
-        let nbits = nbytes * 8;
-        for (h1, h2) in hashes {
-            for i in 0..k {
-                let bit = (h1.wrapping_add((i as u64).wrapping_mul(h2)) % nbits as u64) as usize;
-                bits[bit / 8] |= 1 << (bit % 8);
-            }
+        let lines = (count_hint * bits_per_key).div_ceil(LINE_BITS);
+        let mut filter = Self::with_lines(lines.max(bits_per_key.min(1)));
+        for key in hashes {
+            filter.insert(key);
         }
-        BloomFilter { bits, k }
+        filter
     }
 
     /// The key's hash pair — the two seeded base hashes (FNV-1a then a
@@ -77,52 +106,93 @@ impl BloomFilter {
         (mix(h1), mix(h2))
     }
 
+    /// The line of a key whose first hash is `h1` (multiply-shift).
+    fn line(&self, h1: u64) -> usize {
+        ((h1 as u128 * self.lines.len() as u128) >> 64) as usize
+    }
+
+    /// The key's bits within its line.
+    fn bits(h2: u64) -> impl Iterator<Item = usize> {
+        (0..PROBES).map(move |i| (h2 >> (9 * i)) as usize & (LINE_BITS - 1))
+    }
+
+    /// Set the bits of the key hashed to `(h1, h2)`; a filter with no
+    /// lines stays empty.
+    pub fn insert(&mut self, (h1, h2): (u64, u64)) {
+        let line = self.line(h1);
+        if let Some(line) = self.lines.get_mut(line) {
+            for bit in Self::bits(h2) {
+                line[bit / 64] |= 1 << (bit % 64);
+            }
+        }
+    }
+
+    /// Clear every bit, keeping the lines.
+    pub fn clear(&mut self) {
+        self.lines.fill([0; 8]);
+    }
+
     /// True if the key *may* be present; false means definitely absent.
-    pub fn may_contain(&self, key: &[u8]) -> bool {
-        self.may_contain_hashed(Self::hashes(key))
+    pub fn may_contain(&self, key: impl FilterKey) -> bool {
+        self.may_contain_hashed(key.hashes())
     }
 
     /// [`BloomFilter::may_contain`] for a key already hashed by
-    /// [`BloomFilter::hashes`].
+    /// [`BloomFilter::hashes`]. A filter with no lines passes every key.
     pub fn may_contain_hashed(&self, (h1, h2): (u64, u64)) -> bool {
-        if self.bits.is_empty() {
-            return false;
-        }
-        let nbits = self.bits.len() as u64 * 8;
-        (0..self.k).all(|i| {
-            let bit = (h1.wrapping_add((i as u64).wrapping_mul(h2)) % nbits) as usize;
-            self.bits[bit / 8] & (1 << (bit % 8)) != 0
-        })
+        let line = self.lines.get(self.line(h1));
+        line.is_none_or(|line| Self::bits(h2).all(|bit| line[bit / 64] & (1 << (bit % 64)) != 0))
     }
 
-    /// Serialize: bits followed by the probe count.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// [`BloomFilter::encode`], appended to `out`.
+    /// Serialize, appended to `out`: each line's words little-endian,
+    /// then the tag byte.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.bits);
-        out.push(self.k);
+        out.reserve(self.encoded_len());
+        for word in self.lines.iter().flatten() {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        out.push(TAG);
     }
 
-    /// Inverse of [`BloomFilter::encode`]. Returns `None` on an empty buffer.
+    /// Inverse of [`BloomFilter::encode_into`]. A section of the format
+    /// before lines decodes to a filter with no lines; `None` on anything
+    /// else it does not recognise.
     pub fn decode(raw: &[u8]) -> Option<Self> {
-        let (&k, bits) = raw.split_last()?;
-        if k == 0 || k > 30 {
-            return None;
+        let (&tag, body) = raw.split_last()?;
+        match tag {
+            1..=30 => Some(Self::default()),
+            TAG if body.len() % 64 == 0 => {
+                let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8 bytes"));
+                let line = |l: &[u8]| std::array::from_fn(|i| word(&l[8 * i..8 * i + 8]));
+                Some(BloomFilter {
+                    lines: body.chunks_exact(64).map(line).collect(),
+                })
+            }
+            _ => None,
         }
-        Some(BloomFilter {
-            bits: bits.to_vec(),
-            k,
-        })
     }
 
     /// Size of the encoded filter.
     pub fn encoded_len(&self) -> usize {
-        self.bits.len() + 1
+        self.lines.len() * 64 + 1
+    }
+}
+
+/// What a probe takes: a key, or the pair [`BloomFilter::hashes`] made
+/// of it.
+pub trait FilterKey {
+    fn hashes(self) -> (u64, u64);
+}
+
+impl<K: AsRef<[u8]> + ?Sized> FilterKey for &K {
+    fn hashes(self) -> (u64, u64) {
+        BloomFilter::hashes(self.as_ref())
+    }
+}
+
+impl FilterKey for (u64, u64) {
+    fn hashes(self) -> (u64, u64) {
+        self
     }
 }
 
@@ -132,6 +202,12 @@ mod tests {
 
     fn keys(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| format!("key-{i:08}").into_bytes()).collect()
+    }
+
+    fn encode(f: &BloomFilter) -> Vec<u8> {
+        let mut out = Vec::new();
+        f.encode_into(&mut out);
+        out
     }
 
     #[test]
@@ -155,10 +231,39 @@ mod tests {
     }
 
     #[test]
+    fn ten_bits_per_key_pass_at_most_one_and_a_half_percent_of_absent_keys() {
+        // Theory for 512-bit lines and six probes: ≈ 0.96 %, against
+        // 0.84 % for an unblocked filter of the same size; 908 pass here.
+        let ks = keys(100_000);
+        let f = BloomFilter::build(ks.iter().map(|k| k.as_slice()), ks.len(), 10);
+        assert_eq!(f.lines.len(), 1954, "ceil(100 000 × 10 / 512)");
+        let fp = (0..100_000)
+            .filter(|i| f.may_contain(format!("absent-{i:08}").as_bytes()))
+            .count();
+        assert!(fp <= 1_500, "{fp} false positives in 100 000");
+    }
+
+    #[test]
+    fn an_insert_sets_bits_in_one_line() {
+        let mut f = BloomFilter::for_budget(64 << 10);
+        assert_eq!(f.lines.len(), 16, "one line per 4 KiB");
+        f.insert(BloomFilter::hashes(b"k"));
+        let set: Vec<u32> = f
+            .lines
+            .iter()
+            .map(|l| l.iter().map(|w| w.count_ones()).sum())
+            .collect();
+        assert_eq!(set.iter().filter(|&&n| n > 0).count(), 1);
+        assert!((1..=6).contains(&set.iter().sum::<u32>()));
+        f.clear();
+        assert_eq!((f.lines.len(), f.may_contain(b"k")), (16, false));
+    }
+
+    #[test]
     fn encode_decode_roundtrip() {
         let ks = keys(100);
         let f = BloomFilter::build(ks.iter().map(|k| k.as_slice()), 100, 10);
-        let raw = f.encode();
+        let raw = encode(&f);
         assert_eq!(raw.len(), f.encoded_len());
         let g = BloomFilter::decode(&raw).unwrap();
         assert_eq!(f, g);
@@ -169,6 +274,22 @@ mod tests {
         assert!(BloomFilter::decode(&[]).is_none());
         assert!(BloomFilter::decode(&[0xff, 0xff, 0]).is_none());
         assert!(BloomFilter::decode(&[0xff, 0xff, 31]).is_none());
+    }
+
+    #[test]
+    fn a_section_of_the_format_before_lines_passes_every_key() {
+        // "bits ‖ k": the unblocked filter's bytes, then its probe count.
+        for k in [1, 6, 30] {
+            let old = BloomFilter::decode(&[0, 0, 0, 0, 0, 0, 0, 0, k]).expect("old format");
+            assert_eq!(old, BloomFilter::default());
+            assert_eq!(old.encoded_len(), 1);
+            assert!(keys(100).iter().all(|key| old.may_contain(key)));
+        }
+        // A tagged section must hold whole lines.
+        assert!(BloomFilter::decode(&[0; 64]).is_none());
+        let mut torn = vec![0; 65];
+        torn.push(TAG);
+        assert!(BloomFilter::decode(&torn).is_none());
     }
 
     #[test]
@@ -227,6 +348,33 @@ mod tests {
                     f.may_contain(k)
                 );
             }
+        }
+
+        #[test]
+        fn prop_no_false_negative_through_encode_and_decode(
+            members in proptest::collection::vec(
+                proptest::collection::vec(0u8..=255, 0..24), 0..600),
+            bits_per_key in 1usize..20,
+            budget in 0usize..40_000,
+            by_budget: bool,
+        ) {
+            // Either sizing rule, filled past what it was sized for.
+            let hashes = members.iter().map(|k| BloomFilter::hashes(k));
+            let f = if by_budget {
+                let mut f = BloomFilter::for_budget(budget);
+                hashes.for_each(|h| f.insert(h));
+                f
+            } else {
+                BloomFilter::build_hashed(hashes, members.len() / 2, bits_per_key)
+            };
+            let mut raw = vec![0xaa];
+            f.encode_into(&mut raw);
+            proptest::prop_assert_eq!(raw.len(), 1 + f.encoded_len());
+            let g = BloomFilter::decode(&raw[1..]).expect("decodes");
+            for k in &members {
+                proptest::prop_assert!(g.may_contain(k));
+            }
+            proptest::prop_assert_eq!(&g, &f);
         }
     }
 }

@@ -4,8 +4,9 @@
 //!   LSM ordering (user keys ascending, sequence numbers descending so the
 //!   newest version of a key sorts first).
 //! - [`varint`]: LEB128-style unsigned varints used by every table format.
-//! - [`bloom`]: the bloom filter attached to both table formats (the SSD
-//!   SSTable's filter block and the PM table's appended filter section).
+//! - [`bloom`]: the one key filter, a blocked bloom filter: the SSD
+//!   SSTable's filter block, the PM table's appended filter section and
+//!   the memtable's filter.
 //! - [`crc`]: CRC32C (Castagnoli) block checksums.
 //! - [`frame`]: the CRC frame (`len | masked crc | payload`) of the WAL,
 //!   the manifest and the wire protocol, and the reader that finds

@@ -15,17 +15,19 @@
 //! `l`, `NIL` at the end of the level. The head sentinel is node 0,
 //! with an empty buffer and a full-height tower at offset 0.
 //!
-//! Beside the nodes sits a [`KeyFilter`] sized from the table's byte
-//! budget. An insert sets its key's bits, a value's and a tombstone's
-//! alike, for one DRAM line write; a get reads that line first and
-//! skips the descent when the filter rules its key out.
+//! Beside the nodes sits a [`BloomFilter`] sized once from the table's
+//! byte budget ([`BloomFilter::for_budget`]: one 64-byte line per 4 KiB,
+//! one bit per 8 bytes). An insert sets its key's bits, a value's and a
+//! tombstone's alike, for one DRAM line write; a get reads that line
+//! first and skips the descent when the filter rules its key out. Every
+//! entry counts at least 72 bytes towards the budget (its trailer and
+//! the node overhead), so a full table keeps at least 9 bits per key,
+//! and one grown past its budget only raises the false-positive rate.
 
 use encoding::bloom::BloomFilter;
 use encoding::key::{self, KeyKind, SequenceNumber};
 use pmtable::{EntryRef, Lookup};
 use sim::{CostModel, Pcg64, Timeline};
-
-use crate::filter::KeyFilter;
 
 const MAX_HEIGHT: usize = 12;
 const BRANCHING: u64 = 4;
@@ -66,7 +68,7 @@ pub struct MemTable {
     approximate_bytes: usize,
     entries: usize,
     cost: CostModel,
-    filter: KeyFilter,
+    filter: BloomFilter,
     budget: usize,
 }
 
@@ -79,10 +81,10 @@ impl MemTable {
     /// A table whose key filter is sized for `budget` bytes of
     /// [`MemTable::approximate_size`]; it may grow past them.
     pub fn with_budget(cost: CostModel, budget: usize) -> Self {
-        Self::with_filter(cost, budget, KeyFilter::new(budget))
+        Self::with_filter(cost, budget, BloomFilter::for_budget(budget))
     }
 
-    fn with_filter(cost: CostModel, budget: usize, filter: KeyFilter) -> Self {
+    fn with_filter(cost: CostModel, budget: usize, filter: BloomFilter) -> Self {
         let head = Node {
             buf: Box::default(),
             key_len: 0,
@@ -104,10 +106,15 @@ impl MemTable {
     /// An empty table with this one's cost model and budget: what a
     /// flush swaps in for the table it freezes. It takes this table's
     /// filter lines, cleared, so a flush allocates no filter; this table,
-    /// which a flush only iterates, keeps an empty filter that passes
-    /// every key.
+    /// which a flush only iterates, keeps a filter with no lines, which
+    /// passes every key. A table left with none (a frozen one a failed
+    /// flush put back) gets new lines.
     pub fn fresh(&mut self) -> Self {
-        let filter = self.filter.recycle(self.budget);
+        let mut filter = std::mem::take(&mut self.filter);
+        filter.clear();
+        if filter == BloomFilter::default() {
+            filter = BloomFilter::for_budget(self.budget);
+        }
         Self::with_filter(self.cost, self.budget, filter)
     }
 
@@ -155,6 +162,22 @@ impl MemTable {
         value: &[u8],
         tl: &mut Timeline,
     ) {
+        let hashes = BloomFilter::hashes(user_key);
+        self.insert_hashed(user_key, hashes, seq, kind, value, tl);
+    }
+
+    /// [`MemTable::insert`] for a key already hashed by
+    /// [`BloomFilter::hashes`]: a write that needs the pair elsewhere
+    /// hashes its key once.
+    pub fn insert_hashed(
+        &mut self,
+        user_key: &[u8],
+        hashes: (u64, u64),
+        seq: SequenceNumber,
+        kind: KeyKind,
+        value: &[u8],
+        tl: &mut Timeline,
+    ) {
         let trailer = key::pack_trailer(seq, kind);
         let height = self.random_height();
         if height > self.height {
@@ -177,7 +200,7 @@ impl MemTable {
         buf.extend_from_slice(value);
         self.approximate_bytes += ikey_len + value.len() + NODE_OVERHEAD;
         self.entries += 1;
-        self.filter.insert(BloomFilter::hashes(user_key));
+        self.filter.insert(hashes);
         tl.charge(self.cost.dram.write(ikey_len + value.len()) + self.cost.dram.write(64));
         self.nodes.push(Node {
             buf: buf.into_boxed_slice(),

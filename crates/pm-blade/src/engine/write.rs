@@ -6,6 +6,7 @@ use std::ops::Deref;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use encoding::bloom::BloomFilter;
 use encoding::key::KeyKind;
 use memtable::WalRecord;
 use sim::{SimDuration, Timeline};
@@ -356,8 +357,9 @@ impl DbCore {
             for ticket in group {
                 for (key, value, kind) in ticket.ops.iter() {
                     seq += 1;
-                    p.note_write(key);
-                    p.mem.insert(key, seq, kind, value, &mut tl);
+                    let hashes = BloomFilter::hashes(key);
+                    p.note_write(hashes.0);
+                    p.mem.insert_hashed(key, hashes, seq, kind, value, &mut tl);
                     self.metrics
                         .user_bytes_written
                         .add((key.len() + value.len()) as u64);

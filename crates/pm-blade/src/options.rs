@@ -124,9 +124,10 @@ pub struct Options {
     /// forced codec cannot represent it or would grow the group).
     pub pm_codec_mode: CodecMode,
     /// Bloom-filter budget for PM level-0 tables, in bits per distinct
-    /// user key (RocksDB-style; 10 ≈ 1% false positives). 0 disables
-    /// the filters entirely — every `get` walks the group search of
-    /// every overlapping table, the pre-acceleration read path.
+    /// user key, rounded up to whole 64-byte lines (10 ≈ 1% false
+    /// positives). 0 disables the filters entirely — every `get` walks
+    /// the group search of every overlapping table, the
+    /// pre-acceleration read path.
     pub pm_filter_bits_per_key: usize,
     /// DRAM capacity of the shared decoded-group cache for PM level-0
     /// reads at open, in bytes. Charged like

@@ -92,18 +92,9 @@ pub struct Partition {
     pub level0: Level0,
     pub levels: SsdLevels,
     pub counters: PartitionCounters,
-    /// Approximate set of user keys present (hashes), used to classify
-    /// writes as inserts vs updates for Eq 2.
+    /// Approximate set of user keys present (each key's first filter
+    /// hash), used to classify writes as inserts vs updates for Eq 2.
     seen_keys: encoding::hash::HashSet<u64>,
-}
-
-fn hash_key(key: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in key {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 impl Partition {
@@ -118,10 +109,11 @@ impl Partition {
         }
     }
 
-    /// Record a write for the cost-model counters.
-    pub fn note_write(&mut self, user_key: &[u8]) {
+    /// Record a write for the cost-model counters; `h1` is the first
+    /// of the written key's [`encoding::bloom::BloomFilter::hashes`].
+    pub fn note_write(&mut self, h1: u64) {
         self.counters.writes.incr();
-        if !self.seen_keys.insert(hash_key(user_key)) {
+        if !self.seen_keys.insert(h1) {
             self.counters.updates.incr();
         }
     }

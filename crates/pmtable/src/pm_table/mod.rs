@@ -31,7 +31,11 @@
 //! codecs:   (only when flags bit 1 set) group_count × codec id u8,
 //!           between the gindex and the entry layer
 //! entries:  per group, by that group's codec id (see below)
-//! filter:   (only when flags bit 0 set) bloom bytes | filter_len u32
+//! filter:   (only when flags bit 0 set) bloom bytes | filter_len u32;
+//!           the bytes are an `encoding::bloom::BloomFilter`,
+//!           `ceil(distinct keys × filter_bits_per_key / 512)` 64-byte
+//!           lines and a tag byte (a section written before lines
+//!           decodes to a filter that passes every key)
 //! ```
 //!
 //! Per-group encodings (encoding v2 — the codec id array selects one per

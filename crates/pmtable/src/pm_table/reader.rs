@@ -414,14 +414,14 @@ impl<S: Storage> PmTable<S> {
     /// Probe the bloom filter: `Some(false)` means the key is definitely
     /// absent and the group search can be skipped entirely; `None` means
     /// the table was built without a filter. The filter is DRAM-resident
-    /// (decoded at open, like the meta layer), so a probe costs a small
-    /// DRAM read, not a PM access.
+    /// (decoded at open, like the meta layer), so a probe costs one
+    /// DRAM line read, not a PM access.
     ///
     /// Takes the key as its [`BloomFilter::hashes`] pair: a level-0 get
     /// consults one filter per table, and hashes its key once for all.
     pub fn filter_may_contain(&self, hashes: (u64, u64), tl: &mut Timeline) -> Option<bool> {
         let filter = self.filter.as_ref()?;
-        tl.charge(self.storage.cost_model().dram.random_read(8));
+        tl.charge(self.storage.cost_model().dram.random_read(64));
         Some(filter.may_contain_hashed(hashes))
     }
 

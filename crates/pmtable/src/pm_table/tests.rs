@@ -392,10 +392,10 @@ fn a_full_scan_reads_each_group_block_once_the_first_at_random_the_rest_in_seque
 
 #[test]
 fn table_bytes_are_pinned_under_every_codec() {
-    // CRC32C of the encoded table, recorded before the builder
-    // moved to its arena (PR 17): a rewrite of the build path may
+    // CRC32C of the encoded table: a rewrite of the build path may
     // not change a byte. 8-byte values keep all three codecs
-    // eligible; the filter section is pinned along with the rest.
+    // eligible; the filter section is pinned along with the rest (last
+    // recorded when it became the blocked filter's lines).
     let entries = index_entries(3000, 8, 77);
     let crc_under = |codec| {
         let mut b = PmTableBuilder::new(PmTableOptions {
@@ -417,7 +417,7 @@ fn table_bytes_are_pinned_under_every_codec() {
     ];
     assert_eq!(
         modes.map(crc_under),
-        [1_324_352_871, 161_256_801, 1_302_947_874, 161_256_801]
+        [4_108_124_738, 3_327_241_847, 3_287_609_442, 3_327_241_847]
     );
 }
 
@@ -817,6 +817,23 @@ fn filter_and_codec_sections_coexist() {
         );
     }
     assert_eq!(t.scan_all(&mut tl), entries);
+}
+
+#[test]
+fn a_probe_the_filter_rules_out_costs_one_dram_line() {
+    let entries = timeseries_entries(256, 5);
+    let mut opts = codec_opts(CodecMode::Auto);
+    opts.filter_bits_per_key = 10;
+    let t = build(&entries, opts);
+    // ceil(256 keys × 10 bits / 512) lines and the tag byte.
+    assert_eq!(t.filter_bytes(), 5 * 64 + 1);
+    let absent = (0u64..)
+        .map(|i| BloomFilter::hashes(&(1_700_000_001 + i * 5).to_be_bytes()))
+        .find(|&h| t.filter_may_contain(h, &mut Timeline::new()) == Some(false))
+        .unwrap();
+    let mut tl = Timeline::new();
+    assert_eq!(t.filter_may_contain(absent, &mut tl), Some(false));
+    assert_eq!(tl.elapsed(), CostModel::default().dram.random_read(64));
 }
 
 proptest::proptest! {

@@ -9,9 +9,10 @@
 //! ```
 //!
 //! - [`block`]: restart-point prefix-compressed key-value blocks;
-//! - [`bloom`]: per-table bloom filter over user keys (shared with the
-//!   PM table format, so the implementation lives in [`encoding::bloom`]
-//!   and is re-exported here);
+//! - [`bloom`]: per-table blocked bloom filter over user keys, one
+//!   64-byte line per probe (the workspace's one key filter, shared with
+//!   the PM table format and the memtable, so the implementation lives in
+//!   [`encoding::bloom`] and is re-exported here);
 //! - [`cache`]: the workspace's one LRU (DRAM), here as the shared block
 //!   cache — a cached block read costs DRAM latency, an uncached one
 //!   costs an SSD random read;

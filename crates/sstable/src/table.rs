@@ -9,9 +9,11 @@
 //! ```
 //!
 //! The index block maps each data block's last internal key to
-//! `(offset u64, len u32)`. Reads go: bloom check (DRAM once loaded) →
-//! index binary search (DRAM) → data block fetch (block cache or SSD) →
-//! in-block restart search (DRAM). A compaction reads its inputs in
+//! `(offset u64, len u32)`. The bloom block is the table's
+//! [`BloomFilter`], `ceil(distinct keys × bits_per_key / 512)` lines.
+//! Reads go: bloom check (one DRAM line once loaded) → index binary
+//! search (DRAM) → data block fetch (block cache or SSD) → in-block
+//! restart search (DRAM). A compaction reads its inputs in
 //! file order past the block cache ([`SsTable::sequential_cursor`]).
 
 use std::sync::Arc;
@@ -151,10 +153,10 @@ impl SsTableBuilder {
     pub fn finish(mut self, tl: &mut Timeline) -> Result<TableSummary, SsdError> {
         self.finish_block(tl);
         let bloom_off = self.writer.offset();
-        let distinct = self.key_hashes.len();
-        let bits_per_key = self.opts.bloom_bits_per_key.max(1);
+        let (distinct, bits_per_key) = (self.key_hashes.len(), self.opts.bloom_bits_per_key);
         let bloom = BloomFilter::build_hashed(self.key_hashes, distinct, bits_per_key);
-        let bloom_raw = bloom.encode();
+        let mut bloom_raw = Vec::new();
+        bloom.encode_into(&mut bloom_raw);
         self.writer.append(&bloom_raw);
         let index_off = bloom_off + bloom_raw.len() as u64;
         let mut index_raw = Vec::new();
@@ -349,8 +351,8 @@ impl SsTable {
         snapshot: SequenceNumber,
         tl: &mut Timeline,
     ) -> Result<Option<VersionedValue>, TableError> {
-        // Bloom filter: DRAM-resident probes.
-        tl.charge(self.cost.dram.random_read(8) * 3);
+        // Bloom filter: one DRAM-resident line.
+        tl.charge(self.cost.dram.random_read(64));
         if !self.bloom.may_contain_hashed(hashes) {
             return Ok(None);
         }
@@ -619,6 +621,57 @@ mod tests {
     }
 
     #[test]
+    fn a_table_built_without_a_filter_serves_every_key() {
+        let (device, cache) = setup();
+        let opts = SsTableOptions {
+            block_size: 256,
+            bloom_bits_per_key: 0,
+        };
+        let mut b = SsTableBuilder::new(&device, "nofilter.sst", opts).unwrap();
+        let mut tl = Timeline::new();
+        for i in 0..100u32 {
+            b.add(
+                format!("k{i:03}").as_bytes(),
+                1,
+                KeyKind::Value,
+                b"v",
+                &mut tl,
+            );
+        }
+        b.finish(&mut tl).unwrap();
+        let t = SsTable::open(&device, "nofilter.sst", cache, &mut tl).unwrap();
+        assert_eq!(t.bloom.encoded_len(), 1, "no lines, only the tag byte");
+        for i in 0..100u32 {
+            let got = t
+                .get(format!("k{i:03}").as_bytes(), u64::MAX, &mut tl)
+                .unwrap();
+            assert_eq!(got.unwrap().2, b"v");
+        }
+    }
+
+    #[test]
+    fn a_get_the_filter_rules_out_costs_one_dram_line() {
+        let (device, cache) = setup();
+        build_table(&device, "t5.sst", 500);
+        let mut tl = Timeline::new();
+        let t = SsTable::open(&device, "t5.sst", cache, &mut tl).unwrap();
+        // ceil(500 keys × 10 bits / 512) lines and the tag byte.
+        assert_eq!(t.bloom.encoded_len(), 10 * 64 + 1);
+        // Absent keys inside the table's range, which a get that passed
+        // the filter would look for in the index and a block.
+        let absent = (0..)
+            .map(|i| format!("user{:08}", i * 5 + 1))
+            .find(|k| !t.bloom.may_contain(k))
+            .unwrap();
+        let mut tl = Timeline::new();
+        assert!(t
+            .get(absent.as_bytes(), u64::MAX, &mut tl)
+            .unwrap()
+            .is_none());
+        assert_eq!(tl.elapsed(), CostModel::default().dram.random_read(64));
+    }
+
+    #[test]
     fn scan_all_returns_everything_in_order() {
         let (device, cache) = setup();
         let entries = build_table(&device, "t3.sst", 777);
@@ -704,8 +757,8 @@ mod tests {
 
     #[test]
     fn table_bytes_are_pinned() {
-        // CRC32C of the whole object, recorded before `add` stopped
-        // allocating per entry (PR 17): same input, same bytes.
+        // CRC32C of the whole object: same input, same bytes. Last
+        // recorded when the bloom block became the blocked filter's lines.
         let (device, _) = setup();
         let mut b = SsTableBuilder::new(&device, "pin.sst", SsTableOptions::default()).unwrap();
         let mut tl = Timeline::new();
@@ -717,7 +770,7 @@ mod tests {
         assert_eq!(last.unwrap(), b"t0003:0000021006");
         let file = device.open("pin.sst").unwrap();
         let bytes = file.read(0, size as usize, &mut tl).unwrap();
-        assert_eq!(encoding::crc::crc32c(bytes), 3_703_185_063);
+        assert_eq!(encoding::crc::crc32c(bytes), 1_030_574_790);
     }
 
     #[test]

@@ -800,7 +800,8 @@ fn traced_remote_get_spans_client_server_engine() {
     // through to the SSD. The sorted run's table is the one a get
     // still consults its own filter for (an unsorted table's keys are
     // in the level-0 key sketch, which has no false positives to speak
-    // of).
+    // of). At 1 bit per key its 1 024 keys get two 512-bit lines, each
+    // key setting six bits in one: a line passes ~98 % of absent keys.
     engine.pm_filter_bits_per_key = 1;
     engine.pm_group_cache_bytes = 256 << 10;
     engine.trace_sample_every = 0; // only wire-adopted contexts record
@@ -816,7 +817,7 @@ fn traced_remote_get_spans_client_server_engine() {
     client
         .compact(CompactionRequest::Major { partition: 0 })
         .unwrap();
-    for i in 0..20u64 {
+    for i in 0..1024u64 {
         client.put(&key_for(i), &value_for(i + 100, 64)).unwrap();
     }
     client.compact(CompactionRequest::FlushAll).unwrap();
@@ -846,9 +847,9 @@ fn traced_remote_get_spans_client_server_engine() {
     assert!(ours.stages.iter().all(|s| s.trace_id == LIVE_ID));
 
     // Absent keys that sit between the sorted run's fences: with 1-bit
-    // filters, a false positive (~63% per key) sends the probe through
+    // filters, a false positive (~98% per key) sends the probe through
     // the PM decode before the SSD search. 64 candidates make a miss
-    // on all of them vanishingly unlikely (~1e-28).
+    // on all of them vanishingly unlikely.
     for i in 0..64u64 {
         let key = format!("key{:08}x{i:02}", i % 19).into_bytes();
         let (miss, _) = client

@@ -226,11 +226,15 @@ fn sampled_scan_attributes_every_nanosecond_to_a_stage() {
 /// virtual ns in `filter_consult` (four lines), not 162, and every
 /// later trace starts 162 ns on. It moved again when the seek stopped
 /// charging the windows line its search had read: 243 ns (three
-/// lines), every later trace 81 ns earlier.
+/// lines), every later trace 81 ns earlier. All three moved when every
+/// table filter became one blocked line: the get an SSD level serves
+/// spends 159 ns less in `ssd_read` (one 81 ns line, not three 80 ns
+/// reads), and flushes writing the new filter sections start later
+/// traces a few tens of ns on.
 const ENGINE_TRACE_PINS: [(Mode, u32); 3] = [
-    (Mode::PmBlade, 2_641_718_881),
-    (Mode::SsdLevel0, 1_844_895_740),
-    (Mode::MatrixKv, 1_388_706_220),
+    (Mode::PmBlade, 1_634_785_152),
+    (Mode::SsdLevel0, 1_868_506_565),
+    (Mode::MatrixKv, 2_896_423_639),
 ];
 
 /// A fixed single-threaded Inline workload over two partitions with a
